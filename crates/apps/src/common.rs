@@ -1,17 +1,15 @@
 //! Machinery shared by the application models: deterministic RNG helpers,
 //! rank topologies, imbalance generation and trace assembly.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use musa_obs::rng::SplitMix64;
 use musa_trace::{
     AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent, RankTrace, SamplingInfo, TraceMeta,
 };
 
 /// Deterministic per-(seed, rank, salt) RNG so each rank's trace is
 /// reproducible independently of generation order.
-pub fn rank_rng(seed: u64, rank: u32, salt: u64) -> SmallRng {
-    SmallRng::seed_from_u64(
+pub fn rank_rng(seed: u64, rank: u32, salt: u64) -> SplitMix64 {
+    SplitMix64::new(
         seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ ((rank as u64) << 32)
             ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9),
@@ -23,7 +21,7 @@ pub fn rank_rng(seed: u64, rank: u32, salt: u64) -> SmallRng {
 /// that causes the paper's Fig. 4 barrier waits.
 pub fn rank_imbalance(seed: u64, rank: u32, spread: f64) -> f64 {
     let mut rng = rank_rng(seed, rank, 0x1111);
-    1.0 + spread * (rng.gen::<f64>() * 2.0 - 1.0)
+    1.0 + spread * (rng.next_f64() * 2.0 - 1.0)
 }
 
 /// A 2-D periodic process grid over `ranks` ranks, as HPC stencil codes
@@ -220,8 +218,8 @@ mod tests {
 
     #[test]
     fn rank_rng_differs_by_salt() {
-        let a: u64 = rank_rng(1, 0, 1).gen();
-        let b: u64 = rank_rng(1, 0, 2).gen();
+        let a = rank_rng(1, 0, 1).next_u64();
+        let b = rank_rng(1, 0, 2).next_u64();
         assert_ne!(a, b);
     }
 }

@@ -19,7 +19,6 @@ use musa_trace::{
     AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, KernelInvocation,
     LoopSchedule, RegionWork, StreamDesc, WorkItem,
 };
-use rand::Rng;
 
 use crate::builder::{build, estimate_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
@@ -158,7 +157,7 @@ impl AppModel for Hydro {
                     let mut rng = rank_rng(p.seed, rank, 0x5000 + iter as u64);
                     let chunks: Vec<WorkItem> = (0..CHUNKS)
                         .map(|c| {
-                            let skew = 1.0 + CHUNK_SKEW * (rng.gen::<f64>() * 2.0 - 1.0);
+                            let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
                             WorkItem {
                                 id: c,
                                 duration_ns: base_chunk_ns * skew * imb,

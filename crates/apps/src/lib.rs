@@ -34,9 +34,7 @@ pub mod spmz;
 use musa_trace::AppTrace;
 
 /// The five applications of the paper's evaluation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppId {
     /// HYDRO: simplified RAMSES, compressible Euler equations, Godunov
     /// method. The best-scaling application of the study.
@@ -54,6 +52,14 @@ pub enum AppId {
     /// bound, short-trip loops, thread- and rank-level imbalance.
     Lulesh,
 }
+
+musa_obs::json_enum!(AppId {
+    Hydro,
+    Spmz,
+    Btmz,
+    Spec3d,
+    Lulesh
+});
 
 impl AppId {
     /// All applications, in the paper's plot order.
@@ -98,7 +104,7 @@ impl std::fmt::Display for AppId {
 ///
 /// Serialisable (and hashable) so result stores can fingerprint the
 /// exact generation scale a row was simulated at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenParams {
     /// MPI ranks to trace (the paper uses 256, one per node).
     pub ranks: u32,
@@ -107,6 +113,12 @@ pub struct GenParams {
     /// RNG seed (generation is deterministic given the seed).
     pub seed: u64,
 }
+
+musa_obs::json_struct!(GenParams {
+    ranks,
+    iterations,
+    seed
+});
 
 impl GenParams {
     /// Paper-scale tracing: 256 ranks, 4 iterations.

@@ -21,7 +21,6 @@ use musa_trace::{
     AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, KernelInvocation,
     LoopSchedule, Op, RegionWork, StreamDesc, WorkItem,
 };
-use rand::Rng;
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
@@ -177,7 +176,7 @@ impl AppModel for Lulesh {
                             rank_rng(p.seed, rank, 0x7000 + (iter * PHASES + phase) as u64);
                         let chunks: Vec<WorkItem> = (0..CHUNKS)
                             .map(|c| {
-                                let skew = 1.0 + CHUNK_SKEW * (rng.gen::<f64>() * 2.0 - 1.0);
+                                let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
                                 let trips = (CHUNK_TRIPS as f64 * skew) as u32;
                                 WorkItem {
                                     id: c,

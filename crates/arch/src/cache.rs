@@ -1,9 +1,7 @@
 //! Cache hierarchy configurations (Table I, top block).
 
-use serde::{Deserialize, Serialize};
-
 /// Size / associativity / latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheLevelParams {
     /// Capacity in bytes.
     pub size_bytes: u64,
@@ -31,7 +29,7 @@ impl CacheLevelParams {
 /// | 96M:1MB     | 96 MB / 16 / 72   |   1 MB / 16 / 13  |
 ///
 /// L1 is fixed at 32 kB (see [`crate::L1_SIZE_BYTES`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CacheConfig {
     /// 32 MB shared L3, 256 kB private L2.
     C32M256K,
@@ -40,6 +38,12 @@ pub enum CacheConfig {
     /// 96 MB shared L3, 1 MB private L2.
     C96M1M,
 }
+
+musa_obs::json_enum!(CacheConfig {
+    C32M256K,
+    C64M512K,
+    C96M1M
+});
 
 impl CacheConfig {
     /// All configurations in Table I order (smallest first — also the

@@ -1,7 +1,5 @@
 //! Core out-of-order capability classes (Table I, middle block).
 
-use serde::{Deserialize, Serialize};
-
 /// The four core pipeline classes explored in the paper.
 ///
 /// From Table I:
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// | medium     | 180 | 4            | 100          | 3 / 3     | 130/70  |
 /// | high       | 224 | 6            | 120          | 4 / 3     | 180/100 |
 /// | aggressive | 300 | 8            | 150          | 5 / 4     | 210/120 |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoreClass {
     /// Modest, close to in-order, low-power core (but floating-point capable).
     LowEnd,
@@ -24,8 +22,15 @@ pub enum CoreClass {
     Aggressive,
 }
 
+musa_obs::json_enum!(CoreClass {
+    LowEnd,
+    Medium,
+    High,
+    Aggressive
+});
+
 /// Microarchitectural sizing of the out-of-order engine for one [`CoreClass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OooParams {
     /// Reorder-buffer entries.
     pub rob: u32,

@@ -1,12 +1,10 @@
 //! CPU clock frequencies and the 22 nm voltage model used for power scaling.
 
-use serde::{Deserialize, Serialize};
-
 /// Explored CPU clock frequencies (Table I): 1.5, 2.0, 2.5, 3.0 GHz.
 ///
 /// TaskSim clocks the whole chip — cores and all cache levels — at this
 /// frequency, which we reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Frequency {
     /// 1.5 GHz (normalisation baseline of Figure 9).
     F1_5,
@@ -17,6 +15,13 @@ pub enum Frequency {
     /// 3.0 GHz.
     F3_0,
 }
+
+musa_obs::json_enum!(Frequency {
+    F1_5,
+    F2_0,
+    F2_5,
+    F3_0
+});
 
 impl Frequency {
     /// All frequencies in ascending order.
@@ -71,7 +76,7 @@ impl std::fmt::Display for Frequency {
 /// affine function of frequency across the explored band, anchored so that
 /// going from 1.5 GHz to 3.0 GHz yields the ≈2.5× power increase the paper
 /// reports (P ∝ f·V²; 2·(V₃.₀/V₁.₅)² ≈ 2.5 ⇒ V₃.₀/V₁.₅ ≈ 1.12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageModel {
     /// Supply voltage at the lowest operating point (1.5 GHz), in volts.
     pub v_min: f64,

@@ -16,8 +16,9 @@
 //!   (`Vector+`, `Vector++`, `MEM+`, `MEM++`);
 //! * a 22 nm voltage/frequency model used by the power estimation.
 //!
-//! Everything is plain data: `Copy` where possible, `serde`-serialisable,
-//! and hashable so results can be keyed by configuration.
+//! Everything is plain data: `Copy` where possible, JSON-serialisable
+//! through `musa_obs::json`, and hashable so results can be keyed by
+//! configuration.
 
 pub mod cache;
 pub mod core_class;

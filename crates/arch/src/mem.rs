@@ -1,10 +1,8 @@
 //! Off-chip memory configurations: DDR4 channel counts (Table I) and the
 //! unconventional 16-channel DDR4 / HBM options (Table II).
 
-use serde::{Deserialize, Serialize};
-
 /// Memory device technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemTechnology {
     /// DDR4-2400 (the paper writes "DDR4-2333"; JEDEC's closest speed grade
     /// is 2400 MT/s, which is what our timing tables implement).
@@ -12,6 +10,8 @@ pub enum MemTechnology {
     /// High-Bandwidth Memory (Table II `MEM++` only).
     Hbm,
 }
+
+musa_obs::json_enum!(MemTechnology { Ddr4, Hbm });
 
 impl MemTechnology {
     /// Data-bus transfer rate in mega-transfers per second.
@@ -37,13 +37,15 @@ impl MemTechnology {
 }
 
 /// A node memory subsystem configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemConfig {
     /// Number of memory channels.
     pub channels: u32,
     /// Device technology.
     pub tech: MemTechnology,
 }
+
+musa_obs::json_struct!(MemConfig { channels, tech });
 
 impl MemConfig {
     /// Four-channel DDR4 — 8 DIMMs, 64 GB (Table I / §IV-C).

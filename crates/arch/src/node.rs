@@ -1,11 +1,9 @@
 //! A complete compute-node configuration — one point of the design space.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CacheConfig, CoreClass, Frequency, MemConfig, VectorWidth};
 
 /// Cores per socket explored in Table I: 1, 32, 64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CoresPerNode {
     /// Single core (scaling baseline).
     C1,
@@ -14,6 +12,8 @@ pub enum CoresPerNode {
     /// 64 cores.
     C64,
 }
+
+musa_obs::json_enum!(CoresPerNode { C1, C32, C64 });
 
 impl CoresPerNode {
     /// All values in Table I order.
@@ -48,7 +48,7 @@ impl std::fmt::Display for CoresPerNode {
 /// One architectural configuration of a compute node: the six explored
 /// features of Table I (plus, via the extended [`VectorWidth`] and
 /// [`MemConfig`] values, the unconventional points of Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeConfig {
     /// Number of cores in the socket.
     pub cores: CoresPerNode,
@@ -63,6 +63,15 @@ pub struct NodeConfig {
     /// Off-chip memory subsystem.
     pub mem: MemConfig,
 }
+
+musa_obs::json_struct!(NodeConfig {
+    cores,
+    core_class,
+    cache,
+    vector,
+    freq,
+    mem
+});
 
 impl NodeConfig {
     /// A representative mid-range configuration, useful as a default in
@@ -166,10 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip_keeps_the_serde_wire_shape() {
         let cfg = NodeConfig::REFERENCE;
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: NodeConfig = serde_json::from_str(&json).unwrap();
+        let json = musa_obs::json::to_string(&cfg);
+        assert_eq!(
+            json,
+            r#"{"cores":"C32","core_class":"High","cache":"C64M512K","vector":"V256","freq":"F2_0","mem":{"channels":4,"tech":"Ddr4"}}"#
+        );
+        let back: NodeConfig = musa_obs::json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
     }
 }

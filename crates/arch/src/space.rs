@@ -1,14 +1,12 @@
 //! Enumeration of the 864-point design space and the Table II
 //! unconventional configurations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CacheConfig, CoreClass, CoresPerNode, Frequency, MemConfig, NodeConfig, VectorWidth};
 
 /// One of the six explored architectural features. Used to drive the
 /// paired-normalisation analysis of §V-B: for each feature, every simulation
 /// is normalised against the simulation that shares all *other* features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Feature {
     /// Number of cores per socket.
     Cores,
@@ -127,7 +125,7 @@ impl DesignSpace {
 }
 
 /// A named unconventional configuration from Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Unconventional {
     /// Paper label, e.g. `Vector+`.
     pub name: &'static str,

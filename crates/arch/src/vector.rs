@@ -1,13 +1,11 @@
 //! FPU vector widths (Table I) plus the unconventional widths of Table II.
 
-use serde::{Deserialize, Serialize};
-
 /// Floating-point unit SIMD width in bits.
 ///
 /// The main design space explores 128/256/512 bits. Table II additionally
 /// uses 64-bit (scalar FPU, `MEM+`/`MEM++`) and 1024/2048-bit
 /// (`Vector+`/`Vector++`) widths, so those are representable too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VectorWidth {
     /// Scalar 64-bit FPU (Table II `MEM+`/`MEM++` only).
     V64,
@@ -23,6 +21,15 @@ pub enum VectorWidth {
     /// 2048-bit SIMD (Table II `Vector++` only; SVE maximum).
     V2048,
 }
+
+musa_obs::json_enum!(VectorWidth {
+    V64,
+    V128,
+    V256,
+    V512,
+    V1024,
+    V2048
+});
 
 impl VectorWidth {
     /// The three widths of the main 864-point design space.

@@ -1462,11 +1462,13 @@ fn summarise(
     println!("== Best-DSE per application (64 cores, 2 GHz slice) ==\n");
     let mut rows = Vec::new();
     for app in AppId::ALL {
-        let best = campaign
-            .best_for(app, |c| {
-                c.cores == musa_arch::CoresPerNode::C64 && c.freq == musa_arch::Frequency::F2_0
-            })
-            .expect("complete campaign has results");
+        // A sliced sweep (MUSA_CONFIG_SLICE) can be complete without
+        // holding a single 64-core 2 GHz configuration.
+        let Some(best) = campaign.best_for(app, |c| {
+            c.cores == musa_arch::CoresPerNode::C64 && c.freq == musa_arch::Frequency::F2_0
+        }) else {
+            continue;
+        };
         rows.push(vec![
             app.label().to_string(),
             best.config.label(),

@@ -14,9 +14,6 @@
 //! ```sh
 //! CHAOS=1 cargo test -p musa-bench --test cache_e2e
 //! ```
-//!
-//! Everything here needs a working `serde_json` (the typecheck-only
-//! stub panics at runtime) and skips cleanly without it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -42,12 +39,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// `true` when the linked serde_json actually serialises; `false`
-/// under the typecheck-only stub. Persistence drills skip without it.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
 }
 
 fn chaos_enabled() -> bool {
@@ -173,10 +164,6 @@ fn reference_lines(tag: &str) -> (PathBuf, Vec<String>) {
 /// reuse from the sequential pipeline.
 #[test]
 fn sequential_cold_then_warm_is_byte_identical() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let (ref_dir, want) = reference_lines("seq-ref");
 
     let dir = tmp_dir("seq-cache");
@@ -219,10 +206,13 @@ fn sequential_cold_then_warm_is_byte_identical() {
         total.hits() > cold_stats.hits(),
         "warm run must add sequential-path hits: cold {cold_stats:?}, total {total:?}"
     );
-    // Warm trace lookups never regenerate: one trace per app, all hits.
+    // Traces live in the per-process memo only, so each run generates
+    // one per app; what the warm run must not redo is simulation.
+    assert_eq!(total.trace_misses, 2 * cold_stats.trace_misses);
     assert_eq!(
-        total.trace_misses, cold_stats.trace_misses,
-        "warm run must not regenerate traces"
+        (total.detail_misses, total.burst_misses),
+        (cold_stats.detail_misses, cold_stats.burst_misses),
+        "warm run must not re-simulate a detailed window or a burst baseline"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -235,10 +225,6 @@ fn sequential_cold_then_warm_is_byte_identical() {
 /// uncached bytes.
 #[test]
 fn pool_workers_share_the_cache_byte_identically() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let (ref_dir, want) = reference_lines("pool-ref");
 
     let dir = tmp_dir("pool-cache");
@@ -265,8 +251,9 @@ fn pool_workers_share_the_cache_byte_identically() {
         "warm pool run must add pool-worker hits: cold {cold_stats:?}, total {total:?}"
     );
     assert_eq!(
-        total.trace_misses, cold_stats.trace_misses,
-        "warm pool workers must not regenerate traces"
+        (total.detail_misses, total.burst_misses),
+        (cold_stats.detail_misses, cold_stats.burst_misses),
+        "warm pool workers must not re-simulate a detailed window or a burst baseline"
     );
     assert!(
         stderr_of(&warm).contains("[dse] cache ("),
@@ -282,10 +269,6 @@ fn pool_workers_share_the_cache_byte_identically() {
 /// artifact directory untouched on both pipelines.
 #[test]
 fn no_cache_flag_leaves_no_artifacts() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let dir = tmp_dir("nocache-seq");
     let out = dse(&dir, &["--no-cache"]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -316,10 +299,6 @@ fn no_cache_flag_leaves_no_artifacts() {
 /// value recomputed — the final rows cannot tell the difference.
 #[test]
 fn corrupt_artifact_is_quarantined_and_rows_stay_identical() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let (ref_dir, want) = reference_lines("corrupt-ref");
 
     let dir = tmp_dir("corrupt");
@@ -371,10 +350,6 @@ fn corrupt_artifact_is_quarantined_and_rows_stay_identical() {
 /// resets the directory.
 #[test]
 fn cache_cli_stats_verify_gc_lifecycle() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let dir = tmp_dir("cli");
     let out = dse(&dir, &[]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -383,8 +358,12 @@ fn cache_cli_stats_verify_gc_lifecycle() {
     assert!(stats.status.success());
     let text = stdout_of(&stats);
     assert!(
-        text.contains("trace"),
-        "stats lists trace artifacts: {text}"
+        text.contains("detail") && text.contains("burst"),
+        "stats lists both artifact kinds: {text}"
+    );
+    assert!(
+        !text.contains("\n  trace "),
+        "traces are never on disk, so there is no trace tally: {text}"
     );
     assert!(
         text.contains("sequential"),
@@ -436,10 +415,6 @@ fn cache_cli_stats_verify_gc_lifecycle() {
 /// for the experiment log.
 #[test]
 fn full_scale_warm_run_is_byte_identical_and_faster() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let seq = tmp_dir("full-ref");
     let out = dse_command(&seq, &["--full", "--no-cache"], 1, false)
         .output()
@@ -506,8 +481,8 @@ fn kill_nine_mid_artifact_write_then_resume_converges() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 artifact drill");
         return;
     }
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let (ref_dir, want) = reference_lines("kill9-ref");

@@ -17,9 +17,6 @@
 //! ```sh
 //! CHAOS=1 cargo test -p musa-bench --test dist_e2e
 //! ```
-//!
-//! Everything here needs a working `serde_json` (the typecheck-only
-//! stub panics at runtime) and skips cleanly without it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -46,12 +43,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// `true` when the linked serde_json actually serialises; `false`
-/// under the typecheck-only stub. Persistence drills skip without it.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
 }
 
 fn chaos_enabled() -> bool {
@@ -181,10 +172,6 @@ fn reference_lines(tag: &str) -> (PathBuf, Vec<String>) {
 /// readers.
 #[test]
 fn listen_without_remote_workers_degrades_to_the_local_pool() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let (ref_dir, want) = reference_lines("degrade-ref");
 
     let dir = tmp_dir("degrade");
@@ -239,8 +226,8 @@ fn listen_without_remote_workers_degrades_to_the_local_pool() {
 /// contributing a single row.
 #[test]
 fn remote_workers_share_the_sweep_byte_identically() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let (ref_dir, want) = reference_lines("share-ref");
@@ -337,8 +324,8 @@ fn remote_workers_share_the_sweep_byte_identically() {
 /// drill injects many deaths and none of them may quarantine anything.
 #[test]
 fn garbled_frames_reconnect_and_converge_byte_identically() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let (ref_dir, want) = reference_lines("garble-ref");
@@ -426,10 +413,6 @@ fn garbled_frames_reconnect_and_converge_byte_identically() {
 /// well before the reconnect window would have expired.
 #[test]
 fn max_reconnects_bounds_a_worker_whose_hub_is_gone() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     // Bind then drop a listener: connects to this port now fail fast.
     let addr = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -461,8 +444,8 @@ fn kill_nine_dist_worker_reissues_the_lease_and_converges() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 dist-worker drill");
         return;
     }
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let (ref_dir, want) = reference_lines("kill9-ref");

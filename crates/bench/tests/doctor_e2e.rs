@@ -3,7 +3,7 @@
 //!
 //! The doctor drills corrupt several durable families at once — lease
 //! journal, search journal, profiles, artifact tmp litter, stale
-//! heartbeats (plus campaign rows when the linked serde_json works) —
+//! heartbeats, campaign rows —
 //! and assert the documented contract: audit grades the store corrupt
 //! (exit 2), `--repair` restores exit 0 in one pass, a second repair
 //! is a byte-identical no-op, and every removed line survives in the
@@ -36,12 +36,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// `true` when the linked serde_json actually serialises; `false`
-/// under the typecheck-only stub. Row-level drills skip without it.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 fn torture_enabled() -> bool {
     std::env::var("TORTURE").as_deref() == Ok("1")
 }
@@ -70,7 +64,7 @@ fn code(out: &Output) -> i32 {
     out.status.code().unwrap_or(-1)
 }
 
-/// Corrupt four stub-safe durable families in `dir`; returns the
+/// Corrupt four durable families in `dir`; returns the
 /// number of complete garbage lines that must end up as quarantine
 /// evidence.
 fn corrupt_four_families(dir: &Path) -> usize {
@@ -280,14 +274,9 @@ fn repair_writes_the_status_beacon() {
 }
 
 /// Row-level drill: corrupt a real campaign's row bytes and let the
-/// doctor route them through the store's own quarantine path. Needs a
-/// working serde_json (the campaign itself cannot run under the stub).
+/// doctor route them through the store's own quarantine path.
 #[test]
 fn corrupt_campaign_rows_repair_to_quarantine() {
-    if !serde_json_works() {
-        eprintln!("skipping: this build's serde_json is the typecheck-only stub");
-        return;
-    }
     let dir = tmp_dir("rows");
     let out = dse(&["--store-dir", dir.to_str().unwrap()]);
     assert!(
@@ -331,8 +320,7 @@ fn torture_rejects_zero_rounds() {
 
 /// The full seeded storm: real campaigns, composed failpoints, real
 /// kill -9, byte-identity and repair-convergence contracts per round.
-/// Skips cleanly under the serde stub (no campaign can run) and is
-/// gated behind TORTURE=1 like the other chaos drills.
+/// Gated behind TORTURE=1 like the other chaos drills.
 #[test]
 fn torture_storm_round_trips() {
     if !torture_enabled() {

@@ -15,9 +15,6 @@
 //! ```sh
 //! CHAOS=1 cargo test -p musa-bench --test pool_e2e
 //! ```
-//!
-//! Everything here needs a working `serde_json` (the typecheck-only
-//! stub panics at runtime) and skips cleanly without it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -46,12 +43,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// `true` when the linked serde_json actually serialises; `false`
-/// under the typecheck-only stub. Persistence drills skip without it.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
 }
 
 fn chaos_enabled() -> bool {
@@ -163,10 +154,6 @@ fn reference_lines(tag: &str) -> (PathBuf, Vec<String>) {
 
 #[test]
 fn pool_fill_matches_sequential_byte_for_byte() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let (ref_dir, want) = reference_lines("seq-ref");
 
     for n in ["1", "2", "4"] {
@@ -201,8 +188,8 @@ fn pool_fill_matches_sequential_byte_for_byte() {
 /// `--resume` without faults must then heal to byte-identity.
 #[test]
 fn injected_sim_panics_poison_identically_then_resume_heals() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let spec = "seed=11,sim.point=panic@0.5";
@@ -244,8 +231,8 @@ fn injected_sim_panics_poison_identically_then_resume_heals() {
 
 #[test]
 fn hung_point_is_deadline_killed_then_poisoned() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     // Search for a seed under which exactly ONE point of the sweep
@@ -388,18 +375,15 @@ fn worker_refuses_sweep_geometry_mismatch() {
     );
 
     // Positive control: the matching key is accepted and the lease runs
-    // to completion (needs a working store to flush the row).
-    if serde_json_works() {
-        let right =
-            PointKey::for_point(AppId::ALL[0], &configs[0], &sweep(GenParams::tiny())).to_hex();
-        let out = worker_argv(&right);
-        assert!(
-            out.status.success(),
-            "matching sweep key must be accepted: {}",
-            stderr_of(&out)
-        );
-        assert_eq!(sorted_store_lines(&dir).len(), 1, "the leased row lands");
-    }
+    // to completion.
+    let right = PointKey::for_point(AppId::ALL[0], &configs[0], &sweep(GenParams::tiny())).to_hex();
+    let out = worker_argv(&right);
+    assert!(
+        out.status.success(),
+        "matching sweep key must be accepted: {}",
+        stderr_of(&out)
+    );
+    assert_eq!(sorted_store_lines(&dir).len(), 1, "the leased row lands");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -411,10 +395,6 @@ fn worker_refuses_sweep_geometry_mismatch() {
 /// keeps the paper-scale cost to 5 points per run.
 #[test]
 fn full_scale_pool_run_matches_full_sequential() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let seq = tmp_dir("full-seq");
     let out = dse_command_at(&seq, &["--full"], 1, false)
         .output()
@@ -468,8 +448,8 @@ fn full_scale_pool_run_matches_full_sequential() {
 /// the sweep under-accounted its points.
 #[test]
 fn in_worker_poison_survives_worker_death() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let keys = point_keys_at(1);
@@ -597,8 +577,8 @@ fn kill_nine_worker_mid_batch_converges_byte_identically() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 worker drill");
         return;
     }
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let (ref_dir, want) = reference_lines("kill9-ref");
@@ -672,8 +652,8 @@ fn kill_nine_supervisor_then_resume_converges_byte_identically() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 supervisor drill");
         return;
     }
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let (ref_dir, want) = reference_lines("resume-ref");

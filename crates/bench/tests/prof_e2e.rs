@@ -15,11 +15,6 @@
 //! ```sh
 //! CHAOS=1 cargo test -p musa-bench --test prof_e2e
 //! ```
-//!
-//! Sweep-running drills need a working `serde_json` (the
-//! typecheck-only stub panics at runtime) and skip cleanly without it;
-//! the `dse profile` report and trace-export drills run everywhere —
-//! profile records use the dependency-free sealed-JSONL codec.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -47,12 +42,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// `true` when the linked serde_json actually serialises; `false`
-/// under the typecheck-only stub. Sweep-running drills skip without it.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
 }
 
 fn chaos_enabled() -> bool {
@@ -185,7 +174,7 @@ fn write_profiles(dir: &Path, records: &[PointProfile]) {
 
 /// `dse profile` aggregates a store directory's records alone: top-k,
 /// per-phase and per-app p50/p95/max, cache efficacy — no campaign
-/// loaded, no simulator run, no serde needed.
+/// loaded, no simulator run.
 #[test]
 fn profile_subcommand_reports_top_k_and_phases_from_records_alone() {
     let dir = tmp_dir("report");
@@ -365,10 +354,6 @@ fn trace_export_is_valid_chrome_trace_with_journal_instants() {
 /// while leaving one profile record per simulated point behind.
 #[test]
 fn sequential_rows_identical_with_and_without_profiling() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let profiled = tmp_dir("seq-on");
     let out = dse(&profiled, &[]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -407,10 +392,6 @@ fn sequential_rows_identical_with_and_without_profiling() {
 /// of it touches row bytes (`MUSA_PROF=0` run as the control).
 #[test]
 fn pool_rows_identical_and_worker_profiles_merged() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     let profiled = tmp_dir("pool-on");
     let out = dse(&profiled, &["--workers", "4"]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -461,10 +442,6 @@ fn pool_rows_identical_and_worker_profiles_merged() {
 /// fatal.
 #[test]
 fn stale_staged_profiles_are_harvested_on_resume() {
-    if !serde_json_works() {
-        eprintln!("skipping: needs a runtime serde_json");
-        return;
-    }
     if !musa_prof::COMPILED {
         eprintln!("skipping: profiling compiled out");
         return;
@@ -514,8 +491,8 @@ fn stale_staged_profiles_are_harvested_on_resume() {
 /// the metrics dump as `prof.dropped`.
 #[test]
 fn full_disk_profile_appends_drop_but_rows_still_land() {
-    if !serde_json_works() || !musa_fault::COMPILED || !musa_prof::COMPILED {
-        eprintln!("skipping: needs runtime serde_json, fault and prof features");
+    if !musa_fault::COMPILED || !musa_prof::COMPILED {
+        eprintln!("skipping: needs the fault and prof features");
         return;
     }
     let reference = tmp_dir("disk-ref");
@@ -573,8 +550,8 @@ fn kill_nine_worker_profiles_survive_and_merge() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 profiling drill");
         return;
     }
-    if !serde_json_works() || !musa_fault::COMPILED || !musa_prof::COMPILED {
-        eprintln!("skipping: needs runtime serde_json, fault and prof features");
+    if !musa_fault::COMPILED || !musa_prof::COMPILED {
+        eprintln!("skipping: needs the fault and prof features");
         return;
     }
     let dir = tmp_dir("kill9-prof");

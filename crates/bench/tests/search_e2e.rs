@@ -2,10 +2,6 @@
 //! strictness, journal + report determinism across runs and worker
 //! counts, resume semantics (pure replay, flag-change refusal), and —
 //! under `CHAOS=1` — surviving a SIGKILL mid-search.
-//!
-//! Persistence drills need a working `serde_json` (the typecheck-only
-//! stub panics when the store flushes rows) and skip cleanly without
-//! it, exactly like the pool/profiling e2e suites.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -23,12 +19,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// `true` when the linked serde_json actually serialises; `false`
-/// under the typecheck-only stub. Persistence drills skip without it.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
 }
 
 fn chaos_enabled() -> bool {
@@ -122,10 +112,6 @@ fn search_unknown_flag_exits_2_with_usage() {
 
 #[test]
 fn same_seed_byte_identical_journal_and_report_across_runs() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json cannot serialise here");
-        return;
-    }
     let (a, b) = (tmp_dir("det-a"), tmp_dir("det-b"));
     let (ra, rb) = (a.join("report.json"), b.join("report.json"));
     let out = search(
@@ -184,10 +170,6 @@ fn same_seed_byte_identical_journal_and_report_across_runs() {
 
 #[test]
 fn workers_match_sequential_byte_for_byte() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json cannot serialise here");
-        return;
-    }
     let (seq, pool) = (tmp_dir("w-seq"), tmp_dir("w-pool"));
     let (rs, rp) = (seq.join("report.json"), pool.join("report.json"));
     let out = search(
@@ -230,10 +212,6 @@ fn workers_match_sequential_byte_for_byte() {
 
 #[test]
 fn resume_is_pure_replay_and_refuses_changed_flags() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json cannot serialise here");
-        return;
-    }
     let dir = tmp_dir("resume");
     let out = search(&dir, BASE);
     assert!(out.status.success());
@@ -280,10 +258,6 @@ fn resume_is_pure_replay_and_refuses_changed_flags() {
 
 #[test]
 fn kill9_mid_search_resumes_byte_identically() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json cannot serialise here");
-        return;
-    }
     if !chaos_enabled() {
         eprintln!("skipping: set CHAOS=1 to run the kill -9 drill");
         return;

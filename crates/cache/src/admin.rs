@@ -142,13 +142,6 @@ impl VerifyReport {
 /// runtime does that on the next lookup — so `verify` is safe to run
 /// against a directory with live writers.
 pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    if !crate::serde_runtime_works() {
-        // Header parsing needs a live serde; refusing honestly beats
-        // misclassifying (and later gc'ing) healthy artifacts.
-        return Err(io::Error::other(
-            "artifact verification unavailable: this build's serde runtime is stubbed",
-        ));
-    }
     let inv = inventory(dir)?;
     let mut report = VerifyReport::default();
     for e in inv.entries {
@@ -214,21 +207,16 @@ pub fn gc(dir: &Path, all: bool, max_bytes: Option<u64>) -> io::Result<GcReport>
         report.bytes += remove(dir.join(name))?;
         report.tmp_removed += 1;
     }
-    // Stale/corrupt classification needs a live serde to parse headers;
-    // under a stubbed runtime only name-addressed removal (`all`, tmp
-    // litter, quarantine) proceeds — never risk gc'ing healthy files.
-    let can_classify = crate::serde_runtime_works();
     for e in &inv.entries {
         let (kind, key) = parse_file_name(&e.name).expect("inventoried names parse");
         let reclaim = all
-            || (can_classify
-                && match std::fs::read(dir.join(&e.name)) {
-                    Err(_) => false,
-                    Ok(bytes) => matches!(
-                        verify_bytes(&bytes, Some((kind, key))),
-                        ArtifactRead::Stale | ArtifactRead::Corrupt(_)
-                    ),
-                });
+            || match std::fs::read(dir.join(&e.name)) {
+                Err(_) => false,
+                Ok(bytes) => matches!(
+                    verify_bytes(&bytes, Some((kind, key))),
+                    ArtifactRead::Stale | ArtifactRead::Corrupt(_)
+                ),
+            };
         if reclaim {
             report.bytes += remove(dir.join(&e.name))?;
             report.removed += 1;
@@ -278,9 +266,9 @@ pub fn gc(dir: &Path, all: bool, max_bytes: Option<u64>) -> io::Result<GcReport>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{artifact_file_name, write_artifact, BurstArtifact};
+    use crate::artifact::{artifact_file_name, write_artifact, BurstArtifact, DetailArtifact};
     use crate::cache::ArtifactCache;
-    use crate::fp::{burst_key, trace_key};
+    use crate::fp::{burst_key, detail_key, trace_key};
     use musa_apps::{AppId, GenParams};
 
     fn tmp_store(tag: &str) -> PathBuf {
@@ -294,8 +282,11 @@ mod tests {
     fn populated(tag: &str) -> (PathBuf, PathBuf) {
         let store = tmp_store(tag);
         let cache = ArtifactCache::open(&store).unwrap();
-        cache.trace(AppId::Hydro, &GenParams::tiny());
         let t = trace_key(AppId::Hydro, &GenParams::tiny());
+        cache.put_detail(
+            detail_key(t, &musa_arch::NodeConfig::REFERENCE),
+            &DetailArtifact::default(),
+        );
         cache.put_burst(burst_key(t, 32), &BurstArtifact { makespan_ns: 1.0 });
         cache.put_burst(burst_key(t, 64), &BurstArtifact { makespan_ns: 2.0 });
         cache.persist_session("sequential");
@@ -305,17 +296,13 @@ mod tests {
 
     #[test]
     fn inventory_counts_kinds_and_sessions() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let (store, dir) = populated("inv");
         std::fs::write(dir.join(".stranded.123.0.tmp"), b"junk").unwrap();
         std::fs::write(dir.join("README"), b"not an artifact").unwrap();
 
         let inv = inventory(&dir).unwrap();
-        assert_eq!(inv.tally(ArtifactKind::Trace).0, 1);
+        assert_eq!(inv.tally(ArtifactKind::Detail).0, 1);
         assert_eq!(inv.tally(ArtifactKind::Burst).0, 2);
-        assert_eq!(inv.tally(ArtifactKind::Detail).0, 0);
         assert!(inv.total_bytes() > 0);
         assert_eq!(inv.tmp_litter, vec![".stranded.123.0.tmp".to_string()]);
         let by_label = inv.sessions_by_label();
@@ -331,9 +318,6 @@ mod tests {
 
     #[test]
     fn verify_flags_only_the_broken_file() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let (store, dir) = populated("verify");
         let report = verify(&dir).unwrap();
         assert!(report.clean());
@@ -362,9 +346,6 @@ mod tests {
 
     #[test]
     fn verify_catches_a_file_renamed_over_the_wrong_slot() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let (store, dir) = populated("rename");
         let t = trace_key(AppId::Hydro, &GenParams::tiny());
         // Write a valid burst artifact, then copy it over a *different*
@@ -385,9 +366,6 @@ mod tests {
 
     #[test]
     fn gc_default_reclaims_litter_and_corruption_only() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let (store, dir) = populated("gc");
         std::fs::write(dir.join(".stranded.9.9.tmp"), b"junk").unwrap();
         // One corrupt artifact + a quarantined file from an old run.
@@ -419,9 +397,6 @@ mod tests {
 
     #[test]
     fn gc_all_resets_the_directory() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let (store, dir) = populated("gcall");
         let report = gc(&dir, true, None).unwrap();
         assert_eq!(report.removed, 3);
@@ -433,9 +408,6 @@ mod tests {
 
     #[test]
     fn gc_reclaims_stale_schema_artifacts() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let store = tmp_store("stale");
         let dir = store.join("artifacts");
         std::fs::create_dir_all(&dir).unwrap();
@@ -475,12 +447,9 @@ mod tests {
 
     #[test]
     fn gc_max_bytes_evicts_oldest_first_until_budget_fits() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let (store, dir) = populated("evict");
-        // Stamp distinct mtimes so eviction order is unambiguous: the
-        // trace is oldest, then the 32-rank burst, then the 64-rank.
+        // Stamp distinct mtimes, oldest first in name order, so the
+        // eviction order is unambiguous.
         let names: Vec<String> = inventory(&dir)
             .unwrap()
             .entries

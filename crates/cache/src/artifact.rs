@@ -18,8 +18,6 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
 use crate::fp::{ArtifactKey, CACHE_SCHEMA_VERSION};
 use crate::integrity::{atomic_write, crc32};
 
@@ -28,11 +26,9 @@ use crate::integrity::{atomic_write, crc32};
 /// land a `kill -9` mid-write.
 pub const CACHE_WRITE_FAILPOINT: &str = "cache.write";
 
-/// The three artifact species the pipeline caches.
+/// The two artifact species the pipeline caches on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ArtifactKind {
-    /// A generated application trace (`musa_trace::AppTrace` JSON).
-    Trace,
     /// One detailed-simulation window ([`DetailArtifact`] JSON).
     Detail,
     /// One burst-mode baseline makespan ([`BurstArtifact`] JSON).
@@ -41,16 +37,11 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// All kinds, in inventory-listing order.
-    pub const ALL: [ArtifactKind; 3] = [
-        ArtifactKind::Trace,
-        ArtifactKind::Detail,
-        ArtifactKind::Burst,
-    ];
+    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::Detail, ArtifactKind::Burst];
 
     /// Stable name used in file names and headers.
     pub fn label(self) -> &'static str {
         match self {
-            ArtifactKind::Trace => "trace",
             ArtifactKind::Detail => "detail",
             ArtifactKind::Burst => "burst",
         }
@@ -84,7 +75,7 @@ pub fn parse_file_name(name: &str) -> Option<(ArtifactKind, ArtifactKey)> {
 }
 
 /// The first line of every artifact file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArtifactHeader {
     /// [`CACHE_SCHEMA_VERSION`] at write time.
     pub schema: u32,
@@ -98,14 +89,22 @@ pub struct ArtifactHeader {
     pub crc: u32,
 }
 
+musa_obs::json_struct!(ArtifactHeader {
+    schema,
+    kind,
+    key,
+    len,
+    crc
+});
+
 /// Everything the multiscale pipeline derives from one detailed
 /// tasksim window of `(trace, NodeConfig)` — exactly the fields
 /// `MultiscaleSim::simulate` reads from a fresh `NodeSim` run, so a
 /// result derived from a cached artifact is *the same arithmetic on
-/// the same numbers* as an uncached one. `serde_json` round-trips
+/// the same numbers* as an uncached one. `musa_obs::json` round-trips
 /// `f64` exactly (shortest-representation printing), so cached and
 /// fresh rows are byte-identical, not merely close.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DetailArtifact {
     /// Detailed makespan of the sampled region (ns).
     pub region_ns: f64,
@@ -122,13 +121,24 @@ pub struct DetailArtifact {
     pub dram: musa_mem::ChannelStats,
 }
 
+musa_obs::json_struct!(DetailArtifact {
+    region_ns,
+    busy_ns,
+    efficiency,
+    mem_stretch,
+    stats,
+    dram
+});
+
 /// One burst-mode baseline: the sampled region's makespan under the
 /// burst (analytical) simulator at a given core count.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BurstArtifact {
     /// Burst makespan of the sampled region (ns).
     pub makespan_ns: f64,
 }
+
+musa_obs::json_struct!(BurstArtifact { makespan_ns });
 
 /// Outcome of reading one artifact file.
 #[derive(Debug)]
@@ -147,6 +157,12 @@ pub enum ArtifactRead {
     Corrupt(String),
 }
 
+/// Parse the JSON bytes of a header or payload.
+pub(crate) fn decode<T: musa_obs::json::FromJson>(bytes: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    musa_obs::json::from_str(text)
+}
+
 /// Serialise `(kind, key, payload)` into the on-disk byte format.
 pub fn encode_artifact(kind: ArtifactKind, key: ArtifactKey, payload: &[u8]) -> Vec<u8> {
     let header = ArtifactHeader {
@@ -156,7 +172,7 @@ pub fn encode_artifact(kind: ArtifactKind, key: ArtifactKey, payload: &[u8]) -> 
         len: payload.len() as u64,
         crc: crc32(payload),
     };
-    let mut bytes = serde_json::to_vec(&header).expect("header serialisation is infallible");
+    let mut bytes = musa_obs::json::to_string(&header).into_bytes();
     bytes.push(b'\n');
     bytes.extend_from_slice(payload);
     bytes
@@ -196,7 +212,7 @@ pub fn verify_bytes(bytes: &[u8], expect: Option<(ArtifactKind, ArtifactKey)>) -
     let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
         return ArtifactRead::Corrupt("no header line (torn write?)".into());
     };
-    let header: ArtifactHeader = match serde_json::from_slice(&bytes[..nl]) {
+    let header: ArtifactHeader = match decode(&bytes[..nl]) {
         Ok(h) => h,
         Err(e) => return ArtifactRead::Corrupt(format!("bad header: {e}")),
     };
@@ -292,20 +308,17 @@ mod tests {
             assert_eq!(parse_file_name(&name), Some((kind, key)));
         }
         assert_eq!(parse_file_name("notes.txt"), None);
-        assert_eq!(parse_file_name("trace-xyz.art"), None);
+        assert_eq!(parse_file_name("burst-xyz.art"), None);
         assert_eq!(parse_file_name("bogus-0123456789abcdef.art"), None);
-        assert_eq!(parse_file_name(".trace-0123456789abcdef.art.1.0.tmp"), None);
+        assert_eq!(parse_file_name(".burst-0123456789abcdef.art.1.0.tmp"), None);
     }
 
     #[test]
     fn write_read_roundtrip() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let dir = tmp_dir("roundtrip");
         let key = some_key();
         let path = dir.join(artifact_file_name(ArtifactKind::Detail, key));
-        let payload = serde_json::to_vec(&DetailArtifact {
+        let payload = musa_obs::json::to_string(&DetailArtifact {
             region_ns: 123.456,
             busy_ns: 99.0,
             efficiency: 0.75,
@@ -313,11 +326,11 @@ mod tests {
             stats: Default::default(),
             dram: Default::default(),
         })
-        .unwrap();
+        .into_bytes();
         write_artifact(&path, ArtifactKind::Detail, key, &payload).unwrap();
         match read_artifact(&path, ArtifactKind::Detail, key) {
             ArtifactRead::Payload(p) => {
-                let back: DetailArtifact = serde_json::from_slice(&p).unwrap();
+                let back: DetailArtifact = decode(&p).unwrap();
                 assert_eq!(back.region_ns, 123.456);
                 assert_eq!(back.efficiency, 0.75);
             }
@@ -330,9 +343,9 @@ mod tests {
     fn absent_is_a_plain_miss() {
         let dir = tmp_dir("absent");
         let key = some_key();
-        let path = dir.join(artifact_file_name(ArtifactKind::Trace, key));
+        let path = dir.join(artifact_file_name(ArtifactKind::Burst, key));
         assert!(matches!(
-            read_artifact(&path, ArtifactKind::Trace, key),
+            read_artifact(&path, ArtifactKind::Burst, key),
             ArtifactRead::Absent
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -340,13 +353,10 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let dir = tmp_dir("torn");
         let key = some_key();
         let path = dir.join(artifact_file_name(ArtifactKind::Burst, key));
-        let payload = serde_json::to_vec(&BurstArtifact { makespan_ns: 7.0 }).unwrap();
+        let payload = musa_obs::json::to_string(&BurstArtifact { makespan_ns: 7.0 }).into_bytes();
         write_artifact(&path, ArtifactKind::Burst, key, &payload).unwrap();
         // Chop the tail off, as a torn write would.
         let bytes = std::fs::read(&path).unwrap();
@@ -360,13 +370,10 @@ mod tests {
 
     #[test]
     fn bit_rot_is_detected() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let dir = tmp_dir("rot");
         let key = some_key();
         let path = dir.join(artifact_file_name(ArtifactKind::Burst, key));
-        let payload = serde_json::to_vec(&BurstArtifact { makespan_ns: 7.0 }).unwrap();
+        let payload = musa_obs::json::to_string(&BurstArtifact { makespan_ns: 7.0 }).into_bytes();
         write_artifact(&path, ArtifactKind::Burst, key, &payload).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -381,14 +388,11 @@ mod tests {
 
     #[test]
     fn wrong_kind_or_key_is_rejected() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let dir = tmp_dir("mislabel");
         let key = some_key();
         let other_key = burst_key(key, 32);
         let path = dir.join(artifact_file_name(ArtifactKind::Burst, key));
-        let payload = serde_json::to_vec(&BurstArtifact { makespan_ns: 7.0 }).unwrap();
+        let payload = musa_obs::json::to_string(&BurstArtifact { makespan_ns: 7.0 }).into_bytes();
         write_artifact(&path, ArtifactKind::Burst, key, &payload).unwrap();
         assert!(matches!(
             read_artifact(&path, ArtifactKind::Detail, key),
@@ -409,38 +413,35 @@ mod tests {
 
     #[test]
     fn schema_skew_is_a_miss_not_corruption() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let key = some_key();
         let payload = b"{}";
-        let mut newer = serde_json::to_vec(&ArtifactHeader {
+        let mut newer = musa_obs::json::to_string(&ArtifactHeader {
             schema: CACHE_SCHEMA_VERSION + 1,
-            kind: "trace".into(),
+            kind: "burst".into(),
             key: key.to_hex(),
             len: payload.len() as u64,
             crc: crc32(payload),
         })
-        .unwrap();
+        .into_bytes();
         newer.push(b'\n');
         newer.extend_from_slice(payload);
         assert!(matches!(
-            verify_bytes(&newer, Some((ArtifactKind::Trace, key))),
+            verify_bytes(&newer, Some((ArtifactKind::Burst, key))),
             ArtifactRead::Newer
         ));
         // Same artifact, schema 0 header.
-        let mut h = serde_json::to_vec(&ArtifactHeader {
+        let mut h = musa_obs::json::to_string(&ArtifactHeader {
             schema: 0,
-            kind: "trace".into(),
+            kind: "burst".into(),
             key: key.to_hex(),
             len: payload.len() as u64,
             crc: crc32(payload),
         })
-        .unwrap();
+        .into_bytes();
         h.push(b'\n');
         h.extend_from_slice(payload);
         assert!(matches!(
-            verify_bytes(&h, Some((ArtifactKind::Trace, key))),
+            verify_bytes(&h, Some((ArtifactKind::Burst, key))),
             ArtifactRead::Stale
         ));
     }
@@ -449,7 +450,7 @@ mod tests {
     fn quarantine_preserves_evidence_and_frees_the_slot() {
         let dir = tmp_dir("quarantine");
         let key = some_key();
-        let path = dir.join(artifact_file_name(ArtifactKind::Trace, key));
+        let path = dir.join(artifact_file_name(ArtifactKind::Burst, key));
         std::fs::write(&path, b"garbage").unwrap();
         let dest = quarantine(&path, "length mismatch: test");
         assert!(!path.exists(), "slot must be free for recomputation");

@@ -5,6 +5,7 @@
 //! first (a mutexed map per artifact kind), then disk
 //! (`<store-dir>/artifacts/`), then recompute; the disk layer is what
 //! different processes — a `--resume`, a fleet of pool workers — share.
+//! Traces are the exception: memo only, never on disk.
 //! Every disk read is verified (schema, kind, key, length, CRC) before
 //! use; failures quarantine the file and fall through to recompute, so
 //! the cache can never change a result, only the time it takes.
@@ -19,15 +20,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
 use musa_apps::{generate, AppId, GenParams};
-use musa_trace::io::{read_trace, write_trace};
 use musa_trace::AppTrace;
 
 use crate::artifact::{
-    artifact_file_name, quarantine, read_artifact, write_artifact, ArtifactKind, ArtifactRead,
-    BurstArtifact, DetailArtifact,
+    artifact_file_name, decode, quarantine, read_artifact, write_artifact, ArtifactKind,
+    ArtifactRead, BurstArtifact, DetailArtifact,
 };
 use crate::fp::{trace_key, ArtifactKey};
 
@@ -47,14 +45,14 @@ pub fn enabled_from_env() -> bool {
 
 /// One process's cache activity, as persisted to [`SESSIONS_FILE`] and
 /// aggregated by `dse cache stats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Which pipeline wrote this line: `"sequential"` or
     /// `"pool-worker"`.
     pub label: String,
     /// Writer's process id (diagnostic only).
     pub pid: u32,
-    /// Trace lookups served from memo or disk.
+    /// Trace lookups served from the in-process memo.
     pub trace_hits: u64,
     /// Trace lookups that had to generate.
     pub trace_misses: u64,
@@ -73,6 +71,20 @@ pub struct SessionStats {
     /// Payload bytes written to disk.
     pub bytes_written: u64,
 }
+
+musa_obs::json_struct!(SessionStats {
+    label,
+    pid,
+    trace_hits,
+    trace_misses,
+    detail_hits,
+    detail_misses,
+    burst_hits,
+    burst_misses,
+    quarantined,
+    bytes_read,
+    bytes_written
+});
 
 impl SessionStats {
     /// Total hits across kinds.
@@ -160,7 +172,7 @@ struct Counters {
 }
 
 /// The process-wide artifact cache. Cheap to share (`Arc`), safe to
-/// hit from rayon workers.
+/// hit from several threads.
 pub struct ArtifactCache {
     dir: PathBuf,
     traces: Mutex<HashMap<ArtifactKey, Arc<AppTrace>>>,
@@ -197,104 +209,95 @@ impl ArtifactCache {
         &self.dir
     }
 
-    /// The trace of `(app, gen)`: memo, then disk, then generate (and
-    /// persist). Always returns the trace plus its key — the key seeds
-    /// every detail and burst key downstream.
+    /// The trace of `(app, gen)`: memo, then generate. Always returns
+    /// the trace plus its key — the key seeds every detail and burst
+    /// key downstream. Traces never touch disk: regenerating one costs
+    /// milliseconds, less than parsing it back would.
     pub fn trace(&self, app: AppId, gen: &GenParams) -> (Arc<AppTrace>, ArtifactKey) {
         let key = trace_key(app, gen);
         if let Some(t) = self.memo_get(&self.traces, key) {
-            self.tally(ArtifactKind::Trace, true);
+            self.tally(&self.counters.trace_hits, true);
             return (t, key);
-        }
-        if let Some(payload) = self.disk_get(ArtifactKind::Trace, key) {
-            match read_trace(payload.as_slice()) {
-                Ok(t) => {
-                    let t = Arc::new(t);
-                    self.memo_put(&self.traces, key, Arc::clone(&t));
-                    self.tally(ArtifactKind::Trace, true);
-                    return (t, key);
-                }
-                // The bytes passed CRC but not trace validation — a
-                // schema-compatible but semantically-broken artifact.
-                // Quarantine it like any other corruption.
-                Err(e) => self.quarantine_slot(ArtifactKind::Trace, key, &e.to_string()),
-            }
         }
         let t = {
             let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
             Arc::new(generate(app, gen))
         };
-        self.tally(ArtifactKind::Trace, false);
-        if crate::serde_runtime_works() {
-            let mut payload = Vec::new();
-            if write_trace(&t, &mut payload).is_ok() {
-                self.disk_put(ArtifactKind::Trace, key, &payload);
-            }
-        }
+        self.tally(&self.counters.trace_misses, false);
         self.memo_put(&self.traces, key, Arc::clone(&t));
         (t, key)
     }
 
     /// Look up a detailed-simulation window.
     pub fn detail(&self, key: ArtifactKey) -> Option<DetailArtifact> {
-        if let Some(d) = self.memo_get(&self.details, key) {
-            self.tally(ArtifactKind::Detail, true);
-            return Some(d);
-        }
-        if let Some(payload) = self.disk_get(ArtifactKind::Detail, key) {
-            match serde_json::from_slice::<DetailArtifact>(&payload) {
-                Ok(d) => {
-                    self.memo_put(&self.details, key, d);
-                    self.tally(ArtifactKind::Detail, true);
-                    return Some(d);
-                }
-                Err(e) => self.quarantine_slot(ArtifactKind::Detail, key, &e.to_string()),
-            }
-        }
-        self.tally(ArtifactKind::Detail, false);
-        None
+        let c = &self.counters;
+        self.lookup(
+            &self.details,
+            ArtifactKind::Detail,
+            key,
+            &c.detail_hits,
+            &c.detail_misses,
+        )
     }
 
     /// Record a freshly computed detailed-simulation window.
     pub fn put_detail(&self, key: ArtifactKey, artifact: &DetailArtifact) {
         self.memo_put(&self.details, key, *artifact);
-        if !crate::serde_runtime_works() {
-            return;
-        }
-        if let Ok(payload) = serde_json::to_vec(artifact) {
-            self.disk_put(ArtifactKind::Detail, key, &payload);
-        }
+        self.disk_put(
+            ArtifactKind::Detail,
+            key,
+            musa_obs::json::to_string(artifact).as_bytes(),
+        );
     }
 
     /// Look up a burst baseline.
     pub fn burst(&self, key: ArtifactKey) -> Option<BurstArtifact> {
-        if let Some(b) = self.memo_get(&self.bursts, key) {
-            self.tally(ArtifactKind::Burst, true);
-            return Some(b);
-        }
-        if let Some(payload) = self.disk_get(ArtifactKind::Burst, key) {
-            match serde_json::from_slice::<BurstArtifact>(&payload) {
-                Ok(b) => {
-                    self.memo_put(&self.bursts, key, b);
-                    self.tally(ArtifactKind::Burst, true);
-                    return Some(b);
-                }
-                Err(e) => self.quarantine_slot(ArtifactKind::Burst, key, &e.to_string()),
-            }
-        }
-        self.tally(ArtifactKind::Burst, false);
-        None
+        let c = &self.counters;
+        self.lookup(
+            &self.bursts,
+            ArtifactKind::Burst,
+            key,
+            &c.burst_hits,
+            &c.burst_misses,
+        )
     }
 
     /// Record a freshly computed burst baseline.
     pub fn put_burst(&self, key: ArtifactKey, artifact: &BurstArtifact) {
         self.memo_put(&self.bursts, key, *artifact);
-        if !crate::serde_runtime_works() {
-            return;
+        self.disk_put(
+            ArtifactKind::Burst,
+            key,
+            musa_obs::json::to_string(artifact).as_bytes(),
+        );
+    }
+
+    /// Memo, then verified disk; a payload that passed its CRC but is
+    /// not the JSON of a `V` is quarantined like any other corruption.
+    fn lookup<V: Copy + musa_obs::json::FromJson>(
+        &self,
+        memo: &Mutex<HashMap<ArtifactKey, V>>,
+        kind: ArtifactKind,
+        key: ArtifactKey,
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+    ) -> Option<V> {
+        if let Some(v) = self.memo_get(memo, key) {
+            self.tally(hits, true);
+            return Some(v);
         }
-        if let Ok(payload) = serde_json::to_vec(artifact) {
-            self.disk_put(ArtifactKind::Burst, key, &payload);
+        if let Some(payload) = self.disk_get(kind, key) {
+            match decode::<V>(&payload) {
+                Ok(v) => {
+                    self.memo_put(memo, key, v);
+                    self.tally(hits, true);
+                    return Some(v);
+                }
+                Err(e) => self.quarantine_slot(kind, key, &e),
+            }
         }
+        self.tally(misses, false);
+        None
     }
 
     /// Snapshot of this process's tallies (label left for the caller).
@@ -322,14 +325,9 @@ impl ArtifactCache {
     /// after the fact. A single `O_APPEND` write of one line; losing it
     /// loses bookkeeping, never results.
     pub fn persist_session(&self, label: &str) {
-        if !crate::serde_runtime_works() {
-            return;
-        }
         let mut stats = self.stats();
         stats.label = label.to_string();
-        let Ok(mut line) = serde_json::to_vec(&stats) else {
-            return;
-        };
+        let mut line = musa_obs::json::to_string(&stats).into_bytes();
         line.push(b'\n');
         let path = self.dir.join(SESSIONS_FILE);
         let appended = std::fs::OpenOptions::new()
@@ -373,9 +371,6 @@ impl ArtifactCache {
     /// Verified payload from disk, or `None` (quarantining en route if
     /// the file is corrupt).
     fn disk_get(&self, kind: ArtifactKind, key: ArtifactKey) -> Option<Vec<u8>> {
-        if !crate::serde_runtime_works() {
-            return None; // header verification needs a live serde
-        }
         let path = self.artifact_path(kind, key);
         match read_artifact(&path, kind, key) {
             ArtifactRead::Payload(p) => {
@@ -432,16 +427,7 @@ impl ArtifactCache {
         );
     }
 
-    fn tally(&self, kind: ArtifactKind, hit: bool) {
-        let c = &self.counters;
-        let slot = match (kind, hit) {
-            (ArtifactKind::Trace, true) => &c.trace_hits,
-            (ArtifactKind::Trace, false) => &c.trace_misses,
-            (ArtifactKind::Detail, true) => &c.detail_hits,
-            (ArtifactKind::Detail, false) => &c.detail_misses,
-            (ArtifactKind::Burst, true) => &c.burst_hits,
-            (ArtifactKind::Burst, false) => &c.burst_misses,
-        };
+    fn tally(&self, slot: &AtomicU64, hit: bool) {
         slot.fetch_add(1, Ordering::Relaxed);
         musa_obs::counter_add(if hit { "cache.hit" } else { "cache.miss" }, 1);
     }
@@ -450,14 +436,11 @@ impl ArtifactCache {
 /// Read every session line under `dir` (the artifact directory).
 /// Unparseable lines (torn tail after a crash) are skipped, not fatal.
 pub fn load_sessions(dir: &Path) -> Vec<SessionStats> {
-    if !crate::serde_runtime_works() {
-        return Vec::new();
-    }
     let Ok(text) = std::fs::read_to_string(dir.join(SESSIONS_FILE)) else {
         return Vec::new();
     };
     text.lines()
-        .filter_map(|l| serde_json::from_str(l).ok())
+        .filter_map(|l| musa_obs::json::from_str(l).ok())
         .collect()
 }
 
@@ -475,10 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_generate_then_hit_memo_then_hit_disk() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
+    fn trace_generate_then_hit_memo_never_disk() {
         let store = tmp_store("trace");
         let gen = GenParams::tiny();
 
@@ -489,24 +469,21 @@ mod tests {
         assert!(Arc::ptr_eq(&t1, &t2), "second lookup must hit the memo");
         let s = cache.stats();
         assert_eq!((s.trace_hits, s.trace_misses), (1, 1));
-        assert!(s.bytes_written > 0);
+        assert_eq!(s.bytes_written, 0, "traces are not persisted");
+        assert_eq!(cache.dir().read_dir().unwrap().count(), 0);
 
-        // A fresh cache (new process, same directory) hits disk.
+        // A fresh cache (new process, same directory) regenerates.
         let cache2 = ArtifactCache::open(&store).unwrap();
         let (t3, _) = cache2.trace(AppId::Hydro, &gen);
-        assert_eq!(*t1, *t3, "disk round-trip must reproduce the trace");
+        assert_eq!(*t1, *t3, "generation is deterministic");
         let s2 = cache2.stats();
-        assert_eq!((s2.trace_hits, s2.trace_misses), (1, 0));
-        assert!(s2.bytes_read > 0);
+        assert_eq!((s2.trace_hits, s2.trace_misses), (0, 1));
 
         let _ = std::fs::remove_dir_all(&store);
     }
 
     #[test]
     fn detail_and_burst_roundtrip_across_instances() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let store = tmp_store("db");
         let t = trace_key(AppId::Spmz, &GenParams::tiny());
         let dk = detail_key(t, &NodeConfig::REFERENCE);
@@ -543,9 +520,6 @@ mod tests {
 
     #[test]
     fn corrupt_artifact_is_quarantined_and_recomputed_value_wins() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let store = tmp_store("corrupt");
         let t = trace_key(AppId::Btmz, &GenParams::tiny());
         let bk = burst_key(t, 64);
@@ -577,9 +551,6 @@ mod tests {
 
     #[test]
     fn sessions_append_and_aggregate() {
-        if !crate::serde_json_works() {
-            return; // typecheck-only serde stub in this build
-        }
         let store = tmp_store("sessions");
         let cache = ArtifactCache::open(&store).unwrap();
         let t = trace_key(AppId::Hydro, &GenParams::tiny());

@@ -45,10 +45,30 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// Append the CRC-32 of `canonical` — one JSON object, ending in `}` —
+/// as its final `"crc"` member: the sealed line store rows and profile
+/// records are written as.
+pub fn seal_line(canonical: &str) -> String {
+    debug_assert!(canonical.ends_with('}'));
+    let crc = crc32(canonical.as_bytes());
+    format!("{},\"crc\":{crc}}}", &canonical[..canonical.len() - 1])
+}
+
+/// Split a sealed line into the canonical JSON it was sealed over and
+/// the stored CRC. `None` when the line does not end in a `"crc"`
+/// member; whether the CRC *matches* is the caller's check
+/// (`crc32(canonical.as_bytes()) == crc`), made over the bytes on disk
+/// and not over a re-serialisation of what they parse to.
+pub fn unseal_line(line: &str) -> Option<(String, u32)> {
+    let body = line.trim_end().strip_suffix('}')?;
+    let idx = body.rfind(",\"crc\":")?;
+    let crc = body[idx + 7..].parse().ok()?;
+    Some((format!("{}}}", &body[..idx]), crc))
+}
+
 /// Distinguishes concurrent `atomic_write` calls *within* one process:
-/// rayon can write two burst artifacts for the same destination at
-/// once, and a pid-only temp name would make them clobber each other's
-/// half-written bytes.
+/// two threads can write the same destination at once, and a pid-only
+/// temp name would make them clobber each other's half-written bytes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Replace `path` with `bytes` atomically: write a hidden temp file in
@@ -59,8 +79,8 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 ///
 /// Temp names carry the pid *and* a process-global sequence number, so
 /// concurrent writers — across processes (pool workers sharing an
-/// artifact directory) and across threads (rayon points sharing a
-/// process) — never collide. Two racers producing the same content
+/// artifact directory) and across threads of one process — never
+/// collide. Two racers producing the same content
 /// both rename complete files; last rename wins, harmlessly.
 pub fn atomic_write(path: &Path, bytes: &[u8], failpoint: &str) -> io::Result<()> {
     let parent = match path.parent() {
@@ -104,6 +124,21 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
         assert_ne!(crc32(b"musa"), crc32(b"musb"));
+    }
+
+    #[test]
+    fn seal_then_unseal_returns_the_canonical_bytes() {
+        let canonical = r#"{"a":1,"b":"x,\"crc\":7}"}"#;
+        let line = seal_line(canonical);
+        let (back, crc) = unseal_line(&line).unwrap();
+        assert_eq!(back, canonical);
+        assert_eq!(crc, crc32(canonical.as_bytes()));
+        assert_eq!(unseal_line(&format!("{line}\n")), Some((back, crc)));
+        // Not sealed: no crc member, a non-numeric one, or a torn tail.
+        assert_eq!(unseal_line(canonical), None);
+        assert_eq!(unseal_line(r#"{"a":1,"crc":x}"#), None);
+        assert_eq!(unseal_line(&line[..line.len() - 1]), None);
+        assert_eq!(unseal_line(""), None);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! # musa-cache
 //!
 //! Content-addressed cache for the pipeline's expensive intermediate
-//! artifacts: generated application traces, detailed tasksim windows,
-//! and burst-mode baselines. Computed once, reused everywhere — across
-//! the points of one sweep, across `--resume`, and across the
-//! processes of a `--workers N` pool sharing one store directory.
+//! artifacts: detailed tasksim windows and burst-mode baselines,
+//! computed once and reused everywhere — across the points of one
+//! sweep, across `--resume`, and across the processes of a
+//! `--workers N` pool sharing one store directory. Generated traces
+//! are memoised per process only: regenerating one costs milliseconds,
+//! less than parsing it back from disk would.
 //!
 //! ## Why this is sound
 //!
@@ -29,7 +31,7 @@
 //! quarantined with a provenance note and recomputed. A cache failure
 //! of any sort degrades to computing — it can cost time, never
 //! correctness: rows derived from cached artifacts are byte-identical
-//! to uncached ones (`serde_json` round-trips `f64` exactly), which
+//! to uncached ones (`musa_obs::json` round-trips `f64` exactly), which
 //! the end-to-end suite asserts at paper scale.
 //!
 //! ## Observability
@@ -40,34 +42,6 @@
 //! attribute reuse to the sequential and pool paths after the fact.
 //! `dse cache verify` re-checks every artifact; `dse cache gc`
 //! reclaims litter, stale schemas and quarantined evidence.
-
-/// True when the ambient `serde_json` actually serialises at runtime.
-///
-/// The offline CI build patches serde to a typecheck-only stub that
-/// panics when invoked. The campaign store contains that inside its
-/// per-point `catch_unwind` (points poison instead of crashing), but
-/// the cache runs *outside* that containment — so when the probe
-/// fails, the disk layer and the sessions ledger shut themselves off
-/// and only the panic-free in-process memo keeps working. Probed once
-/// per process; the panic hook is silenced around the probe so the
-/// stub build does not spray a backtrace on first cache use.
-pub fn serde_runtime_works() -> bool {
-    static WORKS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *WORKS.get_or_init(|| {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let ok = std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false);
-        std::panic::set_hook(hook);
-        ok
-    })
-}
-
-/// Test-side alias matching the self-skip idiom used across the
-/// workspace's serde-dependent tests.
-#[cfg(test)]
-pub(crate) fn serde_json_works() -> bool {
-    serde_runtime_works()
-}
 
 pub mod admin;
 pub mod artifact;
@@ -88,4 +62,4 @@ pub use cache::{
     SESSIONS_FILE,
 };
 pub use fp::{burst_key, detail_key, fnv1a_64, trace_key, ArtifactKey, CACHE_SCHEMA_VERSION};
-pub use integrity::{atomic_write, crc32};
+pub use integrity::{atomic_write, crc32, seal_line, unseal_line};

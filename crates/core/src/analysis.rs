@@ -7,14 +7,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use musa_arch::{CoresPerNode, Feature};
 
 use crate::sim::ConfigResult;
 
 /// Which scalar is being normalised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Execution-time speedup (baseline / value — higher is better).
     Speedup,
@@ -54,7 +52,7 @@ impl Metric {
 
 /// Mean and standard deviation of the normalised samples for one
 /// (feature value, core count) bar.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bar {
     /// Mean normalised value.
     pub mean: f64,
@@ -66,7 +64,7 @@ pub struct Bar {
 
 /// Normalised impact of one feature for one application:
 /// `bars[(value_label, cores)] → Bar`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FeatureImpact {
     /// Keyed by (feature value label, cores-per-node count).
     pub bars: HashMap<(String, u32), Bar>,

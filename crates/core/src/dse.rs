@@ -1,9 +1,6 @@
 //! The design-space-exploration driver: every configuration × every
-//! application, in parallel (MUSA simulates rank phases in parallel; we
-//! parallelise over configurations with rayon).
-
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+//! application, one point after another (a campaign is parallelised
+//! across processes — `dse --workers N` — not inside one).
 
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::{DesignSpace, NodeConfig};
@@ -16,7 +13,7 @@ use crate::sim::{ConfigResult, MultiscaleSim};
 /// mapped to a [`ConfigResult`] field, so the HTTP API, the CSV export
 /// and the figure harnesses can never disagree about what `time_ns`
 /// means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowMetric {
     /// Full-application parallel runtime, ns.
     TimeNs,
@@ -214,11 +211,13 @@ pub fn dominated_hypervolume(points: &[(f64, f64)], reference: (f64, f64)) -> f6
 }
 
 /// A campaign: the result table of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Campaign {
     /// One row per (application, configuration).
     pub results: Vec<ConfigResult>,
 }
+
+musa_obs::json_struct!(Campaign { results });
 
 impl Campaign {
     /// Rows for one application.
@@ -323,12 +322,12 @@ impl Campaign {
 
     /// Serialise to JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("campaign serialises")
+        musa_obs::json::to_string(self)
     }
 
     /// Deserialise from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    pub fn from_json(s: &str) -> Result<Self, String> {
+        musa_obs::json::from_str(s)
     }
 }
 
@@ -391,7 +390,7 @@ pub fn sweep_app_cached(
         sim = sim.with_cache(std::sync::Arc::clone(cache), key);
     }
     configs
-        .par_iter()
+        .iter()
         .map(|cfg| sim.simulate(*cfg, opts.full_replay))
         .collect()
 }
@@ -562,13 +561,7 @@ mod tests {
         let campaign = Campaign {
             results: sweep_app(AppId::Lulesh, &small_configs()[..1], &opts),
         };
-        let back = Campaign::from_json(&campaign.to_json()).unwrap();
-        // JSON float formatting may lose the last ULP; compare fields.
-        assert_eq!(campaign.results.len(), back.results.len());
-        let (a, b) = (&campaign.results[0], &back.results[0]);
-        assert_eq!(a.app, b.app);
-        assert_eq!(a.config, b.config);
-        assert!((a.time_ns - b.time_ns).abs() / a.time_ns < 1e-12);
-        assert!((a.energy_j - b.energy_j).abs() / a.energy_j < 1e-12);
+        // Floats are written shortest-round-trip: bit-for-bit equal.
+        assert_eq!(Campaign::from_json(&campaign.to_json()).unwrap(), campaign);
     }
 }

@@ -6,7 +6,7 @@
 //! * [`sim`] — the end-to-end multiscale flow for one (application,
 //!   configuration) pair: detailed region simulation, burst rescaling,
 //!   full-application MPI replay, power and energy;
-//! * [`dse`] — the 864-point campaign driver (rayon-parallel), result
+//! * [`dse`] — the 864-point campaign driver, result
 //!   tables with (de)serialisation;
 //! * [`analysis`] — the §V-B paired-normalisation methodology ("96
 //!   samples per bar");

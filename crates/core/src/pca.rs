@@ -6,8 +6,6 @@
 //! number of memory channels, SIMD width, cache size and the total
 //! cycles, over the 2 GHz / 64-core subset of the design space.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sim::ConfigResult;
 
 /// Variable names of the paper's PCA, in column order.
@@ -16,7 +14,7 @@ pub const PCA_VARS: [&str; 5] = ["OoO struct.", "Mem. BW", "FPU", "Cache size", 
 /// PCA output: eigenvalues (descending) and the corresponding loading
 /// vectors (rows of `components`, one per PC, columns = input
 /// variables).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     /// Eigenvalues, descending.
     pub eigenvalues: Vec<f64>,

@@ -2,8 +2,6 @@
 //! simulations of (a) a single representative compute region and (b) the
 //! whole parallel region including MPI overheads.
 
-use serde::{Deserialize, Serialize};
-
 use musa_apps::{generate, AppId, GenParams};
 use musa_tasksim::simulate_region_burst;
 
@@ -13,7 +11,7 @@ use crate::sim::MultiscaleSim;
 pub const SCALING_CORES: [u32; 3] = [1, 32, 64];
 
 /// Speedups of one application at the studied core counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingCurve {
     /// Application label.
     pub app: String,

@@ -13,8 +13,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
 use musa_arch::NodeConfig;
 use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
 use musa_net::{replay, FixedRatioTimer, NetworkParams, ReplayResult};
@@ -24,7 +22,7 @@ use musa_trace::{AppTrace, ComputeRegion, DetailedTrace};
 
 /// Scalar summary of one multiscale simulation, the unit of the DSE
 /// result table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigResult {
     /// Application label.
     pub app: String,
@@ -54,6 +52,22 @@ pub struct ConfigResult {
     /// Parallel efficiency of the sampled region's schedule.
     pub region_efficiency: f64,
 }
+
+musa_obs::json_struct!(ConfigResult {
+    app,
+    config,
+    time_ns,
+    region_ns,
+    power,
+    energy_j,
+    l1_mpki,
+    l2_mpki,
+    l3_mpki,
+    mem_mpki,
+    gmemreq_per_s,
+    mem_stretch,
+    region_efficiency
+});
 
 /// The multiscale simulator for one application trace.
 pub struct MultiscaleSim<'a> {

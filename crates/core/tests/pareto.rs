@@ -1,11 +1,11 @@
 //! The Pareto kernel against first principles: `pareto_front_indices`
 //! must select exactly the non-dominated set, where *a dominates b* iff
 //! a ≤ b in both coordinates and < in at least one. The property runs
-//! both as a proptest (random point clouds, including duplicates and
-//! non-finite coordinates) and over a deterministic LCG sweep so the
-//! check survives environments where the proptest runner is stubbed.
+//! over seeded random point clouds, including duplicates and
+//! non-finite coordinates.
 
 use musa_core::{dominated_hypervolume, pareto_front_indices};
+use musa_obs::rng::{check_cases, SplitMix64};
 
 /// Brute-force O(n²) reference: keep every point no other point
 /// dominates. Non-finite points are excluded on both sides of the
@@ -48,17 +48,12 @@ fn check(points: &[(f64, f64)]) {
 }
 
 #[test]
-fn pareto_matches_brute_force_lcg_sweep() {
-    // Deterministic xorshift point clouds: clustered values force x/y
-    // ties and exact duplicates; every 17th/23rd coordinate goes
-    // non-finite to exercise the NaN-safe path.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+fn pareto_matches_brute_force_with_non_finite_points() {
+    // Clustered values force x/y ties and exact duplicates; every
+    // 17th/23rd coordinate goes non-finite to exercise the NaN-safe
+    // path.
+    let mut rng = SplitMix64::new(0x9e37);
+    let mut next = move || rng.next_u64();
     for case in 0..200 {
         let n = (next() % 40) as usize;
         let mut points = Vec::with_capacity(n);
@@ -157,17 +152,11 @@ fn hypervolume_monotone_in_points() {
 }
 
 #[test]
-fn hypervolume_matches_brute_force_lcg_sweep() {
-    // Deterministic xorshift clouds on an integer grid: the half-unit
-    // aligned grid integration is exact there, so sweep == brute force
-    // to f64 round-off.
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+fn hypervolume_matches_brute_force_with_non_finite_points() {
+    // Clouds on an integer grid: the half-unit aligned grid integration
+    // is exact there, so sweep == brute force to f64 round-off.
+    let mut rng = SplitMix64::new(0x1234);
+    let mut next = move || rng.next_u64();
     for case in 0..50 {
         let n = (next() % 20) as usize;
         let mut points = Vec::with_capacity(n);
@@ -188,53 +177,50 @@ fn hypervolume_matches_brute_force_lcg_sweep() {
     }
 }
 
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
+const CASES: u64 = 256;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+/// Fewer than `max_len` points on the integer grid `[0, side)²`.
+fn grid_cloud(rng: &mut SplitMix64, max_len: u64, side: u64) -> Vec<(f64, f64)> {
+    (0..rng.next_u64() % max_len)
+        .map(|_| {
+            (
+                (rng.next_u64() % side) as f64,
+                (rng.next_u64() % side) as f64,
+            )
+        })
+        .collect()
+}
 
-        /// Random clouds over a small integer grid (maximising ties and
-        /// duplicates): the sweep kernel equals the O(n²) dominance
-        /// definition.
-        #[test]
-        fn kernel_equals_brute_force(
-            raw in proptest::collection::vec((0u32..16, 0u32..16), 0..60),
-        ) {
-            let points: Vec<(f64, f64)> =
-                raw.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
-            check(&points);
-        }
+/// Random clouds over a small integer grid (maximising ties and
+/// duplicates): the sweep kernel equals the O(n²) dominance definition.
+#[test]
+fn kernel_equals_brute_force() {
+    check_cases(CASES, |rng| check(&grid_cloud(rng, 60, 16)));
+}
 
-        /// Random integer clouds: the O(n log n) hypervolume sweep
-        /// equals the O(n·grid) cell integration (exact on half-unit
-        /// aligned grids).
-        #[test]
-        fn hypervolume_equals_brute_force(
-            raw in proptest::collection::vec((0u32..12, 0u32..12), 0..30),
-        ) {
-            let points: Vec<(f64, f64)> =
-                raw.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
-            let fast = dominated_hypervolume(&points, (10.0, 10.0));
-            let brute = brute_force_hypervolume(&points, (10.0, 10.0), 20);
-            prop_assert!((fast - brute).abs() < 1e-9);
-        }
+/// Random integer clouds: the O(n log n) hypervolume sweep equals the
+/// O(n·grid) cell integration (exact on half-unit aligned grids).
+#[test]
+fn hypervolume_equals_brute_force() {
+    check_cases(CASES, |rng| {
+        let points = grid_cloud(rng, 30, 12);
+        let fast = dominated_hypervolume(&points, (10.0, 10.0));
+        let brute = brute_force_hypervolume(&points, (10.0, 10.0), 20);
+        assert!((fast - brute).abs() < 1e-9);
+    });
+}
 
-        /// Scaling both coordinates by a positive factor never changes
-        /// the frontier membership.
-        #[test]
-        fn frontier_is_scale_invariant(
-            raw in proptest::collection::vec((0u32..16, 0u32..16), 0..40),
-            scale in 1u32..1000,
-        ) {
-            let points: Vec<(f64, f64)> =
-                raw.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
-            let scaled: Vec<(f64, f64)> = points
-                .iter()
-                .map(|&(x, y)| (x * scale as f64, y * scale as f64))
-                .collect();
-            prop_assert_eq!(pareto_front_indices(&points), pareto_front_indices(&scaled));
-        }
-    }
+/// Scaling both coordinates by a positive factor never changes the
+/// frontier membership.
+#[test]
+fn frontier_is_scale_invariant() {
+    check_cases(CASES, |rng| {
+        let points = grid_cloud(rng, 40, 16);
+        let scale = (1 + rng.next_u64() % 999) as f64;
+        let scaled: Vec<(f64, f64)> = points
+            .iter()
+            .map(|&(x, y)| (x * scale, y * scale))
+            .collect();
+        assert_eq!(pareto_front_indices(&points), pareto_front_indices(&scaled));
+    });
 }

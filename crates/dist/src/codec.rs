@@ -626,15 +626,8 @@ mod tests {
     /// without panicking, returning only typed errors or "need more".
     #[test]
     fn random_garbage_never_panics() {
-        let mut state = 0x6d75_7361_u64; // deterministic: no RNG crates
-        let mut next_byte = move || {
-            // SplitMix64 step.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) as u8
-        };
+        let mut rng = musa_obs::rng::SplitMix64::new(0x6d75_7361);
+        let mut next_byte = move || rng.next_u64() as u8;
         for _ in 0..64 {
             let chunk: Vec<u8> = (0..257).map(|_| next_byte()).collect();
             let mut fb = FrameBuf::new();

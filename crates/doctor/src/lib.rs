@@ -201,8 +201,7 @@ impl DoctorReport {
         out
     }
 
-    /// Compact JSON report, built with the dependency-free writer so it
-    /// works under the stubbed serde runtime too.
+    /// Compact JSON report.
     pub fn render_json(&self) -> String {
         let mut families = String::from("[");
         for (i, fam) in self.families.iter().enumerate() {
@@ -331,13 +330,6 @@ pub fn write_status(dir: &Path, report: &DoctorReport) -> io::Result<()> {
 
 fn audit_rows(dir: &Path) -> io::Result<FamilyReport> {
     let mut fam = FamilyReport::new("rows");
-    if !musa_cache::serde_runtime_works() {
-        fam.note(
-            Severity::Ok,
-            "row audit skipped: this build's serde runtime is stubbed",
-        );
-        return Ok(fam);
-    }
     let store = musa_store::CampaignStore::open_read_only(dir)?;
     let health = store.health().clone();
     fam.count("rows", store.len() as u64)
@@ -402,9 +394,6 @@ fn audit_rows(dir: &Path) -> io::Result<FamilyReport> {
 }
 
 fn repair_rows(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    if !musa_cache::serde_runtime_works() {
-        return Ok(());
-    }
     // A writable open IS the row repair path: torn tails truncated,
     // corrupt rows quarantined with provenance, shards rewritten
     // atomically.
@@ -725,13 +714,6 @@ fn audit_artifacts(dir: &Path) -> FamilyReport {
             ),
         );
     }
-    if !musa_cache::serde_runtime_works() {
-        fam.note(
-            Severity::Ok,
-            "artifact verification skipped: this build's serde runtime is stubbed",
-        );
-        return fam;
-    }
     match musa_cache::verify(&adir) {
         Ok(rep) => {
             let corrupt = rep.count(|v| matches!(v, VerifyVerdict::Corrupt(_))) as u64;
@@ -788,13 +770,11 @@ fn repair_artifacts(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
         musa_cache::quarantine(&adir.join(name), "stranded temp file (crashed writer)");
         moved += 1;
     }
-    if musa_cache::serde_runtime_works() {
-        if let Ok(rep) = musa_cache::verify(&adir) {
-            for (name, verdict) in &rep.files {
-                if let VerifyVerdict::Corrupt(reason) = verdict {
-                    musa_cache::quarantine(&adir.join(name), reason);
-                    moved += 1;
-                }
+    if let Ok(rep) = musa_cache::verify(&adir) {
+        for (name, verdict) in &rep.files {
+            if let VerifyVerdict::Corrupt(reason) = verdict {
+                musa_cache::quarantine(&adir.join(name), reason);
+                moved += 1;
             }
         }
     }
@@ -1230,10 +1210,6 @@ mod tests {
 
     #[test]
     fn corrupt_rows_end_in_quarantine() {
-        if !musa_cache::serde_runtime_works() {
-            eprintln!("skipping: serde runtime stubbed");
-            return;
-        }
         let dir = tdir("rows");
         std::fs::write(dir.join("pool-l0001-a1.jsonl"), "garbage row\n").unwrap();
         let report = audit(&dir).unwrap();

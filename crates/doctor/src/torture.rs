@@ -26,6 +26,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use musa_obs::json::JsonValue;
+use musa_obs::rng::SplitMix64;
 
 /// Hard per-leg wall-clock budget; a leg that outlives it is killed
 /// and the round fails loudly instead of hanging the harness.
@@ -104,26 +105,11 @@ impl TortureReport {
     }
 }
 
-/// Deterministic splitmix64 stream — the harness must not consult wall
-/// clocks or OS entropy, or `--seed` would stop reproducing the storm.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed ^ 0x9e37_79b9_7f4a_7c15)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
+/// A seeded index below `n`. The harness draws everything from the
+/// workspace's SplitMix64 and never consults wall clocks or OS
+/// entropy, or `--seed` would stop reproducing the storm.
+fn pick(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,15 +139,6 @@ fn fail(msg: impl Into<String>) -> io::Error {
 /// first broken durability contract as an error (the scratch tree is
 /// kept for post-mortem in that case).
 pub fn run_torture(opts: &TortureOptions) -> io::Result<TortureReport> {
-    if !musa_cache::serde_runtime_works() {
-        // The campaign pipeline itself cannot run rows through a
-        // stubbed serde; there is nothing meaningful to torture.
-        eprintln!("torture: skipped (this build's serde runtime is stubbed)");
-        return Ok(TortureReport {
-            seed: opts.seed,
-            outcomes: Vec::new(),
-        });
-    }
     let root = opts.root.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("musa-torture-{}-{}", opts.seed, std::process::id()))
     });
@@ -176,7 +153,7 @@ pub fn run_torture(opts: &TortureOptions) -> io::Result<TortureReport> {
     };
     let mut outcomes = Vec::new();
     for round in 0..opts.rounds {
-        let mut rng = Rng::new(
+        let mut rng = SplitMix64::new(
             opts.seed
                 .wrapping_add(u64::from(round).wrapping_mul(0x9e37)),
         );
@@ -211,7 +188,7 @@ struct Harness {
 }
 
 impl Harness {
-    fn run_round(&mut self, round: u32, rng: &mut Rng) -> io::Result<RoundOutcome> {
+    fn run_round(&mut self, round: u32, rng: &mut SplitMix64) -> io::Result<RoundOutcome> {
         let round_dir = self.root.join(format!("round-{round:02}"));
         let store = round_dir.join("store");
         std::fs::create_dir_all(&round_dir)?;
@@ -228,9 +205,9 @@ impl Harness {
                 Workload::Pool,
                 Workload::Search,
                 Workload::Dist,
-            ][rng.pick(4)]
+            ][pick(rng, 4)]
         };
-        let leg_seed = rng.next() % 1_000_000;
+        let leg_seed = rng.next_u64() % 1_000_000;
         let faults = if round == 0 {
             format!("seed={leg_seed},store.flush=io@1.0")
         } else {
@@ -239,7 +216,7 @@ impl Harness {
         let kill_after = if round == 0 {
             None
         } else {
-            Some(Duration::from_millis(150 + rng.next() % 1200))
+            Some(Duration::from_millis(150 + rng.next_u64() % 1200))
         };
 
         // Storm leg.
@@ -476,7 +453,7 @@ impl Harness {
         store: &Path,
         faults: &str,
         kill_after: Option<Duration>,
-        rng: &mut Rng,
+        rng: &mut SplitMix64,
         killed: &mut bool,
     ) -> io::Result<Option<i32>> {
         let sup_log = std::fs::File::create(round_dir.join("storm.log"))?;
@@ -490,7 +467,7 @@ impl Harness {
 
         let mut worker: Option<Child> = None;
         if let Some(addr) = wait_for_beacon(store, &mut sup)? {
-            let wire_seed = rng.next() % 1_000_000;
+            let wire_seed = rng.next_u64() % 1_000_000;
             let wire =
                 format!("seed={wire_seed},dist.frame.send=garble@0.05,dist.frame.recv=garble@0.05");
             let log = std::fs::File::create(round_dir.join("worker.log"))?;
@@ -575,7 +552,7 @@ impl Harness {
 /// workload. No `panic` actions: poisoned points are deliberately out
 /// of scope (they diverge the final row set by design), and the chaos
 /// suites cover them separately.
-fn compose_faults(rng: &mut Rng, workload: Workload, leg_seed: u64) -> String {
+fn compose_faults(rng: &mut SplitMix64, workload: Workload, leg_seed: u64) -> String {
     let mut candidates: Vec<(&str, &str)> = vec![
         ("store.flush", "io"),
         ("store.rewrite", "io"),
@@ -592,17 +569,20 @@ fn compose_faults(rng: &mut Rng, workload: Workload, leg_seed: u64) -> String {
         candidates.push(("dist.accept", "io"));
     }
     let probs = ["0.02", "0.05", "0.10", "0.20"];
-    let want = 2 + rng.pick(3);
+    let want = 2 + pick(rng, 3);
     let mut legs = Vec::new();
     let mut taken = vec![false; candidates.len()];
     while legs.len() < want {
-        let i = rng.pick(candidates.len());
+        let i = pick(rng, candidates.len());
         if taken[i] {
             continue;
         }
         taken[i] = true;
         let (point, action) = candidates[i];
-        legs.push(format!("{point}={action}@{}", probs[rng.pick(probs.len())]));
+        legs.push(format!(
+            "{point}={action}@{}",
+            probs[pick(rng, probs.len())]
+        ));
     }
     format!("seed={leg_seed},{}", legs.join(","))
 }
@@ -656,23 +636,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rng_is_deterministic_and_spread() {
-        let mut a = Rng::new(7);
-        let mut b = Rng::new(7);
-        let xs: Vec<u64> = (0..16).map(|_| a.next()).collect();
-        let ys: Vec<u64> = (0..16).map(|_| b.next()).collect();
-        assert_eq!(xs, ys);
-        let mut uniq = xs.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), xs.len(), "16 draws should not collide");
-        assert_ne!(Rng::new(8).next(), Rng::new(7).next());
-    }
-
-    #[test]
     fn composed_plans_parse_and_stay_in_bounds() {
         for seed in 0..64u64 {
-            let mut rng = Rng::new(seed);
+            let mut rng = SplitMix64::new(seed);
             for workload in [
                 Workload::Sequential,
                 Workload::Pool,
@@ -699,14 +665,14 @@ mod tests {
             (1..4u32)
                 .map(|round| {
                     let mut rng =
-                        Rng::new(seed.wrapping_add(u64::from(round).wrapping_mul(0x9e37)));
+                        SplitMix64::new(seed.wrapping_add(u64::from(round).wrapping_mul(0x9e37)));
                     let workload = [
                         Workload::Sequential,
                         Workload::Pool,
                         Workload::Search,
                         Workload::Dist,
-                    ][rng.pick(4)];
-                    let leg_seed = rng.next() % 1_000_000;
+                    ][pick(&mut rng, 4)];
+                    let leg_seed = rng.next_u64() % 1_000_000;
                     compose_faults(&mut rng, workload, leg_seed)
                 })
                 .collect()

@@ -1,5 +1,5 @@
 //! Property tests of `musa_doctor::repair`: for any mix of injected
-//! corruption across the stub-safe durable families (lease journal,
+//! corruption across the line-oriented durable families (lease journal,
 //! search journal, profiles, artifact tmp litter, stale heartbeats),
 //! one repair pass converges to a clean store (exit 0), a second pass
 //! is a byte-identical no-op, and every complete garbage line ends up
@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use proptest::prelude::*;
+use musa_obs::rng::{check_cases, SplitMix64};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -39,8 +39,7 @@ enum SearchHarm {
     DupHeader,
 }
 
-/// One generated corruption mix. Every field is independently small so
-/// shrinking isolates the family that breaks an invariant.
+/// One generated corruption mix.
 #[derive(Clone, Debug)]
 struct Harm {
     lease_garbage: Vec<String>,
@@ -53,18 +52,15 @@ struct Harm {
 
 /// Letters only: never parses as a lease event, a profile record, or
 /// JSON, and never collides with blank-line handling.
-fn garbage_line(rng: &mut proptest::Prng) -> String {
+fn garbage_line(rng: &mut SplitMix64) -> String {
     let len = 3 + (rng.next_u64() % 14) as usize;
     (0..len)
         .map(|_| (b'a' + (rng.next_u64() % 26) as u8) as char)
         .collect()
 }
 
-struct HarmStrategy;
-
-impl Strategy for HarmStrategy {
-    type Value = Harm;
-    fn sample(&self, rng: &mut proptest::Prng) -> Harm {
+impl Harm {
+    fn sample(rng: &mut SplitMix64) -> Harm {
         let lease_garbage = (0..rng.next_u64() % 4).map(|_| garbage_line(rng)).collect();
         let lease_torn = rng.next_u64() & 1 == 1;
         let search = match rng.next_u64() % 5 {
@@ -188,33 +184,36 @@ fn evidence_lines(report: &musa_doctor::DoctorReport) -> u64 {
     q.counter("evidence_lines") + q.counter("rotated_lines")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u64 = 48;
 
-    /// Repair converges in one pass, is a byte-identical no-op on the
-    /// second, and quarantines (never destroys) every complete
-    /// garbage line it removes.
-    #[test]
-    fn repair_is_idempotent_and_never_worse(harm in HarmStrategy) {
+/// Repair converges in one pass, is a byte-identical no-op on the
+/// second, and quarantines (never destroys) every complete
+/// garbage line it removes.
+#[test]
+fn repair_is_idempotent_and_never_worse() {
+    check_cases(CASES, |rng| {
+        let harm = Harm::sample(rng);
         let dir = tmp_dir();
         inject(&dir, &harm);
 
         let before = musa_doctor::audit(&dir).unwrap();
 
         let first = musa_doctor::repair(&dir).unwrap();
-        prop_assert_eq!(
-            first.exit_code(), 0,
-            "one repair pass must converge: {}", first.render_text()
+        assert_eq!(
+            first.exit_code(),
+            0,
+            "one repair pass must converge: {}",
+            first.render_text()
         );
         // Repair never makes the grade worse than the pre-repair audit.
-        prop_assert!(first.severity() <= before.severity());
+        assert!(first.severity() <= before.severity());
 
         // Every complete garbage line (lease + profile) and every
         // interior-corrupt search journal must survive as evidence.
         let expected = harm.lease_garbage.len() as u64
             + harm.profile_garbage.len() as u64
             + matches!(harm.search, SearchHarm::Interior | SearchHarm::DupHeader) as u64;
-        prop_assert!(
+        assert!(
             evidence_lines(&first) >= expected,
             "expected >= {} evidence lines, got {}",
             expected,
@@ -224,43 +223,55 @@ proptest! {
         // A clean search journal is untouched by repair.
         if matches!(harm.search, SearchHarm::Clean) {
             let text = std::fs::read_to_string(
-                dir.join(musa_search::SEARCH_DIR).join(musa_search::JOURNAL_FILE),
-            ).unwrap();
-            prop_assert_eq!(text, format!("{SEARCH_HEADER}\n{SEARCH_GEN}\n"));
+                dir.join(musa_search::SEARCH_DIR)
+                    .join(musa_search::JOURNAL_FILE),
+            )
+            .unwrap();
+            assert_eq!(text, format!("{SEARCH_HEADER}\n{SEARCH_GEN}\n"));
         }
         // A torn tail is truncated back to the valid prefix, keeping
         // every complete line.
         if matches!(harm.search, SearchHarm::TornTail) {
             let text = std::fs::read_to_string(
-                dir.join(musa_search::SEARCH_DIR).join(musa_search::JOURNAL_FILE),
-            ).unwrap();
-            prop_assert_eq!(text, format!("{SEARCH_HEADER}\n{SEARCH_GEN}\n"));
+                dir.join(musa_search::SEARCH_DIR)
+                    .join(musa_search::JOURNAL_FILE),
+            )
+            .unwrap();
+            assert_eq!(text, format!("{SEARCH_HEADER}\n{SEARCH_GEN}\n"));
         }
 
         let after_first = snapshot(&dir);
         let second = musa_doctor::repair(&dir).unwrap();
-        prop_assert_eq!(second.exit_code(), 0);
+        assert_eq!(second.exit_code(), 0);
         let after_second = snapshot(&dir);
-        prop_assert_eq!(
+        assert_eq!(
             &after_first, &after_second,
             "second repair must be a byte-identical no-op"
         );
-        prop_assert!(evidence_lines(&second) >= evidence_lines(&first));
+        assert!(evidence_lines(&second) >= evidence_lines(&first));
 
         std::fs::remove_dir_all(&dir).unwrap();
-    }
+    });
+}
 
-    /// Auditing never mutates the store, whatever state it is in.
-    #[test]
-    fn audit_is_read_only(harm in HarmStrategy) {
+/// Auditing never mutates the store, whatever state it is in.
+#[test]
+fn audit_is_read_only() {
+    check_cases(CASES, |rng| {
+        let harm = Harm::sample(rng);
         let dir = tmp_dir();
         inject(&dir, &harm);
 
         let before = snapshot(&dir);
         let report = musa_doctor::audit(&dir).unwrap();
         let after = snapshot(&dir);
-        prop_assert_eq!(&before, &after, "audit must not write: {}", report.render_text());
+        assert_eq!(
+            &before,
+            &after,
+            "audit must not write: {}",
+            report.render_text()
+        );
 
         std::fs::remove_dir_all(&dir).unwrap();
-    }
+    });
 }

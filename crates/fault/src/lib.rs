@@ -41,8 +41,8 @@
 //! Whether a fault fires at a site is a pure function of
 //! `(seed, point name, site key)` — the key is stable content (a point
 //! fingerprint, a flush sequence number, a path hash), **never** a
-//! global hit counter — so runs are reproducible regardless of rayon's
-//! thread interleaving, and a failing chaos run can be replayed
+//! global hit counter — so runs are reproducible regardless of thread
+//! and process interleaving, and a failing chaos run can be replayed
 //! exactly by its seed.
 //!
 //! ## Compile-out

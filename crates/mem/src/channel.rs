@@ -10,8 +10,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::timing::DramTiming;
 
 /// A memory request as seen by the channel (already address-mapped).
@@ -59,7 +57,7 @@ struct BankState {
 }
 
 /// Command and row-buffer statistics of one channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChannelStats {
     /// Read bursts issued.
     pub reads: u64,
@@ -86,6 +84,21 @@ pub struct ChannelStats {
     /// Completion time of the latest request.
     pub last_done_ns: f64,
 }
+
+musa_obs::json_struct!(ChannelStats {
+    reads,
+    writes,
+    acts,
+    pres,
+    refreshes,
+    row_hits,
+    row_closed,
+    row_conflicts,
+    bus_busy_ns,
+    total_latency_ns,
+    bytes,
+    last_done_ns
+});
 
 impl ChannelStats {
     /// Mean request latency in nanoseconds.

@@ -7,14 +7,12 @@
 //! the timing simulation and the number of DIMMs attached (two per
 //! channel, §IV-C).
 
-use musa_arch::{MemConfig, MemTechnology};
-use serde::{Deserialize, Serialize};
-
 use crate::channel::ChannelStats;
 use crate::timing::DramTiming;
+use musa_arch::{MemConfig, MemTechnology};
 
 /// Datasheet-style current/voltage parameters of one DRAM device rank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramPowerParams {
     /// Supply voltage in volts.
     pub vdd: f64,
@@ -82,7 +80,7 @@ impl DramPowerParams {
 }
 
 /// Energy breakdown of the DRAM subsystem over a simulated interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramEnergy {
     /// Activate/precharge energy, joules.
     pub act_pre_j: f64,

@@ -1,10 +1,8 @@
 //! Multi-channel DRAM system with physical-address mapping.
 
-use musa_arch::MemConfig;
-use serde::{Deserialize, Serialize};
-
 use crate::channel::{Channel, ChannelStats, Completion, Request};
 use crate::timing::DramTiming;
+use musa_arch::MemConfig;
 
 /// Address-interleaving decomposition of a physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,7 +16,7 @@ pub struct MappedAddr {
 }
 
 /// Aggregated statistics of a [`DramSystem`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DramSystemStats {
     /// Per-channel statistics.
     pub channels: Vec<ChannelStats>,

@@ -5,10 +5,8 @@
 //! clock cycles; the clock period is `tck_ps`.
 
 use musa_arch::MemTechnology;
-use serde::{Deserialize, Serialize};
-
 /// Timing parameters of one DRAM device generation (per channel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTiming {
     /// Clock period in picoseconds.
     pub tck_ps: u64,

@@ -1,9 +1,7 @@
 //! Network model parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth network parameters (Dimemas's model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
     /// One-way network latency, nanoseconds.
     pub latency_ns: f64,

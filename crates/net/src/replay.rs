@@ -1,14 +1,12 @@
 //! Lockstep replay of the per-rank burst traces over the network model.
 
-use serde::{Deserialize, Serialize};
-
 use musa_trace::{AppTrace, BurstEvent, CollectiveOp, MpiEvent};
 
 use crate::params::NetworkParams;
 use crate::timer::ComputeTimer;
 
 /// What a rank was doing during a span (for timelines and accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankPhase {
     /// Executing a compute region.
     Compute,
@@ -20,7 +18,7 @@ pub enum RankPhase {
 }
 
 /// Per-rank MPI time decomposition.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MpiBreakdown {
     /// Time blocked on peers / collective assembly.
     pub wait_ns: f64,
@@ -36,7 +34,7 @@ impl MpiBreakdown {
 }
 
 /// One span of a rank's replay timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Phase during the span.
     pub phase: RankPhase,
@@ -47,7 +45,7 @@ pub struct Span {
 }
 
 /// Result of replaying an application trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayResult {
     /// End-to-end parallel runtime (max over ranks), ns.
     pub total_ns: f64,

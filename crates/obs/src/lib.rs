@@ -15,9 +15,9 @@
 //!   into the end-of-run "where did the time go" table;
 //! * [`metrics`] — a registry of named **counters / gauges /
 //!   histograms** backed by *thread-local shards merged on drop*, so
-//!   the rayon DSE hot loop never touches a shared atomic; the
-//!   disabled path is a single branch on a relaxed load (verified by
-//!   `benches/overhead.rs`);
+//!   the DSE hot loop never touches a shared atomic; the disabled
+//!   path is a single branch on a relaxed load (its cost is
+//!   `platform.hooks_share` in `benchmark/`);
 //! * [`sink`] — levelled **structured events**: a human line on stderr
 //!   filtered by `MUSA_LOG` (default `warn`), plus an opt-in **JSONL
 //!   file sink** (`--log-json PATH` / `MUSA_LOG_JSON`) that records
@@ -25,10 +25,10 @@
 //! * [`progress`] — a rate-limited **heartbeat** for long fills
 //!   (points done/total, rows/s, ETA, per shard).
 //!
-//! The crate deliberately hand-rolls its JSON ([`json`]) instead of
-//! going through `serde_json`: telemetry must keep working in
-//! stripped-down build environments, and the emitted lines stay
-//! byte-deterministic (keys in fixed order) so logs diff cleanly.
+//! The crate also holds the two dependency-free primitives the whole
+//! workspace shares: the JSON codec ([`json`]; emitted lines are
+//! byte-deterministic, keys in fixed order, so logs and stored rows
+//! diff cleanly) and the seeded PRNG ([`rng`]).
 //!
 //! ## Zero interference guarantee
 //!
@@ -52,6 +52,7 @@ pub mod metrics;
 pub mod progress;
 pub mod prom;
 pub mod report;
+pub mod rng;
 pub mod sink;
 pub mod span;
 

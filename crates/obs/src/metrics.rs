@@ -5,7 +5,7 @@
 //!
 //! Every thread owns a private shard (`Arc<Mutex<ShardData>>`). Updates
 //! lock only the calling thread's own shard — an uncontended lock on a
-//! cache line no other thread writes — so the rayon DSE hot loop never
+//! cache line no other thread writes — so a multi-threaded hot loop never
 //! bounces a shared atomic between cores. Shards register themselves in
 //! a global list on first use and **merge into the global base when the
 //! thread exits** (the thread-local's `Drop`); a [`snapshot`] folds the

@@ -4,8 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::{JsonObj, JsonValue};
 use crate::progress::fmt_secs;
 
@@ -13,7 +11,7 @@ use crate::progress::fmt_secs;
 pub const METRICS_SCHEMA: u32 = 1;
 
 /// Aggregate of one histogram.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistSummary {
     /// Observations.
     pub count: u64,
@@ -40,7 +38,7 @@ impl HistSummary {
 }
 
 /// Wall-clock total of one (phase, app) pair.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseRow {
     /// Pipeline phase name ([`crate::phase`]).
     pub phase: String,
@@ -55,7 +53,7 @@ pub struct PhaseRow {
 
 /// A point-in-time fold of the whole metrics registry — what
 /// `dse --metrics PATH` writes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// [`METRICS_SCHEMA`] at capture time.
     pub schema: u32,
@@ -91,8 +89,7 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Serialise to deterministic JSON (does not rely on `serde_json`,
-    /// so it works in stripped-down environments too).
+    /// Serialise to deterministic JSON.
     pub fn to_json(&self) -> String {
         let mut counters = JsonObj::new();
         for (k, v) in &self.counters {

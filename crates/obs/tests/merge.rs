@@ -11,9 +11,9 @@ use musa_obs::{counter_add, enable_metrics, gauge_set, hist_observe, snapshot};
 #[test]
 fn concurrent_increments_merge_losslessly_after_thread_exit() {
     enable_metrics(true);
-    // Mirrors the rayon DSE hot loop: N workers hammering one counter.
-    // std threads exit at scope end, which drives the merge-on-drop
-    // path (rayon pool workers exercise the live-shard fold instead;
+    // N workers hammering one counter. std threads exit at scope end,
+    // which drives the merge-on-drop path (long-lived threads exercise
+    // the live-shard fold instead;
     // `increments_from_live_threads_are_visible` covers that).
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 10_000;

@@ -2,34 +2,26 @@
 
 #![cfg(feature = "runtime")]
 
-use proptest::prelude::*;
-
+use musa_obs::rng::check_cases;
 use musa_obs::{counter_add, enable_metrics, snapshot};
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Unique counter names per case: the registry is process-global and
-/// proptest replays many cases per test.
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Concurrent counter increments from N threads — the shape of the
-    /// rayon DSE hot loop — merge losslessly: the snapshot total is
-    /// exactly the sum of every thread's local increments, whether the
-    /// shard was folded live or merged on thread exit.
-    #[test]
-    fn concurrent_counter_increments_merge_losslessly(
-        per_thread in proptest::collection::vec(1u64..500, 1..9),
-        delta in 1u64..5,
-    ) {
-        enable_metrics(true);
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        // One name per case, leaked so it is 'static as the registry
-        // requires; bounded by the case count.
-        let name: &'static str =
-            Box::leak(format!("prop.merge.{case}").into_boxed_str());
+/// Concurrent counter increments from N threads merge losslessly: the
+/// snapshot total is exactly the sum of every thread's local
+/// increments, whether the shard was folded live or merged on thread
+/// exit.
+#[test]
+fn concurrent_counter_increments_merge_losslessly() {
+    enable_metrics(true);
+    let mut case = 0;
+    check_cases(16, |rng| {
+        let threads = 1 + rng.next_u64() % 8;
+        let per_thread: Vec<u64> = (0..threads).map(|_| 1 + rng.next_u64() % 499).collect();
+        let delta = 1 + rng.next_u64() % 4;
+        // The registry is process-global: one name per case, leaked so
+        // it is 'static as the registry requires; bounded by the case
+        // count.
+        let name: &'static str = Box::leak(format!("prop.merge.{case}").into_boxed_str());
+        case += 1;
         let expected: u64 = per_thread.iter().map(|n| n * delta).sum();
         std::thread::scope(|s| {
             for &n in &per_thread {
@@ -40,6 +32,6 @@ proptest! {
                 });
             }
         });
-        prop_assert_eq!(snapshot().counter(name), expected);
-    }
+        assert_eq!(snapshot().counter(name), expected);
+    });
 }

@@ -31,8 +31,6 @@
 use musa_arch::{CoreClass, NodeConfig, VoltageModel};
 use musa_mem::{dram_energy, ChannelStats, DramTiming};
 use musa_tasksim::SimStats;
-use serde::{Deserialize, Serialize};
-
 /// Dynamic energy per committed instruction through fetch/rename/ROB/
 /// commit at the reference point (0.85 V), picojoules, for a mid-size
 /// core; scaled by the OoO structure factor.
@@ -68,7 +66,7 @@ const L3_LEAK_EXP: f64 = 1.25;
 
 /// Power breakdown into the three components the paper plots
 /// (Figs. 5b–9b).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Cores plus private L1 caches, watts.
     pub core_l1_w: f64,
@@ -77,6 +75,12 @@ pub struct PowerBreakdown {
     /// DRAM subsystem, watts.
     pub mem_w: f64,
 }
+
+musa_obs::json_struct!(PowerBreakdown {
+    core_l1_w,
+    l2_l3_w,
+    mem_w
+});
 
 impl PowerBreakdown {
     /// Total node power in watts.

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use musa_cache::crc32;
+use musa_cache::{crc32, seal_line, unseal_line};
 use musa_obs::json::{JsonObj, JsonValue};
 
 /// Version of the profile record schema. Bump on shape changes;
@@ -54,8 +54,8 @@ pub struct PointProfile {
     pub worker: String,
     /// OS process id of the writer.
     pub pid: u32,
-    /// Stable per-process thread tag (rayon threads of a sequential
-    /// fill get distinct tags; a pool worker's point loop is one tag).
+    /// Stable per-process thread tag (one per thread that simulates
+    /// points; a fill or a pool worker's point loop is one tag).
     pub tid: u32,
     /// Wall-clock start of the point, µs since the UNIX epoch. Used
     /// only for timeline ordering — never for results.
@@ -161,28 +161,6 @@ impl PointProfile {
     pub fn phase_ns(&self, phase: &str) -> u64 {
         self.phases.get(phase).copied().unwrap_or(0)
     }
-}
-
-/// Append the CRC-32 of `canonical` as a final `"crc"` field.
-/// `canonical` must be a JSON object (ends with `}`).
-fn seal_line(canonical: &str) -> String {
-    debug_assert!(canonical.ends_with('}'));
-    let crc = crc32(canonical.as_bytes());
-    format!("{},\"crc\":{}}}", &canonical[..canonical.len() - 1], crc)
-}
-
-/// Split a sealed line into (canonical JSON, stored CRC).
-fn unseal_line(line: &str) -> Option<(String, u32)> {
-    let line = line.trim_end();
-    let idx = line.rfind(",\"crc\":")?;
-    let crc: u32 = line
-        .get(idx + 7..line.len().checked_sub(1)?)?
-        .parse()
-        .ok()?;
-    if !line.ends_with('}') {
-        return None;
-    }
-    Some((format!("{}}}", &line[..idx]), crc))
 }
 
 /// Test fixture shared by this crate's unit tests.

@@ -87,8 +87,8 @@ fn on_span(phase: &'static str, _app: &str, wall_ns: f64) {
 }
 
 /// Stable per-process tag of the calling thread (assigned on first
-/// use, 1-based). Distinguishes rayon workers of a sequential fill on
-/// the timeline.
+/// use, 1-based). Distinguishes the threads of one process on the
+/// timeline.
 fn thread_tag() -> u32 {
     TID.with(|t| {
         let mut t = t.borrow_mut();

@@ -3,7 +3,7 @@
 //! or `chrome://tracing`.
 //!
 //! One track per (pid, thread tag): a pool campaign shows one lane per
-//! worker process, a sequential fill one lane per rayon thread. Each
+//! worker process, a sequential fill one lane. Each
 //! point is a `B`/`E` slice pair named `app/config`; its phases are
 //! nested slices laid out sequentially inside it (`burst` and `dram`
 //! nest inside `detailed-sim`, mirroring the span hierarchy). Poisoned

@@ -1,44 +1,33 @@
-//! A hand-rolled seeded PRNG for platform-independent, replayable
-//! search decisions.
+//! The seeded generator behind every search decision: the workspace's
+//! [`SplitMix64`] plus the unbiased integer draws strategies need.
 //!
 //! The driver must make byte-identical decisions on every platform and
-//! on every rerun of the same seed — `StdRng` explicitly disclaims
-//! cross-version stability, so we roll our own: SplitMix64 (Steele,
-//! Lea & Flood, OOPSLA'14), the same generator Java's
-//! `SplittableRandom` and xoshiro's seeding routine use. It is a tiny
-//! bijective mixing function on a 64-bit counter — trivially
-//! deterministic, fast, and passes BigCrush when used as here.
-//!
-//! Nothing in this module reads the clock, the OS entropy pool, or
-//! thread identity: the sequence is a pure function of the seed.
+//! on every rerun of the same seed — the sequence is a pure function
+//! of the seed.
 
-/// SplitMix64 sequence generator.
+use musa_obs::rng::SplitMix64;
+
+/// [`SplitMix64`] with range, shuffle and choice draws.
 #[derive(Debug, Clone)]
-pub struct SearchRng {
-    state: u64,
+pub struct SearchRng(SplitMix64);
+
+impl std::ops::Deref for SearchRng {
+    type Target = SplitMix64;
+    fn deref(&self) -> &SplitMix64 {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for SearchRng {
+    fn deref_mut(&mut self) -> &mut SplitMix64 {
+        &mut self.0
+    }
 }
 
 impl SearchRng {
-    /// A generator producing the sequence for `seed`. Distinct seeds
-    /// give uncorrelated sequences (the mixer is bijective on the
-    /// counter, and the golden-gamma increment is odd).
+    /// A generator producing the sequence for `seed`.
     pub fn new(seed: u64) -> SearchRng {
-        SearchRng { state: seed }
-    }
-
-    /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        // SplitMix64: add the golden-ratio gamma, then mix.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform f64 in `[0, 1)` (53 mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        SearchRng(SplitMix64::new(seed))
     }
 
     /// A uniform integer in `[0, n)`. `n = 0` returns 0.
@@ -80,35 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pinned_sequence() {
-        // The first values of SplitMix64 from seed 0 and seed 42 —
-        // pinned so any accidental change to the mixer (which would
-        // silently break replay of historical journals) fails loudly.
-        let mut r = SearchRng::new(0);
-        assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
-        let mut r = SearchRng::new(42);
-        assert_eq!(r.next_u64(), 0xBDD7_3226_2FEB_6E95);
-    }
-
-    #[test]
-    fn same_seed_same_sequence() {
-        let mut a = SearchRng::new(7);
-        let mut b = SearchRng::new(7);
-        for _ in 0..1000 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let mut a = SearchRng::new(1);
-        let mut b = SearchRng::new(2);
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
     fn below_is_in_range_and_covers() {
         let mut r = SearchRng::new(3);
         let mut seen = [false; 7];
@@ -120,15 +80,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "all residues reachable");
         assert_eq!(r.below(0), 0);
         assert_eq!(r.below(1), 0);
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut r = SearchRng::new(9);
-        for _ in 0..1000 {
-            let v = r.next_f64();
-            assert!((0.0..1.0).contains(&v));
-        }
     }
 
     #[test]

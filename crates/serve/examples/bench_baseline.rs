@@ -1,8 +1,5 @@
 //! Hand-timed baseline for the query kernels on the full 864×5
-//! synthetic campaign, printed as JSON. Criterion's statistics are the
-//! real benchmark (`cargo bench -p musa-serve`); this example exists so
-//! a stripped-down environment (where the criterion harness may be
-//! stubbed) can still record comparable numbers:
+//! synthetic campaign, printed as JSON:
 //!
 //! ```text
 //! cargo run --release -p musa-serve --example bench_baseline > results/BENCH_serve.json

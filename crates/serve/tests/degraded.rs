@@ -50,13 +50,6 @@ fn synth_row(app: AppId, config: NodeConfig, x: f64) -> StoreRow {
     StoreRow::new(GenParams::tiny(), false, result)
 }
 
-/// The typecheck-only serde_json stub used in stripped-down build
-/// environments panics at runtime; tests needing real (de)serialisation
-/// skip there, exactly like the seed's persistence tests would fail.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 fn healthz(engine: &QueryEngine) -> String {
     let req = Request {
         method: "GET".into(),
@@ -71,10 +64,6 @@ fn healthz(engine: &QueryEngine) -> String {
 
 #[test]
 fn corrupt_store_serves_degraded_but_serves() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let rows = vec![
         synth_row(AppId::Hydro, configs[0], 1.0),
@@ -114,8 +103,7 @@ fn corrupt_store_serves_degraded_but_serves() {
 
 /// A point the pool supervisor quarantined is campaign data that is
 /// *missing* rather than corrupt; `/healthz` must surface it the same
-/// way. The lease journal uses the hand-rolled JSON codec, so this
-/// works even where serde_json is a stub.
+/// way.
 #[test]
 fn pool_poisoned_points_degrade_health() {
     let dir = tmp_dir("poisoned");
@@ -143,10 +131,6 @@ fn pool_poisoned_points_degrade_health() {
 
 #[test]
 fn clean_store_reports_ok() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let rows = vec![
         synth_row(AppId::Hydro, configs[0], 1.0),

@@ -3,9 +3,8 @@
 //! shedding, protocol errors and graceful drain.
 //!
 //! The campaign is built in memory from the deterministic synthetic
-//! generator — no disk, no serde — so this suite runs identically in
-//! stripped-down build environments and with observability compiled
-//! out (`--no-default-features`).
+//! generator — no disk — so this suite runs identically with
+//! observability compiled out (`--no-default-features`).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -28,8 +28,8 @@ pub fn write_csv(campaign: &Campaign, path: impl AsRef<Path>) -> std::io::Result
     Ok(campaign.results.len())
 }
 
-/// Write a campaign as a single JSON document (the `Campaign` serde
-/// format, readable back with `Campaign::from_json`), atomically.
+/// Write a campaign as a single JSON document (the `Campaign` JSON
+/// encoding, readable back with `Campaign::from_json`), atomically.
 pub fn write_json(campaign: &Campaign, path: impl AsRef<Path>) -> std::io::Result<usize> {
     atomic_write(path.as_ref(), campaign.to_json().as_bytes(), "export.write")?;
     Ok(campaign.results.len())

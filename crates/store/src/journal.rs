@@ -25,9 +25,8 @@
 //! globs `*.jsonl`, and lease events must never be mistaken for
 //! campaign rows.
 //!
-//! Serialisation uses the dependency-free `musa_obs::json` reader and
-//! writer, so journal recovery works even in builds where serde
-//! support is unavailable.
+//! Serialisation uses the `musa_obs::json` reader and writer, like
+//! every other persisted format.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

@@ -12,7 +12,7 @@
 //!   multi-process sweeps whose output files merge cleanly;
 //! * [`store`] — the append-only JSONL [`CampaignStore`]: an in-memory
 //!   `HashMap` index over durable rows, with [`CampaignStore::fill`]
-//!   simulating only missing points (rayon-parallel, batched flushes,
+//!   simulating only missing points (batched flushes,
 //!   progress/ETA on stderr) and [`Campaign`](musa_core::Campaign)
 //!   views for the figure harnesses;
 //! * [`integrity`] — CRC32 row checksums and crash-atomic file

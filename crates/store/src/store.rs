@@ -11,7 +11,7 @@
 //! ## Failure model
 //!
 //! Every written row carries a CRC32 of its canonical JSON, verified
-//! on load. Opening a store **repairs** what a crash can legitimately
+//! on load over the line's own bytes. Opening a store **repairs** what a crash can legitimately
 //! leave behind and **quarantines** what it cannot:
 //!
 //! * a torn final line (interrupted append, no trailing newline) is
@@ -35,16 +35,15 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use musa_obs::json::{FromJson, JsonValue};
 use musa_obs::Progress;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::NodeConfig;
 use musa_cache::ArtifactCache;
 use musa_core::{Campaign, ConfigResult, MultiscaleSim, SweepOptions};
 
-use crate::integrity::{atomic_write, crc32};
+use crate::integrity::{atomic_write, crc32, seal_line, unseal_line};
 use crate::key::{PointKey, SCHEMA_VERSION};
 use crate::shard::Shard;
 
@@ -94,10 +93,7 @@ fn quarantine_cap() -> u64 {
 /// aside — to `<dir>/quarantine.jsonl`, with the loader's own dedupe
 /// across the primary file and every rotation. Returns `true` when a
 /// line was appended, `false` when the identical incident (same raw
-/// bytes, same reason) was already on record. The line is built with
-/// the dependency-free JSON writer — byte-identical to the serde
-/// encoding of [`QuarantineRecord`] — so this works under the stubbed
-/// serde runtime too.
+/// bytes, same reason) was already on record.
 pub fn quarantine_evidence(dir: &Path, record: &QuarantineRecord) -> std::io::Result<bool> {
     let path = dir.join(QUARANTINE_FILE);
     let mut seen = existing_quarantine_fingerprints(&path);
@@ -109,12 +105,7 @@ pub fn quarantine_evidence(dir: &Path, record: &QuarantineRecord) -> std::io::Re
     if seen.contains(&quarantine_fingerprint(&record.raw, &record.reason)) {
         return Ok(false);
     }
-    let line = musa_obs::json::JsonObj::new()
-        .field_str("file", &record.file)
-        .field_u64("line", record.line as u64)
-        .field_str("reason", &record.reason)
-        .field_str("raw", &record.raw)
-        .finish();
+    let line = musa_obs::json::to_string(record);
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
     file.write_all(line.as_bytes())?;
     file.write_all(b"\n")?;
@@ -131,7 +122,7 @@ pub const DEFAULT_MAX_RETRIES: u32 = 2;
 /// One persisted campaign row: the simulation result plus everything
 /// that went into its fingerprint, so stores are self-describing and
 /// every row can be integrity-checked on load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoreRow {
     /// Hex [`PointKey`] of this row.
     pub key: String,
@@ -143,13 +134,17 @@ pub struct StoreRow {
     pub full_replay: bool,
     /// The simulation result.
     pub result: ConfigResult,
-    /// CRC32 of the row's canonical JSON with this field absent.
-    /// Written on append, verified then stripped on load; `None` in
-    /// memory and on rows from pre-checksum stores (grandfathered in
-    /// unverified rather than rejected).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub crc: Option<u32>,
 }
+
+// On disk a row is this object sealed by a trailing `"crc"` member
+// (`seal_line`); the checksum lives in the line, not in the struct.
+musa_obs::json_struct!(StoreRow {
+    key,
+    schema,
+    gen,
+    full_replay,
+    result
+});
 
 impl StoreRow {
     /// Build a row (and its key) from a freshly simulated result.
@@ -161,7 +156,6 @@ impl StoreRow {
             gen,
             full_replay,
             result,
-            crc: None,
         }
     }
 
@@ -182,41 +176,18 @@ impl StoreRow {
                     self.full_replay,
                 ))
     }
-
-    /// The row's canonical JSON — its serialisation with `crc` absent,
-    /// which is both the written byte prefix and the checksum input.
-    fn canonical_json(&self) -> Option<String> {
-        if self.crc.is_none() {
-            return serde_json::to_string(self).ok();
-        }
-        let mut unsealed = self.clone();
-        unsealed.crc = None;
-        serde_json::to_string(&unsealed).ok()
-    }
-
-    /// Verify the stored checksum. Rows without one (pre-checksum
-    /// stores) pass: the field was introduced after the first
-    /// campaigns shipped and old rows are grandfathered in.
-    pub fn crc_matches(&self) -> bool {
-        match self.crc {
-            None => true,
-            Some(c) => self
-                .canonical_json()
-                .is_some_and(|json| crc32(json.as_bytes()) == c),
-        }
-    }
 }
 
-/// Append `,"crc":N` to a canonical row serialisation — exactly the
-/// bytes serde would emit for the row with `crc: Some(N)`, in one
-/// serialisation pass instead of two.
-fn seal_line(canonical: &str) -> String {
-    debug_assert!(canonical.ends_with('}'));
-    format!(
-        "{},\"crc\":{}}}",
-        &canonical[..canonical.len() - 1],
-        crc32(canonical.as_bytes())
-    )
+/// Whether a parsed row line's bytes match its seal. A line with no
+/// `"crc"` member passes: the field was introduced after the first
+/// campaigns shipped and those rows are grandfathered in unverified.
+/// A `"crc"` member that is not the line's final, numeric one is a
+/// broken seal, not a missing one.
+fn seal_holds(line: &str, parsed: &JsonValue) -> bool {
+    match unseal_line(line) {
+        Some((canonical, crc)) => crc32(canonical.as_bytes()) == crc,
+        None => parsed.get("crc").is_none(),
+    }
 }
 
 /// Identity of a quarantine record for dedupe purposes: content
@@ -229,16 +200,15 @@ fn quarantine_fingerprint(raw: &str, reason: &str) -> u64 {
 }
 
 /// Fingerprints of every record already in the quarantine file.
-/// Parsed with the dependency-free JSON reader so dedupe works even
-/// where serde support is unavailable; unparsable lines are ignored
-/// (the quarantine file is advisory provenance, not campaign data).
+/// Unparsable lines are ignored (the quarantine file is advisory
+/// provenance, not campaign data).
 fn existing_quarantine_fingerprints(path: &Path) -> HashSet<u64> {
     let mut seen = HashSet::new();
     let Ok(text) = std::fs::read_to_string(path) else {
         return seen;
     };
     for line in text.lines() {
-        if let Ok(v) = musa_obs::json::JsonValue::parse(line) {
+        if let Ok(v) = JsonValue::parse(line) {
             if let (Some(raw), Some(reason)) = (
                 v.get("raw").and_then(|x| x.as_str()),
                 v.get("reason").and_then(|x| x.as_str()),
@@ -270,7 +240,7 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Provenance of one quarantined row: where it sat, why it was pulled,
 /// and its raw bytes (nothing is silently destroyed — an operator can
 /// still inspect or salvage the line).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineRecord {
     /// File the row was quarantined from.
     pub file: String,
@@ -281,6 +251,13 @@ pub struct QuarantineRecord {
     /// The verbatim rejected line.
     pub raw: String,
 }
+
+musa_obs::json_struct!(QuarantineRecord {
+    file,
+    line,
+    reason,
+    raw
+});
 
 /// What loading found wrong with the on-disk store — the health the
 /// serving layer reports from `/healthz`.
@@ -595,10 +572,10 @@ impl CampaignStore {
             if line.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<StoreRow>(line) {
-                Ok(row) if row.is_consistent() && row.crc_matches() => {
-                    let mut row = row;
-                    row.crc = None; // checksums live on disk, not in memory
+            let parsed = JsonValue::parse(line);
+            let sealed = parsed.as_ref().is_ok_and(|v| seal_holds(line, v));
+            match parsed.and_then(|v| StoreRow::read_json(&v)) {
+                Ok(row) if row.is_consistent() && sealed => {
                     self.insert_mem(row);
                     kept.push(line);
                 }
@@ -639,8 +616,8 @@ impl CampaignStore {
                 // Current schema but provably wrong content: the key
                 // fingerprint or the checksum does not match. This is
                 // corruption, not a crash artifact — quarantine it.
-                Ok(row) => {
-                    let reason = if row.crc_matches() {
+                Ok(_) => {
+                    let reason = if sealed {
                         "stored key does not match the recomputed fingerprint"
                     } else {
                         "checksum mismatch (row bytes altered after write)"
@@ -747,7 +724,7 @@ impl CampaignStore {
                 suppressed += 1;
                 continue;
             }
-            out.push_str(&serde_json::to_string(record).expect("record serialises"));
+            out.push_str(&musa_obs::json::to_string(record));
             out.push('\n');
         }
         if suppressed > 0 {
@@ -908,9 +885,7 @@ impl CampaignStore {
                 "campaign store opened read-only",
             ));
         }
-        let mut row = row;
-        row.crc = None;
-        let canonical = serde_json::to_string(&row).expect("row serialises");
+        let canonical = musa_obs::json::to_string(&row);
         if !self.insert_mem(row) {
             return Ok(false);
         }
@@ -998,9 +973,9 @@ impl CampaignStore {
     }
 
     /// Simulate **only the missing points** of `apps × configs` (the
-    /// ones this shard owns, when sharded), in parallel over
-    /// configurations with rayon, persisting after every batch and
-    /// reporting progress/ETA on stderr.
+    /// ones this shard owns, when sharded), one after another,
+    /// persisting after every batch and reporting progress/ETA on
+    /// stderr. Parallelism is across processes (`dse --workers N`).
     pub fn fill(
         &mut self,
         apps: &[AppId],
@@ -1075,8 +1050,8 @@ impl CampaignStore {
             let mut first_chunk = true;
             for chunk in missing.chunks(opts.batch.max(1)) {
                 // The previous batch's STORE_FLUSH span also landed on
-                // this thread; drain it so a point closure that rayon
-                // happens to run *here* doesn't inherit it.
+                // this thread; drain it so the next point doesn't
+                // inherit it.
                 let _ = musa_prof::take_phase_ns(musa_obs::phase::STORE_FLUSH);
                 if opts.cancel.is_some_and(|cancelled| cancelled()) {
                     report.interrupted = true;
@@ -1096,7 +1071,7 @@ impl CampaignStore {
                 // poisoned point never reaches the store, `--resume`
                 // re-attempts exactly the poisoned set.
                 let outcomes: Vec<(Result<StoreRow, PoisonedPoint>, f64)> = chunk
-                    .par_iter()
+                    .iter()
                     .enumerate()
                     .map(|(i, cfg)| {
                         musa_prof::point_begin();
@@ -1213,6 +1188,13 @@ impl CampaignStore {
 
 impl Drop for CampaignStore {
     fn drop(&mut self) {
-        let _ = self.flush();
+        if self.flush().is_err() {
+            // The caller was told these rows did not persist. Take the
+            // buffer apart unflushed, or `BufWriter`'s own drop would
+            // write them after all.
+            if let Some(w) = self.writer.take() {
+                let _ = w.into_parts();
+            }
+        }
     }
 }

@@ -56,12 +56,6 @@ fn config_slice(n: usize) -> Vec<NodeConfig> {
     all.iter().step_by(all.len() / n).take(n).copied().collect()
 }
 
-/// See `forward_compat.rs`: runtime (de)serialisation is unavailable
-/// under the typecheck-only serde_json stub; persistence tests skip.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 /// Serialises plan-using tests and guarantees the global plan is
 /// cleared afterwards, assertion failure or not.
 struct PlanGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
@@ -143,8 +137,8 @@ fn reference_run(tag: &str, apps: &[AppId], configs: &[NodeConfig]) -> PathBuf {
 
 #[test]
 fn sim_panic_poisons_points_and_resume_heals() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -186,8 +180,8 @@ fn sim_panic_poisons_points_and_resume_heals() {
 
 #[test]
 fn partial_panic_probability_converges_across_seeds() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -235,8 +229,8 @@ fn partial_panic_probability_converges_across_seeds() {
 
 #[test]
 fn transient_flush_faults_are_retried_to_success() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -269,8 +263,8 @@ fn transient_flush_faults_are_retried_to_success() {
 
 #[test]
 fn exhausted_retries_fail_but_resume_recovers() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -302,8 +296,8 @@ fn exhausted_retries_fail_but_resume_recovers() {
 
 #[test]
 fn fail_fast_aborts_but_persists_completed_rows() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -355,8 +349,8 @@ fn fail_fast_aborts_but_persists_completed_rows() {
 
 #[test]
 fn export_fault_leaves_the_previous_file_intact() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -395,8 +389,8 @@ fn export_fault_leaves_the_previous_file_intact() {
 
 #[test]
 fn delay_faults_never_change_the_campaign_bytes() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -436,8 +430,8 @@ fn delay_faults_never_change_the_campaign_bytes() {
 
 #[test]
 fn enospc_full_disk_fill_fails_cleanly_and_resume_converges() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -488,8 +482,8 @@ fn enospc_full_disk_fill_fails_cleanly_and_resume_converges() {
 
 #[test]
 fn enospc_rewrite_fault_leaves_the_shard_intact() {
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let _g = chaos_lock();
@@ -577,8 +571,8 @@ fn kill_nine_mid_flush_then_resume() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 crash test");
         return;
     }
-    if !serde_json_works() || !musa_fault::COMPILED {
-        eprintln!("skipping: needs runtime serde_json and the fault feature");
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
         return;
     }
     let configs = config_slice(CHILD_POINTS);
@@ -624,7 +618,10 @@ fn kill_nine_mid_flush_then_resume() {
     }
 
     // Reopen (which repairs the tail), resume, and demand the exact
-    // bytes of a campaign that never crashed.
+    // bytes of a campaign that never crashed. The resume and the
+    // reference run simulate in this process: hold the lock so another
+    // test's fault plan cannot poison them.
+    let _g = chaos_lock();
     let mut store = CampaignStore::open(&dir).unwrap();
     let survived = store.len();
     assert!(

@@ -41,24 +41,13 @@ fn synth_row(app: AppId, config: NodeConfig, x: f64) -> StoreRow {
     StoreRow::new(GenParams::tiny(), false, result)
 }
 
-/// The typecheck-only serde_json stub used in stripped-down build
-/// environments panics at runtime; tests needing real (de)serialisation
-/// skip there, exactly like the seed's persistence tests would fail.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 #[test]
 fn newer_schema_rows_are_skipped_not_corrupt() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let good = synth_row(AppId::Hydro, configs[0], 10.0);
     let future = synth_row(AppId::Hydro, configs[1], 20.0);
-    let good_line = serde_json::to_string(&good).unwrap();
-    let future_line = serde_json::to_string(&future).unwrap().replacen(
+    let good_line = musa_obs::json::to_string(&good);
+    let future_line = musa_obs::json::to_string(&future).replacen(
         &format!("\"schema\":{SCHEMA_VERSION}"),
         &format!("\"schema\":{}", SCHEMA_VERSION + 7),
         1,

@@ -72,12 +72,6 @@ fn rows_and_fingerprints_are_identical_with_observability_on_and_off() {
 /// sealed profile record lands per simulated point.
 #[test]
 fn rows_and_fingerprints_are_identical_with_profiling_on_and_off() {
-    // See `forward_compat.rs`: runtime (de)serialisation is unavailable
-    // under the typecheck-only serde_json stub; persistence tests skip.
-    if !std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false) {
-        eprintln!("skipping: serde_json runtime unavailable (typecheck-only stub)");
-        return;
-    }
     let apps = [AppId::Hydro, AppId::Spmz];
     let configs = [
         NodeConfig::REFERENCE,

@@ -7,11 +7,10 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use proptest::prelude::*;
-
 use musa_apps::{AppId, GenParams};
 use musa_arch::DesignSpace;
 use musa_core::ConfigResult;
+use musa_obs::rng::{check_cases, SplitMix64};
 use musa_power::PowerBreakdown;
 use musa_store::{CampaignStore, PointKey, Shard, StoreRow};
 
@@ -59,13 +58,16 @@ fn synth_row(
     StoreRow::new(GenParams::tiny(), false, result)
 }
 
-/// Build rows from raw proptest points, deduplicated by key (duplicate
-/// (app, cfg) pairs would be one point simulated once).
-fn build_rows(points: &[(usize, usize, f64)]) -> Vec<StoreRow> {
+const CASES: u64 = 16;
+
+/// Between 1 and `max_len - 1` random rows, deduplicated by key
+/// (duplicate (app, cfg) pairs would be one point simulated once).
+fn random_rows(rng: &mut SplitMix64, max_len: u64) -> Vec<StoreRow> {
     let configs = DesignSpace::all();
     let mut by_key: HashMap<String, StoreRow> = HashMap::new();
-    for &(a, c, x) in points {
-        let row = synth_row(&configs, a, c, x);
+    for _ in 0..1 + rng.next_u64() % (max_len - 1) {
+        let (a, c) = (rng.next_u64() as usize % 5, rng.next_u64() as usize % 864);
+        let row = synth_row(&configs, a, c, rng.next_f64() * 1e6);
         by_key.entry(row.key.clone()).or_insert(row);
     }
     let mut rows: Vec<StoreRow> = by_key.into_values().collect();
@@ -73,55 +75,37 @@ fn build_rows(points: &[(usize, usize, f64)]) -> Vec<StoreRow> {
     rows
 }
 
-/// `true` when the linked serde_json can serialise at runtime; the
-/// persistence properties skip under the typecheck-only stub (see
-/// `chaos.rs`) — key recomputation below still runs everywhere.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 fn sorted_by_key(mut rows: Vec<StoreRow>) -> Vec<StoreRow> {
     rows.sort_by(|a, b| a.key.cmp(&b.key));
     rows
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Write → drop → re-open loses nothing and changes nothing (float
-    /// fields included: serde_json round-trips every finite f64
-    /// exactly).
-    #[test]
-    fn jsonl_roundtrip_is_lossless(
-        points in proptest::collection::vec((0usize..5, 0usize..864, 0.0f64..1e6), 1..30),
-    ) {
-        if !serde_json_works() {
-            return;
-        }
-        let rows = build_rows(&points);
+/// Write → drop → re-open loses nothing and changes nothing (float
+/// fields included: every finite f64 round-trips exactly).
+#[test]
+fn jsonl_roundtrip_is_lossless() {
+    check_cases(CASES, |rng| {
+        let rows = random_rows(rng, 30);
         let dir = tmp_dir("roundtrip");
         {
             let mut store = CampaignStore::open(&dir).unwrap();
             store.append_batch(rows.clone()).unwrap();
         }
         let reopened = CampaignStore::open(&dir).unwrap();
-        prop_assert_eq!(sorted_by_key(reopened.rows().to_vec()), rows);
+        assert_eq!(sorted_by_key(reopened.rows().to_vec()), rows);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Splitting the rows into n shard files (each written by its own
-    /// store instance, in forward or reverse order) and re-opening the
-    /// directory reconstructs exactly the one-shot store.
-    #[test]
-    fn shard_merge_is_lossless_and_order_independent(
-        points in proptest::collection::vec((0usize..5, 0usize..864, 0.0f64..1e6), 1..30),
-        shard_count in 1u64..5,
-        reversed in any::<bool>(),
-    ) {
-        if !serde_json_works() {
-            return;
-        }
-        let rows = build_rows(&points);
+/// Splitting the rows into n shard files (each written by its own
+/// store instance, in forward or reverse order) and re-opening the
+/// directory reconstructs exactly the one-shot store.
+#[test]
+fn shard_merge_is_lossless_and_order_independent() {
+    check_cases(CASES, |rng| {
+        let rows = random_rows(rng, 30);
+        let shard_count = 1 + rng.next_u64() % 4;
+        let reversed = rng.next_u64() & 1 == 1;
 
         // One-shot reference store.
         let one_dir = tmp_dir("merge-one");
@@ -148,31 +132,28 @@ proptest! {
 
         let one = CampaignStore::open(&one_dir).unwrap();
         let merged = CampaignStore::open(&sharded_dir).unwrap();
-        prop_assert_eq!(merged.len(), rows.len());
-        prop_assert_eq!(
+        assert_eq!(merged.len(), rows.len());
+        assert_eq!(
             sorted_by_key(merged.rows().to_vec()),
             sorted_by_key(one.rows().to_vec())
         );
         // The Campaign views coincide too (they sort internally).
-        prop_assert_eq!(merged.campaign(), one.campaign());
+        assert_eq!(merged.campaign(), one.campaign());
 
         let _ = std::fs::remove_dir_all(&one_dir);
         let _ = std::fs::remove_dir_all(&sharded_dir);
-    }
+    });
+}
 
-    /// Truncating the result file at ANY byte offset — a simulated
-    /// crash mid-write — never loses a complete row and never counts
-    /// as corruption: rows whose JSON survived the cut load, the torn
-    /// remainder is repaired away, and a second open sees a clean file.
-    #[test]
-    fn arbitrary_truncation_keeps_complete_rows(
-        points in proptest::collection::vec((0usize..5, 0usize..864, 0.0f64..1e6), 1..12),
-        cut_frac in 0.0f64..=1.0,
-    ) {
-        if !serde_json_works() {
-            return;
-        }
-        let rows = build_rows(&points);
+/// Truncating the result file at ANY byte offset — a simulated crash
+/// mid-write — never loses a complete row and never counts as
+/// corruption: rows whose JSON survived the cut load, the torn
+/// remainder is repaired away, and a second open sees a clean file.
+#[test]
+fn arbitrary_truncation_keeps_complete_rows() {
+    check_cases(CASES, |rng| {
+        let rows = random_rows(rng, 12);
+        let cut_frac = rng.next_f64();
         let dir = tmp_dir("torn");
         {
             let mut store = CampaignStore::open(&dir).unwrap();
@@ -198,9 +179,12 @@ proptest! {
         }
 
         let reopened = CampaignStore::open(&dir).unwrap();
-        prop_assert!(!reopened.health().degraded(), "a torn tail is not corruption");
-        prop_assert_eq!(reopened.health().quarantined, 0);
-        prop_assert_eq!(
+        assert!(
+            !reopened.health().degraded(),
+            "a torn tail is not corruption"
+        );
+        assert_eq!(reopened.health().quarantined, 0);
+        assert_eq!(
             sorted_by_key(reopened.rows().to_vec()),
             rows[..expected].to_vec()
         );
@@ -209,23 +193,25 @@ proptest! {
         // The repair is stable: the rewritten file reloads identically
         // with nothing further to fix.
         let again = CampaignStore::open(&dir).unwrap();
-        prop_assert_eq!(again.health(), &musa_store::StoreHealth::default());
-        prop_assert_eq!(sorted_by_key(again.rows().to_vec()), rows[..expected].to_vec());
+        assert_eq!(again.health(), &musa_store::StoreHealth::default());
+        assert_eq!(
+            sorted_by_key(again.rows().to_vec()),
+            rows[..expected].to_vec()
+        );
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Keys are stable: recomputing a row's fingerprint from its own
-    /// contents always matches, and hex round-trips.
-    #[test]
-    fn keys_recompute_and_roundtrip(
-        a in 0usize..5,
-        c in 0usize..864,
-        x in 0.0f64..1e6,
-    ) {
-        let configs = DesignSpace::all();
-        let row = synth_row(&configs, a, c, x);
-        prop_assert!(row.is_consistent());
+/// Keys are stable: recomputing a row's fingerprint from its own
+/// contents always matches, and hex round-trips.
+#[test]
+fn keys_recompute_and_roundtrip() {
+    let configs = DesignSpace::all();
+    check_cases(CASES, |rng| {
+        let (a, c) = (rng.next_u64() as usize % 5, rng.next_u64() as usize % 864);
+        let row = synth_row(&configs, a, c, rng.next_f64() * 1e6);
+        assert!(row.is_consistent());
         let key = row.point_key().unwrap();
-        prop_assert_eq!(PointKey::from_hex(&key.to_hex()), Some(key));
-    }
+        assert_eq!(PointKey::from_hex(&key.to_hex()), Some(key));
+    });
 }

@@ -49,13 +49,6 @@ fn synth_row(app: AppId, config: NodeConfig, x: f64) -> StoreRow {
     StoreRow::new(GenParams::tiny(), false, result)
 }
 
-/// The typecheck-only serde_json stub used in stripped-down build
-/// environments panics at runtime; tests needing real (de)serialisation
-/// skip there, exactly like the seed's persistence tests would fail.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 fn rotation(dir: &Path, i: u32) -> PathBuf {
     dir.join(format!("quarantine.{i}.jsonl"))
 }
@@ -75,10 +68,6 @@ fn quarantine_file_name_classification() {
 /// `MUSA_QUARANTINE_CAP` — keep it that way, or add a mutex.
 #[test]
 fn rotation_caps_growth_counts_health_and_survives_reload() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     // Cap of 1 byte: any append to a non-empty primary rotates first,
     // so every corruption round below produces exactly one rotation.
     std::env::set_var("MUSA_QUARANTINE_CAP", "1");

@@ -48,13 +48,6 @@ fn synth_row(app: AppId, config: NodeConfig, x: f64) -> StoreRow {
     StoreRow::new(GenParams::tiny(), false, result)
 }
 
-/// The typecheck-only serde_json stub used in stripped-down build
-/// environments panics at runtime; tests needing real (de)serialisation
-/// skip there, exactly like the seed's persistence tests would fail.
-fn serde_json_works() -> bool {
-    std::panic::catch_unwind(|| serde_json::to_string(&()).is_ok()).unwrap_or(false)
-}
-
 /// Write `rows` through the normal append path and return the store
 /// file's bytes.
 fn write_store(dir: &PathBuf, rows: &[StoreRow]) -> Vec<u8> {
@@ -68,10 +61,6 @@ fn write_store(dir: &PathBuf, rows: &[StoreRow]) -> Vec<u8> {
 
 #[test]
 fn torn_tail_is_truncated_and_the_file_repaired() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let rows = vec![
         synth_row(AppId::Hydro, configs[0], 1.0),
@@ -108,10 +97,6 @@ fn torn_tail_is_truncated_and_the_file_repaired() {
 
 #[test]
 fn checksum_mismatch_is_quarantined_with_provenance() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let rows = vec![
         synth_row(AppId::Hydro, configs[0], 1.0),
@@ -142,7 +127,7 @@ fn checksum_mismatch_is_quarantined_with_provenance() {
     // a checksum reason.
     let q = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
     let record: musa_store::QuarantineRecord =
-        serde_json::from_str(q.lines().next().unwrap()).expect("quarantine records are JSON");
+        musa_obs::json::from_str(q.lines().next().unwrap()).expect("quarantine records are JSON");
     assert_eq!(record.file, "rows.jsonl");
     assert_eq!(record.line, 1);
     assert!(
@@ -163,10 +148,6 @@ fn checksum_mismatch_is_quarantined_with_provenance() {
 
 #[test]
 fn key_mismatch_is_quarantined_even_without_a_checksum() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let good = synth_row(AppId::Hydro, configs[0], 1.0);
     let mut bad = synth_row(AppId::Spmz, configs[1], 2.0);
@@ -179,8 +160,8 @@ fn key_mismatch_is_quarantined_even_without_a_checksum() {
         dir.join("rows.jsonl"),
         format!(
             "{}\n{}\n",
-            serde_json::to_string(&good).unwrap(),
-            serde_json::to_string(&bad).unwrap()
+            musa_obs::json::to_string(&good),
+            musa_obs::json::to_string(&bad)
         ),
     )
     .unwrap();
@@ -194,7 +175,7 @@ fn key_mismatch_is_quarantined_even_without_a_checksum() {
     drop(store);
     let q = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
     let record: musa_store::QuarantineRecord =
-        serde_json::from_str(q.lines().next().unwrap()).unwrap();
+        musa_obs::json::from_str(q.lines().next().unwrap()).unwrap();
     assert!(
         record.reason.contains("fingerprint"),
         "reason: {}",
@@ -204,11 +185,71 @@ fn key_mismatch_is_quarantined_even_without_a_checksum() {
 }
 
 #[test]
+fn respelled_floats_load_clean_when_resealed_over_their_own_bytes() {
+    // A row file written by another JSON writer spells the same floats
+    // differently (`2.0` for `2`, `1e-7` for `0.0000001`). The seal is
+    // checked over the line's bytes, not over a re-serialisation of the
+    // parsed row, so such a line is healthy.
+    let mut row = synth_row(AppId::Hydro, DesignSpace::all()[0], 1.0);
+    row.result.energy_j = 1e-7;
+    let ours = musa_obs::json::to_string(&row);
+    assert!(ours.contains("\"time_ns\":2,") && ours.contains("\"energy_j\":0.0000001,"));
+    let theirs = ours
+        .replace("\"time_ns\":2,", "\"time_ns\":2.0,")
+        .replace("\"energy_j\":0.0000001,", "\"energy_j\":1e-7,");
+    assert_ne!(ours, theirs);
+    let sealed = musa_cache::seal_line(&theirs);
+
+    let dir = tmp_dir("respell");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("rows.jsonl"), format!("{sealed}\n")).unwrap();
+    let store = CampaignStore::open(&dir).unwrap();
+    assert_eq!(store.health(), &StoreHealth::default());
+    assert_eq!(store.rows(), std::slice::from_ref(&row));
+    drop(store);
+
+    // One flipped byte under the same seal is still corruption.
+    let flipped = sealed.replacen("\"time_ns\":2.0,", "\"time_ns\":3.0,", 1);
+    std::fs::write(dir.join("rows.jsonl"), format!("{flipped}\n")).unwrap();
+    let store = CampaignStore::open(&dir).unwrap();
+    assert_eq!((store.len(), store.health().quarantined), (0, 1));
+    drop(store);
+    let q = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
+    let record: musa_store::QuarantineRecord =
+        musa_obs::json::from_str(q.lines().next().unwrap()).unwrap();
+    assert_eq!(
+        record.reason,
+        "checksum mismatch (row bytes altered after write)"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_seed_above_2_pow_53_is_not_quarantined() {
+    // `GenParams.seed` is a public u64; read back through an f64 it
+    // would round, the recomputed key would differ and a healthy row
+    // would be quarantined as corrupt.
+    let mut row = synth_row(AppId::Lulesh, DesignSpace::all()[3], 1.0);
+    row = StoreRow::new(
+        GenParams {
+            seed: u64::MAX,
+            ..GenParams::tiny()
+        },
+        false,
+        row.result,
+    );
+    let dir = tmp_dir("seed");
+    write_store(&dir, std::slice::from_ref(&row));
+    let store = CampaignStore::open(&dir).unwrap();
+    assert_eq!(store.health(), &StoreHealth::default());
+    assert_eq!(store.rows(), std::slice::from_ref(&row));
+    assert_eq!(store.rows()[0].gen.seed, u64::MAX);
+    assert!(store.rows()[0].is_consistent());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn read_only_open_detects_but_never_writes() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let rows = vec![
         synth_row(AppId::Hydro, configs[0], 1.0),
@@ -248,10 +289,6 @@ fn read_only_open_detects_but_never_writes() {
 
 #[test]
 fn appends_after_a_newline_less_tail_do_not_merge_rows() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json runtime unavailable (stub build)");
-        return;
-    }
     let configs = DesignSpace::all();
     let first = synth_row(AppId::Hydro, configs[0], 1.0);
     let second = synth_row(AppId::Spmz, configs[1], 2.0);

@@ -1,10 +1,8 @@
 //! Simulation statistics: cache-level counters, instruction mix and the
 //! activity counts consumed by the power model.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-cache-level counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LevelStats {
     /// Accesses arriving at this level.
     pub accesses: f64,
@@ -13,6 +11,12 @@ pub struct LevelStats {
     /// Dirty lines written back from this level.
     pub writebacks: f64,
 }
+
+musa_obs::json_struct!(LevelStats {
+    accesses,
+    misses,
+    writebacks
+});
 
 impl LevelStats {
     /// Miss ratio.
@@ -44,7 +48,7 @@ impl LevelStats {
 
 /// Aggregated simulation statistics (fractional: extrapolated from
 /// sampled windows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimStats {
     /// Committed instructions (fused SIMD operations count once).
     pub instructions: f64,
@@ -76,6 +80,22 @@ pub struct SimStats {
     /// Branches committed.
     pub ops_branch: f64,
 }
+
+musa_obs::json_struct!(SimStats {
+    instructions,
+    baseline_instructions,
+    l1,
+    l2,
+    l3,
+    mem_reads,
+    mem_writes,
+    mem_seq_fraction,
+    flops,
+    ops_int,
+    ops_fp,
+    ops_mem,
+    ops_branch
+});
 
 impl SimStats {
     /// Merge another stats block.

@@ -8,15 +8,13 @@
 //! "hardware agnostic" (§V-A): it replays these durations unchanged while
 //! simulating the runtime system for the desired core count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::detail::KernelInvocation;
 use crate::meta::TraceMeta;
 use crate::DetailedTrace;
 
 /// A schedulable unit of work: an OmpSs/OpenMP task or a parallel-loop
 /// chunk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
     /// Identifier, unique within its region.
     pub id: u32,
@@ -47,7 +45,7 @@ impl WorkItem {
 }
 
 /// Loop scheduling policy for `parallel for` regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopSchedule {
     /// Chunks pre-assigned round-robin to threads.
     Static,
@@ -57,7 +55,7 @@ pub enum LoopSchedule {
 }
 
 /// The parallel structure of a compute region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RegionWork {
     /// Task-graph parallelism (OmpSs / OpenMP tasks with dependencies).
     Tasks {
@@ -105,7 +103,7 @@ impl RegionWork {
 }
 
 /// One compute region of a rank's burst trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeRegion {
     /// Region id, unique within the rank trace. Matching ids across ranks
     /// denote the same source-level region (e.g. the same timestep).
@@ -155,7 +153,7 @@ impl ComputeRegion {
 }
 
 /// Collective MPI operations modelled by the network replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CollectiveOp {
     /// `MPI_Barrier`.
     Barrier,
@@ -177,7 +175,7 @@ pub enum CollectiveOp {
 }
 
 /// MPI communication events recorded in the burst trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MpiEvent {
     /// Blocking send of `bytes` to `peer`.
     Send {
@@ -208,7 +206,7 @@ pub enum MpiEvent {
 }
 
 /// One event of a rank's burst trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BurstEvent {
     /// A compute region.
     Compute(ComputeRegion),
@@ -217,7 +215,7 @@ pub enum BurstEvent {
 }
 
 /// The burst trace of one MPI rank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankTrace {
     /// MPI rank number.
     pub rank: u32,
@@ -241,7 +239,7 @@ impl RankTrace {
 }
 
 /// A complete two-level application trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppTrace {
     /// Metadata.
     pub meta: TraceMeta,
@@ -311,6 +309,55 @@ impl AppTrace {
         Ok(())
     }
 }
+
+// The trace-file encodings (`musa_trace::io`), fields in declaration
+// order.
+musa_obs::json_struct!(WorkItem {
+    id,
+    duration_ns,
+    deps,
+    critical_ns,
+    kernels
+});
+musa_obs::json_enum!(LoopSchedule { Static, Dynamic });
+musa_obs::json_enum!(RegionWork {
+    Tasks { items },
+    ParallelFor { chunks, schedule },
+    Serial { item }
+});
+musa_obs::json_struct!(ComputeRegion {
+    region_id,
+    name,
+    work,
+    spawn_overhead_ns,
+    dispatch_overhead_ns
+});
+musa_obs::json_enum!(CollectiveOp {
+    Barrier,
+    AllReduce { bytes },
+    Bcast { bytes },
+    AllToAll { bytes }
+});
+musa_obs::json_enum!(MpiEvent {
+    Send { peer, bytes },
+    Recv { peer, bytes },
+    SendRecv {
+        send_peer,
+        recv_peer,
+        bytes
+    },
+    Collective(op)
+});
+musa_obs::json_enum!(BurstEvent {
+    Compute(region),
+    Mpi(event)
+});
+musa_obs::json_struct!(RankTrace { rank, events });
+musa_obs::json_struct!(AppTrace {
+    meta,
+    ranks,
+    detail
+});
 
 #[cfg(test)]
 mod tests {

@@ -9,10 +9,8 @@
 //! dynamic stream is recovered by iterating the body `trip_count` times —
 //! [`Kernel::dyn_instrs`] does exactly that.
 
-use serde::{Deserialize, Serialize};
-
 /// Instruction operation classes, as recorded by the tracer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Integer ALU operation (also covers address arithmetic).
     IntAlu,
@@ -61,7 +59,7 @@ impl Op {
 ///
 /// The tracer records architectural registers; for simulation what matters
 /// is the *dataflow distance*. We encode it relative to the loop body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// No register dependency (operands long since ready).
     None,
@@ -74,7 +72,7 @@ pub enum DepKind {
 }
 
 /// Memory access pattern of one stream within a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Sequential walk with a fixed byte stride (unit-stride when
     /// `stride == element size`).
@@ -97,7 +95,7 @@ pub enum AccessPattern {
 
 /// One memory-access stream of a kernel: a region of the address space
 /// walked with a given pattern. Addresses wrap within `footprint` bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamDesc {
     /// Base virtual address of the stream's region.
     pub base: u64,
@@ -108,7 +106,7 @@ pub struct StreamDesc {
 }
 
 /// One static instruction of a kernel's loop body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstrTemplate {
     /// Operation class.
     pub op: Op,
@@ -158,7 +156,7 @@ pub type KernelId = u32;
 
 /// A loop-compressed instruction-trace fragment: `body` executed
 /// `trip_count` times back to back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Identifier referenced by [`KernelInvocation`]s.
     pub id: KernelId,
@@ -227,7 +225,7 @@ pub struct DynInstr {
 }
 
 /// An invocation of a kernel from a work item (task / loop chunk).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelInvocation {
     /// Which kernel.
     pub kernel: KernelId,
@@ -238,7 +236,7 @@ pub struct KernelInvocation {
 
 /// The detailed trace of one sampled region: the kernel dictionary.
 /// Work items in the burst trace reference kernels by id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetailedTrace {
     /// Application name.
     pub app: String,
@@ -259,6 +257,55 @@ impl DetailedTrace {
         self.kernels.iter().map(|k| k.dyn_len()).sum()
     }
 }
+
+// The trace-file encodings (`musa_trace::io`), fields in declaration
+// order.
+musa_obs::json_enum!(Op {
+    IntAlu,
+    IntMul,
+    FpAdd,
+    FpMul,
+    FpFma,
+    FpDiv,
+    Load,
+    Store,
+    Branch,
+    Other
+});
+musa_obs::json_enum!(DepKind { None, Prev(k), Carried });
+musa_obs::json_enum!(AccessPattern {
+    Sequential { stride },
+    Strided { stride },
+    Random,
+    Local
+});
+musa_obs::json_struct!(StreamDesc {
+    base,
+    footprint,
+    pattern
+});
+musa_obs::json_struct!(InstrTemplate {
+    op,
+    static_pc,
+    dep,
+    vector_marked,
+    stream,
+    access_bytes
+});
+musa_obs::json_struct!(Kernel {
+    id,
+    name,
+    body,
+    trip_count,
+    fusible_run,
+    streams
+});
+musa_obs::json_struct!(KernelInvocation { kernel, trips });
+musa_obs::json_struct!(DetailedTrace {
+    app,
+    region_id,
+    kernels
+});
 
 #[cfg(test)]
 mod tests {
@@ -341,14 +388,27 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let t = DetailedTrace {
             app: "x".into(),
             region_id: 1,
             kernels: vec![sample_kernel()],
         };
-        let s = serde_json::to_string(&t).unwrap();
-        let back: DetailedTrace = serde_json::from_str(&s).unwrap();
+        let s = musa_obs::json::to_string(&t);
+        let back: DetailedTrace = musa_obs::json::from_str(&s).unwrap();
         assert_eq!(t, back);
+        // Unit variants are bare strings, data variants externally
+        // tagged — the shape a serde-derived build wrote.
+        assert!(s.contains(r#""dep":"None""#), "{s}");
+        assert!(
+            s.contains(r#""pattern":{"Sequential":{"stride":8}}"#),
+            "{s}"
+        );
+        let prev = musa_obs::json::to_string(&DepKind::Prev(3));
+        assert_eq!(prev, r#"{"Prev":3}"#);
+        assert_eq!(
+            musa_obs::json::from_str::<DepKind>(&prev).unwrap(),
+            DepKind::Prev(3)
+        );
     }
 }

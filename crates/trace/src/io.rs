@@ -5,7 +5,7 @@
 //! "reducing trace generation time and storage requirements" (§II-A).
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::AppTrace;
@@ -15,8 +15,8 @@ use crate::AppTrace;
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// JSON (de)serialisation failure.
-    Json(serde_json::Error),
+    /// The bytes are not the JSON of a trace.
+    Json(String),
     /// The trace violated a structural invariant (see
     /// [`AppTrace::validate`]).
     Invalid(String),
@@ -36,8 +36,7 @@ impl std::error::Error for TraceIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceIoError::Io(e) => Some(e),
-            TraceIoError::Json(e) => Some(e),
-            TraceIoError::Invalid(_) => None,
+            TraceIoError::Json(_) | TraceIoError::Invalid(_) => None,
         }
     }
 }
@@ -48,35 +47,30 @@ impl From<std::io::Error> for TraceIoError {
     }
 }
 
-impl From<serde_json::Error> for TraceIoError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceIoError::Json(e)
-    }
-}
-
 /// Serialise a trace to a writer.
-pub fn write_trace<W: Write>(trace: &AppTrace, writer: W) -> Result<(), TraceIoError> {
-    serde_json::to_writer(writer, trace)?;
+pub fn write_trace<W: Write>(trace: &AppTrace, mut writer: W) -> Result<(), TraceIoError> {
+    writer.write_all(musa_obs::json::to_string(trace).as_bytes())?;
+    writer.flush()?;
     Ok(())
 }
 
 /// Deserialise and validate a trace from a reader.
-pub fn read_trace<R: Read>(reader: R) -> Result<AppTrace, TraceIoError> {
-    let trace: AppTrace = serde_json::from_reader(reader)?;
+pub fn read_trace<R: Read>(mut reader: R) -> Result<AppTrace, TraceIoError> {
+    let mut text = String::new();
+    reader.read_to_string(&mut text)?;
+    let trace: AppTrace = musa_obs::json::from_str(&text).map_err(TraceIoError::Json)?;
     trace.validate().map_err(TraceIoError::Invalid)?;
     Ok(trace)
 }
 
-/// Save a trace to `path` (buffered).
+/// Save a trace to `path`.
 pub fn save_trace(trace: &AppTrace, path: impl AsRef<Path>) -> Result<(), TraceIoError> {
-    let file = File::create(path)?;
-    write_trace(trace, BufWriter::new(file))
+    write_trace(trace, File::create(path)?)
 }
 
-/// Load and validate a trace from `path` (buffered).
+/// Load and validate a trace from `path`.
 pub fn load_trace(path: impl AsRef<Path>) -> Result<AppTrace, TraceIoError> {
-    let file = File::open(path)?;
-    read_trace(BufReader::new(file))
+    read_trace(File::open(path)?)
 }
 
 #[cfg(test)]

@@ -1,14 +1,12 @@
 //! Trace metadata and sampling information.
 
-use serde::{Deserialize, Serialize};
-
 /// Sampling relationship between the burst trace and the detailed trace.
 ///
 /// MUSA traces one representative region (usually the second iteration) of
 /// one rank in detail; the timestamps of the coarse-grain trace are then
 /// used to correct deviations and to extrapolate the detailed timing to the
 /// whole execution (§II-A "Tracing").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingInfo {
     /// Rank whose region was traced in detail.
     pub rank: u32,
@@ -19,8 +17,14 @@ pub struct SamplingInfo {
     pub native_region_ns: f64,
 }
 
+musa_obs::json_struct!(SamplingInfo {
+    rank,
+    region_id,
+    native_region_ns
+});
+
 /// Whole-trace metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceMeta {
     /// Application name (e.g. `"lulesh"`).
     pub app: String,
@@ -36,6 +40,15 @@ pub struct TraceMeta {
     /// Sampling information for the detailed trace, if one was taken.
     pub sampling: Option<SamplingInfo>,
 }
+
+musa_obs::json_struct!(TraceMeta {
+    app,
+    ranks,
+    iterations,
+    seed,
+    traced_threads,
+    sampling
+});
 
 impl TraceMeta {
     /// Construct metadata for a single-threaded trace, as MUSA records.
@@ -64,15 +77,21 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let mut m = TraceMeta::new("lulesh", 8, 5, 7);
         m.sampling = Some(SamplingInfo {
             rank: 0,
             region_id: 1,
             native_region_ns: 1.5e6,
         });
-        let s = serde_json::to_string(&m).unwrap();
-        let back: TraceMeta = serde_json::from_str(&s).unwrap();
+        let s = musa_obs::json::to_string(&m);
+        let back: TraceMeta = musa_obs::json::from_str(&s).unwrap();
         assert_eq!(m, back);
+        // A seed above 2^53 survives: integer tokens stay exact.
+        m.seed = u64::MAX;
+        m.sampling = None;
+        let s = musa_obs::json::to_string(&m);
+        assert!(s.ends_with(r#""sampling":null}"#), "{s}");
+        assert_eq!(musa_obs::json::from_str::<TraceMeta>(&s).unwrap(), m);
     }
 }

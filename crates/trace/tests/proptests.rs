@@ -1,7 +1,6 @@
-//! Property-based tests of the trace data model.
+//! Property tests of the trace data model.
 
-use proptest::prelude::*;
-
+use musa_obs::rng::check_cases;
 use musa_trace::{
     AppTrace, BurstEvent, ComputeRegion, LoopSchedule, RankTrace, RegionWork, TraceMeta, WorkItem,
 };
@@ -25,14 +24,16 @@ fn arb_region(n_items: usize, chained: bool) -> ComputeRegion {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    /// The critical path of a task DAG never exceeds the serial time and
-    /// is at least the longest item; a full chain has critical path ==
-    /// serial time.
-    #[test]
-    fn critical_path_bounds(n in 1usize..40, chained in any::<bool>()) {
+/// The critical path of a task DAG never exceeds the serial time and
+/// is at least the longest item; a full chain has critical path ==
+/// serial time.
+#[test]
+fn critical_path_bounds() {
+    check_cases(CASES, |rng| {
+        let n = 1 + (rng.next_u64() % 39) as usize;
+        let chained = rng.next_u64() & 1 == 1;
         let region = arb_region(n, chained);
         let serial = region.work.serial_time_ns();
         let longest = region
@@ -42,30 +43,34 @@ proptest! {
             .map(|w| w.duration_ns)
             .fold(0.0, f64::max);
         let cp = region.critical_path_ns();
-        prop_assert!(cp <= serial + 1e-9);
-        prop_assert!(cp >= longest - 1e-9);
+        assert!(cp <= serial + 1e-9);
+        assert!(cp >= longest - 1e-9);
         if chained {
-            prop_assert!((cp - serial).abs() < 1e-9);
+            assert!((cp - serial).abs() < 1e-9);
         }
-    }
+    });
+}
 
-    /// Validation accepts well-formed traces and rejects negative or
-    /// non-finite durations and forward dependencies.
-    #[test]
-    fn validate_catches_bad_durations(
-        n in 1usize..20,
-        bad_idx in 0usize..20,
-        bad_kind in 0u8..3,
-    ) {
+/// Validation accepts well-formed traces and rejects negative or
+/// non-finite durations and forward dependencies.
+#[test]
+fn validate_catches_bad_durations() {
+    check_cases(CASES, |rng| {
+        let n = 1 + (rng.next_u64() % 19) as usize;
+        let idx = (rng.next_u64() % 20) as usize % n;
+        let bad_kind = rng.next_u64() % 3;
+
         let mut region = arb_region(n, false);
-        let trace_ok = AppTrace {
+        let trace_of = |region: ComputeRegion| AppTrace {
             meta: TraceMeta::new("p", 1, 1, 0),
-            ranks: vec![RankTrace { rank: 0, events: vec![BurstEvent::Compute(region.clone())] }],
+            ranks: vec![RankTrace {
+                rank: 0,
+                events: vec![BurstEvent::Compute(region)],
+            }],
             detail: None,
         };
-        prop_assert!(trace_ok.validate().is_ok());
+        assert!(trace_of(region.clone()).validate().is_ok());
 
-        let idx = bad_idx % n;
         if let RegionWork::Tasks { items } = &mut region.work {
             match bad_kind {
                 0 => items[idx].duration_ns = -1.0,
@@ -73,20 +78,18 @@ proptest! {
                 _ => items[idx].critical_ns = items[idx].duration_ns + 1.0,
             }
         }
-        let trace_bad = AppTrace {
-            meta: TraceMeta::new("p", 1, 1, 0),
-            ranks: vec![RankTrace { rank: 0, events: vec![BurstEvent::Compute(region)] }],
-            detail: None,
-        };
-        prop_assert!(trace_bad.validate().is_err());
-    }
+        assert!(trace_of(region).validate().is_err());
+    });
+}
 
-    /// Parallel-for regions report the max chunk as critical path for
-    /// arbitrary chunk sets.
-    #[test]
-    fn parallel_for_critical_path_is_max(
-        durations in proptest::collection::vec(0.0f64..1e6, 1..50)
-    ) {
+/// Parallel-for regions report the max chunk as critical path for
+/// arbitrary chunk sets.
+#[test]
+fn parallel_for_critical_path_is_max() {
+    check_cases(CASES, |rng| {
+        let durations: Vec<f64> = (0..1 + rng.next_u64() % 49)
+            .map(|_| rng.next_f64() * 1e6)
+            .collect();
         let region = ComputeRegion {
             region_id: 0,
             name: "pf".into(),
@@ -102,6 +105,6 @@ proptest! {
             dispatch_overhead_ns: 0.0,
         };
         let max = durations.iter().copied().fold(0.0, f64::max);
-        prop_assert!((region.critical_path_ns() - max).abs() < 1e-9);
-    }
+        assert!((region.critical_path_ns() - max).abs() < 1e-9);
+    });
 }

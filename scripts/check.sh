@@ -5,6 +5,23 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "== hermeticity: path packages only, no environment probes =="
+# A fresh clone must build with no registry, no network and no patch
+# config: every package cargo resolves is a path package of this
+# repository (`"source":null`), and no test or script asks the
+# environment whether persistence works before exercising it.
+meta=$(cargo metadata --offline --format-version 1)
+if grep -o '"source":"[^"]*"' <<<"$meta" | sort -u | grep .; then
+    echo "check: FAIL — the packages above do not come from this repository" >&2
+    exit 1
+fi
+# (Bracketed so the pattern does not match this line.)
+if grep -rn 'to_string(&()[)]\|serde_runtime_work[s]\|serde_json_work[s]' \
+    crates src tests examples scripts; then
+    echo "check: FAIL — environment probe found (lines above)" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -65,13 +82,11 @@ cargo test -q -p musa-search --no-default-features
 echo "== search e2e (CLI strictness, determinism, resume) =="
 # `dse search` through the real binary: strict flags, byte-identical
 # journals/reports across runs and worker counts, resume semantics.
-# Persistence drills skip where rows cannot persist.
 cargo test -q -p musa-bench --test search_e2e
 
 echo "== profiling e2e (report, trace export, row identity) =="
 # `dse profile` and `--trace-export` through the real binary, plus
-# byte-identity of rows with the recorder on/off (skips where rows
-# cannot persist).
+# byte-identity of rows with the recorder on/off.
 cargo test -q -p musa-bench --test prof_e2e
 
 echo "== profiling smoke (real binary, trace JSON validated) =="
@@ -83,8 +98,6 @@ bash scripts/serve_smoke.sh
 echo "== doctor e2e (audit/repair contract through the real binary) =="
 # Corrupt four durable families at once; `dse doctor --repair` must
 # restore exit 0 idempotently with every removed line in quarantine.
-# Runs fully even where rows cannot persist — the corrupted families
-# are parsed by hand-rolled readers.
 cargo test -q -p musa-bench --test doctor_e2e
 
 echo "== doctor smoke (multi-family corruption, real binary) =="
@@ -92,26 +105,25 @@ bash scripts/doctor_smoke.sh
 
 echo "== pool smoke (supervised --workers 2 vs sequential) =="
 # Byte-identity of the multi-process fill against a sequential run,
-# through the actual shipped binary. Skips where rows cannot persist.
+# through the actual shipped binary.
 bash scripts/pool_smoke.sh
 
 echo "== dist smoke (--listen + 2 dist-workers vs sequential) =="
 # Byte-identity of a distributed fill over loopback TCP, with and
 # without garbled frames; with CHAOS=1 adds a kill -9 dist-worker
-# leg. Skips where rows cannot persist.
+# leg.
 bash scripts/dist_smoke.sh
 
 echo "== search smoke (tiny-budget adaptive search, resume) =="
 # A budgeted `dse search` through the real binary: sealed journal,
 # parseable report, same-seed byte-identity, pure-replay --resume.
-# With CHAOS=1 adds a kill -9 + --resume leg. Skips where rows cannot
-# persist.
+# With CHAOS=1 adds a kill -9 + --resume leg.
 bash scripts/search_smoke.sh
 
-echo "== zero-overhead bench (smoke) =="
-# Criterion in --test mode: one pass over the disabled/enabled metric
-# paths, checking they run, not their timings.
-cargo bench -p musa-obs --bench overhead -- --test
+echo "== benchmark selftest (test scale, exact values must repeat) =="
+# The hermetic benchmark builds from its own workspace and must agree
+# with itself on every digest, allocation count and call count.
+bash benchmark/selftest.sh
 
 if [[ "${CHAOS:-0}" == "1" ]]; then
     echo "== chaos: kill -9 mid-flush (CHAOS=1) =="

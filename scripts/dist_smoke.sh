@@ -8,10 +8,6 @@
 # every corruption and the run must still converge to the same bytes.
 # With CHAOS=1, a third leg SIGKILLs a dist-worker mid-lease and the
 # supervisor must re-issue the lease and still converge.
-#
-# Needs a runtime serde_json: in stub build environments the store
-# cannot persist rows at all, and the smoke test skips (exactly like
-# the in-tree persistence tests do).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,13 +33,6 @@ trap cleanup EXIT
 # signature.
 export MUSA_TINY=1 MUSA_CONFIG_SLICE=6
 unset MUSA_FULL MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
-
-# Stub probe: if the sequential fill cannot persist anything, skip.
-if ! "$DSE_BIN" --store-dir "$WORK/probe" >/dev/null 2>&1 \
-    || ! ls "$WORK/probe"/*.jsonl >/dev/null 2>&1; then
-    echo "dist_smoke: skipping (store cannot persist rows here — serde_json stub?)"
-    exit 0
-fi
 
 store_lines() {
     # All data lines, sorted; quarantine records are repair metadata

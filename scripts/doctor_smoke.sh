@@ -6,10 +6,6 @@
 # one `--repair` restores exit 0, a second repair changes nothing, and
 # every removed complete line survives in quarantine.jsonl.
 #
-# Unlike the other smoke tests this one never needs a runtime
-# serde_json — the corrupted families are all parsed by hand-rolled
-# readers, so the drill runs even in stub build environments.
-#
 # The full seeded storm (`dse torture`) drives real kill -9 campaigns
 # and stays out of the default gate; run it with:
 #
