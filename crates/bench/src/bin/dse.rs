@@ -28,22 +28,26 @@
 //! schema-versioned JSON.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use musa_apps::AppId;
+use musa_arch::NodeConfig;
 use musa_bench::cli::{
     parse_dse_args, CacheArgs, CacheCmd, DistWorkerArgs, DoctorArgs, DseArgs, Parsed, ProfileArgs,
-    SearchArgs, ServeArgs, TortureArgs, CACHE_USAGE, DIST_WORKER_USAGE, DOCTOR_USAGE,
-    PROFILE_USAGE, SEARCH_USAGE, SERVE_USAGE, TORTURE_USAGE, USAGE,
+    SearchArgs, ServeArgs, TortureArgs, USAGE,
 };
-use musa_bench::{configs, gen_params, paper_scale, store_dir};
+use musa_bench::{configs, gen_params, store_dir};
 use musa_cache::ArtifactCache;
 use musa_core::report::table;
 use musa_core::SweepOptions;
-use musa_pool::{signals, WorkerStatus};
+use musa_pool::{signals, PoolOptions, Supervisor};
 use musa_search::{
     run_search, Evaluator, GenerationRecord, SearchConfig, SearchError, SearchJournal,
 };
-use musa_store::{export, CampaignStore, FillOptions, LeaseEvent, LeaseJournal};
+use musa_store::{
+    export, CampaignStore, FillOptions, LeaseEvent, LeaseJournal, PointExecutor,
+    DEFAULT_MAX_RETRIES,
+};
 
 /// Exit code for a sweep that completed but holds poisoned points:
 /// partial success, distinguishable from both success (0) and fatal
@@ -63,31 +67,11 @@ fn main() {
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_dse_args(&argv) {
-        Ok(Parsed::Help) => {
+        Ok(Parsed::Help(usage)) => {
             // Tolerate a closed pipe (`dse --help | head`): help must
             // exit 0 even when the reader stops early.
             use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{USAGE}");
-            std::process::exit(0);
-        }
-        Ok(Parsed::ServeHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{SERVE_USAGE}");
-            std::process::exit(0);
-        }
-        Ok(Parsed::CacheHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{CACHE_USAGE}");
-            std::process::exit(0);
-        }
-        Ok(Parsed::ProfileHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{PROFILE_USAGE}");
-            std::process::exit(0);
-        }
-        Ok(Parsed::SearchHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{SEARCH_USAGE}");
+            let _ = writeln!(std::io::stdout(), "{usage}");
             std::process::exit(0);
         }
         Ok(Parsed::SearchStrategies) => {
@@ -99,45 +83,13 @@ fn main() {
             }
             std::process::exit(0);
         }
-        Ok(Parsed::Search(args)) => {
-            search_main(args);
-        }
-        Ok(Parsed::Profile(args)) => {
-            profile_main(args);
-        }
-        Ok(Parsed::Cache(args)) => {
-            cache_main(args);
-        }
-        Ok(Parsed::Serve(args)) => {
-            serve_main(args);
-        }
-        Ok(Parsed::PoolWorker(cfg)) => {
-            worker_main(cfg);
-        }
-        Ok(Parsed::DistWorker(args)) => {
-            dist_worker_main(args);
-        }
-        Ok(Parsed::DistWorkerHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{DIST_WORKER_USAGE}");
-            std::process::exit(0);
-        }
-        Ok(Parsed::Doctor(args)) => {
-            doctor_main(args);
-        }
-        Ok(Parsed::DoctorHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{DOCTOR_USAGE}");
-            std::process::exit(0);
-        }
-        Ok(Parsed::Torture(args)) => {
-            torture_main(args);
-        }
-        Ok(Parsed::TortureHelp) => {
-            use std::io::Write;
-            let _ = writeln!(std::io::stdout(), "{TORTURE_USAGE}");
-            std::process::exit(0);
-        }
+        Ok(Parsed::Search(args)) => search_main(args),
+        Ok(Parsed::Profile(args)) => profile_main(args),
+        Ok(Parsed::Cache(args)) => cache_main(args),
+        Ok(Parsed::Serve(args)) => serve_main(args),
+        Ok(Parsed::DistWorker(args)) => dist_worker_main(args),
+        Ok(Parsed::Doctor(args)) => doctor_main(args),
+        Ok(Parsed::Torture(args)) => torture_main(args),
         Ok(Parsed::Run(args)) => args,
         Err(e) => {
             eprintln!("dse: {e}\n{USAGE}");
@@ -145,29 +97,10 @@ fn main() {
         }
     };
 
-    // Observability: CLI flags override the MUSA_LOG / MUSA_LOG_JSON /
-    // MUSA_METRICS environment read above.
-    if let Some(level) = args.log {
-        musa_obs::set_max_level(level);
-    }
-    if let Some(path) = &args.log_json {
-        if let Err(e) = musa_obs::set_json_path(path) {
-            eprintln!("dse: cannot open --log-json {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
+    arm_observability(args.log, args.log_json.as_deref(), args.faults.as_ref());
     let want_report = args.metrics.is_some() || args.metrics_prom.is_some() || args.progress;
     if want_report {
         musa_obs::enable_metrics(true);
-    }
-    if let Some(plan) = &args.faults {
-        if !musa_fault::COMPILED {
-            eprintln!(
-                "dse: note: --faults given but fault injection is compiled out \
-                 (build with the 'fault' feature); nothing will fire"
-            );
-        }
-        musa_fault::set_plan(Some(plan.clone()));
     }
 
     let dir: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
@@ -198,41 +131,11 @@ fn main() {
         eprintln!("open campaign store {}: {e}", dir.display());
         std::process::exit(1);
     });
-
-    // The artifact cache is on unless --no-cache (or MUSA_CACHE=0)
-    // says otherwise. Failure to open it is a warning: the sweep
-    // proceeds uncached rather than not at all.
-    let cache = if args.no_cache || !musa_cache::enabled_from_env() {
-        None
-    } else {
-        match ArtifactCache::open(&dir) {
-            Ok(cache) => {
-                store.set_artifact_cache(std::sync::Arc::clone(&cache));
-                Some(cache)
-            }
-            Err(e) => {
-                eprintln!("[dse] artifact cache unavailable ({e}), computing uncached");
-                None
-            }
-        }
-    };
-
-    // Flight recorder: one sealed record per simulated point lands in
-    // profiles.jsonl. Installation first harvests staged worker files a
-    // crashed pool run may have left, so a sequential --resume repairs
-    // them exactly like a supervisor restart would. Failure to install
-    // degrades to an unprofiled sweep, never a dead one.
-    if !args.no_prof && musa_prof::enabled_from_env() {
-        match musa_prof::install_store_recorder(&dir) {
-            Ok(rep) if rep.repaired_anything() => eprintln!(
-                "[dse] profile harvest: merged {} staged file(s) ({} record(s), \
-                 {} duplicate(s), {} torn tail(s))",
-                rep.staged_files, rep.records, rep.duplicates, rep.torn_tails
-            ),
-            Ok(_) => {}
-            Err(e) => eprintln!("[dse] profiling unavailable ({e}), sweep runs unprofiled"),
-        }
+    let cache = open_cache(&dir, args.no_cache);
+    if let Some(cache) = &cache {
+        store.set_artifact_cache(Arc::clone(cache));
     }
+    install_store_recorder(&dir, args.no_prof);
 
     let fill = FillOptions {
         shard: args.shard,
@@ -274,11 +177,7 @@ fn main() {
         );
     }
     if let Some(cache) = &cache {
-        cache.persist_session("sequential");
-        let stats = cache.stats();
-        if stats.hits() + stats.misses() > 0 {
-            eprintln!("[dse] cache: {}", stats.report());
-        }
+        report_cache_session(cache, "sequential");
     }
     if report.interrupted {
         // Everything simulated so far is flushed; leave a durable
@@ -318,34 +217,132 @@ fn main() {
     }
 }
 
-/// `dse --workers N`: supervised multi-process fill, then the same
-/// exports and summary as the sequential path, computed from a final
-/// repairing re-open of the store (the supervisor holds no writer by
-/// then, so this open also truncates any torn tail a kill -9'd worker
-/// left behind).
-fn pool_main(
-    args: &DseArgs,
+/// CLI flags override the `MUSA_LOG` / `MUSA_LOG_JSON` / `MUSA_FAULTS`
+/// environment read at startup.
+fn arm_observability(
+    log: Option<Option<musa_obs::Level>>,
+    log_json: Option<&Path>,
+    faults: Option<&musa_fault::FaultPlan>,
+) {
+    if let Some(level) = log {
+        musa_obs::set_max_level(level);
+    }
+    if let Some(path) = log_json {
+        if let Err(e) = musa_obs::set_json_path(path) {
+            eprintln!("dse: cannot open --log-json {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
+    if let Some(plan) = faults {
+        if !musa_fault::COMPILED {
+            eprintln!(
+                "dse: note: --faults given but fault injection is compiled out \
+                 (build with the 'fault' feature); nothing will fire"
+            );
+        }
+        musa_fault::set_plan(Some(plan.clone()));
+    }
+}
+
+/// The artifact cache under `dir`, on unless `--no-cache` (or
+/// `MUSA_CACHE=0`) says otherwise. Failure to open it is a warning:
+/// the sweep proceeds uncached rather than not at all.
+fn open_cache(dir: &Path, no_cache: bool) -> Option<Arc<ArtifactCache>> {
+    if no_cache || !musa_cache::enabled_from_env() {
+        return None;
+    }
+    match ArtifactCache::open(dir) {
+        Ok(cache) => Some(cache),
+        Err(e) => {
+            eprintln!("[dse] artifact cache unavailable ({e}), computing uncached");
+            None
+        }
+    }
+}
+
+/// Flight recorder for an in-process fill: one sealed record per
+/// simulated point lands in `profiles.jsonl`. Installation first
+/// repairs what a crashed run may have left. Failure to install
+/// degrades to an unprofiled sweep, never a dead one.
+fn install_store_recorder(dir: &Path, no_prof: bool) {
+    if no_prof || !musa_prof::enabled_from_env() {
+        return;
+    }
+    match musa_prof::install_store_recorder(dir) {
+        Ok(rep) if rep.repaired_anything() => eprintln!(
+            "[dse] profile harvest: kept {} record(s), dropped {} duplicate(s), \
+             {} torn tail(s), {} corrupt line(s)",
+            rep.records, rep.duplicates, rep.torn_tails, rep.corrupt
+        ),
+        Ok(_) => {}
+        Err(e) => eprintln!("[dse] profiling unavailable ({e}), sweep runs unprofiled"),
+    }
+}
+
+/// Persist this process's cache tallies under `label` and print its
+/// reuse report.
+fn report_cache_session(cache: &ArtifactCache, label: &str) {
+    cache.persist_session(label);
+    let stats = cache.stats();
+    if stats.hits() + stats.misses() > 0 {
+        eprintln!("[dse] cache: {}", stats.report());
+    }
+}
+
+/// Everything a `--workers N` run (campaign or search) needs: the hub
+/// bound on `--listen ADDR` (or a private loopback port), and the
+/// supervisor that will keep N `dist-worker` children connected to it.
+fn open_supervisor(
     dir: &Path,
-    configs: &[musa_arch::NodeConfig],
-    opts: &SweepOptions,
-    workers: usize,
-) -> ! {
+    listen: Option<&str>,
+    pool: PoolOptions,
+    max_retries: u32,
+) -> Supervisor {
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("dse: cannot locate own binary for worker re-exec: {e}");
         std::process::exit(1);
     });
-    // Workers re-derive the sweep from the environment they inherit:
-    // `--full` must be converted to MUSA_FULL=1 (the worker argv does
-    // not repeat it) and the fault spec (seed included) rides along
-    // verbatim, re-parsed by each worker's own init.
+    let addr = listen.unwrap_or("127.0.0.1:0");
+    let hub = musa_dist::DistHub::bind(
+        addr,
+        musa_dist::DistHubOptions {
+            store_dir: dir.to_path_buf(),
+            point_timeout: pool.point_timeout,
+            max_retries,
+        },
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("dse: cannot listen for dist-workers on {addr}: {e}");
+        std::process::exit(1);
+    });
+    if listen.is_some() {
+        eprintln!(
+            "[dse] listening for dist-workers on {0} (connect with: dse dist-worker \
+             --connect {0})",
+            hub.local_addr()
+        );
+    }
+    Supervisor::open(&exe, dir, pool, Box::new(hub)).unwrap_or_else(|e| {
+        eprintln!(
+            "dse: cannot open the lease journal in {}: {e}",
+            dir.display()
+        );
+        std::process::exit(1);
+    })
+}
+
+/// `dse --workers N`: supervised multi-process fill, then the same
+/// exports and summary as the sequential path, computed from a final
+/// repairing re-open of the store (the hub holds no writer by then, so
+/// this open also truncates any torn tail a kill -9 left behind).
+fn pool_main(
+    args: &DseArgs,
+    dir: &Path,
+    configs: &[NodeConfig],
+    opts: &SweepOptions,
+    workers: usize,
+) -> ! {
     let want_report = args.metrics.is_some() || args.metrics_prom.is_some() || args.progress;
-    let env = musa_bench::pool_worker_env(
-        args.faults_spec.as_deref(),
-        paper_scale(),
-        !args.no_cache,
-        want_report,
-        !args.no_prof && musa_prof::enabled_from_env(),
-    );
     // Snapshot the sessions ledger so the end-of-run reuse report
     // covers only this run's workers, not earlier runs sharing the
     // directory.
@@ -356,48 +353,34 @@ fn pool_main(
     } else {
         0
     };
-    let pool_opts = musa_pool::PoolOptions {
-        workers,
-        point_timeout: args.point_timeout,
-        poison_cap: args.poison_cap,
-        lease_batch: args.lease_batch,
-        max_retries: args.max_retries,
-        progress: args.progress,
-        env,
-    };
-    // `--listen ADDR`: open the distributed endpoint before the pool
-    // starts, so remote workers can join (and draw leases) from the
-    // first poll. Zero remotes is not an error — the local pool makes
-    // the same progress it would without the flag.
-    let mut hub = args.listen.as_deref().map(|addr| {
-        let sig = musa_bench::campaign_sweep_sig(&AppId::ALL, configs, opts);
-        let hub = musa_dist::DistHub::bind(
-            addr,
-            musa_dist::DistHubOptions {
-                sig,
-                store_dir: dir.to_path_buf(),
-                point_timeout: args.point_timeout,
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("dse: cannot listen for dist-workers on {addr}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!(
-            "[dse] listening for dist-workers on {} (connect with: dse dist-worker \
-             --connect {})",
-            hub.local_addr(),
-            hub.local_addr()
-        );
-        hub
+    let mut sup = open_supervisor(
+        dir,
+        args.listen.as_deref(),
+        PoolOptions {
+            workers,
+            point_timeout: args.point_timeout,
+            poison_cap: args.poison_cap,
+            lease_batch: args.lease_batch,
+            progress: args.progress,
+            env: musa_bench::pool_worker_env(
+                args.faults_spec.as_deref(),
+                !args.no_cache,
+                want_report,
+                !args.no_prof && musa_prof::enabled_from_env(),
+            ),
+        },
+        args.max_retries,
+    );
+    let points: Vec<(AppId, NodeConfig)> = AppId::ALL
+        .iter()
+        .flat_map(|&app| configs.iter().map(move |&config| (app, config)))
+        .collect();
+    let report = sup.run(&points, opts);
+    sup.close();
+    let report = report.unwrap_or_else(|e| {
+        eprintln!("dse: pool fill in {} failed: {e}", dir.display());
+        std::process::exit(1);
     });
-    let remote = hub.as_mut().map(|h| h as &mut dyn musa_pool::RemoteHub);
-    let report =
-        musa_pool::run_pool_with_remote(&exe, dir, &AppId::ALL, configs, opts, &pool_opts, remote)
-            .unwrap_or_else(|e| {
-                eprintln!("dse: pool fill in {} failed: {e}", dir.display());
-                std::process::exit(1);
-            });
     eprintln!(
         "[dse] pool {}: {} requested, {} cached, {} completed by {} workers \
          ({} rows flushed, {} requeues, {} worker deaths, {} deadline kills)",
@@ -411,12 +394,6 @@ fn pool_main(
         report.worker_deaths,
         report.deadline_kills,
     );
-    if report.worker_metrics_sources > 0 {
-        eprintln!(
-            "[dse] absorbed {} worker metrics manifest(s) into the end-of-run report",
-            report.worker_metrics_sources
-        );
-    }
     for p in &report.pool_poisoned {
         eprintln!(
             "[dse]   poisoned (killed {} workers): {}/{}: {}",
@@ -448,14 +425,17 @@ fn pool_main(
         }
     }
 
-    if report.interrupted {
-        eprintln!("[dse] interrupted: workers drained, resume with --resume");
+    let finish = || {
         finish_observability(
             args.progress,
             args.metrics.as_deref(),
             args.metrics_prom.as_deref(),
             Some(&report.worker_metrics),
-        );
+        )
+    };
+    if report.interrupted {
+        eprintln!("[dse] interrupted: workers drained, resume with --resume");
+        finish();
         std::process::exit(EXIT_INTERRUPTED);
     }
 
@@ -467,481 +447,175 @@ fn pool_main(
     let campaign = store.campaign_for(&AppId::ALL, configs, opts);
     // Completeness guard: a pool run that was not interrupted must
     // account for every requested point — a row in the store, or a
-    // poison record with provenance. Anything else (e.g. workers that
-    // simulated under different keys than the supervisor enumerated)
-    // is a bug that must not masquerade as a clean sweep.
+    // poison record with provenance. Anything else is a bug that must
+    // not masquerade as a clean sweep.
     let unaccounted = report
         .requested
         .saturating_sub(campaign.results.len() + report.poisoned_total());
     if unaccounted > 0 {
         eprintln!(
             "dse: pool run left {unaccounted} of {} point(s) neither stored \
-             nor poisoned in {} — the supervisor and its workers disagreed \
-             on what to simulate; not reporting success",
+             nor poisoned in {}; not reporting success",
             report.requested,
             dir.display()
         );
-        finish_observability(
-            args.progress,
-            args.metrics.as_deref(),
-            args.metrics_prom.as_deref(),
-            Some(&report.worker_metrics),
-        );
+        finish();
         std::process::exit(1);
     }
     export_campaign(args, &campaign);
     summarise(&campaign, configs, dir);
-    finish_observability(
-        args.progress,
-        args.metrics.as_deref(),
-        args.metrics_prom.as_deref(),
-        Some(&report.worker_metrics),
-    );
+    finish();
     if report.poisoned_total() > 0 {
         std::process::exit(EXIT_PARTIAL);
     }
     std::process::exit(0);
 }
 
-/// Hidden `pool-worker` mode: execute one lease and exit with the
-/// status the supervisor expects (0 complete, 130 interrupted by a
-/// drain, anything else a death). The sweep geometry (scale, config
-/// slice, fault plan) comes from the environment inherited from the
-/// supervisor, so both processes enumerate identical point keys.
-fn worker_main(cfg: musa_pool::WorkerConfig) -> ! {
-    let opts = SweepOptions {
-        gen: gen_params(),
-        full_replay: true,
-    };
-    // A search supervisor hands workers their geometry explicitly (a
-    // search batch is an arbitrary subset of an arbitrary space, not
-    // the fixed campaign this binary derives by default); the campaign
-    // path leaves the variable unset.
-    let (apps, configs) = match std::env::var(musa_bench::SEARCH_GEOM_ENV) {
-        Ok(spec) => match musa_bench::parse_search_geometry(&spec) {
-            Ok(geom) => geom,
-            Err(e) => {
-                eprintln!(
-                    "dse pool-worker (lease {}): bad {}: {e}",
-                    cfg.lease,
-                    musa_bench::SEARCH_GEOM_ENV
-                );
-                std::process::exit(musa_pool::EXIT_GEOMETRY_MISMATCH);
-            }
-        },
-        Err(_) => (AppId::ALL.to_vec(), configs()),
-    };
-    // Refuse to simulate anything if this process derives a different
-    // sweep than the supervisor that spawned it (scale or config
-    // environment lost in the re-exec): every row would land under the
-    // wrong key. The distinct exit code makes the supervisor abort
-    // instead of retrying.
-    if let Err(e) = musa_pool::verify_sweep_key(&cfg, &apps, &configs, &opts) {
-        eprintln!("dse pool-worker (lease {}): {e}", cfg.lease);
-        std::process::exit(musa_pool::EXIT_GEOMETRY_MISMATCH);
-    }
-    match musa_pool::run_worker(&cfg, &apps, &configs, &opts) {
-        Ok(WorkerStatus::Complete) => std::process::exit(0),
-        Ok(WorkerStatus::Interrupted) => std::process::exit(EXIT_INTERRUPTED),
-        Err(e) => {
-            eprintln!("dse pool-worker (lease {}): {e}", cfg.lease);
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The campaign-specific [`musa_dist::PointRunner`]: simulates each
-/// leased point into a fresh per-lease staging store under the
-/// worker's own scratch directory, then ships the exact bytes that
-/// flush appended — which is what makes a distributed run's store
-/// byte-identical to a sequential one (the hub appends them verbatim).
-///
-/// The staging directory is wiped on every `begin_lease`: a requeued
-/// point (e.g. its first Point frame was garbled on the wire) must be
-/// re-simulated and re-shipped, never silently skipped as "already
-/// stored locally". Simulation is deterministic, so the re-shipped
-/// bytes are identical. The artifact cache lives *beside* the staging
-/// store and persists across leases, so reconnects and requeues reload
-/// traces instead of regenerating them.
-struct DistPointRunner {
-    scratch: PathBuf,
-    apps: Vec<AppId>,
-    configs: Vec<musa_arch::NodeConfig>,
-    sweep: SweepOptions,
-    max_retries: u32,
-    cache: Option<std::sync::Arc<ArtifactCache>>,
-    store: Option<CampaignStore>,
-    rows_path: PathBuf,
-    shipped: u64,
-    attempt: u32,
-    trace_memo: Option<(
-        AppId,
-        std::sync::Arc<musa_trace::AppTrace>,
-        Option<musa_cache::ArtifactKey>,
-    )>,
-}
-
-impl DistPointRunner {
-    fn trace_for(
-        &mut self,
-        app: AppId,
-    ) -> (
-        std::sync::Arc<musa_trace::AppTrace>,
-        Option<musa_cache::ArtifactKey>,
-    ) {
-        if let Some((memo_app, trace, key)) = &self.trace_memo {
-            if *memo_app == app {
-                return (std::sync::Arc::clone(trace), *key);
-            }
-        }
-        let (trace, key) = match &self.cache {
-            Some(cache) => {
-                let (trace, key) = cache.trace(app, &self.sweep.gen);
-                (trace, Some(key))
-            }
-            None => (
-                std::sync::Arc::new(musa_apps::generate(app, &self.sweep.gen)),
-                None,
-            ),
-        };
-        self.trace_memo = Some((app, std::sync::Arc::clone(&trace), key));
-        (trace, key)
-    }
-}
-
-fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
-impl musa_dist::PointRunner for DistPointRunner {
-    fn begin_lease(&mut self, _lease: u64, attempt: u32) -> std::io::Result<()> {
-        let staging = self.scratch.join("staging");
-        let _ = std::fs::remove_dir_all(&staging);
-        std::fs::create_dir_all(&staging)?;
-        self.rows_path = staging.join("rows.jsonl");
-        self.store = Some(CampaignStore::open_worker(&staging, "rows.jsonl")?);
-        self.shipped = 0;
-        self.attempt = attempt;
-        Ok(())
-    }
-
-    fn run_point(&mut self, idx: u64) -> std::io::Result<musa_dist::PointOutcome> {
-        let Some((app, config)) = musa_pool::point_at(idx, &self.apps, &self.configs) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("point index {idx} out of range"),
-            ));
-        };
-        let (trace, trace_key) = self.trace_for(app);
-        let mut sim = musa_core::MultiscaleSim::new(&trace);
-        if let (Some(cache), Some(key)) = (&self.cache, trace_key) {
-            sim = sim.with_cache(std::sync::Arc::clone(cache), key);
-        }
-        let key_hex = musa_store::PointKey::for_point(app, &config, &self.sweep).to_hex();
-        let sweep = self.sweep;
-        musa_prof::point_begin();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let r = sim.simulate(config, sweep.full_replay);
-            musa_store::StoreRow::new(sweep.gen, sweep.full_replay, r)
-        }));
-        match outcome {
-            Ok(row) => {
-                let store = self
-                    .store
-                    .as_mut()
-                    .expect("begin_lease opened the staging store");
-                // One point per flush, exactly like a local pool
-                // worker: the durability (and shipping) unit is the
-                // point.
-                store.append_batch_retrying([row], self.max_retries)?;
-                musa_prof::point_finish(
-                    &key_hex,
-                    app.label(),
-                    &config.label(),
-                    false,
-                    self.attempt,
-                );
-                let bytes = std::fs::read(&self.rows_path)?;
-                let row_bytes = bytes[self.shipped as usize..].to_vec();
-                self.shipped = bytes.len() as u64;
-                Ok(musa_dist::PointOutcome {
-                    row_bytes,
-                    rows: 1,
-                    poisoned: None,
-                })
-            }
-            Err(payload) => {
-                musa_prof::point_finish(&key_hex, app.label(), &config.label(), true, self.attempt);
-                // Contained exactly like an in-worker panic in the
-                // local pool: the poison record rides the Point frame,
-                // no strike is charged, the lease keeps going.
-                Ok(musa_dist::PointOutcome {
-                    row_bytes: Vec::new(),
-                    rows: 0,
-                    poisoned: Some(musa_store::PoisonedPoint {
-                        app: app.label().to_string(),
-                        config: config.label(),
-                        key: key_hex,
-                        reason: panic_reason(payload),
-                    }),
-                })
-            }
-        }
-    }
-}
-
-/// `dse dist-worker --connect ADDR`: the remote side of a distributed
-/// campaign. Derives the sweep geometry from its own flags and
-/// environment (`--full`, `MUSA_TINY`, `MUSA_CONFIG_SLICE`), offers
-/// the resulting signature in the hello, and executes leases until
+/// `dse dist-worker --connect ADDR`: the one worker program. It
+/// executes leases — each names its points and their scale — until
 /// drained, rejected, interrupted, or the reconnect window closes with
-/// the supervisor unreachable.
+/// the supervisor unreachable. `dse --workers N` spawns N of these on
+/// loopback; any number more may join a `--listen` supervisor.
 fn dist_worker_main(args: DistWorkerArgs) -> ! {
-    if let Some(level) = args.log {
-        musa_obs::set_max_level(level);
-    }
-    if let Some(path) = &args.log_json {
-        if let Err(e) = musa_obs::set_json_path(path) {
-            eprintln!("dse: cannot open --log-json {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-    if let Some(plan) = &args.faults {
-        if !musa_fault::COMPILED {
-            eprintln!(
-                "dse: note: --faults given but fault injection is compiled out \
-                 (build with the 'fault' feature); nothing will fire"
-            );
-        }
-        musa_fault::set_plan(Some(plan.clone()));
-    }
+    arm_observability(args.log, args.log_json.as_deref(), args.faults.as_ref());
 
-    let sweep = SweepOptions {
-        gen: gen_params(),
-        full_replay: true,
-    };
-    let apps = AppId::ALL.to_vec();
-    let configs = configs();
-    let sig = musa_bench::campaign_sweep_sig(&apps, &configs, &sweep);
-
-    // Scratch root: per-lease staging stores plus a persistent local
-    // artifact cache. Per-process so concurrent workers on one host
-    // never share an append target.
-    let scratch = std::env::temp_dir().join(format!("musa-dist-worker-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&scratch) {
-        eprintln!(
-            "dse dist-worker: cannot create scratch {}: {e}",
-            scratch.display()
-        );
-        std::process::exit(1);
-    }
-    let cache = if args.no_cache || !musa_cache::enabled_from_env() {
-        None
-    } else {
-        match ArtifactCache::open(&scratch) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("[dse] artifact cache unavailable ({e}), computing uncached");
-                None
-            }
-        }
-    };
-    // Profiles stay local to the worker's scratch (they are diagnosis
-    // for *this* process; rows are what ship).
+    // The only thing a worker keeps on disk is its artifact cache: in
+    // the given store directory (shared, kept), or in a per-process
+    // scratch directory that goes away with the worker.
+    let scratch = args
+        .store_dir
+        .is_none()
+        .then(|| std::env::temp_dir().join(format!("musa-dist-worker-{}", std::process::id())));
+    let cache = open_cache(
+        args.store_dir
+            .as_deref()
+            .or(scratch.as_deref())
+            .expect("one is set"),
+        args.no_cache,
+    );
     if !args.no_prof && musa_prof::enabled_from_env() {
-        if let Err(e) = musa_prof::install_store_recorder(&scratch) {
-            eprintln!("[dse] profiling unavailable ({e}), worker runs unprofiled");
-        }
+        musa_prof::install_line_recorder();
     }
 
-    let mut runner = DistPointRunner {
-        scratch: scratch.clone(),
-        apps,
-        configs,
-        sweep,
-        max_retries: args.max_retries,
-        cache,
-        store: None,
-        rows_path: scratch.join("staging/rows.jsonl"),
-        shipped: 0,
-        attempt: 0,
-        trace_memo: None,
-    };
+    let mut exec = PointExecutor::new(cache);
     let opts = musa_dist::DistWorkerOptions {
         connect: args.connect.clone(),
-        sig,
         tag: format!("w{}", std::process::id()),
         reconnect_for: args
             .reconnect_for
             .unwrap_or(musa_dist::DEFAULT_RECONNECT_FOR),
         max_reconnects: args.max_reconnects,
     };
-    let result = musa_dist::run_dist_worker(&opts, &mut runner);
-    if let Some(cache) = &runner.cache {
+    let exit = musa_dist::run_dist_worker(&opts, &mut exec);
+    musa_prof::uninstall_recorder();
+    if let Some(cache) = exec.cache() {
         cache.persist_session("dist-worker");
     }
-    musa_prof::uninstall_recorder();
-    match result {
-        Ok(exit) => {
-            match &exit {
-                musa_dist::WorkerExit::Drained => {
-                    eprintln!("[dse] dist-worker drained: the supervisor is done with us");
-                }
-                musa_dist::WorkerExit::Interrupted => {
-                    eprintln!("[dse] dist-worker interrupted, exiting after the shipped point");
-                }
-                musa_dist::WorkerExit::Rejected { code, reason } => {
-                    eprintln!("dse dist-worker: rejected by supervisor ({code}): {reason}");
-                }
-                musa_dist::WorkerExit::GaveUp(why) => {
-                    eprintln!("dse dist-worker: giving up: {why}");
-                }
-            }
-            std::process::exit(exit.code());
+    if let Some(scratch) = &scratch {
+        let _ = std::fs::remove_dir_all(scratch);
+    }
+    match &exit {
+        musa_dist::WorkerExit::Drained => {
+            eprintln!("[dse] dist-worker drained: the supervisor is done with us");
         }
-        Err(e) => {
-            eprintln!("dse dist-worker: {e}");
-            std::process::exit(1);
+        musa_dist::WorkerExit::Interrupted => {
+            eprintln!("[dse] dist-worker interrupted, exiting after the shipped point");
+        }
+        musa_dist::WorkerExit::Rejected { code, reason } => {
+            eprintln!("dse dist-worker: rejected by supervisor ({code}): {reason}");
+        }
+        musa_dist::WorkerExit::GaveUp(why) => {
+            eprintln!("dse dist-worker: giving up: {why}");
         }
     }
+    std::process::exit(exit.code());
 }
 
-/// Order-preserving per-app grouping of an evaluation batch. The
-/// within-group config order is load-bearing: it defines the point
-/// enumeration a pool supervisor and its workers must share.
-fn group_by_app(
-    batch: &[(AppId, musa_arch::NodeConfig)],
-) -> Vec<(AppId, Vec<musa_arch::NodeConfig>)> {
-    let mut out: Vec<(AppId, Vec<musa_arch::NodeConfig>)> = Vec::new();
-    for &(app, cfg) in batch {
-        match out.iter_mut().find(|(a, _)| *a == app) {
-            Some((_, v)) => v.push(cfg),
-            None => out.push((app, vec![cfg])),
-        }
-    }
-    out
-}
-
-/// Read one batch's results back out of the store, in batch order. A
-/// missing row after a fill means the point was poisoned (its
-/// simulation panicked) — fatal for a search, because the trajectory
-/// cannot continue without the objective value; the row-less point is
-/// retried by a later `--resume`.
-fn batch_results(
-    store: &CampaignStore,
-    opts: &SweepOptions,
-    batch: &[(AppId, musa_arch::NodeConfig)],
-) -> Vec<(f64, f64)> {
-    batch
-        .iter()
-        .map(|(app, cfg)| match store.get(*app, cfg, opts) {
-            Some(r) => (r.time_ns, r.energy_j),
-            None => {
-                eprintln!(
-                    "dse search: {}/{} has no stored row after evaluation \
-                     (poisoned simulation?) — re-run with --resume to retry it",
-                    app.label(),
-                    cfg.label()
-                );
-                std::process::exit(1);
-            }
-        })
-        .collect()
-}
-
-/// Sequential search evaluation through the campaign store: every
-/// batch is a normal `fill` (rows persist, the artifact cache and the
-/// flight recorder apply), results are read back by point key. Store
-/// warmth affects only speed, never values — that memoization is what
-/// makes `--resume` replay free.
+/// Search evaluation through the campaign store: every generation's
+/// batch is an ordinary fill — in-process, or handed to the supervisor
+/// whose workers stay up for the whole search — and results are read
+/// back by point key. Store warmth affects only speed, never values:
+/// that memoization is what makes `--resume` replay free.
 struct StoreEvaluator {
-    store: CampaignStore,
+    dir: PathBuf,
     opts: SweepOptions,
+    progress: bool,
+    /// The store results are read from: the writer of the in-process
+    /// path, a fresh read-only load per generation under `--workers`
+    /// (the hub's lease shards are then the only writers).
+    store: CampaignStore,
+    supervisor: Option<Supervisor>,
     hits: u64,
+    worker_metrics: musa_obs::MetricsSnapshot,
+}
+
+impl StoreEvaluator {
+    fn interrupted(&mut self) -> ! {
+        if let Some(sup) = self.supervisor.take() {
+            sup.close();
+        }
+        eprintln!("[search] interrupted: evaluated points are stored, continue with --resume");
+        std::process::exit(EXIT_INTERRUPTED);
+    }
 }
 
 impl Evaluator for StoreEvaluator {
-    fn evaluate(&mut self, batch: &[(AppId, musa_arch::NodeConfig)]) -> Vec<(f64, f64)> {
-        for (app, cfgs) in group_by_app(batch) {
-            let report = self
-                .store
-                .fill(&[app], &cfgs, &FillOptions::new(self.opts))
-                .unwrap_or_else(|e| {
-                    eprintln!("dse search: fill failed: {e}");
-                    std::process::exit(1);
-                });
+    fn evaluate(&mut self, batch: &[(AppId, NodeConfig)]) -> Vec<(f64, f64)> {
+        let fail = |e: std::io::Error| -> ! {
+            eprintln!("dse search: evaluating a generation failed: {e}");
+            std::process::exit(1);
+        };
+        if let Some(sup) = self.supervisor.as_mut() {
+            let report = sup.run(batch, &self.opts).unwrap_or_else(|e| fail(e));
             self.hits += report.cached as u64;
-        }
-        batch_results(&self.store, &self.opts, batch)
-    }
-
-    fn memo_hits(&self) -> u64 {
-        self.hits
-    }
-}
-
-/// `--workers N` search evaluation: each generation's per-app batch
-/// runs under a supervised worker pool (`musa_pool::run_pool`), with
-/// the searched geometry handed to the re-exec'd workers through
-/// [`musa_bench::SEARCH_GEOM_ENV`] so both sides enumerate identical
-/// point keys (`verify_sweep_key` aborts the run otherwise). Results
-/// are read back through a read-only store open per generation — the
-/// supervisor never holds a writer while workers do.
-struct PoolEvaluator {
-    exe: PathBuf,
-    dir: PathBuf,
-    opts: SweepOptions,
-    space: musa_search::SearchSpace,
-    space_id: musa_search::SpaceId,
-    pool_opts: musa_pool::PoolOptions,
-    hits: u64,
-}
-
-impl Evaluator for PoolEvaluator {
-    fn evaluate(&mut self, batch: &[(AppId, musa_arch::NodeConfig)]) -> Vec<(f64, f64)> {
-        for (app, cfgs) in group_by_app(batch) {
-            let idxs: Vec<u64> = cfgs
-                .iter()
-                .map(|c| {
-                    self.space
-                        .index_of(c)
-                        .expect("searched config is in the space")
-                })
-                .collect();
-            let mut pool_opts = self.pool_opts.clone();
-            pool_opts.env.push((
-                musa_bench::SEARCH_GEOM_ENV.to_string(),
-                musa_bench::search_geometry_spec(self.space_id, app, &idxs),
-            ));
-            let report =
-                musa_pool::run_pool(&self.exe, &self.dir, &[app], &cfgs, &self.opts, &pool_opts)
-                    .unwrap_or_else(|e| {
-                        eprintln!(
-                            "dse search: pool fill in {} failed: {e}",
-                            self.dir.display()
-                        );
-                        std::process::exit(1);
-                    });
-            self.hits += report.cached as u64;
+            self.worker_metrics.absorb(&report.worker_metrics);
             if report.interrupted {
-                eprintln!(
-                    "[search] interrupted: evaluated points are stored, \
-                     continue with --resume"
-                );
-                std::process::exit(EXIT_INTERRUPTED);
+                self.interrupted();
+            }
+            self.store = CampaignStore::open_read_only(&self.dir).unwrap_or_else(|e| fail(e));
+        } else {
+            let fill = FillOptions {
+                progress: self.progress,
+                cancel: Some(signals::termination_requested),
+                ..FillOptions::new(self.opts)
+            };
+            // `fill` takes a cross product: one call per application,
+            // batch order kept within it.
+            for &app in &AppId::ALL {
+                let cfgs: Vec<NodeConfig> = batch
+                    .iter()
+                    .filter(|(a, _)| *a == app)
+                    .map(|(_, c)| *c)
+                    .collect();
+                let report = self
+                    .store
+                    .fill(&[app], &cfgs, &fill)
+                    .unwrap_or_else(|e| fail(e));
+                self.hits += report.cached as u64;
+                if report.interrupted {
+                    self.interrupted();
+                }
             }
         }
-        let store = CampaignStore::open_read_only(&self.dir).unwrap_or_else(|e| {
-            eprintln!("open campaign store {}: {e}", self.dir.display());
-            std::process::exit(1);
-        });
-        batch_results(&store, &self.opts, batch)
+        // A missing row after a fill means the point was poisoned (its
+        // simulation panicked) — fatal for a search, because the
+        // trajectory cannot continue without the objective value; the
+        // row-less point is retried by a later `--resume`.
+        batch
+            .iter()
+            .map(|(app, cfg)| match self.store.get(*app, cfg, &self.opts) {
+                Some(r) => (r.time_ns, r.energy_j),
+                None => {
+                    eprintln!(
+                        "dse search: {}/{} has no stored row after evaluation \
+                         (poisoned simulation?) — re-run with --resume to retry it",
+                        app.label(),
+                        cfg.label()
+                    );
+                    std::process::exit(1);
+                }
+            })
+            .collect()
     }
 
     fn memo_hits(&self) -> u64 {
@@ -955,15 +629,7 @@ impl Evaluator for PoolEvaluator {
 /// so a search leaves behind a perfectly ordinary (partial) campaign
 /// plus its own journal under `<store-dir>/search/`.
 fn search_main(args: SearchArgs) -> ! {
-    if let Some(level) = args.log {
-        musa_obs::set_max_level(level);
-    }
-    if let Some(path) = &args.log_json {
-        if let Err(e) = musa_obs::set_json_path(path) {
-            eprintln!("dse search: cannot open --log-json {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
+    arm_observability(args.log, args.log_json.as_deref(), None);
     let want_report = args.metrics.is_some() || args.metrics_prom.is_some() || args.progress;
     if want_report {
         musa_obs::enable_metrics(true);
@@ -1020,73 +686,52 @@ fn search_main(args: SearchArgs) -> ! {
         }
     };
 
-    let outcome = if let Some(workers) = args.workers {
-        let exe = std::env::current_exe().unwrap_or_else(|e| {
-            eprintln!("dse search: cannot locate own binary for worker re-exec: {e}");
-            std::process::exit(1);
-        });
-        let env = musa_bench::pool_worker_env(
-            None,
-            paper_scale(),
-            !args.no_cache,
-            want_report,
-            !args.no_prof && musa_prof::enabled_from_env(),
-        );
-        let mut ev = PoolEvaluator {
-            exe,
-            dir: dir.clone(),
-            opts,
-            space: musa_search::SearchSpace::new(args.space),
-            space_id: args.space,
-            pool_opts: musa_pool::PoolOptions {
-                workers,
-                progress: args.progress,
-                env,
-                ..musa_pool::PoolOptions::default()
-            },
-            hits: 0,
-        };
-        run_search(&config, &mut ev, Some(&mut journal), Some(&mut on_gen))
-    } else {
-        let mut store = CampaignStore::open(&dir).unwrap_or_else(|e| {
+    signals::install_term_handlers();
+    let mut ev = StoreEvaluator {
+        dir: dir.clone(),
+        opts,
+        progress: args.progress,
+        store: CampaignStore::open(&dir).unwrap_or_else(|e| {
             eprintln!("open campaign store {}: {e}", dir.display());
             std::process::exit(1);
-        });
-        let cache = if args.no_cache || !musa_cache::enabled_from_env() {
-            None
-        } else {
-            match ArtifactCache::open(&dir) {
-                Ok(cache) => {
-                    store.set_artifact_cache(std::sync::Arc::clone(&cache));
-                    Some(cache)
-                }
-                Err(e) => {
-                    eprintln!("[dse] artifact cache unavailable ({e}), computing uncached");
-                    None
-                }
-            }
-        };
-        if !args.no_prof && musa_prof::enabled_from_env() {
-            if let Err(e) = musa_prof::install_store_recorder(&dir) {
-                eprintln!("[dse] profiling unavailable ({e}), search runs unprofiled");
-            }
-        }
-        let mut ev = StoreEvaluator {
-            store,
-            opts,
-            hits: 0,
-        };
-        let r = run_search(&config, &mut ev, Some(&mut journal), Some(&mut on_gen));
-        musa_prof::uninstall_recorder();
-        if let Some(cache) = &cache {
-            cache.persist_session("search");
-            let stats = cache.stats();
-            if stats.hits() + stats.misses() > 0 {
-                eprintln!("[dse] cache: {}", stats.report());
-            }
-        }
-        r
+        }),
+        supervisor: None,
+        hits: 0,
+        worker_metrics: musa_obs::MetricsSnapshot::default(),
     };
+    let mut cache = None;
+    if let Some(workers) = args.workers {
+        ev.supervisor = Some(open_supervisor(
+            &dir,
+            args.listen.as_deref(),
+            PoolOptions {
+                workers,
+                progress: args.progress,
+                env: musa_bench::pool_worker_env(
+                    None,
+                    !args.no_cache,
+                    want_report,
+                    !args.no_prof && musa_prof::enabled_from_env(),
+                ),
+                ..PoolOptions::default()
+            },
+            DEFAULT_MAX_RETRIES,
+        ));
+    } else {
+        cache = open_cache(&dir, args.no_cache);
+        if let Some(cache) = &cache {
+            ev.store.set_artifact_cache(Arc::clone(cache));
+        }
+        install_store_recorder(&dir, args.no_prof);
+    }
+    let outcome = run_search(&config, &mut ev, Some(&mut journal), Some(&mut on_gen));
+    musa_prof::uninstall_recorder();
+    if let Some(sup) = ev.supervisor.take() {
+        sup.close();
+    }
+    if let Some(cache) = &cache {
+        report_cache_session(cache, "search");
+    }
 
     let outcome = match outcome {
         Ok(o) => o,
@@ -1119,7 +764,7 @@ fn search_main(args: SearchArgs) -> ! {
         args.progress,
         args.metrics.as_deref(),
         args.metrics_prom.as_deref(),
-        None,
+        Some(&ev.worker_metrics),
     );
     std::process::exit(0);
 }
@@ -1364,15 +1009,7 @@ fn serve_main(args: ServeArgs) -> ! {
     use std::sync::Arc;
     use std::time::Duration;
 
-    if let Some(level) = args.log {
-        musa_obs::set_max_level(level);
-    }
-    if let Some(path) = &args.log_json {
-        if let Err(e) = musa_obs::set_json_path(path) {
-            eprintln!("dse serve: cannot open --log-json {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
+    arm_observability(args.log, args.log_json.as_deref(), None);
     // The /metrics endpoint is only useful with the registry on.
     musa_obs::enable_metrics(true);
 
@@ -1527,10 +1164,10 @@ fn summarise(
 
 /// End-of-run telemetry: the phase table on stderr, the `--metrics`
 /// snapshot (and `--metrics-prom` exposition) on disk, and a flushed
-/// JSONL sink. `extra` carries worker-side metrics a pool supervisor
-/// harvested from per-lease manifests; they are absorbed into this
-/// process's own snapshot so the report covers the whole run, not just
-/// the supervisor.
+/// JSONL sink. `extra` carries the worker-side metrics a pool
+/// supervisor received with its lease results; they are absorbed into
+/// this process's own snapshot so the report covers the whole run, not
+/// just the supervisor.
 fn finish_observability(
     progress: bool,
     metrics: Option<&Path>,
@@ -1566,9 +1203,9 @@ fn finish_observability(
 }
 
 /// `dse profile`: offline analysis of the profiling flight record.
-/// Works from the store directory alone — profiles.jsonl plus any
-/// staged worker files are read (read-only: a kill -9'd run's residue
-/// is included without being rewritten), aggregated into the top-k /
+/// Works from the store directory alone — profiles.jsonl is read
+/// (read-only: a kill -9'd run's residue is tolerated without being
+/// rewritten), aggregated into the top-k /
 /// per-phase / cache-efficacy report, and optionally exported as a
 /// Chrome Trace Event file with one track per worker process.
 fn profile_main(args: ProfileArgs) -> ! {
@@ -1663,9 +1300,9 @@ fn profile_main(args: ProfileArgs) -> ! {
     std::process::exit(0);
 }
 
-/// A fresh (non-`--resume`) run discards previously stored rows, the
-/// lease journal (with its poisoned set — a fresh sweep re-attempts
-/// everything) and the pool scratch directory.
+/// A fresh (non-`--resume`) run discards previously stored rows and
+/// the lease journal (with its poisoned set — a fresh sweep
+/// re-attempts everything).
 fn clear_store(dir: &std::path::Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return; // nothing to clear
@@ -1679,7 +1316,6 @@ fn clear_store(dir: &std::path::Path) {
     if std::fs::remove_file(dir.join(musa_store::LEASE_JOURNAL_FILE)).is_ok() {
         removed += 1;
     }
-    let _ = std::fs::remove_dir_all(dir.join(musa_pool::lease::SCRATCH_DIR));
     if removed > 0 {
         eprintln!(
             "[dse] cleared {removed} result file(s) from {} (use --resume to keep them)",

@@ -28,10 +28,9 @@ pub fn paper_scale() -> bool {
 /// Trace-generation parameters for the selected scale.
 ///
 /// `MUSA_TINY=1` (test harnesses only — it is not a CLI flag) selects
-/// [`GenParams::tiny`] so multi-process e2e drills finish in seconds;
-/// pool workers inherit it from the supervisor's environment, which is
-/// what keeps both sides of a `--workers` run enumerating the same
-/// point keys.
+/// [`GenParams::tiny`] so multi-process e2e drills finish in seconds.
+/// Only the process that enumerates the sweep reads it: workers are
+/// told the scale in every lease.
 pub fn gen_params() -> GenParams {
     if std::env::var("MUSA_TINY")
         .map(|v| v == "1")
@@ -49,8 +48,7 @@ pub fn gen_params() -> GenParams {
 /// or — when `MUSA_CONFIG_SLICE=N` is set (test harnesses only) — a
 /// deterministic N-point slice of it, spread across the space rather
 /// than taken from the front so sliced sweeps still cross feature
-/// boundaries. Like `MUSA_TINY`, the env var is how the slice reaches
-/// re-exec'd pool workers unchanged.
+/// boundaries.
 pub fn configs() -> Vec<NodeConfig> {
     let all = DesignSpace::all();
     let Some(n) = std::env::var("MUSA_CONFIG_SLICE")
@@ -63,34 +61,24 @@ pub fn configs() -> Vec<NodeConfig> {
     all.iter().copied().step_by(all.len() / n).take(n).collect()
 }
 
-/// Extra environment a pool supervisor must hand to its re-exec'd
-/// workers so both sides derive the identical sweep.
+/// Extra environment a pool supervisor hands to the workers it spawns.
 ///
-/// Workers inherit the parent environment, which already carries
-/// `MUSA_TINY` / `MUSA_CONFIG_SLICE` / `MUSA_FULL` unchanged — but
-/// paper scale can also be selected by the `--full` *flag*, which the
-/// hidden `pool-worker` argv does not repeat, so it must be converted
-/// into `MUSA_FULL=1` here or the supervisor would enumerate
-/// paper-scale point keys while its workers simulate (and store) at
-/// the reduced scale. The `--faults` spec rides along verbatim so a
-/// chaos plan fires identically in every process, and `--no-cache`
-/// becomes `MUSA_CACHE=0` so workers skip the artifact cache exactly
-/// when the supervisor does. `metrics` turns on each worker's own
-/// `musa_obs` registry (`MUSA_METRICS=1`) so the per-worker metrics
-/// manifests the supervisor harvests are actually populated, and
-/// `--no-prof` becomes `MUSA_PROF=0` so the profiling flight recorder
-/// is off in every process or none.
+/// What to simulate travels in the leases; this is only *how*: the
+/// `--faults` spec rides along verbatim so a chaos plan fires
+/// identically in every process, `--no-cache` becomes `MUSA_CACHE=0`
+/// so workers skip the artifact cache exactly when the supervisor
+/// does, `metrics` turns on each worker's own `musa_obs` registry
+/// (`MUSA_METRICS=1`) so the snapshots they ship with their lease
+/// results are actually populated, and `--no-prof` becomes
+/// `MUSA_PROF=0` so the profiling flight recorder is off in every
+/// process or none.
 pub fn pool_worker_env(
     faults_spec: Option<&str>,
-    full: bool,
     cache_enabled: bool,
     metrics: bool,
     prof_enabled: bool,
 ) -> Vec<(String, String)> {
     let mut env = Vec::new();
-    if full {
-        env.push(("MUSA_FULL".to_string(), "1".to_string()));
-    }
     if let Some(spec) = faults_spec {
         env.push(("MUSA_FAULTS".to_string(), spec.to_string()));
     }
@@ -104,32 +92,6 @@ pub fn pool_worker_env(
         env.push(("MUSA_PROF".to_string(), "0".to_string()));
     }
     env
-}
-
-/// Sweep signature for the distributed handshake: a `dse --listen`
-/// supervisor and every `dse dist-worker` compute this from their own
-/// environment-derived geometry, and the hub rejects (with a typed
-/// code) any worker whose signature differs — before a single
-/// wrong-scale row is simulated. The corner [`musa_store::PointKey`]s
-/// seal app, config, `GenParams`, replay mode and schema version, so
-/// any divergence in `--full` / `MUSA_FULL` / `MUSA_TINY` /
-/// `MUSA_CONFIG_SLICE` or a schema skew between binaries changes the
-/// signature. This is the network-transparent analogue of
-/// `musa_pool::verify_sweep_key`, covering both ends of the
-/// enumeration instead of one lease's first point.
-pub fn campaign_sweep_sig(apps: &[AppId], configs: &[NodeConfig], sweep: &SweepOptions) -> String {
-    use musa_store::PointKey;
-    let corner = |app: Option<&AppId>, config: Option<&NodeConfig>| match (app, config) {
-        (Some(&app), Some(config)) => PointKey::for_point(app, config, sweep).to_hex(),
-        _ => "empty".to_string(),
-    };
-    format!(
-        "v1:{}x{}:{}:{}",
-        apps.len(),
-        configs.len(),
-        corner(apps.first(), configs.first()),
-        corner(apps.last(), configs.last()),
-    )
 }
 
 /// The trace-scale label pinned into search journals: the journal
@@ -146,60 +108,6 @@ pub fn scale_label() -> &'static str {
     } else {
         "small"
     }
-}
-
-/// Environment variable a search supervisor sets for each pool batch
-/// so its re-exec'd workers derive the searched geometry instead of
-/// the default 864-config campaign. Value syntax:
-/// `<space>:<app>:<config-indices>` with the indices in
-/// `musa_pool::lease` range syntax, ordered exactly as the supervisor
-/// passed the configurations to `run_pool` — both sides must
-/// enumerate identical point keys (`verify_sweep_key` aborts the
-/// worker otherwise).
-pub const SEARCH_GEOM_ENV: &str = "MUSA_SEARCH_GEOM";
-
-/// Encode one per-app search batch as a [`SEARCH_GEOM_ENV`] value.
-pub fn search_geometry_spec(
-    space: musa_search::SpaceId,
-    app: AppId,
-    config_indices: &[u64],
-) -> String {
-    format!(
-        "{}:{}:{}",
-        space.label(),
-        app.label(),
-        musa_pool::lease::encode_points(config_indices)
-    )
-}
-
-/// Decode a [`SEARCH_GEOM_ENV`] value back into the `(apps, configs)`
-/// a pool worker must enumerate.
-pub fn parse_search_geometry(spec: &str) -> Result<(Vec<AppId>, Vec<NodeConfig>), String> {
-    let mut it = spec.splitn(3, ':');
-    let (Some(space), Some(app), Some(points)) = (it.next(), it.next(), it.next()) else {
-        return Err(format!(
-            "bad search geometry {spec:?} (want space:app:config-indices)"
-        ));
-    };
-    let space = musa_search::SpaceId::parse(space)
-        .ok_or_else(|| format!("unknown search space {space:?}"))?;
-    let app = AppId::ALL
-        .iter()
-        .find(|a| a.label() == app)
-        .copied()
-        .ok_or_else(|| format!("unknown app {app:?}"))?;
-    let space = musa_search::SearchSpace::new(space);
-    let mut configs = Vec::new();
-    for idx in musa_pool::lease::parse_points(points)? {
-        if idx >= space.len() {
-            return Err(format!(
-                "config index {idx} out of range for the {}-config space",
-                space.len()
-            ));
-        }
-        configs.push(space.config(idx));
-    }
-    Ok((vec![app], configs))
 }
 
 /// Campaign store directory for the current scale (override with
@@ -289,105 +197,28 @@ pub fn print_feature_figure(
 
 #[cfg(test)]
 mod tests {
-    use super::{campaign_sweep_sig, parse_search_geometry, pool_worker_env, search_geometry_spec};
-    use musa_apps::{AppId, GenParams};
-    use musa_arch::DesignSpace;
-    use musa_core::SweepOptions;
-    use musa_search::{SearchSpace, SpaceId};
+    use super::pool_worker_env;
 
     #[test]
-    fn campaign_sweep_sig_pins_geometry_and_scale() {
-        let configs = DesignSpace::all();
-        let tiny = SweepOptions {
-            gen: GenParams::tiny(),
-            full_replay: true,
-        };
-        let small = SweepOptions {
-            gen: GenParams::small(),
-            full_replay: true,
-        };
-        let sig = campaign_sweep_sig(&AppId::ALL, &configs, &tiny);
-        assert!(sig.starts_with(&format!("v1:{}x{}:", AppId::ALL.len(), configs.len())));
-        // Deterministic for equal inputs, different across scales,
-        // config slices, and app sets.
-        assert_eq!(sig, campaign_sweep_sig(&AppId::ALL, &configs, &tiny));
-        assert_ne!(sig, campaign_sweep_sig(&AppId::ALL, &configs, &small));
-        assert_ne!(sig, campaign_sweep_sig(&AppId::ALL, &configs[..10], &tiny));
-        assert_ne!(sig, campaign_sweep_sig(&AppId::ALL[..2], &configs, &tiny));
-        // Empty geometry is representable, not a panic.
-        assert_eq!(campaign_sweep_sig(&[], &[], &tiny), "v1:0x0:empty:empty");
-    }
-
-    #[test]
-    fn search_geometry_roundtrips_in_batch_order() {
-        // Batch order is load-bearing: point index i of the pool
-        // enumeration must be the i-th config of the supervisor's
-        // batch, so the spec must preserve arbitrary (unsorted) order.
-        let idxs = [5u64, 3, 100, 101, 102, 7];
-        let spec = search_geometry_spec(SpaceId::Expanded, AppId::Hydro, &idxs);
-        let (apps, configs) = parse_search_geometry(&spec).unwrap();
-        assert_eq!(apps, vec![AppId::Hydro]);
-        let space = SearchSpace::new(SpaceId::Expanded);
-        let expect: Vec<_> = idxs.iter().map(|&i| space.config(i)).collect();
-        assert_eq!(configs, expect);
-    }
-
-    #[test]
-    fn search_geometry_rejects_garbage() {
-        assert!(
-            parse_search_geometry("paper:hydro").is_err(),
-            "missing points"
-        );
-        assert!(parse_search_geometry("warp:hydro:0").is_err(), "bad space");
-        assert!(parse_search_geometry("paper:doom:0").is_err(), "bad app");
-        assert!(
-            parse_search_geometry("paper:hydro:999999").is_err(),
-            "index out of range"
-        );
-        assert!(parse_search_geometry("paper:hydro:x").is_err(), "bad index");
-    }
-
-    #[test]
-    fn pool_worker_env_propagates_scale_and_faults() {
-        assert_eq!(pool_worker_env(None, false, true, false, true), vec![]);
-        assert_eq!(
-            pool_worker_env(None, true, true, false, true),
-            vec![("MUSA_FULL".to_string(), "1".to_string())]
-        );
+    fn pool_worker_env_propagates_faults_and_opt_outs() {
+        assert_eq!(pool_worker_env(None, true, false, true), vec![]);
         let spec = "seed=7,sim.point=panic@0.5";
         assert_eq!(
-            pool_worker_env(Some(spec), true, true, false, true),
-            vec![
-                ("MUSA_FULL".to_string(), "1".to_string()),
-                ("MUSA_FAULTS".to_string(), spec.to_string()),
-            ]
+            pool_worker_env(Some(spec), true, false, true),
+            vec![("MUSA_FAULTS".to_string(), spec.to_string())]
         );
-    }
-
-    #[test]
-    fn pool_worker_env_propagates_cache_opt_out() {
         assert_eq!(
-            pool_worker_env(None, false, false, false, true),
+            pool_worker_env(None, false, false, true),
             vec![("MUSA_CACHE".to_string(), "0".to_string())]
         );
-        let env = pool_worker_env(Some("seed=1"), true, false, false, true);
-        assert!(env.contains(&("MUSA_CACHE".to_string(), "0".to_string())));
-        assert_eq!(env.len(), 3);
-    }
-
-    #[test]
-    fn pool_worker_env_propagates_metrics_and_prof_opt_out() {
         assert_eq!(
-            pool_worker_env(None, false, true, true, true),
+            pool_worker_env(None, true, true, true),
             vec![("MUSA_METRICS".to_string(), "1".to_string())]
         );
         assert_eq!(
-            pool_worker_env(None, false, true, false, false),
+            pool_worker_env(None, true, false, false),
             vec![("MUSA_PROF".to_string(), "0".to_string())]
         );
-        let env = pool_worker_env(Some("seed=1"), true, false, true, false);
-        assert!(env.contains(&("MUSA_METRICS".to_string(), "1".to_string())));
-        assert!(env.contains(&("MUSA_PROF".to_string(), "0".to_string())));
-        assert_eq!(env.len(), 5);
+        assert_eq!(pool_worker_env(Some("seed=1"), false, true, false).len(), 4);
     }
 }

@@ -221,7 +221,7 @@ fn sequential_cold_then_warm_is_byte_identical() {
 
 /// Pool workers share the artifact directory: a warm `--workers 4` run
 /// is served from artifacts a previous run persisted, reports hits
-/// attributed to the `pool-worker` label, and still lands the exact
+/// attributed to the `dist-worker` label, and still lands the exact
 /// uncached bytes.
 #[test]
 fn pool_workers_share_the_cache_byte_identically() {
@@ -235,7 +235,7 @@ fn pool_workers_share_the_cache_byte_identically() {
         stderr_of(&cold)
     );
     assert_eq!(sorted_store_lines(&dir), want, "cold pool rows differ");
-    let cold_stats = sessions_with_label(&dir, "pool-worker");
+    let cold_stats = sessions_with_label(&dir, "dist-worker");
     assert!(cold_stats.misses() > 0, "cold pool run must record misses");
 
     let warm = dse(&dir, &["--workers", "4", "--lease-batch", "4"]);
@@ -245,10 +245,10 @@ fn pool_workers_share_the_cache_byte_identically() {
         stderr_of(&warm)
     );
     assert_eq!(sorted_store_lines(&dir), want, "warm pool rows differ");
-    let total = sessions_with_label(&dir, "pool-worker");
+    let total = sessions_with_label(&dir, "dist-worker");
     assert!(
         total.hits() > cold_stats.hits(),
-        "warm pool run must add pool-worker hits: cold {cold_stats:?}, total {total:?}"
+        "warm pool run must add worker hits: cold {cold_stats:?}, total {total:?}"
     );
     assert_eq!(
         (total.detail_misses, total.burst_misses),

@@ -90,10 +90,6 @@ fn corrupt_four_families(dir: &Path) -> usize {
     let artifacts = dir.join("artifacts");
     std::fs::create_dir_all(&artifacts).unwrap();
     std::fs::write(artifacts.join(".half.123.0.tmp"), b"half-written").unwrap();
-    // Plus stale pool heartbeats (the documented delete carve-out).
-    let pool = dir.join("pool");
-    std::fs::create_dir_all(&pool).unwrap();
-    std::fs::write(pool.join("hb-0001"), b"42\n").unwrap();
     2 + 1 + 1 // lease lines + search journal + profile line
 }
 
@@ -214,8 +210,6 @@ fn multi_family_corruption_repairs_to_clean_idempotently() {
     // The torn lease tail is crash residue (truncated, not evidence);
     // the tmp litter moved to the artifact quarantine, not the ledger.
     assert!(dir.join("artifacts/quarantine").is_dir());
-    // The heartbeat carve-out: deleted, not quarantined.
-    assert!(!dir.join("pool/hb-0001").exists());
 
     // A repaired store audits clean, and a second repair is a
     // byte-identical no-op.

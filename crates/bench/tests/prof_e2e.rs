@@ -8,7 +8,7 @@
 //! `dse profile` answers "where did the time go" from the store
 //! directory alone — profiles.jsonl plus the lease journal — with no
 //! campaign loaded and no simulator run, including directories a
-//! kill -9'd worker left partially staged.
+//! kill -9 left with a torn tail.
 //!
 //! The kill-9 drill is gated behind `CHAOS=1` like the pool's:
 //!
@@ -30,7 +30,7 @@ const DSE: &str = env!("CARGO_BIN_EXE_dse");
 
 /// Tiny-scale sweep shared by the sweep-running drills (see
 /// `pool_e2e.rs`): 6 configs spread across the design space × all
-/// apps, inherited by pool workers via the environment.
+/// apps.
 const CONFIG_SLICE: usize = 6;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -108,22 +108,6 @@ fn sorted_store_lines(dir: &Path) -> Vec<String> {
     }
     lines.sort();
     lines
-}
-
-/// Staged per-worker profile files left in the pool scratch directory.
-fn staged_profile_files(dir: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(dir.join("pool")) else {
-        return Vec::new();
-    };
-    entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(musa_prof::WORKER_PROFILE_PREFIX))
-        })
-        .collect()
 }
 
 /// A fully populated record for the report/export drills (no recorder
@@ -387,9 +371,9 @@ fn sequential_rows_identical_with_and_without_profiling() {
     let _ = std::fs::remove_dir_all(&quiet);
 }
 
-/// The pool path: workers stage per-lease profile files, the
-/// supervisor merges them into profiles.jsonl at end of run, and none
-/// of it touches row bytes (`MUSA_PROF=0` run as the control).
+/// The pool path: workers ship each point's record in its frame, the
+/// hub appends it to profiles.jsonl, and none of it touches row bytes
+/// (`MUSA_PROF=0` run as the control).
 #[test]
 fn pool_rows_identical_and_worker_profiles_merged() {
     let profiled = tmp_dir("pool-on");
@@ -410,15 +394,11 @@ fn pool_rows_identical_and_worker_profiles_merged() {
         "MUSA_PROF=0 changed pool rows"
     );
     assert!(
-        !quiet.join(PROFILES_FILE).exists() && staged_profile_files(&quiet).is_empty(),
+        !quiet.join(PROFILES_FILE).exists(),
         "MUSA_PROF=0 must suppress recording in every process"
     );
 
     if musa_prof::COMPILED {
-        assert!(
-            staged_profile_files(&profiled).is_empty(),
-            "supervisor must merge worker staging files at end of run"
-        );
         let (records, rep) = musa_prof::load_profiles(&profiled).unwrap();
         assert_eq!((rep.torn_tails, rep.corrupt), (0, 0));
         assert_eq!(records.len(), want.len(), "one profile per stored row");
@@ -437,11 +417,12 @@ fn pool_rows_identical_and_worker_profiles_merged() {
     let _ = std::fs::remove_dir_all(&quiet);
 }
 
-/// Crash residue staged by a dead run is merged by the next `--resume`
-/// — including a torn final line, which is dropped and counted, never
-/// fatal.
+/// Crash residue in the flight record — a torn final line, as a
+/// kill -9 mid-append leaves — is repaired by the next `--resume`:
+/// dropped and counted, never fatal, and whole records before it
+/// survive.
 #[test]
-fn stale_staged_profiles_are_harvested_on_resume() {
+fn torn_profile_tail_is_repaired_on_resume() {
     if !musa_prof::COMPILED {
         eprintln!("skipping: profiling compiled out");
         return;
@@ -451,10 +432,6 @@ fn stale_staged_profiles_are_harvested_on_resume() {
     assert!(out.status.success(), "{}", stderr_of(&out));
     let want = sorted_store_lines(&dir);
 
-    // Residue a kill -9'd worker would leave: a staged file with one
-    // whole record and one torn mid-append line.
-    let staged = dir.join("pool").join(musa_prof::worker_profile_file(9, 0));
-    std::fs::create_dir_all(staged.parent().unwrap()).unwrap();
     let orphan = record(
         "feedbeef00000000",
         "hydro",
@@ -463,23 +440,94 @@ fn stale_staged_profiles_are_harvested_on_resume() {
         9999,
         123_456,
     );
-    let mut text = orphan.to_line();
+    let mut text = std::fs::read_to_string(dir.join(PROFILES_FILE)).unwrap();
+    text.push_str(&orphan.to_line());
     text.push('\n');
     text.push_str("{\"schema\":1,\"key\":\"to"); // torn: no newline
-    std::fs::write(&staged, text).unwrap();
+    std::fs::write(dir.join(PROFILES_FILE), text).unwrap();
 
     let out = dse(&dir, &["--resume"]);
     assert!(out.status.success(), "{}", stderr_of(&out));
     assert_eq!(sorted_store_lines(&dir), want, "--resume changed rows");
-    assert!(
-        !staged.exists(),
-        "staging file must be removed after the merge"
-    );
     let (records, rep) = musa_prof::load_profiles(&dir).unwrap();
-    assert_eq!((rep.torn_tails, rep.corrupt, rep.staged_files), (0, 0, 0));
+    assert_eq!((rep.torn_tails, rep.corrupt), (0, 0));
     assert!(
         records.iter().any(|r| r.key == orphan.key),
-        "orphaned record must survive the merge"
+        "the whole record before the tear must survive the repair"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Remote workers' profiles reach the store too: after a `--listen`
+/// run shared with one external `dist-worker`, the flight record holds
+/// one record per simulated point — the ones the external process ran
+/// included — and `dse profile` reports them all.
+#[test]
+fn remote_worker_profiles_reach_the_store() {
+    if !musa_fault::COMPILED || !musa_prof::COMPILED {
+        eprintln!("skipping: needs the fault and prof features");
+        return;
+    }
+    let dir = tmp_dir("remote-prof");
+    // Slow points keep the sweep alive until the external worker has
+    // joined and taken leases.
+    let mut sup = dse_command(
+        &dir,
+        &[
+            "--workers",
+            "1",
+            "--lease-batch",
+            "2",
+            "--listen",
+            "127.0.0.1:0",
+            "--faults",
+            "sim.point=delay:100ms@1.0",
+        ],
+    )
+    .stdout(Stdio::null())
+    .stderr(Stdio::null())
+    .spawn()
+    .expect("spawn listening dse");
+    let beacon = dir.join("dist-status.json");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr = loop {
+        let addr = std::fs::read_to_string(&beacon)
+            .ok()
+            .and_then(|body| JsonValue::parse(&body).ok())
+            .and_then(|v| v.get("addr").and_then(|a| a.as_str()).map(str::to_string));
+        if let Some(addr) = addr {
+            break addr;
+        }
+        assert!(Instant::now() < deadline, "no dist-status.json beacon");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut remote = Command::new(DSE)
+        .args(["dist-worker", "--connect", &addr, "--reconnect-for", "30s"])
+        .env_remove("MUSA_FAULTS")
+        .env_remove("MUSA_PROF")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dist-worker");
+    let remote_pid = remote.id();
+    assert!(sup.wait().expect("wait for supervisor").success());
+    assert!(remote.wait().expect("wait for dist-worker").success());
+
+    let rows = sorted_store_lines(&dir);
+    let (records, rep) = musa_prof::load_profiles(&dir).unwrap();
+    assert_eq!((rep.torn_tails, rep.corrupt), (0, 0));
+    assert_eq!(records.len(), rows.len(), "one profile per simulated point");
+    let remote_records = records.iter().filter(|r| r.pid == remote_pid).count();
+    assert!(
+        remote_records > 0,
+        "the external worker ran points, and their profiles must be on record"
+    );
+    let out = dse_profile(&dir, &[]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(
+        stdout_of(&out).contains(&format!("{} points", rows.len())),
+        "dse profile must count every simulated point:\n{}",
+        stdout_of(&out)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -542,8 +590,8 @@ fn full_disk_profile_appends_drop_but_rows_still_land() {
 
 /// CHAOS drill: SIGKILL a live worker mid-batch. The campaign must
 /// converge byte-identically (already proven in pool_e2e) *and* the
-/// profiling side must come out whole: staging merged, records
-/// deduplicated to exactly one per surviving row, `dse profile` happy.
+/// profiling side must come out whole: records deduplicated to
+/// exactly one per surviving row, `dse profile` happy.
 #[test]
 fn kill_nine_worker_profiles_survive_and_merge() {
     if !chaos_enabled() {
@@ -571,16 +619,18 @@ fn kill_nine_worker_profiles_survive_and_merge() {
     .spawn()
     .expect("spawn supervised dse");
 
-    // Murder the first worker that shows up (see pool_e2e).
-    let needle = dir.to_string_lossy().into_owned();
+    // Murder the first worker the journal shows holding a lease (see
+    // pool_e2e): its `peer` tag is `w<pid>@<address>`.
     let find_worker = || -> Option<u32> {
-        std::fs::read_dir("/proc").ok()?.find_map(|entry| {
-            let entry = entry.ok()?;
-            let pid: u32 = entry.file_name().to_str()?.parse().ok()?;
-            let cmdline = std::fs::read(entry.path().join("cmdline")).ok()?;
-            let cmdline = String::from_utf8_lossy(&cmdline);
-            (cmdline.contains("pool-worker") && cmdline.contains(needle.as_str())).then_some(pid)
-        })
+        musa_store::journal::replay(&dir)
+            .events
+            .iter()
+            .find_map(|e| match e {
+                LeaseEvent::RemoteGrant { peer, .. } => {
+                    peer.strip_prefix('w')?.split('@').next()?.parse().ok()
+                }
+                _ => None,
+            })
     };
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut killed = false;
@@ -603,10 +653,6 @@ fn kill_nine_worker_profiles_survive_and_merge() {
     );
 
     let rows = sorted_store_lines(&dir);
-    assert!(
-        staged_profile_files(&dir).is_empty(),
-        "staging merged despite the murder"
-    );
     let (records, rep) = musa_prof::load_profiles(&dir).unwrap();
     assert_eq!((rep.torn_tails, rep.corrupt), (0, 0), "harvest left damage");
     assert_eq!(

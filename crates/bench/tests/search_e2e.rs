@@ -6,7 +6,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use musa_store::{journal, LeaseEvent};
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
 
@@ -49,6 +51,45 @@ fn search(dir: &Path, extra: &[&str]) -> Output {
 
 fn journal_path(dir: &Path) -> PathBuf {
     dir.join("search").join("search.journal")
+}
+
+/// All row lines of a store directory (quarantine evidence and the
+/// flight record excluded), sorted.
+fn sorted_store_lines(dir: &Path) -> Vec<String> {
+    let mut lines = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap().filter_map(|e| e.ok()) {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".jsonl")
+            && !musa_store::is_quarantine_file(&name)
+            && name != musa_prof::PROFILES_FILE
+        {
+            let text = std::fs::read_to_string(entry.path()).unwrap();
+            lines.extend(text.lines().map(str::to_string));
+        }
+    }
+    lines.sort();
+    lines
+}
+
+/// Distinct worker tags (`w<pid>`) the lease journal granted leases to.
+fn worker_tags(dir: &Path) -> std::collections::BTreeSet<String> {
+    journal::replay(dir)
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            LeaseEvent::RemoteGrant { peer, .. } => peer.split('@').next().map(str::to_string),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The `[musa progress]` lines of a run's stderr.
+fn progress_lines(out: &Output) -> Vec<String> {
+    String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter(|l| l.starts_with("[musa progress]"))
+        .map(str::to_string)
+        .collect()
 }
 
 /// The six flags every determinism drill shares.
@@ -168,10 +209,15 @@ fn same_seed_byte_identical_journal_and_report_across_runs() {
     }
 }
 
+/// `--workers 2`, and `--workers 2 --listen` shared with one external
+/// `dist-worker`, must both leave the journal, the report and the
+/// store rows of the sequential search, byte for byte — and the
+/// workers must be the same processes for the whole search, not a
+/// fresh set per generation.
 #[test]
 fn workers_match_sequential_byte_for_byte() {
-    let (seq, pool) = (tmp_dir("w-seq"), tmp_dir("w-pool"));
-    let (rs, rp) = (seq.join("report.json"), pool.join("report.json"));
+    let seq = tmp_dir("w-seq");
+    let rs = seq.join("report.json");
     let out = search(
         &seq,
         &[BASE, &["--search-report", rs.to_str().unwrap()]].concat(),
@@ -181,6 +227,26 @@ fn workers_match_sequential_byte_for_byte() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let same_as_sequential = |dir: &Path, report: &Path, what: &str| {
+        assert_eq!(
+            std::fs::read(journal_path(&seq)).unwrap(),
+            std::fs::read(journal_path(dir)).unwrap(),
+            "{what} must not change a single journal byte"
+        );
+        assert_eq!(
+            std::fs::read(&rs).unwrap(),
+            std::fs::read(report).unwrap(),
+            "{what} must not change a single report byte"
+        );
+        assert_eq!(
+            sorted_store_lines(&seq),
+            sorted_store_lines(dir),
+            "{what} must not change a single row byte"
+        );
+    };
+
+    let pool = tmp_dir("w-pool");
+    let rp = pool.join("report.json");
     let out = search(
         &pool,
         &[
@@ -194,20 +260,134 @@ fn workers_match_sequential_byte_for_byte() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    same_as_sequential(&pool, &rp, "--workers 2");
+    let tags = worker_tags(&pool);
+    assert!(
+        (1..=2).contains(&tags.len()),
+        "two workers serve the whole search, saw {tags:?}"
+    );
 
-    assert_eq!(
-        std::fs::read(journal_path(&seq)).unwrap(),
-        std::fs::read(journal_path(&pool)).unwrap(),
-        "--workers 2 must not change a single journal byte"
+    // The same search, its leases also on offer to whoever connects.
+    let dist = tmp_dir("w-dist");
+    let rd = dist.join("report.json");
+    let mut sup = search_command(
+        &dist,
+        &[
+            BASE,
+            &[
+                "--workers",
+                "2",
+                "--listen",
+                "127.0.0.1:0",
+                "--search-report",
+                rd.to_str().unwrap(),
+            ],
+        ]
+        .concat(),
+    )
+    .stdout(Stdio::null())
+    .stderr(Stdio::null())
+    .spawn()
+    .expect("spawn listening search");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr = loop {
+        let beacon = std::fs::read_to_string(dist.join("dist-status.json")).unwrap_or_default();
+        let addr = musa_obs::json::JsonValue::parse(&beacon)
+            .ok()
+            .and_then(|v| v.get("addr").and_then(|a| a.as_str()).map(str::to_string));
+        if let Some(addr) = addr {
+            break addr;
+        }
+        assert!(Instant::now() < deadline, "no dist-status.json beacon");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    // The external worker is told nothing but the address. The search
+    // may be over before it connects; it must end on its own either way.
+    let mut external = Command::new(DSE)
+        .args(["dist-worker", "--connect", &addr, "--max-reconnects", "2"])
+        .env_remove("MUSA_TINY")
+        .env_remove("MUSA_FAULTS")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn external dist-worker");
+    assert!(sup.wait().expect("wait for search").success());
+    let code = external.wait().expect("wait for dist-worker").code();
+    assert!(matches!(code, Some(0) | Some(1)), "dist-worker: {code:?}");
+    same_as_sequential(&dist, &rd, "--workers 2 --listen");
+    let tags = worker_tags(&dist);
+    assert!(
+        (1..=3).contains(&tags.len()),
+        "two children and one external worker at most, saw {tags:?}"
     );
-    assert_eq!(
-        std::fs::read(&rs).unwrap(),
-        std::fs::read(&rp).unwrap(),
-        "--workers 2 must not change a single report byte"
-    );
-    for d in [seq, pool] {
+
+    for d in [seq, pool, dist] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// The heartbeat is opt-in: a sequential search prints no
+/// `[musa progress]` line unless `--progress` is given, and with it no
+/// beat is printed twice: each generation here is one single-batch
+/// fill, whose only beat is its final one.
+#[test]
+fn progress_is_opt_in_and_never_repeats_a_beat() {
+    let dir = tmp_dir("progress");
+    let out = search(&dir, BASE);
+    assert!(out.status.success());
+    assert_eq!(progress_lines(&out), Vec::<String>::new());
+
+    let dir2 = tmp_dir("progress-on");
+    let out = search(&dir2, &[BASE, &["--progress"]].concat());
+    assert!(out.status.success());
+    let beats = progress_lines(&out);
+    let generations = std::fs::read_to_string(journal_path(&dir2))
+        .unwrap()
+        .matches("\"kind\":\"gen\"")
+        .count();
+    assert!(!beats.is_empty(), "--progress must print the heartbeat");
+    assert!(
+        beats.len() <= generations,
+        "{generations} single-batch fills printed {} beats: {beats:#?}",
+        beats.len()
+    );
+    for d in [dir, dir2] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// SIGINT drains a sequential search exactly like a `--workers` one:
+/// the batch in flight is flushed and the exit code is 130.
+#[test]
+fn sigint_drains_a_sequential_search() {
+    let dir = tmp_dir("sigint");
+    let child = search_command(
+        &dir,
+        &["--strategy", "random", "--budget", "4000", "--batch", "64"],
+    )
+    .stdout(Stdio::null())
+    .stderr(Stdio::piped())
+    .spawn()
+    .expect("spawn search");
+    // Let it get into its generations (the search journal appears with
+    // the first one), then interrupt.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !journal_path(&dir).exists() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let _ = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status();
+    let out = child.wait_with_output().expect("wait for search");
+    assert_eq!(
+        out.status.code(),
+        Some(130),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("interrupted"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -47,8 +47,8 @@ pub fn enabled_from_env() -> bool {
 /// aggregated by `dse cache stats`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionStats {
-    /// Which pipeline wrote this line: `"sequential"` or
-    /// `"pool-worker"`.
+    /// Which pipeline wrote this line: `"sequential"`, `"search"` or
+    /// `"dist-worker"`.
     pub label: String,
     /// Writer's process id (diagnostic only).
     pub pid: u32,
@@ -557,12 +557,12 @@ mod tests {
         cache.put_burst(burst_key(t, 32), &BurstArtifact { makespan_ns: 1.0 });
         cache.burst(burst_key(t, 32));
         cache.persist_session("sequential");
-        cache.persist_session("pool-worker");
+        cache.persist_session("dist-worker");
 
         let sessions = load_sessions(cache.dir());
         assert_eq!(sessions.len(), 2);
         assert_eq!(sessions[0].label, "sequential");
-        assert_eq!(sessions[1].label, "pool-worker");
+        assert_eq!(sessions[1].label, "dist-worker");
         assert_eq!(sessions[0].burst_hits, 1);
         assert!(sessions[0].report().contains("burst 1/1"));
 

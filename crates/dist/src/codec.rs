@@ -10,9 +10,10 @@
 //!
 //! `len` counts the payload only; `crc` seals it ([`musa_store::crc32`],
 //! the same polynomial every durable file in the store uses). The body
-//! is deliberately opaque: shipped campaign rows are the exact bytes a
-//! worker's staging store flushed, so distributed execution cannot
-//! introduce a serialisation difference by construction.
+//! is deliberately opaque: a shipped campaign row is the exact sealed
+//! line the worker's [`musa_store::PointExecutor`] produced, so
+//! distributed execution cannot introduce a serialisation difference
+//! by construction.
 //!
 //! Decoding **never panics and never trusts the wire**: a length
 //! beyond [`MAX_FRAME`] and a CRC mismatch are typed, connection-fatal
@@ -20,12 +21,17 @@
 //! "keep reading". The exhaustive truncation/bit-flip tests below hold
 //! the same bar the store's torn-tail suite does.
 
-use musa_obs::json::{JsonObj, JsonValue};
+use musa_apps::{AppId, GenParams};
+use musa_arch::NodeConfig;
+use musa_obs::json::{self, JsonObj, JsonValue};
 use musa_store::PoisonedPoint;
 
 /// Protocol version carried in the hello exchange; either side
-/// rejects a peer speaking a different one.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// rejects a peer speaking a different one. Version 2 made leases
+/// self-describing (the grant names the points and the sweep) and
+/// dropped the sweep-signature handshake that guarded version 1's
+/// index-based leases.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Hard ceiling on one frame's payload, enforced *before* allocating:
 /// a garbled length prefix must not become an OOM.
@@ -33,9 +39,6 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 /// Reject code for a protocol version mismatch.
 pub const REJECT_VERSION: &str = "version";
-/// Reject code for a sweep-signature mismatch (the remote worker's
-/// environment derives a different campaign geometry/schema).
-pub const REJECT_SIG: &str = "sig";
 
 /// One protocol message (the frame header). Row bytes travel in the
 /// frame body, not here.
@@ -45,10 +48,7 @@ pub enum Msg {
     Hello {
         /// Protocol version the worker speaks.
         ver: u64,
-        /// Campaign signature (geometry + schema) the worker derived
-        /// from its environment; must match the supervisor's exactly.
-        sig: String,
-        /// Worker tag (host/pid) for journal provenance.
+        /// Worker tag (`w<pid>`) for journal provenance.
         worker: String,
     },
     /// Supervisor → worker: handshake accepted.
@@ -59,21 +59,25 @@ pub enum Msg {
     /// Supervisor → worker: handshake refused; the worker must not
     /// retry (every retry would fail identically).
     Reject {
-        /// Machine-readable cause ([`REJECT_VERSION`], [`REJECT_SIG`]).
+        /// Machine-readable cause ([`REJECT_VERSION`]).
         code: String,
         /// Human-readable detail.
         reason: String,
     },
-    /// Supervisor → worker: execute a lease.
+    /// Supervisor → worker: execute a lease. The grant carries the
+    /// points themselves and the sweep they run under; the worker
+    /// derives nothing from its own environment.
     Grant {
         /// Lease id.
         lease: u64,
         /// Attempt number.
         attempt: u32,
-        /// Point indices in `musa_pool::lease` range syntax.
-        points: String,
-        /// Per-flush retry budget.
-        max_retries: u32,
+        /// Trace-generation scale of every point.
+        gen: GenParams,
+        /// Whether the full-application replay runs.
+        full_replay: bool,
+        /// The points, in execution order.
+        points: Vec<(AppId, NodeConfig)>,
     },
     /// Worker → supervisor: progress heartbeat (sent before each
     /// point, and with `current: None` once the lease's work stops).
@@ -82,24 +86,24 @@ pub enum Msg {
         lease: u64,
         /// Points completed so far.
         done: u64,
-        /// Global index of the point about to run, if any.
+        /// Position in the lease of the point about to run, if any.
         current: Option<u64>,
     },
-    /// Worker → supervisor: one point finished; the body carries the
-    /// row bytes its staging store flushed (empty when the point
-    /// poisoned).
+    /// Worker → supervisor: one point finished; the body carries its
+    /// sealed row line plus newline (empty when the point poisoned).
     Point {
         /// Lease id.
         lease: u64,
         /// Position in the lease (0-based); must arrive in order.
         seq: u64,
-        /// Rows in the body.
-        rows: u64,
         /// Poison record when the point panicked in the worker.
         poisoned: Option<PoisonedPoint>,
+        /// The point's sealed profile line, when the worker records.
+        profile: Option<String>,
     },
     /// Worker → supervisor: lease result manifest (possibly partial,
-    /// during a drain).
+    /// during a drain). The body carries the worker's metrics snapshot
+    /// for the lease as JSON (empty with metrics off).
     Result {
         /// Lease id.
         lease: u64,
@@ -153,10 +157,9 @@ impl Msg {
     /// Serialise the header line (no trailing newline).
     pub fn to_header(&self) -> String {
         match self {
-            Msg::Hello { ver, sig, worker } => JsonObj::new()
+            Msg::Hello { ver, worker } => JsonObj::new()
                 .field_str("t", "hello")
                 .field_u64("ver", *ver)
-                .field_str("sig", sig)
                 .field_str("worker", worker)
                 .finish(),
             Msg::HelloOk { ver } => JsonObj::new()
@@ -171,15 +174,28 @@ impl Msg {
             Msg::Grant {
                 lease,
                 attempt,
+                gen,
+                full_replay,
                 points,
-                max_retries,
-            } => JsonObj::new()
-                .field_str("t", "grant")
-                .field_u64("lease", *lease)
-                .field_u64("attempt", u64::from(*attempt))
-                .field_str("points", points)
-                .field_u64("max_retries", u64::from(*max_retries))
-                .finish(),
+            } => {
+                let points: Vec<String> = points
+                    .iter()
+                    .map(|(app, config)| {
+                        JsonObj::new()
+                            .field_str("app", app.label())
+                            .field_raw("config", &json::to_string(config))
+                            .finish()
+                    })
+                    .collect();
+                JsonObj::new()
+                    .field_str("t", "grant")
+                    .field_u64("lease", *lease)
+                    .field_u64("attempt", u64::from(*attempt))
+                    .field_raw("gen", &json::to_string(gen))
+                    .field_bool("full_replay", *full_replay)
+                    .field_raw("points", &format!("[{}]", points.join(",")))
+                    .finish()
+            }
             Msg::Hb {
                 lease,
                 done,
@@ -198,17 +214,20 @@ impl Msg {
             Msg::Point {
                 lease,
                 seq,
-                rows,
                 poisoned,
+                profile,
             } => {
                 let mut obj = JsonObj::new()
                     .field_str("t", "point")
                     .field_u64("lease", *lease)
-                    .field_u64("seq", *seq)
-                    .field_u64("rows", *rows);
+                    .field_u64("seq", *seq);
                 obj = match poisoned {
                     Some(p) => obj.field_raw("poisoned", &poisoned_json(p)),
                     None => obj.field_raw("poisoned", "null"),
+                };
+                obj = match profile {
+                    Some(line) => obj.field_str("profile", line),
+                    None => obj.field_raw("profile", "null"),
                 };
                 obj.finish()
             }
@@ -255,7 +274,6 @@ impl Msg {
         match str_of("t")?.as_str() {
             "hello" => Ok(Msg::Hello {
                 ver: u64_of("ver")?,
-                sig: str_of("sig")?,
                 worker: str_of("worker")?,
             }),
             "hello_ok" => Ok(Msg::HelloOk {
@@ -265,12 +283,28 @@ impl Msg {
                 code: str_of("code")?,
                 reason: str_of("reason")?,
             }),
-            "grant" => Ok(Msg::Grant {
-                lease: u64_of("lease")?,
-                attempt: u32_of("attempt")?,
-                points: str_of("points")?,
-                max_retries: u32_of("max_retries")?,
-            }),
+            "grant" => {
+                let mut points = Vec::new();
+                for p in v
+                    .get("points")
+                    .and_then(|x| x.as_arr())
+                    .ok_or("missing array field \"points\"")?
+                {
+                    let label = p.get("app").and_then(|x| x.as_str()).unwrap_or_default();
+                    let app = AppId::ALL
+                        .into_iter()
+                        .find(|a| a.label() == label)
+                        .ok_or_else(|| format!("unknown app {label:?}"))?;
+                    points.push((app, json::field(p, "config")?));
+                }
+                Ok(Msg::Grant {
+                    lease: u64_of("lease")?,
+                    attempt: u32_of("attempt")?,
+                    gen: json::field(&v, "gen")?,
+                    full_replay: json::field(&v, "full_replay")?,
+                    points,
+                })
+            }
             "hb" => Ok(Msg::Hb {
                 lease: u64_of("lease")?,
                 done: u64_of("done")?,
@@ -279,11 +313,14 @@ impl Msg {
             "point" => Ok(Msg::Point {
                 lease: u64_of("lease")?,
                 seq: u64_of("seq")?,
-                rows: u64_of("rows")?,
                 poisoned: match v.get("poisoned") {
                     Some(p) if p.as_obj().is_some() => Some(parse_poisoned(p)?),
                     _ => None,
                 },
+                profile: v
+                    .get("profile")
+                    .and_then(|x| x.as_str())
+                    .map(str::to_string),
             }),
             "result" => Ok(Msg::Result {
                 lease: u64_of("lease")?,
@@ -437,8 +474,7 @@ mod tests {
             (
                 Msg::Hello {
                     ver: PROTOCOL_VERSION,
-                    sig: "5x6:00c0ffee:11deadbeef".into(),
-                    worker: "host-1234".into(),
+                    worker: "w1234".into(),
                 },
                 vec![],
             ),
@@ -450,8 +486,8 @@ mod tests {
             ),
             (
                 Msg::Reject {
-                    code: REJECT_SIG.into(),
-                    reason: "sweep signature mismatch \"quoted\"".into(),
+                    code: REJECT_VERSION.into(),
+                    reason: "protocol version 1 != 2 \"quoted\"".into(),
                 },
                 vec![],
             ),
@@ -459,8 +495,12 @@ mod tests {
                 Msg::Grant {
                     lease: 7,
                     attempt: 2,
-                    points: "0-4,9,11-12".into(),
-                    max_retries: 3,
+                    gen: GenParams::tiny(),
+                    full_replay: true,
+                    points: vec![
+                        (AppId::Hydro, NodeConfig::REFERENCE),
+                        (AppId::Lulesh, musa_arch::DesignSpace::all()[863]),
+                    ],
                 },
                 vec![],
             ),
@@ -484,8 +524,8 @@ mod tests {
                 Msg::Point {
                     lease: 7,
                     seq: 3,
-                    rows: 1,
                     poisoned: None,
+                    profile: Some("{\"schema\":1,\"key\":\"abc\",\"crc\":7}".into()),
                 },
                 b"{\"key\":\"abc\",\"v\":1}\n".to_vec(),
             ),
@@ -493,7 +533,7 @@ mod tests {
                 Msg::Point {
                     lease: 7,
                     seq: 4,
-                    rows: 0,
+                    profile: None,
                     poisoned: Some(PoisonedPoint {
                         app: "hydro".into(),
                         config: "cfg \"q\"".into(),
@@ -510,7 +550,7 @@ mod tests {
                     done: 5,
                     rows: 4,
                 },
-                vec![],
+                b"{\"schema\":1,\"counters\":{}}".to_vec(),
             ),
             (Msg::Ping, vec![]),
             (Msg::Pong, vec![]),

@@ -15,16 +15,17 @@
 //! |------------------------------------|--------------------------------|
 //! | EOF / ECONNRESET / write error     | connection dead immediately    |
 //! | frame CRC / length / header error  | dead — resync is guesswork     |
+//! | row that is not the leased point's | dead — same verdict as a garble|
 //! | idle and silent > 10 s             | dead (workers ping every ~1 s) |
 //! | leased and silent > timeout + 5 s  | dead (workers heartbeat/point) |
 //!
 //! A dead connection holding a lease surfaces as
 //! [`RemoteEvent::LeaseDead`] carrying the durable progress (`done`
 //! points — their rows were appended as the frames arrived) and the
-//! heartbeat blame, and the supervisor's existing strike/poison/
-//! requeue machinery takes it from there. The busy deadline only
-//! applies when the campaign configured a point timeout, mirroring the
-//! local watchdog's semantics.
+//! heartbeat blame, and the supervisor's strike/poison/requeue
+//! machinery takes it from there. The busy deadline is the campaign's
+//! `--point-timeout`; without one a leased connection is never cut for
+//! silence.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -34,10 +35,12 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime};
 
 use musa_obs::json::JsonObj;
-use musa_pool::{RemoteEvent, RemoteHub, RemoteLease};
-use musa_store::PoisonedPoint;
+use musa_obs::MetricsSnapshot;
+use musa_pool::{LeaseProgress, RemoteEvent, RemoteHub, RemoteLease};
+use musa_prof::{PointProfile, ProfileSink};
+use musa_store::{PointKey, StoreRow};
 
-use crate::codec::{encode, Frame, FrameBuf, Msg, PROTOCOL_VERSION, REJECT_SIG, REJECT_VERSION};
+use crate::codec::{encode, Frame, FrameBuf, Msg, PROTOCOL_VERSION, REJECT_VERSION};
 
 /// Liveness beacon file in the store directory: `{"addr":..,
 /// "connected":..,"draining":..,"updated_unix":..}`, rewritten
@@ -64,27 +67,122 @@ const STATUS_PERIOD: Duration = Duration::from_secs(2);
 /// Hub configuration.
 #[derive(Debug, Clone)]
 pub struct DistHubOptions {
-    /// Campaign sweep signature; hellos carrying any other value are
-    /// rejected (the remote would simulate a different campaign).
-    pub sig: String,
     /// Campaign store directory: shipped rows land here as
-    /// `dist-l{lease:04}-a{attempt}.jsonl`, next to the local workers'
-    /// `pool-*.jsonl` files, and the status beacon lives here.
+    /// `dist-l{lease:04}-a{attempt}.jsonl`, shipped profile lines in
+    /// `profiles.jsonl`, and the status beacon lives here.
     pub store_dir: PathBuf,
     /// The campaign's per-point timeout, if any; scales the busy
     /// liveness deadline.
     pub point_timeout: Option<Duration>,
+    /// Row-append retries (with backoff) before a transient I/O error
+    /// costs the connection its lease.
+    pub max_retries: u32,
 }
 
 struct LeaseState {
-    id: u64,
-    attempt: u32,
-    points: Vec<u64>,
-    done: u64,
-    rows: u64,
-    poisoned: Vec<PoisonedPoint>,
+    progress: LeaseProgress,
+    /// Hex [`PointKey`] of every leased point, in lease order: a point
+    /// frame is accepted only if it carries exactly the next one.
+    keys: Vec<String>,
+    /// Position of the point the last heartbeat named.
     current: Option<u64>,
     file: Option<fs::File>,
+    /// Durable length of `file`.
+    bytes: u64,
+}
+
+/// The hub's side of the store directory.
+struct Disk {
+    store_dir: PathBuf,
+    max_retries: u32,
+    /// Row appends attempted (the `store.flush` failpoint key).
+    flush_seq: u64,
+    profiles: Option<ProfileSink>,
+}
+
+impl Disk {
+    /// Append one shipped row to the lease's shard and push it to the
+    /// device: `done` must never run ahead of durable rows (the
+    /// journal-before-reality stance). A failed attempt is truncated
+    /// away before the retry, so the shard never holds a torn interior
+    /// line.
+    fn append_row(&mut self, ls: &mut LeaseState, row: &[u8]) -> std::io::Result<()> {
+        let mut retries = 0;
+        loop {
+            self.flush_seq += 1;
+            let res = musa_fault::fail_io("store.flush", self.flush_seq).and_then(|()| {
+                if ls.file.is_none() {
+                    let path = self.store_dir.join(format!(
+                        "dist-l{:04}-a{}.jsonl",
+                        ls.progress.lease, ls.progress.attempt
+                    ));
+                    ls.file = Some(
+                        fs::OpenOptions::new()
+                            .create(true)
+                            .append(true)
+                            .open(path)?,
+                    );
+                }
+                let f = ls.file.as_mut().expect("file opened above");
+                f.set_len(ls.bytes)?;
+                f.write_all(row)?;
+                f.sync_data()
+            });
+            match res {
+                Ok(()) => {
+                    ls.bytes += row.len() as u64;
+                    return Ok(());
+                }
+                Err(e) if retries < self.max_retries => {
+                    retries += 1;
+                    musa_obs::counter_add("fill.retries", 1);
+                    musa_obs::warn(
+                        "musa-dist",
+                        "row append failed, retrying",
+                        &[
+                            ("error", e.to_string().into()),
+                            ("attempt", retries.into()),
+                            ("max_retries", self.max_retries.into()),
+                        ],
+                    );
+                    std::thread::sleep(musa_fault::jittered_backoff(retries, ls.progress.lease));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Append one shipped profile line to the store's flight record.
+    /// Telemetry: a line that does not unseal is dropped, never fatal.
+    fn append_profile(&mut self, line: &str) {
+        if PointProfile::parse(line).is_none() {
+            musa_obs::counter_add("prof.dropped", 1);
+            return;
+        }
+        if self.profiles.is_none() {
+            self.profiles = ProfileSink::open(&self.store_dir).ok();
+        }
+        if let Some(sink) = self.profiles.as_mut() {
+            sink.append(line);
+        }
+    }
+}
+
+/// Whether `body` is exactly one sealed, self-consistent row line
+/// stored under `key`.
+fn row_is_for(body: &[u8], key: &str) -> bool {
+    let Some(line) = std::str::from_utf8(body)
+        .ok()
+        .and_then(|text| text.strip_suffix('\n'))
+    else {
+        return false;
+    };
+    let sealed = musa_store::integrity::unseal_line(line)
+        .is_some_and(|(canonical, crc)| musa_store::crc32(canonical.as_bytes()) == crc);
+    sealed
+        && !line.contains('\n')
+        && musa_obs::json::from_str::<StoreRow>(line)
+            .is_ok_and(|row| row.key == key && row.is_consistent())
 }
 
 struct Conn {
@@ -97,6 +195,8 @@ struct Conn {
     last_frame: Instant,
     closing: Option<(String, Instant)>,
     dead: Option<String>,
+    /// `dead` was the per-point deadline's verdict.
+    timed_out: bool,
     send_seq: u64,
     recv_seq: u64,
 }
@@ -124,12 +224,13 @@ impl Conn {
     }
 }
 
-/// The [`RemoteHub`] implementation `dse --listen` plugs into the
+/// The [`RemoteHub`] implementation `dse --workers` plugs into the
 /// pool supervisor.
 pub struct DistHub {
     listener: TcpListener,
     addr: SocketAddr,
-    opts: DistHubOptions,
+    point_timeout: Option<Duration>,
+    disk: Disk,
     conns: Vec<Conn>,
     events: Vec<RemoteEvent>,
     draining: bool,
@@ -150,7 +251,13 @@ impl DistHub {
         let mut hub = DistHub {
             listener,
             addr,
-            opts,
+            point_timeout: opts.point_timeout,
+            disk: Disk {
+                store_dir: opts.store_dir,
+                max_retries: opts.max_retries,
+                flush_seq: 0,
+                profiles: None,
+            },
             conns: Vec::new(),
             events: Vec::new(),
             draining: false,
@@ -162,7 +269,7 @@ impl DistHub {
         hub.write_status(true);
         musa_obs::info(
             "musa-dist",
-            "listening for remote campaign workers",
+            "listening for campaign workers",
             &[("addr", hub.addr.to_string().into())],
         );
         Ok(hub)
@@ -208,6 +315,7 @@ impl DistHub {
                         last_frame: Instant::now(),
                         closing: None,
                         dead: None,
+                        timed_out: false,
                         send_seq: 0,
                         recv_seq: 0,
                     });
@@ -279,16 +387,26 @@ impl DistHub {
         }
     }
 
-    fn handle_frame(&mut self, ci: usize, frame: Frame) {
+    /// Apply one frame; `false` once it drew a verdict against the
+    /// connection. Frames behind a verdict must not be applied: a
+    /// later heartbeat would rewrite the blame, a later point frame
+    /// the reason.
+    fn handle_frame(&mut self, ci: usize, frame: Frame) -> bool {
         musa_obs::counter_add("dist.frames_recv", 1);
-        let draining = self.draining;
-        let sig = self.opts.sig.clone();
-        let store_dir = self.opts.store_dir.clone();
+        // A connection already dead by EOF still gets its buffered
+        // frames applied; only a verdict from a frame itself stops it.
+        let eof = self.conns[ci].dead.take();
         if let Some(ev) =
-            Self::frame_on_conn(&mut self.conns[ci], frame, draining, &sig, &store_dir)
+            Self::frame_on_conn(&mut self.conns[ci], frame, self.draining, &mut self.disk)
         {
             self.events.push(ev);
         }
+        let conn = &mut self.conns[ci];
+        if conn.dead.is_some() {
+            return false;
+        }
+        conn.dead = eof;
+        true
     }
 
     /// Apply one frame to one connection; a completed lease comes back
@@ -297,17 +415,12 @@ impl DistHub {
         conn: &mut Conn,
         frame: Frame,
         draining: bool,
-        sig: &str,
-        store_dir: &std::path::Path,
+        disk: &mut Disk,
     ) -> Option<RemoteEvent> {
         conn.last_frame = Instant::now();
         if !conn.ready {
             match frame.msg {
-                Msg::Hello {
-                    ver,
-                    sig: their_sig,
-                    worker,
-                } => {
+                Msg::Hello { ver, worker } => {
                     if ver != PROTOCOL_VERSION {
                         conn.queue(
                             &Msg::Reject {
@@ -317,30 +430,9 @@ impl DistHub {
                             &[],
                         );
                         conn.mark_closing("version mismatch");
-                    } else if their_sig != sig {
-                        musa_obs::counter_add("dist.sig_rejects", 1);
-                        musa_obs::warn(
-                            "musa-dist",
-                            "worker rejected: sweep signature mismatch",
-                            &[
-                                ("peer", conn.peer.clone().into()),
-                                ("ours", sig.to_string().into()),
-                                ("theirs", their_sig.clone().into()),
-                            ],
-                        );
-                        conn.queue(
-                            &Msg::Reject {
-                                code: REJECT_SIG.to_string(),
-                                reason: format!(
-                                    "sweep signature mismatch (supervisor has a \
-                                     different campaign geometry/schema than {their_sig})"
-                                ),
-                            },
-                            &[],
-                        );
-                        conn.mark_closing("signature mismatch");
                     } else {
                         conn.ready = true;
+                        conn.peer = format!("{worker}@{}", conn.peer);
                         conn.queue(
                             &Msg::HelloOk {
                                 ver: PROTOCOL_VERSION,
@@ -349,11 +441,8 @@ impl DistHub {
                         );
                         musa_obs::info(
                             "musa-dist",
-                            "remote worker joined",
-                            &[
-                                ("peer", conn.peer.clone().into()),
-                                ("worker", worker.into()),
-                            ],
+                            "worker joined",
+                            &[("peer", conn.peer.clone().into())],
                         );
                         if draining {
                             // Late joiner during drain: send it away.
@@ -371,7 +460,7 @@ impl DistHub {
             Msg::Ping => conn.queue(&Msg::Pong, &[]),
             Msg::Hb { lease, current, .. } => {
                 if let Some(ls) = conn.lease.as_mut() {
-                    if ls.id == lease {
+                    if ls.progress.lease == lease {
                         ls.current = current;
                     }
                 }
@@ -379,79 +468,83 @@ impl DistHub {
             Msg::Point {
                 lease,
                 seq,
-                rows,
                 poisoned,
+                profile,
             } => {
                 let Some(ls) = conn.lease.as_mut() else {
                     conn.dead = Some("protocol error: point frame without a lease".into());
                     return None;
                 };
-                if ls.id != lease || seq != ls.done {
+                if ls.progress.lease != lease || seq != ls.progress.done {
                     conn.dead = Some(format!(
                         "protocol error: point frame out of order \
                          (lease {lease} seq {seq}, expected lease {} seq {})",
-                        ls.id, ls.done
+                        ls.progress.lease, ls.progress.done
                     ));
                     return None;
                 }
-                if !frame.body.is_empty() {
-                    // Append the shipped bytes verbatim and push them to
-                    // the device before acknowledging progress: `done`
-                    // must never run ahead of durable rows (the same
-                    // journal-before-reality stance as the local pool).
-                    let path = store_dir.join(format!("dist-l{:04}-a{}.jsonl", ls.id, ls.attempt));
-                    let res = (|| -> std::io::Result<()> {
-                        if ls.file.is_none() {
-                            ls.file = Some(
-                                fs::OpenOptions::new()
-                                    .create(true)
-                                    .append(true)
-                                    .open(&path)?,
-                            );
-                        }
-                        let f = ls.file.as_mut().expect("file opened above");
-                        f.write_all(&frame.body)?;
-                        f.sync_data()
-                    })();
-                    if let Err(e) = res {
+                // The frame must carry the next leased point and
+                // nothing else: its sealed, self-consistent row, or
+                // its poison record with an empty body.
+                let is_row = poisoned.is_none();
+                let genuine = ls
+                    .keys
+                    .get(seq as usize)
+                    .is_some_and(|key| match &poisoned {
+                        Some(p) => frame.body.is_empty() && p.key == *key,
+                        None => row_is_for(&frame.body, key),
+                    });
+                if !genuine {
+                    conn.dead = Some(format!(
+                        "protocol error: point frame {seq} of lease {lease} does not \
+                         carry the leased point"
+                    ));
+                    return None;
+                }
+                if is_row {
+                    if let Err(e) = disk.append_row(ls, &frame.body) {
                         // Local disk trouble is *our* fault, not the
                         // worker's: drop the connection so the lease
                         // requeues rather than silently losing rows.
                         conn.dead = Some(format!("store append failed: {e}"));
                         return None;
                     }
+                    ls.progress.rows += 1;
+                    musa_obs::counter_add("dist.rows_shipped", 1);
                 }
-                ls.done += 1;
-                ls.rows += rows;
+                ls.progress.poisoned.extend(poisoned);
+                if let Some(line) = profile {
+                    disk.append_profile(&line);
+                }
+                ls.progress.done += 1;
                 ls.current = None;
-                if let Some(p) = poisoned {
-                    ls.poisoned.push(p);
-                }
-                musa_obs::counter_add("dist.rows_shipped", rows);
             }
             Msg::Result {
-                lease,
-                attempt,
-                done,
-                rows,
+                lease, done, rows, ..
             } => {
-                let Some(ls) = conn.lease.as_ref() else {
+                let Some(ls) = conn.lease.as_mut() else {
                     conn.dead = Some("protocol error: result frame without a lease".into());
                     return None;
                 };
-                if ls.id != lease {
+                if ls.progress.lease != lease {
                     conn.dead = Some(format!(
                         "protocol error: result for lease {lease}, expected {}",
-                        ls.id
+                        ls.progress.lease
                     ));
                     return None;
                 }
-                if done as usize == ls.points.len() {
-                    if ls.done != done || ls.rows != rows {
+                if let Some(snap) = std::str::from_utf8(&frame.body)
+                    .ok()
+                    .and_then(|text| MetricsSnapshot::from_json(text).ok())
+                {
+                    ls.progress.metrics.absorb(&snap);
+                }
+                if done as usize == ls.keys.len() {
+                    if ls.progress.done != done || ls.progress.rows != rows {
                         conn.dead = Some(format!(
                             "protocol error: result manifest disagrees with shipped \
                              points (manifest {done}/{rows}, shipped {}/{})",
-                            ls.done, ls.rows
+                            ls.progress.done, ls.progress.rows
                         ));
                         return None;
                     }
@@ -459,20 +552,15 @@ impl DistHub {
                     musa_obs::counter_add("dist.leases_done", 1);
                     musa_obs::debug(
                         "musa-dist",
-                        "remote lease completed",
+                        "lease completed",
                         &[
-                            ("lease", ls.id.into()),
-                            ("attempt", ls.attempt.into()),
-                            ("rows", ls.rows.into()),
+                            ("lease", ls.progress.lease.into()),
+                            ("attempt", ls.progress.attempt.into()),
+                            ("rows", ls.progress.rows.into()),
                             ("peer", conn.peer.clone().into()),
                         ],
                     );
-                    return Some(RemoteEvent::LeaseDone {
-                        lease: ls.id,
-                        attempt,
-                        rows: ls.rows,
-                        poisoned: ls.poisoned,
-                    });
+                    return Some(RemoteEvent::LeaseDone(ls.progress));
                 }
                 // A partial manifest (drain) is informational: the
                 // Bye/EOF that follows settles the lease as dead with
@@ -500,19 +588,23 @@ impl DistHub {
                 }
                 continue;
             }
-            let deadline = if conn.lease.is_some() {
+            let silent = now.duration_since(conn.last_frame);
+            if conn.lease.is_none() {
+                if silent > IDLE_TIMEOUT {
+                    conn.dead = Some(format!(
+                        "liveness timeout ({}s without a frame)",
+                        silent.as_secs()
+                    ));
+                }
+            } else if let Some(timeout) = self.point_timeout {
                 // Only enforce a busy deadline when the campaign has a
                 // point timeout — an unbounded point must not get its
                 // connection cut from under it.
-                self.opts.point_timeout.map(|t| t + BUSY_GRACE)
-            } else {
-                Some(IDLE_TIMEOUT)
-            };
-            if let Some(d) = deadline {
-                if now.duration_since(conn.last_frame) > d {
+                if silent > timeout + BUSY_GRACE {
+                    conn.timed_out = true;
                     conn.dead = Some(format!(
-                        "liveness timeout ({}s without a frame)",
-                        now.duration_since(conn.last_frame).as_secs()
+                        "deadline exceeded ({timeout:?} point timeout, {}s without a frame)",
+                        silent.as_secs()
                     ));
                 }
             }
@@ -535,20 +627,18 @@ impl DistHub {
                     "connection died holding a lease",
                     &[
                         ("peer", conn.peer.clone().into()),
-                        ("lease", ls.id.into()),
-                        ("attempt", ls.attempt.into()),
-                        ("done", ls.done.into()),
+                        ("lease", ls.progress.lease.into()),
+                        ("attempt", ls.progress.attempt.into()),
+                        ("done", ls.progress.done.into()),
                         ("reason", reason.clone().into()),
                     ],
                 );
                 self.events.push(RemoteEvent::LeaseDead {
-                    lease: ls.id,
-                    attempt: ls.attempt,
-                    done: ls.done,
-                    blamed: ls.current,
+                    progress: ls.progress,
+                    blamed: ls.current.map(|pos| pos as usize),
                     reason,
-                    rows: ls.rows,
-                    poisoned: ls.poisoned,
+                    deadline: conn.timed_out,
+                    worker: conn.peer,
                 });
             } else {
                 musa_obs::debug(
@@ -592,7 +682,7 @@ impl DistHub {
             &body[..body.len() - 1],
             format_args!(",\"updated_unix\":{updated}}}")
         );
-        let path = self.opts.store_dir.join(STATUS_FILE);
+        let path = self.disk.store_dir.join(STATUS_FILE);
         if musa_store::atomic_write(&path, stamped.as_bytes(), "dist.status").is_ok() {
             self.status_body = body;
             self.status_at = Instant::now();
@@ -601,6 +691,10 @@ impl DistHub {
 }
 
 impl RemoteHub for DistHub {
+    fn addr(&self) -> String {
+        self.addr.to_string()
+    }
+
     fn poll(&mut self) -> std::io::Result<Vec<RemoteEvent>> {
         if !self.shut {
             if !self.draining {
@@ -614,7 +708,11 @@ impl RemoteHub for DistHub {
                 // point to blame).
                 loop {
                     match self.conns[ci].inbuf.next_frame() {
-                        Ok(Some(frame)) => self.handle_frame(ci, frame),
+                        Ok(Some(frame)) => {
+                            if !self.handle_frame(ci, frame) {
+                                break;
+                            }
+                        }
                         Ok(None) => break,
                         Err(e) => {
                             musa_obs::counter_add("dist.frame_errors", 1);
@@ -665,8 +763,9 @@ impl RemoteHub for DistHub {
                 &Msg::Grant {
                     lease: lease.id,
                     attempt: lease.attempt,
-                    points: musa_pool::lease::encode_points(&lease.points),
-                    max_retries: lease.max_retries,
+                    gen: lease.sweep.gen,
+                    full_replay: lease.sweep.full_replay,
+                    points: lease.points.clone(),
                 },
                 &[],
             );
@@ -676,14 +775,19 @@ impl RemoteHub for DistHub {
                 continue;
             }
             conn.lease = Some(LeaseState {
-                id: lease.id,
-                attempt: lease.attempt,
-                points: lease.points.clone(),
-                done: 0,
-                rows: 0,
-                poisoned: Vec::new(),
+                progress: LeaseProgress {
+                    lease: lease.id,
+                    attempt: lease.attempt,
+                    ..LeaseProgress::default()
+                },
+                keys: lease
+                    .points
+                    .iter()
+                    .map(|(app, config)| PointKey::for_point(*app, config, &lease.sweep).to_hex())
+                    .collect(),
                 current: None,
                 file: None,
+                bytes: 0,
             });
             return Some(conn.peer.clone());
         }

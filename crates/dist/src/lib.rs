@@ -1,31 +1,35 @@
 //! # musa-dist
 //!
-//! Fault-tolerant distributed campaign execution: remote workers
-//! connect to the pool supervisor over a hand-rolled, length-prefixed,
-//! CRC-32-sealed framed TCP protocol, and `dse --listen ADDR
-//! --workers N` plus any number of `dse dist-worker --connect ADDR`
-//! processes execute one campaign cooperatively.
+//! Fault-tolerant campaign execution over a wire: workers connect to
+//! the pool supervisor over a hand-rolled, length-prefixed,
+//! CRC-32-sealed framed TCP protocol. `dse --workers N` runs its own
+//! N `dse dist-worker` children over loopback, `--listen ADDR` lets
+//! any number of `dse dist-worker --connect ADDR` processes on other
+//! machines join the same campaign — there is one worker program and
+//! one worker→supervisor channel.
 //!
-//! The design extends `musa-pool` rather than replacing it: the
-//! supervisor's lease queue, journal, strike/poison/requeue machinery
-//! and drain semantics are all shared. `musa-dist` contributes exactly
-//! three things:
+//! The supervisor's lease queue, journal, strike/poison/requeue
+//! machinery and drain semantics live in `musa-pool`. `musa-dist`
+//! contributes exactly three things:
 //!
 //! * [`codec`] — the wire format. One frame is a JSON header line plus
 //!   an opaque body, length-prefixed and CRC-sealed; decoding never
 //!   panics and never trusts the wire (typed errors, hard size cap).
-//!   Campaign rows travel in frame bodies as the exact bytes a
-//!   worker's staging store flushed, which is what makes distributed
-//!   runs byte-identical to sequential ones.
+//!   Leases are self-describing — a grant names the points and the
+//!   sweep, so a worker derives nothing from its environment — and
+//!   campaign rows travel in frame bodies as the exact sealed line
+//!   [`musa_store::PointExecutor`] produced, which is what makes
+//!   distributed runs byte-identical to sequential ones.
 //! * [`hub`] — [`DistHub`], the supervisor-side
 //!   [`musa_pool::RemoteHub`]: a nonblocking TCP endpoint polled from
-//!   the lease loop, appending shipped rows durably as they arrive and
-//!   converting every connection failure (EOF, CRC mismatch, liveness
-//!   timeout) into a lease-death event the pool already knows how to
-//!   handle.
-//! * [`worker`] — [`run_dist_worker`], the remote side: handshake with
-//!   sweep-signature verification, lease execution through a
-//!   campaign-provided [`PointRunner`], heartbeats over the wire, and
+//!   the lease loop. It accepts a shipped row only if it unseals and
+//!   is the leased point's, appends it durably, appends the point's
+//!   profile line to the store's flight record, and converts every
+//!   connection failure (EOF, CRC mismatch, wrong-point row, liveness
+//!   timeout) into a lease-death event the pool knows how to handle.
+//! * [`worker`] — [`run_dist_worker`], the worker side: handshake,
+//!   lease execution through a [`PointRunner`] (the real one is
+//!   [`musa_store::PointExecutor`]), heartbeats over the wire, and
 //!   seeded-jittered reconnect that survives a supervisor `kill -9` +
 //!   `--resume`.
 //!
@@ -43,36 +47,60 @@ pub mod worker;
 pub use codec::{Frame, FrameBuf, FrameError, Msg, MAX_FRAME, PROTOCOL_VERSION};
 pub use hub::{DistHub, DistHubOptions, STATUS_FILE};
 pub use worker::{
-    run_dist_worker, DistWorkerOptions, PointOutcome, PointRunner, WorkerExit,
-    DEFAULT_MAX_RECONNECTS, DEFAULT_RECONNECT_FOR,
+    run_dist_worker, DistWorkerOptions, PointRunner, WorkerExit, DEFAULT_MAX_RECONNECTS,
+    DEFAULT_RECONNECT_FOR,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use musa_pool::{RemoteEvent, RemoteHub, RemoteLease};
-    use musa_store::PoisonedPoint;
+    use musa_apps::{AppId, GenParams};
+    use musa_arch::{DesignSpace, NodeConfig};
+    use musa_core::SweepOptions;
+    use musa_pool::{LeaseProgress, RemoteEvent, RemoteHub, RemoteLease};
+    use musa_store::{PointExecutor, PointKey, PointOutput, PoisonedPoint};
+    use std::io::{Read, Write};
     use std::time::{Duration, Instant};
 
-    fn hub_in(dir: &std::path::Path, sig: &str) -> DistHub {
+    fn hub_in(dir: &std::path::Path) -> DistHub {
         DistHub::bind(
             "127.0.0.1:0",
             DistHubOptions {
-                sig: sig.to_string(),
                 store_dir: dir.to_path_buf(),
                 point_timeout: Some(Duration::from_secs(5)),
+                max_retries: 0,
             },
         )
         .expect("bind loopback")
     }
 
-    fn worker_opts(hub: &DistHub, sig: &str, tag: &str) -> DistWorkerOptions {
+    fn worker_opts(hub: &DistHub, tag: &str) -> DistWorkerOptions {
         DistWorkerOptions {
             connect: hub.local_addr().to_string(),
-            sig: sig.to_string(),
             tag: tag.to_string(),
             reconnect_for: Duration::from_secs(5),
             max_reconnects: DEFAULT_MAX_RECONNECTS,
+        }
+    }
+
+    fn sweep() -> SweepOptions {
+        SweepOptions {
+            gen: GenParams::tiny(),
+            full_replay: false,
+        }
+    }
+
+    /// A three-point hydro lease spread across the design space.
+    fn lease(id: u64, attempt: u32) -> RemoteLease {
+        RemoteLease {
+            id,
+            attempt,
+            sweep: sweep(),
+            points: DesignSpace::all()
+                .into_iter()
+                .step_by(400)
+                .map(|config| (AppId::Hydro, config))
+                .collect(),
         }
     }
 
@@ -93,75 +121,105 @@ mod tests {
         }
     }
 
+    /// A real executor whose output a script may tamper with.
     struct ScriptedRunner {
-        rows_for: fn(u64) -> PointOutcome,
+        exec: PointExecutor,
+        ran: u64,
+        script: fn(&mut PointExecutor, u64, AppId, &NodeConfig, &SweepOptions) -> PointOutput,
+    }
+
+    impl ScriptedRunner {
+        fn new(
+            script: fn(&mut PointExecutor, u64, AppId, &NodeConfig, &SweepOptions) -> PointOutput,
+        ) -> ScriptedRunner {
+            ScriptedRunner {
+                exec: PointExecutor::new(None),
+                ran: 0,
+                script,
+            }
+        }
     }
 
     impl PointRunner for ScriptedRunner {
-        fn begin_lease(&mut self, _lease: u64, _attempt: u32) -> std::io::Result<()> {
-            Ok(())
-        }
-        fn run_point(&mut self, idx: u64) -> std::io::Result<PointOutcome> {
-            Ok((self.rows_for)(idx))
+        fn begin_lease(&mut self, _lease: u64, _attempt: u32) {}
+        fn run_point(&mut self, app: AppId, config: &NodeConfig, s: &SweepOptions) -> PointOutput {
+            self.ran += 1;
+            (self.script)(&mut self.exec, self.ran, app, config, s)
         }
     }
 
-    fn plain_row(idx: u64) -> PointOutcome {
-        PointOutcome {
-            row_bytes: format!("{{\"point\":{idx}}}\n").into_bytes(),
-            rows: 1,
-            poisoned: None,
+    fn spawn_worker(
+        hub: &DistHub,
+        tag: &str,
+        mut runner: ScriptedRunner,
+    ) -> std::thread::JoinHandle<WorkerExit> {
+        let opts = worker_opts(hub, tag);
+        std::thread::spawn(move || run_dist_worker(&opts, &mut runner))
+    }
+
+    fn profile_line(key: &str) -> String {
+        musa_prof::PointProfile {
+            schema: musa_prof::PROF_SCHEMA,
+            key: key.to_string(),
+            app: "hydro".into(),
+            worker: "l0001-a0".into(),
+            ..musa_prof::PointProfile::default()
         }
+        .to_line()
     }
 
     #[test]
-    fn lease_roundtrip_ships_rows_and_completes() {
+    fn lease_roundtrip_ships_rows_and_profiles_and_completes() {
         let dir = tempdir("dist-roundtrip");
-        let mut hub = hub_in(&dir, "sig-a");
-        let opts = worker_opts(&hub, "sig-a", "w1");
-        let worker = std::thread::spawn(move || {
-            let mut runner = ScriptedRunner {
-                rows_for: plain_row,
-            };
-            run_dist_worker(&opts, &mut runner)
-        });
+        let mut hub = hub_in(&dir);
+        let worker = spawn_worker(
+            &hub,
+            "w1",
+            ScriptedRunner::new(|exec, _, app, config, s| {
+                let mut out = exec.run(app, config, s);
+                out.profile = Some(profile_line(&out.row.as_ref().unwrap().row.key));
+                out
+            }),
+        );
 
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
         drive(&mut hub, &mut events, deadline, |h, _| h.idle() > 0);
         assert_eq!(hub.connected(), 1, "worker should have joined");
 
-        let peer = hub
-            .offer(&RemoteLease {
-                id: 1,
-                attempt: 0,
-                points: vec![3, 4, 7],
-                max_retries: 2,
-            })
-            .expect("idle worker takes the lease");
-        assert!(!peer.is_empty());
+        let lease = lease(1, 0);
+        let peer = hub.offer(&lease).expect("idle worker takes the lease");
+        assert!(peer.starts_with("w1@127.0.0.1:"), "peer tag: {peer}");
 
         drive(&mut hub, &mut events, deadline, |_, evs| !evs.is_empty());
         match &events[..] {
-            [RemoteEvent::LeaseDone {
+            [RemoteEvent::LeaseDone(LeaseProgress {
                 lease: 1,
                 attempt: 0,
+                done: 3,
                 rows: 3,
                 poisoned,
-            }] => {
-                assert!(poisoned.is_empty());
-            }
+                ..
+            })] => assert!(poisoned.is_empty()),
             other => panic!("expected one LeaseDone, got {other:?}"),
         }
+        // The shard holds exactly the lines a local executor produces.
+        let mut exec = PointExecutor::new(None);
+        let want: String = lease
+            .points
+            .iter()
+            .map(|(app, config)| exec.run(*app, config, &sweep()).row.unwrap().line + "\n")
+            .collect();
         let shipped = std::fs::read_to_string(dir.join("dist-l0001-a0.jsonl")).expect("rows file");
-        assert_eq!(shipped, "{\"point\":3}\n{\"point\":4}\n{\"point\":7}\n");
+        assert_eq!(shipped, want);
+        let (profiles, rep) = musa_prof::load_profiles(&dir).expect("profiles");
+        assert_eq!((profiles.len(), rep.corrupt, rep.torn_tails), (3, 0, 0));
 
         // Drain: the idle worker must exit cleanly.
         hub.drain();
         drive(&mut hub, &mut events, deadline, |h, _| h.connected() == 0);
         hub.shutdown();
-        let exit = worker.join().expect("worker thread").expect("worker io");
-        assert_eq!(exit, WorkerExit::Drained);
+        assert_eq!(worker.join().expect("worker thread"), WorkerExit::Drained);
         let status = std::fs::read_to_string(dir.join(STATUS_FILE)).expect("status beacon");
         assert!(status.contains("\"draining\":true"), "status: {status}");
         cleanup(&dir);
@@ -170,50 +228,39 @@ mod tests {
     #[test]
     fn poisoned_points_travel_in_the_point_frame() {
         let dir = tempdir("dist-poison");
-        let mut hub = hub_in(&dir, "sig-p");
-        let opts = worker_opts(&hub, "sig-p", "w1");
-        let worker = std::thread::spawn(move || {
-            let mut runner = ScriptedRunner {
-                rows_for: |idx| {
-                    if idx == 4 {
-                        PointOutcome {
-                            row_bytes: Vec::new(),
-                            rows: 0,
-                            poisoned: Some(PoisonedPoint {
-                                app: "hydro".into(),
-                                config: "cfg4".into(),
-                                key: "k4".into(),
-                                reason: "panicked: boom".into(),
-                            }),
-                        }
-                    } else {
-                        plain_row(idx)
-                    }
-                },
-            };
-            run_dist_worker(&opts, &mut runner)
-        });
+        let mut hub = hub_in(&dir);
+        let worker = spawn_worker(
+            &hub,
+            "w1",
+            ScriptedRunner::new(|exec, ran, app, config, s| {
+                let mut out = exec.run(app, config, s);
+                if ran == 1 {
+                    out.row = Err(PoisonedPoint {
+                        app: app.label().into(),
+                        config: config.label(),
+                        key: PointKey::for_point(app, config, s).to_hex(),
+                        reason: "panicked: boom".into(),
+                    });
+                }
+                out
+            }),
+        );
 
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
         drive(&mut hub, &mut events, deadline, |h, _| h.idle() > 0);
-        hub.offer(&RemoteLease {
-            id: 2,
-            attempt: 1,
-            points: vec![4, 5],
-            max_retries: 2,
-        })
-        .expect("offer");
+        hub.offer(&lease(2, 1)).expect("offer");
         drive(&mut hub, &mut events, deadline, |_, evs| !evs.is_empty());
         match &events[..] {
-            [RemoteEvent::LeaseDone {
+            [RemoteEvent::LeaseDone(LeaseProgress {
                 lease: 2,
                 attempt: 1,
-                rows: 1,
+                done: 3,
+                rows: 2,
                 poisoned,
-            }] => {
+                ..
+            })] => {
                 assert_eq!(poisoned.len(), 1);
-                assert_eq!(poisoned[0].key, "k4");
                 assert_eq!(poisoned[0].reason, "panicked: boom");
             }
             other => panic!("expected one LeaseDone, got {other:?}"),
@@ -221,43 +268,103 @@ mod tests {
         hub.drain();
         drive(&mut hub, &mut events, deadline, |h, _| h.connected() == 0);
         hub.shutdown();
-        assert_eq!(worker.join().unwrap().unwrap(), WorkerExit::Drained);
+        assert_eq!(worker.join().unwrap(), WorkerExit::Drained);
         cleanup(&dir);
     }
 
+    /// A validly sealed row for the *wrong* point is the same verdict
+    /// as a garbled frame: the connection dies, the lease with it, and
+    /// nothing reaches the shard.
     #[test]
-    fn signature_mismatch_is_rejected_with_a_typed_code() {
-        let dir = tempdir("dist-sigreject");
-        let mut hub = hub_in(&dir, "sig-ours");
-        let opts = worker_opts(&hub, "sig-theirs", "w1");
-        let worker = std::thread::spawn(move || {
-            let mut runner = ScriptedRunner {
-                rows_for: plain_row,
-            };
-            run_dist_worker(&opts, &mut runner)
-        });
+    fn wrong_point_row_kills_the_lease_and_appends_nothing() {
+        let dir = tempdir("dist-wrongpoint");
+        let mut hub = hub_in(&dir);
+        let worker = spawn_worker(
+            &hub,
+            "w1",
+            ScriptedRunner::new(|exec, _, app, _config, s| {
+                exec.run(app, &NodeConfig::REFERENCE, s)
+            }),
+        );
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
-        // The worker returns as soon as the reject lands; keep polling
-        // the hub so the reject frame actually flushes.
-        while !worker.is_finished() && Instant::now() < deadline {
-            events.extend(hub.poll().expect("poll"));
-            std::thread::sleep(Duration::from_millis(5));
+        drive(&mut hub, &mut events, deadline, |h, _| h.idle() > 0);
+        let lease = lease(4, 0);
+        assert!(lease
+            .points
+            .iter()
+            .all(|(_, c)| *c != NodeConfig::REFERENCE));
+        hub.offer(&lease).expect("offer");
+        drive(&mut hub, &mut events, deadline, |_, evs| !evs.is_empty());
+        match &events[..] {
+            [RemoteEvent::LeaseDead {
+                progress:
+                    LeaseProgress {
+                        lease: 4,
+                        done: 0,
+                        rows: 0,
+                        ..
+                    },
+                blamed: Some(0),
+                reason,
+                deadline: false,
+                ..
+            }] => assert!(
+                reason.contains("does not carry the leased point"),
+                "{reason}"
+            ),
+            other => panic!("expected one LeaseDead, got {other:?}"),
         }
-        let exit = worker.join().expect("thread").expect("io");
-        match &exit {
-            WorkerExit::Rejected { code, reason } => {
-                assert_eq!(code, codec::REJECT_SIG);
-                assert!(reason.contains("signature"), "reason: {reason}");
-            }
-            other => panic!("expected Rejected, got {other:?}"),
-        }
-        assert_eq!(
-            exit.code(),
-            4,
-            "sig mismatch maps to the geometry-mismatch exit"
+        assert!(
+            !dir.join("dist-l0004-a0.jsonl").exists(),
+            "a refused row must not reach the shard"
         );
-        assert!(events.is_empty());
+        // The worker sees its connection cut and, the endpoint being
+        // gone, runs out of reconnects.
+        hub.shutdown();
+        drop(hub);
+        assert!(matches!(worker.join().unwrap(), WorkerExit::GaveUp(_)));
+        cleanup(&dir);
+    }
+
+    /// A worker built before leases were self-describing speaks
+    /// protocol 1 (its hello also carries a sweep signature): it is
+    /// turned away with the typed version code before it sees a lease.
+    #[test]
+    fn protocol_one_worker_is_rejected_with_the_version_code() {
+        let dir = tempdir("dist-v1");
+        let mut hub = hub_in(&dir);
+        let mut stream = std::net::TcpStream::connect(hub.local_addr()).expect("connect");
+        let payload = b"{\"t\":\"hello\",\"ver\":1,\"sig\":\"v1:5x6:aa:bb\",\"worker\":\"w9\"}\n";
+        let mut hello = (payload.len() as u32).to_le_bytes().to_vec();
+        hello.extend_from_slice(&musa_store::crc32(payload).to_le_bytes());
+        hello.extend_from_slice(payload);
+        stream.write_all(&hello).expect("send hello");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+
+        let mut inbuf = FrameBuf::new();
+        let mut scratch = [0u8; 4096];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let reject = loop {
+            assert!(hub.poll().expect("poll").is_empty());
+            if let Ok(n) = stream.read(&mut scratch) {
+                inbuf.extend(&scratch[..n]);
+            }
+            if let Some(frame) = inbuf.next_frame().expect("clean frame") {
+                break frame.msg;
+            }
+            assert!(Instant::now() < deadline, "no reject frame arrived");
+        };
+        match reject {
+            Msg::Reject { code, reason } => {
+                assert_eq!(code, codec::REJECT_VERSION);
+                assert!(reason.contains("1 != 2"), "reason: {reason}");
+            }
+            other => panic!("expected a reject, got {other:?}"),
+        }
+        assert_eq!(hub.idle(), 0, "a rejected peer never becomes a worker");
         hub.shutdown();
         cleanup(&dir);
     }
@@ -265,61 +372,47 @@ mod tests {
     #[test]
     fn connection_death_mid_lease_surfaces_progress_and_blame() {
         let dir = tempdir("dist-death");
-        let mut hub = hub_in(&dir, "sig-d");
-        let opts = worker_opts(&hub, "sig-d", "w1");
-        // A runner that ships one point, then kills its own process'
-        // connection by returning an error (tears the stream down).
-        struct DieAfterOne {
-            ran: u64,
-        }
-        impl PointRunner for DieAfterOne {
-            fn begin_lease(&mut self, _l: u64, _a: u32) -> std::io::Result<()> {
-                Ok(())
-            }
-            fn run_point(&mut self, idx: u64) -> std::io::Result<PointOutcome> {
-                self.ran += 1;
-                if self.ran > 1 {
-                    Err(std::io::Error::other("worker exploded"))
-                } else {
-                    Ok(plain_row(idx))
-                }
-            }
-        }
-        let worker = std::thread::spawn(move || {
-            let mut runner = DieAfterOne { ran: 0 };
-            run_dist_worker(&opts, &mut runner)
-        });
+        let mut hub = hub_in(&dir);
+        // A runner that ships one point, then takes its whole thread —
+        // and with it the connection — down.
+        let worker = spawn_worker(
+            &hub,
+            "w1",
+            ScriptedRunner::new(|exec, ran, app, config, s| {
+                assert!(ran < 2, "worker exploded");
+                exec.run(app, config, s)
+            }),
+        );
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
         drive(&mut hub, &mut events, deadline, |h, _| h.idle() > 0);
-        hub.offer(&RemoteLease {
-            id: 3,
-            attempt: 0,
-            points: vec![10, 11, 12],
-            max_retries: 2,
-        })
-        .expect("offer");
+        hub.offer(&lease(3, 0)).expect("offer");
         drive(&mut hub, &mut events, deadline, |_, evs| !evs.is_empty());
         match &events[..] {
             [RemoteEvent::LeaseDead {
-                lease: 3,
-                done: 1,
+                progress:
+                    LeaseProgress {
+                        lease: 3,
+                        done: 1,
+                        rows: 1,
+                        ..
+                    },
                 blamed,
-                rows: 1,
+                worker,
                 ..
             }] => {
-                // The heartbeat named point 11 before the runner blew up.
-                assert_eq!(*blamed, Some(11));
+                // The heartbeat named the second point before the
+                // runner blew up.
+                assert_eq!(*blamed, Some(1));
+                assert!(worker.starts_with("w1@"), "worker tag: {worker}");
             }
             other => panic!("expected one LeaseDead, got {other:?}"),
         }
         // The one shipped row is durable despite the death.
         let shipped = std::fs::read_to_string(dir.join("dist-l0003-a0.jsonl")).expect("rows file");
-        assert_eq!(shipped, "{\"point\":10}\n");
+        assert_eq!(shipped.lines().count(), 1);
         hub.shutdown();
-        // The worker's runner error is local and unrecoverable: it
-        // propagates out of run_dist_worker as Err.
-        assert!(worker.join().expect("thread").is_err());
+        assert!(worker.join().is_err(), "the runner's panic took the thread");
         cleanup(&dir);
     }
 
@@ -333,17 +426,13 @@ mod tests {
         };
         let opts = DistWorkerOptions {
             connect: addr,
-            sig: "sig-gone".to_string(),
             tag: "w-gone".to_string(),
             // A window long enough that only the failure budget can end
             // this test: proves the bound is what fired.
             reconnect_for: Duration::from_secs(300),
             max_reconnects: 2,
         };
-        let mut runner = ScriptedRunner {
-            rows_for: plain_row,
-        };
-        let exit = run_dist_worker(&opts, &mut runner).expect("no local io error");
+        let exit = run_dist_worker(&opts, &mut PointExecutor::new(None));
         match &exit {
             WorkerExit::GaveUp(summary) => {
                 assert!(

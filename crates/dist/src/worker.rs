@@ -1,5 +1,5 @@
-//! The remote campaign worker: connect, handshake, execute leases,
-//! survive the network.
+//! The campaign worker: connect, handshake, execute leases, survive
+//! the network.
 //!
 //! The loop is deliberately pessimistic about the wire and optimistic
 //! about the work: any connection trouble — refused connect, EOF, a
@@ -37,9 +37,12 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use musa_store::PoisonedPoint;
+use musa_apps::AppId;
+use musa_arch::NodeConfig;
+use musa_core::SweepOptions;
+use musa_store::{PointExecutor, PointOutput};
 
-use crate::codec::{encode, Frame, FrameBuf, Msg, PROTOCOL_VERSION, REJECT_SIG};
+use crate::codec::{encode, Frame, FrameBuf, Msg, PROTOCOL_VERSION};
 
 /// How long a worker keeps retrying to (re)connect without one
 /// successful handshake before giving up.
@@ -63,10 +66,7 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(10);
 pub struct DistWorkerOptions {
     /// Supervisor address (`host:port`).
     pub connect: String,
-    /// Campaign sweep signature derived from this worker's
-    /// environment; the supervisor rejects a mismatch.
-    pub sig: String,
-    /// Worker tag for provenance (host/pid), also the salt for the
+    /// Worker tag for provenance (`w<pid>`), also the salt for the
     /// backoff jitter and the wire failpoint keys.
     pub tag: String,
     /// Reconnect window (see [`DEFAULT_RECONNECT_FOR`]).
@@ -77,28 +77,25 @@ pub struct DistWorkerOptions {
     pub max_reconnects: u32,
 }
 
-/// What one executed point produced.
-pub struct PointOutcome {
-    /// The exact bytes the worker's staging store flushed for this
-    /// point — shipped verbatim, appended verbatim, so distributed
-    /// rows are byte-identical to sequential ones by construction.
-    pub row_bytes: Vec<u8>,
-    /// Rows in `row_bytes`.
-    pub rows: u64,
-    /// The poison record when the point panicked (caught in the
-    /// worker; the supervisor quarantines on repeat offense).
-    pub poisoned: Option<PoisonedPoint>,
+/// The execution half of the worker; the loop here owns the protocol
+/// half. The one real implementation is [`PointExecutor`]; tests
+/// script their own to misbehave on the wire.
+pub trait PointRunner {
+    /// A lease was granted.
+    fn begin_lease(&mut self, lease: u64, attempt: u32);
+    /// Execute one point. A panicking simulation must be caught inside
+    /// and returned as a poisoned [`PointOutput`].
+    fn run_point(&mut self, app: AppId, config: &NodeConfig, sweep: &SweepOptions) -> PointOutput;
 }
 
-/// The campaign-specific execution half the binary plugs in; the
-/// worker loop owns the protocol half.
-pub trait PointRunner {
-    /// A lease was granted: set up fresh staging (a reused staging
-    /// store would content-dedup a re-granted point's bytes away).
-    fn begin_lease(&mut self, lease: u64, attempt: u32) -> std::io::Result<()>;
-    /// Execute one global point index. Panics must be caught inside
-    /// and returned as a poisoned [`PointOutcome`].
-    fn run_point(&mut self, idx: u64) -> std::io::Result<PointOutcome>;
+impl PointRunner for PointExecutor {
+    fn begin_lease(&mut self, lease: u64, attempt: u32) {
+        self.set_origin(format!("l{lease:04}-a{attempt}"), attempt);
+    }
+
+    fn run_point(&mut self, app: AppId, config: &NodeConfig, sweep: &SweepOptions) -> PointOutput {
+        self.run(app, config, sweep)
+    }
 }
 
 /// How the worker ended.
@@ -111,7 +108,7 @@ pub enum WorkerExit {
     /// convention.
     Interrupted,
     /// The supervisor refused the handshake; `code` is
-    /// [`crate::codec::REJECT_SIG`] or [`crate::codec::REJECT_VERSION`].
+    /// [`crate::codec::REJECT_VERSION`].
     Rejected {
         /// Machine-readable cause.
         code: String,
@@ -123,15 +120,13 @@ pub enum WorkerExit {
 }
 
 impl WorkerExit {
-    /// The process exit code this outcome maps to, matching the local
-    /// pool's conventions (4 = geometry mismatch, 130 = interrupted).
+    /// The process exit code this outcome maps to (130 = interrupted,
+    /// by convention).
     pub fn code(&self) -> i32 {
         match self {
             WorkerExit::Drained => 0,
             WorkerExit::Interrupted => 130,
-            WorkerExit::Rejected { code, .. } if code == REJECT_SIG => 4,
-            WorkerExit::Rejected { .. } => 1,
-            WorkerExit::GaveUp(_) => 1,
+            WorkerExit::Rejected { .. } | WorkerExit::GaveUp(_) => 1,
         }
     }
 }
@@ -140,14 +135,6 @@ enum ServeEnd {
     Drained,
     Interrupted,
     Rejected { code: String, reason: String },
-}
-
-/// Connection trouble reconnects; local trouble (the [`PointRunner`]
-/// failing) aborts the worker — retrying cannot repair a broken
-/// staging directory, and looping on it would just churn leases.
-enum ServeErr {
-    Conn(std::io::Error),
-    Fatal(std::io::Error),
 }
 
 enum LeaseEnd {
@@ -176,17 +163,28 @@ impl Wire {
         self.stream.write_all(&bytes)
     }
 
-    /// Pull at most one frame, waiting up to `wait` for bytes.
-    /// `Ok(None)` means nothing arrived in time. Frame decode errors
-    /// come back as I/O errors: the connection is unusable.
+    /// Pull at most one frame, waiting up to `wait` for bytes (a zero
+    /// wait only looks at what has already arrived). `Ok(None)` means
+    /// nothing arrived in time. Frame decode errors come back as I/O
+    /// errors: the connection is unusable.
     fn recv(&mut self, wait: Duration) -> std::io::Result<Option<Frame>> {
         if let Some(frame) = self.next_frame()? {
             return Ok(Some(frame));
         }
-        self.stream
-            .set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
+        // A read timeout is rounded up to the kernel's timer tick —
+        // several milliseconds, per point, for the between-points
+        // peek — so a zero wait reads nonblocking instead.
         let mut scratch = [0u8; 64 * 1024];
-        match self.stream.read(&mut scratch) {
+        let read = if wait.is_zero() {
+            self.stream.set_nonblocking(true)?;
+            let read = self.stream.read(&mut scratch);
+            self.stream.set_nonblocking(false)?;
+            read
+        } else {
+            self.stream.set_read_timeout(Some(wait))?;
+            self.stream.read(&mut scratch)
+        };
+        match read {
             Ok(0) => Err(std::io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "supervisor closed the connection",
@@ -224,16 +222,10 @@ impl Wire {
     }
 }
 
-/// Run the remote worker until the campaign drains, a signal arrives,
-/// the supervisor rejects us, or the reconnect window closes.
-///
-/// Returns the exit disposition; I/O errors inside a connection never
-/// escape (they trigger reconnect), so the `Err` path is reserved for
-/// local, unrecoverable trouble raised by the [`PointRunner`].
-pub fn run_dist_worker(
-    opts: &DistWorkerOptions,
-    runner: &mut dyn PointRunner,
-) -> std::io::Result<WorkerExit> {
+/// Run the worker until the campaign drains, a signal arrives, the
+/// supervisor rejects us, or the reconnect window closes. I/O errors
+/// inside a connection never escape: they trigger reconnect.
+pub fn run_dist_worker(opts: &DistWorkerOptions, runner: &mut dyn PointRunner) -> WorkerExit {
     musa_pool::signals::install_term_handlers();
     let salt = musa_store::fnv1a_64(opts.tag.as_bytes());
     let mut conn_attempt: u32 = 0;
@@ -241,17 +233,16 @@ pub fn run_dist_worker(
     let mut window_ends = Instant::now() + opts.reconnect_for;
     loop {
         if musa_pool::signals::termination_requested() {
-            return Ok(WorkerExit::Interrupted);
+            return WorkerExit::Interrupted;
         }
         let window_before = window_ends;
         match serve_connection(opts, runner, conn_attempt, &mut window_ends) {
-            Ok(ServeEnd::Drained) => return Ok(WorkerExit::Drained),
-            Ok(ServeEnd::Interrupted) => return Ok(WorkerExit::Interrupted),
+            Ok(ServeEnd::Drained) => return WorkerExit::Drained,
+            Ok(ServeEnd::Interrupted) => return WorkerExit::Interrupted,
             Ok(ServeEnd::Rejected { code, reason }) => {
-                return Ok(WorkerExit::Rejected { code, reason })
+                return WorkerExit::Rejected { code, reason }
             }
-            Err(ServeErr::Fatal(e)) => return Err(e),
-            Err(ServeErr::Conn(e)) => {
+            Err(e) => {
                 // A restarted window means this connection handshook
                 // before dying: the hub is alive, so the
                 // consecutive-failure budget starts over.
@@ -260,16 +251,16 @@ pub fn run_dist_worker(
                 }
                 failures = failures.saturating_add(1);
                 if failures > opts.max_reconnects {
-                    return Ok(WorkerExit::GaveUp(format!(
+                    return WorkerExit::GaveUp(format!(
                         "supervisor unreachable after {failures} consecutive connection \
                          failures (--max-reconnects {}; last error: {e})",
                         opts.max_reconnects
-                    )));
+                    ));
                 }
                 if Instant::now() >= window_ends {
-                    return Ok(WorkerExit::GaveUp(format!(
+                    return WorkerExit::GaveUp(format!(
                         "no supervisor within the reconnect window (last error: {e})"
-                    )));
+                    ));
                 }
                 let pause = musa_fault::jittered_backoff(conn_attempt, salt);
                 musa_obs::counter_add("dist.reconnects", 1);
@@ -287,7 +278,7 @@ pub fn run_dist_worker(
                 let until = Instant::now() + pause;
                 while Instant::now() < until {
                     if musa_pool::signals::termination_requested() {
-                        return Ok(WorkerExit::Interrupted);
+                        return WorkerExit::Interrupted;
                     }
                     std::thread::sleep(Duration::from_millis(25));
                 }
@@ -301,24 +292,15 @@ fn serve_connection(
     runner: &mut dyn PointRunner,
     conn_attempt: u32,
     window_ends: &mut Instant,
-) -> Result<ServeEnd, ServeErr> {
-    let conn = |e: std::io::Error| ServeErr::Conn(e);
+) -> std::io::Result<ServeEnd> {
     let addr = opts
         .connect
-        .to_socket_addrs()
-        .map_err(conn)?
+        .to_socket_addrs()?
         .next()
-        .ok_or_else(|| {
-            ServeErr::Conn(std::io::Error::other(format!(
-                "cannot resolve {:?}",
-                opts.connect
-            )))
-        })?;
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).map_err(conn)?;
+        .ok_or_else(|| std::io::Error::other(format!("cannot resolve {:?}", opts.connect)))?;
+    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
     let _ = stream.set_nodelay(true);
-    stream
-        .set_write_timeout(Some(Duration::from_secs(10)))
-        .map_err(conn)?;
+    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
     let mut wire = Wire {
         stream,
         inbuf: FrameBuf::new(),
@@ -333,15 +315,13 @@ fn serve_connection(
     wire.send(
         &Msg::Hello {
             ver: PROTOCOL_VERSION,
-            sig: opts.sig.clone(),
             worker: opts.tag.clone(),
         },
         &[],
-    )
-    .map_err(conn)?;
+    )?;
     let hello_deadline = Instant::now() + HELLO_DEADLINE;
     loop {
-        match wire.recv(Duration::from_millis(100)).map_err(conn)? {
+        match wire.recv(Duration::from_millis(100))? {
             Some(Frame {
                 msg: Msg::HelloOk { .. },
                 ..
@@ -361,17 +341,17 @@ fn serve_connection(
                 return Ok(ServeEnd::Rejected { code, reason });
             }
             Some(f) => {
-                return Err(ServeErr::Conn(std::io::Error::other(format!(
+                return Err(std::io::Error::other(format!(
                     "protocol error: {:?} before hello_ok",
                     f.msg
-                ))))
+                )))
             }
             None => {
                 if Instant::now() > hello_deadline {
-                    return Err(ServeErr::Conn(std::io::Error::new(
+                    return Err(std::io::Error::new(
                         ErrorKind::TimedOut,
                         "supervisor never answered the hello",
-                    )));
+                    ));
                 }
             }
         }
@@ -397,16 +377,24 @@ fn serve_connection(
             );
             return Ok(ServeEnd::Interrupted);
         }
-        match wire.recv(Duration::from_millis(250)).map_err(conn)? {
+        match wire.recv(Duration::from_millis(250))? {
             Some(frame) => {
                 last_rx = Instant::now();
                 match frame.msg {
                     Msg::Grant {
                         lease,
                         attempt,
+                        gen,
+                        full_replay,
                         points,
-                        ..
-                    } => match run_lease(&mut wire, runner, lease, attempt, &points)? {
+                    } => match run_lease(
+                        &mut wire,
+                        runner,
+                        lease,
+                        attempt,
+                        &SweepOptions { gen, full_replay },
+                        &points,
+                    )? {
                         LeaseEnd::Done => {}
                         LeaseEnd::Draining => {
                             wire.send(
@@ -414,8 +402,7 @@ fn serve_connection(
                                     reason: "drained".into(),
                                 },
                                 &[],
-                            )
-                            .map_err(conn)?;
+                            )?;
                             return Ok(ServeEnd::Drained);
                         }
                         LeaseEnd::Interrupted => {
@@ -434,28 +421,27 @@ fn serve_connection(
                                 reason: "drained".into(),
                             },
                             &[],
-                        )
-                        .map_err(conn)?;
+                        )?;
                         return Ok(ServeEnd::Drained);
                     }
                     Msg::Pong => {}
                     other => {
-                        return Err(ServeErr::Conn(std::io::Error::other(format!(
+                        return Err(std::io::Error::other(format!(
                             "protocol error: unexpected {other:?} while idle"
-                        ))))
+                        )))
                     }
                 }
             }
             None => {
                 let now = Instant::now();
                 if now.duration_since(last_rx) > IDLE_SILENCE {
-                    return Err(ServeErr::Conn(std::io::Error::new(
+                    return Err(std::io::Error::new(
                         ErrorKind::TimedOut,
                         "supervisor unresponsive",
-                    )));
+                    ));
                 }
                 if now.duration_since(last_ping) > Duration::from_secs(1) {
-                    wire.send(&Msg::Ping, &[]).map_err(conn)?;
+                    wire.send(&Msg::Ping, &[])?;
                     last_ping = now;
                 }
             }
@@ -468,11 +454,9 @@ fn run_lease(
     runner: &mut dyn PointRunner,
     lease: u64,
     attempt: u32,
-    points_spec: &str,
-) -> Result<LeaseEnd, ServeErr> {
-    let conn = |e: std::io::Error| ServeErr::Conn(e);
-    let points = musa_pool::lease::parse_points(points_spec)
-        .map_err(|e| ServeErr::Conn(std::io::Error::other(format!("bad grant: {e}"))))?;
+    sweep: &SweepOptions,
+    points: &[(AppId, NodeConfig)],
+) -> std::io::Result<LeaseEnd> {
     musa_obs::debug(
         "musa-dist",
         "lease granted",
@@ -482,57 +466,59 @@ fn run_lease(
             ("points", (points.len() as u64).into()),
         ],
     );
-    runner
-        .begin_lease(lease, attempt)
-        .map_err(ServeErr::Fatal)?;
+    runner.begin_lease(lease, attempt);
     let mut done: u64 = 0;
     let mut rows: u64 = 0;
     let mut end = LeaseEnd::Done;
-    for (seq, &idx) in points.iter().enumerate() {
-        // Between points: notice a drain (cheap nonblocking-ish peek)
-        // or a signal, then finish the lease partially.
+    for (app, config) in points {
+        // Between points: notice a drain (a nonblocking peek) or a
+        // signal, then finish the lease partially.
         if musa_pool::signals::termination_requested() {
             end = LeaseEnd::Interrupted;
             break;
         }
-        match wire.recv(Duration::from_millis(1)) {
-            Ok(Some(Frame {
+        match wire.recv(Duration::ZERO)? {
+            Some(Frame {
                 msg: Msg::Drain, ..
-            })) => {
+            }) => {
                 end = LeaseEnd::Draining;
                 break;
             }
-            Ok(Some(Frame { msg: Msg::Pong, .. })) | Ok(None) => {}
-            Ok(Some(f)) => {
-                return Err(ServeErr::Conn(std::io::Error::other(format!(
+            Some(Frame { msg: Msg::Pong, .. }) | None => {}
+            Some(f) => {
+                return Err(std::io::Error::other(format!(
                     "protocol error: unexpected {:?} mid-lease",
                     f.msg
-                ))))
+                )))
             }
-            Err(e) => return Err(ServeErr::Conn(e)),
         }
+        // Heartbeat *before* simulating: if this point kills or hangs
+        // the process, `current` is the evidence the supervisor uses
+        // to charge the strike.
         wire.send(
             &Msg::Hb {
                 lease,
                 done,
-                current: Some(idx),
+                current: Some(done),
             },
             &[],
-        )
-        .map_err(conn)?;
-        let outcome = runner.run_point(idx).map_err(ServeErr::Fatal)?;
+        )?;
+        let out = runner.run_point(*app, config, sweep);
+        let (body, poisoned) = match out.row {
+            Ok(row) => (format!("{}\n", row.line).into_bytes(), None),
+            Err(p) => (Vec::new(), Some(p)),
+        };
+        rows += u64::from(poisoned.is_none());
         wire.send(
             &Msg::Point {
                 lease,
-                seq: seq as u64,
-                rows: outcome.rows,
-                poisoned: outcome.poisoned,
+                seq: done,
+                poisoned,
+                profile: out.profile,
             },
-            &outcome.row_bytes,
-        )
-        .map_err(conn)?;
+            &body,
+        )?;
         done += 1;
-        rows += outcome.rows;
     }
     wire.send(
         &Msg::Hb {
@@ -541,8 +527,16 @@ fn run_lease(
             current: None,
         },
         &[],
-    )
-    .map_err(conn)?;
+    )?;
+    // The result carries this process's metrics since the previous
+    // result, so the supervisor can simply add up what it receives.
+    let metrics = if musa_obs::metrics_enabled() {
+        let snap = musa_obs::snapshot().to_json();
+        musa_obs::reset_metrics();
+        snap.into_bytes()
+    } else {
+        Vec::new()
+    };
     wire.send(
         &Msg::Result {
             lease,
@@ -550,8 +544,7 @@ fn run_lease(
             done,
             rows,
         },
-        &[],
-    )
-    .map_err(conn)?;
+        &metrics,
+    )?;
     Ok(end)
 }

@@ -7,7 +7,7 @@
 //! A campaign directory accumulates durable state from every subsystem:
 //! CRC-sealed result rows (`musa-store`), the crash-safe lease journal
 //! (`musa-pool`), the search journal (`musa-search`), content-addressed
-//! artifacts (`musa-cache`), the flight recorder (`musa-prof`), remote
+//! artifacts (`musa-cache`), the flight recorder (`musa-prof`), lease
 //! row shards and status beacons (`musa-dist`), and the quarantine
 //! evidence files all of them feed. Each subsystem self-heals the slice
 //! it owns when *it* next runs — but nothing walked the whole directory
@@ -30,9 +30,7 @@
 //!   `quarantine.jsonl` via [`musa_store::quarantine_evidence`], corrupt
 //!   artifacts and temp litter move to the artifact `quarantine/`
 //!   directory with a `.reason` note, and a corrupt search journal is
-//!   preserved whole under a fingerprinted name. The single documented
-//!   carve-out: stale worker heartbeats (`pool/hb-*`) are ephemeral
-//!   liveness beacons and are deleted, not quarantined.
+//!   preserved whole under a fingerprinted name.
 //!
 //! The doctor never calls `musa_cache::gc` — gc reclaims quarantine
 //! evidence, which is precisely what a repair must preserve.
@@ -57,8 +55,8 @@ pub const DOCTOR_STATUS_FILE: &str = "doctor-status.json";
 pub enum Severity {
     /// Healthy, or residue the next resume absorbs on its own.
     Ok,
-    /// Crash residue worth repairing: torn tails, stranded temp files,
-    /// unharvested staging shards. Campaign data is intact.
+    /// Crash residue worth repairing: torn tails, stranded temp files.
+    /// Campaign data is intact.
     Degraded,
     /// Damaged bytes: corrupt rows, unparsable journal lines, artifacts
     /// failing their checksums, unreadable files.
@@ -282,8 +280,7 @@ pub fn audit(dir: &Path) -> io::Result<DoctorReport> {
 ///
 /// Idempotent by construction — each repair step is "quarantine the
 /// damaged bytes, rewrite the survivors atomically", so a second pass
-/// finds nothing to do — and never destructive (see the crate docs for
-/// the heartbeat carve-out).
+/// finds nothing to do — and never destructive.
 pub fn repair(dir: &Path) -> io::Result<DoctorReport> {
     if !dir.is_dir() {
         return Err(io::Error::new(
@@ -299,7 +296,6 @@ pub fn repair(dir: &Path) -> io::Result<DoctorReport> {
     repair_search(dir, &mut actions)?;
     repair_artifacts(dir, &mut actions)?;
     repair_profiles(dir, &mut actions)?;
-    repair_scratch(dir, &mut actions);
     let mut report = audit(dir)?;
     report.repaired = true;
     report.actions = actions;
@@ -793,7 +789,6 @@ fn audit_profiles(dir: &Path) -> io::Result<FamilyReport> {
     let mut fam = FamilyReport::new("profiles");
     let (_, rep) = musa_prof::load_profiles(dir)?;
     fam.count("records", rep.records as u64)
-        .count("staged_files", rep.staged_files as u64)
         .count("duplicates", rep.duplicates as u64)
         .count("torn_tails", rep.torn_tails as u64)
         .count("corrupt", rep.corrupt as u64);
@@ -802,7 +797,7 @@ fn audit_profiles(dir: &Path) -> io::Result<FamilyReport> {
         fam.note(
             Severity::Degraded,
             format!(
-                "{} profile line(s) failed checksum or parse; repair quarantines them before harvesting",
+                "{} profile line(s) failed checksum or parse; repair quarantines them before rewriting",
                 rep.corrupt
             ),
         );
@@ -813,16 +808,6 @@ fn audit_profiles(dir: &Path) -> io::Result<FamilyReport> {
             format!(
                 "{} torn profile tail(s) (crash residue; harvest drops them)",
                 rep.torn_tails
-            ),
-        );
-    }
-    if rep.staged_files > 0 {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} unharvested worker staging file(s); repair merges them into {}",
-                rep.staged_files,
-                musa_prof::PROFILES_FILE
             ),
         );
     }
@@ -866,32 +851,18 @@ fn quarantine_bad_profile_lines(dir: &Path, rel: &str, path: &Path) -> io::Resul
 
 fn repair_profiles(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
     // `harvest` rewrites the recorder file without its corrupt lines —
-    // quarantine those bytes first, from the primary file and every
-    // staged worker shard.
-    let mut quarantined = quarantine_bad_profile_lines(
+    // quarantine those bytes first.
+    let quarantined = quarantine_bad_profile_lines(
         dir,
         musa_prof::PROFILES_FILE,
         &dir.join(musa_prof::PROFILES_FILE),
     )?;
-    let scratch = dir.join(musa_pool::lease::SCRATCH_DIR);
-    if let Ok(entries) = std::fs::read_dir(&scratch) {
-        let mut staged: Vec<String> = entries
-            .flatten()
-            .filter_map(|e| e.file_name().to_str().map(str::to_string))
-            .filter(|name| name.starts_with(musa_prof::WORKER_PROFILE_PREFIX))
-            .collect();
-        staged.sort();
-        for name in staged {
-            let rel = format!("{}/{name}", musa_pool::lease::SCRATCH_DIR);
-            quarantined += quarantine_bad_profile_lines(dir, &rel, &scratch.join(&name))?;
-        }
-    }
     let (_, rep) = musa_prof::load_profiles(dir)?;
     if rep.repaired_anything() {
         musa_prof::harvest(dir)?;
         actions.push(format!(
-            "profiles: harvested {} staged file(s), dropped {} torn/{} corrupt line(s) ({} quarantined first)",
-            rep.staged_files, rep.torn_tails, rep.corrupt, quarantined
+            "profiles: rewrote the flight record without {} torn/{} corrupt line(s) and {} duplicate(s) ({} quarantined first)",
+            rep.torn_tails, rep.corrupt, rep.duplicates, quarantined
         ));
     }
     Ok(())
@@ -901,19 +872,6 @@ fn repair_profiles(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
 
 fn audit_scratch(dir: &Path) -> FamilyReport {
     let mut fam = FamilyReport::new("scratch");
-    let mut heartbeats = 0u64;
-    let mut results = 0u64;
-    if let Ok(entries) = std::fs::read_dir(dir.join(musa_pool::lease::SCRATCH_DIR)) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("hb-") {
-                heartbeats += 1;
-            } else if name.starts_with("result-") {
-                results += 1;
-            }
-        }
-    }
     let mut shards = 0u64;
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -924,33 +882,14 @@ fn audit_scratch(dir: &Path) -> FamilyReport {
             }
         }
     }
-    fam.count("heartbeats", heartbeats)
-        .count("result_manifests", results)
-        .count("dist_shards", shards);
-    if heartbeats > 0 {
-        fam.note(
-            Severity::Ok,
-            format!(
-                "{heartbeats} worker heartbeat beacon(s); repair deletes these (ephemeral liveness files, the documented non-quarantine carve-out)"
-            ),
-        );
-    }
+    fam.count("dist_shards", shards);
     if shards > 0 {
         fam.note(
             Severity::Ok,
-            format!("{shards} remote-worker row shard(s) (real campaign rows, merged by the row loader)"),
+            format!("{shards} lease row shard(s) (real campaign rows, merged by the row loader)"),
         );
     }
     fam
-}
-
-fn repair_scratch(dir: &Path, actions: &mut Vec<String>) {
-    let removed = musa_pool::lease::clean_stale_heartbeats(dir);
-    if removed > 0 {
-        actions.push(format!(
-            "scratch: removed {removed} stale heartbeat beacon(s) (ephemeral, not quarantined)"
-        ));
-    }
 }
 
 // ---------------------------------------------------------- quarantine
@@ -1194,24 +1133,9 @@ mod tests {
     }
 
     #[test]
-    fn stale_heartbeats_are_removed_on_repair() {
-        let dir = tdir("scratch");
-        let scratch = dir.join(musa_pool::lease::SCRATCH_DIR);
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join("hb-l0001-a1.json"), "{}").unwrap();
-        let report = audit(&dir).unwrap();
-        assert_eq!(report.severity(), Severity::Ok);
-        assert_eq!(report.family("scratch").unwrap().counter("heartbeats"), 1);
-        let repaired = repair(&dir).unwrap();
-        assert_eq!(repaired.family("scratch").unwrap().counter("heartbeats"), 0);
-        assert!(repaired.actions.iter().any(|a| a.contains("heartbeat")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_rows_end_in_quarantine() {
         let dir = tdir("rows");
-        std::fs::write(dir.join("pool-l0001-a1.jsonl"), "garbage row\n").unwrap();
+        std::fs::write(dir.join("dist-l0001-a1.jsonl"), "garbage row\n").unwrap();
         let report = audit(&dir).unwrap();
         assert_eq!(
             report.severity(),

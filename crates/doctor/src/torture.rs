@@ -237,8 +237,8 @@ impl Harness {
             ));
         }
         if killed {
-            // Give any orphaned pool workers their last instants to
-            // drain before a resume re-opens their append files.
+            // Give any orphaned workers their last instants to notice
+            // the dead connection and exit before the resume.
             std::thread::sleep(Duration::from_millis(1500));
         }
 
@@ -483,10 +483,8 @@ impl Harness {
                 "--faults",
                 &wire,
             ])
-            .env("MUSA_TINY", "1")
-            .env("MUSA_CONFIG_SLICE", CONFIG_SLICE)
-            .env_remove("MUSA_FULL")
-            .env_remove("MUSA_STORE_DIR")
+            // The leases say what to simulate; the worker only must not
+            // inherit this process's own fault plan.
             .env_remove("MUSA_FAULTS")
             .env_remove("MUSA_FAULT_SEED")
             .stdin(Stdio::null())

@@ -1,6 +1,6 @@
 //! Property tests of `musa_doctor::repair`: for any mix of injected
 //! corruption across the line-oriented durable families (lease journal,
-//! search journal, profiles, artifact tmp litter, stale heartbeats),
+//! search journal, profiles, artifact tmp litter),
 //! one repair pass converges to a clean store (exit 0), a second pass
 //! is a byte-identical no-op, and every complete garbage line ends up
 //! as quarantine evidence — repair never silently destroys data.
@@ -47,7 +47,6 @@ struct Harm {
     search: SearchHarm,
     profile_garbage: Vec<String>,
     tmp_litter: u8,
-    heartbeats: u8,
 }
 
 /// Letters only: never parses as a lease event, a profile record, or
@@ -77,7 +76,6 @@ impl Harm {
             search,
             profile_garbage,
             tmp_litter: (rng.next_u64() % 3) as u8,
-            heartbeats: (rng.next_u64() % 3) as u8,
         }
     }
 }
@@ -146,14 +144,6 @@ fn inject(dir: &Path, harm: &Harm) {
                 b"half-written artifact",
             )
             .unwrap();
-        }
-    }
-
-    if harm.heartbeats > 0 {
-        let pool = dir.join(musa_pool::lease::SCRATCH_DIR);
-        std::fs::create_dir_all(&pool).unwrap();
-        for i in 0..harm.heartbeats {
-            std::fs::write(pool.join(format!("hb-{i:04}")), b"1234\n").unwrap();
         }
     }
 }

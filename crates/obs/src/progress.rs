@@ -76,7 +76,8 @@ pub struct Progress {
     label: String,
     total: u64,
     start: Instant,
-    last_print: Mutex<Option<Instant>>,
+    /// When the last beat printed, and the `done` it reported.
+    last_print: Mutex<Option<(Instant, u64)>>,
     min_interval: Duration,
     latencies: Mutex<Vec<f64>>,
 }
@@ -120,7 +121,8 @@ impl Progress {
         self.beat(done, false);
     }
 
-    /// Final beat; always prints.
+    /// Final beat: prints regardless of the rate limit, unless the
+    /// last printed beat already reported this `done`.
     pub fn finish(&self, done: u64) {
         self.beat(done, true);
     }
@@ -132,14 +134,14 @@ impl Progress {
         {
             let mut last = self.last_print.lock().unwrap_or_else(|e| e.into_inner());
             let now = Instant::now();
-            if !force {
-                if let Some(prev) = *last {
-                    if now.duration_since(prev) < self.min_interval {
-                        return;
-                    }
+            if let Some((prev, prev_done)) = *last {
+                let repeat = force && prev_done == done;
+                let too_soon = !force && now.duration_since(prev) < self.min_interval;
+                if repeat || too_soon {
+                    return;
                 }
             }
-            *last = Some(now);
+            *last = Some((now, done));
         }
         let elapsed = self.start.elapsed().as_secs_f64();
         let (rate, eta) = rate_eta(done, self.total, elapsed);

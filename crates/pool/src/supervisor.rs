@@ -1,38 +1,43 @@
-//! The pool supervisor: grant leases, watch heartbeats, enforce
-//! deadlines, recover from worker deaths, quarantine poisonous points.
+//! The pool supervisor: grant leases, recover from worker deaths,
+//! quarantine poisonous points.
 //!
 //! The supervisor never simulates anything itself. It enumerates the
-//! missing points, journals a [`LeaseEvent::Grant`] (durably, *before*
-//! the worker exists — the journal must never under-describe reality),
-//! spawns `dse pool-worker` children, and then runs a polling loop:
+//! missing points of a run, partitions them into leases, keeps
+//! `--workers N` child `dse dist-worker` processes connected to its
+//! [`RemoteHub`], and then runs a polling loop:
 //!
-//! * **reap** — `try_wait` each child; exit 0 with a complete result
-//!   manifest retires the lease, anything else is a death: the
-//!   heartbeat's `done` prefix is kept, the in-flight point is blamed,
-//!   and the remainder is requeued with jittered exponential backoff;
-//! * **watchdog** — a heartbeat that has not changed for
-//!   `point_timeout` means the current point is stuck (an infinite
-//!   loop, a hung I/O, an injected `delay` fault): the worker is
-//!   SIGKILLed and the death handled like any other;
+//! * **grant** — an idle worker (a child, or a remote one that joined
+//!   over `--listen`) is offered the next ready lease; the
+//!   [`LeaseEvent::RemoteGrant`] is journalled durably *before* the
+//!   frame moves — the journal must never under-describe reality;
+//! * **fold** — the hub reports each lease done or dead. A death
+//!   (connection lost, garbled or wrong-point frame, the per-point
+//!   deadline) keeps the shipped prefix, blames the point in flight
+//!   and requeues the remainder with jittered exponential backoff;
 //! * **poison** — a point blamed for `poison_cap` deaths is
 //!   quarantined with provenance ([`LeaseEvent::Poison`]) and excluded
 //!   from every future requeue and resume; the sweep continues without
 //!   it — one pathological configuration must not sink 863 others;
-//! * **drain** — SIGINT/SIGTERM journals an interruption, SIGTERMs the
-//!   workers (they finish their in-flight point, flush, write partial
-//!   manifests and exit 130), and SIGKILLs stragglers after a grace
-//!   period.
+//! * **reap** — a child hung past the per-point deadline is SIGKILLed,
+//!   exited children are replaced while work remains;
+//! * **drain** — SIGINT/SIGTERM journals an interruption and asks
+//!   every worker to finish its in-flight point and leave; stragglers
+//!   are SIGKILLed after a grace period.
 //!
 //! Every transition lands in the lease journal first, so a kill -9 of
 //! the *supervisor* is recoverable: `--resume` replays the journal,
 //! restores strike counts and the poisoned set, and re-enumerates
 //! missing points from the store itself (rows are content-addressed,
-//! so rows flushed by orphaned workers are simply found cached).
+//! so rows that landed before the kill are simply found cached).
+//!
+//! One [`Supervisor`] serves any number of [`Supervisor::run`] calls:
+//! a campaign is one run, a search hands it one run per generation and
+//! keeps the same workers throughout.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use musa_apps::AppId;
@@ -43,8 +48,7 @@ use musa_store::{
     CampaignStore, LeaseEvent, LeaseJournal, PointKey, PoisonedPoint, PoolPoisonRecord,
 };
 
-use crate::lease::{encode_points, heartbeat_path, point_at, result_path, Heartbeat, WorkerResult};
-use crate::remote::{RemoteEvent, RemoteHub, RemoteLease};
+use crate::remote::{LeaseProgress, RemoteEvent, RemoteHub, RemoteLease};
 use crate::signals;
 
 /// Default worker count for `--workers` when the flag is given bare.
@@ -54,38 +58,36 @@ pub const DEFAULT_WORKERS: usize = 2;
 /// workers.
 pub const DEFAULT_POISON_CAP: u32 = 3;
 
-/// Default points per lease.
+/// Default (maximum) points per lease.
 pub const DEFAULT_LEASE_BATCH: usize = 16;
 
 /// A lease (original or requeued) is abandoned — and the whole run
-/// fails — after this many attempts. This is the backstop for deaths
-/// that cannot be pinned on a point (e.g. a worker binary that cannot
-/// start at all): per-point poisoning handles attributable deaths long
-/// before this trips.
+/// fails — after this many attempts without progress; the same number
+/// of consecutive worker exits without a single lease event fails it
+/// too. These are the backstops for deaths that cannot be pinned on a
+/// point (e.g. a worker binary that cannot start at all): per-point
+/// poisoning handles attributable deaths long before either trips.
 pub const MAX_LEASE_ATTEMPTS: u32 = 12;
 
 /// Poll interval of the supervise loop.
 const POLL: Duration = Duration::from_millis(20);
 
-/// Options for [`run_pool`].
+/// Options for a [`Supervisor`].
 #[derive(Debug, Clone)]
 pub struct PoolOptions {
-    /// Worker processes to keep running.
+    /// Local worker processes to keep running while work remains.
     pub workers: usize,
-    /// Per-point wall-clock deadline: a worker whose heartbeat does
-    /// not change for this long is SIGKILLed and the in-flight point
-    /// is blamed. `None` disables the watchdog.
+    /// Per-point wall-clock deadline (enforced by the hub's liveness
+    /// check); here it only scales the drain grace period.
     pub point_timeout: Option<Duration>,
     /// Deaths a single point may cause before quarantine.
     pub poison_cap: u32,
-    /// Points per lease.
+    /// Most points a lease may hold.
     pub lease_batch: usize,
-    /// Per-flush retry budget handed to workers.
-    pub max_retries: u32,
     /// Report progress/ETA on stderr.
     pub progress: bool,
-    /// Extra environment for workers (e.g. the `--faults` spec, which
-    /// must reach workers unchanged).
+    /// Extra environment for local workers (e.g. the `--faults` spec,
+    /// which must reach them unchanged).
     pub env: Vec<(String, String)>,
 }
 
@@ -96,25 +98,24 @@ impl Default for PoolOptions {
             point_timeout: None,
             poison_cap: DEFAULT_POISON_CAP,
             lease_batch: DEFAULT_LEASE_BATCH,
-            max_retries: musa_store::DEFAULT_MAX_RETRIES,
             progress: false,
             env: Vec::new(),
         }
     }
 }
 
-/// What a pool run did — the multi-process analogue of
+/// What one [`Supervisor::run`] did — the multi-process analogue of
 /// [`musa_store::FillReport`].
 #[derive(Debug, Clone, Default)]
 pub struct PoolReport {
-    /// Points requested (`apps × configs`).
+    /// Points requested.
     pub requested: usize,
     /// Points already in the store when the run started.
     pub cached: usize,
     /// Missing points handled this run (simulated, or poisoned
     /// in-process by a worker).
     pub completed: usize,
-    /// Rows workers reported flushing in completed leases.
+    /// Rows workers shipped.
     pub rows_flushed: u64,
     /// Points quarantined by the supervisor: each killed
     /// [`PoolOptions::poison_cap`] workers.
@@ -122,29 +123,23 @@ pub struct PoolReport {
     /// Points that panicked *inside* a worker (caught, recorded,
     /// skipped — same semantics as the single-process fill).
     pub worker_poisoned: Vec<PoisonedPoint>,
-    /// Leases requeued after a worker death.
+    /// Leases requeued after a death.
     pub requeues: u64,
-    /// Workers SIGKILLed by the stuck-point watchdog.
+    /// Leases that died on the per-point deadline.
     pub deadline_kills: u64,
-    /// Worker deaths of any kind (crash, signal, watchdog).
+    /// Lease deaths of any kind (crash, signal, deadline, wire).
     pub worker_deaths: u64,
     /// Spawn attempts that failed outright.
     pub spawn_failures: u64,
     /// The run drained early on SIGINT/SIGTERM.
     pub interrupted: bool,
-    /// Fold of every worker's metrics manifest, absorbed at reap time
-    /// (clean exits, drains and deaths alike — a died worker's work
-    /// was still performed and paid for). Empty when workers ran with
-    /// metrics off.
+    /// Fold of the metrics every worker shipped with its lease
+    /// results. Empty when workers ran with metrics off.
     pub worker_metrics: musa_obs::MetricsSnapshot,
-    /// Manifests that were found and absorbed into `worker_metrics`.
-    pub worker_metrics_sources: u64,
 }
 
 impl PoolReport {
-    /// `true` when every requested point is either stored or was
-    /// handled this run — i.e. nothing is missing except quarantined
-    /// points.
+    /// Points quarantined either way.
     pub fn poisoned_total(&self) -> usize {
         self.pool_poisoned.len() + self.worker_poisoned.len()
     }
@@ -153,110 +148,117 @@ impl PoolReport {
 struct Lease {
     id: u64,
     attempt: u32,
-    points: Vec<u64>,
+    /// Indices into the run's point list.
+    points: Vec<usize>,
     not_before: Instant,
 }
 
-struct Running {
-    child: Child,
-    lease: Lease,
-    hb_path: PathBuf,
-    result_path: PathBuf,
-    /// Last successfully parsed heartbeat.
-    last_hb: Heartbeat,
-    /// Raw bytes of the last heartbeat read (change detection).
-    last_raw: String,
-    /// When the heartbeat last changed (or the worker was spawned).
-    last_change: Instant,
-    /// Set when the watchdog killed this worker: (reason, blamed idx).
-    killed: Option<(String, Option<u64>)>,
-}
-
-fn describe_exit(status: ExitStatus) -> String {
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        if let Some(sig) = status.signal() {
-            return format!("killed by signal {sig}");
-        }
-    }
-    match status.code() {
-        Some(c) => format!("exit status {c}"),
-        None => "unknown exit".to_string(),
-    }
-}
-
-/// The supervisor state for one `run_pool` call.
-struct Pool<'a> {
-    exe: &'a Path,
-    dir: &'a Path,
-    apps: &'a [AppId],
-    configs: &'a [NodeConfig],
-    sweep: &'a SweepOptions,
-    opts: &'a PoolOptions,
-    journal: LeaseJournal,
-    next_lease: u64,
-    backoff_salt: u64,
+/// The state of one [`Supervisor::run`] call.
+struct Run<'r> {
+    points: &'r [(AppId, NodeConfig)],
+    sweep: &'r SweepOptions,
+    /// Hex [`PointKey`] per point.
+    keys: Vec<String>,
     pending: VecDeque<Lease>,
-    running: Vec<Running>,
-    /// Leases granted to remote workers through the hub, by lease id.
-    remote_running: HashMap<u64, Lease>,
-    /// Strikes charged per blamed point key (restored from the journal
-    /// on resume).
-    strikes: HashMap<String, u32>,
-    poisoned_keys: HashSet<String>,
-    done_points: HashSet<u64>,
+    running: HashMap<u64, Lease>,
+    done: HashSet<usize>,
     report: PoolReport,
 }
 
-impl Pool<'_> {
-    fn point_identity(&self, idx: u64) -> Option<(String, AppId, NodeConfig)> {
-        let (app, config) = point_at(idx, self.apps, self.configs)?;
-        Some((
-            PointKey::for_point(app, &config, self.sweep).to_hex(),
-            app,
-            config,
-        ))
+/// The supervisor; see the module docs.
+pub struct Supervisor {
+    exe: PathBuf,
+    dir: PathBuf,
+    opts: PoolOptions,
+    hub: Box<dyn RemoteHub>,
+    journal: LeaseJournal,
+    next_lease: u64,
+    backoff_salt: u64,
+    /// Strikes charged per blamed point key (restored from the journal
+    /// on resume).
+    strikes: HashMap<String, u32>,
+    poisoned: Vec<PoolPoisonRecord>,
+    children: Vec<Child>,
+    spawned: u64,
+    /// Consecutive child exits and spawn failures with no lease event
+    /// in between.
+    barren_exits: u32,
+    respawn_not_before: Instant,
+    draining: bool,
+}
+
+impl Supervisor {
+    /// Replay the lease journal in `dir` and take over `hub`. `exe` is
+    /// the binary to re-exec as `dist-worker` children (normally
+    /// `std::env::current_exe()`); they inherit the parent environment
+    /// plus `opts.env`.
+    pub fn open(
+        exe: &Path,
+        dir: &Path,
+        opts: PoolOptions,
+        hub: Box<dyn RemoteHub>,
+    ) -> io::Result<Supervisor> {
+        signals::install_term_handlers();
+        // Repair what a previous crashed run left in the flight record
+        // (a torn tail) before this run's lines are appended after it.
+        // Best-effort: a failed repair degrades profiling, never the
+        // campaign.
+        if let Err(e) = musa_prof::harvest(dir) {
+            musa_obs::warn(
+                "musa-pool",
+                "profile harvest failed on startup, profiles may be incomplete",
+                &[("error", e.to_string().into())],
+            );
+        }
+        let (journal, replayed) = LeaseJournal::open(dir)?;
+        let next_lease = replayed
+            .events
+            .iter()
+            .filter_map(|ev| match ev {
+                LeaseEvent::Grant { lease, .. }
+                | LeaseEvent::RemoteGrant { lease, .. }
+                | LeaseEvent::Requeue { lease, .. } => Some(*lease),
+                _ => None,
+            })
+            .max()
+            .map_or(1, |max| max + 1);
+        Ok(Supervisor {
+            exe: exe.to_path_buf(),
+            dir: dir.to_path_buf(),
+            opts,
+            hub,
+            journal,
+            next_lease,
+            backoff_salt: musa_fault::key_of(&[b"pool.backoff"]),
+            strikes: replayed.strikes(),
+            poisoned: replayed.poisoned(),
+            children: Vec::new(),
+            spawned: 0,
+            barren_exits: 0,
+            respawn_not_before: Instant::now(),
+            draining: false,
+        })
     }
 
-    /// Journal a grant and spawn its worker; on failure, requeue.
-    fn grant_and_spawn(&mut self, lease: Lease) -> io::Result<()> {
-        self.journal.append(&LeaseEvent::Grant {
-            lease: lease.id,
-            attempt: lease.attempt,
-            points: lease.points.clone(),
-        })?;
-        let spawned = musa_fault::fail_io(
-            "worker.spawn",
-            musa_fault::key_of(&[&lease.id.to_le_bytes(), &lease.attempt.to_le_bytes()]),
-        )
-        .and_then(|()| {
-            let mut cmd = Command::new(self.exe);
-            cmd.arg("pool-worker")
+    fn is_poisoned(&self, key: &str) -> bool {
+        self.poisoned.iter().any(|p| p.key == key)
+    }
+
+    /// Spawn one `dist-worker` child connected to the hub.
+    fn spawn_child(&mut self, report: &mut PoolReport) {
+        self.spawned += 1;
+        let spawned = musa_fault::fail_io("worker.spawn", self.spawned).and_then(|()| {
+            let mut cmd = Command::new(&self.exe);
+            cmd.arg("dist-worker")
+                .arg("--connect")
+                .arg(self.hub.addr())
+                // A child never outlives its connection: the supervisor
+                // replaces it, with a failure budget of its own.
+                .args(["--max-reconnects", "0"])
                 .arg("--store-dir")
-                .arg(self.dir)
-                .arg("--lease")
-                .arg(lease.id.to_string())
-                .arg("--attempt")
-                .arg(lease.attempt.to_string())
-                .arg("--points")
-                .arg(encode_points(&lease.points))
-                .arg("--max-retries")
-                .arg(self.opts.max_retries.to_string())
+                .arg(&self.dir)
                 .stdin(Stdio::null())
                 .stdout(Stdio::null());
-            // The supervisor's own key for the lease's first point:
-            // the worker recomputes it from its inherited environment
-            // and refuses to run on a mismatch, so a scale or slice
-            // that fails to propagate is a loud abort, never a store
-            // silently filled at the wrong scale.
-            if let Some((key, _, _)) = lease
-                .points
-                .first()
-                .and_then(|&idx| self.point_identity(idx))
-            {
-                cmd.arg("--sweep-key").arg(key);
-            }
             for (k, v) in &self.opts.env {
                 cmd.env(k, v);
             }
@@ -267,53 +269,83 @@ impl Pool<'_> {
                 musa_obs::debug(
                     "musa-pool",
                     "worker spawned",
-                    &[
-                        ("lease", lease.id.into()),
-                        ("attempt", lease.attempt.into()),
-                        ("pid", u64::from(child.id()).into()),
-                        ("points", lease.points.len().into()),
-                    ],
+                    &[("pid", u64::from(child.id()).into())],
                 );
-                let (hb_path, result_path) = (
-                    heartbeat_path(self.dir, lease.id, lease.attempt),
-                    result_path(self.dir, lease.id, lease.attempt),
-                );
-                self.running.push(Running {
-                    child,
-                    lease,
-                    hb_path,
-                    result_path,
-                    last_hb: Heartbeat::default(),
-                    last_raw: String::new(),
-                    last_change: Instant::now(),
-                    killed: None,
-                });
-                Ok(())
+                self.children.push(child);
             }
             Err(e) => {
-                self.report.spawn_failures += 1;
+                report.spawn_failures += 1;
                 musa_obs::counter_add("pool.spawn_failures", 1);
-                let reason = format!("spawn failed: {e}");
-                self.journal.append(&LeaseEvent::Dead {
-                    lease: lease.id,
-                    attempt: lease.attempt,
-                    done: 0,
-                    blamed: None,
-                    reason: reason.clone(),
-                })?;
                 musa_obs::warn(
                     "musa-pool",
-                    "worker spawn failed, lease requeued",
-                    &[("lease", lease.id.into()), ("error", reason.into())],
+                    "worker spawn failed",
+                    &[("error", e.to_string().into())],
                 );
-                self.requeue(lease.id, lease.attempt + 1, lease.points)
+                self.barren_exit();
+            }
+        }
+    }
+
+    fn barren_exit(&mut self) {
+        self.barren_exits += 1;
+        self.respawn_not_before =
+            Instant::now() + musa_fault::jittered_backoff(self.barren_exits, self.backoff_salt);
+    }
+
+    /// Forget children that exited.
+    fn reap_children(&mut self) {
+        let before = self.children.len();
+        self.children.retain_mut(|child| match child.try_wait() {
+            Ok(Some(status)) => {
+                musa_obs::debug(
+                    "musa-pool",
+                    "worker exited",
+                    &[
+                        ("pid", u64::from(child.id()).into()),
+                        ("status", status.to_string().into()),
+                    ],
+                );
+                false
+            }
+            // Still running (or unknowable: `close` reaps it anyway).
+            _ => true,
+        });
+        if !self.draining {
+            for _ in self.children.len()..before {
+                self.barren_exit();
+            }
+        }
+    }
+
+    /// SIGKILL the child behind a connection that missed its deadline,
+    /// if it is ours: a peer on this machine (loopback, or the hub's
+    /// own address) whose `w<pid>` tag names one of our children. It is
+    /// hung in the blamed point; any other dead connection's worker
+    /// notices and exits on its own.
+    fn kill_child_of(&self, peer: &str) {
+        let Some((tag, addr)) = peer.split_once('@') else {
+            return;
+        };
+        let ip_of = |addr: &str| addr.parse::<std::net::SocketAddr>().ok().map(|a| a.ip());
+        let local =
+            ip_of(addr).is_some_and(|ip| ip.is_loopback() || Some(ip) == ip_of(&self.hub.addr()));
+        let pid = tag.strip_prefix('w').and_then(|p| p.parse::<u32>().ok());
+        if let (true, Some(pid)) = (local, pid) {
+            if self.children.iter().any(|c| c.id() == pid) {
+                signals::send_kill(pid);
             }
         }
     }
 
     /// Requeue points at `next_attempt` with jittered backoff, or fail
     /// the run when the attempt cap is exhausted.
-    fn requeue(&mut self, from: u64, next_attempt: u32, points: Vec<u64>) -> io::Result<()> {
+    fn requeue(
+        &mut self,
+        run: &mut Run,
+        from: u64,
+        next_attempt: u32,
+        points: Vec<usize>,
+    ) -> io::Result<()> {
         if next_attempt >= MAX_LEASE_ATTEMPTS {
             return Err(io::Error::other(format!(
                 "lease {from} failed {MAX_LEASE_ATTEMPTS} attempts; giving up \
@@ -331,9 +363,9 @@ impl Pool<'_> {
             backoff_ms: backoff.as_millis() as u64,
             points: points.len() as u64,
         })?;
-        self.report.requeues += 1;
+        run.report.requeues += 1;
         musa_obs::counter_add("pool.requeues", 1);
-        self.pending.push_back(Lease {
+        run.pending.push_back(Lease {
             id,
             attempt: next_attempt,
             points,
@@ -342,161 +374,32 @@ impl Pool<'_> {
         Ok(())
     }
 
-    /// Handle one reaped worker.
-    fn handle_exit(&mut self, w: Running, status: ExitStatus, draining: bool) -> io::Result<()> {
-        let result = WorkerResult::read(&w.result_path);
-        let hb = Heartbeat::read(&w.hb_path).unwrap_or(w.last_hb);
-        let lease = w.lease;
-        // The worker's metrics manifest is absorbed whatever the exit
-        // looked like — the process is dead, so the file is final.
-        if let Ok(raw) = std::fs::read_to_string(crate::lease::metrics_path(
-            self.dir,
-            lease.id,
-            lease.attempt,
-        )) {
-            if let Ok(snap) = musa_obs::MetricsSnapshot::from_json(&raw) {
-                self.report.worker_metrics.absorb(&snap);
-                self.report.worker_metrics_sources += 1;
-            }
-        }
-        let clean = status.code() == Some(0)
-            && result
-                .as_ref()
-                .is_some_and(|r| r.done as usize == lease.points.len());
-
-        if clean {
-            let r = result.expect("checked");
-            self.journal.append(&LeaseEvent::Done {
-                lease: lease.id,
-                attempt: lease.attempt,
-                rows: r.rows,
-            })?;
-            self.done_points.extend(&lease.points);
-            self.report.rows_flushed += r.rows;
-            self.report.worker_poisoned.extend(r.poisoned);
-            return Ok(());
-        }
-
-        if draining {
-            // A worker stopped by our own SIGTERM (or SIGKILLed past the
-            // grace period) is not a death to learn from: keep its
-            // partial progress, charge no strike. The manifest may be a
-            // stale incremental one (workers rewrite it on every
-            // poisoned point), so take whichever of manifest and
-            // heartbeat saw further.
-            let done = result.as_ref().map_or(hb.done, |r| r.done.max(hb.done)) as usize;
-            let done = done.min(lease.points.len());
-            self.journal.append(&LeaseEvent::Dead {
-                lease: lease.id,
-                attempt: lease.attempt,
-                done: done as u64,
-                blamed: None,
-                reason: format!("interrupted during drain ({})", describe_exit(status)),
-            })?;
-            self.done_points.extend(&lease.points[..done]);
-            if let Some(r) = result {
-                self.report.rows_flushed += r.rows;
-                self.report.worker_poisoned.extend(r.poisoned);
-            }
-            return Ok(());
-        }
-
-        // A worker that refuses its lease because its environment
-        // derives a different sweep geometry is a configuration error,
-        // not a flaky death: every retry would fail identically and
-        // every row it could write would use the wrong keys. Abort the
-        // whole run loudly.
-        if status.code() == Some(crate::worker::EXIT_GEOMETRY_MISMATCH) {
-            self.journal.append(&LeaseEvent::Dead {
-                lease: lease.id,
-                attempt: lease.attempt,
-                done: 0,
-                blamed: None,
-                reason: "sweep geometry mismatch".to_string(),
-            })?;
-            return Err(io::Error::other(format!(
-                "worker for lease {} reports a sweep geometry mismatch: \
-                 supervisor and worker disagree on scale/config enumeration \
-                 (see the worker's stderr above); aborting instead of \
-                 retrying a deterministic failure",
-                lease.id
-            )));
-        }
-
-        // A real death: crash, external kill, nonzero exit, watchdog
-        // SIGKILL, or an exit-0 worker whose manifest is missing or
-        // incomplete (treated as a crash — trust the manifest, not the
-        // exit code).
-        self.report.worker_deaths += 1;
-        musa_obs::counter_add("pool.worker_deaths", 1);
-        let done = result
-            .as_ref()
-            .map_or(hb.done, |r| r.done.max(hb.done))
-            .min(lease.points.len() as u64) as usize;
-        let (reason, blamed_idx) = match w.killed {
-            Some((reason, idx)) => (reason, idx),
-            None => (describe_exit(status), hb.current),
-        };
-        let blamed = blamed_idx.and_then(|idx| self.point_identity(idx));
-        self.journal.append(&LeaseEvent::Dead {
-            lease: lease.id,
-            attempt: lease.attempt,
-            done: done as u64,
-            blamed: blamed.as_ref().map(|(key, _, _)| key.clone()),
-            reason: reason.clone(),
-        })?;
-        musa_obs::warn(
-            "musa-pool",
-            "worker died, requeueing the unfinished remainder",
-            &[
-                ("lease", lease.id.into()),
-                ("attempt", lease.attempt.into()),
-                ("done", done.into()),
-                ("reason", reason.clone().into()),
-                (
-                    "blamed",
-                    blamed
-                        .as_ref()
-                        .map_or("unknown".to_string(), |(_, app, config)| {
-                            format!("{}/{}", app.label(), config.label())
-                        })
-                        .into(),
-                ),
-            ],
-        );
-        self.done_points.extend(&lease.points[..done]);
-        // Harvest the dead worker's (possibly incremental) manifest:
-        // rows it reports were durably flushed before it died, and its
-        // in-worker poison records are counted in the heartbeat's done
-        // prefix — without this they would vanish with the process and
-        // the run could exit clean with points silently absent.
-        if let Some(r) = result {
-            self.report.rows_flushed += r.rows;
-            self.report.worker_poisoned.extend(r.poisoned);
-        }
-        self.strike_and_requeue(lease, done, blamed, reason)
-    }
-
-    /// Death bookkeeping shared by local and remote leases: charge a
-    /// strike to the blamed point (quarantining it at the poison cap)
-    /// and requeue the unfinished, unpoisoned remainder.
+    /// Death bookkeeping: charge a strike to the blamed point
+    /// (quarantining it at the poison cap) and requeue the unfinished,
+    /// unpoisoned remainder.
     fn strike_and_requeue(
         &mut self,
+        run: &mut Run,
         lease: Lease,
         done: usize,
-        blamed: Option<(String, AppId, NodeConfig)>,
+        blamed: Option<usize>,
         reason: String,
     ) -> io::Result<()> {
         let mut poisoned_now = false;
-        if let Some((key, app, config)) = blamed {
-            let strikes = self.strikes.entry(key.clone()).or_insert(0);
-            *strikes += 1;
-            if *strikes >= self.opts.poison_cap && !self.poisoned_keys.contains(&key) {
+        if let Some(idx) = blamed {
+            let key = run.keys[idx].clone();
+            let strikes = {
+                let strikes = self.strikes.entry(key.clone()).or_insert(0);
+                *strikes += 1;
+                *strikes
+            };
+            if strikes >= self.opts.poison_cap && !self.is_poisoned(&key) {
+                let (app, config) = &run.points[idx];
                 let record = PoolPoisonRecord {
-                    key: key.clone(),
+                    key,
                     app: app.label().to_string(),
                     config: config.label(),
-                    strikes: *strikes,
+                    strikes,
                     reason,
                 };
                 self.journal.append(&LeaseEvent::Poison(record.clone()))?;
@@ -511,19 +414,15 @@ impl Pool<'_> {
                         ("reason", record.reason.clone().into()),
                     ],
                 );
-                self.poisoned_keys.insert(key);
-                self.report.pool_poisoned.push(record);
+                self.poisoned.push(record);
                 poisoned_now = true;
             }
         }
 
-        let remaining: Vec<u64> = lease.points[done..]
+        let remaining: Vec<usize> = lease.points[done..]
             .iter()
             .copied()
-            .filter(|&idx| {
-                self.point_identity(idx)
-                    .is_none_or(|(key, _, _)| !self.poisoned_keys.contains(&key))
-            })
+            .filter(|&idx| !self.is_poisoned(&run.keys[idx]))
             .collect();
         if remaining.is_empty() {
             return Ok(());
@@ -533,43 +432,42 @@ impl Pool<'_> {
         // progress — points completed, or a poisonous point newly
         // quarantined. A sweep with several pathological points then
         // terminates by poisoning each in turn; the cap only trips on
-        // failure loops that change nothing (e.g. a worker that can
-        // never start).
+        // failure loops that change nothing.
         let next_attempt = if done > 0 || poisoned_now {
             0
         } else {
             lease.attempt + 1
         };
-        self.requeue(lease.id, next_attempt, remaining)
+        self.requeue(run, lease.id, next_attempt, remaining)
     }
 
-    /// Queue a grant to an idle remote worker. The hub only queues the
-    /// frame (bytes move on its next poll), so journaling the
+    /// Queue a grant to an idle worker. The hub only queues the frame
+    /// (bytes move on its next poll), so journaling the
     /// [`LeaseEvent::RemoteGrant`] here — after the offer, before any
-    /// wire effect — keeps the journal ahead of reality, exactly like
-    /// local grants. Returns `false` (with the lease back in pending)
-    /// when no worker took the offer.
-    fn grant_remote(&mut self, hub: &mut dyn RemoteHub, lease: Lease) -> io::Result<bool> {
+    /// wire effect — keeps the journal ahead of reality. Returns
+    /// `false` (with the lease back in pending) when no worker took
+    /// the offer.
+    fn grant(&mut self, run: &mut Run, lease: Lease) -> io::Result<bool> {
         let offer = RemoteLease {
             id: lease.id,
             attempt: lease.attempt,
-            points: lease.points.clone(),
-            max_retries: self.opts.max_retries,
+            sweep: *run.sweep,
+            points: lease.points.iter().map(|&i| run.points[i]).collect(),
         };
-        let Some(peer) = hub.offer(&offer) else {
-            self.pending.push_front(lease);
+        let Some(peer) = self.hub.offer(&offer) else {
+            run.pending.push_front(lease);
             return Ok(false);
         };
         self.journal.append(&LeaseEvent::RemoteGrant {
             lease: lease.id,
             attempt: lease.attempt,
-            points: lease.points.clone(),
+            points: lease.points.iter().map(|&i| i as u64).collect(),
             peer: peer.clone(),
         })?;
         musa_obs::counter_add("dist.leases_granted", 1);
         musa_obs::debug(
             "musa-pool",
-            "lease granted to remote worker",
+            "lease granted",
             &[
                 ("lease", lease.id.into()),
                 ("attempt", lease.attempt.into()),
@@ -577,428 +475,317 @@ impl Pool<'_> {
                 ("peer", peer.into()),
             ],
         );
-        self.remote_running.insert(lease.id, lease);
+        run.running.insert(lease.id, lease);
         Ok(true)
     }
 
-    /// Fold one hub event through the same machinery local exits use.
-    fn handle_remote_event(&mut self, ev: RemoteEvent, draining: bool) -> io::Result<()> {
-        match ev {
-            RemoteEvent::LeaseDone {
-                lease,
-                attempt,
-                rows,
-                poisoned,
-            } => {
-                let Some(l) = self.remote_running.remove(&lease) else {
-                    musa_obs::warn(
-                        "musa-pool",
-                        "result for unknown remote lease ignored",
-                        &[("lease", lease.into())],
-                    );
-                    return Ok(());
-                };
-                self.journal.append(&LeaseEvent::Done {
-                    lease,
-                    attempt,
-                    rows,
-                })?;
-                self.done_points.extend(&l.points);
-                self.report.rows_flushed += rows;
-                self.report.worker_poisoned.extend(poisoned);
-                Ok(())
-            }
+    /// Fold one hub event: the single completion/death path.
+    fn handle_event(&mut self, run: &mut Run, ev: RemoteEvent) -> io::Result<()> {
+        self.barren_exits = 0;
+        let (progress, death) = match ev {
+            RemoteEvent::LeaseDone(progress) => (progress, None),
             RemoteEvent::LeaseDead {
-                lease,
-                attempt,
-                done,
+                progress,
                 blamed,
                 reason,
-                rows,
-                poisoned,
-            } => {
-                let Some(l) = self.remote_running.remove(&lease) else {
-                    return Ok(());
-                };
-                let done = (done as usize).min(l.points.len());
-                // Rows shipped before death are already durable (the
-                // hub appended them as the frames arrived); count them
-                // like a dead local worker's harvested manifest.
-                self.report.rows_flushed += rows;
-                self.report.worker_poisoned.extend(poisoned);
-                self.done_points.extend(&l.points[..done]);
-                if draining {
-                    // Same as a local worker stopped by our own drain:
-                    // keep the progress, charge no strike.
-                    return self.journal.append(&LeaseEvent::Dead {
-                        lease,
-                        attempt,
-                        done: done as u64,
-                        blamed: None,
-                        reason: format!("interrupted during drain ({reason})"),
-                    });
-                }
-                self.report.worker_deaths += 1;
-                musa_obs::counter_add("pool.worker_deaths", 1);
-                musa_obs::counter_add("dist.lease_deaths", 1);
-                let blamed = blamed.and_then(|idx| self.point_identity(idx));
-                self.journal.append(&LeaseEvent::Dead {
-                    lease,
-                    attempt,
-                    done: done as u64,
-                    blamed: blamed.as_ref().map(|(key, _, _)| key.clone()),
-                    reason: reason.clone(),
-                })?;
-                musa_obs::warn(
-                    "musa-pool",
-                    "remote lease died, requeueing the unfinished remainder",
-                    &[
-                        ("lease", lease.into()),
-                        ("attempt", attempt.into()),
-                        ("done", done.into()),
-                        ("reason", reason.clone().into()),
-                    ],
-                );
-                self.strike_and_requeue(l, done, blamed, reason)
-            }
-        }
-    }
-}
-
-/// Run a full pool sweep: simulate every missing point of
-/// `apps × configs` with `opts.workers` supervised worker processes.
-///
-/// `exe` is the binary to re-exec in `pool-worker` mode (normally
-/// `std::env::current_exe()`), `dir` the store directory. Workers
-/// inherit the parent environment, plus `opts.env`.
-pub fn run_pool(
-    exe: &Path,
-    dir: &Path,
-    apps: &[AppId],
-    configs: &[NodeConfig],
-    sweep: &SweepOptions,
-    opts: &PoolOptions,
-) -> io::Result<PoolReport> {
-    run_pool_with_remote(exe, dir, apps, configs, sweep, opts, None)
-}
-
-/// [`run_pool`], with an optional [`RemoteHub`] whose connected remote
-/// workers draw leases from the same pending queue as the local pool.
-/// Remote completions and deaths fold through the identical journal /
-/// strike / poison / requeue machinery, and a hub with zero connected
-/// remotes degrades to a plain local run — the campaign keeps making
-/// progress either way.
-pub fn run_pool_with_remote(
-    exe: &Path,
-    dir: &Path,
-    apps: &[AppId],
-    configs: &[NodeConfig],
-    sweep: &SweepOptions,
-    opts: &PoolOptions,
-    mut remote: Option<&mut dyn RemoteHub>,
-) -> io::Result<PoolReport> {
-    signals::install_term_handlers();
-    std::fs::create_dir_all(dir.join(crate::lease::SCRATCH_DIR))?;
-    // Heartbeats are per-attempt scratch, meaningful only while their
-    // worker runs; anything surviving to this point is litter from a
-    // previous run (nothing of this run has spawned yet).
-    let stale_hb = crate::lease::clean_stale_heartbeats(dir);
-    if stale_hb > 0 {
-        musa_obs::debug(
-            "musa-pool",
-            "stale heartbeat files removed",
-            &[("removed", stale_hb.into())],
-        );
-    }
-
-    // Merge profiling leftovers of a previous crashed run (staged
-    // worker files, a torn profiles.jsonl tail) before this run's
-    // workers create fresh staging files — the flight-recorder
-    // analogue of the journal replay below. Best-effort: a failed
-    // merge degrades profiling, never the campaign.
-    if let Err(e) = musa_prof::harvest(dir) {
-        musa_obs::warn(
-            "musa-pool",
-            "profile harvest failed on startup, profiles may be incomplete",
-            &[("error", e.to_string().into())],
-        );
-    }
-
-    let (journal, replayed) = LeaseJournal::open(dir)?;
-    let strikes = replayed.strikes();
-    let poisoned = replayed.poisoned();
-    let next_lease = replayed
-        .events
-        .iter()
-        .filter_map(|ev| match ev {
-            LeaseEvent::Grant { lease, .. }
-            | LeaseEvent::RemoteGrant { lease, .. }
-            | LeaseEvent::Requeue { lease, .. } => Some(*lease),
-            _ => None,
-        })
-        .max()
-        .map_or(1, |max| max + 1);
-
-    // Open the store once, in repairing mode, *before* any worker
-    // exists: torn tails from a previous crash are truncated now, and
-    // the surviving rows define the missing set. The store is dropped
-    // before spawning — while workers run, only they hold writers.
-    let mut report = PoolReport {
-        requested: apps.len() * configs.len(),
-        pool_poisoned: poisoned.clone(),
-        ..PoolReport::default()
-    };
-    let poisoned_keys: HashSet<String> = poisoned.into_iter().map(|p| p.key).collect();
-    let missing: Vec<u64> = {
-        let store = CampaignStore::open(dir)?;
-        let mut missing = Vec::new();
-        for (ai, &app) in apps.iter().enumerate() {
-            for (ci, config) in configs.iter().enumerate() {
-                let key = PointKey::for_point(app, config, sweep);
-                if store.get_by_key(key).is_some() {
-                    report.cached += 1;
-                } else if !poisoned_keys.contains(&key.to_hex()) {
-                    missing.push((ai * configs.len() + ci) as u64);
-                }
-            }
-        }
-        missing
-    };
-
-    let mut next_lease = next_lease;
-    let pending: VecDeque<Lease> = missing
-        .chunks(opts.lease_batch.max(1))
-        .map(|points| {
-            let id = next_lease;
-            next_lease += 1;
-            Lease {
-                id,
-                attempt: 0,
-                points: points.to_vec(),
-                not_before: Instant::now(),
-            }
-        })
-        .collect();
-    let mut pool = Pool {
-        exe,
-        dir,
-        apps,
-        configs,
-        sweep,
-        opts,
-        journal,
-        next_lease,
-        backoff_salt: musa_fault::key_of(&[b"pool.backoff"]),
-        pending,
-        running: Vec::new(),
-        remote_running: HashMap::new(),
-        strikes,
-        poisoned_keys,
-        done_points: HashSet::new(),
-        report,
-    };
-
-    let total = missing.len() as u64;
-    musa_obs::info(
-        "musa-pool",
-        "pool sweep starting",
-        &[
-            ("workers", opts.workers.into()),
-            ("missing", total.into()),
-            ("cached", pool.report.cached.into()),
-            ("leases", pool.pending.len().into()),
-            ("poisoned", pool.poisoned_keys.len().into()),
-        ],
-    );
-    let heartbeat = (opts.progress && total > 0).then(|| Progress::new("pool", total));
-
-    let workers = opts.workers.max(1);
-    let grace = opts
-        .point_timeout
-        .map_or(Duration::from_secs(10), |t| t + Duration::from_secs(5));
-    let mut draining = false;
-    let mut drain_deadline = Instant::now();
-
-    loop {
-        // Drain: journal first, then ask nicely, later insist.
-        if signals::termination_requested() && !draining {
-            draining = true;
-            drain_deadline = Instant::now() + grace;
+                deadline,
+                worker,
+            } => (progress, Some((blamed, reason, deadline, worker))),
+        };
+        let LeaseProgress {
+            lease,
+            attempt,
+            done,
+            rows,
+            poisoned,
+            metrics,
+        } = progress;
+        let Some(l) = run.running.remove(&lease) else {
             musa_obs::warn(
                 "musa-pool",
-                "termination requested, draining workers",
-                &[("running", pool.running.len().into())],
+                "event for an unknown lease ignored",
+                &[("lease", lease.into())],
             );
-            pool.journal.append(&LeaseEvent::Interrupted {
-                reason: "SIGINT/SIGTERM".to_string(),
-            })?;
-            pool.report.interrupted = true;
-            for w in &pool.running {
-                signals::send_term(w.child.id());
-            }
-            if let Some(hub) = remote.as_deref_mut() {
-                hub.drain();
-            }
+            return Ok(());
+        };
+        // Rows shipped before a death are already durable (the hub
+        // appended them as the frames arrived), and in-worker poison
+        // records ride the same frames: both count whatever happened
+        // to the lease afterwards.
+        let done = (done as usize).min(l.points.len());
+        run.done.extend(&l.points[..done]);
+        run.report.rows_flushed += rows;
+        run.report.worker_poisoned.extend(poisoned);
+        run.report.worker_metrics.absorb(&metrics);
+
+        let Some((blamed, reason, deadline, worker)) = death else {
+            return self.journal.append(&LeaseEvent::Done {
+                lease,
+                attempt,
+                rows,
+            });
+        };
+        if deadline {
+            self.kill_child_of(&worker);
         }
-        if draining && Instant::now() >= drain_deadline {
-            for w in &mut pool.running {
-                if w.killed.is_none() {
-                    w.killed = Some(("SIGKILL after drain grace period".to_string(), None));
-                    signals::send_kill(w.child.id());
+        if self.draining {
+            // A worker stopped by our own drain is not a death to
+            // learn from: keep its progress, charge no strike.
+            return self.journal.append(&LeaseEvent::Dead {
+                lease,
+                attempt,
+                done: done as u64,
+                blamed: None,
+                reason: format!("interrupted during drain ({reason})"),
+            });
+        }
+        run.report.worker_deaths += 1;
+        musa_obs::counter_add("pool.worker_deaths", 1);
+        if deadline {
+            run.report.deadline_kills += 1;
+            musa_obs::counter_add("pool.deadline_kills", 1);
+        }
+        let blamed = blamed.and_then(|pos| l.points.get(pos).copied());
+        self.journal.append(&LeaseEvent::Dead {
+            lease,
+            attempt,
+            done: done as u64,
+            blamed: blamed.map(|idx| run.keys[idx].clone()),
+            reason: reason.clone(),
+        })?;
+        musa_obs::warn(
+            "musa-pool",
+            "lease died, requeueing the unfinished remainder",
+            &[
+                ("lease", lease.into()),
+                ("attempt", attempt.into()),
+                ("done", done.into()),
+                ("worker", worker.into()),
+                ("reason", reason.clone().into()),
+                (
+                    "blamed",
+                    blamed
+                        .map_or("unknown".to_string(), |idx| {
+                            let (app, config) = &run.points[idx];
+                            format!("{}/{}", app.label(), config.label())
+                        })
+                        .into(),
+                ),
+            ],
+        );
+        self.strike_and_requeue(run, l, done, blamed, reason)
+    }
+
+    /// Simulate every point of `points` that is neither stored nor
+    /// quarantined, with the workers connected to the hub.
+    pub fn run(
+        &mut self,
+        points: &[(AppId, NodeConfig)],
+        sweep: &SweepOptions,
+    ) -> io::Result<PoolReport> {
+        // Open the store in repairing mode *before* any row of this
+        // run can arrive: torn tails from a previous crash are
+        // truncated now, and the surviving rows define the missing
+        // set. The store is dropped again — the hub holds the only
+        // writers while the run is on.
+        let keys: Vec<String> = points
+            .iter()
+            .map(|(app, config)| PointKey::for_point(*app, config, sweep).to_hex())
+            .collect();
+        let mut report = PoolReport {
+            requested: points.len(),
+            ..PoolReport::default()
+        };
+        let mut missing: Vec<usize> = {
+            let store = CampaignStore::open(&self.dir)?;
+            (0..points.len())
+                .filter(|&i| {
+                    let (app, config) = &points[i];
+                    let cached = store.contains(*app, config, sweep);
+                    report.cached += usize::from(cached);
+                    !cached && !self.is_poisoned(&keys[i])
+                })
+                .collect()
+        };
+        // A worker keeps one application's trace at a time: leases
+        // take their points application by application.
+        missing.sort_by_key(|&i| AppId::ALL.iter().position(|a| *a == points[i].0));
+        let workers = self.opts.workers.max(1);
+        let per_lease = missing
+            .len()
+            .div_ceil(workers)
+            .clamp(1, self.opts.lease_batch.max(1));
+        let pending: VecDeque<Lease> = missing
+            .chunks(per_lease)
+            .map(|chunk| {
+                let id = self.next_lease;
+                self.next_lease += 1;
+                Lease {
+                    id,
+                    attempt: 0,
+                    points: chunk.to_vec(),
+                    not_before: Instant::now(),
+                }
+            })
+            .collect();
+        let total = missing.len() as u64;
+        musa_obs::info(
+            "musa-pool",
+            "pool run starting",
+            &[
+                ("workers", workers.into()),
+                ("missing", total.into()),
+                ("cached", report.cached.into()),
+                ("leases", pending.len().into()),
+                ("poisoned", self.poisoned.len().into()),
+            ],
+        );
+        let mut run = Run {
+            points,
+            sweep,
+            keys,
+            pending,
+            running: HashMap::new(),
+            done: HashSet::new(),
+            report,
+        };
+        let heartbeat = (self.opts.progress && total > 0).then(|| Progress::new("pool", total));
+        let grace = self
+            .opts
+            .point_timeout
+            .map_or(Duration::from_secs(10), |t| t + Duration::from_secs(5));
+        let mut drain_deadline = None;
+
+        loop {
+            // Drain: journal first, then ask nicely, later insist.
+            if signals::termination_requested() && !self.draining {
+                self.draining = true;
+                drain_deadline = Some(Instant::now() + grace);
+                musa_obs::warn(
+                    "musa-pool",
+                    "termination requested, draining workers",
+                    &[("leases_running", run.running.len().into())],
+                );
+                self.journal.append(&LeaseEvent::Interrupted {
+                    reason: "SIGINT/SIGTERM".to_string(),
+                })?;
+                self.hub.drain();
+                for child in &self.children {
+                    signals::send_term(child.id());
                 }
             }
-            // Remote workers that have not finished their in-flight
-            // point within the grace period get cut off; the next poll
-            // surfaces their leases as dead (drain semantics: progress
-            // kept, no strike).
-            if let Some(hub) = remote.as_deref_mut() {
-                hub.shutdown();
-            }
-        }
-
-        // Reap exits, newest-first so swap_remove is safe.
-        let mut i = 0;
-        while i < pool.running.len() {
-            match pool.running[i].child.try_wait()? {
-                Some(status) => {
-                    let w = pool.running.swap_remove(i);
-                    pool.handle_exit(w, status, draining)?;
-                }
-                None => {
-                    // Watchdog: has the heartbeat moved?
-                    let w = &mut pool.running[i];
-                    if let Ok(raw) = std::fs::read_to_string(&w.hb_path) {
-                        if raw != w.last_raw {
-                            w.last_raw = raw;
-                            w.last_change = Instant::now();
-                            if let Some(hb) = Heartbeat::parse(&w.last_raw) {
-                                w.last_hb = hb;
-                            }
-                        }
-                    }
-                    if !draining && w.killed.is_none() {
-                        if let Some(timeout) = opts.point_timeout {
-                            if w.last_change.elapsed() > timeout {
-                                let blamed = w.last_hb.current;
-                                w.killed = Some((
-                                    format!("deadline exceeded ({timeout:?} without progress)"),
-                                    blamed,
-                                ));
-                                signals::send_kill(w.child.id());
-                                pool.report.deadline_kills += 1;
-                                musa_obs::counter_add("pool.deadline_kills", 1);
-                                musa_obs::warn(
-                                    "musa-pool",
-                                    "worker stuck past the point deadline, killed",
-                                    &[
-                                        ("lease", w.lease.id.into()),
-                                        ("pid", u64::from(w.child.id()).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    i += 1;
+            if drain_deadline.is_some_and(|at| Instant::now() >= at) {
+                // Workers that have not finished their in-flight point
+                // within the grace period get cut off; the next poll
+                // surfaces their leases as dead (drain semantics:
+                // progress kept, no strike).
+                drain_deadline = None;
+                self.hub.shutdown();
+                for child in &self.children {
+                    signals::send_kill(child.id());
                 }
             }
-        }
 
-        // Spawn up to the worker budget from ready leases.
-        while !draining && pool.running.len() < workers {
-            let now = Instant::now();
-            let Some(pos) = pool.pending.iter().position(|l| l.not_before <= now) else {
-                break;
-            };
-            let lease = pool.pending.remove(pos).expect("position exists");
-            pool.grant_and_spawn(lease)?;
-        }
-
-        // Service the remote hub: fold arrived events, then offer
-        // ready leases to idle remote workers. Local workers got first
-        // pick above — remotes only extend the pool, never starve it.
-        if let Some(hub) = remote.as_deref_mut() {
-            for ev in hub.poll()? {
-                pool.handle_remote_event(ev, draining)?;
+            self.reap_children();
+            if self.barren_exits >= MAX_LEASE_ATTEMPTS {
+                return Err(io::Error::other(format!(
+                    "{MAX_LEASE_ATTEMPTS} workers in a row exited (or failed to spawn) \
+                     without taking a lease; giving up ({} points unfinished)",
+                    total as usize - run.done.len()
+                )));
             }
-            while !draining && hub.idle() > 0 {
+            let wanted = workers.min(run.pending.len() + run.running.len());
+            while !self.draining
+                && self.children.len() < wanted
+                && Instant::now() >= self.respawn_not_before
+            {
+                self.spawn_child(&mut run.report);
+            }
+
+            while !self.draining && self.hub.idle() > 0 {
                 let now = Instant::now();
-                let Some(pos) = pool.pending.iter().position(|l| l.not_before <= now) else {
+                let Some(pos) = run.pending.iter().position(|l| l.not_before <= now) else {
                     break;
                 };
-                let lease = pool.pending.remove(pos).expect("position exists");
-                if !pool.grant_remote(hub, lease)? {
+                let lease = run.pending.remove(pos).expect("position exists");
+                if !self.grant(&mut run, lease)? {
                     break;
                 }
             }
-            musa_obs::gauge_set("dist.workers_connected", hub.connected() as f64);
+            // Grants queued above leave with this poll; a poll that
+            // brought events back is followed by the next one at once,
+            // so a freed worker is not kept waiting a tick.
+            let events = self.hub.poll()?;
+            let progressed = !events.is_empty();
+            for ev in events {
+                self.handle_event(&mut run, ev)?;
+            }
+            musa_obs::gauge_set("dist.workers_connected", self.hub.connected() as f64);
+            musa_obs::gauge_set("pool.workers_active", self.children.len() as f64);
+            if let Some(hb) = &heartbeat {
+                hb.tick(run.done.len() as u64);
+            }
+
+            if run.running.is_empty() && (self.draining || run.pending.is_empty()) {
+                break;
+            }
+            if !progressed {
+                std::thread::sleep(POLL);
+            }
         }
 
-        musa_obs::gauge_set("pool.workers_active", pool.running.len() as f64);
+        run.report.completed = run.done.len();
+        run.report.pool_poisoned = self.poisoned.clone();
+        run.report.interrupted = self.draining;
         if let Some(hb) = &heartbeat {
-            hb.tick(pool.done_points.len() as u64);
+            hb.finish(run.done.len() as u64);
         }
-
-        if pool.running.is_empty()
-            && pool.remote_running.is_empty()
-            && (draining || pool.pending.is_empty())
-        {
-            break;
+        if !self.draining {
+            self.journal.append(&LeaseEvent::Complete {
+                simulated: run.report.rows_flushed,
+                poisoned: self.poisoned.len() as u64,
+            })?;
         }
-        std::thread::sleep(POLL);
-    }
-
-    // The sweep is over: drain idle remote workers (they exit 0) and
-    // close the endpoint. Any lease still outstanding here means the
-    // loop exited draining — its final poll already surfaced it dead.
-    if let Some(hub) = remote {
-        hub.shutdown();
-        musa_obs::gauge_set("dist.workers_connected", 0.0);
-    }
-
-    pool.report.completed = pool.done_points.len();
-    if let Some(hb) = &heartbeat {
-        hb.finish(pool.done_points.len() as u64);
-    }
-    // All workers are reaped: fold their staged per-point profiles
-    // into profiles.jsonl (dedup by point fingerprint, latest attempt
-    // wins — matching the row that survived).
-    match musa_prof::harvest(dir) {
-        Ok(h) if h.repaired_anything() => musa_obs::debug(
+        musa_obs::info(
             "musa-pool",
-            "worker profiles merged into profiles.jsonl",
+            "pool run finished",
             &[
-                ("records", h.records.into()),
-                ("staged_files", h.staged_files.into()),
-                ("duplicates", h.duplicates.into()),
-                ("torn_tails", h.torn_tails.into()),
+                ("completed", run.report.completed.into()),
+                ("rows_flushed", run.report.rows_flushed.into()),
+                ("requeues", run.report.requeues.into()),
+                ("worker_deaths", run.report.worker_deaths.into()),
+                ("deadline_kills", run.report.deadline_kills.into()),
+                ("pool_poisoned", self.poisoned.len().into()),
+                ("interrupted", run.report.interrupted.to_string().into()),
             ],
-        ),
-        Ok(_) => {}
-        Err(e) => musa_obs::warn(
-            "musa-pool",
-            "profile harvest failed, staged worker profiles left in place",
-            &[("error", e.to_string().into())],
-        ),
+        );
+        Ok(run.report)
     }
-    if !pool.report.interrupted {
-        pool.journal.append(&LeaseEvent::Complete {
-            simulated: pool.report.rows_flushed,
-            poisoned: pool.poisoned_keys.len() as u64,
-        })?;
+
+    /// Dismiss the workers and close the endpoint: idle workers are
+    /// drained (they exit 0), stragglers are SIGKILLed after a short
+    /// grace, every child is reaped, and duplicate profile records of
+    /// re-simulated points are folded away.
+    pub fn close(mut self) {
+        self.hub.shutdown();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for mut child in self.children.drain(..) {
+            while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(POLL);
+            }
+            if matches!(child.try_wait(), Ok(None)) {
+                signals::send_kill(child.id());
+            }
+            let _ = child.wait();
+        }
+        musa_obs::gauge_set("dist.workers_connected", 0.0);
+        musa_obs::gauge_set("pool.workers_active", 0.0);
+        if let Err(e) = musa_prof::harvest(&self.dir) {
+            musa_obs::warn(
+                "musa-pool",
+                "profile harvest failed, duplicate records left in place",
+                &[("error", e.to_string().into())],
+            );
+        }
     }
-    musa_obs::gauge_set("pool.workers_active", 0.0);
-    musa_obs::info(
-        "musa-pool",
-        "pool sweep finished",
-        &[
-            ("completed", pool.report.completed.into()),
-            ("rows_flushed", pool.report.rows_flushed.into()),
-            ("requeues", pool.report.requeues.into()),
-            ("worker_deaths", pool.report.worker_deaths.into()),
-            ("deadline_kills", pool.report.deadline_kills.into()),
-            ("pool_poisoned", pool.report.pool_poisoned.len().into()),
-            ("interrupted", pool.report.interrupted.to_string().into()),
-        ],
-    );
-    Ok(pool.report)
 }

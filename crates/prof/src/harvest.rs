@@ -7,11 +7,9 @@
 //! telemetry, and refusing to start a campaign over a damaged one
 //! would invert the priorities.
 //!
-//! [`harvest`] is the merge the supervisor (and the next `--resume`)
-//! runs: fold `<dir>/profiles.jsonl` plus every staged
-//! `pool/prof-*.jsonl` into one deduplicated, chronologically sorted
-//! `profiles.jsonl`, rewritten atomically (tmp + fsync + rename) and
-//! the staging files removed only after the rewrite landed. Dedup is
+//! [`harvest`] is the repair the supervisor (and the next `--resume`)
+//! runs: rewrite `<dir>/profiles.jsonl` deduplicated and
+//! chronologically sorted, atomically (tmp + fsync + rename). Dedup is
 //! by point fingerprint, keeping the **latest attempt** — when a
 //! worker died after profiling a point but before its row survived,
 //! the re-simulation's record is the one that matches the surviving
@@ -21,15 +19,13 @@ use std::path::Path;
 
 use musa_cache::atomic_write;
 
-use crate::record::{PointProfile, PROFILES_FILE, WORKER_PROFILE_PREFIX};
+use crate::record::{PointProfile, PROFILES_FILE};
 
 /// What reading / merging profile data found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HarvestReport {
     /// Valid records after dedup.
     pub records: usize,
-    /// Staged worker files merged (and removed).
-    pub staged_files: usize,
     /// Records dropped as duplicate attempts of the same point.
     pub duplicates: usize,
     /// Torn final lines dropped (normal crash residue).
@@ -39,14 +35,9 @@ pub struct HarvestReport {
 }
 
 impl HarvestReport {
-    /// True when the merge changed anything on disk worth reporting.
+    /// True when a harvest has anything to rewrite.
     pub fn repaired_anything(&self) -> bool {
-        self.staged_files > 0 || self.duplicates > 0 || self.torn_tails > 0 || self.corrupt > 0
-    }
-
-    fn absorb_read(&mut self, other: &HarvestReport) {
-        self.torn_tails += other.torn_tails;
-        self.corrupt += other.corrupt;
+        self.duplicates > 0 || self.torn_tails > 0 || self.corrupt > 0
     }
 }
 
@@ -77,38 +68,13 @@ pub fn read_profile_file(path: &Path) -> std::io::Result<(Vec<PointProfile>, Har
     Ok((records, report))
 }
 
-/// The staged per-worker profile files under `<dir>/pool`, sorted.
-fn staged_files(dir: &Path) -> Vec<std::path::PathBuf> {
-    let scratch = dir.join("pool");
-    let Ok(entries) = std::fs::read_dir(scratch) else {
-        return Vec::new();
-    };
-    let mut files: Vec<_> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(WORKER_PROFILE_PREFIX) && n.ends_with(".jsonl"))
-        })
-        .collect();
-    files.sort();
-    files
-}
-
-/// Merge, dedup and sort every profile record under `dir` **in
+/// Read, dedup and sort every profile record under `dir` **in
 /// memory** — the read path of `dse profile`, which must work on a
 /// store directory another process is still writing to.
 pub fn load_profiles(dir: &Path) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
-    let (mut records, mut report) = read_profile_file(&dir.join(PROFILES_FILE))?;
-    for staged in staged_files(dir) {
-        let (mut more, stats) = read_profile_file(&staged)?;
-        report.staged_files += 1;
-        report.absorb_read(&stats);
-        records.append(&mut more);
-    }
+    let (records, mut report) = read_profile_file(&dir.join(PROFILES_FILE))?;
     let total = records.len();
-    records = dedup_latest(records);
+    let records = dedup_latest(records);
     report.duplicates = total - records.len();
     report.records = records.len();
     Ok((records, report))
@@ -131,13 +97,11 @@ fn dedup_latest(mut records: Vec<PointProfile>) -> Vec<PointProfile> {
     out
 }
 
-/// Repair + merge on disk: fold staged worker files and crash residue
-/// into `<dir>/profiles.jsonl` with an atomic rewrite, then remove the
-/// staging files. Idempotent; a no-op (no rewrite) when there is
-/// nothing to repair. Survives kill -9 at any instruction: the rewrite
-/// is tmp + fsync + rename, and staging files are only removed after
-/// it landed (a crash between the two re-merges them harmlessly —
-/// dedup makes the merge idempotent).
+/// Repair on disk: rewrite `<dir>/profiles.jsonl` without its crash
+/// residue (torn tail, corrupt lines) and duplicate attempts.
+/// Idempotent; a no-op (no rewrite) when there is nothing to repair.
+/// Survives kill -9 at any instruction: the rewrite is tmp + fsync +
+/// rename.
 pub fn harvest(dir: &Path) -> std::io::Result<HarvestReport> {
     let (records, report) = load_profiles(dir)?;
     if !report.repaired_anything() {
@@ -149,9 +113,6 @@ pub fn harvest(dir: &Path) -> std::io::Result<HarvestReport> {
         text.push('\n');
     }
     atomic_write(&dir.join(PROFILES_FILE), text.as_bytes(), "prof.rewrite")?;
-    for staged in staged_files(dir) {
-        let _ = std::fs::remove_file(staged);
-    }
     Ok(report)
 }
 
@@ -193,37 +154,29 @@ mod tests {
     }
 
     #[test]
-    fn harvest_merges_staged_dedups_and_repairs_torn_tail() {
+    fn harvest_dedups_and_repairs_torn_tail() {
         let dir = tmp_dir("merge");
         let mut a = sample("aaaa", "hydro", "c64", 100);
         a.start_us = 1000;
         let mut b = sample("bbbb", "hydro", "c128", 200);
         b.start_us = 2000;
-        // The sequential file holds a, b, and a torn tail.
-        write_lines(
-            &dir.join(PROFILES_FILE),
-            &[a.clone(), b.clone()],
-            Some("{\"schema\":1,\"key\":\"tor"),
-        );
-        // A staged worker file re-simulated b (later attempt) and adds c.
+        // A requeued lease re-simulated b (later attempt) and added c.
         let mut b2 = sample("bbbb", "hydro", "c128", 999);
         b2.start_us = 5000;
         b2.worker = "l0001-a1".into();
         let mut c = sample("cccc", "spmz", "c64", 300);
         c.start_us = 3000;
         write_lines(
-            &dir.join("pool/prof-l0001-a1.jsonl"),
-            &[b2.clone(), c.clone()],
-            None,
+            &dir.join(PROFILES_FILE),
+            &[a.clone(), b.clone(), b2.clone(), c.clone()],
+            Some("{\"schema\":1,\"key\":\"tor"),
         );
 
         let report = harvest(&dir).unwrap();
-        assert_eq!(report.staged_files, 1);
         assert_eq!(report.torn_tails, 1);
         assert_eq!(report.duplicates, 1);
         assert_eq!(report.records, 3);
-        // Staging removed, merged file clean and chronologically sorted.
-        assert!(staged_files(&dir).is_empty());
+        // The rewritten file is clean and chronologically sorted.
         let (records, clean) = load_profiles(&dir).unwrap();
         assert_eq!(clean.torn_tails + clean.corrupt + clean.duplicates, 0);
         assert_eq!(

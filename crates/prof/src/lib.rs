@@ -22,13 +22,12 @@
 //!   detailed-sim, burst, dram, power, net-replay and store-flush all
 //!   land in the active point without the simulator knowing the
 //!   recorder exists), flushed as one line per point;
-//! * [`harvest`] — torn-tail-tolerant reading and the supervisor-side
-//!   merge: pool workers stage their records as
-//!   `pool/prof-l####-a#.jsonl` (invisible to the row loader, exactly
-//!   like heartbeats), the supervisor folds them into
-//!   `profiles.jsonl` with an atomic tmp+fsync+rename rewrite,
-//!   deduplicated by point fingerprint — so a kill-9'd worker's
-//!   partial profile survives `--resume` the same way its rows do;
+//! * [`harvest`] — torn-tail-tolerant reading and the repair pass:
+//!   worker processes ship each record to the supervisor in the
+//!   point's frame and the hub appends it to `profiles.jsonl`, so a
+//!   kill-9'd worker's records survive the same way its rows do; the
+//!   harvest rewrites the file atomically (tmp+fsync+rename),
+//!   deduplicated by point fingerprint;
 //! * [`report`] / [`trace`] — offline analysis: p50/p95/max per phase
 //!   and per app, top-k slowest points, cache-efficacy breakdowns, and
 //!   a Chrome Trace Event Format export (one track per worker
@@ -62,12 +61,10 @@ pub mod trace;
 pub const COMPILED: bool = cfg!(feature = "runtime");
 
 pub use harvest::{harvest, load_profiles, read_profile_file, HarvestReport};
-pub use record::{
-    worker_profile_file, PointProfile, PROFILES_FILE, PROF_SCHEMA, WORKER_PROFILE_PREFIX,
-};
+pub use record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 pub use recorder::{
-    add_phase_ns, cache_note, enabled_from_env, install_store_recorder, install_worker_recorder,
-    point_begin, point_finish, recording, take_phase_ns, uninstall_recorder,
+    cache_note, enabled_from_env, install_line_recorder, install_store_recorder, point_begin,
+    point_finish, recording, uninstall_recorder, ProfileSink,
 };
 pub use report::{render_summary, ProfileSummary};
 pub use trace::{export_trace, TraceInstant};

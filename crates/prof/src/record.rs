@@ -25,18 +25,6 @@ pub const PROF_SCHEMA: u32 = 1;
 /// file.
 pub const PROFILES_FILE: &str = "profiles.jsonl";
 
-/// Prefix of per-worker staging files inside the pool scratch
-/// directory (`pool/prof-l####-a#.jsonl`). Staged there — not in the
-/// store directory — so the row loader and the store-identity test
-/// glob never see partially-written worker profiles.
-pub const WORKER_PROFILE_PREFIX: &str = "prof-";
-
-/// Staging file name for one (lease, attempt), mirroring the worker
-/// row file naming (`pool-l####-a#.jsonl`).
-pub fn worker_profile_file(lease: u64, attempt: u32) -> String {
-    format!("{WORKER_PROFILE_PREFIX}l{lease:04}-a{attempt}.jsonl")
-}
-
 /// One per-point flight-recorder record.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointProfile {
@@ -50,7 +38,7 @@ pub struct PointProfile {
     /// Node-configuration label.
     pub config: String,
     /// Who simulated it: `"fill"` for the sequential path,
-    /// `"l####-a#"` for a pool worker (lease and attempt).
+    /// `"l####-a#"` (lease and attempt) for a worker process.
     pub worker: String,
     /// OS process id of the writer.
     pub pid: u32,
@@ -64,8 +52,8 @@ pub struct PointProfile {
     pub wall_ns: u64,
     /// Whether the simulation panicked (point poisoned, no row).
     pub poisoned: bool,
-    /// Store flush retries charged to this point (pool workers flush
-    /// per point; sequential fills retry per batch and report 0 here).
+    /// Attempt number of the lease the point ran under (0 for the
+    /// sequential fill and for first grants).
     pub retries: u32,
     /// Artifact-cache hits observed during this point (detailed
     /// windows + burst baselines).
@@ -220,11 +208,5 @@ mod tests {
         let mut p = sample("00aa11bb22cc33dd", "hydro", "c64", 9);
         p.schema = PROF_SCHEMA + 1;
         assert!(PointProfile::parse(&p.to_line()).is_none());
-    }
-
-    #[test]
-    fn worker_staging_names_mirror_row_files() {
-        assert_eq!(worker_profile_file(3, 0), "prof-l0003-a0.jsonl");
-        assert_eq!(worker_profile_file(12, 4), "prof-l0012-a4.jsonl");
     }
 }

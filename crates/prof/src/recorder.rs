@@ -5,17 +5,18 @@
 //! `musa-obs` span is offered to an installed **span listener**
 //! ([`musa_obs::set_span_listener`]), and the listener folds the
 //! span's wall time into the phase map of whatever point the current
-//! thread is simulating. The fill loop brackets each point with
+//! thread is simulating. The point executor brackets each point with
 //! [`point_begin`] / [`point_finish`]; `point_finish` drains the
-//! thread's accumulation into one sealed [`PointProfile`] line and
-//! appends it to the installed output file.
+//! thread's accumulation into one sealed [`PointProfile`] line, hands
+//! it back to the caller and — when the recorder was installed with a
+//! [`ProfileSink`] — appends it to `<store-dir>/profiles.jsonl`.
 //!
-//! Durability mirrors the pool heartbeats: one `write + flush` per
-//! point, torn final lines tolerated (and repaired) on read. The
-//! sequential fill appends to `<store-dir>/profiles.jsonl` directly
-//! (after a [`crate::harvest`] pass has repaired whatever a previous
-//! crash left); pool workers stage into the pool scratch directory and
-//! are merged by the supervisor.
+//! Durability: one `write + flush` per point, torn final lines
+//! tolerated (and repaired) on read. The sequential fill appends
+//! directly (after a [`crate::harvest`] pass has repaired whatever a
+//! previous crash left); a worker process records without a sink and
+//! ships each line to the supervisor in the point's frame, where the
+//! hub appends it through the same [`ProfileSink`].
 //!
 //! Everything here is inert — a branch on a constant or a relaxed
 //! atomic — unless the `runtime` feature is compiled in **and** a
@@ -32,26 +33,56 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::harvest::{harvest, HarvestReport};
-use crate::record::{worker_profile_file, PointProfile, PROFILES_FILE, PROF_SCHEMA};
+use crate::record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 
 /// `MUSA_PROF` environment opt-out: profiling is on by default in
 /// `runtime` builds; `MUSA_PROF=0` disables it (the supervisor
-/// propagates the setting to pool workers like `MUSA_CACHE=0`).
+/// propagates the setting to its workers like `MUSA_CACHE=0`).
 pub fn enabled_from_env() -> bool {
     std::env::var("MUSA_PROF").map(|v| v != "0").unwrap_or(true)
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
+/// The installed recorder's sink; `None` while recording without one
+/// (lines are only handed back by [`point_finish`]).
+static SINK: Mutex<Option<ProfileSink>> = Mutex::new(None);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
-struct Recorder {
+/// An append handle on `<store-dir>/profiles.jsonl`.
+pub struct ProfileSink {
     file: File,
-    worker: String,
-    /// Records offered for appending (the `prof.append` failpoint
-    /// key): deterministic per recorder, so a fault plan targets e.g.
-    /// "every append" or "the third append" reproducibly.
+    /// Lines offered for appending (the `prof.append` failpoint key):
+    /// deterministic per sink, so a fault plan targets e.g. "every
+    /// append" or "the third append" reproducibly.
     offered: u64,
+}
+
+impl ProfileSink {
+    /// Open `<dir>/profiles.jsonl` for appending (created if absent).
+    /// Run [`crate::harvest`] first when a previous crash may have
+    /// left a torn tail.
+    pub fn open(dir: &Path) -> std::io::Result<ProfileSink> {
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(dir.join(PROFILES_FILE))?;
+        Ok(ProfileSink { file, offered: 0 })
+    }
+
+    /// Append one sealed line. Best effort by design: a full disk must
+    /// not fail the simulation the record describes — the record is
+    /// dropped and counted (`prof.dropped`) instead, so a chaos drill
+    /// (the `prof.append` failpoint standing in for ENOSPC) can assert
+    /// that rows keep landing while profiles silently vanish.
+    pub fn append(&mut self, line: &str) {
+        self.offered += 1;
+        let appended = musa_fault::fail_io("prof.append", self.offered)
+            .and_then(|()| self.file.write_all(format!("{line}\n").as_bytes()))
+            .and_then(|()| self.file.flush());
+        if appended.is_err() {
+            musa_obs::counter_add("prof.dropped", 1);
+        }
+    }
 }
 
 thread_local! {
@@ -127,9 +158,9 @@ fn epoch_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Install the recorder for a sequential fill: repair + merge whatever
-/// an earlier run left (torn tails, staged worker files), then append
-/// to `<dir>/profiles.jsonl`. Returns the harvest's findings so the
+/// Install the recorder for a sequential fill: repair whatever an
+/// earlier run left (torn tail, duplicate attempts), then append to
+/// `<dir>/profiles.jsonl`. Returns the harvest's findings so the
 /// caller can report repairs. No-op returning the default report when
 /// recording is compiled out.
 pub fn install_store_recorder(dir: &Path) -> std::io::Result<HarvestReport> {
@@ -137,36 +168,21 @@ pub fn install_store_recorder(dir: &Path) -> std::io::Result<HarvestReport> {
         return Ok(HarvestReport::default());
     }
     let report = harvest(dir)?;
-    let file = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join(PROFILES_FILE))?;
-    install(file, "fill".to_string());
+    install(Some(ProfileSink::open(dir)?));
     Ok(report)
 }
 
-/// Install the recorder for a pool worker: a fresh staging file in the
-/// pool scratch directory, named after the (lease, attempt) exactly
-/// like the worker's row file. The supervisor (or the next `--resume`)
-/// merges it into `profiles.jsonl`.
-pub fn install_worker_recorder(dir: &Path, lease: u64, attempt: u32) -> std::io::Result<()> {
-    if !crate::COMPILED {
-        return Ok(());
+/// Install the recorder without a sink — the worker side: every
+/// [`point_finish`] hands its sealed line back, and the caller ships
+/// it to whoever owns the store.
+pub fn install_line_recorder() {
+    if crate::COMPILED {
+        install(None);
     }
-    let scratch = dir.join("pool");
-    std::fs::create_dir_all(&scratch)?;
-    let file = File::create(scratch.join(worker_profile_file(lease, attempt)))?;
-    install(file, format!("l{lease:04}-a{attempt}"));
-    Ok(())
 }
 
-fn install(file: File, worker: String) {
-    let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-    *rec = Some(Recorder {
-        file,
-        worker,
-        offered: 0,
-    });
+fn install(sink: Option<ProfileSink>) {
+    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = sink;
     musa_obs::set_span_listener(Some(on_span));
     ACTIVE.store(true, Ordering::Relaxed);
 }
@@ -176,22 +192,23 @@ fn install(file: File, worker: String) {
 pub fn uninstall_recorder() {
     ACTIVE.store(false, Ordering::Relaxed);
     musa_obs::set_span_listener(None);
-    let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-    *rec = None;
+    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// Mark the start of a point on this thread. Phase time already
-/// accumulated on the thread (an app's trace generation, which runs
-/// before its first point) is deliberately kept and attributed to
-/// this point.
+/// Mark the start of a point on this thread. Whatever the thread
+/// accumulated since its last point (a batch flush between points) is
+/// discarded: a record holds exactly what ran inside its own
+/// begin/finish window, trace generation included.
 pub fn point_begin() {
     if !recording() {
         return;
     }
     let _ = POINT.try_with(|p| {
-        let mut p = p.borrow_mut();
-        p.started = Some(Instant::now());
-        p.start_us = epoch_us();
+        *p.borrow_mut() = ThreadPoint {
+            started: Some(Instant::now()),
+            start_us: epoch_us(),
+            ..ThreadPoint::default()
+        };
     });
 }
 
@@ -210,41 +227,23 @@ pub fn cache_note(hit: bool) {
     });
 }
 
-/// Fold externally measured phase time into the current thread's
-/// point (used by the fill loop to carry an app's trace-generation
-/// time from the coordinating thread onto the first point's record).
-pub fn add_phase_ns(phase: &'static str, wall_ns: f64) {
-    if !recording() || wall_ns <= 0.0 {
-        return;
-    }
-    let _ = POINT.try_with(|p| {
-        *p.borrow_mut().phases.entry(phase).or_insert(0.0) += wall_ns;
-    });
-}
-
-/// Drain one phase's accumulated time from the calling thread (0 when
-/// absent). The fill loop uses this to move trace-generation time off
-/// the coordinating thread — and to keep its batch-level store-flush
-/// time from leaking into the next app's first point.
-pub fn take_phase_ns(phase: &str) -> f64 {
-    if !recording() {
-        return 0.0;
-    }
-    POINT
-        .try_with(|p| p.borrow_mut().phases.remove(phase).unwrap_or(0.0))
-        .unwrap_or(0.0)
-}
-
 /// Finish the current thread's point: drain the accumulation into one
-/// sealed record and append it to the installed file (one
-/// write + flush, torn tails repaired on read).
-pub fn point_finish(key: &str, app: &str, config: &str, poisoned: bool, retries: u32) {
+/// sealed record line (no newline), append it to the installed sink if
+/// there is one, and hand it back. `None` when nothing is recording.
+pub fn point_finish(
+    key: &str,
+    app: &str,
+    config: &str,
+    worker: &str,
+    poisoned: bool,
+    retries: u32,
+) -> Option<String> {
     if !recording() {
-        return;
+        return None;
     }
-    let Ok(state) = POINT.try_with(|p| std::mem::take(&mut *p.borrow_mut())) else {
-        return;
-    };
+    let state = POINT
+        .try_with(|p| std::mem::take(&mut *p.borrow_mut()))
+        .ok()?;
     let wall_ns = state
         .started
         .map(|s| s.elapsed().as_nanos() as u64)
@@ -254,7 +253,7 @@ pub fn point_finish(key: &str, app: &str, config: &str, poisoned: bool, retries:
         key: key.to_string(),
         app: app.to_string(),
         config: config.to_string(),
-        worker: String::new(), // filled under the lock below
+        worker: worker.to_string(),
         pid: std::process::id(),
         tid: thread_tag(),
         start_us: if state.start_us == 0 {
@@ -274,27 +273,11 @@ pub fn point_finish(key: &str, app: &str, config: &str, poisoned: bool, retries:
             .map(|(k, v)| (k.to_string(), v.max(0.0) as u64))
             .collect(),
     };
-    let mut guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(rec) = guard.as_mut() {
-        let mut line = PointProfile {
-            worker: rec.worker.clone(),
-            ..profile
-        }
-        .to_line();
-        line.push('\n');
-        // Best effort by design: a full disk must not fail the
-        // simulation the record describes — the record is dropped and
-        // counted (`prof.dropped`) instead, so a chaos drill (the
-        // `prof.append` failpoint standing in for ENOSPC) can assert
-        // that rows keep landing while profiles silently vanish.
-        rec.offered += 1;
-        let appended = musa_fault::fail_io("prof.append", rec.offered)
-            .and_then(|()| rec.file.write_all(line.as_bytes()))
-            .and_then(|()| rec.file.flush());
-        if appended.is_err() {
-            musa_obs::counter_add("prof.dropped", 1);
-        }
+    let line = profile.to_line();
+    if let Some(sink) = SINK.lock().unwrap_or_else(|e| e.into_inner()).as_mut() {
+        sink.append(&line);
     }
+    Some(line)
 }
 
 #[cfg(test)]
@@ -313,14 +296,14 @@ mod tests {
     /// recorder is process-global state, so splitting this into
     /// parallel #[test]s would race.
     #[test]
-    fn recorder_lifecycle_points_phases_and_carry() {
+    fn recorder_lifecycle_points_and_phases() {
         assert!(enabled_from_env());
         if !crate::COMPILED {
             assert!(!recording());
             // All entry points must be inert no-ops.
             point_begin();
             cache_note(true);
-            point_finish("k", "hydro", "c64", false, 0);
+            assert_eq!(point_finish("k", "hydro", "c64", "fill", false, 0), None);
             return;
         }
         let dir = tmp_dir("recorder");
@@ -328,7 +311,7 @@ mod tests {
         // Nothing installed: everything is a no-op.
         assert!(!recording());
         point_begin();
-        point_finish("k0", "hydro", "c64", false, 0);
+        assert_eq!(point_finish("k0", "hydro", "c64", "fill", false, 0), None);
 
         install_store_recorder(&dir).unwrap();
         assert!(recording());
@@ -341,17 +324,15 @@ mod tests {
         }
         cache_note(true);
         cache_note(false);
-        point_finish("k1", "hydro", "c64", false, 0);
+        let line = point_finish("k1", "hydro", "c64", "fill", false, 0).expect("recording");
 
-        // Point 2: externally carried phase time + poisoned flag.
+        // A span between points (a batch flush) must not leak into the
+        // next point's record.
+        drop(musa_obs::span(musa_obs::phase::STORE_FLUSH));
+
+        // Point 2: poisoned flag, attempt number, caller-chosen worker.
         point_begin();
-        add_phase_ns(musa_obs::phase::TRACE_GEN, 5e6);
-        point_finish("k2", "hydro", "c128", true, 3);
-
-        // take_phase_ns drains accumulation that must not leak.
-        add_phase_ns(musa_obs::phase::STORE_FLUSH, 7e6);
-        assert!(take_phase_ns(musa_obs::phase::STORE_FLUSH) > 0.0);
-        assert_eq!(take_phase_ns(musa_obs::phase::STORE_FLUSH), 0.0);
+        point_finish("k2", "hydro", "c128", "l0001-a3", true, 3);
 
         // Full-disk drill: with the `prof.append` failpoint firing,
         // the record is dropped and counted — point_finish stays
@@ -361,21 +342,32 @@ mod tests {
                 musa_fault::FaultPlan::parse("seed=1,prof.append=io@1.0").unwrap(),
             ));
             point_begin();
-            point_finish("k-dropped", "hydro", "c64", false, 0);
+            // The line is still handed back: only the append drops.
+            assert!(point_finish("k-dropped", "hydro", "c64", "fill", false, 0).is_some());
             musa_fault::set_plan(None);
         }
+
+        // Without a sink the line is only handed back.
+        install_line_recorder();
+        point_begin();
+        let wire = point_finish("k-wire", "hydro", "c64", "l0002-a0", false, 0);
+        assert_eq!(
+            PointProfile::parse(&wire.expect("recording")).map(|p| p.worker),
+            Some("l0002-a0".to_string())
+        );
 
         uninstall_recorder();
         assert!(!recording());
         // Post-uninstall points are dropped silently.
         point_begin();
-        point_finish("k3", "hydro", "c64", false, 0);
+        assert_eq!(point_finish("k3", "hydro", "c64", "fill", false, 0), None);
 
         let (records, stats) = read_profile_file(&dir.join(PROFILES_FILE)).unwrap();
         assert_eq!(stats.corrupt, 0);
         assert_eq!(stats.torn_tails, 0);
         assert_eq!(records.len(), 2, "{records:?}");
         let p1 = &records[0];
+        assert_eq!(PointProfile::parse(&line).as_ref(), Some(p1));
         assert_eq!((p1.key.as_str(), p1.app.as_str()), ("k1", "hydro"));
         assert_eq!(p1.worker, "fill");
         assert_eq!(p1.pid, std::process::id());
@@ -386,8 +378,8 @@ mod tests {
         assert!(p1.peak_rss_kb > 0);
         let p2 = &records[1];
         assert!(p2.poisoned);
-        assert_eq!(p2.retries, 3);
-        assert_eq!(p2.phase_ns(musa_obs::phase::TRACE_GEN), 5_000_000);
+        assert_eq!((p2.retries, p2.worker.as_str()), (3, "l0001-a3"));
+        assert_eq!(p2.phase_ns(musa_obs::phase::STORE_FLUSH), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

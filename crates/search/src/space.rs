@@ -12,8 +12,8 @@
 //! 2. **Index addressing.** Strategies reason about points as integers
 //!    (mixed-radix digit vectors), so the space must map a dense index
 //!    `0..len()` to a `NodeConfig` and back, deterministically and in
-//!    O(axes). Sampling, mutation, journaling and the pool-worker
-//!    geometry handshake all speak these indices.
+//!    O(axes). Sampling, mutation and journaling all speak these
+//!    indices.
 //!
 //! A [`PointSpace`] crosses a config space with an application
 //! selection: a *point* is one (app, config) pair, indexed

@@ -10,6 +10,10 @@
 //!   structurally unservable;
 //! * [`shard`] — key-based `i/n` partitioning of the point set for
 //!   multi-process sweeps whose output files merge cleanly;
+//! * [`executor`] — [`PointExecutor`], the one place a point is
+//!   simulated: trace memo, artifact cache, panic containment, profile
+//!   record, sealed row bytes — shared by the sequential fill and the
+//!   worker processes;
 //! * [`store`] — the append-only JSONL [`CampaignStore`]: an in-memory
 //!   `HashMap` index over durable rows, with [`CampaignStore::fill`]
 //!   simulating only missing points (batched flushes,
@@ -51,6 +55,7 @@
 //! let campaign = store.campaign_for(&AppId::ALL, &DesignSpace::all(), &opts);
 //! ```
 
+pub mod executor;
 pub mod export;
 pub mod integrity;
 pub mod journal;
@@ -58,6 +63,7 @@ pub mod key;
 pub mod shard;
 pub mod store;
 
+pub use executor::{PointExecutor, PointOutput, SealedRow};
 pub use export::{write_csv, write_json};
 pub use integrity::{atomic_write, crc32};
 pub use journal::{JournalReplay, LeaseEvent, LeaseJournal, PoolPoisonRecord, LEASE_JOURNAL_FILE};

@@ -38,12 +38,13 @@ use std::sync::Arc;
 use musa_obs::json::{FromJson, JsonValue};
 use musa_obs::Progress;
 
-use musa_apps::{generate, AppId, GenParams};
+use musa_apps::{AppId, GenParams};
 use musa_arch::NodeConfig;
 use musa_cache::ArtifactCache;
-use musa_core::{Campaign, ConfigResult, MultiscaleSim, SweepOptions};
+use musa_core::{Campaign, ConfigResult, SweepOptions};
 
-use crate::integrity::{atomic_write, crc32, seal_line, unseal_line};
+use crate::executor::{PointExecutor, SealedRow};
+use crate::integrity::{atomic_write, crc32, unseal_line};
 use crate::key::{PointKey, SCHEMA_VERSION};
 use crate::shard::Shard;
 
@@ -226,17 +227,6 @@ fn file_name_of(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
-/// Best-effort text of a caught panic payload.
-fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Provenance of one quarantined row: where it sat, why it was pulled,
 /// and its raw bytes (nothing is silently destroyed — an operator can
 /// still inspect or salvage the line).
@@ -400,13 +390,10 @@ pub struct CampaignStore {
     index: HashMap<u64, usize>,
     by_app: HashMap<String, Vec<usize>>,
     writer: Option<BufWriter<File>>,
+    /// A read-only open never writes: no appends, and no repairs
+    /// (torn tails and corrupt rows are skipped in memory, not
+    /// rewritten on disk).
     read_only: bool,
-    /// Whether this open may rewrite files on disk (truncate torn
-    /// tails, move corrupt rows to quarantine). False for read-only
-    /// opens *and* for pool-worker opens: a worker loading the store
-    /// while a sibling is mid-append must never rewrite the sibling's
-    /// live file out from under it.
-    repair: bool,
     health: StoreHealth,
     flush_seq: u64,
     /// Salt for flush-retry backoff jitter, derived from the write
@@ -446,21 +433,7 @@ impl CampaignStore {
                 format!("campaign store directory {} does not exist", dir.display()),
             ));
         }
-        Self::open_impl(dir.to_path_buf(), DEFAULT_WRITE_FILE, true, false)
-    }
-
-    /// Open the store as a **pool worker**: writable (to the worker's
-    /// own `write_file`) but load-lenient like a read-only open. A
-    /// worker starts while sibling workers are appending to their own
-    /// files; repairing — atomically rewriting a sibling's file to
-    /// truncate what merely *looks* like a torn tail — would strand
-    /// the sibling's writer on an unlinked inode and destroy its next
-    /// flush. Only the supervisor (which opens the store before
-    /// workers spawn and after they all exit) repairs.
-    pub fn open_worker(dir: impl AsRef<Path>, write_file: &str) -> std::io::Result<CampaignStore> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        Self::open_impl(dir, write_file, false, false)
+        Self::open_impl(dir.to_path_buf(), DEFAULT_WRITE_FILE, true)
     }
 
     /// Open the store, appending new rows to `write_file` (created on
@@ -471,7 +444,7 @@ impl CampaignStore {
     ) -> std::io::Result<CampaignStore> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        Self::open_impl(dir, write_file, false, true)
+        Self::open_impl(dir, write_file, false)
     }
 
     /// Attach an artifact cache: subsequent [`Self::fill`] calls load
@@ -491,7 +464,6 @@ impl CampaignStore {
         dir: PathBuf,
         write_file: &str,
         read_only: bool,
-        repair: bool,
     ) -> std::io::Result<CampaignStore> {
         let mut store = CampaignStore {
             write_path: dir.join(write_file),
@@ -501,7 +473,6 @@ impl CampaignStore {
             by_app: HashMap::new(),
             writer: None,
             read_only,
-            repair,
             health: StoreHealth::default(),
             flush_seq: 0,
             backoff_salt: musa_fault::key_of(&[write_file.as_bytes()]),
@@ -545,7 +516,7 @@ impl CampaignStore {
     fn load_file(&mut self, path: &Path) -> std::io::Result<()> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
-            Err(e) if !self.repair => {
+            Err(e) if self.read_only => {
                 self.health.files_skipped += 1;
                 musa_obs::warn(
                     "musa-store",
@@ -667,7 +638,7 @@ impl CampaignStore {
             let first = &quarantined[0];
             musa_obs::warn(
                 "musa-store",
-                if self.repair {
+                if !self.read_only {
                     "corrupt rows quarantined"
                 } else {
                     "corrupt rows skipped (lenient open; a repairing open would quarantine them)"
@@ -686,7 +657,7 @@ impl CampaignStore {
         // between the final `}` and its newline, and a later append
         // would concatenate onto that complete row and destroy it.
         let clean = !torn_tail && quarantined.is_empty() && (ends_with_newline || text.is_empty());
-        if !self.repair || clean {
+        if self.read_only || clean {
             return Ok(());
         }
 
@@ -879,17 +850,21 @@ impl CampaignStore {
     /// Append one row (persisted on the next [`Self::flush`]). Returns
     /// false if the key was already present.
     pub fn append(&mut self, row: StoreRow) -> std::io::Result<bool> {
+        self.append_sealed(SealedRow::seal(row))
+    }
+
+    /// [`Self::append`] for a row that is already sealed: its line is
+    /// written verbatim.
+    pub fn append_sealed(&mut self, SealedRow { row, line }: SealedRow) -> std::io::Result<bool> {
         if self.read_only {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::PermissionDenied,
                 "campaign store opened read-only",
             ));
         }
-        let canonical = musa_obs::json::to_string(&row);
         if !self.insert_mem(row) {
             return Ok(false);
         }
-        let line = seal_line(&canonical);
         let w = self.writer()?;
         w.write_all(line.as_bytes())?;
         w.write_all(b"\n")?;
@@ -913,10 +888,18 @@ impl CampaignStore {
         rows: impl IntoIterator<Item = StoreRow>,
         max_retries: u32,
     ) -> std::io::Result<(usize, u32)> {
+        self.append_sealed_retrying(rows.into_iter().map(SealedRow::seal), max_retries)
+    }
+
+    fn append_sealed_retrying(
+        &mut self,
+        rows: impl IntoIterator<Item = SealedRow>,
+        max_retries: u32,
+    ) -> std::io::Result<(usize, u32)> {
         let _flush = musa_obs::span(musa_obs::phase::STORE_FLUSH);
         let mut added = 0;
         for row in rows {
-            if self.append(row)? {
+            if self.append_sealed(row)? {
                 added += 1;
             }
         }
@@ -936,7 +919,7 @@ impl CampaignStore {
                             ("max_retries", max_retries.into()),
                         ],
                     );
-                    // Jittered, not fixed: concurrent pool workers
+                    // Jittered, not fixed: concurrent shard writers
                     // hitting the same transient condition must not
                     // retry in lockstep. The salt is the write path,
                     // so each writer's schedule is still replayable.
@@ -1019,40 +1002,10 @@ impl CampaignStore {
             };
             Progress::new(label, total as u64)
         });
+        let mut exec = PointExecutor::new(self.artifact_cache.clone());
         let mut done = 0usize;
         for (app, missing) in work {
-            musa_obs::info(
-                "musa-store",
-                "generating trace for missing points",
-                &[
-                    ("app", app.label().into()),
-                    ("missing", missing.len().into()),
-                ],
-            );
-            let (trace, trace_key) = match &self.artifact_cache {
-                Some(cache) => {
-                    let (t, k) = cache.trace(app, &opts.sweep.gen);
-                    (t, Some(k))
-                }
-                None => {
-                    let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
-                    (Arc::new(generate(app, &opts.sweep.gen)), None)
-                }
-            };
-            // Trace acquisition ran on this coordinating thread, so its
-            // TRACE_GEN span parked there; move the time onto the first
-            // simulated point of this app — the point that paid for it.
-            let carried_trace_ns = musa_prof::take_phase_ns(musa_obs::phase::TRACE_GEN);
-            let mut sim = MultiscaleSim::new(&trace);
-            if let (Some(cache), Some(key)) = (&self.artifact_cache, trace_key) {
-                sim = sim.with_cache(Arc::clone(cache), key);
-            }
-            let mut first_chunk = true;
             for chunk in missing.chunks(opts.batch.max(1)) {
-                // The previous batch's STORE_FLUSH span also landed on
-                // this thread; drain it so the next point doesn't
-                // inherit it.
-                let _ = musa_prof::take_phase_ns(musa_obs::phase::STORE_FLUSH);
                 if opts.cancel.is_some_and(|cancelled| cancelled()) {
                     report.interrupted = true;
                     musa_obs::warn(
@@ -1065,57 +1018,24 @@ impl CampaignStore {
                     }
                     return Ok(report);
                 }
-                // A panic inside one simulation (a bug — or an injected
-                // `sim.point` fault) poisons that point only: the other
-                // points of the chunk are still persisted, and because a
-                // poisoned point never reaches the store, `--resume`
-                // re-attempts exactly the poisoned set.
-                let outcomes: Vec<(Result<StoreRow, PoisonedPoint>, f64)> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, cfg)| {
-                        musa_prof::point_begin();
-                        if first_chunk && i == 0 {
-                            musa_prof::add_phase_ns(musa_obs::phase::TRACE_GEN, carried_trace_ns);
-                        }
-                        let t0 = std::time::Instant::now();
-                        let key = PointKey::for_point(app, cfg, &opts.sweep).to_hex();
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let result = sim.simulate(*cfg, opts.sweep.full_replay);
-                                StoreRow::new(opts.sweep.gen, opts.sweep.full_replay, result)
-                            }))
-                            .map_err(|payload| PoisonedPoint {
-                                app: app.label().to_string(),
-                                config: cfg.label(),
-                                key: key.clone(),
-                                reason: panic_reason(payload),
-                            });
-                        musa_prof::point_finish(
-                            &key,
-                            app.label(),
-                            &cfg.label(),
-                            outcome.is_err(),
-                            0,
-                        );
-                        (outcome, t0.elapsed().as_secs_f64())
-                    })
-                    .collect();
-                first_chunk = false;
-                done += outcomes.len();
-                let mut rows = Vec::with_capacity(outcomes.len());
+                // A poisoned point never reaches the store, so the
+                // other points of the chunk are still persisted and
+                // `--resume` re-attempts exactly the poisoned set.
+                let mut rows = Vec::with_capacity(chunk.len());
                 let mut poisoned = Vec::new();
-                for (outcome, secs) in outcomes {
+                for cfg in chunk {
+                    let out = exec.run(app, cfg, &opts.sweep);
                     if let Some(hb) = &heartbeat {
-                        hb.observe(secs);
+                        hb.observe(out.secs);
                     }
-                    match outcome {
+                    match out.row {
                         Ok(row) => rows.push(row),
                         Err(p) => poisoned.push(p),
                     }
                 }
+                done += chunk.len();
                 musa_obs::counter_add("store.simulated_points", rows.len() as u64);
-                let (added, retries) = self.append_batch_retrying(rows, opts.max_retries)?;
+                let (added, retries) = self.append_sealed_retrying(rows, opts.max_retries)?;
                 report.simulated += added;
                 report.retries += retries;
                 for p in &poisoned {

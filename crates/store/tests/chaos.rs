@@ -22,7 +22,7 @@ use musa_apps::{AppId, GenParams};
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_core::SweepOptions;
 use musa_fault::{FaultAction, FaultPlan, FaultPoint};
-use musa_store::{export, CampaignStore, FillOptions, QUARANTINE_FILE};
+use musa_store::{export, CampaignStore, FillOptions, PointExecutor, QUARANTINE_FILE};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -133,6 +133,44 @@ fn reference_run(tag: &str, apps: &[AppId], configs: &[NodeConfig]) -> PathBuf {
     let mut store = CampaignStore::open(&dir).unwrap();
     store.fill(apps, configs, &quiet(sweep())).unwrap();
     dir
+}
+
+/// The executor is the only code that catches a simulation panic; the
+/// poison record it returns must carry the verbatim panic text (what
+/// every execution path reported before they were one), name the
+/// point, and leave the executor usable.
+#[test]
+fn executor_poisons_a_panicking_point_with_the_panic_text() {
+    if !musa_fault::COMPILED {
+        eprintln!("skipping: needs the fault feature");
+        return;
+    }
+    let _g = chaos_lock();
+    let config = config_slice(4)[1];
+    let fault_key = musa_fault::key_of(&[b"hydro", config.label().as_bytes()]);
+    let mut exec = PointExecutor::new(None);
+
+    musa_fault::set_plan(Some(plan(1, "sim.point", FaultAction::Panic, 1.0)));
+    let out = exec.run(AppId::Hydro, &config, &sweep());
+    let mut store = CampaignStore::open(tmp_dir("exec-poison")).unwrap();
+    let filled = store
+        .fill(&[AppId::Hydro], &[config], &quiet(sweep()))
+        .unwrap();
+    musa_fault::set_plan(None);
+
+    let p = out.row.expect_err("the injected panic poisons the point");
+    assert_eq!(
+        p.reason,
+        format!("injected panic at sim.point (key {fault_key:#x})")
+    );
+    assert_eq!((p.app.as_str(), &p.config), ("hydro", &config.label()));
+    assert_eq!(
+        p.key,
+        musa_store::PointKey::for_point(AppId::Hydro, &config, &sweep()).to_hex()
+    );
+    assert_eq!(filled.poisoned, vec![p], "fill reports the same record");
+    assert!(exec.run(AppId::Hydro, &config, &sweep()).row.is_ok());
+    let _ = std::fs::remove_dir_all(store.dir());
 }
 
 #[test]

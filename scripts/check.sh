@@ -22,6 +22,16 @@ if grep -rn 'to_string(&()[)]\|serde_runtime_work[s]\|serde_json_work[s]' \
     exit 1
 fi
 
+echo "== one way to run a point: deleted names stay deleted =="
+# The second worker program, the file-based worker→supervisor channel
+# and the three geometry handshakes must not creep back.
+# (Bracketed so the patterns do not match these lines.)
+if grep -rn 'pool-worke[r]\|sweep-ke[y]\|MUSA_SEARCH_GEO[M]\|campaign_sweep_si[g]\|hb-[l]\|open_worke[r]' \
+    crates src tests examples scripts; then
+    echo "check: FAIL — a deleted execution path is named above" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -132,13 +142,13 @@ if [[ "${CHAOS:-0}" == "1" ]]; then
     CHAOS=1 cargo test -q -p musa-store --test chaos
 
     echo "== chaos: kill -9 pool worker / supervisor (CHAOS=1) =="
-    # SIGKILLs a live pool worker mid-batch (and, separately, the
+    # SIGKILLs a live worker child mid-batch (and, separately, the
     # supervisor itself, then resumes); the final store must be
     # byte-identical to a sequential run either way.
     CHAOS=1 cargo test -q -p musa-bench --test pool_e2e
 
     echo "== chaos: kill -9 dist-worker mid-lease (CHAOS=1) =="
-    # SIGKILLs a remote dist-worker with a lease in flight; the
+    # SIGKILLs an external dist-worker with a lease in flight; the
     # supervisor must re-issue the lease and the store must still
     # come out byte-identical to a sequential run.
     CHAOS=1 cargo test -q -p musa-bench --test dist_e2e
@@ -155,9 +165,9 @@ if [[ "${CHAOS:-0}" == "1" ]]; then
     CHAOS=1 cargo test -q -p musa-bench --test search_e2e
 
     echo "== chaos: kill -9 with the flight recorder running (CHAOS=1) =="
-    # Murdered workers leave staged profile files behind; the
-    # supervisor must merge them torn-tail-tolerantly and the trace
-    # export must stay valid.
+    # A murdered worker's shipped profile records are on file, its
+    # re-simulated points' duplicates fold away, and the trace export
+    # must stay valid.
     CHAOS=1 cargo test -q -p musa-bench --test prof_e2e
 fi
 

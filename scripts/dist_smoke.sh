@@ -2,7 +2,7 @@
 # Smoke test for distributed campaigns: run a tiny sweep sequentially,
 # then with `dse --workers 1 --listen 127.0.0.1:0` plus two loopback
 # `dse dist-worker` processes, and check the two stores are
-# byte-identical (sorted data lines — remote leases land in their own
+# byte-identical (sorted data lines — leases land in their own
 # dist-l*.jsonl shards). A second leg repeats the run with single-bit
 # garble faults on the workers' frame sends: the CRC seal must catch
 # every corruption and the run must still converge to the same bytes.
@@ -29,9 +29,11 @@ cleanup() {
 trap cleanup EXIT
 
 # Tiny scale, 6-config slice: the same sweep geometry the e2e drills
-# use; dist-workers must see the same env to offer a matching sweep
-# signature.
+# use. Only the supervisor reads it; the dist-workers below run
+# without it and learn what to simulate from their leases. (`env`
+# execs, so `$!` is the worker's own pid — its journal tag.)
 export MUSA_TINY=1 MUSA_CONFIG_SLICE=6
+WORKER=(env -u MUSA_TINY -u MUSA_CONFIG_SLICE "$DSE_BIN" dist-worker)
 unset MUSA_FULL MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 
 store_lines() {
@@ -73,10 +75,11 @@ dist_leg() {
     addr="$(beacon_addr "$dir")"
     WORKER_PIDS=()
     for i in 1 2; do
-        "$DSE_BIN" dist-worker --connect "$addr" --reconnect-for 60s "$@" \
+        "${WORKER[@]}" --connect "$addr" --reconnect-for 60s "$@" \
             >/dev/null 2>"$WORK/$name.w$i.log" &
         WORKER_PIDS+=($!)
     done
+    local joined=("${WORKER_PIDS[@]}")
     if ! wait "$sup"; then
         echo "dist_smoke: FAIL — $name supervisor failed" >&2
         tail -5 "$WORK/$name.sup.log" >&2
@@ -94,10 +97,11 @@ dist_leg() {
         diff "$WORK/seq.lines" "$WORK/$name.lines" | head -20 >&2
         exit 1
     fi
-    # Remote participation must be real: at least one remote-lease
-    # shard, and a journal that terminates in a complete event.
-    ls "$dir"/dist-l*.jsonl >/dev/null 2>&1 || {
-        echo "dist_smoke: FAIL — $name: no remote worker ever shipped a row" >&2
+    # External participation must be real: at least one lease
+    # journalled to a worker we started (not a child of the
+    # supervisor), and a journal that terminates in a complete event.
+    grep -q "\"peer\":\"w\(${joined[0]}\|${joined[1]}\)@" "$dir/leases.journal" || {
+        echo "dist_smoke: FAIL — $name: no external worker ever took a lease" >&2
         exit 1
     }
     tail -n1 "$dir/leases.journal" | grep -q '"ev":"complete"'
@@ -117,15 +121,15 @@ if [[ "${CHAOS:-0}" == "1" ]]; then
         >/dev/null 2>"$WORK/chaos.sup.log" &
     SUP=$!
     ADDR="$(beacon_addr "$DIR")"
-    "$DSE_BIN" dist-worker --connect "$ADDR" --reconnect-for 60s \
+    "${WORKER[@]}" --connect "$ADDR" --reconnect-for 60s \
         --faults 'sim.point=delay:150ms@1.0' \
         >/dev/null 2>"$WORK/chaos.w.log" &
     VICTIM=$!
     WORKER_PIDS=("$VICTIM")
-    # The first dist shard means the victim holds a lease and just
-    # shipped point 1 of 2: murder it inside point 2's window.
+    # A lease journalled to the victim means it is inside the first of
+    # its two 150 ms points: murder it there.
     for _ in $(seq 1 600); do
-        ls "$DIR"/dist-l*.jsonl >/dev/null 2>&1 && break
+        grep -q "\"peer\":\"w$VICTIM@" "$DIR/leases.journal" 2>/dev/null && break
         sleep 0.05
     done
     kill -9 "$VICTIM" 2>/dev/null || true

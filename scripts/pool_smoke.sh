@@ -2,7 +2,7 @@
 # Smoke test for `dse --workers`: run a tiny sweep sequentially and
 # with a 2-worker supervised pool, and check the two stores are
 # byte-identical (sorted data lines — row files differ by layout, a
-# sequential run writes one file, each pool worker its own).
+# sequential run writes one file, the pool one shard per lease).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,7 +17,7 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 # Tiny scale, 6-config slice: the same sweep geometry the pool e2e
-# tests use; the env vars are inherited by the pool workers.
+# tests use.
 export MUSA_TINY=1 MUSA_CONFIG_SLICE=6
 unset MUSA_FULL MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 
