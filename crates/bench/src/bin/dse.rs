@@ -33,21 +33,18 @@ use std::sync::Arc;
 use musa_apps::AppId;
 use musa_arch::NodeConfig;
 use musa_bench::cli::{
-    parse_dse_args, CacheArgs, CacheCmd, DistWorkerArgs, DoctorArgs, DseArgs, Parsed, ProfileArgs,
-    SearchArgs, ServeArgs, TortureArgs, USAGE,
+    parse_dse_args, CacheArgs, CacheCmd, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs,
+    FaultArgs, LogArgs, Parsed, ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
 };
-use musa_bench::{configs, gen_params, store_dir};
+use musa_bench::{configs, scale_for, store_dir_for};
 use musa_cache::ArtifactCache;
 use musa_core::report::table;
 use musa_core::SweepOptions;
-use musa_pool::{signals, PoolOptions, Supervisor};
+use musa_dist::{signals, PoolOptions, Supervisor};
 use musa_search::{
     run_search, Evaluator, GenerationRecord, SearchConfig, SearchError, SearchJournal,
 };
-use musa_store::{
-    export, CampaignStore, FillOptions, LeaseEvent, LeaseJournal, PointExecutor,
-    DEFAULT_MAX_RETRIES,
-};
+use musa_store::{export, CampaignStore, FillOptions, LeaseEvent, LeaseJournal, PointExecutor};
 
 /// Exit code for a sweep that completed but holds poisoned points:
 /// partial success, distinguishable from both success (0) and fatal
@@ -56,6 +53,11 @@ const EXIT_PARTIAL: i32 = 3;
 
 /// Exit code after a graceful SIGINT/SIGTERM drain (128 + SIGINT).
 const EXIT_INTERRUPTED: i32 = 130;
+
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
 
 fn main() {
     musa_obs::init_from_env();
@@ -97,143 +99,402 @@ fn main() {
         }
     };
 
-    arm_observability(args.log, args.log_json.as_deref(), args.faults.as_ref());
-    let want_report = args.metrics.is_some() || args.metrics_prom.is_some() || args.progress;
-    if want_report {
-        musa_obs::enable_metrics(true);
-    }
-
-    let dir: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
-    if !args.resume {
+    arm_observability(&args.log, Some(&args.faults));
+    let dir = store_dir_of(&args.campaign.store_dir, args.campaign.full);
+    if !args.campaign.resume {
         clear_store(&dir);
     }
-
-    let opts = SweepOptions {
-        gen: gen_params(),
-        full_replay: true,
-    };
     let configs = configs();
+    let points: Vec<(AppId, NodeConfig)> = AppId::ALL
+        .iter()
+        .flat_map(|&app| configs.iter().map(move |&config| (app, config)))
+        .collect();
 
-    if let Some(workers) = args.workers {
-        pool_main(&args, &dir, &configs, &opts, workers);
-    }
-
-    // Sequential fill. SIGINT/SIGTERM is latched, polled between
-    // batches: the in-flight batch is flushed, the interruption is
-    // journalled, and the exit code says "stopped early", so a pipeline
-    // around `dse` can tell a clean Ctrl-C from a crash.
-    signals::install_term_handlers();
-    let mut store = match args.shard {
-        Some(s) => CampaignStore::open_sharded(&dir, s),
-        None => CampaignStore::open(&dir),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("open campaign store {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    let cache = open_cache(&dir, args.no_cache);
-    if let Some(cache) = &cache {
-        store.set_artifact_cache(Arc::clone(cache));
-    }
-    install_store_recorder(&dir, args.no_prof);
-
-    let fill = FillOptions {
-        shard: args.shard,
-        progress: args.progress,
-        max_retries: args.max_retries,
-        fail_fast: args.fail_fast,
-        cancel: Some(signals::termination_requested),
-        ..FillOptions::new(opts)
-    };
-    let report = store
-        .fill(&AppId::ALL, &configs, &fill)
-        .unwrap_or_else(|e| {
-            eprintln!("fill campaign store {}: {e}", dir.display());
+    let mut runner = Runner::open(&args, &dir, "sequential", true);
+    let outcome = runner.run(&points);
+    runner.finish();
+    let campaign = runner
+        .store
+        .campaign_for(&AppId::ALL, &configs, &runner.sweep);
+    if args.campaign.workers.is_some() {
+        // Completeness guard: a pool run that was not interrupted must
+        // account for every requested point — a row in the store, or a
+        // poison record with provenance. Anything else is a bug that
+        // must not masquerade as a clean sweep.
+        let unaccounted = points
+            .len()
+            .saturating_sub(campaign.results.len() + outcome.poisoned);
+        if unaccounted > 0 {
+            eprintln!(
+                "dse: pool run left {unaccounted} of {} point(s) neither stored \
+                 nor poisoned in {}; not reporting success",
+                points.len(),
+                dir.display()
+            );
+            finish_observability(&args.campaign, &runner.worker_metrics);
             std::process::exit(1);
-        });
-    musa_prof::uninstall_recorder();
-    eprintln!(
-        "[dse] store {}: {} points in scope, {} cached, {} simulated",
-        dir.display(),
-        report.in_shard,
-        report.cached,
-        report.simulated
-    );
-    if !report.poisoned.is_empty() {
-        eprintln!(
-            "[dse] {} point(s) poisoned (simulation panicked); completed rows \
-             are persisted — re-run with --resume to retry them:",
-            report.poisoned.len()
-        );
-        for p in &report.poisoned {
-            eprintln!("[dse]   {}/{}: {}", p.app, p.config, p.reason);
         }
     }
-    if report.retries > 0 {
-        eprintln!(
-            "[dse] {} flush retr{} recovered transient I/O errors",
-            report.retries,
-            if report.retries == 1 { "y" } else { "ies" }
-        );
-    }
-    if let Some(cache) = &cache {
-        report_cache_session(cache, "sequential");
-    }
-    if report.interrupted {
-        // Everything simulated so far is flushed; leave a durable
-        // journal marker and report the interruption in the exit code.
-        match LeaseJournal::open(&dir) {
-            Ok((mut journal, _)) => {
-                let _ = journal.append(&LeaseEvent::Interrupted {
-                    reason: "SIGINT/SIGTERM during sequential fill".to_string(),
-                });
-            }
-            Err(e) => eprintln!("[dse] cannot journal the interruption: {e}"),
-        }
-        eprintln!(
-            "[dse] interrupted: {} point(s) flushed, the rest resume with --resume",
-            report.cached + report.simulated
-        );
-        finish_observability(
-            args.progress,
-            args.metrics.as_deref(),
-            args.metrics_prom.as_deref(),
-            None,
-        );
-        std::process::exit(EXIT_INTERRUPTED);
-    }
-
-    let campaign = store.campaign_for(&AppId::ALL, &configs, &opts);
     export_campaign(&args, &campaign);
     summarise(&campaign, &configs, &dir);
-    finish_observability(
-        args.progress,
-        args.metrics.as_deref(),
-        args.metrics_prom.as_deref(),
-        None,
-    );
-    if !report.poisoned.is_empty() {
+    finish_observability(&args.campaign, &runner.worker_metrics);
+    if outcome.poisoned > 0 {
         std::process::exit(EXIT_PARTIAL);
     }
 }
 
+/// `--store-dir`, or the default for the scale. `full` is the parsed
+/// `--full` (false for the subcommands that do not take it): `dse`
+/// never looks at argv a second time.
+fn store_dir_of(store_dir: &Option<PathBuf>, full: bool) -> PathBuf {
+    store_dir.clone().unwrap_or_else(|| store_dir_for(full))
+}
+
+/// What one [`Runner::run`] did.
+struct Outcome {
+    /// Points already in the store.
+    cached: usize,
+    /// Points quarantined: panicked in their simulation, or killed
+    /// `--poison-cap` workers.
+    poisoned: usize,
+}
+
+/// How a [`Runner`] executes points.
+enum Backend {
+    /// [`CampaignStore::fill`] in this process, with the artifact cache
+    /// and the flight recorder. The reference `--workers` is held
+    /// byte-identical to.
+    Fill { cache: Option<Arc<ArtifactCache>> },
+    /// `--workers N`: the supervisor's `dist-worker` children (and any
+    /// remote ones that join over `--listen`) simulate; the hub's
+    /// lease shards are the only writers while it is open.
+    Pool {
+        sup: Box<Supervisor>,
+        workers: usize,
+        /// Length of the cache sessions ledger before this run's
+        /// workers appended to it.
+        prior_sessions: usize,
+    },
+}
+
+/// The one way `dse` runs points, whichever subcommand enumerates them
+/// (the campaign hands over one list, a search one per generation):
+/// open the store with its cache and recorder, or the supervisor; run
+/// the points; on SIGINT/SIGTERM journal the interruption, flush the
+/// telemetry and exit 130; at the end dismiss the workers and report
+/// cache reuse. Only `--workers` picks between the two backends.
+struct Runner<'a> {
+    args: &'a DseArgs,
+    dir: &'a Path,
+    /// What every point runs under; the parsed `--full` picks the scale.
+    sweep: SweepOptions,
+    /// Label of this process's session in the cache ledger.
+    session: &'static str,
+    /// Print each run's report lines (the campaign does; a search's
+    /// generations stay quiet).
+    announce: bool,
+    backend: Backend,
+    /// Where results are read from: the writer of an in-process fill,
+    /// a fresh load after each supervised run.
+    store: CampaignStore,
+    /// Metrics the workers shipped with their lease results.
+    worker_metrics: musa_obs::MetricsSnapshot,
+}
+
+impl<'a> Runner<'a> {
+    fn open(args: &'a DseArgs, dir: &'a Path, session: &'static str, announce: bool) -> Runner<'a> {
+        let c = &args.campaign;
+        let want_report = c.metrics.is_some() || c.metrics_prom.is_some() || c.progress;
+        if want_report {
+            musa_obs::enable_metrics(true);
+        }
+        // SIGINT/SIGTERM is latched and polled between batches (or
+        // leases), so a pipeline around `dse` can tell a clean Ctrl-C
+        // from a crash.
+        signals::install_term_handlers();
+        let mut store = match args.shard {
+            Some(s) => CampaignStore::open_sharded(dir, s),
+            None => CampaignStore::open(dir),
+        }
+        .unwrap_or_else(|e| die(format!("open campaign store {}: {e}", dir.display())));
+        let backend = if let Some(workers) = c.workers {
+            let cache_on = !c.no_cache && musa_cache::enabled_from_env();
+            let prior_sessions = if cache_on {
+                musa_cache::load_sessions(&dir.join(musa_cache::ARTIFACT_DIR)).len()
+            } else {
+                0
+            };
+            let pool = PoolOptions {
+                workers,
+                point_timeout: args.point_timeout,
+                max_retries: args.max_retries,
+                poison_cap: args.poison_cap,
+                lease_batch: args.lease_batch,
+                progress: c.progress,
+                env: musa_bench::pool_worker_env(
+                    args.faults.spec.as_deref(),
+                    !c.no_cache,
+                    want_report,
+                    !c.no_prof && musa_prof::enabled_from_env(),
+                ),
+            };
+            let sup = Supervisor::open(dir, pool, c.listen.as_deref())
+                .unwrap_or_else(|e| die(format!("dse: {e}")));
+            if c.listen.is_some() {
+                eprintln!(
+                    "[dse] listening for dist-workers on {0} (connect with: dse dist-worker \
+                     --connect {0})",
+                    sup.addr()
+                );
+            }
+            Backend::Pool {
+                sup: Box::new(sup),
+                workers,
+                prior_sessions,
+            }
+        } else {
+            let cache = open_cache(dir, c.no_cache);
+            if let Some(cache) = &cache {
+                store.set_artifact_cache(Arc::clone(cache));
+            }
+            install_store_recorder(dir, c.no_prof);
+            Backend::Fill { cache }
+        };
+        Runner {
+            args,
+            dir,
+            sweep: SweepOptions {
+                gen: scale_for(c.full).1,
+                full_replay: true,
+            },
+            session,
+            announce,
+            backend,
+            store,
+            worker_metrics: musa_obs::MetricsSnapshot::default(),
+        }
+    }
+
+    /// Simulate every point of `points` the store does not hold.
+    /// Returns once they are all stored or poisoned; an interrupted or
+    /// failed run does not return.
+    fn run(&mut self, points: &[(AppId, NodeConfig)]) -> Outcome {
+        let dir = self.dir.display();
+        match &mut self.backend {
+            Backend::Fill { .. } => {
+                let opts = FillOptions {
+                    shard: self.args.shard,
+                    progress: self.args.campaign.progress,
+                    max_retries: self.args.max_retries,
+                    fail_fast: self.args.fail_fast,
+                    cancel: Some(signals::termination_requested),
+                    ..FillOptions::new(self.sweep)
+                };
+                let (mut in_scope, mut cached, mut simulated, mut retries) = (0, 0, 0, 0);
+                let mut poisoned = Vec::new();
+                let mut interrupted = false;
+                for (apps, configs) in cross_products(points) {
+                    let report = self
+                        .store
+                        .fill(&apps, &configs, &opts)
+                        .unwrap_or_else(|e| die(format!("fill campaign store {dir}: {e}")));
+                    in_scope += report.in_shard;
+                    cached += report.cached;
+                    simulated += report.simulated;
+                    retries += report.retries;
+                    poisoned.extend(report.poisoned);
+                    if report.interrupted {
+                        interrupted = true;
+                        break;
+                    }
+                }
+                if self.announce {
+                    eprintln!(
+                        "[dse] store {dir}: {in_scope} points in scope, {cached} cached, \
+                         {simulated} simulated"
+                    );
+                    if !poisoned.is_empty() {
+                        eprintln!(
+                            "[dse] {} point(s) poisoned (simulation panicked); completed rows \
+                             are persisted — re-run with --resume to retry them:",
+                            poisoned.len()
+                        );
+                        for p in &poisoned {
+                            eprintln!("[dse]   {}/{}: {}", p.app, p.config, p.reason);
+                        }
+                    }
+                    if retries > 0 {
+                        eprintln!(
+                            "[dse] {retries} flush retr{} recovered transient I/O errors",
+                            if retries == 1 { "y" } else { "ies" }
+                        );
+                    }
+                }
+                if interrupted {
+                    self.interrupted(format!(
+                        "{} point(s) flushed, the rest resume with --resume",
+                        cached + simulated
+                    ));
+                }
+                Outcome {
+                    cached,
+                    poisoned: poisoned.len(),
+                }
+            }
+            Backend::Pool { sup, workers, .. } => {
+                let report = sup.run(points, &self.sweep).unwrap_or_else(|e| {
+                    sup.close();
+                    die(format!("dse: pool fill in {dir} failed: {e}"))
+                });
+                self.worker_metrics.absorb(&report.worker_metrics);
+                if self.announce {
+                    eprintln!(
+                        "[dse] pool {dir}: {} requested, {} cached, {} completed by {workers} \
+                         workers ({} rows flushed, {} requeues, {} worker deaths, {} deadline \
+                         kills)",
+                        report.requested,
+                        report.cached,
+                        report.completed,
+                        report.rows_flushed,
+                        report.requeues,
+                        report.worker_deaths,
+                        report.deadline_kills,
+                    );
+                    for p in &report.pool_poisoned {
+                        eprintln!(
+                            "[dse]   poisoned (killed {} workers): {}/{}: {}",
+                            p.strikes, p.app, p.config, p.reason
+                        );
+                    }
+                    for p in &report.worker_poisoned {
+                        eprintln!(
+                            "[dse]   poisoned (in-worker panic): {}/{}: {}",
+                            p.app, p.config, p.reason
+                        );
+                    }
+                }
+                if report.interrupted {
+                    self.interrupted("workers drained, resume with --resume".to_string());
+                }
+                self.store = CampaignStore::open_read_only(self.dir)
+                    .unwrap_or_else(|e| die(format!("open campaign store {dir}: {e}")));
+                Outcome {
+                    cached: report.cached,
+                    poisoned: report.poisoned_total(),
+                }
+            }
+        }
+    }
+
+    /// Everything simulated so far is durable: dismiss the workers,
+    /// leave a journal marker, flush the telemetry, and report the
+    /// interruption in the exit code.
+    fn interrupted(&mut self, what: String) -> ! {
+        self.dismiss();
+        if let Backend::Fill { .. } = self.backend {
+            // (The supervisor journals its own drain.)
+            match LeaseJournal::open(self.dir) {
+                Ok((mut journal, _)) => {
+                    let _ = journal.append(&LeaseEvent::Interrupted {
+                        reason: "SIGINT/SIGTERM during sequential fill".to_string(),
+                    });
+                }
+                Err(e) => eprintln!("[dse] cannot journal the interruption: {e}"),
+            }
+        }
+        eprintln!("[dse] interrupted: {what}");
+        finish_observability(&self.args.campaign, &self.worker_metrics);
+        std::process::exit(EXIT_INTERRUPTED);
+    }
+
+    /// After the last run: [`Self::dismiss`], then reopen the store
+    /// the results are read from — no other process holds a writer by
+    /// now, so this open also truncates any torn tail a kill -9 left
+    /// behind.
+    fn finish(&mut self) {
+        self.dismiss();
+        if let Backend::Pool { .. } = self.backend {
+            self.store = CampaignStore::open(self.dir).unwrap_or_else(|e| {
+                die(format!("open campaign store {}: {e}", self.dir.display()))
+            });
+        }
+    }
+
+    /// Stop recording, dismiss the workers, print the cache reuse
+    /// report.
+    fn dismiss(&mut self) {
+        match &mut self.backend {
+            Backend::Fill { cache } => {
+                musa_prof::uninstall_recorder();
+                if let Some(cache) = cache {
+                    cache.persist_session(self.session);
+                    let stats = cache.stats();
+                    if stats.hits() + stats.misses() > 0 {
+                        eprintln!("[dse] cache: {}", stats.report());
+                    }
+                }
+            }
+            Backend::Pool {
+                sup,
+                prior_sessions,
+                ..
+            } => {
+                sup.close();
+                // Workers persisted their tallies on exit; aggregate
+                // the lines this run appended — not earlier runs
+                // sharing the directory — into one reuse report.
+                let sessions = musa_cache::load_sessions(&self.dir.join(musa_cache::ARTIFACT_DIR));
+                let mut total = musa_cache::SessionStats::default();
+                let fresh = sessions.iter().skip(*prior_sessions);
+                let count = fresh.clone().count();
+                for s in fresh {
+                    total.absorb(s);
+                }
+                if count > 0 && total.hits() + total.misses() > 0 {
+                    eprintln!(
+                        "[dse] cache ({count} worker session{}): {}",
+                        if count == 1 { "" } else { "s" },
+                        total.report()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// [`CampaignStore::fill`] takes `apps × configs`: cover `points`, in
+/// application order, with as few cross products as it allows. The
+/// campaign is one; a search generation is usually one per application.
+fn cross_products(points: &[(AppId, NodeConfig)]) -> Vec<(Vec<AppId>, Vec<NodeConfig>)> {
+    let mut out: Vec<(Vec<AppId>, Vec<NodeConfig>)> = Vec::new();
+    for app in AppId::ALL {
+        let configs: Vec<NodeConfig> = points
+            .iter()
+            .filter(|(a, _)| *a == app)
+            .map(|(_, c)| *c)
+            .collect();
+        match out.last_mut() {
+            _ if configs.is_empty() => {}
+            Some((apps, last)) if *last == configs => apps.push(app),
+            _ => out.push((vec![app], configs)),
+        }
+    }
+    out
+}
+
 /// CLI flags override the `MUSA_LOG` / `MUSA_LOG_JSON` / `MUSA_FAULTS`
 /// environment read at startup.
-fn arm_observability(
-    log: Option<Option<musa_obs::Level>>,
-    log_json: Option<&Path>,
-    faults: Option<&musa_fault::FaultPlan>,
-) {
-    if let Some(level) = log {
+fn arm_observability(log: &LogArgs, faults: Option<&FaultArgs>) {
+    if let Some(level) = log.level {
         musa_obs::set_max_level(level);
     }
-    if let Some(path) = log_json {
+    if let Some(path) = &log.json {
         if let Err(e) = musa_obs::set_json_path(path) {
             eprintln!("dse: cannot open --log-json {}: {e}", path.display());
             std::process::exit(2);
         }
     }
-    if let Some(plan) = faults {
+    if let Some(plan) = faults.and_then(|f| f.plan.as_ref()) {
         if !musa_fault::COMPILED {
             eprintln!(
                 "dse: note: --faults given but fault injection is compiled out \
@@ -279,205 +540,13 @@ fn install_store_recorder(dir: &Path, no_prof: bool) {
     }
 }
 
-/// Persist this process's cache tallies under `label` and print its
-/// reuse report.
-fn report_cache_session(cache: &ArtifactCache, label: &str) {
-    cache.persist_session(label);
-    let stats = cache.stats();
-    if stats.hits() + stats.misses() > 0 {
-        eprintln!("[dse] cache: {}", stats.report());
-    }
-}
-
-/// Everything a `--workers N` run (campaign or search) needs: the hub
-/// bound on `--listen ADDR` (or a private loopback port), and the
-/// supervisor that will keep N `dist-worker` children connected to it.
-fn open_supervisor(
-    dir: &Path,
-    listen: Option<&str>,
-    pool: PoolOptions,
-    max_retries: u32,
-) -> Supervisor {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("dse: cannot locate own binary for worker re-exec: {e}");
-        std::process::exit(1);
-    });
-    let addr = listen.unwrap_or("127.0.0.1:0");
-    let hub = musa_dist::DistHub::bind(
-        addr,
-        musa_dist::DistHubOptions {
-            store_dir: dir.to_path_buf(),
-            point_timeout: pool.point_timeout,
-            max_retries,
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("dse: cannot listen for dist-workers on {addr}: {e}");
-        std::process::exit(1);
-    });
-    if listen.is_some() {
-        eprintln!(
-            "[dse] listening for dist-workers on {0} (connect with: dse dist-worker \
-             --connect {0})",
-            hub.local_addr()
-        );
-    }
-    Supervisor::open(&exe, dir, pool, Box::new(hub)).unwrap_or_else(|e| {
-        eprintln!(
-            "dse: cannot open the lease journal in {}: {e}",
-            dir.display()
-        );
-        std::process::exit(1);
-    })
-}
-
-/// `dse --workers N`: supervised multi-process fill, then the same
-/// exports and summary as the sequential path, computed from a final
-/// repairing re-open of the store (the hub holds no writer by then, so
-/// this open also truncates any torn tail a kill -9 left behind).
-fn pool_main(
-    args: &DseArgs,
-    dir: &Path,
-    configs: &[NodeConfig],
-    opts: &SweepOptions,
-    workers: usize,
-) -> ! {
-    let want_report = args.metrics.is_some() || args.metrics_prom.is_some() || args.progress;
-    // Snapshot the sessions ledger so the end-of-run reuse report
-    // covers only this run's workers, not earlier runs sharing the
-    // directory.
-    let cache_on = !args.no_cache && musa_cache::enabled_from_env();
-    let artifact_dir = dir.join(musa_cache::ARTIFACT_DIR);
-    let prior_sessions = if cache_on {
-        musa_cache::load_sessions(&artifact_dir).len()
-    } else {
-        0
-    };
-    let mut sup = open_supervisor(
-        dir,
-        args.listen.as_deref(),
-        PoolOptions {
-            workers,
-            point_timeout: args.point_timeout,
-            poison_cap: args.poison_cap,
-            lease_batch: args.lease_batch,
-            progress: args.progress,
-            env: musa_bench::pool_worker_env(
-                args.faults_spec.as_deref(),
-                !args.no_cache,
-                want_report,
-                !args.no_prof && musa_prof::enabled_from_env(),
-            ),
-        },
-        args.max_retries,
-    );
-    let points: Vec<(AppId, NodeConfig)> = AppId::ALL
-        .iter()
-        .flat_map(|&app| configs.iter().map(move |&config| (app, config)))
-        .collect();
-    let report = sup.run(&points, opts);
-    sup.close();
-    let report = report.unwrap_or_else(|e| {
-        eprintln!("dse: pool fill in {} failed: {e}", dir.display());
-        std::process::exit(1);
-    });
-    eprintln!(
-        "[dse] pool {}: {} requested, {} cached, {} completed by {} workers \
-         ({} rows flushed, {} requeues, {} worker deaths, {} deadline kills)",
-        dir.display(),
-        report.requested,
-        report.cached,
-        report.completed,
-        workers,
-        report.rows_flushed,
-        report.requeues,
-        report.worker_deaths,
-        report.deadline_kills,
-    );
-    for p in &report.pool_poisoned {
-        eprintln!(
-            "[dse]   poisoned (killed {} workers): {}/{}: {}",
-            p.strikes, p.app, p.config, p.reason
-        );
-    }
-    for p in &report.worker_poisoned {
-        eprintln!(
-            "[dse]   poisoned (in-worker panic): {}/{}: {}",
-            p.app, p.config, p.reason
-        );
-    }
-    if cache_on {
-        // Workers persisted their tallies on exit; aggregate the lines
-        // this run appended into one reuse report.
-        let sessions = musa_cache::load_sessions(&artifact_dir);
-        let mut total = musa_cache::SessionStats::default();
-        let fresh = sessions.iter().skip(prior_sessions);
-        let count = fresh.clone().count();
-        for s in fresh {
-            total.absorb(s);
-        }
-        if count > 0 && total.hits() + total.misses() > 0 {
-            eprintln!(
-                "[dse] cache ({count} worker session{}): {}",
-                if count == 1 { "" } else { "s" },
-                total.report()
-            );
-        }
-    }
-
-    let finish = || {
-        finish_observability(
-            args.progress,
-            args.metrics.as_deref(),
-            args.metrics_prom.as_deref(),
-            Some(&report.worker_metrics),
-        )
-    };
-    if report.interrupted {
-        eprintln!("[dse] interrupted: workers drained, resume with --resume");
-        finish();
-        std::process::exit(EXIT_INTERRUPTED);
-    }
-
-    // Final repairing open: no other process holds a writer now.
-    let store = CampaignStore::open(dir).unwrap_or_else(|e| {
-        eprintln!("open campaign store {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    let campaign = store.campaign_for(&AppId::ALL, configs, opts);
-    // Completeness guard: a pool run that was not interrupted must
-    // account for every requested point — a row in the store, or a
-    // poison record with provenance. Anything else is a bug that must
-    // not masquerade as a clean sweep.
-    let unaccounted = report
-        .requested
-        .saturating_sub(campaign.results.len() + report.poisoned_total());
-    if unaccounted > 0 {
-        eprintln!(
-            "dse: pool run left {unaccounted} of {} point(s) neither stored \
-             nor poisoned in {}; not reporting success",
-            report.requested,
-            dir.display()
-        );
-        finish();
-        std::process::exit(1);
-    }
-    export_campaign(args, &campaign);
-    summarise(&campaign, configs, dir);
-    finish();
-    if report.poisoned_total() > 0 {
-        std::process::exit(EXIT_PARTIAL);
-    }
-    std::process::exit(0);
-}
-
 /// `dse dist-worker --connect ADDR`: the one worker program. It
 /// executes leases — each names its points and their scale — until
 /// drained, rejected, interrupted, or the reconnect window closes with
 /// the supervisor unreachable. `dse --workers N` spawns N of these on
 /// loopback; any number more may join a `--listen` supervisor.
 fn dist_worker_main(args: DistWorkerArgs) -> ! {
-    arm_observability(args.log, args.log_json.as_deref(), args.faults.as_ref());
+    arm_observability(&args.log, Some(&args.faults));
 
     // The only thing a worker keeps on disk is its artifact cache: in
     // the given store directory (shared, kept), or in a per-process
@@ -532,89 +601,35 @@ fn dist_worker_main(args: DistWorkerArgs) -> ! {
 }
 
 /// Search evaluation through the campaign store: every generation's
-/// batch is an ordinary fill — in-process, or handed to the supervisor
-/// whose workers stay up for the whole search — and results are read
-/// back by point key. Store warmth affects only speed, never values:
-/// that memoization is what makes `--resume` replay free.
-struct StoreEvaluator {
-    dir: PathBuf,
-    opts: SweepOptions,
-    progress: bool,
-    /// The store results are read from: the writer of the in-process
-    /// path, a fresh read-only load per generation under `--workers`
-    /// (the hub's lease shards are then the only writers).
-    store: CampaignStore,
-    supervisor: Option<Supervisor>,
+/// batch is an ordinary [`Runner::run`] — in-process, or handed to the
+/// supervisor whose workers stay up for the whole search — and results
+/// are read back by point key. Store warmth affects only speed, never
+/// values: that memoization is what makes `--resume` replay free.
+struct StoreEvaluator<'a> {
+    runner: Runner<'a>,
     hits: u64,
-    worker_metrics: musa_obs::MetricsSnapshot,
 }
 
-impl StoreEvaluator {
-    fn interrupted(&mut self) -> ! {
-        if let Some(sup) = self.supervisor.take() {
-            sup.close();
-        }
-        eprintln!("[search] interrupted: evaluated points are stored, continue with --resume");
-        std::process::exit(EXIT_INTERRUPTED);
-    }
-}
-
-impl Evaluator for StoreEvaluator {
+impl Evaluator for StoreEvaluator<'_> {
     fn evaluate(&mut self, batch: &[(AppId, NodeConfig)]) -> Vec<(f64, f64)> {
-        let fail = |e: std::io::Error| -> ! {
-            eprintln!("dse search: evaluating a generation failed: {e}");
-            std::process::exit(1);
-        };
-        if let Some(sup) = self.supervisor.as_mut() {
-            let report = sup.run(batch, &self.opts).unwrap_or_else(|e| fail(e));
-            self.hits += report.cached as u64;
-            self.worker_metrics.absorb(&report.worker_metrics);
-            if report.interrupted {
-                self.interrupted();
-            }
-            self.store = CampaignStore::open_read_only(&self.dir).unwrap_or_else(|e| fail(e));
-        } else {
-            let fill = FillOptions {
-                progress: self.progress,
-                cancel: Some(signals::termination_requested),
-                ..FillOptions::new(self.opts)
-            };
-            // `fill` takes a cross product: one call per application,
-            // batch order kept within it.
-            for &app in &AppId::ALL {
-                let cfgs: Vec<NodeConfig> = batch
-                    .iter()
-                    .filter(|(a, _)| *a == app)
-                    .map(|(_, c)| *c)
-                    .collect();
-                let report = self
-                    .store
-                    .fill(&[app], &cfgs, &fill)
-                    .unwrap_or_else(|e| fail(e));
-                self.hits += report.cached as u64;
-                if report.interrupted {
-                    self.interrupted();
-                }
-            }
-        }
-        // A missing row after a fill means the point was poisoned (its
+        self.hits += self.runner.run(batch).cached as u64;
+        // A missing row after a run means the point was poisoned (its
         // simulation panicked) — fatal for a search, because the
         // trajectory cannot continue without the objective value; the
         // row-less point is retried by a later `--resume`.
         batch
             .iter()
-            .map(|(app, cfg)| match self.store.get(*app, cfg, &self.opts) {
-                Some(r) => (r.time_ns, r.energy_j),
-                None => {
-                    eprintln!(
+            .map(
+                |(app, cfg)| match self.runner.store.get(*app, cfg, &self.runner.sweep) {
+                    Some(r) => (r.time_ns, r.energy_j),
+                    None => die(format!(
                         "dse search: {}/{} has no stored row after evaluation \
                          (poisoned simulation?) — re-run with --resume to retry it",
                         app.label(),
                         cfg.label()
-                    );
-                    std::process::exit(1);
-                }
-            })
+                    )),
+                },
+            )
             .collect()
     }
 
@@ -629,17 +644,8 @@ impl Evaluator for StoreEvaluator {
 /// so a search leaves behind a perfectly ordinary (partial) campaign
 /// plus its own journal under `<store-dir>/search/`.
 fn search_main(args: SearchArgs) -> ! {
-    arm_observability(args.log, args.log_json.as_deref(), None);
-    let want_report = args.metrics.is_some() || args.metrics_prom.is_some() || args.progress;
-    if want_report {
-        musa_obs::enable_metrics(true);
-    }
-
-    let dir: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
-    let opts = SweepOptions {
-        gen: gen_params(),
-        full_replay: true,
-    };
+    arm_observability(&args.log, None);
+    let dir = store_dir_of(&args.campaign.store_dir, args.campaign.full);
     let config = SearchConfig {
         strategy: args.strategy.clone(),
         seed: args.seed,
@@ -648,14 +654,14 @@ fn search_main(args: SearchArgs) -> ! {
         space: args.space,
         apps: args.apps.clone().unwrap_or_else(|| AppId::ALL.to_vec()),
         hv_ref: args.hv_ref,
-        scale: musa_bench::scale_label().to_string(),
+        scale: scale_for(args.campaign.full).0.to_string(),
     };
 
     // A fresh (non --resume) search discards only the search scratch:
     // campaign rows are memoization, not search state, and survive so
     // a re-run (or a different strategy) evaluates for free.
     let search_dir = dir.join(musa_search::SEARCH_DIR);
-    if !args.resume {
+    if !args.campaign.resume {
         let _ = std::fs::remove_dir_all(&search_dir);
     }
     let mut journal = match SearchJournal::open(search_dir.join(musa_search::JOURNAL_FILE)) {
@@ -668,7 +674,7 @@ fn search_main(args: SearchArgs) -> ! {
             std::process::exit(1);
         }
     };
-    if args.resume && !journal.existing().is_empty() {
+    if args.campaign.resume && !journal.existing().is_empty() {
         eprintln!(
             "[search] resuming: replaying {} journaled line(s) from {}",
             journal.existing().len(),
@@ -676,7 +682,7 @@ fn search_main(args: SearchArgs) -> ! {
         );
     }
 
-    let progress = args.progress;
+    let progress = args.campaign.progress;
     let mut on_gen = |g: &GenerationRecord| {
         if progress {
             eprintln!(
@@ -686,52 +692,18 @@ fn search_main(args: SearchArgs) -> ! {
         }
     };
 
-    signals::install_term_handlers();
-    let mut ev = StoreEvaluator {
-        dir: dir.clone(),
-        opts,
-        progress: args.progress,
-        store: CampaignStore::open(&dir).unwrap_or_else(|e| {
-            eprintln!("open campaign store {}: {e}", dir.display());
-            std::process::exit(1);
-        }),
-        supervisor: None,
-        hits: 0,
-        worker_metrics: musa_obs::MetricsSnapshot::default(),
+    // A generation runs like a plain `dse` with its tuning flags at
+    // their defaults.
+    let run_args = DseArgs {
+        campaign: args.campaign.clone(),
+        ..DseArgs::default()
     };
-    let mut cache = None;
-    if let Some(workers) = args.workers {
-        ev.supervisor = Some(open_supervisor(
-            &dir,
-            args.listen.as_deref(),
-            PoolOptions {
-                workers,
-                progress: args.progress,
-                env: musa_bench::pool_worker_env(
-                    None,
-                    !args.no_cache,
-                    want_report,
-                    !args.no_prof && musa_prof::enabled_from_env(),
-                ),
-                ..PoolOptions::default()
-            },
-            DEFAULT_MAX_RETRIES,
-        ));
-    } else {
-        cache = open_cache(&dir, args.no_cache);
-        if let Some(cache) = &cache {
-            ev.store.set_artifact_cache(Arc::clone(cache));
-        }
-        install_store_recorder(&dir, args.no_prof);
-    }
+    let mut ev = StoreEvaluator {
+        runner: Runner::open(&run_args, &dir, "search", false),
+        hits: 0,
+    };
     let outcome = run_search(&config, &mut ev, Some(&mut journal), Some(&mut on_gen));
-    musa_prof::uninstall_recorder();
-    if let Some(sup) = ev.supervisor.take() {
-        sup.close();
-    }
-    if let Some(cache) = &cache {
-        report_cache_session(cache, "search");
-    }
+    ev.runner.finish();
 
     let outcome = match outcome {
         Ok(o) => o,
@@ -760,12 +732,7 @@ fn search_main(args: SearchArgs) -> ! {
         }
     }
     summarise_search(&outcome);
-    finish_observability(
-        args.progress,
-        args.metrics.as_deref(),
-        args.metrics_prom.as_deref(),
-        Some(&ev.worker_metrics),
-    );
+    finish_observability(&args.campaign, &ev.runner.worker_metrics);
     std::process::exit(0);
 }
 
@@ -823,7 +790,7 @@ fn summarise_search(outcome: &musa_search::SearchOutcome) {
 /// simulator runs — so these are instant against stores of any size
 /// and safe to point at a directory whose writers are long gone.
 fn cache_main(args: CacheArgs) -> ! {
-    let store: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
+    let store = store_dir_of(&args.store_dir, false);
     let dir = store.join(musa_cache::ARTIFACT_DIR);
     match args.cmd {
         CacheCmd::Stats => {
@@ -942,7 +909,7 @@ fn export_campaign(args: &DseArgs, campaign: &musa_core::Campaign) {
 /// Exit code is the severity grade (0 ok, 1 degraded, 2 corrupt); an
 /// I/O failure while auditing exits 1 with the error on stderr.
 fn doctor_main(args: DoctorArgs) -> ! {
-    let store: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
+    let store = store_dir_of(&args.store_dir, false);
     let result = if args.repair {
         musa_doctor::repair(&store)
     } else {
@@ -1009,14 +976,14 @@ fn serve_main(args: ServeArgs) -> ! {
     use std::sync::Arc;
     use std::time::Duration;
 
-    arm_observability(args.log, args.log_json.as_deref(), None);
+    arm_observability(&args.log, None);
     // The /metrics endpoint is only useful with the registry on.
     musa_obs::enable_metrics(true);
 
     let engine = if args.synthetic {
         musa_serve::QueryEngine::new(musa_serve::synth::synthetic_results(864))
     } else {
-        let dir: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
+        let dir = store_dir_of(&args.store_dir, false);
         match musa_serve::QueryEngine::open(&dir) {
             Ok(engine) => engine,
             Err(e) => {
@@ -1164,38 +1131,26 @@ fn summarise(
 
 /// End-of-run telemetry: the phase table on stderr, the `--metrics`
 /// snapshot (and `--metrics-prom` exposition) on disk, and a flushed
-/// JSONL sink. `extra` carries the worker-side metrics a pool
-/// supervisor received with its lease results; they are absorbed into
-/// this process's own snapshot so the report covers the whole run, not
-/// just the supervisor.
-fn finish_observability(
-    progress: bool,
-    metrics: Option<&Path>,
-    metrics_prom: Option<&Path>,
-    extra: Option<&musa_obs::MetricsSnapshot>,
-) {
-    if metrics.is_some() || metrics_prom.is_some() || progress {
+/// JSONL sink. `workers` carries the metrics a pool supervisor received
+/// with its lease results; they are absorbed into this process's own
+/// snapshot so the report covers the whole run, not just the
+/// supervisor.
+fn finish_observability(campaign: &CampaignArgs, workers: &musa_obs::MetricsSnapshot) {
+    let (metrics, metrics_prom) = (&campaign.metrics, &campaign.metrics_prom);
+    if metrics.is_some() || metrics_prom.is_some() || campaign.progress {
         let mut snap = musa_obs::snapshot();
-        if let Some(extra) = extra {
-            snap.absorb(extra);
-        }
+        snap.absorb(workers);
         eprintln!("{}", musa_obs::phase_table(&snap));
         if let Some(path) = metrics {
             match snap.write_json_file(path) {
                 Ok(()) => eprintln!("[dse] wrote metrics snapshot to {}", path.display()),
-                Err(e) => {
-                    eprintln!("metrics dump to {} failed: {e}", path.display());
-                    std::process::exit(1);
-                }
+                Err(e) => die(format!("metrics dump to {} failed: {e}", path.display())),
             }
         }
         if let Some(path) = metrics_prom {
             match std::fs::write(path, musa_obs::prometheus_text(&snap)) {
                 Ok(()) => eprintln!("[dse] wrote Prometheus exposition to {}", path.display()),
-                Err(e) => {
-                    eprintln!("Prometheus dump to {} failed: {e}", path.display());
-                    std::process::exit(1);
-                }
+                Err(e) => die(format!("Prometheus dump to {} failed: {e}", path.display())),
             }
         }
     }
@@ -1209,7 +1164,7 @@ fn finish_observability(
 /// per-phase / cache-efficacy report, and optionally exported as a
 /// Chrome Trace Event file with one track per worker process.
 fn profile_main(args: ProfileArgs) -> ! {
-    let store: PathBuf = args.store_dir.clone().unwrap_or_else(store_dir);
+    let store = store_dir_of(&args.store_dir, false);
     let (records, rep) = musa_prof::load_profiles(&store).unwrap_or_else(|e| {
         eprintln!(
             "dse profile: cannot read profiles in {}: {e}",
@@ -1302,14 +1257,23 @@ fn profile_main(args: ProfileArgs) -> ! {
 
 /// A fresh (non-`--resume`) run discards previously stored rows and
 /// the lease journal (with its poisoned set — a fresh sweep
-/// re-attempts everything).
+/// re-attempts everything). The quarantine ledger and its rotations
+/// are evidence, not results: `dse doctor --repair` promises they are
+/// never destroyed, so they stay.
 fn clear_store(dir: &std::path::Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return; // nothing to clear
     };
     let mut removed = 0usize;
     for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
-        if path.extension().is_some_and(|x| x == "jsonl") && std::fs::remove_file(&path).is_ok() {
+        let evidence = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(musa_store::is_quarantine_file);
+        if path.extension().is_some_and(|x| x == "jsonl")
+            && !evidence
+            && std::fs::remove_file(&path).is_ok()
+        {
             removed += 1;
         }
     }

@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use musa_apps::AppId;
+use musa_dist::{DEFAULT_LEASE_BATCH, DEFAULT_POISON_CAP};
 use musa_fault::FaultPlan;
 use musa_obs::Level;
-use musa_pool::{DEFAULT_LEASE_BATCH, DEFAULT_POISON_CAP};
 use musa_search::{SpaceId, STRATEGIES};
 use musa_store::{Shard, DEFAULT_MAX_RETRIES};
 
@@ -82,84 +82,185 @@ usage: dse [options]
   --log-json PATH    record every structured event to a JSONL file
   -h, --help         this help";
 
-/// Parsed `dse` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DseArgs {
-    /// Keep existing store rows.
-    pub resume: bool,
-    /// Simulate only this shard of the point set.
-    pub shard: Option<Shard>,
+/// `--log` / `--log-json`, as `dse`, `serve`, `search` and
+/// `dist-worker` take them.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LogArgs {
+    /// Stderr event level override; `Some(None)` is `--log off`.
+    pub level: Option<Option<Level>>,
+    /// JSONL event sink path.
+    pub json: Option<PathBuf>,
+}
+
+/// `--faults`, as `dse` and `dist-worker` take it.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FaultArgs {
+    /// The parsed plan (validated at parse time: a bad spec is exit 2,
+    /// never a silently fault-free chaos run).
+    pub plan: Option<FaultPlan>,
+    /// The raw spec, kept verbatim so a pool supervisor can hand the
+    /// *identical* plan to its workers via the environment.
+    pub spec: Option<String>,
+}
+
+/// The flags that say where and how a campaign runs, whichever
+/// subcommand enumerates its points (`dse` itself, `dse search`).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CampaignArgs {
+    /// Pool mode: run with this many supervised worker processes.
+    /// `None` is the in-process sequential fill.
+    pub workers: Option<usize>,
+    /// With `--workers`: serve leases on this address, so remote
+    /// `dse dist-worker` processes can join.
+    pub listen: Option<String>,
     /// Campaign store directory override.
     pub store_dir: Option<PathBuf>,
-    /// CSV export path, when requested.
-    pub csv: Option<String>,
-    /// JSON export path, when requested.
-    pub json: Option<String>,
+    /// Keep what the store directory already holds.
+    pub resume: bool,
     /// Paper scale (256 ranks).
     pub full: bool,
     /// Disable the intermediate-artifact cache.
     pub no_cache: bool,
-    /// Live fill heartbeat.
+    /// Disable the per-point profiling flight recorder.
+    pub no_prof: bool,
+    /// Live progress on stderr.
     pub progress: bool,
     /// Metrics snapshot output path.
     pub metrics: Option<PathBuf>,
     /// Prometheus text-exposition output path.
     pub metrics_prom: Option<PathBuf>,
-    /// Disable the per-point profiling flight recorder.
-    pub no_prof: bool,
+}
+
+/// Every flag more than one subcommand takes. [`Shared::take`] is the
+/// only code that parses them; a subcommand accepts exactly the names
+/// in its `*_SHARED` list and reads the values it listed.
+#[derive(Default)]
+struct Shared {
+    log: LogArgs,
+    faults: FaultArgs,
+    campaign: CampaignArgs,
+}
+
+const LOG: &[&str] = &["--log", "--log-json"];
+const FAULTS: &[&str] = &["--faults"];
+const STORE_DIR: &[&str] = &["--store-dir"];
+const CAMPAIGN: &[&str] = &[
+    "--workers",
+    "--listen",
+    "--store-dir",
+    "--resume",
+    "--full",
+    "--no-cache",
+    "--no-prof",
+    "--progress",
+    "--metrics",
+    "--metrics-prom",
+];
+const RUN_SHARED: &[&[&str]] = &[LOG, FAULTS, CAMPAIGN];
+const SEARCH_SHARED: &[&[&str]] = &[LOG, CAMPAIGN];
+const DIST_WORKER_SHARED: &[&[&str]] = &[LOG, FAULTS, STORE_DIR, &["--no-cache", "--no-prof"]];
+const SERVE_SHARED: &[&[&str]] = &[LOG, STORE_DIR];
+/// `cache`, `profile` and `doctor` only say which store they inspect.
+const STORE_DIR_ONLY: &[&[&str]] = &[STORE_DIR];
+
+impl Shared {
+    /// Parse `arg` (and its value) if it is one of `accepted`;
+    /// `Ok(false)` leaves it to the subcommand's own flags.
+    fn take<'a, I: Iterator<Item = &'a str>>(
+        &mut self,
+        accepted: &[&[&str]],
+        arg: &str,
+        it: &mut std::iter::Peekable<I>,
+    ) -> Result<bool, String> {
+        if !accepted.iter().any(|group| group.contains(&arg)) {
+            return Ok(false);
+        }
+        let campaign = &mut self.campaign;
+        match arg {
+            "--log-json" => self.log.json = Some(required(it, "--log-json")?.into()),
+            "--log" => {
+                let spec = required(it, "--log")?;
+                let norm = spec.trim().to_ascii_lowercase();
+                self.log.level = Some(if norm == "off" || norm == "none" {
+                    None
+                } else {
+                    Some(
+                        Level::parse(spec)
+                            .ok_or_else(|| format!("bad --log level {spec:?} (see usage)"))?,
+                    )
+                });
+            }
+            "--faults" => {
+                let spec = required(it, "--faults")?;
+                self.faults.plan =
+                    Some(FaultPlan::parse(spec).map_err(|e| format!("bad --faults: {e}"))?);
+                self.faults.spec = Some(spec.to_string());
+            }
+            "--workers" => {
+                let n: usize = parse_number("--workers", required(it, "--workers")?)?;
+                if n == 0 {
+                    return Err("--workers must be at least 1".into());
+                }
+                campaign.workers = Some(n);
+            }
+            "--listen" => campaign.listen = Some(required(it, "--listen")?.to_string()),
+            "--store-dir" => campaign.store_dir = Some(required(it, "--store-dir")?.into()),
+            "--resume" => campaign.resume = true,
+            "--full" => campaign.full = true,
+            "--no-cache" => campaign.no_cache = true,
+            "--no-prof" => campaign.no_prof = true,
+            "--progress" => campaign.progress = true,
+            "--metrics" => campaign.metrics = Some(required(it, "--metrics")?.into()),
+            "--metrics-prom" => {
+                campaign.metrics_prom = Some(required(it, "--metrics-prom")?.into());
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Parsed `dse` arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DseArgs {
+    /// Where and how the campaign runs.
+    pub campaign: CampaignArgs,
+    /// Simulate only this shard of the point set.
+    pub shard: Option<Shard>,
+    /// CSV export path, when requested.
+    pub csv: Option<String>,
+    /// JSON export path, when requested.
+    pub json: Option<String>,
     /// Flush retry budget for transient I/O errors.
     pub max_retries: u32,
     /// Abort on the first poisoned point.
     pub fail_fast: bool,
-    /// Parsed `--faults` plan (validated at parse time: a bad spec is
-    /// exit 2, never a silently fault-free chaos run).
-    pub faults: Option<FaultPlan>,
-    /// The raw `--faults` spec, kept verbatim so a pool supervisor can
-    /// hand the *identical* plan to its workers via the environment.
-    pub faults_spec: Option<String>,
-    /// Pool mode: run the fill with this many supervised worker
-    /// processes. `None` is the in-process sequential fill.
-    pub workers: Option<usize>,
+    /// `--faults`.
+    pub faults: FaultArgs,
     /// Per-point wall-clock deadline in a pool run.
     pub point_timeout: Option<Duration>,
     /// Worker deaths a single point may cause before quarantine.
     pub poison_cap: u32,
     /// Points per worker lease.
     pub lease_batch: usize,
-    /// With `--workers`: serve leases on this address, so remote
-    /// `dse dist-worker` processes can join.
-    pub listen: Option<String>,
-    /// Stderr event level override; `Some(None)` is `--log off`.
-    pub log: Option<Option<Level>>,
-    /// JSONL event sink path.
-    pub log_json: Option<PathBuf>,
+    /// `--log` / `--log-json`.
+    pub log: LogArgs,
 }
 
 impl Default for DseArgs {
     fn default() -> DseArgs {
         DseArgs {
-            resume: false,
+            campaign: CampaignArgs::default(),
             shard: None,
-            store_dir: None,
             csv: None,
             json: None,
-            full: false,
-            no_cache: false,
-            progress: false,
-            metrics: None,
-            metrics_prom: None,
-            no_prof: false,
             max_retries: DEFAULT_MAX_RETRIES,
             fail_fast: false,
-            faults: None,
-            faults_spec: None,
-            workers: None,
+            faults: FaultArgs::default(),
             point_timeout: None,
             poison_cap: DEFAULT_POISON_CAP,
             lease_batch: DEFAULT_LEASE_BATCH,
-            listen: None,
-            log: None,
-            log_json: None,
+            log: LogArgs::default(),
         }
     }
 }
@@ -205,10 +306,8 @@ pub struct ServeArgs {
     pub max_request_bytes: usize,
     /// Honour `GET /quit`.
     pub allow_quit: bool,
-    /// Stderr event level override; `Some(None)` is `--log off`.
-    pub log: Option<Option<Level>>,
-    /// JSONL event sink path.
-    pub log_json: Option<PathBuf>,
+    /// `--log` / `--log-json`.
+    pub log: LogArgs,
 }
 
 impl Default for ServeArgs {
@@ -224,8 +323,7 @@ impl Default for ServeArgs {
             write_timeout_ms: 5000,
             max_request_bytes: 16 * 1024,
             allow_quit: false,
-            log: None,
-            log_json: None,
+            log: LogArgs::default(),
         }
     }
 }
@@ -284,65 +382,41 @@ fn optional<'a, I: Iterator<Item = &'a str>>(
 /// required value — is an error; the binary reports it with [`USAGE`]
 /// and exits 2.
 pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
-    if args.first().map(AsRef::as_ref) == Some("serve") {
-        return parse_serve_args(&args[1..]);
+    let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
+    // A subcommand is only one in first position.
+    match args.split_first() {
+        Some((&"serve", rest)) => parse_serve_args(rest),
+        Some((&"cache", rest)) => parse_cache_args(rest),
+        Some((&"profile", rest)) => parse_profile_args(rest),
+        Some((&"search", rest)) => parse_search_args(rest),
+        Some((&"dist-worker", rest)) => parse_dist_worker_args(rest),
+        Some((&"doctor", rest)) => parse_doctor_args(rest),
+        Some((&"torture", rest)) => parse_torture_args(rest),
+        _ => parse_run_args(&args),
     }
-    if args.first().map(AsRef::as_ref) == Some("cache") {
-        return parse_cache_args(&args[1..]);
-    }
-    if args.first().map(AsRef::as_ref) == Some("profile") {
-        return parse_profile_args(&args[1..]);
-    }
-    if args.first().map(AsRef::as_ref) == Some("search") {
-        return parse_search_args(&args[1..]);
-    }
-    if args.first().map(AsRef::as_ref) == Some("dist-worker") {
-        return parse_dist_worker_args(&args[1..]);
-    }
-    if args.first().map(AsRef::as_ref) == Some("doctor") {
-        return parse_doctor_args(&args[1..]);
-    }
-    if args.first().map(AsRef::as_ref) == Some("torture") {
-        return parse_torture_args(&args[1..]);
-    }
+}
+
+/// Parse the sweep's own arguments (no subcommand).
+fn parse_run_args(args: &[&str]) -> Result<Parsed, String> {
     let mut out = DseArgs::default();
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut shared = Shared::default();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
+        if shared.take(RUN_SHARED, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(USAGE)),
-            "--resume" => out.resume = true,
-            "--full" => out.full = true,
-            "--no-cache" => out.no_cache = true,
-            "--progress" => out.progress = true,
             "--shard" => {
                 let spec =
                     required(&mut it, "--shard").map_err(|e| format!("{e}, e.g. --shard 0/4"))?;
                 out.shard = Some(Shard::parse(spec).map_err(|e| format!("bad --shard: {e}"))?);
             }
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
-            "--metrics" => out.metrics = Some(required(&mut it, "--metrics")?.into()),
-            "--metrics-prom" => {
-                out.metrics_prom = Some(required(&mut it, "--metrics-prom")?.into());
-            }
-            "--no-prof" => out.no_prof = true,
             "--max-retries" => {
                 out.max_retries =
                     parse_number("--max-retries", required(&mut it, "--max-retries")?)?;
             }
             "--fail-fast" => out.fail_fast = true,
-            "--faults" => {
-                let spec = required(&mut it, "--faults")?;
-                out.faults =
-                    Some(FaultPlan::parse(spec).map_err(|e| format!("bad --faults: {e}"))?);
-                out.faults_spec = Some(spec.to_string());
-            }
-            "--workers" => {
-                let n: usize = parse_number("--workers", required(&mut it, "--workers")?)?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                out.workers = Some(n);
-            }
             "--point-timeout" => {
                 let spec = required(&mut it, "--point-timeout")?;
                 out.point_timeout = Some(
@@ -363,27 +437,14 @@ pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
                     return Err("--lease-batch must be at least 1".into());
                 }
             }
-            "--listen" => out.listen = Some(required(&mut it, "--listen")?.to_string()),
-            "--log-json" => out.log_json = Some(required(&mut it, "--log-json")?.into()),
-            "--log" => {
-                let spec = required(&mut it, "--log")?;
-                let norm = spec.trim().to_ascii_lowercase();
-                out.log = Some(if norm == "off" || norm == "none" {
-                    None
-                } else {
-                    Some(
-                        Level::parse(spec)
-                            .ok_or_else(|| format!("bad --log level {spec:?} (see usage)"))?,
-                    )
-                });
-            }
             "--csv" => out.csv = Some(optional(&mut it, "dse_results.csv")),
             "--json" => out.json = Some(optional(&mut it, "dse_results.json")),
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    if out.workers.is_none() {
+    (out.campaign, out.faults, out.log) = (shared.campaign, shared.faults, shared.log);
+    if out.campaign.workers.is_none() {
         // The pool tuning knobs only mean something under --workers;
         // accepting them solo would silently do nothing.
         if out.point_timeout.is_some() {
@@ -395,7 +456,7 @@ pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
         if out.poison_cap != DEFAULT_POISON_CAP {
             return Err("--poison-cap requires --workers".into());
         }
-        if out.listen.is_some() {
+        if out.campaign.listen.is_some() {
             // Remote workers extend a pool; without one there is no
             // lease loop to offer them anything.
             return Err("--listen requires --workers".into());
@@ -461,8 +522,8 @@ pub struct CacheArgs {
 }
 
 /// Parse `dse cache` arguments (after the `cache` token).
-fn parse_cache_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+fn parse_cache_args(args: &[&str]) -> Result<Parsed, String> {
+    let mut it = args.iter().copied().peekable();
     let cmd = match it.next() {
         Some("-h") | Some("--help") | None => return Ok(Parsed::Help(CACHE_USAGE)),
         Some("stats") => CacheCmd::Stats,
@@ -480,10 +541,13 @@ fn parse_cache_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
         all: false,
         max_bytes: None,
     };
+    let mut shared = Shared::default();
     while let Some(arg) = it.next() {
+        if shared.take(STORE_DIR_ONLY, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(CACHE_USAGE)),
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
             "--all" => {
                 if out.cmd != CacheCmd::Gc {
                     return Err("--all only applies to dse cache gc".into());
@@ -503,6 +567,7 @@ fn parse_cache_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
+    out.store_dir = shared.campaign.store_dir;
     if out.all && out.max_bytes.is_some() {
         return Err("--all and --max-bytes are mutually exclusive \
                     (--all already removes every artifact)"
@@ -543,19 +608,23 @@ pub struct DoctorArgs {
 }
 
 /// Parse `dse doctor` arguments (after the `doctor` token).
-fn parse_doctor_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
+fn parse_doctor_args(args: &[&str]) -> Result<Parsed, String> {
     let mut out = DoctorArgs::default();
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut shared = Shared::default();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
+        if shared.take(STORE_DIR_ONLY, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(DOCTOR_USAGE)),
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
             "--repair" => out.repair = true,
             "--json" => out.json = true,
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
+    out.store_dir = shared.campaign.store_dir;
     Ok(Parsed::Doctor(out))
 }
 
@@ -606,9 +675,9 @@ impl Default for TortureArgs {
 }
 
 /// Parse `dse torture` arguments (after the `torture` token).
-fn parse_torture_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
+fn parse_torture_args(args: &[&str]) -> Result<Parsed, String> {
     let mut out = TortureArgs::default();
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(TORTURE_USAGE)),
@@ -674,75 +743,51 @@ pub struct DistWorkerArgs {
     pub reconnect_for: Option<Duration>,
     /// Consecutive connection failures tolerated before exit 1.
     pub max_reconnects: u32,
-    /// Parsed `--faults` plan.
-    pub faults: Option<FaultPlan>,
-    /// The raw `--faults` spec (verbatim, for provenance).
-    pub faults_spec: Option<String>,
-    /// Stderr event level override; `Some(None)` is `--log off`.
-    pub log: Option<Option<Level>>,
-    /// JSONL event sink path.
-    pub log_json: Option<PathBuf>,
+    /// `--faults`.
+    pub faults: FaultArgs,
+    /// `--log` / `--log-json`.
+    pub log: LogArgs,
 }
 
 /// Parse `dse dist-worker` arguments (after the `dist-worker` token).
-fn parse_dist_worker_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
+fn parse_dist_worker_args(args: &[&str]) -> Result<Parsed, String> {
     let mut connect: Option<String> = None;
-    let mut out = DistWorkerArgs {
-        connect: String::new(),
-        store_dir: None,
-        no_cache: false,
-        no_prof: false,
-        reconnect_for: None,
-        max_reconnects: musa_dist::DEFAULT_MAX_RECONNECTS,
-        faults: None,
-        faults_spec: None,
-        log: None,
-        log_json: None,
-    };
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut reconnect_for = None;
+    let mut max_reconnects = musa_dist::DEFAULT_MAX_RECONNECTS;
+    let mut shared = Shared::default();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
+        if shared.take(DIST_WORKER_SHARED, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(DIST_WORKER_USAGE)),
             "--connect" => connect = Some(required(&mut it, "--connect")?.to_string()),
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
-            "--no-cache" => out.no_cache = true,
-            "--no-prof" => out.no_prof = true,
             "--reconnect-for" => {
                 let spec = required(&mut it, "--reconnect-for")?;
-                out.reconnect_for = Some(
+                reconnect_for = Some(
                     musa_fault::parse_duration(spec)
                         .map_err(|e| format!("bad --reconnect-for: {e}"))?,
                 );
             }
             "--max-reconnects" => {
-                out.max_reconnects =
+                max_reconnects =
                     parse_number("--max-reconnects", required(&mut it, "--max-reconnects")?)?;
-            }
-            "--faults" => {
-                let spec = required(&mut it, "--faults")?;
-                out.faults =
-                    Some(FaultPlan::parse(spec).map_err(|e| format!("bad --faults: {e}"))?);
-                out.faults_spec = Some(spec.to_string());
-            }
-            "--log-json" => out.log_json = Some(required(&mut it, "--log-json")?.into()),
-            "--log" => {
-                let spec = required(&mut it, "--log")?;
-                let norm = spec.trim().to_ascii_lowercase();
-                out.log = Some(if norm == "off" || norm == "none" {
-                    None
-                } else {
-                    Some(
-                        Level::parse(spec)
-                            .ok_or_else(|| format!("bad --log level {spec:?} (see usage)"))?,
-                    )
-                });
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    out.connect = connect.ok_or("dist-worker needs --connect ADDR")?;
-    Ok(Parsed::DistWorker(out))
+    Ok(Parsed::DistWorker(DistWorkerArgs {
+        connect: connect.ok_or("dist-worker needs --connect ADDR")?,
+        store_dir: shared.campaign.store_dir,
+        no_cache: shared.campaign.no_cache,
+        no_prof: shared.campaign.no_prof,
+        reconnect_for,
+        max_reconnects,
+        faults: shared.faults,
+        log: shared.log,
+    }))
 }
 
 /// `dse profile` usage text.
@@ -785,13 +830,16 @@ impl Default for ProfileArgs {
 }
 
 /// Parse `dse profile` arguments (after the `profile` token).
-fn parse_profile_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
+fn parse_profile_args(args: &[&str]) -> Result<Parsed, String> {
     let mut out = ProfileArgs::default();
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut shared = Shared::default();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
+        if shared.take(STORE_DIR_ONLY, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(PROFILE_USAGE)),
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
             "--top" => {
                 out.top = parse_number("--top", required(&mut it, "--top")?)?;
                 if out.top == 0 {
@@ -805,6 +853,7 @@ fn parse_profile_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
+    out.store_dir = shared.campaign.store_dir;
     Ok(Parsed::Profile(out))
 }
 
@@ -877,30 +926,11 @@ pub struct SearchArgs {
     pub hv_ref: f64,
     /// Final report output path.
     pub report: Option<PathBuf>,
-    /// Continue a killed search.
-    pub resume: bool,
-    /// Campaign store directory override.
-    pub store_dir: Option<PathBuf>,
-    /// Pool evaluation with this many workers.
-    pub workers: Option<usize>,
-    /// With `--workers`: serve leases on this address.
-    pub listen: Option<String>,
-    /// Paper scale (256 ranks).
-    pub full: bool,
-    /// Disable the intermediate-artifact cache.
-    pub no_cache: bool,
-    /// Per-generation progress on stderr.
-    pub progress: bool,
-    /// Metrics snapshot output path.
-    pub metrics: Option<PathBuf>,
-    /// Prometheus text-exposition output path.
-    pub metrics_prom: Option<PathBuf>,
-    /// Disable the per-point profiling flight recorder.
-    pub no_prof: bool,
-    /// Stderr event level override; `Some(None)` is `--log off`.
-    pub log: Option<Option<Level>>,
-    /// JSONL event sink path.
-    pub log_json: Option<PathBuf>,
+    /// Where and how each generation is evaluated (`resume` continues
+    /// a killed search, `progress` is per generation).
+    pub campaign: CampaignArgs,
+    /// `--log` / `--log-json`.
+    pub log: LogArgs,
 }
 
 impl Default for SearchArgs {
@@ -914,27 +944,21 @@ impl Default for SearchArgs {
             apps: None,
             hv_ref: 8.0,
             report: None,
-            resume: false,
-            store_dir: None,
-            workers: None,
-            listen: None,
-            full: false,
-            no_cache: false,
-            progress: false,
-            metrics: None,
-            metrics_prom: None,
-            no_prof: false,
-            log: None,
-            log_json: None,
+            campaign: CampaignArgs::default(),
+            log: LogArgs::default(),
         }
     }
 }
 
 /// Parse `dse search` arguments (after the `search` token).
-fn parse_search_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
+fn parse_search_args(args: &[&str]) -> Result<Parsed, String> {
     let mut out = SearchArgs::default();
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut shared = Shared::default();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
+        if shared.take(SEARCH_SHARED, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(SEARCH_USAGE)),
             "--list-strategies" => return Ok(Parsed::SearchStrategies),
@@ -996,42 +1020,12 @@ fn parse_search_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
             "--search-report" => {
                 out.report = Some(required(&mut it, "--search-report")?.into());
             }
-            "--resume" => out.resume = true,
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
-            "--workers" => {
-                let n: usize = parse_number("--workers", required(&mut it, "--workers")?)?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                out.workers = Some(n);
-            }
-            "--listen" => out.listen = Some(required(&mut it, "--listen")?.to_string()),
-            "--full" => out.full = true,
-            "--no-cache" => out.no_cache = true,
-            "--progress" => out.progress = true,
-            "--metrics" => out.metrics = Some(required(&mut it, "--metrics")?.into()),
-            "--metrics-prom" => {
-                out.metrics_prom = Some(required(&mut it, "--metrics-prom")?.into());
-            }
-            "--no-prof" => out.no_prof = true,
-            "--log-json" => out.log_json = Some(required(&mut it, "--log-json")?.into()),
-            "--log" => {
-                let spec = required(&mut it, "--log")?;
-                let norm = spec.trim().to_ascii_lowercase();
-                out.log = Some(if norm == "off" || norm == "none" {
-                    None
-                } else {
-                    Some(
-                        Level::parse(spec)
-                            .ok_or_else(|| format!("bad --log level {spec:?} (see usage)"))?,
-                    )
-                });
-            }
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    if out.listen.is_some() && out.workers.is_none() {
+    (out.campaign, out.log) = (shared.campaign, shared.log);
+    if out.campaign.listen.is_some() && out.campaign.workers.is_none() {
         return Err("--listen requires --workers".into());
     }
     Ok(Parsed::Search(out))
@@ -1045,15 +1039,18 @@ fn parse_number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String
 /// Parse `dse serve` arguments (after the `serve` token). Same
 /// strictness as the sweep: unknown flags and malformed values are
 /// errors, not warnings.
-pub fn parse_serve_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
+fn parse_serve_args(args: &[&str]) -> Result<Parsed, String> {
     let mut out = ServeArgs::default();
-    let mut it = args.iter().map(AsRef::as_ref).peekable();
+    let mut shared = Shared::default();
+    let mut it = args.iter().copied().peekable();
     while let Some(arg) = it.next() {
+        if shared.take(SERVE_SHARED, arg, &mut it)? {
+            continue;
+        }
         match arg {
             "-h" | "--help" => return Ok(Parsed::Help(SERVE_USAGE)),
             "--synthetic" => out.synthetic = true,
             "--allow-quit" => out.allow_quit = true,
-            "--store-dir" => out.store_dir = Some(required(&mut it, "--store-dir")?.into()),
             "--addr" => out.addr = required(&mut it, "--addr")?.to_string(),
             "--port" => out.port = parse_number("--port", required(&mut it, "--port")?)?,
             "--workers" => {
@@ -1084,23 +1081,11 @@ pub fn parse_serve_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
                     required(&mut it, "--max-request-bytes")?,
                 )?;
             }
-            "--log-json" => out.log_json = Some(required(&mut it, "--log-json")?.into()),
-            "--log" => {
-                let spec = required(&mut it, "--log")?;
-                let norm = spec.trim().to_ascii_lowercase();
-                out.log = Some(if norm == "off" || norm == "none" {
-                    None
-                } else {
-                    Some(
-                        Level::parse(spec)
-                            .ok_or_else(|| format!("bad --log level {spec:?} (see usage)"))?,
-                    )
-                });
-            }
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
+    (out.store_dir, out.log) = (shared.campaign.store_dir, shared.log);
     if out.synthetic && out.store_dir.is_some() {
         return Err("--synthetic and --store-dir are mutually exclusive".into());
     }
@@ -1184,7 +1169,7 @@ mod tests {
             "--faults",
             "seed=9,sim.point=panic@0.001,store.flush=io@0.02",
         ]);
-        let plan = a.faults.expect("plan parsed");
+        let plan = a.faults.plan.expect("plan parsed");
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.points.len(), 2);
     }
@@ -1215,7 +1200,7 @@ mod tests {
     #[test]
     fn pool_flags_parse() {
         let a = run(&["--workers", "4"]);
-        assert_eq!(a.workers, Some(4));
+        assert_eq!(a.campaign.workers, Some(4));
         assert_eq!(a.point_timeout, None);
         assert_eq!(a.poison_cap, DEFAULT_POISON_CAP);
         assert_eq!(a.lease_batch, DEFAULT_LEASE_BATCH);
@@ -1230,7 +1215,7 @@ mod tests {
             "--lease-batch",
             "3",
         ]);
-        assert_eq!(a.workers, Some(2));
+        assert_eq!(a.campaign.workers, Some(2));
         assert_eq!(a.point_timeout, Some(Duration::from_millis(500)));
         assert_eq!((a.poison_cap, a.lease_batch), (1, 3));
         assert_eq!(
@@ -1259,9 +1244,9 @@ mod tests {
 
     #[test]
     fn no_cache_flag_parses() {
-        assert!(!run(&[]).no_cache);
-        assert!(run(&["--no-cache"]).no_cache);
-        assert!(run(&["--no-cache", "--workers", "2"]).no_cache);
+        assert!(!run(&[]).campaign.no_cache);
+        assert!(run(&["--no-cache"]).campaign.no_cache);
+        assert!(run(&["--no-cache", "--workers", "2"]).campaign.no_cache);
     }
 
     #[test]
@@ -1341,13 +1326,13 @@ mod tests {
     #[test]
     fn listen_flag_parses_and_requires_workers() {
         let a = run(&["--workers", "2", "--listen", "127.0.0.1:0"]);
-        assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(run(&["--workers", "2"]).listen, None);
+        assert_eq!(a.campaign.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(run(&["--workers", "2"]).campaign.listen, None);
         assert!(parse_dse_args(&["--listen", "127.0.0.1:0"]).is_err());
         assert!(parse_dse_args(&["--workers", "2", "--listen"]).is_err());
         // The same pair on `search`: the pool flags are shared.
         let a = search(&["search", "--workers", "2", "--listen", "127.0.0.1:0"]);
-        assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(a.campaign.listen.as_deref(), Some("127.0.0.1:0"));
         assert!(parse_dse_args(&["search", "--listen", "127.0.0.1:0"]).is_err());
     }
 
@@ -1361,7 +1346,7 @@ mod tests {
                 assert_eq!(a.store_dir, None);
                 assert_eq!(a.reconnect_for, None);
                 assert_eq!(a.max_reconnects, musa_dist::DEFAULT_MAX_RECONNECTS);
-                assert_eq!(a.faults_spec, None);
+                assert_eq!(a.faults.spec, None);
             }
             other => panic!("unexpected parse: {other:?}"),
         }
@@ -1394,10 +1379,10 @@ mod tests {
                 assert_eq!(a.reconnect_for, Some(Duration::from_secs(30)));
                 assert_eq!(a.max_reconnects, 3);
                 assert_eq!(
-                    a.faults_spec.as_deref(),
+                    a.faults.spec.as_deref(),
                     Some("seed=7,dist.frame.send=garble@0.05")
                 );
-                assert_eq!(a.log, Some(Some(Level::Debug)));
+                assert_eq!(a.log.level, Some(Some(Level::Debug)));
             }
             other => panic!("unexpected parse: {other:?}"),
         }
@@ -1444,12 +1429,12 @@ mod tests {
     fn observability_flags_parse() {
         let a = run(&["--metrics-prom", "metrics.prom"]);
         assert_eq!(
-            a.metrics_prom.as_deref(),
+            a.campaign.metrics_prom.as_deref(),
             Some(std::path::Path::new("metrics.prom"))
         );
-        assert!(!a.no_prof);
-        assert!(run(&["--no-prof"]).no_prof);
-        assert!(run(&["--no-prof", "--workers", "2"]).no_prof);
+        assert!(!a.campaign.no_prof);
+        assert!(run(&["--no-prof"]).campaign.no_prof);
+        assert!(run(&["--no-prof", "--workers", "2"]).campaign.no_prof);
         assert!(parse_dse_args(&["--metrics-prom"]).is_err());
     }
 
@@ -1502,8 +1487,8 @@ mod tests {
     fn faults_spec_is_retained_verbatim() {
         let spec = "seed=9,sim.point=panic@0.001,store.flush=io@0.02";
         let a = run(&["--faults", spec]);
-        assert_eq!(a.faults_spec.as_deref(), Some(spec));
-        assert_eq!(run(&[]).faults_spec, None);
+        assert_eq!(a.faults.spec.as_deref(), Some(spec));
+        assert_eq!(run(&[]).faults.spec, None);
     }
 
     #[test]
@@ -1532,19 +1517,100 @@ mod tests {
             "--log-json",
             "events.jsonl",
         ]);
-        assert!(a.resume && a.full && a.progress);
+        let c = &a.campaign;
+        assert!(c.resume && c.full && c.progress);
         assert_eq!(a.shard, Some(Shard::new(1, 4).unwrap()));
         assert_eq!(
-            a.store_dir.as_deref(),
+            c.store_dir.as_deref(),
             Some(std::path::Path::new("/tmp/campaign"))
         );
-        assert_eq!(a.metrics.as_deref(), Some(std::path::Path::new("m.json")));
-        assert_eq!(a.log, Some(Some(Level::Debug)));
-        assert_eq!(run(&["--log", "off"]).log, Some(None));
+        assert_eq!(c.metrics.as_deref(), Some(std::path::Path::new("m.json")));
+        assert_eq!(a.log.level, Some(Some(Level::Debug)));
+        assert_eq!(run(&["--log", "off"]).log.level, Some(None));
         assert_eq!(
-            a.log_json.as_deref(),
+            a.log.json.as_deref(),
             Some(std::path::Path::new("events.jsonl"))
         );
+    }
+
+    /// `--full` decides the scale through the parsed struct (`dse`
+    /// never looks at argv a second time), for the sweep and for a
+    /// search alike.
+    #[test]
+    fn full_flag_reaches_the_scale_choice_through_the_parsed_struct() {
+        use crate::scale;
+        use musa_apps::GenParams;
+        let paper = ("paper", GenParams::paper());
+        let small = ("small", GenParams::small());
+        assert_eq!(scale(false, run(&["--full"]).campaign.full), paper);
+        assert_eq!(scale(false, run(&[]).campaign.full), small);
+        assert_eq!(
+            scale(false, search(&["search", "--full"]).campaign.full),
+            paper
+        );
+        assert_eq!(scale(false, search(&["search"]).campaign.full), small);
+        // MUSA_TINY (test harnesses) outranks the flag.
+        assert_eq!(scale(true, true), ("tiny", GenParams::tiny()));
+    }
+
+    /// Usage text and parser must not drift apart: for every
+    /// subcommand, a flag is accepted exactly when its usage names it.
+    /// The candidates are every flag any usage text defines plus every
+    /// shared name, so a subcommand whose `*_SHARED` list admits a flag
+    /// its usage forgot (or the reverse) fails here.
+    #[test]
+    fn usage_texts_and_parsers_agree_on_every_flag() {
+        // An option is defined by a line indented exactly two spaces
+        // that starts with a flag; anything deeper is prose.
+        fn flags_in(usage: &str) -> Vec<&str> {
+            usage
+                .lines()
+                .filter(|l| l.starts_with("  -") && !l.starts_with("   "))
+                .flat_map(|l| {
+                    l.split_whitespace()
+                        .take_while(|w| w.starts_with('-'))
+                        .map(|w| w.trim_end_matches(','))
+                })
+                .filter(|w| w.starts_with("--"))
+                .collect()
+        }
+        let subcommands: [(&[&str], &str); 8] = [
+            (&[], USAGE),
+            (&["serve"], SERVE_USAGE),
+            (&["cache", "gc"], CACHE_USAGE),
+            (&["profile"], PROFILE_USAGE),
+            (&["search"], SEARCH_USAGE),
+            (&["dist-worker"], DIST_WORKER_USAGE),
+            (&["doctor"], DOCTOR_USAGE),
+            (&["torture"], TORTURE_USAGE),
+        ];
+        let mut candidates: Vec<&str> = subcommands
+            .iter()
+            .flat_map(|(_, usage)| flags_in(usage))
+            .chain([LOG, FAULTS, CAMPAIGN].into_iter().flatten().copied())
+            .collect();
+        candidates.sort();
+        candidates.dedup();
+        assert!(candidates.len() > 40, "the scan found {candidates:?}");
+
+        for (prefix, usage) in subcommands {
+            let named = flags_in(usage);
+            for flag in &candidates {
+                // A value-taking flag fails on its missing value, a
+                // lone flag may trip a cross-flag rule: anything but
+                // "unknown flag" means the parser knows the name.
+                let argv: Vec<&str> = prefix.iter().chain([flag]).copied().collect();
+                let accepted = !matches!(
+                    parse_dse_args(&argv),
+                    Err(e) if e.starts_with("unknown flag")
+                );
+                assert_eq!(
+                    accepted,
+                    named.contains(flag),
+                    "{prefix:?} {flag}: parser and usage text disagree"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1581,7 +1647,7 @@ mod tests {
         assert_eq!((a.read_timeout_ms, a.write_timeout_ms), (250, 300));
         assert_eq!(a.max_request_bytes, 4096);
         assert!(a.allow_quit && !a.synthetic);
-        assert_eq!(a.log, Some(Some(Level::Info)));
+        assert_eq!(a.log.level, Some(Some(Level::Info)));
         assert!(serve(&["serve", "--synthetic"]).synthetic);
     }
 
@@ -1618,7 +1684,7 @@ mod tests {
         assert_eq!((a.seed, a.budget, a.batch), (42, 100, 16));
         assert_eq!(a.space, SpaceId::Paper);
         assert!((a.hv_ref - 8.0).abs() < 1e-12);
-        assert!(a.apps.is_none() && a.report.is_none() && !a.resume);
+        assert!(a.apps.is_none() && a.report.is_none() && !a.campaign.resume);
     }
 
     #[test]
@@ -1661,9 +1727,9 @@ mod tests {
         assert!(apps.iter().any(|x| x.label() == "lulesh"));
         assert!((a.hv_ref - 4.0).abs() < 1e-12);
         assert_eq!(a.report.as_deref(), Some(std::path::Path::new("out.json")));
-        assert!(a.resume && a.progress);
-        assert_eq!(a.workers, Some(4));
-        assert_eq!(a.log, Some(Some(Level::Info)));
+        assert!(a.campaign.resume && a.campaign.progress);
+        assert_eq!(a.campaign.workers, Some(4));
+        assert_eq!(a.log.level, Some(Some(Level::Info)));
     }
 
     #[test]

@@ -17,31 +17,41 @@ use musa_arch::{DesignSpace, NodeConfig};
 use musa_core::{Campaign, SweepOptions};
 use musa_store::{CampaignStore, FillOptions};
 
-/// Scale selection from CLI args / environment.
-pub fn paper_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
-        || std::env::var("MUSA_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false)
+fn env_is_one(name: &str) -> bool {
+    std::env::var(name).map(|v| v == "1").unwrap_or(false)
 }
 
-/// Trace-generation parameters for the selected scale.
-///
-/// `MUSA_TINY=1` (test harnesses only — it is not a CLI flag) selects
-/// [`GenParams::tiny`] so multi-process e2e drills finish in seconds.
-/// Only the process that enumerates the sweep reads it: workers are
-/// told the scale in every lease.
-pub fn gen_params() -> GenParams {
-    if std::env::var("MUSA_TINY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        GenParams::tiny()
-    } else if paper_scale() {
-        GenParams::paper()
-    } else {
-        GenParams::small()
+/// Whether `--full` is anywhere on this process's command line: the
+/// figure binaries' whole argument grammar. `dse` parses its arguments
+/// strictly and passes the parsed flag to [`scale_for`] and
+/// [`store_dir_for`] instead.
+fn full_in_argv() -> bool {
+    std::env::args().any(|a| a == "--full")
+}
+
+/// A trace scale: its label (pinned into search journals, which refuse
+/// to resume at another scale) and its generation parameters.
+/// `MUSA_TINY=1` (test harnesses only — it is not a CLI flag) outranks
+/// `--full`, so multi-process e2e drills finish in seconds.
+pub fn scale(tiny: bool, full: bool) -> (&'static str, GenParams) {
+    match (tiny, full) {
+        (true, _) => ("tiny", GenParams::tiny()),
+        (false, true) => ("paper", GenParams::paper()),
+        (false, false) => ("small", GenParams::small()),
     }
+}
+
+/// The [`scale`] a `--full` flag and the environment (`MUSA_TINY`,
+/// `MUSA_FULL`) select. Only the process that enumerates the sweep
+/// decides: workers are told the scale in every lease.
+pub fn scale_for(full: bool) -> (&'static str, GenParams) {
+    scale(env_is_one("MUSA_TINY"), full || env_is_one("MUSA_FULL"))
+}
+
+/// Trace-generation parameters for the scale this process's command
+/// line and environment select.
+pub fn gen_params() -> GenParams {
+    scale_for(full_in_argv()).1
 }
 
 /// The configurations of the sweep: the full 864-point design space,
@@ -94,29 +104,22 @@ pub fn pool_worker_env(
     env
 }
 
-/// The trace-scale label pinned into search journals: the journal
-/// refuses to resume at a different scale than it was recorded at, so
-/// this must track exactly what [`gen_params`] selects.
-pub fn scale_label() -> &'static str {
-    if std::env::var("MUSA_TINY")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        "tiny"
-    } else if paper_scale() {
-        "paper"
-    } else {
-        "small"
-    }
-}
-
 /// Campaign store directory for the current scale (override with
 /// `MUSA_STORE_DIR`).
 pub fn store_dir() -> PathBuf {
+    store_dir_for(full_in_argv())
+}
+
+/// [`store_dir`] for an already-parsed `--full`.
+pub fn store_dir_for(full: bool) -> PathBuf {
     if let Ok(dir) = std::env::var("MUSA_STORE_DIR") {
         return PathBuf::from(dir);
     }
-    let scale = if paper_scale() { "paper" } else { "small" };
+    let scale = if full || env_is_one("MUSA_FULL") {
+        "paper"
+    } else {
+        "small"
+    };
     PathBuf::from(format!("target/musa-store-{scale}"))
 }
 

@@ -303,6 +303,22 @@ fn corrupt_campaign_rows_repair_to_quarantine() {
         raws.iter().any(|r| r == "row garbage"),
         "corrupt row bytes must survive as evidence: {raws:?}"
     );
+
+    // A fresh (non `--resume`) sweep discards results, never evidence:
+    // the ledger the repair wrote must survive it byte for byte.
+    let ledger = dir.join("quarantine.jsonl");
+    let evidence = std::fs::read(&ledger).unwrap();
+    let out = dse(&["--store-dir", dir.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&ledger).ok(),
+        Some(evidence),
+        "a fresh run must leave the quarantine ledger untouched"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

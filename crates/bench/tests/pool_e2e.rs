@@ -136,6 +136,17 @@ fn point_keys() -> Vec<u64> {
     point_keys_at(CONFIG_SLICE)
 }
 
+/// `fnv1a_64` over [`sorted_store_lines`] (joined by newlines) of the
+/// fault-free `MUSA_TINY=1 MUSA_CONFIG_SLICE=6` sweep, computed at the
+/// commit before PR 14: "rows unchanged" as a constant every later
+/// simplification is checked against (ROADMAP item 2a, first rung). It
+/// moves only with the simulator, the row schema or the JSON codec.
+const GOLDEN_ROWS_DIGEST: u64 = 0xcc03_97b1_e5c2_10a3;
+
+fn rows_digest(lines: &[String]) -> u64 {
+    musa_store::fnv1a_64(lines.join("\n").as_bytes())
+}
+
 /// A fault-free sequential reference run; the byte-identity oracle.
 fn reference_lines(tag: &str) -> (PathBuf, Vec<String>) {
     let dir = tmp_dir(tag);
@@ -153,6 +164,11 @@ fn reference_lines(tag: &str) -> (PathBuf, Vec<String>) {
 #[test]
 fn pool_fill_matches_sequential_byte_for_byte() {
     let (ref_dir, want) = reference_lines("seq-ref");
+    assert_eq!(
+        rows_digest(&want),
+        GOLDEN_ROWS_DIGEST,
+        "sequential rows moved off the golden digest"
+    );
 
     for n in ["1", "2", "4"] {
         let dir = tmp_dir(&format!("workers-{n}"));
@@ -166,6 +182,11 @@ fn pool_fill_matches_sequential_byte_for_byte() {
             sorted_store_lines(&dir),
             want,
             "--workers {n} store differs from sequential"
+        );
+        assert_eq!(
+            rows_digest(&sorted_store_lines(&dir)),
+            GOLDEN_ROWS_DIGEST,
+            "--workers {n} rows moved off the golden digest"
         );
         let rep = journal::replay(&dir);
         assert!(rep.clean_terminated, "--workers {n}: torn journal");

@@ -1,5 +1,11 @@
-//! The supervisor-side TCP endpoint: a [`musa_pool::RemoteHub`] over
-//! nonblocking sockets.
+//! The supervisor-side TCP endpoint: [`DistHub`], nonblocking sockets
+//! polled from the lease loop, and the lease/event types that cross
+//! between it and the [`crate::Supervisor`].
+//!
+//! The supervisor offers self-describing leases to whichever worker is
+//! idle — a child it spawned on loopback or a remote machine, the hub
+//! does not tell them apart — and folds the hub's completion/death
+//! events through one strike/poison/requeue path.
 //!
 //! One `poll()` tick (the supervisor calls it every ~20 ms) accepts
 //! pending connections, moves queued bytes both ways, parses arrived
@@ -8,6 +14,13 @@
 //! call ever blocks: the listener and every stream run nonblocking,
 //! and each connection owns an in/out byte buffer so a slow peer can
 //! never stall the supervisor's lease loop.
+//!
+//! Rows stream into the store **through the hub** (it appends the
+//! shipped row bytes to its own per-lease `dist-*.jsonl` files as
+//! frames arrive, after checking each row is the leased point's);
+//! events carry counts, never row data. A lease that dies after
+//! shipping `done` points therefore resumes exactly at `done` — the
+//! rows for the prefix are already durable.
 //!
 //! ## Failure model (supervisor side)
 //!
@@ -31,14 +44,16 @@ use std::collections::VecDeque;
 use std::fs;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
+use musa_apps::AppId;
+use musa_arch::NodeConfig;
+use musa_core::SweepOptions;
 use musa_obs::json::JsonObj;
 use musa_obs::MetricsSnapshot;
-use musa_pool::{LeaseProgress, RemoteEvent, RemoteHub, RemoteLease};
 use musa_prof::{PointProfile, ProfileSink};
-use musa_store::{PointKey, StoreRow};
+use musa_store::{PointKey, PoisonedPoint, StoreRow};
 
 use crate::codec::{encode, Frame, FrameBuf, Msg, PROTOCOL_VERSION, REJECT_VERSION};
 
@@ -64,19 +79,64 @@ const CLOSING_TIMEOUT: Duration = Duration::from_secs(5);
 /// Refresh period for the status beacon even when nothing changed.
 const STATUS_PERIOD: Duration = Duration::from_secs(2);
 
-/// Hub configuration.
+/// A lease offered to a worker. It names the points themselves and the
+/// sweep they run under, so the worker derives nothing from its own
+/// environment.
 #[derive(Debug, Clone)]
-pub struct DistHubOptions {
-    /// Campaign store directory: shipped rows land here as
-    /// `dist-l{lease:04}-a{attempt}.jsonl`, shipped profile lines in
-    /// `profiles.jsonl`, and the status beacon lives here.
-    pub store_dir: PathBuf,
-    /// The campaign's per-point timeout, if any; scales the busy
-    /// liveness deadline.
-    pub point_timeout: Option<Duration>,
-    /// Row-append retries (with backoff) before a transient I/O error
-    /// costs the connection its lease.
-    pub max_retries: u32,
+pub(crate) struct RemoteLease {
+    /// Lease id.
+    pub id: u64,
+    /// Attempt number (0 first grant, +1 per requeue).
+    pub attempt: u32,
+    /// Scale and replay mode of every point in the lease.
+    pub sweep: SweepOptions,
+    /// The points, in execution order.
+    pub points: Vec<(AppId, NodeConfig)>,
+}
+
+/// What a lease had achieved when it ended, one way or the other.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LeaseProgress {
+    /// Lease id.
+    pub lease: u64,
+    /// Attempt number.
+    pub attempt: u32,
+    /// Points handled (row shipped, or poisoned in the worker); their
+    /// rows are durable.
+    pub done: u64,
+    /// Rows shipped (already appended to the store by the hub).
+    pub rows: u64,
+    /// Points that panicked inside the worker (caught, recorded,
+    /// skipped).
+    pub poisoned: Vec<PoisonedPoint>,
+    /// The worker's metrics for this lease (empty when it ran with
+    /// metrics off, or died before reporting).
+    pub metrics: MetricsSnapshot,
+}
+
+/// What happened to leases since the last poll.
+#[derive(Debug, Clone)]
+pub(crate) enum RemoteEvent {
+    /// The worker finished every point of its lease and shipped the
+    /// result manifest.
+    LeaseDone(LeaseProgress),
+    /// The connection executing a lease died: EOF, I/O error, a frame
+    /// that failed its CRC seal or carried a row for another point, a
+    /// liveness deadline, or a drain that stopped the worker mid-lease.
+    LeaseDead {
+        /// How far the lease got.
+        progress: LeaseProgress,
+        /// Position (within the lease) of the point in flight when the
+        /// connection died, if the last heartbeat named one.
+        blamed: Option<usize>,
+        /// Why the connection was declared dead.
+        reason: String,
+        /// The verdict was the per-point deadline.
+        deadline: bool,
+        /// Tag the worker announced in its hello (`w<pid>`), so the
+        /// supervisor can reap the process if it spawned it.
+        worker: String,
+    },
 }
 
 struct LeaseState {
@@ -224,9 +284,9 @@ impl Conn {
     }
 }
 
-/// The [`RemoteHub`] implementation `dse --workers` plugs into the
-/// pool supervisor.
-pub struct DistHub {
+/// The endpoint workers connect to; owned and polled by the
+/// [`crate::Supervisor`].
+pub(crate) struct DistHub {
     listener: TcpListener,
     addr: SocketAddr,
     point_timeout: Option<Duration>,
@@ -243,18 +303,28 @@ pub struct DistHub {
 impl DistHub {
     /// Bind the endpoint (use port 0 to let the OS pick; the chosen
     /// address is published in the status beacon) and write the
-    /// initial beacon.
-    pub fn bind(addr: &str, opts: DistHubOptions) -> std::io::Result<DistHub> {
+    /// initial beacon. Shipped rows land in `store_dir` as
+    /// `dist-l{lease:04}-a{attempt}.jsonl`, shipped profile lines in
+    /// its `profiles.jsonl`. `point_timeout` scales the busy liveness
+    /// deadline; `max_retries` bounds the row-append retries (with
+    /// backoff) before a transient I/O error costs the connection its
+    /// lease.
+    pub fn bind(
+        addr: &str,
+        store_dir: &Path,
+        point_timeout: Option<Duration>,
+        max_retries: u32,
+    ) -> std::io::Result<DistHub> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let mut hub = DistHub {
             listener,
             addr,
-            point_timeout: opts.point_timeout,
+            point_timeout,
             disk: Disk {
-                store_dir: opts.store_dir,
-                max_retries: opts.max_retries,
+                store_dir: store_dir.to_path_buf(),
+                max_retries,
                 flush_seq: 0,
                 profiles: None,
             },
@@ -653,7 +723,8 @@ impl DistHub {
         }
     }
 
-    fn live(&self) -> usize {
+    /// All connected workers.
+    pub fn connected(&self) -> usize {
         self.conns
             .iter()
             .filter(|c| c.ready && c.dead.is_none() && c.closing.is_none())
@@ -663,7 +734,7 @@ impl DistHub {
     fn write_status(&mut self, force: bool) {
         let body = JsonObj::new()
             .field_str("addr", &self.addr.to_string())
-            .field_u64("connected", self.live() as u64)
+            .field_u64("connected", self.connected() as u64)
             .field_bool("draining", self.draining || self.shut)
             .finish();
         let elapsed = self.status_at.elapsed();
@@ -688,14 +759,11 @@ impl DistHub {
             self.status_at = Instant::now();
         }
     }
-}
 
-impl RemoteHub for DistHub {
-    fn addr(&self) -> String {
-        self.addr.to_string()
-    }
-
-    fn poll(&mut self) -> std::io::Result<Vec<RemoteEvent>> {
+    /// Service the endpoint: accept connections, move queued bytes,
+    /// parse arrived frames, detect dead peers. Returns the lease
+    /// events since the last poll. Never blocks.
+    pub fn poll(&mut self) -> std::io::Result<Vec<RemoteEvent>> {
         if !self.shut {
             if !self.draining {
                 self.accept_pending();
@@ -736,18 +804,21 @@ impl RemoteHub for DistHub {
         Ok(std::mem::take(&mut self.events))
     }
 
-    fn idle(&self) -> usize {
+    /// Connected workers currently without a lease.
+    pub fn idle(&self) -> usize {
         self.conns
             .iter()
             .filter(|c| c.ready && c.lease.is_none() && c.dead.is_none() && c.closing.is_none())
             .count()
     }
 
-    fn connected(&self) -> usize {
-        self.live()
-    }
-
-    fn offer(&mut self, lease: &RemoteLease) -> Option<String> {
+    /// Queue a grant to an idle worker and return its peer tag
+    /// (`<worker>@<address>`), or `None` when no worker can take it.
+    /// Only **queues** the frame (no socket I/O): the supervisor
+    /// journals the grant after `offer` returns and before the next
+    /// [`DistHub::poll`], and only `poll` moves bytes — so the journal
+    /// never under-describes reality.
+    pub fn offer(&mut self, lease: &RemoteLease) -> Option<String> {
         if self.draining || self.shut {
             return None;
         }
@@ -794,7 +865,9 @@ impl RemoteHub for DistHub {
         None
     }
 
-    fn drain(&mut self) {
+    /// Begin drain: ask every worker to finish its in-flight point,
+    /// ship partial results and disconnect.
+    pub fn drain(&mut self) {
         if self.draining {
             return;
         }
@@ -807,7 +880,11 @@ impl RemoteHub for DistHub {
         self.write_status(true);
     }
 
-    fn shutdown(&mut self) {
+    /// Tear the endpoint down: drain idle workers, close every
+    /// connection. Outstanding leases surface as
+    /// [`RemoteEvent::LeaseDead`] on the next [`DistHub::poll`].
+    /// Idempotent.
+    pub fn shutdown(&mut self) {
         if self.shut {
             return;
         }

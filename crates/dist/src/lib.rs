@@ -1,17 +1,45 @@
 //! # musa-dist
 //!
-//! Fault-tolerant campaign execution over a wire: workers connect to
-//! the pool supervisor over a hand-rolled, length-prefixed,
-//! CRC-32-sealed framed TCP protocol. `dse --workers N` runs its own
-//! N `dse dist-worker` children over loopback, `--listen ADDR` lets
-//! any number of `dse dist-worker --connect ADDR` processes on other
-//! machines join the same campaign — there is one worker program and
-//! one worker→supervisor channel.
+//! Supervised, fault-tolerant campaign execution: the layer that turns
+//! `dse` into `dse --workers N` without changing what lands in the
+//! store, byte for byte. Workers connect to the supervisor over a
+//! hand-rolled, length-prefixed, CRC-32-sealed framed TCP protocol.
+//! `dse --workers N` runs its own N `dse dist-worker` children over
+//! loopback, `--listen ADDR` lets any number of
+//! `dse dist-worker --connect ADDR` processes on other machines join
+//! the same campaign — there is one worker program and one
+//! worker→supervisor channel.
 //!
-//! The supervisor's lease queue, journal, strike/poison/requeue
-//! machinery and drain semantics live in `musa-pool`. `musa-dist`
-//! contributes exactly three things:
+//! A [`Supervisor`] enumerates the missing points of a run, partitions
+//! them into self-describing **leases**, keeps N workers connected to
+//! its hub, and journals every lease transition — grant, completion,
+//! death, requeue, poisoning — durably (`musa-store`'s
+//! [`LeaseJournal`](musa_store::LeaseJournal)) *before* it takes
+//! effect, so a crash of any process, supervisor included, is
+//! recoverable by `--resume`.
 //!
+//! The failure model, in one paragraph: a worker ships each finished
+//! point in its own frame and the hub appends the row durably before
+//! counting it; a dead connection (process death, a frame failing its
+//! seal, a per-point deadline `--point-timeout`) ends its lease with
+//! the shipped prefix kept, the point in flight blamed, and the
+//! remainder requeued with jittered exponential backoff; any point
+//! that kills `--poison-cap` workers is quarantined as **poisoned** —
+//! with provenance — rather than letting one pathological
+//! configuration starve the other 863. SIGINT/SIGTERM drains: workers
+//! finish their in-flight point and report partial progress; the
+//! journal records the interruption.
+//!
+//! Correctness leans on the store, not on process choreography: rows
+//! are content-addressed and CRC-sealed, duplicate keys collapse on
+//! load, and every lease appends to a file of its own. That is what
+//! makes `--workers N` (and any crash/retry interleaving of it)
+//! byte-identical to a sequential fill after the final repair pass —
+//! the e2e suite asserts exactly that.
+//!
+//! Module map:
+//! * [`supervisor`] — [`Supervisor`]: granting, folding, requeueing,
+//!   poisoning, reaping, draining.
 //! * [`codec`] — the wire format. One frame is a JSON header line plus
 //!   an opaque body, length-prefixed and CRC-sealed; decoding never
 //!   panics and never trusts the wire (typed errors, hard size cap).
@@ -20,18 +48,20 @@
 //!   campaign rows travel in frame bodies as the exact sealed line
 //!   [`musa_store::PointExecutor`] produced, which is what makes
 //!   distributed runs byte-identical to sequential ones.
-//! * [`hub`] — [`DistHub`], the supervisor-side
-//!   [`musa_pool::RemoteHub`]: a nonblocking TCP endpoint polled from
-//!   the lease loop. It accepts a shipped row only if it unseals and
-//!   is the leased point's, appends it durably, appends the point's
-//!   profile line to the store's flight record, and converts every
-//!   connection failure (EOF, CRC mismatch, wrong-point row, liveness
-//!   timeout) into a lease-death event the pool knows how to handle.
+//! * `hub` — the supervisor's endpoint: a nonblocking TCP listener
+//!   polled from the lease loop. It accepts a shipped row only if it
+//!   unseals and is the leased point's, appends it durably, appends
+//!   the point's profile line to the store's flight record, and
+//!   converts every connection failure (EOF, CRC mismatch, wrong-point
+//!   row, liveness timeout) into a lease-death event the supervisor
+//!   folds through its strike/poison/requeue path.
 //! * [`worker`] — [`run_dist_worker`], the worker side: handshake,
 //!   lease execution through a [`PointRunner`] (the real one is
 //!   [`musa_store::PointExecutor`]), heartbeats over the wire, and
 //!   seeded-jittered reconnect that survives a supervisor `kill -9` +
 //!   `--resume`.
+//! * [`signals`] — dependency-free SIGINT/SIGTERM latching and
+//!   SIGTERM/SIGKILL delivery (inert on non-unix targets).
 //!
 //! Network chaos is first-class: the `dist.accept`, `dist.frame.send`
 //! and `dist.frame.recv` failpoints (see `musa-fault`) inject dropped
@@ -41,11 +71,17 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod hub;
+mod hub;
+pub mod signals;
+pub mod supervisor;
 pub mod worker;
 
 pub use codec::{Frame, FrameBuf, FrameError, Msg, MAX_FRAME, PROTOCOL_VERSION};
-pub use hub::{DistHub, DistHubOptions, STATUS_FILE};
+pub use hub::STATUS_FILE;
+pub use supervisor::{
+    PoolOptions, PoolReport, Supervisor, DEFAULT_LEASE_BATCH, DEFAULT_POISON_CAP, DEFAULT_WORKERS,
+    MAX_LEASE_ATTEMPTS,
+};
 pub use worker::{
     run_dist_worker, DistWorkerOptions, PointRunner, WorkerExit, DEFAULT_MAX_RECONNECTS,
     DEFAULT_RECONNECT_FOR,
@@ -54,24 +90,16 @@ pub use worker::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hub::{DistHub, LeaseProgress, RemoteEvent, RemoteLease};
     use musa_apps::{AppId, GenParams};
     use musa_arch::{DesignSpace, NodeConfig};
     use musa_core::SweepOptions;
-    use musa_pool::{LeaseProgress, RemoteEvent, RemoteHub, RemoteLease};
     use musa_store::{PointExecutor, PointKey, PointOutput, PoisonedPoint};
     use std::io::{Read, Write};
     use std::time::{Duration, Instant};
 
     fn hub_in(dir: &std::path::Path) -> DistHub {
-        DistHub::bind(
-            "127.0.0.1:0",
-            DistHubOptions {
-                store_dir: dir.to_path_buf(),
-                point_timeout: Some(Duration::from_secs(5)),
-                max_retries: 0,
-            },
-        )
-        .expect("bind loopback")
+        DistHub::bind("127.0.0.1:0", dir, Some(Duration::from_secs(5)), 0).expect("bind loopback")
     }
 
     fn worker_opts(hub: &DistHub, tag: &str) -> DistWorkerOptions {

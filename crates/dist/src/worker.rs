@@ -226,13 +226,13 @@ impl Wire {
 /// supervisor rejects us, or the reconnect window closes. I/O errors
 /// inside a connection never escape: they trigger reconnect.
 pub fn run_dist_worker(opts: &DistWorkerOptions, runner: &mut dyn PointRunner) -> WorkerExit {
-    musa_pool::signals::install_term_handlers();
+    crate::signals::install_term_handlers();
     let salt = musa_store::fnv1a_64(opts.tag.as_bytes());
     let mut conn_attempt: u32 = 0;
     let mut failures: u32 = 0;
     let mut window_ends = Instant::now() + opts.reconnect_for;
     loop {
-        if musa_pool::signals::termination_requested() {
+        if crate::signals::termination_requested() {
             return WorkerExit::Interrupted;
         }
         let window_before = window_ends;
@@ -277,7 +277,7 @@ pub fn run_dist_worker(opts: &DistWorkerOptions, runner: &mut dyn PointRunner) -
                 // Sleep in slices so a signal still interrupts promptly.
                 let until = Instant::now() + pause;
                 while Instant::now() < until {
-                    if musa_pool::signals::termination_requested() {
+                    if crate::signals::termination_requested() {
                         return WorkerExit::Interrupted;
                     }
                     std::thread::sleep(Duration::from_millis(25));
@@ -368,7 +368,7 @@ fn serve_connection(
     let mut last_rx = Instant::now();
     let mut last_ping = Instant::now();
     loop {
-        if musa_pool::signals::termination_requested() {
+        if crate::signals::termination_requested() {
             let _ = wire.send(
                 &Msg::Bye {
                     reason: "interrupted".into(),
@@ -473,7 +473,7 @@ fn run_lease(
     for (app, config) in points {
         // Between points: notice a drain (a nonblocking peek) or a
         // signal, then finish the lease partially.
-        if musa_pool::signals::termination_requested() {
+        if crate::signals::termination_requested() {
             end = LeaseEnd::Interrupted;
             break;
         }

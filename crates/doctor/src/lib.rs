@@ -5,10 +5,10 @@
 //! repairs under composed failure.
 //!
 //! A campaign directory accumulates durable state from every subsystem:
-//! CRC-sealed result rows (`musa-store`), the crash-safe lease journal
-//! (`musa-pool`), the search journal (`musa-search`), content-addressed
-//! artifacts (`musa-cache`), the flight recorder (`musa-prof`), lease
-//! row shards and status beacons (`musa-dist`), and the quarantine
+//! CRC-sealed result rows (`musa-store`), the crash-safe lease
+//! journal, lease row shards and status beacons (`musa-dist`), the
+//! search journal (`musa-search`), content-addressed artifacts
+//! (`musa-cache`), the flight recorder (`musa-prof`), and the quarantine
 //! evidence files all of them feed. Each subsystem self-heals the slice
 //! it owns when *it* next runs — but nothing walked the whole directory
 //! at once. [`audit`] does exactly that, with the real parsers, and

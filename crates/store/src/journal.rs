@@ -1,6 +1,6 @@
 //! The crash-safe lease journal for pool execution.
 //!
-//! The pool supervisor (`musa-pool`) hands point batches to worker
+//! The pool supervisor (`musa-dist`) hands point batches to worker
 //! processes as **leases** and records every lifecycle transition —
 //! grant, completion, death, requeue, poisoning — as one JSON line in
 //! `leases.journal` inside the store directory. The journal is the
@@ -59,18 +59,12 @@ pub struct PoolPoisonRecord {
     pub reason: String,
 }
 
+/// Peer recorded for an old `"ev":"grant"` line, which named none.
+const LEGACY_GRANT_PEER: &str = "local";
+
 /// One lease lifecycle event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LeaseEvent {
-    /// A lease was granted to a freshly spawned worker.
-    Grant {
-        /// Lease id (unique within the journal).
-        lease: u64,
-        /// 0 for the first grant of a point set, +1 per requeue.
-        attempt: u32,
-        /// Global point indices (enumeration order) in the lease.
-        points: Vec<u64>,
-    },
     /// The worker finished its lease and exited cleanly.
     Done {
         /// Lease id.
@@ -94,21 +88,21 @@ pub enum LeaseEvent {
         /// How the worker died.
         reason: String,
     },
-    /// A lease was granted to a **remote** worker connected over the
-    /// dist endpoint. Identical lifecycle to [`LeaseEvent::Grant`] —
-    /// the peer tag records where the work went so a post-mortem can
-    /// tell remote deaths from local ones. Older binaries replay this
-    /// leniently as a skipped line (replay is never fatal on unknown
-    /// events), costing at most one redundant attempt.
+    /// A lease was granted to a worker connected to the supervisor's
+    /// hub — a child it spawned or a remote machine. The peer tag
+    /// records where the work went so a post-mortem can tell remote
+    /// deaths from local ones. Journals written before every worker
+    /// spoke the wire protocol hold `"ev":"grant"` lines (a directly
+    /// spawned worker, no peer): they parse as this variant with peer
+    /// `"local"`.
     RemoteGrant {
-        /// Lease id (unique within the journal, shared space with
-        /// local grants).
+        /// Lease id (unique within the journal).
         lease: u64,
         /// 0 for the first grant of a point set, +1 per requeue.
         attempt: u32,
         /// Global point indices (enumeration order) in the lease.
         points: Vec<u64>,
-        /// Peer address/tag of the remote worker.
+        /// Peer tag of the worker (`<worker>@<address>`).
         peer: String,
     },
     /// The unfinished remainder of a dead lease was requeued.
@@ -156,16 +150,6 @@ impl LeaseEvent {
     /// One-line JSON serialisation (no trailing newline).
     pub fn to_json(&self) -> String {
         match self {
-            LeaseEvent::Grant {
-                lease,
-                attempt,
-                points,
-            } => JsonObj::new()
-                .field_str("ev", "grant")
-                .field_u64("lease", *lease)
-                .field_u64("attempt", u64::from(*attempt))
-                .field_raw("points", &points_json(points))
-                .finish(),
             LeaseEvent::Done {
                 lease,
                 attempt,
@@ -261,22 +245,15 @@ impl LeaseEvent {
         let u32_of = |k: &str| -> Result<u32, String> {
             u32::try_from(u64_of(k)?).map_err(|_| format!("field {k:?} out of range"))
         };
+        let points_of = || -> Result<Vec<u64>, String> {
+            v.get("points")
+                .and_then(|x| x.as_arr())
+                .ok_or("missing array field \"points\"")?
+                .iter()
+                .map(|p| p.as_u64().ok_or("non-integer point index".to_string()))
+                .collect()
+        };
         match str_of("ev")?.as_str() {
-            "grant" => {
-                let arr = v
-                    .get("points")
-                    .and_then(|x| x.as_arr())
-                    .ok_or("missing array field \"points\"")?;
-                let mut points = Vec::with_capacity(arr.len());
-                for p in arr {
-                    points.push(p.as_u64().ok_or("non-integer point index")?);
-                }
-                Ok(LeaseEvent::Grant {
-                    lease: u64_of("lease")?,
-                    attempt: u32_of("attempt")?,
-                    points,
-                })
-            }
             "done" => Ok(LeaseEvent::Done {
                 lease: u64_of("lease")?,
                 attempt: u32_of("attempt")?,
@@ -289,22 +266,16 @@ impl LeaseEvent {
                 blamed: v.get("blamed").and_then(|x| x.as_str()).map(str::to_string),
                 reason: str_of("reason")?,
             }),
-            "rgrant" => {
-                let arr = v
-                    .get("points")
-                    .and_then(|x| x.as_arr())
-                    .ok_or("missing array field \"points\"")?;
-                let mut points = Vec::with_capacity(arr.len());
-                for p in arr {
-                    points.push(p.as_u64().ok_or("non-integer point index")?);
-                }
-                Ok(LeaseEvent::RemoteGrant {
-                    lease: u64_of("lease")?,
-                    attempt: u32_of("attempt")?,
-                    points,
-                    peer: str_of("peer")?,
-                })
-            }
+            ev @ ("rgrant" | "grant") => Ok(LeaseEvent::RemoteGrant {
+                lease: u64_of("lease")?,
+                attempt: u32_of("attempt")?,
+                points: points_of()?,
+                peer: if ev == "grant" {
+                    LEGACY_GRANT_PEER.to_string()
+                } else {
+                    str_of("peer")?
+                },
+            }),
             "requeue" => Ok(LeaseEvent::Requeue {
                 lease: u64_of("lease")?,
                 attempt: u32_of("attempt")?,
@@ -361,6 +332,21 @@ impl JournalReplay {
             }
         }
         order.into_iter().map(|k| by_key[k].clone()).collect()
+    }
+
+    /// The first lease id not yet used by any grant or requeue: ids
+    /// stay unique across a resume.
+    pub fn next_lease(&self) -> u64 {
+        self.events
+            .iter()
+            .filter_map(|ev| match ev {
+                LeaseEvent::RemoteGrant { lease, .. } | LeaseEvent::Requeue { lease, .. } => {
+                    Some(*lease)
+                }
+                _ => None,
+            })
+            .max()
+            .map_or(1, |max| max + 1)
     }
 
     /// Strikes already charged per blamed point key — the poison-cap
@@ -489,10 +475,11 @@ mod tests {
 
     fn sample_events() -> Vec<LeaseEvent> {
         vec![
-            LeaseEvent::Grant {
+            LeaseEvent::RemoteGrant {
                 lease: 1,
                 attempt: 0,
                 points: vec![0, 3, 7],
+                peer: "w4242@127.0.0.1:45001".into(),
             },
             LeaseEvent::Dead {
                 lease: 1,
@@ -573,6 +560,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A journal written before every worker spoke the wire protocol
+    /// holds `grant` lines (no peer). It must restore exactly the state
+    /// the same history spelled with `rgrant` lines restores.
+    #[test]
+    fn legacy_grant_lines_replay_to_the_same_state() {
+        let history = |grant: fn(u64, u32, &str) -> String| {
+            [
+                grant(1, 0, "[0,3,7]"),
+                r#"{"ev":"dead","lease":1,"attempt":0,"done":1,"blamed":"00c0ffee00c0ffee","reason":"signal (killed)"}"#.to_string(),
+                r#"{"ev":"requeue","lease":2,"attempt":1,"from":1,"backoff_ms":6,"points":2}"#.to_string(),
+                grant(2, 1, "[3,7]"),
+                r#"{"ev":"dead","lease":2,"attempt":1,"done":0,"blamed":"00c0ffee00c0ffee","reason":"exit status 101"}"#.to_string(),
+                r#"{"ev":"poison","key":"00c0ffee00c0ffee","app":"hydro","config":"c","strikes":2,"reason":"exit status 101"}"#.to_string(),
+                grant(3, 0, "[9]"),
+            ]
+            .join("\n")
+                + "\n"
+        };
+        let replay_of = |tag: &str, text: String| {
+            let dir = tmp_dir(tag);
+            std::fs::write(dir.join(LEASE_JOURNAL_FILE), text).unwrap();
+            let replayed = replay(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            replayed
+        };
+        let old = replay_of(
+            "legacy-grant",
+            history(|lease, attempt, points| {
+                format!(r#"{{"ev":"grant","lease":{lease},"attempt":{attempt},"points":{points}}}"#)
+            }),
+        );
+        let new = replay_of(
+            "legacy-rgrant",
+            history(|lease, attempt, points| {
+                format!(
+                    r#"{{"ev":"rgrant","lease":{lease},"attempt":{attempt},"points":{points},"peer":"w1@127.0.0.1:9"}}"#
+                )
+            }),
+        );
+        assert_eq!((old.skipped, old.torn_tail), (0, false));
+        assert_eq!(old.events.len(), new.events.len());
+        assert!(old.events.iter().any(|ev| matches!(
+            ev,
+            LeaseEvent::RemoteGrant { lease: 3, peer, .. } if peer == LEGACY_GRANT_PEER
+        )));
+        // The last grant holds the highest id: losing the legacy lines
+        // would hand lease 3 out twice.
+        assert_eq!((old.next_lease(), new.next_lease()), (4, 4));
+        assert_eq!(old.strikes(), new.strikes());
+        assert_eq!(old.strikes().get("00c0ffee00c0ffee").copied(), Some(2));
+        assert_eq!(old.poisoned(), new.poisoned());
+        assert_eq!(old.poisoned().len(), 1);
+    }
+
     #[test]
     fn replay_of_missing_journal_is_empty() {
         let dir = tmp_dir("missing");
@@ -585,10 +626,11 @@ mod tests {
     fn open_repairs_a_torn_tail() {
         let dir = tmp_dir("torn");
         let path = dir.join(LEASE_JOURNAL_FILE);
-        let good = LeaseEvent::Grant {
+        let good = LeaseEvent::RemoteGrant {
             lease: 1,
             attempt: 0,
             points: vec![1, 2],
+            peer: "w7@127.0.0.1:45002".into(),
         };
         std::fs::write(&path, format!("{}\n{{\"ev\":\"dea", good.to_json())).unwrap();
 

@@ -21,7 +21,7 @@
 //!   views for the figure harnesses;
 //! * [`integrity`] — CRC32 row checksums and crash-atomic file
 //!   replacement (tmp + fsync + rename);
-//! * [`journal`] — the crash-safe lease journal `musa-pool` uses to
+//! * [`journal`] — the crash-safe lease journal `musa-dist` uses to
 //!   supervise multi-process sweeps (grants, deaths, requeues and
 //!   poisoned points, replayed on `--resume`);
 //! * [`export`] — CSV/JSON file exports (written atomically).

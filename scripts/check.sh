@@ -24,10 +24,13 @@ fi
 
 echo "== one way to run a point: deleted names stay deleted =="
 # The second worker program, the file-based worker→supervisor channel
-# and the three geometry handshakes must not creep back.
-# (Bracketed so the patterns do not match these lines.)
-if grep -rn 'pool-worke[r]\|sweep-ke[y]\|MUSA_SEARCH_GEO[M]\|campaign_sweep_si[g]\|hb-[l]\|open_worke[r]' \
-    crates src tests examples scripts; then
+# and the three geometry handshakes must not creep back; nor the
+# second scheduler crate, the one-implementation trait between the two
+# and the hub's own copy of the campaign options.
+# (Bracketed so the patterns do not match these lines. `musa-pool-`
+# survives as a prefix of the e2e suites' scratch directories.)
+if grep -rn 'pool-worke[r]\|sweep-ke[y]\|MUSA_SEARCH_GEO[M]\|campaign_sweep_si[g]\|hb-[l]\|open_worke[r]\|RemoteHu[b]\|DistHubOption[s]\|musa_poo[l]\|musa-poo[l]\([^-]\|$\)' \
+    Cargo.toml crates src tests examples scripts; then
     echo "check: FAIL — a deleted execution path is named above" >&2
     exit 1
 fi
@@ -48,12 +51,11 @@ cargo build --workspace --no-default-features
 echo "== build with fault injection disabled (obs kept) =="
 # Failpoints must compile out independently of observability.
 cargo build -p musa-store --no-default-features --features obs
-cargo build -p musa-pool --no-default-features --features obs
 cargo build -p musa-dist --no-default-features --features obs
 cargo build -p musa-bench --no-default-features --features obs
 
-echo "== dist protocol without obs and without faults =="
-# The wire protocol must work with everything compiled out — the
+echo "== supervisor and dist protocol without obs, faults and prof =="
+# The scheduler crate must work with everything compiled out — the
 # loopback hub/worker integration tests run either way.
 cargo test -q -p musa-dist --no-default-features
 
