@@ -3,11 +3,11 @@
 
 use musa_apps::{generate, AppId};
 use musa_bench::gen_params;
-use musa_net::{render_rank_timeline, replay, BurstTimer, NetworkParams};
+use musa_net::{render_rank_timeline, replay_with_timelines, BurstTimer, NetworkParams};
 
 fn main() {
     let trace = generate(AppId::Lulesh, &gen_params());
-    let res = replay(
+    let (res, timelines) = replay_with_timelines(
         &trace,
         &NetworkParams::marenostrum4(),
         &mut BurstTimer { cores: 64 },
@@ -15,7 +15,10 @@ fn main() {
 
     println!("== Fig. 4: LULESH MPI/compute timeline (first 24 ranks) ==");
     println!("('#' compute, '.' blocked at sync, '-' transfer)\n");
-    print!("{}", render_rank_timeline(&res, 24, 100));
+    print!(
+        "{}",
+        render_rank_timeline(res.total_ns, &timelines, 24, 100)
+    );
 
     println!(
         "\nmean MPI fraction: {:.1} %  (wait share of MPI: {:.0} %)",

@@ -143,6 +143,12 @@ fn point_keys() -> Vec<u64> {
 /// moves only with the simulator, the row schema or the JSON codec.
 const GOLDEN_ROWS_DIGEST: u64 = 0xcc03_97b1_e5c2_10a3;
 
+/// The same digest over the full 864 × 5 `MUSA_TINY=1` campaign,
+/// computed with the release `dse` of the commit before the replay and
+/// scheduler loops were rewritten (ROADMAP item 1a): every point of the
+/// design space, not a slice, pins that rewrite and any later one.
+const GOLDEN_FULL_GRID_DIGEST: u64 = 0x0d15_833c_8cbb_3e99;
+
 fn rows_digest(lines: &[String]) -> u64 {
     musa_store::fnv1a_64(lines.join("\n").as_bytes())
 }
@@ -198,6 +204,31 @@ fn pool_fill_matches_sequential_byte_for_byte() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// 4,320 points twice take minutes in a debug build, so this runs where
+/// `scripts/check.sh` asks for it, against the release binary:
+/// `cargo test --release -p musa-bench --test pool_e2e -- --ignored full_grid`.
+#[test]
+#[ignore = "the full 864 x 5 grid twice: scripts/check.sh runs it in release"]
+fn full_grid_rows_match_the_golden_digest() {
+    let full_grid = DesignSpace::all().len();
+    for extra in [&[][..], &["--workers", "2"]] {
+        let dir = tmp_dir("full-grid");
+        // A slice as large as the space is no slice.
+        let out = dse_command_at(&dir, extra, full_grid, true)
+            .output()
+            .expect("spawn dse");
+        assert!(out.status.success(), "{extra:?}: {}", stderr_of(&out));
+        let lines = sorted_store_lines(&dir);
+        assert_eq!(lines.len(), full_grid * AppId::ALL.len(), "{extra:?}");
+        assert_eq!(
+            rows_digest(&lines),
+            GOLDEN_FULL_GRID_DIGEST,
+            "{extra:?}: full-grid rows moved off the golden digest"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A worker crash mid-sweep (injected `sim.point` panics on ~half the

@@ -11,14 +11,14 @@
 //!    `musa-mem`) and energy-to-solution over the whole run.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use musa_arch::NodeConfig;
 use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
-use musa_net::{replay, FixedRatioTimer, NetworkParams, ReplayResult};
+use musa_net::{BurstTimes, NetworkParams, ReplayResult};
 use musa_power::{PowerBreakdown, PowerModel};
 use musa_tasksim::{simulate_region_burst, NodeSim};
-use musa_trace::{AppTrace, ComputeRegion, DetailedTrace};
+use musa_trace::{AppTrace, ComputeRegion, DetailedTrace, TraceMeta};
 
 /// Scalar summary of one multiscale simulation, the unit of the DSE
 /// result table.
@@ -69,15 +69,56 @@ musa_obs::json_struct!(ConfigResult {
     region_efficiency
 });
 
+/// The burst-time tables of one trace, one per core count asked for.
+///
+/// The burst level is hardware agnostic: what a rank's compute events
+/// take at a core count is a property of the trace, so every point of
+/// a campaign replays the same table under its own detailed/burst
+/// ratio. A [`MultiscaleSim`] owns a memo of its own; whoever keeps a
+/// trace alive across per-point simulators keeps one beside it and
+/// hands it to each ([`MultiscaleSim::with_burst_memo`]). Tables are
+/// built on first use and never persisted: building one costs what a
+/// single replay used to, once per core count and process.
+pub struct BurstMemo {
+    /// What the tables are built from; a generator's output is a
+    /// function of its metadata.
+    trace: TraceMeta,
+    tables: Mutex<HashMap<u32, Arc<BurstTimes>>>,
+}
+
+impl BurstMemo {
+    /// An empty memo for the tables of `trace`.
+    pub fn for_trace(trace: &AppTrace) -> BurstMemo {
+        BurstMemo {
+            trace: trace.meta.clone(),
+            tables: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The table of `trace` at `cores`, built on the first request.
+    fn table(&self, trace: &AppTrace, cores: u32) -> Arc<BurstTimes> {
+        let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(
+            tables
+                .entry(cores)
+                .or_insert_with(|| Arc::new(BurstTimes::build(trace, cores))),
+        )
+    }
+}
+
 /// The multiscale simulator for one application trace.
 pub struct MultiscaleSim<'a> {
     trace: &'a AppTrace,
     net: NetworkParams,
+    /// Burst-time tables for the full replay: the memo the caller
+    /// attached, else one of this simulator's own from the first full
+    /// replay on.
+    burst_times: OnceLock<Arc<BurstMemo>>,
     /// In-process burst-baseline memo. The baseline depends only on the
     /// sampled region (fixed per trace) and the active core count, so
     /// the paper-scale 864-point sweep needs just one per core count —
     /// this memo pays off even with the artifact cache disabled.
-    burst_memo: Mutex<HashMap<u32, f64>>,
+    baseline_memo: Mutex<HashMap<u32, f64>>,
     /// Artifact cache plus this trace's key (which seeds every detail
     /// and burst key), when the caller attached one.
     cache: Option<(Arc<ArtifactCache>, ArtifactKey)>,
@@ -89,9 +130,31 @@ impl<'a> MultiscaleSim<'a> {
         MultiscaleSim {
             trace,
             net: NetworkParams::marenostrum4(),
-            burst_memo: Mutex::new(HashMap::new()),
+            burst_times: OnceLock::new(),
+            baseline_memo: Mutex::new(HashMap::new()),
             cache: None,
         }
+    }
+
+    /// Share the burst-time tables of `memo`, which must have been made
+    /// for this simulator's trace ([`BurstMemo::for_trace`]). Panics
+    /// otherwise: its tables would time another application's events.
+    pub fn with_burst_memo(mut self, memo: Arc<BurstMemo>) -> Self {
+        assert!(
+            memo.trace == self.trace.meta,
+            "burst memo of trace {:?} attached to a simulator of trace {:?}",
+            memo.trace,
+            self.trace.meta
+        );
+        self.burst_times = OnceLock::from(memo);
+        self
+    }
+
+    /// The burst times of the whole trace at `cores`.
+    fn burst_times(&self, cores: u32) -> Arc<BurstTimes> {
+        self.burst_times
+            .get_or_init(|| Arc::new(BurstMemo::for_trace(self.trace)))
+            .table(self.trace, cores)
     }
 
     /// Override the network parameters.
@@ -126,8 +189,7 @@ impl<'a> MultiscaleSim<'a> {
         let region = self
             .trace
             .sampled_region()
-            .expect("trace has a sampled region")
-            .clone();
+            .expect("trace has a sampled region");
         let detail = self
             .trace
             .detail
@@ -140,13 +202,18 @@ impl<'a> MultiscaleSim<'a> {
         // Both consult the artifact cache first when one is attached; a
         // hit makes the phase near-instant.
         let _detailed = musa_obs::span_app(musa_obs::phase::DETAILED_SIM, &self.trace.meta.app);
-        let det = self.detail_window(config, detail, &region);
+        let det = self.detail_window(config, detail, region);
         let region_ns = det.region_ns;
 
-        // Step 2: detailed/burst rescale ratio.
-        let burst_ns = {
+        // Step 2: detailed/burst rescale ratio, and with it the burst
+        // times of the whole trace when step 3 is going to need them.
+        let cores = config.cores.count();
+        let (burst_ns, burst_times) = {
             let _burst = musa_obs::span_app(musa_obs::phase::BURST, &self.trace.meta.app);
-            self.burst_baseline(&region, config.cores.count())
+            (
+                self.burst_baseline(region, cores),
+                full_replay.then(|| self.burst_times(cores)),
+            )
         };
         let ratio = if burst_ns > 0.0 {
             region_ns / burst_ns
@@ -155,16 +222,10 @@ impl<'a> MultiscaleSim<'a> {
         };
         drop(_detailed);
 
-        // Step 3: full-application replay.
-        let (time_ns, _replay) = if full_replay {
-            let mut timer = FixedRatioTimer {
-                cores: config.cores.count(),
-                ratio,
-            };
-            let r = replay(self.trace, &self.net, &mut timer);
-            (r.total_ns, Some(r))
-        } else {
-            (region_ns, None)
+        // Step 3: full-application replay of the rescaled burst times.
+        let time_ns = match burst_times {
+            Some(times) => times.replay(self.trace, &self.net, ratio).total_ns,
+            None => region_ns,
         };
 
         // Step 4: power and energy.
@@ -242,7 +303,7 @@ impl<'a> MultiscaleSim<'a> {
     /// then artifact cache, then computed (and recorded in both).
     fn burst_baseline(&self, region: &ComputeRegion, cores: u32) -> f64 {
         if let Some(ns) = self
-            .burst_memo
+            .baseline_memo
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&cores)
@@ -267,7 +328,7 @@ impl<'a> MultiscaleSim<'a> {
             }
             None => simulate_region_burst(region, cores).makespan_ns,
         };
-        self.burst_memo
+        self.baseline_memo
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(cores, ns);
@@ -277,7 +338,7 @@ impl<'a> MultiscaleSim<'a> {
     /// Full replay of the trace in burst mode at a core count (used by
     /// the scaling study, Fig. 2b).
     pub fn burst_replay(&self, cores: u32) -> ReplayResult {
-        replay(self.trace, &self.net, &mut musa_net::BurstTimer { cores })
+        self.burst_times(cores).replay(self.trace, &self.net, 1.0)
     }
 }
 
@@ -331,8 +392,43 @@ mod tests {
     #[test]
     fn region_only_mode_skips_replay() {
         let trace = generate(AppId::Btmz, &GenParams::tiny());
-        let sim = MultiscaleSim::new(&trace);
+        let memo = Arc::new(BurstMemo::for_trace(&trace));
+        let sim = MultiscaleSim::new(&trace).with_burst_memo(Arc::clone(&memo));
         let r = sim.simulate(cfg64(), false);
         assert!((r.time_ns - r.region_ns).abs() < 1e-9);
+        assert!(memo.tables.lock().unwrap().is_empty(), "no table is built");
+    }
+
+    #[test]
+    fn full_replay_equals_the_timer_replay_and_shares_one_table_per_core_count() {
+        let trace = generate(AppId::Lulesh, &GenParams::tiny());
+        let memo = Arc::new(BurstMemo::for_trace(&trace));
+        for config in [cfg64(), cfg64().with_vector(VectorWidth::V512)] {
+            // A fresh simulator per point, as the store's executor and
+            // the search's evaluator make them.
+            let sim = MultiscaleSim::new(&trace).with_burst_memo(Arc::clone(&memo));
+            let r = sim.simulate(config, true);
+            let burst_ns = simulate_region_burst(trace.sampled_region().unwrap(), 64).makespan_ns;
+            let mut timer = musa_net::FixedRatioTimer {
+                cores: 64,
+                ratio: r.region_ns / burst_ns,
+            };
+            let want = musa_net::replay(&trace, &NetworkParams::marenostrum4(), &mut timer);
+            assert_eq!(r.time_ns.to_bits(), want.total_ns.to_bits());
+            assert_eq!(r, MultiscaleSim::new(&trace).simulate(config, true));
+        }
+        let tables = memo.tables.lock().unwrap();
+        assert_eq!(tables.keys().collect::<Vec<_>>(), [&64]);
+        assert_eq!(Arc::strong_count(&tables[&64]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst memo of trace")]
+    fn burst_memo_of_another_trace_is_rejected() {
+        let hydro = generate(AppId::Hydro, &GenParams::tiny());
+        let lulesh = generate(AppId::Lulesh, &GenParams::tiny());
+        let memo = Arc::new(BurstMemo::for_trace(&hydro));
+        let _ = MultiscaleSim::new(&hydro).with_burst_memo(Arc::clone(&memo));
+        let _ = MultiscaleSim::new(&lulesh).with_burst_memo(memo);
     }
 }

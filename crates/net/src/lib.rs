@@ -24,6 +24,6 @@ pub mod timeline;
 pub mod timer;
 
 pub use params::NetworkParams;
-pub use replay::{replay, MpiBreakdown, RankPhase, ReplayResult};
+pub use replay::{replay, replay_with_timelines, MpiBreakdown, RankPhase, ReplayResult};
 pub use timeline::{render_rank_timeline, TimelineSpan};
-pub use timer::{BurstTimer, ComputeTimer, FixedRatioTimer};
+pub use timer::{BurstTimer, BurstTimes, ComputeTimer, FixedRatioTimer};

@@ -1,6 +1,6 @@
 //! Lockstep replay of the per-rank burst traces over the network model.
 
-use musa_trace::{AppTrace, BurstEvent, CollectiveOp, MpiEvent};
+use musa_trace::{AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent, RankTrace};
 
 use crate::params::NetworkParams;
 use crate::timer::ComputeTimer;
@@ -53,8 +53,6 @@ pub struct ReplayResult {
     pub compute_ns: Vec<f64>,
     /// Per-rank MPI decomposition.
     pub mpi: Vec<MpiBreakdown>,
-    /// Per-rank phase timelines (Fig. 4 source data).
-    pub timelines: Vec<Vec<Span>>,
 }
 
 impl ReplayResult {
@@ -91,13 +89,43 @@ impl ReplayResult {
     }
 }
 
-/// Replay an application trace.
+/// Replay an application trace, timing every compute event with `timer`.
 ///
 /// The trace must be SPMD-shaped: every rank has the same number of
 /// events with matching kinds per slot (the `musa-apps` generators
 /// guarantee this). Panics otherwise.
 pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTimer) -> ReplayResult {
-    let _replay = musa_obs::span_app(musa_obs::phase::NET_REPLAY, &trace.meta.app);
+    replay_events(trace, net, timed_by(timer), |_, _, _, _| {})
+}
+
+/// `timer` as the replay loop's source of compute durations.
+fn timed_by(timer: &mut dyn ComputeTimer) -> impl FnMut(usize, &RankTrace, usize) -> f64 + '_ {
+    |_, rt, slot| timer.region_time_ns(rt.rank, compute_region(rt, slot))
+}
+
+/// [`replay`], plus what each rank was doing when: one list of
+/// non-empty spans per rank, in time order (Fig. 4's source data).
+pub fn replay_with_timelines(
+    trace: &AppTrace,
+    net: &NetworkParams,
+    timer: &mut dyn ComputeTimer,
+) -> (ReplayResult, Vec<Vec<Span>>) {
+    let mut timelines = vec![Vec::new(); trace.ranks.len()];
+    let result = replay_events(trace, net, timed_by(timer), |r, phase, start_ns, end_ns| {
+        if end_ns > start_ns {
+            timelines[r].push(Span {
+                phase,
+                start_ns,
+                end_ns,
+            });
+        }
+    });
+    (result, timelines)
+}
+
+/// Rank count and per-rank event count of an SPMD trace. Panics on an
+/// empty trace or on ranks of different lengths.
+pub(crate) fn spmd_shape(trace: &AppTrace) -> (usize, usize) {
     let ranks = trace.ranks.len();
     assert!(ranks > 0, "empty trace");
     let n_events = trace.ranks[0].events.len();
@@ -109,6 +137,31 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
             r.rank
         );
     }
+    (ranks, n_events)
+}
+
+/// The compute region `rt` holds in a slot where rank 0 computes.
+pub(crate) fn compute_region(rt: &RankTrace, slot: usize) -> &ComputeRegion {
+    match &rt.events[slot] {
+        BurstEvent::Compute(region) => region,
+        BurstEvent::Mpi(_) => panic!("non-SPMD trace at slot {slot}"),
+    }
+}
+
+/// The one replay loop: additions and `max`es over durations it is
+/// given. `compute_ns(i, rank trace, slot)` is the duration of the
+/// compute event that rank holds in that slot, `i` counting compute
+/// events slot by slot and, within a slot, rank by rank;
+/// `span(rank index, phase, start, end)` hears of every interval of
+/// every rank's clock, empty ones included.
+pub(crate) fn replay_events(
+    trace: &AppTrace,
+    net: &NetworkParams,
+    mut compute_ns: impl FnMut(usize, &RankTrace, usize) -> f64,
+    mut span: impl FnMut(usize, RankPhase, f64, f64),
+) -> ReplayResult {
+    let _replay = musa_obs::span_app(musa_obs::phase::NET_REPLAY, &trace.meta.app);
+    let (ranks, n_events) = spmd_shape(trace);
 
     musa_obs::counter_add("net.replays", 1);
     musa_obs::counter_add("net.events_replayed", (ranks * n_events) as u64);
@@ -116,37 +169,21 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
     let mut clock = vec![0.0_f64; ranks];
     let mut compute = vec![0.0_f64; ranks];
     let mut mpi = vec![MpiBreakdown::default(); ranks];
-    let mut timelines: Vec<Vec<Span>> = vec![Vec::with_capacity(n_events * 2); ranks];
-
-    let push_span = |timelines: &mut Vec<Vec<Span>>, r: usize, phase, start: f64, end: f64| {
-        if end > start {
-            timelines[r].push(Span {
-                phase,
-                start_ns: start,
-                end_ns: end,
-            });
-        }
-    };
+    // The clocks as a point-to-point slot found them.
+    let mut old = vec![0.0_f64; ranks];
+    let mut computed = 0;
 
     for slot in 0..n_events {
         // All ranks hold the same event kind in this slot.
         match &trace.ranks[0].events[slot] {
             BurstEvent::Compute(_) => {
                 for (r, rt) in trace.ranks.iter().enumerate() {
-                    let BurstEvent::Compute(region) = &rt.events[slot] else {
-                        panic!("non-SPMD trace at slot {slot}");
-                    };
-                    let t = timer.region_time_ns(rt.rank, region);
-                    push_span(
-                        &mut timelines,
-                        r,
-                        RankPhase::Compute,
-                        clock[r],
-                        clock[r] + t,
-                    );
+                    let t = compute_ns(computed + r, rt, slot);
+                    span(r, RankPhase::Compute, clock[r], clock[r] + t);
                     clock[r] += t;
                     compute[r] += t;
                 }
+                computed += ranks;
             }
             BurstEvent::Mpi(MpiEvent::Collective(op)) => {
                 let assemble = clock.iter().copied().fold(0.0_f64, f64::max);
@@ -158,8 +195,8 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
                 };
                 let done = assemble + cost;
                 for r in 0..ranks {
-                    push_span(&mut timelines, r, RankPhase::Wait, clock[r], assemble);
-                    push_span(&mut timelines, r, RankPhase::Transfer, assemble, done);
+                    span(r, RankPhase::Wait, clock[r], assemble);
+                    span(r, RankPhase::Transfer, assemble, done);
                     mpi[r].wait_ns += assemble - clock[r];
                     mpi[r].transfer_ns += cost;
                     clock[r] = done;
@@ -168,7 +205,7 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
             BurstEvent::Mpi(MpiEvent::SendRecv { .. }) => {
                 // Synchronous pairwise exchange: both sides must arrive;
                 // then the payload crosses the network.
-                let old = clock.clone();
+                old.copy_from_slice(&clock);
                 for (r, rt) in trace.ranks.iter().enumerate() {
                     let BurstEvent::Mpi(MpiEvent::SendRecv {
                         send_peer,
@@ -182,8 +219,8 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
                         .max(old[send_peer as usize])
                         .max(old[recv_peer as usize]);
                     let cost = net.transfer_ns(bytes) + net.overhead_ns;
-                    push_span(&mut timelines, r, RankPhase::Wait, old[r], ready);
-                    push_span(&mut timelines, r, RankPhase::Transfer, ready, ready + cost);
+                    span(r, RankPhase::Wait, old[r], ready);
+                    span(r, RankPhase::Transfer, ready, ready + cost);
                     mpi[r].wait_ns += ready - old[r];
                     mpi[r].transfer_ns += cost;
                     clock[r] = ready + cost;
@@ -192,7 +229,7 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
             BurstEvent::Mpi(MpiEvent::Send { .. }) | BurstEvent::Mpi(MpiEvent::Recv { .. }) => {
                 // Eager/rendezvous point-to-point. Senders deposit, then
                 // receivers match within the same slot.
-                let old = clock.clone();
+                old.copy_from_slice(&clock);
                 for (r, rt) in trace.ranks.iter().enumerate() {
                     match rt.events[slot] {
                         BurstEvent::Mpi(MpiEvent::Send { peer, bytes }) => {
@@ -205,8 +242,9 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
                             };
                             mpi[r].wait_ns += block;
                             mpi[r].transfer_ns += cost;
-                            push_span(&mut timelines, r, RankPhase::Wait, old[r], old[r] + block);
+                            span(r, RankPhase::Wait, old[r], old[r] + block);
                             clock[r] = old[r] + block + cost;
+                            span(r, RankPhase::Transfer, old[r] + block, clock[r]);
                         }
                         BurstEvent::Mpi(MpiEvent::Recv { peer, bytes }) => {
                             let arrival =
@@ -214,8 +252,9 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
                             let ready = old[r].max(arrival);
                             mpi[r].wait_ns += ready - old[r];
                             mpi[r].transfer_ns += net.overhead_ns;
-                            push_span(&mut timelines, r, RankPhase::Wait, old[r], ready);
+                            span(r, RankPhase::Wait, old[r], ready);
                             clock[r] = ready + net.overhead_ns;
+                            span(r, RankPhase::Transfer, ready, clock[r]);
                         }
                         _ => panic!("non-SPMD trace at slot {slot}"),
                     }
@@ -228,18 +267,324 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
         total_ns: clock.iter().copied().fold(0.0, f64::max),
         compute_ns: compute,
         mpi,
-        timelines,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timer::BurstTimer;
+    use crate::timer::{BurstTimer, BurstTimes, FixedRatioTimer};
     use musa_apps::{generate, AppId, GenParams};
+    use musa_trace::{RegionWork, TraceMeta, WorkItem};
 
     fn net() -> NetworkParams {
         NetworkParams::marenostrum4()
+    }
+
+    /// The replay as it stood before `replay_events`: it schedules and
+    /// records spans unconditionally. Kept as the oracle.
+    fn replay_reference(
+        trace: &AppTrace,
+        net: &NetworkParams,
+        timer: &mut dyn ComputeTimer,
+    ) -> (ReplayResult, Vec<Vec<Span>>) {
+        let ranks = trace.ranks.len();
+        assert!(ranks > 0, "empty trace");
+        let n_events = trace.ranks[0].events.len();
+        for r in &trace.ranks {
+            assert_eq!(
+                r.events.len(),
+                n_events,
+                "non-SPMD trace: rank {} has a different event count",
+                r.rank
+            );
+        }
+
+        let mut clock = vec![0.0_f64; ranks];
+        let mut compute = vec![0.0_f64; ranks];
+        let mut mpi = vec![MpiBreakdown::default(); ranks];
+        let mut timelines: Vec<Vec<Span>> = vec![Vec::with_capacity(n_events * 2); ranks];
+
+        let push_span = |timelines: &mut Vec<Vec<Span>>, r: usize, phase, start: f64, end: f64| {
+            if end > start {
+                timelines[r].push(Span {
+                    phase,
+                    start_ns: start,
+                    end_ns: end,
+                });
+            }
+        };
+
+        for slot in 0..n_events {
+            // All ranks hold the same event kind in this slot.
+            match &trace.ranks[0].events[slot] {
+                BurstEvent::Compute(_) => {
+                    for (r, rt) in trace.ranks.iter().enumerate() {
+                        let BurstEvent::Compute(region) = &rt.events[slot] else {
+                            panic!("non-SPMD trace at slot {slot}");
+                        };
+                        let t = timer.region_time_ns(rt.rank, region);
+                        push_span(
+                            &mut timelines,
+                            r,
+                            RankPhase::Compute,
+                            clock[r],
+                            clock[r] + t,
+                        );
+                        clock[r] += t;
+                        compute[r] += t;
+                    }
+                }
+                BurstEvent::Mpi(MpiEvent::Collective(op)) => {
+                    let assemble = clock.iter().copied().fold(0.0_f64, f64::max);
+                    let cost = match op {
+                        CollectiveOp::Barrier => net.barrier_ns(ranks as u32),
+                        CollectiveOp::AllReduce { bytes } => net.allreduce_ns(ranks as u32, *bytes),
+                        CollectiveOp::Bcast { bytes } => net.bcast_ns(ranks as u32, *bytes),
+                        CollectiveOp::AllToAll { bytes } => net.alltoall_ns(ranks as u32, *bytes),
+                    };
+                    let done = assemble + cost;
+                    for r in 0..ranks {
+                        push_span(&mut timelines, r, RankPhase::Wait, clock[r], assemble);
+                        push_span(&mut timelines, r, RankPhase::Transfer, assemble, done);
+                        mpi[r].wait_ns += assemble - clock[r];
+                        mpi[r].transfer_ns += cost;
+                        clock[r] = done;
+                    }
+                }
+                BurstEvent::Mpi(MpiEvent::SendRecv { .. }) => {
+                    // Synchronous pairwise exchange: both sides must arrive;
+                    // then the payload crosses the network.
+                    let old = clock.to_vec();
+                    for (r, rt) in trace.ranks.iter().enumerate() {
+                        let BurstEvent::Mpi(MpiEvent::SendRecv {
+                            send_peer,
+                            recv_peer,
+                            bytes,
+                        }) = rt.events[slot]
+                        else {
+                            panic!("non-SPMD trace at slot {slot}");
+                        };
+                        let ready = old[r]
+                            .max(old[send_peer as usize])
+                            .max(old[recv_peer as usize]);
+                        let cost = net.transfer_ns(bytes) + net.overhead_ns;
+                        push_span(&mut timelines, r, RankPhase::Wait, old[r], ready);
+                        push_span(&mut timelines, r, RankPhase::Transfer, ready, ready + cost);
+                        mpi[r].wait_ns += ready - old[r];
+                        mpi[r].transfer_ns += cost;
+                        clock[r] = ready + cost;
+                    }
+                }
+                BurstEvent::Mpi(MpiEvent::Send { .. }) | BurstEvent::Mpi(MpiEvent::Recv { .. }) => {
+                    // Eager/rendezvous point-to-point. Senders deposit, then
+                    // receivers match within the same slot.
+                    let old = clock.to_vec();
+                    for (r, rt) in trace.ranks.iter().enumerate() {
+                        match rt.events[slot] {
+                            BurstEvent::Mpi(MpiEvent::Send { peer, bytes }) => {
+                                let cost = net.overhead_ns;
+                                let block = if bytes > net.eager_bytes {
+                                    // Rendezvous: wait for the receiver.
+                                    old[peer as usize].max(old[r]) - old[r]
+                                } else {
+                                    0.0
+                                };
+                                mpi[r].wait_ns += block;
+                                mpi[r].transfer_ns += cost;
+                                push_span(
+                                    &mut timelines,
+                                    r,
+                                    RankPhase::Wait,
+                                    old[r],
+                                    old[r] + block,
+                                );
+                                clock[r] = old[r] + block + cost;
+                            }
+                            BurstEvent::Mpi(MpiEvent::Recv { peer, bytes }) => {
+                                let arrival =
+                                    old[peer as usize] + net.transfer_ns(bytes) + net.overhead_ns;
+                                let ready = old[r].max(arrival);
+                                mpi[r].wait_ns += ready - old[r];
+                                mpi[r].transfer_ns += net.overhead_ns;
+                                push_span(&mut timelines, r, RankPhase::Wait, old[r], ready);
+                                clock[r] = ready + net.overhead_ns;
+                            }
+                            _ => panic!("non-SPMD trace at slot {slot}"),
+                        }
+                    }
+                }
+            }
+        }
+
+        let result = ReplayResult {
+            total_ns: clock.iter().copied().fold(0.0, f64::max),
+            compute_ns: compute,
+            mpi,
+        };
+        (result, timelines)
+    }
+
+    /// Every bit of a replay result.
+    fn bits(r: &ReplayResult) -> Vec<u64> {
+        let mut v = vec![r.total_ns.to_bits()];
+        v.extend(r.compute_ns.iter().map(|t| t.to_bits()));
+        for m in &r.mpi {
+            v.extend([m.wait_ns.to_bits(), m.transfer_ns.to_bits()]);
+        }
+        v
+    }
+
+    /// What must hold of any replay: per rank the spans tile `[0,
+    /// clock]` in order and their phases add up to the accounting, no
+    /// rank waits a negative time, and the run ends with the last rank.
+    fn assert_conserved(what: &str, res: &ReplayResult, timelines: &[Vec<Span>]) {
+        let near = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+        let mut last_clock = 0.0_f64;
+        for (r, tl) in timelines.iter().enumerate() {
+            let mut clock = 0.0;
+            let mut by_phase = [0.0_f64; 3];
+            for s in tl {
+                assert_eq!(
+                    s.start_ns.to_bits(),
+                    f64::to_bits(clock),
+                    "{what}: rank {r} gap"
+                );
+                assert!(s.end_ns > s.start_ns, "{what}: rank {r} empty span");
+                by_phase[s.phase as usize] += s.end_ns - s.start_ns;
+                clock = s.end_ns;
+            }
+            let m = res.mpi[r];
+            assert!(m.wait_ns >= 0.0 && m.transfer_ns >= 0.0, "{what}: rank {r}");
+            assert!(near(
+                by_phase[RankPhase::Compute as usize],
+                res.compute_ns[r]
+            ));
+            assert!(near(by_phase[RankPhase::Wait as usize], m.wait_ns));
+            assert!(near(by_phase[RankPhase::Transfer as usize], m.transfer_ns));
+            assert!(
+                near(res.compute_ns[r] + m.wait_ns + m.transfer_ns, clock),
+                "{what}: rank {r} accounts for {} of its clock {clock}",
+                res.compute_ns[r] + m.total_ns()
+            );
+            last_clock = last_clock.max(clock);
+        }
+        assert_eq!(res.total_ns.to_bits(), last_clock.to_bits(), "{what}");
+    }
+
+    #[test]
+    fn table_replay_and_the_loop_equal_their_oracles_bit_for_bit() {
+        for gen in [GenParams::tiny(), GenParams::small()] {
+            for app in AppId::ALL {
+                let trace = generate(app, &gen);
+                for cores in [1u32, 32, 64] {
+                    let what = format!("{app} at {} ranks, {cores} cores", gen.ranks);
+                    let table = BurstTimes::build(&trace, cores);
+                    for ratio in [0.37, 1.0, 2.9] {
+                        let mut timer = FixedRatioTimer { cores, ratio };
+                        let want = replay(&trace, &net(), &mut timer);
+                        let got = table.replay(&trace, &net(), ratio);
+                        assert_eq!(bits(&got), bits(&want), "{what}, ratio {ratio}");
+                    }
+                    // The loop itself against the one it replaced, and
+                    // the burst timer against the table at ratio 1.
+                    let mut timer = BurstTimer { cores };
+                    let (want, want_spans) = replay_reference(&trace, &net(), &mut timer);
+                    let (got, spans) = replay_with_timelines(&trace, &net(), &mut timer);
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    assert_eq!(spans, want_spans, "{what}");
+                    assert_eq!(bits(&table.replay(&trace, &net(), 1.0)), bits(&want));
+                    assert_conserved(&what, &got, &spans);
+                }
+            }
+        }
+    }
+
+    /// Two ranks: compute, an eager then a rendezvous send from 0 to 1,
+    /// a barrier.
+    fn send_recv_trace() -> AppTrace {
+        let rank = |rank: u32, work_ns: f64| {
+            let mpi = |bytes| {
+                BurstEvent::Mpi(if rank == 0 {
+                    MpiEvent::Send { peer: 1, bytes }
+                } else {
+                    MpiEvent::Recv { peer: 0, bytes }
+                })
+            };
+            RankTrace {
+                rank,
+                events: vec![
+                    BurstEvent::Compute(ComputeRegion {
+                        region_id: 0,
+                        name: "work".into(),
+                        work: RegionWork::Serial {
+                            item: WorkItem::simple(0, work_ns),
+                        },
+                        spawn_overhead_ns: 0.0,
+                        dispatch_overhead_ns: 0.0,
+                    }),
+                    mpi(1024),
+                    mpi(1 << 20),
+                    BurstEvent::Mpi(MpiEvent::Collective(CollectiveOp::Barrier)),
+                ],
+            }
+        };
+        AppTrace {
+            meta: TraceMeta::new("p2p", 2, 1, 0),
+            ranks: vec![rank(0, 5e4), rank(1, 9e4)],
+            detail: None,
+        }
+    }
+
+    #[test]
+    fn point_to_point_sends_are_conserved_too() {
+        let trace = send_recv_trace();
+        let mut timer = BurstTimer { cores: 1 };
+        let (res, spans) = replay_with_timelines(&trace, &net(), &mut timer);
+        assert_conserved("p2p", &res, &spans);
+        assert!(res.mpi[0].wait_ns > 0.0, "the rendezvous send waits");
+        let (want, _) = replay_reference(&trace, &net(), &mut timer);
+        assert_eq!(bits(&res), bits(&want));
+        let table = BurstTimes::build(&trace, 1);
+        assert_eq!(bits(&table.replay(&trace, &net(), 1.0)), bits(&want));
+    }
+
+    fn non_spmd_trace() -> AppTrace {
+        let mut trace = generate(AppId::Hydro, &GenParams::tiny());
+        let slot = trace.ranks[1]
+            .events
+            .iter()
+            .position(|e| matches!(e, BurstEvent::Compute(_)))
+            .unwrap();
+        trace.ranks[1].events[slot] = BurstEvent::Mpi(MpiEvent::Collective(CollectiveOp::Barrier));
+        trace
+    }
+
+    #[test]
+    #[should_panic(expected = "non-SPMD trace")]
+    fn non_spmd_trace_panics_in_the_timer_replay() {
+        replay(&non_spmd_trace(), &net(), &mut BurstTimer { cores: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "non-SPMD trace")]
+    fn non_spmd_trace_panics_in_the_table_build() {
+        BurstTimes::build(&non_spmd_trace(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-SPMD trace")]
+    fn ranks_of_different_lengths_panic_in_the_table_build() {
+        let mut trace = generate(AppId::Hydro, &GenParams::tiny());
+        trace.ranks[2].events.pop();
+        BurstTimes::build(&trace, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "replayed over another trace")]
+    fn table_of_another_trace_is_rejected() {
+        let table = BurstTimes::build(&generate(AppId::Hydro, &GenParams::tiny()), 4);
+        table.replay(&send_recv_trace(), &net(), 1.0);
     }
 
     #[test]
@@ -256,12 +601,6 @@ mod tests {
                     "{app}: rank {r} accounting {acc} vs {}",
                     res.total_ns
                 );
-            }
-            // Timeline spans are ordered and non-overlapping.
-            for tl in &res.timelines {
-                for w in tl.windows(2) {
-                    assert!(w[1].start_ns >= w[0].end_ns - 1e-6);
-                }
             }
         }
     }

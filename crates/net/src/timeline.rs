@@ -2,17 +2,24 @@
 //! Fig. 4 (MPI and compute phases per rank, barrier waits visible as
 //! gaps).
 
-use crate::replay::{RankPhase, ReplayResult, Span};
+use crate::replay::{RankPhase, Span};
 
 /// Timeline span re-export for rendering.
 pub type TimelineSpan = Span;
 
 /// Render a subset of ranks as ASCII rows: `#` compute, `.` wait,
-/// `-` transfer. `width` characters cover `[0, total_ns]`.
-pub fn render_rank_timeline(result: &ReplayResult, max_ranks: usize, width: usize) -> String {
-    let total = result.total_ns.max(1.0);
+/// `-` transfer. `timelines` are the per-rank spans of
+/// [`replay_with_timelines`](crate::replay_with_timelines); `width`
+/// characters cover `[0, total_ns]`.
+pub fn render_rank_timeline(
+    total_ns: f64,
+    timelines: &[Vec<Span>],
+    max_ranks: usize,
+    width: usize,
+) -> String {
+    let total = total_ns.max(1.0);
     let mut out = String::new();
-    for (r, tl) in result.timelines.iter().enumerate().take(max_ranks) {
+    for (r, tl) in timelines.iter().enumerate().take(max_ranks) {
         let mut row = vec![' '; width];
         for span in tl {
             let a = ((span.start_ns / total) * width as f64) as usize;
@@ -36,36 +43,20 @@ pub fn render_rank_timeline(result: &ReplayResult, max_ranks: usize, width: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::MpiBreakdown;
 
     #[test]
     fn renders_phases() {
-        let result = ReplayResult {
-            total_ns: 100.0,
-            compute_ns: vec![60.0],
-            mpi: vec![MpiBreakdown {
-                wait_ns: 30.0,
-                transfer_ns: 10.0,
-            }],
-            timelines: vec![vec![
-                Span {
-                    phase: RankPhase::Compute,
-                    start_ns: 0.0,
-                    end_ns: 60.0,
-                },
-                Span {
-                    phase: RankPhase::Wait,
-                    start_ns: 60.0,
-                    end_ns: 90.0,
-                },
-                Span {
-                    phase: RankPhase::Transfer,
-                    start_ns: 90.0,
-                    end_ns: 100.0,
-                },
-            ]],
+        let span = |phase, start_ns, end_ns| Span {
+            phase,
+            start_ns,
+            end_ns,
         };
-        let s = render_rank_timeline(&result, 4, 50);
+        let timelines = vec![vec![
+            span(RankPhase::Compute, 0.0, 60.0),
+            span(RankPhase::Wait, 60.0, 90.0),
+            span(RankPhase::Transfer, 90.0, 100.0),
+        ]];
+        let s = render_rank_timeline(100.0, &timelines, 4, 50);
         assert!(s.contains('#'));
         assert!(s.contains('.'));
         assert!(s.contains('-'));
@@ -77,13 +68,7 @@ mod tests {
 
     #[test]
     fn respects_max_ranks() {
-        let result = ReplayResult {
-            total_ns: 10.0,
-            compute_ns: vec![10.0; 8],
-            mpi: vec![MpiBreakdown::default(); 8],
-            timelines: vec![vec![]; 8],
-        };
-        let s = render_rank_timeline(&result, 3, 10);
+        let s = render_rank_timeline(10.0, &vec![vec![]; 8], 3, 10);
         assert_eq!(s.lines().count(), 3);
     }
 }

@@ -31,10 +31,13 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use musa_apps::{generate, AppId};
 use musa_arch::NodeConfig;
-use musa_core::{dominated_hypervolume, pareto_front_indices, MultiscaleSim, SweepOptions};
+use musa_core::{
+    dominated_hypervolume, pareto_front_indices, BurstMemo, MultiscaleSim, SweepOptions,
+};
 use musa_trace::AppTrace;
 
 use crate::journal::{self, JournalMismatch, SearchJournal};
@@ -163,12 +166,13 @@ pub trait Evaluator {
 }
 
 /// In-process evaluator over the real multiscale simulator: one trace
-/// per app (generated once, kept), results memoized by point. Powers
-/// the library tests and `examples/bench_search.rs`; the `dse` binary
-/// uses store-backed evaluators instead so rows persist.
+/// per app (generated once, kept with the burst-time tables its points
+/// share), results memoized by point. Powers the library tests and
+/// `examples/bench_search.rs`; the `dse` binary uses store-backed
+/// evaluators instead so rows persist.
 pub struct MemEvaluator {
     opts: SweepOptions,
-    traces: HashMap<AppId, AppTrace>,
+    traces: HashMap<AppId, (AppTrace, Arc<BurstMemo>)>,
     memo: HashMap<(AppId, String), (f64, f64)>,
     hits: u64,
 }
@@ -196,11 +200,12 @@ impl Evaluator for MemEvaluator {
                 continue;
             }
             let gen = self.opts.gen;
-            let trace = self
-                .traces
-                .entry(app)
-                .or_insert_with(|| generate(app, &gen));
-            let sim = MultiscaleSim::new(trace);
+            let (trace, burst_times) = self.traces.entry(app).or_insert_with(|| {
+                let trace = generate(app, &gen);
+                let burst_times = Arc::new(BurstMemo::for_trace(&trace));
+                (trace, burst_times)
+            });
+            let sim = MultiscaleSim::new(trace).with_burst_memo(Arc::clone(burst_times));
             let r = sim.simulate(cfg, self.opts.full_replay);
             let v = (r.time_ns, r.energy_j);
             self.memo.insert(key, v);

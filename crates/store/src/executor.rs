@@ -19,7 +19,7 @@ use std::sync::Arc;
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::NodeConfig;
 use musa_cache::{ArtifactCache, ArtifactKey};
-use musa_core::{MultiscaleSim, SweepOptions};
+use musa_core::{BurstMemo, MultiscaleSim, SweepOptions};
 use musa_trace::AppTrace;
 
 use crate::integrity::seal_line;
@@ -68,13 +68,24 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A trace kept across points, with what its points share.
+#[derive(Clone)]
+struct CachedTrace {
+    app: AppId,
+    gen: GenParams,
+    trace: Arc<AppTrace>,
+    key: Option<ArtifactKey>,
+    burst_times: Arc<BurstMemo>,
+}
+
 /// Simulates points one at a time; see the module docs.
 pub struct PointExecutor {
     cache: Option<Arc<ArtifactCache>>,
-    /// The last application's trace. Points arrive grouped by
-    /// application, so one slot is a full memo; with a cache attached
-    /// the cache's own memo keeps every application's trace.
-    trace: Option<(AppId, GenParams, Arc<AppTrace>, Option<ArtifactKey>)>,
+    /// The last application's trace, and the burst-time tables its
+    /// points share. Points arrive grouped by application, so one slot
+    /// is a full memo; with a cache attached the cache's own memo
+    /// keeps every application's trace.
+    trace: Option<CachedTrace>,
     worker: String,
     attempt: u32,
 }
@@ -105,10 +116,10 @@ impl PointExecutor {
         self.attempt = attempt;
     }
 
-    fn trace_for(&mut self, app: AppId, gen: &GenParams) -> (Arc<AppTrace>, Option<ArtifactKey>) {
-        if let Some((a, g, trace, key)) = &self.trace {
-            if *a == app && g == gen {
-                return (Arc::clone(trace), *key);
+    fn trace_for(&mut self, app: AppId, gen: &GenParams) -> CachedTrace {
+        if let Some(cached) = &self.trace {
+            if cached.app == app && cached.gen == *gen {
+                return cached.clone();
             }
         }
         musa_obs::info(
@@ -126,8 +137,15 @@ impl PointExecutor {
                 (Arc::new(generate(app, gen)), None)
             }
         };
-        self.trace = Some((app, *gen, Arc::clone(&trace), key));
-        (trace, key)
+        let cached = CachedTrace {
+            app,
+            gen: *gen,
+            burst_times: Arc::new(BurstMemo::for_trace(&trace)),
+            trace,
+            key,
+        };
+        self.trace = Some(cached.clone());
+        cached
     }
 
     /// Simulate one point. Never panics on a panicking simulation and
@@ -138,9 +156,9 @@ impl PointExecutor {
         // the first point of an application carries its generation.
         musa_prof::point_begin();
         let t0 = std::time::Instant::now();
-        let (trace, trace_key) = self.trace_for(app, &sweep.gen);
-        let mut sim = MultiscaleSim::new(&trace);
-        if let (Some(cache), Some(trace_key)) = (&self.cache, trace_key) {
+        let cached = self.trace_for(app, &sweep.gen);
+        let mut sim = MultiscaleSim::new(&cached.trace).with_burst_memo(cached.burst_times);
+        if let (Some(cache), Some(trace_key)) = (&self.cache, cached.key) {
             sim = sim.with_cache(Arc::clone(cache), trace_key);
         }
         let row = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -40,7 +40,9 @@ pub mod stats;
 pub use fusion::{effective_factor, fuse, FusedBody, FusedInstr};
 pub use geometry::CacheGeometry;
 pub use locality::{analyze_kernel, kernel_footprint_bytes, AccessMix, TemplateLocality};
-pub use multicore::{schedule_region, simulate_region_burst, Schedule, ScheduledItem};
+pub use multicore::{
+    burst_makespan_ns, schedule_region, simulate_region_burst, Schedule, ScheduledItem,
+};
 pub use node::{effective_bandwidth_gbs, estimate_dram_stats, DetailedRegionResult, NodeSim};
 pub use pipeline::{cycles_per_fused_iter, ServiceLatencies};
 pub use profile::{profile_kernel, KernelProfile};

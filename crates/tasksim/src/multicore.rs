@@ -17,7 +17,7 @@
 //! and deliberately do *not* scale with the simulated core frequency —
 //! reproducing the paper's HYDRO scheduling plateau above 2.5 GHz.
 
-use musa_trace::{ComputeRegion, LoopSchedule, RegionWork};
+use musa_trace::{ComputeRegion, LoopSchedule, RegionWork, WorkItem};
 
 /// Where each work item ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,45 +81,92 @@ impl Schedule {
 pub fn schedule_region(
     region: &ComputeRegion,
     cores: u32,
-    mut duration_of: impl FnMut(usize) -> f64,
-    mut critical_of: impl FnMut(usize) -> f64,
+    duration_of: impl FnMut(usize) -> f64,
+    critical_of: impl FnMut(usize) -> f64,
 ) -> Schedule {
     let cores = cores.max(1);
+    let mut timeline = Vec::with_capacity(region.work.items().len());
+    let (makespan_ns, busy_ns) = place_items(region, cores, duration_of, critical_of, |placed| {
+        timeline.push(placed)
+    });
+    Schedule {
+        makespan_ns,
+        timeline,
+        busy_ns,
+        cores,
+    }
+}
+
+/// Core free-times live on the stack up to this many cores (the design
+/// space stops at 64).
+const STACK_CORES: usize = 64;
+
+/// For every dependency of every item, in item then dependency order:
+/// the index of the latest *earlier* item carrying that id, if any. A
+/// dependency that names no earlier item never gates, and a repeated id
+/// resolves to its latest holder.
+fn resolve_deps(items: &[WorkItem]) -> Vec<Option<usize>> {
+    let mut index_of_id = std::collections::HashMap::with_capacity(items.len());
+    let mut resolved = Vec::new();
+    for (i, item) in items.iter().enumerate() {
+        resolved.extend(item.deps.iter().map(|d| index_of_id.get(d).copied()));
+        index_of_id.insert(item.id, i);
+    }
+    resolved
+}
+
+/// The one scheduling loop: list-schedules the items in trace order and
+/// hands every placement to `place`; returns `(makespan, busy)` in ns.
+/// `cores` is at least 1.
+fn place_items(
+    region: &ComputeRegion,
+    cores: u32,
+    mut duration_of: impl FnMut(usize) -> f64,
+    mut critical_of: impl FnMut(usize) -> f64,
+    mut place: impl FnMut(ScheduledItem),
+) -> (f64, f64) {
     let items = region.work.items();
     let n = items.len();
     let spawn = region.spawn_overhead_ns;
     let dispatch = region.dispatch_overhead_ns;
 
-    // Item availability: when the runtime has created it, plus deps.
-    let (avail, master_free, static_assign): (Vec<f64>, f64, bool) = match &region.work {
-        RegionWork::Serial { .. } => (vec![0.0], 0.0, false),
-        RegionWork::ParallelFor { chunks, schedule } => match schedule {
-            // Static: single fork, chunks pre-assigned round-robin.
-            LoopSchedule::Static => (vec![spawn; chunks.len()], spawn, true),
-            // Dynamic: master publishes chunks one by one.
-            LoopSchedule::Dynamic => (
-                (0..chunks.len()).map(|i| spawn * (i + 1) as f64).collect(),
-                spawn * chunks.len() as f64,
-                false,
-            ),
-        },
-        RegionWork::Tasks { items } => (
-            (0..items.len()).map(|i| spawn * (i + 1) as f64).collect(),
-            spawn * items.len() as f64,
-            false,
-        ),
+    // Item availability, when the runtime has created it. Streamed: the
+    // master publishes items one by one, then joins. Otherwise every
+    // item exists as soon as the master is free: at once for a serial
+    // region, after the single fork for statically pre-assigned chunks.
+    let (streamed, master_free, static_assign) = match &region.work {
+        RegionWork::Serial { .. } => (false, 0.0, false),
+        RegionWork::ParallelFor {
+            schedule: LoopSchedule::Static,
+            ..
+        } => (false, spawn, true),
+        RegionWork::ParallelFor {
+            schedule: LoopSchedule::Dynamic,
+            ..
+        }
+        | RegionWork::Tasks { .. } => (true, spawn * n as f64, false),
     };
 
-    // Map item id → finish time for dependency resolution.
-    let mut finish_by_id: std::collections::HashMap<u32, f64> =
-        std::collections::HashMap::with_capacity(n);
+    // Finish times by item index, kept only for task graphs.
+    let has_deps = items.iter().any(|w| !w.deps.is_empty());
+    let (deps, mut finish) = if has_deps {
+        (resolve_deps(items), vec![0.0_f64; n])
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let mut next_dep = 0;
 
     // Core free times; core 0 is the master and joins after spawning.
-    let mut core_free = vec![0.0_f64; cores as usize];
+    let (mut on_stack, mut on_heap) = ([0.0_f64; STACK_CORES], Vec::new());
+    let core_free: &mut [f64] = if cores as usize <= STACK_CORES {
+        &mut on_stack[..cores as usize]
+    } else {
+        on_heap.resize(cores as usize, 0.0);
+        &mut on_heap
+    };
     core_free[0] = master_free;
 
     let mut lock_free = 0.0_f64;
-    let mut timeline = Vec::with_capacity(n);
     let mut busy = 0.0_f64;
     let mut makespan = master_free;
 
@@ -127,12 +174,18 @@ pub fn schedule_region(
         let dur = duration_of(i).max(0.0) + dispatch;
         let crit = critical_of(i).max(0.0).min(dur);
 
-        let deps_done = item
-            .deps
+        let avail = if streamed {
+            spawn * (i + 1) as f64
+        } else {
+            master_free
+        };
+        let named = next_dep..next_dep + item.deps.len();
+        next_dep = named.end;
+        let deps_done = deps[named]
             .iter()
-            .filter_map(|d| finish_by_id.get(d).copied())
-            .fold(0.0_f64, f64::max);
-        let ready = avail[i].max(deps_done);
+            .flatten()
+            .fold(0.0_f64, |done, &j| done.max(finish[j]));
+        let ready = avail.max(deps_done);
 
         // Pick the core: static pre-assignment or earliest-free.
         let core = if static_assign {
@@ -157,12 +210,14 @@ pub fn schedule_region(
         }
 
         core_free[core as usize] = end;
-        finish_by_id.insert(item.id, end);
+        if has_deps {
+            finish[i] = end;
+        }
         busy += end - start;
         if end > makespan {
             makespan = end;
         }
-        timeline.push(ScheduledItem {
+        place(ScheduledItem {
             item: item.id,
             core,
             start_ns: start,
@@ -171,12 +226,7 @@ pub fn schedule_region(
     }
 
     musa_obs::counter_add("tasksim.items_scheduled", n as u64);
-    Schedule {
-        makespan_ns: makespan,
-        timeline,
-        busy_ns: busy,
-        cores,
-    }
+    (makespan, busy)
 }
 
 /// Burst-mode (hardware-agnostic) simulation of a region: durations come
@@ -191,10 +241,24 @@ pub fn simulate_region_burst(region: &ComputeRegion, cores: u32) -> Schedule {
     )
 }
 
+/// The makespan of [`simulate_region_burst`] alone, with no placement
+/// recorded and (for regions without task dependencies) no allocation.
+pub fn burst_makespan_ns(region: &ComputeRegion, cores: u32) -> f64 {
+    let items = region.work.items();
+    place_items(
+        region,
+        cores.max(1),
+        |i| items[i].duration_ns,
+        |i| items[i].critical_ns,
+        |_| {},
+    )
+    .0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use musa_trace::WorkItem;
+    use musa_obs::rng::SplitMix64;
 
     fn par_for(durations: &[f64], spawn: f64, schedule: LoopSchedule) -> ComputeRegion {
         ComputeRegion {
@@ -211,6 +275,219 @@ mod tests {
             spawn_overhead_ns: spawn,
             dispatch_overhead_ns: 0.0,
         }
+    }
+
+    /// The scheduler as it stood before `place_items`: availability in a
+    /// `Vec`, finish times in a map by id. Kept as the oracle.
+    fn schedule_region_reference(
+        region: &ComputeRegion,
+        cores: u32,
+        mut duration_of: impl FnMut(usize) -> f64,
+        mut critical_of: impl FnMut(usize) -> f64,
+    ) -> Schedule {
+        let cores = cores.max(1);
+        let items = region.work.items();
+        let n = items.len();
+        let spawn = region.spawn_overhead_ns;
+        let dispatch = region.dispatch_overhead_ns;
+
+        // Item availability: when the runtime has created it, plus deps.
+        let (avail, master_free, static_assign): (Vec<f64>, f64, bool) = match &region.work {
+            RegionWork::Serial { .. } => (vec![0.0], 0.0, false),
+            RegionWork::ParallelFor { chunks, schedule } => match schedule {
+                // Static: single fork, chunks pre-assigned round-robin.
+                LoopSchedule::Static => (vec![spawn; chunks.len()], spawn, true),
+                // Dynamic: master publishes chunks one by one.
+                LoopSchedule::Dynamic => (
+                    (0..chunks.len()).map(|i| spawn * (i + 1) as f64).collect(),
+                    spawn * chunks.len() as f64,
+                    false,
+                ),
+            },
+            RegionWork::Tasks { items } => (
+                (0..items.len()).map(|i| spawn * (i + 1) as f64).collect(),
+                spawn * items.len() as f64,
+                false,
+            ),
+        };
+
+        // Map item id → finish time for dependency resolution.
+        let mut finish_by_id: std::collections::HashMap<u32, f64> =
+            std::collections::HashMap::with_capacity(n);
+
+        // Core free times; core 0 is the master and joins after spawning.
+        let mut core_free = vec![0.0_f64; cores as usize];
+        core_free[0] = master_free;
+
+        let mut lock_free = 0.0_f64;
+        let mut timeline = Vec::with_capacity(n);
+        let mut busy = 0.0_f64;
+        let mut makespan = master_free;
+
+        for (i, item) in items.iter().enumerate() {
+            let dur = duration_of(i).max(0.0) + dispatch;
+            let crit = critical_of(i).max(0.0).min(dur);
+
+            let deps_done = item
+                .deps
+                .iter()
+                .filter_map(|d| finish_by_id.get(d).copied())
+                .fold(0.0_f64, f64::max);
+            let ready = avail[i].max(deps_done);
+
+            // Pick the core: static pre-assignment or earliest-free.
+            let core = if static_assign {
+                (i as u32) % cores
+            } else {
+                let mut best = 0usize;
+                for (c, &f) in core_free.iter().enumerate().skip(1) {
+                    if f < core_free[best] {
+                        best = c;
+                    }
+                }
+                best as u32
+            };
+
+            let start = ready.max(core_free[core as usize]);
+            let mut end = start + dur;
+            // Critical section at the item's tail serialises on the lock.
+            if crit > 0.0 {
+                let crit_start = (end - crit).max(lock_free);
+                end = crit_start + crit;
+                lock_free = end;
+            }
+
+            core_free[core as usize] = end;
+            finish_by_id.insert(item.id, end);
+            busy += end - start;
+            if end > makespan {
+                makespan = end;
+            }
+            timeline.push(ScheduledItem {
+                item: item.id,
+                core,
+                start_ns: start,
+                end_ns: end,
+            });
+        }
+
+        Schedule {
+            makespan_ns: makespan,
+            timeline,
+            busy_ns: busy,
+            cores,
+        }
+    }
+
+    /// A seeded region of any of the four shapes: serial, static or
+    /// dynamic loop, or a task graph with dependencies (backward,
+    /// repeated, and now and then naming no earlier item), critical
+    /// tails, and ids that are sometimes not the item's index.
+    fn random_region(rng: &mut SplitMix64) -> ComputeRegion {
+        let below = |rng: &mut SplitMix64, n: u64| rng.next_u64() % n;
+        let n = 1 + below(rng, 90) as usize;
+        let sparse_ids = below(rng, 4) == 0;
+        let tasks = below(rng, 2) == 0;
+        let mut items: Vec<WorkItem> = (0..n)
+            .map(|i| {
+                let duration_ns = if below(rng, 10) == 0 {
+                    0.0
+                } else {
+                    1.0 + rng.next_f64() * 1e4
+                };
+                WorkItem {
+                    id: if sparse_ids {
+                        below(rng, 2 * n as u64) as u32
+                    } else {
+                        i as u32
+                    },
+                    critical_ns: if below(rng, 3) == 0 {
+                        duration_ns * rng.next_f64()
+                    } else {
+                        0.0
+                    },
+                    ..WorkItem::simple(0, duration_ns)
+                }
+            })
+            .collect();
+        if tasks {
+            for i in 0..n {
+                for _ in 0..below(rng, 4) {
+                    let dep = match below(rng, 8) {
+                        0 => below(rng, 3 * n as u64) as u32,
+                        _ => items[below(rng, i as u64 + 1) as usize].id,
+                    };
+                    items[i].deps.push(dep);
+                }
+            }
+        }
+        let work = match below(rng, 6) {
+            0 => RegionWork::Serial {
+                item: items.swap_remove(0),
+            },
+            1 | 2 if !tasks => RegionWork::ParallelFor {
+                chunks: items,
+                schedule: LoopSchedule::Static,
+            },
+            3 | 4 if !tasks => RegionWork::ParallelFor {
+                chunks: items,
+                schedule: LoopSchedule::Dynamic,
+            },
+            _ => RegionWork::Tasks { items },
+        };
+        ComputeRegion {
+            region_id: 0,
+            name: "random".into(),
+            work,
+            spawn_overhead_ns: [0.0, 35.0, 400.0][below(rng, 3) as usize],
+            dispatch_overhead_ns: [0.0, 120.0][below(rng, 2) as usize],
+        }
+    }
+
+    #[test]
+    fn schedule_equals_the_reference_bit_for_bit_on_random_regions() {
+        let bits = |s: &Schedule| {
+            let mut v = vec![s.makespan_ns.to_bits(), s.busy_ns.to_bits(), s.cores as u64];
+            for t in &s.timeline {
+                v.extend([
+                    t.item as u64,
+                    t.core as u64,
+                    t.start_ns.to_bits(),
+                    t.end_ns.to_bits(),
+                ]);
+            }
+            v
+        };
+        let mut with_deps = 0;
+        musa_obs::rng::check_cases(1200, |rng| {
+            let region = random_region(rng);
+            let items = region.work.items();
+            with_deps += items.iter().any(|w| !w.deps.is_empty()) as u32;
+            // Detailed mode hands in its own durations: exercise that too.
+            let scale = 0.25 + rng.next_f64() * 4.0;
+            for cores in [0u32, 1, 2, 7, 32, 64, 65, 200] {
+                let want = schedule_region_reference(
+                    &region,
+                    cores,
+                    |i| items[i].duration_ns * scale,
+                    |i| items[i].critical_ns * scale,
+                );
+                let got = schedule_region(
+                    &region,
+                    cores,
+                    |i| items[i].duration_ns * scale,
+                    |i| items[i].critical_ns * scale,
+                );
+                assert_eq!(bits(&got), bits(&want), "cores {cores}: {region:?}");
+                let burst = simulate_region_burst(&region, cores);
+                assert_eq!(
+                    burst_makespan_ns(&region, cores).to_bits(),
+                    burst.makespan_ns.to_bits(),
+                    "makespan-only entry, cores {cores}: {region:?}"
+                );
+            }
+        });
+        assert!(with_deps > 200, "only {with_deps} task graphs generated");
     }
 
     #[test]

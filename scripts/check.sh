@@ -35,6 +35,14 @@ if grep -rn 'pool-worke[r]\|sweep-ke[y]\|MUSA_SEARCH_GEO[M]\|campaign_sweep_si[g
     exit 1
 fi
 
+# The replay adds precomputed durations: the span record nobody but
+# Fig. 4 reads and the per-slot copy of the clocks must not come back.
+if grep -rn 'pub timeline[s]:' crates/net/src ||
+    grep -n 'clock\.clon[e]()' crates/net/src/replay.rs; then
+    echo "check: FAIL — the replay records spans or clones its clocks again (lines above)" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -119,6 +127,12 @@ echo "== pool smoke (supervised --workers 2 vs sequential) =="
 # Byte-identity of the multi-process fill against a sequential run,
 # through the actual shipped binary.
 bash scripts/pool_smoke.sh
+
+echo "== full-grid golden digest (864 x 5 tiny, sequential and --workers 2) =="
+# Every point of the design space against the rows digest taken before
+# the replay and scheduler loops were rewritten; 4,320 points twice, so
+# against the release binary.
+cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
 
 echo "== dist smoke (--listen + 2 dist-workers vs sequential) =="
 # Byte-identity of a distributed fill over loopback TCP, with and
