@@ -113,21 +113,13 @@ fn wait_for_beacon_addr(dir: &Path, sup: &mut Child) -> String {
 /// comparison is layout-independent by construction.
 fn sorted_store_lines(dir: &Path) -> Vec<String> {
     let mut lines = Vec::new();
-    for entry in std::fs::read_dir(dir).unwrap().filter_map(|e| e.ok()) {
-        let path = entry.path();
-        if path.extension().is_some_and(|x| x == "jsonl")
-            && path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_none_or(|n| !musa_store::is_quarantine_file(n) && n != musa_prof::PROFILES_FILE)
-        {
-            lines.extend(
-                std::fs::read_to_string(&path)
-                    .unwrap()
-                    .lines()
-                    .map(str::to_string),
-            );
-        }
+    for path in musa_store::row_files(dir).unwrap() {
+        lines.extend(
+            std::fs::read_to_string(&path)
+                .unwrap()
+                .lines()
+                .map(str::to_string),
+        );
     }
     lines.sort();
     lines

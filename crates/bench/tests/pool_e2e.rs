@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use musa_apps::AppId;
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_fault::{FaultAction, FaultPlan, FaultPoint};
-use musa_store::{journal, LeaseEvent, QUARANTINE_FILE};
+use musa_store::{journal, LeaseEvent};
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
 
@@ -90,20 +90,13 @@ fn stderr_of(out: &Output) -> String {
 /// layout-independent by construction.
 fn sorted_store_lines(dir: &Path) -> Vec<String> {
     let mut lines = Vec::new();
-    for entry in std::fs::read_dir(dir).unwrap().filter_map(|e| e.ok()) {
-        let path = entry.path();
-        if path.extension().is_some_and(|x| x == "jsonl")
-            && path
-                .file_name()
-                .is_none_or(|n| n != QUARANTINE_FILE && n != musa_prof::PROFILES_FILE)
-        {
-            lines.extend(
-                std::fs::read_to_string(&path)
-                    .unwrap()
-                    .lines()
-                    .map(str::to_string),
-            );
-        }
+    for path in musa_store::row_files(dir).unwrap() {
+        lines.extend(
+            std::fs::read_to_string(&path)
+                .unwrap()
+                .lines()
+                .map(str::to_string),
+        );
     }
     lines.sort();
     lines

@@ -1,5 +1,5 @@
-//! File integrity primitives: CRC-32 checksums and crash-atomic file
-//! replacement.
+//! File integrity primitives: CRC-32 checksums, crash-atomic file
+//! replacement and the line-log rule.
 //!
 //! These are the store's durability discipline, hoisted below it in the
 //! crate graph so artifacts and campaign rows share one implementation
@@ -8,6 +8,13 @@
 //! atomic replacement is the classic tmp-in-same-directory + fsync +
 //! rename + fsync-parent sequence, so a crash at any instruction leaves
 //! either the old file or the new file, never a torn mixture.
+//!
+//! Every durable family (rows, lease journal, profiles, search journal)
+//! is an append-only log of one record per line, and [`scan`] is the
+//! one place that decides which line is a record, which a torn tail and
+//! which corruption. A family supplies its `classify`; what it then
+//! does with the result — count, warn, set aside, rewrite — is its
+//! policy and stays with it.
 
 use std::io;
 use std::path::Path;
@@ -64,6 +71,113 @@ pub fn unseal_line(line: &str) -> Option<(String, u32)> {
     let idx = body.rfind(",\"crc\":")?;
     let crc = body[idx + 7..].parse().ok()?;
     Some((format!("{}}}", &body[..idx]), crc))
+}
+
+/// What a family's classifier says about one line of its log.
+pub enum Verdict<R> {
+    /// One of the family's records, parsed.
+    Record(R),
+    /// Healthy data that is not ours to load (a newer- or stale-schema
+    /// line): kept verbatim by a rewrite.
+    Foreign,
+    /// Neither; the reason goes on record with the line.
+    Corrupt(String),
+}
+
+/// A line that is not a record, where it sat and why it was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadLine {
+    /// 1-based line number.
+    pub line: usize,
+    /// The verbatim line.
+    pub raw: String,
+    /// The classifier's reason.
+    pub reason: String,
+}
+
+/// What [`scan`] found in one log.
+pub struct Scan<'a, R> {
+    /// The records, in file order.
+    pub records: Vec<R>,
+    /// The lines a rewrite keeps, verbatim: records and foreign lines.
+    pub kept: Vec<&'a str>,
+    /// Complete (newline-terminated) corrupt lines: damage, since no
+    /// crash leaves them.
+    pub bad: Vec<BadLine>,
+    /// A corrupt final line with no newline: an append cut short by a
+    /// crash, dropped by a rewrite.
+    pub torn: Option<BadLine>,
+    /// The final line has no newline, whatever it classified as (a
+    /// crash can cut exactly between a record's `}` and its `\n`): a
+    /// later append would concatenate onto it.
+    pub unterminated: bool,
+}
+
+/// Classify every line of `text`. Whitespace-only lines are skipped
+/// (and dropped by a rewrite); `classify` sees the 1-based line number
+/// and the line.
+pub fn scan<R>(text: &str, mut classify: impl FnMut(usize, &str) -> Verdict<R>) -> Scan<'_, R> {
+    let mut out = Scan {
+        records: Vec::new(),
+        kept: Vec::new(),
+        bad: Vec::new(),
+        torn: None,
+        unterminated: !text.is_empty() && !text.ends_with('\n'),
+    };
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((i, line)) = lines.next() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match classify(i + 1, line) {
+            Verdict::Record(record) => {
+                out.records.push(record);
+                out.kept.push(line);
+            }
+            Verdict::Foreign => out.kept.push(line),
+            Verdict::Corrupt(reason) => {
+                let bad = BadLine {
+                    line: i + 1,
+                    raw: line.to_string(),
+                    reason,
+                };
+                if out.unterminated && lines.peek().is_none() {
+                    out.torn = Some(bad);
+                } else {
+                    out.bad.push(bad);
+                }
+            }
+        }
+    }
+    out
+}
+
+impl<R> Scan<'_, R> {
+    /// Whether the file must be rewritten before it is appended to
+    /// again: it holds corrupt lines or does not end in a newline.
+    pub fn needs_rewrite(&self) -> bool {
+        !self.bad.is_empty() || self.unterminated
+    }
+
+    /// Atomically replace `path` with the kept lines, each
+    /// newline-terminated. The caller sets [`Scan::bad`] aside first,
+    /// so a crash between the two steps loses nothing.
+    pub fn rewrite(&self, path: &Path, failpoint: &str) -> io::Result<()> {
+        let mut text = String::new();
+        for line in &self.kept {
+            text.push_str(line);
+            text.push('\n');
+        }
+        atomic_write(path, text.as_bytes(), failpoint)
+    }
+}
+
+/// Read a log whole; a log never written is an empty log.
+pub fn read_log(path: &Path) -> io::Result<String> {
+    match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
+        other => other,
+    }
 }
 
 /// Distinguishes concurrent `atomic_write` calls *within* one process:

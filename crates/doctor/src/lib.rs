@@ -27,7 +27,7 @@
 //!   (property-tested in `tests/repair_props.rs`);
 //! * **never destructive** — every removed byte lands in quarantine
 //!   with provenance: corrupt rows and journal lines are appended to
-//!   `quarantine.jsonl` via [`musa_store::quarantine_evidence`], corrupt
+//!   `quarantine.jsonl` via [`musa_store::set_aside`], corrupt
 //!   artifacts and temp litter move to the artifact `quarantine/`
 //!   directory with a `.reason` note, and a corrupt search journal is
 //!   preserved whole under a fingerprinted name.
@@ -40,9 +40,10 @@ pub mod torture;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use musa_cache::integrity::{read_log, scan, BadLine, Verdict};
 use musa_cache::VerifyVerdict;
 use musa_obs::json::{escape, JsonObj, JsonValue};
-use musa_store::{QuarantineRecord, LEASE_JOURNAL_FILE, QUARANTINE_FILE, QUARANTINE_KEEP};
+use musa_store::{LEASE_JOURNAL_FILE, QUARANTINE_FILE, QUARANTINE_KEEP};
 
 /// Status beacon the CLI drops in the store directory after
 /// `dse doctor --repair`: `{"severity":..,"exit_code":..,"repaired":..,
@@ -446,51 +447,16 @@ fn audit_leases(dir: &Path) -> FamilyReport {
 }
 
 fn repair_leases(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    let path = dir.join(LEASE_JOURNAL_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if text.is_empty() {
-        return Ok(());
-    }
-    // Quarantine the damaged lines BEFORE the journal's own open
-    // rewrites the file without them — repair must not lose bytes. The
-    // torn tail (unterminated final line) is normal crash residue and
-    // is truncated, not quarantined, matching every other journal.
-    let ends_nl = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    let mut quarantined = 0u64;
-    for (i, line) in lines.iter().enumerate() {
-        if i == last && !ends_nl {
-            continue;
-        }
-        if let Err(reason) = musa_store::LeaseEvent::parse(line) {
-            let appended = musa_store::quarantine_evidence(
-                dir,
-                &QuarantineRecord {
-                    file: LEASE_JOURNAL_FILE.to_string(),
-                    line: i + 1,
-                    reason: format!("lease journal line failed to parse: {reason}"),
-                    raw: (*line).to_string(),
-                },
-            )?;
-            if appended {
-                quarantined += 1;
-            }
-        }
-    }
     let rep = musa_store::journal::replay(dir);
     if rep.skipped > 0 || rep.torn_tail || !rep.clean_terminated {
-        // The journal's own appendable open rewrites the surviving
-        // events atomically.
+        // The journal's own appendable open sets the corrupt lines
+        // aside and rewrites the rest atomically. The torn tail is
+        // normal crash residue: truncated, not quarantined.
         let _ = musa_store::LeaseJournal::open(dir)?;
         actions.push(format!(
             "leases: rewrote journal ({} event(s) kept, {} line(s) quarantined, torn tail: {})",
             rep.events.len(),
-            quarantined,
+            rep.skipped,
             rep.torn_tail
         ));
     }
@@ -500,22 +466,10 @@ fn repair_leases(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
 // -------------------------------------------------------------- search
 
 enum SearchScan {
-    Absent,
-    Newer {
-        lines: u64,
-    },
-    Clean {
-        lines: u64,
-    },
-    Torn {
-        complete: u64,
-        prefix: usize,
-    },
-    Corrupt {
-        line_no: usize,
-        reason: String,
-        raw: String,
-    },
+    Newer { lines: u64 },
+    Clean { lines: u64 },
+    Torn { complete: u64, prefix: usize },
+    Corrupt(BadLine),
 }
 
 fn search_journal_path(dir: &Path) -> PathBuf {
@@ -524,53 +478,43 @@ fn search_journal_path(dir: &Path) -> PathBuf {
 }
 
 fn scan_search_journal(path: &Path) -> io::Result<SearchScan> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SearchScan::Absent),
-        Err(e) => return Err(e),
-    };
-    if text.is_empty() {
-        return Ok(SearchScan::Clean { lines: 0 });
+    let text = read_log(path)?;
+    let newer = text
+        .lines()
+        .next()
+        .and_then(|first| JsonValue::parse(first).ok())
+        .and_then(|v| v.get("v").and_then(JsonValue::as_u64))
+        .is_some_and(|s| s > musa_search::JOURNAL_SCHEMA);
+    if newer {
+        return Ok(SearchScan::Newer {
+            lines: text.lines().count() as u64,
+        });
     }
-    let ends_nl = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    if let Some(first) = lines.first() {
-        if let Ok(v) = JsonValue::parse(first) {
-            let newer = v
-                .get("v")
-                .and_then(JsonValue::as_u64)
-                .is_some_and(|s| s > musa_search::JOURNAL_SCHEMA);
-            if newer {
-                return Ok(SearchScan::Newer {
-                    lines: lines.len() as u64,
-                });
-            }
-        }
+    let scan = scan(&text, classify_search_line);
+    if let Some(bad) = scan.bad.into_iter().next() {
+        return Ok(SearchScan::Corrupt(bad));
     }
-    let last = lines.len() - 1;
-    let mut prefix = 0usize;
-    for (i, line) in lines.iter().enumerate() {
-        if i == last && !ends_nl {
-            // An unterminated final line is torn residue whether or not
-            // it parses — `SearchJournal::open` truncates it identically
-            // (a resumed search re-records the step).
-            return Ok(SearchScan::Torn {
-                complete: i as u64,
-                prefix,
-            });
-        }
-        if let Err(reason) = validate_search_line(line, i == 0) {
-            return Ok(SearchScan::Corrupt {
-                line_no: i + 1,
-                reason,
-                raw: (*line).to_string(),
-            });
-        }
-        prefix += line.len() + 1;
+    if scan.unterminated {
+        // An unterminated final line is torn residue whether or not
+        // it parses — `SearchJournal::open` truncates it identically
+        // (a resumed search re-records the step).
+        let prefix = text.rfind('\n').map_or(0, |nl| nl + 1);
+        return Ok(SearchScan::Torn {
+            complete: text[..prefix].lines().count() as u64,
+            prefix,
+        });
     }
     Ok(SearchScan::Clean {
-        lines: lines.len() as u64,
+        lines: scan.kept.len() as u64,
     })
+}
+
+/// The search family's line classifier for [`scan`].
+fn classify_search_line(line_no: usize, line: &str) -> Verdict<()> {
+    match validate_search_line(line, line_no == 1) {
+        Ok(()) => Verdict::Record(()),
+        Err(reason) => Verdict::Corrupt(reason),
+    }
 }
 
 fn validate_search_line(line: &str, first: bool) -> Result<(), String> {
@@ -598,9 +542,6 @@ fn validate_search_line(line: &str, first: bool) -> Result<(), String> {
 fn audit_search(dir: &Path) -> io::Result<FamilyReport> {
     let mut fam = FamilyReport::new("search");
     match scan_search_journal(&search_journal_path(dir))? {
-        SearchScan::Absent => {
-            fam.count("journal_lines", 0);
-        }
         SearchScan::Newer { lines } => {
             fam.count("journal_lines", lines).note(
                 Severity::Ok,
@@ -616,13 +557,12 @@ fn audit_search(dir: &Path) -> io::Result<FamilyReport> {
                 "torn final journal line (crash residue; repair truncates, a resumed search re-records it)",
             );
         }
-        SearchScan::Corrupt {
-            line_no, reason, ..
-        } => {
+        SearchScan::Corrupt(bad) => {
             fam.count("journal_lines", 0).note(
                 Severity::Corrupt,
                 format!(
-                    "journal line {line_no} corrupt ({reason}); repair preserves the file and quarantines the evidence"
+                    "journal line {} corrupt ({}); repair preserves the file and quarantines the evidence",
+                    bad.line, bad.reason
                 ),
             );
         }
@@ -633,7 +573,7 @@ fn audit_search(dir: &Path) -> io::Result<FamilyReport> {
 fn repair_search(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
     let path = search_journal_path(dir);
     match scan_search_journal(&path)? {
-        SearchScan::Absent | SearchScan::Newer { .. } | SearchScan::Clean { .. } => Ok(()),
+        SearchScan::Newer { .. } | SearchScan::Clean { .. } => Ok(()),
         SearchScan::Torn { complete, prefix } => {
             let text = std::fs::read_to_string(&path)?;
             musa_store::atomic_write(&path, &text.as_bytes()[..prefix], "doctor.repair")?;
@@ -642,11 +582,7 @@ fn repair_search(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
             ));
             Ok(())
         }
-        SearchScan::Corrupt {
-            line_no,
-            reason,
-            raw,
-        } => {
+        SearchScan::Corrupt(mut bad) => {
             // Interior corruption means the replay cursor cannot trust
             // anything after the damage. Preserve the whole file under a
             // content-fingerprinted name (never delete evidence), leave a
@@ -661,17 +597,15 @@ fn repair_search(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
             );
             let dest = path.with_file_name(&preserved);
             std::fs::rename(&path, &dest)?;
-            musa_store::quarantine_evidence(
+            bad.reason = format!(
+                "search journal corrupt ({}); full file preserved as {}/{preserved}",
+                bad.reason,
+                musa_search::SEARCH_DIR
+            );
+            musa_store::set_aside(
                 dir,
-                &QuarantineRecord {
-                    file: format!("{}/{}", musa_search::SEARCH_DIR, musa_search::JOURNAL_FILE),
-                    line: line_no,
-                    reason: format!(
-                        "search journal corrupt ({reason}); full file preserved as {}/{preserved}",
-                        musa_search::SEARCH_DIR
-                    ),
-                    raw,
-                },
+                &format!("{}/{}", musa_search::SEARCH_DIR, musa_search::JOURNAL_FILE),
+                &[bad],
             )?;
             actions.push(format!(
                 "search: preserved corrupt journal as {}/{preserved} and quarantined the evidence",
@@ -814,49 +748,12 @@ fn audit_profiles(dir: &Path) -> io::Result<FamilyReport> {
     Ok(fam)
 }
 
-fn quarantine_bad_profile_lines(dir: &Path, rel: &str, path: &Path) -> io::Result<u64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    if text.is_empty() {
-        return Ok(0);
-    }
-    let ends_nl = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len() - 1;
-    let mut quarantined = 0u64;
-    for (i, line) in lines.iter().enumerate() {
-        if i == last && !ends_nl {
-            continue; // torn tail: crash residue, dropped by harvest
-        }
-        if musa_prof::PointProfile::parse(line).is_none() {
-            let appended = musa_store::quarantine_evidence(
-                dir,
-                &QuarantineRecord {
-                    file: rel.to_string(),
-                    line: i + 1,
-                    reason: "profile record failed checksum or parse".to_string(),
-                    raw: (*line).to_string(),
-                },
-            )?;
-            if appended {
-                quarantined += 1;
-            }
-        }
-    }
-    Ok(quarantined)
-}
-
 fn repair_profiles(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
     // `harvest` rewrites the recorder file without its corrupt lines —
-    // quarantine those bytes first.
-    let quarantined = quarantine_bad_profile_lines(
-        dir,
-        musa_prof::PROFILES_FILE,
-        &dir.join(musa_prof::PROFILES_FILE),
-    )?;
+    // set those bytes aside first. (Its torn tail is crash residue.)
+    let text = read_log(&dir.join(musa_prof::PROFILES_FILE))?;
+    let bad = scan(&text, musa_prof::classify_profile).bad;
+    let quarantined = musa_store::set_aside(dir, musa_prof::PROFILES_FILE, &bad)?.appended;
     let (_, rep) = musa_prof::load_profiles(dir)?;
     if rep.repaired_anything() {
         musa_prof::harvest(dir)?;
@@ -906,7 +803,7 @@ fn audit_quarantine(dir: &Path) -> FamilyReport {
     let mut rotated = 0u64;
     let mut rotations = 0u64;
     for i in 1..=QUARANTINE_KEEP {
-        let path = dir.join(format!("quarantine.{i}.jsonl"));
+        let path = musa_store::quarantine_rotation_path(dir, i);
         if path.is_file() {
             rotations += 1;
             rotated += count_lines(&path);
@@ -1109,6 +1006,163 @@ mod tests {
         assert!(evidence.contains("definitely not a sealed profile record"));
         assert!(evidence.contains(musa_prof::PROFILES_FILE));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The line rule, checked with one family's classifier over a log
+    /// of its own records (`lines`, one record each).
+    ///
+    /// The journal's truncation property, now the scanner's: a cut at
+    /// **every** byte offset keeps exactly the fully written lines
+    /// (plus the fragment iff it is itself a record — a crash exactly
+    /// between a line's last byte and its newline), flags a torn tail
+    /// iff the fragment is not a record, never reports interior
+    /// corruption, and a repair followed by an append never merges two
+    /// lines. Exhaustive rather than sampled: the log is small enough
+    /// to try every cut.
+    fn check_line_rule<R: PartialEq + std::fmt::Debug>(
+        tag: &str,
+        lines: &[String],
+        classify: impl Fn(usize, &str) -> Verdict<R>,
+    ) {
+        let dir = tdir(tag);
+        let path = dir.join("log");
+        let full: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        assert!(full.is_ascii(), "{tag}: every byte offset must be a cut");
+        let whole = scan(&full, &classify);
+        assert_eq!(whole.kept, lines, "{tag}: the fixture must be records");
+        assert!(whole.bad.is_empty() && whole.torn.is_none() && !whole.needs_rewrite());
+
+        for n in 0..=full.len() {
+            let cut = &full[..n];
+            let tail = &cut[cut.rfind('\n').map_or(0, |nl| nl + 1)..];
+            let complete = cut.matches('\n').count();
+            let tail_is_record =
+                !tail.is_empty() && matches!(classify(complete + 1, tail), Verdict::Record(_));
+            let expected = complete + usize::from(tail_is_record);
+
+            let found = scan(cut, &classify);
+            assert_eq!(
+                found.records,
+                whole.records[..expected],
+                "{tag}: cut at {n}"
+            );
+            assert_eq!(found.kept, lines[..expected], "{tag}: cut at {n}");
+            assert!(found.bad.is_empty(), "{tag}: cut at {n}: {:?}", found.bad);
+            let torn = !tail.is_empty() && !tail_is_record;
+            assert_eq!(found.torn.is_some(), torn, "{tag}: cut at {n}");
+            assert_eq!(found.unterminated, !tail.is_empty(), "{tag}: cut at {n}");
+
+            // Repairing before the next append keeps it from
+            // concatenating onto an unterminated line.
+            std::fs::write(&path, cut).unwrap();
+            if found.needs_rewrite() {
+                found.rewrite(&path, "store.rewrite").unwrap();
+            }
+            let probe = &lines[expected.min(lines.len() - 1)];
+            let mut repaired = std::fs::read_to_string(&path).unwrap();
+            repaired.push_str(probe);
+            repaired.push('\n');
+            let after = scan(&repaired, &classify);
+            assert!(
+                after.torn.is_none() && !after.needs_rewrite(),
+                "{tag}: cut at {n}"
+            );
+            assert_eq!(
+                after.kept[..expected],
+                lines[..expected],
+                "{tag}: cut at {n}"
+            );
+            assert_eq!(
+                after.kept[expected..],
+                [probe.as_str()],
+                "{tag}: cut at {n}"
+            );
+        }
+
+        // The two cases the hand-rolled loops disagreed on. A *complete*
+        // garbage final line (its newline is there) is corruption, not
+        // a torn tail: no crash writes a whole wrong line.
+        let garbled = format!("{full}not a record of any family\n");
+        let found = scan(&garbled, &classify);
+        assert_eq!(found.kept, lines, "{tag}");
+        assert!(found.torn.is_none() && !found.unterminated, "{tag}");
+        assert_eq!(found.bad.len(), 1, "{tag}");
+        assert_eq!(found.bad[0].line, lines.len() + 1, "{tag}");
+        assert_eq!(found.bad[0].raw, "not a record of any family", "{tag}");
+        // An unterminated final line that is a record is a record.
+        let unterminated = full.trim_end_matches('\n');
+        let found = scan(unterminated, &classify);
+        assert_eq!(found.records, whole.records, "{tag}");
+        assert!(found.torn.is_none() && found.bad.is_empty(), "{tag}");
+        assert!(found.unterminated && found.needs_rewrite(), "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_family_classifier_obeys_the_line_rule() {
+        let rows: Vec<String> = (0..3u32)
+            .map(|i| {
+                let x = f64::from(i);
+                let result = musa_core::ConfigResult {
+                    app: musa_apps::AppId::Hydro.label().to_string(),
+                    config: musa_arch::DesignSpace::all()[i as usize],
+                    time_ns: 1.0 + x,
+                    region_ns: 0.5 + x,
+                    power: Default::default(),
+                    energy_j: x / 5.0,
+                    l1_mpki: x,
+                    l2_mpki: x / 2.0,
+                    l3_mpki: x / 4.0,
+                    mem_mpki: x / 8.0,
+                    gmemreq_per_s: x,
+                    mem_stretch: 1.0,
+                    region_efficiency: 0.5,
+                };
+                let row = musa_store::StoreRow::new(musa_apps::GenParams::tiny(), false, result);
+                musa_store::SealedRow::seal(row).line
+            })
+            .collect();
+        check_line_rule("rule-rows", &rows, |line_no, line| {
+            let mut health = musa_store::StoreHealth::default();
+            musa_store::classify_row(Path::new("rows.jsonl"), line_no, line, &mut health)
+        });
+
+        let events = [
+            r#"{"ev":"rgrant","lease":1,"attempt":0,"points":[0,3,7],"peer":"w42@127.0.0.1:45001"}"#,
+            r#"{"ev":"dead","lease":1,"attempt":0,"done":1,"blamed":null,"reason":"exit status 101"}"#,
+            r#"{"ev":"requeue","lease":2,"attempt":1,"from":1,"backoff_ms":6,"points":2}"#,
+            r#"{"ev":"poison","key":"00c0ffee00c0ffee","app":"hydro","config":"cfg with \"quotes\"","strikes":3,"reason":"deadline exceeded (300ms)"}"#,
+            r#"{"ev":"done","lease":2,"attempt":1,"rows":2}"#,
+            r#"{"ev":"interrupted","reason":"SIGINT"}"#,
+            r#"{"ev":"complete","simulated":3,"poisoned":1}"#,
+        ]
+        .map(str::to_string);
+        check_line_rule("rule-leases", &events, musa_store::journal::classify_event);
+
+        let profiles: Vec<String> = ["aaaa", "bbbb", "cccc"]
+            .iter()
+            .map(|key| {
+                musa_prof::PointProfile {
+                    schema: musa_prof::PROF_SCHEMA,
+                    key: key.to_string(),
+                    app: "hydro".into(),
+                    config: "c64".into(),
+                    worker: "fill".into(),
+                    phases: [("burst".to_string(), 7)].into(),
+                    ..Default::default()
+                }
+                .to_line()
+            })
+            .collect();
+        check_line_rule("rule-profiles", &profiles, musa_prof::classify_profile);
+
+        let search = [
+            musa_search::journal::header_line("anneal", 9, "tiny", "hydro", 24, 8, 1.5, "tiny"),
+            musa_search::journal::gen_line(0, 1.0, 8, 8, 8, 3, 0.25),
+            musa_search::journal::gen_line(1, 0.5, 8, 6, 14, 4, 0.5),
+            musa_search::journal::done_line(14, 4, 0.5),
+        ];
+        check_line_rule("rule-search", &search, classify_search_line);
     }
 
     #[test]

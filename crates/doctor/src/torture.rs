@@ -607,22 +607,12 @@ fn wait_for_beacon(store: &Path, sup: &mut Child) -> io::Result<Option<String>> 
     Ok(None)
 }
 
-/// Every store row in `dir`, sorted: all `*.jsonl` shards the row
-/// loader would merge — excluding quarantine evidence and the profile
-/// recorder, which are not campaign rows.
+/// Every store row in `dir`, sorted: the lines of all the shards the
+/// row loader would merge.
 fn store_rows_sorted(dir: &Path) -> io::Result<Vec<String>> {
     let mut rows = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if !name.ends_with(".jsonl")
-            || musa_store::is_quarantine_file(name)
-            || name == musa_prof::PROFILES_FILE
-        {
-            continue;
-        }
-        let text = std::fs::read_to_string(entry.path())?;
+    for file in musa_store::row_files(dir)? {
+        let text = std::fs::read_to_string(file)?;
         rows.extend(text.lines().map(str::to_string));
     }
     rows.sort();

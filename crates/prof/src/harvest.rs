@@ -18,6 +18,7 @@
 use std::path::Path;
 
 use musa_cache::atomic_write;
+use musa_cache::integrity::{read_log, scan, Verdict};
 
 use crate::record::{PointProfile, PROFILES_FILE};
 
@@ -41,31 +42,26 @@ impl HarvestReport {
     }
 }
 
+/// The profile family's line classifier for [`scan`].
+pub fn classify_profile(_line_no: usize, line: &str) -> Verdict<PointProfile> {
+    match PointProfile::parse(line) {
+        Some(p) => Verdict::Record(p),
+        None => Verdict::Corrupt("profile record failed checksum or parse".to_string()),
+    }
+}
+
 /// Read one profile file leniently. Missing file ⇒ empty. Records come
 /// back in file order.
 pub fn read_profile_file(path: &Path) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
-    let mut report = HarvestReport::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
+    let text = read_log(path)?;
+    let scan = scan(&text, classify_profile);
+    let report = HarvestReport {
+        records: scan.records.len(),
+        duplicates: 0,
+        torn_tails: usize::from(scan.torn.is_some()),
+        corrupt: scan.bad.len(),
     };
-    let ends_with_newline = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    let mut records = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match PointProfile::parse(line) {
-            Some(p) => records.push(p),
-            None if i == last && !ends_with_newline => report.torn_tails += 1,
-            None => report.corrupt += 1,
-        }
-    }
-    report.records = records.len();
-    Ok((records, report))
+    Ok((scan.records, report))
 }
 
 /// Read, dedup and sort every profile record under `dir` **in

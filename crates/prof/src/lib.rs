@@ -60,7 +60,7 @@ pub mod trace;
 /// build dead-code-eliminates the whole recording layer.
 pub const COMPILED: bool = cfg!(feature = "runtime");
 
-pub use harvest::{harvest, load_profiles, read_profile_file, HarvestReport};
+pub use harvest::{classify_profile, harvest, load_profiles, read_profile_file, HarvestReport};
 pub use record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 pub use recorder::{
     cache_note, enabled_from_env, install_line_recorder, install_store_recorder, point_begin,

@@ -14,8 +14,9 @@
 //! Appends are `write + fdatasync`, one event per line, so the journal
 //! survives anything the store's own rows survive. A crash can still
 //! tear the final line; [`LeaseJournal::open`] repairs exactly like
-//! the row stores do — surviving lines are rewritten atomically
-//! (tmp + fsync + rename) and the torn tail is dropped. Replay
+//! the row stores do — unparsable interior lines go on record in the
+//! quarantine file, the surviving lines are rewritten atomically and
+//! verbatim (tmp + fsync + rename) and the torn tail is dropped. Replay
 //! ([`replay`]) is lenient: a torn tail or an unparsable interior line
 //! is counted and skipped, never fatal, because the journal is
 //! recovery metadata — losing an event costs at most one redundant
@@ -35,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use musa_obs::json::{JsonObj, JsonValue};
 
-use crate::integrity::atomic_write;
+use crate::integrity::{scan, Scan, Verdict};
 
 /// Name of the lease journal inside the store directory.
 pub const LEASE_JOURNAL_FILE: &str = "leases.journal";
@@ -372,29 +373,29 @@ pub fn replay(dir: &Path) -> JournalReplay {
     replay_path(&dir.join(LEASE_JOURNAL_FILE))
 }
 
-fn replay_path(path: &Path) -> JournalReplay {
-    let mut out = JournalReplay {
-        clean_terminated: true,
-        ..JournalReplay::default()
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return out;
-    };
-    let ends_with_newline = text.ends_with('\n');
-    out.clean_terminated = ends_with_newline || text.is_empty();
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match LeaseEvent::parse(line) {
-            Ok(ev) => out.events.push(ev),
-            Err(_) if i == last && !ends_with_newline => out.torn_tail = true,
-            Err(_) => out.skipped += 1,
+/// The lease family's line classifier for [`scan`].
+pub fn classify_event(_line_no: usize, line: &str) -> Verdict<LeaseEvent> {
+    match LeaseEvent::parse(line) {
+        Ok(ev) => Verdict::Record(ev),
+        Err(e) => Verdict::Corrupt(format!("lease journal line failed to parse: {e}")),
+    }
+}
+
+impl JournalReplay {
+    fn of(scan: Scan<LeaseEvent>) -> JournalReplay {
+        JournalReplay {
+            torn_tail: scan.torn.is_some(),
+            skipped: scan.bad.len() as u64,
+            clean_terminated: !scan.unterminated,
+            events: scan.records,
         }
     }
-    out
+}
+
+fn replay_path(path: &Path) -> JournalReplay {
+    // Lenient: an unreadable journal is an empty one.
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    JournalReplay::of(scan(&text, classify_event))
 }
 
 /// An open, appendable lease journal.
@@ -405,31 +406,30 @@ pub struct LeaseJournal {
 }
 
 impl LeaseJournal {
-    /// Open (or create) the journal in `dir`, repairing a torn tail or
-    /// corrupt interior lines by atomically rewriting the surviving
-    /// events first, and return it together with the replayed state.
-    /// Only the supervisor calls this; workers never touch the
-    /// journal.
+    /// Open (or create) the journal in `dir` and return it together
+    /// with the replayed state. A torn tail or corrupt interior lines
+    /// are repaired first: the corrupt lines go on record in the
+    /// store's quarantine file, then the surviving lines are rewritten
+    /// atomically, verbatim. Only the supervisor calls this; workers
+    /// never touch the journal.
     pub fn open(dir: &Path) -> std::io::Result<(LeaseJournal, JournalReplay)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LEASE_JOURNAL_FILE);
-        let replayed = replay_path(&path);
-        if replayed.torn_tail || replayed.skipped > 0 || !replayed.clean_terminated {
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        let scan = scan(&text, classify_event);
+        if scan.needs_rewrite() {
             musa_obs::warn(
                 "musa-store",
                 "lease journal repaired",
                 &[
-                    ("torn_tail", replayed.torn_tail.to_string().into()),
-                    ("skipped", replayed.skipped.into()),
+                    ("torn_tail", scan.torn.is_some().to_string().into()),
+                    ("skipped", scan.bad.len().into()),
                 ],
             );
-            let mut out = String::new();
-            for ev in &replayed.events {
-                out.push_str(&ev.to_json());
-                out.push('\n');
-            }
-            atomic_write(&path, out.as_bytes(), "store.rewrite")?;
+            crate::set_aside(dir, LEASE_JOURNAL_FILE, &scan.bad)?;
+            scan.rewrite(&path, "store.rewrite")?;
         }
+        let replayed = JournalReplay::of(scan);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok((
             LeaseJournal {
@@ -652,60 +652,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The PR 4 store proptest's property, applied to the journal:
-    /// truncating the file at **every** byte offset must keep exactly
-    /// the events whose full line (newline included) survived, and
-    /// never fail the replay. Exhaustive rather than sampled — the
-    /// file is small enough to try every cut, which is strictly
-    /// stronger than `proptest` drawing offsets.
+    /// The repairing open must not lose bytes: a corrupt interior line
+    /// goes on record in the quarantine file before the rewrite drops
+    /// it, the surviving lines stay verbatim (a legacy `grant` line is
+    /// not respelled), and the replayed state is what a read-only
+    /// replay of the damaged file gives.
     #[test]
-    fn replay_survives_truncation_at_every_offset() {
-        let dir = tmp_dir("truncate");
+    fn open_sets_corrupt_interior_lines_aside() {
+        let dir = tmp_dir("aside");
         let path = dir.join(LEASE_JOURNAL_FILE);
-        let mut full = String::new();
-        for ev in sample_events() {
-            full.push_str(&ev.to_json());
-            full.push('\n');
-        }
-        let bytes = full.as_bytes();
-        for n in 0..=bytes.len() {
-            // Events that must survive a cut at byte `n`: every
-            // newline-terminated line, plus the trailing fragment iff
-            // it happens to be a complete serialisation (a crash that
-            // cut exactly between the final `}` and its newline).
-            let complete = bytes[..n].iter().filter(|&&b| b == b'\n').count();
-            let tail_start = bytes[..n]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |p| p + 1);
-            let tail = &full[tail_start..n];
-            let tail_parses = !tail.is_empty() && LeaseEvent::parse(tail).is_ok();
-            let expected = complete + usize::from(tail_parses);
+        let legacy = r#"{"ev":"grant","lease":1,"attempt":0,"points":[0,3]}"#;
+        let garbage = r#"{"ev":"dead","lease":1,"att\u0000 flipped bits"#;
+        let done = LeaseEvent::Done {
+            lease: 1,
+            attempt: 0,
+            rows: 2,
+        };
+        std::fs::write(&path, format!("{legacy}\n{garbage}\n{}\n", done.to_json())).unwrap();
+        let before = replay(&dir);
+        assert_eq!((before.events.len(), before.skipped), (2, 1));
 
-            std::fs::write(&path, &bytes[..n]).unwrap();
-            let replayed = replay_path(&path);
-            assert_eq!(
-                replayed.events,
-                sample_events()[..expected],
-                "cut at byte {n}: surviving events wrong"
-            );
-            assert_eq!(replayed.skipped, 0, "cut at byte {n}");
-            let torn = !tail.is_empty() && !tail_parses;
-            assert_eq!(replayed.torn_tail, torn, "cut at byte {n}");
-            // Opening for append must repair so that a subsequent
-            // append never concatenates onto an un-terminated line.
-            let (mut journal, _) = LeaseJournal::open(&dir).unwrap();
-            let appended = LeaseEvent::Interrupted {
-                reason: "probe".into(),
-            };
-            journal.append(&appended).unwrap();
-            drop(journal);
-            let after = replay_path(&path);
-            assert!(!after.torn_tail, "cut at byte {n}: repair left a tear");
-            assert_eq!(after.events.len(), expected + 1, "cut at byte {n}");
-            assert_eq!(after.events[..expected], sample_events()[..expected]);
-            assert_eq!(after.events[expected], appended, "cut at byte {n}");
-        }
+        let (journal, replayed) = LeaseJournal::open(&dir).unwrap();
+        drop(journal);
+        assert_eq!(replayed, before, "the repair must not change the state");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{legacy}\n{}\n", done.to_json())
+        );
+        let evidence = std::fs::read_to_string(dir.join(crate::QUARANTINE_FILE)).unwrap();
+        let record: crate::QuarantineRecord =
+            musa_obs::json::from_str(evidence.lines().next().unwrap()).unwrap();
+        assert_eq!(record.raw, garbage);
+        assert_eq!((record.file.as_str(), record.line), (LEASE_JOURNAL_FILE, 2));
+        assert!(
+            record
+                .reason
+                .starts_with("lease journal line failed to parse: "),
+            "{}",
+            record.reason
+        );
+        assert_eq!(evidence.lines().count(), 1);
+
+        // The same incident met again is the same record.
+        std::fs::write(&path, format!("{garbage}\n")).unwrap();
+        let _ = LeaseJournal::open(&dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join(crate::QUARANTINE_FILE)).unwrap(),
+            evidence
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -70,7 +70,8 @@ pub use journal::{JournalReplay, LeaseEvent, LeaseJournal, PoolPoisonRecord, LEA
 pub use key::{fnv1a_64, PointKey, SCHEMA_VERSION};
 pub use shard::Shard;
 pub use store::{
-    is_quarantine_file, quarantine_evidence, CampaignStore, FillOptions, FillReport, PoisonedPoint,
-    QuarantineRecord, StoreHealth, StoreRow, DEFAULT_BATCH, DEFAULT_MAX_RETRIES,
-    DEFAULT_WRITE_FILE, QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
+    classify_row, is_quarantine_file, quarantine_rotation_path, row_files, set_aside,
+    CampaignStore, FillOptions, FillReport, PoisonedPoint, QuarantineRecord, SetAside, StoreHealth,
+    StoreRow, DEFAULT_BATCH, DEFAULT_MAX_RETRIES, DEFAULT_WRITE_FILE, QUARANTINE_FILE,
+    QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
 };

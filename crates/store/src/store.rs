@@ -44,7 +44,7 @@ use musa_cache::ArtifactCache;
 use musa_core::{Campaign, ConfigResult, SweepOptions};
 
 use crate::executor::{PointExecutor, SealedRow};
-use crate::integrity::{atomic_write, crc32, unseal_line};
+use crate::integrity::{crc32, scan, unseal_line, BadLine, Verdict};
 use crate::key::{PointKey, SCHEMA_VERSION};
 use crate::shard::Shard;
 
@@ -78,7 +78,8 @@ pub fn is_quarantine_file(name: &str) -> bool {
     name == QUARANTINE_FILE || (name.starts_with("quarantine.") && name.ends_with(".jsonl"))
 }
 
-fn quarantine_rotation_path(dir: &Path, i: u32) -> PathBuf {
+/// Path of the `i`-th rotation (1 = newest) of [`QUARANTINE_FILE`].
+pub fn quarantine_rotation_path(dir: &Path, i: u32) -> PathBuf {
     dir.join(format!("quarantine.{i}.jsonl"))
 }
 
@@ -89,29 +90,22 @@ fn quarantine_cap() -> u64 {
         .unwrap_or(QUARANTINE_ROTATE_BYTES)
 }
 
-/// Append one provenance record produced *outside* the row loader —
-/// a corrupt journal line the doctor pulled, a preserved file moved
-/// aside — to `<dir>/quarantine.jsonl`, with the loader's own dedupe
-/// across the primary file and every rotation. Returns `true` when a
-/// line was appended, `false` when the identical incident (same raw
-/// bytes, same reason) was already on record.
-pub fn quarantine_evidence(dir: &Path, record: &QuarantineRecord) -> std::io::Result<bool> {
-    let path = dir.join(QUARANTINE_FILE);
-    let mut seen = existing_quarantine_fingerprints(&path);
-    for i in 1..=QUARANTINE_KEEP {
-        seen.extend(existing_quarantine_fingerprints(&quarantine_rotation_path(
-            dir, i,
-        )));
-    }
-    if seen.contains(&quarantine_fingerprint(&record.raw, &record.reason)) {
-        return Ok(false);
-    }
-    let line = musa_obs::json::to_string(record);
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")?;
-    file.sync_all()?;
-    Ok(true)
+/// The row files of a store directory, sorted: every `*.jsonl` that is
+/// not quarantine evidence (corrupt rows set aside by repair) and not
+/// the profiling flight record.
+pub fn row_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_none_or(|n| !is_quarantine_file(n) && n != musa_prof::PROFILES_FILE)
+        })
+        .collect();
+    files.sort();
+    Ok(files)
 }
 
 /// Default number of points simulated between flushes.
@@ -191,6 +185,68 @@ fn seal_holds(line: &str, parsed: &JsonValue) -> bool {
     }
 }
 
+/// How the reason of a line that is not a JSON row at all begins —
+/// the only kind of line a crash can leave as a torn tail.
+const UNPARSABLE: &str = "unparsable row";
+
+/// The row family's line classifier for [`scan`]: a consistent,
+/// sealed row of this schema is a record; another schema's row is
+/// foreign (counted in `health` and warned about here, where its
+/// schema is known); anything else is corrupt.
+pub fn classify_row(
+    path: &Path,
+    line_no: usize,
+    line: &str,
+    health: &mut StoreHealth,
+) -> Verdict<StoreRow> {
+    let parsed = JsonValue::parse(line);
+    let sealed = parsed.as_ref().is_ok_and(|v| seal_holds(line, v));
+    match parsed.and_then(|v| StoreRow::read_json(&v)) {
+        Ok(row) if row.is_consistent() && sealed => Verdict::Record(row),
+        // Forward compatibility: a row written by a *newer* musa-store
+        // (mixed-version shard directories, e.g. one worker upgraded
+        // mid-campaign) is healthy data this binary cannot interpret —
+        // skip it with its own message and counter so the operator sees
+        // an upgrade hint, not a corruption scare.
+        Ok(row) if row.schema > SCHEMA_VERSION => {
+            health.rows_newer_schema += 1;
+            musa_obs::counter_add("store.rows_newer_schema", 1);
+            musa_obs::warn(
+                "musa-store",
+                "row written by a newer musa-store, skipped (upgrade this binary to read it)",
+                &[
+                    ("file", path.display().to_string().into()),
+                    ("line", line_no.into()),
+                    ("row_schema", row.schema.into()),
+                    ("supported_schema", SCHEMA_VERSION.into()),
+                ],
+            );
+            Verdict::Foreign
+        }
+        Ok(row) if row.schema < SCHEMA_VERSION => {
+            health.rows_stale_schema += 1;
+            musa_obs::warn(
+                "musa-store",
+                "stale-schema row skipped",
+                &[
+                    ("file", path.display().to_string().into()),
+                    ("line", line_no.into()),
+                    ("row_schema", row.schema.into()),
+                ],
+            );
+            Verdict::Foreign
+        }
+        // Current schema but provably wrong content: the key fingerprint
+        // or the checksum does not match. Corruption, not a crash
+        // artifact.
+        Ok(_) if sealed => {
+            Verdict::Corrupt("stored key does not match the recomputed fingerprint".to_string())
+        }
+        Ok(_) => Verdict::Corrupt("checksum mismatch (row bytes altered after write)".to_string()),
+        Err(e) => Verdict::Corrupt(format!("{UNPARSABLE}: {e}")),
+    }
+}
+
 /// Identity of a quarantine record for dedupe purposes: content
 /// fingerprints of the raw line and the reason (the same FNV used by
 /// musa-fault keys). File and line number are deliberately excluded —
@@ -248,6 +304,112 @@ musa_obs::json_struct!(QuarantineRecord {
     reason,
     raw
 });
+
+/// What one [`set_aside`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SetAside {
+    /// Records appended; the rest were already on file.
+    pub appended: u64,
+    /// Lines a rotation moved out of the primary file to make room.
+    pub rotated: u64,
+}
+
+/// Put the lines a repair is about to remove from `file` on record in
+/// `<dir>/quarantine.jsonl` — the one quarantine appender, for the row
+/// loader, the lease journal and the doctor alike.
+///
+/// Dedupes against what is already quarantined — primary file and
+/// rotations alike: a line that keeps reappearing (same raw bytes,
+/// same reason — e.g. a corrupt shard recreated by a buggy sync job)
+/// must not grow the quarantine file without bound across repeated
+/// opens. Suppressed duplicates tick `store.quarantine_suppressed`.
+pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<SetAside> {
+    let mut done = SetAside::default();
+    if lines.is_empty() {
+        return Ok(done);
+    }
+    let path = dir.join(QUARANTINE_FILE);
+    let mut seen = existing_quarantine_fingerprints(&path);
+    for i in 1..=QUARANTINE_KEEP {
+        seen.extend(existing_quarantine_fingerprints(&quarantine_rotation_path(
+            dir, i,
+        )));
+    }
+    let mut out = String::new();
+    for bad in lines {
+        if !seen.insert(quarantine_fingerprint(&bad.raw, &bad.reason)) {
+            continue;
+        }
+        done.appended += 1;
+        out.push_str(&musa_obs::json::to_string(&QuarantineRecord {
+            file: file.to_string(),
+            line: bad.line,
+            reason: bad.reason.clone(),
+            raw: bad.raw.clone(),
+        }));
+        out.push('\n');
+    }
+    let suppressed = lines.len() as u64 - done.appended;
+    if suppressed > 0 {
+        musa_obs::counter_add("store.quarantine_suppressed", suppressed);
+        musa_obs::debug(
+            "musa-store",
+            "duplicate quarantine records suppressed",
+            &[("rows", suppressed.into())],
+        );
+    }
+    if out.is_empty() {
+        return Ok(done);
+    }
+    // Rotate before the append would push the primary past the size
+    // cap; a non-empty primary is required so a single oversized
+    // batch still lands somewhere instead of rotating forever.
+    let current_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    if current_len > 0 && current_len + out.len() as u64 > quarantine_cap() {
+        done.rotated = rotate_quarantine(dir)?;
+    }
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    file.write_all(out.as_bytes())?;
+    file.sync_all()?;
+    Ok(done)
+}
+
+/// Shift `quarantine.jsonl` → `quarantine.1.jsonl` → … and drop the
+/// rotation past [`QUARANTINE_KEEP`]. Returns the lines moved out of
+/// the primary (dropped lines tick the `store.quarantine_dropped`
+/// counter) so `/healthz` stays honest about evidence no longer in the
+/// primary file.
+fn rotate_quarantine(dir: &Path) -> std::io::Result<u64> {
+    let oldest = quarantine_rotation_path(dir, QUARANTINE_KEEP);
+    if let Ok(text) = std::fs::read_to_string(&oldest) {
+        let dropped = text.lines().count() as u64;
+        std::fs::remove_file(&oldest)?;
+        musa_obs::counter_add("store.quarantine_dropped", dropped);
+        musa_obs::warn(
+            "musa-store",
+            "oldest quarantine rotation dropped",
+            &[("rows", dropped.into())],
+        );
+    }
+    for i in (1..QUARANTINE_KEEP).rev() {
+        let from = quarantine_rotation_path(dir, i);
+        if from.exists() {
+            std::fs::rename(&from, quarantine_rotation_path(dir, i + 1))?;
+        }
+    }
+    let primary = dir.join(QUARANTINE_FILE);
+    let rotated_lines = std::fs::read_to_string(&primary)
+        .map(|t| t.lines().count() as u64)
+        .unwrap_or(0);
+    std::fs::rename(&primary, quarantine_rotation_path(dir, 1))?;
+    musa_obs::counter_add("store.quarantine_rotations", 1);
+    musa_obs::info(
+        "musa-store",
+        "quarantine file rotated",
+        &[("rows", rotated_lines.into())],
+    );
+    Ok(rotated_lines)
+}
 
 /// What loading found wrong with the on-disk store — the health the
 /// serving layer reports from `/healthz`.
@@ -478,20 +640,7 @@ impl CampaignStore {
             backoff_salt: musa_fault::key_of(&[write_file.as_bytes()]),
             artifact_cache: None,
         };
-        let mut files: Vec<PathBuf> = std::fs::read_dir(&store.dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-            // Not row shards: the quarantine file and its rotations
-            // (corrupt rows set aside by repair) and the profiling
-            // flight record.
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_none_or(|n| !is_quarantine_file(n) && n != musa_prof::PROFILES_FILE)
-            })
-            .collect();
-        files.sort();
+        let files = row_files(&store.dir)?;
         // Count pre-existing rotation lines before any repair below
         // rotates more: evidence already outside the primary at open
         // time, never double-counted with this open's own rotations.
@@ -510,9 +659,9 @@ impl CampaignStore {
         Ok(store)
     }
 
-    /// Load one result file, classifying every line; in write mode,
-    /// repair the file afterwards (truncate a torn tail, quarantine
-    /// corrupt rows) so the next open is clean.
+    /// Load one result file; in write mode, repair it afterwards
+    /// (truncate a torn tail, quarantine corrupt rows) so the next open
+    /// is clean.
     fn load_file(&mut self, path: &Path) -> std::io::Result<()> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -530,112 +679,35 @@ impl CampaignStore {
             }
             Err(e) => return Err(e),
         };
-        let ends_with_newline = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        let last = lines.len().saturating_sub(1);
-        // Lines preserved verbatim if the file has to be rewritten:
-        // loadable rows plus other-schema rows (healthy data for a
-        // different binary, not ours to destroy).
-        let mut kept: Vec<&str> = Vec::new();
-        let mut quarantined: Vec<QuarantineRecord> = Vec::new();
-        let mut torn_tail = false;
-        for (i, &line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = JsonValue::parse(line);
-            let sealed = parsed.as_ref().is_ok_and(|v| seal_holds(line, v));
-            match parsed.and_then(|v| StoreRow::read_json(&v)) {
-                Ok(row) if row.is_consistent() && sealed => {
-                    self.insert_mem(row);
-                    kept.push(line);
-                }
-                // Forward compatibility: a row written by a *newer*
-                // musa-store (mixed-version shard directories, e.g. one
-                // worker upgraded mid-campaign) is healthy data this
-                // binary cannot interpret — skip it with its own
-                // message and counter so the operator sees an upgrade
-                // hint, not a corruption scare.
-                Ok(row) if row.schema > SCHEMA_VERSION => {
-                    self.health.rows_newer_schema += 1;
-                    musa_obs::counter_add("store.rows_newer_schema", 1);
-                    musa_obs::warn(
-                        "musa-store",
-                        "row written by a newer musa-store, skipped (upgrade this binary to read it)",
-                        &[
-                            ("file", path.display().to_string().into()),
-                            ("line", (i + 1).into()),
-                            ("row_schema", row.schema.into()),
-                            ("supported_schema", SCHEMA_VERSION.into()),
-                        ],
-                    );
-                    kept.push(line);
-                }
-                Ok(row) if row.schema < SCHEMA_VERSION => {
-                    self.health.rows_stale_schema += 1;
-                    musa_obs::warn(
-                        "musa-store",
-                        "stale-schema row skipped",
-                        &[
-                            ("file", path.display().to_string().into()),
-                            ("line", (i + 1).into()),
-                            ("row_schema", row.schema.into()),
-                        ],
-                    );
-                    kept.push(line);
-                }
-                // Current schema but provably wrong content: the key
-                // fingerprint or the checksum does not match. This is
-                // corruption, not a crash artifact — quarantine it.
-                Ok(_) => {
-                    let reason = if sealed {
-                        "stored key does not match the recomputed fingerprint"
-                    } else {
-                        "checksum mismatch (row bytes altered after write)"
-                    };
-                    quarantined.push(QuarantineRecord {
-                        file: file_name_of(path),
-                        line: i + 1,
-                        reason: reason.to_string(),
-                        raw: line.to_string(),
-                    });
-                }
-                Err(e) => {
-                    // A final line without its newline is the signature
-                    // of an append cut short by a crash: repair by
-                    // truncation. Unparsable bytes anywhere else (or a
-                    // *complete* garbage final line) are corruption.
-                    if i == last && !ends_with_newline {
-                        torn_tail = true;
-                        self.health.tails_repaired += 1;
-                        musa_obs::counter_add("store.tail_truncated", 1);
-                        musa_obs::warn(
-                            "musa-store",
-                            "torn final line from an interrupted write, truncated",
-                            &[
-                                ("file", path.display().to_string().into()),
-                                ("line", (i + 1).into()),
-                            ],
-                        );
-                    } else {
-                        quarantined.push(QuarantineRecord {
-                            file: file_name_of(path),
-                            line: i + 1,
-                            reason: format!("unparsable row: {e}"),
-                            raw: line.to_string(),
-                        });
-                    }
-                }
-            }
+        let health = &mut self.health;
+        let mut scan = scan(&text, |line_no, line| {
+            classify_row(path, line_no, line, health)
+        });
+        // A fragment cut short by a crash never parses. An unterminated
+        // final line that parses and fails its seal or key is
+        // corruption like any other: evidence, not residue.
+        if let Some(torn) = scan.torn.take_if(|t| !t.reason.starts_with(UNPARSABLE)) {
+            scan.bad.push(torn);
         }
-
-        if !quarantined.is_empty() {
-            self.health.quarantined += quarantined.len() as u64;
-            musa_obs::counter_add("store.quarantined", quarantined.len() as u64);
+        if let Some(torn) = &scan.torn {
+            self.health.tails_repaired += 1;
+            musa_obs::counter_add("store.tail_truncated", 1);
+            musa_obs::warn(
+                "musa-store",
+                "torn final line from an interrupted write, truncated",
+                &[
+                    ("file", path.display().to_string().into()),
+                    ("line", torn.line.into()),
+                ],
+            );
+        }
+        let file = file_name_of(path);
+        if let Some(first) = scan.bad.first() {
+            self.health.quarantined += scan.bad.len() as u64;
+            musa_obs::counter_add("store.quarantined", scan.bad.len() as u64);
             // One warning per file, not one per row: a file with a
             // thousand corrupt rows is one incident, and a log flooded
             // by it buries every other signal.
-            let first = &quarantined[0];
             musa_obs::warn(
                 "musa-store",
                 if !self.read_only {
@@ -644,118 +716,23 @@ impl CampaignStore {
                     "corrupt rows skipped (lenient open; a repairing open would quarantine them)"
                 },
                 &[
-                    ("file", first.file.clone().into()),
-                    ("rows", quarantined.len().into()),
+                    ("file", file.clone().into()),
+                    ("rows", scan.bad.len().into()),
                     ("first_line", first.line.into()),
                     ("first_reason", first.reason.clone().into()),
                 ],
             );
         }
-        // A file needing no repair: nothing torn, nothing corrupt, and
-        // (unless empty) newline-terminated. The last condition matters
-        // even when every row parsed: a crash can cut the write exactly
-        // between the final `}` and its newline, and a later append
-        // would concatenate onto that complete row and destroy it.
-        let clean = !torn_tail && quarantined.is_empty() && (ends_with_newline || text.is_empty());
-        if self.read_only || clean {
-            return Ok(());
+        if !self.read_only && scan.needs_rewrite() {
+            // Corrupt rows go on record first (a crash between the two
+            // steps loses nothing), then the shard is replaced by its
+            // surviving lines.
+            self.health.quarantine_rotated += set_aside(&self.dir, &file, &scan.bad)?.rotated;
+            scan.rewrite(path, "store.rewrite")?;
         }
-
-        // Repair: corrupt rows move to the quarantine file first (so a
-        // crash between the two steps loses nothing), then the shard is
-        // atomically replaced by its surviving lines.
-        if !quarantined.is_empty() {
-            self.append_quarantine(&quarantined)?;
+        for row in scan.records {
+            self.insert_mem(row);
         }
-        let mut repaired = String::with_capacity(text.len());
-        for line in kept {
-            repaired.push_str(line);
-            repaired.push('\n');
-        }
-        atomic_write(path, repaired.as_bytes(), "store.rewrite")
-    }
-
-    fn append_quarantine(&mut self, records: &[QuarantineRecord]) -> std::io::Result<()> {
-        // Dedupe against what is already quarantined — primary file and
-        // rotations alike: a row that keeps reappearing (same raw
-        // bytes, same reason — e.g. a corrupt shard recreated by a
-        // buggy sync job) must not grow the quarantine file without
-        // bound across repeated opens.
-        let path = self.dir.join(QUARANTINE_FILE);
-        let mut seen = existing_quarantine_fingerprints(&path);
-        for i in 1..=QUARANTINE_KEEP {
-            seen.extend(existing_quarantine_fingerprints(&quarantine_rotation_path(
-                &self.dir, i,
-            )));
-        }
-        let mut out = String::new();
-        let mut suppressed = 0u64;
-        for record in records {
-            if seen.contains(&quarantine_fingerprint(&record.raw, &record.reason)) {
-                suppressed += 1;
-                continue;
-            }
-            out.push_str(&musa_obs::json::to_string(record));
-            out.push('\n');
-        }
-        if suppressed > 0 {
-            musa_obs::counter_add("store.quarantine_suppressed", suppressed);
-            musa_obs::debug(
-                "musa-store",
-                "duplicate quarantine records suppressed",
-                &[("rows", suppressed.into())],
-            );
-        }
-        if out.is_empty() {
-            return Ok(());
-        }
-        // Rotate before the append would push the primary past the size
-        // cap; a non-empty primary is required so a single oversized
-        // batch still lands somewhere instead of rotating forever.
-        let current_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        if current_len > 0 && current_len + out.len() as u64 > quarantine_cap() {
-            self.rotate_quarantine()?;
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        file.write_all(out.as_bytes())?;
-        file.sync_all()
-    }
-
-    /// Shift `quarantine.jsonl` → `quarantine.1.jsonl` → … and drop the
-    /// rotation past [`QUARANTINE_KEEP`], counting the lines moved out
-    /// of the primary in [`StoreHealth::quarantine_rotated`] (dropped
-    /// lines tick the `store.quarantine_dropped` counter) so `/healthz`
-    /// stays honest about evidence no longer in the primary file.
-    fn rotate_quarantine(&mut self) -> std::io::Result<()> {
-        let oldest = quarantine_rotation_path(&self.dir, QUARANTINE_KEEP);
-        if let Ok(text) = std::fs::read_to_string(&oldest) {
-            let dropped = text.lines().count() as u64;
-            std::fs::remove_file(&oldest)?;
-            musa_obs::counter_add("store.quarantine_dropped", dropped);
-            musa_obs::warn(
-                "musa-store",
-                "oldest quarantine rotation dropped",
-                &[("rows", dropped.into())],
-            );
-        }
-        for i in (1..QUARANTINE_KEEP).rev() {
-            let from = quarantine_rotation_path(&self.dir, i);
-            if from.exists() {
-                std::fs::rename(&from, quarantine_rotation_path(&self.dir, i + 1))?;
-            }
-        }
-        let primary = self.dir.join(QUARANTINE_FILE);
-        let rotated_lines = std::fs::read_to_string(&primary)
-            .map(|t| t.lines().count() as u64)
-            .unwrap_or(0);
-        std::fs::rename(&primary, quarantine_rotation_path(&self.dir, 1))?;
-        self.health.quarantine_rotated += rotated_lines;
-        musa_obs::counter_add("store.quarantine_rotations", 1);
-        musa_obs::info(
-            "musa-store",
-            "quarantine file rotated",
-            &[("rows", rotated_lines.into())],
-        );
         Ok(())
     }
 

@@ -12,7 +12,11 @@ use musa_apps::{AppId, GenParams};
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_core::ConfigResult;
 use musa_power::PowerBreakdown;
-use musa_store::{is_quarantine_file, CampaignStore, StoreRow, QUARANTINE_FILE, QUARANTINE_KEEP};
+use musa_store::integrity::BadLine;
+use musa_store::{
+    is_quarantine_file, set_aside, CampaignStore, LeaseJournal, StoreRow, LEASE_JOURNAL_FILE,
+    QUARANTINE_FILE, QUARANTINE_KEEP,
+};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -140,6 +144,43 @@ fn rotation_caps_growth_counts_health_and_survives_reload() {
         "duplicate incident must not grow or rotate the quarantine"
     );
     assert!(read(&rotation(&dir, 1)).contains(&garbage(4)));
+
+    // Evidence from outside the row loader — the lease journal's
+    // repairing open, then a direct call as the doctor makes it — goes
+    // through the same appender: it rotates at the cap and is counted
+    // instead of growing the primary past it.
+    std::fs::write(dir.join(LEASE_JOURNAL_FILE), "journal garbage\n").unwrap();
+    drop(LeaseJournal::open(&dir).unwrap());
+    let primary = read(&dir.join(QUARANTINE_FILE));
+    assert!(primary.contains("journal garbage") && primary.lines().count() == 1);
+    assert!(read(&rotation(&dir, 1)).contains(&garbage(5)));
+    assert!(read(&rotation(&dir, 3)).contains(&garbage(3)));
+    let profile_garbage = BadLine {
+        line: 1,
+        raw: "profile garbage".to_string(),
+        reason: "profile record failed checksum or parse".to_string(),
+    };
+    let done = set_aside(
+        &dir,
+        "profiles.jsonl",
+        std::slice::from_ref(&profile_garbage),
+    )
+    .unwrap();
+    assert_eq!((done.appended, done.rotated), (1, 1));
+    assert!(read(&rotation(&dir, 1)).contains("journal garbage"));
+    assert!(!rotation(&dir, QUARANTINE_KEEP + 1).exists());
+    let again = set_aside(&dir, "profiles.jsonl", &[profile_garbage]).unwrap();
+    assert_eq!(
+        (again.appended, again.rotated),
+        (0, 0),
+        "deduped, no rotation"
+    );
+    let store = CampaignStore::open(&dir).unwrap();
+    assert_eq!(
+        store.health().quarantine_rotated,
+        u64::from(QUARANTINE_KEEP)
+    );
+    drop(store);
 
     std::env::remove_var("MUSA_QUARANTINE_CAP");
     let _ = std::fs::remove_dir_all(&dir);

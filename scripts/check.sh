@@ -43,6 +43,15 @@ if grep -rn 'pub timeline[s]:' crates/net/src ||
     exit 1
 fi
 
+# One line-log rule (`musa_cache::integrity::scan`) and one quarantine
+# appender (`musa_store::set_aside`): the hand-rolled torn-tail loops
+# and the two appenders they replaced must not come back.
+if grep -rn 'ends_with_newlin[e]\|ends_n[l]\|quarantine_evidenc[e]\|append_quarantin[e]' \
+    crates/store/src crates/prof/src crates/doctor/src crates/dist/src; then
+    echo "check: FAIL — a deleted line-log loop or quarantine appender is named above" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
