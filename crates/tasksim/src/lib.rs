@@ -14,15 +14,15 @@
 //!    instructions, gated by each kernel's basic-block repeat length;
 //! 3. [`pipeline`] — a windowed out-of-order dataflow timing model (ROB,
 //!    issue width, FU pools, MSHRs, store buffer) producing steady-state
-//!    cycles per iteration;
+//!    cycles per iteration with real and with perfect memory in one walk;
 //! 4. [`profile`] — per-kernel characterisation (timing split into
 //!    core-bound and memory-bound components, per-iteration statistics);
 //! 5. [`multicore`] — the runtime-system simulation: task scheduling,
 //!    parallel-loop chunking, dependencies, critical sections, spawn and
 //!    dispatch overheads that do not scale with simulated frequency;
-//! 6. [`node`] — node-level detailed simulation with a memory-bandwidth
-//!    contention fixed point, and the DRAM command estimate handed to
-//!    the power models.
+//! 6. [`node`] — node-level detailed simulation under memory-bandwidth
+//!    contention (one schedule, one refinement of the bulk concurrency),
+//!    and the DRAM command estimate handed to the power models.
 //!
 //! Burst-mode (hardware-agnostic) simulation reuses the same scheduler
 //! with trace durations ([`multicore::simulate_region_burst`]).

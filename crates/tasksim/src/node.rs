@@ -1,6 +1,6 @@
-//! Node-level detailed simulation: kernel profiling, scheduling and the
-//! memory-bandwidth contention fixed point, plus the DRAM command-stream
-//! estimate handed to the power models.
+//! Node-level detailed simulation: kernel profiling, scheduling under
+//! memory-bandwidth contention, plus the DRAM command-stream estimate
+//! handed to the power models.
 
 use std::collections::HashMap;
 
@@ -42,8 +42,6 @@ pub fn effective_bandwidth_gbs(mem: musa_arch::MemConfig) -> f64 {
     };
     mem.peak_bandwidth_gbs().min(uncore) * efficiency
 }
-/// Contention fixed-point iterations.
-const CONTENTION_ITERS: usize = 4;
 
 /// Result of simulating one compute region in detailed mode.
 #[derive(Debug, Clone)]
@@ -65,7 +63,7 @@ pub struct DetailedRegionResult {
 pub struct NodeSim<'a> {
     config: NodeConfig,
     detail: &'a DetailedTrace,
-    profiles: HashMap<(KernelId, u32), KernelProfile>,
+    profiles: HashMap<KernelId, KernelProfile>,
     region_ws_bytes: f64,
     geom: CacheGeometry,
 }
@@ -101,7 +99,7 @@ impl<'a> NodeSim<'a> {
 
     /// Profile a kernel (cached).
     pub fn profile(&mut self, kernel: KernelId) -> Option<KernelProfile> {
-        match self.profiles.entry((kernel, 0)) {
+        match self.profiles.entry(kernel) {
             std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let k = self.detail.kernel(kernel)?;
@@ -140,10 +138,10 @@ impl<'a> NodeSim<'a> {
         (dur, stats, bytes)
     }
 
-    /// Simulate a region in detailed mode: profile-driven durations with
-    /// a roofline bandwidth-contention fixed point — an item's effective
-    /// duration is `max(core_time, dram_bytes / fair_bandwidth_share)`,
-    /// with the fair share determined by the achieved concurrency.
+    /// Simulate a region in detailed mode: profile-driven durations under
+    /// a roofline bandwidth contention — an item's effective duration is
+    /// `max(core_time, dram_bytes / fair_bandwidth_share)`, with the fair
+    /// share determined by the achieved concurrency.
     pub fn simulate_region(&mut self, region: &ComputeRegion) -> DetailedRegionResult {
         let cores = self.config.cores.count();
         let n = region.work.items().len();
@@ -163,26 +161,18 @@ impl<'a> NodeSim<'a> {
         let items = region.work.items();
 
         // Bulk concurrency: the bandwidth is shared by the items that
-        // run simultaneously during the region's bulk. A first
-        // uncontended schedule measures it; one refinement settles it
+        // run simultaneously during the region's bulk. A first schedule,
+        // sharing the bandwidth among as many items as can run at once,
+        // measures it; one refinement at the measured value settles it
         // (the fair share moves durations, which moves concurrency only
-        // marginally).
-        let mut concurrency = (n as f64).min(cores as f64).max(1.0);
-        let mut schedule = Schedule {
-            makespan_ns: 0.0,
-            timeline: Vec::new(),
-            busy_ns: 0.0,
-            cores,
-        };
-        let mut demanded = 0.0;
-        let mut stretch = 1.0;
-        for it in 0..CONTENTION_ITERS {
+        // marginally), and is skipped when the two are within 5 %.
+        let schedule_at = |concurrency: f64| {
             let share = cap_gbs / concurrency;
             let durations: Vec<f64> = base
                 .iter()
                 .map(|(dur0, _, bytes)| dur0.max(*bytes / share))
                 .collect();
-            schedule = schedule_region(
+            schedule_region(
                 region,
                 cores,
                 |i| durations[i],
@@ -195,31 +185,28 @@ impl<'a> NodeSim<'a> {
                         0.0
                     }
                 },
-            );
-            demanded = if schedule.makespan_ns > 0.0 {
-                total_bytes / schedule.makespan_ns
-            } else {
-                0.0
-            };
-            let busy0: f64 = base.iter().map(|(d, _, _)| *d).sum();
-            stretch = if busy0 > 0.0 {
-                schedule.busy_ns / busy0
-            } else {
-                1.0
-            };
-            if it > 0 {
-                break;
-            }
-            // Bulk concurrency: average over the busier half of the
-            // region (the tail's draining cores shouldn't inflate
-            // everyone's share).
-            let bulk = 0.5 * (schedule.avg_concurrency() + (n as f64).min(cores as f64));
-            if (bulk - concurrency).abs() < 0.05 * concurrency {
-                break;
-            }
-            concurrency = bulk.max(1.0);
+            )
+        };
+        let concurrency = (n as f64).min(cores as f64).max(1.0);
+        let mut schedule = schedule_at(concurrency);
+        // Bulk concurrency: average over the busier half of the region
+        // (the tail's draining cores shouldn't inflate everyone's share).
+        let bulk = 0.5 * (schedule.avg_concurrency() + (n as f64).min(cores as f64));
+        let settled = (bulk - concurrency).abs() < 0.05 * concurrency;
+        if !settled {
+            schedule = schedule_at(bulk.max(1.0));
         }
-        let (schedule, demanded, stretch) = (schedule, demanded, stretch);
+        let demanded = if schedule.makespan_ns > 0.0 {
+            total_bytes / schedule.makespan_ns
+        } else {
+            0.0
+        };
+        let busy0: f64 = base.iter().map(|(d, _, _)| *d).sum();
+        let stretch = if busy0 > 0.0 {
+            schedule.busy_ns / busy0
+        } else {
+            1.0
+        };
 
         let dram = {
             let _dram = musa_obs::span_app(musa_obs::phase::DRAM, &self.detail.app);

@@ -9,6 +9,34 @@
 //! buffer. Simulating a few hundred iterations reaches the steady state,
 //! whose cycles-per-iteration is then extrapolated to the kernel's full
 //! trip count by the profiler.
+//!
+//! **Two lanes, one walk.** The profiler times every window twice: with
+//! real DRAM (lane 0) and with "perfect" memory, DRAM serviced at L3
+//! latency (lane 1), to split core-bound from memory-bound cycles. One
+//! walk advances both lanes in lockstep, every time value being a
+//! `[real, perfect]` pair. This is exact because the level an access
+//! draws depends only on its template's mix — the [`LevelSampler`] never
+//! reads a time — so both passes draw the same level sequence and one
+//! draw serves both lanes. Levels 0–2 cost the same in both, so the lanes
+//! stay bit-equal until the first level-3 draw; after it their times
+//! differ and each lane picks its own functional unit. The walk is
+//! latency-bound (chains through dispatch, the FU pools, the producers'
+//! finish times and the ROB), and two independent chains in one step let
+//! the CPU overlap them.
+//!
+//! **Fixed rings.** The ROB and the store buffer never hold more than
+//! `rob` / `store_buffer` entries: an instruction arriving at a full one
+//! first waits for the oldest entry, which leaves. Each is a ring whose
+//! oldest slot is read, then overwritten; a slot never written reads as
+//! time 0, which no dispatch or issue time undercuts. MSHRs are subtler:
+//! every level-3 load of the real lane takes one (stream-prefetched ones
+//! included), but only a demand miss waits — for every outstanding entry
+//! except the `MSHRS - 1` newest. So the MSHR ring keeps those newest
+//! entries plus the running max of the ones pushed out of it, which the
+//! next demand miss consumes. Every float operation takes the operands of
+//! the two-pass loop it replaced, in the same order, so both lanes are
+//! bit-identical to it (asserted against that loop, kept as the test
+//! oracle).
 
 use musa_arch::OooParams;
 use musa_trace::Op;
@@ -35,6 +63,11 @@ const WARMUP_ITERS: u32 = 24;
 /// Measured fused iterations.
 const MEASURE_ITERS: u32 = 192;
 
+/// A time in both lanes of one walk: `[real memory, perfect memory]`.
+type Lanes = [f64; 2];
+/// The real-memory lane, the only one with MSHR bookkeeping.
+const REAL: usize = 0;
+
 /// Execution latency (cycles) of non-memory operations.
 fn op_latency(op: Op) -> f64 {
     match op {
@@ -56,8 +89,9 @@ pub struct ServiceLatencies {
     l3: f64,
     /// Core frequency in GHz (converts per-template DRAM ns).
     ghz: f64,
-    /// When true, DRAM accesses are serviced at L3 latency ("perfect
-    /// memory") — used to split core-bound from memory-bound cycles.
+    /// When true, [`cycles_per_fused_iter`] returns the perfect-memory
+    /// lane (DRAM accesses serviced at L3 latency) — used to split
+    /// core-bound from memory-bound cycles.
     perfect_mem: bool,
 }
 
@@ -98,153 +132,270 @@ impl LevelSampler {
     }
 }
 
-/// Steady-state timing of a fused body on one core.
-///
-/// Returns cycles per *fused* iteration.
-pub fn cycles_per_fused_iter(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> f64 {
-    if body.instrs.is_empty() {
-        return 0.0;
-    }
-    let rob = ooo.rob as usize;
-    let dispatch_interval = 1.0 / ooo.issue_width as f64;
+/// The pool an instruction issues to.
+#[derive(Clone, Copy, PartialEq)]
+enum Unit {
+    Alu,
+    Fpu,
+    Load,
+    Store,
+}
 
-    // Per-template last completion time (dependency tracking).
-    let mut last_finish = vec![0.0_f64; body.n_templates];
-    // ROB occupancy as a ring of completion times.
-    let mut rob_ring: std::collections::VecDeque<f64> =
-        std::collections::VecDeque::with_capacity(rob);
-    // Functional-unit pools: next-free times.
-    let mut alus = vec![0.0_f64; ooo.alus.max(1) as usize];
-    let mut fpus = vec![0.0_f64; ooo.fpus.max(1) as usize];
-    let mut lsus = vec![0.0_f64; LSU_PORTS];
-    // Outstanding off-chip misses.
-    let mut mshrs: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
-    // Store-buffer entries: release times.
-    let mut store_buf: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
-    let sb_cap = ooo.store_buffer.max(1) as usize;
+/// One fused instruction, compiled for a walk.
+struct Step {
+    unit: Unit,
+    /// Cycles from issue to the result (memory: to the port's release).
+    latency: f64,
+    /// Cycles the unit stays busy after issue.
+    occupancy: f64,
+    /// `last_finish` slot of the producer: the never-written sentinel
+    /// slot for an instruction without one.
+    dep: usize,
+    /// Original-body template (finish-time slot and sampler).
+    template: usize,
+    /// Service-level probabilities (memory only).
+    mix: [f64; 4],
+    /// A level-3 draw is a demand miss (not stream-prefetched): in the
+    /// real lane it waits for the MSHRs.
+    demand_miss: bool,
+    /// Service latency per level.
+    service: [Lanes; 4],
+    /// Dispatch stall per level (loads beyond L1 only; zero otherwise).
+    stall: [Lanes; 4],
+}
 
-    let mut samplers = vec![LevelSampler::default(); body.n_templates];
-
-    let mut t_dispatch = 0.0_f64;
-    let mut t_warm_end = 0.0_f64;
-    let mut t_end = 0.0_f64;
-
-    let total_iters = WARMUP_ITERS + MEASURE_ITERS;
-    for iter in 0..total_iters {
-        for ins in &body.instrs {
-            // ROB space: dispatch stalls until the head committed.
-            if rob_ring.len() >= rob {
-                let head = rob_ring.pop_front().expect("rob non-empty");
-                if head > t_dispatch {
-                    t_dispatch = head;
+/// Flatten the body for one walk at `lat`.
+fn compile(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step> {
+    let sentinel = body.n_templates;
+    let slot = |t: u16| {
+        let t = usize::from(t);
+        assert!(t < sentinel, "template {t} of a {sentinel}-template body");
+        t
+    };
+    body.instrs
+        .iter()
+        .map(|ins| {
+            let unit = match ins.op {
+                Op::Load => Unit::Load,
+                Op::Store => Unit::Store,
+                op if op.is_fp() => Unit::Fpu,
+                _ => Unit::Alu,
+            };
+            let latency = op_latency(ins.op);
+            let mut step = Step {
+                unit,
+                latency,
+                // Divides occupy the unit for their full latency.
+                occupancy: if ins.op == Op::FpDiv { latency } else { 1.0 },
+                dep: ins.dep_template.map_or(sentinel, slot),
+                template: slot(ins.template),
+                mix: [0.0; 4],
+                demand_miss: false,
+                service: [[0.0; 2]; 4],
+                stall: [[0.0; 2]; 4],
+            };
+            if let Unit::Load | Unit::Store = unit {
+                let loc = ins.locality.expect("memory op has locality");
+                let dram = if loc.row_friendly {
+                    // Stream-prefetched: latency mostly hidden; the line
+                    // arrives near the L2.
+                    lat.l2 + PREFETCH_EXPOSED * loc.mem_latency_ns * lat.ghz
+                } else {
+                    // Demand miss: MSHR-bounded full latency.
+                    lat.l3 + loc.mem_latency_ns * lat.ghz
+                };
+                step.mix = [loc.mix.p_l1, loc.mix.p_l2, loc.mix.p_l3, loc.mix.p_mem];
+                step.demand_miss = !loc.row_friendly;
+                step.service = [[lat.l1; 2], [lat.l2; 2], [lat.l3; 2], [dram, lat.l3]];
+                if unit == Unit::Load {
+                    for level in 1..4 {
+                        step.stall[level] = step.service[level].map(|s| L1_MISS_DISPATCH_STALL * s);
+                    }
                 }
             }
-            t_dispatch += dispatch_interval;
+            step
+        })
+        .collect()
+}
 
-            // Operand readiness.
-            let mut ready = t_dispatch;
-            if let Some(dep) = ins.dep_template {
-                let f = last_finish[dep as usize];
-                if f > ready {
-                    ready = f;
+/// A ring that is always full: `head` is the entry pushed `len` pushes
+/// ago (zero while the ring has not wrapped), and `push` overwrites it.
+struct Ring<T> {
+    slots: Vec<T>,
+    pos: usize,
+}
+
+impl<T: Copy + Default> Ring<T> {
+    fn new(len: usize) -> Self {
+        assert!(len > 0, "a ring needs a slot");
+        Ring {
+            slots: vec![T::default(); len],
+            pos: 0,
+        }
+    }
+
+    fn head(&self) -> T {
+        self.slots[self.pos]
+    }
+
+    /// Replace the head with `v` and return what it held.
+    fn push(&mut self, v: T) -> T {
+        let old = std::mem::replace(&mut self.slots[self.pos], v);
+        self.pos += 1;
+        if self.pos == self.slots.len() {
+            self.pos = 0;
+        }
+        old
+    }
+}
+
+/// Steady-state timing of a fused body on one core.
+///
+/// Returns cycles per *fused* iteration, with real memory or — when
+/// `lat` says so — perfect memory. It is one lane of [`window_cycles`].
+pub fn cycles_per_fused_iter(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> f64 {
+    window_cycles(body, ooo, lat)[usize::from(lat.perfect_mem)]
+}
+
+/// Steady-state cycles per *fused* iteration of a body on one core with
+/// real and with perfect memory, `[real, perfect]`, from one walk
+/// (`lat.perfect_mem` is not read).
+pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> Lanes {
+    if body.instrs.is_empty() {
+        return [0.0; 2];
+    }
+    let steps = compile(body, lat);
+    let dispatch_interval = 1.0 / ooo.issue_width as f64;
+
+    // Per-template last completion time, plus the sentinel slot.
+    let mut last_finish = vec![[0.0_f64; 2]; body.n_templates + 1];
+    let mut samplers = vec![LevelSampler::default(); body.n_templates];
+    // Completion times of the ROB's entries and store-buffer release
+    // times.
+    let mut rob: Ring<Lanes> = Ring::new(ooo.rob as usize);
+    let mut store_buf: Ring<Lanes> = Ring::new(ooo.store_buffer.max(1) as usize);
+    // The real lane's newest outstanding off-chip misses, and the latest
+    // completion among those pushed out since the last demand miss.
+    let mut mshrs: Ring<f64> = Ring::new(MSHRS - 1);
+    let mut mshr_evicted = 0.0_f64;
+    // Functional-unit pools, per lane: next-free times.
+    let alus = vec![0.0_f64; ooo.alus.max(1) as usize];
+    let fpus = vec![0.0_f64; ooo.fpus.max(1) as usize];
+    let mut alus = [alus.clone(), alus];
+    let mut fpus = [fpus.clone(), fpus];
+    let mut lsus = [[0.0_f64; LSU_PORTS]; 2];
+
+    let mut t_dispatch: Lanes = [0.0; 2];
+    let mut t_warm_end: Lanes = [0.0; 2];
+    let mut t_end: Lanes = [0.0; 2];
+
+    for iter in 0..WARMUP_ITERS + MEASURE_ITERS {
+        for s in &steps {
+            // ROB space: dispatch stalls until the head committed; then
+            // operand readiness.
+            let head = rob.head();
+            let producer = last_finish[s.dep];
+            let mut ready: Lanes = [0.0; 2];
+            for l in 0..2 {
+                if head[l] > t_dispatch[l] {
+                    t_dispatch[l] = head[l];
+                }
+                t_dispatch[l] += dispatch_interval;
+                ready[l] = t_dispatch[l];
+                if producer[l] > ready[l] {
+                    ready[l] = producer[l];
                 }
             }
 
             // Functional unit and service latency.
-            let finish = match ins.op {
-                Op::Load | Op::Store => {
-                    // LSU port.
-                    let (pi, pfree) = min_slot(&lsus);
-                    let mut issue = ready.max(pfree);
-
-                    let loc = ins.locality.expect("memory op has locality");
-                    let level = samplers[ins.template as usize].pick([
-                        loc.mix.p_l1,
-                        loc.mix.p_l2,
-                        loc.mix.p_l3,
-                        loc.mix.p_mem,
-                    ]);
-                    let service = match level {
-                        0 => lat.l1,
-                        1 => lat.l2,
-                        2 => lat.l3,
-                        _ => {
-                            if lat.perfect_mem {
-                                lat.l3
-                            } else if loc.row_friendly {
-                                // Stream-prefetched: latency mostly
-                                // hidden; the line arrives near the L2.
-                                lat.l2 + PREFETCH_EXPOSED * loc.mem_latency_ns * lat.ghz
-                            } else {
-                                // Demand miss: MSHR-bounded full latency.
-                                while let Some(&f) = mshrs.front() {
-                                    if mshrs.len() >= MSHRS {
-                                        if f > issue {
-                                            issue = f;
-                                        }
-                                        mshrs.pop_front();
-                                    } else {
-                                        break;
-                                    }
-                                }
-                                lat.l3 + loc.mem_latency_ns * lat.ghz
-                            }
-                        }
-                    };
-
-                    if ins.op == Op::Load && level >= 1 {
-                        t_dispatch += L1_MISS_DISPATCH_STALL * service;
+            let mut finish: Lanes = [0.0; 2];
+            match s.unit {
+                Unit::Alu | Unit::Fpu => {
+                    for l in 0..2 {
+                        let pool = if s.unit == Unit::Alu {
+                            &mut alus[l]
+                        } else {
+                            &mut fpus[l]
+                        };
+                        let (pi, pfree) = min_slot(pool);
+                        let issue = ready[l].max(pfree);
+                        pool[pi] = issue + s.occupancy;
+                        finish[l] = issue + s.latency;
                     }
-                    if ins.op == Op::Store {
+                }
+                Unit::Load | Unit::Store => {
+                    let mut port = [0; 2];
+                    let mut issue: Lanes = [0.0; 2];
+                    for l in 0..2 {
+                        let (pi, pfree) = min_slot(&lsus[l]);
+                        port[l] = pi;
+                        issue[l] = ready[l].max(pfree);
+                    }
+                    let level = samplers[s.template].pick(s.mix);
+                    if level == 3 && s.demand_miss {
+                        // Demand miss: wait for every outstanding miss
+                        // but the `MSHRS - 1` newest.
+                        if mshr_evicted > issue[REAL] {
+                            issue[REAL] = mshr_evicted;
+                        }
+                        mshr_evicted = 0.0;
+                    }
+                    let service = s.service[level];
+                    // Zero for stores and L1 hits: adding it leaves a
+                    // (positive) dispatch time's bits unchanged.
+                    let stall = s.stall[level];
+                    for l in 0..2 {
+                        t_dispatch[l] += stall[l];
+                    }
+                    if s.unit == Unit::Store {
                         // Store retires quickly into the buffer; the
                         // buffer entry drains at the service latency.
-                        while store_buf.front().is_some() && store_buf.len() >= sb_cap {
-                            let f = store_buf.pop_front().expect("non-empty");
-                            if f > issue {
-                                issue = f;
+                        let oldest = store_buf.head();
+                        let mut release: Lanes = [0.0; 2];
+                        for l in 0..2 {
+                            if oldest[l] > issue[l] {
+                                issue[l] = oldest[l];
+                            }
+                            lsus[l][port[l]] = issue[l] + s.latency;
+                            release[l] = issue[l] + service[l];
+                            finish[l] = issue[l] + s.latency;
+                        }
+                        store_buf.push(release);
+                    } else {
+                        for l in 0..2 {
+                            let freed = issue[l] + s.latency;
+                            lsus[l][port[l]] = freed;
+                            finish[l] = freed + service[l];
+                        }
+                        if level == 3 {
+                            let evicted = mshrs.push(finish[REAL]);
+                            if evicted > mshr_evicted {
+                                mshr_evicted = evicted;
                             }
                         }
-                        lsus[pi] = issue + 1.0;
-                        store_buf.push_back(issue + service);
-                        issue + 1.0
-                    } else {
-                        lsus[pi] = issue + 1.0;
-                        let f = issue + 1.0 + service;
-                        if level == 3 && !lat.perfect_mem {
-                            mshrs.push_back(f);
-                        }
-                        f
                     }
                 }
-                op if op.is_fp() => {
-                    let (pi, pfree) = min_slot(&fpus);
-                    let issue = ready.max(pfree);
-                    let l = op_latency(op);
-                    // Divides occupy the unit for their full latency.
-                    fpus[pi] = issue + if op == Op::FpDiv { l } else { 1.0 };
-                    issue + l
-                }
-                op => {
-                    let (pi, pfree) = min_slot(&alus);
-                    let issue = ready.max(pfree);
-                    alus[pi] = issue + 1.0;
-                    issue + op_latency(op)
-                }
-            };
+            }
 
-            last_finish[ins.template as usize] = finish;
-            rob_ring.push_back(finish);
-            if finish > t_end {
-                t_end = finish;
+            last_finish[s.template] = finish;
+            rob.push(finish);
+            for l in 0..2 {
+                if finish[l] > t_end[l] {
+                    t_end[l] = finish[l];
+                }
             }
         }
         if iter + 1 == WARMUP_ITERS {
-            t_warm_end = t_end.max(t_dispatch);
+            for l in 0..2 {
+                t_warm_end[l] = t_end[l].max(t_dispatch[l]);
+            }
         }
     }
 
-    let span = (t_end.max(t_dispatch) - t_warm_end).max(0.0);
-    span / MEASURE_ITERS as f64
+    std::array::from_fn(|l| {
+        let span = (t_end[l].max(t_dispatch[l]) - t_warm_end[l]).max(0.0);
+        span / MEASURE_ITERS as f64
+    })
 }
 
 /// Index and value of the smallest element.
@@ -263,9 +414,371 @@ fn min_slot(v: &[f64]) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::fuse;
-    use crate::locality::analyze_kernel;
+    use crate::fusion::{fuse, FusedInstr};
+    use crate::locality::{analyze_kernel, AccessMix, TemplateLocality};
     use musa_arch::{CoreClass, NodeConfig, VectorWidth};
+    use musa_obs::rng::SplitMix64;
+
+    /// The window as it stood before the two lanes: one memory mode per
+    /// walk, `VecDeque` ROB / MSHRs / store buffer. Kept as the oracle.
+    fn cycles_per_fused_iter_reference(
+        body: &FusedBody,
+        ooo: &OooParams,
+        lat: &ServiceLatencies,
+    ) -> f64 {
+        if body.instrs.is_empty() {
+            return 0.0;
+        }
+        let rob = ooo.rob as usize;
+        let dispatch_interval = 1.0 / ooo.issue_width as f64;
+
+        // Per-template last completion time (dependency tracking).
+        let mut last_finish = vec![0.0_f64; body.n_templates];
+        // ROB occupancy as a ring of completion times.
+        let mut rob_ring: std::collections::VecDeque<f64> =
+            std::collections::VecDeque::with_capacity(rob);
+        // Functional-unit pools: next-free times.
+        let mut alus = vec![0.0_f64; ooo.alus.max(1) as usize];
+        let mut fpus = vec![0.0_f64; ooo.fpus.max(1) as usize];
+        let mut lsus = vec![0.0_f64; LSU_PORTS];
+        // Outstanding off-chip misses.
+        let mut mshrs: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
+        // Store-buffer entries: release times.
+        let mut store_buf: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
+        let sb_cap = ooo.store_buffer.max(1) as usize;
+
+        let mut samplers = vec![LevelSampler::default(); body.n_templates];
+
+        let mut t_dispatch = 0.0_f64;
+        let mut t_warm_end = 0.0_f64;
+        let mut t_end = 0.0_f64;
+
+        let total_iters = WARMUP_ITERS + MEASURE_ITERS;
+        for iter in 0..total_iters {
+            for ins in &body.instrs {
+                // ROB space: dispatch stalls until the head committed.
+                if rob_ring.len() >= rob {
+                    let head = rob_ring.pop_front().expect("rob non-empty");
+                    if head > t_dispatch {
+                        t_dispatch = head;
+                    }
+                }
+                t_dispatch += dispatch_interval;
+
+                // Operand readiness.
+                let mut ready = t_dispatch;
+                if let Some(dep) = ins.dep_template {
+                    let f = last_finish[dep as usize];
+                    if f > ready {
+                        ready = f;
+                    }
+                }
+
+                // Functional unit and service latency.
+                let finish = match ins.op {
+                    Op::Load | Op::Store => {
+                        // LSU port.
+                        let (pi, pfree) = min_slot(&lsus);
+                        let mut issue = ready.max(pfree);
+
+                        let loc = ins.locality.expect("memory op has locality");
+                        let level = samplers[ins.template as usize].pick([
+                            loc.mix.p_l1,
+                            loc.mix.p_l2,
+                            loc.mix.p_l3,
+                            loc.mix.p_mem,
+                        ]);
+                        let service = match level {
+                            0 => lat.l1,
+                            1 => lat.l2,
+                            2 => lat.l3,
+                            _ => {
+                                if lat.perfect_mem {
+                                    lat.l3
+                                } else if loc.row_friendly {
+                                    // Stream-prefetched: latency mostly
+                                    // hidden; the line arrives near the L2.
+                                    lat.l2 + PREFETCH_EXPOSED * loc.mem_latency_ns * lat.ghz
+                                } else {
+                                    // Demand miss: MSHR-bounded full latency.
+                                    while let Some(&f) = mshrs.front() {
+                                        if mshrs.len() >= MSHRS {
+                                            if f > issue {
+                                                issue = f;
+                                            }
+                                            mshrs.pop_front();
+                                        } else {
+                                            break;
+                                        }
+                                    }
+                                    lat.l3 + loc.mem_latency_ns * lat.ghz
+                                }
+                            }
+                        };
+
+                        if ins.op == Op::Load && level >= 1 {
+                            t_dispatch += L1_MISS_DISPATCH_STALL * service;
+                        }
+                        if ins.op == Op::Store {
+                            // Store retires quickly into the buffer; the
+                            // buffer entry drains at the service latency.
+                            while store_buf.front().is_some() && store_buf.len() >= sb_cap {
+                                let f = store_buf.pop_front().expect("non-empty");
+                                if f > issue {
+                                    issue = f;
+                                }
+                            }
+                            lsus[pi] = issue + 1.0;
+                            store_buf.push_back(issue + service);
+                            issue + 1.0
+                        } else {
+                            lsus[pi] = issue + 1.0;
+                            let f = issue + 1.0 + service;
+                            if level == 3 && !lat.perfect_mem {
+                                mshrs.push_back(f);
+                            }
+                            f
+                        }
+                    }
+                    op if op.is_fp() => {
+                        let (pi, pfree) = min_slot(&fpus);
+                        let issue = ready.max(pfree);
+                        let l = op_latency(op);
+                        // Divides occupy the unit for their full latency.
+                        fpus[pi] = issue + if op == Op::FpDiv { l } else { 1.0 };
+                        issue + l
+                    }
+                    op => {
+                        let (pi, pfree) = min_slot(&alus);
+                        let issue = ready.max(pfree);
+                        alus[pi] = issue + 1.0;
+                        issue + op_latency(op)
+                    }
+                };
+
+                last_finish[ins.template as usize] = finish;
+                rob_ring.push_back(finish);
+                if finish > t_end {
+                    t_end = finish;
+                }
+            }
+            if iter + 1 == WARMUP_ITERS {
+                t_warm_end = t_end.max(t_dispatch);
+            }
+        }
+
+        let span = (t_end.max(t_dispatch) - t_warm_end).max(0.0);
+        span / MEASURE_ITERS as f64
+    }
+
+    /// Both lanes of one walk against two reference walks, and the
+    /// single-lane entry against each, bit for bit.
+    fn assert_lanes_match_reference(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
+        let lat_of = |perfect_mem| ServiceLatencies { perfect_mem, ..lat };
+        let want = [false, true].map(|p| cycles_per_fused_iter_reference(body, ooo, &lat_of(p)));
+        let got = window_cycles(body, ooo, &lat);
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "lanes {got:?} vs reference {want:?} at {ooo:?}, {lat:?}: {body:?}"
+        );
+        for p in [false, true] {
+            assert_eq!(
+                cycles_per_fused_iter(body, ooo, &lat_of(p)).to_bits(),
+                want[usize::from(p)].to_bits(),
+                "single-lane entry, perfect_mem {p}"
+            );
+        }
+    }
+
+    const OPS: [Op; 10] = [
+        Op::IntAlu,
+        Op::IntMul,
+        Op::FpAdd,
+        Op::FpMul,
+        Op::FpFma,
+        Op::FpDiv,
+        Op::Load,
+        Op::Store,
+        Op::Branch,
+        Op::Other,
+    ];
+
+    /// A seeded synthetic body: every op, producers earlier in the body,
+    /// carried or none, and memory mixes that are random, never DRAM
+    /// (`p_mem` = 0) or always DRAM (`p_mem` = 1). One case in four is
+    /// store-heavy; one in four is a run of stream-prefetched DRAM loads
+    /// longer than the MSHR count, all waiting on a pointer chase of
+    /// demand misses (so they issue late and are outstanding together),
+    /// closed by an independent demand miss that must wait for the MSHRs.
+    fn random_body(rng: &mut SplitMix64) -> FusedBody {
+        let below = |rng: &mut SplitMix64, n: usize| (rng.next_u64() % n as u64) as usize;
+        let shape = below(rng, 4);
+        const CHASE: usize = 3;
+        let n_templates = if shape == 0 {
+            CHASE + MSHRS + 1 + below(rng, 24)
+        } else {
+            1 + below(rng, 24)
+        };
+        let demand_miss = |t: usize| t < CHASE || t + 1 == n_templates;
+        let locality = |rng: &mut SplitMix64, dram_only: bool| {
+            let mix = if dram_only {
+                AccessMix {
+                    p_l1: 0.0,
+                    p_l2: 0.0,
+                    p_l3: 0.0,
+                    p_mem: 1.0,
+                }
+            } else {
+                let mut w = [0.0; 4].map(|_| rng.next_f64());
+                match below(rng, 3) {
+                    0 => w[3] = 0.0,
+                    1 => w = [0.0, 0.0, 0.0, 1.0],
+                    _ => {}
+                }
+                let sum: f64 = w.iter().sum();
+                AccessMix {
+                    p_l1: w[0] / sum,
+                    p_l2: w[1] / sum,
+                    p_l3: w[2] / sum,
+                    p_mem: w[3] / sum,
+                }
+            };
+            TemplateLocality {
+                mix,
+                lines_per_access: 1.0,
+                row_friendly: below(rng, 2) == 0,
+                mem_latency_ns: 40.0 + rng.next_f64() * 120.0,
+            }
+        };
+        let templates: Vec<FusedInstr> = (0..n_templates)
+            .map(|t| {
+                let op = match shape {
+                    0 if demand_miss(t) => [Op::Load, Op::Store][below(rng, 2)],
+                    0 => Op::Load,
+                    1 if below(rng, 2) == 0 => Op::Store,
+                    _ => OPS[below(rng, OPS.len())],
+                };
+                let (dep_template, carried) = match (shape, below(rng, 3)) {
+                    (0, _) if t + 1 == n_templates => (None, false),
+                    (0, _) if t > 0 => (Some(t.min(CHASE) as u16 - 1), false),
+                    (_, 0) => (None, false),
+                    (_, 1) if t > 0 => (Some(below(rng, t) as u16), false),
+                    _ => (Some(t as u16), true),
+                };
+                let locality = op.is_mem().then(|| {
+                    let mut loc = locality(rng, shape == 0);
+                    if shape == 0 {
+                        loc.row_friendly = !demand_miss(t);
+                    }
+                    loc
+                });
+                FusedInstr {
+                    op,
+                    dep_template,
+                    carried,
+                    template: t as u16,
+                    locality,
+                    lines_per_access: 1.0,
+                    lanes: 1,
+                }
+            })
+            .collect();
+        // Templates repeat, as unmarked ones do across sub-iterations.
+        let instrs = match shape {
+            0 => templates,
+            _ => (0..1 + below(rng, 3 * n_templates))
+                .map(|_| templates[below(rng, n_templates)])
+                .collect(),
+        };
+        FusedBody {
+            instrs,
+            f_eff: 1,
+            n_templates,
+        }
+    }
+
+    /// A seeded small window: ROBs, widths and store buffers of a few
+    /// entries, and unit counts that may be zero (clamped to one).
+    fn random_ooo(rng: &mut SplitMix64) -> OooParams {
+        let below = |rng: &mut SplitMix64, n: u64| (rng.next_u64() % n) as u32;
+        OooParams {
+            rob: 1 + below(rng, 8),
+            issue_width: 1 + below(rng, 8),
+            store_buffer: below(rng, 4),
+            alus: below(rng, 4),
+            fpus: below(rng, 4),
+            int_rf: 0,
+            fp_rf: 0,
+        }
+    }
+
+    #[test]
+    fn both_lanes_equal_the_reference_bit_for_bit_on_random_bodies() {
+        musa_obs::rng::check_cases(400, |rng| {
+            let body = random_body(rng);
+            let ooo = random_ooo(rng);
+            let lat = ServiceLatencies {
+                l1: 4.0,
+                l2: 10.0 + rng.next_f64() * 8.0,
+                l3: 30.0 + rng.next_f64() * 30.0,
+                ghz: [1.5, 2.0, 2.5, 3.0][(rng.next_u64() % 4) as usize],
+                perfect_mem: false,
+            };
+            let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
+            for ooo in [ooo, class.ooo()] {
+                assert_lanes_match_reference(&body, &ooo, lat);
+            }
+        });
+        let empty = FusedBody {
+            instrs: vec![],
+            f_eff: 1,
+            n_templates: 0,
+        };
+        assert_lanes_match_reference(&empty, &CoreClass::High.ooo(), lat(false));
+    }
+
+    /// Every window the paper-scale design space times: the 135 fused
+    /// bodies of the five applications' kernels at every core count,
+    /// cache and SIMD width, under every OoO class and frequency.
+    #[test]
+    #[ignore = "2,160 paper-scale windows; scripts/check.sh runs it in release"]
+    fn both_lanes_equal_the_reference_on_every_paper_scale_window() {
+        use musa_arch::{CacheConfig, CoresPerNode, Frequency};
+        let mut bodies = 0;
+        for app in musa_apps::AppId::ALL {
+            let trace = musa_apps::generate(app, &musa_apps::GenParams::paper());
+            let detail = trace.detail.as_ref().unwrap();
+            let items = trace.sampled_region().unwrap().work.items();
+            let ws: f64 = items
+                .iter()
+                .flat_map(|w| &w.kernels)
+                .filter_map(|inv| detail.kernel(inv.kernel))
+                .map(crate::locality::kernel_footprint_bytes)
+                .sum();
+            for cores in CoresPerNode::ALL {
+                let active = (items.len() as u32).min(cores.count()).max(1);
+                for cache in CacheConfig::ALL {
+                    let cfg = NodeConfig::REFERENCE.with_cores(cores).with_cache(cache);
+                    let geom = CacheGeometry::new(&cfg, active);
+                    for k in &detail.kernels {
+                        let loc = analyze_kernel(k, &geom, ws);
+                        for width in VectorWidth::DSE {
+                            let body = fuse(k, &loc, width);
+                            bodies += 1;
+                            for class in CoreClass::ALL {
+                                for freq in Frequency::ALL {
+                                    let lat = ServiceLatencies::new(&geom, freq.ghz(), false);
+                                    assert_lanes_match_reference(&body, &class.ooo(), lat);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(bodies, 135, "paper-scale fused bodies");
+    }
 
     fn setup(app: musa_apps::AppId, width: VectorWidth) -> FusedBody {
         let trace = musa_apps::generate(app, &musa_apps::GenParams::tiny());

@@ -7,7 +7,7 @@ use musa_trace::{Kernel, Op};
 use crate::fusion::{fuse, FusedBody};
 use crate::geometry::CacheGeometry;
 use crate::locality::{analyze_kernel, TemplateLocality};
-use crate::pipeline::{cycles_per_fused_iter, ServiceLatencies};
+use crate::pipeline::{window_cycles, ServiceLatencies};
 use crate::stats::SimStats;
 
 /// Steady-state profile of one kernel under one node configuration.
@@ -115,8 +115,7 @@ pub fn profile_kernel(
     let ooo = config.core_class.ooo();
     let ghz = config.freq.ghz();
 
-    let real = cycles_per_fused_iter(&fused, &ooo, &ServiceLatencies::new(geom, ghz, false));
-    let perfect = cycles_per_fused_iter(&fused, &ooo, &ServiceLatencies::new(geom, ghz, true));
+    let [real, perfect] = window_cycles(&fused, &ooo, &ServiceLatencies::new(geom, ghz, false));
 
     let stats = stats_per_iter(kernel, &locality, &fused);
     let mem_bytes = stats.mem_bytes();

@@ -52,6 +52,15 @@ if grep -rn 'ends_with_newlin[e]\|ends_n[l]\|quarantine_evidenc[e]\|append_quara
     exit 1
 fi
 
+# One walk times both memories: the profiler asks the OoO window once
+# per kernel, and the window keeps its fixed rings (the reference loop
+# under `#[cfg(test)]` is the only `VecDeque` left in the file).
+if grep -n 'cycles_per_fused_ite[r]' crates/tasksim/src/profile.rs ||
+    sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/pipeline.rs | grep -n 'VecDequ[e]'; then
+    echo "check: FAIL — a second window walk per kernel or a VecDeque window is back (lines above)" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -142,6 +151,11 @@ echo "== full-grid golden digest (864 x 5 tiny, sequential and --workers 2) =="
 # the replay and scheduler loops were rewritten; 4,320 points twice, so
 # against the release binary.
 cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
+
+echo "== OoO window oracle (2,160 paper-scale windows, both lanes) =="
+# Every window the paper-scale design space times, both lanes of the one
+# walk against two walks of the loop it replaced, bit for bit.
+cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_window
 
 echo "== dist smoke (--listen + 2 dist-workers vs sequential) =="
 # Byte-identity of a distributed fill over loopback TCP, with and
