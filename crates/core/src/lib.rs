@@ -30,4 +30,4 @@ pub use dse::{
 };
 pub use pca::{pca, pca_of_results, Pca, PCA_VARS};
 pub use scaling::{full_app_scaling, mean_efficiency, region_scaling, ScalingCurve, SCALING_CORES};
-pub use sim::{BurstMemo, ConfigResult, MultiscaleSim};
+pub use sim::{ConfigResult, MultiscaleSim, TraceMemo};

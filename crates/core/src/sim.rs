@@ -17,7 +17,7 @@ use musa_arch::NodeConfig;
 use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
 use musa_net::{BurstTimes, NetworkParams, ReplayResult};
 use musa_power::{PowerBreakdown, PowerModel};
-use musa_tasksim::{simulate_region_burst, NodeSim};
+use musa_tasksim::{simulate_region_burst, NodeSim, ProfileTable};
 use musa_trace::{AppTrace, ComputeRegion, DetailedTrace, TraceMeta};
 
 /// Scalar summary of one multiscale simulation, the unit of the DSE
@@ -69,29 +69,34 @@ musa_obs::json_struct!(ConfigResult {
     region_efficiency
 });
 
-/// The burst-time tables of one trace, one per core count asked for.
+/// What the per-point simulators of one trace share: the burst-time
+/// tables, one per core count asked for, and the kernel profile table.
 ///
-/// The burst level is hardware agnostic: what a rank's compute events
-/// take at a core count is a property of the trace, so every point of
-/// a campaign replays the same table under its own detailed/burst
-/// ratio. A [`MultiscaleSim`] owns a memo of its own; whoever keeps a
-/// trace alive across per-point simulators keeps one beside it and
-/// hands it to each ([`MultiscaleSim::with_burst_memo`]). Tables are
-/// built on first use and never persisted: building one costs what a
-/// single replay used to, once per core count and process.
-pub struct BurstMemo {
+/// Both are properties of the trace. The burst level is hardware
+/// agnostic: what a rank's compute events take at a core count is fixed,
+/// so every point of a campaign replays the same table under its own
+/// detailed/burst ratio. A kernel profile stage reads only a few axes of
+/// the configuration, so points that agree on them share it
+/// ([`ProfileTable`]). A [`MultiscaleSim`] owns a memo of its own;
+/// whoever keeps a trace alive across per-point simulators keeps one
+/// beside it and hands it to each ([`MultiscaleSim::with_trace_memo`]).
+/// Entries are built on first use and never persisted: a burst table
+/// costs what a single replay used to, once per core count and process.
+pub struct TraceMemo {
     /// What the tables are built from; a generator's output is a
     /// function of its metadata.
     trace: TraceMeta,
     tables: Mutex<HashMap<u32, Arc<BurstTimes>>>,
+    profiles: ProfileTable,
 }
 
-impl BurstMemo {
-    /// An empty memo for the tables of `trace`.
-    pub fn for_trace(trace: &AppTrace) -> BurstMemo {
-        BurstMemo {
+impl TraceMemo {
+    /// An empty memo for `trace`.
+    pub fn for_trace(trace: &AppTrace) -> TraceMemo {
+        TraceMemo {
             trace: trace.meta.clone(),
             tables: Mutex::new(HashMap::new()),
+            profiles: ProfileTable::new(),
         }
     }
 
@@ -110,10 +115,10 @@ impl BurstMemo {
 pub struct MultiscaleSim<'a> {
     trace: &'a AppTrace,
     net: NetworkParams,
-    /// Burst-time tables for the full replay: the memo the caller
-    /// attached, else one of this simulator's own from the first full
-    /// replay on.
-    burst_times: OnceLock<Arc<BurstMemo>>,
+    /// Burst-time tables and kernel profiles: the memo the caller
+    /// attached, else one of this simulator's own from the first point
+    /// on.
+    memo: OnceLock<Arc<TraceMemo>>,
     /// In-process burst-baseline memo. The baseline depends only on the
     /// sampled region (fixed per trace) and the active core count, so
     /// the paper-scale 864-point sweep needs just one per core count —
@@ -130,31 +135,35 @@ impl<'a> MultiscaleSim<'a> {
         MultiscaleSim {
             trace,
             net: NetworkParams::marenostrum4(),
-            burst_times: OnceLock::new(),
+            memo: OnceLock::new(),
             baseline_memo: Mutex::new(HashMap::new()),
             cache: None,
         }
     }
 
-    /// Share the burst-time tables of `memo`, which must have been made
-    /// for this simulator's trace ([`BurstMemo::for_trace`]). Panics
-    /// otherwise: its tables would time another application's events.
-    pub fn with_burst_memo(mut self, memo: Arc<BurstMemo>) -> Self {
+    /// Share the burst-time tables and kernel profiles of `memo`, which
+    /// must have been made for this simulator's trace
+    /// ([`TraceMemo::for_trace`]). Panics otherwise: its tables would
+    /// time another application's events and kernels.
+    pub fn with_trace_memo(mut self, memo: Arc<TraceMemo>) -> Self {
         assert!(
             memo.trace == self.trace.meta,
-            "burst memo of trace {:?} attached to a simulator of trace {:?}",
+            "trace memo of trace {:?} attached to a simulator of trace {:?}",
             memo.trace,
             self.trace.meta
         );
-        self.burst_times = OnceLock::from(memo);
+        self.memo = OnceLock::from(memo);
         self
+    }
+
+    fn memo(&self) -> &TraceMemo {
+        self.memo
+            .get_or_init(|| Arc::new(TraceMemo::for_trace(self.trace)))
     }
 
     /// The burst times of the whole trace at `cores`.
     fn burst_times(&self, cores: u32) -> Arc<BurstTimes> {
-        self.burst_times
-            .get_or_init(|| Arc::new(BurstMemo::for_trace(self.trace)))
-            .table(self.trace, cores)
+        self.memo().table(self.trace, cores)
     }
 
     /// Override the network parameters.
@@ -283,7 +292,7 @@ impl<'a> MultiscaleSim<'a> {
                 None => musa_prof::cache_note(false),
             }
         }
-        let mut node = NodeSim::new(config, detail, region);
+        let mut node = NodeSim::new(config, detail, region).with_profiles(&self.memo().profiles);
         let det = node.simulate_region(region);
         let art = DetailArtifact {
             region_ns: det.schedule.makespan_ns,
@@ -392,21 +401,22 @@ mod tests {
     #[test]
     fn region_only_mode_skips_replay() {
         let trace = generate(AppId::Btmz, &GenParams::tiny());
-        let memo = Arc::new(BurstMemo::for_trace(&trace));
-        let sim = MultiscaleSim::new(&trace).with_burst_memo(Arc::clone(&memo));
+        let memo = Arc::new(TraceMemo::for_trace(&trace));
+        let sim = MultiscaleSim::new(&trace).with_trace_memo(Arc::clone(&memo));
         let r = sim.simulate(cfg64(), false);
         assert!((r.time_ns - r.region_ns).abs() < 1e-9);
         assert!(memo.tables.lock().unwrap().is_empty(), "no table is built");
+        assert_eq!(memo.profiles.walks(), [0, 1], "the profile table is filled");
     }
 
     #[test]
     fn full_replay_equals_the_timer_replay_and_shares_one_table_per_core_count() {
         let trace = generate(AppId::Lulesh, &GenParams::tiny());
-        let memo = Arc::new(BurstMemo::for_trace(&trace));
+        let memo = Arc::new(TraceMemo::for_trace(&trace));
         for config in [cfg64(), cfg64().with_vector(VectorWidth::V512)] {
             // A fresh simulator per point, as the store's executor and
             // the search's evaluator make them.
-            let sim = MultiscaleSim::new(&trace).with_burst_memo(Arc::clone(&memo));
+            let sim = MultiscaleSim::new(&trace).with_trace_memo(Arc::clone(&memo));
             let r = sim.simulate(config, true);
             let burst_ns = simulate_region_burst(trace.sampled_region().unwrap(), 64).makespan_ns;
             let mut timer = musa_net::FixedRatioTimer {
@@ -423,12 +433,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "burst memo of trace")]
-    fn burst_memo_of_another_trace_is_rejected() {
+    #[should_panic(expected = "trace memo of trace")]
+    fn trace_memo_of_another_trace_is_rejected() {
         let hydro = generate(AppId::Hydro, &GenParams::tiny());
         let lulesh = generate(AppId::Lulesh, &GenParams::tiny());
-        let memo = Arc::new(BurstMemo::for_trace(&hydro));
-        let _ = MultiscaleSim::new(&hydro).with_burst_memo(Arc::clone(&memo));
-        let _ = MultiscaleSim::new(&lulesh).with_burst_memo(memo);
+        let memo = Arc::new(TraceMemo::for_trace(&hydro));
+        let _ = MultiscaleSim::new(&hydro).with_trace_memo(Arc::clone(&memo));
+        let _ = MultiscaleSim::new(&lulesh).with_trace_memo(memo);
     }
 }

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use musa_apps::{generate, AppId};
 use musa_arch::NodeConfig;
 use musa_core::{
-    dominated_hypervolume, pareto_front_indices, BurstMemo, MultiscaleSim, SweepOptions,
+    dominated_hypervolume, pareto_front_indices, MultiscaleSim, SweepOptions, TraceMemo,
 };
 use musa_trace::AppTrace;
 
@@ -166,14 +166,14 @@ pub trait Evaluator {
 }
 
 /// In-process evaluator over the real multiscale simulator: one trace
-/// per app (generated once, kept with the burst-time tables its points
-/// share), results memoized by point. Powers the library tests and
-/// `examples/bench_search.rs`; the `dse` binary uses store-backed
-/// evaluators instead so rows persist.
+/// per app (generated once, kept with the burst-time tables and kernel
+/// profiles its points share), results memoized by point. Powers the
+/// library tests and `examples/bench_search.rs`; the `dse` binary uses
+/// store-backed evaluators instead so rows persist.
 pub struct MemEvaluator {
     opts: SweepOptions,
-    traces: HashMap<AppId, (AppTrace, Arc<BurstMemo>)>,
-    memo: HashMap<(AppId, String), (f64, f64)>,
+    traces: HashMap<AppId, (AppTrace, Arc<TraceMemo>)>,
+    memo: HashMap<(AppId, NodeConfig), (f64, f64)>,
     hits: u64,
 }
 
@@ -193,22 +193,21 @@ impl Evaluator for MemEvaluator {
     fn evaluate(&mut self, batch: &[(AppId, NodeConfig)]) -> Vec<(f64, f64)> {
         let mut out = Vec::with_capacity(batch.len());
         for &(app, cfg) in batch {
-            let key = (app, cfg.label());
-            if let Some(&v) = self.memo.get(&key) {
+            if let Some(&v) = self.memo.get(&(app, cfg)) {
                 self.hits += 1;
                 out.push(v);
                 continue;
             }
             let gen = self.opts.gen;
-            let (trace, burst_times) = self.traces.entry(app).or_insert_with(|| {
+            let (trace, memo) = self.traces.entry(app).or_insert_with(|| {
                 let trace = generate(app, &gen);
-                let burst_times = Arc::new(BurstMemo::for_trace(&trace));
-                (trace, burst_times)
+                let memo = Arc::new(TraceMemo::for_trace(&trace));
+                (trace, memo)
             });
-            let sim = MultiscaleSim::new(trace).with_burst_memo(Arc::clone(burst_times));
+            let sim = MultiscaleSim::new(trace).with_trace_memo(Arc::clone(memo));
             let r = sim.simulate(cfg, self.opts.full_replay);
             let v = (r.time_ns, r.energy_j);
-            self.memo.insert(key, v);
+            self.memo.insert((app, cfg), v);
             out.push(v);
         }
         out

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::NodeConfig;
 use musa_cache::{ArtifactCache, ArtifactKey};
-use musa_core::{BurstMemo, MultiscaleSim, SweepOptions};
+use musa_core::{MultiscaleSim, SweepOptions, TraceMemo};
 use musa_trace::AppTrace;
 
 use crate::integrity::seal_line;
@@ -75,16 +75,16 @@ struct CachedTrace {
     gen: GenParams,
     trace: Arc<AppTrace>,
     key: Option<ArtifactKey>,
-    burst_times: Arc<BurstMemo>,
+    memo: Arc<TraceMemo>,
 }
 
 /// Simulates points one at a time; see the module docs.
 pub struct PointExecutor {
     cache: Option<Arc<ArtifactCache>>,
-    /// The last application's trace, and the burst-time tables its
-    /// points share. Points arrive grouped by application, so one slot
-    /// is a full memo; with a cache attached the cache's own memo
-    /// keeps every application's trace.
+    /// The last application's trace, and the burst-time tables and
+    /// kernel profiles its points share. Points arrive grouped by
+    /// application, so one slot is a full memo; with a cache attached
+    /// the cache's own memo keeps every application's trace.
     trace: Option<CachedTrace>,
     worker: String,
     attempt: u32,
@@ -140,7 +140,7 @@ impl PointExecutor {
         let cached = CachedTrace {
             app,
             gen: *gen,
-            burst_times: Arc::new(BurstMemo::for_trace(&trace)),
+            memo: Arc::new(TraceMemo::for_trace(&trace)),
             trace,
             key,
         };
@@ -157,7 +157,7 @@ impl PointExecutor {
         musa_prof::point_begin();
         let t0 = std::time::Instant::now();
         let cached = self.trace_for(app, &sweep.gen);
-        let mut sim = MultiscaleSim::new(&cached.trace).with_burst_memo(cached.burst_times);
+        let mut sim = MultiscaleSim::new(&cached.trace).with_trace_memo(cached.memo);
         if let (Some(cache), Some(trace_key)) = (&self.cache, cached.key) {
             sim = sim.with_cache(Arc::clone(cache), trace_key);
         }

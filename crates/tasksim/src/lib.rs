@@ -16,7 +16,9 @@
 //!    issue width, FU pools, MSHRs, store buffer) producing steady-state
 //!    cycles per iteration with real and with perfect memory in one walk;
 //! 4. [`profile`] — per-kernel characterisation (timing split into
-//!    core-bound and memory-bound components, per-iteration statistics);
+//!    core-bound and memory-bound components, per-iteration statistics),
+//!    and the per-trace table that keeps each stage of it for the
+//!    configuration axes the stage reads;
 //! 5. [`multicore`] — the runtime-system simulation: task scheduling,
 //!    parallel-loop chunking, dependencies, critical sections, spawn and
 //!    dispatch overheads that do not scale with simulated frequency;
@@ -45,5 +47,5 @@ pub use multicore::{
 };
 pub use node::{effective_bandwidth_gbs, estimate_dram_stats, DetailedRegionResult, NodeSim};
 pub use pipeline::{cycles_per_fused_iter, ServiceLatencies};
-pub use profile::{profile_kernel, KernelProfile};
+pub use profile::{profile_kernel, KernelProfile, ProfileTable};
 pub use stats::{LevelStats, SimStats};

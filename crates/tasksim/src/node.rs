@@ -2,16 +2,14 @@
 //! memory-bandwidth contention, plus the DRAM command-stream estimate
 //! handed to the power models.
 
-use std::collections::HashMap;
-
 use musa_arch::NodeConfig;
 use musa_mem::{ChannelStats, DramTiming};
-use musa_trace::{ComputeRegion, DetailedTrace, KernelId};
+use musa_trace::{ComputeRegion, DetailedTrace, Kernel, KernelId};
 
 use crate::geometry::CacheGeometry;
 use crate::locality::kernel_footprint_bytes;
 use crate::multicore::{schedule_region, Schedule};
-use crate::profile::{profile_kernel, KernelProfile};
+use crate::profile::{KernelProfile, ProfileTable};
 use crate::stats::SimStats;
 
 /// Sustainable fraction of peak DRAM bandwidth under a mixed read/write
@@ -58,14 +56,28 @@ pub struct DetailedRegionResult {
     pub dram: ChannelStats,
 }
 
-/// Detailed simulator of one node configuration. Kernel profiles are
-/// cached so repeated regions (timesteps) are free.
+/// Detailed simulator of one node configuration.
+///
+/// Kernel profiles come from a [`ProfileTable`]: by default the
+/// simulator's own, which the repeated regions (timesteps) it simulates
+/// share, or one attached with [`NodeSim::with_profiles`], which every
+/// simulator of the same detailed trace shares. Through a shared table a
+/// profile stage is computed once for the configuration axes it reads
+/// (see [`crate::profile`]); results are bit-identical either way.
 pub struct NodeSim<'a> {
     config: NodeConfig,
     detail: &'a DetailedTrace,
-    profiles: HashMap<KernelId, KernelProfile>,
+    profiles: Profiles<'a>,
     region_ws_bytes: f64,
+    /// Cores sharing the L3: `min(items, cores)`.
+    active: u32,
     geom: CacheGeometry,
+}
+
+/// The table a [`NodeSim`] profiles through.
+enum Profiles<'a> {
+    Own(ProfileTable),
+    Shared(&'a ProfileTable),
 }
 
 impl<'a> NodeSim<'a> {
@@ -86,10 +98,18 @@ impl<'a> NodeSim<'a> {
         NodeSim {
             config,
             detail,
-            profiles: HashMap::new(),
+            profiles: Profiles::Own(ProfileTable::new()),
             region_ws_bytes,
+            active,
             geom,
         }
+    }
+
+    /// Profile through `table` instead of this simulator's own. The
+    /// table must only ever serve `detail`, this simulator's trace.
+    pub fn with_profiles(mut self, table: &'a ProfileTable) -> Self {
+        self.profiles = Profiles::Shared(table);
+        self
     }
 
     /// The geometry in use (exposed for diagnostics).
@@ -97,21 +117,28 @@ impl<'a> NodeSim<'a> {
         &self.geom
     }
 
-    /// Profile a kernel (cached).
-    pub fn profile(&mut self, kernel: KernelId) -> Option<KernelProfile> {
-        match self.profiles.entry(kernel) {
-            std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let k = self.detail.kernel(kernel)?;
-                let p = profile_kernel(k, &self.config, &self.geom, self.region_ws_bytes);
-                Some(*e.insert(p))
-            }
-        }
+    /// Profile a kernel, through the profile table.
+    pub fn profile(&self, kernel: KernelId) -> Option<KernelProfile> {
+        self.detail.kernel(kernel).map(|k| self.profile_of(k))
+    }
+
+    fn profile_of(&self, kernel: &Kernel) -> KernelProfile {
+        let table = match &self.profiles {
+            Profiles::Own(table) => table,
+            Profiles::Shared(table) => table,
+        };
+        table.profile(
+            kernel,
+            &self.config,
+            &self.geom,
+            self.active,
+            self.region_ws_bytes,
+        )
     }
 
     /// Per-item detailed duration (ns, uncontended), statistics and DRAM
     /// bytes.
-    fn item_cost(&mut self, item_idx: usize, region: &ComputeRegion) -> (f64, SimStats, f64) {
+    fn item_cost(&self, item_idx: usize, region: &ComputeRegion) -> (f64, SimStats, f64) {
         let ghz = self.config.freq.ghz();
         let item = &region.work.items()[item_idx];
         let mut dur = 0.0;
@@ -122,9 +149,7 @@ impl<'a> NodeSim<'a> {
                 continue;
             };
             let trips = inv.trips.unwrap_or(kernel.trip_count);
-            let Some(p) = self.profile(inv.kernel) else {
-                continue;
-            };
+            let p = self.profile_of(kernel);
             dur += p.duration_ns(trips, ghz);
             stats.merge(&p.stats_per_iter.scaled(trips as f64));
             bytes += p.mem_bytes_per_iter * trips as f64;

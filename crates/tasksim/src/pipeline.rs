@@ -24,6 +24,16 @@
 //! finish times and the ROB), and two independent chains in one step let
 //! the CPU overlap them.
 //!
+//! **The lane count is generic.** The perfect-memory lane reads neither
+//! the frequency nor the memory technology, so the profile table
+//! (`crate::profile`) often already knows it when a real lane is still
+//! missing: [`window_cycles`] takes the number of lanes `N` as a
+//! constant, 1 or 2, and lane 0 is always the real one (the only one
+//! with MSHR bookkeeping). Lanes never read each other's times, so the
+//! real lane of a one-lane walk is the real lane of a two-lane walk, bit
+//! for bit. One loop serves both counts; it is inlined into each caller,
+//! which keeps the two-lane walk as fast as the loop written for two.
+//!
 //! **Fixed rings.** The ROB and the store buffer never hold more than
 //! `rob` / `store_buffer` entries: an instruction arriving at a full one
 //! first waits for the oldest entry, which leaves. Each is a ring whose
@@ -63,8 +73,6 @@ const WARMUP_ITERS: u32 = 24;
 /// Measured fused iterations.
 const MEASURE_ITERS: u32 = 192;
 
-/// A time in both lanes of one walk: `[real memory, perfect memory]`.
-type Lanes = [f64; 2];
 /// The real-memory lane, the only one with MSHR bookkeeping.
 const REAL: usize = 0;
 
@@ -91,7 +99,7 @@ pub struct ServiceLatencies {
     ghz: f64,
     /// When true, [`cycles_per_fused_iter`] returns the perfect-memory
     /// lane (DRAM accesses serviced at L3 latency) — used to split
-    /// core-bound from memory-bound cycles.
+    /// core-bound from memory-bound cycles — else the real one.
     perfect_mem: bool,
 }
 
@@ -141,8 +149,8 @@ enum Unit {
     Store,
 }
 
-/// One fused instruction, compiled for a walk.
-struct Step {
+/// One fused instruction, compiled for a walk of `N` lanes.
+struct Step<const N: usize> {
     unit: Unit,
     /// Cycles from issue to the result (memory: to the port's release).
     latency: f64,
@@ -158,14 +166,15 @@ struct Step {
     /// A level-3 draw is a demand miss (not stream-prefetched): in the
     /// real lane it waits for the MSHRs.
     demand_miss: bool,
-    /// Service latency per level.
-    service: [Lanes; 4],
-    /// Dispatch stall per level (loads beyond L1 only; zero otherwise).
-    stall: [Lanes; 4],
+    /// Service latency per level and lane.
+    service: [[f64; N]; 4],
+    /// Dispatch stall per level and lane (loads beyond L1 only; zero
+    /// otherwise).
+    stall: [[f64; N]; 4],
 }
 
-/// Flatten the body for one walk at `lat`.
-fn compile(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step> {
+/// Flatten the body for one walk of `N` lanes at `lat`.
+fn compile<const N: usize>(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step<N>> {
     let sentinel = body.n_templates;
     let slot = |t: u16| {
         let t = usize::from(t);
@@ -191,8 +200,8 @@ fn compile(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step> {
                 template: slot(ins.template),
                 mix: [0.0; 4],
                 demand_miss: false,
-                service: [[0.0; 2]; 4],
-                stall: [[0.0; 2]; 4],
+                service: [[0.0; N]; 4],
+                stall: [[0.0; N]; 4],
             };
             if let Unit::Load | Unit::Store = unit {
                 let loc = ins.locality.expect("memory op has locality");
@@ -206,7 +215,8 @@ fn compile(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step> {
                 };
                 step.mix = [loc.mix.p_l1, loc.mix.p_l2, loc.mix.p_l3, loc.mix.p_mem];
                 step.demand_miss = !loc.row_friendly;
-                step.service = [[lat.l1; 2], [lat.l2; 2], [lat.l3; 2], [dram, lat.l3]];
+                let level3 = std::array::from_fn(|l| if l == REAL { dram } else { lat.l3 });
+                step.service = [[lat.l1; N], [lat.l2; N], [lat.l3; N], level3];
                 if unit == Unit::Load {
                     for level in 1..4 {
                         step.stall[level] = step.service[level].map(|s| L1_MISS_DISPATCH_STALL * s);
@@ -219,17 +229,17 @@ fn compile(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step> {
 }
 
 /// A ring that is always full: `head` is the entry pushed `len` pushes
-/// ago (zero while the ring has not wrapped), and `push` overwrites it.
+/// ago (`zero` while the ring has not wrapped), and `push` overwrites it.
 struct Ring<T> {
     slots: Vec<T>,
     pos: usize,
 }
 
-impl<T: Copy + Default> Ring<T> {
-    fn new(len: usize) -> Self {
+impl<T: Copy> Ring<T> {
+    fn new(len: usize, zero: T) -> Self {
         assert!(len > 0, "a ring needs a slot");
         Ring {
-            slots: vec![T::default(); len],
+            slots: vec![zero; len],
             pos: 0,
         }
     }
@@ -252,42 +262,51 @@ impl<T: Copy + Default> Ring<T> {
 /// Steady-state timing of a fused body on one core.
 ///
 /// Returns cycles per *fused* iteration, with real memory or — when
-/// `lat` says so — perfect memory. It is one lane of [`window_cycles`].
+/// `lat` says so — perfect memory: a one-lane [`window_cycles`] walk for
+/// the real lane, a two-lane one for the perfect lane.
 pub fn cycles_per_fused_iter(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> f64 {
-    window_cycles(body, ooo, lat)[usize::from(lat.perfect_mem)]
+    if lat.perfect_mem {
+        window_cycles::<2>(body, ooo, lat)[1]
+    } else {
+        window_cycles::<1>(body, ooo, lat)[REAL]
+    }
 }
 
-/// Steady-state cycles per *fused* iteration of a body on one core with
-/// real and with perfect memory, `[real, perfect]`, from one walk
-/// (`lat.perfect_mem` is not read).
-pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> Lanes {
+/// Steady-state cycles per *fused* iteration of a body on one core, one
+/// walk for `N` lanes: `[real]` or `[real, perfect]` (`lat.perfect_mem`
+/// is not read).
+#[inline(always)]
+pub(crate) fn window_cycles<const N: usize>(
+    body: &FusedBody,
+    ooo: &OooParams,
+    lat: &ServiceLatencies,
+) -> [f64; N] {
+    const { assert!(N == 1 || N == 2, "lane 0 is real memory, lane 1 perfect") };
     if body.instrs.is_empty() {
-        return [0.0; 2];
+        return [0.0; N];
     }
-    let steps = compile(body, lat);
+    let steps = compile::<N>(body, lat);
     let dispatch_interval = 1.0 / ooo.issue_width as f64;
 
     // Per-template last completion time, plus the sentinel slot.
-    let mut last_finish = vec![[0.0_f64; 2]; body.n_templates + 1];
+    let mut last_finish = vec![[0.0_f64; N]; body.n_templates + 1];
     let mut samplers = vec![LevelSampler::default(); body.n_templates];
     // Completion times of the ROB's entries and store-buffer release
     // times.
-    let mut rob: Ring<Lanes> = Ring::new(ooo.rob as usize);
-    let mut store_buf: Ring<Lanes> = Ring::new(ooo.store_buffer.max(1) as usize);
+    let mut rob = Ring::new(ooo.rob as usize, [0.0_f64; N]);
+    let mut store_buf = Ring::new(ooo.store_buffer.max(1) as usize, [0.0_f64; N]);
     // The real lane's newest outstanding off-chip misses, and the latest
     // completion among those pushed out since the last demand miss.
-    let mut mshrs: Ring<f64> = Ring::new(MSHRS - 1);
+    let mut mshrs = Ring::new(MSHRS - 1, 0.0_f64);
     let mut mshr_evicted = 0.0_f64;
     // Functional-unit pools, per lane: next-free times.
-    let alus = vec![0.0_f64; ooo.alus.max(1) as usize];
-    let fpus = vec![0.0_f64; ooo.fpus.max(1) as usize];
-    let mut alus = [alus.clone(), alus];
-    let mut fpus = [fpus.clone(), fpus];
-    let mut lsus = [[0.0_f64; LSU_PORTS]; 2];
+    let mut alus: [Vec<f64>; N] = std::array::from_fn(|_| vec![0.0; ooo.alus.max(1) as usize]);
+    let mut fpus: [Vec<f64>; N] = std::array::from_fn(|_| vec![0.0; ooo.fpus.max(1) as usize]);
+    let mut lsus = [[0.0_f64; LSU_PORTS]; N];
 
-    let mut t_dispatch: Lanes = [0.0; 2];
-    let mut t_warm_end: Lanes = [0.0; 2];
-    let mut t_end: Lanes = [0.0; 2];
+    let mut t_dispatch = [0.0_f64; N];
+    let mut t_warm_end = [0.0_f64; N];
+    let mut t_end = [0.0_f64; N];
 
     for iter in 0..WARMUP_ITERS + MEASURE_ITERS {
         for s in &steps {
@@ -295,8 +314,8 @@ pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLate
             // operand readiness.
             let head = rob.head();
             let producer = last_finish[s.dep];
-            let mut ready: Lanes = [0.0; 2];
-            for l in 0..2 {
+            let mut ready = [0.0_f64; N];
+            for l in 0..N {
                 if head[l] > t_dispatch[l] {
                     t_dispatch[l] = head[l];
                 }
@@ -308,10 +327,10 @@ pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLate
             }
 
             // Functional unit and service latency.
-            let mut finish: Lanes = [0.0; 2];
+            let mut finish = [0.0_f64; N];
             match s.unit {
                 Unit::Alu | Unit::Fpu => {
-                    for l in 0..2 {
+                    for l in 0..N {
                         let pool = if s.unit == Unit::Alu {
                             &mut alus[l]
                         } else {
@@ -324,9 +343,9 @@ pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLate
                     }
                 }
                 Unit::Load | Unit::Store => {
-                    let mut port = [0; 2];
-                    let mut issue: Lanes = [0.0; 2];
-                    for l in 0..2 {
+                    let mut port = [0; N];
+                    let mut issue = [0.0_f64; N];
+                    for l in 0..N {
                         let (pi, pfree) = min_slot(&lsus[l]);
                         port[l] = pi;
                         issue[l] = ready[l].max(pfree);
@@ -344,15 +363,15 @@ pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLate
                     // Zero for stores and L1 hits: adding it leaves a
                     // (positive) dispatch time's bits unchanged.
                     let stall = s.stall[level];
-                    for l in 0..2 {
+                    for l in 0..N {
                         t_dispatch[l] += stall[l];
                     }
                     if s.unit == Unit::Store {
                         // Store retires quickly into the buffer; the
                         // buffer entry drains at the service latency.
                         let oldest = store_buf.head();
-                        let mut release: Lanes = [0.0; 2];
-                        for l in 0..2 {
+                        let mut release = [0.0_f64; N];
+                        for l in 0..N {
                             if oldest[l] > issue[l] {
                                 issue[l] = oldest[l];
                             }
@@ -362,7 +381,7 @@ pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLate
                         }
                         store_buf.push(release);
                     } else {
-                        for l in 0..2 {
+                        for l in 0..N {
                             let freed = issue[l] + s.latency;
                             lsus[l][port[l]] = freed;
                             finish[l] = freed + service[l];
@@ -379,14 +398,14 @@ pub(crate) fn window_cycles(body: &FusedBody, ooo: &OooParams, lat: &ServiceLate
 
             last_finish[s.template] = finish;
             rob.push(finish);
-            for l in 0..2 {
+            for l in 0..N {
                 if finish[l] > t_end[l] {
                     t_end[l] = finish[l];
                 }
             }
         }
         if iter + 1 == WARMUP_ITERS {
-            for l in 0..2 {
+            for l in 0..N {
                 t_warm_end[l] = t_end[l].max(t_dispatch[l]);
             }
         }
@@ -571,16 +590,22 @@ mod tests {
         span / MEASURE_ITERS as f64
     }
 
-    /// Both lanes of one walk against two reference walks, and the
-    /// single-lane entry against each, bit for bit.
+    /// Both lanes of a two-lane walk against two reference walks, the
+    /// one-lane walk against the real one, and the single-lane entry
+    /// against each, bit for bit.
     fn assert_lanes_match_reference(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
         let lat_of = |perfect_mem| ServiceLatencies { perfect_mem, ..lat };
         let want = [false, true].map(|p| cycles_per_fused_iter_reference(body, ooo, &lat_of(p)));
-        let got = window_cycles(body, ooo, &lat);
+        let got = window_cycles::<2>(body, ooo, &lat);
         assert_eq!(
             got.map(f64::to_bits),
             want.map(f64::to_bits),
             "lanes {got:?} vs reference {want:?} at {ooo:?}, {lat:?}: {body:?}"
+        );
+        assert_eq!(
+            window_cycles::<1>(body, ooo, &lat)[REAL].to_bits(),
+            want[REAL].to_bits(),
+            "one-lane walk at {ooo:?}, {lat:?}: {body:?}"
         );
         for p in [false, true] {
             assert_eq!(

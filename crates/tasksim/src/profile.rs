@@ -1,10 +1,41 @@
 //! Per-kernel characterisation: steady-state timing plus per-iteration
 //! statistics, ready for extrapolation to full trip counts.
+//!
+//! **One profile table per trace.** A profile is three stages, and each
+//! reads less of the node configuration than the one after it. The
+//! [`ProfileTable`] keeps each stage's output under a key holding
+//! exactly what that stage reads:
+//!
+//! | stage | reads | key |
+//! |---|---|---|
+//! | locality, fusion, per-iteration statistics | kernel, cache config, active cores, `f_eff`, region working set | `ShapeKey` |
+//! | perfect-memory window lane | the shape, core class | `PerfectKey` |
+//! | real-memory window lane | the perfect key, frequency, memory technology | `RealKey` |
+//!
+//! * *Active cores* is `min(items, cores)`, the cores sharing the L3
+//!   ([`CacheGeometry`] reads nothing else of the core count): a region
+//!   of 24 items profiles the same at 32 and at 64 cores.
+//! * *`f_eff`* is `min(F, fusible_run)` ([`crate::fusion::effective_factor`]):
+//!   fusion reads nothing else of the vector width.
+//! * No stage reads the channel count: bandwidth contention is applied
+//!   by the node simulation on top of the profile.
+//! * The fused body carries each memory template's DRAM latency, which
+//!   comes from the memory technology, yet only the real lane reads it.
+//!   The table therefore keeps scalars only. On a real-lane miss it
+//!   re-runs locality and fusion from the current configuration's
+//!   geometry, then walks one lane when the perfect lane is known and
+//!   both otherwise.
+//!
+//! Every entry is what [`profile_kernel`] computes for any configuration
+//! with that key, bit for bit.
 
-use musa_arch::NodeConfig;
-use musa_trace::{Kernel, Op};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
-use crate::fusion::{fuse, FusedBody};
+use musa_arch::{CacheConfig, CoreClass, Frequency, MemTechnology, NodeConfig};
+use musa_trace::{Kernel, KernelId, Op};
+
+use crate::fusion::{effective_factor, fuse, FusedBody};
 use crate::geometry::CacheGeometry;
 use crate::locality::{analyze_kernel, TemplateLocality};
 use crate::pipeline::{window_cycles, ServiceLatencies};
@@ -28,6 +59,19 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
+    /// The profile from its three stages: per-iteration statistics at
+    /// fusion factor `f_eff`, and the window's cycles per fused
+    /// iteration with perfect and with real memory.
+    fn from_stages(stats: SimStats, f_eff: u32, perfect: f64, real: f64) -> KernelProfile {
+        KernelProfile {
+            cycles_per_iter: real / f_eff as f64,
+            cycles_per_iter_nomem: (perfect / f_eff as f64).min(real / f_eff as f64),
+            stats_per_iter: stats,
+            mem_bytes_per_iter: stats.mem_bytes(),
+            f_eff,
+        }
+    }
+
     /// Memory-bound cycles per iteration (stretchable under contention).
     pub fn cycles_mem_per_iter(&self) -> f64 {
         (self.cycles_per_iter - self.cycles_per_iter_nomem).max(0.0)
@@ -112,20 +156,120 @@ pub fn profile_kernel(
 ) -> KernelProfile {
     let locality = analyze_kernel(kernel, geom, region_ws_bytes);
     let fused = fuse(kernel, &locality, config.vector);
-    let ooo = config.core_class.ooo();
-    let ghz = config.freq.ghz();
-
-    let [real, perfect] = window_cycles(&fused, &ooo, &ServiceLatencies::new(geom, ghz, false));
-
+    let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
+    let [real, perfect] = window_cycles::<2>(&fused, &config.core_class.ooo(), &lat);
     let stats = stats_per_iter(kernel, &locality, &fused);
-    let mem_bytes = stats.mem_bytes();
+    KernelProfile::from_stages(stats, fused.f_eff, perfect, real)
+}
 
-    KernelProfile {
-        cycles_per_iter: real / fused.f_eff as f64,
-        cycles_per_iter_nomem: (perfect / fused.f_eff as f64).min(real / fused.f_eff as f64),
-        stats_per_iter: stats,
-        mem_bytes_per_iter: mem_bytes,
-        f_eff: fused.f_eff,
+/// What locality, fusion and the per-iteration statistics read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ShapeKey {
+    kernel: KernelId,
+    cache: CacheConfig,
+    /// Cores sharing the L3, not the core count.
+    active: u32,
+    /// Effective fusion factor, not the vector width.
+    f_eff: u32,
+    region_ws_bits: u64,
+}
+
+/// What the perfect-memory lane reads.
+type PerfectKey = (ShapeKey, CoreClass);
+/// What the real-memory lane reads.
+type RealKey = (PerfectKey, Frequency, MemTechnology);
+
+/// A [`ProfileTable`]'s maps, one per stage, behind its one lock.
+#[derive(Default)]
+struct Stages {
+    shapes: HashMap<ShapeKey, SimStats>,
+    perfect: HashMap<PerfectKey, f64>,
+    real: HashMap<RealKey, f64>,
+    /// One-lane and two-lane window walks made.
+    walks: [u64; 2],
+}
+
+/// The kernel profiles of one detailed trace, each stage kept for the
+/// axes it reads (see the module docs). A table must only ever serve one
+/// trace: its keys name kernels by id.
+#[derive(Default)]
+pub struct ProfileTable {
+    stages: Mutex<Stages>,
+}
+
+impl ProfileTable {
+    /// An empty table.
+    pub fn new() -> ProfileTable {
+        ProfileTable::default()
+    }
+
+    /// Window walks made so far: `[one-lane, two-lane]`. One-lane and
+    /// two-lane walks sum to the real keys filled, two-lane walks to the
+    /// perfect keys.
+    pub fn walks(&self) -> [u64; 2] {
+        self.lock().walks
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Stages> {
+        // Every update is one insert of a finished value: a panic
+        // elsewhere never leaves the maps half-written.
+        self.stages.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// [`profile_kernel`]`(kernel, config, geom, region_ws_bytes)`, each
+    /// stage computed only if no earlier configuration with the same key
+    /// has. `geom` must be built for `config` with `active` cores sharing
+    /// the L3.
+    pub(crate) fn profile(
+        &self,
+        kernel: &Kernel,
+        config: &NodeConfig,
+        geom: &CacheGeometry,
+        active: u32,
+        region_ws_bytes: f64,
+    ) -> KernelProfile {
+        let shape = ShapeKey {
+            kernel: kernel.id,
+            cache: config.cache,
+            active,
+            f_eff: effective_factor(kernel, config.vector),
+            region_ws_bits: region_ws_bytes.to_bits(),
+        };
+        let perfect_key = (shape, config.core_class);
+        let real_key = (perfect_key, config.freq, config.mem.tech);
+        let (stats, perfect, real) = {
+            let stages = self.lock();
+            (
+                stages.shapes.get(&shape).copied(),
+                stages.perfect.get(&perfect_key).copied(),
+                stages.real.get(&real_key).copied(),
+            )
+        };
+        if let (Some(stats), Some(perfect), Some(real)) = (stats, perfect, real) {
+            return KernelProfile::from_stages(stats, shape.f_eff, perfect, real);
+        }
+
+        // The body is rebuilt from this configuration's geometry: it
+        // carries the DRAM latency of this memory technology.
+        let locality = analyze_kernel(kernel, geom, region_ws_bytes);
+        let fused = fuse(kernel, &locality, config.vector);
+        let ooo = config.core_class.ooo();
+        let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
+        let (lanes, real, perfect) = match perfect {
+            Some(perfect) => (1, window_cycles::<1>(&fused, &ooo, &lat)[0], perfect),
+            None => {
+                let [real, perfect] = window_cycles::<2>(&fused, &ooo, &lat);
+                (2, real, perfect)
+            }
+        };
+        let stats = stats.unwrap_or_else(|| stats_per_iter(kernel, &locality, &fused));
+
+        let mut stages = self.lock();
+        stages.shapes.insert(shape, stats);
+        stages.perfect.insert(perfect_key, perfect);
+        stages.real.insert(real_key, real);
+        stages.walks[lanes - 1] += 1;
+        KernelProfile::from_stages(stats, shape.f_eff, perfect, real)
     }
 }
 
@@ -134,11 +278,10 @@ mod tests {
     use super::*;
     use musa_arch::{CoresPerNode, Frequency, MemConfig, VectorWidth};
 
-    fn profile(app: musa_apps::AppId, cfg: &NodeConfig) -> KernelProfile {
-        let trace = musa_apps::generate(app, &musa_apps::GenParams::tiny());
+    /// The sampled region's working set, as `NodeSim` computes it.
+    fn region_ws(trace: &musa_trace::AppTrace) -> f64 {
         let detail = trace.detail.as_ref().unwrap();
-        let k = &detail.kernels[0];
-        let ws: f64 = trace
+        trace
             .sampled_region()
             .unwrap()
             .work
@@ -147,9 +290,14 @@ mod tests {
             .flat_map(|w| &w.kernels)
             .filter_map(|inv| detail.kernel(inv.kernel))
             .map(crate::locality::kernel_footprint_bytes)
-            .sum();
+            .sum()
+    }
+
+    fn profile(app: musa_apps::AppId, cfg: &NodeConfig) -> KernelProfile {
+        let trace = musa_apps::generate(app, &musa_apps::GenParams::tiny());
+        let k = &trace.detail.as_ref().unwrap().kernels[0];
         let geom = CacheGeometry::new(cfg, cfg.cores.count());
-        profile_kernel(k, cfg, &geom, ws)
+        profile_kernel(k, cfg, &geom, region_ws(&trace))
     }
 
     #[test]
@@ -243,6 +391,150 @@ mod tests {
             let speedup = ps.cycles_per_iter / pb.cycles_per_iter;
             assert!(speedup > threshold, "{app}: cache speedup {speedup}");
         }
+    }
+
+    /// One shared table, fed a seeded sequence of expanded-space points
+    /// over the five tiny traces, equals `profile_kernel` at every point,
+    /// bit for bit, and a `NodeSim` profiling through it equals a fresh
+    /// one on the whole region. After each random point come the same
+    /// shape under the other memory technology and the same perfect key
+    /// at another frequency (neither walks the perfect lane again), and,
+    /// for Specfem3D at 32 or 64 cores, the other of the two: its 24
+    /// items share the L3 alike at both, so nothing is walked.
+    #[test]
+    fn shared_table_equals_profile_kernel_bit_for_bit() {
+        use crate::node::NodeSim;
+        use musa_apps::{generate, AppId, GenParams};
+        use musa_arch::{CacheConfig, CoreClass, MemTechnology};
+        use musa_obs::rng::{check_cases, SplitMix64};
+
+        let traces = AppId::ALL.map(|app| {
+            let trace = generate(app, &GenParams::tiny());
+            (app, region_ws(&trace), trace)
+        });
+        let table = ProfileTable::new();
+        // Cases that met a frequency share and a Specfem3D core share.
+        let mut shared = [0; 2];
+        check_cases(48, |rng| {
+            fn pick<T: Copy>(rng: &mut SplitMix64, all: &[T]) -> T {
+                all[(rng.next_u64() % all.len() as u64) as usize]
+            }
+            let (app, ws, trace) = &traces[(rng.next_u64() % 5) as usize];
+            let detail = trace.detail.as_ref().unwrap();
+            let region = trace.sampled_region().unwrap();
+            let cfg = NodeConfig {
+                cores: pick(rng, &CoresPerNode::ALL),
+                core_class: pick(rng, &CoreClass::ALL),
+                cache: pick(rng, &CacheConfig::ALL),
+                vector: pick(rng, &VectorWidth::ALL),
+                freq: pick(rng, &Frequency::ALL),
+                mem: MemConfig {
+                    channels: 1 + (rng.next_u64() % 64) as u32,
+                    tech: pick(rng, &[MemTechnology::Ddr4, MemTechnology::Hbm]),
+                },
+            };
+            let fresh = NodeSim::new(cfg, detail, region).simulate_region(region);
+            let through = NodeSim::new(cfg, detail, region)
+                .with_profiles(&table)
+                .simulate_region(region);
+            assert_eq!(format!("{through:?}"), format!("{fresh:?}"), "{cfg}");
+
+            // Every kernel at `cfg` through the table; the walks it took.
+            let walks_at = |cfg: NodeConfig| {
+                let before = table.walks();
+                let sim = NodeSim::new(cfg, detail, region).with_profiles(&table);
+                for k in &detail.kernels {
+                    let want = profile_kernel(k, &cfg, sim.geometry(), *ws);
+                    let got = sim.profile(k.id).unwrap();
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{app} at {cfg}");
+                }
+                let after = table.walks();
+                [after[0] - before[0], after[1] - before[1]]
+            };
+            walks_at(cfg);
+            let other_tech = match cfg.mem.tech {
+                MemTechnology::Ddr4 => MemTechnology::Hbm,
+                MemTechnology::Hbm => MemTechnology::Ddr4,
+            };
+            let mem = MemConfig {
+                channels: 1 + (rng.next_u64() % 64) as u32,
+                tech: other_tech,
+            };
+            assert_eq!(
+                walks_at(cfg.with_mem(mem))[1],
+                0,
+                "perfect lane shared across technologies"
+            );
+            let freq = pick(rng, &Frequency::ALL);
+            if freq != cfg.freq {
+                assert_eq!(
+                    walks_at(cfg.with_freq(freq))[1],
+                    0,
+                    "perfect lane shared across frequencies"
+                );
+                shared[0] += 1;
+            }
+            let other_cores = match cfg.cores {
+                CoresPerNode::C32 => Some(CoresPerNode::C64),
+                CoresPerNode::C64 => Some(CoresPerNode::C32),
+                CoresPerNode::C1 => None,
+            };
+            if let (AppId::Spec3d, Some(cores)) = (app, other_cores) {
+                assert_eq!(
+                    walks_at(cfg.with_cores(cores)),
+                    [0, 0],
+                    "spec3d shares C32/C64"
+                );
+                shared[1] += 1;
+            }
+        });
+        assert!(
+            shared.iter().all(|&n| n > 0),
+            "every share exercised: {shared:?}"
+        );
+    }
+
+    /// Counts, not clocks: Specfem3D at paper scale over the whole
+    /// 864-point grid, through one table, walks each real key once and
+    /// the perfect lane once per perfect key — both key sets counted here
+    /// from the configurations alone.
+    #[test]
+    fn a_full_grid_sweep_walks_each_key_once() {
+        use crate::node::NodeSim;
+        use musa_apps::{generate, AppId, GenParams};
+        use std::collections::HashSet;
+
+        let trace = generate(AppId::Spec3d, &GenParams::paper());
+        let detail = trace.detail.as_ref().unwrap();
+        let region = trace.sampled_region().unwrap();
+        let items = region.work.items().len() as u32;
+        let table = ProfileTable::new();
+        let (mut perfect, mut real) = (HashSet::new(), HashSet::new());
+        for cfg in musa_arch::DesignSpace::iter() {
+            NodeSim::new(cfg, detail, region)
+                .with_profiles(&table)
+                .simulate_region(region);
+            let active = items.min(cfg.cores.count());
+            for k in &detail.kernels {
+                let f_eff = cfg.vector.fusion_factor().min(k.fusible_run);
+                let shape = (k.id, cfg.cache, active, f_eff);
+                perfect.insert((shape, cfg.core_class));
+                real.insert((shape, cfg.core_class, cfg.freq, cfg.mem.tech));
+            }
+        }
+        let [one_lane, two_lane] = table.walks();
+        assert_eq!(
+            one_lane + two_lane,
+            real.len() as u64,
+            "one walk per real key"
+        );
+        assert_eq!(
+            two_lane,
+            perfect.len() as u64,
+            "one perfect lane per perfect key"
+        );
+        // One kernel; 24 items share the L3 alike at 32 and 64 cores.
+        assert_eq!((real.len(), perfect.len()), (288, 72));
     }
 
     #[test]

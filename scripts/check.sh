@@ -61,6 +61,14 @@ if grep -n 'cycles_per_fused_ite[r]' crates/tasksim/src/profile.rs ||
     exit 1
 fi
 
+# One profile table per trace: `NodeSim` profiles only through a
+# `ProfileTable`, and keeps no per-simulator profile map beside it.
+if sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/node.rs | grep -n 'profile_kerne[l](' ||
+    grep -n 'HashMap<KernelI[d]' crates/tasksim/src/node.rs; then
+    echo "check: FAIL — a second profiling path or a per-simulator profile map is back in node.rs (lines above)" >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -152,10 +160,17 @@ echo "== full-grid golden digest (864 x 5 tiny, sequential and --workers 2) =="
 # against the release binary.
 cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
 
-echo "== OoO window oracle (2,160 paper-scale windows, both lanes) =="
-# Every window the paper-scale design space times, both lanes of the one
-# walk against two walks of the loop it replaced, bit for bit.
+echo "== OoO window oracle (2,160 paper-scale windows, one and two lanes) =="
+# Every window the paper-scale design space times, both lanes of the
+# two-lane walk and the lane of the one-lane walk against walks of the
+# loop it replaced, bit for bit.
 cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_window
+
+echo "== expanded-space golden digest (every 97th config x 5 tiny, shared and fresh) =="
+# The slice meets HBM, 1-64 channels and all six widths, which the
+# DDR4-only paper grid never does: one evaluator for every point and one
+# per point must both give the digest taken before profiles were shared.
+cargo test -q --release -p musa-search --test expanded_digest -- --ignored
 
 echo "== dist smoke (--listen + 2 dist-workers vs sequential) =="
 # Byte-identity of a distributed fill over loopback TCP, with and
