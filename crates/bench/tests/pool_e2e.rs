@@ -142,6 +142,17 @@ const GOLDEN_ROWS_DIGEST: u64 = 0xcc03_97b1_e5c2_10a3;
 /// design space, not a slice, pins that rewrite and any later one.
 const GOLDEN_FULL_GRID_DIGEST: u64 = 0x0d15_833c_8cbb_3e99;
 
+/// Configurations of the paper-scale slice: every tenth of the 864, about
+/// the benchmark's 1-in-11 slice.
+const PAPER_SLICE: usize = 79;
+
+/// The same digest over `dse --full` with `MUSA_CONFIG_SLICE=79` (paper
+/// scale, 256 ranks, full replay), computed with the release `dse` of the
+/// commit before the OoO window's unit pools were sorted (ROADMAP item
+/// 1a): the 256-rank burst tables and the 64-core paths, which no tiny
+/// sweep reaches.
+const GOLDEN_PAPER_SLICE_DIGEST: u64 = 0x8f2e_3196_ff6e_03af;
+
 fn rows_digest(lines: &[String]) -> u64 {
     musa_store::fnv1a_64(lines.join("\n").as_bytes())
 }
@@ -219,6 +230,28 @@ fn full_grid_rows_match_the_golden_digest() {
             rows_digest(&lines),
             GOLDEN_FULL_GRID_DIGEST,
             "{extra:?}: full-grid rows moved off the golden digest"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// 395 paper-scale points twice, against the release binary:
+/// `cargo test --release -p musa-bench --test pool_e2e -- --ignored paper_slice`.
+#[test]
+#[ignore = "395 paper-scale points twice: scripts/check.sh runs it in release"]
+fn paper_slice_rows_match_the_golden_digest() {
+    for extra in [&["--full"][..], &["--full", "--workers", "2"]] {
+        let dir = tmp_dir("paper-slice");
+        let out = dse_command_at(&dir, extra, PAPER_SLICE, false)
+            .output()
+            .expect("spawn dse");
+        assert!(out.status.success(), "{extra:?}: {}", stderr_of(&out));
+        let lines = sorted_store_lines(&dir);
+        assert_eq!(lines.len(), PAPER_SLICE * AppId::ALL.len(), "{extra:?}");
+        assert_eq!(
+            rows_digest(&lines),
+            GOLDEN_PAPER_SLICE_DIGEST,
+            "{extra:?}: paper-slice rows moved off the golden digest"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

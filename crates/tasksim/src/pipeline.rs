@@ -47,8 +47,22 @@
 //! the two-pass loop it replaced, in the same order, so both lanes are
 //! bit-identical to it (asserted against that loop, kept as the test
 //! oracle).
+//!
+//! **Sorted pools.** The walk asks a functional-unit pool (ALUs, FPUs, the
+//! load/store ports) two things: when its earliest unit is free, and to
+//! busy that unit until a time no earlier than that. Which of several
+//! equally early units is busied cannot change the multiset of free
+//! times, so a pool kept sorted answers the first question, bit for bit,
+//! exactly as a scan for the earliest slot did — without the scan. A
+//! [`Pool`] is a sorted array padded with `+inf` to a width fixed at
+//! compile time ([`MAX_UNITS`], the widest pool of any core class), and
+//! busying its first unit is a branch-free sorted insert. Every
+//! maximum and minimum in the walk is a compare-select on times that are
+//! never NaN ([`later`], [`earlier`]) rather than `f64::max`/`f64::min`,
+//! whose NaN handling puts extra instructions on the walk's critical
+//! path.
 
-use musa_arch::OooParams;
+use musa_arch::{CoreClass, OooParams};
 use musa_trace::Op;
 
 use crate::fusion::FusedBody;
@@ -68,6 +82,23 @@ const PREFETCH_EXPOSED: f64 = 0.15;
 const L1_MISS_DISPATCH_STALL: f64 = 0.35;
 /// Load/store ports.
 const LSU_PORTS: usize = 2;
+/// Slots of an ALU or FPU [`Pool`]: the most units of either kind any
+/// [`CoreClass`] has. A window with more panics; there is no fallback.
+const MAX_UNITS: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < CoreClass::ALL.len() {
+        let ooo = CoreClass::ALL[i].ooo();
+        if ooo.alus > max {
+            max = ooo.alus;
+        }
+        if ooo.fpus > max {
+            max = ooo.fpus;
+        }
+        i += 1;
+    }
+    max as usize
+};
 /// Warm-up fused iterations discarded before measuring.
 const WARMUP_ITERS: u32 = 24;
 /// Measured fused iterations.
@@ -259,6 +290,63 @@ impl<T: Copy> Ring<T> {
     }
 }
 
+/// The later of two times (a compare-select: neither is ever NaN).
+fn later(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The earlier of two times (a compare-select: neither is ever NaN).
+fn earlier(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// A functional-unit pool: its units' next-free times, sorted ascending
+/// and padded with `+inf` to `P` slots.
+#[derive(Clone, Copy)]
+struct Pool<const P: usize>([f64; P]);
+
+impl<const P: usize> Pool<P> {
+    /// `units` units (at least one), all free at time 0.
+    fn new(units: u32) -> Self {
+        let units = units.max(1) as usize;
+        assert!(
+            units <= P,
+            "{units} units exceed a {P}-slot pool: the OoO window supports at most \
+             MAX_UNITS = {MAX_UNITS} ALUs or FPUs"
+        );
+        Pool(std::array::from_fn(|i| {
+            if i < units {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        }))
+    }
+
+    /// When the earliest unit is free.
+    fn free(&self) -> f64 {
+        self.0[0]
+    }
+
+    /// Busy the earliest unit until `v`, no earlier than [`Pool::free`]:
+    /// slot 0 leaves and `v` is inserted in order, without a branch.
+    fn take(&mut self, v: f64) {
+        let r = self.0;
+        for j in 0..P - 1 {
+            self.0[j] = earlier(r[j + 1], later(r[j], v));
+        }
+        self.0[P - 1] = later(r[P - 1], v);
+    }
+}
+
 /// Steady-state timing of a fused body on one core.
 ///
 /// Returns cycles per *fused* iteration, with real memory or — when
@@ -299,10 +387,10 @@ pub(crate) fn window_cycles<const N: usize>(
     // completion among those pushed out since the last demand miss.
     let mut mshrs = Ring::new(MSHRS - 1, 0.0_f64);
     let mut mshr_evicted = 0.0_f64;
-    // Functional-unit pools, per lane: next-free times.
-    let mut alus: [Vec<f64>; N] = std::array::from_fn(|_| vec![0.0; ooo.alus.max(1) as usize]);
-    let mut fpus: [Vec<f64>; N] = std::array::from_fn(|_| vec![0.0; ooo.fpus.max(1) as usize]);
-    let mut lsus = [[0.0_f64; LSU_PORTS]; N];
+    // Functional-unit pools, per lane.
+    let mut alus = [Pool::<MAX_UNITS>::new(ooo.alus); N];
+    let mut fpus = [Pool::<MAX_UNITS>::new(ooo.fpus); N];
+    let mut lsus = [Pool::<LSU_PORTS>::new(LSU_PORTS as u32); N];
 
     let mut t_dispatch = [0.0_f64; N];
     let mut t_warm_end = [0.0_f64; N];
@@ -316,14 +404,8 @@ pub(crate) fn window_cycles<const N: usize>(
             let producer = last_finish[s.dep];
             let mut ready = [0.0_f64; N];
             for l in 0..N {
-                if head[l] > t_dispatch[l] {
-                    t_dispatch[l] = head[l];
-                }
-                t_dispatch[l] += dispatch_interval;
-                ready[l] = t_dispatch[l];
-                if producer[l] > ready[l] {
-                    ready[l] = producer[l];
-                }
+                t_dispatch[l] = later(head[l], t_dispatch[l]) + dispatch_interval;
+                ready[l] = later(producer[l], t_dispatch[l]);
             }
 
             // Functional unit and service latency.
@@ -336,27 +418,21 @@ pub(crate) fn window_cycles<const N: usize>(
                         } else {
                             &mut fpus[l]
                         };
-                        let (pi, pfree) = min_slot(pool);
-                        let issue = ready[l].max(pfree);
-                        pool[pi] = issue + s.occupancy;
+                        let issue = later(ready[l], pool.free());
+                        pool.take(issue + s.occupancy);
                         finish[l] = issue + s.latency;
                     }
                 }
                 Unit::Load | Unit::Store => {
-                    let mut port = [0; N];
                     let mut issue = [0.0_f64; N];
                     for l in 0..N {
-                        let (pi, pfree) = min_slot(&lsus[l]);
-                        port[l] = pi;
-                        issue[l] = ready[l].max(pfree);
+                        issue[l] = later(ready[l], lsus[l].free());
                     }
                     let level = samplers[s.template].pick(s.mix);
                     if level == 3 && s.demand_miss {
                         // Demand miss: wait for every outstanding miss
                         // but the `MSHRS - 1` newest.
-                        if mshr_evicted > issue[REAL] {
-                            issue[REAL] = mshr_evicted;
-                        }
+                        issue[REAL] = later(mshr_evicted, issue[REAL]);
                         mshr_evicted = 0.0;
                     }
                     let service = s.service[level];
@@ -372,10 +448,8 @@ pub(crate) fn window_cycles<const N: usize>(
                         let oldest = store_buf.head();
                         let mut release = [0.0_f64; N];
                         for l in 0..N {
-                            if oldest[l] > issue[l] {
-                                issue[l] = oldest[l];
-                            }
-                            lsus[l][port[l]] = issue[l] + s.latency;
+                            issue[l] = later(oldest[l], issue[l]);
+                            lsus[l].take(issue[l] + s.latency);
                             release[l] = issue[l] + service[l];
                             finish[l] = issue[l] + s.latency;
                         }
@@ -383,14 +457,11 @@ pub(crate) fn window_cycles<const N: usize>(
                     } else {
                         for l in 0..N {
                             let freed = issue[l] + s.latency;
-                            lsus[l][port[l]] = freed;
+                            lsus[l].take(freed);
                             finish[l] = freed + service[l];
                         }
                         if level == 3 {
-                            let evicted = mshrs.push(finish[REAL]);
-                            if evicted > mshr_evicted {
-                                mshr_evicted = evicted;
-                            }
+                            mshr_evicted = later(mshrs.push(finish[REAL]), mshr_evicted);
                         }
                     }
                 }
@@ -399,35 +470,20 @@ pub(crate) fn window_cycles<const N: usize>(
             last_finish[s.template] = finish;
             rob.push(finish);
             for l in 0..N {
-                if finish[l] > t_end[l] {
-                    t_end[l] = finish[l];
-                }
+                t_end[l] = later(finish[l], t_end[l]);
             }
         }
         if iter + 1 == WARMUP_ITERS {
             for l in 0..N {
-                t_warm_end[l] = t_end[l].max(t_dispatch[l]);
+                t_warm_end[l] = later(t_end[l], t_dispatch[l]);
             }
         }
     }
 
     std::array::from_fn(|l| {
-        let span = (t_end[l].max(t_dispatch[l]) - t_warm_end[l]).max(0.0);
+        let span = later(later(t_end[l], t_dispatch[l]) - t_warm_end[l], 0.0);
         span / MEASURE_ITERS as f64
     })
-}
-
-/// Index and value of the smallest element.
-fn min_slot(v: &[f64]) -> (usize, f64) {
-    let mut bi = 0;
-    let mut bv = v[0];
-    for (i, &x) in v.iter().enumerate().skip(1) {
-        if x < bv {
-            bi = i;
-            bv = x;
-        }
-    }
-    (bi, bv)
 }
 
 #[cfg(test)]
@@ -437,6 +493,20 @@ mod tests {
     use crate::locality::{analyze_kernel, AccessMix, TemplateLocality};
     use musa_arch::{CoreClass, NodeConfig, VectorWidth};
     use musa_obs::rng::SplitMix64;
+
+    /// Index and value of the smallest element: the reference's pool scan,
+    /// which [`Pool`] replaced.
+    fn min_slot(v: &[f64]) -> (usize, f64) {
+        let mut bi = 0;
+        let mut bv = v[0];
+        for (i, &x) in v.iter().enumerate().skip(1) {
+            if x < bv {
+                bi = i;
+                bv = x;
+            }
+        }
+        (bi, bv)
+    }
 
     /// The window as it stood before the two lanes: one memory mode per
     /// walk, `VecDeque` ROB / MSHRs / store buffer. Kept as the oracle.
@@ -724,18 +794,73 @@ mod tests {
     }
 
     /// A seeded small window: ROBs, widths and store buffers of a few
-    /// entries, and unit counts that may be zero (clamped to one).
+    /// entries, and unit counts from zero (clamped to one) up to the pool
+    /// cap.
     fn random_ooo(rng: &mut SplitMix64) -> OooParams {
         let below = |rng: &mut SplitMix64, n: u64| (rng.next_u64() % n) as u32;
         OooParams {
             rob: 1 + below(rng, 8),
             issue_width: 1 + below(rng, 8),
             store_buffer: below(rng, 4),
-            alus: below(rng, 4),
-            fpus: below(rng, 4),
+            alus: below(rng, MAX_UNITS as u64 + 1),
+            fpus: below(rng, MAX_UNITS as u64 + 1),
             int_rf: 0,
             fp_rf: 0,
         }
+    }
+
+    /// A seeded tie-heavy case: a long run of ALU and FPU ops, independent
+    /// of each other and each waiting on one long-latency producer or on
+    /// none, dispatched wider than either pool. The ops released together
+    /// by the producer issue at one time on several units, which then
+    /// share a free time, as do all units at the start.
+    fn tie_heavy_case(rng: &mut SplitMix64) -> (FusedBody, OooParams) {
+        let below = |rng: &mut SplitMix64, n: usize| (rng.next_u64() % n as u64) as usize;
+        const ALU_FPU: [Op; 7] = [
+            Op::IntAlu,
+            Op::Branch,
+            Op::Other,
+            Op::IntMul,
+            Op::FpAdd,
+            Op::FpMul,
+            Op::FpFma,
+        ];
+        let n_templates = 2 + below(rng, 8);
+        let templates: Vec<FusedInstr> = (0..n_templates)
+            .map(|t| FusedInstr {
+                op: if t == 0 {
+                    [Op::FpDiv, Op::IntMul][below(rng, 2)]
+                } else {
+                    ALU_FPU[below(rng, ALU_FPU.len())]
+                },
+                dep_template: (t > 0 && below(rng, 4) != 0).then_some(0),
+                carried: false,
+                template: t as u16,
+                locality: None,
+                lines_per_access: 1.0,
+                lanes: 1,
+            })
+            .collect();
+        let instrs = std::iter::once(templates[0])
+            .chain((0..16 + below(rng, 48)).map(|_| templates[1 + below(rng, n_templates - 1)]))
+            .collect();
+        let alus = 1 + below(rng, MAX_UNITS) as u32;
+        let fpus = 1 + below(rng, MAX_UNITS) as u32;
+        let ooo = OooParams {
+            rob: 8 + below(rng, 64) as u32,
+            issue_width: alus.max(fpus) + 1 + below(rng, 4) as u32,
+            store_buffer: 1,
+            alus,
+            fpus,
+            int_rf: 0,
+            fp_rf: 0,
+        };
+        let body = FusedBody {
+            instrs,
+            f_eff: 1,
+            n_templates,
+        };
+        (body, ooo)
     }
 
     #[test]
@@ -754,6 +879,8 @@ mod tests {
             for ooo in [ooo, class.ooo()] {
                 assert_lanes_match_reference(&body, &ooo, lat);
             }
+            let (body, ooo) = tie_heavy_case(rng);
+            assert_lanes_match_reference(&body, &ooo, lat);
         });
         let empty = FusedBody {
             instrs: vec![],
@@ -761,6 +888,64 @@ mod tests {
             n_templates: 0,
         };
         assert_lanes_match_reference(&empty, &CoreClass::High.ooo(), lat(false));
+    }
+
+    /// Random `take` sequences, with many equal times, leave a sorted pool
+    /// with the minimum — and the multiset — of the scan-and-overwrite
+    /// pool it replaced, after every step.
+    #[test]
+    fn a_sorted_pool_keeps_the_scanned_pools_minimum() {
+        fn check<const P: usize>(rng: &mut SplitMix64, units: usize) {
+            let mut pool = Pool::<P>::new(units as u32);
+            let mut slots = vec![0.0_f64; units.max(1)];
+            for step in 0..64 {
+                let (i, min) = min_slot(&slots);
+                assert_eq!(pool.free().to_bits(), min.to_bits(), "step {step}");
+                // Mostly small whole steps, so that units share free times.
+                let v = match rng.next_u64() % 4 {
+                    0 => min,
+                    1 => min + rng.next_f64() * 4.0,
+                    _ => min + (rng.next_u64() % 3) as f64,
+                };
+                slots[i] = v;
+                pool.take(v);
+                let mut sorted = slots.clone();
+                sorted.sort_by(f64::total_cmp);
+                assert_eq!(&pool.0[..sorted.len()], &sorted[..], "step {step}");
+                assert!(pool.0[sorted.len()..].iter().all(|&x| x == f64::INFINITY));
+            }
+        }
+        musa_obs::rng::check_cases(200, |rng| {
+            let units = (rng.next_u64() % (MAX_UNITS as u64 + 1)) as usize;
+            check::<MAX_UNITS>(rng, units);
+            check::<LSU_PORTS>(rng, LSU_PORTS);
+        });
+    }
+
+    #[test]
+    fn every_core_class_fits_the_pool_cap() {
+        for class in CoreClass::ALL {
+            let ooo = class.ooo();
+            assert!(
+                ooo.alus as usize <= MAX_UNITS && ooo.fpus as usize <= MAX_UNITS,
+                "{class}: {} ALUs / {} FPUs over MAX_UNITS = {MAX_UNITS}",
+                ooo.alus,
+                ooo.fpus
+            );
+        }
+        let widest = CoreClass::ALL.map(|c| c.ooo().alus.max(c.ooo().fpus));
+        assert_eq!(widest.into_iter().max(), Some(MAX_UNITS as u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "the OoO window supports at most MAX_UNITS")]
+    fn a_core_wider_than_the_pool_cap_panics() {
+        let ooo = OooParams {
+            alus: MAX_UNITS as u32 + 1,
+            ..CoreClass::Aggressive.ooo()
+        };
+        let body = setup(musa_apps::AppId::Hydro, VectorWidth::V128);
+        cycles_per_fused_iter(&body, &ooo, &lat(false));
     }
 
     /// Every window the paper-scale design space times: the 135 fused

@@ -61,6 +61,14 @@ if grep -n 'cycles_per_fused_ite[r]' crates/tasksim/src/profile.rs ||
     exit 1
 fi
 
+# The window picks its unit without searching: the functional-unit pools
+# are sorted fixed-width arrays, and the scan they replaced lives only in
+# the reference loop under `#[cfg(test)]`.
+if sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/pipeline.rs | grep -n 'min_slo[t]\|Vec<f64>; [N]\]'; then
+    echo "check: FAIL — a scanned or heap-allocated FU pool is back in pipeline.rs (lines above)" >&2
+    exit 1
+fi
+
 # One profile table per trace: `NodeSim` profiles only through a
 # `ProfileTable`, and keeps no per-simulator profile map beside it.
 if sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/node.rs | grep -n 'profile_kerne[l](' ||
@@ -159,6 +167,11 @@ echo "== full-grid golden digest (864 x 5 tiny, sequential and --workers 2) =="
 # the replay and scheduler loops were rewritten; 4,320 points twice, so
 # against the release binary.
 cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
+
+echo "== paper-slice golden digest (79 configs x 5 at --full, sequential and --workers 2) =="
+# The 256-rank burst tables and the 64-core paths, which the tiny grids
+# never reach, against the digest taken before the unit pools were sorted.
+cargo test -q --release -p musa-bench --test pool_e2e -- --ignored paper_slice
 
 echo "== OoO window oracle (2,160 paper-scale windows, one and two lanes) =="
 # Every window the paper-scale design space times, both lanes of the
