@@ -17,7 +17,7 @@ use musa_arch::NodeConfig;
 use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
 use musa_net::{BurstTimes, NetworkParams, ReplayResult};
 use musa_power::{PowerBreakdown, PowerModel};
-use musa_tasksim::{simulate_region_burst, NodeSim, ProfileTable};
+use musa_tasksim::{burst_makespan_ns, NodeSim, ProfileTable};
 use musa_trace::{AppTrace, ComputeRegion, DetailedTrace, TraceMeta};
 
 /// Scalar summary of one multiscale simulation, the unit of the DSE
@@ -329,13 +329,13 @@ impl<'a> MultiscaleSim<'a> {
                     }
                     None => {
                         musa_prof::cache_note(false);
-                        let ns = simulate_region_burst(region, cores).makespan_ns;
+                        let ns = burst_makespan_ns(region, cores);
                         cache.put_burst(key, &BurstArtifact { makespan_ns: ns });
                         ns
                     }
                 }
             }
-            None => simulate_region_burst(region, cores).makespan_ns,
+            None => burst_makespan_ns(region, cores),
         };
         self.baseline_memo
             .lock()
@@ -356,6 +356,7 @@ mod tests {
     use super::*;
     use musa_apps::{generate, AppId, GenParams};
     use musa_arch::{CoresPerNode, MemConfig, VectorWidth};
+    use musa_tasksim::simulate_region_burst;
 
     fn result(app: AppId, config: NodeConfig) -> ConfigResult {
         let trace = generate(app, &GenParams::tiny());

@@ -162,6 +162,9 @@ pub struct Channel {
     next_refresh_ns: f64,
     /// Pending (unscheduled) requests in arrival order.
     pending: VecDeque<Request>,
+    /// Completions [`Channel::service_one`] serviced for other requests,
+    /// in service order; the next [`Channel::drain`] returns them first.
+    held: Vec<Completion>,
     stats: ChannelStats,
 }
 
@@ -177,6 +180,7 @@ impl Channel {
             rrd_ready_ns: 0.0,
             next_refresh_ns: refi_ns,
             pending: VecDeque::new(),
+            held: Vec::new(),
             stats: ChannelStats::default(),
         }
     }
@@ -204,9 +208,11 @@ impl Channel {
     }
 
     /// Schedule every pending request, FR-FCFS, and return completions in
-    /// service order. Call after pushing a batch.
+    /// service order (those a [`Self::service_one`] call serviced since
+    /// the last drain first). Call after pushing a batch.
     pub fn drain(&mut self) -> Vec<Completion> {
-        let mut done = Vec::with_capacity(self.pending.len());
+        let mut done = Vec::with_capacity(self.held.len() + self.pending.len());
+        done.append(&mut self.held);
         while !self.pending.is_empty() {
             let idx = self.pick_fr_fcfs();
             let req = self.pending.remove(idx).expect("index in range");
@@ -217,15 +223,21 @@ impl Channel {
     }
 
     /// Convenience: push a single request and service the whole queue,
-    /// returning this request's completion time.
+    /// returning this request's completion time. The other requests'
+    /// completions stay on the channel for the next [`Self::drain`].
     pub fn service_one(&mut self, req: Request) -> f64 {
         let id = req.id;
         self.push(req);
-        self.drain()
-            .into_iter()
-            .find(|c| c.id == id)
-            .expect("request just pushed is serviced")
-            .done_ns
+        let earlier = self.held.len();
+        let mut done = self.drain();
+        let mine = earlier
+            + done[earlier..]
+                .iter()
+                .position(|c| c.id == id)
+                .expect("request just pushed is serviced");
+        let done_ns = done.remove(mine).done_ns;
+        self.held = done;
+        done_ns
     }
 
     /// FR-FCFS: oldest request whose row is open in its bank; otherwise

@@ -195,6 +195,26 @@ mod tests {
     }
 
     #[test]
+    fn access_keeps_the_completions_it_services_for_queued_requests() {
+        // A request queued on channel 0, another on channel 1, then an
+        // immediate access on channel 0, which services the queued one.
+        let mut a = DramSystem::new(MemConfig::DDR4_4CH);
+        a.push(0, false, 0.0);
+        a.push(CACHE_LINE_BYTES, true, 0.0);
+        let t_access = a.access(4 * CACHE_LINE_BYTES, false, 0.0);
+        // The same three requests drained as one batch.
+        let mut b = DramSystem::new(MemConfig::DDR4_4CH);
+        for (line, is_write) in [(0, false), (1, true), (4, false)] {
+            b.push(line * CACHE_LINE_BYTES, is_write, 0.0);
+        }
+        let want = b.drain();
+        assert_eq!(a.drain(), want[..2]);
+        assert_eq!(t_access, want[2].done_ns);
+        assert!(a.drain().is_empty(), "each completion is returned once");
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
     fn stats_totals_merge_channels() {
         let mut sys = DramSystem::new(MemConfig::DDR4_4CH);
         for i in 0..256u64 {

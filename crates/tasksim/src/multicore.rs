@@ -16,6 +16,28 @@
 //! Runtime overheads are wall-clock values recorded in the native trace
 //! and deliberately do *not* scale with the simulated core frequency —
 //! reproducing the paper's HYDRO scheduling plateau above 2.5 GHz.
+//!
+//! **One loop, three core pools.** `place_items` list-schedules a
+//! region's items in trace order and asks a `CorePool` where each one
+//! runs: a static loop's chunks go round-robin (`RoundRobin`) on every
+//! path; otherwise an item takes the earliest-free core. Core free times
+//! are never NaN and never −0.0: they are sums of durations clamped by
+//! `max(0.0)`, so two equally early cores hold the same bits.
+//!
+//! **Value-only pools.** For a dynamic loop or a task graph the loop does
+//! two things with the core free times: it reads the minimum, and it
+//! overwrites the core holding the minimum with the item's end. Which of
+//! several equally early cores is overwritten cannot change the multiset
+//! of free times, so a pool that keeps only that multiset, sorted, reads
+//! the same minimum bit for bit as a scan over the cores — and with it the
+//! same start, end, lock time and makespan. [`schedule_region`] names the
+//! core of every item in its timeline, so it keeps the indexed scan
+//! (`EarliestFree`, lowest index on ties); [`burst_makespan_ns`] reports
+//! no core and uses a sorted ring (`FreeRing`): it pops the earliest
+//! time and inserts the item's end from the back. An item starts no
+//! earlier than any running item started, so its end is usually the
+//! latest free time, and the insert then moves nothing — where the scan
+//! reads every core for every item.
 
 use musa_trace::{ComputeRegion, LoopSchedule, RegionWork, WorkItem};
 
@@ -86,9 +108,10 @@ pub fn schedule_region(
 ) -> Schedule {
     let cores = cores.max(1);
     let mut timeline = Vec::with_capacity(region.work.items().len());
-    let (makespan_ns, busy_ns) = place_items(region, cores, duration_of, critical_of, |placed| {
-        timeline.push(placed)
-    });
+    let (makespan_ns, busy_ns) =
+        place_with::<EarliestFree>(region, cores, duration_of, critical_of, |placed| {
+            timeline.push(placed)
+        });
     Schedule {
         makespan_ns,
         timeline,
@@ -100,6 +123,113 @@ pub fn schedule_region(
 /// Core free-times live on the stack up to this many cores (the design
 /// space stops at 64).
 const STACK_CORES: usize = 64;
+
+/// Where the scheduling loop puts each item. A pool keeps one free time
+/// per core in a slice it is handed on every call, so that the slice can
+/// live on the loop's stack.
+trait CorePool {
+    /// Lays out `free` (one slot per core, all 0) for a region whose
+    /// master core joins at `master_free`.
+    fn seat(free: &mut [f64], master_free: f64) -> Self;
+    /// The slot item `i` runs in; `free[slot]` is when it is free.
+    fn pick(&mut self, free: &[f64], i: usize) -> usize;
+    /// The item just picked into `slot` ends at `end`; where slots are
+    /// cores, that core is busy until then.
+    fn occupy(&mut self, free: &mut [f64], slot: usize, end: f64) {
+        free[slot] = end;
+    }
+}
+
+/// Static pre-assignment: item `i` runs on core `i % cores`.
+struct RoundRobin;
+
+impl CorePool for RoundRobin {
+    fn seat(free: &mut [f64], master_free: f64) -> Self {
+        free[0] = master_free;
+        RoundRobin
+    }
+
+    fn pick(&mut self, free: &[f64], i: usize) -> usize {
+        i % free.len()
+    }
+}
+
+/// The earliest-free core by scan, the lowest index on ties; slots are
+/// cores and core 0 is the master.
+struct EarliestFree;
+
+impl CorePool for EarliestFree {
+    fn seat(free: &mut [f64], master_free: f64) -> Self {
+        free[0] = master_free;
+        EarliestFree
+    }
+
+    fn pick(&mut self, free: &[f64], _: usize) -> usize {
+        let mut best = 0;
+        for (c, &f) in free.iter().enumerate().skip(1) {
+            if f < free[best] {
+                best = c;
+            }
+        }
+        best
+    }
+}
+
+/// The earliest-free time without its core: the free times sorted in a
+/// ring that starts at `head`. A slot names no core.
+struct FreeRing {
+    head: usize,
+}
+
+impl CorePool for FreeRing {
+    fn seat(free: &mut [f64], master_free: f64) -> Self {
+        // Every core is free at 0; the master is busied like an item.
+        let mut ring = FreeRing { head: 0 };
+        ring.occupy(free, 0, master_free);
+        ring
+    }
+
+    fn pick(&mut self, _: &[f64], _: usize) -> usize {
+        self.head
+    }
+
+    fn occupy(&mut self, free: &mut [f64], _: usize, end: f64) {
+        // Pop the front: its slot becomes the back of the ring.
+        let n = free.len();
+        let mut hole = self.head;
+        self.head = if hole + 1 == n { 0 } else { hole + 1 };
+        // Insert from the back, moving each later free time back a slot.
+        while hole != self.head {
+            let prev = if hole == 0 { n - 1 } else { hole - 1 };
+            if free[prev] <= end {
+                break;
+            }
+            free[hole] = free[prev];
+            hole = prev;
+        }
+        free[hole] = end;
+    }
+}
+
+/// Schedules `region` with `P` choosing the earliest-free core, except
+/// that a static loop's chunks are pre-assigned round-robin.
+fn place_with<P: CorePool>(
+    region: &ComputeRegion,
+    cores: u32,
+    duration_of: impl FnMut(usize) -> f64,
+    critical_of: impl FnMut(usize) -> f64,
+    place: impl FnMut(ScheduledItem),
+) -> (f64, f64) {
+    if let RegionWork::ParallelFor {
+        schedule: LoopSchedule::Static,
+        ..
+    } = region.work
+    {
+        place_items::<RoundRobin>(region, cores, duration_of, critical_of, place)
+    } else {
+        place_items::<P>(region, cores, duration_of, critical_of, place)
+    }
+}
 
 /// For every dependency of every item, in item then dependency order:
 /// the index of the latest *earlier* item carrying that id, if any. A
@@ -115,10 +245,11 @@ fn resolve_deps(items: &[WorkItem]) -> Vec<Option<usize>> {
     resolved
 }
 
-/// The one scheduling loop: list-schedules the items in trace order and
-/// hands every placement to `place`; returns `(makespan, busy)` in ns.
-/// `cores` is at least 1.
-fn place_items(
+/// The one scheduling loop: list-schedules the items in trace order on
+/// the cores `P` picks and hands every placement to `place` (its `core`
+/// is `P`'s slot); returns `(makespan, busy)` in ns. `cores` is at
+/// least 1.
+fn place_items<P: CorePool>(
     region: &ComputeRegion,
     cores: u32,
     mut duration_of: impl FnMut(usize) -> f64,
@@ -134,17 +265,17 @@ fn place_items(
     // master publishes items one by one, then joins. Otherwise every
     // item exists as soon as the master is free: at once for a serial
     // region, after the single fork for statically pre-assigned chunks.
-    let (streamed, master_free, static_assign) = match &region.work {
-        RegionWork::Serial { .. } => (false, 0.0, false),
+    let (streamed, master_free) = match &region.work {
+        RegionWork::Serial { .. } => (false, 0.0),
         RegionWork::ParallelFor {
             schedule: LoopSchedule::Static,
             ..
-        } => (false, spawn, true),
+        } => (false, spawn),
         RegionWork::ParallelFor {
             schedule: LoopSchedule::Dynamic,
             ..
         }
-        | RegionWork::Tasks { .. } => (true, spawn * n as f64, false),
+        | RegionWork::Tasks { .. } => (true, spawn * n as f64),
     };
 
     // Finish times by item index, kept only for task graphs.
@@ -156,15 +287,15 @@ fn place_items(
     };
     let mut next_dep = 0;
 
-    // Core free times; core 0 is the master and joins after spawning.
+    // Core free times; the master joins after spawning.
     let (mut on_stack, mut on_heap) = ([0.0_f64; STACK_CORES], Vec::new());
-    let core_free: &mut [f64] = if cores as usize <= STACK_CORES {
+    let free: &mut [f64] = if cores as usize <= STACK_CORES {
         &mut on_stack[..cores as usize]
     } else {
         on_heap.resize(cores as usize, 0.0);
         &mut on_heap
     };
-    core_free[0] = master_free;
+    let mut pool = P::seat(free, master_free);
 
     let mut lock_free = 0.0_f64;
     let mut busy = 0.0_f64;
@@ -187,20 +318,8 @@ fn place_items(
             .fold(0.0_f64, |done, &j| done.max(finish[j]));
         let ready = avail.max(deps_done);
 
-        // Pick the core: static pre-assignment or earliest-free.
-        let core = if static_assign {
-            (i as u32) % cores
-        } else {
-            let mut best = 0usize;
-            for (c, &f) in core_free.iter().enumerate().skip(1) {
-                if f < core_free[best] {
-                    best = c;
-                }
-            }
-            best as u32
-        };
-
-        let start = ready.max(core_free[core as usize]);
+        let slot = pool.pick(free, i);
+        let start = ready.max(free[slot]);
         let mut end = start + dur;
         // Critical section at the item's tail serialises on the lock.
         if crit > 0.0 {
@@ -209,7 +328,7 @@ fn place_items(
             lock_free = end;
         }
 
-        core_free[core as usize] = end;
+        pool.occupy(free, slot, end);
         if has_deps {
             finish[i] = end;
         }
@@ -219,7 +338,7 @@ fn place_items(
         }
         place(ScheduledItem {
             item: item.id,
-            core,
+            core: slot as u32,
             start_ns: start,
             end_ns: end,
         });
@@ -241,11 +360,12 @@ pub fn simulate_region_burst(region: &ComputeRegion, cores: u32) -> Schedule {
     )
 }
 
-/// The makespan of [`simulate_region_burst`] alone, with no placement
-/// recorded and (for regions without task dependencies) no allocation.
+/// The makespan of [`simulate_region_burst`] alone, bit for bit, with no
+/// placement recorded and (for regions without task dependencies, up to
+/// 64 cores) no allocation.
 pub fn burst_makespan_ns(region: &ComputeRegion, cores: u32) -> f64 {
     let items = region.work.items();
-    place_items(
+    place_with::<FreeRing>(
         region,
         cores.max(1),
         |i| items[i].duration_ns,
@@ -382,18 +502,30 @@ mod tests {
     /// A seeded region of any of the four shapes: serial, static or
     /// dynamic loop, or a task graph with dependencies (backward,
     /// repeated, and now and then naming no earlier item), critical
-    /// tails, and ids that are sometimes not the item's index.
+    /// tails, and ids that are sometimes not the item's index. One in
+    /// eight is Hydro-sized (300–1,100 items, so a 64-core pool turns
+    /// over many times); one in six is tie-heavy: every duration equal
+    /// or zero, no critical tail, no spawn or dispatch overhead.
     fn random_region(rng: &mut SplitMix64) -> ComputeRegion {
         let below = |rng: &mut SplitMix64, n: u64| rng.next_u64() % n;
-        let n = 1 + below(rng, 90) as usize;
+        let n = if below(rng, 8) == 0 {
+            300 + below(rng, 801) as usize
+        } else {
+            1 + below(rng, 90) as usize
+        };
+        let tie_ns = match below(rng, 12) {
+            0 => Some(0.0),
+            1 => Some(1.0 + rng.next_f64() * 1e4),
+            _ => None,
+        };
         let sparse_ids = below(rng, 4) == 0;
         let tasks = below(rng, 2) == 0;
         let mut items: Vec<WorkItem> = (0..n)
             .map(|i| {
-                let duration_ns = if below(rng, 10) == 0 {
-                    0.0
-                } else {
-                    1.0 + rng.next_f64() * 1e4
+                let duration_ns = match tie_ns {
+                    Some(ns) => ns,
+                    None if below(rng, 10) == 0 => 0.0,
+                    None => 1.0 + rng.next_f64() * 1e4,
                 };
                 WorkItem {
                     id: if sparse_ids {
@@ -401,7 +533,7 @@ mod tests {
                     } else {
                         i as u32
                     },
-                    critical_ns: if below(rng, 3) == 0 {
+                    critical_ns: if tie_ns.is_none() && below(rng, 3) == 0 {
                         duration_ns * rng.next_f64()
                     } else {
                         0.0
@@ -435,12 +567,20 @@ mod tests {
             },
             _ => RegionWork::Tasks { items },
         };
+        let (spawn, dispatch) = if tie_ns.is_some() {
+            (0.0, 0.0)
+        } else {
+            (
+                [0.0, 35.0, 400.0][below(rng, 3) as usize],
+                [0.0, 120.0][below(rng, 2) as usize],
+            )
+        };
         ComputeRegion {
             region_id: 0,
             name: "random".into(),
             work,
-            spawn_overhead_ns: [0.0, 35.0, 400.0][below(rng, 3) as usize],
-            dispatch_overhead_ns: [0.0, 120.0][below(rng, 2) as usize],
+            spawn_overhead_ns: spawn,
+            dispatch_overhead_ns: dispatch,
         }
     }
 
@@ -458,11 +598,15 @@ mod tests {
             }
             v
         };
-        let mut with_deps = 0;
+        let (mut with_deps, mut long, mut tied) = (0, 0, 0);
         musa_obs::rng::check_cases(1200, |rng| {
             let region = random_region(rng);
             let items = region.work.items();
             with_deps += items.iter().any(|w| !w.deps.is_empty()) as u32;
+            long += (items.len() >= 300) as u32;
+            tied += (items.len() > 1
+                && items.iter().all(|w| w.duration_ns == items[0].duration_ns)
+                && region.spawn_overhead_ns == 0.0) as u32;
             // Detailed mode hands in its own durations: exercise that too.
             let scale = 0.25 + rng.next_f64() * 4.0;
             for cores in [0u32, 1, 2, 7, 32, 64, 65, 200] {
@@ -488,6 +632,36 @@ mod tests {
             }
         });
         assert!(with_deps > 200, "only {with_deps} task graphs generated");
+        assert!(long > 100, "only {long} Hydro-sized regions generated");
+        assert!(tied > 120, "only {tied} tie-heavy regions generated");
+    }
+
+    /// Every region a paper-scale burst table schedules: each compute
+    /// region of each rank of the five applications at 1, 32 and 64
+    /// cores, the ring against the scheduler that names cores.
+    #[test]
+    #[ignore = "every region of the five paper-scale traces; scripts/check.sh runs it in release"]
+    fn burst_makespan_equals_the_schedule_on_every_paper_scale_region() {
+        let mut regions = 0;
+        for app in musa_apps::AppId::ALL {
+            let trace = musa_apps::generate(app, &musa_apps::GenParams::paper());
+            for (rank, region) in trace
+                .ranks
+                .iter()
+                .flat_map(|rt| rt.regions().map(move |r| (rt.rank, r)))
+            {
+                for cores in [1, 32, 64] {
+                    assert_eq!(
+                        burst_makespan_ns(region, cores).to_bits(),
+                        simulate_region_burst(region, cores).makespan_ns.to_bits(),
+                        "{app:?} rank {rank} region {} at {cores} cores",
+                        region.region_id
+                    );
+                }
+                regions += 1;
+            }
+        }
+        assert!(regions > 5 * 256, "only {regions} paper-scale regions");
     }
 
     #[test]

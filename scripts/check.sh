@@ -179,6 +179,11 @@ echo "== OoO window oracle (2,160 paper-scale windows, one and two lanes) =="
 # loop it replaced, bit for bit.
 cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_window
 
+echo "== region scheduler oracle (every paper-scale region at 1, 32 and 64 cores) =="
+# Every region a paper-scale burst table schedules: the makespan-only
+# ring against the scheduler that names cores, bit for bit.
+cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_region
+
 echo "== expanded-space golden digest (every 97th config x 5 tiny, shared and fresh) =="
 # The slice meets HBM, 1-64 channels and all six widths, which the
 # DDR4-only paper grid never does: one evaluator for every point and one
