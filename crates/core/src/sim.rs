@@ -407,7 +407,8 @@ mod tests {
         let r = sim.simulate(cfg64(), false);
         assert!((r.time_ns - r.region_ns).abs() < 1e-9);
         assert!(memo.tables.lock().unwrap().is_empty(), "no table is built");
-        assert_eq!(memo.profiles.walks(), [0, 1], "the profile table is filled");
+        // Tiny BT-MZ at 64 cores never draws DRAM: one lane serves both.
+        assert_eq!(memo.profiles.walks(), [1, 0], "the profile table is filled");
     }
 
     #[test]

@@ -272,17 +272,19 @@ pub fn analyze_kernel(
 /// Total distinct bytes a single invocation of the kernel touches
 /// (its working-set contribution to the region).
 pub fn kernel_footprint_bytes(kernel: &Kernel) -> f64 {
-    let mut refs = vec![false; kernel.streams.len()];
+    // Called per kernel invocation of a region: the referenced-stream
+    // table stays on the stack (a `u8` names at most 256 streams).
+    let mut refs = [false; 256];
     for t in &kernel.body {
         if let Some(s) = t.stream {
-            refs[s as usize] = true;
+            refs[usize::from(s)] = true;
         }
     }
     kernel
         .streams
         .iter()
-        .zip(&refs)
-        .filter(|(_, &r)| r)
+        .zip(refs)
+        .filter(|&(_, r)| r)
         .map(|(s, _)| s.footprint as f64)
         .sum()
 }

@@ -34,6 +34,16 @@
 //! for bit. One loop serves both counts; it is inlined into each caller,
 //! which keeps the two-lane walk as fast as the loop written for two.
 //!
+//! **DRAM-free windows.** Whether a walk ever draws level 3 is a property
+//! of the body alone ([`draws_dram`] replays the draws without the
+//! times). The lanes differ only at a level-3 draw — its service and
+//! stall, and the real lane's MSHR wait — so a body that never draws it
+//! walks both lanes bit-equal, and that lane reads neither the frequency
+//! nor the DRAM latency. Everything else a walk reads, apart from the
+//! core class, is [`walk_input`]: the profile table keys its walks by
+//! that content, and one walk of a DRAM-free input serves its perfect
+//! lane and its real lane at every frequency and technology.
+//!
 //! **Fixed rings.** The ROB and the store buffer never hold more than
 //! `rob` / `store_buffer` entries: an instruction arriving at a full one
 //! first waits for the oldest entry, which leaves. Each is a ring whose
@@ -486,12 +496,70 @@ pub(crate) fn window_cycles<const N: usize>(
     })
 }
 
+/// Everything a walk of `body` at `lat` reads except the core class, the
+/// frequency and the DRAM latencies, as words: the template count, the
+/// L1/L2/L3 cycles, and per instruction its op, producer and template,
+/// plus a memory instruction's mix and `row_friendly`. Two bodies with
+/// equal inputs walk alike under one core class: their perfect lanes are
+/// equal, and so are their real lanes at one frequency and DRAM latency
+/// per template. Nothing else of a [`FusedInstr`](crate::fusion::FusedInstr)
+/// is read: not `lines_per_access`, `carried` or `lanes`.
+pub(crate) fn walk_input(body: &FusedBody, lat: &ServiceLatencies) -> Vec<u64> {
+    let mem = body.instrs.iter().filter(|ins| ins.op.is_mem()).count();
+    let mut input = Vec::with_capacity(4 + body.instrs.len() + 4 * mem);
+    input.extend([
+        body.n_templates as u64,
+        lat.l1.to_bits(),
+        lat.l2.to_bits(),
+        lat.l3.to_bits(),
+    ]);
+    for ins in &body.instrs {
+        // 16 bits of template, 17 of producer (or none), then the op.
+        let dep = ins.dep_template.map_or(1 << 16, u64::from);
+        let word = (ins.op as u64) << 40 | dep << 16 | u64::from(ins.template);
+        if ins.op.is_mem() {
+            let loc = ins.locality.expect("memory op has locality");
+            let m = loc.mix;
+            input.push(word | u64::from(loc.row_friendly) << 48);
+            input.extend([m.p_l1, m.p_l2, m.p_l3, m.p_mem].map(f64::to_bits));
+        } else {
+            input.push(word);
+        }
+    }
+    input
+}
+
+/// Whether a walk of `body` ever draws level 3 (DRAM): the walk's level
+/// draws alone, in walk order, up to the first level-3 one. A body that
+/// never does walks both lanes alike (see the module docs).
+pub(crate) fn draws_dram(body: &FusedBody) -> bool {
+    // The samplers of a body of up to 64 templates stay on the stack.
+    let mut stack = [LevelSampler::default(); 64];
+    let mut heap = Vec::new();
+    let samplers = match stack.get_mut(..body.n_templates) {
+        Some(samplers) => samplers,
+        None => {
+            heap.resize(body.n_templates, LevelSampler::default());
+            &mut heap[..]
+        }
+    };
+    for _ in 0..WARMUP_ITERS + MEASURE_ITERS {
+        for ins in body.instrs.iter().filter(|ins| ins.op.is_mem()) {
+            let m = ins.locality.expect("memory op has locality").mix;
+            if samplers[usize::from(ins.template)].pick([m.p_l1, m.p_l2, m.p_l3, m.p_mem]) == 3 {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fusion::{fuse, FusedInstr};
     use crate::locality::{analyze_kernel, AccessMix, TemplateLocality};
-    use musa_arch::{CoreClass, NodeConfig, VectorWidth};
+    use musa_arch::{CoreClass, Frequency, MemConfig, NodeConfig, VectorWidth};
     use musa_obs::rng::SplitMix64;
 
     /// Index and value of the smallest element: the reference's pool scan,
@@ -890,6 +958,246 @@ mod tests {
         assert_lanes_match_reference(&empty, &CoreClass::High.ooo(), lat(false));
     }
 
+    /// Level-3 draws in a walk of `body`, counted template by template
+    /// rather than in walk order: each template's sampler sees only its
+    /// own instances, all `WARMUP_ITERS + MEASURE_ITERS` times over.
+    fn level3_draws(body: &FusedBody) -> usize {
+        let iters = (WARMUP_ITERS + MEASURE_ITERS) as usize;
+        (0..body.n_templates)
+            .map(|t| {
+                let mixes: Vec<[f64; 4]> = body
+                    .instrs
+                    .iter()
+                    .filter(|ins| ins.op.is_mem() && usize::from(ins.template) == t)
+                    .map(|ins| {
+                        let m = ins.locality.unwrap().mix;
+                        [m.p_l1, m.p_l2, m.p_l3, m.p_mem]
+                    })
+                    .collect();
+                let mut sampler = LevelSampler::default();
+                (0..iters)
+                    .flat_map(|_| &mixes)
+                    .filter(|&&p| sampler.pick(p) == 3)
+                    .count()
+            })
+            .sum()
+    }
+
+    /// `body` with each memory template's DRAM latency as under `mem`.
+    fn with_dram_of(body: &FusedBody, mem: MemConfig) -> FusedBody {
+        let geom = CacheGeometry::new(&NodeConfig::REFERENCE.with_mem(mem), 1);
+        let mut body = body.clone();
+        for loc in body
+            .instrs
+            .iter_mut()
+            .filter_map(|ins| ins.locality.as_mut())
+        {
+            loc.mem_latency_ns = if loc.row_friendly {
+                geom.mem_latency_seq_ns
+            } else {
+                geom.mem_latency_rand_ns
+            };
+        }
+        body
+    }
+
+    /// For a body that never draws DRAM: at every frequency and under
+    /// both technologies, both lanes of the two-lane walk and the lane of
+    /// the one-lane walk are one value, bit for bit.
+    fn assert_dram_free_lanes_agree(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
+        let want = window_cycles::<1>(body, ooo, &lat)[REAL];
+        for mem in [MemConfig::DDR4_4CH, MemConfig::HBM_16CH] {
+            let body = with_dram_of(body, mem);
+            for freq in Frequency::ALL {
+                let lat = ServiceLatencies {
+                    ghz: freq.ghz(),
+                    ..lat
+                };
+                let two = window_cycles::<2>(&body, ooo, &lat);
+                let one = window_cycles::<1>(&body, ooo, &lat);
+                assert_eq!(
+                    [two[0], two[1], one[0]].map(f64::to_bits),
+                    [want; 3].map(f64::to_bits),
+                    "DRAM-free lanes at {freq:?}, {mem:?}, {ooo:?}: {body:?}"
+                );
+            }
+        }
+    }
+
+    /// `draws_dram` agrees with the count of level-3 draws; bodies that
+    /// never draw DRAM walk both lanes alike whatever the frequency and
+    /// technology. Both kinds of body occur.
+    #[test]
+    fn dram_free_bodies_walk_one_lane_for_all_on_random_bodies() {
+        let mut seen = [0; 2];
+        musa_obs::rng::check_cases(400, |rng| {
+            let body = random_body(rng);
+            let draws = draws_dram(&body);
+            assert_eq!(draws, level3_draws(&body) > 0, "{body:?}");
+            seen[usize::from(draws)] += 1;
+            if !draws {
+                let lat = ServiceLatencies {
+                    l1: 4.0,
+                    l2: 10.0 + rng.next_f64() * 8.0,
+                    l3: 30.0 + rng.next_f64() * 30.0,
+                    ghz: 2.0,
+                    perfect_mem: false,
+                };
+                let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
+                for ooo in [random_ooo(rng), class.ooo()] {
+                    assert_dram_free_lanes_agree(&body, &ooo, lat);
+                }
+            }
+        });
+        assert!(seen.iter().all(|&n| n > 0), "[DRAM-free, DRAM]: {seen:?}");
+
+        // Bodies too long for the samplers on the stack: the last template
+        // alone may draw DRAM.
+        for p_mem in [0.0, 0.5] {
+            let load = |t: u16| FusedInstr {
+                op: Op::Load,
+                dep_template: None,
+                carried: false,
+                template: t,
+                locality: Some(TemplateLocality {
+                    mix: AccessMix {
+                        p_l1: 1.0 - if t == 69 { p_mem } else { 0.0 },
+                        p_l2: 0.0,
+                        p_l3: 0.0,
+                        p_mem: if t == 69 { p_mem } else { 0.0 },
+                    },
+                    lines_per_access: 1.0,
+                    row_friendly: false,
+                    mem_latency_ns: 80.0,
+                }),
+                lines_per_access: 1.0,
+                lanes: 1,
+            };
+            let body = FusedBody {
+                instrs: (0..70).map(load).collect(),
+                f_eff: 1,
+                n_templates: 70,
+            };
+            assert_eq!(draws_dram(&body), p_mem > 0.0);
+            assert_eq!(draws_dram(&body), level3_draws(&body) > 0);
+        }
+    }
+
+    /// Every field `compile` and `window_cycles` read changes the walk
+    /// input; fields they do not read, the DRAM latency and the frequency
+    /// leave it alone (and the first three leave both lanes alone too).
+    #[test]
+    fn walk_input_holds_what_a_walk_reads_and_nothing_else() {
+        type Edit = fn(&mut FusedBody, &mut ServiceLatencies);
+        fn loc(b: &mut FusedBody) -> &mut TemplateLocality {
+            b.instrs[0].locality.as_mut().unwrap()
+        }
+        fn repeat(b: &mut FusedBody) -> &mut TemplateLocality {
+            b.instrs[3].locality.as_mut().unwrap()
+        }
+        let mem = TemplateLocality {
+            mix: AccessMix {
+                p_l1: 0.5,
+                p_l2: 0.25,
+                p_l3: 0.125,
+                p_mem: 0.125,
+            },
+            lines_per_access: 1.0,
+            row_friendly: true,
+            mem_latency_ns: 60.0,
+        };
+        let instr = |op, dep_template, template, locality| FusedInstr {
+            op,
+            dep_template,
+            carried: false,
+            template,
+            locality,
+            lines_per_access: 1.0,
+            lanes: 1,
+        };
+        let body = FusedBody {
+            instrs: vec![
+                instr(Op::Load, None, 0, Some(mem)),
+                instr(Op::FpAdd, Some(0), 1, None),
+                instr(Op::Store, Some(1), 2, Some(mem)),
+                // Template 0 again, as fusion repeats it: each instance
+                // has its own mix.
+                instr(Op::Load, Some(2), 0, Some(mem)),
+            ],
+            f_eff: 1,
+            n_templates: 3,
+        };
+        let lat = ServiceLatencies {
+            l1: 4.0,
+            l2: 13.0,
+            l3: 72.0,
+            ghz: 2.0,
+            perfect_mem: false,
+        };
+        let ooo = CoreClass::High.ooo();
+        let base = walk_input(&body, &lat);
+        let edited = |edit: Edit| {
+            let (mut b, mut l) = (body.clone(), lat);
+            edit(&mut b, &mut l);
+            (b, l)
+        };
+        let read: [(&str, Edit); 16] = [
+            ("op", |b, _| b.instrs[1].op = Op::FpMul),
+            ("op, load to store", |b, _| b.instrs[0].op = Op::Store),
+            ("dep_template", |b, _| b.instrs[2].dep_template = Some(0)),
+            ("dep_template, to none", |b, _| {
+                b.instrs[1].dep_template = None
+            }),
+            ("template", |b, _| b.instrs[1].template = 2),
+            ("p_l1", |b, _| loc(b).mix.p_l1 = 0.375),
+            ("p_l2", |b, _| loc(b).mix.p_l2 = 0.375),
+            ("p_l3", |b, _| loc(b).mix.p_l3 = 0.375),
+            ("p_mem", |b, _| loc(b).mix.p_mem = 0.375),
+            ("row_friendly", |b, _| loc(b).row_friendly = false),
+            ("p_mem, repeated template", |b, _| {
+                repeat(b).mix.p_mem = 0.375
+            }),
+            ("row_friendly, repeated template", |b, _| {
+                repeat(b).row_friendly = false
+            }),
+            ("n_templates", |b, _| b.n_templates = 4),
+            ("l1", |_, l| l.l1 = 5.0),
+            ("l2", |_, l| l.l2 = 14.0),
+            ("l3", |_, l| l.l3 = 73.0),
+        ];
+        for (field, edit) in read {
+            let (b, l) = edited(edit);
+            assert_ne!(walk_input(&b, &l), base, "{field} is read");
+        }
+        let unread: [(&str, Edit); 8] = [
+            ("lines_per_access", |b, _| {
+                b.instrs[0].lines_per_access = 2.0
+            }),
+            ("carried", |b, _| b.instrs[1].carried = true),
+            ("lanes", |b, _| b.instrs[0].lanes = 4),
+            ("locality lines_per_access", |b, _| {
+                loc(b).lines_per_access = 2.0
+            }),
+            ("mem_latency_ns", |b, _| loc(b).mem_latency_ns = 90.0),
+            ("mem_latency_ns, repeated template", |b, _| {
+                repeat(b).mem_latency_ns = 90.0
+            }),
+            ("ghz", |_, l| l.ghz = 3.0),
+            ("f_eff", |b, _| b.f_eff = 2),
+        ];
+        for (i, (field, edit)) in unread.into_iter().enumerate() {
+            let (b, l) = edited(edit);
+            assert_eq!(walk_input(&b, &l), base, "{field} is not in the input");
+            if i < 3 {
+                assert_eq!(
+                    window_cycles::<2>(&b, &ooo, &l).map(f64::to_bits),
+                    window_cycles::<2>(&body, &ooo, &lat).map(f64::to_bits),
+                    "{field} is not read by the walk"
+                );
+            }
+        }
+    }
+
     /// Random `take` sequences, with many equal times, leave a sorted pool
     /// with the minimum — and the multiset — of the scan-and-overwrite
     /// pool it replaced, after every step.
@@ -954,8 +1262,8 @@ mod tests {
     #[test]
     #[ignore = "2,160 paper-scale windows; scripts/check.sh runs it in release"]
     fn both_lanes_equal_the_reference_on_every_paper_scale_window() {
-        use musa_arch::{CacheConfig, CoresPerNode, Frequency};
-        let mut bodies = 0;
+        use musa_arch::{CacheConfig, CoresPerNode};
+        let (mut bodies, mut dram_free) = (0, 0);
         for app in musa_apps::AppId::ALL {
             let trace = musa_apps::generate(app, &musa_apps::GenParams::paper());
             let detail = trace.detail.as_ref().unwrap();
@@ -976,10 +1284,17 @@ mod tests {
                         for width in VectorWidth::DSE {
                             let body = fuse(k, &loc, width);
                             bodies += 1;
+                            let draws = draws_dram(&body);
+                            assert_eq!(draws, level3_draws(&body) > 0, "{app}");
+                            dram_free += usize::from(!draws);
                             for class in CoreClass::ALL {
                                 for freq in Frequency::ALL {
                                     let lat = ServiceLatencies::new(&geom, freq.ghz(), false);
                                     assert_lanes_match_reference(&body, &class.ooo(), lat);
+                                }
+                                if !draws {
+                                    let lat = ServiceLatencies::new(&geom, 2.0, false);
+                                    assert_dram_free_lanes_agree(&body, &class.ooo(), lat);
                                 }
                             }
                         }
@@ -988,6 +1303,7 @@ mod tests {
             }
         }
         assert_eq!(bodies, 135, "paper-scale fused bodies");
+        assert!(dram_free > 0 && dram_free < bodies, "{dram_free} DRAM-free");
     }
 
     fn setup(app: musa_apps::AppId, width: VectorWidth) -> FusedBody {

@@ -9,8 +9,10 @@
 //! | stage | reads | key |
 //! |---|---|---|
 //! | locality, fusion, per-iteration statistics | kernel, cache config, active cores, `f_eff`, region working set | `ShapeKey` |
-//! | perfect-memory window lane | the shape, core class | `PerfectKey` |
-//! | real-memory window lane | the perfect key, frequency, memory technology | `RealKey` |
+//! | walk input | the fused body and the L1/L2/L3 cycles, as [`walk_input`] lists them | its content, interned as an `Input` the shape keeps |
+//! | perfect-memory window lane | the walk input, core class | `(input, class, None)` |
+//! | real-memory window lane | the walk input, core class, frequency, memory technology | `(input, class, Some((freq, tech)))` |
+//! | both lanes of an input that never draws DRAM | the walk input, core class | `(input, class, None)` |
 //!
 //! * *Active cores* is `min(items, cores)`, the cores sharing the L3
 //!   ([`CacheGeometry`] reads nothing else of the core count): a region
@@ -19,12 +21,23 @@
 //!   fusion reads nothing else of the vector width.
 //! * No stage reads the channel count: bandwidth contention is applied
 //!   by the node simulation on top of the profile.
+//! * The window stages are keyed by what a walk reads, not by the
+//!   configuration that built the window: many shapes — other kernels,
+//!   caches, core counts or widths — build the same window and walk it
+//!   once. Inputs are compared word for word, never by hash alone.
 //! * The fused body carries each memory template's DRAM latency, which
-//!   comes from the memory technology, yet only the real lane reads it.
-//!   The table therefore keeps scalars only. On a real-lane miss it
-//!   re-runs locality and fusion from the current configuration's
-//!   geometry, then walks one lane when the perfect lane is known and
-//!   both otherwise.
+//!   the walk input leaves out: only the real lane reads it, and it is
+//!   the sequential or the random latency of the memory technology, as
+//!   the template's `row_friendly` (in the input) says. The technology
+//!   stands for it in the real lane's key.
+//! * An input that never draws DRAM ([`draws_dram`], replayed once per
+//!   distinct input) walks both lanes alike, and that lane reads neither
+//!   frequency nor technology: one one-lane walk serves its perfect lane
+//!   and its real lane at every frequency and technology.
+//! * The table keeps scalars only. On a walk miss it re-runs locality and
+//!   fusion from the current configuration's geometry, then walks one
+//!   lane when the perfect lane is known or the input never draws DRAM,
+//!   and both otherwise.
 //!
 //! Every entry is what [`profile_kernel`] computes for any configuration
 //! with that key, bit for bit.
@@ -38,7 +51,7 @@ use musa_trace::{Kernel, KernelId, Op};
 use crate::fusion::{effective_factor, fuse, FusedBody};
 use crate::geometry::CacheGeometry;
 use crate::locality::{analyze_kernel, TemplateLocality};
-use crate::pipeline::{window_cycles, ServiceLatencies};
+use crate::pipeline::{draws_dram, walk_input, window_cycles, ServiceLatencies};
 use crate::stats::SimStats;
 
 /// Steady-state profile of one kernel under one node configuration.
@@ -174,24 +187,44 @@ struct ShapeKey {
     region_ws_bits: u64,
 }
 
-/// What the perfect-memory lane reads.
-type PerfectKey = (ShapeKey, CoreClass);
-/// What the real-memory lane reads.
-type RealKey = (PerfectKey, Frequency, MemTechnology);
+/// A distinct walk input: its number, in the order first seen, and
+/// whether its walk draws DRAM.
+#[derive(Debug, Clone, Copy)]
+struct Input {
+    id: usize,
+    draws_dram: bool,
+}
 
-/// A [`ProfileTable`]'s maps, one per stage, behind its one lock.
+/// What a window lane reads: the walk input and the core class, and for
+/// the real lane of an input that draws DRAM the frequency and memory
+/// technology too. `None` keys the perfect lane, which is also the real
+/// lane of an input that never draws DRAM.
+type LaneKey = (usize, CoreClass, Option<(Frequency, MemTechnology)>);
+
+/// A [`ProfileTable`]'s maps behind its one lock.
 #[derive(Default)]
 struct Stages {
-    shapes: HashMap<ShapeKey, SimStats>,
-    perfect: HashMap<PerfectKey, f64>,
-    real: HashMap<RealKey, f64>,
+    shapes: HashMap<ShapeKey, (SimStats, Input)>,
+    /// Walk inputs by content.
+    inputs: HashMap<Vec<u64>, Input>,
+    lanes: HashMap<LaneKey, f64>,
     /// One-lane and two-lane window walks made.
     walks: [u64; 2],
 }
 
-/// The kernel profiles of one detailed trace, each stage kept for the
-/// axes it reads (see the module docs). A table must only ever serve one
-/// trace: its keys name kernels by id.
+impl Stages {
+    /// The keys of `input`'s `[perfect, real]` lanes at `config` — one key
+    /// if it never draws DRAM — and the lanes if known.
+    fn lanes(&self, input: Input, config: &NodeConfig) -> ([LaneKey; 2], [Option<f64>; 2]) {
+        let real = input.draws_dram.then_some((config.freq, config.mem.tech));
+        let keys = [None, real].map(|at| (input.id, config.core_class, at));
+        (keys, keys.map(|key| self.lanes.get(&key).copied()))
+    }
+}
+
+/// The kernel profiles of one detailed trace, each stage kept for what it
+/// reads (see the module docs). A table must only ever serve one trace:
+/// its shape keys name kernels by id.
 #[derive(Default)]
 pub struct ProfileTable {
     stages: Mutex<Stages>,
@@ -203,9 +236,10 @@ impl ProfileTable {
         ProfileTable::default()
     }
 
-    /// Window walks made so far: `[one-lane, two-lane]`. One-lane and
-    /// two-lane walks sum to the real keys filled, two-lane walks to the
-    /// perfect keys.
+    /// Window walks made so far: `[one-lane, two-lane]`. Every walk fills
+    /// one real lane, so the walks sum to the real lanes known. The
+    /// perfect lanes known are the two-lane walks plus the one-lane walks
+    /// of inputs that never draw DRAM, whose one lane is both.
     pub fn walks(&self) -> [u64; 2] {
         self.lock().walks
     }
@@ -217,9 +251,9 @@ impl ProfileTable {
     }
 
     /// [`profile_kernel`]`(kernel, config, geom, region_ws_bytes)`, each
-    /// stage computed only if no earlier configuration with the same key
-    /// has. `geom` must be built for `config` with `active` cores sharing
-    /// the L3.
+    /// stage computed only if nothing earlier with the same key has.
+    /// `geom` must be built for `config` with `active` cores sharing the
+    /// L3.
     pub(crate) fn profile(
         &self,
         kernel: &Kernel,
@@ -235,17 +269,12 @@ impl ProfileTable {
             f_eff: effective_factor(kernel, config.vector),
             region_ws_bits: region_ws_bytes.to_bits(),
         };
-        let perfect_key = (shape, config.core_class);
-        let real_key = (perfect_key, config.freq, config.mem.tech);
-        let (stats, perfect, real) = {
+        let known = {
             let stages = self.lock();
-            (
-                stages.shapes.get(&shape).copied(),
-                stages.perfect.get(&perfect_key).copied(),
-                stages.real.get(&real_key).copied(),
-            )
+            let shape = stages.shapes.get(&shape).copied();
+            shape.map(|(stats, input)| (stats, stages.lanes(input, config)))
         };
-        if let (Some(stats), Some(perfect), Some(real)) = (stats, perfect, real) {
+        if let Some((stats, (_, [Some(perfect), Some(real)]))) = known {
             return KernelProfile::from_stages(stats, shape.f_eff, perfect, real);
         }
 
@@ -253,22 +282,50 @@ impl ProfileTable {
         // carries the DRAM latency of this memory technology.
         let locality = analyze_kernel(kernel, geom, region_ws_bytes);
         let fused = fuse(kernel, &locality, config.vector);
-        let ooo = config.core_class.ooo();
         let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
-        let (lanes, real, perfect) = match perfect {
-            Some(perfect) => (1, window_cycles::<1>(&fused, &ooo, &lat)[0], perfect),
+        let (stats, ([perfect_key, real_key], lanes)) = match known {
+            Some(known) => known,
             None => {
+                let stats = stats_per_iter(kernel, &locality, &fused);
+                let content = walk_input(&fused, &lat);
+                let seen = self.lock().inputs.get(&content).copied();
+                // Replayed outside the lock, once per distinct input.
+                let draws_dram = match seen {
+                    Some(input) => input.draws_dram,
+                    None => draws_dram(&fused),
+                };
+                // The input enters with its flag, and the shape naming it,
+                // in one critical section.
+                let mut stages = self.lock();
+                let id = stages.inputs.len();
+                let input = *stages
+                    .inputs
+                    .entry(content)
+                    .or_insert(Input { id, draws_dram });
+                stages.shapes.insert(shape, (stats, input));
+                (stats, stages.lanes(input, config))
+            }
+        };
+        let ooo = config.core_class.ooo();
+        let (walked, real, perfect) = match lanes {
+            [Some(perfect), Some(real)] => (0, real, perfect),
+            // Never draws DRAM: one lane is both.
+            _ if real_key == perfect_key => {
+                let [lane] = window_cycles::<1>(&fused, &ooo, &lat);
+                (1, lane, lane)
+            }
+            [Some(perfect), None] => (1, window_cycles::<1>(&fused, &ooo, &lat)[0], perfect),
+            [None, _] => {
                 let [real, perfect] = window_cycles::<2>(&fused, &ooo, &lat);
                 (2, real, perfect)
             }
         };
-        let stats = stats.unwrap_or_else(|| stats_per_iter(kernel, &locality, &fused));
-
-        let mut stages = self.lock();
-        stages.shapes.insert(shape, stats);
-        stages.perfect.insert(perfect_key, perfect);
-        stages.real.insert(real_key, real);
-        stages.walks[lanes - 1] += 1;
+        if walked > 0 {
+            let mut stages = self.lock();
+            stages.lanes.insert(perfect_key, perfect);
+            stages.lanes.insert(real_key, real);
+            stages.walks[walked - 1] += 1;
+        }
         KernelProfile::from_stages(stats, shape.f_eff, perfect, real)
     }
 }
@@ -494,47 +551,94 @@ mod tests {
         );
     }
 
-    /// Counts, not clocks: Specfem3D at paper scale over the whole
-    /// 864-point grid, through one table, walks each real key once and
-    /// the perfect lane once per perfect key — both key sets counted here
-    /// from the configurations alone.
-    #[test]
-    fn a_full_grid_sweep_walks_each_key_once() {
+    /// Sweep `app`'s paper-scale trace over the whole 864-point grid
+    /// through one table, and assert it walked each key once — both key
+    /// sets counted here from the configurations alone: the real keys
+    /// `(walk input, class, frequency and technology or none)` and the
+    /// perfect keys `(walk input, class)` of inputs that draw DRAM, which
+    /// alone take two lanes. Returns the walks and the two key counts.
+    fn paper_grid_walks(app: musa_apps::AppId) -> ([u64; 2], usize, usize) {
         use crate::node::NodeSim;
-        use musa_apps::{generate, AppId, GenParams};
-        use std::collections::HashSet;
+        use crate::pipeline::{draws_dram, walk_input};
+        use std::collections::{HashMap, HashSet};
 
-        let trace = generate(AppId::Spec3d, &GenParams::paper());
+        let trace = musa_apps::generate(app, &musa_apps::GenParams::paper());
         let detail = trace.detail.as_ref().unwrap();
         let region = trace.sampled_region().unwrap();
-        let items = region.work.items().len() as u32;
+        let ws = region_ws(&trace);
+        let invoked: HashSet<KernelId> = region
+            .work
+            .items()
+            .iter()
+            .flat_map(|w| &w.kernels)
+            .map(|inv| inv.kernel)
+            .collect();
         let table = ProfileTable::new();
+        let mut dram = HashMap::new();
         let (mut perfect, mut real) = (HashSet::new(), HashSet::new());
         for cfg in musa_arch::DesignSpace::iter() {
-            NodeSim::new(cfg, detail, region)
-                .with_profiles(&table)
-                .simulate_region(region);
-            let active = items.min(cfg.cores.count());
-            for k in &detail.kernels {
-                let f_eff = cfg.vector.fusion_factor().min(k.fusible_run);
-                let shape = (k.id, cfg.cache, active, f_eff);
-                perfect.insert((shape, cfg.core_class));
-                real.insert((shape, cfg.core_class, cfg.freq, cfg.mem.tech));
+            let mut sim = NodeSim::new(cfg, detail, region).with_profiles(&table);
+            sim.simulate_region(region);
+            let geom = sim.geometry();
+            let lat = ServiceLatencies::new(geom, cfg.freq.ghz(), false);
+            for k in detail.kernels.iter().filter(|k| invoked.contains(&k.id)) {
+                let fused = fuse(k, &analyze_kernel(k, geom, ws), cfg.vector);
+                let input = walk_input(&fused, &lat);
+                let draws = *dram
+                    .entry(input.clone())
+                    .or_insert_with(|| draws_dram(&fused));
+                if draws {
+                    perfect.insert((input.clone(), cfg.core_class));
+                }
+                let at = draws.then_some((cfg.freq, cfg.mem.tech));
+                real.insert((input, cfg.core_class, at));
             }
         }
         let [one_lane, two_lane] = table.walks();
         assert_eq!(
             one_lane + two_lane,
             real.len() as u64,
-            "one walk per real key"
+            "{app}: one walk per real key"
         );
         assert_eq!(
             two_lane,
             perfect.len() as u64,
-            "one perfect lane per perfect key"
+            "{app}: two lanes once per perfect key of an input that draws DRAM"
         );
-        // One kernel; 24 items share the L3 alike at 32 and 64 cores.
-        assert_eq!((real.len(), perfect.len()), (288, 72));
+        ([one_lane, two_lane], real.len(), perfect.len())
+    }
+
+    /// Counts, not clocks: Specfem3D at paper scale over the whole
+    /// 864-point grid walks each distinct window once. Its one kernel
+    /// builds 144 real keys, 36 of them with two lanes: the 24 items share
+    /// the L3 alike at 32 and 64 cores, and some caches and widths build
+    /// the same window.
+    #[test]
+    fn a_full_grid_sweep_walks_each_key_once() {
+        let (_, real, perfect) = paper_grid_walks(musa_apps::AppId::Spec3d);
+        assert_eq!((real, perfect), (144, 36));
+    }
+
+    /// The whole paper grid, one table per application: 1,728 walks by
+    /// configuration axes are 588 distinct windows, 136 of them two-lane.
+    #[test]
+    #[ignore = "the paper grid of five applications; scripts/check.sh runs it in release"]
+    fn the_paper_grid_walks_588_distinct_windows() {
+        use musa_apps::AppId;
+        let mut total = [0; 2];
+        for (app, want) in [
+            (AppId::Hydro, 120),
+            (AppId::Spmz, 204),
+            (AppId::Btmz, 72),
+            (AppId::Spec3d, 144),
+            (AppId::Lulesh, 48),
+        ] {
+            let (walks, real, _) = paper_grid_walks(app);
+            assert_eq!(real, want, "{app}");
+            total = [total[0] + walks[0], total[1] + walks[1]];
+        }
+        assert_eq!(total[0] + total[1], 588, "paper-grid walks");
+        assert_eq!(total[1], 136, "paper-grid two-lane walks");
     }
 
     #[test]

@@ -179,6 +179,11 @@ echo "== OoO window oracle (2,160 paper-scale windows, one and two lanes) =="
 # loop it replaced, bit for bit.
 cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_window
 
+echo "== profile-table walk count (864 x 5 paper grid, one table per app) =="
+# One walk per distinct window: 588 walks, 136 of them two-lane, each
+# key counted from the configurations alone.
+cargo test -q --release -p musa-tasksim --lib -- --ignored paper_grid_walks
+
 echo "== region scheduler oracle (every paper-scale region at 1, 32 and 64 cores) =="
 # Every region a paper-scale burst table schedules: the makespan-only
 # ring against the scheduler that names cores, bit for bit.
