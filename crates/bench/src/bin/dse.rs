@@ -6,7 +6,7 @@
 //! ```sh
 //! cargo run --release -p musa-bench --bin dse                 # fresh sweep
 //! cargo run --release -p musa-bench --bin dse -- --resume     # finish an interrupted sweep
-//! cargo run --release -p musa-bench --bin dse -- --shard 0/4 --resume   # 1 of 4 workers
+//! cargo run --release -p musa-bench --bin dse -- --workers 4  # 4 worker processes
 //! cargo run --release -p musa-bench --bin dse -- --csv out.csv --json out.json
 //! cargo run --release -p musa-bench --bin dse -- --store-dir /tmp/campaign --resume
 //! cargo run --release -p musa-bench --bin dse -- --full       # 256-rank paper scale
@@ -14,12 +14,14 @@
 //! cargo run --release -p musa-bench --bin dse -- serve --store-dir /tmp/campaign --port 8080
 //! ```
 //!
-//! The store directory holds one JSON-lines file per (shard) writer;
-//! disjoint `--shard i/n` runs (concurrent processes or machines
-//! sharing the directory) merge into the identical campaign a single
-//! run produces. All simulation, resume and export logic lives in
-//! `musa-store` / `musa-core`; argument parsing is in
-//! [`musa_bench::cli`] (strict: unknown flags exit 2 with usage).
+//! The store directory holds one JSON-lines file per writer: the
+//! sequential fill's `rows.jsonl`, or one `dist-l….jsonl` per
+//! `--workers` lease. Either way they hold the identical campaign a
+//! single sequential run produces. With `--listen HOST:PORT`,
+//! `dse dist-worker` processes on other machines join a `--workers`
+//! run. All simulation, resume and export logic lives in `musa-store`
+//! / `musa-core`; argument parsing is in [`musa_bench::cli`] (strict:
+//! unknown flags exit 2 with usage).
 //!
 //! With `--progress` and/or `--metrics`, the run ends with the
 //! "where did the time go" phase table on stderr; `--metrics PATH`
@@ -204,7 +206,7 @@ struct Runner<'a> {
 impl<'a> Runner<'a> {
     fn open(args: &'a DseArgs, dir: &'a Path, session: &'static str, announce: bool) -> Runner<'a> {
         let c = &args.campaign;
-        let want_report = c.metrics.is_some() || c.metrics_prom.is_some() || c.progress;
+        let want_report = c.metrics.is_some() || c.progress;
         if want_report {
             musa_obs::enable_metrics(true);
         }
@@ -212,11 +214,8 @@ impl<'a> Runner<'a> {
         // leases), so a pipeline around `dse` can tell a clean Ctrl-C
         // from a crash.
         signals::install_term_handlers();
-        let mut store = match args.shard {
-            Some(s) => CampaignStore::open_sharded(dir, s),
-            None => CampaignStore::open(dir),
-        }
-        .unwrap_or_else(|e| die(format!("open campaign store {}: {e}", dir.display())));
+        let mut store = CampaignStore::open(dir)
+            .unwrap_or_else(|e| die(format!("open campaign store {}: {e}", dir.display())));
         let backend = if let Some(workers) = c.workers {
             let cache_on = !c.no_cache && musa_cache::enabled_from_env();
             let prior_sessions = if cache_on {
@@ -283,7 +282,6 @@ impl<'a> Runner<'a> {
         match &mut self.backend {
             Backend::Fill { .. } => {
                 let opts = FillOptions {
-                    shard: self.args.shard,
                     progress: self.args.campaign.progress,
                     max_retries: self.args.max_retries,
                     fail_fast: self.args.fail_fast,
@@ -298,7 +296,7 @@ impl<'a> Runner<'a> {
                         .store
                         .fill(&apps, &configs, &opts)
                         .unwrap_or_else(|e| die(format!("fill campaign store {dir}: {e}")));
-                    in_scope += report.in_shard;
+                    in_scope += report.requested;
                     cached += report.cached;
                     simulated += report.simulated;
                     retries += report.retries;
@@ -1053,8 +1051,7 @@ fn summarise(
     let full_size = AppId::ALL.len() * configs.len();
     if campaign.results.len() < full_size {
         println!(
-            "partial campaign: {}/{} rows in {} — run the remaining shards \
-             (or re-run with --resume) to complete it",
+            "partial campaign: {}/{} rows in {} — re-run with --resume to complete it",
             campaign.results.len(),
             full_size,
             dir.display()
@@ -1130,27 +1127,19 @@ fn summarise(
 }
 
 /// End-of-run telemetry: the phase table on stderr, the `--metrics`
-/// snapshot (and `--metrics-prom` exposition) on disk, and a flushed
-/// JSONL sink. `workers` carries the metrics a pool supervisor received
-/// with its lease results; they are absorbed into this process's own
-/// snapshot so the report covers the whole run, not just the
-/// supervisor.
+/// snapshot on disk, and a flushed JSONL sink. `workers` carries the
+/// metrics a pool supervisor received with its lease results; they are
+/// absorbed into this process's own snapshot so the report covers the
+/// whole run, not just the supervisor.
 fn finish_observability(campaign: &CampaignArgs, workers: &musa_obs::MetricsSnapshot) {
-    let (metrics, metrics_prom) = (&campaign.metrics, &campaign.metrics_prom);
-    if metrics.is_some() || metrics_prom.is_some() || campaign.progress {
+    if campaign.metrics.is_some() || campaign.progress {
         let mut snap = musa_obs::snapshot();
         snap.absorb(workers);
         eprintln!("{}", musa_obs::phase_table(&snap));
-        if let Some(path) = metrics {
+        if let Some(path) = &campaign.metrics {
             match snap.write_json_file(path) {
                 Ok(()) => eprintln!("[dse] wrote metrics snapshot to {}", path.display()),
                 Err(e) => die(format!("metrics dump to {} failed: {e}", path.display())),
-            }
-        }
-        if let Some(path) = metrics_prom {
-            match std::fs::write(path, musa_obs::prometheus_text(&snap)) {
-                Ok(()) => eprintln!("[dse] wrote Prometheus exposition to {}", path.display()),
-                Err(e) => die(format!("Prometheus dump to {} failed: {e}", path.display())),
             }
         }
     }

@@ -23,7 +23,7 @@
 //!   file sink** (`--log-json PATH` / `MUSA_LOG_JSON`) that records
 //!   every event with its span path and fields;
 //! * [`progress`] — a rate-limited **heartbeat** for long fills
-//!   (points done/total, rows/s, ETA, per shard).
+//!   (points done/total, rows/s, ETA).
 //!
 //! The crate also holds the two dependency-free primitives the whole
 //! workspace shares: the JSON codec ([`json`]; emitted lines are

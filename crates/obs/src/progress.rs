@@ -84,7 +84,7 @@ pub struct Progress {
 
 impl Progress {
     /// New heartbeat for `total` points under a display label
-    /// (e.g. `"fill"` or `"fill[shard 2/4]"`).
+    /// (e.g. `"fill"` or `"pool"`).
     pub fn new(label: impl Into<String>, total: u64) -> Progress {
         Progress {
             label: label.into(),

@@ -1,9 +1,9 @@
 //! Prometheus text-exposition rendering of a [`MetricsSnapshot`]
 //! (exposition format version 0.0.4): counters, gauges, power-of-two
 //! histograms with cumulative `le` buckets, and the per-(phase, app)
-//! wall-clock table as labelled series — what
-//! `GET /metrics?format=prometheus` serves and `dse --metrics-prom
-//! FILE` writes, so any standard scraper can watch a campaign.
+//! wall-clock table as labelled series — what `musa-serve` answers
+//! `GET /metrics?format=prometheus` with, so any standard scraper can
+//! watch a campaign.
 //!
 //! Pure string rendering over an already-captured snapshot: works in
 //! every build, deterministic (snapshot maps are ordered), and every

@@ -1,6 +1,6 @@
 //! # musa-store
 //!
-//! Persistent, resumable, sharded storage for DSE campaigns — the
+//! Persistent, resumable storage for DSE campaigns — the
 //! substrate under the 864-configuration × 5-application sweep (§IV–V
 //! of the paper) and everything that serves its results.
 //!
@@ -8,8 +8,6 @@
 //!   `(app, NodeConfig, GenParams, replay mode, schema version)`;
 //!   changing any coordinate changes the key, so stale results are
 //!   structurally unservable;
-//! * [`shard`] — key-based `i/n` partitioning of the point set for
-//!   multi-process sweeps whose output files merge cleanly;
 //! * [`executor`] — [`PointExecutor`], the one place a point is
 //!   simulated: trace memo, artifact cache, panic containment, profile
 //!   record, sealed row bytes — shared by the sequential fill and the
@@ -31,7 +29,7 @@
 //! Rows carry a CRC32 sealed at append time and verified on load.
 //! Opening a writable store self-heals: torn final lines (interrupted
 //! appends) are truncated away, corrupt rows are moved to
-//! `quarantine.jsonl` with provenance and the shard is rewritten
+//! `quarantine.jsonl` with provenance and the row file is rewritten
 //! atomically. A read-only open never writes — it skips the same rows,
 //! degrades past unreadable files and reports it all via
 //! [`CampaignStore::health`]. See [`store`] for the full model and
@@ -60,7 +58,6 @@ pub mod export;
 pub mod integrity;
 pub mod journal;
 pub mod key;
-pub mod shard;
 pub mod store;
 
 pub use executor::{PointExecutor, PointOutput, SealedRow};
@@ -68,7 +65,6 @@ pub use export::{write_csv, write_json};
 pub use integrity::{atomic_write, crc32};
 pub use journal::{JournalReplay, LeaseEvent, LeaseJournal, PoolPoisonRecord, LEASE_JOURNAL_FILE};
 pub use key::{fnv1a_64, PointKey, SCHEMA_VERSION};
-pub use shard::Shard;
 pub use store::{
     classify_row, is_quarantine_file, quarantine_rotation_path, row_files, set_aside,
     CampaignStore, FillOptions, FillReport, PoisonedPoint, QuarantineRecord, SetAside, StoreHealth,

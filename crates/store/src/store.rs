@@ -3,10 +3,10 @@
 //! On disk a store is a directory of JSON-lines files (`*.jsonl`), one
 //! row per simulated point. Rows are content-addressed by [`PointKey`]
 //! — see [`crate::key`] — so re-opening a directory after a crash, or
-//! after other processes wrote disjoint shard files into it, always
-//! reconstructs exactly the set of completed points. Appends are
-//! flushed once per batch: an interrupted sweep loses at most one batch
-//! of results.
+//! after other writers (the lease files of a `dse --workers` run) put
+//! their own row files into it, always reconstructs exactly the set of
+//! completed points. Appends are flushed once per batch: an interrupted
+//! sweep loses at most one batch of results.
 //!
 //! ## Failure model
 //!
@@ -19,7 +19,7 @@
 //!   artifact, not corruption;
 //! * a row that parses but fails its checksum or key fingerprint, or a
 //!   mid-file line that does not parse at all, is moved to
-//!   [`QUARANTINE_FILE`] with its provenance and the shard is rewritten
+//!   [`QUARANTINE_FILE`] with its provenance and the row file is rewritten
 //!   atomically without it — reopening is then stable (quarantine runs
 //!   at most once per bad row);
 //! * rows written by a newer or older schema stay on disk untouched and
@@ -46,9 +46,8 @@ use musa_core::{Campaign, ConfigResult, SweepOptions};
 use crate::executor::{PointExecutor, SealedRow};
 use crate::integrity::{crc32, scan, unseal_line, BadLine, Verdict};
 use crate::key::{PointKey, SCHEMA_VERSION};
-use crate::shard::Shard;
 
-/// Default name of the JSONL file unsharded runs append to.
+/// Name of the JSONL file every writable store appends to.
 pub const DEFAULT_WRITE_FILE: &str = "rows.jsonl";
 
 /// File corrupt rows are moved to on open (one [`QuarantineRecord`]
@@ -473,8 +472,6 @@ pub struct PoisonedPoint {
 pub struct FillOptions {
     /// Simulation scale and mode (part of every point's fingerprint).
     pub sweep: SweepOptions,
-    /// If set, simulate only the points this shard owns.
-    pub shard: Option<Shard>,
     /// Points simulated between flushes (crash loses at most one batch).
     pub batch: usize,
     /// Report per-batch progress and ETA on stderr.
@@ -497,12 +494,11 @@ pub struct FillOptions {
 }
 
 impl FillOptions {
-    /// Defaults: no shard, [`DEFAULT_BATCH`], progress on,
+    /// Defaults: [`DEFAULT_BATCH`], progress on,
     /// [`DEFAULT_MAX_RETRIES`], keep going past poisoned points.
     pub fn new(sweep: SweepOptions) -> FillOptions {
         FillOptions {
             sweep,
-            shard: None,
             batch: DEFAULT_BATCH,
             progress: true,
             max_retries: DEFAULT_MAX_RETRIES,
@@ -523,11 +519,9 @@ impl Default for FillOptions {
 pub struct FillReport {
     /// Points requested (`apps × configs`).
     pub requested: usize,
-    /// Of those, points owned by this process's shard.
-    pub in_shard: usize,
-    /// In-shard points already present in the store.
+    /// Requested points already present in the store.
     pub cached: usize,
-    /// In-shard points simulated (and persisted) by this call.
+    /// Requested points simulated (and persisted) by this call.
     pub simulated: usize,
     /// Points whose simulation panicked — recorded, skipped, healed by
     /// a later `--resume`.
@@ -558,9 +552,6 @@ pub struct CampaignStore {
     read_only: bool,
     health: StoreHealth,
     flush_seq: u64,
-    /// Salt for flush-retry backoff jitter, derived from the write
-    /// path so concurrent writers back off on different schedules.
-    backoff_salt: u64,
     /// Artifact cache consulted by [`Self::fill`] for traces, detailed
     /// windows and burst baselines. `None` (the default) computes
     /// everything; attach with [`Self::set_artifact_cache`].
@@ -569,15 +560,12 @@ pub struct CampaignStore {
 
 impl CampaignStore {
     /// Open (or create) the store at `dir`, loading every `*.jsonl`
-    /// file in it. New rows are appended to [`DEFAULT_WRITE_FILE`].
+    /// file in it. New rows are appended to [`DEFAULT_WRITE_FILE`]
+    /// (created on first append).
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<CampaignStore> {
-        Self::open_with_write_file(dir, DEFAULT_WRITE_FILE)
-    }
-
-    /// Open the store, appending new rows to this shard's own file so
-    /// concurrent shard processes never write to the same file.
-    pub fn open_sharded(dir: impl AsRef<Path>, shard: Shard) -> std::io::Result<CampaignStore> {
-        Self::open_with_write_file(dir, &shard.file_name())
+        let dir = dir.as_ref().to_path_buf();
+        std::fs::create_dir_all(&dir)?;
+        Self::open_impl(dir, false)
     }
 
     /// Open the store **read-only** — the serving path. Unlike
@@ -595,18 +583,7 @@ impl CampaignStore {
                 format!("campaign store directory {} does not exist", dir.display()),
             ));
         }
-        Self::open_impl(dir.to_path_buf(), DEFAULT_WRITE_FILE, true)
-    }
-
-    /// Open the store, appending new rows to `write_file` (created on
-    /// first append).
-    pub fn open_with_write_file(
-        dir: impl AsRef<Path>,
-        write_file: &str,
-    ) -> std::io::Result<CampaignStore> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        Self::open_impl(dir, write_file, false)
+        Self::open_impl(dir.to_path_buf(), true)
     }
 
     /// Attach an artifact cache: subsequent [`Self::fill`] calls load
@@ -622,13 +599,9 @@ impl CampaignStore {
         self.artifact_cache.as_ref()
     }
 
-    fn open_impl(
-        dir: PathBuf,
-        write_file: &str,
-        read_only: bool,
-    ) -> std::io::Result<CampaignStore> {
+    fn open_impl(dir: PathBuf, read_only: bool) -> std::io::Result<CampaignStore> {
         let mut store = CampaignStore {
-            write_path: dir.join(write_file),
+            write_path: dir.join(DEFAULT_WRITE_FILE),
             dir,
             rows: Vec::new(),
             index: HashMap::new(),
@@ -637,7 +610,6 @@ impl CampaignStore {
             read_only,
             health: StoreHealth::default(),
             flush_seq: 0,
-            backoff_salt: musa_fault::key_of(&[write_file.as_bytes()]),
             artifact_cache: None,
         };
         let files = row_files(&store.dir)?;
@@ -896,11 +868,11 @@ impl CampaignStore {
                             ("max_retries", max_retries.into()),
                         ],
                     );
-                    // Jittered, not fixed: concurrent shard writers
-                    // hitting the same transient condition must not
-                    // retry in lockstep. The salt is the write path,
-                    // so each writer's schedule is still replayable.
-                    std::thread::sleep(musa_fault::jittered_backoff(retries, self.backoff_salt));
+                    // Exponential with a deterministic jitter salted by
+                    // the write file's name, so a chaos run's retry
+                    // schedule is replayable.
+                    let salt = musa_fault::key_of(&[DEFAULT_WRITE_FILE.as_bytes()]);
+                    std::thread::sleep(musa_fault::jittered_backoff(retries, salt));
                 }
                 Err(e) => return Err(e),
             }
@@ -932,10 +904,10 @@ impl CampaignStore {
         &self.health
     }
 
-    /// Simulate **only the missing points** of `apps × configs` (the
-    /// ones this shard owns, when sharded), one after another,
-    /// persisting after every batch and reporting progress/ETA on
-    /// stderr. Parallelism is across processes (`dse --workers N`).
+    /// Simulate **only the missing points** of `apps × configs`, one
+    /// after another, persisting after every batch and reporting
+    /// progress/ETA on stderr. Parallelism is across processes
+    /// (`dse --workers N`).
     pub fn fill(
         &mut self,
         apps: &[AppId],
@@ -951,10 +923,6 @@ impl CampaignStore {
             let mut missing = Vec::new();
             for cfg in configs {
                 let key = PointKey::for_point(app, cfg, &opts.sweep);
-                if !opts.shard.is_none_or(|s| s.owns(key)) {
-                    continue;
-                }
-                report.in_shard += 1;
                 if self.index.contains_key(&key.0) {
                     report.cached += 1;
                 } else {
@@ -972,13 +940,7 @@ impl CampaignStore {
         if total == 0 {
             return Ok(report);
         }
-        let heartbeat = opts.progress.then(|| {
-            let label = match opts.shard {
-                Some(s) => format!("fill[shard {s}]"),
-                None => "fill".to_string(),
-            };
-            Progress::new(label, total as u64)
-        });
+        let heartbeat = opts.progress.then(|| Progress::new("fill", total as u64));
         let mut exec = PointExecutor::new(self.artifact_cache.clone());
         let mut done = 0usize;
         for (app, missing) in work {

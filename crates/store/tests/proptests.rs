@@ -1,6 +1,6 @@
 //! Property tests of the store's persistence layer, on synthetic rows
 //! (no simulation): JSONL round-trips are lossless, and merging
-//! disjoint shard files reconstructs the one-shot store regardless of
+//! disjoint row files reconstructs the one-shot store regardless of
 //! write order.
 
 use std::collections::HashMap;
@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use musa_apps::{AppId, GenParams};
 use musa_arch::DesignSpace;
 use musa_core::ConfigResult;
+use musa_obs::json::{FromJson, JsonValue};
 use musa_obs::rng::{check_cases, SplitMix64};
 use musa_power::PowerBreakdown;
-use musa_store::{CampaignStore, PointKey, Shard, StoreRow};
+use musa_store::{CampaignStore, PointKey, StoreRow, DEFAULT_WRITE_FILE};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -97,14 +98,14 @@ fn jsonl_roundtrip_is_lossless() {
     });
 }
 
-/// Splitting the rows into n shard files (each written by its own
-/// store instance, in forward or reverse order) and re-opening the
-/// directory reconstructs exactly the one-shot store.
+/// Splitting the one-shot store's sealed lines by `key % n` into n
+/// lease-named row files (each in forward or reverse order) and
+/// re-opening the directory reconstructs exactly the one-shot store.
 #[test]
-fn shard_merge_is_lossless_and_order_independent() {
+fn split_row_files_merge_losslessly_in_any_order() {
     check_cases(CASES, |rng| {
         let rows = random_rows(rng, 30);
-        let shard_count = 1 + rng.next_u64() % 4;
+        let file_count = 1 + rng.next_u64() % 4;
         let reversed = rng.next_u64() & 1 == 1;
 
         // One-shot reference store.
@@ -114,24 +115,25 @@ fn shard_merge_is_lossless_and_order_independent() {
             store.append_batch(rows.clone()).unwrap();
         }
 
-        // Sharded writes into a shared directory.
-        let sharded_dir = tmp_dir("merge-sharded");
-        for i in 0..shard_count {
-            let shard = Shard::new(i, shard_count).unwrap();
-            let mut store = CampaignStore::open_sharded(&sharded_dir, shard).unwrap();
-            let mut own: Vec<StoreRow> = rows
-                .iter()
-                .filter(|r| shard.owns(r.point_key().unwrap()))
-                .cloned()
-                .collect();
+        // Its lines, spread over lease files in a shared directory.
+        let text = std::fs::read_to_string(one_dir.join(DEFAULT_WRITE_FILE)).unwrap();
+        let mut files = vec![Vec::new(); file_count as usize];
+        for line in text.lines() {
+            let row = StoreRow::read_json(&JsonValue::parse(line).unwrap()).unwrap();
+            files[(row.point_key().unwrap().0 % file_count) as usize].push(line);
+        }
+        let split_dir = tmp_dir("merge-split");
+        std::fs::create_dir_all(&split_dir).unwrap();
+        for (i, mut lines) in files.into_iter().enumerate() {
             if reversed {
-                own.reverse();
+                lines.reverse();
             }
-            store.append_batch(own).unwrap();
+            let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            std::fs::write(split_dir.join(format!("dist-l{i:04}-a0.jsonl")), body).unwrap();
         }
 
         let one = CampaignStore::open(&one_dir).unwrap();
-        let merged = CampaignStore::open(&sharded_dir).unwrap();
+        let merged = CampaignStore::open(&split_dir).unwrap();
         assert_eq!(merged.len(), rows.len());
         assert_eq!(
             sorted_by_key(merged.rows().to_vec()),
@@ -141,7 +143,7 @@ fn shard_merge_is_lossless_and_order_independent() {
         assert_eq!(merged.campaign(), one.campaign());
 
         let _ = std::fs::remove_dir_all(&one_dir);
-        let _ = std::fs::remove_dir_all(&sharded_dir);
+        let _ = std::fs::remove_dir_all(&split_dir);
     });
 }
 

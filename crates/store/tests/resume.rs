@@ -1,18 +1,20 @@
-//! Resume and shard semantics, end-to-end with real simulations:
+//! Resume and multi-file semantics, end-to-end with real simulations:
 //!
 //! * an interrupted sweep, re-opened and resumed, produces the exact
 //!   row set of a one-shot sweep (the acceptance criterion for
 //!   `dse --resume`);
-//! * disjoint shards filled by independent store instances merge into
-//!   the identical campaign a single run produces;
+//! * rows spread over several row files (lease files, or the files of
+//!   an older binary's split runs) merge into the identical campaign a
+//!   single run produces, and resume with nothing left to simulate;
 //! * rows simulated under different `GenParams` are never reused.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use musa_apps::{AppId, GenParams};
 use musa_arch::{DesignSpace, NodeConfig};
-use musa_core::SweepOptions;
-use musa_store::{CampaignStore, FillOptions, Shard};
+use musa_core::{Campaign, SweepOptions};
+use musa_obs::json::{FromJson, JsonValue};
+use musa_store::{write_csv, write_json, CampaignStore, FillOptions, StoreRow, DEFAULT_WRITE_FILE};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("musa-store-{tag}-{}", std::process::id()));
@@ -81,50 +83,89 @@ fn resume_completes_only_the_missing_points() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
+/// Names row file `i` of `n`.
+type FileName = fn(u64, u64) -> String;
+
+/// Spread the sealed lines of the one-shot store in `src` over `n` row
+/// files in `dst`, a line going to file `key % n` named `name(i, n)`:
+/// what a campaign run by several writers leaves behind.
+fn split_rows(src: &Path, dst: &Path, n: u64, name: FileName) {
+    let text = std::fs::read_to_string(src.join(DEFAULT_WRITE_FILE)).unwrap();
+    let mut files = vec![String::new(); n as usize];
+    for line in text.lines() {
+        let row = StoreRow::read_json(&JsonValue::parse(line).unwrap()).unwrap();
+        let file = &mut files[(row.point_key().unwrap().0 % n) as usize];
+        file.push_str(line);
+        file.push('\n');
+    }
+    std::fs::create_dir_all(dst).unwrap();
+    for (i, body) in (0..n).zip(&files) {
+        if !body.is_empty() {
+            std::fs::write(dst.join(name(i, n)), body).unwrap();
+        }
+    }
+}
+
+/// The CSV and JSON exports of a campaign, as bytes.
+fn exports(campaign: &Campaign, dir: &Path) -> (Vec<u8>, Vec<u8>) {
+    let (csv, json) = (dir.join("out.csv"), dir.join("out.json"));
+    write_csv(campaign, &csv).unwrap();
+    write_json(campaign, &json).unwrap();
+    (std::fs::read(&csv).unwrap(), std::fs::read(&json).unwrap())
+}
+
 #[test]
-fn disjoint_shards_merge_into_the_one_shot_campaign() {
-    let dir = tmp_dir("shards");
+fn rows_split_across_files_merge_into_the_one_shot_campaign() {
     let apps = [AppId::Btmz];
     let configs = config_slice(16);
-    let shards = 3u64;
-
-    // Each "process" opens its own sharded store over the shared
-    // directory and fills only its slice.
-    let mut in_shard_total = 0;
-    for i in 0..shards {
-        let shard = Shard::new(i, shards).unwrap();
-        let mut store = CampaignStore::open_sharded(&dir, shard).unwrap();
-        let fill = FillOptions {
-            shard: Some(shard),
-            ..quiet(sweep())
-        };
-        let report = store.fill(&apps, &configs, &fill).unwrap();
-        assert_eq!(report.cached, 0);
-        assert_eq!(report.simulated, report.in_shard);
-        in_shard_total += report.in_shard;
-    }
-    assert_eq!(in_shard_total, 16, "shards partition the space exactly");
-
-    // A reader opening the shared directory sees the merged campaign…
-    let merged = CampaignStore::open(&dir).unwrap();
-    assert_eq!(merged.len(), 16);
-    let merged_campaign = merged.campaign_for(&apps, &configs, &sweep());
-
-    // …identical to a single unsharded run.
-    let ref_dir = tmp_dir("shards-ref");
+    let ref_dir = tmp_dir("split-ref");
     let mut ref_store = CampaignStore::open(&ref_dir).unwrap();
     ref_store.fill(&apps, &configs, &quiet(sweep())).unwrap();
     let reference = ref_store.campaign_for(&apps, &configs, &sweep());
-    assert_eq!(merged_campaign, reference);
+    let out_dir = tmp_dir("split-out");
+    std::fs::create_dir_all(&out_dir).unwrap();
+    let ref_exports = exports(&reference, &out_dir);
 
-    // Nothing left to do on a resumed merged store.
-    let mut merged = merged;
-    let report = merged.fill(&apps, &configs, &quiet(sweep())).unwrap();
-    assert_eq!(report.simulated, 0);
-    assert_eq!(report.cached, 16);
+    // The lease files of a `--workers` run, and the files an older
+    // binary's `i/n` split runs wrote: both layouts must still load.
+    let layouts: [(&str, FileName); 2] = [
+        ("lease", |i, _| format!("dist-l{i:04}-a0.jsonl")),
+        ("legacy", |i, n| format!("shard-{i:04}-of-{n:04}.jsonl")),
+    ];
+    for (tag, name) in layouts {
+        let dir = tmp_dir(&format!("split-{tag}"));
+        split_rows(&ref_dir, &dir, 3, name);
+        assert!(std::fs::read_dir(&dir).unwrap().count() > 1, "{tag}");
 
-    let _ = std::fs::remove_dir_all(&dir);
+        // A store opening the directory sees the merged campaign,
+        // identical to the one-shot run…
+        let mut merged = CampaignStore::open(&dir).unwrap();
+        assert_eq!(merged.len(), 16, "{tag}");
+        assert_eq!(
+            merged.campaign_for(&apps, &configs, &sweep()),
+            reference,
+            "{tag}"
+        );
+
+        // …has nothing left to simulate on resume…
+        let report = merged.fill(&apps, &configs, &quiet(sweep())).unwrap();
+        assert_eq!((report.simulated, report.cached), (0, 16), "{tag}");
+        assert!(
+            !dir.join(DEFAULT_WRITE_FILE).exists(),
+            "{tag}: resume wrote rows"
+        );
+
+        // …and exports the same bytes.
+        let campaign = merged.campaign_for(&apps, &configs, &sweep());
+        assert!(
+            exports(&campaign, &out_dir) == ref_exports,
+            "{tag}: exports differ"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]
@@ -174,7 +215,7 @@ fn torn_final_line_is_tolerated_on_reopen() {
         store.fill(&apps, &configs, &quiet(sweep())).unwrap();
     }
     // Simulate a crash mid-write: truncate the file inside the last row.
-    let file = dir.join(musa_store::DEFAULT_WRITE_FILE);
+    let file = dir.join(DEFAULT_WRITE_FILE);
     let text = std::fs::read_to_string(&file).unwrap();
     std::fs::write(&file, &text[..text.len() - 40]).unwrap();
 

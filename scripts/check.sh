@@ -35,6 +35,16 @@ if grep -rn 'pool-worke[r]\|sweep-ke[y]\|MUSA_SEARCH_GEO[M]\|campaign_sweep_si[g
     exit 1
 fi
 
+# One way to split a campaign (`--workers`, `--listen`) and one metrics
+# file format (`--metrics` JSON): the key-modulo split, its store entry
+# points and the Prometheus file flag must not come back. (`\b` keeps
+# `musa-obs`'s `LocalShard` out of the match.)
+if grep -rn 'open_sharde[d]\|open_with_write_fil[e]\|in_shar[d]\|metrics_pro[m]\|--metrics-pro[m]\|--shar[d]\|\bShar[d]\b' \
+    Cargo.toml crates src tests examples scripts; then
+    echo "check: FAIL — a deleted way to split a campaign or dump metrics is named above" >&2
+    exit 1
+fi
+
 # The replay adds precomputed durations: the span record nobody but
 # Fig. 4 reads and the per-slot copy of the clocks must not come back.
 if grep -rn 'pub timeline[s]:' crates/net/src ||

@@ -17,7 +17,7 @@
 //! | [`power`] | node power modelling (McPAT substitute) |
 //! | [`net`] | MPI replay network simulation (Dimemas substitute) |
 //! | [`core`] | multiscale orchestration, DSE, analysis, PCA |
-//! | [`store`] | persistent, resumable, sharded campaign result store |
+//! | [`store`] | persistent, resumable campaign result store |
 //! | [`obs`] | structured instrumentation: spans, metrics, events, progress |
 //! | [`serve`] | columnar query engine + HTTP service over the campaign store |
 //!
@@ -50,6 +50,6 @@ pub mod prelude {
         SweepOptions,
     };
     pub use musa_serve::{QueryEngine, RowFilter, Server, ServerConfig};
-    pub use musa_store::{CampaignStore, FillOptions, Shard};
+    pub use musa_store::{CampaignStore, FillOptions};
     pub use musa_trace::AppTrace;
 }
