@@ -84,12 +84,24 @@ pub enum Verdict<R> {
     Corrupt(String),
 }
 
+/// A validator's answer as a verdict: `Ok` is a record, `Err` carries
+/// the reason the line is corrupt.
+impl<R> From<Result<R, String>> for Verdict<R> {
+    fn from(checked: Result<R, String>) -> Verdict<R> {
+        match checked {
+            Ok(record) => Verdict::Record(record),
+            Err(reason) => Verdict::Corrupt(reason),
+        }
+    }
+}
+
 /// A line that is not a record, where it sat and why it was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BadLine {
     /// 1-based line number.
     pub line: usize,
-    /// The verbatim line.
+    /// The verbatim line; a line that is not UTF-8 holds U+FFFD where
+    /// its bad bytes were.
     pub raw: String,
     /// The classifier's reason.
     pub reason: String,
@@ -113,23 +125,35 @@ pub struct Scan<'a, R> {
     pub unterminated: bool,
 }
 
-/// Classify every line of `text`. Whitespace-only lines are skipped
-/// (and dropped by a rewrite); `classify` sees the 1-based line number
-/// and the line.
-pub fn scan<R>(text: &str, mut classify: impl FnMut(usize, &str) -> Verdict<R>) -> Scan<'_, R> {
+/// Classify every line of `log`, split on `\n` (a `\r` before it is
+/// dropped, as `str::lines` does). Whitespace-only lines are skipped
+/// (and dropped by a rewrite). A line that is not UTF-8 is corrupt
+/// before any family sees it, its evidence decoded lossily; one bad
+/// byte costs its line, never the file. `classify` sees the 1-based
+/// line number and the line.
+pub fn scan<R>(log: &[u8], mut classify: impl FnMut(usize, &str) -> Verdict<R>) -> Scan<'_, R> {
     let mut out = Scan {
         records: Vec::new(),
         kept: Vec::new(),
         bad: Vec::new(),
         torn: None,
-        unterminated: !text.is_empty() && !text.ends_with('\n'),
+        unterminated: !log.is_empty() && !log.ends_with(b"\n"),
     };
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((i, line)) = lines.next() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match classify(i + 1, line) {
+    let mut lines = log
+        .split_inclusive(|&b| b == b'\n')
+        .map(|l| match l.strip_suffix(b"\n") {
+            Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
+            None => l,
+        })
+        .enumerate()
+        .peekable();
+    while let Some((i, bytes)) = lines.next() {
+        let (line, verdict) = match std::str::from_utf8(bytes) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => (line, classify(i + 1, line)),
+            Err(_) => ("", Verdict::Corrupt("invalid UTF-8".to_string())),
+        };
+        match verdict {
             Verdict::Record(record) => {
                 out.records.push(record);
                 out.kept.push(line);
@@ -138,7 +162,7 @@ pub fn scan<R>(text: &str, mut classify: impl FnMut(usize, &str) -> Verdict<R>) 
             Verdict::Corrupt(reason) => {
                 let bad = BadLine {
                     line: i + 1,
-                    raw: line.to_string(),
+                    raw: String::from_utf8_lossy(bytes).into_owned(),
                     reason,
                 };
                 if out.unterminated && lines.peek().is_none() {
@@ -172,10 +196,12 @@ impl<R> Scan<'_, R> {
     }
 }
 
-/// Read a log whole; a log never written is an empty log.
-pub fn read_log(path: &Path) -> io::Result<String> {
-    match std::fs::read_to_string(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
+/// Read a log whole, as bytes: [`scan`] judges each line's encoding, so
+/// one bad byte costs its line and not the file. A log never written
+/// is an empty log.
+pub fn read_log(path: &Path) -> io::Result<Vec<u8>> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
         other => other,
     }
 }

@@ -20,14 +20,19 @@
 //! | `degraded` | crash residue worth repairing (torn tails, litter) | 1 |
 //! | `corrupt` | damaged bytes: rows, journal lines, artifacts | 2 |
 //!
-//! [`repair`] applies the subsystems' own atomic repair paths
-//! (tmp + fsync + rename throughout) and is:
+//! Each family is stated once, in one table (`FAMILIES`): its name and
+//! a read-only check that fills its counters and graded notes and
+//! hands back the owner's repair, closed over what the check read.
+//! [`audit`] runs the checks; [`repair`] runs the same loop and applies
+//! each fix in table order — the subsystems' own atomic repair paths
+//! (tmp + fsync + rename throughout) — then re-audits. It is:
 //!
 //! * **idempotent** — `repair(repair(x))` changes no further bytes
 //!   (property-tested in `tests/repair_props.rs`);
 //! * **never destructive** — every removed byte lands in quarantine
 //!   with provenance: corrupt rows and journal lines are appended to
-//!   `quarantine.jsonl` via [`musa_store::set_aside`], corrupt
+//!   `quarantine.jsonl` via [`musa_store::set_aside`] (a line that is
+//!   not UTF-8 holds U+FFFD where its bad bytes were), corrupt
 //!   artifacts and temp litter move to the artifact `quarantine/`
 //!   directory with a `.reason` note, and a corrupt search journal is
 //!   preserved whole under a fingerprinted name.
@@ -40,10 +45,12 @@ pub mod torture;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use musa_cache::integrity::{read_log, scan, BadLine, Verdict};
+use musa_cache::integrity::{read_log, scan};
 use musa_cache::VerifyVerdict;
-use musa_obs::json::{escape, JsonObj, JsonValue};
-use musa_store::{LEASE_JOURNAL_FILE, QUARANTINE_FILE, QUARANTINE_KEEP};
+use musa_obs::json::{to_string, JsonObj, JsonValue};
+use musa_search::journal::validate_search_line;
+use musa_search::{JOURNAL_FILE, SEARCH_DIR};
+use musa_store::{QUARANTINE_FILE, QUARANTINE_KEEP};
 
 /// Status beacon the CLI drops in the store directory after
 /// `dse doctor --repair`: `{"severity":..,"exit_code":..,"repaired":..,
@@ -107,6 +114,19 @@ impl FamilyReport {
     fn note(&mut self, severity: Severity, msg: impl Into<String>) -> &mut Self {
         self.severity = self.severity.max(severity);
         self.notes.push(msg.into());
+        self
+    }
+
+    /// A finding counted `n` times: graded and noted only when `n > 0`.
+    fn note_if(
+        &mut self,
+        n: u64,
+        severity: Severity,
+        msg: impl FnOnce(u64) -> String,
+    ) -> &mut Self {
+        if n > 0 {
+            self.note(severity, msg(n));
+        }
         self
     }
 
@@ -202,47 +222,31 @@ impl DoctorReport {
 
     /// Compact JSON report.
     pub fn render_json(&self) -> String {
-        let mut families = String::from("[");
-        for (i, fam) in self.families.iter().enumerate() {
-            if i > 0 {
-                families.push(',');
-            }
-            let mut counts = JsonObj::new();
-            for (k, v) in &fam.counts {
-                counts = counts.field_u64(k, *v);
-            }
-            let notes = json_str_array(&fam.notes);
-            families.push_str(
-                &JsonObj::new()
+        let families: Vec<String> = self
+            .families
+            .iter()
+            .map(|fam| {
+                let counts = fam
+                    .counts
+                    .iter()
+                    .fold(JsonObj::new(), |obj, (k, v)| obj.field_u64(k, *v));
+                JsonObj::new()
                     .field_str("family", fam.family)
                     .field_str("severity", fam.severity.label())
                     .field_raw("counts", &counts.finish())
-                    .field_raw("notes", &notes)
-                    .finish(),
-            );
-        }
-        families.push(']');
+                    .field_raw("notes", &to_string(&fam.notes))
+                    .finish()
+            })
+            .collect();
         JsonObj::new()
             .field_str("dir", &self.dir.display().to_string())
             .field_bool("repaired", self.repaired)
             .field_str("severity", self.severity().label())
             .field_u64("exit_code", self.exit_code() as u64)
-            .field_raw("actions", &json_str_array(&self.actions))
-            .field_raw("families", &families)
+            .field_raw("actions", &to_string(&self.actions))
+            .field_raw("families", &format!("[{}]", families.join(",")))
             .finish()
     }
-}
-
-fn json_str_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&escape(item));
-    }
-    out.push(']');
-    out
 }
 
 /// Walk every durable surface of the store directory with the real
@@ -250,28 +254,11 @@ fn json_str_array(items: &[String]) -> String {
 /// Fires the `doctor.scan` failpoint once on entry so chaos tests can
 /// prove a crashed audit changes nothing.
 pub fn audit(dir: &Path) -> io::Result<DoctorReport> {
-    if !dir.is_dir() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("store directory {} does not exist", dir.display()),
-        ));
-    }
-    let lossy = dir.to_string_lossy();
-    musa_fault::fail_io("doctor.scan", musa_fault::key_of(&[lossy.as_bytes()]))?;
-    let families = vec![
-        audit_rows(dir)?,
-        audit_leases(dir),
-        audit_search(dir)?,
-        audit_artifacts(dir),
-        audit_profiles(dir)?,
-        audit_scratch(dir),
-        audit_quarantine(dir),
-    ];
     Ok(DoctorReport {
         dir: dir.to_path_buf(),
         repaired: false,
         actions: Vec::new(),
-        families,
+        families: walk(dir, "doctor.scan", None)?,
     })
 }
 
@@ -283,24 +270,13 @@ pub fn audit(dir: &Path) -> io::Result<DoctorReport> {
 /// damaged bytes, rewrite the survivors atomically", so a second pass
 /// finds nothing to do — and never destructive.
 pub fn repair(dir: &Path) -> io::Result<DoctorReport> {
-    if !dir.is_dir() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("store directory {} does not exist", dir.display()),
-        ));
-    }
-    let lossy = dir.to_string_lossy();
-    musa_fault::fail_io("doctor.repair", musa_fault::key_of(&[lossy.as_bytes()]))?;
     let mut actions = Vec::new();
-    repair_rows(dir, &mut actions)?;
-    repair_leases(dir, &mut actions)?;
-    repair_search(dir, &mut actions)?;
-    repair_artifacts(dir, &mut actions)?;
-    repair_profiles(dir, &mut actions)?;
-    let mut report = audit(dir)?;
-    report.repaired = true;
-    report.actions = actions;
-    Ok(report)
+    walk(dir, "doctor.repair", Some(&mut actions))?;
+    Ok(DoctorReport {
+        repaired: true,
+        actions,
+        ..audit(dir)?
+    })
 }
 
 /// Write the [`DOCTOR_STATUS_FILE`] beacon summarizing a report
@@ -323,510 +299,382 @@ pub fn write_status(dir: &Path, report: &DoctorReport) -> io::Result<()> {
     )
 }
 
-// ---------------------------------------------------------------- rows
-
-fn audit_rows(dir: &Path) -> io::Result<FamilyReport> {
-    let mut fam = FamilyReport::new("rows");
-    let store = musa_store::CampaignStore::open_read_only(dir)?;
-    let health = store.health().clone();
-    fam.count("rows", store.len() as u64)
-        .count("corrupt_rows", health.quarantined)
-        .count("torn_tails", health.tails_repaired)
-        .count("files_skipped", health.files_skipped)
-        .count("stale_schema", health.rows_stale_schema)
-        .count("newer_schema", health.rows_newer_schema)
-        .count("pool_poisoned", health.pool_poisoned);
-    if health.quarantined > 0 {
-        fam.note(
-            Severity::Corrupt,
-            format!(
-                "{} row(s) failed CRC or parse; repair moves them to {QUARANTINE_FILE}",
-                health.quarantined
-            ),
-        );
-    }
-    if health.files_skipped > 0 {
-        fam.note(
-            Severity::Corrupt,
-            format!("{} unreadable result file(s) skipped", health.files_skipped),
-        );
-    }
-    if health.tails_repaired > 0 {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} torn final line(s) (interrupted append; repair truncates)",
-                health.tails_repaired
-            ),
-        );
-    }
-    if health.pool_poisoned > 0 {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} point(s) poisoned by the pool supervisor; a plain resume will not re-attempt them",
-                health.pool_poisoned
-            ),
-        );
-    }
-    if health.rows_stale_schema > 0 {
-        fam.note(
-            Severity::Ok,
-            format!(
-                "{} stale-schema row(s) (skipped in memory; a resume re-simulates them)",
-                health.rows_stale_schema
-            ),
-        );
-    }
-    if health.rows_newer_schema > 0 {
-        fam.note(
-            Severity::Ok,
-            format!(
-                "{} newer-schema row(s) (owned by a newer writer; left alone)",
-                health.rows_newer_schema
-            ),
-        );
-    }
-    Ok(fam)
-}
-
-fn repair_rows(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    // A writable open IS the row repair path: torn tails truncated,
-    // corrupt rows quarantined with provenance, shards rewritten
-    // atomically.
-    let store = musa_store::CampaignStore::open(dir)?;
-    let health = store.health().clone();
-    drop(store);
-    if health.quarantined > 0 {
-        actions.push(format!(
-            "rows: quarantined {} corrupt row(s) to {QUARANTINE_FILE}",
-            health.quarantined
+/// The one loop behind [`audit`] and [`repair`]: fire `failpoint`, then
+/// check each family in table order and — when `actions` collects them
+/// — apply its fix before the next family is checked.
+fn walk(
+    dir: &Path,
+    failpoint: &str,
+    mut actions: Option<&mut Vec<String>>,
+) -> io::Result<Vec<FamilyReport>> {
+    if !dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("store directory {} does not exist", dir.display()),
         ));
     }
-    if health.tails_repaired > 0 {
-        actions.push(format!(
-            "rows: truncated {} torn final line(s)",
-            health.tails_repaired
-        ));
-    }
-    Ok(())
+    let lossy = dir.to_string_lossy();
+    musa_fault::fail_io(failpoint, musa_fault::key_of(&[lossy.as_bytes()]))?;
+    FAMILIES
+        .iter()
+        .map(|family| {
+            let mut report = FamilyReport::new(family.name);
+            let fix = (family.check)(dir, &mut report)?;
+            if let (Some(actions), Some(fix)) = (actions.as_deref_mut(), fix) {
+                fix(dir, actions)?;
+            }
+            Ok(report)
+        })
+        .collect()
 }
 
-// -------------------------------------------------------------- leases
+/// A family's repair: its owner's own path, run on the store directory,
+/// pushing the action lines it applied.
+type Fix = Box<dyn FnOnce(&Path, &mut Vec<String>) -> io::Result<()>>;
 
-fn audit_leases(dir: &Path) -> FamilyReport {
-    let mut fam = FamilyReport::new("leases");
-    let exists = dir.join(LEASE_JOURNAL_FILE).is_file();
-    let rep = musa_store::journal::replay(dir);
-    fam.count("events", rep.events.len() as u64)
-        .count("skipped_lines", rep.skipped)
-        .count("torn_tail", u64::from(rep.torn_tail))
-        .count("poisoned", rep.poisoned().len() as u64);
-    if rep.skipped > 0 {
-        fam.note(
-            Severity::Corrupt,
-            format!(
-                "{} unparsable interior journal line(s); repair quarantines them and rewrites the survivors",
-                rep.skipped
-            ),
-        );
-    }
-    if rep.torn_tail {
-        fam.note(
-            Severity::Degraded,
-            "torn final journal line (crash residue; repair truncates)",
-        );
-    }
-    if exists && !rep.clean_terminated && !rep.torn_tail {
-        fam.note(
-            Severity::Ok,
-            "journal not newline-terminated (interrupted run; the next pool open rewrites it)",
-        );
-    }
-    fam
+fn fix(f: impl FnOnce(&Path, &mut Vec<String>) -> io::Result<()> + 'static) -> Fix {
+    Box::new(f)
 }
 
-fn repair_leases(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    let rep = musa_store::journal::replay(dir);
-    if rep.skipped > 0 || rep.torn_tail || !rep.clean_terminated {
-        // The journal's own appendable open sets the corrupt lines
-        // aside and rewrites the rest atomically. The torn tail is
-        // normal crash residue: truncated, not quarantined.
-        let _ = musa_store::LeaseJournal::open(dir)?;
-        actions.push(format!(
-            "leases: rewrote journal ({} event(s) kept, {} line(s) quarantined, torn tail: {})",
-            rep.events.len(),
-            rep.skipped,
-            rep.torn_tail
-        ));
-    }
-    Ok(())
+/// One family of durable state: its stable name and its read-only
+/// check, which fills the family's counters and graded notes and
+/// returns the repair to run, if any.
+struct Family {
+    name: &'static str,
+    check: fn(&Path, &mut FamilyReport) -> io::Result<Option<Fix>>,
 }
 
-// -------------------------------------------------------------- search
-
-enum SearchScan {
-    Newer { lines: u64 },
-    Clean { lines: u64 },
-    Torn { complete: u64, prefix: usize },
-    Corrupt(BadLine),
-}
-
-fn search_journal_path(dir: &Path) -> PathBuf {
-    dir.join(musa_search::SEARCH_DIR)
-        .join(musa_search::JOURNAL_FILE)
-}
-
-fn scan_search_journal(path: &Path) -> io::Result<SearchScan> {
-    let text = read_log(path)?;
-    let newer = text
-        .lines()
-        .next()
-        .and_then(|first| JsonValue::parse(first).ok())
-        .and_then(|v| v.get("v").and_then(JsonValue::as_u64))
-        .is_some_and(|s| s > musa_search::JOURNAL_SCHEMA);
-    if newer {
-        return Ok(SearchScan::Newer {
-            lines: text.lines().count() as u64,
-        });
-    }
-    let scan = scan(&text, classify_search_line);
-    if let Some(bad) = scan.bad.into_iter().next() {
-        return Ok(SearchScan::Corrupt(bad));
-    }
-    if scan.unterminated {
-        // An unterminated final line is torn residue whether or not
-        // it parses — `SearchJournal::open` truncates it identically
-        // (a resumed search re-records the step).
-        let prefix = text.rfind('\n').map_or(0, |nl| nl + 1);
-        return Ok(SearchScan::Torn {
-            complete: text[..prefix].lines().count() as u64,
-            prefix,
-        });
-    }
-    Ok(SearchScan::Clean {
-        lines: scan.kept.len() as u64,
-    })
-}
-
-/// The search family's line classifier for [`scan`].
-fn classify_search_line(line_no: usize, line: &str) -> Verdict<()> {
-    match validate_search_line(line, line_no == 1) {
-        Ok(()) => Verdict::Record(()),
-        Err(reason) => Verdict::Corrupt(reason),
-    }
-}
-
-fn validate_search_line(line: &str, first: bool) -> Result<(), String> {
-    let v = JsonValue::parse(line).map_err(|e| format!("unparsable JSON ({e})"))?;
-    let ver = v
-        .get("v")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| "missing \"v\" schema field".to_string())?;
-    if ver != musa_search::JOURNAL_SCHEMA {
-        return Err(format!("foreign schema v{ver}"));
-    }
-    let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "missing \"kind\" field".to_string())?;
-    match (first, kind) {
-        (true, "header") => Ok(()),
-        (true, other) => Err(format!("first line is {other:?}, expected the header")),
-        (false, "header") => Err("duplicate header past line 1".to_string()),
-        (false, "gen" | "done") => Ok(()),
-        (false, other) => Err(format!("unknown record kind {other:?}")),
-    }
-}
-
-fn audit_search(dir: &Path) -> io::Result<FamilyReport> {
-    let mut fam = FamilyReport::new("search");
-    match scan_search_journal(&search_journal_path(dir))? {
-        SearchScan::Newer { lines } => {
-            fam.count("journal_lines", lines).note(
-                Severity::Ok,
-                "journal written by a newer schema; left alone",
-            );
-        }
-        SearchScan::Clean { lines } => {
-            fam.count("journal_lines", lines);
-        }
-        SearchScan::Torn { complete, .. } => {
+/// Every family, in presentation and repair order. The line-oriented
+/// ones classify with their owner's rule (`classify_row`,
+/// `classify_event`, `validate_search_line`, `classify_profile`) through
+/// [`scan`]; what follows here is only each family's grading and which
+/// owner call repairs it.
+const FAMILIES: [Family; 7] = [
+    Family {
+        name: "rows",
+        check: |dir, fam| {
+            let store = musa_store::CampaignStore::open_read_only(dir)?;
+            let health = store.health();
+            fam.count("rows", store.len() as u64)
+                .count("corrupt_rows", health.quarantined)
+                .count("torn_tails", health.tails_repaired)
+                .count("files_skipped", health.files_skipped)
+                .count("stale_schema", health.rows_stale_schema)
+                .count("newer_schema", health.rows_newer_schema)
+                .count("pool_poisoned", health.pool_poisoned)
+                .note_if(health.quarantined, Severity::Corrupt, |n| {
+                    format!("{n} row(s) failed CRC or parse; repair moves them to {QUARANTINE_FILE}")
+                })
+                .note_if(health.files_skipped, Severity::Corrupt, |n| {
+                    format!("{n} unreadable result file(s) skipped")
+                })
+                .note_if(health.tails_repaired, Severity::Degraded, |n| {
+                    format!("{n} torn final line(s) (interrupted append; repair truncates)")
+                })
+                .note_if(health.pool_poisoned, Severity::Degraded, |n| {
+                    format!("{n} point(s) poisoned by the pool supervisor; a plain resume will not re-attempt them")
+                })
+                .note_if(health.rows_stale_schema, Severity::Ok, |n| {
+                    format!("{n} stale-schema row(s) (skipped in memory; a resume re-simulates them)")
+                })
+                .note_if(health.rows_newer_schema, Severity::Ok, |n| {
+                    format!("{n} newer-schema row(s) (owned by a newer writer; left alone)")
+                });
+            // A writable open IS the row repair path: torn tails
+            // truncated, corrupt rows quarantined with provenance,
+            // shards rewritten atomically. It runs whatever the check
+            // found: it also terminates a final row no counter flags.
+            Ok(Some(fix(|dir, actions| {
+                let health = musa_store::CampaignStore::open(dir)?.health().clone();
+                if health.quarantined > 0 {
+                    actions.push(format!(
+                        "rows: quarantined {} corrupt row(s) to {QUARANTINE_FILE}",
+                        health.quarantined
+                    ));
+                }
+                if health.tails_repaired > 0 {
+                    actions.push(format!(
+                        "rows: truncated {} torn final line(s)",
+                        health.tails_repaired
+                    ));
+                }
+                Ok(())
+            })))
+        },
+    },
+    Family {
+        name: "leases",
+        check: |dir, fam| {
+            let rep = musa_store::journal::replay(dir);
+            let unterminated = !rep.clean_terminated && !rep.torn_tail;
+            fam.count("events", rep.events.len() as u64)
+                .count("skipped_lines", rep.skipped)
+                .count("torn_tail", u64::from(rep.torn_tail))
+                .count("poisoned", rep.poisoned().len() as u64)
+                .note_if(rep.skipped, Severity::Corrupt, |n| {
+                    format!("{n} unparsable interior journal line(s); repair quarantines them and rewrites the survivors")
+                })
+                .note_if(u64::from(rep.torn_tail), Severity::Degraded, |_| {
+                    "torn final journal line (crash residue; repair truncates)".into()
+                })
+                .note_if(u64::from(unterminated), Severity::Ok, |_| {
+                    "journal not newline-terminated (interrupted run; the next pool open rewrites it)".into()
+                });
+            let damaged = rep.skipped > 0 || rep.torn_tail || !rep.clean_terminated;
+            Ok(damaged.then(|| {
+                fix(move |dir, actions| {
+                    // The journal's own appendable open sets the corrupt
+                    // lines aside and rewrites the rest atomically. The
+                    // torn tail is normal crash residue: truncated, not
+                    // quarantined.
+                    musa_store::LeaseJournal::open(dir)?;
+                    actions.push(format!(
+                        "leases: rewrote journal ({} event(s) kept, {} line(s) quarantined, torn tail: {})",
+                        rep.events.len(),
+                        rep.skipped,
+                        rep.torn_tail
+                    ));
+                    Ok(())
+                })
+            }))
+        },
+    },
+    Family {
+        name: "search",
+        check: |dir, fam| {
+            let path = dir.join(SEARCH_DIR).join(JOURNAL_FILE);
+            let log = read_log(&path)?;
+            let newer = std::str::from_utf8(log.split(|&b| b == b'\n').next().unwrap_or_default())
+                .ok()
+                .and_then(|first| JsonValue::parse(first).ok())
+                .and_then(|v| v.get("v").and_then(JsonValue::as_u64))
+                .is_some_and(|s| s > musa_search::JOURNAL_SCHEMA);
+            if newer {
+                let lines = log.split_inclusive(|&b| b == b'\n').count() as u64;
+                fam.count("journal_lines", lines).note(
+                    Severity::Ok,
+                    "journal written by a newer schema; left alone",
+                );
+                return Ok(None);
+            }
+            let scan = scan(&log, |line_no, line| {
+                validate_search_line(line, line_no == 1).into()
+            });
+            let (unterminated, kept) = (scan.unterminated, scan.kept.len() as u64);
+            if let Some(mut bad) = scan.bad.into_iter().next() {
+                fam.count("journal_lines", 0).note(
+                    Severity::Corrupt,
+                    format!(
+                        "journal line {} corrupt ({}); repair preserves the file and quarantines the evidence",
+                        bad.line, bad.reason
+                    ),
+                );
+                // Interior corruption means the replay cursor cannot
+                // trust anything after the damage. Preserve the whole
+                // file under a content-fingerprinted name (never delete
+                // evidence), leave a provenance record, and let the next
+                // search start fresh — its evaluated rows are still in
+                // the store, so re-searching only replays cached points.
+                return Ok(Some(fix(move |dir, actions| {
+                    let preserved = format!(
+                        "{JOURNAL_FILE}.quarantined-{:016x}",
+                        musa_store::fnv1a_64(&log)
+                    );
+                    std::fs::rename(&path, path.with_file_name(&preserved))?;
+                    bad.reason = format!(
+                        "search journal corrupt ({}); full file preserved as {SEARCH_DIR}/{preserved}",
+                        bad.reason
+                    );
+                    musa_store::set_aside(dir, &format!("{SEARCH_DIR}/{JOURNAL_FILE}"), &[bad])?;
+                    actions.push(format!(
+                        "search: preserved corrupt journal as {SEARCH_DIR}/{preserved} and quarantined the evidence"
+                    ));
+                    Ok(())
+                })));
+            }
+            if !unterminated {
+                fam.count("journal_lines", kept);
+                return Ok(None);
+            }
+            // An unterminated final line is torn residue whether or not
+            // it parses — `SearchJournal::open` truncates it identically
+            // (a resumed search re-records the step).
+            let prefix = log.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+            let complete = log[..prefix].iter().filter(|&&b| b == b'\n').count() as u64;
             fam.count("journal_lines", complete).note(
                 Severity::Degraded,
                 "torn final journal line (crash residue; repair truncates, a resumed search re-records it)",
             );
-        }
-        SearchScan::Corrupt(bad) => {
-            fam.count("journal_lines", 0).note(
-                Severity::Corrupt,
-                format!(
-                    "journal line {} corrupt ({}); repair preserves the file and quarantines the evidence",
-                    bad.line, bad.reason
-                ),
-            );
-        }
-    }
-    Ok(fam)
-}
-
-fn repair_search(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    let path = search_journal_path(dir);
-    match scan_search_journal(&path)? {
-        SearchScan::Newer { .. } | SearchScan::Clean { .. } => Ok(()),
-        SearchScan::Torn { complete, prefix } => {
-            let text = std::fs::read_to_string(&path)?;
-            musa_store::atomic_write(&path, &text.as_bytes()[..prefix], "doctor.repair")?;
-            actions.push(format!(
-                "search: truncated torn journal tail ({complete} complete line(s) kept)"
-            ));
-            Ok(())
-        }
-        SearchScan::Corrupt(mut bad) => {
-            // Interior corruption means the replay cursor cannot trust
-            // anything after the damage. Preserve the whole file under a
-            // content-fingerprinted name (never delete evidence), leave a
-            // provenance record, and let the next search start fresh —
-            // its evaluated rows are still in the store, so re-searching
-            // only replays cached points.
-            let bytes = std::fs::read(&path)?;
-            let preserved = format!(
-                "{}.quarantined-{:016x}",
-                musa_search::JOURNAL_FILE,
-                musa_store::fnv1a_64(&bytes)
-            );
-            let dest = path.with_file_name(&preserved);
-            std::fs::rename(&path, &dest)?;
-            bad.reason = format!(
-                "search journal corrupt ({}); full file preserved as {}/{preserved}",
-                bad.reason,
-                musa_search::SEARCH_DIR
-            );
-            musa_store::set_aside(
-                dir,
-                &format!("{}/{}", musa_search::SEARCH_DIR, musa_search::JOURNAL_FILE),
-                &[bad],
-            )?;
-            actions.push(format!(
-                "search: preserved corrupt journal as {}/{preserved} and quarantined the evidence",
-                musa_search::SEARCH_DIR
-            ));
-            Ok(())
-        }
-    }
-}
-
-// ----------------------------------------------------------- artifacts
-
-fn audit_artifacts(dir: &Path) -> FamilyReport {
-    let mut fam = FamilyReport::new("artifacts");
-    let adir = dir.join(musa_cache::ARTIFACT_DIR);
-    let inv = match musa_cache::inventory(&adir) {
-        Ok(inv) => inv,
-        Err(e) => {
-            fam.note(
-                Severity::Corrupt,
-                format!("unreadable artifact directory: {e}"),
-            );
-            return fam;
-        }
-    };
-    fam.count("artifacts", inv.entries.len() as u64)
-        .count("tmp_litter", inv.tmp_litter.len() as u64)
-        .count("quarantined", inv.quarantined as u64)
-        .count("sessions", inv.sessions.len() as u64);
-    if !inv.tmp_litter.is_empty() {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} stranded temp file(s) from crashed writers; repair quarantines them",
-                inv.tmp_litter.len()
-            ),
-        );
-    }
-    match musa_cache::verify(&adir) {
-        Ok(rep) => {
-            let corrupt = rep.count(|v| matches!(v, VerifyVerdict::Corrupt(_))) as u64;
-            let stale = rep.count(|v| matches!(v, VerifyVerdict::Stale)) as u64;
-            let newer = rep.count(|v| matches!(v, VerifyVerdict::Newer)) as u64;
-            fam.count("corrupt", corrupt)
-                .count("stale", stale)
-                .count("newer", newer);
-            if corrupt > 0 {
-                let first = rep
-                    .files
-                    .iter()
-                    .find_map(|(name, v)| match v {
-                        VerifyVerdict::Corrupt(reason) => Some(format!("{name}: {reason}")),
-                        _ => None,
-                    })
-                    .unwrap_or_default();
-                fam.note(
-                    Severity::Corrupt,
-                    format!("{corrupt} artifact(s) failed verification (first: {first})"),
-                );
+            Ok(Some(fix(move |_, actions| {
+                musa_store::atomic_write(&path, &log[..prefix], "doctor.repair")?;
+                actions.push(format!(
+                    "search: truncated torn journal tail ({complete} complete line(s) kept)"
+                ));
+                Ok(())
+            })))
+        },
+    },
+    Family {
+        name: "artifacts",
+        check: |dir, fam| {
+            let adir = dir.join(musa_cache::ARTIFACT_DIR);
+            let inv = match musa_cache::inventory(&adir) {
+                Ok(inv) => inv,
+                Err(e) => {
+                    fam.note(
+                        Severity::Corrupt,
+                        format!("unreadable artifact directory: {e}"),
+                    );
+                    return Ok(None);
+                }
+            };
+            fam.count("artifacts", inv.entries.len() as u64)
+                .count("tmp_litter", inv.tmp_litter.len() as u64)
+                .count("quarantined", inv.quarantined as u64)
+                .count("sessions", inv.sessions.len() as u64)
+                .note_if(inv.tmp_litter.len() as u64, Severity::Degraded, |n| {
+                    format!(
+                        "{n} stranded temp file(s) from crashed writers; repair quarantines them"
+                    )
+                });
+            // Every file the repair moves, with its reason: litter first.
+            let mut moves: Vec<(String, String)> = inv
+                .tmp_litter
+                .into_iter()
+                .map(|name| (name, "stranded temp file (crashed writer)".to_string()))
+                .collect();
+            match musa_cache::verify(&adir) {
+                Ok(rep) => {
+                    let corrupt: Vec<(String, String)> = rep
+                        .files
+                        .iter()
+                        .filter_map(|(name, v)| match v {
+                            VerifyVerdict::Corrupt(reason) => Some((name.clone(), reason.clone())),
+                            _ => None,
+                        })
+                        .collect();
+                    let stale = rep.count(|v| matches!(v, VerifyVerdict::Stale)) as u64;
+                    let newer = rep.count(|v| matches!(v, VerifyVerdict::Newer)) as u64;
+                    fam.count("corrupt", corrupt.len() as u64)
+                        .count("stale", stale)
+                        .count("newer", newer)
+                        .note_if(corrupt.len() as u64, Severity::Corrupt, |n| {
+                            let (name, reason) = &corrupt[0];
+                            format!("{n} artifact(s) failed verification (first: {name}: {reason})")
+                        })
+                        .note_if(stale, Severity::Ok, |n| {
+                            format!("{n} stale-schema artifact(s) (reclaimable by `dse cache gc`)")
+                        })
+                        .note_if(newer, Severity::Ok, |n| {
+                            format!("{n} newer-schema artifact(s) (owned by a newer writer)")
+                        });
+                    moves.extend(corrupt);
+                }
+                Err(e) => {
+                    fam.note(
+                        Severity::Corrupt,
+                        format!("artifact verification failed: {e}"),
+                    );
+                }
             }
-            if stale > 0 {
-                fam.note(
-                    Severity::Ok,
-                    format!("{stale} stale-schema artifact(s) (reclaimable by `dse cache gc`)"),
-                );
-            }
-            if newer > 0 {
-                fam.note(
-                    Severity::Ok,
-                    format!("{newer} newer-schema artifact(s) (owned by a newer writer)"),
-                );
-            }
-        }
-        Err(e) => {
-            fam.note(
-                Severity::Corrupt,
-                format!("artifact verification failed: {e}"),
-            );
-        }
-    }
-    fam
-}
-
-fn repair_artifacts(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    let adir = dir.join(musa_cache::ARTIFACT_DIR);
-    let inv = match musa_cache::inventory(&adir) {
-        Ok(inv) => inv,
-        Err(_) => return Ok(()),
-    };
-    let mut moved = 0u64;
-    for name in &inv.tmp_litter {
-        musa_cache::quarantine(&adir.join(name), "stranded temp file (crashed writer)");
-        moved += 1;
-    }
-    if let Ok(rep) = musa_cache::verify(&adir) {
-        for (name, verdict) in &rep.files {
-            if let VerifyVerdict::Corrupt(reason) = verdict {
-                musa_cache::quarantine(&adir.join(name), reason);
-                moved += 1;
-            }
-        }
-    }
-    if moved > 0 {
-        actions.push(format!(
-            "artifacts: moved {moved} file(s) to {}/quarantine/ with reason notes",
-            musa_cache::ARTIFACT_DIR
-        ));
-    }
-    Ok(())
-}
-
-// ------------------------------------------------------------ profiles
-
-fn audit_profiles(dir: &Path) -> io::Result<FamilyReport> {
-    let mut fam = FamilyReport::new("profiles");
-    let (_, rep) = musa_prof::load_profiles(dir)?;
-    fam.count("records", rep.records as u64)
-        .count("duplicates", rep.duplicates as u64)
-        .count("torn_tails", rep.torn_tails as u64)
-        .count("corrupt", rep.corrupt as u64);
-    if rep.corrupt > 0 {
-        // Telemetry, not campaign data — degraded, not corrupt.
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} profile line(s) failed checksum or parse; repair quarantines them before rewriting",
-                rep.corrupt
-            ),
-        );
-    }
-    if rep.torn_tails > 0 {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} torn profile tail(s) (crash residue; harvest drops them)",
-                rep.torn_tails
-            ),
-        );
-    }
-    Ok(fam)
-}
-
-fn repair_profiles(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    // `harvest` rewrites the recorder file without its corrupt lines —
-    // set those bytes aside first. (Its torn tail is crash residue.)
-    let text = read_log(&dir.join(musa_prof::PROFILES_FILE))?;
-    let bad = scan(&text, musa_prof::classify_profile).bad;
-    let quarantined = musa_store::set_aside(dir, musa_prof::PROFILES_FILE, &bad)?.appended;
-    let (_, rep) = musa_prof::load_profiles(dir)?;
-    if rep.repaired_anything() {
-        musa_prof::harvest(dir)?;
-        actions.push(format!(
-            "profiles: rewrote the flight record without {} torn/{} corrupt line(s) and {} duplicate(s) ({} quarantined first)",
-            rep.torn_tails, rep.corrupt, rep.duplicates, quarantined
-        ));
-    }
-    Ok(())
-}
-
-// ------------------------------------------------------------- scratch
-
-fn audit_scratch(dir: &Path) -> FamilyReport {
-    let mut fam = FamilyReport::new("scratch");
-    let mut shards = 0u64;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("dist-l") && name.ends_with(".jsonl") {
-                shards += 1;
-            }
-        }
-    }
-    fam.count("dist_shards", shards);
-    if shards > 0 {
-        fam.note(
-            Severity::Ok,
-            format!("{shards} lease row shard(s) (real campaign rows, merged by the row loader)"),
-        );
-    }
-    fam
-}
-
-// ---------------------------------------------------------- quarantine
-
-fn count_lines(path: &Path) -> u64 {
-    std::fs::read_to_string(path)
-        .map(|text| text.lines().count() as u64)
-        .unwrap_or(0)
-}
-
-fn audit_quarantine(dir: &Path) -> FamilyReport {
-    let mut fam = FamilyReport::new("quarantine");
-    let primary = count_lines(&dir.join(QUARANTINE_FILE));
-    let mut rotated = 0u64;
-    let mut rotations = 0u64;
-    for i in 1..=QUARANTINE_KEEP {
-        let path = musa_store::quarantine_rotation_path(dir, i);
-        if path.is_file() {
-            rotations += 1;
-            rotated += count_lines(&path);
-        }
-    }
-    fam.count("evidence_lines", primary)
-        .count("rotated_lines", rotated)
-        .count("rotations", rotations);
-    if primary + rotated > 0 {
-        fam.note(
-            Severity::Ok,
-            format!(
-                "{} quarantine record(s) on file (advisory: evidence of past repairs, never auto-deleted)",
-                primary + rotated
-            ),
-        );
-    }
-    fam
-}
+            Ok((!moves.is_empty()).then(|| {
+                fix(move |_, actions| {
+                    for (name, reason) in &moves {
+                        musa_cache::quarantine(&adir.join(name), reason);
+                    }
+                    actions.push(format!(
+                        "artifacts: moved {} file(s) to {}/quarantine/ with reason notes",
+                        moves.len(),
+                        musa_cache::ARTIFACT_DIR
+                    ));
+                    Ok(())
+                })
+            }))
+        },
+    },
+    Family {
+        name: "profiles",
+        check: |dir, fam| {
+            let (_, rep) = musa_prof::load_profiles(dir)?;
+            fam.count("records", rep.records as u64)
+                .count("duplicates", rep.duplicates as u64)
+                .count("torn_tails", rep.torn_tails as u64)
+                .count("corrupt", rep.corrupt as u64)
+                // Telemetry, not campaign data — degraded, not corrupt.
+                .note_if(rep.corrupt as u64, Severity::Degraded, |n| {
+                    format!("{n} profile line(s) failed checksum or parse; repair quarantines them before rewriting")
+                })
+                .note_if(rep.torn_tails as u64, Severity::Degraded, |n| {
+                    format!("{n} torn profile tail(s) (crash residue; harvest drops them)")
+                });
+            Ok(rep.repaired_anything().then(|| {
+                fix(move |dir, actions| {
+                    // `harvest` rewrites the recorder file without its
+                    // corrupt lines — set those bytes aside first. (Its
+                    // torn tail is crash residue.)
+                    let log = read_log(&dir.join(musa_prof::PROFILES_FILE))?;
+                    let bad = scan(&log, musa_prof::classify_profile).bad;
+                    let quarantined =
+                        musa_store::set_aside(dir, musa_prof::PROFILES_FILE, &bad)?.appended;
+                    musa_prof::harvest(dir)?;
+                    actions.push(format!(
+                        "profiles: rewrote the flight record without {} torn/{} corrupt line(s) and {} duplicate(s) ({} quarantined first)",
+                        rep.torn_tails, rep.corrupt, rep.duplicates, quarantined
+                    ));
+                    Ok(())
+                })
+            }))
+        },
+    },
+    Family {
+        name: "scratch",
+        check: |dir, fam| {
+            let shards = std::fs::read_dir(dir)
+                .into_iter()
+                .flatten()
+                .flatten()
+                .filter(|entry| {
+                    entry
+                        .file_name()
+                        .to_str()
+                        .is_some_and(|name| name.starts_with("dist-l") && name.ends_with(".jsonl"))
+                })
+                .count() as u64;
+            fam.count("dist_shards", shards)
+                .note_if(shards, Severity::Ok, |n| {
+                    format!("{n} lease row shard(s) (real campaign rows, merged by the row loader)")
+                });
+            Ok(None)
+        },
+    },
+    Family {
+        name: "quarantine",
+        check: |dir, fam| {
+            let lines = |path: &Path| {
+                std::fs::read_to_string(path).map_or(0, |text| text.lines().count() as u64)
+            };
+            let rotations: Vec<PathBuf> = (1..=QUARANTINE_KEEP)
+                .map(|i| musa_store::quarantine_rotation_path(dir, i))
+                .filter(|path| path.is_file())
+                .collect();
+            let primary = lines(&dir.join(QUARANTINE_FILE));
+            let rotated: u64 = rotations.iter().map(|path| lines(path)).sum();
+            fam.count("evidence_lines", primary)
+                .count("rotated_lines", rotated)
+                .count("rotations", rotations.len() as u64)
+                .note_if(primary + rotated, Severity::Ok, |n| {
+                    format!("{n} quarantine record(s) on file (advisory: evidence of past repairs, never auto-deleted)")
+                });
+            Ok(None)
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musa_cache::integrity::{BadLine, Verdict};
+    use musa_store::LEASE_JOURNAL_FILE;
     use std::sync::Mutex;
 
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -976,14 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_search_header_is_corrupt() {
-        assert!(validate_search_line("{\"v\":1,\"kind\":\"header\"}", false).is_err());
-        assert!(validate_search_line("{\"v\":1,\"kind\":\"gen\"}", true).is_err());
-        assert!(validate_search_line("{\"v\":1,\"kind\":\"header\"}", true).is_ok());
-        assert!(validate_search_line("{\"v\":9,\"kind\":\"gen\"}", false).is_err());
-    }
-
-    #[test]
     fn corrupt_profile_lines_are_quarantined_then_harvested() {
         let dir = tdir("profiles");
         std::fs::write(
@@ -1028,7 +868,7 @@ mod tests {
         let path = dir.join("log");
         let full: String = lines.iter().map(|l| format!("{l}\n")).collect();
         assert!(full.is_ascii(), "{tag}: every byte offset must be a cut");
-        let whole = scan(&full, &classify);
+        let whole = scan(full.as_bytes(), &classify);
         assert_eq!(whole.kept, lines, "{tag}: the fixture must be records");
         assert!(whole.bad.is_empty() && whole.torn.is_none() && !whole.needs_rewrite());
 
@@ -1040,7 +880,7 @@ mod tests {
                 !tail.is_empty() && matches!(classify(complete + 1, tail), Verdict::Record(_));
             let expected = complete + usize::from(tail_is_record);
 
-            let found = scan(cut, &classify);
+            let found = scan(cut.as_bytes(), &classify);
             assert_eq!(
                 found.records,
                 whole.records[..expected],
@@ -1062,7 +902,7 @@ mod tests {
             let mut repaired = std::fs::read_to_string(&path).unwrap();
             repaired.push_str(probe);
             repaired.push('\n');
-            let after = scan(&repaired, &classify);
+            let after = scan(repaired.as_bytes(), &classify);
             assert!(
                 after.torn.is_none() && !after.needs_rewrite(),
                 "{tag}: cut at {n}"
@@ -1083,7 +923,7 @@ mod tests {
         // garbage final line (its newline is there) is corruption, not
         // a torn tail: no crash writes a whole wrong line.
         let garbled = format!("{full}not a record of any family\n");
-        let found = scan(&garbled, &classify);
+        let found = scan(garbled.as_bytes(), &classify);
         assert_eq!(found.kept, lines, "{tag}");
         assert!(found.torn.is_none() && !found.unterminated, "{tag}");
         assert_eq!(found.bad.len(), 1, "{tag}");
@@ -1091,10 +931,40 @@ mod tests {
         assert_eq!(found.bad[0].raw, "not a record of any family", "{tag}");
         // An unterminated final line that is a record is a record.
         let unterminated = full.trim_end_matches('\n');
-        let found = scan(unterminated, &classify);
+        let found = scan(unterminated.as_bytes(), &classify);
         assert_eq!(found.records, whole.records, "{tag}");
         assert!(found.torn.is_none() && found.bad.is_empty(), "{tag}");
         assert!(found.unterminated && found.needs_rewrite(), "{tag}");
+
+        // One byte that is not UTF-8 costs exactly its line: line k is
+        // bad, its evidence holds U+FFFD where the byte was, and every
+        // other line is kept verbatim.
+        for k in 0..lines.len() {
+            let mid = lines[k].len() / 2;
+            let mut log = Vec::new();
+            for (i, line) in lines.iter().enumerate() {
+                let mut bytes = line.as_bytes().to_vec();
+                if i == k {
+                    bytes.insert(mid, 0xFF);
+                }
+                log.extend_from_slice(&bytes);
+                log.push(b'\n');
+            }
+            let found = scan(&log, &classify);
+            let others: Vec<&str> = (0..lines.len())
+                .filter(|&i| i != k)
+                .map(|i| lines[i].as_str())
+                .collect();
+            assert_eq!(found.kept, others, "{tag}: 0xFF in line {}", k + 1);
+            assert!(found.torn.is_none(), "{tag}: 0xFF in line {}", k + 1);
+            let raw = format!("{}\u{FFFD}{}", &lines[k][..mid], &lines[k][mid..]);
+            let expected = BadLine {
+                line: k + 1,
+                raw,
+                reason: "invalid UTF-8".to_string(),
+            };
+            assert_eq!(found.bad, [expected], "{tag}: 0xFF in line {}", k + 1);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1162,7 +1032,9 @@ mod tests {
             musa_search::journal::gen_line(1, 0.5, 8, 6, 14, 4, 0.5),
             musa_search::journal::done_line(14, 4, 0.5),
         ];
-        check_line_rule("rule-search", &search, classify_search_line);
+        check_line_rule("rule-search", &search, |line_no, line| {
+            validate_search_line(line, line_no == 1).into()
+        });
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property tests of `musa_doctor::repair`: for any mix of injected
-//! corruption across the line-oriented durable families (lease journal,
-//! search journal, profiles, artifact tmp litter),
+//! corruption across the durable families (CRC-broken rows in a lease
+//! shard, lease journal lines — one of them not UTF-8 —, search
+//! journal, profiles, bit-flipped artifacts, artifact tmp litter),
 //! one repair pass converges to a clean store (exit 0), a second pass
-//! is a byte-identical no-op, and every complete garbage line ends up
-//! as quarantine evidence — repair never silently destroys data.
+//! is a byte-identical no-op, and every complete garbage line and every
+//! damaged artifact ends up as quarantine evidence — repair never
+//! silently destroys data.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -47,6 +49,14 @@ struct Harm {
     search: SearchHarm,
     profile_garbage: Vec<String>,
     tmp_litter: u8,
+    /// A lease journal line holding a 0xFF byte (not UTF-8).
+    lease_ff: bool,
+    /// Sealed rows in a lease shard, each with one digit flipped so its
+    /// CRC fails, beside one intact row.
+    broken_rows: u8,
+    /// Artifacts with a valid name and one payload bit flipped, so the
+    /// CRC in their header fails.
+    flipped_artifacts: u8,
 }
 
 /// Letters only: never parses as a lease event, a profile record, or
@@ -76,6 +86,9 @@ impl Harm {
             search,
             profile_garbage,
             tmp_litter: (rng.next_u64() % 3) as u8,
+            lease_ff: rng.next_u64() & 1 == 1,
+            broken_rows: (rng.next_u64() % 3) as u8,
+            flipped_artifacts: (rng.next_u64() % 3) as u8,
         }
     }
 }
@@ -83,17 +96,66 @@ impl Harm {
 const SEARCH_HEADER: &str = r#"{"v":1,"kind":"header","space":"tiny","seed":9,"budget":24}"#;
 const SEARCH_GEN: &str = r#"{"v":1,"kind":"gen","gen":0,"evaluated":8}"#;
 
+const SHARD: &str = "dist-l0001-a1.jsonl";
+
+/// The sealed line of one real row, for design point `i`.
+fn sealed_row(i: usize) -> String {
+    let x = i as f64;
+    let result = musa_core::ConfigResult {
+        app: musa_apps::AppId::Hydro.label().to_string(),
+        config: musa_arch::DesignSpace::all()[i],
+        time_ns: 1.0 + x,
+        region_ns: 0.5 + x,
+        power: Default::default(),
+        energy_j: x / 5.0,
+        l1_mpki: x,
+        l2_mpki: x / 2.0,
+        l3_mpki: x / 4.0,
+        mem_mpki: x / 8.0,
+        gmemreq_per_s: x,
+        mem_stretch: 1.0,
+        region_efficiency: 0.5,
+    };
+    let row = musa_store::StoreRow::new(musa_apps::GenParams::tiny(), false, result);
+    musa_store::SealedRow::seal(row).line
+}
+
+/// Files the artifact quarantine holds, not counting `.reason` notes.
+fn quarantined_artifacts(dir: &Path) -> usize {
+    let qdir = dir.join(musa_cache::ARTIFACT_DIR).join("quarantine");
+    std::fs::read_dir(qdir).map_or(0, |entries| {
+        entries
+            .flatten()
+            .filter(|e| !e.file_name().to_string_lossy().ends_with(".reason"))
+            .count()
+    })
+}
+
 fn inject(dir: &Path, harm: &Harm) {
-    if !harm.lease_garbage.is_empty() || harm.lease_torn {
-        let mut text = String::new();
+    if !harm.lease_garbage.is_empty() || harm.lease_torn || harm.lease_ff {
+        let mut log = Vec::new();
         for line in &harm.lease_garbage {
-            text.push_str(line);
-            text.push('\n');
+            log.extend_from_slice(line.as_bytes());
+            log.push(b'\n');
+        }
+        if harm.lease_ff {
+            log.extend_from_slice(b"{\"ev\":\"interrupted\",\"reason\":\"\xff\"}\n");
         }
         if harm.lease_torn {
-            text.push_str("torn-frag"); // no trailing newline
+            log.extend_from_slice(b"torn-frag"); // no trailing newline
         }
-        std::fs::write(dir.join(musa_store::LEASE_JOURNAL_FILE), text).unwrap();
+        std::fs::write(dir.join(musa_store::LEASE_JOURNAL_FILE), log).unwrap();
+    }
+
+    if harm.broken_rows > 0 {
+        let mut text = format!("{}\n", sealed_row(0));
+        for i in 1..=usize::from(harm.broken_rows) {
+            let line = sealed_row(i);
+            let at = line.find("\"time_ns\":").unwrap() + "\"time_ns\":".len();
+            let digit = if &line[at..=at] == "7" { "3" } else { "7" };
+            text.push_str(&format!("{}{digit}{}\n", &line[..at], &line[at + 1..]));
+        }
+        std::fs::write(dir.join(SHARD), text).unwrap();
     }
 
     let search_dir = dir.join(musa_search::SEARCH_DIR);
@@ -135,16 +197,29 @@ fn inject(dir: &Path, harm: &Harm) {
         std::fs::write(dir.join(musa_prof::PROFILES_FILE), text).unwrap();
     }
 
-    if harm.tmp_litter > 0 {
-        let artifacts = dir.join(musa_cache::ARTIFACT_DIR);
+    let artifacts = dir.join(musa_cache::ARTIFACT_DIR);
+    if harm.tmp_litter > 0 || harm.flipped_artifacts > 0 {
         std::fs::create_dir_all(&artifacts).unwrap();
-        for i in 0..harm.tmp_litter {
-            std::fs::write(
-                artifacts.join(format!(".litter-{i}.999.{i}.tmp")),
-                b"half-written artifact",
-            )
-            .unwrap();
-        }
+    }
+    for i in 0..harm.tmp_litter {
+        std::fs::write(
+            artifacts.join(format!(".litter-{i}.999.{i}.tmp")),
+            b"half-written artifact",
+        )
+        .unwrap();
+    }
+    for i in 0..u64::from(harm.flipped_artifacts) {
+        let (kind, key) = (
+            musa_cache::ArtifactKind::Burst,
+            musa_cache::ArtifactKey(0xa000 + i),
+        );
+        let mut bytes = musa_cache::artifact::encode_artifact(kind, key, b"{\"makespan_ns\":12.5}");
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(
+            artifacts.join(musa_cache::artifact_file_name(kind, key)),
+            bytes,
+        )
+        .unwrap();
     }
 }
 
@@ -198,9 +273,13 @@ fn repair_is_idempotent_and_never_worse() {
         // Repair never makes the grade worse than the pre-repair audit.
         assert!(first.severity() <= before.severity());
 
-        // Every complete garbage line (lease + profile) and every
-        // interior-corrupt search journal must survive as evidence.
+        // Every complete garbage line (lease + profile), every broken
+        // row and every interior-corrupt search journal must survive
+        // as evidence; every damaged artifact and every litter file in
+        // the artifact quarantine.
         let expected = harm.lease_garbage.len() as u64
+            + u64::from(harm.lease_ff)
+            + u64::from(harm.broken_rows)
             + harm.profile_garbage.len() as u64
             + matches!(harm.search, SearchHarm::Interior | SearchHarm::DupHeader) as u64;
         assert!(
@@ -209,6 +288,15 @@ fn repair_is_idempotent_and_never_worse() {
             expected,
             evidence_lines(&first)
         );
+        assert_eq!(
+            quarantined_artifacts(&dir),
+            usize::from(harm.tmp_litter + harm.flipped_artifacts)
+        );
+        // The shard keeps its intact row, verbatim.
+        if harm.broken_rows > 0 {
+            let text = std::fs::read_to_string(dir.join(SHARD)).unwrap();
+            assert_eq!(text, format!("{}\n", sealed_row(0)));
+        }
 
         // A clean search journal is untouched by repair.
         if matches!(harm.search, SearchHarm::Clean) {

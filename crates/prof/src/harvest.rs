@@ -53,8 +53,8 @@ pub fn classify_profile(_line_no: usize, line: &str) -> Verdict<PointProfile> {
 /// Read one profile file leniently. Missing file ⇒ empty. Records come
 /// back in file order.
 pub fn read_profile_file(path: &Path) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
-    let text = read_log(path)?;
-    let scan = scan(&text, classify_profile);
+    let log = read_log(path)?;
+    let scan = scan(&log, classify_profile);
     let report = HarvestReport {
         records: scan.records.len(),
         duplicates: 0,

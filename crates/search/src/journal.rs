@@ -42,7 +42,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
-use musa_obs::json::JsonObj;
+use musa_obs::json::{JsonObj, JsonValue};
 
 /// Journal line schema version.
 pub const JOURNAL_SCHEMA: u64 = 1;
@@ -115,6 +115,32 @@ pub fn done_line(evaluated: u64, front: u64, hypervolume: f64) -> String {
         .field_u64("front", front)
         .field_f64("hv", hypervolume)
         .finish()
+}
+
+/// Whether `line` is a record this journal may hold where it sits: the
+/// current schema, the header on line 1 (`first`) and only there, a
+/// `gen` or `done` record after it. `Err` carries the reason — the
+/// journal's classifier for the line rule `dse doctor` audits it by.
+pub fn validate_search_line(line: &str, first: bool) -> Result<(), String> {
+    let v = JsonValue::parse(line).map_err(|e| format!("unparsable JSON ({e})"))?;
+    let ver = v
+        .get("v")
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| "missing \"v\" schema field".to_string())?;
+    if ver != JOURNAL_SCHEMA {
+        return Err(format!("foreign schema v{ver}"));
+    }
+    let kind = v
+        .get("kind")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| "missing \"kind\" field".to_string())?;
+    match (first, kind) {
+        (true, "header") => Ok(()),
+        (true, other) => Err(format!("first line is {other:?}, expected the header")),
+        (false, "header") => Err("duplicate header past line 1".to_string()),
+        (false, "gen" | "done") => Ok(()),
+        (false, other) => Err(format!("unknown record kind {other:?}")),
+    }
 }
 
 /// A journal opened for verified append: the existing complete lines
@@ -237,6 +263,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("search.journal")
+    }
+
+    #[test]
+    fn duplicate_search_header_is_corrupt() {
+        assert!(validate_search_line("{\"v\":1,\"kind\":\"header\"}", false).is_err());
+        assert!(validate_search_line("{\"v\":1,\"kind\":\"gen\"}", true).is_err());
+        assert!(validate_search_line("{\"v\":1,\"kind\":\"header\"}", true).is_ok());
+        assert!(validate_search_line("{\"v\":9,\"kind\":\"gen\"}", false).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 /// `musa-cache`, which needs the identical discipline for its artifact
 /// files; the store re-exports them so every byte on disk — rows,
 /// exports, artifacts — is sealed and replaced by one implementation.
-pub use musa_cache::integrity::{scan, BadLine, Scan, Verdict};
+pub use musa_cache::integrity::{read_log, scan, BadLine, Scan, Verdict};
 pub use musa_cache::{atomic_write, crc32, seal_line, unseal_line};
 
 #[cfg(test)]

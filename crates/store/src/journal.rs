@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use musa_obs::json::{JsonObj, JsonValue};
 
-use crate::integrity::{scan, Scan, Verdict};
+use crate::integrity::{read_log, scan, Scan, Verdict};
 
 /// Name of the lease journal inside the store directory.
 pub const LEASE_JOURNAL_FILE: &str = "leases.journal";
@@ -394,8 +394,8 @@ impl JournalReplay {
 
 fn replay_path(path: &Path) -> JournalReplay {
     // Lenient: an unreadable journal is an empty one.
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    JournalReplay::of(scan(&text, classify_event))
+    let log = read_log(path).unwrap_or_default();
+    JournalReplay::of(scan(&log, classify_event))
 }
 
 /// An open, appendable lease journal.
@@ -415,8 +415,8 @@ impl LeaseJournal {
     pub fn open(dir: &Path) -> std::io::Result<(LeaseJournal, JournalReplay)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LEASE_JOURNAL_FILE);
-        let text = std::fs::read_to_string(&path).unwrap_or_default();
-        let scan = scan(&text, classify_event);
+        let log = read_log(&path).unwrap_or_default();
+        let scan = scan(&log, classify_event);
         if scan.needs_rewrite() {
             musa_obs::warn(
                 "musa-store",

@@ -44,7 +44,7 @@ use musa_cache::ArtifactCache;
 use musa_core::{Campaign, ConfigResult, SweepOptions};
 
 use crate::executor::{PointExecutor, SealedRow};
-use crate::integrity::{crc32, scan, unseal_line, BadLine, Verdict};
+use crate::integrity::{crc32, read_log, scan, unseal_line, BadLine, Verdict};
 use crate::key::{PointKey, SCHEMA_VERSION};
 
 /// Name of the JSONL file every writable store appends to.
@@ -635,8 +635,8 @@ impl CampaignStore {
     /// (truncate a torn tail, quarantine corrupt rows) so the next open
     /// is clean.
     fn load_file(&mut self, path: &Path) -> std::io::Result<()> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+        let log = match read_log(path) {
+            Ok(log) => log,
             Err(e) if self.read_only => {
                 self.health.files_skipped += 1;
                 musa_obs::warn(
@@ -652,7 +652,7 @@ impl CampaignStore {
             Err(e) => return Err(e),
         };
         let health = &mut self.health;
-        let mut scan = scan(&text, |line_no, line| {
+        let mut scan = scan(&log, |line_no, line| {
             classify_row(path, line_no, line, health)
         });
         // A fragment cut short by a crash never parses. An unterminated

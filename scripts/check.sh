@@ -62,6 +62,14 @@ if grep -rn 'ends_with_newlin[e]\|ends_n[l]\|quarantine_evidenc[e]\|append_quara
     exit 1
 fi
 
+# The doctor states each family once, in one table of check-and-fix:
+# the per-family audit/repair function pairs and the hand-rolled JSON
+# string-array writer must not come back.
+if grep -rn 'fn audit_[a-z]\|fn repair_[a-z]\|json_str_arra[y]' crates/doctor/src; then
+    echo "check: FAIL — a per-family doctor function or json_str_array is named above" >&2
+    exit 1
+fi
+
 # One walk times both memories: the profiler asks the OoO window once
 # per kernel, and the window keeps its fixed rings (the reference loop
 # under `#[cfg(test)]` is the only `VecDeque` left in the file).
