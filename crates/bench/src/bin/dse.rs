@@ -10,6 +10,7 @@
 //! cargo run --release -p musa-bench --bin dse -- --csv out.csv --json out.json
 //! cargo run --release -p musa-bench --bin dse -- --store-dir /tmp/campaign --resume
 //! cargo run --release -p musa-bench --bin dse -- --full       # 256-rank paper scale
+//! cargo run --release -p musa-bench --bin dse -- report       # regenerate results/
 //! cargo run --release -p musa-bench --bin dse -- --progress --metrics m.json
 //! cargo run --release -p musa-bench --bin dse -- serve --store-dir /tmp/campaign --port 8080
 //! ```
@@ -33,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use musa_apps::AppId;
-use musa_arch::NodeConfig;
+use musa_arch::{DesignSpace, NodeConfig};
 use musa_bench::cli::{
     parse_dse_args, CacheArgs, CacheCmd, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs,
     FaultArgs, LogArgs, Parsed, ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
@@ -70,7 +71,7 @@ fn main() {
         std::process::exit(2);
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_dse_args(&argv) {
+    let (args, report) = match parse_dse_args(&argv) {
         Ok(Parsed::Help(usage)) => {
             // Tolerate a closed pipe (`dse --help | head`): help must
             // exit 0 even when the reader stops early.
@@ -94,19 +95,30 @@ fn main() {
         Ok(Parsed::DistWorker(args)) => dist_worker_main(args),
         Ok(Parsed::Doctor(args)) => doctor_main(args),
         Ok(Parsed::Torture(args)) => torture_main(args),
-        Ok(Parsed::Run(args)) => args,
+        Ok(Parsed::Run(args)) => (args, false),
+        Ok(Parsed::Report(args)) => (args, true),
         Err(e) => {
             eprintln!("dse: {e}\n{USAGE}");
             std::process::exit(2);
         }
     };
 
+    let configs = configs();
+    if report && configs.len() != DesignSpace::all().len() {
+        // The figures read the whole design space (Fig. 10 its 72-point
+        // 2 GHz / 64-core subset): a slice would stop partway through.
+        die(format!(
+            "dse report: MUSA_CONFIG_SLICE narrows the sweep to {} configuration(s); \
+             results/ needs all {}",
+            configs.len(),
+            DesignSpace::all().len()
+        ));
+    }
     arm_observability(&args.log, Some(&args.faults));
     let dir = store_dir_of(&args.campaign.store_dir, args.campaign.full);
     if !args.campaign.resume {
         clear_store(&dir);
     }
-    let configs = configs();
     let points: Vec<(AppId, NodeConfig)> = AppId::ALL
         .iter()
         .flat_map(|&app| configs.iter().map(move |&config| (app, config)))
@@ -139,17 +151,43 @@ fn main() {
     }
     export_campaign(&args, &campaign);
     summarise(&campaign, &configs, &dir);
+    if report {
+        write_report(&campaign, &runner.sweep.gen, outcome.poisoned);
+    }
     finish_observability(&args.campaign, &runner.worker_metrics);
     if outcome.poisoned > 0 {
         std::process::exit(EXIT_PARTIAL);
     }
 }
 
+/// `dse report`: render every [`musa_bench::report::ENTRIES`] file from
+/// the campaign, then write them all under `results/`. A poisoned point
+/// or a failed shape assertion stops it before the first write.
+fn write_report(campaign: &musa_core::Campaign, gen: &musa_apps::GenParams, poisoned: usize) {
+    if poisoned > 0 {
+        die(format!(
+            "dse report: {poisoned} point(s) poisoned; not writing results/"
+        ));
+    }
+    let files: Vec<_> = musa_bench::report::ENTRIES
+        .iter()
+        .map(|(file, render)| (Path::new("results").join(file), render(campaign, gen)))
+        .collect();
+    std::fs::create_dir_all("results").unwrap_or_else(|e| die(format!("create results/: {e}")));
+    for (path, body) in &files {
+        std::fs::write(path, body)
+            .unwrap_or_else(|e| die(format!("write {}: {e}", path.display())));
+    }
+    println!("wrote {} file(s) to results/", files.len());
+}
+
 /// `--store-dir`, or the default for the scale. `full` is the parsed
 /// `--full` (false for the subcommands that do not take it): `dse`
 /// never looks at argv a second time.
 fn store_dir_of(store_dir: &Option<PathBuf>, full: bool) -> PathBuf {
-    store_dir.clone().unwrap_or_else(|| store_dir_for(full))
+    store_dir
+        .clone()
+        .unwrap_or_else(|| store_dir_for(scale_for(full).0))
 }
 
 /// What one [`Runner::run`] did.

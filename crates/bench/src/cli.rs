@@ -18,6 +18,9 @@ use musa_store::DEFAULT_MAX_RETRIES;
 /// `dse` usage text (printed on `--help` and after a parse error).
 pub const USAGE: &str = "\
 usage: dse [options]
+       dse report [options]        run the campaign as above, then write
+                                   every committed file under results/
+                                   (the paper's tables and figures)
        dse serve [serve-options]   query service over a campaign store
                                    (see dse serve --help)
        dse cache <stats|verify|gc> [cache-options]   artifact-cache admin
@@ -321,6 +324,8 @@ impl Default for ServeArgs {
 pub enum Parsed {
     /// Run the sweep with these arguments.
     Run(DseArgs),
+    /// Run the sweep, then write `results/` (`dse report ...`).
+    Report(DseArgs),
     /// Run the query service with these arguments.
     Serve(ServeArgs),
     /// Administer the artifact cache (`dse cache ...`).
@@ -373,6 +378,10 @@ pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
     let args: Vec<&str> = args.iter().map(AsRef::as_ref).collect();
     // A subcommand is only one in first position.
     match args.split_first() {
+        Some((&"report", rest)) => match parse_run_args(rest)? {
+            Parsed::Run(args) => Ok(Parsed::Report(args)),
+            help => Ok(help),
+        },
         Some((&"serve", rest)) => parse_serve_args(rest),
         Some((&"cache", rest)) => parse_cache_args(rest),
         Some((&"profile", rest)) => parse_profile_args(rest),
@@ -1273,6 +1282,39 @@ mod tests {
         );
     }
 
+    /// `dse report` takes exactly the plain run's flags, through the
+    /// same parser.
+    #[test]
+    fn report_subcommand_parses_like_a_run() {
+        assert_eq!(
+            parse_dse_args(&["report"]),
+            Ok(Parsed::Report(DseArgs::default()))
+        );
+        let argv = [
+            "--full",
+            "--store-dir",
+            "/tmp/c",
+            "--resume",
+            "--workers",
+            "2",
+        ];
+        let report: Vec<&str> = ["report"].iter().chain(&argv).copied().collect();
+        assert_eq!(parse_dse_args(&report), Ok(Parsed::Report(run(&argv))));
+        assert_eq!(
+            parse_dse_args(&["report", "--help"]),
+            Ok(Parsed::Help(USAGE))
+        );
+    }
+
+    #[test]
+    fn report_subcommand_is_strict() {
+        assert!(parse_dse_args(&["report", "--nope"]).is_err());
+        assert!(parse_dse_args(&["report", "stray"]).is_err());
+        assert!(parse_dse_args(&["report", "--fail-fast", "--workers", "2"]).is_err());
+        // Only recognised in first position, like cache.
+        assert!(parse_dse_args(&["--resume", "report"]).is_err());
+    }
+
     #[test]
     fn cache_subcommand_is_strict() {
         assert!(parse_dse_args(&["cache", "prune"]).is_err());
@@ -1549,8 +1591,9 @@ mod tests {
                 .filter(|w| w.starts_with("--"))
                 .collect()
         }
-        let subcommands: [(&[&str], &str); 8] = [
+        let subcommands: [(&[&str], &str); 9] = [
             (&[], USAGE),
+            (&["report"], USAGE),
             (&["serve"], SERVE_USAGE),
             (&["cache", "gc"], CACHE_USAGE),
             (&["profile"], PROFILE_USAGE),

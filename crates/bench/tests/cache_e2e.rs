@@ -58,8 +58,6 @@ fn dse_command(dir: &Path, extra: &[&str], slice: usize, tiny: bool) -> Command 
         .arg(dir)
         .args(extra)
         .env("MUSA_CONFIG_SLICE", slice.to_string())
-        .env_remove("MUSA_FULL")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED")
         .env_remove("MUSA_CACHE");
@@ -77,7 +75,6 @@ fn dse_cache(dir: &Path, cmd: &str, extra: &[&str]) -> Output {
     c.args(["cache", cmd, "--store-dir"])
         .arg(dir)
         .args(extra)
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_CACHE");
     c.output().expect("spawn dse cache")
 }

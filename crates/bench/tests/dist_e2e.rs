@@ -57,8 +57,6 @@ fn supervisor_command(dir: &Path, extra: &[&str]) -> Command {
         .args(extra)
         .env("MUSA_TINY", "1")
         .env("MUSA_CONFIG_SLICE", CONFIG_SLICE.to_string())
-        .env_remove("MUSA_FULL")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED");
     cmd
@@ -72,8 +70,6 @@ fn worker_command(addr: &str, extra: &[&str]) -> Command {
         .args(extra)
         .env_remove("MUSA_TINY")
         .env_remove("MUSA_CONFIG_SLICE")
-        .env_remove("MUSA_FULL")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED");
     cmd

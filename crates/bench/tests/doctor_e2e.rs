@@ -45,8 +45,6 @@ fn dse(args: &[&str]) -> Output {
         .args(args)
         .env("MUSA_TINY", "1")
         .env("MUSA_CONFIG_SLICE", "6")
-        .env_remove("MUSA_FULL")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED")
         .stdin(Stdio::null())

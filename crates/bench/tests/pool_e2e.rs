@@ -66,8 +66,6 @@ fn dse_command_at(dir: &Path, extra: &[&str], slice: usize, tiny: bool) -> Comma
         .arg(dir)
         .args(extra)
         .env("MUSA_CONFIG_SLICE", slice.to_string())
-        .env_remove("MUSA_FULL")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED");
     if tiny {

@@ -60,8 +60,6 @@ fn dse_command(dir: &Path, extra: &[&str]) -> Command {
         .args(extra)
         .env("MUSA_TINY", "1")
         .env("MUSA_CONFIG_SLICE", CONFIG_SLICE.to_string())
-        .env_remove("MUSA_FULL")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED")
         .env_remove("MUSA_PROF");
@@ -71,10 +69,7 @@ fn dse_command(dir: &Path, extra: &[&str]) -> Command {
 /// Run the `dse profile` subcommand against `dir`.
 fn dse_profile(dir: &Path, extra: &[&str]) -> Output {
     let mut cmd = Command::new(DSE);
-    cmd.args(["profile", "--store-dir"])
-        .arg(dir)
-        .args(extra)
-        .env_remove("MUSA_STORE_DIR");
+    cmd.args(["profile", "--store-dir"]).arg(dir).args(extra);
     cmd.output().expect("spawn dse profile")
 }
 

@@ -35,9 +35,7 @@ fn search_command(dir: &Path, extra: &[&str]) -> Command {
         .arg(dir)
         .args(extra)
         .env("MUSA_TINY", "1")
-        .env_remove("MUSA_FULL")
         .env_remove("MUSA_CONFIG_SLICE")
-        .env_remove("MUSA_STORE_DIR")
         .env_remove("MUSA_FAULTS")
         .env_remove("MUSA_FAULT_SEED");
     cmd

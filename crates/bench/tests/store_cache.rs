@@ -4,12 +4,27 @@
 //! old parameters. The store keys every row by a fingerprint of the
 //! exact `GenParams`, so a changed scale re-simulates.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use musa_apps::{AppId, GenParams};
 use musa_arch::{NodeConfig, VectorWidth};
-use musa_bench::load_or_run_campaign_in;
-use musa_core::SweepOptions;
+use musa_core::{Campaign, SweepOptions};
+use musa_store::{CampaignStore, FillOptions};
+
+/// Open (or create) the store at `dir`, fill the missing points of
+/// `apps × configs` under `opts`, and return the campaign view.
+fn load_or_run_campaign_in(
+    dir: &Path,
+    apps: &[AppId],
+    configs: &[NodeConfig],
+    opts: &SweepOptions,
+) -> Campaign {
+    let mut store = CampaignStore::open(dir).expect("open campaign store");
+    store
+        .fill(apps, configs, &FillOptions::new(*opts))
+        .expect("fill campaign store");
+    store.campaign_for(apps, configs, opts)
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("musa-bench-{tag}-{}", std::process::id()));

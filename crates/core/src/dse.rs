@@ -11,7 +11,7 @@ use crate::sim::{ConfigResult, MultiscaleSim};
 /// (`musa-serve`) and the in-process analyses select, rank and
 /// aggregate by. [`RowMetric::of`] is the single place a metric name is
 /// mapped to a [`ConfigResult`] field, so the HTTP API, the CSV export
-/// and the figure harnesses can never disagree about what `time_ns`
+/// and `dse report`'s figures can never disagree about what `time_ns`
 /// means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowMetric {

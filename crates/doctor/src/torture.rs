@@ -383,8 +383,6 @@ impl Harness {
             .arg(store)
             .env("MUSA_TINY", "1")
             .env("MUSA_CONFIG_SLICE", CONFIG_SLICE)
-            .env_remove("MUSA_FULL")
-            .env_remove("MUSA_STORE_DIR")
             .env_remove("MUSA_FAULTS")
             .env_remove("MUSA_FAULT_SEED")
             .stdin(Stdio::null());

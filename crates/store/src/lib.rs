@@ -16,7 +16,7 @@
 //!   `HashMap` index over durable rows, with [`CampaignStore::fill`]
 //!   simulating only missing points (batched flushes,
 //!   progress/ETA on stderr) and [`Campaign`](musa_core::Campaign)
-//!   views for the figure harnesses;
+//!   views for `dse report`'s figures;
 //! * [`integrity`] — CRC32 row checksums and crash-atomic file
 //!   replacement (tmp + fsync + rename);
 //! * [`journal`] — the crash-safe lease journal `musa-dist` uses to

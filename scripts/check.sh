@@ -45,6 +45,19 @@ if grep -rn 'open_sharde[d]\|open_with_write_fil[e]\|in_shar[d]\|metrics_pro[m]\
     exit 1
 fi
 
+# One recipe for `results/` (`dse report`): the twelve figure binaries,
+# their argv scan and the two environment knobs that served them must
+# not come back.
+if grep -rn 'full_in_arg[v]\|fn gen_param[s]\|fn store_dir[(]\|MUSA_FUL[L]\|MUSA_STORE_DI[R]\|--bin fi[g]\|--bin table[1]' \
+    Cargo.toml crates src tests examples scripts; then
+    echo "check: FAIL — a deleted figure binary or its argv/env plumbing is named above" >&2
+    exit 1
+fi
+if [[ "$(ls crates/bench/src/bin)" != "dse.rs" ]]; then
+    echo "check: FAIL — crates/bench/src/bin/ holds more than dse.rs:" $(ls crates/bench/src/bin) >&2
+    exit 1
+fi
+
 # The replay adds precomputed durations: the span record nobody but
 # Fig. 4 reads and the per-slot copy of the clocks must not come back.
 if grep -rn 'pub timeline[s]:' crates/net/src ||
@@ -212,6 +225,33 @@ echo "== expanded-space golden digest (every 97th config x 5 tiny, shared and fr
 # DDR4-only paper grid never does: one evaluator for every point and one
 # per point must both give the digest taken before profiles were shared.
 cargo test -q --release -p musa-search --test expanded_digest -- --ignored
+
+echo "== results/ regenerated byte for byte (dse report, release) =="
+# The committed tables, figures and campaign CSV are the reference: a
+# fresh directory with no MUSA_* knob set must reproduce every one of
+# them. A sliced sweep must refuse to write any.
+cargo build -q --release -p musa-bench --bin dse
+dse=$PWD/target/release/dse
+report_dir=$(mktemp -d)
+trap 'rm -rf "$report_dir"' EXIT
+(
+    cd "$report_dir"
+    mkdir fresh sliced
+    for v in $(env | grep -o '^MUSA_[A-Z_]*'); do unset "$v"; done
+    (cd fresh && "$dse" report >/dev/null)
+    if (cd sliced && MUSA_TINY=1 MUSA_CONFIG_SLICE=6 "$dse" report >/dev/null 2>&1); then
+        echo "check: FAIL — dse report accepted a sliced sweep" >&2
+        exit 1
+    fi
+    if [[ -e sliced/results ]]; then
+        echo "check: FAIL — a refused dse report left results/ behind" >&2
+        exit 1
+    fi
+)
+if ! diff -r --exclude='BENCH_*' results "$report_dir/fresh/results"; then
+    echo "check: FAIL — dse report no longer reproduces results/ (diff above)" >&2
+    exit 1
+fi
 
 echo "== dist smoke (--listen + 2 dist-workers vs sequential) =="
 # Byte-identity of a distributed fill over loopback TCP, with and

@@ -34,7 +34,7 @@ trap cleanup EXIT
 # execs, so `$!` is the worker's own pid — its journal tag.)
 export MUSA_TINY=1 MUSA_CONFIG_SLICE=6
 WORKER=(env -u MUSA_TINY -u MUSA_CONFIG_SLICE "$DSE_BIN" dist-worker)
-unset MUSA_FULL MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
+unset MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 
 store_lines() {
     # All data lines, sorted; quarantine records are repair metadata

@@ -23,7 +23,7 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-unset MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
+unset MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 STORE="$WORK/store"
 mkdir -p "$STORE/search" "$STORE/artifacts"
 

@@ -19,7 +19,7 @@ trap 'rm -rf "$WORK"' EXIT
 # Tiny scale, 6-config slice: the same sweep geometry the pool e2e
 # tests use.
 export MUSA_TINY=1 MUSA_CONFIG_SLICE=6
-unset MUSA_FULL MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
+unset MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 
 store_lines() {
     # All data lines, sorted; quarantine records are repair metadata

@@ -18,7 +18,7 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 export MUSA_TINY=1 MUSA_CONFIG_SLICE=6
-unset MUSA_FULL MUSA_STORE_DIR MUSA_FAULTS MUSA_FAULT_SEED MUSA_PROF 2>/dev/null || true
+unset MUSA_FAULTS MUSA_FAULT_SEED MUSA_PROF 2>/dev/null || true
 
 # An empty store is a clear error, not an empty report — always
 # checkable, no sweep required.

@@ -20,7 +20,7 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 export MUSA_TINY=1
-unset MUSA_FULL MUSA_STORE_DIR MUSA_CONFIG_SLICE MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
+unset MUSA_CONFIG_SLICE MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 
 "$DSE_BIN" search --list-strategies | grep -q anneal
 "$DSE_BIN" search --help | grep -q -- --search-report

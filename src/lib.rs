@@ -22,7 +22,8 @@
 //! | [`serve`] | columnar query engine + HTTP service over the campaign store |
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and
-//! `crates/bench/src/bin/` for the per-figure experiment harnesses.
+//! `crates/bench/src/report.rs` for the table of paper figures `dse report`
+//! writes to `results/`.
 
 pub use musa_apps as apps;
 pub use musa_arch as arch;
