@@ -1,9 +1,15 @@
 //! `dse report`: every committed file under `results/` from one
 //! campaign. Each entry of [`ENTRIES`] names one file (`table1`,
-//! `fig01_mpki` … `fig11_unconventional`, `dse_results`) and renders it
-//! from the campaign `dse` just filled and the scale it ran at. Figs.
-//! 1–4 and 11 simulate their own handful of points from the
+//! `fig01_mpki` … `fig11_unconventional`, `dse_results`, `fidelity`) and
+//! renders it from the campaign `dse` just filled and the scale it ran
+//! at. Figs. 1–4 and 11 simulate their own handful of points from the
 //! [`GenParams`]; Figs. 5–10 and the CSV read the campaign.
+//!
+//! `fidelity` scores the reproduction against the paper: one row per
+//! number EXPERIMENTS.md compares (Fig. 1 statistics, Fig. 2
+//! efficiencies, the Figs. 5–9 per-app ratios, Table II / Fig. 11 and the
+//! §V energy and power claims), each with the paper's value, ours, the
+//! relative error and a tolerance, closed by one aggregate.
 //!
 //! Every shape the paper states outright is asserted while rendering: a
 //! figure that contradicts the paper panics, and `dse report` renders
@@ -12,6 +18,7 @@
 use std::fmt::Write as _;
 
 use musa_apps::{generate, AppId, GenParams};
+use musa_arch::space::Unconventional;
 use musa_arch::{
     CacheConfig, CoreClass, CoresPerNode, DesignSpace, Feature, Frequency, MemConfig, NodeConfig,
     VectorWidth, UNCONVENTIONAL_LULESH, UNCONVENTIONAL_SPMZ,
@@ -20,7 +27,7 @@ use musa_core::pca::{pca_of_results, PCA_VARS};
 use musa_core::report::{campaign_csv, core_occupancy, occupancy_fraction, table};
 use musa_core::{
     feature_impact, full_app_scaling, mean_efficiency, panel_rows, region_scaling, Campaign,
-    Metric, MultiscaleSim, ScalingCurve, SCALING_CORES,
+    ConfigResult, Metric, MultiscaleSim, ScalingCurve, SCALING_CORES,
 };
 use musa_net::{render_rank_timeline, replay_with_timelines, BurstTimer, NetworkParams};
 use musa_tasksim::simulate_region_burst;
@@ -47,6 +54,7 @@ pub const ENTRIES: &[(&str, Render)] = &[
         fig11_unconventional(gen)
     }),
     ("dse_results.csv", |c, _| campaign_csv(c)),
+    ("fidelity.txt", fidelity),
 ];
 
 /// Format an `Option<f64>` table cell.
@@ -151,11 +159,7 @@ fn fig01_mpki(gen: &GenParams) -> String {
         );
         let mut rows = Vec::new();
         for app in AppId::ALL {
-            let trace = generate(app, gen);
-            let cfg = NodeConfig::REFERENCE
-                .with_cores(cores)
-                .with_vector(VectorWidth::V128);
-            let r = MultiscaleSim::new(&trace).simulate(cfg, false);
+            let r = fig01_point(app, cores, gen);
             rows.push(vec![
                 app.label().to_string(),
                 format!("{:.2}", r.l1_mpki),
@@ -170,6 +174,23 @@ fn fig01_mpki(gen: &GenParams) -> String {
     out.push_str("shape checks: spmz tops L1; lulesh mem-MPKI > its L2-MPKI;\n");
     out.push_str("hydro lowest memory traffic; spec3d & lulesh highest G-Req/s.\n");
     out
+}
+
+/// The Fig. 1 point of `app`: the sampled region alone at the reference
+/// configuration with `cores` cores and 128-bit vectors.
+fn fig01_point(app: AppId, cores: CoresPerNode, gen: &GenParams) -> ConfigResult {
+    let trace = generate(app, gen);
+    let cfg = NodeConfig::REFERENCE
+        .with_cores(cores)
+        .with_vector(VectorWidth::V128);
+    MultiscaleSim::new(&trace).simulate(cfg, false)
+}
+
+/// Fig. 2's two studies, one curve per application: (a) one compute
+/// region, (b) the whole application with MPI.
+fn scaling_curves(gen: &GenParams) -> [Vec<ScalingCurve>; 2] {
+    [region_scaling, full_app_scaling]
+        .map(|study| AppId::ALL.iter().map(|&a| study(a, gen)).collect())
 }
 
 /// Fig. 2 and §V-A: hardware-agnostic scaling of (a) one compute region
@@ -190,14 +211,10 @@ fn fig02_scaling(gen: &GenParams) -> String {
         let header = ["app", "S(1)", "S(32)", "S(64)", "eff@64"];
         let _ = writeln!(out, "{}", table(&header, &rows));
     }
+    let [region, full] = scaling_curves(gen);
     let mut out = String::from("== Fig. 2a: single compute region (burst mode) ==\n");
-    let region: Vec<_> = AppId::ALL.iter().map(|&a| region_scaling(a, gen)).collect();
     curves(&mut out, &region);
     out.push_str("== Fig. 2b: full application incl. MPI ==\n");
-    let full: Vec<_> = AppId::ALL
-        .iter()
-        .map(|&a| full_app_scaling(a, gen))
-        .collect();
     curves(&mut out, &full);
 
     out.push_str("mean parallel efficiency:\n");
@@ -420,12 +437,7 @@ fn fig11_unconventional(gen: &GenParams) -> String {
             "paper: MEM+ 1.07x perf, ~0.53x energy; MEM++ up to 1.30x perf",
         ),
     ] {
-        let trace = generate(app, gen);
-        let sim = MultiscaleSim::new(&trace);
-        let results: Vec<_> = configs
-            .iter()
-            .map(|u| (u.name, sim.simulate(u.config, true)))
-            .collect();
+        let results = unconventional(app, configs, gen);
         let base = &results[0].1;
 
         let _ = writeln!(out, "== Fig. 11 / Table II: {app} ==");
@@ -447,6 +459,295 @@ fn fig11_unconventional(gen: &GenParams) -> String {
     }
     out.push_str("note: HBM energy uses our estimated parameters; the paper\n");
     out.push_str("could not report MEM++ energy for lack of vendor data.\n");
+    out
+}
+
+/// The Table II configurations of `app`, Best-DSE first, each with its
+/// full-replay result.
+fn unconventional(
+    app: AppId,
+    configs: &[Unconventional],
+    gen: &GenParams,
+) -> Vec<(&'static str, ConfigResult)> {
+    let trace = generate(app, gen);
+    let sim = MultiscaleSim::new(&trace);
+    configs
+        .iter()
+        .map(|u| (u.name, sim.simulate(u.config, true)))
+        .collect()
+}
+
+/// Tolerance of an absolute Fig. 1 statistic: synthetic traces are not
+/// calibrated to the paper's absolute values, only to its shapes.
+const TOL_STATISTIC: f64 = 0.75;
+/// Tolerance of a ratio or an efficiency the paper states as a number.
+const TOL_RATIO: f64 = 0.15;
+
+/// One number of the paper EXPERIMENTS.md compares ours with.
+struct Claim {
+    /// Figure or section, and what is measured.
+    source: &'static str,
+    what: String,
+    paper: f64,
+    ours: f64,
+    /// Largest relative error that still counts as reproduced.
+    tol: f64,
+    /// The EXPERIMENTS.md known deviation the row belongs to, whose
+    /// tolerance is its own, wider one.
+    deviation: Option<u8>,
+}
+
+impl Claim {
+    fn rel_error(&self) -> f64 {
+        (self.ours - self.paper).abs() / self.paper.abs()
+    }
+}
+
+/// The tolerance granted to each of EXPERIMENTS.md's five known
+/// deviations, in their order there: (1) HYDRO's cache-timing benefit is
+/// hidden by ILP (Fig. 6); (2) SP-MZ's DRAM traffic is calibrated low
+/// (Fig. 1); (3) high/medium trail aggressive by more than 5 % (Fig. 7);
+/// (4) Vector++'s power explosion is milder (Fig. 11); (5) BT-MZ's working
+/// set fits the L3, so it draws no DRAM traffic (Fig. 1).
+const DEVIATION_TOL: [f64; 5] = [0.25, 0.95, 0.25, 0.60, 1.0];
+
+/// `results/fidelity.txt`: every claim, its relative error against its
+/// tolerance, and the aggregate.
+fn fidelity(campaign: &Campaign, gen: &GenParams) -> String {
+    let mut claims = Vec::new();
+    let mut claim = |source, what: String, paper, ours, deviation: Option<u8>| {
+        let tol = match deviation {
+            Some(d) => DEVIATION_TOL[usize::from(d) - 1],
+            None if source == "Fig. 1" => TOL_STATISTIC,
+            None => TOL_RATIO,
+        };
+        claims.push(Claim {
+            source,
+            what,
+            paper,
+            ours,
+            tol,
+            deviation,
+        });
+    };
+
+    // Fig. 1, 64-core panel: L1, L2, DRAM (with write-backs) MPKI and
+    // giga-requests per second.
+    for (app, paper, dev) in [
+        (AppId::Hydro, [6.0, 1.8, 0.7, 0.04], None),
+        (AppId::Spmz, [97.0, 22.3, 13.8, 0.48], Some(2)),
+        (AppId::Btmz, [24.2, 1.9, 0.7, 0.18], Some(5)),
+        (AppId::Spec3d, [43.3, 7.0, 4.8, 0.41], None),
+        (AppId::Lulesh, [13.4, 4.6, 5.6, 0.61], None),
+    ] {
+        let r = fig01_point(app, CoresPerNode::C64, gen);
+        let ours = [r.l1_mpki, r.l2_mpki, r.mem_mpki, r.gmemreq_per_s];
+        let names = ["L1 MPKI", "L2 MPKI", "mem MPKI", "G-Req/s"];
+        for i in 0..4 {
+            // The deviations are about DRAM traffic only.
+            let dev = if i >= 2 { dev } else { None };
+            claim(
+                "Fig. 1",
+                format!("{app} {}", names[i]),
+                paper[i],
+                ours[i],
+                dev,
+            );
+        }
+    }
+
+    // Fig. 2 / §V-A: mean parallel efficiency.
+    let [region, full] = scaling_curves(gen);
+    for (study, curves, paper) in [
+        ("compute region", &region, [0.70, 0.50]),
+        ("full app (MPI)", &full, [0.49, 0.28]),
+    ] {
+        for (cores, paper) in [32, 64].into_iter().zip(paper) {
+            let ours = mean_efficiency(curves, cores);
+            claim(
+                "Fig. 2",
+                format!("{study} efficiency @{cores}"),
+                paper,
+                ours,
+                None,
+            );
+        }
+    }
+
+    // Figs. 5–9: one panel value per app at 64 cores.
+    let at64 = |fig: &FeatureFigure, metric, app: AppId, label: &str| {
+        let results: Vec<_> = campaign.for_app(app).cloned().collect();
+        feature_impact(&results, fig.feature, metric, fig.baseline)
+            .bar(label, CoresPerNode::C64.count())
+            .expect("a 64-core bar")
+            .mean
+    };
+    let apps = AppId::ALL;
+    for (app, paper) in apps.into_iter().zip([1.20, 1.75, 1.40, 1.40, 1.00]) {
+        let ours = at64(&VECTOR, Metric::Speedup, app, "512bit");
+        claim(
+            "Fig. 5",
+            format!("{app} speedup 512/128-bit"),
+            paper,
+            ours,
+            None,
+        );
+    }
+    for app in apps {
+        let ours = at64(&VECTOR, Metric::PowerCore, app, "512bit");
+        claim(
+            "Fig. 5",
+            format!("{app} core+L1 power 512/128-bit"),
+            1.60,
+            ours,
+            None,
+        );
+    }
+    // §V-B1: 3–18 % energy savings at 256-bit, except LULESH.
+    for app in [AppId::Hydro, AppId::Spmz, AppId::Btmz, AppId::Spec3d] {
+        let ours = at64(&VECTOR, Metric::Energy, app, "256bit");
+        claim(
+            "§V-B1",
+            format!("{app} energy 256/128-bit"),
+            0.895,
+            ours,
+            None,
+        );
+    }
+    for (app, paper, dev) in [
+        (AppId::Hydro, 1.21, Some(1)),
+        (AppId::Btmz, 1.09, None),
+        (AppId::Spec3d, 1.00, None),
+        (AppId::Lulesh, 1.12, None),
+    ] {
+        let ours = at64(&CACHE, Metric::Speedup, app, "96M:1M");
+        claim(
+            "Fig. 6",
+            format!("{app} speedup 96M:1M/32M:256K"),
+            paper,
+            ours,
+            dev,
+        );
+    }
+    for (label, papers, dev) in [
+        ("lowend", [0.65, 0.65, 0.65, 0.40, 0.75], None),
+        ("high", [0.95, 0.95, 0.95, 0.90, 0.95], Some(3)),
+    ] {
+        for (app, paper) in apps.into_iter().zip(papers) {
+            let ours = at64(&OOO, Metric::Speedup, app, label);
+            claim(
+                "Fig. 7",
+                format!("{app} perf {label}/aggressive"),
+                paper,
+                ours,
+                dev,
+            );
+        }
+    }
+    for (app, paper) in apps.into_iter().zip([1.00, 1.00, 1.00, 1.00, 1.60]) {
+        let ours = at64(&MEMORY, Metric::Speedup, app, "8chDDR4");
+        claim(
+            "Fig. 8",
+            format!("{app} speedup 8ch/4ch"),
+            paper,
+            ours,
+            None,
+        );
+    }
+    let ours = at64(&MEMORY, Metric::Energy, AppId::Lulesh, "8chDDR4");
+    claim("§V-B4", "lulesh energy 8ch/4ch".into(), 0.70, ours, None);
+    for app in apps {
+        let ours = at64(&FREQUENCY, Metric::Power, app, "3.0GHz");
+        claim(
+            "Fig. 9",
+            format!("{app} node power 3.0/1.5 GHz"),
+            2.5,
+            ours,
+            None,
+        );
+    }
+
+    // Table II / Fig. 11, normalised to Best-DSE.
+    for (app, configs, papers) in [
+        (
+            AppId::Spmz,
+            &UNCONVENTIONAL_SPMZ[..],
+            &[
+                ("perf", 1, 1.13, None),
+                ("power", 1, 1.1, None),
+                ("energy", 1, 1.0, None),
+                ("perf", 2, 1.43, None),
+                ("power", 2, 3.14, Some(4)),
+                ("energy", 2, 2.5, Some(4)),
+            ][..],
+        ),
+        (
+            AppId::Lulesh,
+            &UNCONVENTIONAL_LULESH[..],
+            &[
+                ("perf", 1, 1.07, None),
+                ("energy", 1, 0.53, None),
+                ("perf", 2, 1.30, None),
+            ][..],
+        ),
+    ] {
+        let results = unconventional(app, configs, gen);
+        let base = &results[0].1;
+        for &(what, i, paper, dev) in papers {
+            let (name, r) = &results[i];
+            let ours = match what {
+                "perf" => base.time_ns / r.time_ns,
+                "power" => r.power.total_w() / base.power.total_w(),
+                _ => r.energy_j / base.energy_j,
+            };
+            claim("Fig. 11", format!("{app} {name} {what}"), paper, ours, dev);
+        }
+    }
+
+    let mut out = String::from("== Fidelity: the paper's numbers against ours ==\n\n");
+    out.push_str("relative error = |ours - paper| / paper; a row is reproduced when it is\n");
+    out.push_str("within its tolerance. Rows marked dN belong to EXPERIMENTS.md's known\n");
+    out.push_str("deviation N and carry its wider tolerance.\n\n");
+    let rows: Vec<Vec<String>> = claims
+        .iter()
+        .map(|c| {
+            let err = c.rel_error();
+            vec![
+                c.source.to_string(),
+                c.what.clone(),
+                format!("{:.3}", c.paper),
+                format!("{:.3}", c.ours),
+                format!("{:.1} %", 100.0 * err),
+                format!("{:.0} %", 100.0 * c.tol),
+                match (err <= c.tol, c.deviation) {
+                    (true, None) => "ok".to_string(),
+                    (true, Some(d)) => format!("ok d{d}"),
+                    (false, None) => "MISS".to_string(),
+                    (false, Some(d)) => format!("MISS d{d}"),
+                },
+            ]
+        })
+        .collect();
+    let header = [
+        "source",
+        "claim",
+        "paper",
+        "ours",
+        "rel. error",
+        "tolerance",
+        "verdict",
+    ];
+    let _ = writeln!(out, "{}", table(&header, &rows));
+
+    let within = claims.iter().filter(|c| c.rel_error() <= c.tol).count();
+    let mut errors: Vec<f64> = claims.iter().map(Claim::rel_error).collect();
+    errors.sort_by(f64::total_cmp);
+    let _ = writeln!(
+        out,
+        "aggregate: {within} of {} rows within tolerance; median relative error {:.1} %",
+        claims.len(),
+        100.0 * errors[errors.len() / 2]
+    );
     out
 }
 

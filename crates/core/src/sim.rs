@@ -70,12 +70,14 @@ musa_obs::json_struct!(ConfigResult {
 });
 
 /// What the per-point simulators of one trace share: the burst-time
-/// tables, one per core count asked for, and the kernel profile table.
+/// tables and the burst baselines, one per core count asked for, and the
+/// kernel profile table.
 ///
-/// Both are properties of the trace. The burst level is hardware
+/// All three are properties of the trace. The burst level is hardware
 /// agnostic: what a rank's compute events take at a core count is fixed,
 /// so every point of a campaign replays the same table under its own
-/// detailed/burst ratio. A kernel profile stage reads only a few axes of
+/// detailed/burst ratio, and divides its detailed makespan by the same
+/// burst makespan of the sampled region. A kernel profile stage reads only a few axes of
 /// the configuration, so points that agree on them share it
 /// ([`ProfileTable`]). A [`MultiscaleSim`] owns a memo of its own;
 /// whoever keeps a trace alive across per-point simulators keeps one
@@ -87,6 +89,8 @@ pub struct TraceMemo {
     /// function of its metadata.
     trace: TraceMeta,
     tables: Mutex<HashMap<u32, Arc<BurstTimes>>>,
+    /// Burst-mode makespan of the sampled region, per core count.
+    baselines: Mutex<HashMap<u32, f64>>,
     profiles: ProfileTable,
 }
 
@@ -96,6 +100,7 @@ impl TraceMemo {
         TraceMemo {
             trace: trace.meta.clone(),
             tables: Mutex::new(HashMap::new()),
+            baselines: Mutex::new(HashMap::new()),
             profiles: ProfileTable::new(),
         }
     }
@@ -115,15 +120,10 @@ impl TraceMemo {
 pub struct MultiscaleSim<'a> {
     trace: &'a AppTrace,
     net: NetworkParams,
-    /// Burst-time tables and kernel profiles: the memo the caller
-    /// attached, else one of this simulator's own from the first point
-    /// on.
+    /// Burst-time tables, burst baselines and kernel profiles: the memo
+    /// the caller attached, else one of this simulator's own from the
+    /// first point on.
     memo: OnceLock<Arc<TraceMemo>>,
-    /// In-process burst-baseline memo. The baseline depends only on the
-    /// sampled region (fixed per trace) and the active core count, so
-    /// the paper-scale 864-point sweep needs just one per core count —
-    /// this memo pays off even with the artifact cache disabled.
-    baseline_memo: Mutex<HashMap<u32, f64>>,
     /// Artifact cache plus this trace's key (which seeds every detail
     /// and burst key), when the caller attached one.
     cache: Option<(Arc<ArtifactCache>, ArtifactKey)>,
@@ -136,12 +136,12 @@ impl<'a> MultiscaleSim<'a> {
             trace,
             net: NetworkParams::marenostrum4(),
             memo: OnceLock::new(),
-            baseline_memo: Mutex::new(HashMap::new()),
             cache: None,
         }
     }
 
-    /// Share the burst-time tables and kernel profiles of `memo`, which
+    /// Share the burst-time tables, burst baselines and kernel profiles of
+    /// `memo`, which
     /// must have been made for this simulator's trace
     /// ([`TraceMemo::for_trace`]). Panics otherwise: its tables would
     /// time another application's events and kernels.
@@ -308,11 +308,11 @@ impl<'a> MultiscaleSim<'a> {
         art
     }
 
-    /// The burst-mode baseline makespan at `cores`: in-process memo,
-    /// then artifact cache, then computed (and recorded in both).
+    /// The burst-mode baseline makespan at `cores`: the trace memo, then
+    /// the artifact cache, then computed (and recorded in both).
     fn burst_baseline(&self, region: &ComputeRegion, cores: u32) -> f64 {
-        if let Some(ns) = self
-            .baseline_memo
+        let baselines = &self.memo().baselines;
+        if let Some(ns) = baselines
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&cores)
@@ -337,7 +337,7 @@ impl<'a> MultiscaleSim<'a> {
             }
             None => burst_makespan_ns(region, cores),
         };
-        self.baseline_memo
+        baselines
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(cores, ns);
@@ -432,6 +432,12 @@ mod tests {
         let tables = memo.tables.lock().unwrap();
         assert_eq!(tables.keys().collect::<Vec<_>>(), [&64]);
         assert_eq!(Arc::strong_count(&tables[&64]), 1);
+        let baselines = memo.baselines.lock().unwrap();
+        assert_eq!(
+            baselines.keys().collect::<Vec<_>>(),
+            [&64],
+            "one baseline per core count"
+        );
     }
 
     #[test]
