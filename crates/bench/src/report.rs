@@ -513,6 +513,8 @@ const DEVIATION_TOL: [f64; 5] = [0.25, 0.95, 0.25, 0.60, 1.0];
 
 /// `results/fidelity.txt`: every claim, its relative error against its
 /// tolerance, and the aggregate.
+// Vector++'s 3.14× node power is the paper's number, not π.
+#[allow(clippy::approx_constant)]
 fn fidelity(campaign: &Campaign, gen: &GenParams) -> String {
     let mut claims = Vec::new();
     let mut claim = |source, what: String, paper, ours, deviation: Option<u8>| {

@@ -128,28 +128,28 @@ fn point_keys() -> Vec<u64> {
 }
 
 /// `fnv1a_64` over [`sorted_store_lines`] (joined by newlines) of the
-/// fault-free `MUSA_TINY=1 MUSA_CONFIG_SLICE=6` sweep, computed at the
-/// commit before PR 14: "rows unchanged" as a constant every later
-/// simplification is checked against (ROADMAP item 2a, first rung). It
-/// moves only with the simulator, the row schema or the JSON codec.
-const GOLDEN_ROWS_DIGEST: u64 = 0xcc03_97b1_e5c2_10a3;
+/// fault-free `MUSA_TINY=1 MUSA_CONFIG_SLICE=6` sweep: "rows unchanged"
+/// as a constant every simplification is checked against. It moves only
+/// with the simulator, the row schema or the JSON codec; it last moved
+/// with the OoO window's stop rule (each lane stops when its cycles per
+/// iteration settles), a declared model change.
+const GOLDEN_ROWS_DIGEST: u64 = 0xac6b_2b88_8ab3_4308;
 
-/// The same digest over the full 864 × 5 `MUSA_TINY=1` campaign,
-/// computed with the release `dse` of the commit before the replay and
-/// scheduler loops were rewritten (ROADMAP item 1a): every point of the
-/// design space, not a slice, pins that rewrite and any later one.
-const GOLDEN_FULL_GRID_DIGEST: u64 = 0x0d15_833c_8cbb_3e99;
+/// The same digest over the full 864 × 5 `MUSA_TINY=1` campaign: every
+/// point of the design space, not a slice, pins any rewrite of the
+/// replay, scheduler and window loops. Last moved with the window's stop
+/// rule.
+const GOLDEN_FULL_GRID_DIGEST: u64 = 0xa76e_b608_131a_4537;
 
 /// Configurations of the paper-scale slice: every tenth of the 864, about
 /// the benchmark's 1-in-11 slice.
 const PAPER_SLICE: usize = 79;
 
 /// The same digest over `dse --full` with `MUSA_CONFIG_SLICE=79` (paper
-/// scale, 256 ranks, full replay), computed with the release `dse` of the
-/// commit before the OoO window's unit pools were sorted (ROADMAP item
-/// 1a): the 256-rank burst tables and the 64-core paths, which no tiny
-/// sweep reaches.
-const GOLDEN_PAPER_SLICE_DIGEST: u64 = 0x8f2e_3196_ff6e_03af;
+/// scale, 256 ranks, full replay): the 256-rank burst tables and the
+/// 64-core paths, which no tiny sweep reaches. Last moved with the
+/// window's stop rule.
+const GOLDEN_PAPER_SLICE_DIGEST: u64 = 0x1a95_95d8_2860_10d7;
 
 fn rows_digest(lines: &[String]) -> u64 {
     musa_store::fnv1a_64(lines.join("\n").as_bytes())

@@ -26,8 +26,10 @@ use musa_arch::NodeConfig;
 /// payload shape). Bump when [`crate::DetailArtifact`],
 /// [`crate::BurstArtifact`] or the serialised trace change meaning;
 /// old artifacts then stop matching and are recomputed (and reclaimed
-/// by `dse cache gc`) instead of being misread.
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+/// by `dse cache gc`) instead of being misread. Schema 2: detail
+/// windows from the OoO window's stop rule, not its fixed
+/// 216-iteration walk.
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 /// 64-bit FNV-1a — deterministic across runs, processes and platforms
 /// (unlike `DefaultHasher`, which is not guaranteed stable), so every

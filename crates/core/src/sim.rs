@@ -77,9 +77,9 @@ musa_obs::json_struct!(ConfigResult {
 /// agnostic: what a rank's compute events take at a core count is fixed,
 /// so every point of a campaign replays the same table under its own
 /// detailed/burst ratio, and divides its detailed makespan by the same
-/// burst makespan of the sampled region. A kernel profile stage reads only a few axes of
-/// the configuration, so points that agree on them share it
-/// ([`ProfileTable`]). A [`MultiscaleSim`] owns a memo of its own;
+/// burst makespan of the sampled region. A kernel profile stage reads
+/// only a few axes of the configuration, so points that agree on them
+/// share it ([`ProfileTable`]). A [`MultiscaleSim`] owns a memo of its own;
 /// whoever keeps a trace alive across per-point simulators keeps one
 /// beside it and hands it to each ([`MultiscaleSim::with_trace_memo`]).
 /// Entries are built on first use and never persisted: a burst table
@@ -438,6 +438,94 @@ mod tests {
             [&64],
             "one baseline per core count"
         );
+    }
+
+    /// Schema 1 held the fixed 216-iteration windows. An artifact
+    /// directory a schema-1 binary filled — keys and header as it wrote
+    /// them, here with a poisoned payload — is a miss for every detail
+    /// window, and the point comes out as without a cache. The same
+    /// payload under the current key is read, and moves the point.
+    #[test]
+    fn detail_artifacts_of_schema_1_do_not_change_a_point() {
+        use musa_cache::{
+            artifact_file_name, crc32, detail_key, fnv1a_64, trace_key, ArtifactHeader,
+            ArtifactKind,
+        };
+
+        let (app, gen, config) = (AppId::Spmz, GenParams::tiny(), cfg64());
+        let trace = generate(app, &gen);
+        let fresh = MultiscaleSim::new(&trace).simulate(config, true);
+        let root = std::env::temp_dir().join(format!("musa-core-schema1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let run = |dir: &str| {
+            let cache = ArtifactCache::open(&root.join(dir)).unwrap();
+            let tk = trace_key(app, &gen);
+            let r = MultiscaleSim::new(&trace)
+                .with_cache(Arc::clone(&cache), tk)
+                .simulate(config, true);
+            (r, cache, tk)
+        };
+
+        let (warm, cache, tk) = run("current");
+        assert_eq!(warm, fresh);
+        let art = cache.detail(detail_key(tk, &config)).unwrap();
+        let poisoned = DetailArtifact {
+            region_ns: 2.0 * art.region_ns,
+            ..art
+        };
+        let payload = musa_obs::json::to_string(&poisoned);
+
+        // The keys of schema 1, as its canonical strings spelled them.
+        let v1 = |canonical: String| {
+            ArtifactKey::from_hex(&format!("{:016x}", fnv1a_64(canonical.as_bytes()))).unwrap()
+        };
+        let GenParams {
+            ranks,
+            iterations,
+            seed,
+        } = gen;
+        let tk1 = v1(format!(
+            "musa-cache:v1|trace|app={}|ranks={ranks}|iters={iterations}|seed={seed}",
+            app.label()
+        ));
+        let NodeConfig {
+            cores,
+            core_class,
+            cache: caches,
+            vector,
+            freq,
+            mem,
+        } = config;
+        let dk1 = v1(format!(
+            "musa-cache:v1|detail|trace={tk1}|cores={cores}|class={core_class}|cache={caches}|vector={vector}|freq={freq}|mem={mem}"
+        ));
+        let header = ArtifactHeader {
+            schema: 1,
+            kind: ArtifactKind::Detail.label().into(),
+            key: dk1.to_hex(),
+            len: payload.len() as u64,
+            crc: crc32(payload.as_bytes()),
+        };
+        let old = ArtifactCache::open(&root.join("schema1")).unwrap();
+        let file = old
+            .dir()
+            .join(artifact_file_name(ArtifactKind::Detail, dk1));
+        std::fs::write(
+            file,
+            format!("{}\n{payload}", musa_obs::json::to_string(&header)),
+        )
+        .unwrap();
+        let (r, cache, _) = run("schema1");
+        assert_eq!(r, fresh, "a schema-1 window changed the point");
+        assert_eq!(cache.stats().detail_hits, 0);
+
+        ArtifactCache::open(&root.join("poisoned"))
+            .unwrap()
+            .put_detail(detail_key(tk, &config), &poisoned);
+        let (r, cache, _) = run("poisoned");
+        assert_eq!(cache.stats().detail_hits, 1);
+        assert_ne!(r.time_ns, fresh.time_ns, "the poisoned window is read");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -6,9 +6,24 @@
 //! have finished and a functional unit is free; loads draw their service
 //! level deterministically from the template's analytic cache mix;
 //! off-chip misses are bounded by an MSHR count and stores by the store
-//! buffer. Simulating a few hundred iterations reaches the steady state,
-//! whose cycles-per-iteration is then extrapolated to the kernel's full
-//! trip count by the profiler.
+//! buffer. The walk's steady-state cycles per iteration is extrapolated
+//! to the kernel's full trip count by the profiler.
+//!
+//! **Each lane stops when it settles.** After [`WARMUP_ITERS`] warm-up
+//! iterations a lane measures blocks of [`BLOCK_ITERS`] iterations, and
+//! it stops at the first block whose span (cycles) agrees with the
+//! previous block's within [`SETTLE_EPS`], relatively. Its estimate is
+//! the span since warm-up divided by the iterations measured; a lane
+//! that never settles stops at the cap, [`MEASURE_ITERS`], with exactly
+//! the estimate of a fixed-length walk. The walk ends when every lane
+//! has stopped. This is a declared model change against the fixed
+//! 216-iteration walk, kept under `#[cfg(test)]` as the reference; on
+//! the paper slice no lane lands more than 1 % from it, while 64-bit
+//! lanes of the expanded space reach 1.5 % (EXPERIMENTS.md, "Window
+//! length", scores the cut). The rule reads only its own lane's
+//! times, so lanes stay independent: a lane's value and stop point are
+//! the same in a one-lane and a two-lane walk, and the profile table's
+//! sharing (below) stays exact.
 //!
 //! **Two lanes, one walk.** The profiler times every window twice: with
 //! real DRAM (lane 0) and with "perfect" memory, DRAM serviced at L3
@@ -111,8 +126,46 @@ const MAX_UNITS: usize = {
 };
 /// Warm-up fused iterations discarded before measuring.
 const WARMUP_ITERS: u32 = 24;
-/// Measured fused iterations.
+/// Most fused iterations a lane measures: one that never settles stops
+/// here.
 const MEASURE_ITERS: u32 = 192;
+/// Fused iterations per block of the stop rule.
+const BLOCK_ITERS: u32 = 24;
+/// Largest relative difference between two successive blocks' spans at
+/// which a lane has settled.
+const SETTLE_EPS: f64 = 0.0075;
+
+/// When a lane of a walk stops measuring: at the end of the first block
+/// of `block` iterations whose span agrees with the previous block's
+/// within `eps` (relative), or at the cap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StopRule {
+    block: u32,
+    eps: f64,
+}
+
+impl StopRule {
+    /// The rule every profile walk uses.
+    pub(crate) const SETTLED: StopRule = StopRule::new(BLOCK_ITERS, SETTLE_EPS);
+
+    const fn new(block: u32, eps: f64) -> StopRule {
+        assert!(
+            block > 0 && MEASURE_ITERS.is_multiple_of(block),
+            "blocks must tile the measured iterations"
+        );
+        StopRule { block, eps }
+    }
+}
+
+/// One lane of a walk: cycles per fused iteration, and the iterations
+/// measured after warm-up when it stopped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    pub(crate) cycles: f64,
+    /// Read by the tests, which check where each lane stopped.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) measured: u32,
+}
 
 /// The real-memory lane, the only one with MSHR bookkeeping.
 const REAL: usize = 0;
@@ -364,24 +417,28 @@ impl<const P: usize> Pool<P> {
 /// the real lane, a two-lane one for the perfect lane.
 pub fn cycles_per_fused_iter(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> f64 {
     if lat.perfect_mem {
-        window_cycles::<2>(body, ooo, lat)[1]
+        window_cycles::<2>(body, ooo, lat, StopRule::SETTLED)[1].cycles
     } else {
-        window_cycles::<1>(body, ooo, lat)[REAL]
+        window_cycles::<1>(body, ooo, lat, StopRule::SETTLED)[REAL].cycles
     }
 }
 
 /// Steady-state cycles per *fused* iteration of a body on one core, one
 /// walk for `N` lanes: `[real]` or `[real, perfect]` (`lat.perfect_mem`
-/// is not read).
+/// is not read), each lane stopping by `rule`.
 #[inline(always)]
 pub(crate) fn window_cycles<const N: usize>(
     body: &FusedBody,
     ooo: &OooParams,
     lat: &ServiceLatencies,
-) -> [f64; N] {
+    rule: StopRule,
+) -> [Lane; N] {
     const { assert!(N == 1 || N == 2, "lane 0 is real memory, lane 1 perfect") };
     if body.instrs.is_empty() {
-        return [0.0; N];
+        return [Lane {
+            cycles: 0.0,
+            measured: 0,
+        }; N];
     }
     let steps = compile::<N>(body, lat);
     let dispatch_interval = 1.0 / ooo.issue_width as f64;
@@ -403,10 +460,15 @@ pub(crate) fn window_cycles<const N: usize>(
     let mut lsus = [Pool::<LSU_PORTS>::new(LSU_PORTS as u32); N];
 
     let mut t_dispatch = [0.0_f64; N];
-    let mut t_warm_end = [0.0_f64; N];
     let mut t_end = [0.0_f64; N];
+    // Per lane: when warm-up ended, when the last block ended and how
+    // long it took, and the result once the lane has stopped.
+    let mut t_warm_end = [0.0_f64; N];
+    let mut t_block_end = [0.0_f64; N];
+    let mut block_span = [0.0_f64; N];
+    let mut lanes: [Option<Lane>; N] = [None; N];
 
-    for iter in 0..WARMUP_ITERS + MEASURE_ITERS {
+    for iters in 1..=WARMUP_ITERS + MEASURE_ITERS {
         for s in &steps {
             // ROB space: dispatch stalls until the head committed; then
             // operand readiness.
@@ -483,17 +545,38 @@ pub(crate) fn window_cycles<const N: usize>(
                 t_end[l] = later(finish[l], t_end[l]);
             }
         }
-        if iter + 1 == WARMUP_ITERS {
+        if iters == WARMUP_ITERS {
             for l in 0..N {
                 t_warm_end[l] = later(t_end[l], t_dispatch[l]);
+                t_block_end[l] = t_warm_end[l];
             }
         }
+        let measured = iters.saturating_sub(WARMUP_ITERS);
+        if measured == 0 || measured % rule.block != 0 {
+            continue;
+        }
+        for l in 0..N {
+            if lanes[l].is_some() {
+                continue;
+            }
+            let t = later(t_end[l], t_dispatch[l]);
+            let span = t - t_block_end[l];
+            let settled =
+                measured > rule.block && (span - block_span[l]).abs() <= rule.eps * block_span[l];
+            if settled || measured == MEASURE_ITERS {
+                lanes[l] = Some(Lane {
+                    cycles: later(t - t_warm_end[l], 0.0) / measured as f64,
+                    measured,
+                });
+            }
+            t_block_end[l] = t;
+            block_span[l] = span;
+        }
+        if lanes.iter().all(Option::is_some) {
+            break;
+        }
     }
-
-    std::array::from_fn(|l| {
-        let span = later(later(t_end[l], t_dispatch[l]) - t_warm_end[l], 0.0);
-        span / MEASURE_ITERS as f64
-    })
+    lanes.map(|lane| lane.expect("every lane stops at the cap"))
 }
 
 /// Everything a walk of `body` at `lat` reads except the core class, the
@@ -576,12 +659,18 @@ mod tests {
         (bi, bv)
     }
 
+    /// The fixed-length walk: one block spanning the cap, so no lane
+    /// stops before it.
+    const FULL: StopRule = StopRule::new(MEASURE_ITERS, 0.0);
+
     /// The window as it stood before the two lanes: one memory mode per
-    /// walk, `VecDeque` ROB / MSHRs / store buffer. Kept as the oracle.
+    /// walk, `VecDeque` ROB / MSHRs / store buffer, measuring `measured`
+    /// iterations after warm-up. Kept as the oracle.
     fn cycles_per_fused_iter_reference(
         body: &FusedBody,
         ooo: &OooParams,
         lat: &ServiceLatencies,
+        measured: u32,
     ) -> f64 {
         if body.instrs.is_empty() {
             return 0.0;
@@ -610,7 +699,7 @@ mod tests {
         let mut t_warm_end = 0.0_f64;
         let mut t_end = 0.0_f64;
 
-        let total_iters = WARMUP_ITERS + MEASURE_ITERS;
+        let total_iters = WARMUP_ITERS + measured;
         for iter in 0..total_iters {
             for ins in &body.instrs {
                 // ROB space: dispatch stalls until the head committed.
@@ -725,24 +814,31 @@ mod tests {
         }
 
         let span = (t_end.max(t_dispatch) - t_warm_end).max(0.0);
-        span / MEASURE_ITERS as f64
+        span / measured as f64
     }
 
-    /// Both lanes of a two-lane walk against two reference walks, the
-    /// one-lane walk against the real one, and the single-lane entry
-    /// against each, bit for bit.
+    /// Both lanes of a two-lane walk against two reference walks cut
+    /// where each lane stopped, the one-lane walk against the real one,
+    /// and the single-lane entry against each, bit for bit; and the same
+    /// for the fixed-length walk against reference walks of the full
+    /// length.
     fn assert_lanes_match_reference(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
         let lat_of = |perfect_mem| ServiceLatencies { perfect_mem, ..lat };
-        let want = [false, true].map(|p| cycles_per_fused_iter_reference(body, ooo, &lat_of(p)));
-        let got = window_cycles::<2>(body, ooo, &lat);
+        let got = window_cycles::<2>(body, ooo, &lat, StopRule::SETTLED);
+        let stops = got.map(|lane| lane.measured);
+        let want = [false, true].map(|p| {
+            let measured = stops[usize::from(p)];
+            cycles_per_fused_iter_reference(body, ooo, &lat_of(p), measured)
+        });
         assert_eq!(
-            got.map(f64::to_bits),
+            got.map(|lane| lane.cycles.to_bits()),
             want.map(f64::to_bits),
             "lanes {got:?} vs reference {want:?} at {ooo:?}, {lat:?}: {body:?}"
         );
+        let one = window_cycles::<1>(body, ooo, &lat, StopRule::SETTLED)[REAL];
         assert_eq!(
-            window_cycles::<1>(body, ooo, &lat)[REAL].to_bits(),
-            want[REAL].to_bits(),
+            (one.cycles.to_bits(), one.measured),
+            (want[REAL].to_bits(), stops[REAL]),
             "one-lane walk at {ooo:?}, {lat:?}: {body:?}"
         );
         for p in [false, true] {
@@ -752,6 +848,22 @@ mod tests {
                 "single-lane entry, perfect_mem {p}"
             );
         }
+
+        let want = [false, true]
+            .map(|p| cycles_per_fused_iter_reference(body, ooo, &lat_of(p), MEASURE_ITERS));
+        let got = window_cycles::<2>(body, ooo, &lat, FULL);
+        assert_eq!(
+            got.map(|lane| lane.cycles.to_bits()),
+            want.map(f64::to_bits),
+            "fixed-length lanes {got:?} vs reference {want:?} at {ooo:?}, {lat:?}: {body:?}"
+        );
+        assert_eq!(
+            window_cycles::<1>(body, ooo, &lat, FULL)[REAL]
+                .cycles
+                .to_bits(),
+            want[REAL].to_bits(),
+            "fixed-length one-lane walk at {ooo:?}, {lat:?}: {body:?}"
+        );
     }
 
     const OPS: [Op; 10] = [
@@ -1005,7 +1117,8 @@ mod tests {
     /// both technologies, both lanes of the two-lane walk and the lane of
     /// the one-lane walk are one value, bit for bit.
     fn assert_dram_free_lanes_agree(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
-        let want = window_cycles::<1>(body, ooo, &lat)[REAL];
+        let key = |lane: Lane| (lane.cycles.to_bits(), lane.measured);
+        let want = key(window_cycles::<1>(body, ooo, &lat, StopRule::SETTLED)[REAL]);
         for mem in [MemConfig::DDR4_4CH, MemConfig::HBM_16CH] {
             let body = with_dram_of(body, mem);
             for freq in Frequency::ALL {
@@ -1013,15 +1126,138 @@ mod tests {
                     ghz: freq.ghz(),
                     ..lat
                 };
-                let two = window_cycles::<2>(&body, ooo, &lat);
-                let one = window_cycles::<1>(&body, ooo, &lat);
+                let two = window_cycles::<2>(&body, ooo, &lat, StopRule::SETTLED);
+                let one = window_cycles::<1>(&body, ooo, &lat, StopRule::SETTLED);
                 assert_eq!(
-                    [two[0], two[1], one[0]].map(f64::to_bits),
-                    [want; 3].map(f64::to_bits),
+                    [two[0], two[1], one[0]].map(key),
+                    [want; 3],
                     "DRAM-free lanes at {freq:?}, {mem:?}, {ooo:?}: {body:?}"
                 );
             }
         }
+    }
+
+    /// The fused iteration (from 0) of `body`'s first level-3 draw within
+    /// the cap, if any.
+    fn first_dram_iter(body: &FusedBody) -> Option<u32> {
+        let mut samplers = vec![LevelSampler::default(); body.n_templates];
+        (0..WARMUP_ITERS + MEASURE_ITERS).find(|_| {
+            body.instrs.iter().filter(|ins| ins.op.is_mem()).any(|ins| {
+                let m = ins.locality.unwrap().mix;
+                samplers[usize::from(ins.template)].pick([m.p_l1, m.p_l2, m.p_l3, m.p_mem]) == 3
+            })
+        })
+    }
+
+    /// `body` with every memory mix replaced by `mix(old)`.
+    fn with_mix(mut body: FusedBody, mix: impl Fn(AccessMix) -> AccessMix) -> FusedBody {
+        for loc in body
+            .instrs
+            .iter_mut()
+            .filter_map(|ins| ins.locality.as_mut())
+        {
+            loc.mix = mix(loc.mix);
+        }
+        body
+    }
+
+    /// A seeded body of one of three kinds: never DRAM (every DRAM
+    /// probability moved to the L3), DRAM-heavy (at least half of every
+    /// memory access draws DRAM), or late-first-DRAM: no DRAM but for one
+    /// extra load whose first DRAM draw comes after warm-up, at about
+    /// instance `k`, and about every `2k`-th instance after that.
+    fn body_of_kind(rng: &mut SplitMix64, kind: u64) -> FusedBody {
+        let body = random_body(rng);
+        match kind {
+            0 => with_mix(body, |m| AccessMix {
+                p_l3: m.p_l3 + m.p_mem,
+                p_mem: 0.0,
+                ..m
+            }),
+            1 => with_mix(body, |m| AccessMix {
+                p_l1: m.p_l1 / 2.0,
+                p_l2: m.p_l2 / 2.0,
+                p_l3: m.p_l3 / 2.0,
+                p_mem: 0.5 + m.p_mem / 2.0,
+            }),
+            _ => {
+                let mut body = body_of_kind(rng, 0);
+                let k = (2 * WARMUP_ITERS) as f64 + rng.next_f64() * 120.0;
+                let t = body.n_templates as u16;
+                body.instrs.push(FusedInstr {
+                    op: Op::Load,
+                    dep_template: rng.next_u64().is_multiple_of(2).then_some(0),
+                    carried: false,
+                    template: t,
+                    locality: Some(TemplateLocality {
+                        mix: AccessMix {
+                            p_l1: 1.0 - 0.5 / k,
+                            p_l2: 0.0,
+                            p_l3: 0.0,
+                            p_mem: 0.5 / k,
+                        },
+                        lines_per_access: 1.0,
+                        row_friendly: rng.next_u64().is_multiple_of(2),
+                        mem_latency_ns: 40.0 + rng.next_f64() * 120.0,
+                    }),
+                    lines_per_access: 1.0,
+                    lanes: 1,
+                });
+                body.n_templates += 1;
+                body
+            }
+        }
+    }
+
+    /// The stop rule reads only its own lane's times: on DRAM-free,
+    /// DRAM-heavy and late-first-DRAM bodies, the real lane of a one-lane
+    /// walk is the real lane of the two-lane walk, value and stop
+    /// iteration, and a body that never draws DRAM stops both lanes of
+    /// its walk alike. Lanes stop before the cap, and the two lanes of a
+    /// walk at different iterations, in some cases of every kind.
+    #[test]
+    fn a_lane_stops_alike_in_one_lane_and_two_lane_walks() {
+        // Per kind: cases, walks with a lane stopped before the cap, and
+        // two-lane walks whose lanes stopped apart.
+        let mut seen = [[0; 3]; 3];
+        musa_obs::rng::check_cases(600, |rng| {
+            let aim = rng.next_u64() % 3;
+            let body = body_of_kind(rng, aim);
+            // The kind the body turned out to be (a body without memory
+            // instructions never draws DRAM, whatever it was meant to be).
+            let first = first_dram_iter(&body);
+            let kind = match first {
+                None => 0,
+                Some(i) if i < WARMUP_ITERS => 1,
+                Some(_) => 2,
+            };
+            let lat = ServiceLatencies {
+                l1: 4.0,
+                l2: 10.0 + rng.next_f64() * 8.0,
+                l3: 30.0 + rng.next_f64() * 30.0,
+                ghz: [1.5, 2.0, 2.5, 3.0][(rng.next_u64() % 4) as usize],
+                perfect_mem: false,
+            };
+            let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
+            let seen = &mut seen[kind];
+            seen[0] += 1;
+            for ooo in [random_ooo(rng), class.ooo()] {
+                let two = window_cycles::<2>(&body, &ooo, &lat, StopRule::SETTLED);
+                let one = window_cycles::<1>(&body, &ooo, &lat, StopRule::SETTLED)[REAL];
+                let key = |lane: Lane| (lane.cycles.to_bits(), lane.measured);
+                assert_eq!(key(one), key(two[REAL]), "{ooo:?}, {lat:?}: {body:?}");
+                if first.is_none() {
+                    assert_eq!(key(two[0]), key(two[1]), "DRAM-free lanes: {body:?}");
+                }
+                seen[1] += usize::from(two.iter().any(|l| l.measured < MEASURE_ITERS));
+                seen[2] += usize::from(two[0].measured != two[1].measured);
+            }
+        });
+        assert!(
+            seen[0][1] > 0 && seen[1][1] > 0 && seen[2][1] > 0,
+            "{seen:?}"
+        );
+        assert!(seen[1][2] > 0 && seen[2][2] > 0, "{seen:?}");
     }
 
     /// `draws_dram` agrees with the count of level-3 draws; bodies that
@@ -1189,9 +1425,13 @@ mod tests {
             let (b, l) = edited(edit);
             assert_eq!(walk_input(&b, &l), base, "{field} is not in the input");
             if i < 3 {
+                let walk = |b, l| {
+                    window_cycles::<2>(b, &ooo, l, StopRule::SETTLED)
+                        .map(|lane| (lane.cycles.to_bits(), lane.measured))
+                };
                 assert_eq!(
-                    window_cycles::<2>(&b, &ooo, &l).map(f64::to_bits),
-                    window_cycles::<2>(&body, &ooo, &lat).map(f64::to_bits),
+                    walk(&b, &l),
+                    walk(&body, &lat),
                     "{field} is not read by the walk"
                 );
             }
@@ -1304,6 +1544,254 @@ mod tests {
         }
         assert_eq!(bodies, 135, "paper-scale fused bodies");
         assert!(dram_free > 0 && dram_free < bodies, "{dram_free} DRAM-free");
+    }
+
+    /// The `q`-quantile of ascending `sorted`: its `ceil(q·n)`-th value.
+    fn quantile(sorted: &[f64], q: f64) -> f64 {
+        let rank = (q * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    type LaneKey = (
+        usize,
+        CoreClass,
+        Option<(Frequency, musa_arch::MemTechnology)>,
+    );
+    /// A walk: what it reads, the vector width its body was fused at,
+    /// and per lane it fills, the lane's index and key.
+    struct Walk {
+        body: FusedBody,
+        lat: ServiceLatencies,
+        class: CoreClass,
+        width: VectorWidth,
+        lanes: Vec<(usize, LaneKey)>,
+    }
+
+    /// Every walk the profile tables of the five traces at `gen` make
+    /// over `configs`, in order, lanes keyed as the tables key them.
+    fn slice_walks(configs: &[NodeConfig], gen: &musa_apps::GenParams) -> Vec<Walk> {
+        use std::collections::{HashMap, HashSet};
+
+        let mut walks = vec![];
+        for app in musa_apps::AppId::ALL {
+            let trace = musa_apps::generate(app, gen);
+            let detail = trace.detail.as_ref().unwrap();
+            let items = trace.sampled_region().unwrap().work.items();
+            let invoked: Vec<_> = items.iter().flat_map(|w| &w.kernels).collect();
+            let ws: f64 = invoked
+                .iter()
+                .filter_map(|inv| detail.kernel(inv.kernel))
+                .map(crate::locality::kernel_footprint_bytes)
+                .sum();
+            let mut inputs: HashMap<Vec<u64>, (usize, bool)> = HashMap::new();
+            let mut known = HashSet::new();
+            for cfg in configs {
+                let active = (items.len() as u32).min(cfg.cores.count()).max(1);
+                let geom = CacheGeometry::new(cfg, active);
+                let lat = ServiceLatencies::new(&geom, cfg.freq.ghz(), false);
+                for k in detail
+                    .kernels
+                    .iter()
+                    .filter(|k| invoked.iter().any(|inv| inv.kernel == k.id))
+                {
+                    let body = fuse(k, &analyze_kernel(k, &geom, ws), cfg.vector);
+                    let n = inputs.len();
+                    let (id, draws) = *inputs
+                        .entry(walk_input(&body, &lat))
+                        .or_insert_with(|| (n, draws_dram(&body)));
+                    let perfect = (id, cfg.core_class, None);
+                    let real = (
+                        id,
+                        cfg.core_class,
+                        draws.then_some((cfg.freq, cfg.mem.tech)),
+                    );
+                    let lanes = match (known.contains(&perfect), known.contains(&real)) {
+                        (_, true) => continue,
+                        _ if !draws => vec![(REAL, real)],
+                        (true, false) => vec![(REAL, real)],
+                        (false, false) => vec![(REAL, real), (1, perfect)],
+                    };
+                    known.extend(lanes.iter().map(|&(_, key)| key));
+                    walks.push(Walk {
+                        body,
+                        lat,
+                        class: cfg.core_class,
+                        width: cfg.vector,
+                        lanes,
+                    });
+                }
+            }
+        }
+        walks
+    }
+
+    /// Every walk under `rule`: its steps (instructions walked, each walk
+    /// as long as its slower lane), and each lane's value.
+    fn walk_all(walks: &[Walk], rule: StopRule) -> (u64, Vec<f64>) {
+        let (mut steps, mut values) = (0, vec![]);
+        for w in walks {
+            let ooo = w.class.ooo();
+            let got: Vec<Lane> = match w.lanes.len() {
+                1 => window_cycles::<1>(&w.body, &ooo, &w.lat, rule).to_vec(),
+                _ => window_cycles::<2>(&w.body, &ooo, &w.lat, rule).to_vec(),
+            };
+            let measured = got.iter().map(|lane| lane.measured).max().unwrap();
+            steps += u64::from(WARMUP_ITERS + measured) * w.body.instrs.len() as u64;
+            values.extend(w.lanes.iter().map(|&(l, _)| got[l].cycles));
+        }
+        (steps, values)
+    }
+
+    /// Each lane's relative error against `reference`, ascending.
+    fn lane_errors(values: &[f64], reference: &[f64]) -> Vec<f64> {
+        let mut errors: Vec<f64> = values
+            .iter()
+            .zip(reference)
+            .map(|(v, r)| if *r == 0.0 { 0.0 } else { (v - r).abs() / r })
+            .collect();
+        errors.sort_by(f64::total_cmp);
+        errors
+    }
+
+    /// The stop rule against the fixed-length walk on every lane two
+    /// slices walk.
+    ///
+    /// The paper slice: the 79 configurations `MUSA_CONFIG_SLICE=79`
+    /// takes of the 864, for the five paper-scale traces (309 walks, 436
+    /// lanes). Prints, for the chosen rule and its neighbours, the share
+    /// of walk steps kept and the quantiles of the lanes' relative error;
+    /// asserts the chosen rule's p99 and max within 1 %.
+    ///
+    /// The expanded digest's slice: every 97th of the 20,736 expanded
+    /// configurations, in the order `musa_search`'s expanded space
+    /// indexes them, for the five tiny traces (580 walks, 800 lanes).
+    /// There the chosen rule does *not* stay within 1 %: 12 lanes err by
+    /// more, all 64-bit (a width the paper grid lacks). The test pins
+    /// that exception: its p99 and max, and that no other width joins it.
+    #[test]
+    #[ignore = "309 paper-scale walks under eight rules; scripts/check.sh runs it in release"]
+    fn the_cut_stays_within_its_bound_on_every_slice_lane() {
+        use musa_arch::{CacheConfig, CoresPerNode, MemTechnology};
+
+        const P99_BOUND: f64 = 0.008;
+        const MAX_BOUND: f64 = 0.010;
+        const EXPANDED_P99_BOUND: f64 = 0.012;
+        const EXPANDED_MAX_BOUND: f64 = 0.016;
+
+        let paper: Vec<NodeConfig> = {
+            let all = musa_arch::DesignSpace::all();
+            all.iter()
+                .copied()
+                .step_by(all.len() / 79)
+                .take(79)
+                .collect()
+        };
+        let walks = slice_walks(&paper, &musa_apps::GenParams::paper());
+        let lanes: usize = walks.iter().map(|w| w.lanes.len()).sum();
+        assert_eq!(
+            (walks.len(), lanes),
+            (309, 436),
+            "paper-slice walks and lanes"
+        );
+        let (full_steps, reference) = walk_all(&walks, FULL);
+        println!("| B, ε | walk steps kept | lane error p50 / p99 / max |");
+        println!("|---|---|---|");
+        let mut chosen = None;
+        for rule in [
+            StopRule::new(16, 0.01),
+            StopRule::new(24, 0.005),
+            StopRule::new(24, 0.01),
+            StopRule::new(24, 0.02),
+            StopRule::new(32, 0.01),
+            StopRule::new(48, 0.01),
+            StopRule::SETTLED,
+        ] {
+            let (steps, values) = walk_all(&walks, rule);
+            let errors = lane_errors(&values, &reference);
+            let [p50, p99, max] = [0.5, 0.99, 1.0].map(|q| quantile(&errors, q));
+            println!(
+                "| {}, {} % | {:.3} | {:.2} / {:.2} / {:.2} % |",
+                rule.block,
+                100.0 * rule.eps,
+                steps as f64 / full_steps as f64,
+                100.0 * p50,
+                100.0 * p99,
+                100.0 * max
+            );
+            chosen = Some((p99, max));
+        }
+        let (p99, max) = chosen.unwrap();
+        assert!(p99 <= P99_BOUND, "p99 lane error {p99} over {P99_BOUND}");
+        assert!(max <= MAX_BOUND, "max lane error {max} over {MAX_BOUND}");
+
+        // The expanded space crosses every axis, mem fastest: 12 channel
+        // counts of DDR4, then of HBM.
+        let mems = [MemTechnology::Ddr4, MemTechnology::Hbm]
+            .into_iter()
+            .flat_map(|tech| {
+                [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
+                    .map(|channels| MemConfig { channels, tech })
+            });
+        let mut expanded = vec![];
+        for cores in CoresPerNode::ALL {
+            for core_class in CoreClass::ALL {
+                for cache in CacheConfig::ALL {
+                    for vector in VectorWidth::ALL {
+                        for freq in Frequency::ALL {
+                            for mem in mems.clone() {
+                                expanded.push(NodeConfig {
+                                    cores,
+                                    core_class,
+                                    cache,
+                                    vector,
+                                    freq,
+                                    mem,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(expanded.len(), 20_736);
+        let expanded: Vec<NodeConfig> = expanded.into_iter().step_by(97).collect();
+        let walks = slice_walks(&expanded, &musa_apps::GenParams::tiny());
+        let lanes: usize = walks.iter().map(|w| w.lanes.len()).sum();
+        assert_eq!(
+            (walks.len(), lanes),
+            (580, 800),
+            "expanded-slice walks and lanes"
+        );
+        let (_, reference) = walk_all(&walks, FULL);
+        let (_, values) = walk_all(&walks, StopRule::SETTLED);
+        let errors = lane_errors(&values, &reference);
+        let [p50, p99, max] = [0.5, 0.99, 1.0].map(|q| quantile(&errors, q));
+        println!(
+            "expanded slice, 800 lanes: lane error p50 / p99 / max {:.2} / {:.2} / {:.2} %",
+            100.0 * p50,
+            100.0 * p99,
+            100.0 * max
+        );
+        let over: Vec<VectorWidth> = walks
+            .iter()
+            .flat_map(|w| w.lanes.iter().map(|_| w.width))
+            .zip(values.iter().zip(&reference))
+            .filter(|(_, (v, r))| (*v - *r).abs() > MAX_BOUND * **r)
+            .map(|(width, _)| width)
+            .collect();
+        println!("{} of them over 1 %, widths {over:?}", over.len());
+        assert!(
+            p99 <= EXPANDED_P99_BOUND,
+            "expanded p99 lane error {p99} over {EXPANDED_P99_BOUND}"
+        );
+        assert!(
+            max <= EXPANDED_MAX_BOUND,
+            "expanded max lane error {max} over {EXPANDED_MAX_BOUND}"
+        );
+        assert!(
+            over.iter().all(|&w| w == VectorWidth::V64),
+            "lanes over {MAX_BOUND} beyond 64-bit: {over:?}"
+        );
     }
 
     fn setup(app: musa_apps::AppId, width: VectorWidth) -> FusedBody {

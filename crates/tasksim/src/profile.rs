@@ -51,7 +51,7 @@ use musa_trace::{Kernel, KernelId, Op};
 use crate::fusion::{effective_factor, fuse, FusedBody};
 use crate::geometry::CacheGeometry;
 use crate::locality::{analyze_kernel, TemplateLocality};
-use crate::pipeline::{draws_dram, walk_input, window_cycles, ServiceLatencies};
+use crate::pipeline::{draws_dram, walk_input, window_cycles, ServiceLatencies, StopRule};
 use crate::stats::SimStats;
 
 /// Steady-state profile of one kernel under one node configuration.
@@ -170,7 +170,9 @@ pub fn profile_kernel(
     let locality = analyze_kernel(kernel, geom, region_ws_bytes);
     let fused = fuse(kernel, &locality, config.vector);
     let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
-    let [real, perfect] = window_cycles::<2>(&fused, &config.core_class.ooo(), &lat);
+    let [real, perfect] =
+        window_cycles::<2>(&fused, &config.core_class.ooo(), &lat, StopRule::SETTLED)
+            .map(|lane| lane.cycles);
     let stats = stats_per_iter(kernel, &locality, &fused);
     KernelProfile::from_stages(stats, fused.f_eff, perfect, real)
 }
@@ -307,16 +309,18 @@ impl ProfileTable {
             }
         };
         let ooo = config.core_class.ooo();
+        let walk1 = || window_cycles::<1>(&fused, &ooo, &lat, StopRule::SETTLED)[0].cycles;
         let (walked, real, perfect) = match lanes {
             [Some(perfect), Some(real)] => (0, real, perfect),
             // Never draws DRAM: one lane is both.
             _ if real_key == perfect_key => {
-                let [lane] = window_cycles::<1>(&fused, &ooo, &lat);
+                let lane = walk1();
                 (1, lane, lane)
             }
-            [Some(perfect), None] => (1, window_cycles::<1>(&fused, &ooo, &lat)[0], perfect),
+            [Some(perfect), None] => (1, walk1(), perfect),
             [None, _] => {
-                let [real, perfect] = window_cycles::<2>(&fused, &ooo, &lat);
+                let [real, perfect] = window_cycles::<2>(&fused, &ooo, &lat, StopRule::SETTLED)
+                    .map(|lane| lane.cycles);
                 (2, real, perfect)
             }
         };

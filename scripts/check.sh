@@ -194,21 +194,30 @@ echo "== pool smoke (supervised --workers 2 vs sequential) =="
 bash scripts/pool_smoke.sh
 
 echo "== full-grid golden digest (864 x 5 tiny, sequential and --workers 2) =="
-# Every point of the design space against the rows digest taken before
-# the replay and scheduler loops were rewritten; 4,320 points twice, so
-# against the release binary.
+# Every point of the design space against the pinned rows digest (last
+# moved by the window's stop rule, a declared model change); 4,320 points
+# twice, so against the release binary.
 cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
 
 echo "== paper-slice golden digest (79 configs x 5 at --full, sequential and --workers 2) =="
 # The 256-rank burst tables and the 64-core paths, which the tiny grids
-# never reach, against the digest taken before the unit pools were sorted.
+# never reach, against the pinned digest (last moved by the stop rule).
 cargo test -q --release -p musa-bench --test pool_e2e -- --ignored paper_slice
 
 echo "== OoO window oracle (2,160 paper-scale windows, one and two lanes) =="
-# Every window the paper-scale design space times, both lanes of the
-# two-lane walk and the lane of the one-lane walk against walks of the
-# loop it replaced, bit for bit.
+# Every window the paper-scale design space times: both lanes of the
+# two-lane walk and the lane of the one-lane walk, each stopped by the
+# stop rule, against walks of the loop they replaced cut at the same
+# iteration, and the fixed-length walk against that loop's full length,
+# bit for bit.
 cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_window
+
+echo "== OoO window stop rule (every paper- and expanded-slice lane against the full walk) =="
+# The declared cut: every lane the MUSA_CONFIG_SLICE=79 paper slice and the
+# expanded digest's slice walk, stopped by the rule, against the fixed
+# 216-iteration walk, within the p99 and max bounds the test states (the
+# expanded slice's wider, its lanes over 1 % all 64-bit).
+cargo test -q --release -p musa-tasksim --lib -- --ignored the_cut_stays_within_its_bound
 
 echo "== profile-table walk count (864 x 5 paper grid, one table per app) =="
 # One walk per distinct window: 588 walks, 136 of them two-lane, each
@@ -223,7 +232,7 @@ cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_reg
 echo "== expanded-space golden digest (every 97th config x 5 tiny, shared and fresh) =="
 # The slice meets HBM, 1-64 channels and all six widths, which the
 # DDR4-only paper grid never does: one evaluator for every point and one
-# per point must both give the digest taken before profiles were shared.
+# per point must both give the pinned digest.
 cargo test -q --release -p musa-search --test expanded_digest -- --ignored
 
 echo "== results/ regenerated byte for byte (dse report, release) =="
