@@ -36,8 +36,8 @@ use std::sync::Arc;
 use musa_apps::AppId;
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_bench::cli::{
-    parse_dse_args, CacheArgs, CacheCmd, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs,
-    FaultArgs, LogArgs, Parsed, ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
+    parse_dse_args, CacheArgs, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs, FaultArgs,
+    LogArgs, Parsed, ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
 };
 use musa_bench::{configs, scale_for, store_dir_for};
 use musa_cache::ArtifactCache;
@@ -821,102 +821,25 @@ fn summarise_search(outcome: &musa_search::SearchOutcome) {
     }
 }
 
-/// `dse cache stats|verify|gc`: offline administration of the artifact
-/// directory. Works on the directory alone — no campaign is loaded, no
-/// simulator runs — so these are instant against stores of any size
-/// and safe to point at a directory whose writers are long gone.
+/// `dse cache gc`: reclaim space in the artifact directory. Works on
+/// the directory alone — no campaign is loaded, no simulator runs — so
+/// it is instant against stores of any size. (`dse doctor` inspects
+/// the directory; it never reclaims.)
 fn cache_main(args: CacheArgs) -> ! {
-    let store = store_dir_of(&args.store_dir, false);
-    let dir = store.join(musa_cache::ARTIFACT_DIR);
-    match args.cmd {
-        CacheCmd::Stats => {
-            let inv = musa_cache::inventory(&dir).unwrap_or_else(|e| {
-                eprintln!("dse cache stats: cannot scan {}: {e}", dir.display());
-                std::process::exit(1);
-            });
-            println!("artifact cache at {}", dir.display());
-            for kind in musa_cache::ArtifactKind::ALL {
-                let (n, bytes) = inv.tally(kind);
-                println!(
-                    "  {:<6} {n:>5} artifact(s)  {:>10}  ({bytes} bytes)",
-                    kind.label(),
-                    musa_cache::human_bytes(bytes)
-                );
-            }
-            println!(
-                "  total  {:>5} artifact(s)  {:>10}  ({} bytes)",
-                inv.entries.len(),
-                musa_cache::human_bytes(inv.total_bytes()),
-                inv.total_bytes()
-            );
-            if inv.quarantined > 0 {
-                println!(
-                    "  {} quarantined file(s) held for post-mortem (gc reclaims)",
-                    inv.quarantined
-                );
-            }
-            if !inv.tmp_litter.is_empty() {
-                println!(
-                    "  {} stranded temp file(s) (gc reclaims)",
-                    inv.tmp_litter.len()
-                );
-            }
-            let by_label = inv.sessions_by_label();
-            if by_label.is_empty() {
-                println!("sessions: none recorded");
-            } else {
-                println!("sessions:");
-                for s in &by_label {
-                    println!("  {:<12} {}", s.label, s.report());
-                }
-            }
-            std::process::exit(0);
-        }
-        CacheCmd::Verify => {
-            let report = musa_cache::verify(&dir).unwrap_or_else(|e| {
-                eprintln!("dse cache verify: {}: {e}", dir.display());
-                std::process::exit(1);
-            });
-            use musa_cache::VerifyVerdict;
-            let ok = report.count(|v| *v == VerifyVerdict::Ok);
-            let stale = report.count(|v| *v == VerifyVerdict::Stale);
-            let newer = report.count(|v| *v == VerifyVerdict::Newer);
-            let corrupt = report.count(|v| matches!(v, VerifyVerdict::Corrupt(_)));
-            println!(
-                "verified {} artifact(s) in {}: {ok} ok, {stale} stale, {newer} newer, {corrupt} corrupt",
-                report.files.len(),
-                dir.display()
-            );
-            for (name, verdict) in &report.files {
-                if let VerifyVerdict::Corrupt(why) = verdict {
-                    println!("  corrupt: {name}: {why}");
-                }
-            }
-            std::process::exit(if report.clean() { 0 } else { 1 });
-        }
-        CacheCmd::Gc => {
-            let report = musa_cache::gc(&dir, args.all, args.max_bytes).unwrap_or_else(|e| {
-                eprintln!("dse cache gc: {}: {e}", dir.display());
-                std::process::exit(1);
-            });
-            println!(
-                "gc {}: removed {} artifact(s), {} temp file(s), {} quarantined file(s) — {} reclaimed",
-                dir.display(),
-                report.removed,
-                report.tmp_removed,
-                report.quarantine_removed,
-                musa_cache::human_bytes(report.bytes)
-            );
-            if args.max_bytes.is_some() {
-                println!(
-                    "  evicted {} healthy artifact(s) ({}) to fit the --max-bytes budget",
-                    report.evicted,
-                    musa_cache::human_bytes(report.evicted_bytes)
-                );
-            }
-            std::process::exit(0);
-        }
-    }
+    let dir = store_dir_of(&args.store_dir, false).join(musa_cache::ARTIFACT_DIR);
+    let report = musa_cache::gc(&dir, args.all).unwrap_or_else(|e| {
+        eprintln!("dse cache gc: {}: {e}", dir.display());
+        std::process::exit(1);
+    });
+    println!(
+        "gc {}: removed {} artifact(s), {} temp file(s), {} quarantined file(s) — {} reclaimed",
+        dir.display(),
+        report.removed,
+        report.tmp_removed,
+        report.quarantine_removed,
+        musa_cache::human_bytes(report.bytes)
+    );
+    std::process::exit(0);
 }
 
 /// `--csv` / `--json` exports, shared by the sequential and pool paths.
@@ -965,7 +888,7 @@ fn doctor_main(args: DoctorArgs) -> ! {
         if let Err(e) = musa_doctor::write_status(&store, &report) {
             eprintln!(
                 "dse doctor: cannot write {}: {e}",
-                musa_doctor::DOCTOR_STATUS_FILE
+                musa_store::DOCTOR_STATUS_FILE
             );
         }
     }

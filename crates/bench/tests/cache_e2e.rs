@@ -7,6 +7,7 @@
 //! run produces. **Resilience**: corruption is quarantined and
 //! recomputed, never served; a crash mid-artifact-write strands at
 //! worst temp litter that the next run ignores and `gc` reclaims.
+//! `dse doctor` is how the drills look at the cache.
 //!
 //! The kill-9 drill spawns and murders a real process and is gated
 //! behind `CHAOS=1`, like the store's and pool's crash drills:
@@ -22,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use musa_apps::AppId;
 use musa_cache::{load_sessions, SessionStats, ARTIFACT_DIR};
+use musa_obs::json::JsonValue;
 use musa_store::QUARANTINE_FILE;
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
@@ -69,14 +71,65 @@ fn dse_command(dir: &Path, extra: &[&str], slice: usize, tiny: bool) -> Command 
     cmd
 }
 
-/// Run `dse cache <cmd> --store-dir <dir> [extra]`.
-fn dse_cache(dir: &Path, cmd: &str, extra: &[&str]) -> Output {
+/// Run `dse cache gc --store-dir <dir> [extra]`.
+fn dse_gc(dir: &Path, extra: &[&str]) -> Output {
     let mut c = Command::new(DSE);
-    c.args(["cache", cmd, "--store-dir"])
+    c.args(["cache", "gc", "--store-dir"])
         .arg(dir)
         .args(extra)
         .env_remove("MUSA_CACHE");
-    c.output().expect("spawn dse cache")
+    c.output().expect("spawn dse cache gc")
+}
+
+/// What `dse doctor --json` says about the artifact cache.
+struct CacheAudit {
+    /// The doctor's exit code (the whole store's grade).
+    exit: Option<i32>,
+    /// The `artifacts` family's report.
+    family: JsonValue,
+}
+
+impl CacheAudit {
+    /// One of the family's counts; `None` when it has no such count.
+    fn count(&self, name: &str) -> Option<u64> {
+        self.family.get("counts")?.get(name)?.as_u64()
+    }
+
+    /// The family's notes, one line each.
+    fn notes(&self) -> Vec<&str> {
+        let notes = self.family.get("notes").and_then(JsonValue::as_arr);
+        notes
+            .unwrap_or_default()
+            .iter()
+            .filter_map(JsonValue::as_str)
+            .collect()
+    }
+}
+
+/// Run `dse doctor --json --store-dir <dir>` and keep its `artifacts`
+/// family.
+fn doctor_artifacts(dir: &Path) -> CacheAudit {
+    let out = Command::new(DSE)
+        .args(["doctor", "--json", "--store-dir"])
+        .arg(dir)
+        .output()
+        .expect("spawn dse doctor");
+    let report = JsonValue::parse(stdout_of(&out).trim())
+        .unwrap_or_else(|e| panic!("doctor --json is not JSON ({e}): {}", stdout_of(&out)));
+    let family = report
+        .get("families")
+        .and_then(JsonValue::as_arr)
+        .and_then(|families| {
+            families
+                .iter()
+                .find(|f| f.get("family").and_then(JsonValue::as_str) == Some("artifacts"))
+        })
+        .expect("the doctor reports an artifacts family")
+        .clone();
+    CacheAudit {
+        exit: out.status.code(),
+        family,
+    }
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -330,74 +383,74 @@ fn corrupt_artifact_is_quarantined_and_rows_stay_identical() {
         "quarantines must be tallied: {total:?}"
     );
     // The recomputed artifacts are healthy again.
-    let verify = dse_cache(&dir, "verify", &[]);
-    assert!(
-        verify.status.success(),
-        "verify after recompute must be clean: {}",
-        stdout_of(&verify)
+    let audit = doctor_artifacts(&dir);
+    assert_eq!(
+        audit.count("corrupt"),
+        Some(0),
+        "the cache after recompute must be clean: {:?}",
+        audit.notes()
     );
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
-/// The `dse cache` admin lifecycle: stats sees the artifacts and the
-/// session ledger, verify flags exactly the file we break (exit 1),
-/// default gc reclaims it (with the quarantine evidence), `gc --all`
-/// resets the directory.
+/// The cache's admin lifecycle: the doctor sees the artifacts and the
+/// session ledger, names exactly the file we break (exit 2), default
+/// gc reclaims it (with the quarantine evidence), `gc --all` resets
+/// the directory.
 #[test]
-fn cache_cli_stats_verify_gc_lifecycle() {
+fn doctor_inspects_the_cache_and_gc_reclaims_it() {
     let dir = tmp_dir("cli");
     let out = dse(&dir, &[]);
     assert!(out.status.success(), "{}", stderr_of(&out));
 
-    let stats = dse_cache(&dir, "stats", &[]);
-    assert!(stats.status.success());
-    let text = stdout_of(&stats);
+    let audit = doctor_artifacts(&dir);
+    assert_eq!(audit.exit, Some(0), "{:?}", audit.notes());
     assert!(
-        text.contains("detail") && text.contains("burst"),
-        "stats lists both artifact kinds: {text}"
+        audit.count("detail") > Some(0) && audit.count("burst") > Some(0),
+        "the doctor counts both artifact kinds: {:?}",
+        audit.family
+    );
+    assert!(audit.count("bytes") > Some(0), "{:?}", audit.family);
+    assert_eq!(
+        audit.count("trace"),
+        None,
+        "traces are never on disk, so there is no trace tally"
     );
     assert!(
-        !text.contains("\n  trace "),
-        "traces are never on disk, so there is no trace tally: {text}"
+        audit.notes().iter().any(|n| n.contains("sequential")),
+        "the doctor notes the session: {:?}",
+        audit.notes()
     );
-    assert!(
-        text.contains("sequential"),
-        "stats lists the session: {text}"
-    );
+    assert_eq!(audit.count("corrupt"), Some(0), "pristine cache is clean");
 
-    let verify = dse_cache(&dir, "verify", &[]);
-    assert!(verify.status.success(), "pristine cache must verify clean");
-    assert!(stdout_of(&verify).contains("0 corrupt"));
-
-    // Truncate one artifact: verify must name it and exit 1.
+    // Truncate one artifact: the doctor must name it and exit 2.
     let victim = artifact_files(&dir).pop().unwrap();
     let bytes = std::fs::read(&victim).unwrap();
     std::fs::write(&victim, &bytes[..bytes.len() - 3]).unwrap();
-    let verify = dse_cache(&dir, "verify", &[]);
-    assert_eq!(verify.status.code(), Some(1), "corruption must exit 1");
-    let text = stdout_of(&verify);
+    let audit = doctor_artifacts(&dir);
+    assert_eq!(audit.exit, Some(2), "corruption must exit 2");
+    assert_eq!(audit.count("corrupt"), Some(1), "exactly one corrupt file");
+    let name = victim.file_name().unwrap().to_str().unwrap();
     assert!(
-        text.contains("1 corrupt"),
-        "exactly one corrupt file: {text}"
-    );
-    assert!(
-        text.contains(victim.file_name().unwrap().to_str().unwrap()),
-        "the corrupt file is named: {text}"
+        audit.notes().iter().any(|n| n.contains(name)),
+        "the corrupt file is named: {:?}",
+        audit.notes()
     );
 
     // Default gc takes the corrupt file, leaves the healthy ones.
     let before = artifact_files(&dir).len();
-    let gc = dse_cache(&dir, "gc", &[]);
+    let gc = dse_gc(&dir, &[]);
     assert!(gc.status.success(), "{}", stdout_of(&gc));
     assert_eq!(artifact_files(&dir).len(), before - 1);
     assert!(!victim.exists());
-    let verify = dse_cache(&dir, "verify", &[]);
-    assert!(verify.status.success(), "post-gc cache must verify clean");
+    let audit = doctor_artifacts(&dir);
+    assert_eq!(audit.count("corrupt"), Some(0), "post-gc cache is clean");
+    assert_eq!(audit.exit, Some(0), "{:?}", audit.notes());
 
     // gc --all resets the directory, sessions ledger included.
-    let gc = dse_cache(&dir, "gc", &["--all"]);
+    let gc = dse_gc(&dir, &["--all"]);
     assert!(gc.status.success(), "{}", stdout_of(&gc));
     assert!(artifact_files(&dir).is_empty());
     assert!(load_sessions(&artifact_dir(&dir)).is_empty());
@@ -524,16 +577,19 @@ fn kill_nine_mid_artifact_write_then_resume_converges() {
         want,
         "post-kill rows differ from uncached"
     );
-    // Nothing torn was served: every artifact on disk verifies.
-    let verify = dse_cache(&dir, "verify", &[]);
-    assert!(
-        verify.status.success(),
-        "artifacts after the kill must verify clean: {}",
-        stdout_of(&verify)
+    // Nothing torn was served: every artifact on disk verifies. (The
+    // count, not the exit code: stranded temp litter grades the store
+    // degraded.)
+    let audit = doctor_artifacts(&dir);
+    assert_eq!(
+        audit.count("corrupt"),
+        Some(0),
+        "artifacts after the kill must verify clean: {:?}",
+        audit.notes()
     );
     // The stranded temp file (if the kill landed before the rename) is
     // litter, and gc owns litter.
-    let gc = dse_cache(&dir, "gc", &[]);
+    let gc = dse_gc(&dir, &[]);
     assert!(gc.status.success());
     let stray: Vec<_> = std::fs::read_dir(artifact_dir(&dir))
         .unwrap()

@@ -1,23 +1,26 @@
-//! Offline administration of an artifact directory: the engine behind
-//! `dse cache stats|verify|gc`.
+//! Offline administration of an artifact directory: the [`inventory`]
+//! `dse doctor` grades and the [`gc`] behind `dse cache gc`.
 //!
 //! Everything here works on the directory alone — no campaign, no
-//! simulator — so the subcommands run instantly against stores of any
-//! size and can be pointed at a directory whose writers are long gone.
+//! simulator — so both run instantly against stores of any size and
+//! can be pointed at a directory whose writers are long gone.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::artifact::{parse_file_name, verify_bytes, ArtifactKind, ArtifactRead};
 use crate::cache::{load_sessions, SessionStats};
+use crate::fp::ArtifactKey;
 
 /// One artifact file found on disk.
 #[derive(Debug, Clone)]
 pub struct InventoryEntry {
     /// File name within the artifact directory.
     pub name: String,
-    /// Parsed kind.
+    /// Kind parsed from the name.
     pub kind: ArtifactKind,
+    /// Key parsed from the name: what the header must say.
+    pub key: ArtifactKey,
     /// Whole-file size in bytes.
     pub bytes: u64,
 }
@@ -36,12 +39,9 @@ pub struct Inventory {
 }
 
 impl Inventory {
-    /// `(count, bytes)` of one artifact kind.
-    pub fn tally(&self, kind: ArtifactKind) -> (usize, u64) {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == kind)
-            .fold((0, 0), |(n, b), e| (n + 1, b + e.bytes))
+    /// Number of artifacts of one kind.
+    pub fn count(&self, kind: ArtifactKind) -> usize {
+        self.entries.iter().filter(|e| e.kind == kind).count()
     }
 
     /// Total bytes across all artifact files.
@@ -90,11 +90,12 @@ pub fn inventory(dir: &Path) -> io::Result<Inventory> {
             inv.tmp_litter.push(name);
             continue;
         }
-        if let Some((kind, _key)) = parse_file_name(&name) {
+        if let Some((kind, key)) = parse_file_name(&name) {
             inv.entries.push(InventoryEntry {
                 bytes: entry.metadata()?.len(),
                 name,
                 kind,
+                key,
             });
         }
     }
@@ -103,80 +104,17 @@ pub fn inventory(dir: &Path) -> io::Result<Inventory> {
     Ok(inv)
 }
 
-/// Verdict of `verify` on one artifact file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyVerdict {
-    /// Header and payload check out.
-    Ok,
-    /// Older schema: harmless, reclaimable by `gc`.
-    Stale,
-    /// Newer schema: owned by a newer writer, left alone.
-    Newer,
-    /// Failed a check; the reason says which.
-    Corrupt(String),
-}
-
-/// Report of a full-directory verification pass.
-#[derive(Debug, Clone, Default)]
-pub struct VerifyReport {
-    /// `(file name, verdict)` per artifact, sorted by name.
-    pub files: Vec<(String, VerifyVerdict)>,
-}
-
-impl VerifyReport {
-    /// Count of a given verdict class.
-    pub fn count(&self, f: impl Fn(&VerifyVerdict) -> bool) -> usize {
-        self.files.iter().filter(|(_, v)| f(v)).count()
-    }
-
-    /// `true` when nothing is corrupt (stale/newer artifacts are
-    /// misses, not corruption).
-    pub fn clean(&self) -> bool {
-        self.count(|v| matches!(v, VerifyVerdict::Corrupt(_))) == 0
-    }
-}
-
-/// Re-verify every artifact in `dir` against its own header *and* its
-/// file name (a file renamed over the wrong slot is corrupt even if
-/// internally consistent). Read-only: nothing is quarantined — the
-/// runtime does that on the next lookup — so `verify` is safe to run
-/// against a directory with live writers.
-pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    let inv = inventory(dir)?;
-    let mut report = VerifyReport::default();
-    for e in inv.entries {
-        let (kind, key) = parse_file_name(&e.name).expect("inventoried names parse");
-        let verdict = match std::fs::read(dir.join(&e.name)) {
-            Err(err) if err.kind() == io::ErrorKind::NotFound => continue, // raced a gc
-            Err(err) => VerifyVerdict::Corrupt(format!("unreadable: {err}")),
-            Ok(bytes) => match verify_bytes(&bytes, Some((kind, key))) {
-                ArtifactRead::Payload(_) => VerifyVerdict::Ok,
-                ArtifactRead::Stale => VerifyVerdict::Stale,
-                ArtifactRead::Newer => VerifyVerdict::Newer,
-                ArtifactRead::Corrupt(why) => VerifyVerdict::Corrupt(why),
-                ArtifactRead::Absent => continue,
-            },
-        };
-        report.files.push((e.name, verdict));
-    }
-    Ok(report)
-}
-
 /// What `gc` removed.
 #[derive(Debug, Clone, Default)]
 pub struct GcReport {
     /// Artifact files removed.
     pub removed: usize,
-    /// Bytes reclaimed (artifacts + litter + quarantine + evictions).
+    /// Bytes reclaimed (artifacts + litter + quarantine).
     pub bytes: u64,
     /// Stranded temp files removed.
     pub tmp_removed: usize,
     /// Quarantined files removed.
     pub quarantine_removed: usize,
-    /// Healthy artifacts evicted to fit a `--max-bytes` budget.
-    pub evicted: usize,
-    /// Bytes of those evictions (also included in `bytes`).
-    pub evicted_bytes: u64,
 }
 
 /// Reclaim space in `dir`.
@@ -185,12 +123,8 @@ pub struct GcReport {
 /// corrupt artifacts (with their quarantine evidence) — everything a
 /// current-schema run can never use again. With `all`, every artifact
 /// and the session ledger go too, leaving an empty directory (a cache
-/// reset; the next run recomputes from scratch). With `max_bytes`,
-/// healthy artifacts are additionally evicted oldest-mtime-first
-/// (name-ordered on ties, so the pass is deterministic) until the
-/// survivors fit the budget — an eviction is only a cache miss, never
-/// a correctness event.
-pub fn gc(dir: &Path, all: bool, max_bytes: Option<u64>) -> io::Result<GcReport> {
+/// reset; the next run recomputes from scratch).
+pub fn gc(dir: &Path, all: bool) -> io::Result<GcReport> {
     let mut report = GcReport::default();
     let inv = inventory(dir)?;
 
@@ -208,12 +142,11 @@ pub fn gc(dir: &Path, all: bool, max_bytes: Option<u64>) -> io::Result<GcReport>
         report.tmp_removed += 1;
     }
     for e in &inv.entries {
-        let (kind, key) = parse_file_name(&e.name).expect("inventoried names parse");
         let reclaim = all
             || match std::fs::read(dir.join(&e.name)) {
                 Err(_) => false,
                 Ok(bytes) => matches!(
-                    verify_bytes(&bytes, Some((kind, key))),
+                    verify_bytes(&bytes, Some((e.kind, e.key))),
                     ArtifactRead::Stale | ArtifactRead::Corrupt(_)
                 ),
             };
@@ -236,29 +169,6 @@ pub fn gc(dir: &Path, all: bool, max_bytes: Option<u64>) -> io::Result<GcReport>
     }
     if all {
         report.bytes += remove(dir.join(crate::cache::SESSIONS_FILE))?;
-    }
-    if let Some(budget) = max_bytes {
-        // Re-inventory: the passes above already removed litter and
-        // corruption, so what's left is healthy and current.
-        let mut survivors: Vec<(std::time::SystemTime, String, u64)> = Vec::new();
-        for e in inventory(dir)?.entries {
-            let mtime = std::fs::metadata(dir.join(&e.name))
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            survivors.push((mtime, e.name, e.bytes));
-        }
-        survivors.sort();
-        let mut total: u64 = survivors.iter().map(|(_, _, b)| b).sum();
-        for (_, name, bytes) in &survivors {
-            if total <= budget {
-                break;
-            }
-            let freed = remove(dir.join(name))?;
-            total = total.saturating_sub(*bytes);
-            report.bytes += freed;
-            report.evicted_bytes += freed;
-            report.evicted += 1;
-        }
     }
     Ok(report)
 }
@@ -301,8 +211,8 @@ mod tests {
         std::fs::write(dir.join("README"), b"not an artifact").unwrap();
 
         let inv = inventory(&dir).unwrap();
-        assert_eq!(inv.tally(ArtifactKind::Detail).0, 1);
-        assert_eq!(inv.tally(ArtifactKind::Burst).0, 2);
+        assert_eq!(inv.count(ArtifactKind::Detail), 1);
+        assert_eq!(inv.count(ArtifactKind::Burst), 2);
         assert!(inv.total_bytes() > 0);
         assert_eq!(inv.tmp_litter, vec![".stranded.123.0.tmp".to_string()]);
         let by_label = inv.sessions_by_label();
@@ -313,54 +223,6 @@ mod tests {
         let empty = inventory(&store.join("nonexistent")).unwrap();
         assert!(empty.entries.is_empty());
 
-        let _ = std::fs::remove_dir_all(&store);
-    }
-
-    #[test]
-    fn verify_flags_only_the_broken_file() {
-        let (store, dir) = populated("verify");
-        let report = verify(&dir).unwrap();
-        assert!(report.clean());
-        assert_eq!(report.count(|v| *v == VerifyVerdict::Ok), 3);
-
-        // Truncate one burst artifact.
-        let victim = inventory(&dir)
-            .unwrap()
-            .entries
-            .into_iter()
-            .find(|e| e.kind == ArtifactKind::Burst)
-            .unwrap();
-        let path = dir.join(&victim.name);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
-
-        let report = verify(&dir).unwrap();
-        assert!(!report.clean());
-        assert_eq!(report.count(|v| matches!(v, VerifyVerdict::Corrupt(_))), 1);
-        assert_eq!(report.count(|v| *v == VerifyVerdict::Ok), 2);
-        // Read-only: the broken file is still there for the runtime.
-        assert!(path.exists());
-
-        let _ = std::fs::remove_dir_all(&store);
-    }
-
-    #[test]
-    fn verify_catches_a_file_renamed_over_the_wrong_slot() {
-        let (store, dir) = populated("rename");
-        let t = trace_key(AppId::Hydro, &GenParams::tiny());
-        // Write a valid burst artifact, then copy it over a *different*
-        // burst slot: internally consistent, externally a lie.
-        let src = dir.join(artifact_file_name(ArtifactKind::Burst, burst_key(t, 32)));
-        let dst = dir.join(artifact_file_name(ArtifactKind::Burst, burst_key(t, 96)));
-        std::fs::copy(&src, &dst).unwrap();
-        let report = verify(&dir).unwrap();
-        let bad: Vec<_> = report
-            .files
-            .iter()
-            .filter(|(_, v)| matches!(v, VerifyVerdict::Corrupt(_)))
-            .collect();
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].0.contains(&burst_key(t, 96).to_hex()));
         let _ = std::fs::remove_dir_all(&store);
     }
 
@@ -380,7 +242,7 @@ mod tests {
         std::fs::write(dir.join("quarantine/old.art.1"), b"evidence").unwrap();
         std::fs::write(dir.join("quarantine/old.art.1.reason"), b"why").unwrap();
 
-        let report = gc(&dir, false, None).unwrap();
+        let report = gc(&dir, false).unwrap();
         assert_eq!(report.tmp_removed, 1);
         assert_eq!(report.removed, 1, "only the corrupt artifact");
         assert_eq!(report.quarantine_removed, 1);
@@ -398,7 +260,7 @@ mod tests {
     #[test]
     fn gc_all_resets_the_directory() {
         let (store, dir) = populated("gcall");
-        let report = gc(&dir, true, None).unwrap();
+        let report = gc(&dir, true).unwrap();
         assert_eq!(report.removed, 3);
         let inv = inventory(&dir).unwrap();
         assert!(inv.entries.is_empty());
@@ -434,57 +296,14 @@ mod tests {
         )
         .unwrap();
 
-        assert_eq!(
-            verify(&dir).unwrap().count(|v| *v == VerifyVerdict::Stale),
-            1
-        );
-        let report = gc(&dir, false, None).unwrap();
+        assert!(matches!(
+            verify_bytes(&bytes, Some((ArtifactKind::Burst, key))),
+            ArtifactRead::Stale
+        ));
+        let report = gc(&dir, false).unwrap();
         assert_eq!(report.removed, 1);
         assert!(!path.exists());
         assert_eq!(inventory(&dir).unwrap().entries.len(), 1);
-        let _ = std::fs::remove_dir_all(&store);
-    }
-
-    #[test]
-    fn gc_max_bytes_evicts_oldest_first_until_budget_fits() {
-        let (store, dir) = populated("evict");
-        // Stamp distinct mtimes, oldest first in name order, so the
-        // eviction order is unambiguous.
-        let names: Vec<String> = inventory(&dir)
-            .unwrap()
-            .entries
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(names.len(), 3);
-        let mut ordered: Vec<(String, u64)> = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            let f = std::fs::File::options()
-                .write(true)
-                .open(dir.join(name))
-                .unwrap();
-            let when = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(1_000_000 + i as u64 * 100);
-            f.set_modified(when).unwrap();
-            ordered.push((name.clone(), f.metadata().unwrap().len()));
-        }
-        let total: u64 = ordered.iter().map(|(_, b)| b).sum();
-        // Budget fits everything: nothing is evicted.
-        let report = gc(&dir, false, Some(total)).unwrap();
-        assert_eq!(report.evicted, 0);
-        assert_eq!(report.evicted_bytes, 0);
-        // Budget forces exactly the two oldest out.
-        let keep_newest = ordered[2].1;
-        let report = gc(&dir, false, Some(keep_newest)).unwrap();
-        assert_eq!(report.evicted, 2, "two oldest evicted");
-        assert_eq!(report.evicted_bytes, ordered[0].1 + ordered[1].1);
-        let left = inventory(&dir).unwrap();
-        assert_eq!(left.entries.len(), 1);
-        assert_eq!(left.entries[0].name, ordered[2].0, "newest survives");
-        // Budget zero clears the rest.
-        let report = gc(&dir, false, Some(0)).unwrap();
-        assert_eq!(report.evicted, 1);
-        assert!(inventory(&dir).unwrap().entries.is_empty());
         let _ = std::fs::remove_dir_all(&store);
     }
 }

@@ -206,8 +206,8 @@ pub fn read_artifact(path: &Path, kind: ArtifactKind, key: ArtifactKey) -> Artif
 }
 
 /// Verify raw artifact bytes. With `expect`, the header's kind and key
-/// must match (cache reads); without, any internally-consistent
-/// artifact passes (`dse cache verify` over an inventory).
+/// must match (cache reads, and `dse doctor` against each file's
+/// name); without, any internally-consistent artifact passes.
 pub fn verify_bytes(bytes: &[u8], expect: Option<(ArtifactKind, ArtifactKey)>) -> ArtifactRead {
     let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
         return ArtifactRead::Corrupt("no header line (torn write?)".into());

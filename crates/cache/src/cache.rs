@@ -28,13 +28,14 @@ use crate::artifact::{
     ArtifactRead, BurstArtifact, DetailArtifact,
 };
 use crate::fp::{trace_key, ArtifactKey};
+use crate::integrity::{read_log, scan};
 
 /// Name of the artifact directory under the campaign store directory.
 pub const ARTIFACT_DIR: &str = "artifacts";
 
 /// Per-process session tallies, appended under the artifact directory
-/// so `dse cache stats` can attribute hits to the sequential and pool
-/// paths after the processes are gone.
+/// so `dse doctor` can attribute hits to the sequential and pool paths
+/// after the processes are gone.
 pub const SESSIONS_FILE: &str = "sessions.jsonl";
 
 /// `MUSA_CACHE=0` disables the cache (the `--no-cache` flag sets it for
@@ -44,7 +45,7 @@ pub fn enabled_from_env() -> bool {
 }
 
 /// One process's cache activity, as persisted to [`SESSIONS_FILE`] and
-/// aggregated by `dse cache stats`.
+/// aggregated per label by `dse doctor`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Which pipeline wrote this line: `"sequential"`, `"search"` or
@@ -434,14 +435,11 @@ impl ArtifactCache {
 }
 
 /// Read every session line under `dir` (the artifact directory).
-/// Unparseable lines (torn tail after a crash) are skipped, not fatal.
+/// Each line is parsed on its own: one that does not parse (a torn
+/// tail after a crash, a byte that is not UTF-8) costs that line only.
 pub fn load_sessions(dir: &Path) -> Vec<SessionStats> {
-    let Ok(text) = std::fs::read_to_string(dir.join(SESSIONS_FILE)) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter_map(|l| musa_obs::json::from_str(l).ok())
-        .collect()
+    let log = read_log(&dir.join(SESSIONS_FILE)).unwrap_or_default();
+    scan(&log, |_, line| musa_obs::json::from_str(line).into()).records
 }
 
 #[cfg(test)]
@@ -571,6 +569,24 @@ mod tests {
             total.absorb(s);
         }
         assert_eq!(total.burst_hits, 2);
+
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    #[test]
+    fn a_non_utf8_session_line_costs_that_line_only() {
+        let store = tmp_store("sessions-utf8");
+        let cache = ArtifactCache::open(&store).unwrap();
+        cache.persist_session("sequential");
+        let path = cache.dir().join(SESSIONS_FILE);
+        let mut ledger = std::fs::read(&path).unwrap();
+        ledger.extend_from_slice(b"{\"label\":\"x\xFF\"}\n");
+        ledger.extend_from_slice(&std::fs::read(&path).unwrap());
+        std::fs::write(&path, &ledger).unwrap();
+
+        let sessions = load_sessions(cache.dir());
+        assert_eq!(sessions.len(), 2, "the lines around the bad one load");
+        assert!(sessions.iter().all(|s| s.label == "sequential"));
 
         let _ = std::fs::remove_dir_all(&store);
     }

@@ -38,10 +38,10 @@
 //!
 //! Hits, misses and byte traffic tick the `cache.hit` / `cache.miss` /
 //! `cache.bytes` counters; each process appends its labelled tallies
-//! to `artifacts/sessions.jsonl` on exit so `dse cache stats` can
+//! to `artifacts/sessions.jsonl` on exit so `dse doctor` can
 //! attribute reuse to the sequential and pool paths after the fact.
-//! `dse cache verify` re-checks every artifact; `dse cache gc`
-//! reclaims litter, stale schemas and quarantined evidence.
+//! `dse doctor` also re-checks every artifact; `dse cache gc` reclaims
+//! litter, stale schemas and quarantined evidence.
 
 pub mod admin;
 pub mod artifact;
@@ -49,9 +49,7 @@ pub mod cache;
 pub mod fp;
 pub mod integrity;
 
-pub use admin::{
-    gc, inventory, verify, GcReport, Inventory, InventoryEntry, VerifyReport, VerifyVerdict,
-};
+pub use admin::{gc, inventory, GcReport, Inventory, InventoryEntry};
 pub use artifact::{
     artifact_file_name, parse_file_name, quarantine, read_artifact, verify_bytes, write_artifact,
     ArtifactHeader, ArtifactKind, ArtifactRead, BurstArtifact, DetailArtifact,

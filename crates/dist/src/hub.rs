@@ -53,15 +53,9 @@ use musa_core::SweepOptions;
 use musa_obs::json::JsonObj;
 use musa_obs::MetricsSnapshot;
 use musa_prof::{PointProfile, ProfileSink};
-use musa_store::{PointKey, PoisonedPoint, StoreRow};
+use musa_store::{PointKey, PoisonedPoint, StoreRow, DIST_STATUS_FILE};
 
 use crate::codec::{encode, Frame, FrameBuf, Msg, PROTOCOL_VERSION, REJECT_VERSION};
-
-/// Liveness beacon file in the store directory: `{"addr":..,
-/// "connected":..,"draining":..,"updated_unix":..}`, rewritten
-/// atomically. `musa-serve`'s `/healthz` and the smoke scripts (port
-/// discovery for `--listen 127.0.0.1:0`) both read it.
-pub const STATUS_FILE: &str = "dist-status.json";
 
 /// An idle (or still-handshaking) connection with no frame for this
 /// long is dead; healthy workers ping about once a second.
@@ -753,7 +747,7 @@ impl DistHub {
             &body[..body.len() - 1],
             format_args!(",\"updated_unix\":{updated}}}")
         );
-        let path = self.disk.store_dir.join(STATUS_FILE);
+        let path = self.disk.store_dir.join(DIST_STATUS_FILE);
         if musa_store::atomic_write(&path, stamped.as_bytes(), "dist.status").is_ok() {
             self.status_body = body;
             self.status_at = Instant::now();

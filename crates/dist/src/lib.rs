@@ -77,7 +77,6 @@ pub mod supervisor;
 pub mod worker;
 
 pub use codec::{Frame, FrameBuf, FrameError, Msg, MAX_FRAME, PROTOCOL_VERSION};
-pub use hub::STATUS_FILE;
 pub use supervisor::{
     PoolOptions, PoolReport, Supervisor, DEFAULT_LEASE_BATCH, DEFAULT_POISON_CAP, DEFAULT_WORKERS,
     MAX_LEASE_ATTEMPTS,
@@ -248,7 +247,8 @@ mod tests {
         drive(&mut hub, &mut events, deadline, |h, _| h.connected() == 0);
         hub.shutdown();
         assert_eq!(worker.join().expect("worker thread"), WorkerExit::Drained);
-        let status = std::fs::read_to_string(dir.join(STATUS_FILE)).expect("status beacon");
+        let status =
+            std::fs::read_to_string(dir.join(musa_store::DIST_STATUS_FILE)).expect("status beacon");
         assert!(status.contains("\"draining\":true"), "status: {status}");
         cleanup(&dir);
     }

@@ -46,17 +46,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use musa_cache::integrity::{read_log, scan};
-use musa_cache::VerifyVerdict;
+use musa_cache::{ArtifactKind, ArtifactRead};
 use musa_obs::json::{to_string, JsonObj, JsonValue};
 use musa_search::journal::validate_search_line;
 use musa_search::{JOURNAL_FILE, SEARCH_DIR};
-use musa_store::{QUARANTINE_FILE, QUARANTINE_KEEP};
-
-/// Status beacon the CLI drops in the store directory after
-/// `dse doctor --repair`: `{"severity":..,"exit_code":..,"repaired":..,
-/// "checked_unix":..}`, written atomically. `musa-serve`'s `/healthz`
-/// surfaces it so operators can see when a store was last audited.
-pub const DOCTOR_STATUS_FILE: &str = "doctor-status.json";
+use musa_store::{DOCTOR_STATUS_FILE, QUARANTINE_FILE, QUARANTINE_KEEP};
 
 /// Health grade of one artifact family (and, via `max`, of the store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -528,55 +522,64 @@ const FAMILIES: [Family; 7] = [
                     return Ok(None);
                 }
             };
+            // Each file is checked against its own name: one renamed
+            // over the wrong slot is corrupt even if internally
+            // consistent. Read-only — the runtime quarantines on its
+            // next lookup — so live writers may share the directory.
+            let (mut corrupt, mut stale, mut newer) = (Vec::new(), 0, 0);
+            for e in &inv.entries {
+                let read = match std::fs::read(adir.join(&e.name)) {
+                    Err(err) if err.kind() == io::ErrorKind::NotFound => continue, // raced a gc
+                    Err(err) => ArtifactRead::Corrupt(format!("unreadable: {err}")),
+                    Ok(bytes) => musa_cache::verify_bytes(&bytes, Some((e.kind, e.key))),
+                };
+                match read {
+                    ArtifactRead::Corrupt(reason) => corrupt.push((e.name.clone(), reason)),
+                    ArtifactRead::Stale => stale += 1,
+                    ArtifactRead::Newer => newer += 1,
+                    ArtifactRead::Payload(_) | ArtifactRead::Absent => {}
+                }
+            }
             fam.count("artifacts", inv.entries.len() as u64)
+                .count("detail", inv.count(ArtifactKind::Detail) as u64)
+                .count("burst", inv.count(ArtifactKind::Burst) as u64)
+                .count("bytes", inv.total_bytes())
                 .count("tmp_litter", inv.tmp_litter.len() as u64)
                 .count("quarantined", inv.quarantined as u64)
                 .count("sessions", inv.sessions.len() as u64)
+                .count("corrupt", corrupt.len() as u64)
+                .count("stale", stale)
+                .count("newer", newer)
                 .note_if(inv.tmp_litter.len() as u64, Severity::Degraded, |n| {
                     format!(
                         "{n} stranded temp file(s) from crashed writers; repair quarantines them"
                     )
                 });
+            for (name, reason) in &corrupt {
+                fam.note(
+                    Severity::Corrupt,
+                    format!("corrupt artifact {name}: {reason}"),
+                );
+            }
+            fam.note_if(stale, Severity::Ok, |n| {
+                format!("{n} stale-schema artifact(s) (reclaimable by `dse cache gc`)")
+            })
+            .note_if(newer, Severity::Ok, |n| {
+                format!("{n} newer-schema artifact(s) (owned by a newer writer)")
+            });
+            for session in inv.sessions_by_label() {
+                fam.note(
+                    Severity::Ok,
+                    format!("cache reuse by {}: {}", session.label, session.report()),
+                );
+            }
             // Every file the repair moves, with its reason: litter first.
-            let mut moves: Vec<(String, String)> = inv
+            let moves: Vec<(String, String)> = inv
                 .tmp_litter
                 .into_iter()
                 .map(|name| (name, "stranded temp file (crashed writer)".to_string()))
+                .chain(corrupt)
                 .collect();
-            match musa_cache::verify(&adir) {
-                Ok(rep) => {
-                    let corrupt: Vec<(String, String)> = rep
-                        .files
-                        .iter()
-                        .filter_map(|(name, v)| match v {
-                            VerifyVerdict::Corrupt(reason) => Some((name.clone(), reason.clone())),
-                            _ => None,
-                        })
-                        .collect();
-                    let stale = rep.count(|v| matches!(v, VerifyVerdict::Stale)) as u64;
-                    let newer = rep.count(|v| matches!(v, VerifyVerdict::Newer)) as u64;
-                    fam.count("corrupt", corrupt.len() as u64)
-                        .count("stale", stale)
-                        .count("newer", newer)
-                        .note_if(corrupt.len() as u64, Severity::Corrupt, |n| {
-                            let (name, reason) = &corrupt[0];
-                            format!("{n} artifact(s) failed verification (first: {name}: {reason})")
-                        })
-                        .note_if(stale, Severity::Ok, |n| {
-                            format!("{n} stale-schema artifact(s) (reclaimable by `dse cache gc`)")
-                        })
-                        .note_if(newer, Severity::Ok, |n| {
-                            format!("{n} newer-schema artifact(s) (owned by a newer writer)")
-                        });
-                    moves.extend(corrupt);
-                }
-                Err(e) => {
-                    fam.note(
-                        Severity::Corrupt,
-                        format!("artifact verification failed: {e}"),
-                    );
-                }
-            }
             Ok((!moves.is_empty()).then(|| {
                 fix(move |_, actions| {
                     for (name, reason) in &moves {
@@ -1055,6 +1058,125 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("stranded"))
             .collect();
         assert!(!moved.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store whose artifact directory holds one detail and two burst
+    /// artifacts and one `sequential` session line.
+    fn cached_store(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = tdir(tag);
+        let cache = musa_cache::ArtifactCache::open(&dir).unwrap();
+        let t = hydro_trace();
+        cache.put_detail(
+            musa_cache::detail_key(t, &musa_arch::NodeConfig::REFERENCE),
+            &musa_cache::DetailArtifact::default(),
+        );
+        for (cores, makespan_ns) in [(32, 1.0), (64, 2.0)] {
+            let burst = musa_cache::BurstArtifact { makespan_ns };
+            cache.put_burst(musa_cache::burst_key(t, cores), &burst);
+        }
+        cache.persist_session("sequential");
+        let adir = cache.dir().to_path_buf();
+        (dir, adir)
+    }
+
+    fn hydro_trace() -> musa_cache::ArtifactKey {
+        musa_cache::trace_key(musa_apps::AppId::Hydro, &musa_apps::GenParams::tiny())
+    }
+
+    fn burst_file(adir: &Path, cores: u32) -> PathBuf {
+        let key = musa_cache::burst_key(hydro_trace(), cores);
+        adir.join(musa_cache::artifact_file_name(ArtifactKind::Burst, key))
+    }
+
+    fn artifacts(report: &DoctorReport) -> &FamilyReport {
+        report.family("artifacts").unwrap()
+    }
+
+    #[test]
+    fn artifacts_are_tallied_and_every_corrupt_file_is_named() {
+        let (dir, adir) = cached_store("art-corrupt");
+        let report = audit(&dir).unwrap();
+        let fam = artifacts(&report);
+        assert_eq!(fam.severity, Severity::Ok, "{}", report.render_text());
+        assert_eq!((fam.counter("detail"), fam.counter("burst")), (1, 2));
+        assert_eq!(fam.counter("corrupt"), 0);
+        assert!(fam.counter("bytes") > 0);
+        assert!(
+            fam.notes.iter().any(|n| n.contains("sequential")),
+            "one note per session label: {:?}",
+            fam.notes
+        );
+
+        // Truncate both burst artifacts: each one is named.
+        let victims = [burst_file(&adir, 32), burst_file(&adir, 64)];
+        for path in &victims {
+            let bytes = std::fs::read(path).unwrap();
+            std::fs::write(path, &bytes[..bytes.len() - 2]).unwrap();
+        }
+        let report = audit(&dir).unwrap();
+        let fam = artifacts(&report);
+        assert_eq!(report.exit_code(), 2, "{}", report.render_text());
+        assert_eq!(fam.counter("corrupt"), 2);
+        for path in &victims {
+            let name = path.file_name().unwrap().to_str().unwrap();
+            assert!(
+                fam.notes.iter().any(|n| n.contains(name)),
+                "{name} is named: {:?}",
+                fam.notes
+            );
+            // Read-only: the broken file is still there for the runtime.
+            assert!(path.exists());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_artifact_renamed_over_the_wrong_slot_is_corrupt() {
+        let (dir, adir) = cached_store("art-rename");
+        // A valid burst artifact copied over a *different* burst slot:
+        // internally consistent, externally a lie.
+        let wrong = burst_file(&adir, 96);
+        std::fs::copy(burst_file(&adir, 32), &wrong).unwrap();
+        let report = audit(&dir).unwrap();
+        let fam = artifacts(&report);
+        assert_eq!(fam.severity, Severity::Corrupt);
+        assert_eq!(fam.counter("corrupt"), 1);
+        let name = wrong.file_name().unwrap().to_str().unwrap();
+        assert!(
+            fam.notes.iter().any(|n| n.contains(name)),
+            "{:?}",
+            fam.notes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_and_newer_artifacts_are_counted_not_corrupt() {
+        let (dir, adir) = cached_store("art-schema");
+        let payload = b"{\"makespan_ns\":1.0}";
+        for (cores, schema) in [(96, 0), (128, musa_cache::CACHE_SCHEMA_VERSION + 1)] {
+            let key = musa_cache::burst_key(hydro_trace(), cores);
+            let mut bytes = format!(
+                "{{\"schema\":{schema},\"kind\":\"burst\",\"key\":\"{}\",\"len\":{},\"crc\":{}}}\n",
+                key.to_hex(),
+                payload.len(),
+                musa_cache::crc32(payload),
+            )
+            .into_bytes();
+            bytes.extend_from_slice(payload);
+            std::fs::write(burst_file(&adir, cores), bytes).unwrap();
+        }
+        let report = audit(&dir).unwrap();
+        let fam = artifacts(&report);
+        assert_eq!(fam.severity, Severity::Ok, "{}", report.render_text());
+        assert_eq!(
+            (fam.counter("stale"), fam.counter("newer")),
+            (1, 1),
+            "{}",
+            report.render_text()
+        );
+        assert_eq!((fam.counter("burst"), fam.counter("corrupt")), (4, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

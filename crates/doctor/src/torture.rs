@@ -587,7 +587,7 @@ fn compose_faults(rng: &mut SplitMix64, workload: Workload, leg_seed: u64) -> St
 /// when the supervisor died first (the storm can kill it before it
 /// binds — the round then proceeds straight to resumes).
 fn wait_for_beacon(store: &Path, sup: &mut Child) -> io::Result<Option<String>> {
-    let beacon = store.join("dist-status.json");
+    let beacon = store.join(musa_store::DIST_STATUS_FILE);
     let start = Instant::now();
     while start.elapsed() < Duration::from_secs(30) {
         if let Ok(body) = std::fs::read_to_string(&beacon) {

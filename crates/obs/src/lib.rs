@@ -50,7 +50,6 @@ pub mod json;
 pub mod level;
 pub mod metrics;
 pub mod progress;
-pub mod prom;
 pub mod report;
 pub mod rng;
 pub mod sink;
@@ -66,7 +65,6 @@ pub use metrics::{
     counter_add, enable_metrics, gauge_set, hist_observe, metrics_enabled, reset_metrics, snapshot,
 };
 pub use progress::Progress;
-pub use prom::prometheus_text;
 pub use report::{phase_table, HistSummary, MetricsSnapshot, PhaseRow, METRICS_SCHEMA};
 pub use sink::{close_json, debug, error, event, info, set_json_path, warn, FieldValue};
 pub use span::{current_path, phase, set_span_listener, span, span_app, SpanGuard, SpanListener};

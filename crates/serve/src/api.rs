@@ -134,9 +134,6 @@ pub fn respond(engine: &QueryEngine, allow_quit: bool, req: &Request) -> (Respon
             Ok(Response::ok(body.finish()))
         }
         "/metrics" => match req.param("format") {
-            Some("prometheus") => Ok(Response::ok_prometheus(musa_obs::prometheus_text(
-                &musa_obs::snapshot(),
-            ))),
             None | Some("json") => Ok(Response::ok(
                 JsonObj::new()
                     .field_bool("observability", musa_obs::COMPILED)
@@ -145,7 +142,7 @@ pub fn respond(engine: &QueryEngine, allow_quit: bool, req: &Request) -> (Respon
             )),
             Some(other) => Err(Response::error(
                 400,
-                &format!("unknown format {other:?} (expected json or prometheus)"),
+                &format!("unknown format {other:?} (expected json)"),
             )),
         },
         "/rows" => handle_rows(engine, req),
@@ -321,22 +318,19 @@ mod tests {
     }
 
     #[test]
-    fn metrics_format_selects_prometheus_exposition() {
+    fn metrics_answers_json_only() {
         let e = engine();
-        let resp = get(&e, "/metrics?format=prometheus");
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.content_type, crate::http::PROMETHEUS_CONTENT_TYPE);
-        // The body is text exposition, not JSON: either empty (metrics
-        // registry off) or newline-terminated metric lines.
-        assert!(resp.body.is_empty() || resp.body.ends_with('\n'));
-        assert!(!resp.body.starts_with('{'));
-        // json stays the default and the explicit spelling.
-        for target in ["/metrics", "/metrics?format=json"] {
+        // json is the default and the one explicit spelling.
+        let default = get(&e, "/metrics");
+        assert_eq!(default.status, 200);
+        JsonValue::parse(&default.body).unwrap();
+        assert_eq!(get(&e, "/metrics?format=json"), default);
+        // Any other format is a 400 that names the one it accepts.
+        for target in ["/metrics?format=prometheus", "/metrics?format=xml"] {
             let resp = get(&e, target);
-            assert_eq!(resp.content_type, "application/json");
-            JsonValue::parse(&resp.body).unwrap();
+            assert_eq!(resp.status, 400, "{target}");
+            assert!(resp.body.contains("expected json"), "{}", resp.body);
         }
-        assert_eq!(get(&e, "/metrics?format=xml").status, 400);
     }
 
     #[test]
@@ -393,7 +387,7 @@ mod tests {
             .unwrap()
             .as_secs();
         std::fs::write(
-            dir.join("dist-status.json"),
+            dir.join(musa_store::DIST_STATUS_FILE),
             format!(
                 "{{\"addr\":\"127.0.0.1:9\",\"connected\":3,\"draining\":false,\
                  \"updated_unix\":{now}}}"
@@ -419,7 +413,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
-            dir.join("doctor-status.json"),
+            dir.join(musa_store::DOCTOR_STATUS_FILE),
             "{\"severity\":\"degraded\",\"exit_code\":1,\"repaired\":true,\
              \"checked_unix\":1754700000}",
         )
@@ -437,7 +431,7 @@ mod tests {
         );
 
         // Garbage beacons are ignored, not surfaced.
-        std::fs::write(dir.join("doctor-status.json"), b"not json").unwrap();
+        std::fs::write(dir.join(musa_store::DOCTOR_STATUS_FILE), b"not json").unwrap();
         let e = QueryEngine::open(&dir).unwrap();
         let body = JsonValue::parse(&get(&e, "/healthz").body).unwrap();
         assert!(body.get("doctor_severity").is_none());

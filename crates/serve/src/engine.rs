@@ -14,7 +14,7 @@ use std::io;
 use std::path::Path;
 
 use musa_core::{pareto_front_indices, ConfigResult, MetricAgg, RowMetric};
-use musa_store::{CampaignStore, StoreHealth};
+use musa_store::{CampaignStore, StoreHealth, DIST_STATUS_FILE, DOCTOR_STATUS_FILE};
 
 /// Number of filterable dimensions ([`Dim::ALL`]).
 pub const DIMENSIONS: usize = 7;
@@ -192,18 +192,6 @@ pub struct DoctorStatus {
     /// Unix time the pass finished.
     pub checked_unix: u64,
 }
-
-/// File name of the status beacon a `dse --listen` supervisor
-/// maintains in the store directory (kept in sync with
-/// `musa_dist::STATUS_FILE`; duplicated here so the read-only query
-/// server does not pull in the distributed-execution stack).
-const DIST_STATUS_FILE: &str = "dist-status.json";
-
-/// File name of the beacon `dse doctor --repair` leaves after a
-/// store-wide integrity pass (kept in sync with
-/// `musa_doctor::DOCTOR_STATUS_FILE`; duplicated for the same reason
-/// as [`DIST_STATUS_FILE`]).
-const DOCTOR_STATUS_FILE: &str = "doctor-status.json";
 
 impl QueryEngine {
     /// Index a set of results. Row ids are positions in `rows`.

@@ -42,8 +42,9 @@ pub enum ParseError {
 }
 
 /// Read from `stream` until the end of the request head (`\r\n\r\n`),
-/// enforcing `max_bytes`. Returns the raw head bytes.
-pub fn read_head(stream: &mut impl Read, max_bytes: usize) -> Result<Vec<u8>, ParseError> {
+/// failing with `TooLarge` once it outgrows `cap` bytes. Returns the
+/// raw head bytes.
+pub fn read_head(stream: &mut impl Read, cap: usize) -> Result<Vec<u8>, ParseError> {
     let mut head = Vec::with_capacity(256);
     let mut buf = [0u8; 512];
     loop {
@@ -65,7 +66,7 @@ pub fn read_head(stream: &mut impl Read, max_bytes: usize) -> Result<Vec<u8>, Pa
             head.truncate(end);
             return Ok(head);
         }
-        if head.len() > max_bytes {
+        if head.len() > cap {
             return Err(ParseError::TooLarge);
         }
     }
@@ -152,38 +153,19 @@ pub fn percent_decode(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-/// The Prometheus text exposition content type (the version suffix is
-/// part of the format spec and scrapers key on it).
-pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// A response ready to be written.
+/// A response ready to be written. Every body is JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Response body.
     pub body: String,
-    /// Content-Type header value.
-    pub content_type: &'static str,
 }
 
 impl Response {
     /// A 200 with a JSON body.
     pub fn ok(body: String) -> Response {
-        Response {
-            status: 200,
-            body,
-            content_type: "application/json",
-        }
-    }
-
-    /// A 200 with a Prometheus text-exposition body.
-    pub fn ok_prometheus(body: String) -> Response {
-        Response {
-            status: 200,
-            body,
-            content_type: PROMETHEUS_CONTENT_TYPE,
-        }
+        Response { status: 200, body }
     }
 
     /// An error status with a canonical `{"error": …}` body.
@@ -194,7 +176,6 @@ impl Response {
                 .field_u64("status", status as u64)
                 .field_str("error", message)
                 .finish(),
-            content_type: "application/json",
         }
     }
 }
@@ -217,10 +198,9 @@ pub fn reason(status: u16) -> &'static str {
 /// Serialise and write a response; always closes the connection after.
 pub fn write_response(stream: &mut impl Write, resp: &Response) -> io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
         reason(resp.status),
-        resp.content_type,
         resp.body.len(),
     );
     if resp.status == 503 {

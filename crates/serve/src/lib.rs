@@ -23,10 +23,10 @@
 //!   never an unbounded queue), slow peers are bounded by socket
 //!   timeouts (`408`), and shutdown drains everything already queued.
 //!
-//! Endpoints: `/healthz`, `/metrics` (JSON by default,
-//! `?format=prometheus` for text exposition), `/rows`, `/best`,
-//! `/pareto`, `/summary` (and `/quit` when explicitly enabled). See
-//! `DESIGN.md` for schemas and the load-shedding policy.
+//! Endpoints: `/healthz`, `/metrics` (the JSON metrics snapshot),
+//! `/rows`, `/best`, `/pareto`, `/summary` (and `/quit` when
+//! explicitly enabled). See `DESIGN.md` for schemas and the
+//! load-shedding policy.
 //!
 //! Observability rides on `musa-obs` and compiles out with
 //! `--no-default-features` like everywhere else in the workspace; the

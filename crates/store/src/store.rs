@@ -54,6 +54,18 @@ pub const DEFAULT_WRITE_FILE: &str = "rows.jsonl";
 /// per line). Never loaded as campaign data.
 pub const QUARANTINE_FILE: &str = "quarantine.jsonl";
 
+/// Liveness beacon a `dse --workers` supervisor keeps in the store
+/// directory: `{"addr":..,"connected":..,"draining":..,"updated_unix":..}`,
+/// rewritten atomically. `musa-serve`'s `/healthz` and the smoke
+/// scripts (port discovery for `--listen 127.0.0.1:0`) read it.
+pub const DIST_STATUS_FILE: &str = "dist-status.json";
+
+/// Verdict beacon `dse doctor --repair` leaves in the store directory:
+/// `{"severity":..,"exit_code":..,"repaired":..,"checked_unix":..}`,
+/// written atomically. `musa-serve`'s `/healthz` surfaces it so
+/// operators can see when a store was last audited.
+pub const DOCTOR_STATUS_FILE: &str = "doctor-status.json";
+
 /// Size cap (bytes) at which [`QUARANTINE_FILE`] rotates to
 /// `quarantine.1.jsonl` before the next append: existing rotations
 /// shift up and the one past [`QUARANTINE_KEEP`] is dropped (its loss

@@ -45,6 +45,15 @@ if grep -rn 'open_sharde[d]\|open_with_write_fil[e]\|in_shar[d]\|metrics_pro[m]\
     exit 1
 fi
 
+# One inspector of the artifact cache (`dse doctor`) and one `/metrics`
+# format (JSON): the cache verbs the doctor absorbed, gc's size budget
+# and the Prometheus rendering must not come back.
+if grep -rn 'prometheus_tex[t]\|ok_prometheu[s]\|PROMETHEUS_CONTENT_TYP[E]\|VerifyVerdic[t]\|VerifyRepor[t]\|CacheCm[d]\|--max-byte[s]\|max_byte[s]\|cache stat[s]\|cache verif[y]' \
+    Cargo.toml crates src tests examples scripts; then
+    echo "check: FAIL — a deleted cache verb, gc budget or metrics format is named above" >&2
+    exit 1
+fi
+
 # One recipe for `results/` (`dse report`): the twelve figure binaries,
 # their argv scan and the two environment knobs that served them must
 # not come back.
