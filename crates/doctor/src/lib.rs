@@ -682,6 +682,13 @@ mod tests {
 
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Held by every test that calls [`audit`] or [`repair`]:
+    /// `doctor_failpoints_fire` installs a process-wide fault plan that
+    /// would fail them.
+    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("musa-doctor-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -691,6 +698,7 @@ mod tests {
 
     #[test]
     fn empty_store_audits_clean() {
+        let _lock = fault_lock();
         let dir = tdir("empty");
         let report = audit(&dir).unwrap();
         assert_eq!(report.severity(), Severity::Ok);
@@ -714,6 +722,7 @@ mod tests {
 
     #[test]
     fn missing_dir_is_an_error() {
+        let _lock = fault_lock();
         let dir = std::env::temp_dir().join(format!("musa-doctor-nope-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert!(audit(&dir).is_err());
@@ -722,6 +731,7 @@ mod tests {
 
     #[test]
     fn lease_journal_corruption_is_quarantined_and_repaired() {
+        let _lock = fault_lock();
         let dir = tdir("leases");
         // One valid grant event, one garbage interior line, one torn tail.
         let (journal, _) = musa_store::LeaseJournal::open(&dir).unwrap();
@@ -768,6 +778,7 @@ mod tests {
 
     #[test]
     fn search_journal_torn_tail_is_truncated() {
+        let _lock = fault_lock();
         let dir = tdir("search-torn");
         let sdir = dir.join(musa_search::SEARCH_DIR);
         std::fs::create_dir_all(&sdir).unwrap();
@@ -796,6 +807,7 @@ mod tests {
 
     #[test]
     fn search_journal_interior_corruption_is_preserved_whole() {
+        let _lock = fault_lock();
         let dir = tdir("search-corrupt");
         let sdir = dir.join(musa_search::SEARCH_DIR);
         std::fs::create_dir_all(&sdir).unwrap();
@@ -828,6 +840,7 @@ mod tests {
 
     #[test]
     fn corrupt_profile_lines_are_quarantined_then_harvested() {
+        let _lock = fault_lock();
         let dir = tdir("profiles");
         std::fs::write(
             dir.join(musa_prof::PROFILES_FILE),
@@ -1042,6 +1055,7 @@ mod tests {
 
     #[test]
     fn artifact_tmp_litter_is_quarantined() {
+        let _lock = fault_lock();
         let dir = tdir("artifacts");
         let adir = dir.join(musa_cache::ARTIFACT_DIR);
         std::fs::create_dir_all(&adir).unwrap();
@@ -1095,6 +1109,7 @@ mod tests {
 
     #[test]
     fn artifacts_are_tallied_and_every_corrupt_file_is_named() {
+        let _lock = fault_lock();
         let (dir, adir) = cached_store("art-corrupt");
         let report = audit(&dir).unwrap();
         let fam = artifacts(&report);
@@ -1133,6 +1148,7 @@ mod tests {
 
     #[test]
     fn an_artifact_renamed_over_the_wrong_slot_is_corrupt() {
+        let _lock = fault_lock();
         let (dir, adir) = cached_store("art-rename");
         // A valid burst artifact copied over a *different* burst slot:
         // internally consistent, externally a lie.
@@ -1153,6 +1169,7 @@ mod tests {
 
     #[test]
     fn stale_and_newer_artifacts_are_counted_not_corrupt() {
+        let _lock = fault_lock();
         let (dir, adir) = cached_store("art-schema");
         let payload = b"{\"makespan_ns\":1.0}";
         for (cores, schema) in [(96, 0), (128, musa_cache::CACHE_SCHEMA_VERSION + 1)] {
@@ -1182,6 +1199,7 @@ mod tests {
 
     #[test]
     fn corrupt_rows_end_in_quarantine() {
+        let _lock = fault_lock();
         let dir = tdir("rows");
         std::fs::write(dir.join("dist-l0001-a1.jsonl"), "garbage row\n").unwrap();
         let report = audit(&dir).unwrap();
@@ -1205,7 +1223,7 @@ mod tests {
             // no-ops by design; nothing to observe.
             return;
         }
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _lock = fault_lock();
         let dir = tdir("faults");
         musa_fault::set_plan(Some(
             musa_fault::FaultPlan::parse("seed=1,doctor.scan=io@1.0").unwrap(),
@@ -1225,6 +1243,7 @@ mod tests {
 
     #[test]
     fn status_beacon_is_written_and_parsable() {
+        let _lock = fault_lock();
         let dir = tdir("beacon");
         let report = audit(&dir).unwrap();
         write_status(&dir, &report).unwrap();

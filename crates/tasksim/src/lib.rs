@@ -14,11 +14,10 @@
 //!    instructions, gated by each kernel's basic-block repeat length;
 //! 3. [`pipeline`] — a windowed out-of-order dataflow timing model (ROB,
 //!    issue width, FU pools, MSHRs, store buffer) producing steady-state
-//!    cycles per iteration with real and with perfect memory in one walk;
-//! 4. [`profile`] — per-kernel characterisation (timing split into
-//!    core-bound and memory-bound components, per-iteration statistics),
-//!    and the per-trace table that keeps each stage of it for the
-//!    configuration axes the stage reads;
+//!    cycles per iteration, one walk per window;
+//! 4. [`profile`] — per-kernel characterisation (cycles and statistics
+//!    per iteration), and the per-trace table that keeps each stage of it
+//!    for the configuration axes the stage reads;
 //! 5. [`multicore`] — the runtime-system simulation: task scheduling,
 //!    parallel-loop chunking, dependencies, critical sections, spawn and
 //!    dispatch overheads that do not scale with simulated frequency;

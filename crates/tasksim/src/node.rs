@@ -4,7 +4,7 @@
 
 use musa_arch::NodeConfig;
 use musa_mem::{ChannelStats, DramTiming};
-use musa_trace::{ComputeRegion, DetailedTrace, Kernel, KernelId};
+use musa_trace::{ComputeRegion, DetailedTrace, Kernel, KernelId, WorkItem};
 
 use crate::geometry::CacheGeometry;
 use crate::locality::kernel_footprint_bytes;
@@ -40,6 +40,16 @@ pub fn effective_bandwidth_gbs(mem: musa_arch::MemConfig) -> f64 {
     };
     mem.peak_bandwidth_gbs().min(uncore) * efficiency
 }
+
+/// Per-item detailed duration (ns, uncontended), statistics and DRAM
+/// bytes.
+type ItemCost = (f64, SimStats, f64);
+
+/// The kernel a [`NodeSim::simulate_region`] call profiled last, with
+/// its trip count: every item of the five applications invokes one
+/// kernel, so the profile table is asked once per region, not once per
+/// invocation. A different kernel id replaces it.
+type LastKernel = Option<(KernelId, u32, KernelProfile)>;
 
 /// Result of simulating one compute region in detailed mode.
 #[derive(Debug, Clone)]
@@ -136,20 +146,25 @@ impl<'a> NodeSim<'a> {
         )
     }
 
-    /// Per-item detailed duration (ns, uncontended), statistics and DRAM
-    /// bytes.
-    fn item_cost(&self, item_idx: usize, region: &ComputeRegion) -> (f64, SimStats, f64) {
+    /// An item's cost, its kernels profiled through `last`.
+    fn item_cost(&self, item: &WorkItem, last: &mut LastKernel) -> ItemCost {
         let ghz = self.config.freq.ghz();
-        let item = &region.work.items()[item_idx];
         let mut dur = 0.0;
         let mut stats = SimStats::default();
         let mut bytes = 0.0;
         for inv in &item.kernels {
-            let Some(kernel) = self.detail.kernel(inv.kernel) else {
-                continue;
+            let (trip_count, p) = match *last {
+                Some((id, trips, p)) if id == inv.kernel => (trips, p),
+                _ => {
+                    let Some(kernel) = self.detail.kernel(inv.kernel) else {
+                        continue;
+                    };
+                    let p = self.profile_of(kernel);
+                    *last = Some((inv.kernel, kernel.trip_count, p));
+                    (kernel.trip_count, p)
+                }
             };
-            let trips = inv.trips.unwrap_or(kernel.trip_count);
-            let p = self.profile_of(kernel);
+            let trips = inv.trips.unwrap_or(trip_count);
             dur += p.duration_ns(trips, ghz);
             stats.merge(&p.stats_per_iter.scaled(trips as f64));
             bytes += p.mem_bytes_per_iter * trips as f64;
@@ -168,18 +183,25 @@ impl<'a> NodeSim<'a> {
     /// `max(core_time, dram_bytes / fair_bandwidth_share)`, with the fair
     /// share determined by the achieved concurrency.
     pub fn simulate_region(&mut self, region: &ComputeRegion) -> DetailedRegionResult {
-        let cores = self.config.cores.count();
-        let n = region.work.items().len();
+        let mut last = None;
+        let base = region
+            .work
+            .items()
+            .iter()
+            .map(|item| self.item_cost(item, &mut last))
+            .collect();
+        self.contend(region, base)
+    }
 
-        // Pre-compute per-item base costs.
-        let mut base: Vec<(f64, SimStats, f64)> = Vec::with_capacity(n);
+    /// [`NodeSim::simulate_region`] from the items' uncontended costs.
+    fn contend(&self, region: &ComputeRegion, base: Vec<ItemCost>) -> DetailedRegionResult {
+        let cores = self.config.cores.count();
+        let n = base.len();
         let mut total_stats = SimStats::default();
         let mut total_bytes = 0.0;
-        for i in 0..n {
-            let c = self.item_cost(i, region);
-            total_stats.merge(&c.1);
-            total_bytes += c.2;
-            base.push(c);
+        for (_, stats, bytes) in &base {
+            total_stats.merge(stats);
+            total_bytes += bytes;
         }
 
         let cap_gbs = effective_bandwidth_gbs(self.config.mem);
@@ -356,6 +378,95 @@ mod tests {
             active < 32,
             "most cores must stay idle (Fig. 3): {active} active"
         );
+    }
+
+    /// A region whose items invoke two kernels interleaved, none, and an
+    /// unknown kernel id: `simulate_region` equals the contention step
+    /// applied to item costs composed from `profile_kernel` per
+    /// invocation.
+    #[test]
+    fn one_lookup_per_kernel_equals_profiling_every_invocation() {
+        use crate::profile::profile_kernel;
+        use musa_trace::{KernelInvocation, RegionWork, WorkItem};
+
+        let kernels: Vec<Kernel> = [AppId::Hydro, AppId::Btmz]
+            .into_iter()
+            .zip(10..)
+            .map(|(app, id)| {
+                let trace = generate(app, &GenParams::tiny());
+                let k = trace.detail.as_ref().unwrap().kernels[0].clone();
+                Kernel { id, ..k }
+            })
+            .collect();
+        let detail = DetailedTrace {
+            app: "synthetic".into(),
+            region_id: 0,
+            kernels,
+        };
+        let item = |id: u32, invocations: &[(KernelId, Option<u32>)]| WorkItem {
+            id,
+            duration_ns: 1_000.0 * f64::from(id + 1),
+            deps: vec![],
+            critical_ns: 100.0 * f64::from(id),
+            kernels: invocations
+                .iter()
+                .map(|&(kernel, trips)| KernelInvocation { kernel, trips })
+                .collect(),
+        };
+        let items = vec![
+            item(0, &[(10, None), (11, Some(5)), (10, Some(3)), (11, None)]),
+            item(1, &[]),
+            item(2, &[(11, None), (77, None), (10, Some(7))]),
+            item(3, &[(10, None), (11, Some(2))]),
+        ];
+        let region = ComputeRegion {
+            region_id: 0,
+            name: "synthetic".into(),
+            work: RegionWork::Tasks { items },
+            spawn_overhead_ns: 50.0,
+            dispatch_overhead_ns: 20.0,
+        };
+        for cfg in [
+            NodeConfig::REFERENCE,
+            cfg64().with_mem(MemConfig::DDR4_8CH),
+            NodeConfig::REFERENCE.with_cores(CoresPerNode::C1),
+        ] {
+            let mut sim = NodeSim::new(cfg, &detail, &region);
+            let ghz = cfg.freq.ghz();
+            let profile = |id| {
+                let k = detail.kernel(id).unwrap();
+                profile_kernel(k, &cfg, sim.geometry(), sim.region_ws_bytes)
+            };
+            assert_ne!(
+                format!("{:?}", profile(10)),
+                format!("{:?}", profile(11)),
+                "the two interleaved kernels profile apart"
+            );
+            let want: Vec<ItemCost> = region
+                .work
+                .items()
+                .iter()
+                .map(|item| {
+                    let (mut dur, mut stats, mut bytes) = (0.0, SimStats::default(), 0.0);
+                    for inv in &item.kernels {
+                        let Some(k) = detail.kernel(inv.kernel) else {
+                            continue;
+                        };
+                        let p = profile(k.id);
+                        let trips = inv.trips.unwrap_or(k.trip_count);
+                        dur += p.duration_ns(trips, ghz);
+                        stats.merge(&p.stats_per_iter.scaled(trips as f64));
+                        bytes += p.mem_bytes_per_iter * trips as f64;
+                    }
+                    if item.kernels.is_empty() {
+                        dur = item.duration_ns * 2.6 / ghz;
+                    }
+                    (dur, stats, bytes)
+                })
+                .collect();
+            let want = format!("{:?}", sim.contend(&region, want));
+            assert_eq!(format!("{:?}", sim.simulate_region(&region)), want, "{cfg}");
+        }
     }
 
     #[test]

@@ -9,69 +9,47 @@
 //! buffer. The walk's steady-state cycles per iteration is extrapolated
 //! to the kernel's full trip count by the profiler.
 //!
-//! **Each lane stops when it settles.** After [`WARMUP_ITERS`] warm-up
-//! iterations a lane measures blocks of [`BLOCK_ITERS`] iterations, and
+//! **A walk stops when it settles.** After [`WARMUP_ITERS`] warm-up
+//! iterations a walk measures blocks of [`BLOCK_ITERS`] iterations, and
 //! it stops at the first block whose span (cycles) agrees with the
 //! previous block's within [`SETTLE_EPS`], relatively. Its estimate is
-//! the span since warm-up divided by the iterations measured; a lane
+//! the span since warm-up divided by the iterations measured; a walk
 //! that never settles stops at the cap, [`MEASURE_ITERS`], with exactly
-//! the estimate of a fixed-length walk. The walk ends when every lane
-//! has stopped. This is a declared model change against the fixed
-//! 216-iteration walk, kept under `#[cfg(test)]` as the reference; on
-//! the paper slice no lane lands more than 1 % from it, while 64-bit
-//! lanes of the expanded space reach 1.5 % (EXPERIMENTS.md, "Window
-//! length", scores the cut). The rule reads only its own lane's
-//! times, so lanes stay independent: a lane's value and stop point are
-//! the same in a one-lane and a two-lane walk, and the profile table's
-//! sharing (below) stays exact.
+//! the estimate of a fixed-length walk. This is a declared model change
+//! against the fixed 216-iteration walk, kept under `#[cfg(test)]` as
+//! the reference; on the paper slice no walk lands more than 1 % from
+//! it, while 64-bit walks of the expanded space reach 1.5 %
+//! (EXPERIMENTS.md, "Window length", scores the cut).
 //!
-//! **Two lanes, one walk.** The profiler times every window twice: with
-//! real DRAM (lane 0) and with "perfect" memory, DRAM serviced at L3
-//! latency (lane 1), to split core-bound from memory-bound cycles. One
-//! walk advances both lanes in lockstep, every time value being a
-//! `[real, perfect]` pair. This is exact because the level an access
-//! draws depends only on its template's mix — the [`LevelSampler`] never
-//! reads a time — so both passes draw the same level sequence and one
-//! draw serves both lanes. Levels 0–2 cost the same in both, so the lanes
-//! stay bit-equal until the first level-3 draw; after it their times
-//! differ and each lane picks its own functional unit. The walk is
-//! latency-bound (chains through dispatch, the FU pools, the producers'
-//! finish times and the ROB), and two independent chains in one step let
-//! the CPU overlap them.
-//!
-//! **The lane count is generic.** The perfect-memory lane reads neither
-//! the frequency nor the memory technology, so the profile table
-//! (`crate::profile`) often already knows it when a real lane is still
-//! missing: [`window_cycles`] takes the number of lanes `N` as a
-//! constant, 1 or 2, and lane 0 is always the real one (the only one
-//! with MSHR bookkeeping). Lanes never read each other's times, so the
-//! real lane of a one-lane walk is the real lane of a two-lane walk, bit
-//! for bit. One loop serves both counts; it is inlined into each caller,
-//! which keeps the two-lane walk as fast as the loop written for two.
+//! **One memory per walk.** A walk times real DRAM, or — when
+//! [`ServiceLatencies`] says so — "perfect" memory: a level-3 draw is
+//! serviced at L3 latency and never waits for an MSHR. The profiler walks
+//! real memory only; the node simulation prices bandwidth contention on
+//! top of it as a roofline.
 //!
 //! **DRAM-free windows.** Whether a walk ever draws level 3 is a property
 //! of the body alone ([`draws_dram`] replays the draws without the
-//! times). The lanes differ only at a level-3 draw — its service and
-//! stall, and the real lane's MSHR wait — so a body that never draws it
-//! walks both lanes bit-equal, and that lane reads neither the frequency
-//! nor the DRAM latency. Everything else a walk reads, apart from the
+//! times): the [`LevelSampler`] never reads a time. A body that never
+//! draws it reads neither the frequency nor the DRAM latency, so its
+//! real walk is one value at every frequency and technology, and equals
+//! its perfect-memory walk. Everything else a walk reads, apart from the
 //! core class, is [`walk_input`]: the profile table keys its walks by
-//! that content, and one walk of a DRAM-free input serves its perfect
-//! lane and its real lane at every frequency and technology.
+//! that content, and one walk of a DRAM-free input serves every
+//! frequency and technology.
 //!
 //! **Fixed rings.** The ROB and the store buffer never hold more than
 //! `rob` / `store_buffer` entries: an instruction arriving at a full one
 //! first waits for the oldest entry, which leaves. Each is a ring whose
 //! oldest slot is read, then overwritten; a slot never written reads as
 //! time 0, which no dispatch or issue time undercuts. MSHRs are subtler:
-//! every level-3 load of the real lane takes one (stream-prefetched ones
-//! included), but only a demand miss waits — for every outstanding entry
-//! except the `MSHRS - 1` newest. So the MSHR ring keeps those newest
-//! entries plus the running max of the ones pushed out of it, which the
-//! next demand miss consumes. Every float operation takes the operands of
-//! the two-pass loop it replaced, in the same order, so both lanes are
-//! bit-identical to it (asserted against that loop, kept as the test
-//! oracle).
+//! every level-3 load takes one (stream-prefetched ones included), but
+//! only a demand miss waits — for every outstanding entry except the
+//! `MSHRS - 1` newest. So the MSHR ring keeps those newest entries plus
+//! the running max of the ones pushed out of it, which the next demand
+//! miss consumes. Every float operation takes the operands of the
+//! two-pass loop it replaced, in the same order, so a walk in either
+//! memory is bit-identical to it (asserted against that loop, kept as
+//! the test oracle).
 //!
 //! **Sorted pools.** The walk asks a functional-unit pool (ALUs, FPUs, the
 //! load/store ports) two things: when its earliest unit is free, and to
@@ -126,18 +104,18 @@ const MAX_UNITS: usize = {
 };
 /// Warm-up fused iterations discarded before measuring.
 const WARMUP_ITERS: u32 = 24;
-/// Most fused iterations a lane measures: one that never settles stops
+/// Most fused iterations a walk measures: one that never settles stops
 /// here.
 const MEASURE_ITERS: u32 = 192;
 /// Fused iterations per block of the stop rule.
 const BLOCK_ITERS: u32 = 24;
 /// Largest relative difference between two successive blocks' spans at
-/// which a lane has settled.
+/// which a walk has settled.
 const SETTLE_EPS: f64 = 0.0075;
 
-/// When a lane of a walk stops measuring: at the end of the first block
-/// of `block` iterations whose span agrees with the previous block's
-/// within `eps` (relative), or at the cap.
+/// When a walk stops measuring: at the end of the first block of
+/// `block` iterations whose span agrees with the previous block's within
+/// `eps` (relative), or at the cap.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StopRule {
     block: u32,
@@ -157,18 +135,15 @@ impl StopRule {
     }
 }
 
-/// One lane of a walk: cycles per fused iteration, and the iterations
+/// What a walk found: cycles per fused iteration, and the iterations
 /// measured after warm-up when it stopped.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     pub(crate) cycles: f64,
-    /// Read by the tests, which check where each lane stopped.
+    /// Read by the tests, which check where each walk stopped.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) measured: u32,
 }
-
-/// The real-memory lane, the only one with MSHR bookkeeping.
-const REAL: usize = 0;
 
 /// Execution latency (cycles) of non-memory operations.
 fn op_latency(op: Op) -> f64 {
@@ -191,9 +166,8 @@ pub struct ServiceLatencies {
     l3: f64,
     /// Core frequency in GHz (converts per-template DRAM ns).
     ghz: f64,
-    /// When true, [`cycles_per_fused_iter`] returns the perfect-memory
-    /// lane (DRAM accesses serviced at L3 latency) — used to split
-    /// core-bound from memory-bound cycles — else the real one.
+    /// When true, a walk times perfect memory: DRAM accesses serviced at
+    /// L3 latency, without MSHR waits.
     perfect_mem: bool,
 }
 
@@ -243,8 +217,8 @@ enum Unit {
     Store,
 }
 
-/// One fused instruction, compiled for a walk of `N` lanes.
-struct Step<const N: usize> {
+/// One fused instruction, compiled for a walk.
+struct Step {
     unit: Unit,
     /// Cycles from issue to the result (memory: to the port's release).
     latency: f64,
@@ -257,18 +231,17 @@ struct Step<const N: usize> {
     template: usize,
     /// Service-level probabilities (memory only).
     mix: [f64; 4],
-    /// A level-3 draw is a demand miss (not stream-prefetched): in the
-    /// real lane it waits for the MSHRs.
+    /// A level-3 draw waits for the MSHRs: a demand miss (not
+    /// stream-prefetched) to real memory.
     demand_miss: bool,
-    /// Service latency per level and lane.
-    service: [[f64; N]; 4],
-    /// Dispatch stall per level and lane (loads beyond L1 only; zero
-    /// otherwise).
-    stall: [[f64; N]; 4],
+    /// Service latency per level.
+    service: [f64; 4],
+    /// Dispatch stall per level (loads beyond L1 only; zero otherwise).
+    stall: [f64; 4],
 }
 
-/// Flatten the body for one walk of `N` lanes at `lat`.
-fn compile<const N: usize>(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step<N>> {
+/// Flatten the body for one walk at `lat`.
+fn compile(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step> {
     let sentinel = body.n_templates;
     let slot = |t: u16| {
         let t = usize::from(t);
@@ -294,12 +267,14 @@ fn compile<const N: usize>(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step
                 template: slot(ins.template),
                 mix: [0.0; 4],
                 demand_miss: false,
-                service: [[0.0; N]; 4],
-                stall: [[0.0; N]; 4],
+                service: [0.0; 4],
+                stall: [0.0; 4],
             };
             if let Unit::Load | Unit::Store = unit {
                 let loc = ins.locality.expect("memory op has locality");
-                let dram = if loc.row_friendly {
+                let dram = if lat.perfect_mem {
+                    lat.l3
+                } else if loc.row_friendly {
                     // Stream-prefetched: latency mostly hidden; the line
                     // arrives near the L2.
                     lat.l2 + PREFETCH_EXPOSED * loc.mem_latency_ns * lat.ghz
@@ -308,12 +283,11 @@ fn compile<const N: usize>(body: &FusedBody, lat: &ServiceLatencies) -> Vec<Step
                     lat.l3 + loc.mem_latency_ns * lat.ghz
                 };
                 step.mix = [loc.mix.p_l1, loc.mix.p_l2, loc.mix.p_l3, loc.mix.p_mem];
-                step.demand_miss = !loc.row_friendly;
-                let level3 = std::array::from_fn(|l| if l == REAL { dram } else { lat.l3 });
-                step.service = [[lat.l1; N], [lat.l2; N], [lat.l3; N], level3];
+                step.demand_miss = !loc.row_friendly && !lat.perfect_mem;
+                step.service = [lat.l1, lat.l2, lat.l3, dram];
                 if unit == Unit::Load {
                     for level in 1..4 {
-                        step.stall[level] = step.service[level].map(|s| L1_MISS_DISPATCH_STALL * s);
+                        step.stall[level] = L1_MISS_DISPATCH_STALL * step.service[level];
                     }
                 }
             }
@@ -413,179 +387,138 @@ impl<const P: usize> Pool<P> {
 /// Steady-state timing of a fused body on one core.
 ///
 /// Returns cycles per *fused* iteration, with real memory or — when
-/// `lat` says so — perfect memory: a one-lane [`window_cycles`] walk for
-/// the real lane, a two-lane one for the perfect lane.
+/// `lat` says so — perfect memory.
 pub fn cycles_per_fused_iter(body: &FusedBody, ooo: &OooParams, lat: &ServiceLatencies) -> f64 {
-    if lat.perfect_mem {
-        window_cycles::<2>(body, ooo, lat, StopRule::SETTLED)[1].cycles
-    } else {
-        window_cycles::<1>(body, ooo, lat, StopRule::SETTLED)[REAL].cycles
-    }
+    window_cycles(body, ooo, lat, StopRule::SETTLED).cycles
 }
 
-/// Steady-state cycles per *fused* iteration of a body on one core, one
-/// walk for `N` lanes: `[real]` or `[real, perfect]` (`lat.perfect_mem`
-/// is not read), each lane stopping by `rule`.
+/// Steady-state cycles per *fused* iteration of a body on one core, in
+/// the memory `lat` names, the walk stopping by `rule`. Inlined into each
+/// caller: one shared copy walked the profile table's windows ≈ 8 %
+/// slower (see DESIGN.md, "One window walk").
 #[inline(always)]
-pub(crate) fn window_cycles<const N: usize>(
+pub(crate) fn window_cycles(
     body: &FusedBody,
     ooo: &OooParams,
     lat: &ServiceLatencies,
     rule: StopRule,
-) -> [Lane; N] {
-    const { assert!(N == 1 || N == 2, "lane 0 is real memory, lane 1 perfect") };
+) -> Lane {
     if body.instrs.is_empty() {
-        return [Lane {
+        return Lane {
             cycles: 0.0,
             measured: 0,
-        }; N];
+        };
     }
-    let steps = compile::<N>(body, lat);
+    let steps = compile(body, lat);
     let dispatch_interval = 1.0 / ooo.issue_width as f64;
 
     // Per-template last completion time, plus the sentinel slot.
-    let mut last_finish = vec![[0.0_f64; N]; body.n_templates + 1];
+    let mut last_finish = vec![0.0_f64; body.n_templates + 1];
     let mut samplers = vec![LevelSampler::default(); body.n_templates];
     // Completion times of the ROB's entries and store-buffer release
     // times.
-    let mut rob = Ring::new(ooo.rob as usize, [0.0_f64; N]);
-    let mut store_buf = Ring::new(ooo.store_buffer.max(1) as usize, [0.0_f64; N]);
-    // The real lane's newest outstanding off-chip misses, and the latest
-    // completion among those pushed out since the last demand miss.
+    let mut rob = Ring::new(ooo.rob as usize, 0.0_f64);
+    let mut store_buf = Ring::new(ooo.store_buffer.max(1) as usize, 0.0_f64);
+    // The newest outstanding off-chip misses, and the latest completion
+    // among those pushed out since the last demand miss.
     let mut mshrs = Ring::new(MSHRS - 1, 0.0_f64);
     let mut mshr_evicted = 0.0_f64;
-    // Functional-unit pools, per lane.
-    let mut alus = [Pool::<MAX_UNITS>::new(ooo.alus); N];
-    let mut fpus = [Pool::<MAX_UNITS>::new(ooo.fpus); N];
-    let mut lsus = [Pool::<LSU_PORTS>::new(LSU_PORTS as u32); N];
+    // Functional-unit pools.
+    let mut alus = Pool::<MAX_UNITS>::new(ooo.alus);
+    let mut fpus = Pool::<MAX_UNITS>::new(ooo.fpus);
+    let mut lsus = Pool::<LSU_PORTS>::new(LSU_PORTS as u32);
 
-    let mut t_dispatch = [0.0_f64; N];
-    let mut t_end = [0.0_f64; N];
-    // Per lane: when warm-up ended, when the last block ended and how
-    // long it took, and the result once the lane has stopped.
-    let mut t_warm_end = [0.0_f64; N];
-    let mut t_block_end = [0.0_f64; N];
-    let mut block_span = [0.0_f64; N];
-    let mut lanes: [Option<Lane>; N] = [None; N];
+    let mut t_dispatch = 0.0_f64;
+    let mut t_end = 0.0_f64;
+    // When warm-up ended, and when the last block ended and how long it
+    // took.
+    let mut t_warm_end = 0.0_f64;
+    let mut t_block_end = 0.0_f64;
+    let mut block_span = 0.0_f64;
 
     for iters in 1..=WARMUP_ITERS + MEASURE_ITERS {
         for s in &steps {
             // ROB space: dispatch stalls until the head committed; then
             // operand readiness.
-            let head = rob.head();
-            let producer = last_finish[s.dep];
-            let mut ready = [0.0_f64; N];
-            for l in 0..N {
-                t_dispatch[l] = later(head[l], t_dispatch[l]) + dispatch_interval;
-                ready[l] = later(producer[l], t_dispatch[l]);
-            }
+            t_dispatch = later(rob.head(), t_dispatch) + dispatch_interval;
+            let ready = later(last_finish[s.dep], t_dispatch);
 
             // Functional unit and service latency.
-            let mut finish = [0.0_f64; N];
-            match s.unit {
-                Unit::Alu | Unit::Fpu => {
-                    for l in 0..N {
-                        let pool = if s.unit == Unit::Alu {
-                            &mut alus[l]
-                        } else {
-                            &mut fpus[l]
-                        };
-                        let issue = later(ready[l], pool.free());
-                        pool.take(issue + s.occupancy);
-                        finish[l] = issue + s.latency;
-                    }
-                }
+            // A unit of `pool` issues the step when ready.
+            let compute = |pool: &mut Pool<MAX_UNITS>| {
+                let issue = later(ready, pool.free());
+                pool.take(issue + s.occupancy);
+                issue + s.latency
+            };
+            let finish = match s.unit {
+                // One arm per pool, so that neither is picked by address.
+                Unit::Alu => compute(&mut alus),
+                Unit::Fpu => compute(&mut fpus),
                 Unit::Load | Unit::Store => {
-                    let mut issue = [0.0_f64; N];
-                    for l in 0..N {
-                        issue[l] = later(ready[l], lsus[l].free());
-                    }
+                    let mut issue = later(ready, lsus.free());
                     let level = samplers[s.template].pick(s.mix);
                     if level == 3 && s.demand_miss {
                         // Demand miss: wait for every outstanding miss
                         // but the `MSHRS - 1` newest.
-                        issue[REAL] = later(mshr_evicted, issue[REAL]);
+                        issue = later(mshr_evicted, issue);
                         mshr_evicted = 0.0;
                     }
-                    let service = s.service[level];
                     // Zero for stores and L1 hits: adding it leaves a
                     // (positive) dispatch time's bits unchanged.
-                    let stall = s.stall[level];
-                    for l in 0..N {
-                        t_dispatch[l] += stall[l];
-                    }
+                    t_dispatch += s.stall[level];
                     if s.unit == Unit::Store {
                         // Store retires quickly into the buffer; the
                         // buffer entry drains at the service latency.
-                        let oldest = store_buf.head();
-                        let mut release = [0.0_f64; N];
-                        for l in 0..N {
-                            issue[l] = later(oldest[l], issue[l]);
-                            lsus[l].take(issue[l] + s.latency);
-                            release[l] = issue[l] + service[l];
-                            finish[l] = issue[l] + s.latency;
-                        }
-                        store_buf.push(release);
+                        issue = later(store_buf.head(), issue);
+                        lsus.take(issue + s.latency);
+                        store_buf.push(issue + s.service[level]);
+                        issue + s.latency
                     } else {
-                        for l in 0..N {
-                            let freed = issue[l] + s.latency;
-                            lsus[l].take(freed);
-                            finish[l] = freed + service[l];
-                        }
+                        let freed = issue + s.latency;
+                        lsus.take(freed);
+                        let finish = freed + s.service[level];
                         if level == 3 {
-                            mshr_evicted = later(mshrs.push(finish[REAL]), mshr_evicted);
+                            mshr_evicted = later(mshrs.push(finish), mshr_evicted);
                         }
+                        finish
                     }
                 }
-            }
+            };
 
             last_finish[s.template] = finish;
             rob.push(finish);
-            for l in 0..N {
-                t_end[l] = later(finish[l], t_end[l]);
-            }
+            t_end = later(finish, t_end);
         }
         if iters == WARMUP_ITERS {
-            for l in 0..N {
-                t_warm_end[l] = later(t_end[l], t_dispatch[l]);
-                t_block_end[l] = t_warm_end[l];
-            }
+            t_warm_end = later(t_end, t_dispatch);
+            t_block_end = t_warm_end;
         }
         let measured = iters.saturating_sub(WARMUP_ITERS);
         if measured == 0 || measured % rule.block != 0 {
             continue;
         }
-        for l in 0..N {
-            if lanes[l].is_some() {
-                continue;
-            }
-            let t = later(t_end[l], t_dispatch[l]);
-            let span = t - t_block_end[l];
-            let settled =
-                measured > rule.block && (span - block_span[l]).abs() <= rule.eps * block_span[l];
-            if settled || measured == MEASURE_ITERS {
-                lanes[l] = Some(Lane {
-                    cycles: later(t - t_warm_end[l], 0.0) / measured as f64,
-                    measured,
-                });
-            }
-            t_block_end[l] = t;
-            block_span[l] = span;
+        let t = later(t_end, t_dispatch);
+        let span = t - t_block_end;
+        let settled = measured > rule.block && (span - block_span).abs() <= rule.eps * block_span;
+        if settled || measured == MEASURE_ITERS {
+            return Lane {
+                cycles: later(t - t_warm_end, 0.0) / measured as f64,
+                measured,
+            };
         }
-        if lanes.iter().all(Option::is_some) {
-            break;
-        }
+        t_block_end = t;
+        block_span = span;
     }
-    lanes.map(|lane| lane.expect("every lane stops at the cap"))
+    unreachable!("a walk stops at the cap")
 }
 
 /// Everything a walk of `body` at `lat` reads except the core class, the
 /// frequency and the DRAM latencies, as words: the template count, the
 /// L1/L2/L3 cycles, and per instruction its op, producer and template,
 /// plus a memory instruction's mix and `row_friendly`. Two bodies with
-/// equal inputs walk alike under one core class: their perfect lanes are
-/// equal, and so are their real lanes at one frequency and DRAM latency
-/// per template. Nothing else of a [`FusedInstr`](crate::fusion::FusedInstr)
+/// equal inputs walk alike under one core class: with perfect memory,
+/// and with real memory at one frequency and DRAM latency per template.
+/// Nothing else of a [`FusedInstr`](crate::fusion::FusedInstr)
 /// is read: not `lines_per_access`, `carried` or `lanes`.
 pub(crate) fn walk_input(body: &FusedBody, lat: &ServiceLatencies) -> Vec<u64> {
     let mem = body.instrs.iter().filter(|ins| ins.op.is_mem()).count();
@@ -614,7 +547,8 @@ pub(crate) fn walk_input(body: &FusedBody, lat: &ServiceLatencies) -> Vec<u64> {
 
 /// Whether a walk of `body` ever draws level 3 (DRAM): the walk's level
 /// draws alone, in walk order, up to the first level-3 one. A body that
-/// never does walks both lanes alike (see the module docs).
+/// never does walks alike at every frequency and DRAM latency, and in
+/// either memory (see the module docs).
 pub(crate) fn draws_dram(body: &FusedBody) -> bool {
     // The samplers of a body of up to 64 templates stay on the stack.
     let mut stack = [LevelSampler::default(); 64];
@@ -659,13 +593,13 @@ mod tests {
         (bi, bv)
     }
 
-    /// The fixed-length walk: one block spanning the cap, so no lane
+    /// The fixed-length walk: one block spanning the cap, so no walk
     /// stops before it.
     const FULL: StopRule = StopRule::new(MEASURE_ITERS, 0.0);
 
-    /// The window as it stood before the two lanes: one memory mode per
-    /// walk, `VecDeque` ROB / MSHRs / store buffer, measuring `measured`
-    /// iterations after warm-up. Kept as the oracle.
+    /// The window as it stood before the fixed rings and sorted pools:
+    /// `VecDeque` ROB / MSHRs / store buffer, scanned pools, measuring
+    /// `measured` iterations after warm-up. Kept as the oracle.
     fn cycles_per_fused_iter_reference(
         body: &FusedBody,
         ooo: &OooParams,
@@ -817,53 +751,41 @@ mod tests {
         span / measured as f64
     }
 
-    /// Both lanes of a two-lane walk against two reference walks cut
-    /// where each lane stopped, the one-lane walk against the real one,
-    /// and the single-lane entry against each, bit for bit; and the same
-    /// for the fixed-length walk against reference walks of the full
-    /// length.
-    fn assert_lanes_match_reference(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
-        let lat_of = |perfect_mem| ServiceLatencies { perfect_mem, ..lat };
-        let got = window_cycles::<2>(body, ooo, &lat, StopRule::SETTLED);
-        let stops = got.map(|lane| lane.measured);
-        let want = [false, true].map(|p| {
-            let measured = stops[usize::from(p)];
-            cycles_per_fused_iter_reference(body, ooo, &lat_of(p), measured)
-        });
-        assert_eq!(
-            got.map(|lane| lane.cycles.to_bits()),
-            want.map(f64::to_bits),
-            "lanes {got:?} vs reference {want:?} at {ooo:?}, {lat:?}: {body:?}"
-        );
-        let one = window_cycles::<1>(body, ooo, &lat, StopRule::SETTLED)[REAL];
-        assert_eq!(
-            (one.cycles.to_bits(), one.measured),
-            (want[REAL].to_bits(), stops[REAL]),
-            "one-lane walk at {ooo:?}, {lat:?}: {body:?}"
-        );
-        for p in [false, true] {
+    /// A walk in each memory against the reference walk cut where it
+    /// stopped, and the public entry against it, bit for bit; and the
+    /// fixed-length walk against the reference walk of the full length.
+    /// Returns whether either walk stopped before the cap.
+    fn assert_walks_match_reference(
+        body: &FusedBody,
+        ooo: &OooParams,
+        lat: ServiceLatencies,
+    ) -> bool {
+        let mut early = false;
+        for perfect_mem in [false, true] {
+            let lat = ServiceLatencies { perfect_mem, ..lat };
+            let got = window_cycles(body, ooo, &lat, StopRule::SETTLED);
+            let want = cycles_per_fused_iter_reference(body, ooo, &lat, got.measured);
             assert_eq!(
-                cycles_per_fused_iter(body, ooo, &lat_of(p)).to_bits(),
-                want[usize::from(p)].to_bits(),
-                "single-lane entry, perfect_mem {p}"
+                got.cycles.to_bits(),
+                want.to_bits(),
+                "walk {got:?} vs reference {want} at {ooo:?}, {lat:?}: {body:?}"
+            );
+            assert_eq!(
+                cycles_per_fused_iter(body, ooo, &lat).to_bits(),
+                want.to_bits(),
+                "public entry at {lat:?}"
+            );
+            early |= got.measured < MEASURE_ITERS;
+
+            let want = cycles_per_fused_iter_reference(body, ooo, &lat, MEASURE_ITERS);
+            let got = window_cycles(body, ooo, &lat, FULL);
+            assert_eq!(
+                got.cycles.to_bits(),
+                want.to_bits(),
+                "fixed-length walk {got:?} vs reference {want} at {ooo:?}, {lat:?}: {body:?}"
             );
         }
-
-        let want = [false, true]
-            .map(|p| cycles_per_fused_iter_reference(body, ooo, &lat_of(p), MEASURE_ITERS));
-        let got = window_cycles::<2>(body, ooo, &lat, FULL);
-        assert_eq!(
-            got.map(|lane| lane.cycles.to_bits()),
-            want.map(f64::to_bits),
-            "fixed-length lanes {got:?} vs reference {want:?} at {ooo:?}, {lat:?}: {body:?}"
-        );
-        assert_eq!(
-            window_cycles::<1>(body, ooo, &lat, FULL)[REAL]
-                .cycles
-                .to_bits(),
-            want[REAL].to_bits(),
-            "fixed-length one-lane walk at {ooo:?}, {lat:?}: {body:?}"
-        );
+        early
     }
 
     const OPS: [Op; 10] = [
@@ -1043,8 +965,10 @@ mod tests {
         (body, ooo)
     }
 
+    /// Walks stop before the cap in some cases.
     #[test]
-    fn both_lanes_equal_the_reference_bit_for_bit_on_random_bodies() {
+    fn walks_in_either_memory_equal_the_reference_bit_for_bit_on_random_bodies() {
+        let mut early = 0;
         musa_obs::rng::check_cases(400, |rng| {
             let body = random_body(rng);
             let ooo = random_ooo(rng);
@@ -1057,17 +981,18 @@ mod tests {
             };
             let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
             for ooo in [ooo, class.ooo()] {
-                assert_lanes_match_reference(&body, &ooo, lat);
+                early += usize::from(assert_walks_match_reference(&body, &ooo, lat));
             }
             let (body, ooo) = tie_heavy_case(rng);
-            assert_lanes_match_reference(&body, &ooo, lat);
+            assert_walks_match_reference(&body, &ooo, lat);
         });
+        assert!(early > 0, "no walk stopped before the cap");
         let empty = FusedBody {
             instrs: vec![],
             f_eff: 1,
             n_templates: 0,
         };
-        assert_lanes_match_reference(&empty, &CoreClass::High.ooo(), lat(false));
+        assert_walks_match_reference(&empty, &CoreClass::High.ooo(), lat(false));
     }
 
     /// Level-3 draws in a walk of `body`, counted template by template
@@ -1114,155 +1039,34 @@ mod tests {
     }
 
     /// For a body that never draws DRAM: at every frequency and under
-    /// both technologies, both lanes of the two-lane walk and the lane of
-    /// the one-lane walk are one value, bit for bit.
-    fn assert_dram_free_lanes_agree(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
+    /// both technologies, the real-memory walk and the perfect-memory
+    /// walk are one value, bit for bit, stopped at one iteration.
+    fn assert_dram_free_walks_agree(body: &FusedBody, ooo: &OooParams, lat: ServiceLatencies) {
         let key = |lane: Lane| (lane.cycles.to_bits(), lane.measured);
-        let want = key(window_cycles::<1>(body, ooo, &lat, StopRule::SETTLED)[REAL]);
+        let want = key(window_cycles(body, ooo, &lat, StopRule::SETTLED));
         for mem in [MemConfig::DDR4_4CH, MemConfig::HBM_16CH] {
             let body = with_dram_of(body, mem);
             for freq in Frequency::ALL {
-                let lat = ServiceLatencies {
-                    ghz: freq.ghz(),
-                    ..lat
+                let walk = |perfect_mem| {
+                    let lat = ServiceLatencies {
+                        ghz: freq.ghz(),
+                        perfect_mem,
+                        ..lat
+                    };
+                    key(window_cycles(&body, ooo, &lat, StopRule::SETTLED))
                 };
-                let two = window_cycles::<2>(&body, ooo, &lat, StopRule::SETTLED);
-                let one = window_cycles::<1>(&body, ooo, &lat, StopRule::SETTLED);
                 assert_eq!(
-                    [two[0], two[1], one[0]].map(key),
-                    [want; 3],
-                    "DRAM-free lanes at {freq:?}, {mem:?}, {ooo:?}: {body:?}"
+                    [walk(false), walk(true)],
+                    [want; 2],
+                    "DRAM-free walks at {freq:?}, {mem:?}, {ooo:?}: {body:?}"
                 );
             }
         }
     }
 
-    /// The fused iteration (from 0) of `body`'s first level-3 draw within
-    /// the cap, if any.
-    fn first_dram_iter(body: &FusedBody) -> Option<u32> {
-        let mut samplers = vec![LevelSampler::default(); body.n_templates];
-        (0..WARMUP_ITERS + MEASURE_ITERS).find(|_| {
-            body.instrs.iter().filter(|ins| ins.op.is_mem()).any(|ins| {
-                let m = ins.locality.unwrap().mix;
-                samplers[usize::from(ins.template)].pick([m.p_l1, m.p_l2, m.p_l3, m.p_mem]) == 3
-            })
-        })
-    }
-
-    /// `body` with every memory mix replaced by `mix(old)`.
-    fn with_mix(mut body: FusedBody, mix: impl Fn(AccessMix) -> AccessMix) -> FusedBody {
-        for loc in body
-            .instrs
-            .iter_mut()
-            .filter_map(|ins| ins.locality.as_mut())
-        {
-            loc.mix = mix(loc.mix);
-        }
-        body
-    }
-
-    /// A seeded body of one of three kinds: never DRAM (every DRAM
-    /// probability moved to the L3), DRAM-heavy (at least half of every
-    /// memory access draws DRAM), or late-first-DRAM: no DRAM but for one
-    /// extra load whose first DRAM draw comes after warm-up, at about
-    /// instance `k`, and about every `2k`-th instance after that.
-    fn body_of_kind(rng: &mut SplitMix64, kind: u64) -> FusedBody {
-        let body = random_body(rng);
-        match kind {
-            0 => with_mix(body, |m| AccessMix {
-                p_l3: m.p_l3 + m.p_mem,
-                p_mem: 0.0,
-                ..m
-            }),
-            1 => with_mix(body, |m| AccessMix {
-                p_l1: m.p_l1 / 2.0,
-                p_l2: m.p_l2 / 2.0,
-                p_l3: m.p_l3 / 2.0,
-                p_mem: 0.5 + m.p_mem / 2.0,
-            }),
-            _ => {
-                let mut body = body_of_kind(rng, 0);
-                let k = (2 * WARMUP_ITERS) as f64 + rng.next_f64() * 120.0;
-                let t = body.n_templates as u16;
-                body.instrs.push(FusedInstr {
-                    op: Op::Load,
-                    dep_template: rng.next_u64().is_multiple_of(2).then_some(0),
-                    carried: false,
-                    template: t,
-                    locality: Some(TemplateLocality {
-                        mix: AccessMix {
-                            p_l1: 1.0 - 0.5 / k,
-                            p_l2: 0.0,
-                            p_l3: 0.0,
-                            p_mem: 0.5 / k,
-                        },
-                        lines_per_access: 1.0,
-                        row_friendly: rng.next_u64().is_multiple_of(2),
-                        mem_latency_ns: 40.0 + rng.next_f64() * 120.0,
-                    }),
-                    lines_per_access: 1.0,
-                    lanes: 1,
-                });
-                body.n_templates += 1;
-                body
-            }
-        }
-    }
-
-    /// The stop rule reads only its own lane's times: on DRAM-free,
-    /// DRAM-heavy and late-first-DRAM bodies, the real lane of a one-lane
-    /// walk is the real lane of the two-lane walk, value and stop
-    /// iteration, and a body that never draws DRAM stops both lanes of
-    /// its walk alike. Lanes stop before the cap, and the two lanes of a
-    /// walk at different iterations, in some cases of every kind.
-    #[test]
-    fn a_lane_stops_alike_in_one_lane_and_two_lane_walks() {
-        // Per kind: cases, walks with a lane stopped before the cap, and
-        // two-lane walks whose lanes stopped apart.
-        let mut seen = [[0; 3]; 3];
-        musa_obs::rng::check_cases(600, |rng| {
-            let aim = rng.next_u64() % 3;
-            let body = body_of_kind(rng, aim);
-            // The kind the body turned out to be (a body without memory
-            // instructions never draws DRAM, whatever it was meant to be).
-            let first = first_dram_iter(&body);
-            let kind = match first {
-                None => 0,
-                Some(i) if i < WARMUP_ITERS => 1,
-                Some(_) => 2,
-            };
-            let lat = ServiceLatencies {
-                l1: 4.0,
-                l2: 10.0 + rng.next_f64() * 8.0,
-                l3: 30.0 + rng.next_f64() * 30.0,
-                ghz: [1.5, 2.0, 2.5, 3.0][(rng.next_u64() % 4) as usize],
-                perfect_mem: false,
-            };
-            let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
-            let seen = &mut seen[kind];
-            seen[0] += 1;
-            for ooo in [random_ooo(rng), class.ooo()] {
-                let two = window_cycles::<2>(&body, &ooo, &lat, StopRule::SETTLED);
-                let one = window_cycles::<1>(&body, &ooo, &lat, StopRule::SETTLED)[REAL];
-                let key = |lane: Lane| (lane.cycles.to_bits(), lane.measured);
-                assert_eq!(key(one), key(two[REAL]), "{ooo:?}, {lat:?}: {body:?}");
-                if first.is_none() {
-                    assert_eq!(key(two[0]), key(two[1]), "DRAM-free lanes: {body:?}");
-                }
-                seen[1] += usize::from(two.iter().any(|l| l.measured < MEASURE_ITERS));
-                seen[2] += usize::from(two[0].measured != two[1].measured);
-            }
-        });
-        assert!(
-            seen[0][1] > 0 && seen[1][1] > 0 && seen[2][1] > 0,
-            "{seen:?}"
-        );
-        assert!(seen[1][2] > 0 && seen[2][2] > 0, "{seen:?}");
-    }
-
     /// `draws_dram` agrees with the count of level-3 draws; bodies that
-    /// never draw DRAM walk both lanes alike whatever the frequency and
-    /// technology. Both kinds of body occur.
+    /// never draw DRAM walk alike whatever the frequency, technology and
+    /// memory. Both kinds of body occur.
     #[test]
     fn dram_free_bodies_walk_one_lane_for_all_on_random_bodies() {
         let mut seen = [0; 2];
@@ -1281,7 +1085,7 @@ mod tests {
                 };
                 let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
                 for ooo in [random_ooo(rng), class.ooo()] {
-                    assert_dram_free_lanes_agree(&body, &ooo, lat);
+                    assert_dram_free_walks_agree(&body, &ooo, lat);
                 }
             }
         });
@@ -1321,7 +1125,8 @@ mod tests {
 
     /// Every field `compile` and `window_cycles` read changes the walk
     /// input; fields they do not read, the DRAM latency and the frequency
-    /// leave it alone (and the first three leave both lanes alone too).
+    /// leave it alone (and the first three leave the walk in either
+    /// memory alone too).
     #[test]
     fn walk_input_holds_what_a_walk_reads_and_nothing_else() {
         type Edit = fn(&mut FusedBody, &mut ServiceLatencies);
@@ -1425,9 +1230,12 @@ mod tests {
             let (b, l) = edited(edit);
             assert_eq!(walk_input(&b, &l), base, "{field} is not in the input");
             if i < 3 {
-                let walk = |b, l| {
-                    window_cycles::<2>(b, &ooo, l, StopRule::SETTLED)
-                        .map(|lane| (lane.cycles.to_bits(), lane.measured))
+                let walk = |b, l: &ServiceLatencies| {
+                    [false, true].map(|perfect_mem| {
+                        let l = ServiceLatencies { perfect_mem, ..*l };
+                        let lane = window_cycles(b, &ooo, &l, StopRule::SETTLED);
+                        (lane.cycles.to_bits(), lane.measured)
+                    })
                 };
                 assert_eq!(
                     walk(&b, &l),
@@ -1501,7 +1309,7 @@ mod tests {
     /// cache and SIMD width, under every OoO class and frequency.
     #[test]
     #[ignore = "2,160 paper-scale windows; scripts/check.sh runs it in release"]
-    fn both_lanes_equal_the_reference_on_every_paper_scale_window() {
+    fn walks_equal_the_reference_on_every_paper_scale_window() {
         use musa_arch::{CacheConfig, CoresPerNode};
         let (mut bodies, mut dram_free) = (0, 0);
         for app in musa_apps::AppId::ALL {
@@ -1530,11 +1338,11 @@ mod tests {
                             for class in CoreClass::ALL {
                                 for freq in Frequency::ALL {
                                     let lat = ServiceLatencies::new(&geom, freq.ghz(), false);
-                                    assert_lanes_match_reference(&body, &class.ooo(), lat);
+                                    assert_walks_match_reference(&body, &class.ooo(), lat);
                                 }
                                 if !draws {
                                     let lat = ServiceLatencies::new(&geom, 2.0, false);
-                                    assert_dram_free_lanes_agree(&body, &class.ooo(), lat);
+                                    assert_dram_free_walks_agree(&body, &class.ooo(), lat);
                                 }
                             }
                         }
@@ -1552,23 +1360,18 @@ mod tests {
         sorted[rank.clamp(1, sorted.len()) - 1]
     }
 
-    type LaneKey = (
-        usize,
-        CoreClass,
-        Option<(Frequency, musa_arch::MemTechnology)>,
-    );
-    /// A walk: what it reads, the vector width its body was fused at,
-    /// and per lane it fills, the lane's index and key.
+    /// A walk: what it reads, and the vector width its body was fused at.
     struct Walk {
         body: FusedBody,
         lat: ServiceLatencies,
         class: CoreClass,
         width: VectorWidth,
-        lanes: Vec<(usize, LaneKey)>,
     }
 
     /// Every walk the profile tables of the five traces at `gen` make
-    /// over `configs`, in order, lanes keyed as the tables key them.
+    /// over `configs`, in order, keyed as the tables key them, each
+    /// followed, when its input draws DRAM and its `(input, class)` is
+    /// new, by the perfect-memory walk of the same window.
     fn slice_walks(configs: &[NodeConfig], gen: &musa_apps::GenParams) -> Vec<Walk> {
         use std::collections::{HashMap, HashSet};
 
@@ -1599,45 +1402,35 @@ mod tests {
                     let (id, draws) = *inputs
                         .entry(walk_input(&body, &lat))
                         .or_insert_with(|| (n, draws_dram(&body)));
-                    let perfect = (id, cfg.core_class, None);
-                    let real = (
-                        id,
-                        cfg.core_class,
-                        draws.then_some((cfg.freq, cfg.mem.tech)),
-                    );
-                    let lanes = match (known.contains(&perfect), known.contains(&real)) {
-                        (_, true) => continue,
-                        _ if !draws => vec![(REAL, real)],
-                        (true, false) => vec![(REAL, real)],
-                        (false, false) => vec![(REAL, real), (1, perfect)],
-                    };
-                    known.extend(lanes.iter().map(|&(_, key)| key));
-                    walks.push(Walk {
-                        body,
-                        lat,
+                    let at = draws.then_some((cfg.freq, cfg.mem.tech));
+                    if !known.insert((id, cfg.core_class, at)) {
+                        continue;
+                    }
+                    let perfect = draws && known.insert((id, cfg.core_class, None));
+                    let walk = |perfect_mem| Walk {
+                        body: body.clone(),
+                        lat: ServiceLatencies { perfect_mem, ..lat },
                         class: cfg.core_class,
                         width: cfg.vector,
-                        lanes,
-                    });
+                    };
+                    walks.push(walk(false));
+                    if perfect {
+                        walks.push(walk(true));
+                    }
                 }
             }
         }
         walks
     }
 
-    /// Every walk under `rule`: its steps (instructions walked, each walk
-    /// as long as its slower lane), and each lane's value.
+    /// Every walk under `rule`: its steps (instructions walked), and each
+    /// walk's value.
     fn walk_all(walks: &[Walk], rule: StopRule) -> (u64, Vec<f64>) {
         let (mut steps, mut values) = (0, vec![]);
         for w in walks {
-            let ooo = w.class.ooo();
-            let got: Vec<Lane> = match w.lanes.len() {
-                1 => window_cycles::<1>(&w.body, &ooo, &w.lat, rule).to_vec(),
-                _ => window_cycles::<2>(&w.body, &ooo, &w.lat, rule).to_vec(),
-            };
-            let measured = got.iter().map(|lane| lane.measured).max().unwrap();
-            steps += u64::from(WARMUP_ITERS + measured) * w.body.instrs.len() as u64;
-            values.extend(w.lanes.iter().map(|&(l, _)| got[l].cycles));
+            let got = window_cycles(&w.body, &w.class.ooo(), &w.lat, rule);
+            steps += u64::from(WARMUP_ITERS + got.measured) * w.body.instrs.len() as u64;
+            values.push(got.cycles);
         }
         (steps, values)
     }
@@ -1654,17 +1447,19 @@ mod tests {
     }
 
     /// The stop rule against the fixed-length walk on every lane two
-    /// slices walk.
+    /// slices walk: a lane is a walk the profile table makes, with real
+    /// memory, or the perfect-memory walk of the same window.
     ///
     /// The paper slice: the 79 configurations `MUSA_CONFIG_SLICE=79`
-    /// takes of the 864, for the five paper-scale traces (309 walks, 436
-    /// lanes). Prints, for the chosen rule and its neighbours, the share
+    /// takes of the 864, for the five paper-scale traces (309 real-memory
+    /// walks, 436 lanes). Prints, for the chosen rule and its neighbours, the share
     /// of walk steps kept and the quantiles of the lanes' relative error;
     /// asserts the chosen rule's p99 and max within 1 %.
     ///
     /// The expanded digest's slice: every 97th of the 20,736 expanded
     /// configurations, in the order `musa_search`'s expanded space
-    /// indexes them, for the five tiny traces (580 walks, 800 lanes).
+    /// indexes them, for the five tiny traces (580 real-memory walks, 800
+    /// lanes).
     /// There the chosen rule does *not* stay within 1 %: 12 lanes err by
     /// more, all 64-bit (a width the paper grid lacks). The test pins
     /// that exception: its p99 and max, and that no other width joins it.
@@ -1687,11 +1482,11 @@ mod tests {
                 .collect()
         };
         let walks = slice_walks(&paper, &musa_apps::GenParams::paper());
-        let lanes: usize = walks.iter().map(|w| w.lanes.len()).sum();
+        let real = |walks: &[Walk]| walks.iter().filter(|w| !w.lat.perfect_mem).count();
         assert_eq!(
-            (walks.len(), lanes),
+            (real(&walks), walks.len()),
             (309, 436),
-            "paper-slice walks and lanes"
+            "paper-slice real-memory walks and lanes"
         );
         let (full_steps, reference) = walk_all(&walks, FULL);
         println!("| B, ε | walk steps kept | lane error p50 / p99 / max |");
@@ -1756,11 +1551,10 @@ mod tests {
         assert_eq!(expanded.len(), 20_736);
         let expanded: Vec<NodeConfig> = expanded.into_iter().step_by(97).collect();
         let walks = slice_walks(&expanded, &musa_apps::GenParams::tiny());
-        let lanes: usize = walks.iter().map(|w| w.lanes.len()).sum();
         assert_eq!(
-            (walks.len(), lanes),
+            (real(&walks), walks.len()),
             (580, 800),
-            "expanded-slice walks and lanes"
+            "expanded-slice real-memory walks and lanes"
         );
         let (_, reference) = walk_all(&walks, FULL);
         let (_, values) = walk_all(&walks, StopRule::SETTLED);
@@ -1774,7 +1568,7 @@ mod tests {
         );
         let over: Vec<VectorWidth> = walks
             .iter()
-            .flat_map(|w| w.lanes.iter().map(|_| w.width))
+            .map(|w| w.width)
             .zip(values.iter().zip(&reference))
             .filter(|(_, (v, r))| (*v - *r).abs() > MAX_BOUND * **r)
             .map(|(width, _)| width)

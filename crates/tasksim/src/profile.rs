@@ -10,9 +10,8 @@
 //! |---|---|---|
 //! | locality, fusion, per-iteration statistics | kernel, cache config, active cores, `f_eff`, region working set | `ShapeKey` |
 //! | walk input | the fused body and the L1/L2/L3 cycles, as [`walk_input`] lists them | its content, interned as an `Input` the shape keeps |
-//! | perfect-memory window lane | the walk input, core class | `(input, class, None)` |
-//! | real-memory window lane | the walk input, core class, frequency, memory technology | `(input, class, Some((freq, tech)))` |
-//! | both lanes of an input that never draws DRAM | the walk input, core class | `(input, class, None)` |
+//! | window walk | the walk input, core class, frequency, memory technology | `(input, class, Some((freq, tech)))` |
+//! | window walk of an input that never draws DRAM | the walk input, core class | `(input, class, None)` |
 //!
 //! * *Active cores* is `min(items, cores)`, the cores sharing the L3
 //!   ([`CacheGeometry`] reads nothing else of the core count): a region
@@ -26,18 +25,15 @@
 //!   caches, core counts or widths — build the same window and walk it
 //!   once. Inputs are compared word for word, never by hash alone.
 //! * The fused body carries each memory template's DRAM latency, which
-//!   the walk input leaves out: only the real lane reads it, and it is
-//!   the sequential or the random latency of the memory technology, as
-//!   the template's `row_friendly` (in the input) says. The technology
-//!   stands for it in the real lane's key.
+//!   the walk input leaves out: it is the sequential or the random
+//!   latency of the memory technology, as the template's `row_friendly`
+//!   (in the input) says. The technology stands for it in the walk's key.
 //! * An input that never draws DRAM ([`draws_dram`], replayed once per
-//!   distinct input) walks both lanes alike, and that lane reads neither
-//!   frequency nor technology: one one-lane walk serves its perfect lane
-//!   and its real lane at every frequency and technology.
+//!   distinct input) reads neither frequency nor technology: one walk
+//!   serves it at every frequency and technology.
 //! * The table keeps scalars only. On a walk miss it re-runs locality and
-//!   fusion from the current configuration's geometry, then walks one
-//!   lane when the perfect lane is known or the input never draws DRAM,
-//!   and both otherwise.
+//!   fusion from the current configuration's geometry, then walks the
+//!   window once, with real memory.
 //!
 //! Every entry is what [`profile_kernel`] computes for any configuration
 //! with that key, bit for bit.
@@ -59,10 +55,6 @@ use crate::stats::SimStats;
 pub struct KernelProfile {
     /// Cycles per original loop iteration, unloaded memory.
     pub cycles_per_iter: f64,
-    /// Cycles per original iteration with perfect (L3-latency) memory —
-    /// the core-bound component; the difference is the memory-bound
-    /// component that bandwidth contention stretches.
-    pub cycles_per_iter_nomem: f64,
     /// Statistics per original iteration.
     pub stats_per_iter: SimStats,
     /// DRAM bytes (reads + write-backs) per original iteration.
@@ -74,20 +66,14 @@ pub struct KernelProfile {
 impl KernelProfile {
     /// The profile from its three stages: per-iteration statistics at
     /// fusion factor `f_eff`, and the window's cycles per fused
-    /// iteration with perfect and with real memory.
-    fn from_stages(stats: SimStats, f_eff: u32, perfect: f64, real: f64) -> KernelProfile {
+    /// iteration.
+    fn from_stages(stats: SimStats, f_eff: u32, cycles: f64) -> KernelProfile {
         KernelProfile {
-            cycles_per_iter: real / f_eff as f64,
-            cycles_per_iter_nomem: (perfect / f_eff as f64).min(real / f_eff as f64),
+            cycles_per_iter: cycles / f_eff as f64,
             stats_per_iter: stats,
             mem_bytes_per_iter: stats.mem_bytes(),
             f_eff,
         }
-    }
-
-    /// Memory-bound cycles per iteration (stretchable under contention).
-    pub fn cycles_mem_per_iter(&self) -> f64 {
-        (self.cycles_per_iter - self.cycles_per_iter_nomem).max(0.0)
     }
 
     /// Wall-clock nanoseconds for `trips` iterations at `ghz`
@@ -170,11 +156,9 @@ pub fn profile_kernel(
     let locality = analyze_kernel(kernel, geom, region_ws_bytes);
     let fused = fuse(kernel, &locality, config.vector);
     let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
-    let [real, perfect] =
-        window_cycles::<2>(&fused, &config.core_class.ooo(), &lat, StopRule::SETTLED)
-            .map(|lane| lane.cycles);
+    let cycles = window_cycles(&fused, &config.core_class.ooo(), &lat, StopRule::SETTLED).cycles;
     let stats = stats_per_iter(kernel, &locality, &fused);
-    KernelProfile::from_stages(stats, fused.f_eff, perfect, real)
+    KernelProfile::from_stages(stats, fused.f_eff, cycles)
 }
 
 /// What locality, fusion and the per-iteration statistics read.
@@ -197,11 +181,9 @@ struct Input {
     draws_dram: bool,
 }
 
-/// What a window lane reads: the walk input and the core class, and for
-/// the real lane of an input that draws DRAM the frequency and memory
-/// technology too. `None` keys the perfect lane, which is also the real
-/// lane of an input that never draws DRAM.
-type LaneKey = (usize, CoreClass, Option<(Frequency, MemTechnology)>);
+/// What a window walk reads: the walk input and the core class, and for
+/// an input that draws DRAM the frequency and memory technology too.
+type WalkKey = (usize, CoreClass, Option<(Frequency, MemTechnology)>);
 
 /// A [`ProfileTable`]'s maps behind its one lock.
 #[derive(Default)]
@@ -209,18 +191,17 @@ struct Stages {
     shapes: HashMap<ShapeKey, (SimStats, Input)>,
     /// Walk inputs by content.
     inputs: HashMap<Vec<u64>, Input>,
-    lanes: HashMap<LaneKey, f64>,
-    /// One-lane and two-lane window walks made.
-    walks: [u64; 2],
+    cycles: HashMap<WalkKey, f64>,
+    /// Window walks made.
+    walks: u64,
 }
 
 impl Stages {
-    /// The keys of `input`'s `[perfect, real]` lanes at `config` — one key
-    /// if it never draws DRAM — and the lanes if known.
-    fn lanes(&self, input: Input, config: &NodeConfig) -> ([LaneKey; 2], [Option<f64>; 2]) {
-        let real = input.draws_dram.then_some((config.freq, config.mem.tech));
-        let keys = [None, real].map(|at| (input.id, config.core_class, at));
-        (keys, keys.map(|key| self.lanes.get(&key).copied()))
+    /// The key of `input`'s walk at `config`, and its cycles if known.
+    fn walk(&self, input: Input, config: &NodeConfig) -> (WalkKey, Option<f64>) {
+        let at = input.draws_dram.then_some((config.freq, config.mem.tech));
+        let key = (input.id, config.core_class, at);
+        (key, self.cycles.get(&key).copied())
     }
 }
 
@@ -238,11 +219,8 @@ impl ProfileTable {
         ProfileTable::default()
     }
 
-    /// Window walks made so far: `[one-lane, two-lane]`. Every walk fills
-    /// one real lane, so the walks sum to the real lanes known. The
-    /// perfect lanes known are the two-lane walks plus the one-lane walks
-    /// of inputs that never draw DRAM, whose one lane is both.
-    pub fn walks(&self) -> [u64; 2] {
+    /// Window walks made so far, one per walk key known.
+    pub fn walks(&self) -> u64 {
         self.lock().walks
     }
 
@@ -274,10 +252,10 @@ impl ProfileTable {
         let known = {
             let stages = self.lock();
             let shape = stages.shapes.get(&shape).copied();
-            shape.map(|(stats, input)| (stats, stages.lanes(input, config)))
+            shape.map(|(stats, input)| (stats, stages.walk(input, config)))
         };
-        if let Some((stats, (_, [Some(perfect), Some(real)]))) = known {
-            return KernelProfile::from_stages(stats, shape.f_eff, perfect, real);
+        if let Some((stats, (_, Some(cycles)))) = known {
+            return KernelProfile::from_stages(stats, shape.f_eff, cycles);
         }
 
         // The body is rebuilt from this configuration's geometry: it
@@ -285,7 +263,7 @@ impl ProfileTable {
         let locality = analyze_kernel(kernel, geom, region_ws_bytes);
         let fused = fuse(kernel, &locality, config.vector);
         let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
-        let (stats, ([perfect_key, real_key], lanes)) = match known {
+        let (stats, (key, walked)) = match known {
             Some(known) => known,
             None => {
                 let stats = stats_per_iter(kernel, &locality, &fused);
@@ -305,32 +283,19 @@ impl ProfileTable {
                     .entry(content)
                     .or_insert(Input { id, draws_dram });
                 stages.shapes.insert(shape, (stats, input));
-                (stats, stages.lanes(input, config))
+                (stats, stages.walk(input, config))
             }
         };
-        let ooo = config.core_class.ooo();
-        let walk1 = || window_cycles::<1>(&fused, &ooo, &lat, StopRule::SETTLED)[0].cycles;
-        let (walked, real, perfect) = match lanes {
-            [Some(perfect), Some(real)] => (0, real, perfect),
-            // Never draws DRAM: one lane is both.
-            _ if real_key == perfect_key => {
-                let lane = walk1();
-                (1, lane, lane)
-            }
-            [Some(perfect), None] => (1, walk1(), perfect),
-            [None, _] => {
-                let [real, perfect] = window_cycles::<2>(&fused, &ooo, &lat, StopRule::SETTLED)
-                    .map(|lane| lane.cycles);
-                (2, real, perfect)
-            }
-        };
-        if walked > 0 {
+        // Another shape may have walked this input already.
+        let cycles = walked.unwrap_or_else(|| {
+            let ooo = config.core_class.ooo();
+            let cycles = window_cycles(&fused, &ooo, &lat, StopRule::SETTLED).cycles;
             let mut stages = self.lock();
-            stages.lanes.insert(perfect_key, perfect);
-            stages.lanes.insert(real_key, real);
-            stages.walks[walked - 1] += 1;
-        }
-        KernelProfile::from_stages(stats, shape.f_eff, perfect, real)
+            stages.cycles.insert(key, cycles);
+            stages.walks += 1;
+            cycles
+        });
+        KernelProfile::from_stages(stats, shape.f_eff, cycles)
     }
 }
 
@@ -458,10 +423,10 @@ mod tests {
     /// over the five tiny traces, equals `profile_kernel` at every point,
     /// bit for bit, and a `NodeSim` profiling through it equals a fresh
     /// one on the whole region. After each random point come the same
-    /// shape under the other memory technology and the same perfect key
-    /// at another frequency (neither walks the perfect lane again), and,
-    /// for Specfem3D at 32 or 64 cores, the other of the two: its 24
-    /// items share the L3 alike at both, so nothing is walked.
+    /// point again (nothing is walked), the same shape under the other
+    /// memory technology and at another frequency, and, for Specfem3D at
+    /// 32 or 64 cores, the other of the two: its 24 items share the L3
+    /// alike at both, so nothing is walked.
     #[test]
     fn shared_table_equals_profile_kernel_bit_for_bit() {
         use crate::node::NodeSim;
@@ -509,10 +474,10 @@ mod tests {
                     let got = sim.profile(k.id).unwrap();
                     assert_eq!(format!("{got:?}"), format!("{want:?}"), "{app} at {cfg}");
                 }
-                let after = table.walks();
-                [after[0] - before[0], after[1] - before[1]]
+                table.walks() - before
             };
             walks_at(cfg);
+            assert_eq!(walks_at(cfg), 0, "a known point walks nothing");
             let other_tech = match cfg.mem.tech {
                 MemTechnology::Ddr4 => MemTechnology::Hbm,
                 MemTechnology::Hbm => MemTechnology::Ddr4,
@@ -521,18 +486,10 @@ mod tests {
                 channels: 1 + (rng.next_u64() % 64) as u32,
                 tech: other_tech,
             };
-            assert_eq!(
-                walks_at(cfg.with_mem(mem))[1],
-                0,
-                "perfect lane shared across technologies"
-            );
+            walks_at(cfg.with_mem(mem));
             let freq = pick(rng, &Frequency::ALL);
             if freq != cfg.freq {
-                assert_eq!(
-                    walks_at(cfg.with_freq(freq))[1],
-                    0,
-                    "perfect lane shared across frequencies"
-                );
+                walks_at(cfg.with_freq(freq));
                 shared[0] += 1;
             }
             let other_cores = match cfg.cores {
@@ -541,11 +498,7 @@ mod tests {
                 CoresPerNode::C1 => None,
             };
             if let (AppId::Spec3d, Some(cores)) = (app, other_cores) {
-                assert_eq!(
-                    walks_at(cfg.with_cores(cores)),
-                    [0, 0],
-                    "spec3d shares C32/C64"
-                );
+                assert_eq!(walks_at(cfg.with_cores(cores)), 0, "spec3d shares C32/C64");
                 shared[1] += 1;
             }
         });
@@ -556,12 +509,10 @@ mod tests {
     }
 
     /// Sweep `app`'s paper-scale trace over the whole 864-point grid
-    /// through one table, and assert it walked each key once — both key
-    /// sets counted here from the configurations alone: the real keys
-    /// `(walk input, class, frequency and technology or none)` and the
-    /// perfect keys `(walk input, class)` of inputs that draw DRAM, which
-    /// alone take two lanes. Returns the walks and the two key counts.
-    fn paper_grid_walks(app: musa_apps::AppId) -> ([u64; 2], usize, usize) {
+    /// through one table, and assert it walked each key once — the keys
+    /// `(walk input, class, frequency and technology or none)` counted
+    /// here from the configurations alone. Returns the key count.
+    fn paper_grid_walks(app: musa_apps::AppId) -> usize {
         use crate::node::NodeSim;
         use crate::pipeline::{draws_dram, walk_input};
         use std::collections::{HashMap, HashSet};
@@ -579,7 +530,7 @@ mod tests {
             .collect();
         let table = ProfileTable::new();
         let mut dram = HashMap::new();
-        let (mut perfect, mut real) = (HashSet::new(), HashSet::new());
+        let mut keys = HashSet::new();
         for cfg in musa_arch::DesignSpace::iter() {
             let mut sim = NodeSim::new(cfg, detail, region).with_profiles(&table);
             sim.simulate_region(region);
@@ -591,45 +542,30 @@ mod tests {
                 let draws = *dram
                     .entry(input.clone())
                     .or_insert_with(|| draws_dram(&fused));
-                if draws {
-                    perfect.insert((input.clone(), cfg.core_class));
-                }
                 let at = draws.then_some((cfg.freq, cfg.mem.tech));
-                real.insert((input, cfg.core_class, at));
+                keys.insert((input, cfg.core_class, at));
             }
         }
-        let [one_lane, two_lane] = table.walks();
-        assert_eq!(
-            one_lane + two_lane,
-            real.len() as u64,
-            "{app}: one walk per real key"
-        );
-        assert_eq!(
-            two_lane,
-            perfect.len() as u64,
-            "{app}: two lanes once per perfect key of an input that draws DRAM"
-        );
-        ([one_lane, two_lane], real.len(), perfect.len())
+        assert_eq!(table.walks(), keys.len() as u64, "{app}: one walk per key");
+        keys.len()
     }
 
     /// Counts, not clocks: Specfem3D at paper scale over the whole
     /// 864-point grid walks each distinct window once. Its one kernel
-    /// builds 144 real keys, 36 of them with two lanes: the 24 items share
-    /// the L3 alike at 32 and 64 cores, and some caches and widths build
-    /// the same window.
+    /// builds 144 keys: the 24 items share the L3 alike at 32 and 64
+    /// cores, and some caches and widths build the same window.
     #[test]
     fn a_full_grid_sweep_walks_each_key_once() {
-        let (_, real, perfect) = paper_grid_walks(musa_apps::AppId::Spec3d);
-        assert_eq!((real, perfect), (144, 36));
+        assert_eq!(paper_grid_walks(musa_apps::AppId::Spec3d), 144);
     }
 
     /// The whole paper grid, one table per application: 1,728 walks by
-    /// configuration axes are 588 distinct windows, 136 of them two-lane.
+    /// configuration axes are 588 distinct windows.
     #[test]
     #[ignore = "the paper grid of five applications; scripts/check.sh runs it in release"]
     fn the_paper_grid_walks_588_distinct_windows() {
         use musa_apps::AppId;
-        let mut total = [0; 2];
+        let mut total = 0;
         for (app, want) in [
             (AppId::Hydro, 120),
             (AppId::Spmz, 204),
@@ -637,12 +573,11 @@ mod tests {
             (AppId::Spec3d, 144),
             (AppId::Lulesh, 48),
         ] {
-            let (walks, real, _) = paper_grid_walks(app);
-            assert_eq!(real, want, "{app}");
-            total = [total[0] + walks[0], total[1] + walks[1]];
+            let walks = paper_grid_walks(app);
+            assert_eq!(walks, want, "{app}");
+            total += walks;
         }
-        assert_eq!(total[0] + total[1], 588, "paper-grid walks");
-        assert_eq!(total[1], 136, "paper-grid two-lane walks");
+        assert_eq!(total, 588, "paper-grid walks");
     }
 
     #[test]

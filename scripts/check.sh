@@ -92,30 +92,44 @@ if grep -rn 'fn audit_[a-z]\|fn repair_[a-z]\|json_str_arra[y]' crates/doctor/sr
     exit 1
 fi
 
-# One walk times both memories: the profiler asks the OoO window once
-# per kernel, and the window keeps its fixed rings (the reference loop
-# under `#[cfg(test)]` is the only `VecDeque` left in the file).
+# The file-level cuts below keep each file up to its first line that
+# *begins* with `#[cfg(test)]`: a module doc may mention the attribute.
+
+# One walk per window, of real memory only: the profiler asks the OoO
+# window once per kernel, the perfect-memory profile and the lane
+# generics are gone, and the window keeps its fixed rings (the reference
+# loop under `#[cfg(test)]` is the only `VecDeque` left in the file).
 if grep -n 'cycles_per_fused_ite[r]' crates/tasksim/src/profile.rs ||
-    sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/pipeline.rs | grep -n 'VecDequ[e]'; then
-    echo "check: FAIL — a second window walk per kernel or a VecDeque window is back (lines above)" >&2
+    grep -rn 'cycles_per_iter_nome[m]\|cycles_mem_per_ite[r]\|window_cycles::<[2]>' \
+        Cargo.toml crates src tests examples scripts ||
+    sed '/^#\[cfg(test)\]/,$d' crates/tasksim/src/pipeline.rs | grep -n 'VecDequ[e]\|const [N]: usize'; then
+    echo "check: FAIL — a second window walk per kernel, a deleted perfect-memory name, lane generics or a VecDeque window is back (lines above)" >&2
     exit 1
 fi
 
 # The window picks its unit without searching: the functional-unit pools
 # are sorted fixed-width arrays, and the scan they replaced lives only in
 # the reference loop under `#[cfg(test)]`.
-if sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/pipeline.rs | grep -n 'min_slo[t]\|Vec<f64>; [N]\]'; then
+if sed '/^#\[cfg(test)\]/,$d' crates/tasksim/src/pipeline.rs | grep -n 'min_slo[t]\|Vec<f64>; [N]\]'; then
     echo "check: FAIL — a scanned or heap-allocated FU pool is back in pipeline.rs (lines above)" >&2
     exit 1
 fi
 
 # One profile table per trace: `NodeSim` profiles only through a
 # `ProfileTable`, and keeps no per-simulator profile map beside it.
-if sed '/#\[cfg(test)\]/,$d' crates/tasksim/src/node.rs | grep -n 'profile_kerne[l](' ||
+if sed '/^#\[cfg(test)\]/,$d' crates/tasksim/src/node.rs | grep -n 'profile_kerne[l](' ||
     grep -n 'HashMap<KernelI[d]' crates/tasksim/src/node.rs; then
     echo "check: FAIL — a second profiling path or a per-simulator profile map is back in node.rs (lines above)" >&2
     exit 1
 fi
+
+echo "== non-test line counts (each src file up to its first line beginning #[cfg(test)]) =="
+# Printed, not gated, so that every change quotes the same numbers.
+noncode() { awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"; }
+crate_lines() { noncode $(for c in "$@"; do find "crates/$c/src" -name '*.rs'; done | sort); }
+echo "simulator (apps arch core mem net power tasksim trace): $(crate_lines apps arch core mem net power tasksim trace)"
+echo "platform (bench cache dist doctor fault obs prof search serve store): $(crate_lines bench cache dist doctor fault obs prof search serve store)"
+echo "cli.rs + dse.rs: $(noncode crates/bench/src/cli.rs) + $(noncode crates/bench/src/bin/dse.rs)"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -213,12 +227,11 @@ echo "== paper-slice golden digest (79 configs x 5 at --full, sequential and --w
 # never reach, against the pinned digest (last moved by the stop rule).
 cargo test -q --release -p musa-bench --test pool_e2e -- --ignored paper_slice
 
-echo "== OoO window oracle (2,160 paper-scale windows, one and two lanes) =="
-# Every window the paper-scale design space times: both lanes of the
-# two-lane walk and the lane of the one-lane walk, each stopped by the
-# stop rule, against walks of the loop they replaced cut at the same
-# iteration, and the fixed-length walk against that loop's full length,
-# bit for bit.
+echo "== OoO window oracle (2,160 paper-scale windows, real and perfect memory) =="
+# Every window the paper-scale design space times: the walk with real
+# memory and the walk with perfect memory, each stopped by the stop rule,
+# against walks of the loop they replaced cut at the same iteration, and
+# the fixed-length walk against that loop's full length, bit for bit.
 cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_window
 
 echo "== OoO window stop rule (every paper- and expanded-slice lane against the full walk) =="
@@ -229,8 +242,8 @@ echo "== OoO window stop rule (every paper- and expanded-slice lane against the 
 cargo test -q --release -p musa-tasksim --lib -- --ignored the_cut_stays_within_its_bound
 
 echo "== profile-table walk count (864 x 5 paper grid, one table per app) =="
-# One walk per distinct window: 588 walks, 136 of them two-lane, each
-# key counted from the configurations alone.
+# One walk per distinct window: 588 walks, one lane each, each key
+# counted from the configurations alone.
 cargo test -q --release -p musa-tasksim --lib -- --ignored paper_grid_walks
 
 echo "== region scheduler oracle (every paper-scale region at 1, 32 and 64 cores) =="
