@@ -201,8 +201,8 @@ fn fig02_scaling(gen: &GenParams) -> String {
             .iter()
             .map(|c| {
                 let mut row = vec![c.app.clone()];
-                for &n in &SCALING_CORES {
-                    row.push(format!("{:.1}", c.speedup(n).unwrap_or(0.0)));
+                for n in SCALING_CORES {
+                    row.push(format!("{:.1}", c.speedup(n.count()).unwrap_or(0.0)));
                 }
                 row.push(format!("{:.0} %", 100.0 * c.efficiency(64).unwrap_or(0.0)));
                 row

@@ -3,12 +3,13 @@
 //! whole parallel region including MPI overheads.
 
 use musa_apps::{generate, AppId, GenParams};
+use musa_arch::CoresPerNode;
 use musa_tasksim::simulate_region_burst;
 
 use crate::sim::MultiscaleSim;
 
-/// Core counts of the scaling study.
-pub const SCALING_CORES: [u32; 3] = [1, 32, 64];
+/// Core counts of the scaling study: the design space's.
+pub const SCALING_CORES: [CoresPerNode; 3] = CoresPerNode::ALL;
 
 /// Speedups of one application at the studied core counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,9 +39,11 @@ pub fn region_scaling(app: AppId, gen: &GenParams) -> ScalingCurve {
     let region = trace.sampled_region().expect("sampled region");
     let t1 = simulate_region_burst(region, 1).makespan_ns;
     let points = SCALING_CORES
-        .iter()
-        .map(|&c| (c, t1 / simulate_region_burst(region, c).makespan_ns))
-        .collect();
+        .map(|c| {
+            let c = c.count();
+            (c, t1 / simulate_region_burst(region, c).makespan_ns)
+        })
+        .into();
     ScalingCurve {
         app: app.label().to_string(),
         points,
@@ -52,11 +55,10 @@ pub fn region_scaling(app: AppId, gen: &GenParams) -> ScalingCurve {
 pub fn full_app_scaling(app: AppId, gen: &GenParams) -> ScalingCurve {
     let trace = generate(app, gen);
     let sim = MultiscaleSim::new(&trace);
-    let t1 = sim.burst_replay(1).total_ns;
+    let t1 = sim.burst_replay(CoresPerNode::C1).total_ns;
     let points = SCALING_CORES
-        .iter()
-        .map(|&c| (c, t1 / sim.burst_replay(c).total_ns))
-        .collect();
+        .map(|c| (c.count(), t1 / sim.burst_replay(c).total_ns))
+        .into();
     ScalingCurve {
         app: app.label().to_string(),
         points,

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use musa_arch::NodeConfig;
+use musa_arch::{CoresPerNode, NodeConfig};
 use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
 use musa_net::{BurstTimes, NetworkParams, ReplayResult};
 use musa_power::{PowerBreakdown, PowerModel};
@@ -70,25 +70,26 @@ musa_obs::json_struct!(ConfigResult {
 });
 
 /// What the per-point simulators of one trace share: the burst-time
-/// tables and the burst baselines, one per core count asked for, and the
+/// table, the burst baselines (one per core count asked for) and the
 /// kernel profile table.
 ///
 /// All three are properties of the trace. The burst level is hardware
 /// agnostic: what a rank's compute events take at a core count is fixed,
-/// so every point of a campaign replays the same table under its own
-/// detailed/burst ratio, and divides its detailed makespan by the same
-/// burst makespan of the sampled region. A kernel profile stage reads
-/// only a few axes of the configuration, so points that agree on them
-/// share it ([`ProfileTable`]). A [`MultiscaleSim`] owns a memo of its own;
+/// so every point of a campaign replays the same table, at its core count
+/// and under its own detailed/burst ratio, and divides its detailed
+/// makespan by the same burst makespan of the sampled region. A kernel
+/// profile stage reads only a few axes of the configuration, so points
+/// that agree on them share it ([`ProfileTable`]). A [`MultiscaleSim`] owns a memo of its own;
 /// whoever keeps a trace alive across per-point simulators keeps one
 /// beside it and hands it to each ([`MultiscaleSim::with_trace_memo`]).
-/// Entries are built on first use and never persisted: a burst table
-/// costs what a single replay used to, once per core count and process.
+/// Entries are built on first use and never persisted: the burst table
+/// holds every core count of the design space, scheduled in one walk
+/// over the trace, once per trace and process.
 pub struct TraceMemo {
     /// What the tables are built from; a generator's output is a
     /// function of its metadata.
     trace: TraceMeta,
-    tables: Mutex<HashMap<u32, Arc<BurstTimes>>>,
+    table: OnceLock<BurstTimes>,
     /// Burst-mode makespan of the sampled region, per core count.
     baselines: Mutex<HashMap<u32, f64>>,
     profiles: ProfileTable,
@@ -99,20 +100,15 @@ impl TraceMemo {
     pub fn for_trace(trace: &AppTrace) -> TraceMemo {
         TraceMemo {
             trace: trace.meta.clone(),
-            tables: Mutex::new(HashMap::new()),
+            table: OnceLock::new(),
             baselines: Mutex::new(HashMap::new()),
             profiles: ProfileTable::new(),
         }
     }
 
-    /// The table of `trace` at `cores`, built on the first request.
-    fn table(&self, trace: &AppTrace, cores: u32) -> Arc<BurstTimes> {
-        let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            tables
-                .entry(cores)
-                .or_insert_with(|| Arc::new(BurstTimes::build(trace, cores))),
-        )
+    /// The table of `trace`, built on the first request.
+    fn table(&self, trace: &AppTrace) -> &BurstTimes {
+        self.table.get_or_init(|| BurstTimes::build(trace))
     }
 }
 
@@ -161,9 +157,9 @@ impl<'a> MultiscaleSim<'a> {
             .get_or_init(|| Arc::new(TraceMemo::for_trace(self.trace)))
     }
 
-    /// The burst times of the whole trace at `cores`.
-    fn burst_times(&self, cores: u32) -> Arc<BurstTimes> {
-        self.memo().table(self.trace, cores)
+    /// The burst times of the whole trace.
+    fn burst_times(&self) -> &BurstTimes {
+        self.memo().table(self.trace)
     }
 
     /// Override the network parameters.
@@ -183,9 +179,8 @@ impl<'a> MultiscaleSim<'a> {
 
     /// Run the multiscale flow for one node configuration.
     ///
-    /// `burst_sampled_ns`, if provided, is the cached burst-mode makespan
-    /// of the sampled region at `config.cores` (computed otherwise).
-    /// `full_replay`, if false, skips step 3 (region-only studies).
+    /// `full_replay`, if false, skips step 3 (region-only studies) and
+    /// builds no burst table.
     pub fn simulate(&self, config: NodeConfig, full_replay: bool) -> ConfigResult {
         // `sim.point` failpoint: keyed by (app, config label) so chaos
         // runs poison the same points regardless of thread order.
@@ -221,7 +216,7 @@ impl<'a> MultiscaleSim<'a> {
             let _burst = musa_obs::span_app(musa_obs::phase::BURST, &self.trace.meta.app);
             (
                 self.burst_baseline(region, cores),
-                full_replay.then(|| self.burst_times(cores)),
+                full_replay.then(|| self.burst_times()),
             )
         };
         let ratio = if burst_ns > 0.0 {
@@ -233,7 +228,11 @@ impl<'a> MultiscaleSim<'a> {
 
         // Step 3: full-application replay of the rescaled burst times.
         let time_ns = match burst_times {
-            Some(times) => times.replay(self.trace, &self.net, ratio).total_ns,
+            Some(times) => {
+                times
+                    .replay(self.trace, &self.net, config.cores, ratio)
+                    .total_ns
+            }
             None => region_ns,
         };
 
@@ -346,8 +345,8 @@ impl<'a> MultiscaleSim<'a> {
 
     /// Full replay of the trace in burst mode at a core count (used by
     /// the scaling study, Fig. 2b).
-    pub fn burst_replay(&self, cores: u32) -> ReplayResult {
-        self.burst_times(cores).replay(self.trace, &self.net, 1.0)
+    pub fn burst_replay(&self, cores: CoresPerNode) -> ReplayResult {
+        self.burst_times().replay(self.trace, &self.net, cores, 1.0)
     }
 }
 
@@ -406,37 +405,64 @@ mod tests {
         let sim = MultiscaleSim::new(&trace).with_trace_memo(Arc::clone(&memo));
         let r = sim.simulate(cfg64(), false);
         assert!((r.time_ns - r.region_ns).abs() < 1e-9);
-        assert!(memo.tables.lock().unwrap().is_empty(), "no table is built");
+        assert!(memo.table.get().is_none(), "no table is built");
         assert_eq!(memo.profiles.walks(), 1, "the profile table is filled");
     }
 
     #[test]
-    fn full_replay_equals_the_timer_replay_and_shares_one_table_per_core_count() {
+    fn full_replay_equals_the_timer_replay_and_shares_one_table_per_trace() {
         let trace = generate(AppId::Lulesh, &GenParams::tiny());
         let memo = Arc::new(TraceMemo::for_trace(&trace));
-        for config in [cfg64(), cfg64().with_vector(VectorWidth::V512)] {
+        let mut tables = Vec::new();
+        for config in [
+            cfg64(),
+            cfg64().with_vector(VectorWidth::V512),
+            cfg64().with_cores(CoresPerNode::C32),
+        ] {
             // A fresh simulator per point, as the store's executor and
             // the search's evaluator make them.
             let sim = MultiscaleSim::new(&trace).with_trace_memo(Arc::clone(&memo));
             let r = sim.simulate(config, true);
-            let burst_ns = simulate_region_burst(trace.sampled_region().unwrap(), 64).makespan_ns;
+            let cores = config.cores.count();
+            let burst_ns =
+                simulate_region_burst(trace.sampled_region().unwrap(), cores).makespan_ns;
             let mut timer = musa_net::FixedRatioTimer {
-                cores: 64,
+                cores,
                 ratio: r.region_ns / burst_ns,
             };
             let want = musa_net::replay(&trace, &NetworkParams::marenostrum4(), &mut timer);
             assert_eq!(r.time_ns.to_bits(), want.total_ns.to_bits());
             assert_eq!(r, MultiscaleSim::new(&trace).simulate(config, true));
+            tables.push(sim.burst_times() as *const BurstTimes);
         }
-        let tables = memo.tables.lock().unwrap();
-        assert_eq!(tables.keys().collect::<Vec<_>>(), [&64]);
-        assert_eq!(Arc::strong_count(&tables[&64]), 1);
-        let baselines = memo.baselines.lock().unwrap();
-        assert_eq!(
-            baselines.keys().collect::<Vec<_>>(),
-            [&64],
-            "one baseline per core count"
+        let table = memo
+            .table
+            .get()
+            .expect("the first full replay builds the table");
+        assert!(
+            tables.iter().all(|&t| std::ptr::eq(t, table)),
+            "every simulator replays the memo's one table"
         );
+        let baselines = memo.baselines.lock().unwrap();
+        let mut counts: Vec<_> = baselines.keys().copied().collect();
+        counts.sort();
+        assert_eq!(counts, [32, 64], "one baseline per core count");
+    }
+
+    #[test]
+    fn burst_replay_equals_the_timer_replay_at_every_core_count() {
+        let trace = generate(AppId::Hydro, &GenParams::tiny());
+        let sim = MultiscaleSim::new(&trace);
+        for cores in CoresPerNode::ALL {
+            let want = musa_net::replay(
+                &trace,
+                &NetworkParams::marenostrum4(),
+                &mut musa_net::BurstTimer {
+                    cores: cores.count(),
+                },
+            );
+            assert_eq!(sim.burst_replay(cores), want, "{cores}");
+        }
     }
 
     /// Schema 1 held the fixed 216-iteration windows. An artifact

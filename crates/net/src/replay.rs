@@ -275,6 +275,7 @@ mod tests {
     use super::*;
     use crate::timer::{BurstTimer, BurstTimes, FixedRatioTimer};
     use musa_apps::{generate, AppId, GenParams};
+    use musa_arch::CoresPerNode;
     use musa_trace::{RegionWork, TraceMeta, WorkItem};
 
     fn net() -> NetworkParams {
@@ -477,13 +478,15 @@ mod tests {
         for gen in [GenParams::tiny(), GenParams::small()] {
             for app in AppId::ALL {
                 let trace = generate(app, &gen);
-                for cores in [1u32, 32, 64] {
+                // One walk for every core count.
+                let table = BurstTimes::build(&trace);
+                for count in CoresPerNode::ALL {
+                    let cores = count.count();
                     let what = format!("{app} at {} ranks, {cores} cores", gen.ranks);
-                    let table = BurstTimes::build(&trace, cores);
                     for ratio in [0.37, 1.0, 2.9] {
                         let mut timer = FixedRatioTimer { cores, ratio };
                         let want = replay(&trace, &net(), &mut timer);
-                        let got = table.replay(&trace, &net(), ratio);
+                        let got = table.replay(&trace, &net(), count, ratio);
                         assert_eq!(bits(&got), bits(&want), "{what}, ratio {ratio}");
                     }
                     // The loop itself against the one it replaced, and
@@ -493,7 +496,7 @@ mod tests {
                     let (got, spans) = replay_with_timelines(&trace, &net(), &mut timer);
                     assert_eq!(bits(&got), bits(&want), "{what}");
                     assert_eq!(spans, want_spans, "{what}");
-                    assert_eq!(bits(&table.replay(&trace, &net(), 1.0)), bits(&want));
+                    assert_eq!(bits(&table.replay(&trace, &net(), count, 1.0)), bits(&want));
                     assert_conserved(&what, &got, &spans);
                 }
             }
@@ -545,8 +548,11 @@ mod tests {
         assert!(res.mpi[0].wait_ns > 0.0, "the rendezvous send waits");
         let (want, _) = replay_reference(&trace, &net(), &mut timer);
         assert_eq!(bits(&res), bits(&want));
-        let table = BurstTimes::build(&trace, 1);
-        assert_eq!(bits(&table.replay(&trace, &net(), 1.0)), bits(&want));
+        let table = BurstTimes::build(&trace);
+        assert_eq!(
+            bits(&table.replay(&trace, &net(), CoresPerNode::C1, 1.0)),
+            bits(&want)
+        );
     }
 
     fn non_spmd_trace() -> AppTrace {
@@ -569,7 +575,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-SPMD trace")]
     fn non_spmd_trace_panics_in_the_table_build() {
-        BurstTimes::build(&non_spmd_trace(), 4);
+        BurstTimes::build(&non_spmd_trace());
     }
 
     #[test]
@@ -577,14 +583,14 @@ mod tests {
     fn ranks_of_different_lengths_panic_in_the_table_build() {
         let mut trace = generate(AppId::Hydro, &GenParams::tiny());
         trace.ranks[2].events.pop();
-        BurstTimes::build(&trace, 4);
+        BurstTimes::build(&trace);
     }
 
     #[test]
     #[should_panic(expected = "replayed over another trace")]
     fn table_of_another_trace_is_rejected() {
-        let table = BurstTimes::build(&generate(AppId::Hydro, &GenParams::tiny()), 4);
-        table.replay(&send_recv_trace(), &net(), 1.0);
+        let table = BurstTimes::build(&generate(AppId::Hydro, &GenParams::tiny()));
+        table.replay(&send_recv_trace(), &net(), CoresPerNode::C1, 1.0);
     }
 
     #[test]

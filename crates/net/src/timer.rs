@@ -4,19 +4,22 @@
 //! phases "by the results obtained in the simulations" (§II-A). The
 //! replay is generic over where those durations come from:
 //!
+//! * [`BurstTimes`] — the burst-mode timings of a whole trace at every
+//!   core count of the design space, scheduled in one walk over the trace
+//!   and then replayed under any detailed/burst ratio: the MUSA sampling
+//!   extrapolation, which every full-application estimate
+//!   (`MultiscaleSim::simulate`) and the Fig. 2b scaling study take. The
+//!   burst level is hardware agnostic, so a campaign needs one table per
+//!   trace;
 //! * [`BurstTimer`] — hardware-agnostic burst-mode scheduling of each
-//!   region for a given core count (used by the Fig. 2 scaling study);
-//! * [`FixedRatioTimer`] — burst-mode timing rescaled by the ratio
-//!   detailed/burst observed on the sampled representative region: the
-//!   MUSA sampling methodology, used for full-application estimates
-//!   under a specific hardware configuration;
-//! * [`BurstTimes`] — the burst-mode timings of a whole trace at one
-//!   core count, scheduled once and then replayed under any ratio. The
-//!   burst level is hardware agnostic, so a campaign needs one table
-//!   per (trace, core count) where the two timers above schedule every
-//!   region again on every replay.
+//!   region for a given core count, on every replay (Fig. 4's timelines);
+//! * [`FixedRatioTimer`] — the same rescaled by a ratio, which schedules
+//!   every region on every replay. Only tests and the benchmark's traced
+//!   pass use it: it is the timer path that [`BurstTimes::replay`] equals
+//!   bit for bit.
 
-use musa_tasksim::burst_makespan_ns;
+use musa_arch::CoresPerNode;
+use musa_tasksim::{burst_makespan_ns, burst_makespans_ns};
 use musa_trace::{AppTrace, BurstEvent, ComputeRegion};
 
 use crate::params::NetworkParams;
@@ -59,53 +62,60 @@ impl ComputeTimer for FixedRatioTimer {
 }
 
 /// The burst-mode makespan of every compute event of every rank of one
-/// trace at one core count.
+/// trace at every [`CoresPerNode`] count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstTimes {
     ranks: usize,
-    /// `[compute slot][rank]`, the order the replay asks in.
-    times_ns: Vec<f64>,
+    /// Per count of [`CoresPerNode::ALL`], `[compute slot][rank]`: the
+    /// order the replay asks in.
+    times_ns: [Vec<f64>; CoresPerNode::ALL.len()],
 }
 
 impl BurstTimes {
-    /// Schedule every compute region of `trace` on `cores` cores, as
-    /// [`BurstTimer`] would during a replay. Panics on a non-SPMD trace.
-    pub fn build(trace: &AppTrace, cores: u32) -> BurstTimes {
+    /// Schedule every compute region of `trace` at 1, 32 and 64 cores in
+    /// one pass over its items, as [`BurstTimer`] would at each during a
+    /// replay. Panics on a non-SPMD trace.
+    pub fn build(trace: &AppTrace) -> BurstTimes {
         let (ranks, n_events) = spmd_shape(trace);
-        let mut times_ns = Vec::with_capacity(ranks * trace.ranks[0].regions().count());
+        let counts = CoresPerNode::ALL.map(CoresPerNode::count);
+        let events = ranks * trace.ranks[0].regions().count();
+        let mut times_ns = counts.map(|_| Vec::with_capacity(events));
+        let mut makespans = counts.map(|_| 0.0);
         for slot in 0..n_events {
             if matches!(trace.ranks[0].events[slot], BurstEvent::Compute(_)) {
-                times_ns.extend(
-                    trace
-                        .ranks
-                        .iter()
-                        .map(|rt| burst_makespan_ns(compute_region(rt, slot), cores)),
-                );
+                for rt in &trace.ranks {
+                    burst_makespans_ns(compute_region(rt, slot), &counts, &mut makespans);
+                    for (times, makespan) in times_ns.iter_mut().zip(makespans) {
+                        times.push(makespan);
+                    }
+                }
             }
         }
         BurstTimes { ranks, times_ns }
     }
 
-    /// Replay `trace`, the one the table was built from, with every
-    /// burst time multiplied by `ratio`: bit for bit what
-    /// [`replay`](crate::replay()) returns under a [`FixedRatioTimer`]
-    /// of the core count the table was built at (a [`BurstTimer`] for
-    /// ratio 1).
+    /// Replay `trace`, the one the table was built from, at `cores`, with
+    /// every burst time multiplied by `ratio`: bit for bit what
+    /// [`replay`](crate::replay()) returns under a [`FixedRatioTimer`] of
+    /// that core count (a [`BurstTimer`] for ratio 1).
     /// Panics when the table does not have the trace's shape.
-    pub fn replay(&self, trace: &AppTrace, net: &NetworkParams, ratio: f64) -> ReplayResult {
+    pub fn replay(
+        &self,
+        trace: &AppTrace,
+        net: &NetworkParams,
+        cores: CoresPerNode,
+        ratio: f64,
+    ) -> ReplayResult {
+        // `ALL` lists the counts in declaration order.
+        let times = &self.times_ns[cores as usize];
         let compute_slots = trace.ranks.first().map_or(0, |rt| rt.regions().count());
         assert!(
-            self.ranks == trace.ranks.len() && self.times_ns.len() == compute_slots * self.ranks,
+            self.ranks == trace.ranks.len() && times.len() == compute_slots * self.ranks,
             "burst-time table of {} ranks x {} compute events replayed over another trace",
             self.ranks,
-            self.times_ns.len() / self.ranks.max(1),
+            times.len() / self.ranks.max(1),
         );
-        replay_events(
-            trace,
-            net,
-            |i, _, _| self.times_ns[i] * ratio,
-            |_, _, _, _| {},
-        )
+        replay_events(trace, net, |i, _, _| times[i] * ratio, |_, _, _, _| {})
     }
 }
 

@@ -42,7 +42,8 @@ pub use fusion::{effective_factor, fuse, FusedBody, FusedInstr};
 pub use geometry::CacheGeometry;
 pub use locality::{analyze_kernel, kernel_footprint_bytes, AccessMix, TemplateLocality};
 pub use multicore::{
-    burst_makespan_ns, schedule_region, simulate_region_burst, Schedule, ScheduledItem,
+    burst_makespan_ns, burst_makespans_ns, schedule_region, simulate_region_burst, Schedule,
+    ScheduledItem,
 };
 pub use node::{effective_bandwidth_gbs, estimate_dram_stats, DetailedRegionResult, NodeSim};
 pub use pipeline::{cycles_per_fused_iter, ServiceLatencies};

@@ -17,29 +17,48 @@
 //! and deliberately do *not* scale with the simulated core frequency —
 //! reproducing the paper's HYDRO scheduling plateau above 2.5 GHz.
 //!
-//! **One loop, three core pools.** `place_items` list-schedules a
-//! region's items in trace order and asks a `CorePool` where each one
-//! runs: a static loop's chunks go round-robin (`RoundRobin`) on every
-//! path; otherwise an item takes the earliest-free core. Core free times
-//! are never NaN and never −0.0: they are sums of durations clamped by
-//! `max(0.0)`, so two equally early cores hold the same bits.
+//! **One loop, one lane per core count.** `place_items` list-schedules a
+//! region's items in trace order for several core counts in one pass:
+//! each count is a lane with its own core pool, lock time and makespan,
+//! and each item's duration, critical tail and availability are read
+//! once for all of them. [`schedule_region`] is the one-lane case;
+//! [`burst_makespans_ns`] runs the design space's three counts (1, 32,
+//! 64) in one pass, and more counts three at a time. A static loop's
+//! chunks go round-robin (`RoundRobin`, which counts instead of dividing)
+//! in every lane; otherwise an item takes the earliest-free core. Lanes
+//! share nothing that one writes and another reads, so each lane computes
+//! exactly what a pass of its own would. Task dependencies are the
+//! exception: a finish time is a lane's own, so a region that has any is
+//! scheduled one lane at a time (none of the five applications has one).
+//! Core free times are never NaN and never −0.0: they are sums of
+//! durations clamped by `max(0.0)`, so two equally early cores hold the
+//! same bits, and a compare-select (`later`) takes the place of
+//! `f64::max` on them.
 //!
 //! **Value-only pools.** For a dynamic loop or a task graph the loop does
 //! two things with the core free times: it reads the minimum, and it
-//! overwrites the core holding the minimum with the item's end. Which of
-//! several equally early cores is overwritten cannot change the multiset
-//! of free times, so a pool that keeps only that multiset, sorted, reads
-//! the same minimum bit for bit as a scan over the cores — and with it the
-//! same start, end, lock time and makespan. [`schedule_region`] names the
-//! core of every item in its timeline, so it keeps the indexed scan
-//! (`EarliestFree`, lowest index on ties); [`burst_makespan_ns`] reports
-//! no core and uses a sorted ring (`FreeRing`): it pops the earliest
-//! time and inserts the item's end from the back. An item starts no
-//! earlier than any running item started, so its end is usually the
-//! latest free time, and the insert then moves nothing — where the scan
-//! reads every core for every item.
+//! overwrites the core holding the minimum with the item's end, which is
+//! no earlier. Which of several equally early cores is overwritten cannot
+//! change the multiset of free times, so a pool that keeps only that
+//! multiset, sorted, reads the same minimum bit for bit as a scan over the
+//! cores — and with it the same start, end, lock time and makespan.
+//! [`schedule_region`] names the core of every item in its timeline, so
+//! it keeps the indexed scan (`EarliestFree`, lowest index on ties);
+//! [`burst_makespans_ns`] reports no core and keeps the free times sorted
+//! in a window that slides along its buffer (`SortedFree`): it pops the
+//! front and inserts the item's end. Items start in trace order, each no
+//! earlier than the one before, so an end usually belongs among the
+//! latest few free times (at 64 cores, HYDRO's among the last 16 for 99 %
+//! of items); there the insert is a branch-free merge into the last
+//! `MERGE_SLOTS` slots (as `Pool::take` busies a functional unit
+//! in `pipeline.rs`), and anywhere else, or in a pool of `MERGE_SLOTS`
+//! cores or fewer, a scalar insert from the back. (A scan from the back
+//! that stops where the end belongs stops after a different number of
+//! steps nearly every item, and mispredicts.)
 
 use musa_trace::{ComputeRegion, LoopSchedule, RegionWork, WorkItem};
+
+use crate::pipeline::{earlier, later};
 
 /// Where each work item ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,49 +127,93 @@ pub fn schedule_region(
 ) -> Schedule {
     let cores = cores.max(1);
     let mut timeline = Vec::with_capacity(region.work.items().len());
-    let (makespan_ns, busy_ns) =
-        place_with::<EarliestFree>(region, cores, duration_of, critical_of, |placed| {
-            timeline.push(placed)
-        });
+    let mut busy_ns = 0.0;
+    let mut lanes = [Lane::of(cores)];
+    place_with::<EarliestFree>(region, &mut lanes, duration_of, critical_of, |_, placed| {
+        busy_ns += placed.end_ns - placed.start_ns;
+        timeline.push(placed)
+    });
     Schedule {
-        makespan_ns,
+        makespan_ns: lanes[0].makespan,
         timeline,
         busy_ns,
         cores,
     }
 }
 
-/// Core free-times live on the stack up to this many cores (the design
-/// space stops at 64).
-const STACK_CORES: usize = 64;
+/// One pass over a region's items serves up to this many lanes, which
+/// live on the stack: the design space's three core counts.
+const PASS_LANES: usize = 3;
 
-/// Where the scheduling loop puts each item. A pool keeps one free time
-/// per core in a slice it is handed on every call, so that the slice can
-/// live on the loop's stack.
+/// Core free times live on the stack up to this many slots (the design
+/// space's 1, 32 and 64 cores take 97, or 289 in sorted pools).
+const STACK_SLOTS: usize = 320;
+
+/// A sorted pool inserts branch-free into its last this many slots.
+const MERGE_SLOTS: usize = 16;
+
+/// A sorted pool's window slides this many slots before it moves back to
+/// the start of its buffer.
+const SLIDE_SLOTS: usize = 64;
+
+/// One core count's schedule in the scheduling loop: its pool's slots in
+/// the loop's free-time buffer and cursor, its lock and makespan.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    /// Cores in the pool, at least 1.
+    cores: usize,
+    /// Where the pool's slots start in the free-time buffer.
+    base: usize,
+    /// The pool's cursor: the next core round-robin, or the front of the
+    /// sorted window.
+    next: usize,
+    /// When the critical-section lock is next free.
+    lock_free: f64,
+    makespan: f64,
+}
+
+impl Lane {
+    fn of(cores: u32) -> Lane {
+        Lane {
+            cores: cores.max(1) as usize,
+            ..Lane::default()
+        }
+    }
+}
+
+/// Where the scheduling loop puts each item. A pool keeps its free times
+/// in the slots of the buffer it is handed on every call, so that the
+/// buffer can live on the loop's stack, and its cursor in the lane.
 trait CorePool {
-    /// Lays out `free` (one slot per core, all 0) for a region whose
-    /// master core joins at `master_free`.
-    fn seat(free: &mut [f64], master_free: f64) -> Self;
-    /// The slot item `i` runs in; `free[slot]` is when it is free.
-    fn pick(&mut self, free: &[f64], i: usize) -> usize;
-    /// The item just picked into `slot` ends at `end`; where slots are
-    /// cores, that core is busy until then.
-    fn occupy(&mut self, free: &mut [f64], slot: usize, end: f64) {
+    /// Free-time slots a pool of `cores` cores takes.
+    fn slots(cores: usize) -> usize {
+        cores
+    }
+    /// Lays out `free` (all 0) for a region whose master core joins at
+    /// `master_free`.
+    fn seat(_: &mut Lane, free: &mut [f64], master_free: f64) {
+        free[0] = master_free;
+    }
+    /// The slot the next item runs in; `free[slot]` is when it is free.
+    fn pick(lane: &Lane, free: &[f64]) -> usize;
+    /// The item just picked into `slot` ends at `end`, no earlier than
+    /// `free[slot]`; where slots are cores, that core is busy until then.
+    fn occupy(_: &mut Lane, free: &mut [f64], slot: usize, end: f64) {
         free[slot] = end;
     }
 }
 
-/// Static pre-assignment: item `i` runs on core `i % cores`.
+/// Static pre-assignment: item `i` runs on core `i % cores`, counted.
 struct RoundRobin;
 
 impl CorePool for RoundRobin {
-    fn seat(free: &mut [f64], master_free: f64) -> Self {
-        free[0] = master_free;
-        RoundRobin
+    fn pick(lane: &Lane, _: &[f64]) -> usize {
+        lane.next
     }
 
-    fn pick(&mut self, free: &[f64], i: usize) -> usize {
-        i % free.len()
+    fn occupy(lane: &mut Lane, free: &mut [f64], slot: usize, end: f64) {
+        free[slot] = end;
+        lane.next = if slot + 1 == lane.cores { 0 } else { slot + 1 };
     }
 }
 
@@ -159,12 +222,7 @@ impl CorePool for RoundRobin {
 struct EarliestFree;
 
 impl CorePool for EarliestFree {
-    fn seat(free: &mut [f64], master_free: f64) -> Self {
-        free[0] = master_free;
-        EarliestFree
-    }
-
-    fn pick(&mut self, free: &[f64], _: usize) -> usize {
+    fn pick(_: &Lane, free: &[f64]) -> usize {
         let mut best = 0;
         for (c, &f) in free.iter().enumerate().skip(1) {
             if f < free[best] {
@@ -176,59 +234,127 @@ impl CorePool for EarliestFree {
 }
 
 /// The earliest-free time without its core: the free times sorted in a
-/// ring that starts at `head`. A slot names no core.
-struct FreeRing {
-    head: usize,
-}
+/// window of `cores` slots from `next`, sliding along `SLIDE_SLOTS` more.
+/// A slot names no core.
+struct SortedFree;
 
-impl CorePool for FreeRing {
-    fn seat(free: &mut [f64], master_free: f64) -> Self {
+impl CorePool for SortedFree {
+    fn slots(cores: usize) -> usize {
+        cores + SLIDE_SLOTS
+    }
+
+    fn seat(lane: &mut Lane, free: &mut [f64], master_free: f64) {
         // Every core is free at 0; the master is busied like an item.
-        let mut ring = FreeRing { head: 0 };
-        ring.occupy(free, 0, master_free);
-        ring
+        SortedFree::occupy(lane, free, 0, master_free);
     }
 
-    fn pick(&mut self, _: &[f64], _: usize) -> usize {
-        self.head
+    fn pick(lane: &Lane, _: &[f64]) -> usize {
+        lane.next
     }
 
-    fn occupy(&mut self, free: &mut [f64], _: usize, end: f64) {
-        // Pop the front: its slot becomes the back of the ring.
-        let n = free.len();
-        let mut hole = self.head;
-        self.head = if hole + 1 == n { 0 } else { hole + 1 };
-        // Insert from the back, moving each later free time back a slot.
-        while hole != self.head {
-            let prev = if hole == 0 { n - 1 } else { hole - 1 };
-            if free[prev] <= end {
-                break;
-            }
-            free[hole] = free[prev];
-            hole = prev;
+    fn occupy(lane: &mut Lane, free: &mut [f64], _: usize, end: f64) {
+        let n = lane.cores;
+        if n == 1 {
+            // One free time, always in slot 0: nothing to slide or sort.
+            free[0] = end;
+            return;
         }
-        free[hole] = end;
+        // Pop the front; at the buffer's end, move the rest to its start.
+        let mut front = lane.next + 1;
+        if front + n > free.len() {
+            free.copy_within(front..front + n - 1, 0);
+            front = 0;
+        }
+        lane.next = front;
+        // `free[front..hole]` is sorted; insert `end` into `..=hole`.
+        let hole = front + n - 1;
+        if n > MERGE_SLOTS && end >= free[hole - MERGE_SLOTS] {
+            // It belongs after the slot before the window: a branch-free
+            // merge into the window, its hole read as +inf.
+            let w: &mut [f64; MERGE_SLOTS + 1] = (&mut free[hole - MERGE_SLOTS..=hole])
+                .try_into()
+                .expect("a window of MERGE_SLOTS + 1 slots");
+            w[MERGE_SLOTS] = f64::INFINITY;
+            let r = *w;
+            for k in 1..=MERGE_SLOTS {
+                w[k] = earlier(r[k], later(r[k - 1], end));
+            }
+        } else {
+            let mut at = hole;
+            while at > front && free[at - 1] > end {
+                free[at] = free[at - 1];
+                at -= 1;
+            }
+            free[at] = end;
+        }
     }
 }
 
-/// Schedules `region` with `P` choosing the earliest-free core, except
-/// that a static loop's chunks are pre-assigned round-robin.
+/// Schedules `region` in every lane with `P` choosing the earliest-free
+/// core, except that a static loop's chunks are pre-assigned round-robin;
+/// `place(lane, placement)` hears of every placement.
 fn place_with<P: CorePool>(
     region: &ComputeRegion,
-    cores: u32,
+    lanes: &mut [Lane],
     duration_of: impl FnMut(usize) -> f64,
     critical_of: impl FnMut(usize) -> f64,
-    place: impl FnMut(ScheduledItem),
-) -> (f64, f64) {
+    place: impl FnMut(usize, ScheduledItem),
+) {
     if let RegionWork::ParallelFor {
         schedule: LoopSchedule::Static,
         ..
     } = region.work
     {
-        place_items::<RoundRobin>(region, cores, duration_of, critical_of, place)
+        place_lanes::<RoundRobin>(region, lanes, duration_of, critical_of, place)
     } else {
-        place_items::<P>(region, cores, duration_of, critical_of, place)
+        place_lanes::<P>(region, lanes, duration_of, critical_of, place)
     }
+}
+
+/// Lays the lanes' pools out in one free-time buffer and runs the loop
+/// over `PASS_LANES` of them at a time, or, for a region with task
+/// dependencies, one lane at a time: a finish time is a lane's own.
+fn place_lanes<P: CorePool>(
+    region: &ComputeRegion,
+    lanes: &mut [Lane],
+    mut duration_of: impl FnMut(usize) -> f64,
+    mut critical_of: impl FnMut(usize) -> f64,
+    mut place: impl FnMut(usize, ScheduledItem),
+) {
+    let mut slots = 0;
+    for lane in lanes.iter_mut() {
+        lane.base = slots;
+        slots += P::slots(lane.cores);
+    }
+    let (mut on_stack, mut on_heap) = ([0.0_f64; STACK_SLOTS], Vec::new());
+    let free: &mut [f64] = if slots <= STACK_SLOTS {
+        &mut on_stack[..slots]
+    } else {
+        on_heap.resize(slots, 0.0);
+        &mut on_heap
+    };
+
+    let items = region.work.items();
+    let deps = if items.iter().any(|w| !w.deps.is_empty()) {
+        resolve_deps(items)
+    } else {
+        Vec::new()
+    };
+    let width = if deps.is_empty() { PASS_LANES } else { 1 };
+    for (k, group) in lanes.chunks_mut(width).enumerate() {
+        let (d, c) = (&mut duration_of, &mut critical_of);
+        let mut place = |l, placed| place(k * width + l, placed);
+        match group.len() {
+            1 => place_items::<P, 1>(region, lane_array(group), free, &deps, d, c, &mut place),
+            2 => place_items::<P, 2>(region, lane_array(group), free, &deps, d, c, &mut place),
+            _ => place_items::<P, 3>(region, lane_array(group), free, &deps, d, c, &mut place),
+        }
+    }
+}
+
+/// `group` as the array of lanes it is.
+fn lane_array<const L: usize>(group: &mut [Lane]) -> &mut [Lane; L] {
+    group.try_into().expect("a group of L lanes")
 }
 
 /// For every dependency of every item, in item then dependency order:
@@ -245,17 +371,21 @@ fn resolve_deps(items: &[WorkItem]) -> Vec<Option<usize>> {
     resolved
 }
 
-/// The one scheduling loop: list-schedules the items in trace order on
-/// the cores `P` picks and hands every placement to `place` (its `core`
-/// is `P`'s slot); returns `(makespan, busy)` in ns. `cores` is at
-/// least 1.
-fn place_items<P: CorePool>(
+/// The one scheduling loop: list-schedules the items in trace order, in
+/// every lane on the cores its `P` pool picks from its slots of `free`
+/// (all 0), and hands every placement to `place` with its lane's index
+/// (its `core` is `P`'s slot). `deps` is [`resolve_deps`] of a region
+/// with dependencies, scheduled in one lane, and empty otherwise. Each
+/// lane ends holding its makespan in ns.
+fn place_items<P: CorePool, const L: usize>(
     region: &ComputeRegion,
-    cores: u32,
+    lanes: &mut [Lane; L],
+    free: &mut [f64],
+    deps: &[Option<usize>],
     mut duration_of: impl FnMut(usize) -> f64,
     mut critical_of: impl FnMut(usize) -> f64,
-    mut place: impl FnMut(ScheduledItem),
-) -> (f64, f64) {
+    mut place: impl FnMut(usize, ScheduledItem),
+) {
     let items = region.work.items();
     let n = items.len();
     let spawn = region.spawn_overhead_ns;
@@ -279,27 +409,31 @@ fn place_items<P: CorePool>(
     };
 
     // Finish times by item index, kept only for task graphs.
-    let has_deps = items.iter().any(|w| !w.deps.is_empty());
-    let (deps, mut finish) = if has_deps {
-        (resolve_deps(items), vec![0.0_f64; n])
+    let has_deps = !deps.is_empty();
+    debug_assert!(!has_deps || L == 1, "dependencies in a shared pass");
+    let mut finish = if has_deps {
+        vec![0.0_f64; n]
     } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
     let mut next_dep = 0;
 
-    // Core free times; the master joins after spawning.
-    let (mut on_stack, mut on_heap) = ([0.0_f64; STACK_CORES], Vec::new());
-    let free: &mut [f64] = if cores as usize <= STACK_CORES {
-        &mut on_stack[..cores as usize]
-    } else {
-        on_heap.resize(cores as usize, 0.0);
-        &mut on_heap
-    };
-    let mut pool = P::seat(free, master_free);
-
-    let mut lock_free = 0.0_f64;
-    let mut busy = 0.0_f64;
-    let mut makespan = master_free;
+    // Each lane's pool; its master joins after spawning. The lanes are
+    // copied in so that their cursors and times can stay in registers.
+    let mut lanes_in = *lanes;
+    for lane in lanes_in.iter_mut() {
+        *lane = Lane {
+            cores: lane.cores,
+            base: lane.base,
+            makespan: master_free,
+            ..Lane::default()
+        };
+        P::seat(
+            lane,
+            &mut free[lane.base..lane.base + P::slots(lane.cores)],
+            master_free,
+        );
+    }
 
     for (i, item) in items.iter().enumerate() {
         let dur = duration_of(i).max(0.0) + dispatch;
@@ -318,34 +452,37 @@ fn place_items<P: CorePool>(
             .fold(0.0_f64, |done, &j| done.max(finish[j]));
         let ready = avail.max(deps_done);
 
-        let slot = pool.pick(free, i);
-        let start = ready.max(free[slot]);
-        let mut end = start + dur;
-        // Critical section at the item's tail serialises on the lock.
-        if crit > 0.0 {
-            let crit_start = (end - crit).max(lock_free);
-            end = crit_start + crit;
-            lock_free = end;
-        }
+        for (l, lane) in lanes_in.iter_mut().enumerate() {
+            let free = &mut free[lane.base..lane.base + P::slots(lane.cores)];
+            let slot = P::pick(lane, free);
+            let start = later(ready, free[slot]);
+            let mut end = start + dur;
+            // Critical section at the item's tail serialises on the lock.
+            if crit > 0.0 {
+                let crit_start = later(end - crit, lane.lock_free);
+                end = crit_start + crit;
+                lane.lock_free = end;
+            }
 
-        pool.occupy(free, slot, end);
-        if has_deps {
-            finish[i] = end;
+            P::occupy(lane, free, slot, end);
+            if has_deps {
+                finish[i] = end;
+            }
+            lane.makespan = later(end, lane.makespan);
+            place(
+                l,
+                ScheduledItem {
+                    item: item.id,
+                    core: slot as u32,
+                    start_ns: start,
+                    end_ns: end,
+                },
+            );
         }
-        busy += end - start;
-        if end > makespan {
-            makespan = end;
-        }
-        place(ScheduledItem {
-            item: item.id,
-            core: slot as u32,
-            start_ns: start,
-            end_ns: end,
-        });
     }
 
-    musa_obs::counter_add("tasksim.items_scheduled", n as u64);
-    (makespan, busy)
+    *lanes = lanes_in;
+    musa_obs::counter_add("tasksim.items_scheduled", (n * L) as u64);
 }
 
 /// Burst-mode (hardware-agnostic) simulation of a region: durations come
@@ -360,19 +497,42 @@ pub fn simulate_region_burst(region: &ComputeRegion, cores: u32) -> Schedule {
     )
 }
 
-/// The makespan of [`simulate_region_burst`] alone, bit for bit, with no
-/// placement recorded and (for regions without task dependencies, up to
-/// 64 cores) no allocation.
-pub fn burst_makespan_ns(region: &ComputeRegion, cores: u32) -> f64 {
+/// The makespan of [`simulate_region_burst`] at each of `cores`, bit for
+/// bit: `makespans[k]` is that at `cores[k]`. Up to three counts take one
+/// pass over the region's items. It records no placement and, for a
+/// region without task dependencies at up to three core counts whose
+/// pools fit on the stack (1, 32 and 64 do), allocates nothing. Panics
+/// unless the two slices have one length.
+pub fn burst_makespans_ns(region: &ComputeRegion, cores: &[u32], makespans: &mut [f64]) {
+    assert_eq!(cores.len(), makespans.len(), "one makespan per core count");
+    let (mut on_stack, mut on_heap) = ([Lane::default(); PASS_LANES], Vec::new());
+    let lanes: &mut [Lane] = if cores.len() <= PASS_LANES {
+        &mut on_stack[..cores.len()]
+    } else {
+        on_heap.resize(cores.len(), Lane::default());
+        &mut on_heap
+    };
+    for (lane, &c) in lanes.iter_mut().zip(cores) {
+        *lane = Lane::of(c);
+    }
     let items = region.work.items();
-    place_with::<FreeRing>(
+    place_with::<SortedFree>(
         region,
-        cores.max(1),
+        lanes,
         |i| items[i].duration_ns,
         |i| items[i].critical_ns,
-        |_| {},
-    )
-    .0
+        |_, _| {},
+    );
+    for (m, lane) in makespans.iter_mut().zip(lanes.iter()) {
+        *m = lane.makespan;
+    }
+}
+
+/// [`burst_makespans_ns`] at one core count.
+pub fn burst_makespan_ns(region: &ComputeRegion, cores: u32) -> f64 {
+    let mut makespan = [0.0];
+    burst_makespans_ns(region, &[cores], &mut makespan);
+    makespan[0]
 }
 
 #[cfg(test)]
@@ -609,7 +769,13 @@ mod tests {
                 && region.spawn_overhead_ns == 0.0) as u32;
             // Detailed mode hands in its own durations: exercise that too.
             let scale = 0.25 + rng.next_f64() * 4.0;
-            for cores in [0u32, 1, 2, 7, 32, 64, 65, 200] {
+            // Every count in one pass: lanes of different widths, the
+            // heap past the stack's slots, the scalar insert of narrow
+            // pools.
+            let counts = [0u32, 1, 2, 7, 32, 64, 65, 200];
+            let mut makespans = [0.0; 8];
+            burst_makespans_ns(&region, &counts, &mut makespans);
+            for (cores, makespan) in counts.into_iter().zip(makespans) {
                 let want = schedule_region_reference(
                     &region,
                     cores,
@@ -623,11 +789,16 @@ mod tests {
                     |i| items[i].critical_ns * scale,
                 );
                 assert_eq!(bits(&got), bits(&want), "cores {cores}: {region:?}");
-                let burst = simulate_region_burst(&region, cores);
+                let burst = simulate_region_burst(&region, cores).makespan_ns;
+                assert_eq!(
+                    makespan.to_bits(),
+                    burst.to_bits(),
+                    "one-pass entry, cores {cores}: {region:?}"
+                );
                 assert_eq!(
                     burst_makespan_ns(&region, cores).to_bits(),
-                    burst.makespan_ns.to_bits(),
-                    "makespan-only entry, cores {cores}: {region:?}"
+                    burst.to_bits(),
+                    "one-count entry, cores {cores}: {region:?}"
                 );
             }
         });
@@ -637,11 +808,11 @@ mod tests {
     }
 
     /// Every region a paper-scale burst table schedules: each compute
-    /// region of each rank of the five applications at 1, 32 and 64
-    /// cores, the ring against the scheduler that names cores.
+    /// region of each rank of the five applications, the one pass at 1,
+    /// 32 and 64 cores against the scheduler that names cores.
     #[test]
     #[ignore = "every region of the five paper-scale traces; scripts/check.sh runs it in release"]
-    fn burst_makespan_equals_the_schedule_on_every_paper_scale_region() {
+    fn burst_makespans_equal_the_schedule_on_every_paper_scale_region() {
         let mut regions = 0;
         for app in musa_apps::AppId::ALL {
             let trace = musa_apps::generate(app, &musa_apps::GenParams::paper());
@@ -650,9 +821,12 @@ mod tests {
                 .iter()
                 .flat_map(|rt| rt.regions().map(move |r| (rt.rank, r)))
             {
-                for cores in [1, 32, 64] {
+                let counts = [1, 32, 64];
+                let mut makespans = [0.0; 3];
+                burst_makespans_ns(region, &counts, &mut makespans);
+                for (cores, makespan) in counts.into_iter().zip(makespans) {
                     assert_eq!(
-                        burst_makespan_ns(region, cores).to_bits(),
+                        makespan.to_bits(),
                         simulate_region_burst(region, cores).makespan_ns.to_bits(),
                         "{app:?} rank {rank} region {} at {cores} cores",
                         region.region_id
@@ -662,6 +836,76 @@ mod tests {
             }
         }
         assert!(regions > 5 * 256, "only {regions} paper-scale regions");
+    }
+
+    /// The sorted pool against a sorted list: after every insert its
+    /// window holds the multiset a pop-the-minimum, insert-the-end list
+    /// holds, bit for bit. Ends land anywhere from the front to past the
+    /// back, often on ties, in pools narrower and wider than the merge.
+    #[test]
+    fn sorted_pool_keeps_the_free_times_a_sorted_list_keeps() {
+        musa_obs::rng::check_cases(200, |rng| {
+            let cores = [1, 2, 16, 17, 18, 33, 64, 65][(rng.next_u64() % 8) as usize];
+            let mut free = vec![0.0; SortedFree::slots(cores)];
+            let mut lane = Lane::of(cores as u32);
+            let mut want = vec![0.0; cores];
+            let master = (rng.next_u64() % 4) as f64 * 100.0;
+            SortedFree::seat(&mut lane, &mut free, master);
+            want.remove(0);
+            want.push(master);
+            want.sort_by(f64::total_cmp);
+            for step in 0..600 {
+                let slot = SortedFree::pick(&lane, &free);
+                assert_eq!(free[slot].to_bits(), want[0].to_bits(), "step {step}");
+                let end = match rng.next_u64() % 4 {
+                    // A tie with a free time at or after the front.
+                    0 => want[(rng.next_u64() % cores as u64) as usize],
+                    1 => want[0] + (rng.next_u64() % 50) as f64,
+                    _ => want[cores - 1] + rng.next_f64() * 40.0 - 20.0,
+                }
+                .max(want[0]);
+                SortedFree::occupy(&mut lane, &mut free, slot, end);
+                want.remove(0);
+                want.push(end);
+                want.sort_by(f64::total_cmp);
+                let got = &free[lane.next..lane.next + cores];
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{cores} cores, step {step}: {got:?} against {want:?}"
+                );
+            }
+        });
+    }
+
+    /// A loop chunk waits for the chunks its `deps` name, static or
+    /// dynamic, in the scheduler that names cores and in the one-pass
+    /// entry (which then schedules its lanes one at a time).
+    #[test]
+    fn loop_chunks_wait_for_their_deps() {
+        for schedule in [LoopSchedule::Static, LoopSchedule::Dynamic] {
+            let mut r = par_for(&[100.0, 10.0, 10.0, 10.0], 0.0, schedule);
+            let RegionWork::ParallelFor { chunks, .. } = &mut r.work else {
+                unreachable!()
+            };
+            chunks[2].deps.push(0);
+            let s = simulate_region_burst(&r, 4);
+            assert_eq!(s.timeline[2].start_ns, s.timeline[0].end_ns, "{schedule:?}");
+            assert_eq!(s.makespan_ns, 110.0, "{schedule:?}");
+            let counts = [1, 4, 64];
+            let mut makespans = [0.0; 3];
+            burst_makespans_ns(&r, &counts, &mut makespans);
+            for (cores, makespan) in counts.into_iter().zip(makespans) {
+                let want = simulate_region_burst(&r, cores).makespan_ns;
+                assert_eq!(
+                    makespan.to_bits(),
+                    want.to_bits(),
+                    "{schedule:?} at {cores}"
+                );
+            }
+            assert_eq!(makespans[1], 110.0, "{schedule:?}");
+        }
     }
 
     #[test]

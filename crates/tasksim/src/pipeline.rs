@@ -328,7 +328,7 @@ impl<T: Copy> Ring<T> {
 }
 
 /// The later of two times (a compare-select: neither is ever NaN).
-fn later(a: f64, b: f64) -> f64 {
+pub(crate) fn later(a: f64, b: f64) -> f64 {
     if a > b {
         a
     } else {
@@ -337,7 +337,7 @@ fn later(a: f64, b: f64) -> f64 {
 }
 
 /// The earlier of two times (a compare-select: neither is ever NaN).
-fn earlier(a: f64, b: f64) -> f64 {
+pub(crate) fn earlier(a: f64, b: f64) -> f64 {
     if a < b {
         a
     } else {

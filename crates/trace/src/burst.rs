@@ -65,7 +65,9 @@ pub enum RegionWork {
     /// `omp parallel for`: independent chunks with an implicit barrier at
     /// the end of the loop.
     ParallelFor {
-        /// Loop chunks (deps ignored).
+        /// Loop chunks. The scheduler makes a chunk wait for the earlier
+        /// chunks its `deps` name, as it does a task; no generator gives
+        /// a chunk any.
         chunks: Vec<WorkItem>,
         /// Scheduling policy.
         schedule: LoopSchedule,

@@ -123,6 +123,15 @@ if sed '/^#\[cfg(test)\]/,$d' crates/tasksim/src/node.rs | grep -n 'profile_kern
     exit 1
 fi
 
+# One burst table per trace, built in one walk for every core count: the
+# makespan-only ring the sorted window replaced and the memo's map of one
+# table per core count must not come back.
+if grep -rn 'FreeRin[g]' Cargo.toml crates src tests examples scripts ||
+    grep -rn 'tables: Mute[x]\|HashMap<u32, Arc<BurstTime[s]>>' crates/core/src; then
+    echo "check: FAIL — the ring pool or a per-core-count burst table map is back (lines above)" >&2
+    exit 1
+fi
+
 echo "== non-test line counts (each src file up to its first line beginning #[cfg(test)]) =="
 # Printed, not gated, so that every change quotes the same numbers.
 noncode() { awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"; }
@@ -247,8 +256,9 @@ echo "== profile-table walk count (864 x 5 paper grid, one table per app) =="
 cargo test -q --release -p musa-tasksim --lib -- --ignored paper_grid_walks
 
 echo "== region scheduler oracle (every paper-scale region at 1, 32 and 64 cores) =="
-# Every region a paper-scale burst table schedules: the makespan-only
-# ring against the scheduler that names cores, bit for bit.
+# Every region a paper-scale burst table schedules: the one-pass build at
+# the three core counts against the scheduler that names cores, bit for
+# bit.
 cargo test -q --release -p musa-tasksim --lib -- --ignored every_paper_scale_region
 
 echo "== expanded-space golden digest (every 97th config x 5 tiny, shared and fresh) =="
