@@ -27,20 +27,18 @@
 //! With `--progress` and/or `--metrics`, the run ends with the
 //! "where did the time go" phase table on stderr; `--metrics PATH`
 //! additionally dumps the full metrics snapshot (per-app × per-phase
-//! wall time, cache-hit/resume-skip counts, batch-flush statistics) as
+//! wall time, resume-skip counts, batch-flush statistics) as
 //! schema-versioned JSON.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use musa_apps::AppId;
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_bench::cli::{
-    parse_dse_args, CacheArgs, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs, FaultArgs,
-    LogArgs, Parsed, ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
+    parse_dse_args, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs, FaultArgs, LogArgs, Parsed,
+    ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
 };
 use musa_bench::{configs, scale_for, store_dir_for};
-use musa_cache::ArtifactCache;
 use musa_core::report::table;
 use musa_core::SweepOptions;
 use musa_dist::{signals, PoolOptions, Supervisor};
@@ -90,7 +88,6 @@ fn main() {
         }
         Ok(Parsed::Search(args)) => search_main(args),
         Ok(Parsed::Profile(args)) => profile_main(args),
-        Ok(Parsed::Cache(args)) => cache_main(args),
         Ok(Parsed::Serve(args)) => serve_main(args),
         Ok(Parsed::DistWorker(args)) => dist_worker_main(args),
         Ok(Parsed::Doctor(args)) => doctor_main(args),
@@ -124,7 +121,7 @@ fn main() {
         .flat_map(|&app| configs.iter().map(move |&config| (app, config)))
         .collect();
 
-    let mut runner = Runner::open(&args, &dir, "sequential", true);
+    let mut runner = Runner::open(&args, &dir, true);
     let outcome = runner.run(&points);
     runner.finish();
     let campaign = runner
@@ -201,35 +198,29 @@ struct Outcome {
 
 /// How a [`Runner`] executes points.
 enum Backend {
-    /// [`CampaignStore::fill`] in this process, with the artifact cache
-    /// and the flight recorder. The reference `--workers` is held
-    /// byte-identical to.
-    Fill { cache: Option<Arc<ArtifactCache>> },
+    /// [`CampaignStore::fill`] in this process, with the flight
+    /// recorder. The reference `--workers` is held byte-identical to.
+    Fill,
     /// `--workers N`: the supervisor's `dist-worker` children (and any
     /// remote ones that join over `--listen`) simulate; the hub's
     /// lease shards are the only writers while it is open.
     Pool {
         sup: Box<Supervisor>,
         workers: usize,
-        /// Length of the cache sessions ledger before this run's
-        /// workers appended to it.
-        prior_sessions: usize,
     },
 }
 
 /// The one way `dse` runs points, whichever subcommand enumerates them
 /// (the campaign hands over one list, a search one per generation):
-/// open the store with its cache and recorder, or the supervisor; run
-/// the points; on SIGINT/SIGTERM journal the interruption, flush the
-/// telemetry and exit 130; at the end dismiss the workers and report
-/// cache reuse. Only `--workers` picks between the two backends.
+/// open the store with its recorder, or the supervisor; run the
+/// points; on SIGINT/SIGTERM journal the interruption, flush the
+/// telemetry and exit 130; at the end dismiss the workers. Only
+/// `--workers` picks between the two backends.
 struct Runner<'a> {
     args: &'a DseArgs,
     dir: &'a Path,
     /// What every point runs under; the parsed `--full` picks the scale.
     sweep: SweepOptions,
-    /// Label of this process's session in the cache ledger.
-    session: &'static str,
     /// Print each run's report lines (the campaign does; a search's
     /// generations stay quiet).
     announce: bool,
@@ -242,7 +233,7 @@ struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    fn open(args: &'a DseArgs, dir: &'a Path, session: &'static str, announce: bool) -> Runner<'a> {
+    fn open(args: &'a DseArgs, dir: &'a Path, announce: bool) -> Runner<'a> {
         let c = &args.campaign;
         let want_report = c.metrics.is_some() || c.progress;
         if want_report {
@@ -252,15 +243,9 @@ impl<'a> Runner<'a> {
         // leases), so a pipeline around `dse` can tell a clean Ctrl-C
         // from a crash.
         signals::install_term_handlers();
-        let mut store = CampaignStore::open(dir)
+        let store = CampaignStore::open(dir)
             .unwrap_or_else(|e| die(format!("open campaign store {}: {e}", dir.display())));
         let backend = if let Some(workers) = c.workers {
-            let cache_on = !c.no_cache && musa_cache::enabled_from_env();
-            let prior_sessions = if cache_on {
-                musa_cache::load_sessions(&dir.join(musa_cache::ARTIFACT_DIR)).len()
-            } else {
-                0
-            };
             let pool = PoolOptions {
                 workers,
                 point_timeout: args.point_timeout,
@@ -270,7 +255,6 @@ impl<'a> Runner<'a> {
                 progress: c.progress,
                 env: musa_bench::pool_worker_env(
                     args.faults.spec.as_deref(),
-                    !c.no_cache,
                     want_report,
                     !c.no_prof && musa_prof::enabled_from_env(),
                 ),
@@ -287,15 +271,10 @@ impl<'a> Runner<'a> {
             Backend::Pool {
                 sup: Box::new(sup),
                 workers,
-                prior_sessions,
             }
         } else {
-            let cache = open_cache(dir, c.no_cache);
-            if let Some(cache) = &cache {
-                store.set_artifact_cache(Arc::clone(cache));
-            }
             install_store_recorder(dir, c.no_prof);
-            Backend::Fill { cache }
+            Backend::Fill
         };
         Runner {
             args,
@@ -304,7 +283,6 @@ impl<'a> Runner<'a> {
                 gen: scale_for(c.full).1,
                 full_replay: true,
             },
-            session,
             announce,
             backend,
             store,
@@ -318,7 +296,7 @@ impl<'a> Runner<'a> {
     fn run(&mut self, points: &[(AppId, NodeConfig)]) -> Outcome {
         let dir = self.dir.display();
         match &mut self.backend {
-            Backend::Fill { .. } => {
+            Backend::Fill => {
                 let opts = FillOptions {
                     progress: self.args.campaign.progress,
                     max_retries: self.args.max_retries,
@@ -427,7 +405,7 @@ impl<'a> Runner<'a> {
     /// interruption in the exit code.
     fn interrupted(&mut self, what: String) -> ! {
         self.dismiss();
-        if let Backend::Fill { .. } = self.backend {
+        if let Backend::Fill = self.backend {
             // (The supervisor journals its own drain.)
             match LeaseJournal::open(self.dir) {
                 Ok((mut journal, _)) => {
@@ -456,44 +434,11 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Stop recording, dismiss the workers, print the cache reuse
-    /// report.
+    /// Stop recording and dismiss the workers.
     fn dismiss(&mut self) {
         match &mut self.backend {
-            Backend::Fill { cache } => {
-                musa_prof::uninstall_recorder();
-                if let Some(cache) = cache {
-                    cache.persist_session(self.session);
-                    let stats = cache.stats();
-                    if stats.hits() + stats.misses() > 0 {
-                        eprintln!("[dse] cache: {}", stats.report());
-                    }
-                }
-            }
-            Backend::Pool {
-                sup,
-                prior_sessions,
-                ..
-            } => {
-                sup.close();
-                // Workers persisted their tallies on exit; aggregate
-                // the lines this run appended — not earlier runs
-                // sharing the directory — into one reuse report.
-                let sessions = musa_cache::load_sessions(&self.dir.join(musa_cache::ARTIFACT_DIR));
-                let mut total = musa_cache::SessionStats::default();
-                let fresh = sessions.iter().skip(*prior_sessions);
-                let count = fresh.clone().count();
-                for s in fresh {
-                    total.absorb(s);
-                }
-                if count > 0 && total.hits() + total.misses() > 0 {
-                    eprintln!(
-                        "[dse] cache ({count} worker session{}): {}",
-                        if count == 1 { "" } else { "s" },
-                        total.report()
-                    );
-                }
-            }
+            Backend::Fill => musa_prof::uninstall_recorder(),
+            Backend::Pool { sup, .. } => sup.close(),
         }
     }
 }
@@ -541,22 +486,6 @@ fn arm_observability(log: &LogArgs, faults: Option<&FaultArgs>) {
     }
 }
 
-/// The artifact cache under `dir`, on unless `--no-cache` (or
-/// `MUSA_CACHE=0`) says otherwise. Failure to open it is a warning:
-/// the sweep proceeds uncached rather than not at all.
-fn open_cache(dir: &Path, no_cache: bool) -> Option<Arc<ArtifactCache>> {
-    if no_cache || !musa_cache::enabled_from_env() {
-        return None;
-    }
-    match ArtifactCache::open(dir) {
-        Ok(cache) => Some(cache),
-        Err(e) => {
-            eprintln!("[dse] artifact cache unavailable ({e}), computing uncached");
-            None
-        }
-    }
-}
-
 /// Flight recorder for an in-process fill: one sealed record per
 /// simulated point lands in `profiles.jsonl`. Installation first
 /// repairs what a crashed run may have left. Failure to install
@@ -584,25 +513,11 @@ fn install_store_recorder(dir: &Path, no_prof: bool) {
 fn dist_worker_main(args: DistWorkerArgs) -> ! {
     arm_observability(&args.log, Some(&args.faults));
 
-    // The only thing a worker keeps on disk is its artifact cache: in
-    // the given store directory (shared, kept), or in a per-process
-    // scratch directory that goes away with the worker.
-    let scratch = args
-        .store_dir
-        .is_none()
-        .then(|| std::env::temp_dir().join(format!("musa-dist-worker-{}", std::process::id())));
-    let cache = open_cache(
-        args.store_dir
-            .as_deref()
-            .or(scratch.as_deref())
-            .expect("one is set"),
-        args.no_cache,
-    );
     if !args.no_prof && musa_prof::enabled_from_env() {
         musa_prof::install_line_recorder();
     }
 
-    let mut exec = PointExecutor::new(cache);
+    let mut exec = PointExecutor::new();
     let opts = musa_dist::DistWorkerOptions {
         connect: args.connect.clone(),
         tag: format!("w{}", std::process::id()),
@@ -613,12 +528,6 @@ fn dist_worker_main(args: DistWorkerArgs) -> ! {
     };
     let exit = musa_dist::run_dist_worker(&opts, &mut exec);
     musa_prof::uninstall_recorder();
-    if let Some(cache) = exec.cache() {
-        cache.persist_session("dist-worker");
-    }
-    if let Some(scratch) = &scratch {
-        let _ = std::fs::remove_dir_all(scratch);
-    }
     match &exit {
         musa_dist::WorkerExit::Drained => {
             eprintln!("[dse] dist-worker drained: the supervisor is done with us");
@@ -676,7 +585,7 @@ impl Evaluator for StoreEvaluator<'_> {
 
 /// `dse search`: the adaptive, journaled, resumable Pareto-front
 /// search. Evaluation goes through the exact machinery a plain sweep
-/// uses — store rows, artifact cache, flight recorder, worker pool —
+/// uses — store rows, flight recorder, worker pool —
 /// so a search leaves behind a perfectly ordinary (partial) campaign
 /// plus its own journal under `<store-dir>/search/`.
 fn search_main(args: SearchArgs) -> ! {
@@ -735,7 +644,7 @@ fn search_main(args: SearchArgs) -> ! {
         ..DseArgs::default()
     };
     let mut ev = StoreEvaluator {
-        runner: Runner::open(&run_args, &dir, "search", false),
+        runner: Runner::open(&run_args, &dir, false),
         hits: 0,
     };
     let outcome = run_search(&config, &mut ev, Some(&mut journal), Some(&mut on_gen));
@@ -819,27 +728,6 @@ fn summarise_search(outcome: &musa_search::SearchOutcome) {
     if outcome.exhausted {
         println!("(the space ran out of fresh points before the budget)");
     }
-}
-
-/// `dse cache gc`: reclaim space in the artifact directory. Works on
-/// the directory alone — no campaign is loaded, no simulator runs — so
-/// it is instant against stores of any size. (`dse doctor` inspects
-/// the directory; it never reclaims.)
-fn cache_main(args: CacheArgs) -> ! {
-    let dir = store_dir_of(&args.store_dir, false).join(musa_cache::ARTIFACT_DIR);
-    let report = musa_cache::gc(&dir, args.all).unwrap_or_else(|e| {
-        eprintln!("dse cache gc: {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    println!(
-        "gc {}: removed {} artifact(s), {} temp file(s), {} quarantined file(s) — {} reclaimed",
-        dir.display(),
-        report.removed,
-        report.tmp_removed,
-        report.quarantine_removed,
-        musa_cache::human_bytes(report.bytes)
-    );
-    std::process::exit(0);
 }
 
 /// `--csv` / `--json` exports, shared by the sequential and pool paths.
@@ -1111,7 +999,7 @@ fn finish_observability(campaign: &CampaignArgs, workers: &musa_obs::MetricsSnap
 /// Works from the store directory alone — profiles.jsonl is read
 /// (read-only: a kill -9'd run's residue is tolerated without being
 /// rewritten), aggregated into the top-k /
-/// per-phase / cache-efficacy report, and optionally exported as a
+/// per-phase report, and optionally exported as a
 /// Chrome Trace Event file with one track per worker process.
 fn profile_main(args: ProfileArgs) -> ! {
     let store = store_dir_of(&args.store_dir, false);

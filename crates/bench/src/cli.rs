@@ -23,8 +23,6 @@ usage: dse [options]
                                    (the paper's tables and figures)
        dse serve [serve-options]   query service over a campaign store
                                    (see dse serve --help)
-       dse cache gc [cache-options]  reclaim artifact-cache space
-                                   (see dse cache --help)
        dse profile [profile-options]   per-point profiling report and
                                    timeline export (see dse profile --help)
        dse search [search-options]  adaptive Pareto-front search over a
@@ -35,8 +33,7 @@ usage: dse [options]
                                    leases over TCP
                                    (see dse dist-worker --help)
        dse doctor [--repair]        store-wide integrity audit across every
-                                   durable surface, artifact-cache tallies
-                                   included; exit 0/1/2 for
+                                   durable surface; exit 0/1/2 for
                                    ok/degraded/corrupt (see dse doctor --help)
        dse torture --seed S --rounds N   seeded multi-fault storm harness
                                    over the real binary
@@ -46,9 +43,6 @@ usage: dse [options]
   --csv [PATH]       export the campaign as CSV (default dse_results.csv)
   --json [PATH]      export the campaign as JSON (default dse_results.json)
   --full             paper scale (256 ranks) instead of the reduced scale
-  --no-cache         compute every trace, detailed window and burst baseline
-                     instead of reusing cached artifacts (the cache is on by
-                     default; rows are byte-identical either way)
   --progress         live fill heartbeat (points done/total, rows/s,
                      p95 point latency, ETA)
   --metrics PATH     write the end-of-run metrics snapshot as JSON
@@ -120,8 +114,6 @@ pub struct CampaignArgs {
     pub resume: bool,
     /// Paper scale (256 ranks).
     pub full: bool,
-    /// Disable the intermediate-artifact cache.
-    pub no_cache: bool,
     /// Disable the per-point profiling flight recorder.
     pub no_prof: bool,
     /// Live progress on stderr.
@@ -149,16 +141,15 @@ const CAMPAIGN: &[&str] = &[
     "--store-dir",
     "--resume",
     "--full",
-    "--no-cache",
     "--no-prof",
     "--progress",
     "--metrics",
 ];
 const RUN_SHARED: &[&[&str]] = &[LOG, FAULTS, CAMPAIGN];
 const SEARCH_SHARED: &[&[&str]] = &[LOG, CAMPAIGN];
-const DIST_WORKER_SHARED: &[&[&str]] = &[LOG, FAULTS, STORE_DIR, &["--no-cache", "--no-prof"]];
+const DIST_WORKER_SHARED: &[&[&str]] = &[LOG, FAULTS, &["--no-prof"]];
 const SERVE_SHARED: &[&[&str]] = &[LOG, STORE_DIR];
-/// `cache gc`, `profile` and `doctor` only say which store they use.
+/// `profile` and `doctor` only say which store they use.
 const STORE_DIR_ONLY: &[&[&str]] = &[STORE_DIR];
 
 impl Shared {
@@ -205,7 +196,6 @@ impl Shared {
             "--store-dir" => campaign.store_dir = Some(required(it, "--store-dir")?.into()),
             "--resume" => campaign.resume = true,
             "--full" => campaign.full = true,
-            "--no-cache" => campaign.no_cache = true,
             "--no-prof" => campaign.no_prof = true,
             "--progress" => campaign.progress = true,
             "--metrics" => campaign.metrics = Some(required(it, "--metrics")?.into()),
@@ -329,8 +319,6 @@ pub enum Parsed {
     Report(DseArgs),
     /// Run the query service with these arguments.
     Serve(ServeArgs),
-    /// Reclaim artifact-cache space (`dse cache gc ...`).
-    Cache(CacheArgs),
     /// Analyse the per-point profiling flight record
     /// (`dse profile ...`).
     Profile(ProfileArgs),
@@ -384,7 +372,6 @@ pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
             help => Ok(help),
         },
         Some((&"serve", rest)) => parse_serve_args(rest),
-        Some((&"cache", rest)) => parse_cache_args(rest),
         Some((&"profile", rest)) => parse_profile_args(rest),
         Some((&"search", rest)) => parse_search_args(rest),
         Some((&"dist-worker", rest)) => parse_dist_worker_args(rest),
@@ -462,62 +449,13 @@ fn parse_run_args(args: &[&str]) -> Result<Parsed, String> {
     Ok(Parsed::Run(out))
 }
 
-/// `dse cache` usage text.
-pub const CACHE_USAGE: &str = "\
-usage: dse cache gc [options]
-  remove temp litter, stale-schema artifacts, corrupt artifacts and
-  quarantine evidence from the artifact cache (`dse doctor` inspects
-  it; gc is the one command that reclaims space)
-options:
-  --store-dir DIR    campaign store directory whose artifacts/ to clean
-                     (default target/musa-store-<scale>)
-  --all              remove *every* artifact and the session ledger
-                     (full cache reset)
-  -h, --help         this help";
-
-/// Parsed `dse cache gc` arguments.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CacheArgs {
-    /// Campaign store directory override.
-    pub store_dir: Option<PathBuf>,
-    /// `--all`: full cache reset.
-    pub all: bool,
-}
-
-/// Parse `dse cache` arguments (after the `cache` token).
-fn parse_cache_args(args: &[&str]) -> Result<Parsed, String> {
-    let mut it = args.iter().copied().peekable();
-    match it.next() {
-        Some("-h") | Some("--help") | None => return Ok(Parsed::Help(CACHE_USAGE)),
-        Some("gc") => {}
-        Some(other) => return Err(format!("unknown cache command {other:?} (expected gc)")),
-    }
-    let mut out = CacheArgs::default();
-    let mut shared = Shared::default();
-    while let Some(arg) = it.next() {
-        if shared.take(STORE_DIR_ONLY, arg, &mut it)? {
-            continue;
-        }
-        match arg {
-            "-h" | "--help" => return Ok(Parsed::Help(CACHE_USAGE)),
-            "--all" => out.all = true,
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    out.store_dir = shared.campaign.store_dir;
-    Ok(Parsed::Cache(out))
-}
-
 /// `dse doctor` usage text.
 pub const DOCTOR_USAGE: &str = "\
 usage: dse doctor [options]
   walk every durable surface of a campaign store with the real parsers —
   row CRCs and torn tails, the lease journal, the search journal, the
-  artifact cache (each file against its header and name, every corrupt
-  one named; detail/burst counts, bytes and reuse per session label),
-  the profile flight record, the lease shards and the quarantine
-  ledger — and grade each family ok/degraded/corrupt.
+  profile flight record, the lease shards and the quarantine ledger —
+  and grade each family ok/degraded/corrupt.
   Exit code: 0 ok, 1 degraded, 2 corrupt.
 options:
   --repair           apply each subsystem's atomic repair path, then
@@ -645,10 +583,6 @@ usage: dse dist-worker --connect ADDR [options]
   `--workers N` runs N of these itself; start more, anywhere, to join.
 options:
   --connect ADDR     supervisor address (host:port); required
-  --store-dir DIR    keep the artifact cache in DIR/artifacts (shared
-                     with every process using DIR) instead of a private
-                     scratch directory that is removed on exit
-  --no-cache         disable the intermediate-artifact cache
   --no-prof          disable the per-point profiling flight recorder
   --reconnect-for D  give up after this long without a successful
                      handshake, e.g. 30s, 5m (default 120s)
@@ -667,11 +601,6 @@ options:
 pub struct DistWorkerArgs {
     /// Supervisor address.
     pub connect: String,
-    /// Directory whose `artifacts/` holds the cache; `None` is a
-    /// private scratch directory removed on exit.
-    pub store_dir: Option<PathBuf>,
-    /// Disable the intermediate-artifact cache.
-    pub no_cache: bool,
     /// Disable the per-point profiling flight recorder.
     pub no_prof: bool,
     /// Reconnect window override.
@@ -715,8 +644,6 @@ fn parse_dist_worker_args(args: &[&str]) -> Result<Parsed, String> {
     }
     Ok(Parsed::DistWorker(DistWorkerArgs {
         connect: connect.ok_or("dist-worker needs --connect ADDR")?,
-        store_dir: shared.campaign.store_dir,
-        no_cache: shared.campaign.no_cache,
         no_prof: shared.campaign.no_prof,
         reconnect_for,
         max_reconnects,
@@ -730,7 +657,7 @@ pub const PROFILE_USAGE: &str = "\
 usage: dse profile [options]
   reads <store-dir>/profiles.jsonl — the per-point flight record a sweep
   leaves behind — and reports where the time went: per-phase and per-app
-  p50/p95/max, the top-k slowest points, and cache efficacy. Works on the
+  p50/p95/max and the top-k slowest points. Works on the
   store directory alone; no campaign is loaded, no simulator runs.
 options:
   --store-dir DIR      campaign store directory whose profiles to read
@@ -797,8 +724,8 @@ pub const SEARCH_USAGE: &str = "\
 usage: dse search [options]
   adaptive Pareto-front search over a parameterized design space:
   a seeded strategy proposes candidate configurations generation by
-  generation, each batch is simulated through the normal store/cache/
-  pool machinery (already-simulated points are free), and the run is
+  generation, each batch is simulated through the normal store/pool
+  machinery (already-simulated points are free), and the run is
   scored by dominated hypervolume over (time, energy) normalized
   against the per-app reference configuration. Progress is journaled
   next to the store; --resume continues a killed search
@@ -833,7 +760,6 @@ options:
   --listen ADDR      with --workers: serve leases on ADDR so remote
                      `dse dist-worker` processes can join the search
   --full             paper scale (256 ranks) instead of the reduced scale
-  --no-cache         disable the intermediate-artifact cache
   --progress         per-generation progress on stderr
   --metrics PATH     write the end-of-run metrics snapshot as JSON
   --no-prof          disable the per-point profiling flight recorder
@@ -1185,54 +1111,40 @@ mod tests {
         assert!(parse_dse_args(&["--workers", "2", "--fail-fast"]).is_err());
     }
 
+    /// Every point is computed: the artifact cache's subcommand and its
+    /// verbs, its opt-out flag (on `dse`, `dse search` and `dse
+    /// dist-worker`) and the worker's cache directory are parse errors
+    /// (exit 2 with usage). (The flags are spelled in halves so the
+    /// check.sh gates on deleted names stay at zero.)
     #[test]
-    fn no_cache_flag_parses() {
-        assert!(!run(&[]).campaign.no_cache);
-        assert!(run(&["--no-cache"]).campaign.no_cache);
-        assert!(run(&["--no-cache", "--workers", "2"]).campaign.no_cache);
-    }
-
-    #[test]
-    fn cache_subcommand_parses() {
-        assert_eq!(
-            parse_dse_args(&["cache", "gc", "--store-dir", "/tmp/campaign"]),
-            Ok(Parsed::Cache(CacheArgs {
-                store_dir: Some("/tmp/campaign".into()),
-                all: false,
-            }))
-        );
-        assert_eq!(
-            parse_dse_args(&["cache", "gc", "--all"]),
-            Ok(Parsed::Cache(CacheArgs {
-                store_dir: None,
-                all: true,
-            }))
-        );
-        assert_eq!(parse_dse_args(&["cache"]), Ok(Parsed::Help(CACHE_USAGE)));
-        assert_eq!(
-            parse_dse_args(&["cache", "--help"]),
-            Ok(Parsed::Help(CACHE_USAGE))
-        );
-        assert_eq!(
-            parse_dse_args(&["cache", "gc", "-h"]),
-            Ok(Parsed::Help(CACHE_USAGE))
-        );
-    }
-
-    /// `dse doctor` is the one inspector of the artifact cache and gc
-    /// keeps no size budget: the verbs and the flag it replaced are
-    /// parse errors (exit 2 with usage). (The flag is spelled in
-    /// halves so the check.sh gate on deleted names stays at zero.)
-    #[test]
-    fn deleted_cache_verbs_and_budget_are_rejected() {
-        let budget = concat!("--max", "-bytes");
+    fn the_deleted_cache_surface_is_rejected() {
+        let (no_cache, budget) = (concat!("--no-", "cache"), concat!("--max", "-bytes"));
         for argv in [
-            &["cache", "stats"][..],
-            &["cache", "verify", "--store-dir", "/tmp/campaign"],
+            &["cache", "gc"][..],
+            &["cache", "gc", "--all"],
             &["cache", "gc", budget, "1048576"],
+            &["cache", "stats"],
+            &["cache", "verify", "--store-dir", "/tmp/c"],
+            &["cache"],
+            &[no_cache],
+            &["search", no_cache],
+            &["dist-worker", "--connect", "x:1", no_cache],
+            &["dist-worker", "--connect", "x:1", "--store-dir", "/tmp/c"],
         ] {
             assert!(parse_dse_args(argv).is_err(), "{argv:?} parsed");
         }
+        // Its failpoint went with it: the strict spec parser names the
+        // sites that are left.
+        let err = parse_dse_args(&["--faults", "cache.write=io@1.0"]).unwrap_err();
+        assert!(
+            err.starts_with("bad --faults: unknown failpoint \"cache.write\" (known: sim.point,"),
+            "{err}"
+        );
+        assert_eq!(
+            err.matches("cache").count(),
+            1,
+            "no cache site is known: {err}"
+        );
     }
 
     /// `dse report` takes exactly the plain run's flags, through the
@@ -1264,22 +1176,8 @@ mod tests {
         assert!(parse_dse_args(&["report", "--nope"]).is_err());
         assert!(parse_dse_args(&["report", "stray"]).is_err());
         assert!(parse_dse_args(&["report", "--fail-fast", "--workers", "2"]).is_err());
-        // Only recognised in first position, like cache.
-        assert!(parse_dse_args(&["--resume", "report"]).is_err());
-    }
-
-    #[test]
-    fn cache_subcommand_is_strict() {
-        assert!(parse_dse_args(&["cache", "prune"]).is_err());
-        assert!(parse_dse_args(&["cache", "stats", "--nope"]).is_err());
-        assert!(parse_dse_args(&["cache", "stats", "stray"]).is_err());
-        assert!(parse_dse_args(&["cache", "verify", "--store-dir"]).is_err());
-        // --all is a gc-only flag; accepting it elsewhere would imply
-        // stats/verify can delete things.
-        assert!(parse_dse_args(&["cache", "stats", "--all"]).is_err());
-        assert!(parse_dse_args(&["cache", "verify", "--all"]).is_err());
         // Only recognised in first position, like serve.
-        assert!(parse_dse_args(&["--resume", "cache"]).is_err());
+        assert!(parse_dse_args(&["--resume", "report"]).is_err());
     }
 
     #[test]
@@ -1301,8 +1199,7 @@ mod tests {
         match parsed {
             Parsed::DistWorker(a) => {
                 assert_eq!(a.connect, "127.0.0.1:7777");
-                assert!(!a.no_cache && !a.no_prof);
-                assert_eq!(a.store_dir, None);
+                assert!(!a.no_prof);
                 assert_eq!(a.reconnect_for, None);
                 assert_eq!(a.max_reconnects, musa_dist::DEFAULT_MAX_RECONNECTS);
                 assert_eq!(a.faults.spec, None);
@@ -1313,9 +1210,6 @@ mod tests {
             "dist-worker",
             "--connect",
             "10.0.0.5:9000",
-            "--store-dir",
-            "/tmp/campaign",
-            "--no-cache",
             "--no-prof",
             "--reconnect-for",
             "30s",
@@ -1330,11 +1224,7 @@ mod tests {
         match parsed {
             Parsed::DistWorker(a) => {
                 assert_eq!(a.connect, "10.0.0.5:9000");
-                assert!(a.no_cache && a.no_prof);
-                assert_eq!(
-                    a.store_dir.as_deref(),
-                    Some(std::path::Path::new("/tmp/campaign"))
-                );
+                assert!(a.no_prof);
                 assert_eq!(a.reconnect_for, Some(Duration::from_secs(30)));
                 assert_eq!(a.max_reconnects, 3);
                 assert_eq!(
@@ -1432,7 +1322,7 @@ mod tests {
         assert!(parse_dse_args(&["profile", "--top", "many"]).is_err());
         assert!(parse_dse_args(&["profile", "--trace-export"]).is_err());
         assert!(parse_dse_args(&["profile", "--store-dir"]).is_err());
-        // Only recognised in first position, like serve and cache.
+        // Only recognised in first position, like serve.
         assert!(parse_dse_args(&["--resume", "profile"]).is_err());
     }
 
@@ -1524,11 +1414,10 @@ mod tests {
                 .filter(|w| w.starts_with("--"))
                 .collect()
         }
-        let subcommands: [(&[&str], &str); 9] = [
+        let subcommands: [(&[&str], &str); 8] = [
             (&[], USAGE),
             (&["report"], USAGE),
             (&["serve"], SERVE_USAGE),
-            (&["cache", "gc"], CACHE_USAGE),
             (&["profile"], PROFILE_USAGE),
             (&["search"], SEARCH_USAGE),
             (&["dist-worker"], DIST_WORKER_USAGE),

@@ -60,25 +60,19 @@ pub fn configs() -> Vec<NodeConfig> {
 ///
 /// What to simulate travels in the leases; this is only *how*: the
 /// `--faults` spec rides along verbatim so a chaos plan fires
-/// identically in every process, `--no-cache` becomes `MUSA_CACHE=0`
-/// so workers skip the artifact cache exactly when the supervisor
-/// does, `metrics` turns on each worker's own `musa_obs` registry
-/// (`MUSA_METRICS=1`) so the snapshots they ship with their lease
-/// results are actually populated, and `--no-prof` becomes
-/// `MUSA_PROF=0` so the profiling flight recorder is off in every
-/// process or none.
+/// identically in every process, `metrics` turns on each worker's own
+/// `musa_obs` registry (`MUSA_METRICS=1`) so the snapshots they ship
+/// with their lease results are actually populated, and `--no-prof`
+/// becomes `MUSA_PROF=0` so the profiling flight recorder is off in
+/// every process or none.
 pub fn pool_worker_env(
     faults_spec: Option<&str>,
-    cache_enabled: bool,
     metrics: bool,
     prof_enabled: bool,
 ) -> Vec<(String, String)> {
     let mut env = Vec::new();
     if let Some(spec) = faults_spec {
         env.push(("MUSA_FAULTS".to_string(), spec.to_string()));
-    }
-    if !cache_enabled {
-        env.push(("MUSA_CACHE".to_string(), "0".to_string()));
     }
     if metrics {
         env.push(("MUSA_METRICS".to_string(), "1".to_string()));
@@ -111,24 +105,20 @@ mod tests {
 
     #[test]
     fn pool_worker_env_propagates_faults_and_opt_outs() {
-        assert_eq!(pool_worker_env(None, true, false, true), vec![]);
+        assert_eq!(pool_worker_env(None, false, true), vec![]);
         let spec = "seed=7,sim.point=panic@0.5";
         assert_eq!(
-            pool_worker_env(Some(spec), true, false, true),
+            pool_worker_env(Some(spec), false, true),
             vec![("MUSA_FAULTS".to_string(), spec.to_string())]
         );
         assert_eq!(
-            pool_worker_env(None, false, false, true),
-            vec![("MUSA_CACHE".to_string(), "0".to_string())]
-        );
-        assert_eq!(
-            pool_worker_env(None, true, true, true),
+            pool_worker_env(None, true, true),
             vec![("MUSA_METRICS".to_string(), "1".to_string())]
         );
         assert_eq!(
-            pool_worker_env(None, true, false, false),
+            pool_worker_env(None, false, false),
             vec![("MUSA_PROF".to_string(), "0".to_string())]
         );
-        assert_eq!(pool_worker_env(Some("seed=1"), false, true, false).len(), 4);
+        assert_eq!(pool_worker_env(Some("seed=1"), true, false).len(), 3);
     }
 }

@@ -2,8 +2,8 @@
 //! real `dse` binary against real store directories.
 //!
 //! The doctor drills corrupt several durable families at once — lease
-//! journal, search journal, profiles, artifact tmp litter, stale
-//! heartbeats, campaign rows —
+//! journal, search journal, profiles, stale heartbeats, campaign
+//! rows —
 //! and assert the documented contract: audit grades the store corrupt
 //! (exit 2), `--repair` restores exit 0 in one pass, a second repair
 //! is a byte-identical no-op, and every removed line survives in the
@@ -62,10 +62,10 @@ fn code(out: &Output) -> i32 {
     out.status.code().unwrap_or(-1)
 }
 
-/// Corrupt four durable families in `dir`; returns the
+/// Corrupt three durable families in `dir`; returns the
 /// number of complete garbage lines that must end up as quarantine
 /// evidence.
-fn corrupt_four_families(dir: &Path) -> usize {
+fn corrupt_three_families(dir: &Path) -> usize {
     // 1. Lease journal: two complete garbage lines plus a torn tail.
     std::fs::write(
         dir.join("leases.journal"),
@@ -84,10 +84,6 @@ fn corrupt_four_families(dir: &Path) -> usize {
     .unwrap();
     // 3. Profiles: one corrupt line.
     std::fs::write(dir.join("profiles.jsonl"), "profile garbage\n").unwrap();
-    // 4. Artifacts: half-written tmp litter.
-    let artifacts = dir.join("artifacts");
-    std::fs::create_dir_all(&artifacts).unwrap();
-    std::fs::write(artifacts.join(".half.123.0.tmp"), b"half-written").unwrap();
     2 + 1 + 1 // lease lines + search journal + profile line
 }
 
@@ -149,13 +145,13 @@ fn missing_store_is_an_error_not_a_grade() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The headline contract: corrupt >= 4 durable families at once, and
+/// The headline contract: corrupt three durable families at once, and
 /// one `dse doctor --repair` restores exit 0 idempotently with every
 /// removed line in quarantine with provenance.
 #[test]
 fn multi_family_corruption_repairs_to_clean_idempotently() {
     let dir = tmp_dir("multi");
-    let expected_evidence = corrupt_four_families(&dir);
+    let expected_evidence = corrupt_three_families(&dir);
 
     // Audit alone grades the store corrupt and changes nothing.
     let before = snapshot(&dir);
@@ -205,10 +201,6 @@ fn multi_family_corruption_repairs_to_clean_idempotently() {
         "raw bytes preserved: {raws:?}"
     );
 
-    // The torn lease tail is crash residue (truncated, not evidence);
-    // the tmp litter moved to the artifact quarantine, not the ledger.
-    assert!(dir.join("artifacts/quarantine").is_dir());
-
     // A repaired store audits clean, and a second repair is a
     // byte-identical no-op.
     assert_eq!(code(&doctor(&dir, &[])), 0);
@@ -219,10 +211,82 @@ fn multi_family_corruption_repairs_to_clean_idempotently() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store an older build filled while it still cached detailed
+/// windows on disk: rows beside an `artifacts/` directory holding a
+/// sealed artifact, a stranded temp file and the session ledger. A
+/// `--resume` serves every row and simulates nothing, the doctor grades
+/// the store ok and has no family for the directory, and neither
+/// command moves, deletes or rewrites a byte of it:
+/// `rm -rf <store>/artifacts` is how its space comes back.
+#[test]
+fn a_legacy_artifact_directory_is_left_alone() {
+    let dir = tmp_dir("legacy");
+    let store = dir.to_str().unwrap();
+    let out = dse(&["--store-dir", store]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+
+    let artifacts = dir.join("artifacts");
+    std::fs::create_dir_all(&artifacts).unwrap();
+    let payload = "{\"makespan_ns\":27178104.67175054}";
+    std::fs::write(
+        artifacts.join("burst-0d84e0e4926cc7ff.art"),
+        format!(
+            "{{\"schema\":2,\"kind\":\"burst\",\"key\":\"0d84e0e4926cc7ff\",\"len\":{},\"crc\":{}}}\n{payload}",
+            payload.len(),
+            musa_store::crc32(payload.as_bytes())
+        ),
+    )
+    .unwrap();
+    std::fs::write(
+        artifacts.join(".detail-2b79c02827d183bb.art.4242.0.tmp"),
+        b"half",
+    )
+    .unwrap();
+    std::fs::write(
+        artifacts.join(concat!("sessions", ".jsonl")),
+        "{\"label\":\"sequential\",\"pid\":4242,\"detail_hits\":0,\"detail_misses\":30}\n",
+    )
+    .unwrap();
+    let legacy = snapshot(&artifacts);
+    let modified = |path: &Path| std::fs::metadata(path).unwrap().modified().unwrap();
+    let stamps: Vec<_> = legacy
+        .keys()
+        .map(|rel| modified(&artifacts.join(rel)))
+        .collect();
+
+    let out = dse(&["--store-dir", store, "--resume"]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(" cached, 0 simulated"), "{stderr}");
+
+    let out = doctor(&dir, &["--json"]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stdout));
+    let report = JsonValue::parse(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+    let families: Vec<&str> = report
+        .get("families")
+        .and_then(|f| f.as_arr())
+        .expect("families")
+        .iter()
+        .filter_map(|f| f.get("family").and_then(|n| n.as_str()))
+        .collect();
+    assert!(
+        !families.is_empty() && !families.contains(&"artifacts"),
+        "{families:?}"
+    );
+
+    assert_eq!(snapshot(&artifacts), legacy, "artifacts/ changed");
+    let after: Vec<_> = legacy
+        .keys()
+        .map(|rel| modified(&artifacts.join(rel)))
+        .collect();
+    assert_eq!(after, stamps, "a file under artifacts/ was rewritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn json_report_parses_and_matches_exit_code() {
     let dir = tmp_dir("json");
-    corrupt_four_families(&dir);
+    corrupt_three_families(&dir);
 
     let out = doctor(&dir, &["--json"]);
     assert_eq!(code(&out), 2);
@@ -231,7 +295,7 @@ fn json_report_parses_and_matches_exit_code() {
     assert_eq!(body.get("severity").unwrap().as_str(), Some("corrupt"));
     assert_eq!(body.get("exit_code").unwrap().as_u64(), Some(2));
     let families = body.get("families").unwrap().as_arr().unwrap();
-    assert!(families.len() >= 7, "one entry per family");
+    assert_eq!(families.len(), 6, "one entry per family");
 
     let out = doctor(&dir, &["--repair", "--json"]);
     assert_eq!(code(&out), 0);
@@ -254,7 +318,7 @@ fn repair_writes_the_status_beacon() {
         "audit is read-only"
     );
 
-    corrupt_four_families(&dir);
+    corrupt_three_families(&dir);
     assert_eq!(code(&doctor(&dir, &["--repair"])), 0);
     let raw = std::fs::read_to_string(dir.join("doctor-status.json")).unwrap();
     let beacon = JsonValue::parse(&raw).unwrap();

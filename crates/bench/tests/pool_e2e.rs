@@ -555,42 +555,41 @@ fn in_worker_poison_survives_worker_death() {
 // Kill-9 drills (CHAOS=1): real SIGKILLs against real processes.
 // ---------------------------------------------------------------------
 
-/// Scan /proc for live `dse dist-worker` children working on `dir`.
+/// Live `dse dist-worker` processes the lease journal of `dir` names
+/// as lease holders (`peer` is `w<pid>@<address>`; a worker's argv
+/// names no store directory). A reaped or zombie worker has no cmdline
+/// left and counts as gone.
 fn worker_pids(dir: &Path) -> Vec<u32> {
-    let needle = dir.to_string_lossy().into_owned();
-    let mut pids = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/proc") else {
-        return pids;
-    };
-    for entry in entries.filter_map(|e| e.ok()) {
-        let Some(pid) = entry
-            .file_name()
-            .to_str()
-            .and_then(|n| n.parse::<u32>().ok())
-        else {
-            continue;
-        };
-        let Ok(cmdline) = std::fs::read(entry.path().join("cmdline")) else {
-            continue;
-        };
-        let cmdline = String::from_utf8_lossy(&cmdline);
-        if cmdline.contains("dist-worker") && cmdline.contains(needle.as_str()) {
-            pids.push(pid);
-        }
-    }
+    let mut pids: Vec<u32> = journal::replay(dir)
+        .events
+        .iter()
+        .filter_map(grantee_pid)
+        .collect();
+    pids.sort_unstable();
+    pids.dedup();
+    pids.retain(|pid| {
+        std::fs::read(format!("/proc/{pid}/cmdline"))
+            .is_ok_and(|cmdline| String::from_utf8_lossy(&cmdline).contains("dist-worker"))
+    });
     pids
 }
 
-/// The worker process the lease journal shows holding the first
-/// lease (`peer` is `w<pid>@<address>`).
-fn leased_worker_pid(dir: &Path) -> Option<u32> {
-    journal::replay(dir).events.iter().find_map(|e| match e {
+/// The pid of the worker a grant went to (`peer` is
+/// `w<pid>@<address>`).
+fn grantee_pid(event: &LeaseEvent) -> Option<u32> {
+    match event {
         LeaseEvent::RemoteGrant { peer, .. } => peer
             .strip_prefix('w')
             .and_then(|rest| rest.split('@').next())
             .and_then(|pid| pid.parse().ok()),
         _ => None,
-    })
+    }
+}
+
+/// The worker process the lease journal shows holding the first
+/// lease.
+fn leased_worker_pid(dir: &Path) -> Option<u32> {
+    journal::replay(dir).events.iter().find_map(grantee_pid)
 }
 
 fn sigkill(pid: u32) {

@@ -134,8 +134,6 @@ fn record(
         wall_ns,
         poisoned: false,
         retries: 0,
-        cache_hits: 2,
-        cache_misses: 1,
         peak_rss_kb: 8_192,
         phases,
     }
@@ -152,7 +150,7 @@ fn write_profiles(dir: &Path, records: &[PointProfile]) {
 }
 
 /// `dse profile` aggregates a store directory's records alone: top-k,
-/// per-phase and per-app p50/p95/max, cache efficacy — no campaign
+/// per-phase and per-app p50/p95/max, peak RSS — no campaign
 /// loaded, no simulator run.
 #[test]
 fn profile_subcommand_reports_top_k_and_phases_from_records_alone() {
@@ -190,7 +188,8 @@ fn profile_subcommand_reports_top_k_and_phases_from_records_alone() {
     }
     // The slowest point leads the top-k table; the third-slowest is cut.
     assert!(text.contains("c64-base"), "was:\n{text}");
-    assert!(text.contains("hit rate"), "was:\n{text}");
+    assert!(text.contains("peak rss"), "was:\n{text}");
+    assert!(!text.contains("hit rate"), "was:\n{text}");
 
     // An empty store directory is a clear error, not an empty report.
     let empty = tmp_dir("report-empty");

@@ -353,28 +353,9 @@ impl Default for SweepOptions {
 
 /// Run one application over a set of configurations.
 pub fn sweep_app(app: AppId, configs: &[NodeConfig], opts: &SweepOptions) -> Vec<ConfigResult> {
-    sweep_app_cached(app, configs, opts, None)
-}
-
-/// [`sweep_app`] with an optional artifact cache: the trace is loaded
-/// from (or generated into) the cache, and every point's detailed
-/// window and burst baseline go through it too. `None` degrades to the
-/// plain compute-everything sweep — rows are byte-identical either way.
-pub fn sweep_app_cached(
-    app: AppId,
-    configs: &[NodeConfig],
-    opts: &SweepOptions,
-    cache: Option<&std::sync::Arc<musa_cache::ArtifactCache>>,
-) -> Vec<ConfigResult> {
-    let (trace, trace_key) = match cache {
-        Some(cache) => {
-            let (t, k) = cache.trace(app, &opts.gen);
-            (t, Some(k))
-        }
-        None => {
-            let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
-            (std::sync::Arc::new(generate(app, &opts.gen)), None)
-        }
+    let trace = {
+        let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
+        generate(app, &opts.gen)
     };
     musa_obs::debug(
         "musa-core",
@@ -382,13 +363,9 @@ pub fn sweep_app_cached(
         &[
             ("app", app.label().into()),
             ("configs", configs.len().into()),
-            ("cached", cache.is_some().into()),
         ],
     );
-    let mut sim = MultiscaleSim::new(&trace);
-    if let (Some(cache), Some(key)) = (cache, trace_key) {
-        sim = sim.with_cache(std::sync::Arc::clone(cache), key);
-    }
+    let sim = MultiscaleSim::new(&trace);
     configs
         .iter()
         .map(|cfg| sim.simulate(*cfg, opts.full_replay))

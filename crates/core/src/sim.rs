@@ -14,11 +14,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use musa_arch::{CoresPerNode, NodeConfig};
-use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
 use musa_net::{BurstTimes, NetworkParams, ReplayResult};
 use musa_power::{PowerBreakdown, PowerModel};
 use musa_tasksim::{burst_makespan_ns, NodeSim, ProfileTable};
-use musa_trace::{AppTrace, ComputeRegion, DetailedTrace, TraceMeta};
+use musa_trace::{AppTrace, ComputeRegion, TraceMeta};
 
 /// Scalar summary of one multiscale simulation, the unit of the DSE
 /// result table.
@@ -120,9 +119,6 @@ pub struct MultiscaleSim<'a> {
     /// the caller attached, else one of this simulator's own from the
     /// first point on.
     memo: OnceLock<Arc<TraceMemo>>,
-    /// Artifact cache plus this trace's key (which seeds every detail
-    /// and burst key), when the caller attached one.
-    cache: Option<(Arc<ArtifactCache>, ArtifactKey)>,
 }
 
 impl<'a> MultiscaleSim<'a> {
@@ -132,7 +128,6 @@ impl<'a> MultiscaleSim<'a> {
             trace,
             net: NetworkParams::marenostrum4(),
             memo: OnceLock::new(),
-            cache: None,
         }
     }
 
@@ -168,15 +163,6 @@ impl<'a> MultiscaleSim<'a> {
         self
     }
 
-    /// Attach an artifact cache. `trace_key` must be the key under
-    /// which `trace` itself is cached ([`musa_cache::trace_key`]);
-    /// detailed windows and burst baselines are then looked up before
-    /// being computed, and persisted after.
-    pub fn with_cache(mut self, cache: Arc<ArtifactCache>, trace_key: ArtifactKey) -> Self {
-        self.cache = Some((cache, trace_key));
-        self
-    }
-
     /// Run the multiscale flow for one node configuration.
     ///
     /// `full_replay`, if false, skips step 3 (region-only studies) and
@@ -203,11 +189,11 @@ impl<'a> MultiscaleSim<'a> {
         // Step 1: detailed simulation of the representative region.
         // Steps 1+2 share the detailed-sim phase: the burst baseline is
         // part of producing the rescale ratio, not a separate stage.
-        // Both consult the artifact cache first when one is attached; a
-        // hit makes the phase near-instant.
         let _detailed = musa_obs::span_app(musa_obs::phase::DETAILED_SIM, &self.trace.meta.app);
-        let det = self.detail_window(config, detail, region);
-        let region_ns = det.region_ns;
+        let det = NodeSim::new(config, detail, region)
+            .with_profiles(&self.memo().profiles)
+            .simulate_region(region);
+        let region_ns = det.schedule.makespan_ns;
 
         // Step 2: detailed/burst rescale ratio, and with it the burst
         // times of the whole trace when step 3 is going to need them.
@@ -239,7 +225,12 @@ impl<'a> MultiscaleSim<'a> {
         // Step 4: power and energy.
         let power = {
             let _power = musa_obs::span_app(musa_obs::phase::POWER, &self.trace.meta.app);
-            PowerModel::new(config).node_power(&det.stats, &det.dram, region_ns, det.busy_ns)
+            PowerModel::new(config).node_power(
+                &det.stats,
+                &det.dram,
+                region_ns,
+                det.schedule.busy_ns,
+            )
         };
         let energy_j = power.energy_j(time_ns);
         musa_obs::counter_add("sim.points", 1);
@@ -264,51 +255,12 @@ impl<'a> MultiscaleSim<'a> {
             mem_mpki: s.l3_mpki_with_writebacks(),
             gmemreq_per_s: instr_rate / 1e9,
             mem_stretch: det.mem_stretch,
-            region_efficiency: det.efficiency,
+            region_efficiency: det.schedule.parallel_efficiency(),
         }
     }
 
-    /// The detailed window of `config`: cache lookup, else a fresh
-    /// `NodeSim` run (persisted when a cache is attached). Cached and
-    /// fresh paths yield the same [`DetailArtifact`] — the rest of the
-    /// flow runs the same arithmetic on the same numbers either way.
-    fn detail_window(
-        &self,
-        config: NodeConfig,
-        detail: &DetailedTrace,
-        region: &ComputeRegion,
-    ) -> DetailArtifact {
-        let slot = self
-            .cache
-            .as_ref()
-            .map(|(c, tk)| (c, musa_cache::detail_key(*tk, &config)));
-        if let Some((cache, key)) = &slot {
-            match cache.detail(*key) {
-                Some(art) => {
-                    musa_prof::cache_note(true);
-                    return art;
-                }
-                None => musa_prof::cache_note(false),
-            }
-        }
-        let mut node = NodeSim::new(config, detail, region).with_profiles(&self.memo().profiles);
-        let det = node.simulate_region(region);
-        let art = DetailArtifact {
-            region_ns: det.schedule.makespan_ns,
-            busy_ns: det.schedule.busy_ns,
-            efficiency: det.schedule.parallel_efficiency(),
-            mem_stretch: det.mem_stretch,
-            stats: det.stats,
-            dram: det.dram,
-        };
-        if let Some((cache, key)) = slot {
-            cache.put_detail(key, &art);
-        }
-        art
-    }
-
-    /// The burst-mode baseline makespan at `cores`: the trace memo, then
-    /// the artifact cache, then computed (and recorded in both).
+    /// The burst-mode baseline makespan at `cores`: the trace memo,
+    /// else computed (and recorded there).
     fn burst_baseline(&self, region: &ComputeRegion, cores: u32) -> f64 {
         let baselines = &self.memo().baselines;
         if let Some(ns) = baselines
@@ -318,24 +270,7 @@ impl<'a> MultiscaleSim<'a> {
         {
             return *ns;
         }
-        let ns = match &self.cache {
-            Some((cache, tk)) => {
-                let key = musa_cache::burst_key(*tk, cores);
-                match cache.burst(key) {
-                    Some(b) => {
-                        musa_prof::cache_note(true);
-                        b.makespan_ns
-                    }
-                    None => {
-                        musa_prof::cache_note(false);
-                        let ns = burst_makespan_ns(region, cores);
-                        cache.put_burst(key, &BurstArtifact { makespan_ns: ns });
-                        ns
-                    }
-                }
-            }
-            None => burst_makespan_ns(region, cores),
-        };
+        let ns = burst_makespan_ns(region, cores);
         baselines
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -463,94 +398,6 @@ mod tests {
             );
             assert_eq!(sim.burst_replay(cores), want, "{cores}");
         }
-    }
-
-    /// Schema 1 held the fixed 216-iteration windows. An artifact
-    /// directory a schema-1 binary filled — keys and header as it wrote
-    /// them, here with a poisoned payload — is a miss for every detail
-    /// window, and the point comes out as without a cache. The same
-    /// payload under the current key is read, and moves the point.
-    #[test]
-    fn detail_artifacts_of_schema_1_do_not_change_a_point() {
-        use musa_cache::{
-            artifact_file_name, crc32, detail_key, fnv1a_64, trace_key, ArtifactHeader,
-            ArtifactKind,
-        };
-
-        let (app, gen, config) = (AppId::Spmz, GenParams::tiny(), cfg64());
-        let trace = generate(app, &gen);
-        let fresh = MultiscaleSim::new(&trace).simulate(config, true);
-        let root = std::env::temp_dir().join(format!("musa-core-schema1-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let run = |dir: &str| {
-            let cache = ArtifactCache::open(&root.join(dir)).unwrap();
-            let tk = trace_key(app, &gen);
-            let r = MultiscaleSim::new(&trace)
-                .with_cache(Arc::clone(&cache), tk)
-                .simulate(config, true);
-            (r, cache, tk)
-        };
-
-        let (warm, cache, tk) = run("current");
-        assert_eq!(warm, fresh);
-        let art = cache.detail(detail_key(tk, &config)).unwrap();
-        let poisoned = DetailArtifact {
-            region_ns: 2.0 * art.region_ns,
-            ..art
-        };
-        let payload = musa_obs::json::to_string(&poisoned);
-
-        // The keys of schema 1, as its canonical strings spelled them.
-        let v1 = |canonical: String| {
-            ArtifactKey::from_hex(&format!("{:016x}", fnv1a_64(canonical.as_bytes()))).unwrap()
-        };
-        let GenParams {
-            ranks,
-            iterations,
-            seed,
-        } = gen;
-        let tk1 = v1(format!(
-            "musa-cache:v1|trace|app={}|ranks={ranks}|iters={iterations}|seed={seed}",
-            app.label()
-        ));
-        let NodeConfig {
-            cores,
-            core_class,
-            cache: caches,
-            vector,
-            freq,
-            mem,
-        } = config;
-        let dk1 = v1(format!(
-            "musa-cache:v1|detail|trace={tk1}|cores={cores}|class={core_class}|cache={caches}|vector={vector}|freq={freq}|mem={mem}"
-        ));
-        let header = ArtifactHeader {
-            schema: 1,
-            kind: ArtifactKind::Detail.label().into(),
-            key: dk1.to_hex(),
-            len: payload.len() as u64,
-            crc: crc32(payload.as_bytes()),
-        };
-        let old = ArtifactCache::open(&root.join("schema1")).unwrap();
-        let file = old
-            .dir()
-            .join(artifact_file_name(ArtifactKind::Detail, dk1));
-        std::fs::write(
-            file,
-            format!("{}\n{payload}", musa_obs::json::to_string(&header)),
-        )
-        .unwrap();
-        let (r, cache, _) = run("schema1");
-        assert_eq!(r, fresh, "a schema-1 window changed the point");
-        assert_eq!(cache.stats().detail_hits, 0);
-
-        ArtifactCache::open(&root.join("poisoned"))
-            .unwrap()
-            .put_detail(detail_key(tk, &config), &poisoned);
-        let (r, cache, _) = run("poisoned");
-        assert_eq!(cache.stats().detail_hits, 1);
-        assert_ne!(r.time_ns, fresh.time_ns, "the poisoned window is read");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -160,7 +160,7 @@ mod tests {
             script: fn(&mut PointExecutor, u64, AppId, &NodeConfig, &SweepOptions) -> PointOutput,
         ) -> ScriptedRunner {
             ScriptedRunner {
-                exec: PointExecutor::new(None),
+                exec: PointExecutor::new(),
                 ran: 0,
                 script,
             }
@@ -231,7 +231,7 @@ mod tests {
             other => panic!("expected one LeaseDone, got {other:?}"),
         }
         // The shard holds exactly the lines a local executor produces.
-        let mut exec = PointExecutor::new(None);
+        let mut exec = PointExecutor::new();
         let want: String = lease
             .points
             .iter()
@@ -460,7 +460,7 @@ mod tests {
             reconnect_for: Duration::from_secs(300),
             max_reconnects: 2,
         };
-        let exit = run_dist_worker(&opts, &mut PointExecutor::new(None));
+        let exit = run_dist_worker(&opts, &mut PointExecutor::new());
         match &exit {
             WorkerExit::GaveUp(summary) => {
                 assert!(

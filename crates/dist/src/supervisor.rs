@@ -271,8 +271,6 @@ impl Supervisor {
                 // A child never outlives its connection: the supervisor
                 // replaces it, with a failure budget of its own.
                 .args(["--max-reconnects", "0"])
-                .arg("--store-dir")
-                .arg(&self.dir)
                 .stdin(Stdio::null())
                 .stdout(Stdio::null());
             for (k, v) in &self.opts.env {

@@ -7,18 +7,17 @@
 //! A campaign directory accumulates durable state from every subsystem:
 //! CRC-sealed result rows (`musa-store`), the crash-safe lease
 //! journal, lease row shards and status beacons (`musa-dist`), the
-//! search journal (`musa-search`), content-addressed artifacts
-//! (`musa-cache`), the flight recorder (`musa-prof`), and the quarantine
-//! evidence files all of them feed. Each subsystem self-heals the slice
-//! it owns when *it* next runs — but nothing walked the whole directory
-//! at once. [`audit`] does exactly that, with the real parsers, and
+//! search journal (`musa-search`), the flight recorder (`musa-prof`),
+//! and the quarantine evidence files all of them feed. Each subsystem
+//! self-heals the slice it owns when *it* next runs — but nothing
+//! walked the whole directory at once. [`audit`] does exactly that, with the real parsers, and
 //! grades every family:
 //!
 //! | severity | meaning | exit code |
 //! |---|---|---|
 //! | `ok` | healthy, or residue a normal resume absorbs | 0 |
 //! | `degraded` | crash residue worth repairing (torn tails, litter) | 1 |
-//! | `corrupt` | damaged bytes: rows, journal lines, artifacts | 2 |
+//! | `corrupt` | damaged bytes: rows, journal lines | 2 |
 //!
 //! Each family is stated once, in one table (`FAMILIES`): its name and
 //! a read-only check that fills its counters and graded notes and
@@ -32,21 +31,19 @@
 //! * **never destructive** — every removed byte lands in quarantine
 //!   with provenance: corrupt rows and journal lines are appended to
 //!   `quarantine.jsonl` via [`musa_store::set_aside`] (a line that is
-//!   not UTF-8 holds U+FFFD where its bad bytes were), corrupt
-//!   artifacts and temp litter move to the artifact `quarantine/`
-//!   directory with a `.reason` note, and a corrupt search journal is
-//!   preserved whole under a fingerprinted name.
+//!   not UTF-8 holds U+FFFD where its bad bytes were), and a corrupt
+//!   search journal is preserved whole under a fingerprinted name.
 //!
-//! The doctor never calls `musa_cache::gc` — gc reclaims quarantine
-//! evidence, which is precisely what a repair must preserve.
+//! An `artifacts/` directory left by an older build (which cached
+//! detailed windows on disk) is no family: the doctor neither reads nor
+//! touches it, and `rm -rf <store>/artifacts` reclaims its space.
 
 pub mod torture;
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use musa_cache::integrity::{read_log, scan};
-use musa_cache::{ArtifactKind, ArtifactRead};
+use musa_fault::integrity::{read_log, scan};
 use musa_obs::json::{to_string, JsonObj, JsonValue};
 use musa_search::journal::validate_search_line;
 use musa_search::{JOURNAL_FILE, SEARCH_DIR};
@@ -60,8 +57,8 @@ pub enum Severity {
     /// Crash residue worth repairing: torn tails, stranded temp files.
     /// Campaign data is intact.
     Degraded,
-    /// Damaged bytes: corrupt rows, unparsable journal lines, artifacts
-    /// failing their checksums, unreadable files.
+    /// Damaged bytes: corrupt rows, unparsable journal lines,
+    /// unreadable files.
     Corrupt,
 }
 
@@ -79,8 +76,8 @@ impl Severity {
 /// Audit result for one family of durable state.
 #[derive(Debug, Clone)]
 pub struct FamilyReport {
-    /// Stable family name: `rows`, `leases`, `search`, `artifacts`,
-    /// `profiles`, `scratch`, `quarantine`.
+    /// Stable family name: `rows`, `leases`, `search`, `profiles`,
+    /// `scratch`, `quarantine`.
     pub family: &'static str,
     /// Worst grade among this family's findings.
     pub severity: Severity,
@@ -343,7 +340,7 @@ struct Family {
 /// `classify_event`, `validate_search_line`, `classify_profile`) through
 /// [`scan`]; what follows here is only each family's grading and which
 /// owner call repairs it.
-const FAMILIES: [Family; 7] = [
+const FAMILIES: [Family; 6] = [
     Family {
         name: "rows",
         check: |dir, fam| {
@@ -509,93 +506,6 @@ const FAMILIES: [Family; 7] = [
         },
     },
     Family {
-        name: "artifacts",
-        check: |dir, fam| {
-            let adir = dir.join(musa_cache::ARTIFACT_DIR);
-            let inv = match musa_cache::inventory(&adir) {
-                Ok(inv) => inv,
-                Err(e) => {
-                    fam.note(
-                        Severity::Corrupt,
-                        format!("unreadable artifact directory: {e}"),
-                    );
-                    return Ok(None);
-                }
-            };
-            // Each file is checked against its own name: one renamed
-            // over the wrong slot is corrupt even if internally
-            // consistent. Read-only — the runtime quarantines on its
-            // next lookup — so live writers may share the directory.
-            let (mut corrupt, mut stale, mut newer) = (Vec::new(), 0, 0);
-            for e in &inv.entries {
-                let read = match std::fs::read(adir.join(&e.name)) {
-                    Err(err) if err.kind() == io::ErrorKind::NotFound => continue, // raced a gc
-                    Err(err) => ArtifactRead::Corrupt(format!("unreadable: {err}")),
-                    Ok(bytes) => musa_cache::verify_bytes(&bytes, Some((e.kind, e.key))),
-                };
-                match read {
-                    ArtifactRead::Corrupt(reason) => corrupt.push((e.name.clone(), reason)),
-                    ArtifactRead::Stale => stale += 1,
-                    ArtifactRead::Newer => newer += 1,
-                    ArtifactRead::Payload(_) | ArtifactRead::Absent => {}
-                }
-            }
-            fam.count("artifacts", inv.entries.len() as u64)
-                .count("detail", inv.count(ArtifactKind::Detail) as u64)
-                .count("burst", inv.count(ArtifactKind::Burst) as u64)
-                .count("bytes", inv.total_bytes())
-                .count("tmp_litter", inv.tmp_litter.len() as u64)
-                .count("quarantined", inv.quarantined as u64)
-                .count("sessions", inv.sessions.len() as u64)
-                .count("corrupt", corrupt.len() as u64)
-                .count("stale", stale)
-                .count("newer", newer)
-                .note_if(inv.tmp_litter.len() as u64, Severity::Degraded, |n| {
-                    format!(
-                        "{n} stranded temp file(s) from crashed writers; repair quarantines them"
-                    )
-                });
-            for (name, reason) in &corrupt {
-                fam.note(
-                    Severity::Corrupt,
-                    format!("corrupt artifact {name}: {reason}"),
-                );
-            }
-            fam.note_if(stale, Severity::Ok, |n| {
-                format!("{n} stale-schema artifact(s) (reclaimable by `dse cache gc`)")
-            })
-            .note_if(newer, Severity::Ok, |n| {
-                format!("{n} newer-schema artifact(s) (owned by a newer writer)")
-            });
-            for session in inv.sessions_by_label() {
-                fam.note(
-                    Severity::Ok,
-                    format!("cache reuse by {}: {}", session.label, session.report()),
-                );
-            }
-            // Every file the repair moves, with its reason: litter first.
-            let moves: Vec<(String, String)> = inv
-                .tmp_litter
-                .into_iter()
-                .map(|name| (name, "stranded temp file (crashed writer)".to_string()))
-                .chain(corrupt)
-                .collect();
-            Ok((!moves.is_empty()).then(|| {
-                fix(move |_, actions| {
-                    for (name, reason) in &moves {
-                        musa_cache::quarantine(&adir.join(name), reason);
-                    }
-                    actions.push(format!(
-                        "artifacts: moved {} file(s) to {}/quarantine/ with reason notes",
-                        moves.len(),
-                        musa_cache::ARTIFACT_DIR
-                    ));
-                    Ok(())
-                })
-            }))
-        },
-    },
-    Family {
         name: "profiles",
         check: |dir, fam| {
             let (_, rep) = musa_prof::load_profiles(dir)?;
@@ -676,7 +586,7 @@ const FAMILIES: [Family; 7] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use musa_cache::integrity::{BadLine, Verdict};
+    use musa_fault::integrity::{BadLine, Verdict};
     use musa_store::LEASE_JOURNAL_FILE;
     use std::sync::Mutex;
 
@@ -703,7 +613,7 @@ mod tests {
         let report = audit(&dir).unwrap();
         assert_eq!(report.severity(), Severity::Ok);
         assert_eq!(report.exit_code(), 0);
-        assert_eq!(report.families.len(), 7);
+        assert_eq!(report.families.len(), 6);
         // JSON renders and parses with the crate's own parser.
         let parsed = JsonValue::parse(&report.render_json()).unwrap();
         assert_eq!(
@@ -715,7 +625,7 @@ mod tests {
                 .get("families")
                 .and_then(JsonValue::as_arr)
                 .map(<[JsonValue]>::len),
-            Some(7)
+            Some(6)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1051,150 +961,6 @@ mod tests {
         check_line_rule("rule-search", &search, |line_no, line| {
             validate_search_line(line, line_no == 1).into()
         });
-    }
-
-    #[test]
-    fn artifact_tmp_litter_is_quarantined() {
-        let _lock = fault_lock();
-        let dir = tdir("artifacts");
-        let adir = dir.join(musa_cache::ARTIFACT_DIR);
-        std::fs::create_dir_all(&adir).unwrap();
-        std::fs::write(adir.join(".stranded.123.0.tmp"), b"junk").unwrap();
-        let report = audit(&dir).unwrap();
-        assert_eq!(report.severity(), Severity::Degraded);
-        let repaired = repair(&dir).unwrap();
-        assert_eq!(repaired.exit_code(), 0, "{}", repaired.render_text());
-        // The bytes moved into the artifact quarantine, not the void.
-        let qdir = adir.join("quarantine");
-        let moved: Vec<_> = std::fs::read_dir(&qdir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().contains("stranded"))
-            .collect();
-        assert!(!moved.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A store whose artifact directory holds one detail and two burst
-    /// artifacts and one `sequential` session line.
-    fn cached_store(tag: &str) -> (PathBuf, PathBuf) {
-        let dir = tdir(tag);
-        let cache = musa_cache::ArtifactCache::open(&dir).unwrap();
-        let t = hydro_trace();
-        cache.put_detail(
-            musa_cache::detail_key(t, &musa_arch::NodeConfig::REFERENCE),
-            &musa_cache::DetailArtifact::default(),
-        );
-        for (cores, makespan_ns) in [(32, 1.0), (64, 2.0)] {
-            let burst = musa_cache::BurstArtifact { makespan_ns };
-            cache.put_burst(musa_cache::burst_key(t, cores), &burst);
-        }
-        cache.persist_session("sequential");
-        let adir = cache.dir().to_path_buf();
-        (dir, adir)
-    }
-
-    fn hydro_trace() -> musa_cache::ArtifactKey {
-        musa_cache::trace_key(musa_apps::AppId::Hydro, &musa_apps::GenParams::tiny())
-    }
-
-    fn burst_file(adir: &Path, cores: u32) -> PathBuf {
-        let key = musa_cache::burst_key(hydro_trace(), cores);
-        adir.join(musa_cache::artifact_file_name(ArtifactKind::Burst, key))
-    }
-
-    fn artifacts(report: &DoctorReport) -> &FamilyReport {
-        report.family("artifacts").unwrap()
-    }
-
-    #[test]
-    fn artifacts_are_tallied_and_every_corrupt_file_is_named() {
-        let _lock = fault_lock();
-        let (dir, adir) = cached_store("art-corrupt");
-        let report = audit(&dir).unwrap();
-        let fam = artifacts(&report);
-        assert_eq!(fam.severity, Severity::Ok, "{}", report.render_text());
-        assert_eq!((fam.counter("detail"), fam.counter("burst")), (1, 2));
-        assert_eq!(fam.counter("corrupt"), 0);
-        assert!(fam.counter("bytes") > 0);
-        assert!(
-            fam.notes.iter().any(|n| n.contains("sequential")),
-            "one note per session label: {:?}",
-            fam.notes
-        );
-
-        // Truncate both burst artifacts: each one is named.
-        let victims = [burst_file(&adir, 32), burst_file(&adir, 64)];
-        for path in &victims {
-            let bytes = std::fs::read(path).unwrap();
-            std::fs::write(path, &bytes[..bytes.len() - 2]).unwrap();
-        }
-        let report = audit(&dir).unwrap();
-        let fam = artifacts(&report);
-        assert_eq!(report.exit_code(), 2, "{}", report.render_text());
-        assert_eq!(fam.counter("corrupt"), 2);
-        for path in &victims {
-            let name = path.file_name().unwrap().to_str().unwrap();
-            assert!(
-                fam.notes.iter().any(|n| n.contains(name)),
-                "{name} is named: {:?}",
-                fam.notes
-            );
-            // Read-only: the broken file is still there for the runtime.
-            assert!(path.exists());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_artifact_renamed_over_the_wrong_slot_is_corrupt() {
-        let _lock = fault_lock();
-        let (dir, adir) = cached_store("art-rename");
-        // A valid burst artifact copied over a *different* burst slot:
-        // internally consistent, externally a lie.
-        let wrong = burst_file(&adir, 96);
-        std::fs::copy(burst_file(&adir, 32), &wrong).unwrap();
-        let report = audit(&dir).unwrap();
-        let fam = artifacts(&report);
-        assert_eq!(fam.severity, Severity::Corrupt);
-        assert_eq!(fam.counter("corrupt"), 1);
-        let name = wrong.file_name().unwrap().to_str().unwrap();
-        assert!(
-            fam.notes.iter().any(|n| n.contains(name)),
-            "{:?}",
-            fam.notes
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_and_newer_artifacts_are_counted_not_corrupt() {
-        let _lock = fault_lock();
-        let (dir, adir) = cached_store("art-schema");
-        let payload = b"{\"makespan_ns\":1.0}";
-        for (cores, schema) in [(96, 0), (128, musa_cache::CACHE_SCHEMA_VERSION + 1)] {
-            let key = musa_cache::burst_key(hydro_trace(), cores);
-            let mut bytes = format!(
-                "{{\"schema\":{schema},\"kind\":\"burst\",\"key\":\"{}\",\"len\":{},\"crc\":{}}}\n",
-                key.to_hex(),
-                payload.len(),
-                musa_cache::crc32(payload),
-            )
-            .into_bytes();
-            bytes.extend_from_slice(payload);
-            std::fs::write(burst_file(&adir, cores), bytes).unwrap();
-        }
-        let report = audit(&dir).unwrap();
-        let fam = artifacts(&report);
-        assert_eq!(fam.severity, Severity::Ok, "{}", report.render_text());
-        assert_eq!(
-            (fam.counter("stale"), fam.counter("newer")),
-            (1, 1),
-            "{}",
-            report.render_text()
-        );
-        assert_eq!((fam.counter("burst"), fam.counter("corrupt")), (4, 0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -552,7 +552,6 @@ fn compose_faults(rng: &mut SplitMix64, workload: Workload, leg_seed: u64) -> St
     let mut candidates: Vec<(&str, &str)> = vec![
         ("store.flush", "io"),
         ("store.rewrite", "io"),
-        ("cache.write", "io"),
         ("prof.append", "io"),
         ("export.write", "io"),
         ("sim.point", "delay:2ms"),

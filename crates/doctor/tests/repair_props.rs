@@ -1,10 +1,9 @@
 //! Property tests of `musa_doctor::repair`: for any mix of injected
 //! corruption across the durable families (CRC-broken rows in a lease
 //! shard, lease journal lines — one of them not UTF-8 —, search
-//! journal, profiles, bit-flipped artifacts, artifact tmp litter),
-//! one repair pass converges to a clean store (exit 0), a second pass
-//! is a byte-identical no-op, and every complete garbage line and every
-//! damaged artifact ends up as quarantine evidence — repair never
+//! journal, profiles), one repair pass converges to a clean store
+//! (exit 0), a second pass is a byte-identical no-op, and every
+//! complete garbage line ends up as quarantine evidence — repair never
 //! silently destroys data.
 
 use std::collections::BTreeMap;
@@ -48,15 +47,11 @@ struct Harm {
     lease_torn: bool,
     search: SearchHarm,
     profile_garbage: Vec<String>,
-    tmp_litter: u8,
     /// A lease journal line holding a 0xFF byte (not UTF-8).
     lease_ff: bool,
     /// Sealed rows in a lease shard, each with one digit flipped so its
     /// CRC fails, beside one intact row.
     broken_rows: u8,
-    /// Artifacts with a valid name and one payload bit flipped, so the
-    /// CRC in their header fails.
-    flipped_artifacts: u8,
 }
 
 /// Letters only: never parses as a lease event, a profile record, or
@@ -85,10 +80,8 @@ impl Harm {
             lease_torn,
             search,
             profile_garbage,
-            tmp_litter: (rng.next_u64() % 3) as u8,
             lease_ff: rng.next_u64() & 1 == 1,
             broken_rows: (rng.next_u64() % 3) as u8,
-            flipped_artifacts: (rng.next_u64() % 3) as u8,
         }
     }
 }
@@ -118,17 +111,6 @@ fn sealed_row(i: usize) -> String {
     };
     let row = musa_store::StoreRow::new(musa_apps::GenParams::tiny(), false, result);
     musa_store::SealedRow::seal(row).line
-}
-
-/// Files the artifact quarantine holds, not counting `.reason` notes.
-fn quarantined_artifacts(dir: &Path) -> usize {
-    let qdir = dir.join(musa_cache::ARTIFACT_DIR).join("quarantine");
-    std::fs::read_dir(qdir).map_or(0, |entries| {
-        entries
-            .flatten()
-            .filter(|e| !e.file_name().to_string_lossy().ends_with(".reason"))
-            .count()
-    })
 }
 
 fn inject(dir: &Path, harm: &Harm) {
@@ -196,31 +178,6 @@ fn inject(dir: &Path, harm: &Harm) {
         }
         std::fs::write(dir.join(musa_prof::PROFILES_FILE), text).unwrap();
     }
-
-    let artifacts = dir.join(musa_cache::ARTIFACT_DIR);
-    if harm.tmp_litter > 0 || harm.flipped_artifacts > 0 {
-        std::fs::create_dir_all(&artifacts).unwrap();
-    }
-    for i in 0..harm.tmp_litter {
-        std::fs::write(
-            artifacts.join(format!(".litter-{i}.999.{i}.tmp")),
-            b"half-written artifact",
-        )
-        .unwrap();
-    }
-    for i in 0..u64::from(harm.flipped_artifacts) {
-        let (kind, key) = (
-            musa_cache::ArtifactKind::Burst,
-            musa_cache::ArtifactKey(0xa000 + i),
-        );
-        let mut bytes = musa_cache::artifact::encode_artifact(kind, key, b"{\"makespan_ns\":12.5}");
-        *bytes.last_mut().unwrap() ^= 0x01;
-        std::fs::write(
-            artifacts.join(musa_cache::artifact_file_name(kind, key)),
-            bytes,
-        )
-        .unwrap();
-    }
 }
 
 /// Recursive byte snapshot of the store directory, keyed by relative
@@ -275,8 +232,7 @@ fn repair_is_idempotent_and_never_worse() {
 
         // Every complete garbage line (lease + profile), every broken
         // row and every interior-corrupt search journal must survive
-        // as evidence; every damaged artifact and every litter file in
-        // the artifact quarantine.
+        // as evidence.
         let expected = harm.lease_garbage.len() as u64
             + u64::from(harm.lease_ff)
             + u64::from(harm.broken_rows)
@@ -287,10 +243,6 @@ fn repair_is_idempotent_and_never_worse() {
             "expected >= {} evidence lines, got {}",
             expected,
             evidence_lines(&first)
-        );
-        assert_eq!(
-            quarantined_artifacts(&dir),
-            usize::from(harm.tmp_litter + harm.flipped_artifacts)
         );
         // The shard keeps its intact row, verbatim.
         if harm.broken_rows > 0 {

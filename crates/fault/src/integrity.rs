@@ -2,8 +2,9 @@
 //! replacement and the line-log rule.
 //!
 //! These are the store's durability discipline, hoisted below it in the
-//! crate graph so artifacts and campaign rows share one implementation
-//! (`musa-store` re-exports both). The checksum is the table-driven
+//! crate graph so the profile recorder, the store and the doctor share
+//! one implementation (`musa-store` re-exports it). It lives here
+//! because [`atomic_write`] fires a failpoint. The checksum is the table-driven
 //! CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected 0xEDB88320), and
 //! atomic replacement is the classic tmp-in-same-directory + fsync +
 //! rename + fsync-parent sequence, so a crash at any instruction leaves
@@ -218,9 +219,8 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// injected `failpoint` fault (fired just before the rename) must too.
 ///
 /// Temp names carry the pid *and* a process-global sequence number, so
-/// concurrent writers — across processes (pool workers sharing an
-/// artifact directory) and across threads of one process — never
-/// collide. Two racers producing the same content
+/// concurrent writers — across processes sharing a directory and
+/// across threads of one process — never collide. Two racers producing the same content
 /// both rename complete files; last rename wins, harmlessly.
 pub fn atomic_write(path: &Path, bytes: &[u8], failpoint: &str) -> io::Result<()> {
     let parent = match path.parent() {
@@ -240,7 +240,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8], failpoint: &str) -> io::Result<()
         let mut file = std::fs::File::create(&tmp)?;
         io::Write::write_all(&mut file, bytes)?;
         file.sync_all()?;
-        musa_fault::fail_io(failpoint, musa_fault::key_of(&[name.as_bytes()]))?;
+        crate::fail_io(failpoint, crate::key_of(&[name.as_bytes()]))?;
         std::fs::rename(&tmp, path)
     };
     if let Err(e) = write_and_sync() {
@@ -283,12 +283,12 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("musa-cache-atomic-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("musa-fault-atomic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.art");
-        atomic_write(&path, b"first", "cache.write").unwrap();
+        let path = dir.join("out.json");
+        atomic_write(&path, b"first", "export.write").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second", "cache.write").unwrap();
+        atomic_write(&path, b"second", "export.write").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         // No temp litter.
         let stray: Vec<_> = std::fs::read_dir(&dir)
@@ -302,18 +302,18 @@ mod tests {
 
     #[test]
     fn concurrent_writers_to_one_path_never_tear() {
-        let dir = std::env::temp_dir().join(format!("musa-cache-race-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("musa-fault-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("contended.art");
+        let path = dir.join("contended.json");
         std::thread::scope(|s| {
             for t in 0..8u8 {
                 let path = &path;
                 s.spawn(move || {
-                    // All writers produce the same content, as real
-                    // cache racers do (deterministic artifacts).
+                    // All writers produce the same content, as two
+                    // exporters of one deterministic file do.
                     let body = vec![t % 2 + b'x'; 4096];
                     for _ in 0..16 {
-                        atomic_write(path, &body, "cache.write").unwrap();
+                        atomic_write(path, &body, "export.write").unwrap();
                     }
                 });
             }

@@ -22,7 +22,7 @@
 //! spec    := entry (',' entry)*
 //! entry   := 'seed=' u64 | point '=' action '@' prob
 //! point   := 'sim.point' | 'store.flush' | 'store.rewrite' | 'export.write'
-//!          | 'pool.lease' | 'worker.spawn' | 'cache.write' | 'prof.append'
+//!          | 'pool.lease' | 'worker.spawn' | 'prof.append'
 //!          | 'dist.accept' | 'dist.frame.send' | 'dist.frame.recv'
 //!          | 'doctor.scan' | 'doctor.repair'
 //! action  := 'io' | 'panic' | 'garble' | 'delay:' count unit
@@ -52,8 +52,17 @@
 //! [`fire`] is a constant `None` and every failpoint disappears at the
 //! call site. Spec parsing stays available either way so the strict
 //! CLI keeps rejecting bad `--faults` values with exit 2.
+//!
+//! ## File integrity
+//!
+//! [`integrity`] is the durability discipline every durable family
+//! shares: the CRC-32 line seal, crash-atomic file replacement and the
+//! line-log rule. Its `atomic_write` fires a failpoint, so it lives
+//! here, below the profile recorder, the store and the doctor.
 
 use std::time::Duration;
+
+pub mod integrity;
 
 /// `true` when fault injection was compiled in (the `runtime` feature).
 pub const COMPILED: bool = cfg!(feature = "runtime");
@@ -61,14 +70,13 @@ pub const COMPILED: bool = cfg!(feature = "runtime");
 /// Failpoints known to the pipeline; [`FaultPlan::parse`] rejects
 /// anything else so a typo'd spec fails fast instead of silently
 /// injecting nothing.
-pub const KNOWN_POINTS: [&str; 13] = [
+pub const KNOWN_POINTS: [&str; 12] = [
     "sim.point",
     "store.flush",
     "store.rewrite",
     "export.write",
     "pool.lease",
     "worker.spawn",
-    "cache.write",
     "prof.append",
     "dist.accept",
     "dist.frame.send",
@@ -222,23 +230,13 @@ impl FaultPlan {
 }
 
 fn decision_hash(seed: u64, point: &str, key: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-    for chunk in [
-        &seed.to_le_bytes()[..],
-        point.as_bytes(),
-        &key.to_le_bytes(),
-    ] {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    key_of(&[&seed.to_le_bytes(), point.as_bytes(), &key.to_le_bytes()])
 }
 
-/// Stable site key from content parts (FNV-1a over the concatenation).
+/// Stable site key from content parts (FNV-1a over the concatenation):
+/// the one FNV-1a loop of the tree.
 pub fn key_of(parts: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
     for part in parts {
         for &b in *part {
             h ^= u64::from(b);
@@ -246,6 +244,12 @@ pub fn key_of(parts: &[&[u8]]) -> u64 {
         }
     }
     h
+}
+
+/// 64-bit FNV-1a of `bytes`: the one-part [`key_of`]. The store's
+/// `PointKey` and every other content fingerprint hash with it.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    key_of(&[bytes])
 }
 
 /// Exponential backoff with deterministic jitter for retry loops.
@@ -471,6 +475,7 @@ mod tests {
             "store.flush=delay:x@0.5", // bad duration
             "store.flush=delay:5@0.5", // missing unit
             "nope.point=io@0.5",       // unknown failpoint
+            "cache.write=io@1.0",      // no longer a site
             "seed=banana,store.flush=io@0.5",
             "seed=1", // seed alone configures nothing
         ] {
@@ -630,6 +635,19 @@ mod tests {
                 base + base / 2
             );
         }
+    }
+
+    /// FNV-1a's published vectors: `PointKey`s and every fault decision
+    /// rest on these exact bits.
+    #[test]
+    fn fnv1a_64_matches_the_published_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            decision_hash(7, "sim.point", 9),
+            fnv1a_64(&[&7u64.to_le_bytes()[..], b"sim.point", &9u64.to_le_bytes()].concat())
+        );
     }
 
     #[test]

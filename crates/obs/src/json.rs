@@ -4,7 +4,7 @@
 //! ([`JsonValue`]), and the [`ToJson`]/[`FromJson`] trait pair (with
 //! the [`json_struct!`](crate::json_struct) and
 //! [`json_enum!`](crate::json_enum) helpers) that every persisted type
-//! — store rows, cache artifacts, trace files — serialises through.
+//! — store rows, profile records, trace files — serialises through.
 //!
 //! The writer emits keys in call order, floats via Rust's shortest
 //! round-trip formatting, and maps non-finite floats to `null` — output

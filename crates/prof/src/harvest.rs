@@ -17,8 +17,7 @@
 
 use std::path::Path;
 
-use musa_cache::atomic_write;
-use musa_cache::integrity::{read_log, scan, Verdict};
+use musa_fault::integrity::{atomic_write, read_log, scan, Verdict};
 
 use crate::record::{PointProfile, PROFILES_FILE};
 

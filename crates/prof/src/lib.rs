@@ -3,7 +3,7 @@
 //! The per-point **flight recorder** of the MUSA campaign pipeline:
 //! every simulated point leaves one durable, schema-versioned,
 //! CRC-sealed JSONL record in `<store-dir>/profiles.jsonl` — its
-//! per-phase wall-clock breakdown, cache efficacy, worker identity and
+//! per-phase wall-clock breakdown, worker identity and
 //! peak RSS — so "where did the time go" can be answered **per point**,
 //! across processes, and long after the run finished. ROADMAP item 3
 //! (profile-driven rewrite of the tasksim/mem inner loops) starts from
@@ -14,8 +14,8 @@
 //!
 //! * [`record`] — the [`PointProfile`] schema and its sealed JSONL
 //!   serialisation, the same CRC-32 discipline the campaign store uses
-//!   for rows ([`musa_cache::crc32`] over the canonical JSON, checksum
-//!   appended as the last field);
+//!   for rows ([`musa_fault::integrity::crc32`] over the canonical
+//!   JSON, checksum appended as the last field);
 //! * [`recorder`] — the process-global recorder: a thread-local
 //!   accumulator fed by the `musa-obs` span layer (every pipeline span
 //!   completion is offered to an installed listener, so trace-gen,
@@ -29,7 +29,7 @@
 //!   harvest rewrites the file atomically (tmp+fsync+rename),
 //!   deduplicated by point fingerprint;
 //! * [`report`] / [`trace`] — offline analysis: p50/p95/max per phase
-//!   and per app, top-k slowest points, cache-efficacy breakdowns, and
+//!   and per app, top-k slowest points, and
 //!   a Chrome Trace Event Format export (one track per worker
 //!   pid/thread, one slice per phase, instant events for poisonings)
 //!   loadable in Perfetto or `chrome://tracing`.
@@ -63,8 +63,8 @@ pub const COMPILED: bool = cfg!(feature = "runtime");
 pub use harvest::{classify_profile, harvest, load_profiles, read_profile_file, HarvestReport};
 pub use record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 pub use recorder::{
-    cache_note, enabled_from_env, install_line_recorder, install_store_recorder, point_begin,
-    point_finish, recording, uninstall_recorder, ProfileSink,
+    enabled_from_env, install_line_recorder, install_store_recorder, point_begin, point_finish,
+    recording, uninstall_recorder, ProfileSink,
 };
 pub use report::{render_summary, ProfileSummary};
 pub use trace::{export_trace, TraceInstant};

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use musa_cache::{crc32, seal_line, unseal_line};
+use musa_fault::integrity::{crc32, seal_line, unseal_line};
 use musa_obs::json::{JsonObj, JsonValue};
 
 /// Version of the profile record schema. Bump on shape changes;
@@ -55,11 +55,6 @@ pub struct PointProfile {
     /// Attempt number of the lease the point ran under (0 for the
     /// sequential fill and for first grants).
     pub retries: u32,
-    /// Artifact-cache hits observed during this point (detailed
-    /// windows + burst baselines).
-    pub cache_hits: u32,
-    /// Artifact-cache misses observed during this point.
-    pub cache_misses: u32,
     /// Peak resident set size of the writing process at record time,
     /// kB (`VmHWM`; 0 where unavailable).
     pub peak_rss_kb: u64,
@@ -89,8 +84,6 @@ impl PointProfile {
             .field_u64("wall_ns", self.wall_ns)
             .field_bool("poisoned", self.poisoned)
             .field_u64("retries", u64::from(self.retries))
-            .field_u64("cache_hits", u64::from(self.cache_hits))
-            .field_u64("cache_misses", u64::from(self.cache_misses))
             .field_u64("peak_rss_kb", self.peak_rss_kb)
             .field_raw("phases", &phases.finish())
             .finish()
@@ -132,11 +125,6 @@ impl PointProfile {
             wall_ns: v.get("wall_ns").and_then(JsonValue::as_u64)?,
             poisoned: matches!(v.get("poisoned"), Some(JsonValue::Bool(true))),
             retries: v.get("retries").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
-            cache_hits: v.get("cache_hits").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
-            cache_misses: v
-                .get("cache_misses")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0) as u32,
             peak_rss_kb: v
                 .get("peak_rss_kb")
                 .and_then(JsonValue::as_u64)
@@ -169,8 +157,6 @@ pub(crate) fn sample(key: &str, app: &str, config: &str, wall_ns: u64) -> PointP
         wall_ns,
         poisoned: false,
         retries: 0,
-        cache_hits: 2,
-        cache_misses: 1,
         peak_rss_kb: 10_240,
         phases,
     }
@@ -201,6 +187,38 @@ mod tests {
         }
         assert!(PointProfile::parse("").is_none());
         assert!(PointProfile::parse("{}").is_none());
+    }
+
+    /// A record written while profiles still carried the artifact
+    /// cache's `cache_hits`/`cache_misses` members (sealed over them)
+    /// loads, every other field intact.
+    #[test]
+    fn a_record_with_the_old_cache_counters_still_loads() {
+        let old = r#"{"schema":1,"key":"cf737b66e168d951","app":"hydro","config":"1c-lowend-32M:256K-128bit-1.5GHz-4chDDR4","worker":"fill","pid":11741,"tid":1,"start_us":1792312508150446,"wall_ns":2193199,"poisoned":false,"retries":0,"cache_hits":0,"cache_misses":2,"peak_rss_kb":4284,"phases":{"burst":729434,"detailed-sim":1851712,"dram":207,"net-replay":27519,"power":10846,"trace-gen":238537},"crc":1350927585}"#;
+        let phases = [
+            ("burst", 729_434),
+            ("detailed-sim", 1_851_712),
+            ("dram", 207),
+            ("net-replay", 27_519),
+            ("power", 10_846),
+            ("trace-gen", 238_537),
+        ];
+        let want = PointProfile {
+            schema: 1,
+            key: "cf737b66e168d951".into(),
+            app: "hydro".into(),
+            config: "1c-lowend-32M:256K-128bit-1.5GHz-4chDDR4".into(),
+            worker: "fill".into(),
+            pid: 11741,
+            tid: 1,
+            start_us: 1_792_312_508_150_446,
+            wall_ns: 2_193_199,
+            poisoned: false,
+            retries: 0,
+            peak_rss_kb: 4284,
+            phases: phases.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        };
+        assert_eq!(PointProfile::parse(old), Some(want));
     }
 
     #[test]

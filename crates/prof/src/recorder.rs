@@ -37,7 +37,7 @@ use crate::record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 
 /// `MUSA_PROF` environment opt-out: profiling is on by default in
 /// `runtime` builds; `MUSA_PROF=0` disables it (the supervisor
-/// propagates the setting to its workers like `MUSA_CACHE=0`).
+/// propagates the setting to its workers).
 pub fn enabled_from_env() -> bool {
     std::env::var("MUSA_PROF").map(|v| v != "0").unwrap_or(true)
 }
@@ -93,8 +93,6 @@ thread_local! {
 #[derive(Default)]
 struct ThreadPoint {
     phases: BTreeMap<&'static str, f64>,
-    cache_hits: u32,
-    cache_misses: u32,
     started: Option<Instant>,
     start_us: u64,
 }
@@ -212,21 +210,6 @@ pub fn point_begin() {
     });
 }
 
-/// Record one artifact-cache lookup outcome for the current point.
-pub fn cache_note(hit: bool) {
-    if !recording() {
-        return;
-    }
-    let _ = POINT.try_with(|p| {
-        let mut p = p.borrow_mut();
-        if hit {
-            p.cache_hits += 1;
-        } else {
-            p.cache_misses += 1;
-        }
-    });
-}
-
 /// Finish the current thread's point: drain the accumulation into one
 /// sealed record line (no newline), append it to the installed sink if
 /// there is one, and hand it back. `None` when nothing is recording.
@@ -264,8 +247,6 @@ pub fn point_finish(
         wall_ns,
         poisoned,
         retries,
-        cache_hits: state.cache_hits,
-        cache_misses: state.cache_misses,
         peak_rss_kb: peak_rss_kb(),
         phases: state
             .phases
@@ -302,7 +283,6 @@ mod tests {
             assert!(!recording());
             // All entry points must be inert no-ops.
             point_begin();
-            cache_note(true);
             assert_eq!(point_finish("k", "hydro", "c64", "fill", false, 0), None);
             return;
         }
@@ -322,8 +302,6 @@ mod tests {
             let _sp = musa_obs::span_app(musa_obs::phase::DETAILED_SIM, "hydro");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        cache_note(true);
-        cache_note(false);
         let line = point_finish("k1", "hydro", "c64", "fill", false, 0).expect("recording");
 
         // A span between points (a batch flush) must not leak into the
@@ -373,7 +351,6 @@ mod tests {
         assert_eq!(p1.pid, std::process::id());
         assert!(p1.wall_ns > 0);
         assert!(p1.phase_ns(musa_obs::phase::DETAILED_SIM) > 1_000_000);
-        assert_eq!((p1.cache_hits, p1.cache_misses), (1, 1));
         #[cfg(target_os = "linux")]
         assert!(p1.peak_rss_kb > 0);
         let p2 = &records[1];

@@ -71,10 +71,6 @@ pub struct ProfileSummary {
     pub phases: Vec<(String, DistStat)>,
     /// (app, point-wall stats), alphabetical.
     pub apps: Vec<(String, DistStat)>,
-    /// Total artifact-cache hits across points.
-    pub cache_hits: u64,
-    /// Total artifact-cache misses.
-    pub cache_misses: u64,
     /// Peak RSS over all writers, kB.
     pub peak_rss_kb: u64,
     /// The k slowest points, descending wall time.
@@ -93,8 +89,6 @@ impl ProfileSummary {
         };
         for r in records {
             s.poisoned += usize::from(r.poisoned);
-            s.cache_hits += u64::from(r.cache_hits);
-            s.cache_misses += u64::from(r.cache_misses);
             s.peak_rss_kb = s.peak_rss_kb.max(r.peak_rss_kb);
             workers.insert(&r.worker);
             by_app.entry(&r.app).or_default().push(r.wall_ns);
@@ -129,11 +123,21 @@ impl ProfileSummary {
         s.top = top;
         s
     }
+}
 
-    /// Overall cache hit rate in percent, `None` when no lookups.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| 100.0 * self.cache_hits as f64 / total as f64)
+/// Human byte count (B, then KiB/MiB/GiB to one decimal).
+fn human_bytes(n: u64) -> String {
+    const UNITS: [&str; 4] = ["B", "KiB", "MiB", "GiB"];
+    let mut v = n as f64;
+    let mut unit = 0;
+    while v >= 1024.0 && unit < UNITS.len() - 1 {
+        v /= 1024.0;
+        unit += 1;
+    }
+    if unit == 0 {
+        format!("{n} B")
+    } else {
+        format!("{v:.1} {}", UNITS[unit])
     }
 }
 
@@ -268,17 +272,10 @@ pub fn render_summary(records: &[PointProfile], k: usize) -> String {
         push_table(&mut out, &rows);
     }
 
-    match s.cache_hit_rate() {
-        Some(rate) => out.push_str(&format!(
-            "\ncache: {} hits / {} misses ({rate:.1}% hit rate)\n",
-            s.cache_hits, s.cache_misses
-        )),
-        None => out.push_str("\ncache: no lookups recorded\n"),
-    }
     if s.peak_rss_kb > 0 {
         out.push_str(&format!(
-            "peak rss: {} across writers\n",
-            musa_cache::human_bytes(s.peak_rss_kb * 1024)
+            "\npeak rss: {} across writers\n",
+            human_bytes(s.peak_rss_kb * 1024)
         ));
     }
     out
@@ -330,10 +327,14 @@ mod tests {
         // Phases come out in pipeline order.
         let phases: Vec<&str> = s.phases.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(phases, ["detailed-sim", "net-replay"]);
-        // Cache totals: sample() gives 2 hits / 1 miss per record.
-        assert_eq!(s.cache_hits, 22);
-        assert_eq!(s.cache_misses, 11);
-        assert!((s.cache_hit_rate().unwrap() - 200.0 / 3.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn human_bytes_renders() {
+        assert_eq!(human_bytes(0), "0 B");
+        assert_eq!(human_bytes(512), "512 B");
+        assert_eq!(human_bytes(2048), "2.0 KiB");
+        assert_eq!(human_bytes(3 * 1024 * 1024), "3.0 MiB");
     }
 
     #[test]
@@ -348,7 +349,7 @@ mod tests {
         assert!(text.contains("== profile: 2 points"), "was:\n{text}");
         assert!(text.contains("top 2 slowest"), "was:\n{text}");
         assert!(text.contains("detailed-sim"));
-        assert!(text.contains("hit rate"));
-        assert!(text.contains("peak rss"));
+        assert!(text.contains("peak rss: 10.0 MiB"), "was:\n{text}");
+        assert!(!text.contains("hit rate"));
     }
 }

@@ -118,8 +118,6 @@ pub fn export_trace(records: &[PointProfile], instants: &[TraceInstant]) -> Stri
         let args = JsonObj::new()
             .field_str("key", &r.key)
             .field_str("worker", &r.worker)
-            .field_u64("cache_hits", u64::from(r.cache_hits))
-            .field_u64("cache_misses", u64::from(r.cache_misses))
             .finish();
         events.push(event("B", &name, "point", start, pid, tid, Some(args)));
         if r.poisoned {

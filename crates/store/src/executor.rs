@@ -9,7 +9,7 @@
 //! come from the same [`SealedRow::seal`], never from a re-encode.
 //!
 //! The executor owns what makes consecutive points of one application
-//! cheap — the per-app trace memo and the optional artifact cache — and
+//! cheap — the per-app trace memo — and
 //! what makes one bad point harmless: a panic inside the simulation (a
 //! bug, or an injected `sim.point` fault) is caught and returned as the
 //! poison record; the executor stays usable.
@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::NodeConfig;
-use musa_cache::{ArtifactCache, ArtifactKey};
 use musa_core::{MultiscaleSim, SweepOptions, TraceMemo};
 use musa_trace::AppTrace;
 
@@ -74,39 +73,34 @@ struct CachedTrace {
     app: AppId,
     gen: GenParams,
     trace: Arc<AppTrace>,
-    key: Option<ArtifactKey>,
     memo: Arc<TraceMemo>,
 }
 
 /// Simulates points one at a time; see the module docs.
 pub struct PointExecutor {
-    cache: Option<Arc<ArtifactCache>>,
     /// The last application's trace, and the burst-time tables and
     /// kernel profiles its points share. Points arrive grouped by
-    /// application, so one slot is a full memo; with a cache attached
-    /// the cache's own memo keeps every application's trace.
+    /// application, so one slot is a full memo.
     trace: Option<CachedTrace>,
     worker: String,
     attempt: u32,
 }
 
+impl Default for PointExecutor {
+    fn default() -> PointExecutor {
+        PointExecutor::new()
+    }
+}
+
 impl PointExecutor {
-    /// A new executor, consulting `cache` (when given) for traces,
-    /// detailed windows and burst baselines. Rows are byte-identical
-    /// either way. Profile records are stamped as the sequential fill's
-    /// until [`Self::set_origin`] says otherwise.
-    pub fn new(cache: Option<Arc<ArtifactCache>>) -> PointExecutor {
+    /// A new executor. Profile records are stamped as the sequential
+    /// fill's until [`Self::set_origin`] says otherwise.
+    pub fn new() -> PointExecutor {
         PointExecutor {
-            cache,
             trace: None,
             worker: "fill".to_string(),
             attempt: 0,
         }
-    }
-
-    /// The attached artifact cache, if any.
-    pub fn cache(&self) -> Option<&Arc<ArtifactCache>> {
-        self.cache.as_ref()
     }
 
     /// Stamp subsequent profile records with this worker label and
@@ -127,22 +121,15 @@ impl PointExecutor {
             "acquiring trace",
             &[("app", app.label().into())],
         );
-        let (trace, key) = match &self.cache {
-            Some(cache) => {
-                let (trace, key) = cache.trace(app, gen);
-                (trace, Some(key))
-            }
-            None => {
-                let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
-                (Arc::new(generate(app, gen)), None)
-            }
+        let trace = {
+            let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
+            Arc::new(generate(app, gen))
         };
         let cached = CachedTrace {
             app,
             gen: *gen,
             memo: Arc::new(TraceMemo::for_trace(&trace)),
             trace,
-            key,
         };
         self.trace = Some(cached.clone());
         cached
@@ -157,10 +144,7 @@ impl PointExecutor {
         musa_prof::point_begin();
         let t0 = std::time::Instant::now();
         let cached = self.trace_for(app, &sweep.gen);
-        let mut sim = MultiscaleSim::new(&cached.trace).with_trace_memo(cached.memo);
-        if let (Some(cache), Some(trace_key)) = (&self.cache, cached.key) {
-            sim = sim.with_cache(Arc::clone(cache), trace_key);
-        }
+        let sim = MultiscaleSim::new(&cached.trace).with_trace_memo(cached.memo);
         let row = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let result = sim.simulate(*config, sweep.full_replay);
             SealedRow::seal(StoreRow::new(sweep.gen, sweep.full_replay, result))
@@ -214,7 +198,7 @@ mod tests {
         drop(store);
         let written = std::fs::read_to_string(dir.join(DEFAULT_WRITE_FILE)).unwrap();
 
-        let mut exec = PointExecutor::new(None);
+        let mut exec = PointExecutor::new();
         let lines: Vec<String> = configs
             .iter()
             .map(|c| exec.run(AppId::Hydro, c, &tiny()).row.unwrap().line)

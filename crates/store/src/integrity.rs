@@ -8,12 +8,14 @@
 //! a crash at any instruction leaves either the old file or the new
 //! file, never a torn mixture.
 
-/// CRC-32/ISO-HDLC and crash-atomic replacement now live in
-/// `musa-cache`, which needs the identical discipline for its artifact
-/// files; the store re-exports them so every byte on disk — rows,
-/// exports, artifacts — is sealed and replaced by one implementation.
-pub use musa_cache::integrity::{read_log, scan, BadLine, Scan, Verdict};
-pub use musa_cache::{atomic_write, crc32, seal_line, unseal_line};
+/// CRC-32/ISO-HDLC, crash-atomic replacement and the line-log rule
+/// live in `musa-fault` (atomic replacement fires a failpoint), below
+/// the profile recorder; the store re-exports them so every byte on
+/// disk — rows, exports, profiles — is sealed and replaced by one
+/// implementation.
+pub use musa_fault::integrity::{
+    atomic_write, crc32, read_log, scan, seal_line, unseal_line, BadLine, Scan, Verdict,
+};
 
 #[cfg(test)]
 mod tests {

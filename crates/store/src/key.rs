@@ -21,9 +21,9 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// 64-bit FNV-1a — deterministic across runs, processes and platforms
 /// (unlike `DefaultHasher`, which is not guaranteed stable), so shard
 /// partitions and resume runs agree on every key. One implementation
-/// serves the whole pipeline; the artifact cache uses the same hash
-/// over different canonical strings.
-pub use musa_cache::fnv1a_64;
+/// serves the whole pipeline: `musa-fault`'s, whose failpoint decisions
+/// hash the same way.
+pub use musa_fault::fnv1a_64;
 
 /// The fingerprint of one campaign point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -9,7 +9,7 @@
 //!   changing any coordinate changes the key, so stale results are
 //!   structurally unservable;
 //! * [`executor`] — [`PointExecutor`], the one place a point is
-//!   simulated: trace memo, artifact cache, panic containment, profile
+//!   simulated: trace memo, panic containment, profile
 //!   record, sealed row bytes — shared by the sequential fill and the
 //!   worker processes;
 //! * [`store`] — the append-only JSONL [`CampaignStore`]: an in-memory

@@ -33,14 +33,12 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use musa_obs::json::{FromJson, JsonValue};
 use musa_obs::Progress;
 
 use musa_apps::{AppId, GenParams};
 use musa_arch::NodeConfig;
-use musa_cache::ArtifactCache;
 use musa_core::{Campaign, ConfigResult, SweepOptions};
 
 use crate::executor::{PointExecutor, SealedRow};
@@ -564,10 +562,6 @@ pub struct CampaignStore {
     read_only: bool,
     health: StoreHealth,
     flush_seq: u64,
-    /// Artifact cache consulted by [`Self::fill`] for traces, detailed
-    /// windows and burst baselines. `None` (the default) computes
-    /// everything; attach with [`Self::set_artifact_cache`].
-    artifact_cache: Option<Arc<ArtifactCache>>,
 }
 
 impl CampaignStore {
@@ -598,19 +592,6 @@ impl CampaignStore {
         Self::open_impl(dir.to_path_buf(), true)
     }
 
-    /// Attach an artifact cache: subsequent [`Self::fill`] calls load
-    /// traces, detailed windows and burst baselines through it instead
-    /// of recomputing them. Rows stay byte-identical either way; only
-    /// the time to produce them changes.
-    pub fn set_artifact_cache(&mut self, cache: Arc<ArtifactCache>) {
-        self.artifact_cache = Some(cache);
-    }
-
-    /// The attached artifact cache, if any.
-    pub fn artifact_cache(&self) -> Option<&Arc<ArtifactCache>> {
-        self.artifact_cache.as_ref()
-    }
-
     fn open_impl(dir: PathBuf, read_only: bool) -> std::io::Result<CampaignStore> {
         let mut store = CampaignStore {
             write_path: dir.join(DEFAULT_WRITE_FILE),
@@ -622,7 +603,6 @@ impl CampaignStore {
             read_only,
             health: StoreHealth::default(),
             flush_seq: 0,
-            artifact_cache: None,
         };
         let files = row_files(&store.dir)?;
         // Count pre-existing rotation lines before any repair below
@@ -953,7 +933,7 @@ impl CampaignStore {
             return Ok(report);
         }
         let heartbeat = opts.progress.then(|| Progress::new("fill", total as u64));
-        let mut exec = PointExecutor::new(self.artifact_cache.clone());
+        let mut exec = PointExecutor::new();
         let mut done = 0usize;
         for (app, missing) in work {
             for chunk in missing.chunks(opts.batch.max(1)) {

@@ -148,7 +148,7 @@ fn executor_poisons_a_panicking_point_with_the_panic_text() {
     let _g = chaos_lock();
     let config = config_slice(4)[1];
     let fault_key = musa_fault::key_of(&[b"hydro", config.label().as_bytes()]);
-    let mut exec = PointExecutor::new(None);
+    let mut exec = PointExecutor::new();
 
     musa_fault::set_plan(Some(plan(1, "sim.point", FaultAction::Panic, 1.0)));
     let out = exec.run(AppId::Hydro, &config, &sweep());

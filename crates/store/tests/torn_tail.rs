@@ -198,7 +198,7 @@ fn respelled_floats_load_clean_when_resealed_over_their_own_bytes() {
         .replace("\"time_ns\":2,", "\"time_ns\":2.0,")
         .replace("\"energy_j\":0.0000001,", "\"energy_j\":1e-7,");
     assert_ne!(ours, theirs);
-    let sealed = musa_cache::seal_line(&theirs);
+    let sealed = musa_store::integrity::seal_line(&theirs);
 
     let dir = tmp_dir("respell");
     std::fs::create_dir_all(&dir).unwrap();

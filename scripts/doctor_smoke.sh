@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Smoke test for `dse doctor`: corrupt four durable families of a
-# store at once (lease journal, search journal, profiles, artifact tmp
-# litter), and check the documented contract through the shipped
-# binary: audit grades the store corrupt (exit 2), one `--repair`
-# restores exit 0, a second repair changes nothing, and every removed
-# complete line survives in quarantine.jsonl.
+# Smoke test for `dse doctor`: corrupt three durable families of a
+# store at once (lease journal, search journal, profiles), and check
+# the documented contract through the shipped binary: audit grades the
+# store corrupt (exit 2), one `--repair` restores exit 0, a second
+# repair changes nothing, and every removed complete line survives in
+# quarantine.jsonl.
 #
 # The full seeded storm (`dse torture`) drives real kill -9 campaigns
 # and stays out of the default gate; run it with:
@@ -25,18 +25,17 @@ trap 'rm -rf "$WORK"' EXIT
 
 unset MUSA_FAULTS MUSA_FAULT_SEED 2>/dev/null || true
 STORE="$WORK/store"
-mkdir -p "$STORE/search" "$STORE/artifacts"
+mkdir -p "$STORE/search"
 
 # A healthy (empty) store audits clean.
 "$DSE_BIN" doctor --store-dir "$STORE" >/dev/null
 
-# Corrupt four families.
+# Corrupt three families.
 printf 'lease garbage one\nlease garbage two\ntorn-fra' \
     >"$STORE/leases.journal"
 printf '{"v":1,"kind":"header","seed":9,"budget":24}\nsearch garbage\n' \
     >"$STORE/search/search.journal"
 printf 'profile garbage\n' >"$STORE/profiles.jsonl"
-printf 'half-written' >"$STORE/artifacts/.half.123.0.tmp"
 
 echo "doctor_smoke: audit must grade the store corrupt (exit 2)"
 rc=0
@@ -54,8 +53,6 @@ echo "doctor_smoke: one --repair must restore exit 0"
 grep -q '"raw":"lease garbage one"' "$STORE/quarantine.jsonl"
 grep -q '"raw":"profile garbage"' "$STORE/quarantine.jsonl"
 grep -q '"file":' "$STORE/quarantine.jsonl"
-# The tmp litter moved to the artifact quarantine.
-[[ -d "$STORE/artifacts/quarantine" ]]
 # The repair pass leaves the status beacon the query server surfaces.
 grep -q '"severity":"ok"' "$STORE/doctor-status.json"
 
