@@ -12,7 +12,6 @@
 //! cargo run --release -p musa-bench --bin dse -- --full       # 256-rank paper scale
 //! cargo run --release -p musa-bench --bin dse -- report       # regenerate results/
 //! cargo run --release -p musa-bench --bin dse -- --progress --metrics m.json
-//! cargo run --release -p musa-bench --bin dse -- serve --store-dir /tmp/campaign --port 8080
 //! ```
 //!
 //! The store directory holds one JSON-lines file per writer: the
@@ -36,7 +35,7 @@ use musa_apps::AppId;
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_bench::cli::{
     parse_dse_args, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs, FaultArgs, LogArgs, Parsed,
-    ProfileArgs, SearchArgs, ServeArgs, TortureArgs, USAGE,
+    ProfileArgs, SearchArgs, TortureArgs, USAGE,
 };
 use musa_bench::{configs, scale_for, store_dir_for};
 use musa_core::report::table;
@@ -88,7 +87,6 @@ fn main() {
         }
         Ok(Parsed::Search(args)) => search_main(args),
         Ok(Parsed::Profile(args)) => profile_main(args),
-        Ok(Parsed::Serve(args)) => serve_main(args),
         Ok(Parsed::DistWorker(args)) => dist_worker_main(args),
         Ok(Parsed::Doctor(args)) => doctor_main(args),
         Ok(Parsed::Torture(args)) => torture_main(args),
@@ -769,17 +767,6 @@ fn doctor_main(args: DoctorArgs) -> ! {
             std::process::exit(1);
         }
     };
-    if args.repair {
-        // The beacon is a CLI artifact, not part of repair() itself —
-        // the library stays byte-pure so the idempotence property test
-        // can compare directories after back-to-back repairs.
-        if let Err(e) = musa_doctor::write_status(&store, &report) {
-            eprintln!(
-                "dse doctor: cannot write {}: {e}",
-                musa_store::DOCTOR_STATUS_FILE
-            );
-        }
-    }
     if args.json {
         println!("{}", report.render_json());
     } else {
@@ -815,80 +802,6 @@ fn torture_main(args: TortureArgs) -> ! {
             std::process::exit(1);
         }
     }
-}
-
-/// `dse serve`: load the campaign once, serve queries until killed (or
-/// until an authorised `GET /quit` triggers a graceful drain).
-fn serve_main(args: ServeArgs) -> ! {
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    arm_observability(&args.log, None);
-    // The /metrics endpoint is only useful with the registry on.
-    musa_obs::enable_metrics(true);
-
-    let engine = if args.synthetic {
-        musa_serve::QueryEngine::new(musa_serve::synth::synthetic_results(864))
-    } else {
-        let dir = store_dir_of(&args.store_dir, false);
-        match musa_serve::QueryEngine::open(&dir) {
-            Ok(engine) => engine,
-            Err(e) => {
-                eprintln!(
-                    "dse serve: cannot load campaign store {}: {e}\n\
-                     (run `dse` first to fill it, or pass --synthetic for a demo campaign)",
-                    dir.display()
-                );
-                std::process::exit(1);
-            }
-        }
-    };
-
-    let config = musa_serve::ServerConfig {
-        addr: format!("{}:{}", args.addr, args.port),
-        workers: args.workers,
-        backlog: args.backlog,
-        read_timeout: Duration::from_millis(args.read_timeout_ms),
-        write_timeout: Duration::from_millis(args.write_timeout_ms),
-        max_request_bytes: args.max_request_bytes,
-        allow_quit: args.allow_quit,
-    };
-    let rows = engine.len();
-    let handle = match musa_serve::Server::start(Arc::new(engine), config) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("dse serve: cannot bind {}:{}: {e}", args.addr, args.port);
-            std::process::exit(1);
-        }
-    };
-    // The smoke script greps this line for the resolved port; keep the
-    // format stable and flushed before blocking.
-    {
-        use std::io::Write;
-        let mut out = std::io::stdout();
-        let _ = writeln!(
-            out,
-            "[serve] listening on http://{} ({rows} rows, {} workers, backlog {})",
-            handle.addr(),
-            args.workers,
-            args.backlog
-        );
-        let _ = out.flush();
-    }
-
-    // Serve until /quit (when enabled). Without --allow-quit this loop
-    // runs until the process is killed, which is the intended
-    // production mode.
-    loop {
-        if handle.wait_quit(Duration::from_secs(3600)) {
-            break;
-        }
-    }
-    eprintln!("[serve] quit requested, draining");
-    handle.shutdown();
-    eprintln!("[serve] drained, exiting");
-    musa_obs::close_json();
-    std::process::exit(0);
 }
 
 /// Print the Best-DSE summary (or the partial-campaign notice).

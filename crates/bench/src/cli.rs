@@ -21,8 +21,6 @@ usage: dse [options]
        dse report [options]        run the campaign as above, then write
                                    every committed file under results/
                                    (the paper's tables and figures)
-       dse serve [serve-options]   query service over a campaign store
-                                   (see dse serve --help)
        dse profile [profile-options]   per-point profiling report and
                                    timeline export (see dse profile --help)
        dse search [search-options]  adaptive Pareto-front search over a
@@ -77,8 +75,8 @@ usage: dse [options]
   --log-json PATH    record every structured event to a JSONL file
   -h, --help         this help";
 
-/// `--log` / `--log-json`, as `dse`, `serve`, `search` and
-/// `dist-worker` take them.
+/// `--log` / `--log-json`, as `dse`, `search` and `dist-worker` take
+/// them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LogArgs {
     /// Stderr event level override; `Some(None)` is `--log off`.
@@ -134,7 +132,6 @@ struct Shared {
 
 const LOG: &[&str] = &["--log", "--log-json"];
 const FAULTS: &[&str] = &["--faults"];
-const STORE_DIR: &[&str] = &["--store-dir"];
 const CAMPAIGN: &[&str] = &[
     "--workers",
     "--listen",
@@ -148,9 +145,8 @@ const CAMPAIGN: &[&str] = &[
 const RUN_SHARED: &[&[&str]] = &[LOG, FAULTS, CAMPAIGN];
 const SEARCH_SHARED: &[&[&str]] = &[LOG, CAMPAIGN];
 const DIST_WORKER_SHARED: &[&[&str]] = &[LOG, FAULTS, &["--no-prof"]];
-const SERVE_SHARED: &[&[&str]] = &[LOG, STORE_DIR];
 /// `profile` and `doctor` only say which store they use.
-const STORE_DIR_ONLY: &[&[&str]] = &[STORE_DIR];
+const STORE_DIR_ONLY: &[&[&str]] = &[&["--store-dir"]];
 
 impl Shared {
     /// Parse `arg` (and its value) if it is one of `accepted`;
@@ -247,69 +243,6 @@ impl Default for DseArgs {
     }
 }
 
-/// `dse serve` usage text.
-pub const SERVE_USAGE: &str = "\
-usage: dse serve [options]
-  --store-dir DIR        campaign store to serve (default target/musa-store-<scale>)
-  --synthetic            serve a deterministic synthetic 864-point campaign
-                         instead of a store (demos, smoke tests)
-  --addr HOST            bind address (default 127.0.0.1)
-  --port N               TCP port; 0 picks an ephemeral port (default 8080)
-  --workers N            request worker threads (default 4)
-  --backlog N            queued-connection depth before 503 shedding (default 64)
-  --read-timeout-ms N    per-connection read timeout (default 5000)
-  --write-timeout-ms N   per-connection write timeout (default 5000)
-  --max-request-bytes N  request-head size cap (default 16384)
-  --allow-quit           honour GET /quit (graceful drain; for supervised runs)
-  --log LEVEL            stderr event level: error|warn|info|debug|trace|off
-  --log-json PATH        record every structured event to a JSONL file
-  -h, --help             this help";
-
-/// Parsed `dse serve` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// Campaign store directory override.
-    pub store_dir: Option<PathBuf>,
-    /// Serve a synthetic campaign instead of a store.
-    pub synthetic: bool,
-    /// Bind address.
-    pub addr: String,
-    /// TCP port (0 = ephemeral).
-    pub port: u16,
-    /// Worker threads.
-    pub workers: usize,
-    /// Connection queue depth.
-    pub backlog: usize,
-    /// Read timeout, milliseconds.
-    pub read_timeout_ms: u64,
-    /// Write timeout, milliseconds.
-    pub write_timeout_ms: u64,
-    /// Request-head size cap.
-    pub max_request_bytes: usize,
-    /// Honour `GET /quit`.
-    pub allow_quit: bool,
-    /// `--log` / `--log-json`.
-    pub log: LogArgs,
-}
-
-impl Default for ServeArgs {
-    fn default() -> ServeArgs {
-        ServeArgs {
-            store_dir: None,
-            synthetic: false,
-            addr: "127.0.0.1".into(),
-            port: 8080,
-            workers: 4,
-            backlog: 64,
-            read_timeout_ms: 5000,
-            write_timeout_ms: 5000,
-            max_request_bytes: 16 * 1024,
-            allow_quit: false,
-            log: LogArgs::default(),
-        }
-    }
-}
-
 /// What a successful parse asks the binary to do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Parsed {
@@ -317,8 +250,6 @@ pub enum Parsed {
     Run(DseArgs),
     /// Run the sweep, then write `results/` (`dse report ...`).
     Report(DseArgs),
-    /// Run the query service with these arguments.
-    Serve(ServeArgs),
     /// Analyse the per-point profiling flight record
     /// (`dse profile ...`).
     Profile(ProfileArgs),
@@ -371,7 +302,6 @@ pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
             Parsed::Run(args) => Ok(Parsed::Report(args)),
             help => Ok(help),
         },
-        Some((&"serve", rest)) => parse_serve_args(rest),
         Some((&"profile", rest)) => parse_profile_args(rest),
         Some((&"search", rest)) => parse_search_args(rest),
         Some((&"dist-worker", rest)) => parse_dist_worker_args(rest),
@@ -461,8 +391,7 @@ options:
   --repair           apply each subsystem's atomic repair path, then
                      re-audit. Idempotent; never destroys bytes — every
                      removed line or file lands in quarantine with
-                     provenance. Also writes the doctor-status.json
-                     beacon.
+                     provenance.
   --json             machine-readable report on stdout instead of text
   --store-dir DIR    campaign store directory to audit
                      (default target/musa-store-<scale>)
@@ -473,8 +402,7 @@ options:
 pub struct DoctorArgs {
     /// Campaign store directory override.
     pub store_dir: Option<PathBuf>,
-    /// Apply repairs (and write the status beacon) instead of only
-    /// auditing.
+    /// Apply repairs instead of only auditing.
     pub repair: bool,
     /// Emit the JSON report instead of text.
     pub json: bool,
@@ -896,62 +824,6 @@ fn parse_number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String
         .map_err(|_| format!("bad {flag} value {raw:?} (expected a number)"))
 }
 
-/// Parse `dse serve` arguments (after the `serve` token). Same
-/// strictness as the sweep: unknown flags and malformed values are
-/// errors, not warnings.
-fn parse_serve_args(args: &[&str]) -> Result<Parsed, String> {
-    let mut out = ServeArgs::default();
-    let mut shared = Shared::default();
-    let mut it = args.iter().copied().peekable();
-    while let Some(arg) = it.next() {
-        if shared.take(SERVE_SHARED, arg, &mut it)? {
-            continue;
-        }
-        match arg {
-            "-h" | "--help" => return Ok(Parsed::Help(SERVE_USAGE)),
-            "--synthetic" => out.synthetic = true,
-            "--allow-quit" => out.allow_quit = true,
-            "--addr" => out.addr = required(&mut it, "--addr")?.to_string(),
-            "--port" => out.port = parse_number("--port", required(&mut it, "--port")?)?,
-            "--workers" => {
-                out.workers = parse_number("--workers", required(&mut it, "--workers")?)?;
-                if out.workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            "--backlog" => {
-                out.backlog = parse_number("--backlog", required(&mut it, "--backlog")?)?;
-                if out.backlog == 0 {
-                    return Err("--backlog must be at least 1".into());
-                }
-            }
-            "--read-timeout-ms" => {
-                out.read_timeout_ms =
-                    parse_number("--read-timeout-ms", required(&mut it, "--read-timeout-ms")?)?;
-            }
-            "--write-timeout-ms" => {
-                out.write_timeout_ms = parse_number(
-                    "--write-timeout-ms",
-                    required(&mut it, "--write-timeout-ms")?,
-                )?;
-            }
-            "--max-request-bytes" => {
-                out.max_request_bytes = parse_number(
-                    "--max-request-bytes",
-                    required(&mut it, "--max-request-bytes")?,
-                )?;
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    (out.store_dir, out.log) = (shared.campaign.store_dir, shared.log);
-    if out.synthetic && out.store_dir.is_some() {
-        return Err("--synthetic and --store-dir are mutually exclusive".into());
-    }
-    Ok(Parsed::Serve(out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -959,13 +831,6 @@ mod tests {
     fn run(args: &[&str]) -> DseArgs {
         match parse_dse_args(args).unwrap() {
             Parsed::Run(a) => a,
-            other => panic!("unexpected parse: {other:?}"),
-        }
-    }
-
-    fn serve(args: &[&str]) -> ServeArgs {
-        match parse_dse_args(args).unwrap() {
-            Parsed::Serve(a) => a,
             other => panic!("unexpected parse: {other:?}"),
         }
     }
@@ -1176,7 +1041,7 @@ mod tests {
         assert!(parse_dse_args(&["report", "--nope"]).is_err());
         assert!(parse_dse_args(&["report", "stray"]).is_err());
         assert!(parse_dse_args(&["report", "--fail-fast", "--workers", "2"]).is_err());
-        // Only recognised in first position, like serve.
+        // Only recognised in first position, like every subcommand.
         assert!(parse_dse_args(&["--resume", "report"]).is_err());
     }
 
@@ -1322,7 +1187,7 @@ mod tests {
         assert!(parse_dse_args(&["profile", "--top", "many"]).is_err());
         assert!(parse_dse_args(&["profile", "--trace-export"]).is_err());
         assert!(parse_dse_args(&["profile", "--store-dir"]).is_err());
-        // Only recognised in first position, like serve.
+        // Only recognised in first position, like every subcommand.
         assert!(parse_dse_args(&["--resume", "profile"]).is_err());
     }
 
@@ -1341,6 +1206,19 @@ mod tests {
         let gone = concat!("pool-", "worker");
         let err = parse_dse_args(&[gone, "--store-dir", "/x"]).unwrap_err();
         assert!(err.contains("unexpected argument"), "{err}");
+    }
+
+    /// A campaign is read offline (`dse report`, `dse doctor`,
+    /// `--resume --csv`): the query service and its options are gone.
+    #[test]
+    fn the_query_service_is_gone() {
+        for argv in [
+            &["serve"][..],
+            &["serve", "--store-dir", "/x"],
+            &["serve", "--synthetic", "--port", "0"],
+        ] {
+            assert!(parse_dse_args(argv).is_err(), "{argv:?} parsed");
+        }
     }
 
     #[test]
@@ -1414,10 +1292,9 @@ mod tests {
                 .filter(|w| w.starts_with("--"))
                 .collect()
         }
-        let subcommands: [(&[&str], &str); 8] = [
+        let subcommands: [(&[&str], &str); 7] = [
             (&[], USAGE),
             (&["report"], USAGE),
-            (&["serve"], SERVE_USAGE),
             (&["profile"], PROFILE_USAGE),
             (&["search"], SEARCH_USAGE),
             (&["dist-worker"], DIST_WORKER_USAGE),
@@ -1431,7 +1308,7 @@ mod tests {
             .collect();
         candidates.sort();
         candidates.dedup();
-        assert!(candidates.len() > 40, "the scan found {candidates:?}");
+        assert!(candidates.len() > 35, "the scan found {candidates:?}");
 
         for (prefix, usage) in subcommands {
             let named = flags_in(usage);
@@ -1451,62 +1328,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn serve_subcommand_defaults_and_full_set() {
-        assert_eq!(serve(&["serve"]), ServeArgs::default());
-        let a = serve(&[
-            "serve",
-            "--store-dir",
-            "/tmp/campaign",
-            "--addr",
-            "0.0.0.0",
-            "--port",
-            "0",
-            "--workers",
-            "2",
-            "--backlog",
-            "8",
-            "--read-timeout-ms",
-            "250",
-            "--write-timeout-ms",
-            "300",
-            "--max-request-bytes",
-            "4096",
-            "--allow-quit",
-            "--log",
-            "info",
-        ]);
-        assert_eq!(
-            a.store_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/campaign"))
-        );
-        assert_eq!((a.addr.as_str(), a.port), ("0.0.0.0", 0));
-        assert_eq!((a.workers, a.backlog), (2, 8));
-        assert_eq!((a.read_timeout_ms, a.write_timeout_ms), (250, 300));
-        assert_eq!(a.max_request_bytes, 4096);
-        assert!(a.allow_quit && !a.synthetic);
-        assert_eq!(a.log.level, Some(Some(Level::Info)));
-        assert!(serve(&["serve", "--synthetic"]).synthetic);
-    }
-
-    #[test]
-    fn serve_subcommand_is_strict() {
-        assert!(parse_dse_args(&["serve", "--nope"]).is_err());
-        assert!(parse_dse_args(&["serve", "--port"]).is_err());
-        assert!(parse_dse_args(&["serve", "--port", "eighty"]).is_err());
-        assert!(parse_dse_args(&["serve", "--port", "99999"]).is_err());
-        assert!(parse_dse_args(&["serve", "--workers", "0"]).is_err());
-        assert!(parse_dse_args(&["serve", "--backlog", "0"]).is_err());
-        assert!(parse_dse_args(&["serve", "--synthetic", "--store-dir", "/x"]).is_err());
-        assert!(parse_dse_args(&["serve", "stray"]).is_err());
-        assert_eq!(
-            parse_dse_args(&["serve", "--help"]),
-            Ok(Parsed::Help(SERVE_USAGE))
-        );
-        // `serve` is only a subcommand in first position.
-        assert!(parse_dse_args(&["--resume", "serve"]).is_err());
     }
 
     fn search(args: &[&str]) -> SearchArgs {

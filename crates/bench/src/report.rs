@@ -1,9 +1,10 @@
 //! `dse report`: every committed file under `results/` from one
 //! campaign. Each entry of [`ENTRIES`] names one file (`table1`,
-//! `fig01_mpki` … `fig11_unconventional`, `dse_results`, `fidelity`) and
-//! renders it from the campaign `dse` just filled and the scale it ran
-//! at. Figs. 1–4 and 11 simulate their own handful of points from the
-//! [`GenParams`]; Figs. 5–10 and the CSV read the campaign.
+//! `fig01_mpki` … `fig11_unconventional`, `pareto`, `dse_results`,
+//! `fidelity`) and renders it from the campaign `dse` just filled and
+//! the scale it ran at. Figs. 1–4 and 11 simulate their own handful of
+//! points from the [`GenParams`]; Figs. 5–10, the Pareto fronts and the
+//! CSV read the campaign.
 //!
 //! `fidelity` scores the reproduction against the paper: one row per
 //! number EXPERIMENTS.md compares (Fig. 1 statistics, Fig. 2
@@ -27,7 +28,7 @@ use musa_core::pca::{pca_of_results, PCA_VARS};
 use musa_core::report::{campaign_csv, core_occupancy, occupancy_fraction, table};
 use musa_core::{
     feature_impact, full_app_scaling, mean_efficiency, panel_rows, region_scaling, Campaign,
-    ConfigResult, Metric, MultiscaleSim, ScalingCurve, SCALING_CORES,
+    ConfigResult, Metric, MultiscaleSim, RowMetric, ScalingCurve, SCALING_CORES,
 };
 use musa_net::{render_rank_timeline, replay_with_timelines, BurstTimer, NetworkParams};
 use musa_tasksim::simulate_region_burst;
@@ -53,6 +54,7 @@ pub const ENTRIES: &[(&str, Render)] = &[
     ("fig11_unconventional.txt", |_, gen| {
         fig11_unconventional(gen)
     }),
+    ("pareto.txt", |c, _| pareto(c)),
     ("dse_results.csv", |c, _| campaign_csv(c)),
     ("fidelity.txt", fidelity),
 ];
@@ -475,6 +477,97 @@ fn unconventional(
         .iter()
         .map(|u| (u.name, sim.simulate(u.config, true)))
         .collect()
+}
+
+/// §V-D's trade-off question — which configurations are worth trading
+/// time for energy — answered from the campaign: the time/energy Pareto
+/// front of each application over the whole campaign and at each core
+/// count, rendered with [`Campaign::pareto_front`].
+fn pareto(campaign: &Campaign) -> String {
+    let mut out = String::from(
+        "== Pareto fronts: time vs energy-to-solution (§V-D) ==
+",
+    );
+    out.push_str(
+        "Both minimised; each front sorted by time, then energy, then config.
+
+",
+    );
+    let mut checks = String::new();
+    for app in AppId::ALL {
+        for cores in [None].into_iter().chain(CoresPerNode::ALL.map(Some)) {
+            let scope = Campaign {
+                results: campaign
+                    .for_app(app)
+                    .filter(|r| cores.is_none_or(|c| r.config.cores == c))
+                    .cloned()
+                    .collect(),
+            };
+            let front = scope.pareto_front(app, RowMetric::TimeNs, RowMetric::EnergyJ);
+            let within = match cores {
+                None => "whole campaign".to_string(),
+                Some(c) => format!("{}-core configs", c.count()),
+            };
+            let _ = writeln!(
+                out,
+                "--- {app}, {within}: {} of {} on the front ---",
+                front.len(),
+                scope.results.len()
+            );
+            let body: Vec<Vec<String>> = front
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.config.label(),
+                        format!("{:.3}", r.time_ns / 1e6),
+                        format!("{:.6}", r.energy_j),
+                    ]
+                })
+                .collect();
+            let _ = writeln!(
+                out,
+                "{}",
+                table(&["config", "time [ms]", "energy [J]"], &body)
+            );
+
+            let widths = |w| front.iter().filter(|r| r.config.vector == w).count();
+            match (app, cores) {
+                // Buy bandwidth, not lanes: at 64 cores LULESH's front
+                // is 128-bit, 8-channel configs only.
+                (AppId::Lulesh, Some(CoresPerNode::C64)) => {
+                    assert!(
+                        front.iter().all(|r| r.config.vector == VectorWidth::V128
+                            && r.config.mem == MemConfig::DDR4_8CH),
+                        "{app} @64: every front point must be 128-bit 8chDDR4"
+                    );
+                    let _ = writeln!(
+                        checks,
+                        "check: {app} @64 cores: all {} front points are 128-bit 8chDDR4  -> MATCH",
+                        front.len()
+                    );
+                }
+                // SP-MZ's front is wide-vector: 512-bit holds most of it
+                // and no 128-bit config is on it.
+                (AppId::Spmz, None) => {
+                    let (v512, v128) = (widths(VectorWidth::V512), widths(VectorWidth::V128));
+                    assert!(
+                        v128 == 0 && 2 * v512 > front.len(),
+                        "{app}: the front must be mostly 512-bit and never 128-bit"
+                    );
+                    let _ = writeln!(
+                        checks,
+                        "check: {app} whole campaign: {v512} of {} front points are 512-bit, \
+                         {} 256-bit, none 128-bit  -> MATCH",
+                        front.len(),
+                        widths(VectorWidth::V256)
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+    out.push_str(&checks);
+    out
 }
 
 /// Tolerance of an absolute Fig. 1 statistic: synthetic traces are not

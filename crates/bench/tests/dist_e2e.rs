@@ -154,7 +154,7 @@ fn reference_lines(tag: &str) -> (PathBuf, Vec<String>) {
 
 /// `--listen` with no external worker ever connecting is a plain local
 /// pool run: same bytes, clean journal, exit 0 — and the beacon must
-/// be left in its draining terminal state for `/healthz` readers.
+/// be left in its draining terminal state for whoever reads it.
 #[test]
 fn listen_without_remote_workers_degrades_to_the_local_pool() {
     let (ref_dir, want) = reference_lines("degrade-ref");

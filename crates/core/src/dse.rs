@@ -7,12 +7,11 @@ use musa_arch::{DesignSpace, NodeConfig};
 
 use crate::sim::{ConfigResult, MultiscaleSim};
 
-/// One scalar column of a campaign row — the metrics the query layer
-/// (`musa-serve`) and the in-process analyses select, rank and
-/// aggregate by. [`RowMetric::of`] is the single place a metric name is
-/// mapped to a [`ConfigResult`] field, so the HTTP API, the CSV export
-/// and `dse report`'s figures can never disagree about what `time_ns`
-/// means.
+/// One scalar column of a campaign row — the metrics the analyses
+/// select, rank and aggregate by. [`RowMetric::of`] is the single place
+/// a metric name is mapped to a [`ConfigResult`] field, so the CSV
+/// export, the search and `dse report`'s figures can never disagree
+/// about what `time_ns` means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowMetric {
     /// Full-application parallel runtime, ns.
@@ -46,7 +45,7 @@ impl RowMetric {
         RowMetric::MemMpki,
     ];
 
-    /// Wire name (query-string value, JSON field).
+    /// Snake-case name (`time_ns`, `energy_j`, …).
     pub const fn name(self) -> &'static str {
         match self {
             RowMetric::TimeNs => "time_ns",
@@ -60,7 +59,7 @@ impl RowMetric {
         }
     }
 
-    /// Parse a wire name.
+    /// Parse a snake-case name.
     pub fn parse(s: &str) -> Option<RowMetric> {
         RowMetric::ALL.into_iter().find(|m| m.name() == s)
     }
@@ -81,8 +80,7 @@ impl RowMetric {
 }
 
 /// Count/min/max/sum of one metric over a row set (NaN observations are
-/// skipped, mirroring [`Campaign::best_for`]). The aggregate half of
-/// the `/summary` endpoint.
+/// skipped, mirroring [`Campaign::best_for`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricAgg {
     /// Finite observations folded in.
@@ -136,9 +134,10 @@ impl MetricAgg {
 /// with a non-finite coordinate are never part of the frontier and
 /// never dominate anything.
 ///
-/// This is the kernel under both [`Campaign::pareto_front`] and the
-/// `musa-serve` `/pareto` endpoint — one implementation, verified
-/// against a brute-force O(n²) dominance check by proptest
+/// This is the kernel under [`Campaign::pareto_front`], which renders
+/// `dse report`'s `pareto` entry (`results/pareto.txt`), and under
+/// [`dominated_hypervolume`] — one implementation, verified against a
+/// brute-force O(n²) dominance check by proptest
 /// (`crates/core/tests/pareto.rs`).
 pub fn pareto_front_indices(points: &[(f64, f64)]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..points.len())
@@ -247,9 +246,7 @@ impl Campaign {
 
     /// The `k` best rows of one application by `metric` (ascending —
     /// every [`RowMetric`] is lower-is-better), deterministically
-    /// tie-broken by configuration label. NaN rows are skipped. This is
-    /// the reference semantics the `musa-serve` `/best` endpoint must
-    /// reproduce byte-for-byte.
+    /// tie-broken by configuration label. NaN rows are skipped.
     pub fn top_k(&self, app: AppId, metric: RowMetric, k: usize) -> Vec<&ConfigResult> {
         let mut rows: Vec<&ConfigResult> = self
             .for_app(app)

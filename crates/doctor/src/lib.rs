@@ -36,7 +36,9 @@
 //!
 //! An `artifacts/` directory left by an older build (which cached
 //! detailed windows on disk) is no family: the doctor neither reads nor
-//! touches it, and `rm -rf <store>/artifacts` reclaims its space.
+//! touches it, and `rm -rf <store>/artifacts` reclaims its space. The
+//! same holds for the `doctor-status` verdict file older builds wrote
+//! on `--repair`: the report on stdout is the verdict.
 
 pub mod torture;
 
@@ -47,7 +49,7 @@ use musa_fault::integrity::{read_log, scan};
 use musa_obs::json::{to_string, JsonObj, JsonValue};
 use musa_search::journal::validate_search_line;
 use musa_search::{JOURNAL_FILE, SEARCH_DIR};
-use musa_store::{DOCTOR_STATUS_FILE, QUARANTINE_FILE, QUARANTINE_KEEP};
+use musa_store::{QUARANTINE_FILE, QUARANTINE_KEEP};
 
 /// Health grade of one artifact family (and, via `max`, of the store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -268,26 +270,6 @@ pub fn repair(dir: &Path) -> io::Result<DoctorReport> {
         actions,
         ..audit(dir)?
     })
-}
-
-/// Write the [`DOCTOR_STATUS_FILE`] beacon summarizing a report
-/// (atomically, like every other status file in the store).
-pub fn write_status(dir: &Path, report: &DoctorReport) -> io::Result<()> {
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let body = JsonObj::new()
-        .field_str("severity", report.severity().label())
-        .field_u64("exit_code", report.exit_code() as u64)
-        .field_bool("repaired", report.repaired)
-        .field_u64("checked_unix", unix)
-        .finish();
-    musa_store::atomic_write(
-        &dir.join(DOCTOR_STATUS_FILE),
-        body.as_bytes(),
-        "doctor.repair",
-    )
 }
 
 /// The one loop behind [`audit`] and [`repair`]: fire `failpoint`, then
@@ -982,6 +964,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A point the pool supervisor quarantined is campaign data that is
+    /// missing rather than corrupt: the `rows` family counts it and the
+    /// store grades degraded, and no repair can bring it back.
+    #[test]
+    fn pool_poisoned_points_grade_the_store_degraded() {
+        let _lock = fault_lock();
+        let dir = tdir("poisoned");
+        let (mut journal, _) = musa_store::LeaseJournal::open(&dir).unwrap();
+        journal
+            .append(&musa_store::LeaseEvent::Poison(
+                musa_store::PoolPoisonRecord {
+                    key: "00decafc0ffee000".into(),
+                    app: "hydro".into(),
+                    config: "some-config".into(),
+                    strikes: 3,
+                    reason: "deadline exceeded".into(),
+                },
+            ))
+            .unwrap();
+        drop(journal);
+        for report in [audit(&dir).unwrap(), repair(&dir).unwrap()] {
+            assert_eq!(
+                report.severity(),
+                Severity::Degraded,
+                "{}",
+                report.render_text()
+            );
+            assert_eq!(report.family("rows").unwrap().counter("pool_poisoned"), 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn doctor_failpoints_fire() {
         if !musa_fault::COMPILED {
@@ -1004,22 +1018,6 @@ mod tests {
         musa_fault::set_plan(None);
         // With the plan cleared both paths run clean.
         assert_eq!(audit(&dir).unwrap().exit_code(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn status_beacon_is_written_and_parsable() {
-        let _lock = fault_lock();
-        let dir = tdir("beacon");
-        let report = audit(&dir).unwrap();
-        write_status(&dir, &report).unwrap();
-        let text = std::fs::read_to_string(dir.join(DOCTOR_STATUS_FILE)).unwrap();
-        let parsed = JsonValue::parse(&text).unwrap();
-        assert_eq!(
-            parsed.get("severity").and_then(JsonValue::as_str),
-            Some("ok")
-        );
-        assert_eq!(parsed.get("exit_code").and_then(JsonValue::as_u64), Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -43,9 +43,6 @@ pub mod phase {
     pub const NET_REPLAY: &str = "net-replay";
     /// Campaign-store serialisation + flush (`musa-store`).
     pub const STORE_FLUSH: &str = "store-flush";
-    /// One HTTP request through the `musa-serve` query service, from
-    /// parsed request line to flushed response.
-    pub const HTTP_REQUEST: &str = "http-request";
 }
 
 thread_local! {

@@ -69,5 +69,5 @@ pub use store::{
     classify_row, is_quarantine_file, quarantine_rotation_path, row_files, set_aside,
     CampaignStore, FillOptions, FillReport, PoisonedPoint, QuarantineRecord, SetAside, StoreHealth,
     StoreRow, DEFAULT_BATCH, DEFAULT_MAX_RETRIES, DEFAULT_WRITE_FILE, DIST_STATUS_FILE,
-    DOCTOR_STATUS_FILE, QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
+    QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
 };

@@ -54,23 +54,18 @@ pub const QUARANTINE_FILE: &str = "quarantine.jsonl";
 
 /// Liveness beacon a `dse --workers` supervisor keeps in the store
 /// directory: `{"addr":..,"connected":..,"draining":..,"updated_unix":..}`,
-/// rewritten atomically. `musa-serve`'s `/healthz` and the smoke
-/// scripts (port discovery for `--listen 127.0.0.1:0`) read it.
+/// rewritten atomically. Operators read it as is (`updated_unix` gives
+/// its age), as do the smoke scripts (port discovery for `--listen
+/// 127.0.0.1:0`); `dse doctor` audits the store beside it.
 pub const DIST_STATUS_FILE: &str = "dist-status.json";
-
-/// Verdict beacon `dse doctor --repair` leaves in the store directory:
-/// `{"severity":..,"exit_code":..,"repaired":..,"checked_unix":..}`,
-/// written atomically. `musa-serve`'s `/healthz` surfaces it so
-/// operators can see when a store was last audited.
-pub const DOCTOR_STATUS_FILE: &str = "doctor-status.json";
 
 /// Size cap (bytes) at which [`QUARANTINE_FILE`] rotates to
 /// `quarantine.1.jsonl` before the next append: existing rotations
 /// shift up and the one past [`QUARANTINE_KEEP`] is dropped (its loss
 /// recorded on the `store.quarantine_dropped` counter). Lines moved
 /// out of the primary are counted in
-/// [`StoreHealth::quarantine_rotated`] so `/healthz` stays honest
-/// about evidence that no longer sits in the primary file.
+/// [`StoreHealth::quarantine_rotated`] so the store's health stays
+/// honest about evidence that no longer sits in the primary file.
 /// `MUSA_QUARANTINE_CAP` (bytes) overrides the cap — tests use tiny
 /// ones to exercise rotation cheaply.
 pub const QUARANTINE_ROTATE_BYTES: u64 = 1 << 20;
@@ -386,8 +381,8 @@ pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<S
 /// Shift `quarantine.jsonl` → `quarantine.1.jsonl` → … and drop the
 /// rotation past [`QUARANTINE_KEEP`]. Returns the lines moved out of
 /// the primary (dropped lines tick the `store.quarantine_dropped`
-/// counter) so `/healthz` stays honest about evidence no longer in the
-/// primary file.
+/// counter) so the store's health stays honest about evidence no
+/// longer in the primary file.
 fn rotate_quarantine(dir: &Path) -> std::io::Result<u64> {
     let oldest = quarantine_rotation_path(dir, QUARANTINE_KEEP);
     if let Ok(text) = std::fs::read_to_string(&oldest) {
@@ -420,8 +415,9 @@ fn rotate_quarantine(dir: &Path) -> std::io::Result<u64> {
     Ok(rotated_lines)
 }
 
-/// What loading found wrong with the on-disk store — the health the
-/// serving layer reports from `/healthz`.
+/// What loading found wrong with the on-disk store. `dse doctor`'s
+/// `rows` family reports it (its `quarantine` family counts rotated
+/// evidence from the files themselves).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreHealth {
     /// Corrupt rows moved to [`QUARANTINE_FILE`] (write mode) or
@@ -446,7 +442,7 @@ pub struct StoreHealth {
     /// [`QUARANTINE_FILE`]: lines sitting in `quarantine.N.jsonl`
     /// rotations at open time, plus lines moved out of the primary by
     /// rotations during this store's lifetime. Keeps the total
-    /// quarantine evidence reported by `/healthz` honest after the
+    /// quarantine evidence in the store's health honest after the
     /// size-capped primary rotates.
     pub quarantine_rotated: u64,
 }
@@ -782,8 +778,7 @@ impl CampaignStore {
     }
 
     /// Consume the store and hand over its rows (load/insertion order)
-    /// without cloning — how `musa-serve` moves a loaded campaign into
-    /// its columnar query engine.
+    /// without cloning.
     pub fn into_rows(mut self) -> Vec<StoreRow> {
         std::mem::take(&mut self.rows)
     }

@@ -1,8 +1,8 @@
 //! Size-capped quarantine rotation: the primary `quarantine.jsonl`
 //! rotates to `quarantine.1.jsonl` (keeping [`QUARANTINE_KEEP`]
 //! rotations) instead of growing without bound, rotated-away lines are
-//! counted in `StoreHealth::quarantine_rotated` so `/healthz` stays
-//! honest, rotations are never mistaken for row shards, and the
+//! counted in `StoreHealth::quarantine_rotated` so the store's health
+//! stays honest, rotations are never mistaken for row shards, and the
 //! duplicate-incident dedupe spans primary and rotations alike.
 
 use std::path::{Path, PathBuf};

@@ -53,12 +53,12 @@ echo "doctor_smoke: one --repair must restore exit 0"
 grep -q '"raw":"lease garbage one"' "$STORE/quarantine.jsonl"
 grep -q '"raw":"profile garbage"' "$STORE/quarantine.jsonl"
 grep -q '"file":' "$STORE/quarantine.jsonl"
-# The repair pass leaves the status beacon the query server surfaces.
-grep -q '"severity":"ok"' "$STORE/doctor-status.json"
 
 echo "doctor_smoke: a second --repair must be a byte-identical no-op"
 snap() { (cd "$STORE" && find . -type f | sort | xargs md5sum); }
 snap >"$WORK/snap1"
+# In a later second, so that a time stamp written by a repair would show.
+sleep 1.1
 "$DSE_BIN" doctor --repair --store-dir "$STORE" >/dev/null
 snap >"$WORK/snap2"
 if ! cmp -s "$WORK/snap1" "$WORK/snap2"; then

@@ -19,7 +19,6 @@
 //! | [`core`] | multiscale orchestration, DSE, analysis, PCA |
 //! | [`store`] | persistent, resumable campaign result store |
 //! | [`obs`] | structured instrumentation: spans, metrics, events, progress |
-//! | [`serve`] | columnar query engine + HTTP service over the campaign store |
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and
 //! `crates/bench/src/report.rs` for the table of paper figures `dse report`
@@ -33,7 +32,6 @@ pub use musa_mem as mem;
 pub use musa_net as net;
 pub use musa_obs as obs;
 pub use musa_power as power;
-pub use musa_serve as serve;
 pub use musa_store as store;
 pub use musa_tasksim as tasksim;
 pub use musa_trace as trace;
@@ -50,7 +48,6 @@ pub mod prelude {
         feature_impact, run_design_space, Campaign, ConfigResult, Metric, MultiscaleSim,
         SweepOptions,
     };
-    pub use musa_serve::{QueryEngine, RowFilter, Server, ServerConfig};
     pub use musa_store::{CampaignStore, FillOptions};
     pub use musa_trace::AppTrace;
 }
