@@ -8,10 +8,10 @@ use musa_arch::{DesignSpace, NodeConfig};
 use crate::sim::{ConfigResult, MultiscaleSim};
 
 /// One scalar column of a campaign row — the metrics the analyses
-/// select, rank and aggregate by. [`RowMetric::of`] is the single place
-/// a metric name is mapped to a [`ConfigResult`] field, so the CSV
-/// export, the search and `dse report`'s figures can never disagree
-/// about what `time_ns` means.
+/// select and rank by. [`RowMetric::of`] is the single place a metric
+/// is mapped to a [`ConfigResult`] field, so `dse`'s hypervolume line
+/// and `dse report`'s Pareto fronts can never disagree about what
+/// `time_ns` means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowMetric {
     /// Full-application parallel runtime, ns.
@@ -33,37 +33,6 @@ pub enum RowMetric {
 }
 
 impl RowMetric {
-    /// Every selectable metric, in the order of the CSV columns.
-    pub const ALL: [RowMetric; 8] = [
-        RowMetric::TimeNs,
-        RowMetric::RegionNs,
-        RowMetric::PowerW,
-        RowMetric::EnergyJ,
-        RowMetric::L1Mpki,
-        RowMetric::L2Mpki,
-        RowMetric::L3Mpki,
-        RowMetric::MemMpki,
-    ];
-
-    /// Snake-case name (`time_ns`, `energy_j`, …).
-    pub const fn name(self) -> &'static str {
-        match self {
-            RowMetric::TimeNs => "time_ns",
-            RowMetric::RegionNs => "region_ns",
-            RowMetric::PowerW => "power_w",
-            RowMetric::EnergyJ => "energy_j",
-            RowMetric::L1Mpki => "l1_mpki",
-            RowMetric::L2Mpki => "l2_mpki",
-            RowMetric::L3Mpki => "l3_mpki",
-            RowMetric::MemMpki => "mem_mpki",
-        }
-    }
-
-    /// Parse a snake-case name.
-    pub fn parse(s: &str) -> Option<RowMetric> {
-        RowMetric::ALL.into_iter().find(|m| m.name() == s)
-    }
-
     /// The metric's value in one row.
     pub fn of(self, r: &ConfigResult) -> f64 {
         match self {
@@ -75,51 +44,6 @@ impl RowMetric {
             RowMetric::L2Mpki => r.l2_mpki,
             RowMetric::L3Mpki => r.l3_mpki,
             RowMetric::MemMpki => r.mem_mpki,
-        }
-    }
-}
-
-/// Count/min/max/sum of one metric over a row set (NaN observations are
-/// skipped, mirroring [`Campaign::best_for`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MetricAgg {
-    /// Finite observations folded in.
-    pub count: usize,
-    /// Smallest observation (0 when empty).
-    pub min: f64,
-    /// Largest observation (0 when empty).
-    pub max: f64,
-    /// Sum of observations.
-    pub sum: f64,
-}
-
-impl MetricAgg {
-    /// Fold an iterator of values, skipping non-finite ones.
-    pub fn over(values: impl IntoIterator<Item = f64>) -> MetricAgg {
-        let mut agg = MetricAgg::default();
-        for v in values {
-            if !v.is_finite() {
-                continue;
-            }
-            if agg.count == 0 {
-                agg.min = v;
-                agg.max = v;
-            } else {
-                agg.min = agg.min.min(v);
-                agg.max = agg.max.max(v);
-            }
-            agg.count += 1;
-            agg.sum += v;
-        }
-        agg
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
         }
     }
 }
@@ -260,11 +184,6 @@ impl Campaign {
         });
         rows.truncate(k);
         rows
-    }
-
-    /// One metric's aggregate over an application's rows.
-    pub fn aggregate(&self, app: AppId, metric: RowMetric) -> MetricAgg {
-        MetricAgg::over(self.for_app(app).map(|r| metric.of(r)))
     }
 
     /// The Pareto frontier of one application in the
@@ -453,27 +372,6 @@ mod tests {
         assert!(campaign
             .best_for(AppId::Hydro, |c| *c == poisoned)
             .is_none());
-    }
-
-    #[test]
-    fn row_metric_names_roundtrip() {
-        for m in RowMetric::ALL {
-            assert_eq!(RowMetric::parse(m.name()), Some(m));
-        }
-        assert_eq!(RowMetric::parse("watts"), None);
-    }
-
-    #[test]
-    fn metric_agg_skips_non_finite() {
-        let agg = MetricAgg::over([3.0, f64::NAN, 1.0, f64::INFINITY, 2.0]);
-        assert_eq!(agg.count, 3);
-        assert_eq!(agg.min, 1.0);
-        assert_eq!(agg.max, 3.0);
-        assert_eq!(agg.sum, 6.0);
-        assert_eq!(agg.mean(), 2.0);
-        let empty = MetricAgg::over([]);
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.mean(), 0.0);
     }
 
     #[test]

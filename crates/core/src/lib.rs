@@ -25,8 +25,8 @@ pub mod sim;
 
 pub use analysis::{feature_impact, panel_rows, Bar, FeatureImpact, Metric};
 pub use dse::{
-    dominated_hypervolume, pareto_front_indices, run_design_space, sweep_app, Campaign, MetricAgg,
-    RowMetric, SweepOptions,
+    dominated_hypervolume, pareto_front_indices, run_design_space, sweep_app, Campaign, RowMetric,
+    SweepOptions,
 };
 pub use pca::{pca, pca_of_results, Pca, PCA_VARS};
 pub use scaling::{full_app_scaling, mean_efficiency, region_scaling, ScalingCurve, SCALING_CORES};

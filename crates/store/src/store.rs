@@ -777,12 +777,6 @@ impl CampaignStore {
         Ok(self.writer.as_mut().expect("writer just created"))
     }
 
-    /// Consume the store and hand over its rows (load/insertion order)
-    /// without cloning.
-    pub fn into_rows(mut self) -> Vec<StoreRow> {
-        std::mem::take(&mut self.rows)
-    }
-
     /// Append one row (persisted on the next [`Self::flush`]). Returns
     /// false if the key was already present.
     pub fn append(&mut self, row: StoreRow) -> std::io::Result<bool> {

@@ -57,9 +57,14 @@
 //! equally early units is busied cannot change the multiset of free
 //! times, so a pool kept sorted answers the first question, bit for bit,
 //! exactly as a scan for the earliest slot did — without the scan. A
-//! [`Pool`] is a sorted array padded with `+inf` to a width fixed at
-//! compile time ([`MAX_UNITS`], the widest pool of any core class), and
-//! busying its first unit is a branch-free sorted insert. Every
+//! [`Pool`] is a sorted array of a width fixed at compile time, and
+//! busying its first unit is a branch-free sorted insert. The pools are
+//! as wide as the core: [`window_cycles`] walks each [`CoreClass`]'s
+//! window with an instance whose ALU and FPU pools hold exactly that
+//! class's unit counts, as the pool update is the walk's critical path
+//! and an empty slot costs a compare-select on every issue. Only a
+//! window of no class (the tests' random ones) walks pools padded with
+//! `+inf` to [`MAX_UNITS`], the widest pool of any class. Every
 //! maximum and minimum in the walk is a compare-select on times that are
 //! never NaN ([`later`], [`earlier`]) rather than `f64::max`/`f64::min`,
 //! whose NaN handling puts extra instructions on the walk's critical
@@ -85,8 +90,9 @@ const PREFETCH_EXPOSED: f64 = 0.15;
 const L1_MISS_DISPATCH_STALL: f64 = 0.35;
 /// Load/store ports.
 const LSU_PORTS: usize = 2;
-/// Slots of an ALU or FPU [`Pool`]: the most units of either kind any
-/// [`CoreClass`] has. A window with more panics; there is no fallback.
+/// Slots of the padded ALU and FPU [`Pool`]s a window of no
+/// [`CoreClass`] walks: the most units of either kind any class has. A
+/// window with more panics; there is no fallback.
 const MAX_UNITS: usize = {
     let mut max = 0;
     let mut i = 0;
@@ -345,8 +351,8 @@ pub(crate) fn earlier(a: f64, b: f64) -> f64 {
     }
 }
 
-/// A functional-unit pool: its units' next-free times, sorted ascending
-/// and padded with `+inf` to `P` slots.
+/// A functional-unit pool: its units' next-free times, sorted ascending,
+/// in `P` slots; slots beyond its units hold `+inf`.
 #[derive(Clone, Copy)]
 struct Pool<const P: usize>([f64; P]);
 
@@ -374,13 +380,20 @@ impl<const P: usize> Pool<P> {
     }
 
     /// Busy the earliest unit until `v`, no earlier than [`Pool::free`]:
-    /// slot 0 leaves and `v` is inserted in order, without a branch.
+    /// slot 0 leaves and `v` is inserted in order, without a branch. As
+    /// `v` is no earlier than the slot that leaves, slot 0 takes the
+    /// earlier of `v` and slot 1 (a one-slot pool just holds `v`). The
+    /// tests on `j` fold away in the unrolled loop.
     fn take(&mut self, v: f64) {
         let r = self.0;
-        for j in 0..P - 1 {
-            self.0[j] = earlier(r[j + 1], later(r[j], v));
+        for j in 0..P {
+            let kept = if j == 0 { v } else { later(r[j], v) };
+            self.0[j] = if j + 1 < P {
+                earlier(r[j + 1], kept)
+            } else {
+                kept
+            };
         }
-        self.0[P - 1] = later(r[P - 1], v);
     }
 }
 
@@ -392,10 +405,22 @@ pub fn cycles_per_fused_iter(body: &FusedBody, ooo: &OooParams, lat: &ServiceLat
     window_cycles(body, ooo, lat, StopRule::SETTLED).cycles
 }
 
+/// A core class's ALU and FPU counts: the widths of its pools.
+const fn pool_widths(class: CoreClass) -> (usize, usize) {
+    let ooo = class.ooo();
+    (ooo.alus as usize, ooo.fpus as usize)
+}
+const LOW_END: (usize, usize) = pool_widths(CoreClass::LowEnd);
+const MEDIUM: (usize, usize) = pool_widths(CoreClass::Medium);
+const HIGH: (usize, usize) = pool_widths(CoreClass::High);
+const AGGRESSIVE: (usize, usize) = pool_widths(CoreClass::Aggressive);
+
 /// Steady-state cycles per *fused* iteration of a body on one core, in
-/// the memory `lat` names, the walk stopping by `rule`. Inlined into each
-/// caller: one shared copy walked the profile table's windows ≈ 8 %
-/// slower (see DESIGN.md, "One window walk").
+/// the memory `lat` names, the walk stopping by `rule`. A core class's
+/// window walks pools of exactly its unit counts; any other window walks
+/// pools padded to [`MAX_UNITS`]. Inlined into each caller: one shared
+/// copy walked the profile table's windows ≈ 8 % slower (see DESIGN.md,
+/// "One window walk").
 #[inline(always)]
 pub(crate) fn window_cycles(
     body: &FusedBody,
@@ -409,6 +434,25 @@ pub(crate) fn window_cycles(
             measured: 0,
         };
     }
+    match (ooo.alus as usize, ooo.fpus as usize) {
+        LOW_END => walk::<{ LOW_END.0 }, { LOW_END.1 }>(body, ooo, lat, rule),
+        MEDIUM => walk::<{ MEDIUM.0 }, { MEDIUM.1 }>(body, ooo, lat, rule),
+        HIGH => walk::<{ HIGH.0 }, { HIGH.1 }>(body, ooo, lat, rule),
+        AGGRESSIVE => walk::<{ AGGRESSIVE.0 }, { AGGRESSIVE.1 }>(body, ooo, lat, rule),
+        _ => walk::<MAX_UNITS, MAX_UNITS>(body, ooo, lat, rule),
+    }
+}
+
+/// [`window_cycles`] of a non-empty body with `A` ALU and `F` FPU slots.
+#[inline(always)]
+fn walk<const A: usize, const F: usize>(
+    body: &FusedBody,
+    ooo: &OooParams,
+    lat: &ServiceLatencies,
+    rule: StopRule,
+) -> Lane {
+    #[cfg(test)]
+    tests::WALKED_WIDTHS.set((A, F));
     let steps = compile(body, lat);
     let dispatch_interval = 1.0 / ooo.issue_width as f64;
 
@@ -424,8 +468,8 @@ pub(crate) fn window_cycles(
     let mut mshrs = Ring::new(MSHRS - 1, 0.0_f64);
     let mut mshr_evicted = 0.0_f64;
     // Functional-unit pools.
-    let mut alus = Pool::<MAX_UNITS>::new(ooo.alus);
-    let mut fpus = Pool::<MAX_UNITS>::new(ooo.fpus);
+    let mut alus = Pool::<A>::new(ooo.alus);
+    let mut fpus = Pool::<F>::new(ooo.fpus);
     let mut lsus = Pool::<LSU_PORTS>::new(LSU_PORTS as u32);
 
     let mut t_dispatch = 0.0_f64;
@@ -443,17 +487,20 @@ pub(crate) fn window_cycles(
             t_dispatch = later(rob.head(), t_dispatch) + dispatch_interval;
             let ready = later(last_finish[s.dep], t_dispatch);
 
-            // Functional unit and service latency.
-            // A unit of `pool` issues the step when ready.
-            let compute = |pool: &mut Pool<MAX_UNITS>| {
-                let issue = later(ready, pool.free());
-                pool.take(issue + s.occupancy);
-                issue + s.latency
-            };
+            // Functional unit and service latency: a unit of the step's
+            // pool issues it when ready. One arm per pool, so that neither
+            // is picked by address.
             let finish = match s.unit {
-                // One arm per pool, so that neither is picked by address.
-                Unit::Alu => compute(&mut alus),
-                Unit::Fpu => compute(&mut fpus),
+                Unit::Alu => {
+                    let issue = later(ready, alus.free());
+                    alus.take(issue + s.occupancy);
+                    issue + s.latency
+                }
+                Unit::Fpu => {
+                    let issue = later(ready, fpus.free());
+                    fpus.take(issue + s.occupancy);
+                    issue + s.latency
+                }
                 Unit::Load | Unit::Store => {
                     let mut issue = later(ready, lsus.free());
                     let level = samplers[s.template].pick(s.mix);
@@ -578,6 +625,12 @@ mod tests {
     use crate::locality::{analyze_kernel, AccessMix, TemplateLocality};
     use musa_arch::{CoreClass, Frequency, MemConfig, NodeConfig, VectorWidth};
     use musa_obs::rng::SplitMix64;
+
+    thread_local! {
+        /// The ALU and FPU pool widths of this thread's last walk.
+        pub(super) static WALKED_WIDTHS: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
 
     /// Index and value of the smallest element: the reference's pool scan,
     /// which [`Pool`] replaced.
@@ -965,10 +1018,11 @@ mod tests {
         (body, ooo)
     }
 
-    /// Walks stop before the cap in some cases.
+    /// Walks stop before the cap in some cases, and the random windows
+    /// walk the padded pools.
     #[test]
     fn walks_in_either_memory_equal_the_reference_bit_for_bit_on_random_bodies() {
-        let mut early = 0;
+        let (mut early, mut padded) = (0, 0);
         musa_obs::rng::check_cases(400, |rng| {
             let body = random_body(rng);
             let ooo = random_ooo(rng);
@@ -982,11 +1036,13 @@ mod tests {
             let class = CoreClass::ALL[(rng.next_u64() % 4) as usize];
             for ooo in [ooo, class.ooo()] {
                 early += usize::from(assert_walks_match_reference(&body, &ooo, lat));
+                padded += usize::from(WALKED_WIDTHS.get() == (MAX_UNITS, MAX_UNITS));
             }
             let (body, ooo) = tie_heavy_case(rng);
             assert_walks_match_reference(&body, &ooo, lat);
         });
         assert!(early > 0, "no walk stopped before the cap");
+        assert!(padded > 0, "no walk took the padded pools");
         let empty = FusedBody {
             instrs: vec![],
             f_eff: 1,
@@ -1275,7 +1331,30 @@ mod tests {
             let units = (rng.next_u64() % (MAX_UNITS as u64 + 1)) as usize;
             check::<MAX_UNITS>(rng, units);
             check::<LSU_PORTS>(rng, LSU_PORTS);
+            // Pools as wide as a core class's: one slot, and full ones.
+            check::<1>(rng, 1);
+            check::<3>(rng, 3);
+            check::<4>(rng, 4);
         });
+    }
+
+    /// A core class's window walks pools of exactly its unit counts, not
+    /// the padded ones; a window of no class walks the padded ones.
+    #[test]
+    fn each_core_class_walks_pools_as_wide_as_its_units() {
+        let body = setup(musa_apps::AppId::Hydro, VectorWidth::V128);
+        for class in CoreClass::ALL {
+            let ooo = class.ooo();
+            cycles_per_fused_iter(&body, &ooo, &lat(false));
+            let widths = (ooo.alus as usize, ooo.fpus as usize);
+            assert_eq!(WALKED_WIDTHS.get(), widths, "{class}");
+        }
+        let ooo = OooParams {
+            alus: 2,
+            ..CoreClass::Aggressive.ooo()
+        };
+        cycles_per_fused_iter(&body, &ooo, &lat(false));
+        assert_eq!(WALKED_WIDTHS.get(), (MAX_UNITS, MAX_UNITS));
     }
 
     #[test]

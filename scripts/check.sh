@@ -163,6 +163,15 @@ if [[ -e crates/serve ]]; then
     exit 1
 fi
 
+# The metric API no program read: the row-set aggregate, the metric
+# name parser and the store's consuming row accessor must not come back.
+# (Bracketed so the patterns do not match these lines.)
+if grep -rn 'MetricAg[g]\|fn aggregat[e]\|RowMetric::pars[e]\|into_row[s]' \
+    crates src tests examples; then
+    echo "check: FAIL — a deleted metric or row API is named above" >&2
+    exit 1
+fi
+
 echo "== non-test line counts (each src file up to its first line beginning #[cfg(test)]) =="
 # Printed, not gated, so that every change quotes the same numbers.
 noncode() { awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"; }
