@@ -6,7 +6,6 @@
 //! ```sh
 //! cargo run --release -p musa-bench --bin dse                 # fresh sweep
 //! cargo run --release -p musa-bench --bin dse -- --resume     # finish an interrupted sweep
-//! cargo run --release -p musa-bench --bin dse -- --workers 4  # 4 worker processes
 //! cargo run --release -p musa-bench --bin dse -- --csv out.csv --json out.json
 //! cargo run --release -p musa-bench --bin dse -- --store-dir /tmp/campaign --resume
 //! cargo run --release -p musa-bench --bin dse -- --full       # 256-rank paper scale
@@ -14,14 +13,11 @@
 //! cargo run --release -p musa-bench --bin dse -- --progress --metrics m.json
 //! ```
 //!
-//! The store directory holds one JSON-lines file per writer: the
-//! sequential fill's `rows.jsonl`, or one `dist-l….jsonl` per
-//! `--workers` lease. Either way they hold the identical campaign a
-//! single sequential run produces. With `--listen HOST:PORT`,
-//! `dse dist-worker` processes on other machines join a `--workers`
-//! run. All simulation, resume and export logic lives in `musa-store`
-//! / `musa-core`; argument parsing is in [`musa_bench::cli`] (strict:
-//! unknown flags exit 2 with usage).
+//! The store directory holds the fill's `rows.jsonl`, written on every
+//! thread the machine gives the process and byte-identical to a
+//! one-thread run (`taskset -c 0 dse`). All simulation, resume and
+//! export logic lives in `musa-store` / `musa-core`; argument parsing
+//! is in [`musa_bench::cli`] (strict: unknown flags exit 2 with usage).
 //!
 //! With `--progress` and/or `--metrics`, the run ends with the
 //! "where did the time go" phase table on stderr; `--metrics PATH`
@@ -34,17 +30,17 @@ use std::path::{Path, PathBuf};
 use musa_apps::AppId;
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_bench::cli::{
-    parse_dse_args, CampaignArgs, DistWorkerArgs, DoctorArgs, DseArgs, FaultArgs, LogArgs, Parsed,
-    ProfileArgs, SearchArgs, TortureArgs, USAGE,
+    parse_dse_args, CampaignArgs, DoctorArgs, DseArgs, LogArgs, Parsed, ProfileArgs, SearchArgs,
+    TortureArgs, USAGE,
 };
-use musa_bench::{configs, scale_for, store_dir_for};
+use musa_bench::{configs, scale_for, signals, store_dir_for};
 use musa_core::report::table;
 use musa_core::SweepOptions;
-use musa_dist::{signals, PoolOptions, Supervisor};
+use musa_fault::FaultPlan;
 use musa_search::{
     run_search, Evaluator, GenerationRecord, SearchConfig, SearchError, SearchJournal,
 };
-use musa_store::{export, CampaignStore, FillOptions, LeaseEvent, LeaseJournal, PointExecutor};
+use musa_store::{export, CampaignStore, FillOptions};
 
 /// Exit code for a sweep that completed but holds poisoned points:
 /// partial success, distinguishable from both success (0) and fatal
@@ -87,7 +83,6 @@ fn main() {
         }
         Ok(Parsed::Search(args)) => search_main(args),
         Ok(Parsed::Profile(args)) => profile_main(args),
-        Ok(Parsed::DistWorker(args)) => dist_worker_main(args),
         Ok(Parsed::Doctor(args)) => doctor_main(args),
         Ok(Parsed::Torture(args)) => torture_main(args),
         Ok(Parsed::Run(args)) => (args, false),
@@ -109,7 +104,7 @@ fn main() {
             DesignSpace::all().len()
         ));
     }
-    arm_observability(&args.log, Some(&args.faults));
+    arm_observability(&args.log, args.faults.as_ref());
     let dir = store_dir_of(&args.campaign.store_dir, args.campaign.full);
     if !args.campaign.resume {
         clear_store(&dir);
@@ -121,35 +116,16 @@ fn main() {
 
     let mut runner = Runner::open(&args, &dir, true);
     let outcome = runner.run(&points);
-    runner.finish();
+    musa_prof::uninstall_recorder();
     let campaign = runner
         .store
         .campaign_for(&AppId::ALL, &configs, &runner.sweep);
-    if args.campaign.workers.is_some() {
-        // Completeness guard: a pool run that was not interrupted must
-        // account for every requested point — a row in the store, or a
-        // poison record with provenance. Anything else is a bug that
-        // must not masquerade as a clean sweep.
-        let unaccounted = points
-            .len()
-            .saturating_sub(campaign.results.len() + outcome.poisoned);
-        if unaccounted > 0 {
-            eprintln!(
-                "dse: pool run left {unaccounted} of {} point(s) neither stored \
-                 nor poisoned in {}; not reporting success",
-                points.len(),
-                dir.display()
-            );
-            finish_observability(&args.campaign, &runner.worker_metrics);
-            std::process::exit(1);
-        }
-    }
     export_campaign(&args, &campaign);
     summarise(&campaign, &configs, &dir);
     if report {
         write_report(&campaign, &runner.sweep.gen, outcome.poisoned);
     }
-    finish_observability(&args.campaign, &runner.worker_metrics);
+    finish_observability(&args.campaign);
     if outcome.poisoned > 0 {
         std::process::exit(EXIT_PARTIAL);
     }
@@ -189,31 +165,15 @@ fn store_dir_of(store_dir: &Option<PathBuf>, full: bool) -> PathBuf {
 struct Outcome {
     /// Points already in the store.
     cached: usize,
-    /// Points quarantined: panicked in their simulation, or killed
-    /// `--poison-cap` workers.
+    /// Points whose simulation panicked.
     poisoned: usize,
-}
-
-/// How a [`Runner`] executes points.
-enum Backend {
-    /// [`CampaignStore::fill`] in this process, with the flight
-    /// recorder. The reference `--workers` is held byte-identical to.
-    Fill,
-    /// `--workers N`: the supervisor's `dist-worker` children (and any
-    /// remote ones that join over `--listen`) simulate; the hub's
-    /// lease shards are the only writers while it is open.
-    Pool {
-        sup: Box<Supervisor>,
-        workers: usize,
-    },
 }
 
 /// The one way `dse` runs points, whichever subcommand enumerates them
 /// (the campaign hands over one list, a search one per generation):
-/// open the store with its recorder, or the supervisor; run the
-/// points; on SIGINT/SIGTERM journal the interruption, flush the
-/// telemetry and exit 130; at the end dismiss the workers. Only
-/// `--workers` picks between the two backends.
+/// open the store with its recorder; fill the missing points on the
+/// machine's threads; on SIGINT/SIGTERM flush the telemetry and exit
+/// 130.
 struct Runner<'a> {
     args: &'a DseArgs,
     dir: &'a Path,
@@ -222,12 +182,8 @@ struct Runner<'a> {
     /// Print each run's report lines (the campaign does; a search's
     /// generations stay quiet).
     announce: bool,
-    backend: Backend,
-    /// Where results are read from: the writer of an in-process fill,
-    /// a fresh load after each supervised run.
+    /// The fill's writer, and where results are read from.
     store: CampaignStore,
-    /// Metrics the workers shipped with their lease results.
-    worker_metrics: musa_obs::MetricsSnapshot,
 }
 
 impl<'a> Runner<'a> {
@@ -237,43 +193,12 @@ impl<'a> Runner<'a> {
         if want_report {
             musa_obs::enable_metrics(true);
         }
-        // SIGINT/SIGTERM is latched and polled between batches (or
-        // leases), so a pipeline around `dse` can tell a clean Ctrl-C
-        // from a crash.
+        // SIGINT/SIGTERM is latched and polled between batches, so a
+        // pipeline around `dse` can tell a clean Ctrl-C from a crash.
         signals::install_term_handlers();
         let store = CampaignStore::open(dir)
             .unwrap_or_else(|e| die(format!("open campaign store {}: {e}", dir.display())));
-        let backend = if let Some(workers) = c.workers {
-            let pool = PoolOptions {
-                workers,
-                point_timeout: args.point_timeout,
-                max_retries: args.max_retries,
-                poison_cap: args.poison_cap,
-                lease_batch: args.lease_batch,
-                progress: c.progress,
-                env: musa_bench::pool_worker_env(
-                    args.faults.spec.as_deref(),
-                    want_report,
-                    !c.no_prof && musa_prof::enabled_from_env(),
-                ),
-            };
-            let sup = Supervisor::open(dir, pool, c.listen.as_deref())
-                .unwrap_or_else(|e| die(format!("dse: {e}")));
-            if c.listen.is_some() {
-                eprintln!(
-                    "[dse] listening for dist-workers on {0} (connect with: dse dist-worker \
-                     --connect {0})",
-                    sup.addr()
-                );
-            }
-            Backend::Pool {
-                sup: Box::new(sup),
-                workers,
-            }
-        } else {
-            install_store_recorder(dir, c.no_prof);
-            Backend::Fill
-        };
+        install_store_recorder(dir, c.no_prof);
         Runner {
             args,
             dir,
@@ -282,9 +207,7 @@ impl<'a> Runner<'a> {
                 full_replay: true,
             },
             announce,
-            backend,
             store,
-            worker_metrics: musa_obs::MetricsSnapshot::default(),
         }
     }
 
@@ -293,150 +216,66 @@ impl<'a> Runner<'a> {
     /// failed run does not return.
     fn run(&mut self, points: &[(AppId, NodeConfig)]) -> Outcome {
         let dir = self.dir.display();
-        match &mut self.backend {
-            Backend::Fill => {
-                let opts = FillOptions {
-                    progress: self.args.campaign.progress,
-                    max_retries: self.args.max_retries,
-                    fail_fast: self.args.fail_fast,
-                    cancel: Some(signals::termination_requested),
-                    ..FillOptions::new(self.sweep)
-                };
-                let (mut in_scope, mut cached, mut simulated, mut retries) = (0, 0, 0, 0);
-                let mut poisoned = Vec::new();
-                let mut interrupted = false;
-                for (apps, configs) in cross_products(points) {
-                    let report = self
-                        .store
-                        .fill(&apps, &configs, &opts)
-                        .unwrap_or_else(|e| die(format!("fill campaign store {dir}: {e}")));
-                    in_scope += report.requested;
-                    cached += report.cached;
-                    simulated += report.simulated;
-                    retries += report.retries;
-                    poisoned.extend(report.poisoned);
-                    if report.interrupted {
-                        interrupted = true;
-                        break;
-                    }
-                }
-                if self.announce {
-                    eprintln!(
-                        "[dse] store {dir}: {in_scope} points in scope, {cached} cached, \
-                         {simulated} simulated"
-                    );
-                    if !poisoned.is_empty() {
-                        eprintln!(
-                            "[dse] {} point(s) poisoned (simulation panicked); completed rows \
-                             are persisted — re-run with --resume to retry them:",
-                            poisoned.len()
-                        );
-                        for p in &poisoned {
-                            eprintln!("[dse]   {}/{}: {}", p.app, p.config, p.reason);
-                        }
-                    }
-                    if retries > 0 {
-                        eprintln!(
-                            "[dse] {retries} flush retr{} recovered transient I/O errors",
-                            if retries == 1 { "y" } else { "ies" }
-                        );
-                    }
-                }
-                if interrupted {
-                    self.interrupted(format!(
-                        "{} point(s) flushed, the rest resume with --resume",
-                        cached + simulated
-                    ));
-                }
-                Outcome {
-                    cached,
-                    poisoned: poisoned.len(),
-                }
-            }
-            Backend::Pool { sup, workers, .. } => {
-                let report = sup.run(points, &self.sweep).unwrap_or_else(|e| {
-                    sup.close();
-                    die(format!("dse: pool fill in {dir} failed: {e}"))
-                });
-                self.worker_metrics.absorb(&report.worker_metrics);
-                if self.announce {
-                    eprintln!(
-                        "[dse] pool {dir}: {} requested, {} cached, {} completed by {workers} \
-                         workers ({} rows flushed, {} requeues, {} worker deaths, {} deadline \
-                         kills)",
-                        report.requested,
-                        report.cached,
-                        report.completed,
-                        report.rows_flushed,
-                        report.requeues,
-                        report.worker_deaths,
-                        report.deadline_kills,
-                    );
-                    for p in &report.pool_poisoned {
-                        eprintln!(
-                            "[dse]   poisoned (killed {} workers): {}/{}: {}",
-                            p.strikes, p.app, p.config, p.reason
-                        );
-                    }
-                    for p in &report.worker_poisoned {
-                        eprintln!(
-                            "[dse]   poisoned (in-worker panic): {}/{}: {}",
-                            p.app, p.config, p.reason
-                        );
-                    }
-                }
-                if report.interrupted {
-                    self.interrupted("workers drained, resume with --resume".to_string());
-                }
-                self.store = CampaignStore::open_read_only(self.dir)
-                    .unwrap_or_else(|e| die(format!("open campaign store {dir}: {e}")));
-                Outcome {
-                    cached: report.cached,
-                    poisoned: report.poisoned_total(),
-                }
+        let opts = FillOptions {
+            progress: self.args.campaign.progress,
+            max_retries: self.args.max_retries,
+            fail_fast: self.args.fail_fast,
+            cancel: Some(signals::termination_requested),
+            ..FillOptions::new(self.sweep)
+        };
+        let (mut in_scope, mut cached, mut simulated, mut retries) = (0, 0, 0, 0);
+        let mut poisoned = Vec::new();
+        let mut interrupted = false;
+        for (apps, configs) in cross_products(points) {
+            let report = self
+                .store
+                .fill(&apps, &configs, &opts)
+                .unwrap_or_else(|e| die(format!("fill campaign store {dir}: {e}")));
+            in_scope += report.requested;
+            cached += report.cached;
+            simulated += report.simulated;
+            retries += report.retries;
+            poisoned.extend(report.poisoned);
+            if report.interrupted {
+                interrupted = true;
+                break;
             }
         }
-    }
-
-    /// Everything simulated so far is durable: dismiss the workers,
-    /// leave a journal marker, flush the telemetry, and report the
-    /// interruption in the exit code.
-    fn interrupted(&mut self, what: String) -> ! {
-        self.dismiss();
-        if let Backend::Fill = self.backend {
-            // (The supervisor journals its own drain.)
-            match LeaseJournal::open(self.dir) {
-                Ok((mut journal, _)) => {
-                    let _ = journal.append(&LeaseEvent::Interrupted {
-                        reason: "SIGINT/SIGTERM during sequential fill".to_string(),
-                    });
+        if self.announce {
+            eprintln!(
+                "[dse] store {dir}: {in_scope} points in scope, {cached} cached, \
+                 {simulated} simulated"
+            );
+            if !poisoned.is_empty() {
+                eprintln!(
+                    "[dse] {} point(s) poisoned (simulation panicked); completed rows \
+                     are persisted — re-run with --resume to retry them:",
+                    poisoned.len()
+                );
+                for p in &poisoned {
+                    eprintln!("[dse]   {}/{}: {}", p.app, p.config, p.reason);
                 }
-                Err(e) => eprintln!("[dse] cannot journal the interruption: {e}"),
+            }
+            if retries > 0 {
+                eprintln!(
+                    "[dse] {retries} flush retr{} recovered transient I/O errors",
+                    if retries == 1 { "y" } else { "ies" }
+                );
             }
         }
-        eprintln!("[dse] interrupted: {what}");
-        finish_observability(&self.args.campaign, &self.worker_metrics);
-        std::process::exit(EXIT_INTERRUPTED);
-    }
-
-    /// After the last run: [`Self::dismiss`], then reopen the store
-    /// the results are read from — no other process holds a writer by
-    /// now, so this open also truncates any torn tail a kill -9 left
-    /// behind.
-    fn finish(&mut self) {
-        self.dismiss();
-        if let Backend::Pool { .. } = self.backend {
-            self.store = CampaignStore::open(self.dir).unwrap_or_else(|e| {
-                die(format!("open campaign store {}: {e}", self.dir.display()))
-            });
+        if interrupted {
+            // Everything simulated so far is durable.
+            musa_prof::uninstall_recorder();
+            eprintln!(
+                "[dse] interrupted: {} point(s) flushed, the rest resume with --resume",
+                cached + simulated
+            );
+            finish_observability(&self.args.campaign);
+            std::process::exit(EXIT_INTERRUPTED);
         }
-    }
-
-    /// Stop recording and dismiss the workers.
-    fn dismiss(&mut self) {
-        match &mut self.backend {
-            Backend::Fill => musa_prof::uninstall_recorder(),
-            Backend::Pool { sup, .. } => sup.close(),
+        Outcome {
+            cached,
+            poisoned: poisoned.len(),
         }
     }
 }
@@ -463,7 +302,7 @@ fn cross_products(points: &[(AppId, NodeConfig)]) -> Vec<(Vec<AppId>, Vec<NodeCo
 
 /// CLI flags override the `MUSA_LOG` / `MUSA_LOG_JSON` / `MUSA_FAULTS`
 /// environment read at startup.
-fn arm_observability(log: &LogArgs, faults: Option<&FaultArgs>) {
+fn arm_observability(log: &LogArgs, faults: Option<&FaultPlan>) {
     if let Some(level) = log.level {
         musa_obs::set_max_level(level);
     }
@@ -473,7 +312,7 @@ fn arm_observability(log: &LogArgs, faults: Option<&FaultArgs>) {
             std::process::exit(2);
         }
     }
-    if let Some(plan) = faults.and_then(|f| f.plan.as_ref()) {
+    if let Some(plan) = faults {
         if !musa_fault::COMPILED {
             eprintln!(
                 "dse: note: --faults given but fault injection is compiled out \
@@ -503,50 +342,9 @@ fn install_store_recorder(dir: &Path, no_prof: bool) {
     }
 }
 
-/// `dse dist-worker --connect ADDR`: the one worker program. It
-/// executes leases — each names its points and their scale — until
-/// drained, rejected, interrupted, or the reconnect window closes with
-/// the supervisor unreachable. `dse --workers N` spawns N of these on
-/// loopback; any number more may join a `--listen` supervisor.
-fn dist_worker_main(args: DistWorkerArgs) -> ! {
-    arm_observability(&args.log, Some(&args.faults));
-
-    if !args.no_prof && musa_prof::enabled_from_env() {
-        musa_prof::install_line_recorder();
-    }
-
-    let mut exec = PointExecutor::new();
-    let opts = musa_dist::DistWorkerOptions {
-        connect: args.connect.clone(),
-        tag: format!("w{}", std::process::id()),
-        reconnect_for: args
-            .reconnect_for
-            .unwrap_or(musa_dist::DEFAULT_RECONNECT_FOR),
-        max_reconnects: args.max_reconnects,
-    };
-    let exit = musa_dist::run_dist_worker(&opts, &mut exec);
-    musa_prof::uninstall_recorder();
-    match &exit {
-        musa_dist::WorkerExit::Drained => {
-            eprintln!("[dse] dist-worker drained: the supervisor is done with us");
-        }
-        musa_dist::WorkerExit::Interrupted => {
-            eprintln!("[dse] dist-worker interrupted, exiting after the shipped point");
-        }
-        musa_dist::WorkerExit::Rejected { code, reason } => {
-            eprintln!("dse dist-worker: rejected by supervisor ({code}): {reason}");
-        }
-        musa_dist::WorkerExit::GaveUp(why) => {
-            eprintln!("dse dist-worker: giving up: {why}");
-        }
-    }
-    std::process::exit(exit.code());
-}
-
 /// Search evaluation through the campaign store: every generation's
-/// batch is an ordinary [`Runner::run`] — in-process, or handed to the
-/// supervisor whose workers stay up for the whole search — and results
-/// are read back by point key. Store warmth affects only speed, never
+/// batch is an ordinary [`Runner::run`], and results are read back by
+/// point key. Store warmth affects only speed, never
 /// values: that memoization is what makes `--resume` replay free.
 struct StoreEvaluator<'a> {
     runner: Runner<'a>,
@@ -583,8 +381,8 @@ impl Evaluator for StoreEvaluator<'_> {
 
 /// `dse search`: the adaptive, journaled, resumable Pareto-front
 /// search. Evaluation goes through the exact machinery a plain sweep
-/// uses — store rows, flight recorder, worker pool —
-/// so a search leaves behind a perfectly ordinary (partial) campaign
+/// uses — store rows, flight recorder, the threaded fill — so a search
+/// leaves behind a perfectly ordinary (partial) campaign
 /// plus its own journal under `<store-dir>/search/`.
 fn search_main(args: SearchArgs) -> ! {
     arm_observability(&args.log, None);
@@ -646,7 +444,7 @@ fn search_main(args: SearchArgs) -> ! {
         hits: 0,
     };
     let outcome = run_search(&config, &mut ev, Some(&mut journal), Some(&mut on_gen));
-    ev.runner.finish();
+    musa_prof::uninstall_recorder();
 
     let outcome = match outcome {
         Ok(o) => o,
@@ -675,7 +473,7 @@ fn search_main(args: SearchArgs) -> ! {
         }
     }
     summarise_search(&outcome);
-    finish_observability(&args.campaign, &ev.runner.worker_metrics);
+    finish_observability(&args.campaign);
     std::process::exit(0);
 }
 
@@ -728,7 +526,7 @@ fn summarise_search(outcome: &musa_search::SearchOutcome) {
     }
 }
 
-/// `--csv` / `--json` exports, shared by the sequential and pool paths.
+/// `--csv` / `--json` exports.
 fn export_campaign(args: &DseArgs, campaign: &musa_core::Campaign) {
     if let Some(path) = &args.csv {
         match export::write_csv(campaign, path) {
@@ -889,14 +687,10 @@ fn summarise(
 }
 
 /// End-of-run telemetry: the phase table on stderr, the `--metrics`
-/// snapshot on disk, and a flushed JSONL sink. `workers` carries the
-/// metrics a pool supervisor received with its lease results; they are
-/// absorbed into this process's own snapshot so the report covers the
-/// whole run, not just the supervisor.
-fn finish_observability(campaign: &CampaignArgs, workers: &musa_obs::MetricsSnapshot) {
+/// snapshot on disk, and a flushed JSONL sink.
+fn finish_observability(campaign: &CampaignArgs) {
     if campaign.metrics.is_some() || campaign.progress {
-        let mut snap = musa_obs::snapshot();
-        snap.absorb(workers);
+        let snap = musa_obs::snapshot();
         eprintln!("{}", musa_obs::phase_table(&snap));
         if let Some(path) = &campaign.metrics {
             match snap.write_json_file(path) {
@@ -913,7 +707,7 @@ fn finish_observability(campaign: &CampaignArgs, workers: &musa_obs::MetricsSnap
 /// (read-only: a kill -9'd run's residue is tolerated without being
 /// rewritten), aggregated into the top-k /
 /// per-phase report, and optionally exported as a
-/// Chrome Trace Event file with one track per worker process.
+/// Chrome Trace Event file with one track per simulating thread.
 fn profile_main(args: ProfileArgs) -> ! {
     let store = store_dir_of(&args.store_dir, false);
     let (records, rep) = musa_prof::load_profiles(&store).unwrap_or_else(|e| {
@@ -940,61 +734,11 @@ fn profile_main(args: ProfileArgs) -> ! {
     }
     println!("{}", musa_prof::render_summary(&records, args.top));
     if let Some(path) = &args.trace_export {
-        // Supervisor-track instants come from the lease journal, read
-        // without opening a writer (profile must never create journal
-        // files in a store it only inspects).
-        let replay = musa_store::journal::replay(&store);
-        let mut instants = Vec::new();
-        for ev in &replay.events {
-            match ev {
-                LeaseEvent::Dead {
-                    lease,
-                    attempt,
-                    blamed,
-                    reason,
-                    ..
-                } => instants.push(musa_prof::TraceInstant {
-                    name: "worker-death".into(),
-                    cat: "fault".into(),
-                    detail: format!(
-                        "lease {lease} attempt {attempt}: {reason}{}",
-                        blamed
-                            .as_deref()
-                            .map(|k| format!(" (blamed {k})"))
-                            .unwrap_or_default()
-                    ),
-                }),
-                LeaseEvent::Requeue {
-                    lease,
-                    attempt,
-                    from,
-                    backoff_ms,
-                    points,
-                } => instants.push(musa_prof::TraceInstant {
-                    name: "requeue".into(),
-                    cat: "requeue".into(),
-                    detail: format!(
-                        "lease {from} -> {lease} (attempt {attempt}, \
-                         {points} point(s), backoff {backoff_ms} ms)"
-                    ),
-                }),
-                LeaseEvent::Poison(p) => instants.push(musa_prof::TraceInstant {
-                    name: "quarantine".into(),
-                    cat: "poison".into(),
-                    detail: format!(
-                        "{}/{}: {} ({} strike(s))",
-                        p.app, p.config, p.reason, p.strikes
-                    ),
-                }),
-                _ => {}
-            }
-        }
-        match std::fs::write(path, musa_prof::export_trace(&records, &instants)) {
+        match std::fs::write(path, musa_prof::export_trace(&records)) {
             Ok(()) => println!(
-                "wrote Chrome trace ({} point(s), {} instant(s)) to {} — \
+                "wrote Chrome trace ({} point(s)) to {} — \
                  load it in Perfetto or chrome://tracing",
                 records.len(),
-                instants.len(),
                 path.display()
             ),
             Err(e) => {
@@ -1006,9 +750,8 @@ fn profile_main(args: ProfileArgs) -> ! {
     std::process::exit(0);
 }
 
-/// A fresh (non-`--resume`) run discards previously stored rows and
-/// the lease journal (with its poisoned set — a fresh sweep
-/// re-attempts everything). The quarantine ledger and its rotations
+/// A fresh (non-`--resume`) run discards previously stored rows. The
+/// quarantine ledger and its rotations
 /// are evidence, not results: `dse doctor --repair` promises they are
 /// never destroyed, so they stay.
 fn clear_store(dir: &std::path::Path) {
@@ -1027,9 +770,6 @@ fn clear_store(dir: &std::path::Path) {
         {
             removed += 1;
         }
-    }
-    if std::fs::remove_file(dir.join(musa_store::LEASE_JOURNAL_FILE)).is_ok() {
-        removed += 1;
     }
     if removed > 0 {
         eprintln!(

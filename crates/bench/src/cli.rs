@@ -6,10 +6,8 @@
 //! `--csv` / `--json` keep their optional-value semantics.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use musa_apps::AppId;
-use musa_dist::{DEFAULT_LEASE_BATCH, DEFAULT_POISON_CAP};
 use musa_fault::FaultPlan;
 use musa_obs::Level;
 use musa_search::{SpaceId, STRATEGIES};
@@ -26,10 +24,6 @@ usage: dse [options]
        dse search [search-options]  adaptive Pareto-front search over a
                                    parameterized design space
                                    (see dse search --help)
-       dse dist-worker --connect ADDR   campaign worker: joins a
-                                   dse --workers supervisor and executes
-                                   leases over TCP
-                                   (see dse dist-worker --help)
        dse doctor [--repair]        store-wide integrity audit across every
                                    durable surface; exit 0/1/2 for
                                    ok/degraded/corrupt (see dse doctor --help)
@@ -51,22 +45,6 @@ usage: dse [options]
                      (default 2)
   --fail-fast        abort the sweep on the first panicking point instead
                      of recording it and continuing
-  --workers N        supervised multi-process fill: N `dse dist-worker`
-                     children lease point batches from a crash-safe journal
-                     over loopback TCP; worker deaths are re-queued with
-                     backoff and the final store is byte-identical to a
-                     sequential run
-  --point-timeout D  per-point wall-clock deadline in a --workers run
-                     (e.g. 500ms, 10s); a worker stuck longer is killed and
-                     its unfinished points re-queued (default: no deadline)
-  --poison-cap N     quarantine a point after it kills N workers instead of
-                     retrying it forever (default 3)
-  --lease-batch N    most points per worker lease (default 16)
-  --listen ADDR      with --workers: serve leases on ADDR (host:port; port 0
-                     picks one — the bound address is published in
-                     <store>/dist-status.json) instead of a private loopback
-                     port, so `dse dist-worker` processes on other machines
-                     can join; they extend the local pool, never replace it
   --faults SPEC      inject deterministic faults, e.g.
                      'seed=7,store.flush=io@0.02,sim.point=panic@0.001'
                      (actions: io, panic, delay:<n><us|ms|s>; needs the
@@ -75,8 +53,7 @@ usage: dse [options]
   --log-json PATH    record every structured event to a JSONL file
   -h, --help         this help";
 
-/// `--log` / `--log-json`, as `dse`, `search` and `dist-worker` take
-/// them.
+/// `--log` / `--log-json`, as `dse` and `search` take them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LogArgs {
     /// Stderr event level override; `Some(None)` is `--log off`.
@@ -85,27 +62,10 @@ pub struct LogArgs {
     pub json: Option<PathBuf>,
 }
 
-/// `--faults`, as `dse` and `dist-worker` take it.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultArgs {
-    /// The parsed plan (validated at parse time: a bad spec is exit 2,
-    /// never a silently fault-free chaos run).
-    pub plan: Option<FaultPlan>,
-    /// The raw spec, kept verbatim so a pool supervisor can hand the
-    /// *identical* plan to its workers via the environment.
-    pub spec: Option<String>,
-}
-
 /// The flags that say where and how a campaign runs, whichever
 /// subcommand enumerates its points (`dse` itself, `dse search`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignArgs {
-    /// Pool mode: run with this many supervised worker processes.
-    /// `None` is the in-process sequential fill.
-    pub workers: Option<usize>,
-    /// With `--workers`: serve leases on this address, so remote
-    /// `dse dist-worker` processes can join.
-    pub listen: Option<String>,
     /// Campaign store directory override.
     pub store_dir: Option<PathBuf>,
     /// Keep what the store directory already holds.
@@ -126,15 +86,13 @@ pub struct CampaignArgs {
 #[derive(Default)]
 struct Shared {
     log: LogArgs,
-    faults: FaultArgs,
+    faults: Option<FaultPlan>,
     campaign: CampaignArgs,
 }
 
 const LOG: &[&str] = &["--log", "--log-json"];
 const FAULTS: &[&str] = &["--faults"];
 const CAMPAIGN: &[&str] = &[
-    "--workers",
-    "--listen",
     "--store-dir",
     "--resume",
     "--full",
@@ -144,7 +102,6 @@ const CAMPAIGN: &[&str] = &[
 ];
 const RUN_SHARED: &[&[&str]] = &[LOG, FAULTS, CAMPAIGN];
 const SEARCH_SHARED: &[&[&str]] = &[LOG, CAMPAIGN];
-const DIST_WORKER_SHARED: &[&[&str]] = &[LOG, FAULTS, &["--no-prof"]];
 /// `profile` and `doctor` only say which store they use.
 const STORE_DIR_ONLY: &[&[&str]] = &[&["--store-dir"]];
 
@@ -177,18 +134,11 @@ impl Shared {
             }
             "--faults" => {
                 let spec = required(it, "--faults")?;
-                self.faults.plan =
+                // Validated at parse time: a bad spec is exit 2, never a
+                // silently fault-free chaos run.
+                self.faults =
                     Some(FaultPlan::parse(spec).map_err(|e| format!("bad --faults: {e}"))?);
-                self.faults.spec = Some(spec.to_string());
             }
-            "--workers" => {
-                let n: usize = parse_number("--workers", required(it, "--workers")?)?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                campaign.workers = Some(n);
-            }
-            "--listen" => campaign.listen = Some(required(it, "--listen")?.to_string()),
             "--store-dir" => campaign.store_dir = Some(required(it, "--store-dir")?.into()),
             "--resume" => campaign.resume = true,
             "--full" => campaign.full = true,
@@ -215,13 +165,7 @@ pub struct DseArgs {
     /// Abort on the first poisoned point.
     pub fail_fast: bool,
     /// `--faults`.
-    pub faults: FaultArgs,
-    /// Per-point wall-clock deadline in a pool run.
-    pub point_timeout: Option<Duration>,
-    /// Worker deaths a single point may cause before quarantine.
-    pub poison_cap: u32,
-    /// Points per worker lease.
-    pub lease_batch: usize,
+    pub faults: Option<FaultPlan>,
     /// `--log` / `--log-json`.
     pub log: LogArgs,
 }
@@ -234,10 +178,7 @@ impl Default for DseArgs {
             json: None,
             max_retries: DEFAULT_MAX_RETRIES,
             fail_fast: false,
-            faults: FaultArgs::default(),
-            point_timeout: None,
-            poison_cap: DEFAULT_POISON_CAP,
-            lease_batch: DEFAULT_LEASE_BATCH,
+            faults: None,
             log: LogArgs::default(),
         }
     }
@@ -255,8 +196,6 @@ pub enum Parsed {
     Profile(ProfileArgs),
     /// Run an adaptive design-space search (`dse search ...`).
     Search(SearchArgs),
-    /// Run a campaign worker (`dse dist-worker ...`).
-    DistWorker(DistWorkerArgs),
     /// Audit (and optionally repair) a campaign store
     /// (`dse doctor ...`).
     Doctor(DoctorArgs),
@@ -304,7 +243,6 @@ pub fn parse_dse_args<S: AsRef<str>>(args: &[S]) -> Result<Parsed, String> {
         },
         Some((&"profile", rest)) => parse_profile_args(rest),
         Some((&"search", rest)) => parse_search_args(rest),
-        Some((&"dist-worker", rest)) => parse_dist_worker_args(rest),
         Some((&"doctor", rest)) => parse_doctor_args(rest),
         Some((&"torture", rest)) => parse_torture_args(rest),
         _ => parse_run_args(&args),
@@ -327,26 +265,6 @@ fn parse_run_args(args: &[&str]) -> Result<Parsed, String> {
                     parse_number("--max-retries", required(&mut it, "--max-retries")?)?;
             }
             "--fail-fast" => out.fail_fast = true,
-            "--point-timeout" => {
-                let spec = required(&mut it, "--point-timeout")?;
-                out.point_timeout = Some(
-                    musa_fault::parse_duration(spec)
-                        .map_err(|e| format!("bad --point-timeout: {e}"))?,
-                );
-            }
-            "--poison-cap" => {
-                out.poison_cap = parse_number("--poison-cap", required(&mut it, "--poison-cap")?)?;
-                if out.poison_cap == 0 {
-                    return Err("--poison-cap must be at least 1".into());
-                }
-            }
-            "--lease-batch" => {
-                out.lease_batch =
-                    parse_number("--lease-batch", required(&mut it, "--lease-batch")?)?;
-                if out.lease_batch == 0 {
-                    return Err("--lease-batch must be at least 1".into());
-                }
-            }
             "--csv" => out.csv = Some(optional(&mut it, "dse_results.csv")),
             "--json" => out.json = Some(optional(&mut it, "dse_results.json")),
             other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
@@ -354,28 +272,6 @@ fn parse_run_args(args: &[&str]) -> Result<Parsed, String> {
         }
     }
     (out.campaign, out.faults, out.log) = (shared.campaign, shared.faults, shared.log);
-    if out.campaign.workers.is_none() {
-        // The pool tuning knobs only mean something under --workers;
-        // accepting them solo would silently do nothing.
-        if out.point_timeout.is_some() {
-            return Err("--point-timeout requires --workers".into());
-        }
-        if out.lease_batch != DEFAULT_LEASE_BATCH {
-            return Err("--lease-batch requires --workers".into());
-        }
-        if out.poison_cap != DEFAULT_POISON_CAP {
-            return Err("--poison-cap requires --workers".into());
-        }
-        if out.campaign.listen.is_some() {
-            // Remote workers extend a pool; without one there is no
-            // lease loop to offer them anything.
-            return Err("--listen requires --workers".into());
-        }
-    } else if out.fail_fast {
-        return Err("--fail-fast is not supported with --workers \
-                    (use --poison-cap to bound failures)"
-            .into());
-    }
     Ok(Parsed::Run(out))
 }
 
@@ -383,9 +279,8 @@ fn parse_run_args(args: &[&str]) -> Result<Parsed, String> {
 pub const DOCTOR_USAGE: &str = "\
 usage: dse doctor [options]
   walk every durable surface of a campaign store with the real parsers —
-  row CRCs and torn tails, the lease journal, the search journal, the
-  profile flight record, the lease shards and the quarantine ledger —
-  and grade each family ok/degraded/corrupt.
+  row CRCs and torn tails, the search journal, the profile flight record
+  and the quarantine ledger — and grade each family ok/degraded/corrupt.
   Exit code: 0 ok, 1 degraded, 2 corrupt.
 options:
   --repair           apply each subsystem's atomic repair path, then
@@ -433,14 +328,12 @@ fn parse_doctor_args(args: &[&str]) -> Result<Parsed, String> {
 pub const TORTURE_USAGE: &str = "\
 usage: dse torture [options]
   seeded multi-fault storm harness: each round drives this binary
-  through a workload (sequential fill, worker pool, search, or a
-  distributed loopback run) under 2-4 composed failpoints plus a
-  kill -9 at a seeded instant (round 0 is always the ENOSPC drill:
-  every row flush fails), resumes fault-free to convergence, and
-  asserts the final rows are byte-identical to a never-faulted
-  reference, that `dse doctor` repairs to exit 0 without touching row
-  bytes, and that the lease journal replays clean. Exit 0 when every
-  round survives.
+  through a workload (a campaign fill or a search) under 2-4 composed
+  failpoints plus a kill -9 at a seeded instant (round 0 is always the
+  ENOSPC drill: every row flush fails), resumes fault-free to
+  convergence, and asserts the final rows are byte-identical to a
+  never-faulted reference and that `dse doctor` repairs to exit 0
+  without touching row bytes. Exit 0 when every round survives.
 options:
   --seed N           master seed; the same seed reproduces the same
                      storm schedule (default 7)
@@ -498,88 +391,6 @@ fn parse_torture_args(args: &[&str]) -> Result<Parsed, String> {
     Ok(Parsed::Torture(out))
 }
 
-/// `dse dist-worker` usage text.
-pub const DIST_WORKER_USAGE: &str = "\
-usage: dse dist-worker --connect ADDR [options]
-  campaign worker: connects to a `dse --workers N [--listen ADDR]` (or
-  `dse search --workers N`) supervisor and executes leases over a
-  CRC-sealed framed TCP protocol. A lease names its points and their
-  scale, so the worker needs no flag or environment to match the
-  supervisor's. Finished points ship immediately, so a killed worker
-  loses at most its in-flight point; the connection reconnects with
-  jittered backoff and survives a supervisor restart (`--resume`).
-  `--workers N` runs N of these itself; start more, anywhere, to join.
-options:
-  --connect ADDR     supervisor address (host:port); required
-  --no-prof          disable the per-point profiling flight recorder
-  --reconnect-for D  give up after this long without a successful
-                     handshake, e.g. 30s, 5m (default 120s)
-  --max-reconnects N give up (exit 1, with a summary) after N consecutive
-                     connection failures without a handshake — bounds the
-                     retry loop when the hub is gone for good (default 10)
-  --faults SPEC      inject deterministic faults (same grammar as dse
-                     --faults; dist.* failpoints act on this worker's
-                     side of the wire)
-  --log LEVEL        stderr event level: error|warn|info|debug|trace|off
-  --log-json PATH    record every structured event to a JSONL file
-  -h, --help         this help";
-
-/// Parsed `dse dist-worker` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistWorkerArgs {
-    /// Supervisor address.
-    pub connect: String,
-    /// Disable the per-point profiling flight recorder.
-    pub no_prof: bool,
-    /// Reconnect window override.
-    pub reconnect_for: Option<Duration>,
-    /// Consecutive connection failures tolerated before exit 1.
-    pub max_reconnects: u32,
-    /// `--faults`.
-    pub faults: FaultArgs,
-    /// `--log` / `--log-json`.
-    pub log: LogArgs,
-}
-
-/// Parse `dse dist-worker` arguments (after the `dist-worker` token).
-fn parse_dist_worker_args(args: &[&str]) -> Result<Parsed, String> {
-    let mut connect: Option<String> = None;
-    let mut reconnect_for = None;
-    let mut max_reconnects = musa_dist::DEFAULT_MAX_RECONNECTS;
-    let mut shared = Shared::default();
-    let mut it = args.iter().copied().peekable();
-    while let Some(arg) = it.next() {
-        if shared.take(DIST_WORKER_SHARED, arg, &mut it)? {
-            continue;
-        }
-        match arg {
-            "-h" | "--help" => return Ok(Parsed::Help(DIST_WORKER_USAGE)),
-            "--connect" => connect = Some(required(&mut it, "--connect")?.to_string()),
-            "--reconnect-for" => {
-                let spec = required(&mut it, "--reconnect-for")?;
-                reconnect_for = Some(
-                    musa_fault::parse_duration(spec)
-                        .map_err(|e| format!("bad --reconnect-for: {e}"))?,
-                );
-            }
-            "--max-reconnects" => {
-                max_reconnects =
-                    parse_number("--max-reconnects", required(&mut it, "--max-reconnects")?)?;
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    Ok(Parsed::DistWorker(DistWorkerArgs {
-        connect: connect.ok_or("dist-worker needs --connect ADDR")?,
-        no_prof: shared.campaign.no_prof,
-        reconnect_for,
-        max_reconnects,
-        faults: shared.faults,
-        log: shared.log,
-    }))
-}
-
 /// `dse profile` usage text.
 pub const PROFILE_USAGE: &str = "\
 usage: dse profile [options]
@@ -592,9 +403,9 @@ options:
                        (default target/musa-store-<scale>)
   --top N              slowest points to list (default 10)
   --trace-export PATH  additionally write the whole campaign as a Chrome
-                       Trace Event Format timeline — one track per worker
-                       process, one slice per phase, instant events for
-                       poisonings/requeues — loadable in Perfetto
+                       Trace Event Format timeline — one track per
+                       simulating thread, one slice per phase, instant
+                       events for poisonings — loadable in Perfetto
                        (ui.perfetto.dev) or chrome://tracing
   -h, --help           this help";
 
@@ -652,8 +463,8 @@ pub const SEARCH_USAGE: &str = "\
 usage: dse search [options]
   adaptive Pareto-front search over a parameterized design space:
   a seeded strategy proposes candidate configurations generation by
-  generation, each batch is simulated through the normal store/pool
-  machinery (already-simulated points are free), and the run is
+  generation, each batch is simulated through the normal threaded
+  store fill (already-simulated points are free), and the run is
   scored by dominated hypervolume over (time, energy) normalized
   against the per-app reference configuration. Progress is journaled
   next to the store; --resume continues a killed search
@@ -682,11 +493,6 @@ options:
   --list-strategies  print the strategy registry and exit
   --store-dir DIR    campaign store directory (default
                      target/musa-store-<scale>)
-  --workers N        evaluate each generation with N supervised worker
-                     processes (spawned once, kept for the whole search)
-                     instead of the in-process fill
-  --listen ADDR      with --workers: serve leases on ADDR so remote
-                     `dse dist-worker` processes can join the search
   --full             paper scale (256 ranks) instead of the reduced scale
   --progress         per-generation progress on stderr
   --metrics PATH     write the end-of-run metrics snapshot as JSON
@@ -813,9 +619,6 @@ fn parse_search_args(args: &[&str]) -> Result<Parsed, String> {
         }
     }
     (out.campaign, out.log) = (shared.campaign, shared.log);
-    if out.campaign.listen.is_some() && out.campaign.workers.is_none() {
-        return Err("--listen requires --workers".into());
-    }
     Ok(Parsed::Search(out))
 }
 
@@ -858,10 +661,10 @@ mod tests {
         assert!(parse_dse_args(&["--reusme"]).is_err());
         assert!(parse_dse_args(&["-x"]).is_err());
         assert!(parse_dse_args(&["stray"]).is_err());
-        // Deleted flags: a campaign is split by `--workers` (and
-        // `--listen`) alone, and its metrics file is the `--metrics`
-        // JSON alone. (Spelled in halves so the check.sh gate on the
-        // deleted names stays at zero hits.)
+        // Deleted flags: a campaign is split across threads, not by key,
+        // and its metrics file is the `--metrics` JSON alone. (Spelled
+        // in halves so the check.sh gate on the deleted names stays at
+        // zero hits.)
         let (split, prom) = (concat!("--sha", "rd"), concat!("--metrics", "-prom"));
         for argv in [
             &[split, "0/2"][..],
@@ -904,7 +707,7 @@ mod tests {
             "--faults",
             "seed=9,sim.point=panic@0.001,store.flush=io@0.02",
         ]);
-        let plan = a.faults.plan.expect("plan parsed");
+        let plan = a.faults.expect("plan parsed");
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.points.len(), 2);
     }
@@ -932,54 +735,48 @@ mod tests {
         }
     }
 
+    /// One parallel path: the fill runs on the machine's threads, so
+    /// the multi-process fill's five options, its worker subcommand and
+    /// its `--fail-fast` exclusion are gone — every one is a parse
+    /// error (exit 2 with usage) on `dse`, `dse report` and `dse
+    /// search`, and `--fail-fast` stands alone. (Spelled in halves so
+    /// the check.sh gate on the deleted names stays at zero hits.)
     #[test]
-    fn pool_flags_parse() {
-        let a = run(&["--workers", "4"]);
-        assert_eq!(a.campaign.workers, Some(4));
-        assert_eq!(a.point_timeout, None);
-        assert_eq!(a.poison_cap, DEFAULT_POISON_CAP);
-        assert_eq!(a.lease_batch, DEFAULT_LEASE_BATCH);
-
-        let a = run(&[
-            "--workers",
-            "2",
-            "--point-timeout",
-            "500ms",
-            "--poison-cap",
-            "1",
-            "--lease-batch",
-            "3",
-        ]);
-        assert_eq!(a.campaign.workers, Some(2));
-        assert_eq!(a.point_timeout, Some(Duration::from_millis(500)));
-        assert_eq!((a.poison_cap, a.lease_batch), (1, 3));
-        assert_eq!(
-            run(&["--workers", "1", "--point-timeout", "10s"]).point_timeout,
-            Some(Duration::from_secs(10))
-        );
-    }
-
-    #[test]
-    fn pool_flags_are_strict() {
-        assert!(parse_dse_args(&["--workers"]).is_err());
-        assert!(parse_dse_args(&["--workers", "0"]).is_err());
-        assert!(parse_dse_args(&["--workers", "two"]).is_err());
-        assert!(parse_dse_args(&["--workers", "2", "--point-timeout", "5"]).is_err());
-        assert!(parse_dse_args(&["--workers", "2", "--poison-cap", "0"]).is_err());
-        assert!(parse_dse_args(&["--workers", "2", "--lease-batch", "0"]).is_err());
-        // Tuning knobs without --workers would silently do nothing.
-        assert!(parse_dse_args(&["--point-timeout", "1s"]).is_err());
-        assert!(parse_dse_args(&["--poison-cap", "5"]).is_err());
-        assert!(parse_dse_args(&["--lease-batch", "4"]).is_err());
-        // This would change how failures abort, in a way the pool does
-        // not propagate.
-        assert!(parse_dse_args(&["--workers", "2", "--fail-fast"]).is_err());
+    fn the_multi_process_fill_is_gone() {
+        let gone = [
+            [concat!("--work", "ers"), "2"],
+            [concat!("--lis", "ten"), "127.0.0.1:0"],
+            [concat!("--point", "-timeout"), "1s"],
+            [concat!("--lease", "-batch"), "4"],
+            [concat!("--poison", "-cap"), "3"],
+        ];
+        for [flag, value] in gone {
+            for prefix in [&[][..], &["report"], &["search"]] {
+                let argv: Vec<&str> = prefix.iter().copied().chain([flag, value]).collect();
+                let err = parse_dse_args(&argv).unwrap_err();
+                assert!(err.starts_with("unknown flag"), "{argv:?} gave {err:?}");
+            }
+        }
+        let worker = concat!("dist", "-worker");
+        let err = parse_dse_args(&[worker, "--connect", "127.0.0.1:1"]).unwrap_err();
+        assert!(err.contains("unexpected argument"), "{err}");
+        assert!(run(&["--fail-fast", "--full"]).fail_fast);
+        // The fault grammar lost the wire and pool sites and `garble`.
+        for spec in [
+            "pool.lease=io@0.5",
+            "worker.spawn=io@0.5",
+            "dist.accept=io@0.5",
+            "dist.frame.send=io@0.5",
+            "dist.frame.recv=io@0.5",
+            "store.flush=garble@0.5",
+        ] {
+            assert!(parse_dse_args(&["--faults", spec]).is_err(), "{spec}");
+        }
     }
 
     /// Every point is computed: the artifact cache's subcommand and its
-    /// verbs, its opt-out flag (on `dse`, `dse search` and `dse
-    /// dist-worker`) and the worker's cache directory are parse errors
-    /// (exit 2 with usage). (The flags are spelled in halves so the
+    /// verbs and its opt-out flag (on `dse` and `dse search`) are parse
+    /// errors (exit 2 with usage). (The flags are spelled in halves so the
     /// check.sh gates on deleted names stay at zero.)
     #[test]
     fn the_deleted_cache_surface_is_rejected() {
@@ -993,8 +790,6 @@ mod tests {
             &["cache"],
             &[no_cache],
             &["search", no_cache],
-            &["dist-worker", "--connect", "x:1", no_cache],
-            &["dist-worker", "--connect", "x:1", "--store-dir", "/tmp/c"],
         ] {
             assert!(parse_dse_args(argv).is_err(), "{argv:?} parsed");
         }
@@ -1020,14 +815,7 @@ mod tests {
             parse_dse_args(&["report"]),
             Ok(Parsed::Report(DseArgs::default()))
         );
-        let argv = [
-            "--full",
-            "--store-dir",
-            "/tmp/c",
-            "--resume",
-            "--workers",
-            "2",
-        ];
+        let argv = ["--full", "--store-dir", "/tmp/c", "--resume", "--fail-fast"];
         let report: Vec<&str> = ["report"].iter().chain(&argv).copied().collect();
         assert_eq!(parse_dse_args(&report), Ok(Parsed::Report(run(&argv))));
         assert_eq!(
@@ -1040,110 +828,15 @@ mod tests {
     fn report_subcommand_is_strict() {
         assert!(parse_dse_args(&["report", "--nope"]).is_err());
         assert!(parse_dse_args(&["report", "stray"]).is_err());
-        assert!(parse_dse_args(&["report", "--fail-fast", "--workers", "2"]).is_err());
+        assert!(parse_dse_args(&["report", "--max-retries"]).is_err());
         // Only recognised in first position, like every subcommand.
         assert!(parse_dse_args(&["--resume", "report"]).is_err());
-    }
-
-    #[test]
-    fn listen_flag_parses_and_requires_workers() {
-        let a = run(&["--workers", "2", "--listen", "127.0.0.1:0"]);
-        assert_eq!(a.campaign.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(run(&["--workers", "2"]).campaign.listen, None);
-        assert!(parse_dse_args(&["--listen", "127.0.0.1:0"]).is_err());
-        assert!(parse_dse_args(&["--workers", "2", "--listen"]).is_err());
-        // The same pair on `search`: the pool flags are shared.
-        let a = search(&["search", "--workers", "2", "--listen", "127.0.0.1:0"]);
-        assert_eq!(a.campaign.listen.as_deref(), Some("127.0.0.1:0"));
-        assert!(parse_dse_args(&["search", "--listen", "127.0.0.1:0"]).is_err());
-    }
-
-    #[test]
-    fn dist_worker_subcommand_parses() {
-        let parsed = parse_dse_args(&["dist-worker", "--connect", "127.0.0.1:7777"]).unwrap();
-        match parsed {
-            Parsed::DistWorker(a) => {
-                assert_eq!(a.connect, "127.0.0.1:7777");
-                assert!(!a.no_prof);
-                assert_eq!(a.reconnect_for, None);
-                assert_eq!(a.max_reconnects, musa_dist::DEFAULT_MAX_RECONNECTS);
-                assert_eq!(a.faults.spec, None);
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        let parsed = parse_dse_args(&[
-            "dist-worker",
-            "--connect",
-            "10.0.0.5:9000",
-            "--no-prof",
-            "--reconnect-for",
-            "30s",
-            "--max-reconnects",
-            "3",
-            "--faults",
-            "seed=7,dist.frame.send=garble@0.05",
-            "--log",
-            "debug",
-        ])
-        .unwrap();
-        match parsed {
-            Parsed::DistWorker(a) => {
-                assert_eq!(a.connect, "10.0.0.5:9000");
-                assert!(a.no_prof);
-                assert_eq!(a.reconnect_for, Some(Duration::from_secs(30)));
-                assert_eq!(a.max_reconnects, 3);
-                assert_eq!(
-                    a.faults.spec.as_deref(),
-                    Some("seed=7,dist.frame.send=garble@0.05")
-                );
-                assert_eq!(a.log.level, Some(Some(Level::Debug)));
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        assert_eq!(
-            parse_dse_args(&["dist-worker", "--help"]),
-            Ok(Parsed::Help(DIST_WORKER_USAGE))
-        );
-        assert_eq!(
-            parse_dse_args(&["dist-worker", "-h"]),
-            Ok(Parsed::Help(DIST_WORKER_USAGE))
-        );
-    }
-
-    #[test]
-    fn dist_worker_subcommand_is_strict() {
-        // --connect is mandatory: a worker with nowhere to go is a bug
-        // in the invocation, not an idle success.
-        assert!(parse_dse_args(&["dist-worker"]).is_err());
-        assert!(parse_dse_args(&["dist-worker", "--connect"]).is_err());
-        assert!(parse_dse_args(&["dist-worker", "--nope"]).is_err());
-        assert!(parse_dse_args(&["dist-worker", "stray"]).is_err());
-        // A worker is told its scale and retry budget by the
-        // supervisor: the flags that used to set them are gone.
-        assert!(parse_dse_args(&["dist-worker", "--connect", "x:1", "--full"]).is_err());
-        assert!(
-            parse_dse_args(&["dist-worker", "--connect", "x:1", "--max-retries", "1"]).is_err()
-        );
-        assert!(parse_dse_args(&["dist-worker", "--connect", "x:1", "--reconnect-for"]).is_err());
-        assert!(
-            parse_dse_args(&["dist-worker", "--connect", "x:1", "--reconnect-for", "fast"])
-                .is_err()
-        );
-        assert!(parse_dse_args(&["dist-worker", "--connect", "x:1", "--faults", "bogus"]).is_err());
-        assert!(parse_dse_args(&["dist-worker", "--connect", "x:1", "--max-reconnects"]).is_err());
-        assert!(
-            parse_dse_args(&["dist-worker", "--connect", "x:1", "--max-reconnects", "ten"])
-                .is_err()
-        );
-        // Only recognised in first position, like the other subcommands.
-        assert!(parse_dse_args(&["--resume", "dist-worker"]).is_err());
     }
 
     #[test]
     fn observability_flags_parse() {
         assert!(!run(&[]).campaign.no_prof);
         assert!(run(&["--no-prof"]).campaign.no_prof);
-        assert!(run(&["--no-prof", "--workers", "2"]).campaign.no_prof);
     }
 
     #[test]
@@ -1192,16 +885,8 @@ mod tests {
     }
 
     #[test]
-    fn faults_spec_is_retained_verbatim() {
-        let spec = "seed=9,sim.point=panic@0.001,store.flush=io@0.02";
-        let a = run(&["--faults", spec]);
-        assert_eq!(a.faults.spec.as_deref(), Some(spec));
-        assert_eq!(run(&[]).faults.spec, None);
-    }
-
-    #[test]
     fn the_hidden_second_worker_program_is_gone() {
-        // There is one worker program. (Spelled in two halves so the
+        // There is no worker program. (Spelled in two halves so the
         // check.sh gate on the deleted name stays at zero hits.)
         let gone = concat!("pool-", "worker");
         let err = parse_dse_args(&[gone, "--store-dir", "/x"]).unwrap_err();
@@ -1292,12 +977,11 @@ mod tests {
                 .filter(|w| w.starts_with("--"))
                 .collect()
         }
-        let subcommands: [(&[&str], &str); 7] = [
+        let subcommands: [(&[&str], &str); 6] = [
             (&[], USAGE),
             (&["report"], USAGE),
             (&["profile"], PROFILE_USAGE),
             (&["search"], SEARCH_USAGE),
-            (&["dist-worker"], DIST_WORKER_USAGE),
             (&["doctor"], DOCTOR_USAGE),
             (&["torture"], TORTURE_USAGE),
         ];
@@ -1308,7 +992,7 @@ mod tests {
             .collect();
         candidates.sort();
         candidates.dedup();
-        assert!(candidates.len() > 35, "the scan found {candidates:?}");
+        assert!(candidates.len() > 25, "the scan found {candidates:?}");
 
         for (prefix, usage) in subcommands {
             let named = flags_in(usage);
@@ -1371,8 +1055,6 @@ mod tests {
             "--resume",
             "--store-dir",
             "/tmp/s",
-            "--workers",
-            "4",
             "--progress",
             "--metrics",
             "m.json",
@@ -1389,7 +1071,6 @@ mod tests {
         assert!((a.hv_ref - 4.0).abs() < 1e-12);
         assert_eq!(a.report.as_deref(), Some(std::path::Path::new("out.json")));
         assert!(a.campaign.resume && a.campaign.progress);
-        assert_eq!(a.campaign.workers, Some(4));
         assert_eq!(a.log.level, Some(Some(Level::Info)));
     }
 
@@ -1431,7 +1112,6 @@ mod tests {
         assert!(parse_dse_args(&["search", "--apps", ""]).is_err());
         assert!(parse_dse_args(&["search", "--hv-ref", "1"]).is_err());
         assert!(parse_dse_args(&["search", "--hv-ref", "nan"]).is_err());
-        assert!(parse_dse_args(&["search", "--workers", "0"]).is_err());
         assert!(parse_dse_args(&["search", "--search-report"]).is_err());
     }
 

@@ -1,10 +1,8 @@
 //! End-to-end drills for `dse doctor` and `dse torture`, driving the
 //! real `dse` binary against real store directories.
 //!
-//! The doctor drills corrupt several durable families at once — lease
-//! journal, search journal, profiles, stale heartbeats, campaign
-//! rows —
-//! and assert the documented contract: audit grades the store corrupt
+//! The doctor drills corrupt several durable families at once —
+//! campaign rows, search journal, profiles — and assert the documented contract: audit grades the store corrupt
 //! (exit 2), `--repair` restores exit 0 in one pass, a second repair
 //! is a byte-identical no-op, and every removed line survives in the
 //! quarantine ledger with provenance.
@@ -66,10 +64,10 @@ fn code(out: &Output) -> i32 {
 /// number of complete garbage lines that must end up as quarantine
 /// evidence.
 fn corrupt_three_families(dir: &Path) -> usize {
-    // 1. Lease journal: two complete garbage lines plus a torn tail.
+    // 1. Rows: two complete garbage lines plus a torn tail.
     std::fs::write(
-        dir.join("leases.journal"),
-        "lease garbage one\nlease garbage two\ntorn-fra",
+        dir.join("rows.jsonl"),
+        "row garbage one\nrow garbage two\ntorn-fra",
     )
     .unwrap();
     // 2. Search journal: interior corruption between valid lines.
@@ -84,7 +82,7 @@ fn corrupt_three_families(dir: &Path) -> usize {
     .unwrap();
     // 3. Profiles: one corrupt line.
     std::fs::write(dir.join("profiles.jsonl"), "profile garbage\n").unwrap();
-    2 + 1 + 1 // lease lines + search journal + profile line
+    2 + 1 + 1 // row lines + search journal + profile line
 }
 
 /// Recursive byte snapshot of a directory, keyed by relative path.
@@ -173,7 +171,7 @@ fn multi_family_corruption_repairs_to_clean_idempotently() {
         String::from_utf8_lossy(&out.stdout)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("leases"), "report names families: {text}");
+    assert!(text.contains("rows"), "report names families: {text}");
 
     // Every removed complete line is quarantine evidence with
     // provenance (source file + line + reason + raw bytes).
@@ -193,7 +191,7 @@ fn multi_family_corruption_repairs_to_clean_idempotently() {
         .filter_map(|l| l.get("raw").and_then(|v| v.as_str()))
         .collect();
     assert!(
-        raws.contains(&"lease garbage one"),
+        raws.contains(&"row garbage one"),
         "raw bytes preserved: {raws:?}"
     );
     assert!(
@@ -312,7 +310,7 @@ fn json_report_parses_and_matches_exit_code() {
     assert_eq!(body.get("severity").unwrap().as_str(), Some("corrupt"));
     assert_eq!(body.get("exit_code").unwrap().as_u64(), Some(2));
     let families = body.get("families").unwrap().as_arr().unwrap();
-    assert_eq!(families.len(), 6, "one entry per family");
+    assert_eq!(families.len(), 4, "one entry per family");
 
     let out = doctor(&dir, &["--repair", "--json"]);
     assert_eq!(code(&out), 0);

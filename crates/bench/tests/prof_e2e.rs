@@ -6,11 +6,11 @@
 //! `--no-prof` / `MUSA_PROF=0`, or compiled out entirely — the flight
 //! recorder observes, it never participates. **Self-sufficiency**:
 //! `dse profile` answers "where did the time go" from the store
-//! directory alone — profiles.jsonl plus the lease journal — with no
-//! campaign loaded and no simulator run, including directories a
-//! kill -9 left with a torn tail.
+//! directory alone — profiles.jsonl — with no campaign loaded and no
+//! simulator run, including directories a kill -9 left with a torn
+//! tail.
 //!
-//! The kill-9 drill is gated behind `CHAOS=1` like the pool's:
+//! The kill-9 drill is gated behind `CHAOS=1` like the store's:
 //!
 //! ```sh
 //! CHAOS=1 cargo test -p musa-bench --test prof_e2e
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use musa_obs::json::JsonValue;
 use musa_prof::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
-use musa_store::{LeaseEvent, LeaseJournal, PoolPoisonRecord, QUARANTINE_FILE};
+use musa_store::QUARANTINE_FILE;
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
 
@@ -207,11 +207,9 @@ fn profile_subcommand_reports_top_k_and_phases_from_records_alone() {
 
 /// `dse profile --trace-export` emits a strictly valid Chrome Trace
 /// Event document: parseable JSON, per-track monotonic timestamps,
-/// every `B` matched by an `E`, instants for faults — and journal
-/// events (deaths, requeues, quarantines) ride along on a supervisor
-/// track.
+/// every `B` matched by an `E`, an instant for each poisoned point.
 #[test]
-fn trace_export_is_valid_chrome_trace_with_journal_instants() {
+fn trace_export_is_valid_chrome_trace() {
     let dir = tmp_dir("trace");
     let mut poisoned = record("cccc3333", "spmz", "mem-hi", "l0002-a1", 4301, 1_000_000);
     poisoned.poisoned = true;
@@ -230,39 +228,6 @@ fn trace_export_is_valid_chrome_trace_with_journal_instants() {
             poisoned,
         ],
     );
-    // Journal residue of a stormy run: a death, the requeue, a
-    // quarantine. The exporter must surface all three as instants.
-    {
-        let (mut journal, _) = LeaseJournal::open(&dir).unwrap();
-        journal
-            .append(&LeaseEvent::Dead {
-                lease: 1,
-                attempt: 0,
-                done: 2,
-                blamed: Some("cccc3333".into()),
-                reason: "signal (killed)".into(),
-            })
-            .unwrap();
-        journal
-            .append(&LeaseEvent::Requeue {
-                lease: 2,
-                attempt: 1,
-                from: 1,
-                backoff_ms: 5,
-                points: 1,
-            })
-            .unwrap();
-        journal
-            .append(&LeaseEvent::Poison(PoolPoisonRecord {
-                key: "cccc3333".into(),
-                app: "spmz".into(),
-                config: "mem-hi".into(),
-                strikes: 3,
-                reason: "deadline exceeded".into(),
-            }))
-            .unwrap();
-    }
-
     let trace_path = dir.join("trace.json");
     let out = dse_profile(&dir, &["--trace-export", trace_path.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -314,24 +279,21 @@ fn trace_export_is_valid_chrome_trace_with_journal_instants() {
         }
     }
     assert!(depth.values().all(|d| *d == 0), "unbalanced B/E: {depth:?}");
-    for name in ["poisoned", "worker-death", "requeue", "quarantine"] {
-        assert!(
-            instant_names.iter().any(|n| n == name),
-            "missing instant {name:?} in {instant_names:?}"
-        );
-    }
-    // Two worker pids plus the supervisor track.
+    assert_eq!(instant_names, ["poisoned"]);
+    // One track per recording process.
     let pids: std::collections::HashSet<u64> = last_ts.keys().map(|(p, _)| *p).collect();
-    assert!(pids.contains(&0), "supervisor track missing: {pids:?}");
-    assert_eq!(pids.len(), 3, "{pids:?}");
+    assert_eq!(pids.len(), 2, "{pids:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Profiling must not perturb a single row byte: a default sequential
-/// run (recorder on) stores exactly what a `--no-prof` run stores,
-/// while leaving one profile record per simulated point behind.
+/// Profiling must not perturb a single row byte: a default run
+/// (recorder on) stores exactly what a `--no-prof` run and a
+/// `MUSA_PROF=0` run store, while leaving one profile record per
+/// simulated point behind. Each application's trace is generated once,
+/// on the fill's calling thread, and exactly one of its points carries
+/// the generation time.
 #[test]
-fn sequential_rows_identical_with_and_without_profiling() {
+fn rows_identical_with_and_without_profiling() {
     let profiled = tmp_dir("seq-on");
     let out = dse(&profiled, &[]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -346,12 +308,39 @@ fn sequential_rows_identical_with_and_without_profiling() {
         !quiet.join(PROFILES_FILE).exists(),
         "--no-prof must not record"
     );
+    let env_off = tmp_dir("seq-env-off");
+    let out = dse_command(&env_off, &[])
+        .env("MUSA_PROF", "0")
+        .output()
+        .expect("spawn dse");
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        sorted_store_lines(&env_off),
+        want,
+        "MUSA_PROF=0 changed rows"
+    );
+    assert!(
+        !env_off.join(PROFILES_FILE).exists(),
+        "MUSA_PROF=0 must not record"
+    );
 
     if musa_prof::COMPILED {
         let (records, rep) = musa_prof::load_profiles(&profiled).unwrap();
         assert_eq!((rep.torn_tails, rep.corrupt), (0, 0));
         assert_eq!(records.len(), want.len(), "one profile per stored row");
         assert!(records.iter().all(|r| r.worker == "fill"));
+        for app in musa_apps::AppId::ALL {
+            let carriers = records
+                .iter()
+                .filter(|r| r.app == app.label() && r.phase_ns("trace-gen") > 0)
+                .count();
+            assert_eq!(
+                carriers,
+                1,
+                "{}: trace generation carried once",
+                app.label()
+            );
+        }
         // And the subcommand reports them.
         let out = dse_profile(&profiled, &[]);
         assert!(out.status.success(), "{}", stderr_of(&out));
@@ -363,52 +352,7 @@ fn sequential_rows_identical_with_and_without_profiling() {
     }
     let _ = std::fs::remove_dir_all(&profiled);
     let _ = std::fs::remove_dir_all(&quiet);
-}
-
-/// The pool path: workers ship each point's record in its frame, the
-/// hub appends it to profiles.jsonl, and none of it touches row bytes
-/// (`MUSA_PROF=0` run as the control).
-#[test]
-fn pool_rows_identical_and_worker_profiles_merged() {
-    let profiled = tmp_dir("pool-on");
-    let out = dse(&profiled, &["--workers", "4"]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let want = sorted_store_lines(&profiled);
-    assert!(!want.is_empty());
-
-    let quiet = tmp_dir("pool-off");
-    let out = dse_command(&quiet, &["--workers", "4"])
-        .env("MUSA_PROF", "0")
-        .output()
-        .expect("spawn dse");
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    assert_eq!(
-        sorted_store_lines(&quiet),
-        want,
-        "MUSA_PROF=0 changed pool rows"
-    );
-    assert!(
-        !quiet.join(PROFILES_FILE).exists(),
-        "MUSA_PROF=0 must suppress recording in every process"
-    );
-
-    if musa_prof::COMPILED {
-        let (records, rep) = musa_prof::load_profiles(&profiled).unwrap();
-        assert_eq!((rep.torn_tails, rep.corrupt), (0, 0));
-        assert_eq!(records.len(), want.len(), "one profile per stored row");
-        assert!(
-            records.iter().all(|r| r.worker.starts_with('l')),
-            "pool records carry lease identities"
-        );
-        let workers: std::collections::HashSet<&str> =
-            records.iter().map(|r| r.worker.as_str()).collect();
-        assert!(
-            workers.len() > 1,
-            "more than one lease recorded: {workers:?}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&profiled);
-    let _ = std::fs::remove_dir_all(&quiet);
+    let _ = std::fs::remove_dir_all(&env_off);
 }
 
 /// Crash residue in the flight record — a torn final line, as a
@@ -430,7 +374,7 @@ fn torn_profile_tail_is_repaired_on_resume() {
         "feedbeef00000000",
         "hydro",
         "c64-base",
-        "l0009-a0",
+        "fill",
         9999,
         123_456,
     );
@@ -448,80 +392,6 @@ fn torn_profile_tail_is_repaired_on_resume() {
     assert!(
         records.iter().any(|r| r.key == orphan.key),
         "the whole record before the tear must survive the repair"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Remote workers' profiles reach the store too: after a `--listen`
-/// run shared with one external `dist-worker`, the flight record holds
-/// one record per simulated point — the ones the external process ran
-/// included — and `dse profile` reports them all.
-#[test]
-fn remote_worker_profiles_reach_the_store() {
-    if !musa_fault::COMPILED || !musa_prof::COMPILED {
-        eprintln!("skipping: needs the fault and prof features");
-        return;
-    }
-    let dir = tmp_dir("remote-prof");
-    // Slow points keep the sweep alive until the external worker has
-    // joined and taken leases.
-    let mut sup = dse_command(
-        &dir,
-        &[
-            "--workers",
-            "1",
-            "--lease-batch",
-            "2",
-            "--listen",
-            "127.0.0.1:0",
-            "--faults",
-            "sim.point=delay:100ms@1.0",
-        ],
-    )
-    .stdout(Stdio::null())
-    .stderr(Stdio::null())
-    .spawn()
-    .expect("spawn listening dse");
-    let beacon = dir.join("dist-status.json");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let addr = loop {
-        let addr = std::fs::read_to_string(&beacon)
-            .ok()
-            .and_then(|body| JsonValue::parse(&body).ok())
-            .and_then(|v| v.get("addr").and_then(|a| a.as_str()).map(str::to_string));
-        if let Some(addr) = addr {
-            break addr;
-        }
-        assert!(Instant::now() < deadline, "no dist-status.json beacon");
-        std::thread::sleep(Duration::from_millis(5));
-    };
-    let mut remote = Command::new(DSE)
-        .args(["dist-worker", "--connect", &addr, "--reconnect-for", "30s"])
-        .env_remove("MUSA_FAULTS")
-        .env_remove("MUSA_PROF")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dist-worker");
-    let remote_pid = remote.id();
-    assert!(sup.wait().expect("wait for supervisor").success());
-    assert!(remote.wait().expect("wait for dist-worker").success());
-
-    let rows = sorted_store_lines(&dir);
-    let (records, rep) = musa_prof::load_profiles(&dir).unwrap();
-    assert_eq!((rep.torn_tails, rep.corrupt), (0, 0));
-    assert_eq!(records.len(), rows.len(), "one profile per simulated point");
-    let remote_records = records.iter().filter(|r| r.pid == remote_pid).count();
-    assert!(
-        remote_records > 0,
-        "the external worker ran points, and their profiles must be on record"
-    );
-    let out = dse_profile(&dir, &[]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    assert!(
-        stdout_of(&out).contains(&format!("{} points", rows.len())),
-        "dse profile must count every simulated point:\n{}",
-        stdout_of(&out)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -582,12 +452,12 @@ fn full_disk_profile_appends_drop_but_rows_still_land() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// CHAOS drill: SIGKILL a live worker mid-batch. The campaign must
-/// converge byte-identically (already proven in pool_e2e) *and* the
-/// profiling side must come out whole: records deduplicated to
-/// exactly one per surviving row, `dse profile` happy.
+/// CHAOS drill: SIGKILL the fill mid-run, then `--resume`. The
+/// records of the batch the kill cut short and of its re-simulation
+/// fold away on the next fill's harvest: exactly one record per row,
+/// and `dse profile` happy.
 #[test]
-fn kill_nine_worker_profiles_survive_and_merge() {
+fn kill_nine_fill_then_resume_leaves_one_profile_per_row() {
     if !chaos_enabled() {
         eprintln!("skipping: set CHAOS=1 to run the kill-9 profiling drill");
         return;
@@ -597,62 +467,32 @@ fn kill_nine_worker_profiles_survive_and_merge() {
         return;
     }
     let dir = tmp_dir("kill9-prof");
-    let mut child = dse_command(
-        &dir,
-        &[
-            "--workers",
-            "2",
-            "--lease-batch",
-            "4",
-            "--faults",
-            "sim.point=delay:150ms@1.0",
-        ],
-    )
-    .stdout(Stdio::null())
-    .stderr(Stdio::null())
-    .spawn()
-    .expect("spawn supervised dse");
-
-    // Murder the first worker the journal shows holding a lease (see
-    // pool_e2e): its `peer` tag is `w<pid>@<address>`.
-    let find_worker = || -> Option<u32> {
-        musa_store::journal::replay(&dir)
-            .events
-            .iter()
-            .find_map(|e| match e {
-                LeaseEvent::RemoteGrant { peer, .. } => {
-                    peer.strip_prefix('w')?.split('@').next()?.parse().ok()
-                }
-                _ => None,
-            })
-    };
+    // Slow points and small batches keep the fill alive long enough to
+    // be killed between flushes.
+    let mut child = dse_command(&dir, &["--faults", "sim.point=delay:30ms@1.0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dse");
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut killed = false;
-    while Instant::now() < deadline {
-        if let Some(pid) = find_worker() {
-            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
-            killed = true;
-            break;
-        }
-        if child.try_wait().expect("try_wait").is_some() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
+    while !dir.join(PROFILES_FILE).exists() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
     }
-    let status = child.wait().expect("wait for supervisor");
-    assert!(killed, "never caught a worker to kill (sweep too fast?)");
-    assert!(
-        status.success(),
-        "supervisor must absorb the kill: {status}"
-    );
+    std::thread::sleep(Duration::from_millis(100));
+    let _ = child.kill();
+    let status = child.wait().expect("wait for dse");
+    assert!(!status.success(), "the fill finished before the kill");
 
+    let out = dse(&dir, &["--resume"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
     let rows = sorted_store_lines(&dir);
+    assert_eq!(rows.len(), 30, "the resumed campaign is whole");
     let (records, rep) = musa_prof::load_profiles(&dir).unwrap();
     assert_eq!((rep.torn_tails, rep.corrupt), (0, 0), "harvest left damage");
     assert_eq!(
         records.len(),
         rows.len(),
-        "dedup must leave exactly one record per surviving row"
+        "dedup must leave exactly one record per row"
     );
     let keys: std::collections::HashSet<&str> = records.iter().map(|r| r.key.as_str()).collect();
     assert_eq!(keys.len(), records.len(), "duplicate point fingerprints");

@@ -1,5 +1,5 @@
 //! End-to-end drills for `dse search`, driving the real binary: CLI
-//! strictness, journal + report determinism across runs and worker
+//! strictness, journal + report determinism across runs and thread
 //! counts, resume semantics (pure replay, flag-change refusal), and —
 //! under `CHAOS=1` — surviving a SIGKILL mid-search.
 
@@ -7,8 +7,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-use musa_store::{journal, LeaseEvent};
 
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
 
@@ -67,18 +65,6 @@ fn sorted_store_lines(dir: &Path) -> Vec<String> {
     }
     lines.sort();
     lines
-}
-
-/// Distinct worker tags (`w<pid>`) the lease journal granted leases to.
-fn worker_tags(dir: &Path) -> std::collections::BTreeSet<String> {
-    journal::replay(dir)
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            LeaseEvent::RemoteGrant { peer, .. } => peer.split('@').next().map(str::to_string),
-            _ => None,
-        })
-        .collect()
 }
 
 /// The `[musa progress]` lines of a run's stderr.
@@ -207,121 +193,52 @@ fn same_seed_byte_identical_journal_and_report_across_runs() {
     }
 }
 
-/// `--workers 2`, and `--workers 2 --listen` shared with one external
-/// `dist-worker`, must both leave the journal, the report and the
-/// store rows of the sequential search, byte for byte — and the
-/// workers must be the same processes for the whole search, not a
-/// fresh set per generation.
+/// A search pinned to one CPU (`taskset -c 0`, so each generation's
+/// fill runs on one thread) leaves the journal, the report and the
+/// store rows of an unrestricted search, byte for byte.
 #[test]
-fn workers_match_sequential_byte_for_byte() {
-    let seq = tmp_dir("w-seq");
-    let rs = seq.join("report.json");
-    let out = search(
-        &seq,
-        &[BASE, &["--search-report", rs.to_str().unwrap()]].concat(),
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let same_as_sequential = |dir: &Path, report: &Path, what: &str| {
-        assert_eq!(
-            std::fs::read(journal_path(&seq)).unwrap(),
-            std::fs::read(journal_path(dir)).unwrap(),
-            "{what} must not change a single journal byte"
+fn one_cpu_matches_every_thread_byte_for_byte() {
+    let mut runs = Vec::new();
+    for one_cpu in [false, true] {
+        let dir = tmp_dir(if one_cpu { "one-cpu" } else { "threads" });
+        let report = dir.join("report.json");
+        let mut cmd = search_command(
+            &dir,
+            &[BASE, &["--search-report", report.to_str().unwrap()]].concat(),
         );
-        assert_eq!(
-            std::fs::read(&rs).unwrap(),
-            std::fs::read(report).unwrap(),
-            "{what} must not change a single report byte"
-        );
-        assert_eq!(
-            sorted_store_lines(&seq),
-            sorted_store_lines(dir),
-            "{what} must not change a single row byte"
-        );
-    };
-
-    let pool = tmp_dir("w-pool");
-    let rp = pool.join("report.json");
-    let out = search(
-        &pool,
-        &[
-            BASE,
-            &["--workers", "2", "--search-report", rp.to_str().unwrap()],
-        ]
-        .concat(),
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    same_as_sequential(&pool, &rp, "--workers 2");
-    let tags = worker_tags(&pool);
-    assert!(
-        (1..=2).contains(&tags.len()),
-        "two workers serve the whole search, saw {tags:?}"
-    );
-
-    // The same search, its leases also on offer to whoever connects.
-    let dist = tmp_dir("w-dist");
-    let rd = dist.join("report.json");
-    let mut sup = search_command(
-        &dist,
-        &[
-            BASE,
-            &[
-                "--workers",
-                "2",
-                "--listen",
-                "127.0.0.1:0",
-                "--search-report",
-                rd.to_str().unwrap(),
-            ],
-        ]
-        .concat(),
-    )
-    .stdout(Stdio::null())
-    .stderr(Stdio::null())
-    .spawn()
-    .expect("spawn listening search");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let addr = loop {
-        let beacon = std::fs::read_to_string(dist.join("dist-status.json")).unwrap_or_default();
-        let addr = musa_obs::json::JsonValue::parse(&beacon)
-            .ok()
-            .and_then(|v| v.get("addr").and_then(|a| a.as_str()).map(str::to_string));
-        if let Some(addr) = addr {
-            break addr;
+        let out = if one_cpu {
+            let mut pinned = Command::new("taskset");
+            pinned
+                .args(["-c", "0"])
+                .arg(cmd.get_program())
+                .args(cmd.get_args());
+            for (key, value) in cmd.get_envs() {
+                match value {
+                    Some(value) => pinned.env(key, value),
+                    None => pinned.env_remove(key),
+                };
+            }
+            pinned.output()
+        } else {
+            cmd.output()
         }
-        assert!(Instant::now() < deadline, "no dist-status.json beacon");
-        std::thread::sleep(Duration::from_millis(2));
-    };
-    // The external worker is told nothing but the address. The search
-    // may be over before it connects; it must end on its own either way.
-    let mut external = Command::new(DSE)
-        .args(["dist-worker", "--connect", &addr, "--max-reconnects", "2"])
-        .env_remove("MUSA_TINY")
-        .env_remove("MUSA_FAULTS")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn external dist-worker");
-    assert!(sup.wait().expect("wait for search").success());
-    let code = external.wait().expect("wait for dist-worker").code();
-    assert!(matches!(code, Some(0) | Some(1)), "dist-worker: {code:?}");
-    same_as_sequential(&dist, &rd, "--workers 2 --listen");
-    let tags = worker_tags(&dist);
-    assert!(
-        (1..=3).contains(&tags.len()),
-        "two children and one external worker at most, saw {tags:?}"
-    );
-
-    for d in [seq, pool, dist] {
-        let _ = std::fs::remove_dir_all(d);
+        .expect("spawn dse search");
+        assert!(
+            out.status.success(),
+            "one_cpu={one_cpu}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        runs.push((
+            std::fs::read(journal_path(&dir)).unwrap(),
+            std::fs::read(&report).unwrap(),
+            sorted_store_lines(&dir),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
+    let (threads, one) = (&runs[0], &runs[1]);
+    assert_eq!(threads.0, one.0, "the thread count changed a journal byte");
+    assert_eq!(threads.1, one.1, "the thread count changed a report byte");
+    assert_eq!(threads.2, one.2, "the thread count changed a row byte");
 }
 
 /// The heartbeat is opt-in: a sequential search prints no
@@ -354,8 +271,8 @@ fn progress_is_opt_in_and_never_repeats_a_beat() {
     }
 }
 
-/// SIGINT drains a sequential search exactly like a `--workers` one:
-/// the batch in flight is flushed and the exit code is 130.
+/// SIGINT drains a search like a campaign: the batch in flight is
+/// flushed and the exit code is 130.
 #[test]
 fn sigint_drains_a_sequential_search() {
     let dir = tmp_dir("sigint");

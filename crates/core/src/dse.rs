@@ -1,6 +1,6 @@
 //! The design-space-exploration driver: every configuration × every
-//! application, one point after another (a campaign is parallelised
-//! across processes — `dse --workers N` — not inside one).
+//! application, one point after another, in memory (the campaign
+//! store's fill runs a campaign's points on the machine's threads).
 
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::{DesignSpace, NodeConfig};

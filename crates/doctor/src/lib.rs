@@ -5,10 +5,9 @@
 //! repairs under composed failure.
 //!
 //! A campaign directory accumulates durable state from every subsystem:
-//! CRC-sealed result rows (`musa-store`), the crash-safe lease
-//! journal, lease row shards and status beacons (`musa-dist`), the
-//! search journal (`musa-search`), the flight recorder (`musa-prof`),
-//! and the quarantine evidence files all of them feed. Each subsystem
+//! CRC-sealed result rows (`musa-store`), the search journal
+//! (`musa-search`), the flight recorder (`musa-prof`), and the
+//! quarantine evidence files all of them feed. Each subsystem
 //! self-heals the slice it owns when *it* next runs — but nothing
 //! walked the whole directory at once. [`audit`] does exactly that, with the real parsers, and
 //! grades every family:
@@ -38,7 +37,10 @@
 //! detailed windows on disk) is no family: the doctor neither reads nor
 //! touches it, and `rm -rf <store>/artifacts` reclaims its space. The
 //! same holds for the `doctor-status` verdict file older builds wrote
-//! on `--repair`: the report on stdout is the verdict.
+//! on `--repair` (the report on stdout is the verdict), and for the
+//! lease journal and status beacon of the multi-process fill older
+//! builds ran. The row shards that fill wrote are rows like any other:
+//! the `rows` family reads every row file.
 
 pub mod torture;
 
@@ -78,8 +80,7 @@ impl Severity {
 /// Audit result for one family of durable state.
 #[derive(Debug, Clone)]
 pub struct FamilyReport {
-    /// Stable family name: `rows`, `leases`, `search`, `profiles`,
-    /// `scratch`, `quarantine`.
+    /// Stable family name: `rows`, `search`, `profiles`, `quarantine`.
     pub family: &'static str,
     /// Worst grade among this family's findings.
     pub severity: Severity,
@@ -319,10 +320,10 @@ struct Family {
 
 /// Every family, in presentation and repair order. The line-oriented
 /// ones classify with their owner's rule (`classify_row`,
-/// `classify_event`, `validate_search_line`, `classify_profile`) through
+/// `validate_search_line`, `classify_profile`) through
 /// [`scan`]; what follows here is only each family's grading and which
 /// owner call repairs it.
-const FAMILIES: [Family; 6] = [
+const FAMILIES: [Family; 4] = [
     Family {
         name: "rows",
         check: |dir, fam| {
@@ -334,9 +335,10 @@ const FAMILIES: [Family; 6] = [
                 .count("files_skipped", health.files_skipped)
                 .count("stale_schema", health.rows_stale_schema)
                 .count("newer_schema", health.rows_newer_schema)
-                .count("pool_poisoned", health.pool_poisoned)
                 .note_if(health.quarantined, Severity::Corrupt, |n| {
-                    format!("{n} row(s) failed CRC or parse; repair moves them to {QUARANTINE_FILE}")
+                    format!(
+                        "{n} row(s) failed CRC or parse; repair moves them to {QUARANTINE_FILE}"
+                    )
                 })
                 .note_if(health.files_skipped, Severity::Corrupt, |n| {
                     format!("{n} unreadable result file(s) skipped")
@@ -344,11 +346,10 @@ const FAMILIES: [Family; 6] = [
                 .note_if(health.tails_repaired, Severity::Degraded, |n| {
                     format!("{n} torn final line(s) (interrupted append; repair truncates)")
                 })
-                .note_if(health.pool_poisoned, Severity::Degraded, |n| {
-                    format!("{n} point(s) poisoned by the pool supervisor; a plain resume will not re-attempt them")
-                })
                 .note_if(health.rows_stale_schema, Severity::Ok, |n| {
-                    format!("{n} stale-schema row(s) (skipped in memory; a resume re-simulates them)")
+                    format!(
+                        "{n} stale-schema row(s) (skipped in memory; a resume re-simulates them)"
+                    )
                 })
                 .note_if(health.rows_newer_schema, Severity::Ok, |n| {
                     format!("{n} newer-schema row(s) (owned by a newer writer; left alone)")
@@ -373,43 +374,6 @@ const FAMILIES: [Family; 6] = [
                 }
                 Ok(())
             })))
-        },
-    },
-    Family {
-        name: "leases",
-        check: |dir, fam| {
-            let rep = musa_store::journal::replay(dir);
-            let unterminated = !rep.clean_terminated && !rep.torn_tail;
-            fam.count("events", rep.events.len() as u64)
-                .count("skipped_lines", rep.skipped)
-                .count("torn_tail", u64::from(rep.torn_tail))
-                .count("poisoned", rep.poisoned().len() as u64)
-                .note_if(rep.skipped, Severity::Corrupt, |n| {
-                    format!("{n} unparsable interior journal line(s); repair quarantines them and rewrites the survivors")
-                })
-                .note_if(u64::from(rep.torn_tail), Severity::Degraded, |_| {
-                    "torn final journal line (crash residue; repair truncates)".into()
-                })
-                .note_if(u64::from(unterminated), Severity::Ok, |_| {
-                    "journal not newline-terminated (interrupted run; the next pool open rewrites it)".into()
-                });
-            let damaged = rep.skipped > 0 || rep.torn_tail || !rep.clean_terminated;
-            Ok(damaged.then(|| {
-                fix(move |dir, actions| {
-                    // The journal's own appendable open sets the corrupt
-                    // lines aside and rewrites the rest atomically. The
-                    // torn tail is normal crash residue: truncated, not
-                    // quarantined.
-                    musa_store::LeaseJournal::open(dir)?;
-                    actions.push(format!(
-                        "leases: rewrote journal ({} event(s) kept, {} line(s) quarantined, torn tail: {})",
-                        rep.events.len(),
-                        rep.skipped,
-                        rep.torn_tail
-                    ));
-                    Ok(())
-                })
-            }))
         },
     },
     Family {
@@ -510,7 +474,7 @@ const FAMILIES: [Family; 6] = [
                     let log = read_log(&dir.join(musa_prof::PROFILES_FILE))?;
                     let bad = scan(&log, musa_prof::classify_profile).bad;
                     let quarantined =
-                        musa_store::set_aside(dir, musa_prof::PROFILES_FILE, &bad)?.appended;
+                        musa_store::set_aside(dir, musa_prof::PROFILES_FILE, &bad)?;
                     musa_prof::harvest(dir)?;
                     actions.push(format!(
                         "profiles: rewrote the flight record without {} torn/{} corrupt line(s) and {} duplicate(s) ({} quarantined first)",
@@ -519,27 +483,6 @@ const FAMILIES: [Family; 6] = [
                     Ok(())
                 })
             }))
-        },
-    },
-    Family {
-        name: "scratch",
-        check: |dir, fam| {
-            let shards = std::fs::read_dir(dir)
-                .into_iter()
-                .flatten()
-                .flatten()
-                .filter(|entry| {
-                    entry
-                        .file_name()
-                        .to_str()
-                        .is_some_and(|name| name.starts_with("dist-l") && name.ends_with(".jsonl"))
-                })
-                .count() as u64;
-            fam.count("dist_shards", shards)
-                .note_if(shards, Severity::Ok, |n| {
-                    format!("{n} lease row shard(s) (real campaign rows, merged by the row loader)")
-                });
-            Ok(None)
         },
     },
     Family {
@@ -569,7 +512,6 @@ const FAMILIES: [Family; 6] = [
 mod tests {
     use super::*;
     use musa_fault::integrity::{BadLine, Verdict};
-    use musa_store::LEASE_JOURNAL_FILE;
     use std::sync::Mutex;
 
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -595,7 +537,7 @@ mod tests {
         let report = audit(&dir).unwrap();
         assert_eq!(report.severity(), Severity::Ok);
         assert_eq!(report.exit_code(), 0);
-        assert_eq!(report.families.len(), 6);
+        assert_eq!(report.families.len(), 4);
         // JSON renders and parses with the crate's own parser.
         let parsed = JsonValue::parse(&report.render_json()).unwrap();
         assert_eq!(
@@ -607,7 +549,7 @@ mod tests {
                 .get("families")
                 .and_then(JsonValue::as_arr)
                 .map(<[JsonValue]>::len),
-            Some(6)
+            Some(4)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -619,53 +561,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert!(audit(&dir).is_err());
         assert!(repair(&dir).is_err());
-    }
-
-    #[test]
-    fn lease_journal_corruption_is_quarantined_and_repaired() {
-        let _lock = fault_lock();
-        let dir = tdir("leases");
-        // One valid grant event, one garbage interior line, one torn tail.
-        let (journal, _) = musa_store::LeaseJournal::open(&dir).unwrap();
-        drop(journal);
-        let path = dir.join(LEASE_JOURNAL_FILE);
-        let valid = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, format!("{valid}this is not json\n{{\"torn")).unwrap();
-
-        let report = audit(&dir).unwrap();
-        assert_eq!(
-            report.severity(),
-            Severity::Corrupt,
-            "{}",
-            report.render_text()
-        );
-        assert_eq!(report.family("leases").unwrap().counter("skipped_lines"), 1);
-        assert_eq!(report.family("leases").unwrap().counter("torn_tail"), 1);
-
-        let repaired = repair(&dir).unwrap();
-        assert_eq!(repaired.exit_code(), 0, "{}", repaired.render_text());
-        assert!(repaired.repaired);
-        assert!(!repaired.actions.is_empty());
-        // The damaged bytes are on record with provenance.
-        let evidence = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
-        assert!(evidence.contains("this is not json"), "{evidence}");
-        assert!(evidence.contains(LEASE_JOURNAL_FILE), "{evidence}");
-        // And the journal replays clean.
-        let rep = musa_store::journal::replay(&dir);
-        assert_eq!(rep.skipped, 0);
-        assert!(rep.clean_terminated && !rep.torn_tail);
-
-        // Second repair is a byte-level no-op.
-        let journal_after = std::fs::read(&path).unwrap();
-        let evidence_after = std::fs::read(dir.join(QUARANTINE_FILE)).unwrap();
-        let again = repair(&dir).unwrap();
-        assert_eq!(again.exit_code(), 0);
-        assert_eq!(std::fs::read(&path).unwrap(), journal_after);
-        assert_eq!(
-            std::fs::read(dir.join(QUARANTINE_FILE)).unwrap(),
-            evidence_after
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -905,18 +800,6 @@ mod tests {
             musa_store::classify_row(Path::new("rows.jsonl"), line_no, line, &mut health)
         });
 
-        let events = [
-            r#"{"ev":"rgrant","lease":1,"attempt":0,"points":[0,3,7],"peer":"w42@127.0.0.1:45001"}"#,
-            r#"{"ev":"dead","lease":1,"attempt":0,"done":1,"blamed":null,"reason":"exit status 101"}"#,
-            r#"{"ev":"requeue","lease":2,"attempt":1,"from":1,"backoff_ms":6,"points":2}"#,
-            r#"{"ev":"poison","key":"00c0ffee00c0ffee","app":"hydro","config":"cfg with \"quotes\"","strikes":3,"reason":"deadline exceeded (300ms)"}"#,
-            r#"{"ev":"done","lease":2,"attempt":1,"rows":2}"#,
-            r#"{"ev":"interrupted","reason":"SIGINT"}"#,
-            r#"{"ev":"complete","simulated":3,"poisoned":1}"#,
-        ]
-        .map(str::to_string);
-        check_line_rule("rule-leases", &events, musa_store::journal::classify_event);
-
         let profiles: Vec<String> = ["aaaa", "bbbb", "cccc"]
             .iter()
             .map(|key| {
@@ -949,6 +832,8 @@ mod tests {
     fn corrupt_rows_end_in_quarantine() {
         let _lock = fault_lock();
         let dir = tdir("rows");
+        // A row shard an older multi-process fill wrote is a row file
+        // like `rows.jsonl`.
         std::fs::write(dir.join("dist-l0001-a1.jsonl"), "garbage row\n").unwrap();
         let report = audit(&dir).unwrap();
         assert_eq!(
@@ -961,38 +846,6 @@ mod tests {
         assert_eq!(repaired.exit_code(), 0, "{}", repaired.render_text());
         let evidence = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
         assert!(evidence.contains("garbage row"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A point the pool supervisor quarantined is campaign data that is
-    /// missing rather than corrupt: the `rows` family counts it and the
-    /// store grades degraded, and no repair can bring it back.
-    #[test]
-    fn pool_poisoned_points_grade_the_store_degraded() {
-        let _lock = fault_lock();
-        let dir = tdir("poisoned");
-        let (mut journal, _) = musa_store::LeaseJournal::open(&dir).unwrap();
-        journal
-            .append(&musa_store::LeaseEvent::Poison(
-                musa_store::PoolPoisonRecord {
-                    key: "00decafc0ffee000".into(),
-                    app: "hydro".into(),
-                    config: "some-config".into(),
-                    strikes: 3,
-                    reason: "deadline exceeded".into(),
-                },
-            ))
-            .unwrap();
-        drop(journal);
-        for report in [audit(&dir).unwrap(), repair(&dir).unwrap()] {
-            assert_eq!(
-                report.severity(),
-                Severity::Degraded,
-                "{}",
-                report.render_text()
-            );
-            assert_eq!(report.family("rows").unwrap().counter("pool_poisoned"), 1);
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

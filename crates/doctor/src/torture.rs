@@ -1,8 +1,7 @@
 //! Seeded multi-fault torture harness behind `dse torture`.
 //!
 //! Each round drives the *real* `dse` binary through one workload —
-//! sequential fill, a supervised worker pool, an adaptive search, or a
-//! distributed loopback run — under a composed storm: 2–4 simultaneous
+//! a campaign fill or an adaptive search — under a composed storm: 2–4 simultaneous
 //! failpoints drawn from the `musa-fault` registry, a `kill -9` at a
 //! seeded instant, and (always, in round 0) a full ENOSPC leg where
 //! every row flush fails. It then resumes fault-free until the run
@@ -12,9 +11,7 @@
 //!    reference of the same workload (no acknowledged row lost, no
 //!    extra rows invented);
 //! 2. [`crate::repair`] followed by [`crate::audit`] reports exit 0 —
-//!    and the repair itself changes no row bytes;
-//! 3. the lease journal replays with zero skipped lines and no
-//!    poisoned points.
+//!    and the repair itself changes no row bytes.
 //!
 //! Everything is derived from `--seed`: the workload schedule, every
 //! leg's fault plan, and the kill instants. The same seed reproduces
@@ -25,7 +22,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use musa_obs::json::JsonValue;
 use musa_obs::rng::SplitMix64;
 
 /// Hard per-leg wall-clock budget; a leg that outlives it is killed
@@ -36,7 +32,7 @@ const LEG_TIMEOUT: Duration = Duration::from_secs(180);
 /// non-convergent.
 const MAX_RESUMES: u32 = 4;
 
-/// Config slice shared with the pool/dist e2e drills: 6 configs across
+/// Config slice shared with the e2e drills: 6 configs across
 /// the design space × all apps = a 30-point campaign per round.
 const CONFIG_SLICE: &str = "6";
 
@@ -115,18 +111,14 @@ fn pick(rng: &mut SplitMix64, n: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
     Sequential,
-    Pool,
     Search,
-    Dist,
 }
 
 impl Workload {
     fn name(self) -> &'static str {
         match self {
             Workload::Sequential => "sequential",
-            Workload::Pool => "pool",
             Workload::Search => "search",
-            Workload::Dist => "dist",
         }
     }
 }
@@ -178,9 +170,7 @@ pub fn run_torture(opts: &TortureOptions) -> io::Result<TortureReport> {
 struct Harness {
     opts: TortureOptions,
     root: PathBuf,
-    /// Sorted store rows of a never-faulted sequential run (shared
-    /// reference for sequential, pool and dist rounds — their byte
-    /// identity is the pool/dist e2e contract this harness leans on).
+    /// Sorted store rows of a never-faulted campaign run.
     campaign_ref: Option<Vec<String>>,
     /// Sorted store rows of a never-faulted search run at `search_seed`.
     search_ref: Option<Vec<String>>,
@@ -200,18 +190,13 @@ impl Harness {
         let workload = if round == 0 {
             Workload::Sequential
         } else {
-            [
-                Workload::Sequential,
-                Workload::Pool,
-                Workload::Search,
-                Workload::Dist,
-            ][pick(rng, 4)]
+            [Workload::Sequential, Workload::Search][pick(rng, 2)]
         };
         let leg_seed = rng.next_u64() % 1_000_000;
         let faults = if round == 0 {
             format!("seed={leg_seed},store.flush=io@1.0")
         } else {
-            compose_faults(rng, workload, leg_seed)
+            compose_faults(rng, leg_seed)
         };
         let kill_after = if round == 0 {
             None
@@ -221,25 +206,12 @@ impl Harness {
 
         // Storm leg.
         let mut killed = false;
-        let storm_code = match workload {
-            Workload::Dist => {
-                self.dist_storm_leg(&round_dir, &store, &faults, kill_after, rng, &mut killed)?
-            }
-            _ => {
-                let mut cmd =
-                    self.dse_cmd(&store, &self.workload_argv(workload, false), Some(&faults));
-                self.run_leg(&mut cmd, &round_dir, "storm", kill_after, &mut killed)?
-            }
-        };
+        let mut cmd = self.dse_cmd(&store, &self.workload_argv(workload, false), Some(&faults));
+        let storm_code = self.run_leg(&mut cmd, &round_dir, "storm", kill_after, &mut killed)?;
         if round == 0 && storm_code == Some(0) {
             return Err(fail(
                 "round 0: the ENOSPC leg was expected to fail but exited 0",
             ));
-        }
-        if killed {
-            // Give any orphaned workers their last instants to notice
-            // the dead connection and exit before the resume.
-            std::thread::sleep(Duration::from_millis(1500));
         }
 
         // Fault-free resumes until convergence.
@@ -300,19 +272,6 @@ impl Harness {
             )));
         }
 
-        // Contract 3: the lease journal replays clean and no point was
-        // poisoned (the storm injects no panics).
-        let replay = musa_store::journal::replay(&store);
-        if replay.skipped != 0 || !replay.poisoned().is_empty() {
-            return Err(fail(format!(
-                "round {round} ({}): lease journal not clean after convergence \
-                 (skipped {}, poisoned {})",
-                workload.name(),
-                replay.skipped,
-                replay.poisoned().len()
-            )));
-        }
-
         Ok(RoundOutcome {
             round,
             workload: workload.name(),
@@ -326,20 +285,6 @@ impl Harness {
     fn workload_argv(&self, workload: Workload, resume: bool) -> Vec<String> {
         let mut argv: Vec<String> = match workload {
             Workload::Sequential => Vec::new(),
-            Workload::Pool => vec![
-                "--workers".into(),
-                "2".into(),
-                "--lease-batch".into(),
-                "4".into(),
-            ],
-            Workload::Dist => vec![
-                "--workers".into(),
-                "1".into(),
-                "--lease-batch".into(),
-                "4".into(),
-                "--listen".into(),
-                "127.0.0.1:0".into(),
-            ],
             Workload::Search => vec![
                 "search".into(),
                 "--seed".into(),
@@ -356,17 +301,13 @@ impl Harness {
         argv
     }
 
-    /// Resume argv per workload: pool rounds resume through the pool
-    /// (exercising the lease-journal rewrite), dist rounds through a
-    /// plain sequential resume (no listener needed to finish a store),
-    /// search rounds through the search replay — unless the journal is
-    /// gone, in which case the search restarts (same seed, same points,
+    /// Resume argv per workload: a campaign resumes with `--resume`, a
+    /// search through the search replay — unless the journal is gone,
+    /// in which case the search restarts (same seed, same points,
     /// already-evaluated rows served from the store).
     fn resume_argv(&self, workload: Workload, store: &Path) -> Vec<String> {
         match workload {
             Workload::Sequential => vec!["--resume".into()],
-            Workload::Pool => self.workload_argv(Workload::Pool, true),
-            Workload::Dist => vec!["--resume".into()],
             Workload::Search => {
                 let journal = store
                     .join(musa_search::SEARCH_DIR)
@@ -440,67 +381,6 @@ impl Harness {
         }
     }
 
-    /// The dist round: a listening supervisor plus one remote worker
-    /// over loopback. The supervisor carries the composed storm; the
-    /// worker garbles its own wire frames. The SIGKILL (when drawn)
-    /// lands on the supervisor — the harsher death, since it strands
-    /// both the lease journal and the remote's in-flight lease.
-    fn dist_storm_leg(
-        &self,
-        round_dir: &Path,
-        store: &Path,
-        faults: &str,
-        kill_after: Option<Duration>,
-        rng: &mut SplitMix64,
-        killed: &mut bool,
-    ) -> io::Result<Option<i32>> {
-        let sup_log = std::fs::File::create(round_dir.join("storm.log"))?;
-        let mut sup_cmd = self.dse_cmd(
-            store,
-            &self.workload_argv(Workload::Dist, false),
-            Some(faults),
-        );
-        sup_cmd.stdout(sup_log.try_clone()?).stderr(sup_log);
-        let mut sup = sup_cmd.spawn()?;
-
-        let mut worker: Option<Child> = None;
-        if let Some(addr) = wait_for_beacon(store, &mut sup)? {
-            let wire_seed = rng.next_u64() % 1_000_000;
-            let wire =
-                format!("seed={wire_seed},dist.frame.send=garble@0.05,dist.frame.recv=garble@0.05");
-            let log = std::fs::File::create(round_dir.join("worker.log"))?;
-            let mut cmd = Command::new(&self.opts.dse);
-            cmd.args([
-                "dist-worker",
-                "--connect",
-                &addr,
-                "--reconnect-for",
-                "30s",
-                "--max-reconnects",
-                "5",
-                "--faults",
-                &wire,
-            ])
-            // The leases say what to simulate; the worker only must not
-            // inherit this process's own fault plan.
-            .env_remove("MUSA_FAULTS")
-            .env_remove("MUSA_FAULT_SEED")
-            .stdin(Stdio::null())
-            .stdout(log.try_clone()?)
-            .stderr(log);
-            worker = Some(cmd.spawn()?);
-        }
-
-        let code = self.reap(&mut sup, kill_after, killed, "storm")?;
-        if let Some(mut w) = worker {
-            // The supervisor is gone either way; don't let the worker
-            // sit out its full reconnect window.
-            let _ = w.kill();
-            let _ = w.wait();
-        }
-        Ok(code)
-    }
-
     fn reference_rows(&mut self, workload: Workload) -> io::Result<Vec<String>> {
         match workload {
             Workload::Search => {
@@ -511,7 +391,7 @@ impl Harness {
                 }
                 Ok(self.search_ref.clone().unwrap())
             }
-            _ => {
+            Workload::Sequential => {
                 if self.campaign_ref.is_none() {
                     let store = self.root.join("ref-campaign");
                     self.build_reference(Workload::Sequential, &store)?;
@@ -544,25 +424,18 @@ impl Harness {
     }
 }
 
-/// Draw 2–4 distinct io/delay failpoint legs appropriate for the
-/// workload. No `panic` actions: poisoned points are deliberately out
-/// of scope (they diverge the final row set by design), and the chaos
-/// suites cover them separately.
-fn compose_faults(rng: &mut SplitMix64, workload: Workload, leg_seed: u64) -> String {
-    let mut candidates: Vec<(&str, &str)> = vec![
+/// Draw 2–4 distinct io/delay failpoint legs. No `panic` actions:
+/// poisoned points are deliberately out of scope (they diverge the
+/// final row set by design), and the chaos suites cover them
+/// separately.
+fn compose_faults(rng: &mut SplitMix64, leg_seed: u64) -> String {
+    let candidates = [
         ("store.flush", "io"),
         ("store.rewrite", "io"),
         ("prof.append", "io"),
         ("export.write", "io"),
         ("sim.point", "delay:2ms"),
     ];
-    if matches!(workload, Workload::Pool | Workload::Dist) {
-        candidates.push(("pool.lease", "io"));
-        candidates.push(("worker.spawn", "io"));
-    }
-    if workload == Workload::Dist {
-        candidates.push(("dist.accept", "io"));
-    }
     let probs = ["0.02", "0.05", "0.10", "0.20"];
     let want = 2 + pick(rng, 3);
     let mut legs = Vec::new();
@@ -580,28 +453,6 @@ fn compose_faults(rng: &mut SplitMix64, workload: Workload, leg_seed: u64) -> St
         ));
     }
     format!("seed={leg_seed},{}", legs.join(","))
-}
-
-/// Poll for the dist supervisor's `dist-status.json` beacon; `None`
-/// when the supervisor died first (the storm can kill it before it
-/// binds — the round then proceeds straight to resumes).
-fn wait_for_beacon(store: &Path, sup: &mut Child) -> io::Result<Option<String>> {
-    let beacon = store.join(musa_store::DIST_STATUS_FILE);
-    let start = Instant::now();
-    while start.elapsed() < Duration::from_secs(30) {
-        if let Ok(body) = std::fs::read_to_string(&beacon) {
-            if let Ok(v) = JsonValue::parse(&body) {
-                if let Some(addr) = v.get("addr").and_then(JsonValue::as_str) {
-                    return Ok(Some(addr.to_string()));
-                }
-            }
-        }
-        if sup.try_wait()?.is_some() {
-            return Ok(None);
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    Ok(None)
 }
 
 /// Every store row in `dir`, sorted: the lines of all the shards the
@@ -624,13 +475,8 @@ mod tests {
     fn composed_plans_parse_and_stay_in_bounds() {
         for seed in 0..64u64 {
             let mut rng = SplitMix64::new(seed);
-            for workload in [
-                Workload::Sequential,
-                Workload::Pool,
-                Workload::Search,
-                Workload::Dist,
-            ] {
-                let spec = compose_faults(&mut rng, workload, seed);
+            for _ in 0..4 {
+                let spec = compose_faults(&mut rng, seed);
                 let plan = musa_fault::FaultPlan::parse(&spec)
                     .unwrap_or_else(|e| panic!("bad composed spec {spec:?}: {e}"));
                 let _ = plan;
@@ -651,14 +497,9 @@ mod tests {
                 .map(|round| {
                     let mut rng =
                         SplitMix64::new(seed.wrapping_add(u64::from(round).wrapping_mul(0x9e37)));
-                    let workload = [
-                        Workload::Sequential,
-                        Workload::Pool,
-                        Workload::Search,
-                        Workload::Dist,
-                    ][pick(&mut rng, 4)];
+                    let workload = [Workload::Sequential, Workload::Search][pick(&mut rng, 2)];
                     let leg_seed = rng.next_u64() % 1_000_000;
-                    compose_faults(&mut rng, workload, leg_seed)
+                    format!("{}:{}", workload.name(), compose_faults(&mut rng, leg_seed))
                 })
                 .collect()
         };

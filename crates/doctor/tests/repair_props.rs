@@ -1,7 +1,7 @@
 //! Property tests of `musa_doctor::repair`: for any mix of injected
 //! corruption across the durable families (CRC-broken rows in a lease
-//! shard, lease journal lines — one of them not UTF-8 —, search
-//! journal, profiles), one repair pass converges to a clean store
+//! shard an older multi-process fill wrote, garbage row lines — one of
+//! them not UTF-8 —, search journal, profiles), one repair pass converges to a clean store
 //! (exit 0), a second pass is a byte-identical no-op, and every
 //! complete garbage line ends up as quarantine evidence — repair never
 //! silently destroys data.
@@ -43,19 +43,18 @@ enum SearchHarm {
 /// One generated corruption mix.
 #[derive(Clone, Debug)]
 struct Harm {
-    lease_garbage: Vec<String>,
-    lease_torn: bool,
+    row_garbage: Vec<String>,
+    row_torn: bool,
     search: SearchHarm,
     profile_garbage: Vec<String>,
-    /// A lease journal line holding a 0xFF byte (not UTF-8).
-    lease_ff: bool,
+    /// A row line holding a 0xFF byte (not UTF-8).
+    row_ff: bool,
     /// Sealed rows in a lease shard, each with one digit flipped so its
     /// CRC fails, beside one intact row.
     broken_rows: u8,
 }
 
-/// Letters only: never parses as a lease event, a profile record, or
-/// JSON, and never collides with blank-line handling.
+/// Letters only: never parses as a row, a profile record, or JSON, and never collides with blank-line handling.
 fn garbage_line(rng: &mut SplitMix64) -> String {
     let len = 3 + (rng.next_u64() % 14) as usize;
     (0..len)
@@ -65,8 +64,8 @@ fn garbage_line(rng: &mut SplitMix64) -> String {
 
 impl Harm {
     fn sample(rng: &mut SplitMix64) -> Harm {
-        let lease_garbage = (0..rng.next_u64() % 4).map(|_| garbage_line(rng)).collect();
-        let lease_torn = rng.next_u64() & 1 == 1;
+        let row_garbage = (0..rng.next_u64() % 4).map(|_| garbage_line(rng)).collect();
+        let row_torn = rng.next_u64() & 1 == 1;
         let search = match rng.next_u64() % 5 {
             0 => SearchHarm::Absent,
             1 => SearchHarm::Clean,
@@ -76,11 +75,11 @@ impl Harm {
         };
         let profile_garbage = (0..rng.next_u64() % 3).map(|_| garbage_line(rng)).collect();
         Harm {
-            lease_garbage,
-            lease_torn,
+            row_garbage,
+            row_torn,
             search,
             profile_garbage,
-            lease_ff: rng.next_u64() & 1 == 1,
+            row_ff: rng.next_u64() & 1 == 1,
             broken_rows: (rng.next_u64() % 3) as u8,
         }
     }
@@ -114,19 +113,19 @@ fn sealed_row(i: usize) -> String {
 }
 
 fn inject(dir: &Path, harm: &Harm) {
-    if !harm.lease_garbage.is_empty() || harm.lease_torn || harm.lease_ff {
+    if !harm.row_garbage.is_empty() || harm.row_torn || harm.row_ff {
         let mut log = Vec::new();
-        for line in &harm.lease_garbage {
+        for line in &harm.row_garbage {
             log.extend_from_slice(line.as_bytes());
             log.push(b'\n');
         }
-        if harm.lease_ff {
-            log.extend_from_slice(b"{\"ev\":\"interrupted\",\"reason\":\"\xff\"}\n");
+        if harm.row_ff {
+            log.extend_from_slice(b"{\"key\":\"\xff\"}\n");
         }
-        if harm.lease_torn {
+        if harm.row_torn {
             log.extend_from_slice(b"torn-frag"); // no trailing newline
         }
-        std::fs::write(dir.join(musa_store::LEASE_JOURNAL_FILE), log).unwrap();
+        std::fs::write(dir.join(musa_store::DEFAULT_WRITE_FILE), log).unwrap();
     }
 
     if harm.broken_rows > 0 {
@@ -230,11 +229,11 @@ fn repair_is_idempotent_and_never_worse() {
         // Repair never makes the grade worse than the pre-repair audit.
         assert!(first.severity() <= before.severity());
 
-        // Every complete garbage line (lease + profile), every broken
+        // Every complete garbage line (row + profile), every broken
         // row and every interior-corrupt search journal must survive
         // as evidence.
-        let expected = harm.lease_garbage.len() as u64
-            + u64::from(harm.lease_ff)
+        let expected = harm.row_garbage.len() as u64
+            + u64::from(harm.row_ff)
             + u64::from(harm.broken_rows)
             + harm.profile_garbage.len() as u64
             + matches!(harm.search, SearchHarm::Interior | SearchHarm::DupHeader) as u64;

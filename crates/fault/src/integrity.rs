@@ -10,8 +10,8 @@
 //! rename + fsync-parent sequence, so a crash at any instruction leaves
 //! either the old file or the new file, never a torn mixture.
 //!
-//! Every durable family (rows, lease journal, profiles, search journal)
-//! is an append-only log of one record per line, and [`scan`] is the
+//! Every durable family (rows, profiles, search journal) is an
+//! append-only log of one record per line, and [`scan`] is the
 //! one place that decides which line is a record, which a torn tail and
 //! which corruption. A family supplies its `classify`; what it then
 //! does with the result — count, warn, set aside, rewrite — is its

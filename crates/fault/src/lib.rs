@@ -22,27 +22,19 @@
 //! spec    := entry (',' entry)*
 //! entry   := 'seed=' u64 | point '=' action '@' prob
 //! point   := 'sim.point' | 'store.flush' | 'store.rewrite' | 'export.write'
-//!          | 'pool.lease' | 'worker.spawn' | 'prof.append'
-//!          | 'dist.accept' | 'dist.frame.send' | 'dist.frame.recv'
-//!          | 'doctor.scan' | 'doctor.repair'
-//! action  := 'io' | 'panic' | 'garble' | 'delay:' count unit
+//!          | 'prof.append' | 'doctor.scan' | 'doctor.repair'
+//! action  := 'io' | 'panic' | 'delay:' count unit
 //! unit    := 'us' | 'ms' | 's'
 //! prob    := decimal in (0, 1]
 //! ```
-//!
-//! `garble` exists for the wire failpoints (`dist.frame.*`): instead
-//! of erroring before the operation, the frame bytes are deterministic-
-//! ally bit-flipped so the CRC-32 seal on the receiving side must
-//! catch the corruption. At failpoints with no byte buffer it behaves
-//! like `io`.
 //!
 //! ## Determinism
 //!
 //! Whether a fault fires at a site is a pure function of
 //! `(seed, point name, site key)` — the key is stable content (a point
 //! fingerprint, a flush sequence number, a path hash), **never** a
-//! global hit counter — so runs are reproducible regardless of thread
-//! and process interleaving, and a failing chaos run can be replayed
+//! global hit counter — so runs are reproducible whichever of the
+//! fill's threads reaches the site first, and a failing chaos run can be replayed
 //! exactly by its seed.
 //!
 //! ## Compile-out
@@ -70,17 +62,12 @@ pub const COMPILED: bool = cfg!(feature = "runtime");
 /// Failpoints known to the pipeline; [`FaultPlan::parse`] rejects
 /// anything else so a typo'd spec fails fast instead of silently
 /// injecting nothing.
-pub const KNOWN_POINTS: [&str; 12] = [
+pub const KNOWN_POINTS: [&str; 7] = [
     "sim.point",
     "store.flush",
     "store.rewrite",
     "export.write",
-    "pool.lease",
-    "worker.spawn",
     "prof.append",
-    "dist.accept",
-    "dist.frame.send",
-    "dist.frame.recv",
     "doctor.scan",
     "doctor.repair",
 ];
@@ -98,9 +85,6 @@ pub enum FaultAction {
     Panic,
     /// Sleep for the given duration, then proceed normally.
     Delay(Duration),
-    /// Flip bits in the operation's byte buffer (wire failpoints); at
-    /// failpoints with no buffer, behaves like [`FaultAction::Io`].
-    Garble,
 }
 
 impl FaultAction {
@@ -108,11 +92,10 @@ impl FaultAction {
         match s {
             "io" => Ok(FaultAction::Io),
             "panic" => Ok(FaultAction::Panic),
-            "garble" => Ok(FaultAction::Garble),
             _ => match s.strip_prefix("delay:") {
                 Some(dur) => Ok(FaultAction::Delay(parse_duration(dur)?)),
                 None => Err(format!(
-                    "unknown action {s:?} (expected io, panic, garble or delay:<n><us|ms|s>)"
+                    "unknown action {s:?} (expected io, panic or delay:<n><us|ms|s>)"
                 )),
             },
         }
@@ -120,9 +103,7 @@ impl FaultAction {
 }
 
 /// Parse a `<n><us|ms|s>` duration (the grammar's `delay:` argument).
-/// Public because the pool CLI reuses it for `--point-timeout`, so the
-/// two surfaces can never drift apart.
-pub fn parse_duration(s: &str) -> Result<Duration, String> {
+fn parse_duration(s: &str) -> Result<Duration, String> {
     let (digits, unit): (&str, fn(u64) -> Duration) = if let Some(d) = s.strip_suffix("us") {
         (d, Duration::from_micros)
     } else if let Some(d) = s.strip_suffix("ms") {
@@ -256,8 +237,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 ///
 /// Doubles from 2 ms up to a 64 ms ceiling, then adds a jitter drawn
 /// from the same FNV hash as failpoint decisions, keyed by
-/// `(salt, attempt)`. Two retriers with different salts (e.g. two pool
-/// workers hashing their own write paths) land on different schedules
+/// `(salt, attempt)`. Two retriers with different salts (e.g. two
+/// writers hashing their own write paths) land on different schedules
 /// instead of hammering the disk in lockstep — yet each schedule is a
 /// pure function of its inputs, so chaos runs stay replayable.
 pub fn jittered_backoff(attempt: u32, salt: u64) -> Duration {
@@ -361,50 +342,6 @@ pub fn fire(point: &str, key: u64) -> Option<FaultAction> {
 pub fn fail_io(point: &str, key: u64) -> std::io::Result<()> {
     match fire(point, key) {
         None => Ok(()),
-        Some(FaultAction::Io) | Some(FaultAction::Garble) => Err(std::io::Error::other(format!(
-            "injected fault at {point} (key {key:#x})"
-        ))),
-        Some(FaultAction::Panic) => panic!("injected panic at {point} (key {key:#x})"),
-        Some(FaultAction::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
-    }
-}
-
-/// Non-I/O failpoint: `Panic`, `Io` and `Garble` all panic (there is
-/// no error channel to return through), `Delay` sleeps.
-pub fn failpoint(point: &str, key: u64) {
-    match fire(point, key) {
-        None => {}
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        Some(FaultAction::Io) | Some(FaultAction::Panic) | Some(FaultAction::Garble) => {
-            panic!("injected panic at {point} (key {key:#x})")
-        }
-    }
-}
-
-/// Wire failpoint: fire at `(point, key)` against a byte buffer about
-/// to be sent (or just received). `Garble` deterministically flips a
-/// bit in `buf` — the corruption the receiver's CRC seal must catch —
-/// and returns `Ok(())` so the corrupted bytes actually travel. `Io`
-/// errors, `Panic` panics, `Delay` sleeps. Empty buffers cannot be
-/// garbled; the fault degrades to `Io` so it still fires visibly.
-pub fn fail_wire(point: &str, key: u64, buf: &mut [u8]) -> std::io::Result<()> {
-    match fire(point, key) {
-        None => Ok(()),
-        Some(FaultAction::Garble) => {
-            if buf.is_empty() {
-                return Err(std::io::Error::other(format!(
-                    "injected fault at {point} (key {key:#x})"
-                )));
-            }
-            let h = decision_hash(key, point, buf.len() as u64);
-            let byte = (h % buf.len() as u64) as usize;
-            let bit = (h >> 32) % 8;
-            buf[byte] ^= 1 << bit;
-            Ok(())
-        }
         Some(FaultAction::Io) => Err(std::io::Error::other(format!(
             "injected fault at {point} (key {key:#x})"
         ))),
@@ -412,6 +349,18 @@ pub fn fail_wire(point: &str, key: u64, buf: &mut [u8]) -> std::io::Result<()> {
         Some(FaultAction::Delay(d)) => {
             std::thread::sleep(d);
             Ok(())
+        }
+    }
+}
+
+/// Non-I/O failpoint: `Panic` and `Io` both panic (there is no error
+/// channel to return through), `Delay` sleeps.
+pub fn failpoint(point: &str, key: u64) {
+    match fire(point, key) {
+        None => {}
+        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+        Some(FaultAction::Io) | Some(FaultAction::Panic) => {
+            panic!("injected panic at {point} (key {key:#x})")
         }
     }
 }
@@ -546,30 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn grammar_accepts_pool_failpoints() {
-        let plan = FaultPlan::parse("pool.lease=io@0.5,worker.spawn=io@0.25").unwrap();
-        assert_eq!(plan.points.len(), 2);
-        assert_eq!(plan.points[0].point, "pool.lease");
-        assert_eq!(plan.points[1].point, "worker.spawn");
-    }
-
-    #[test]
-    fn grammar_accepts_dist_and_prof_failpoints() {
-        let plan = FaultPlan::parse(
-            "dist.accept=io@0.5,dist.frame.send=garble@1.0,\
-             dist.frame.recv=delay:5ms@0.25,prof.append=io@1.0",
-        )
-        .unwrap();
-        assert_eq!(plan.points.len(), 4);
-        assert_eq!(plan.points[1].point, "dist.frame.send");
-        assert_eq!(plan.points[1].action, FaultAction::Garble);
-        // Garble is an action like any other: valid at every point,
-        // and still subject to the probability grammar.
-        assert!(FaultPlan::parse("store.flush=garble@0").is_err());
-        assert!(FaultPlan::parse("dist.frame.send=garble").is_err());
-    }
-
-    #[test]
     fn grammar_accepts_doctor_failpoints() {
         let plan = FaultPlan::parse("doctor.scan=io@0.5,doctor.repair=io@1.0").unwrap();
         assert_eq!(plan.points.len(), 2);
@@ -578,43 +503,8 @@ mod tests {
         assert!(FaultPlan::parse("doctor.bogus=io@0.5").is_err());
     }
 
-    #[test]
-    fn fail_wire_garble_flips_exactly_one_bit_deterministically() {
-        let _g = global_lock();
-        set_plan(Some(
-            FaultPlan::parse("dist.frame.send=garble@1.0").unwrap(),
-        ));
-        let clean = [0u8; 32];
-        let mut a = clean;
-        let mut b = clean;
-        let r1 = fail_wire("dist.frame.send", 42, &mut a);
-        let r2 = fail_wire("dist.frame.send", 42, &mut b);
-        assert!(r1.is_ok() && r2.is_ok(), "garbled frames still travel");
-        if COMPILED {
-            assert_ne!(a, clean, "garble must corrupt the buffer");
-            assert_eq!(a, b, "same key, same corruption");
-            let flipped: u32 = a
-                .iter()
-                .zip(clean.iter())
-                .map(|(x, y)| (x ^ y).count_ones())
-                .sum();
-            assert_eq!(flipped, 1, "exactly one bit flips");
-            let mut c = clean;
-            fail_wire("dist.frame.send", 43, &mut c).unwrap();
-            assert_ne!(a, c, "a different key corrupts differently");
-            // An empty buffer cannot be garbled: degrade to Io.
-            assert!(fail_wire("dist.frame.send", 42, &mut []).is_err());
-        } else {
-            assert_eq!(a, clean, "compiled out, nothing fires");
-        }
-        set_plan(None);
-        let mut d = clean;
-        fail_wire("dist.frame.send", 42, &mut d).unwrap();
-        assert_eq!(d, clean, "no plan, no corruption");
-    }
-
     /// The backoff schedule is part of the crash-recovery contract:
-    /// concurrent workers must not retry in lockstep, and a chaos run
+    /// concurrent writers must not retry in lockstep, and a chaos run
     /// must replay exactly. Pin the sequence so a refactor that
     /// silently changes it fails loudly here.
     #[test]

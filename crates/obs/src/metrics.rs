@@ -10,7 +10,7 @@
 //! a global list on first use and **merge into the global base when the
 //! thread exits** (the thread-local's `Drop`); a [`snapshot`] folds the
 //! base with every still-live shard, so totals are exact at any point,
-//! not only after workers die.
+//! not only after threads exit.
 //!
 //! ## Disabled path
 //!

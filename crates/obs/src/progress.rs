@@ -84,7 +84,7 @@ pub struct Progress {
 
 impl Progress {
     /// New heartbeat for `total` points under a display label
-    /// (e.g. `"fill"` or `"pool"`).
+    /// (e.g. `"fill"`).
     pub fn new(label: impl Into<String>, total: u64) -> Progress {
         Progress {
             label: label.into(),

@@ -208,57 +208,6 @@ impl MetricsSnapshot {
         Ok(snap)
     }
 
-    /// Fold `other` into `self` — how the pool supervisor merges the
-    /// metrics manifests its workers leave behind into one end-of-run
-    /// snapshot. Counters, histogram contents and phase tables add;
-    /// gauges are point-in-time so `other`'s value wins where both
-    /// sides set one. Merging every attempt's manifest deliberately
-    /// counts *redone* work (a died-and-requeued lease simulates its
-    /// tail twice — and the campaign really did pay for both).
-    pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            let mine = self.histograms.entry(k.clone()).or_default();
-            if mine.count == 0 {
-                *mine = h.clone();
-                continue;
-            }
-            if h.count == 0 {
-                continue;
-            }
-            mine.min = mine.min.min(h.min);
-            mine.max = mine.max.max(h.max);
-            mine.count += h.count;
-            mine.sum += h.sum;
-            if mine.buckets.len() < h.buckets.len() {
-                mine.buckets.resize(h.buckets.len(), 0);
-            }
-            for (i, b) in h.buckets.iter().enumerate() {
-                mine.buckets[i] += b;
-            }
-        }
-        for p in &other.phases {
-            match self
-                .phases
-                .iter_mut()
-                .find(|mine| mine.phase == p.phase && mine.app == p.app)
-            {
-                Some(mine) => {
-                    mine.wall_ns += p.wall_ns;
-                    mine.count += p.count;
-                }
-                None => self.phases.push(p.clone()),
-            }
-        }
-        self.phases
-            .sort_by(|a, b| a.phase.cmp(&b.phase).then_with(|| a.app.cmp(&b.app)));
-    }
-
     /// Write [`Self::to_json`] (plus a trailing newline) to `path`.
     pub fn write_json_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let mut text = self.to_json();
@@ -358,7 +307,7 @@ pub fn phase_table(snap: &MetricsSnapshot) -> String {
 
 /// Fault-injection and self-healing counters that are usually all
 /// zero; the section only appears when at least one event happened.
-const ROBUSTNESS_COUNTERS: [(&str, &str); 11] = [
+const ROBUSTNESS_COUNTERS: [(&str, &str); 6] = [
     ("fault.injected", "faults injected"),
     ("fill.poisoned", "points poisoned (panic caught)"),
     ("fill.retries", "flush retries"),
@@ -368,11 +317,6 @@ const ROBUSTNESS_COUNTERS: [(&str, &str); 11] = [
         "duplicate quarantines suppressed",
     ),
     ("store.tail_truncated", "torn tails truncated"),
-    ("pool.worker_deaths", "pool worker deaths"),
-    ("pool.deadline_kills", "pool deadline kills"),
-    ("pool.requeues", "pool leases requeued"),
-    ("pool.spawn_failures", "pool spawn failures"),
-    ("pool.poisoned", "points poisoned (killed workers)"),
 ];
 
 /// The "what went wrong (and was survived)" companion of the phase
@@ -458,64 +402,14 @@ mod tests {
         s.counters.insert("fault.injected".into(), 3);
         s.counters.insert("fill.poisoned".into(), 1);
         s.counters.insert("store.quarantined".into(), 2);
-        s.counters.insert("pool.worker_deaths".into(), 2);
-        s.counters.insert("pool.poisoned".into(), 1);
         let t = phase_table(&s);
         assert!(t.contains("what went wrong (and was survived)"));
         assert!(t.contains("faults injected"));
         assert!(t.contains("points poisoned (panic caught)"));
         assert!(t.contains("rows quarantined"));
-        assert!(t.contains("pool worker deaths"));
-        assert!(t.contains("points poisoned (killed workers)"));
         // Zero counters stay out of the table.
         assert!(!t.contains("flush retries"), "table was:\n{t}");
         assert!(!t.contains("torn tails truncated"));
-        assert!(!t.contains("pool deadline kills"));
-    }
-
-    #[test]
-    fn absorb_merges_worker_snapshots() {
-        let mut a = sample();
-        let mut b = sample();
-        b.counters.insert("pool.worker_deaths".into(), 1);
-        b.gauges.insert("store.batch".into(), 32.0);
-        b.histograms.insert(
-            "store.batch_rows".into(),
-            HistSummary {
-                count: 1,
-                sum: 200.0,
-                min: 200.0,
-                max: 200.0,
-                buckets: vec![0, 0, 0, 0, 1],
-            },
-        );
-        b.phases.push(PhaseRow {
-            phase: "net-replay".into(),
-            app: "hydro".into(),
-            wall_ns: 1e9,
-            count: 2,
-        });
-        a.absorb(&b);
-        assert_eq!(a.counter("sim.points"), 20);
-        assert_eq!(a.counter("pool.worker_deaths"), 1);
-        // Gauges: the absorbed side wins.
-        assert_eq!(a.gauges["store.batch"], 32.0);
-        let h = &a.histograms["store.batch_rows"];
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 296.0);
-        assert_eq!(h.min, 32.0);
-        assert_eq!(h.max, 200.0);
-        assert_eq!(h.buckets, vec![0, 1, 1, 0, 1]);
-        // Same (phase, app) adds; new pairs append; order canonical.
-        assert_eq!(a.phase("detailed-sim", "hydro").unwrap().wall_ns, 5e9);
-        assert_eq!(a.phase("detailed-sim", "hydro").unwrap().count, 8);
-        assert_eq!(a.phase("net-replay", "hydro").unwrap().count, 2);
-        // Absorbing an empty histogram side is a no-op.
-        let mut c = MetricsSnapshot::default();
-        c.histograms
-            .insert("store.batch_rows".into(), HistSummary::default());
-        a.absorb(&c);
-        assert_eq!(a.histograms["store.batch_rows"].count, 3);
     }
 
     #[test]

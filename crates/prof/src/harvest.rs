@@ -1,19 +1,17 @@
 //! Reading profile files and the cross-process merge.
 //!
 //! A profile file is append-only JSONL of sealed [`PointProfile`]
-//! lines. Reads are lenient the way the lease journal's are: a torn
-//! final line (a kill -9 mid-append) is expected crash residue, a
+//! lines. Reads are lenient: a torn final line (a kill -9 mid-append) is expected crash residue, a
 //! corrupt interior line is counted and skipped — profiles are
 //! telemetry, and refusing to start a campaign over a damaged one
 //! would invert the priorities.
 //!
-//! [`harvest`] is the repair the supervisor (and the next `--resume`)
-//! runs: rewrite `<dir>/profiles.jsonl` deduplicated and
-//! chronologically sorted, atomically (tmp + fsync + rename). Dedup is
-//! by point fingerprint, keeping the **latest attempt** — when a
-//! worker died after profiling a point but before its row survived,
-//! the re-simulation's record is the one that matches the surviving
-//! row.
+//! [`harvest`] is the repair the next fill runs first: rewrite
+//! `<dir>/profiles.jsonl` deduplicated and chronologically sorted,
+//! atomically (tmp + fsync + rename). Dedup is by point fingerprint,
+//! keeping the **latest attempt** — when a run died after profiling a
+//! point but before its batch was flushed, the re-simulation's record
+//! is the one that matches the surviving row.
 
 use std::path::Path;
 
@@ -114,7 +112,7 @@ pub fn harvest(dir: &Path) -> std::io::Result<HarvestReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::sample;
+    use crate::record::tests::sample;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("musa-prof-h-{tag}-{}", std::process::id()));

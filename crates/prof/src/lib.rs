@@ -5,7 +5,7 @@
 //! CRC-sealed JSONL record in `<store-dir>/profiles.jsonl` — its
 //! per-phase wall-clock breakdown, worker identity and
 //! peak RSS — so "where did the time go" can be answered **per point**,
-//! across processes, and long after the run finished. ROADMAP item 3
+//! and long after the run finished. ROADMAP item 3
 //! (profile-driven rewrite of the tasksim/mem inner loops) starts from
 //! this data: nobody optimises the hot points before the recorder has
 //! named them.
@@ -22,24 +22,23 @@
 //!   detailed-sim, burst, dram, power, net-replay and store-flush all
 //!   land in the active point without the simulator knowing the
 //!   recorder exists), flushed as one line per point;
-//! * [`harvest`] — torn-tail-tolerant reading and the repair pass:
-//!   worker processes ship each record to the supervisor in the
-//!   point's frame and the hub appends it to `profiles.jsonl`, so a
-//!   kill-9'd worker's records survive the same way its rows do; the
-//!   harvest rewrites the file atomically (tmp+fsync+rename),
-//!   deduplicated by point fingerprint;
+//! * [`harvest`] — torn-tail-tolerant reading and the repair pass the
+//!   next fill runs first: it rewrites the file atomically
+//!   (tmp+fsync+rename), deduplicated by point fingerprint, so the
+//!   records of a batch a kill -9 cut short and its re-simulation fold
+//!   into one per point;
 //! * [`report`] / [`trace`] — offline analysis: p50/p95/max per phase
 //!   and per app, top-k slowest points, and
-//!   a Chrome Trace Event Format export (one track per worker
-//!   pid/thread, one slice per phase, instant events for poisonings)
+//!   a Chrome Trace Event Format export (one track per simulating
+//!   thread, one slice per phase, instant events for poisonings)
 //!   loadable in Perfetto or `chrome://tracing`.
 //!
 //! ## Zero interference guarantee
 //!
 //! Like `musa-obs`, the recorder only *reads* simulation state:
 //! wall-clock never enters a content-addressed key or a stored row,
-//! and `crates/store/tests/obs_identity.rs` plus the pool e2e suite
-//! prove rows are byte-identical with profiling on and off.
+//! and `crates/store/tests/obs_identity.rs` plus the profiling e2e
+//! suite prove rows are byte-identical with profiling on and off.
 //!
 //! ## Feature gate
 //!
@@ -63,8 +62,8 @@ pub const COMPILED: bool = cfg!(feature = "runtime");
 pub use harvest::{classify_profile, harvest, load_profiles, read_profile_file, HarvestReport};
 pub use record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 pub use recorder::{
-    enabled_from_env, install_line_recorder, install_store_recorder, point_begin, point_finish,
-    recording, uninstall_recorder, ProfileSink,
+    enabled_from_env, install_store_recorder, point_begin, point_carry, point_finish, recording,
+    uninstall_recorder, ProfileSink,
 };
 pub use report::{render_summary, ProfileSummary};
-pub use trace::{export_trace, TraceInstant};
+pub use trace::export_trace;

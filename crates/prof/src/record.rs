@@ -37,13 +37,13 @@ pub struct PointProfile {
     pub app: String,
     /// Node-configuration label.
     pub config: String,
-    /// Who simulated it: `"fill"` for the sequential path,
-    /// `"l####-a#"` (lease and attempt) for a worker process.
+    /// Who simulated it: `"fill"`. (Records of an older multi-process
+    /// fill carry `"l####-a#"`, its lease and attempt.)
     pub worker: String,
     /// OS process id of the writer.
     pub pid: u32,
     /// Stable per-process thread tag (one per thread that simulates
-    /// points; a fill or a pool worker's point loop is one tag).
+    /// points).
     pub tid: u32,
     /// Wall-clock start of the point, µs since the UNIX epoch. Used
     /// only for timeline ordering — never for results.
@@ -52,8 +52,8 @@ pub struct PointProfile {
     pub wall_ns: u64,
     /// Whether the simulation panicked (point poisoned, no row).
     pub poisoned: bool,
-    /// Attempt number of the lease the point ran under (0 for the
-    /// sequential fill and for first grants).
+    /// Attempt number of the lease the point ran under (always 0 now;
+    /// an older multi-process fill counted re-granted leases here).
     pub retries: u32,
     /// Peak resident set size of the writing process at record time,
     /// kB (`VmHWM`; 0 where unavailable).
@@ -139,32 +139,31 @@ impl PointProfile {
     }
 }
 
-/// Test fixture shared by this crate's unit tests.
 #[cfg(test)]
-pub(crate) fn sample(key: &str, app: &str, config: &str, wall_ns: u64) -> PointProfile {
-    let mut phases = BTreeMap::new();
-    phases.insert("detailed-sim".to_string(), wall_ns / 2);
-    phases.insert("net-replay".to_string(), wall_ns / 4);
-    PointProfile {
-        schema: PROF_SCHEMA,
-        key: key.to_string(),
-        app: app.to_string(),
-        config: config.to_string(),
-        worker: "fill".to_string(),
-        pid: 4242,
-        tid: 1,
-        start_us: 1_700_000_000_000_000,
-        wall_ns,
-        poisoned: false,
-        retries: 0,
-        peak_rss_kb: 10_240,
-        phases,
-    }
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test fixture shared by this crate's unit tests.
+    pub(crate) fn sample(key: &str, app: &str, config: &str, wall_ns: u64) -> PointProfile {
+        let mut phases = BTreeMap::new();
+        phases.insert("detailed-sim".to_string(), wall_ns / 2);
+        phases.insert("net-replay".to_string(), wall_ns / 4);
+        PointProfile {
+            schema: PROF_SCHEMA,
+            key: key.to_string(),
+            app: app.to_string(),
+            config: config.to_string(),
+            worker: "fill".to_string(),
+            pid: 4242,
+            tid: 1,
+            start_us: 1_700_000_000_000_000,
+            wall_ns,
+            poisoned: false,
+            retries: 0,
+            peak_rss_kb: 10_240,
+            phases,
+        }
+    }
 
     #[test]
     fn line_roundtrip_is_lossless() {

@@ -7,16 +7,15 @@
 //! span's wall time into the phase map of whatever point the current
 //! thread is simulating. The point executor brackets each point with
 //! [`point_begin`] / [`point_finish`]; `point_finish` drains the
-//! thread's accumulation into one sealed [`PointProfile`] line, hands
-//! it back to the caller and — when the recorder was installed with a
-//! [`ProfileSink`] — appends it to `<store-dir>/profiles.jsonl`.
+//! thread's accumulation into one sealed [`PointProfile`] line and
+//! appends it to `<store-dir>/profiles.jsonl` through the installed
+//! [`ProfileSink`].
 //!
 //! Durability: one `write + flush` per point, torn final lines
-//! tolerated (and repaired) on read. The sequential fill appends
-//! directly (after a [`crate::harvest`] pass has repaired whatever a
-//! previous crash left); a worker process records without a sink and
-//! ships each line to the supervisor in the point's frame, where the
-//! hub appends it through the same [`ProfileSink`].
+//! tolerated (and repaired) on read. The fill's threads append
+//! directly, one whole line each under the sink's lock, after a
+//! [`crate::harvest`] pass has repaired whatever a previous crash
+//! left.
 //!
 //! Everything here is inert — a branch on a constant or a relaxed
 //! atomic — unless the `runtime` feature is compiled in **and** a
@@ -36,15 +35,13 @@ use crate::harvest::{harvest, HarvestReport};
 use crate::record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 
 /// `MUSA_PROF` environment opt-out: profiling is on by default in
-/// `runtime` builds; `MUSA_PROF=0` disables it (the supervisor
-/// propagates the setting to its workers).
+/// `runtime` builds; `MUSA_PROF=0` disables it.
 pub fn enabled_from_env() -> bool {
     std::env::var("MUSA_PROF").map(|v| v != "0").unwrap_or(true)
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// The installed recorder's sink; `None` while recording without one
-/// (lines are only handed back by [`point_finish`]).
+/// The installed recorder's sink; `None` while nothing is installed.
 static SINK: Mutex<Option<ProfileSink>> = Mutex::new(None);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
@@ -156,7 +153,7 @@ fn epoch_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Install the recorder for a sequential fill: repair whatever an
+/// Install the recorder for a fill: repair whatever an
 /// earlier run left (torn tail, duplicate attempts), then append to
 /// `<dir>/profiles.jsonl`. Returns the harvest's findings so the
 /// caller can report repairs. No-op returning the default report when
@@ -166,23 +163,10 @@ pub fn install_store_recorder(dir: &Path) -> std::io::Result<HarvestReport> {
         return Ok(HarvestReport::default());
     }
     let report = harvest(dir)?;
-    install(Some(ProfileSink::open(dir)?));
-    Ok(report)
-}
-
-/// Install the recorder without a sink — the worker side: every
-/// [`point_finish`] hands its sealed line back, and the caller ships
-/// it to whoever owns the store.
-pub fn install_line_recorder() {
-    if crate::COMPILED {
-        install(None);
-    }
-}
-
-fn install(sink: Option<ProfileSink>) {
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = sink;
+    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Some(ProfileSink::open(dir)?);
     musa_obs::set_span_listener(Some(on_span));
     ACTIVE.store(true, Ordering::Relaxed);
+    Ok(report)
 }
 
 /// Tear the recorder down (flushes the file handle on drop). Safe to
@@ -210,9 +194,27 @@ pub fn point_begin() {
     });
 }
 
+/// Charge `wall_ns` of `phase`, which ran on another thread before this
+/// thread's point began, to that point as if it had run inside its
+/// window: the phase map and the point's wall time both grow by it.
+/// The fill generates each application's trace once, on its calling
+/// thread, and the first point to start carries the generation.
+pub fn point_carry(phase: &'static str, wall_ns: u64) {
+    if !recording() {
+        return;
+    }
+    let _ = POINT.try_with(|p| {
+        let mut p = p.borrow_mut();
+        *p.phases.entry(phase).or_insert(0.0) += wall_ns as f64;
+        let carried = std::time::Duration::from_nanos(wall_ns);
+        p.started = p.started.and_then(|s| s.checked_sub(carried));
+        p.start_us = p.start_us.saturating_sub(wall_ns / 1000);
+    });
+}
+
 /// Finish the current thread's point: drain the accumulation into one
-/// sealed record line (no newline), append it to the installed sink if
-/// there is one, and hand it back. `None` when nothing is recording.
+/// sealed record line (no newline), append it to the installed sink,
+/// and hand it back. `None` when nothing is recording.
 pub fn point_finish(
     key: &str,
     app: &str,
@@ -325,14 +327,15 @@ mod tests {
             musa_fault::set_plan(None);
         }
 
-        // Without a sink the line is only handed back.
-        install_line_recorder();
+        // Generation that ran on another thread is carried into the
+        // point that takes it, wall time and all.
         point_begin();
-        let wire = point_finish("k-wire", "hydro", "c64", "l0002-a0", false, 0);
-        assert_eq!(
-            PointProfile::parse(&wire.expect("recording")).map(|p| p.worker),
-            Some("l0002-a0".to_string())
-        );
+        point_carry(musa_obs::phase::TRACE_GEN, 5_000_000);
+        let carried = point_finish("k-carry", "hydro", "c64", "fill", false, 0)
+            .and_then(|line| PointProfile::parse(&line))
+            .expect("recording");
+        assert_eq!(carried.phase_ns(musa_obs::phase::TRACE_GEN), 5_000_000);
+        assert!(carried.wall_ns >= 5_000_000, "{carried:?}");
 
         uninstall_recorder();
         assert!(!recording());
@@ -343,7 +346,7 @@ mod tests {
         let (records, stats) = read_profile_file(&dir.join(PROFILES_FILE)).unwrap();
         assert_eq!(stats.corrupt, 0);
         assert_eq!(stats.torn_tails, 0);
-        assert_eq!(records.len(), 2, "{records:?}");
+        assert_eq!(records.len(), 3, "{records:?}");
         let p1 = &records[0];
         assert_eq!(PointProfile::parse(&line).as_ref(), Some(p1));
         assert_eq!((p1.key.as_str(), p1.app.as_str()), ("k1", "hydro"));

@@ -284,7 +284,7 @@ pub fn render_summary(records: &[PointProfile], k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::sample;
+    use crate::record::tests::sample;
 
     #[test]
     fn percentile_nearest_rank() {

@@ -1,15 +1,13 @@
-//! Chrome Trace Event Format export: the whole multi-process campaign
-//! as one merged timeline, loadable in Perfetto (`ui.perfetto.dev`)
-//! or `chrome://tracing`.
+//! Chrome Trace Event Format export: a campaign's flight record as one
+//! timeline, loadable in Perfetto (`ui.perfetto.dev`) or
+//! `chrome://tracing`.
 //!
-//! One track per (pid, thread tag): a pool campaign shows one lane per
-//! worker process, a sequential fill one lane. Each
-//! point is a `B`/`E` slice pair named `app/config`; its phases are
-//! nested slices laid out sequentially inside it (`burst` and `dram`
-//! nest inside `detailed-sim`, mirroring the span hierarchy). Poisoned
-//! attempts emit an instant event at the point's start, and callers
-//! can append supervisor-level instants (faults, retries,
-//! quarantines) on a dedicated track.
+//! One track per (pid, thread tag): each thread that simulated points
+//! gets a lane. Each point is a `B`/`E` slice pair named `app/config`;
+//! its phases are nested slices laid out sequentially inside it
+//! (`burst` and `dram` nest inside `detailed-sim`, mirroring the span
+//! hierarchy). Poisoned attempts emit an instant event at the point's
+//! start.
 //!
 //! Profile records carry durations, not intra-point offsets, so the
 //! layout *within* a point is canonical-order packing rather than
@@ -24,18 +22,6 @@ use musa_obs::json::JsonObj;
 
 use crate::record::PointProfile;
 
-/// A caller-supplied instant event for the supervisor track (name +
-/// free-form detail), e.g. a poisoned point from the lease journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceInstant {
-    /// Event name (shown on the timeline).
-    pub name: String,
-    /// Category, e.g. `"poison"` or `"requeue"`.
-    pub cat: String,
-    /// Human detail placed in `args.detail`.
-    pub detail: String,
-}
-
 /// Phases laid out at point level, in canonical order; `detailed-sim`
 /// additionally nests its children.
 const TOP_PHASES: [&str; 5] = [
@@ -46,9 +32,6 @@ const TOP_PHASES: [&str; 5] = [
     "store-flush",
 ];
 const DETAIL_CHILDREN: [&str; 2] = ["burst", "dram"];
-
-/// Pid of the synthetic supervisor track carrying journal instants.
-const SUPERVISOR_PID: u64 = 0;
 
 fn event(
     ph: &str,
@@ -86,9 +69,9 @@ fn meta(name: &str, value: &str, pid: u64, tid: u64) -> String {
         .finish()
 }
 
-/// Render `records` (plus optional supervisor `instants`) as a Chrome
-/// Trace Event Format document. Deterministic for a given input.
-pub fn export_trace(records: &[PointProfile], instants: &[TraceInstant]) -> String {
+/// Render `records` as a Chrome Trace Event Format document.
+/// Deterministic for a given input.
+pub fn export_trace(records: &[PointProfile]) -> String {
     let mut sorted: Vec<&PointProfile> = records.iter().collect();
     sorted.sort_by(|a, b| {
         (a.start_us, a.pid, a.tid, &a.key).cmp(&(b.start_us, b.pid, b.tid, &b.key))
@@ -155,22 +138,6 @@ pub fn export_trace(records: &[PointProfile], instants: &[TraceInstant]) -> Stri
         *cursor.get_mut(&(pid, tid)).expect("cursor") = end;
     }
 
-    if !instants.is_empty() {
-        events.push(meta("process_name", "supervisor", SUPERVISOR_PID, 0));
-        for (i, inst) in instants.iter().enumerate() {
-            let args = JsonObj::new().field_str("detail", &inst.detail).finish();
-            events.push(event(
-                "i",
-                &inst.name,
-                &inst.cat,
-                i as u64 * 1000,
-                SUPERVISOR_PID,
-                0,
-                Some(args),
-            ));
-        }
-    }
-
     format!(
         "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}\n",
         events.join(",")
@@ -180,7 +147,7 @@ pub fn export_trace(records: &[PointProfile], instants: &[TraceInstant]) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::sample;
+    use crate::record::tests::sample;
     use musa_obs::json::JsonValue;
 
     fn records() -> Vec<PointProfile> {
@@ -194,21 +161,14 @@ mod tests {
         b.start_us = 1_001_000;
         let mut c = sample("cccc", "spmz", "c64", 1_000_000);
         c.start_us = 1_002_000;
-        c.pid = 4243; // second worker → own track
+        c.pid = 4243; // second process → own track
         c.poisoned = true;
         vec![a, b, c]
     }
 
     #[test]
     fn export_is_valid_monotonic_and_balanced() {
-        let text = export_trace(
-            &records(),
-            &[TraceInstant {
-                name: "poison".into(),
-                cat: "poison".into(),
-                detail: "spmz/c64 struck out".into(),
-            }],
-        );
+        let text = export_trace(&records());
         let doc = JsonValue::parse(text.trim()).expect("strict JSON");
         let events = doc
             .get("traceEvents")
@@ -246,16 +206,16 @@ mod tests {
         }
         // Every B has its E.
         assert!(depth.values().all(|d| *d == 0), "unbalanced: {depth:?}");
-        // The poisoned record and the journal instant both made it.
-        assert_eq!(instants, 2);
-        // Three tracks: two workers + supervisor.
+        // The poisoned record made it.
+        assert_eq!(instants, 1);
+        // Two tracks, one per process.
         let pids: std::collections::HashSet<u64> = last_ts.keys().map(|(p, _)| *p).collect();
-        assert_eq!(pids.len(), 3);
+        assert_eq!(pids.len(), 2);
     }
 
     #[test]
     fn empty_input_is_still_valid() {
-        let text = export_trace(&[], &[]);
+        let text = export_trace(&[]);
         let doc = JsonValue::parse(text.trim()).unwrap();
         assert_eq!(
             doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap(),

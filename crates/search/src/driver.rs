@@ -7,11 +7,11 @@
 //! `(SearchConfig, simulator results)`: candidate proposals come from
 //! the seeded [`SearchRng`] and the [`SearchState`], and the simulator
 //! itself is deterministic per point. Wall-clock, thread scheduling,
-//! store warmth and worker count influence *nothing* — which yields
-//! the two properties the tests pin:
+//! store warmth and the fill's thread count influence *nothing* —
+//! which yields the two properties the tests pin:
 //!
 //! * **Byte-identical reruns.** Same seed → identical journal, report
-//!   and evaluated-point set, across runs and across `--workers N`.
+//!   and evaluated-point set, across runs and on one thread or many.
 //! * **Resume by replay.** A killed search is continued by re-running
 //!   the decision loop from generation zero. Previously evaluated
 //!   points are memoized (by `PointKey` in the store, or in-process in

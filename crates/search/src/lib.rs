@@ -10,8 +10,8 @@
 //!   and the (deterministic) simulator results, driven by a hand-rolled
 //!   SplitMix64 PRNG ([`rng::SearchRng`]) — no `StdRng`, no wall-clock,
 //!   no thread-order dependence. Same seed → byte-identical journal,
-//!   report and evaluated-point set, on any platform, at any
-//!   `--workers N`.
+//!   report and evaluated-point set, on any platform, at any thread
+//!   count.
 //! * **Resumable.** Progress is journaled append-only next to the
 //!   store ([`journal::SearchJournal`]); a killed search replays its
 //!   decision loop (evaluations are memoized, so replay is cheap),
@@ -19,9 +19,9 @@
 //! * **Pluggable.** Strategies implement [`strategy::SearchStrategy`]
 //!   (`random`, `stratified`, `anneal` ship — see
 //!   [`strategy::STRATEGIES`]); evaluation backends implement
-//!   [`driver::Evaluator`] (the `dse` binary evaluates through the
-//!   campaign store and the worker pool, so every searched point lands
-//!   as a normal schema-versioned row).
+//!   [`driver::Evaluator`] (the `dse` binary evaluates each generation
+//!   through the campaign store's threaded fill, so every searched
+//!   point lands as a normal schema-versioned row).
 //!
 //! Search quality is scored by dominated hypervolume in the
 //! (time, energy) plane, normalized per application against

@@ -2,7 +2,7 @@
 //! seed must produce byte-identical journals, byte-identical reports
 //! and identical evaluated-point sets — across reruns and regardless
 //! of how the evaluator schedules its work internally (the in-process
-//! stand-in for `--workers N`). Different seeds must explore
+//! stand-in for the store fill's threads). Different seeds must explore
 //! differently.
 
 use std::path::PathBuf;

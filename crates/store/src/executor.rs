@@ -1,22 +1,24 @@
 //! The one place a campaign point is simulated.
 //!
-//! [`PointExecutor::run`] turns `(app, config, sweep)` into either the
-//! sealed row line the store persists or a [`PoisonedPoint`], plus the
-//! point's sealed profile line. The sequential fill
-//! ([`crate::CampaignStore::fill`]) and the worker loop (`musa-dist`)
-//! both go through it, which is why a row produced by a remote worker
-//! is byte-identical to the one a sequential run appends: the bytes
-//! come from the same [`SealedRow::seal`], never from a re-encode.
+//! A [`PointExecutor`] holds one application's trace and what its
+//! points share: the burst-time tables and kernel profiles of its
+//! [`TraceMemo`]. [`PointExecutor::run`] turns a configuration into
+//! either the sealed row line the store persists or a
+//! [`PoisonedPoint`], and leaves the point's profile record with the
+//! flight recorder. It takes `&self`, so the fill's worker threads
+//! ([`crate::CampaignStore::fill`]) run the points of one application
+//! against one executor, and every row's bytes come from the same
+//! [`SealedRow::seal`] whichever thread ran it.
 //!
-//! The executor owns what makes consecutive points of one application
-//! cheap — the per-app trace memo — and
-//! what makes one bad point harmless: a panic inside the simulation (a
-//! bug, or an injected `sim.point` fault) is caught and returned as the
-//! poison record; the executor stays usable.
+//! What makes one bad point harmless lives here too: a panic inside the
+//! simulation (a bug, or an injected `sim.point` fault) is caught and
+//! returned as the poison record; the executor stays usable.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use musa_apps::{generate, AppId, GenParams};
+use musa_apps::{generate, AppId};
 use musa_arch::NodeConfig;
 use musa_core::{MultiscaleSim, SweepOptions, TraceMemo};
 use musa_trace::AppTrace;
@@ -49,9 +51,6 @@ pub struct PointOutput {
     /// The sealed row, or the poison record when the simulation
     /// panicked.
     pub row: Result<SealedRow, PoisonedPoint>,
-    /// The point's sealed profile line (no newline); `None` while no
-    /// flight recorder is installed.
-    pub profile: Option<String>,
     /// Wall-clock seconds the point took (progress reporting only).
     pub secs: f64,
 }
@@ -67,84 +66,52 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A trace kept across points, with what its points share.
-#[derive(Clone)]
-struct CachedTrace {
-    app: AppId,
-    gen: GenParams,
-    trace: Arc<AppTrace>,
-    memo: Arc<TraceMemo>,
-}
-
-/// Simulates points one at a time; see the module docs.
+/// Simulates the points of one application; see the module docs.
 pub struct PointExecutor {
-    /// The last application's trace, and the burst-time tables and
-    /// kernel profiles its points share. Points arrive grouped by
-    /// application, so one slot is a full memo.
-    trace: Option<CachedTrace>,
-    worker: String,
-    attempt: u32,
-}
-
-impl Default for PointExecutor {
-    fn default() -> PointExecutor {
-        PointExecutor::new()
-    }
+    app: AppId,
+    sweep: SweepOptions,
+    trace: AppTrace,
+    memo: Arc<TraceMemo>,
+    /// Trace-generation time no profile record carries yet: the first
+    /// point to start takes it, as if it had generated the trace.
+    unclaimed_gen_ns: AtomicU64,
 }
 
 impl PointExecutor {
-    /// A new executor. Profile records are stamped as the sequential
-    /// fill's until [`Self::set_origin`] says otherwise.
-    pub fn new() -> PointExecutor {
-        PointExecutor {
-            trace: None,
-            worker: "fill".to_string(),
-            attempt: 0,
-        }
-    }
-
-    /// Stamp subsequent profile records with this worker label and
-    /// lease attempt.
-    pub fn set_origin(&mut self, worker: String, attempt: u32) {
-        self.worker = worker;
-        self.attempt = attempt;
-    }
-
-    fn trace_for(&mut self, app: AppId, gen: &GenParams) -> CachedTrace {
-        if let Some(cached) = &self.trace {
-            if cached.app == app && cached.gen == *gen {
-                return cached.clone();
-            }
-        }
+    /// Generate `app`'s trace at `sweep`'s scale, on the calling
+    /// thread, with an empty memo.
+    pub fn new(app: AppId, sweep: SweepOptions) -> PointExecutor {
         musa_obs::info(
             "musa-store",
             "acquiring trace",
             &[("app", app.label().into())],
         );
+        let t0 = Instant::now();
         let trace = {
             let _gen = musa_obs::span_app(musa_obs::phase::TRACE_GEN, app.label());
-            Arc::new(generate(app, gen))
+            generate(app, &sweep.gen)
         };
-        let cached = CachedTrace {
+        PointExecutor {
             app,
-            gen: *gen,
+            sweep,
             memo: Arc::new(TraceMemo::for_trace(&trace)),
             trace,
-        };
-        self.trace = Some(cached.clone());
-        cached
+            unclaimed_gen_ns: AtomicU64::new(t0.elapsed().as_nanos() as u64),
+        }
     }
 
     /// Simulate one point. Never panics on a panicking simulation and
     /// never touches a store: persisting the line is the caller's job.
-    pub fn run(&mut self, app: AppId, config: &NodeConfig, sweep: &SweepOptions) -> PointOutput {
+    pub fn run(&self, config: &NodeConfig) -> PointOutput {
+        let (app, sweep) = (self.app, &self.sweep);
         let key = PointKey::for_point(app, config, sweep).to_hex();
-        // The profile window opens before the trace is acquired, so
-        // the first point of an application carries its generation.
         musa_prof::point_begin();
-        let t0 = std::time::Instant::now();
-        let cached = self.trace_for(app, &sweep.gen);
-        let sim = MultiscaleSim::new(&cached.trace).with_trace_memo(cached.memo);
+        let gen_ns = self.unclaimed_gen_ns.swap(0, Ordering::Relaxed);
+        if gen_ns > 0 {
+            musa_prof::point_carry(musa_obs::phase::TRACE_GEN, gen_ns);
+        }
+        let t0 = Instant::now();
+        let sim = MultiscaleSim::new(&self.trace).with_trace_memo(Arc::clone(&self.memo));
         let row = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let result = sim.simulate(*config, sweep.full_replay);
             SealedRow::seal(StoreRow::new(sweep.gen, sweep.full_replay, result))
@@ -155,17 +122,9 @@ impl PointExecutor {
             key: key.clone(),
             reason: panic_reason(payload),
         });
-        let profile = musa_prof::point_finish(
-            &key,
-            app.label(),
-            &config.label(),
-            &self.worker,
-            row.is_err(),
-            self.attempt,
-        );
+        musa_prof::point_finish(&key, app.label(), &config.label(), "fill", row.is_err(), 0);
         PointOutput {
             row,
-            profile,
             secs: t0.elapsed().as_secs_f64(),
         }
     }
@@ -175,6 +134,7 @@ impl PointExecutor {
 mod tests {
     use super::*;
     use crate::store::{CampaignStore, FillOptions, DEFAULT_WRITE_FILE};
+    use musa_apps::GenParams;
     use musa_arch::DesignSpace;
 
     fn tiny() -> SweepOptions {
@@ -186,6 +146,7 @@ mod tests {
 
     #[test]
     fn row_line_is_byte_equal_to_what_fill_writes() {
+        let _lock = crate::store::tests::fault_lock();
         let dir = std::env::temp_dir().join(format!("musa-exec-fill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let configs: Vec<NodeConfig> = DesignSpace::all().into_iter().step_by(400).collect();
@@ -198,10 +159,10 @@ mod tests {
         drop(store);
         let written = std::fs::read_to_string(dir.join(DEFAULT_WRITE_FILE)).unwrap();
 
-        let mut exec = PointExecutor::new();
+        let exec = PointExecutor::new(AppId::Hydro, tiny());
         let lines: Vec<String> = configs
             .iter()
-            .map(|c| exec.run(AppId::Hydro, c, &tiny()).row.unwrap().line)
+            .map(|c| exec.run(c).row.unwrap().line)
             .collect();
         assert_eq!(written.lines().collect::<Vec<_>>(), lines);
         let _ = std::fs::remove_dir_all(&dir);

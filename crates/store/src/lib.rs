@@ -9,19 +9,15 @@
 //!   changing any coordinate changes the key, so stale results are
 //!   structurally unservable;
 //! * [`executor`] — [`PointExecutor`], the one place a point is
-//!   simulated: trace memo, panic containment, profile
-//!   record, sealed row bytes — shared by the sequential fill and the
-//!   worker processes;
+//!   simulated: one application's shared trace and memo, panic
+//!   containment, profile record, sealed row bytes;
 //! * [`store`] — the append-only JSONL [`CampaignStore`]: an in-memory
 //!   `HashMap` index over durable rows, with [`CampaignStore::fill`]
-//!   simulating only missing points (batched flushes,
-//!   progress/ETA on stderr) and [`Campaign`](musa_core::Campaign)
-//!   views for `dse report`'s figures;
+//!   simulating only missing points on every thread the machine gives
+//!   it (batched flushes in point order, progress/ETA on stderr) and
+//!   [`Campaign`](musa_core::Campaign) views for `dse report`'s figures;
 //! * [`integrity`] — CRC32 row checksums and crash-atomic file
 //!   replacement (tmp + fsync + rename);
-//! * [`journal`] — the crash-safe lease journal `musa-dist` uses to
-//!   supervise multi-process sweeps (grants, deaths, requeues and
-//!   poisoned points, replayed on `--resume`);
 //! * [`export`] — CSV/JSON file exports (written atomically).
 //!
 //! ## Failure model
@@ -56,18 +52,16 @@
 pub mod executor;
 pub mod export;
 pub mod integrity;
-pub mod journal;
 pub mod key;
 pub mod store;
 
 pub use executor::{PointExecutor, PointOutput, SealedRow};
 pub use export::{write_csv, write_json};
 pub use integrity::{atomic_write, crc32};
-pub use journal::{JournalReplay, LeaseEvent, LeaseJournal, PoolPoisonRecord, LEASE_JOURNAL_FILE};
 pub use key::{fnv1a_64, PointKey, SCHEMA_VERSION};
 pub use store::{
     classify_row, is_quarantine_file, quarantine_rotation_path, row_files, set_aside,
-    CampaignStore, FillOptions, FillReport, PoisonedPoint, QuarantineRecord, SetAside, StoreHealth,
-    StoreRow, DEFAULT_BATCH, DEFAULT_MAX_RETRIES, DEFAULT_WRITE_FILE, DIST_STATUS_FILE,
-    QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
+    CampaignStore, FillOptions, FillReport, PoisonedPoint, QuarantineRecord, StoreHealth, StoreRow,
+    DEFAULT_BATCH, DEFAULT_MAX_RETRIES, DEFAULT_WRITE_FILE, QUARANTINE_FILE, QUARANTINE_KEEP,
+    QUARANTINE_ROTATE_BYTES,
 };

@@ -2,10 +2,11 @@
 //!
 //! On disk a store is a directory of JSON-lines files (`*.jsonl`), one
 //! row per simulated point. Rows are content-addressed by [`PointKey`]
-//! — see [`crate::key`] — so re-opening a directory after a crash, or
-//! after other writers (the lease files of a `dse --workers` run) put
-//! their own row files into it, always reconstructs exactly the set of
-//! completed points. Appends are flushed once per batch: an interrupted
+//! — see [`crate::key`] — so re-opening a directory after a crash
+//! always reconstructs exactly the set of completed points, whichever
+//! of its `*.jsonl` row files hold them (a store an older multi-process
+//! fill wrote holds one `dist-l….jsonl` shard per lease beside
+//! `rows.jsonl`). Appends are flushed once per batch: an interrupted
 //! sweep loses at most one batch of results.
 //!
 //! ## Failure model
@@ -33,6 +34,8 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use musa_obs::json::{FromJson, JsonValue};
 use musa_obs::Progress;
@@ -41,7 +44,7 @@ use musa_apps::{AppId, GenParams};
 use musa_arch::NodeConfig;
 use musa_core::{Campaign, ConfigResult, SweepOptions};
 
-use crate::executor::{PointExecutor, SealedRow};
+use crate::executor::{PointExecutor, PointOutput, SealedRow};
 use crate::integrity::{crc32, read_log, scan, unseal_line, BadLine, Verdict};
 use crate::key::{PointKey, SCHEMA_VERSION};
 
@@ -52,20 +55,11 @@ pub const DEFAULT_WRITE_FILE: &str = "rows.jsonl";
 /// per line). Never loaded as campaign data.
 pub const QUARANTINE_FILE: &str = "quarantine.jsonl";
 
-/// Liveness beacon a `dse --workers` supervisor keeps in the store
-/// directory: `{"addr":..,"connected":..,"draining":..,"updated_unix":..}`,
-/// rewritten atomically. Operators read it as is (`updated_unix` gives
-/// its age), as do the smoke scripts (port discovery for `--listen
-/// 127.0.0.1:0`); `dse doctor` audits the store beside it.
-pub const DIST_STATUS_FILE: &str = "dist-status.json";
-
 /// Size cap (bytes) at which [`QUARANTINE_FILE`] rotates to
 /// `quarantine.1.jsonl` before the next append: existing rotations
 /// shift up and the one past [`QUARANTINE_KEEP`] is dropped (its loss
-/// recorded on the `store.quarantine_dropped` counter). Lines moved
-/// out of the primary are counted in
-/// [`StoreHealth::quarantine_rotated`] so the store's health stays
-/// honest about evidence that no longer sits in the primary file.
+/// recorded on the `store.quarantine_dropped` counter). `dse doctor`'s
+/// `quarantine` family counts the lines in the rotations.
 /// `MUSA_QUARANTINE_CAP` (bytes) overrides the cap — tests use tiny
 /// ones to exercise rotation cheaply.
 pub const QUARANTINE_ROTATE_BYTES: u64 = 1 << 20;
@@ -208,8 +202,8 @@ pub fn classify_row(
     match parsed.and_then(|v| StoreRow::read_json(&v)) {
         Ok(row) if row.is_consistent() && sealed => Verdict::Record(row),
         // Forward compatibility: a row written by a *newer* musa-store
-        // (mixed-version shard directories, e.g. one worker upgraded
-        // mid-campaign) is healthy data this binary cannot interpret —
+        // (a store directory a newer build also filled) is healthy data
+        // this binary cannot interpret —
         // skip it with its own message and counter so the operator sees
         // an upgrade hint, not a corruption scare.
         Ok(row) if row.schema > SCHEMA_VERSION => {
@@ -309,28 +303,20 @@ musa_obs::json_struct!(QuarantineRecord {
     raw
 });
 
-/// What one [`set_aside`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SetAside {
-    /// Records appended; the rest were already on file.
-    pub appended: u64,
-    /// Lines a rotation moved out of the primary file to make room.
-    pub rotated: u64,
-}
-
 /// Put the lines a repair is about to remove from `file` on record in
 /// `<dir>/quarantine.jsonl` — the one quarantine appender, for the row
-/// loader, the lease journal and the doctor alike.
+/// loader and the doctor alike. Returns the records appended; the rest
+/// were already on file.
 ///
 /// Dedupes against what is already quarantined — primary file and
 /// rotations alike: a line that keeps reappearing (same raw bytes,
 /// same reason — e.g. a corrupt shard recreated by a buggy sync job)
 /// must not grow the quarantine file without bound across repeated
 /// opens. Suppressed duplicates tick `store.quarantine_suppressed`.
-pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<SetAside> {
-    let mut done = SetAside::default();
+pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<u64> {
+    let mut appended = 0;
     if lines.is_empty() {
-        return Ok(done);
+        return Ok(appended);
     }
     let path = dir.join(QUARANTINE_FILE);
     let mut seen = existing_quarantine_fingerprints(&path);
@@ -344,7 +330,7 @@ pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<S
         if !seen.insert(quarantine_fingerprint(&bad.raw, &bad.reason)) {
             continue;
         }
-        done.appended += 1;
+        appended += 1;
         out.push_str(&musa_obs::json::to_string(&QuarantineRecord {
             file: file.to_string(),
             line: bad.line,
@@ -353,7 +339,7 @@ pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<S
         }));
         out.push('\n');
     }
-    let suppressed = lines.len() as u64 - done.appended;
+    let suppressed = lines.len() as u64 - appended;
     if suppressed > 0 {
         musa_obs::counter_add("store.quarantine_suppressed", suppressed);
         musa_obs::debug(
@@ -363,27 +349,25 @@ pub fn set_aside(dir: &Path, file: &str, lines: &[BadLine]) -> std::io::Result<S
         );
     }
     if out.is_empty() {
-        return Ok(done);
+        return Ok(appended);
     }
     // Rotate before the append would push the primary past the size
     // cap; a non-empty primary is required so a single oversized
     // batch still lands somewhere instead of rotating forever.
     let current_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     if current_len > 0 && current_len + out.len() as u64 > quarantine_cap() {
-        done.rotated = rotate_quarantine(dir)?;
+        rotate_quarantine(dir)?;
     }
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
     file.write_all(out.as_bytes())?;
     file.sync_all()?;
-    Ok(done)
+    Ok(appended)
 }
 
 /// Shift `quarantine.jsonl` → `quarantine.1.jsonl` → … and drop the
-/// rotation past [`QUARANTINE_KEEP`]. Returns the lines moved out of
-/// the primary (dropped lines tick the `store.quarantine_dropped`
-/// counter) so the store's health stays honest about evidence no
-/// longer in the primary file.
-fn rotate_quarantine(dir: &Path) -> std::io::Result<u64> {
+/// rotation past [`QUARANTINE_KEEP`] (its lines tick the
+/// `store.quarantine_dropped` counter).
+fn rotate_quarantine(dir: &Path) -> std::io::Result<()> {
     let oldest = quarantine_rotation_path(dir, QUARANTINE_KEEP);
     if let Ok(text) = std::fs::read_to_string(&oldest) {
         let dropped = text.lines().count() as u64;
@@ -412,7 +396,7 @@ fn rotate_quarantine(dir: &Path) -> std::io::Result<u64> {
         "quarantine file rotated",
         &[("rows", rotated_lines.into())],
     );
-    Ok(rotated_lines)
+    Ok(())
 }
 
 /// What loading found wrong with the on-disk store. `dse doctor`'s
@@ -433,27 +417,15 @@ pub struct StoreHealth {
     pub rows_newer_schema: u64,
     /// Rows written by an older schema, skipped in memory.
     pub rows_stale_schema: u64,
-    /// Points the pool supervisor quarantined as poisoned (they killed
-    /// more workers than `--poison-cap` allows), from the lease
-    /// journal. These rows are *absent* from the store and a plain
-    /// resume will not re-attempt them.
-    pub pool_poisoned: u64,
-    /// Quarantine records rotated out of the primary
-    /// [`QUARANTINE_FILE`]: lines sitting in `quarantine.N.jsonl`
-    /// rotations at open time, plus lines moved out of the primary by
-    /// rotations during this store's lifetime. Keeps the total
-    /// quarantine evidence in the store's health honest after the
-    /// size-capped primary rotates.
-    pub quarantine_rotated: u64,
 }
 
 impl StoreHealth {
     /// `true` when the loaded campaign is incomplete for reasons a
-    /// resume cannot heal on its own: corrupt rows, unreadable files,
-    /// or pool-poisoned points. A repaired torn tail is a *normal*
-    /// crash artifact and does not degrade the store.
+    /// resume cannot heal on its own: corrupt rows or unreadable files.
+    /// A repaired torn tail is a *normal* crash artifact and does not
+    /// degrade the store.
     pub fn degraded(&self) -> bool {
-        self.quarantined > 0 || self.files_skipped > 0 || self.pool_poisoned > 0
+        self.quarantined > 0 || self.files_skipped > 0
     }
 }
 
@@ -600,22 +572,9 @@ impl CampaignStore {
             health: StoreHealth::default(),
             flush_seq: 0,
         };
-        let files = row_files(&store.dir)?;
-        // Count pre-existing rotation lines before any repair below
-        // rotates more: evidence already outside the primary at open
-        // time, never double-counted with this open's own rotations.
-        for i in 1..=QUARANTINE_KEEP {
-            if let Ok(text) = std::fs::read_to_string(quarantine_rotation_path(&store.dir, i)) {
-                store.health.quarantine_rotated += text.lines().count() as u64;
-            }
-        }
-        for file in files {
+        for file in row_files(&store.dir)? {
             store.load_file(&file)?;
         }
-        // The lease journal (if a pool run left one) tells us which
-        // points are quarantined as poisoned — campaign data that is
-        // *missing* rather than corrupt, surfaced the same way.
-        store.health.pool_poisoned = crate::journal::replay(&store.dir).poisoned().len() as u64;
         Ok(store)
     }
 
@@ -687,7 +646,7 @@ impl CampaignStore {
             // Corrupt rows go on record first (a crash between the two
             // steps loses nothing), then the shard is replaced by its
             // surviving lines.
-            self.health.quarantine_rotated += set_aside(&self.dir, &file, &scan.bad)?.rotated;
+            set_aside(&self.dir, &file, &scan.bad)?;
             scan.rewrite(path, "store.rewrite")?;
         }
         for row in scan.records {
@@ -885,15 +844,37 @@ impl CampaignStore {
         &self.health
     }
 
-    /// Simulate **only the missing points** of `apps × configs`, one
-    /// after another, persisting after every batch and reporting
-    /// progress/ETA on stderr. Parallelism is across processes
-    /// (`dse --workers N`).
+    /// Simulate **only the missing points** of `apps × configs` on
+    /// every thread the machine gives this process
+    /// ([`std::thread::available_parallelism`]: sched affinity and
+    /// cgroup quotas count, so `taskset -c 0 dse` is a one-thread run),
+    /// persisting after every batch and reporting progress/ETA on
+    /// stderr. See [`Self::fill_on`] for what the thread count may and
+    /// may not change.
     pub fn fill(
         &mut self,
         apps: &[AppId],
         configs: &[NodeConfig],
         opts: &FillOptions,
+    ) -> std::io::Result<FillReport> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.fill_on(apps, configs, opts, threads)
+    }
+
+    /// [`Self::fill`] on `threads` worker threads. Each application's
+    /// trace is generated once, on the calling thread; each batch of
+    /// its missing points is then simulated by up to `threads` scoped
+    /// threads that share the trace and its memo, each point's output
+    /// in its own slot. The calling thread alone appends, flushes,
+    /// counts poison, applies `fail_fast` and polls `cancel`, in batch
+    /// order, so the thread count changes neither a byte of the row
+    /// file nor where a `fail_fast` abort or a cancellation stops.
+    pub(crate) fn fill_on(
+        &mut self,
+        apps: &[AppId],
+        configs: &[NodeConfig],
+        opts: &FillOptions,
+        threads: usize,
     ) -> std::io::Result<FillReport> {
         let mut report = FillReport {
             requested: apps.len() * configs.len(),
@@ -922,9 +903,9 @@ impl CampaignStore {
             return Ok(report);
         }
         let heartbeat = opts.progress.then(|| Progress::new("fill", total as u64));
-        let mut exec = PointExecutor::new();
         let mut done = 0usize;
         for (app, missing) in work {
+            let mut exec = None;
             for chunk in missing.chunks(opts.batch.max(1)) {
                 if opts.cancel.is_some_and(|cancelled| cancelled()) {
                     report.interrupted = true;
@@ -938,13 +919,13 @@ impl CampaignStore {
                     }
                     return Ok(report);
                 }
+                let exec = exec.get_or_insert_with(|| PointExecutor::new(app, opts.sweep));
                 // A poisoned point never reaches the store, so the
                 // other points of the chunk are still persisted and
                 // `--resume` re-attempts exactly the poisoned set.
                 let mut rows = Vec::with_capacity(chunk.len());
                 let mut poisoned = Vec::new();
-                for cfg in chunk {
-                    let out = exec.run(app, cfg, &opts.sweep);
+                for out in run_chunk(exec, chunk, threads) {
                     if let Some(hb) = &heartbeat {
                         hb.observe(out.secs);
                     }
@@ -1026,6 +1007,29 @@ impl CampaignStore {
     }
 }
 
+/// Simulate `chunk` on up to `threads` scoped threads, which take point
+/// indices from one counter. The outputs come back in `chunk` order.
+fn run_chunk(exec: &PointExecutor, chunk: &[NodeConfig], threads: usize) -> Vec<PointOutput> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<PointOutput>> = chunk.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads.clamp(1, chunk.len()) {
+            // The counter only hands out indices; each output is
+            // published through its own `OnceLock`, and the scope's
+            // join orders every slot before the reads below.
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(config) = chunk.get(i) else { break };
+                let _ = slots[i].set(exec.run(config));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index was taken"))
+        .collect()
+}
+
 impl Drop for CampaignStore {
     fn drop(&mut self) {
         if self.flush().is_err() {
@@ -1035,6 +1039,91 @@ impl Drop for CampaignStore {
             if let Some(w) = self.writer.take() {
                 let _ = w.into_parts();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use musa_apps::GenParams;
+    use musa_arch::DesignSpace;
+    use std::sync::{Mutex, MutexGuard};
+
+    static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Held by every test in this crate that fills: the fault plan is
+    /// process-global, and a panic plan would poison a neighbour's
+    /// points.
+    pub(crate) fn fault_lock() -> MutexGuard<'static, ()> {
+        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// What one fill left: the row file's bytes, the poisoned points
+    /// in report order, and the error a `fail_fast` abort returned.
+    type Outcome = (Vec<u8>, Vec<PoisonedPoint>, Option<String>);
+
+    fn fill_at(threads: usize, fail_fast: bool) -> Outcome {
+        let dir = std::env::temp_dir().join(format!(
+            "musa-store-threads-{threads}-{fail_fast}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let configs: Vec<NodeConfig> = DesignSpace::all().into_iter().step_by(97).collect();
+        let opts = FillOptions {
+            batch: 4,
+            progress: false,
+            fail_fast,
+            ..FillOptions::new(SweepOptions {
+                gen: GenParams::tiny(),
+                full_replay: true,
+            })
+        };
+        let mut store = CampaignStore::open(&dir).unwrap();
+        let filled = store.fill_on(&[AppId::Hydro, AppId::Spmz], &configs, &opts, threads);
+        drop(store);
+        let rows = std::fs::read(dir.join(DEFAULT_WRITE_FILE)).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        match filled {
+            Ok(report) => (rows, report.poisoned, None),
+            Err(e) => (rows, Vec::new(), Some(e.to_string())),
+        }
+    }
+
+    /// One, two and five threads fill the same slice into the same
+    /// bytes, under a plan that panics some points: the same rows in
+    /// the same order, the same poisoned set, and with `fail_fast` the
+    /// same abort at the same point over the same persisted prefix.
+    /// A fault keys on `(seed, point, site key)`, never on which thread
+    /// reaches the point first.
+    #[test]
+    fn rows_poison_and_fail_fast_do_not_depend_on_the_thread_count() {
+        let _lock = fault_lock();
+        musa_fault::set_plan(Some(
+            musa_fault::FaultPlan::parse("seed=5,sim.point=panic@0.25").unwrap(),
+        ));
+        let runs: Vec<(usize, Outcome, Outcome)> = [1, 2, 5]
+            .into_iter()
+            .map(|threads| (threads, fill_at(threads, false), fill_at(threads, true)))
+            .collect();
+        musa_fault::set_plan(None);
+
+        let (_, kept, aborted) = &runs[0];
+        assert!(!kept.0.is_empty(), "every point poisoned: a wasted drill");
+        if musa_fault::COMPILED {
+            assert!(!kept.1.is_empty(), "no point poisoned: a wasted drill");
+            let abort = aborted.2.as_deref().expect("fail_fast aborts");
+            assert!(abort.starts_with("--fail-fast: simulation of"), "{abort}");
+            assert!(aborted.0.len() < kept.0.len(), "the abort stops early");
+        }
+        for (threads, k, a) in &runs[1..] {
+            assert!(k.0 == kept.0, "{threads} threads: rows.jsonl differs");
+            assert_eq!(k.1, kept.1, "{threads} threads: poisoned set differs");
+            assert_eq!(a.2, aborted.2, "{threads} threads: fail_fast differs");
+            assert!(
+                a.0 == aborted.0,
+                "{threads} threads: persisted prefix differs"
+            );
         }
     }
 }

@@ -148,10 +148,10 @@ fn executor_poisons_a_panicking_point_with_the_panic_text() {
     let _g = chaos_lock();
     let config = config_slice(4)[1];
     let fault_key = musa_fault::key_of(&[b"hydro", config.label().as_bytes()]);
-    let mut exec = PointExecutor::new();
+    let exec = PointExecutor::new(AppId::Hydro, sweep());
 
     musa_fault::set_plan(Some(plan(1, "sim.point", FaultAction::Panic, 1.0)));
-    let out = exec.run(AppId::Hydro, &config, &sweep());
+    let out = exec.run(&config);
     let mut store = CampaignStore::open(tmp_dir("exec-poison")).unwrap();
     let filled = store
         .fill(&[AppId::Hydro], &[config], &quiet(sweep()))
@@ -169,7 +169,7 @@ fn executor_poisons_a_panicking_point_with_the_panic_text() {
         musa_store::PointKey::for_point(AppId::Hydro, &config, &sweep()).to_hex()
     );
     assert_eq!(filled.poisoned, vec![p], "fill reports the same record");
-    assert!(exec.run(AppId::Hydro, &config, &sweep()).row.is_ok());
+    assert!(exec.run(&config).row.is_ok());
     let _ = std::fs::remove_dir_all(store.dir());
 }
 

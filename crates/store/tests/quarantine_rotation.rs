@@ -1,8 +1,8 @@
 //! Size-capped quarantine rotation: the primary `quarantine.jsonl`
 //! rotates to `quarantine.1.jsonl` (keeping [`QUARANTINE_KEEP`]
-//! rotations) instead of growing without bound, rotated-away lines are
-//! counted in `StoreHealth::quarantine_rotated` so the store's health
-//! stays honest, rotations are never mistaken for row shards, and the
+//! rotations) instead of growing without bound, rotated-away lines sit
+//! in the rotation files (where `dse doctor`'s `quarantine` family
+//! counts them), rotations are never mistaken for row shards, and the
 //! duplicate-incident dedupe spans primary and rotations alike.
 
 use std::path::{Path, PathBuf};
@@ -14,8 +14,7 @@ use musa_core::ConfigResult;
 use musa_power::PowerBreakdown;
 use musa_store::integrity::BadLine;
 use musa_store::{
-    is_quarantine_file, set_aside, CampaignStore, LeaseJournal, StoreRow, LEASE_JOURNAL_FILE,
-    QUARANTINE_FILE, QUARANTINE_KEEP,
+    is_quarantine_file, set_aside, CampaignStore, StoreRow, QUARANTINE_FILE, QUARANTINE_KEEP,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -57,6 +56,14 @@ fn rotation(dir: &Path, i: u32) -> PathBuf {
     dir.join(format!("quarantine.{i}.jsonl"))
 }
 
+/// Evidence lines in the rotations, as `dse doctor` counts them.
+fn rotated_lines(dir: &Path) -> usize {
+    (1..=QUARANTINE_KEEP)
+        .filter_map(|i| std::fs::read_to_string(rotation(dir, i)).ok())
+        .map(|text| text.lines().count())
+        .sum()
+}
+
 #[test]
 fn quarantine_file_name_classification() {
     assert!(is_quarantine_file("quarantine.jsonl"));
@@ -71,7 +78,7 @@ fn quarantine_file_name_classification() {
 /// Only test in this binary that touches the process-global
 /// `MUSA_QUARANTINE_CAP` — keep it that way, or add a mutex.
 #[test]
-fn rotation_caps_growth_counts_health_and_survives_reload() {
+fn rotation_caps_growth_and_survives_reload() {
     // Cap of 1 byte: any append to a non-empty primary rotates first,
     // so every corruption round below produces exactly one rotation.
     std::env::set_var("MUSA_QUARANTINE_CAP", "1");
@@ -112,14 +119,11 @@ fn rotation_caps_growth_counts_health_and_survives_reload() {
     assert!(read(&rotation(&dir, 3)).contains(&garbage(2)));
     assert!(!rotation(&dir, QUARANTINE_KEEP + 1).exists());
 
-    // A clean reopen reports the rotated-away evidence in health, is
-    // not degraded by it, and does NOT load rotations as row shards
-    // (which would re-quarantine their every line).
+    // The rotated-away evidence is in the rotations, one incident each.
+    // A clean reopen is not degraded by it and does NOT load rotations
+    // as row shards (which would re-quarantine their every line).
+    assert_eq!(rotated_lines(&dir), QUARANTINE_KEEP as usize);
     let store = CampaignStore::open(&dir).unwrap();
-    assert_eq!(
-        store.health().quarantine_rotated,
-        u64::from(QUARANTINE_KEEP)
-    );
     assert_eq!(store.health().quarantined, 0);
     assert!(!store.health().degraded());
     assert_eq!(store.len(), rows.len());
@@ -145,12 +149,19 @@ fn rotation_caps_growth_counts_health_and_survives_reload() {
     );
     assert!(read(&rotation(&dir, 1)).contains(&garbage(4)));
 
-    // Evidence from outside the row loader — the lease journal's
-    // repairing open, then a direct call as the doctor makes it — goes
-    // through the same appender: it rotates at the cap and is counted
-    // instead of growing the primary past it.
-    std::fs::write(dir.join(LEASE_JOURNAL_FILE), "journal garbage\n").unwrap();
-    drop(LeaseJournal::open(&dir).unwrap());
+    // Evidence from outside the row loader — a corrupt search journal,
+    // then a profile line, set aside as the doctor's repairs do — goes
+    // through the same appender: it rotates at the cap instead of
+    // growing the primary past it.
+    let search_garbage = BadLine {
+        line: 2,
+        raw: "journal garbage".to_string(),
+        reason: "search journal corrupt (not JSON); full file preserved".to_string(),
+    };
+    assert_eq!(
+        set_aside(&dir, "search/search.journal", &[search_garbage]).unwrap(),
+        1
+    );
     let primary = read(&dir.join(QUARANTINE_FILE));
     assert!(primary.contains("journal garbage") && primary.lines().count() == 1);
     assert!(read(&rotation(&dir, 1)).contains(&garbage(5)));
@@ -160,27 +171,26 @@ fn rotation_caps_growth_counts_health_and_survives_reload() {
         raw: "profile garbage".to_string(),
         reason: "profile record failed checksum or parse".to_string(),
     };
-    let done = set_aside(
+    let appended = set_aside(
         &dir,
         "profiles.jsonl",
         std::slice::from_ref(&profile_garbage),
     )
     .unwrap();
-    assert_eq!((done.appended, done.rotated), (1, 1));
+    assert_eq!(appended, 1);
     assert!(read(&rotation(&dir, 1)).contains("journal garbage"));
     assert!(!rotation(&dir, QUARANTINE_KEEP + 1).exists());
+    let files = |dir: &Path| {
+        (1..=QUARANTINE_KEEP)
+            .map(|i| std::fs::read(rotation(dir, i)).unwrap())
+            .chain([std::fs::read(dir.join(QUARANTINE_FILE)).unwrap()])
+            .collect::<Vec<_>>()
+    };
+    let before = files(&dir);
     let again = set_aside(&dir, "profiles.jsonl", &[profile_garbage]).unwrap();
-    assert_eq!(
-        (again.appended, again.rotated),
-        (0, 0),
-        "deduped, no rotation"
-    );
-    let store = CampaignStore::open(&dir).unwrap();
-    assert_eq!(
-        store.health().quarantine_rotated,
-        u64::from(QUARANTINE_KEEP)
-    );
-    drop(store);
+    assert_eq!(again, 0, "deduped");
+    assert_eq!(files(&dir), before, "a deduped record rotates nothing");
+    assert_eq!(rotated_lines(&dir), QUARANTINE_KEEP as usize);
 
     std::env::remove_var("MUSA_QUARANTINE_CAP");
     let _ = std::fs::remove_dir_all(&dir);

@@ -126,8 +126,9 @@ fn rows_split_across_files_merge_into_the_one_shot_campaign() {
     std::fs::create_dir_all(&out_dir).unwrap();
     let ref_exports = exports(&reference, &out_dir);
 
-    // The lease files of a `--workers` run, and the files an older
-    // binary's `i/n` split runs wrote: both layouts must still load.
+    // The lease files an older multi-process fill wrote, and the files
+    // an older binary's `i/n` split runs wrote: both layouts must still
+    // load.
     let layouts: [(&str, FileName); 2] = [
         ("lease", |i, _| format!("dist-l{i:04}-a0.jsonl")),
         ("legacy", |i, n| format!("shard-{i:04}-of-{n:04}.jsonl")),

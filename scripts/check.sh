@@ -35,8 +35,8 @@ if grep -rn 'pool-worke[r]\|sweep-ke[y]\|MUSA_SEARCH_GEO[M]\|campaign_sweep_si[g
     exit 1
 fi
 
-# One way to split a campaign (`--workers`, `--listen`) and one metrics
-# file format (`--metrics` JSON): the key-modulo split, its store entry
+# One way to split a campaign (the fill's threads) and one metrics file
+# format (`--metrics` JSON): the key-modulo split, its store entry
 # points and the Prometheus file flag must not come back. (`\b` keeps
 # `musa-obs`'s `LocalShard` out of the match.)
 if grep -rn 'open_sharde[d]\|open_with_write_fil[e]\|in_shar[d]\|metrics_pro[m]\|--metrics-pro[m]\|--shar[d]\|\bShar[d]\b' \
@@ -79,7 +79,7 @@ fi
 # appender (`musa_store::set_aside`): the hand-rolled torn-tail loops
 # and the two appenders they replaced must not come back.
 if grep -rn 'ends_with_newlin[e]\|ends_n[l]\|quarantine_evidenc[e]\|append_quarantin[e]' \
-    crates/store/src crates/prof/src crates/doctor/src crates/dist/src; then
+    crates/store/src crates/prof/src crates/doctor/src; then
     echo "check: FAIL — a deleted line-log loop or quarantine appender is named above" >&2
     exit 1
 fi
@@ -148,8 +148,7 @@ if [[ -e crates/cache ]]; then
 fi
 
 # One way to read a campaign: `dse report` (the Pareto fronts among the
-# figures), `dse doctor` (store health), `<store>/dist-status.json`
-# (live workers), `--metrics` and `--resume --csv`. The HTTP query
+# figures), `dse doctor` (store health), `--metrics` and `--resume --csv`. The HTTP query
 # service, its crate, its span and the doctor's verdict file that only
 # the service read must not come back.
 # (Bracketed so the patterns do not match these lines.)
@@ -172,12 +171,41 @@ if grep -rn 'MetricAg[g]\|fn aggregat[e]\|RowMetric::pars[e]\|into_row[s]' \
     exit 1
 fi
 
+# One parallel path: the fill runs its points on scoped threads in one
+# process. The multi-process fill's crate, its lease journal, its worker
+# subcommand, its status beacon and its five options must not come back.
+# (Bracketed so the patterns do not match these lines.)
+if grep -rn 'musa_dis[t]\|LeaseJourna[l]\|dist-worke[r]\|--worker[s]\|DIST_STATUS_FIL[E]\|point_timeou[t]\|lease_batc[h]\|poison_ca[p]' \
+    Cargo.toml crates src tests examples scripts; then
+    echo "check: FAIL — a deleted multi-process fill name is named above" >&2
+    exit 1
+fi
+if [[ -e crates/dist ]]; then
+    echo "check: FAIL — crates/dist is back" >&2
+    exit 1
+fi
+
+# The line counts below and the guards that read only the non-test part
+# of a file cut it at its first line beginning `#[cfg(test)]`. Such a
+# line must open the file's `mod tests`, or the cut would hide the rest
+# of the file (a file-level test-only item) from both.
+cut_leaks=$(for f in $(find crates -path '*/src/*.rs' | sort); do
+    awk -v f="$f" 'prev ~ /^#\[cfg\(test\)\]/ && $0 !~ /^(pub\(crate\) )?mod tests \{$/ {
+        print f ":" FNR ": " $0
+    } { prev = $0 }' "$f"
+done)
+if [[ -n "$cut_leaks" ]]; then
+    echo "$cut_leaks"
+    echo "check: FAIL — a file-level #[cfg(test)] item is not the file's mod tests (lines above)" >&2
+    exit 1
+fi
+
 echo "== non-test line counts (each src file up to its first line beginning #[cfg(test)]) =="
 # Printed, not gated, so that every change quotes the same numbers.
 noncode() { awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"; }
 crate_lines() { noncode $(for c in "$@"; do find "crates/$c/src" -name '*.rs'; done | sort); }
 echo "simulator (apps arch core mem net power tasksim trace): $(crate_lines apps arch core mem net power tasksim trace)"
-echo "platform (bench dist doctor fault obs prof search store): $(crate_lines bench dist doctor fault obs prof search store)"
+echo "platform (bench doctor fault obs prof search store): $(crate_lines bench doctor fault obs prof search store)"
 echo "cli.rs + dse.rs: $(noncode crates/bench/src/cli.rs) + $(noncode crates/bench/src/bin/dse.rs)"
 
 echo "== cargo fmt --check =="
@@ -196,13 +224,7 @@ cargo build --workspace --no-default-features
 echo "== build with fault injection disabled (obs kept) =="
 # Failpoints must compile out independently of observability.
 cargo build -p musa-store --no-default-features --features obs
-cargo build -p musa-dist --no-default-features --features obs
 cargo build -p musa-bench --no-default-features --features obs
-
-echo "== supervisor and dist protocol without obs, faults and prof =="
-# The scheduler crate must work with everything compiled out — the
-# loopback hub/worker integration tests run either way.
-cargo test -q -p musa-dist --no-default-features
 
 echo "== fault harness without the runtime =="
 # Parsing and decisions stay testable with the injectors compiled out,
@@ -224,13 +246,13 @@ cargo build -p musa-bench --no-default-features --features obs,fault
 
 echo "== search without the store backend =="
 # The strategy/journal/driver layer must stand alone (MemEvaluator
-# path): no store, no pool, no obs.
+# path): no store, no obs.
 cargo build -p musa-search --no-default-features
 cargo test -q -p musa-search --no-default-features
 
 echo "== search e2e (CLI strictness, determinism, resume) =="
 # `dse search` through the real binary: strict flags, byte-identical
-# journals/reports across runs and worker counts, resume semantics.
+# journals/reports across runs and thread counts, resume semantics.
 cargo test -q -p musa-bench --test search_e2e
 
 echo "== profiling e2e (report, trace export, row identity) =="
@@ -251,21 +273,23 @@ cargo test -q -p musa-bench --test doctor_e2e
 echo "== doctor smoke (multi-family corruption, real binary) =="
 bash scripts/doctor_smoke.sh
 
-echo "== pool smoke (supervised --workers 2 vs sequential) =="
-# Byte-identity of the multi-process fill against a sequential run,
-# through the actual shipped binary.
-bash scripts/pool_smoke.sh
+# The two golden-digest legs run twice: as is, where the fill runs on
+# every thread the machine gives it, and pinned to one CPU, where it runs
+# on one (`taskset -c 0`: the affinity reaches the `dse` each test
+# spawns, and `available_parallelism` honours it).
+for pin in "" "taskset -c 0"; do
+    echo "== full-grid golden digest (864 x 5 tiny${pin:+, $pin}) =="
+    # Every point of the design space against the pinned rows digest
+    # (last moved by the window's stop rule, a declared model change);
+    # 4,320 points, so against the release binary.
+    $pin cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
 
-echo "== full-grid golden digest (864 x 5 tiny, sequential and --workers 2) =="
-# Every point of the design space against the pinned rows digest (last
-# moved by the window's stop rule, a declared model change); 4,320 points
-# twice, so against the release binary.
-cargo test -q --release -p musa-bench --test pool_e2e -- --ignored full_grid
-
-echo "== paper-slice golden digest (79 configs x 5 at --full, sequential and --workers 2) =="
-# The 256-rank burst tables and the 64-core paths, which the tiny grids
-# never reach, against the pinned digest (last moved by the stop rule).
-cargo test -q --release -p musa-bench --test pool_e2e -- --ignored paper_slice
+    echo "== paper-slice golden digest (79 configs x 5 at --full${pin:+, $pin}) =="
+    # The 256-rank burst tables and the 64-core paths, which the tiny
+    # grids never reach, against the pinned digest (last moved by the
+    # stop rule).
+    $pin cargo test -q --release -p musa-bench --test pool_e2e -- --ignored paper_slice
+done
 
 echo "== OoO window oracle (2,160 paper-scale windows, real and perfect memory) =="
 # Every window the paper-scale design space times: the walk with real
@@ -325,12 +349,6 @@ if ! diff -r --exclude='BENCH_*' results "$report_dir/fresh/results"; then
     exit 1
 fi
 
-echo "== dist smoke (--listen + 2 dist-workers vs sequential) =="
-# Byte-identity of a distributed fill over loopback TCP, with and
-# without garbled frames; with CHAOS=1 adds a kill -9 dist-worker
-# leg.
-bash scripts/dist_smoke.sh
-
 echo "== search smoke (tiny-budget adaptive search, resume) =="
 # A budgeted `dse search` through the real binary: sealed journal,
 # parseable report, same-seed byte-identity, pure-replay --resume.
@@ -348,26 +366,14 @@ if [[ "${CHAOS:-0}" == "1" ]]; then
     # reconstructs the campaign byte-for-byte.
     CHAOS=1 cargo test -q -p musa-store --test chaos
 
-    echo "== chaos: kill -9 pool worker / supervisor (CHAOS=1) =="
-    # SIGKILLs a live worker child mid-batch (and, separately, the
-    # supervisor itself, then resumes); the final store must be
-    # byte-identical to a sequential run either way.
-    CHAOS=1 cargo test -q -p musa-bench --test pool_e2e
-
-    echo "== chaos: kill -9 dist-worker mid-lease (CHAOS=1) =="
-    # SIGKILLs an external dist-worker with a lease in flight; the
-    # supervisor must re-issue the lease and the store must still
-    # come out byte-identical to a sequential run.
-    CHAOS=1 cargo test -q -p musa-bench --test dist_e2e
-
     echo "== chaos: kill -9 mid-search, then --resume (CHAOS=1) =="
     # Murders a budgeted search between generations; --resume must
     # finish it with a journal byte-identical to a never-killed run.
     CHAOS=1 cargo test -q -p musa-bench --test search_e2e
 
     echo "== chaos: kill -9 with the flight recorder running (CHAOS=1) =="
-    # A murdered worker's shipped profile records are on file, its
-    # re-simulated points' duplicates fold away, and the trace export
+    # A murdered fill's profile records are on file, its re-simulated
+    # points' duplicates fold away on --resume, and the trace export
     # must stay valid.
     CHAOS=1 cargo test -q -p musa-bench --test prof_e2e
 fi

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke test for `dse doctor`: corrupt three durable families of a
-# store at once (lease journal, search journal, profiles), and check
+# store at once (rows, search journal, profiles), and check
 # the documented contract through the shipped binary: audit grades the
 # store corrupt (exit 2), one `--repair` restores exit 0, a second
 # repair changes nothing, and every removed complete line survives in
@@ -31,8 +31,8 @@ mkdir -p "$STORE/search"
 "$DSE_BIN" doctor --store-dir "$STORE" >/dev/null
 
 # Corrupt three families.
-printf 'lease garbage one\nlease garbage two\ntorn-fra' \
-    >"$STORE/leases.journal"
+printf 'row garbage one\nrow garbage two\ntorn-fra' \
+    >"$STORE/rows.jsonl"
 printf '{"v":1,"kind":"header","seed":9,"budget":24}\nsearch garbage\n' \
     >"$STORE/search/search.journal"
 printf 'profile garbage\n' >"$STORE/profiles.jsonl"
@@ -50,7 +50,7 @@ echo "doctor_smoke: one --repair must restore exit 0"
 "$DSE_BIN" doctor --repair --store-dir "$STORE" >"$WORK/repair.txt"
 
 # Every removed complete line is evidence with provenance.
-grep -q '"raw":"lease garbage one"' "$STORE/quarantine.jsonl"
+grep -q '"raw":"row garbage one"' "$STORE/quarantine.jsonl"
 grep -q '"raw":"profile garbage"' "$STORE/quarantine.jsonl"
 grep -q '"file":' "$STORE/quarantine.jsonl"
 

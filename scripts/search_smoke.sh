@@ -2,8 +2,8 @@
 # Smoke test for `dse search`: a tiny-budget adaptive search through
 # the real binary, checking the journal seals, the report parses, a
 # same-seed rerun is byte-identical, `--resume` is a pure replay, and
-# `--workers 2 --listen` (joined by one external dist-worker) changes
-# not a byte. With CHAOS=1 it additionally SIGKILLs a search mid-run
+# pinning the search to one CPU (`taskset -c 0`, a one-thread fill)
+# changes not a byte. With CHAOS=1 it additionally SIGKILLs a search mid-run
 # and checks `--resume` regenerates the never-killed journal
 # byte-for-byte.
 set -euo pipefail
@@ -52,25 +52,12 @@ cp "$JOURNAL_A" "$WORK/a-journal.before"
 "$DSE_BIN" search --store-dir "$WORK/a" "${FLAGS[@]}" --resume >/dev/null
 cmp -s "$JOURNAL_A" "$WORK/a-journal.before"
 
-echo "search_smoke: --workers 2 --listen + one external dist-worker"
-"$DSE_BIN" search --store-dir "$WORK/w" "${FLAGS[@]}" --workers 2 \
-    --listen 127.0.0.1:0 --search-report "$WORK/w-report.json" >/dev/null &
-SEARCH=$!
-ADDR=""
-for _ in $(seq 1 600); do
-    ADDR="$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$WORK/w/dist-status.json" 2>/dev/null || true)"
-    [[ -n "$ADDR" ]] && break
-    sleep 0.02
-done
-[[ -n "$ADDR" ]]
-# The worker is told nothing but the address; the search may be over
-# before it connects, so it may drain (0) or give up (1).
-env -u MUSA_TINY "$DSE_BIN" dist-worker --connect "$ADDR" --max-reconnects 2 \
-    >/dev/null 2>&1 || true
-wait "$SEARCH"
-cmp -s "$JOURNAL_A" "$WORK/w/search/search.journal"
-cmp -s "$WORK/a-report.json" "$WORK/w-report.json"
-[[ "$(grep -o '"peer":"w[0-9]*' "$WORK/w/leases.journal" | sort -u | wc -l)" -le 3 ]]
+echo "search_smoke: one CPU is byte-identical to every thread"
+taskset -c 0 "$DSE_BIN" search --store-dir "$WORK/one" "${FLAGS[@]}" \
+    --search-report "$WORK/one-report.json" >/dev/null
+cmp -s "$JOURNAL_A" "$WORK/one/search/search.journal"
+cmp -s "$WORK/a-report.json" "$WORK/one-report.json"
+cmp -s "$WORK/a/rows.jsonl" "$WORK/one/rows.jsonl"
 
 if [[ "${CHAOS:-0}" == "1" ]]; then
     echo "search_smoke: chaos — kill -9 mid-search, then --resume"
