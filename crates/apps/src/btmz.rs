@@ -175,10 +175,10 @@ impl AppModel for Btmz {
                                 ) * imb,
                                 deps: Vec::new(),
                                 critical_ns: 0.0,
-                                kernels: vec![KernelInvocation {
+                                kernels: Some(KernelInvocation {
                                     kernel: 0,
                                     trips: Some(trips),
-                                }],
+                                }),
                             }
                         })
                         .collect();

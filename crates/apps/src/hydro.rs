@@ -163,10 +163,10 @@ impl AppModel for Hydro {
                                 duration_ns: base_chunk_ns * skew * imb,
                                 deps: Vec::new(),
                                 critical_ns: 0.0,
-                                kernels: vec![KernelInvocation {
+                                kernels: Some(KernelInvocation {
                                     kernel: 0,
                                     trips: Some((SWEEP_TRIPS as f64 * skew) as u32),
-                                }],
+                                }),
                             }
                         })
                         .collect();

@@ -212,6 +212,31 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// `WorkItem::kernels` holds at most one invocation: every item of
+    /// a parallel region invokes a kernel, and a serial item none.
+    #[test]
+    fn an_item_invokes_a_kernel_exactly_when_its_region_is_parallel() {
+        let p = GenParams::tiny();
+        for app in AppId::ALL {
+            let trace = generate(app, &p);
+            for rank in &trace.ranks {
+                for region in rank.regions() {
+                    let serial = matches!(region.work, musa_trace::RegionWork::Serial { .. });
+                    for w in region.work.items() {
+                        assert_eq!(
+                            w.kernels.is_some(),
+                            !serial,
+                            "{app}: rank {} region {} item {}",
+                            rank.rank,
+                            region.region_id,
+                            w.id
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sampled_region_has_detailed_kernels() {
         let p = GenParams::tiny();
@@ -219,11 +244,11 @@ mod tests {
             let trace = generate(app, &p);
             let region = trace.sampled_region().expect("sampled region");
             let detail = trace.detail.as_ref().expect("detail");
-            let has_kernels = region.work.items().iter().any(|w| !w.kernels.is_empty());
+            let has_kernels = region.work.items().iter().any(|w| w.kernels.is_some());
             assert!(has_kernels, "{app}: sampled region has no kernel refs");
             // Every referenced kernel must exist in the dictionary.
             for w in region.work.items() {
-                for inv in &w.kernels {
+                if let Some(inv) = &w.kernels {
                     assert!(
                         detail.kernel(inv.kernel).is_some(),
                         "{app}: dangling kernel id {}",

@@ -165,10 +165,10 @@ impl AppModel for Spec3d {
                                 duration_ns: duration,
                                 deps: Vec::new(),
                                 critical_ns: duration * CRITICAL_FRACTION,
-                                kernels: vec![KernelInvocation {
+                                kernels: Some(KernelInvocation {
                                     kernel: 0,
                                     trips: Some(trips),
-                                }],
+                                }),
                             }
                         })
                         .collect();

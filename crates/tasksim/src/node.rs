@@ -46,9 +46,9 @@ pub fn effective_bandwidth_gbs(mem: musa_arch::MemConfig) -> f64 {
 type ItemCost = (f64, SimStats, f64);
 
 /// The kernel a [`NodeSim::simulate_region`] call profiled last, with
-/// its trip count: every item of the five applications invokes one
-/// kernel, so the profile table is asked once per region, not once per
-/// invocation. A different kernel id replaces it.
+/// its trip count: every item of a region invokes the same kernel, so
+/// the profile table is asked once per region, not once per item. A
+/// different kernel id replaces it.
 type LastKernel = Option<(KernelId, u32, KernelProfile)>;
 
 /// Result of simulating one compute region in detailed mode.
@@ -146,30 +146,31 @@ impl<'a> NodeSim<'a> {
         )
     }
 
-    /// An item's cost, its kernels profiled through `last`.
+    /// An item's cost, its kernel profiled through `last`.
     fn item_cost(&self, item: &WorkItem, last: &mut LastKernel) -> ItemCost {
         let ghz = self.config.freq.ghz();
         let mut dur = 0.0;
         let mut stats = SimStats::default();
         let mut bytes = 0.0;
-        for inv in &item.kernels {
-            let (trip_count, p) = match *last {
-                Some((id, trips, p)) if id == inv.kernel => (trips, p),
-                _ => {
-                    let Some(kernel) = self.detail.kernel(inv.kernel) else {
-                        continue;
-                    };
+        if let Some(inv) = &item.kernels {
+            let found = match *last {
+                Some((id, trips, p)) if id == inv.kernel => Some((trips, p)),
+                _ => self.detail.kernel(inv.kernel).map(|kernel| {
                     let p = self.profile_of(kernel);
                     *last = Some((inv.kernel, kernel.trip_count, p));
                     (kernel.trip_count, p)
-                }
+                }),
             };
-            let trips = inv.trips.unwrap_or(trip_count);
-            dur += p.duration_ns(trips, ghz);
-            stats.merge(&p.stats_per_iter.scaled(trips as f64));
-            bytes += p.mem_bytes_per_iter * trips as f64;
-        }
-        if item.kernels.is_empty() {
+            // Accumulated into zeroed totals: `merge` weighs
+            // `mem_seq_fraction` by the reads, so a plain copy of the
+            // scaled stats could differ in the last bit.
+            if let Some((trip_count, p)) = found {
+                let trips = inv.trips.unwrap_or(trip_count);
+                dur += p.duration_ns(trips, ghz);
+                stats.merge(&p.stats_per_iter.scaled(trips as f64));
+                bytes += p.mem_bytes_per_iter * trips as f64;
+            }
+        } else {
             // No detailed content (e.g. serial bookkeeping): fall back to
             // the trace duration, frequency-scaled from the traced
             // 2.6 GHz machine.
@@ -381,9 +382,9 @@ mod tests {
     }
 
     /// A region whose items invoke two kernels interleaved, none, and an
-    /// unknown kernel id: `simulate_region` equals the contention step
-    /// applied to item costs composed from `profile_kernel` per
-    /// invocation.
+    /// unknown kernel id, one kernel per item: `simulate_region` equals
+    /// the contention step applied to item costs composed from
+    /// `profile_kernel` per item.
     #[test]
     fn one_lookup_per_kernel_equals_profiling_every_invocation() {
         use crate::profile::profile_kernel;
@@ -403,21 +404,21 @@ mod tests {
             region_id: 0,
             kernels,
         };
-        let item = |id: u32, invocations: &[(KernelId, Option<u32>)]| WorkItem {
+        let item = |id: u32, invocation: Option<(KernelId, Option<u32>)>| WorkItem {
             id,
             duration_ns: 1_000.0 * f64::from(id + 1),
             deps: vec![],
             critical_ns: 100.0 * f64::from(id),
-            kernels: invocations
-                .iter()
-                .map(|&(kernel, trips)| KernelInvocation { kernel, trips })
-                .collect(),
+            kernels: invocation.map(|(kernel, trips)| KernelInvocation { kernel, trips }),
         };
         let items = vec![
-            item(0, &[(10, None), (11, Some(5)), (10, Some(3)), (11, None)]),
-            item(1, &[]),
-            item(2, &[(11, None), (77, None), (10, Some(7))]),
-            item(3, &[(10, None), (11, Some(2))]),
+            item(0, Some((10, None))),
+            item(1, Some((11, None))),
+            item(2, Some((10, Some(3)))),
+            item(3, None),
+            item(4, Some((11, None))),
+            item(5, Some((77, None))),
+            item(6, Some((10, None))),
         ];
         let region = ComputeRegion {
             region_id: 0,
@@ -448,22 +449,27 @@ mod tests {
                 .iter()
                 .map(|item| {
                     let (mut dur, mut stats, mut bytes) = (0.0, SimStats::default(), 0.0);
-                    for inv in &item.kernels {
-                        let Some(k) = detail.kernel(inv.kernel) else {
-                            continue;
-                        };
-                        let p = profile(k.id);
-                        let trips = inv.trips.unwrap_or(k.trip_count);
-                        dur += p.duration_ns(trips, ghz);
-                        stats.merge(&p.stats_per_iter.scaled(trips as f64));
-                        bytes += p.mem_bytes_per_iter * trips as f64;
-                    }
-                    if item.kernels.is_empty() {
-                        dur = item.duration_ns * 2.6 / ghz;
+                    match &item.kernels {
+                        None => dur = item.duration_ns * 2.6 / ghz,
+                        Some(inv) => {
+                            if let Some(k) = detail.kernel(inv.kernel) {
+                                let p = profile(k.id);
+                                let trips = inv.trips.unwrap_or(k.trip_count);
+                                dur += p.duration_ns(trips, ghz);
+                                stats.merge(&p.stats_per_iter.scaled(trips as f64));
+                                bytes += p.mem_bytes_per_iter * trips as f64;
+                            }
+                        }
                     }
                     (dur, stats, bytes)
                 })
                 .collect();
+            assert_eq!(want[5].0, 0.0, "an unknown kernel id costs nothing");
+            assert_ne!(
+                format!("{:?}", want[0]),
+                format!("{:?}", want[2]),
+                "the trip override changes the cost"
+            );
             let want = format!("{:?}", sim.contend(&region, want));
             assert_eq!(format!("{:?}", sim.simulate_region(&region)), want, "{cfg}");
         }

@@ -1,8 +1,13 @@
-//! Trace (de)serialisation.
+//! Trace (de)serialisation: one JSON document per application trace.
 //!
-//! Traces are stored as JSON — one file per application trace — so a trace
-//! generated once can drive the entire 864-point design-space exploration,
-//! "reducing trace generation time and storage requirements" (§II-A).
+//! MUSA stores a trace so that one generation can drive the whole
+//! 864-point exploration, "reducing trace generation time and storage
+//! requirements" (§II-A). Here no campaign path stores one: each run
+//! generates its traces in memory, once per application, and replays
+//! them at every point. The codec serves the round-trip tests (this
+//! crate's and the workspace's end-to-end suite) and anyone who wants a
+//! trace on disk. A work item's `kernels` is `null` or one invocation
+//! object; the list form older builds wrote is not read.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -116,6 +121,25 @@ mod tests {
         let back = load_trace(&path).unwrap();
         assert_eq!(trace, back);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_item_encodes_its_kernel_as_one_object_or_null() {
+        let item = WorkItem {
+            kernels: Some(crate::KernelInvocation {
+                kernel: 3,
+                trips: Some(7),
+            }),
+            ..WorkItem::simple(0, 1.0)
+        };
+        let text = musa_obs::json::to_string(&item);
+        assert!(
+            text.contains(r#""kernels":{"kernel":3,"trips":7}"#),
+            "{text}"
+        );
+        assert_eq!(musa_obs::json::from_str::<WorkItem>(&text).unwrap(), item);
+        let text = musa_obs::json::to_string(&WorkItem::simple(0, 1.0));
+        assert!(text.contains(r#""kernels":null"#), "{text}");
     }
 
     #[test]
