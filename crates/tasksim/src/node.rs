@@ -381,10 +381,11 @@ mod tests {
         );
     }
 
-    /// A region whose items invoke two kernels interleaved, none, and an
-    /// unknown kernel id, one kernel per item: `simulate_region` equals
-    /// the contention step applied to item costs composed from
-    /// `profile_kernel` per item.
+    /// A region whose items invoke two kernels interleaved, in runs and
+    /// apart, none, and an unknown kernel id, one kernel per item:
+    /// `simulate_region` equals the contention step applied to item
+    /// costs composed from `profile_kernel` per item, and an item whose
+    /// kernel the slot holds is priced from the slot.
     #[test]
     fn one_lookup_per_kernel_equals_profiling_every_invocation() {
         use crate::profile::profile_kernel;
@@ -413,12 +414,15 @@ mod tests {
         };
         let items = vec![
             item(0, Some((10, None))),
-            item(1, Some((11, None))),
-            item(2, Some((10, Some(3)))),
-            item(3, None),
-            item(4, Some((11, None))),
-            item(5, Some((77, None))),
-            item(6, Some((10, None))),
+            item(1, Some((10, Some(5)))),
+            item(2, Some((11, None))),
+            item(3, Some((11, None))),
+            item(4, Some((10, Some(3)))),
+            item(5, None),
+            item(6, Some((11, None))),
+            item(7, Some((77, None))),
+            item(8, Some((11, None))),
+            item(9, Some((10, None))),
         ];
         let region = ComputeRegion {
             region_id: 0,
@@ -464,12 +468,37 @@ mod tests {
                     (dur, stats, bytes)
                 })
                 .collect();
-            assert_eq!(want[5].0, 0.0, "an unknown kernel id costs nothing");
+            assert_eq!(want[7].0, 0.0, "an unknown kernel id costs nothing");
             assert_ne!(
                 format!("{:?}", want[0]),
-                format!("{:?}", want[2]),
+                format!("{:?}", want[1]),
                 "the trip override changes the cost"
             );
+
+            // The items the slot answers: a run of one kernel, with and
+            // without an override, and a kernel the unknown id did not
+            // displace. No kernel and an unknown id leave the slot.
+            let mut last: LastKernel = None;
+            let hits: Vec<u32> = region
+                .work
+                .items()
+                .iter()
+                .filter(|item| {
+                    let held = matches!((&last, &item.kernels),
+                        (Some((id, ..)), Some(inv)) if *id == inv.kernel);
+                    sim.item_cost(item, &mut last);
+                    held
+                })
+                .map(|item| item.id)
+                .collect();
+            assert_eq!(hits, [1, 3, 8]);
+            // A held slot is priced without a lookup: filled with kernel
+            // 11's profile under kernel 10's id, it prices item 1 by 11.
+            let k10 = detail.kernel(10).unwrap();
+            let mut slot = Some((10, k10.trip_count, profile(11)));
+            let (dur, ..) = sim.item_cost(&region.work.items()[1], &mut slot);
+            assert_eq!(dur, profile(11).duration_ns(5, ghz));
+
             let want = format!("{:?}", sim.contend(&region, want));
             assert_eq!(format!("{:?}", sim.simulate_region(&region)), want, "{cfg}");
         }

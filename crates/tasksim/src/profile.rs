@@ -34,17 +34,12 @@
 //! * The table keeps scalars only. On a walk miss it re-runs locality and
 //!   fusion from the current configuration's geometry, then walks the
 //!   window once, with real memory.
-//! * A walk is single-flight. Its key's cell is made under the lock, and
-//!   the first thread to need it walks outside the lock; a thread that
-//!   needs the same key meanwhile waits for that value. So each key is
-//!   walked once, and [`ProfileTable::walks`] is the same, at any number
-//!   of threads sharing the table.
 //!
 //! Every entry is what [`profile_kernel`] computes for any configuration
 //! with that key, bit for bit.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 use musa_arch::{CacheConfig, CoreClass, Frequency, MemTechnology, NodeConfig};
 use musa_trace::{Kernel, KernelId, Op};
@@ -190,26 +185,23 @@ struct Input {
 /// an input that draws DRAM the frequency and memory technology too.
 type WalkKey = (usize, CoreClass, Option<(Frequency, MemTechnology)>);
 
-/// A walk's cycles, set once by the thread that walks it.
-type Cycles = Arc<OnceLock<f64>>;
-
 /// A [`ProfileTable`]'s maps behind its one lock.
 #[derive(Default)]
 struct Stages {
     shapes: HashMap<ShapeKey, (SimStats, Input)>,
     /// Walk inputs by content.
     inputs: HashMap<Vec<u64>, Input>,
-    cycles: HashMap<WalkKey, Cycles>,
+    cycles: HashMap<WalkKey, f64>,
     /// Window walks made.
     walks: u64,
 }
 
 impl Stages {
-    /// The cell of `input`'s walk at `config`, made empty if new.
-    fn walk(&mut self, input: Input, config: &NodeConfig) -> Cycles {
+    /// The key of `input`'s walk at `config`, and its cycles if known.
+    fn walk(&self, input: Input, config: &NodeConfig) -> (WalkKey, Option<f64>) {
         let at = input.draws_dram.then_some((config.freq, config.mem.tech));
         let key = (input.id, config.core_class, at);
-        Arc::clone(self.cycles.entry(key).or_default())
+        (key, self.cycles.get(&key).copied())
     }
 }
 
@@ -233,9 +225,8 @@ impl ProfileTable {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Stages> {
-        // Every update is one insert or one increment: a panic elsewhere
-        // never leaves the maps half-written. A walk that panics leaves
-        // its cell empty, for the next thread to walk.
+        // Every update is one insert of a finished value: a panic
+        // elsewhere never leaves the maps half-written.
         self.stages.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -259,28 +250,22 @@ impl ProfileTable {
             region_ws_bits: region_ws_bytes.to_bits(),
         };
         let known = {
-            let mut stages = self.lock();
+            let stages = self.lock();
             let shape = stages.shapes.get(&shape).copied();
             shape.map(|(stats, input)| (stats, stages.walk(input, config)))
         };
-        if let Some((stats, cell)) = &known {
-            if let Some(&cycles) = cell.get() {
-                return KernelProfile::from_stages(*stats, shape.f_eff, cycles);
-            }
+        if let Some((stats, (_, Some(cycles)))) = known {
+            return KernelProfile::from_stages(stats, shape.f_eff, cycles);
         }
 
         // The body is rebuilt from this configuration's geometry: it
         // carries the DRAM latency of this memory technology.
-        let body = || {
-            let locality = analyze_kernel(kernel, geom, region_ws_bytes);
-            let fused = fuse(kernel, &locality, config.vector);
-            let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
-            (locality, fused, lat)
-        };
-        let (stats, cell, built) = match known {
-            Some((stats, cell)) => (stats, cell, None),
+        let locality = analyze_kernel(kernel, geom, region_ws_bytes);
+        let fused = fuse(kernel, &locality, config.vector);
+        let lat = ServiceLatencies::new(geom, config.freq.ghz(), false);
+        let (stats, (key, walked)) = match known {
+            Some(known) => known,
             None => {
-                let (locality, fused, lat) = body();
                 let stats = stats_per_iter(kernel, &locality, &fused);
                 let content = walk_input(&fused, &lat);
                 let seen = self.lock().inputs.get(&content).copied();
@@ -298,19 +283,16 @@ impl ProfileTable {
                     .entry(content)
                     .or_insert(Input { id, draws_dram });
                 stages.shapes.insert(shape, (stats, input));
-                (stats, stages.walk(input, config), Some((fused, lat)))
+                (stats, stages.walk(input, config))
             }
         };
-        // Another shape, or another thread, may have walked this input
-        // already; a thread walking it now makes this one wait.
-        let cycles = *cell.get_or_init(|| {
-            let (fused, lat) = built.unwrap_or_else(|| {
-                let (_, fused, lat) = body();
-                (fused, lat)
-            });
+        // Another shape may have walked this input already.
+        let cycles = walked.unwrap_or_else(|| {
             let ooo = config.core_class.ooo();
             let cycles = window_cycles(&fused, &ooo, &lat, StopRule::SETTLED).cycles;
-            self.lock().walks += 1;
+            let mut stages = self.lock();
+            stages.cycles.insert(key, cycles);
+            stages.walks += 1;
             cycles
         });
         KernelProfile::from_stages(stats, shape.f_eff, cycles)
@@ -575,46 +557,6 @@ mod tests {
     #[test]
     fn a_full_grid_sweep_walks_each_key_once() {
         assert_eq!(paper_grid_walks(musa_apps::AppId::Spec3d), 144);
-    }
-
-    /// The walk count does not hang on the thread count: two tiny traces
-    /// over the whole grid, each through one table that 1, 2 or 5
-    /// threads share, walk alike (SP-MZ's 204 keys and BT-MZ's 72). The
-    /// threads take the configurations in turn, so neighbours, which
-    /// differ in the memory axis only and often share a walk key, run at
-    /// once.
-    #[test]
-    fn walks_are_the_same_at_1_2_and_5_threads() {
-        use crate::node::NodeSim;
-        use musa_apps::{generate, AppId, GenParams};
-
-        let grid = musa_arch::DesignSpace::all();
-        let traces = [AppId::Spmz, AppId::Btmz].map(|app| generate(app, &GenParams::tiny()));
-        let walks_on = |threads: usize| -> Vec<u64> {
-            let tables = traces.each_ref().map(|_| ProfileTable::new());
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let (grid, traces, tables) = (&grid, &traces, &tables);
-                    s.spawn(move || {
-                        for cfg in grid.iter().skip(t).step_by(threads) {
-                            for (trace, table) in traces.iter().zip(tables) {
-                                let detail = trace.detail.as_ref().unwrap();
-                                let region = trace.sampled_region().unwrap();
-                                NodeSim::new(*cfg, detail, region)
-                                    .with_profiles(table)
-                                    .simulate_region(region);
-                            }
-                        }
-                    });
-                }
-            });
-            tables.iter().map(ProfileTable::walks).collect()
-        };
-        let one = walks_on(1);
-        assert_eq!(one, [204, 72]);
-        for threads in [2, 5] {
-            assert_eq!(walks_on(threads), one, "{threads} threads");
-        }
     }
 
     /// The whole paper grid, one table per application: 1,728 walks by

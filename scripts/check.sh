@@ -185,16 +185,6 @@ if [[ -e crates/dist ]]; then
     exit 1
 fi
 
-# One inline invocation per work item: `WorkItem::kernels` is an
-# `Option`, so generating a trace allocates no list per item. The list
-# type and the generators' list literal must not come back (a detailed
-# trace's kernel dictionary is a list, and stays one).
-# (Bracketed so the patterns do not match these lines.)
-if grep -rn 'Vec<KernelInvocatio[n]>\|kernels: vec!\[KernelInvocatio[n]' crates src tests examples; then
-    echo "check: FAIL — a work item's list of kernel invocations is back (lines above)" >&2
-    exit 1
-fi
-
 # The line counts below and the guards that read only the non-test part
 # of a file cut it at its first line beginning `#[cfg(test)]`. Such a
 # line must open the file's `mod tests`, or the cut would hide the rest
