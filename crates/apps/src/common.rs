@@ -6,6 +6,8 @@ use musa_trace::{
     AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent, RankTrace, SamplingInfo, TraceMeta,
 };
 
+use crate::GenParams;
+
 /// Deterministic per-(seed, rank, salt) RNG so each rank's trace is
 /// reproducible independently of generation order.
 pub fn rank_rng(seed: u64, rank: u32, salt: u64) -> SplitMix64 {
@@ -67,16 +69,14 @@ impl Grid2D {
 /// Emit a 2-D halo exchange for `rank`: one `SendRecv` per neighbour of
 /// `bytes` each, in E/W/N/S order (every rank does the same, so the
 /// pattern matches globally).
-pub fn halo_exchange_2d(grid: &Grid2D, rank: u32, bytes: u64) -> Vec<MpiEvent> {
-    grid.neighbours(rank)
-        .iter()
-        .zip(opposite_order(grid, rank))
-        .map(|(&send_peer, recv_peer)| MpiEvent::SendRecv {
-            send_peer,
-            recv_peer,
-            bytes,
-        })
-        .collect()
+pub fn halo_exchange_2d(grid: &Grid2D, rank: u32, bytes: u64) -> [MpiEvent; 4] {
+    let recv = opposite_order(grid, rank);
+    let send = grid.neighbours(rank);
+    std::array::from_fn(|k| MpiEvent::SendRecv {
+        send_peer: send[k],
+        recv_peer: recv[k],
+        bytes,
+    })
 }
 
 /// Receive order matching [`halo_exchange_2d`]: when everyone sends East
@@ -86,24 +86,34 @@ fn opposite_order(grid: &Grid2D, rank: u32) -> [u32; 4] {
     [w, e, s, n]
 }
 
-/// Assemble an [`AppTrace`] from per-rank event vectors, attaching the
+/// Every rank's burst trace, built in place: `iteration(rank, iter,
+/// events)` appends iteration `iter` of `rank`, exactly
+/// `events_per_iteration` events, to a list sized once for them all.
+pub fn build_ranks(
+    params: &GenParams,
+    events_per_iteration: usize,
+    mut iteration: impl FnMut(u32, u32, &mut Vec<BurstEvent>),
+) -> Vec<RankTrace> {
+    (0..params.ranks)
+        .map(|rank| {
+            let mut events = Vec::with_capacity(params.iterations as usize * events_per_iteration);
+            for iter in 0..params.iterations {
+                iteration(rank, iter, &mut events);
+            }
+            RankTrace { rank, events }
+        })
+        .collect()
+}
+
+/// Assemble an [`AppTrace`] from the rank traces, attaching the
 /// detailed trace and sampling metadata for the representative region.
 pub fn assemble_trace(
     app: &'static str,
-    params: &crate::GenParams,
-    rank_events: Vec<Vec<BurstEvent>>,
+    params: &GenParams,
+    ranks: Vec<RankTrace>,
     detail: musa_trace::DetailedTrace,
     sampled_region_id: u32,
 ) -> AppTrace {
-    let ranks: Vec<RankTrace> = rank_events
-        .into_iter()
-        .enumerate()
-        .map(|(rank, events)| RankTrace {
-            rank: rank as u32,
-            events,
-        })
-        .collect();
-
     let native_region_ns = ranks
         .first()
         .and_then(|r| {
@@ -127,25 +137,22 @@ pub fn assemble_trace(
     }
 }
 
+/// Events [`iteration_comms`] makes.
+pub const ITERATION_COMMS: usize = 5;
+
 /// Standard per-iteration closing communication: a halo exchange followed
 /// by a scalar all-reduce (timestep control), the idiom all five
 /// applications share in some form.
-pub fn iteration_comms(grid: &Grid2D, rank: u32, halo_bytes: u64) -> Vec<BurstEvent> {
-    let mut ev: Vec<BurstEvent> = halo_exchange_2d(grid, rank, halo_bytes)
-        .into_iter()
-        .map(BurstEvent::Mpi)
-        .collect();
-    ev.push(BurstEvent::Mpi(MpiEvent::Collective(
-        CollectiveOp::AllReduce { bytes: 8 },
-    )));
-    ev
+pub fn iteration_comms(grid: &Grid2D, rank: u32, halo_bytes: u64) -> [BurstEvent; ITERATION_COMMS] {
+    let [e, w, n, s] = halo_exchange_2d(grid, rank, halo_bytes).map(BurstEvent::Mpi);
+    let reduce = MpiEvent::Collective(CollectiveOp::AllReduce { bytes: 8 });
+    [e, w, n, s, BurstEvent::Mpi(reduce)]
 }
 
 /// Build a serial region (initialisation, boundary fix-up, …).
-pub fn serial_region(region_id: u32, name: &str, duration_ns: f64) -> ComputeRegion {
+pub fn serial_region(region_id: u32, duration_ns: f64) -> ComputeRegion {
     ComputeRegion {
         region_id,
-        name: name.to_string(),
         work: musa_trace::RegionWork::Serial {
             item: musa_trace::WorkItem::simple(0, duration_ns),
         },
@@ -186,7 +193,7 @@ mod tests {
         // For every rank r sending to peer p in slot k, p must be
         // receiving from r in slot k.
         let g = Grid2D::new(16);
-        let all: Vec<Vec<MpiEvent>> = (0..16).map(|r| halo_exchange_2d(&g, r, 64)).collect();
+        let all: Vec<[MpiEvent; 4]> = (0..16).map(|r| halo_exchange_2d(&g, r, 64)).collect();
         for (r, events) in all.iter().enumerate() {
             for (k, ev) in events.iter().enumerate() {
                 if let MpiEvent::SendRecv { send_peer, .. } = ev {

@@ -22,7 +22,8 @@ use musa_trace::{
 
 use crate::builder::{build, estimate_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, iteration_comms, rank_imbalance, rank_rng, serial_region, Grid2D,
+    assemble_trace, build_ranks, iteration_comms, rank_imbalance, rank_rng, serial_region, Grid2D,
+    ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -149,49 +150,37 @@ impl AppModel for Hydro {
         let base_chunk_ns = estimate_duration_ns(&[&kernels[0]], TRACED_IPC);
         let grid = Grid2D::new(p.ranks);
 
-        let rank_events: Vec<Vec<BurstEvent>> = (0..p.ranks)
-            .map(|rank| {
-                let mut events = Vec::new();
-                for iter in 0..p.iterations {
-                    let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
-                    let mut rng = rank_rng(p.seed, rank, 0x5000 + iter as u64);
-                    let chunks: Vec<WorkItem> = (0..CHUNKS)
-                        .map(|c| {
-                            let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
-                            WorkItem {
-                                id: c,
-                                duration_ns: base_chunk_ns * skew * imb,
-                                deps: Vec::new(),
-                                critical_ns: 0.0,
-                                kernels: Some(KernelInvocation {
-                                    kernel: 0,
-                                    trips: Some((SWEEP_TRIPS as f64 * skew) as u32),
-                                }),
-                            }
-                        })
-                        .collect();
-                    let serial_ns =
-                        chunks.iter().map(|c| c.duration_ns).sum::<f64>() * SERIAL_FRACTION;
-                    events.push(BurstEvent::Compute(serial_region(
-                        iter * 2,
-                        "timestep_control",
-                        serial_ns,
-                    )));
-                    events.push(BurstEvent::Compute(ComputeRegion {
-                        region_id: region_id(iter),
-                        name: format!("godunov_step_{iter}"),
-                        work: RegionWork::ParallelFor {
-                            chunks,
-                            schedule: LoopSchedule::Dynamic,
-                        },
-                        spawn_overhead_ns: SPAWN_NS,
-                        dispatch_overhead_ns: DISPATCH_NS,
-                    }));
-                    events.extend(iteration_comms(&grid, rank, 256 * 1024));
-                }
-                events
-            })
-            .collect();
+        // Per iteration: timestep control, the sweep, the comms.
+        let ranks = build_ranks(p, 2 + ITERATION_COMMS, |rank, iter, events| {
+            let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
+            let mut rng = rank_rng(p.seed, rank, 0x5000 + iter as u64);
+            let chunks: Vec<WorkItem> = (0..CHUNKS)
+                .map(|c| {
+                    let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
+                    WorkItem {
+                        id: c,
+                        duration_ns: base_chunk_ns * skew * imb,
+                        critical_ns: 0.0,
+                        kernels: Some(KernelInvocation {
+                            kernel: 0,
+                            trips: Some((SWEEP_TRIPS as f64 * skew) as u32),
+                        }),
+                    }
+                })
+                .collect();
+            let serial_ns = chunks.iter().map(|c| c.duration_ns).sum::<f64>() * SERIAL_FRACTION;
+            events.push(BurstEvent::Compute(serial_region(iter * 2, serial_ns)));
+            events.push(BurstEvent::Compute(ComputeRegion {
+                region_id: region_id(iter),
+                work: RegionWork::ParallelFor {
+                    chunks,
+                    schedule: LoopSchedule::Dynamic,
+                },
+                spawn_overhead_ns: SPAWN_NS,
+                dispatch_overhead_ns: DISPATCH_NS,
+            }));
+            events.extend(iteration_comms(&grid, rank, 256 * 1024));
+        });
 
         let detail = DetailedTrace {
             app: self.id().label().to_string(),
@@ -199,7 +188,7 @@ impl AppModel for Hydro {
             kernels,
         };
         let sampled = detail.region_id;
-        assemble_trace(self.id().label(), p, rank_events, detail, sampled)
+        assemble_trace(self.id().label(), p, ranks, detail, sampled)
     }
 }
 

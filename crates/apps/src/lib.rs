@@ -212,6 +212,23 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Generation builds each rank's event list in place, sized once at
+    /// its final length: no slack capacity is left behind.
+    #[test]
+    fn every_rank_is_built_at_its_final_length() {
+        let p = GenParams::tiny();
+        for app in AppId::ALL {
+            for rank in &generate(app, &p).ranks {
+                assert_eq!(
+                    rank.events.capacity(),
+                    rank.events.len(),
+                    "{app}: rank {}",
+                    rank.rank
+                );
+            }
+        }
+    }
+
     /// `WorkItem::kernels` holds at most one invocation: every item of
     /// a parallel region invokes a kernel, and a serial item none.
     #[test]

@@ -24,7 +24,8 @@ use musa_trace::{
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, iteration_comms, rank_imbalance, rank_rng, serial_region, Grid2D,
+    assemble_trace, build_ranks, iteration_comms, rank_imbalance, rank_rng, serial_region, Grid2D,
+    ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -165,62 +166,51 @@ impl AppModel for Lulesh {
         let kernels = Self::kernels();
         let grid = Grid2D::new(p.ranks);
 
-        let rank_events: Vec<Vec<BurstEvent>> = (0..p.ranks)
-            .map(|rank| {
-                let mut events = Vec::new();
-                for iter in 0..p.iterations {
-                    let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
-                    let mut iteration_serial = 0.0;
-                    for phase in 0..PHASES {
-                        let mut rng =
-                            rank_rng(p.seed, rank, 0x7000 + (iter * PHASES + phase) as u64);
-                        let chunks: Vec<WorkItem> = (0..CHUNKS)
-                            .map(|c| {
-                                let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
-                                let trips = (CHUNK_TRIPS as f64 * skew) as u32;
-                                WorkItem {
-                                    id: c,
-                                    duration_ns: estimate_trips_duration_ns(
-                                        &kernels[0],
-                                        trips,
-                                        TRACED_IPC,
-                                    ) * imb,
-                                    deps: Vec::new(),
-                                    critical_ns: 0.0,
-                                    kernels: Some(KernelInvocation {
-                                        kernel: 0,
-                                        trips: Some(trips),
-                                    }),
-                                }
-                            })
-                            .collect();
-                        iteration_serial += chunks.iter().map(|c| c.duration_ns).sum::<f64>();
-                        events.push(BurstEvent::Compute(ComputeRegion {
-                            region_id: region_id(iter, phase),
-                            name: format!("lulesh_i{iter}_p{phase}"),
-                            work: RegionWork::ParallelFor {
-                                chunks,
-                                schedule: LoopSchedule::Static,
-                            },
-                            spawn_overhead_ns: SPAWN_NS,
-                            dispatch_overhead_ns: DISPATCH_NS,
-                        }));
-                    }
-                    // Serial timestep control (dt computation, course
-                    // constraints) before the halo + all-reduce.
-                    events.push(BurstEvent::Compute(serial_region(
-                        iter * (PHASES + 1),
-                        "timestep_control",
-                        iteration_serial * SERIAL_FRACTION,
-                    )));
-                    // 6-neighbour halo approximated on the 2-D process
-                    // grid plus the timestep-control all-reduce that the
-                    // Fig. 4 barrier waits come from.
-                    events.extend(iteration_comms(&grid, rank, 90 * 1024));
-                }
-                events
-            })
-            .collect();
+        // Per iteration: the phases, timestep control, the comms.
+        let per_iteration = PHASES as usize + 1 + ITERATION_COMMS;
+        let ranks = build_ranks(p, per_iteration, |rank, iter, events| {
+            let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
+            let mut iteration_serial = 0.0;
+            for phase in 0..PHASES {
+                let mut rng = rank_rng(p.seed, rank, 0x7000 + (iter * PHASES + phase) as u64);
+                let chunks: Vec<WorkItem> = (0..CHUNKS)
+                    .map(|c| {
+                        let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
+                        let trips = (CHUNK_TRIPS as f64 * skew) as u32;
+                        WorkItem {
+                            id: c,
+                            duration_ns: estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC)
+                                * imb,
+                            critical_ns: 0.0,
+                            kernels: Some(KernelInvocation {
+                                kernel: 0,
+                                trips: Some(trips),
+                            }),
+                        }
+                    })
+                    .collect();
+                iteration_serial += chunks.iter().map(|c| c.duration_ns).sum::<f64>();
+                events.push(BurstEvent::Compute(ComputeRegion {
+                    region_id: region_id(iter, phase),
+                    work: RegionWork::ParallelFor {
+                        chunks,
+                        schedule: LoopSchedule::Static,
+                    },
+                    spawn_overhead_ns: SPAWN_NS,
+                    dispatch_overhead_ns: DISPATCH_NS,
+                }));
+            }
+            // Serial timestep control (dt computation, course
+            // constraints) before the halo + all-reduce.
+            events.push(BurstEvent::Compute(serial_region(
+                iter * (PHASES + 1),
+                iteration_serial * SERIAL_FRACTION,
+            )));
+            // 6-neighbour halo approximated on the 2-D process grid plus
+            // the timestep-control all-reduce that the Fig. 4 barrier
+            // waits come from.
+            events.extend(iteration_comms(&grid, rank, 90 * 1024));
+        });
 
         let detail = DetailedTrace {
             app: self.id().label().to_string(),
@@ -228,7 +218,7 @@ impl AppModel for Lulesh {
             kernels,
         };
         let sampled = detail.region_id;
-        assemble_trace(self.id().label(), p, rank_events, detail, sampled)
+        assemble_trace(self.id().label(), p, ranks, detail, sampled)
     }
 }
 

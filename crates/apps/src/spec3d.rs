@@ -22,7 +22,10 @@ use musa_trace::{
 };
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
-use crate::common::{assemble_trace, iteration_comms, rank_imbalance, serial_region, Grid2D};
+use crate::common::{
+    assemble_trace, build_ranks, iteration_comms, rank_imbalance, serial_region, Grid2D,
+    ITERATION_COMMS,
+};
 use crate::{AppId, AppModel, GenParams};
 
 /// Tasks (element batches) per region — few and large.
@@ -148,49 +151,42 @@ impl AppModel for Spec3d {
         let grid = Grid2D::new(p.ranks);
         let sizes = Self::task_sizes();
 
-        let rank_events: Vec<Vec<BurstEvent>> = (0..p.ranks)
-            .map(|rank| {
-                let mut events = Vec::new();
-                for iter in 0..p.iterations {
-                    let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
-                    let items: Vec<WorkItem> = sizes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &size)| {
-                            let trips = (TASK_TRIPS as f64 * size) as u32;
-                            let duration =
-                                estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC) * imb;
-                            WorkItem {
-                                id: i as u32,
-                                duration_ns: duration,
-                                deps: Vec::new(),
-                                critical_ns: duration * CRITICAL_FRACTION,
-                                kernels: Some(KernelInvocation {
-                                    kernel: 0,
-                                    trips: Some(trips),
-                                }),
-                            }
-                        })
-                        .collect();
-                    let serial_ns =
-                        items.iter().map(|w| w.duration_ns).sum::<f64>() * SERIAL_FRACTION;
-                    events.push(BurstEvent::Compute(serial_region(
-                        region_id(iter, 0),
-                        "mesh_bookkeeping",
-                        serial_ns,
-                    )));
-                    events.push(BurstEvent::Compute(ComputeRegion {
-                        region_id: region_id(iter, 1),
-                        name: format!("spec_elements_{iter}"),
-                        work: RegionWork::Tasks { items },
-                        spawn_overhead_ns: SPAWN_NS,
-                        dispatch_overhead_ns: DISPATCH_NS,
-                    }));
-                    events.extend(iteration_comms(&grid, rank, 96 * 1024));
-                }
-                events
-            })
-            .collect();
+        // Per iteration: the serial region, the tasks, the comms.
+        let ranks = build_ranks(p, 2 + ITERATION_COMMS, |rank, iter, events| {
+            let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
+            let items: Vec<WorkItem> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &size)| {
+                    let trips = (TASK_TRIPS as f64 * size) as u32;
+                    let duration = estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC) * imb;
+                    WorkItem {
+                        id: i as u32,
+                        duration_ns: duration,
+                        critical_ns: duration * CRITICAL_FRACTION,
+                        kernels: Some(KernelInvocation {
+                            kernel: 0,
+                            trips: Some(trips),
+                        }),
+                    }
+                })
+                .collect();
+            let serial_ns = items.iter().map(|w| w.duration_ns).sum::<f64>() * SERIAL_FRACTION;
+            events.push(BurstEvent::Compute(serial_region(
+                region_id(iter, 0),
+                serial_ns,
+            )));
+            events.push(BurstEvent::Compute(ComputeRegion {
+                region_id: region_id(iter, 1),
+                work: RegionWork::Tasks {
+                    items,
+                    deps: Vec::new(),
+                },
+                spawn_overhead_ns: SPAWN_NS,
+                dispatch_overhead_ns: DISPATCH_NS,
+            }));
+            events.extend(iteration_comms(&grid, rank, 96 * 1024));
+        });
 
         let detail = DetailedTrace {
             app: self.id().label().to_string(),
@@ -198,7 +194,7 @@ impl AppModel for Spec3d {
             kernels,
         };
         let sampled = detail.region_id;
-        assemble_trace(self.id().label(), p, rank_events, detail, sampled)
+        assemble_trace(self.id().label(), p, ranks, detail, sampled)
     }
 }
 

@@ -20,7 +20,9 @@ use musa_trace::{
 };
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
-use crate::common::{assemble_trace, iteration_comms, rank_imbalance, Grid2D};
+use crate::common::{
+    assemble_trace, build_ranks, iteration_comms, rank_imbalance, Grid2D, ITERATION_COMMS,
+};
 use crate::{AppId, AppModel, GenParams};
 
 /// Parallel solver lines per region.
@@ -137,48 +139,38 @@ impl AppModel for Spmz {
         let grid = Grid2D::new(p.ranks);
         let sizes = Self::line_sizes();
 
-        let rank_events: Vec<Vec<BurstEvent>> = (0..p.ranks)
-            .map(|rank| {
-                let mut events = Vec::new();
-                for iter in 0..p.iterations {
-                    let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
-                    let chunks: Vec<WorkItem> = sizes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &size)| {
-                            let trips = (LINE_TRIPS as f64 * size) as u32;
-                            WorkItem {
-                                id: i as u32,
-                                duration_ns: estimate_trips_duration_ns(
-                                    &kernels[0],
-                                    trips,
-                                    TRACED_IPC,
-                                ) * imb,
-                                deps: Vec::new(),
-                                critical_ns: 0.0,
-                                kernels: Some(KernelInvocation {
-                                    kernel: 0,
-                                    trips: Some(trips),
-                                }),
-                            }
-                        })
-                        .collect();
-                    events.push(BurstEvent::Compute(ComputeRegion {
-                        region_id: iter,
-                        name: format!("sp_solve_{iter}"),
-                        work: RegionWork::ParallelFor {
-                            chunks,
-                            schedule: LoopSchedule::Dynamic,
-                        },
-                        spawn_overhead_ns: SPAWN_NS,
-                        dispatch_overhead_ns: DISPATCH_NS,
-                    }));
-                    // Zone boundary exchange + convergence reduction.
-                    events.extend(iteration_comms(&grid, rank, 128 * 1024));
-                }
-                events
-            })
-            .collect();
+        // Per iteration: the solve, the comms.
+        let ranks = build_ranks(p, 1 + ITERATION_COMMS, |rank, iter, events| {
+            let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
+            let chunks: Vec<WorkItem> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &size)| {
+                    let trips = (LINE_TRIPS as f64 * size) as u32;
+                    WorkItem {
+                        id: i as u32,
+                        duration_ns: estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC)
+                            * imb,
+                        critical_ns: 0.0,
+                        kernels: Some(KernelInvocation {
+                            kernel: 0,
+                            trips: Some(trips),
+                        }),
+                    }
+                })
+                .collect();
+            events.push(BurstEvent::Compute(ComputeRegion {
+                region_id: iter,
+                work: RegionWork::ParallelFor {
+                    chunks,
+                    schedule: LoopSchedule::Dynamic,
+                },
+                spawn_overhead_ns: SPAWN_NS,
+                dispatch_overhead_ns: DISPATCH_NS,
+            }));
+            // Zone boundary exchange + convergence reduction.
+            events.extend(iteration_comms(&grid, rank, 128 * 1024));
+        });
 
         let detail = DetailedTrace {
             app: self.id().label().to_string(),
@@ -186,7 +178,7 @@ impl AppModel for Spmz {
             kernels,
         };
         let sampled = detail.region_id;
-        assemble_trace(self.id().label(), p, rank_events, detail, sampled)
+        assemble_trace(self.id().label(), p, ranks, detail, sampled)
     }
 }
 

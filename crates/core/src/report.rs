@@ -177,7 +177,6 @@ mod tests {
         // 4 items on 8 cores: half the cores idle.
         let region = ComputeRegion {
             region_id: 0,
-            name: "r".into(),
             work: RegionWork::ParallelFor {
                 chunks: (0..4).map(|i| WorkItem::simple(i, 100.0)).collect(),
                 schedule: LoopSchedule::Dynamic,

@@ -519,7 +519,6 @@ mod tests {
                 events: vec![
                     BurstEvent::Compute(ComputeRegion {
                         region_id: 0,
-                        name: "work".into(),
                         work: RegionWork::Serial {
                             item: WorkItem::simple(0, work_ns),
                         },

@@ -127,7 +127,6 @@ mod tests {
     fn region() -> ComputeRegion {
         ComputeRegion {
             region_id: 0,
-            name: "r".into(),
             work: RegionWork::ParallelFor {
                 chunks: (0..8).map(|i| WorkItem::simple(i, 100.0)).collect(),
                 schedule: musa_trace::LoopSchedule::Dynamic,

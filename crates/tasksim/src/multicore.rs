@@ -28,8 +28,10 @@
 //! in every lane; otherwise an item takes the earliest-free core. Lanes
 //! share nothing that one writes and another reads, so each lane computes
 //! exactly what a pass of its own would. Task dependencies are the
-//! exception: a finish time is a lane's own, so a region that has any is
-//! scheduled one lane at a time (none of the five applications has one).
+//! exception: a finish time is a lane's own, so a task region that has
+//! any is scheduled one lane at a time (none of the five applications
+//! has one). Whether it has any is read once per region, from the
+//! region's edge list ([`RegionWork::deps`]).
 //! Core free times are never NaN and never −0.0: they are sums of
 //! durations clamped by `max(0.0)`, so two equally early cores hold the
 //! same bits, and a compare-select (`later`) takes the place of
@@ -334,11 +336,11 @@ fn place_lanes<P: CorePool>(
         &mut on_heap
     };
 
-    let items = region.work.items();
-    let deps = if items.iter().any(|w| !w.deps.is_empty()) {
-        resolve_deps(items)
-    } else {
+    let edges = region.work.deps();
+    let deps = if edges.is_empty() {
         Vec::new()
+    } else {
+        resolve_deps(region.work.items(), edges)
     };
     let width = if deps.is_empty() { PASS_LANES } else { 1 };
     for (k, group) in lanes.chunks_mut(width).enumerate() {
@@ -358,14 +360,16 @@ fn lane_array<const L: usize>(group: &mut [Lane]) -> &mut [Lane; L] {
 }
 
 /// For every dependency of every item, in item then dependency order:
-/// the index of the latest *earlier* item carrying that id, if any. A
-/// dependency that names no earlier item never gates, and a repeated id
-/// resolves to its latest holder.
-fn resolve_deps(items: &[WorkItem]) -> Vec<Option<usize>> {
+/// the index of the latest *earlier* item carrying that id, if any.
+/// `edges[i]` lists item `i`'s; an item past the end of `edges` has
+/// none. A dependency that names no earlier item never gates, and a
+/// repeated id resolves to its latest holder. Empty when no item has a
+/// dependency.
+fn resolve_deps(items: &[WorkItem], edges: &[Vec<u32>]) -> Vec<Option<usize>> {
     let mut index_of_id = std::collections::HashMap::with_capacity(items.len());
     let mut resolved = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        resolved.extend(item.deps.iter().map(|d| index_of_id.get(d).copied()));
+    for (i, (item, named)) in items.iter().zip(edges).enumerate() {
+        resolved.extend(named.iter().map(|d| index_of_id.get(d).copied()));
         index_of_id.insert(item.id, i);
     }
     resolved
@@ -387,6 +391,7 @@ fn place_items<P: CorePool, const L: usize>(
     mut place: impl FnMut(usize, ScheduledItem),
 ) {
     let items = region.work.items();
+    let edges = region.work.deps();
     let n = items.len();
     let spawn = region.spawn_overhead_ns;
     let dispatch = region.dispatch_overhead_ns;
@@ -444,7 +449,7 @@ fn place_items<P: CorePool, const L: usize>(
         } else {
             master_free
         };
-        let named = next_dep..next_dep + item.deps.len();
+        let named = next_dep..next_dep + edges.get(i).map_or(0, Vec::len);
         next_dep = named.end;
         let deps_done = deps[named]
             .iter()
@@ -543,7 +548,6 @@ mod tests {
     fn par_for(durations: &[f64], spawn: f64, schedule: LoopSchedule) -> ComputeRegion {
         ComputeRegion {
             region_id: 0,
-            name: "r".into(),
             work: RegionWork::ParallelFor {
                 chunks: durations
                     .iter()
@@ -584,7 +588,7 @@ mod tests {
                     false,
                 ),
             },
-            RegionWork::Tasks { items } => (
+            RegionWork::Tasks { items, .. } => (
                 (0..items.len()).map(|i| spawn * (i + 1) as f64).collect(),
                 spawn * items.len() as f64,
                 false,
@@ -592,6 +596,7 @@ mod tests {
         };
 
         // Map item id → finish time for dependency resolution.
+        let edges = region.work.deps();
         let mut finish_by_id: std::collections::HashMap<u32, f64> =
             std::collections::HashMap::with_capacity(n);
 
@@ -608,9 +613,10 @@ mod tests {
             let dur = duration_of(i).max(0.0) + dispatch;
             let crit = critical_of(i).max(0.0).min(dur);
 
-            let deps_done = item
-                .deps
-                .iter()
+            let deps_done = edges
+                .get(i)
+                .into_iter()
+                .flatten()
                 .filter_map(|d| finish_by_id.get(d).copied())
                 .fold(0.0_f64, f64::max);
             let ready = avail[i].max(deps_done);
@@ -702,15 +708,16 @@ mod tests {
                 }
             })
             .collect();
+        let mut deps: Vec<Vec<u32>> = Vec::new();
         if tasks {
             for i in 0..n {
-                for _ in 0..below(rng, 4) {
-                    let dep = match below(rng, 8) {
+                let named = (0..below(rng, 4))
+                    .map(|_| match below(rng, 8) {
                         0 => below(rng, 3 * n as u64) as u32,
                         _ => items[below(rng, i as u64 + 1) as usize].id,
-                    };
-                    items[i].deps.push(dep);
-                }
+                    })
+                    .collect();
+                deps.push(named);
             }
         }
         let work = match below(rng, 6) {
@@ -725,7 +732,7 @@ mod tests {
                 chunks: items,
                 schedule: LoopSchedule::Dynamic,
             },
-            _ => RegionWork::Tasks { items },
+            _ => RegionWork::Tasks { items, deps },
         };
         let (spawn, dispatch) = if tie_ns.is_some() {
             (0.0, 0.0)
@@ -737,7 +744,6 @@ mod tests {
         };
         ComputeRegion {
             region_id: 0,
-            name: "random".into(),
             work,
             spawn_overhead_ns: spawn,
             dispatch_overhead_ns: dispatch,
@@ -762,7 +768,7 @@ mod tests {
         musa_obs::rng::check_cases(1200, |rng| {
             let region = random_region(rng);
             let items = region.work.items();
-            with_deps += items.iter().any(|w| !w.deps.is_empty()) as u32;
+            with_deps += region.work.deps().iter().any(|d| !d.is_empty()) as u32;
             long += (items.len() >= 300) as u32;
             tied += (items.len() > 1
                 && items.iter().all(|w| w.duration_ns == items[0].duration_ns)
@@ -879,40 +885,10 @@ mod tests {
         });
     }
 
-    /// A loop chunk waits for the chunks its `deps` name, static or
-    /// dynamic, in the scheduler that names cores and in the one-pass
-    /// entry (which then schedules its lanes one at a time).
-    #[test]
-    fn loop_chunks_wait_for_their_deps() {
-        for schedule in [LoopSchedule::Static, LoopSchedule::Dynamic] {
-            let mut r = par_for(&[100.0, 10.0, 10.0, 10.0], 0.0, schedule);
-            let RegionWork::ParallelFor { chunks, .. } = &mut r.work else {
-                unreachable!()
-            };
-            chunks[2].deps.push(0);
-            let s = simulate_region_burst(&r, 4);
-            assert_eq!(s.timeline[2].start_ns, s.timeline[0].end_ns, "{schedule:?}");
-            assert_eq!(s.makespan_ns, 110.0, "{schedule:?}");
-            let counts = [1, 4, 64];
-            let mut makespans = [0.0; 3];
-            burst_makespans_ns(&r, &counts, &mut makespans);
-            for (cores, makespan) in counts.into_iter().zip(makespans) {
-                let want = simulate_region_burst(&r, cores).makespan_ns;
-                assert_eq!(
-                    makespan.to_bits(),
-                    want.to_bits(),
-                    "{schedule:?} at {cores}"
-                );
-            }
-            assert_eq!(makespans[1], 110.0, "{schedule:?}");
-        }
-    }
-
     #[test]
     fn serial_region_takes_serial_time() {
         let r = ComputeRegion {
             region_id: 0,
-            name: "s".into(),
             work: RegionWork::Serial {
                 item: WorkItem::simple(0, 100.0),
             },
@@ -976,21 +952,13 @@ mod tests {
 
     #[test]
     fn dependencies_serialise() {
-        let items = vec![
-            WorkItem::simple(0, 10.0),
-            WorkItem {
-                deps: vec![0],
-                ..WorkItem::simple(1, 10.0)
-            },
-            WorkItem {
-                deps: vec![1],
-                ..WorkItem::simple(2, 10.0)
-            },
-        ];
+        let items = (0..3).map(|i| WorkItem::simple(i, 10.0)).collect();
         let r = ComputeRegion {
             region_id: 0,
-            name: "chain".into(),
-            work: RegionWork::Tasks { items },
+            work: RegionWork::Tasks {
+                items,
+                deps: vec![vec![], vec![0], vec![1]],
+            },
             spawn_overhead_ns: 0.0,
             dispatch_overhead_ns: 0.0,
         };
@@ -1009,8 +977,10 @@ mod tests {
             .collect();
         let r = ComputeRegion {
             region_id: 0,
-            name: "crit".into(),
-            work: RegionWork::Tasks { items },
+            work: RegionWork::Tasks {
+                items,
+                deps: Vec::new(),
+            },
             spawn_overhead_ns: 0.0,
             dispatch_overhead_ns: 0.0,
         };

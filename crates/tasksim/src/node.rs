@@ -408,7 +408,6 @@ mod tests {
         let item = |id: u32, invocation: Option<(KernelId, Option<u32>)>| WorkItem {
             id,
             duration_ns: 1_000.0 * f64::from(id + 1),
-            deps: vec![],
             critical_ns: 100.0 * f64::from(id),
             kernels: invocation.map(|(kernel, trips)| KernelInvocation { kernel, trips }),
         };
@@ -426,8 +425,10 @@ mod tests {
         ];
         let region = ComputeRegion {
             region_id: 0,
-            name: "synthetic".into(),
-            work: RegionWork::Tasks { items },
+            work: RegionWork::Tasks {
+                items,
+                deps: Vec::new(),
+            },
             spawn_overhead_ns: 50.0,
             dispatch_overhead_ns: 20.0,
         };

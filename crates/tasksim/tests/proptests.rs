@@ -10,7 +10,6 @@ use musa_trace::{
 fn region_from(durations: Vec<f64>, dynamic: bool, spawn: f64, dispatch: f64) -> ComputeRegion {
     ComputeRegion {
         region_id: 0,
-        name: "prop".into(),
         work: RegionWork::ParallelFor {
             chunks: durations
                 .into_iter()

@@ -13,22 +13,19 @@ use crate::meta::TraceMeta;
 use crate::DetailedTrace;
 
 /// A schedulable unit of work: an OmpSs/OpenMP task or a parallel-loop
-/// chunk.
+/// chunk. It owns no heap memory: its task dependencies, if any, are
+/// held by its region ([`RegionWork::Tasks`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
     /// Identifier, unique within its region.
     pub id: u32,
     /// Native single-thread duration in nanoseconds (from the trace).
     pub duration_ns: f64,
-    /// Predecessor work-item ids (task dependencies). Empty for
-    /// parallel-loop chunks, which are mutually independent.
-    pub deps: Vec<u32>,
     /// Portion of `duration_ns` spent inside an `omp critical` section
     /// (serialises against every other item's critical portion).
     pub critical_ns: f64,
     /// Detailed-trace content: the kernel this item invokes, if any (at
-    /// most one). `None` when only the burst level was traced. Held
-    /// inline, so an item owns no heap memory beyond its `deps`.
+    /// most one). `None` when only the burst level was traced.
     pub kernels: Option<KernelInvocation>,
 }
 
@@ -38,7 +35,6 @@ impl WorkItem {
         WorkItem {
             id,
             duration_ns,
-            deps: Vec::new(),
             critical_ns: 0.0,
             kernels: None,
         }
@@ -60,15 +56,19 @@ pub enum LoopSchedule {
 pub enum RegionWork {
     /// Task-graph parallelism (OmpSs / OpenMP tasks with dependencies).
     Tasks {
-        /// The task set; `deps` fields define the DAG.
+        /// The task set.
         items: Vec<WorkItem>,
+        /// The task graph's edges: empty when no task has a predecessor
+        /// (no cost per task), or one list of predecessor ids per task,
+        /// in task order. A predecessor id names the latest earlier task
+        /// carrying it; [`AppTrace::validate`] rejects an id that names
+        /// no earlier task, and the scheduler lets such an id never gate.
+        deps: Vec<Vec<u32>>,
     },
     /// `omp parallel for`: independent chunks with an implicit barrier at
     /// the end of the loop.
     ParallelFor {
-        /// Loop chunks. The scheduler makes a chunk wait for the earlier
-        /// chunks its `deps` name, as it does a task; no generator gives
-        /// a chunk any.
+        /// Loop chunks, mutually independent.
         chunks: Vec<WorkItem>,
         /// Scheduling policy.
         schedule: LoopSchedule,
@@ -84,16 +84,25 @@ impl RegionWork {
     /// All work items, regardless of structure.
     pub fn items(&self) -> &[WorkItem] {
         match self {
-            RegionWork::Tasks { items } => items,
+            RegionWork::Tasks { items, .. } => items,
             RegionWork::ParallelFor { chunks, .. } => chunks,
             RegionWork::Serial { item } => std::slice::from_ref(item),
+        }
+    }
+
+    /// The task graph's edges (see [`RegionWork::Tasks`]); empty for a
+    /// loop or a serial region, and for tasks without dependencies.
+    pub fn deps(&self) -> &[Vec<u32>] {
+        match self {
+            RegionWork::Tasks { deps, .. } => deps,
+            RegionWork::ParallelFor { .. } | RegionWork::Serial { .. } => &[],
         }
     }
 
     /// Mutable access to all work items.
     pub fn items_mut(&mut self) -> &mut [WorkItem] {
         match self {
-            RegionWork::Tasks { items } => items,
+            RegionWork::Tasks { items, .. } => items,
             RegionWork::ParallelFor { chunks, .. } => chunks,
             RegionWork::Serial { item } => std::slice::from_mut(item),
         }
@@ -111,8 +120,6 @@ pub struct ComputeRegion {
     /// Region id, unique within the rank trace. Matching ids across ranks
     /// denote the same source-level region (e.g. the same timestep).
     pub region_id: u32,
-    /// Human-readable name.
-    pub name: String,
     /// Parallel structure and work items.
     pub work: RegionWork,
     /// Runtime cost of creating one task/chunk, in nanoseconds, paid on
@@ -123,36 +130,6 @@ pub struct ComputeRegion {
     /// Runtime cost of dispatching one ready task to a worker thread, in
     /// nanoseconds, paid on the worker.
     pub dispatch_overhead_ns: f64,
-}
-
-impl ComputeRegion {
-    /// Critical-path length through the task DAG, in native nanoseconds —
-    /// an upper bound on achievable parallel speedup of the region.
-    pub fn critical_path_ns(&self) -> f64 {
-        let items = self.work.items();
-        match &self.work {
-            RegionWork::Serial { item } => item.duration_ns,
-            RegionWork::ParallelFor { chunks, .. } => {
-                chunks.iter().map(|c| c.duration_ns).fold(0.0_f64, f64::max)
-            }
-            RegionWork::Tasks { .. } => {
-                // Longest path; items are topologically ordered by id
-                // (generators guarantee deps reference earlier ids).
-                let mut finish = vec![0.0_f64; items.len()];
-                let index: std::collections::HashMap<u32, usize> =
-                    items.iter().enumerate().map(|(i, w)| (w.id, i)).collect();
-                for (i, w) in items.iter().enumerate() {
-                    let ready = w
-                        .deps
-                        .iter()
-                        .filter_map(|d| index.get(d).map(|&j| finish[j]))
-                        .fold(0.0_f64, f64::max);
-                    finish[i] = ready + w.duration_ns;
-                }
-                finish.iter().copied().fold(0.0_f64, f64::max)
-            }
-        }
-    }
 }
 
 /// Collective MPI operations modelled by the network replay.
@@ -284,6 +261,19 @@ impl AppTrace {
         for rt in &self.ranks {
             for region in rt.regions() {
                 let items = region.work.items();
+                // A task graph's edges, checked in the same pass: one
+                // list per task, each id naming an earlier task.
+                let deps = region.work.deps();
+                if !deps.is_empty() && deps.len() != items.len() {
+                    return Err(format!(
+                        "rank {} region {}: {} dependency lists for {} tasks",
+                        rt.rank,
+                        region.region_id,
+                        deps.len(),
+                        items.len()
+                    ));
+                }
+                let mut earlier = std::collections::HashSet::new();
                 for (i, w) in items.iter().enumerate() {
                     if !w.duration_ns.is_finite() || w.duration_ns < 0.0 {
                         return Err(format!(
@@ -297,15 +287,14 @@ impl AppTrace {
                             rt.rank, region.region_id, w.id
                         ));
                     }
-                    // Deps must reference earlier items (topological ids).
-                    for d in &w.deps {
-                        if !items[..i].iter().any(|p| p.id == *d) {
-                            return Err(format!(
-                                "rank {} region {} item {}: dep {} not an earlier item",
-                                rt.rank, region.region_id, w.id, d
-                            ));
-                        }
+                    let Some(named) = deps.get(i) else { continue };
+                    if let Some(d) = named.iter().find(|d| !earlier.contains(*d)) {
+                        return Err(format!(
+                            "rank {} region {} item {}: dep {} not an earlier item",
+                            rt.rank, region.region_id, w.id, d
+                        ));
                     }
+                    earlier.insert(w.id);
                 }
             }
         }
@@ -318,19 +307,17 @@ impl AppTrace {
 musa_obs::json_struct!(WorkItem {
     id,
     duration_ns,
-    deps,
     critical_ns,
     kernels
 });
 musa_obs::json_enum!(LoopSchedule { Static, Dynamic });
 musa_obs::json_enum!(RegionWork {
-    Tasks { items },
+    Tasks { items, deps },
     ParallelFor { chunks, schedule },
     Serial { item }
 });
 musa_obs::json_struct!(ComputeRegion {
     region_id,
-    name,
     work,
     spawn_overhead_ns,
     dispatch_overhead_ns
@@ -367,82 +354,74 @@ mod tests {
     use super::*;
 
     fn region_tasks() -> ComputeRegion {
-        // DAG: 0 → 2, 1 → 2 ; durations 10, 20, 5 ⇒ critical path 25.
+        // DAG: 0 → 2, 1 → 2 ; durations 10, 20, 5.
         ComputeRegion {
             region_id: 0,
-            name: "r".into(),
             work: RegionWork::Tasks {
                 items: vec![
                     WorkItem::simple(0, 10.0),
                     WorkItem::simple(1, 20.0),
-                    WorkItem {
-                        deps: vec![0, 1],
-                        ..WorkItem::simple(2, 5.0)
-                    },
+                    WorkItem::simple(2, 5.0),
                 ],
+                deps: vec![vec![], vec![], vec![0, 1]],
             },
             spawn_overhead_ns: 0.0,
             dispatch_overhead_ns: 0.0,
         }
     }
 
-    /// An item holds its one invocation inline: 56 bytes and no heap
-    /// chunk of its own, times the ≈ 692,000 items of the paper-scale
-    /// traces.
-    #[test]
-    fn a_work_item_stays_small() {
-        assert!(std::mem::size_of::<WorkItem>() <= 56);
-    }
-
-    #[test]
-    fn critical_path_tasks() {
-        assert_eq!(region_tasks().critical_path_ns(), 25.0);
-    }
-
-    #[test]
-    fn critical_path_parallel_for_is_max_chunk() {
-        let r = ComputeRegion {
-            region_id: 0,
-            name: "r".into(),
-            work: RegionWork::ParallelFor {
-                chunks: vec![WorkItem::simple(0, 3.0), WorkItem::simple(1, 7.0)],
-                schedule: LoopSchedule::Dynamic,
-            },
-            spawn_overhead_ns: 0.0,
-            dispatch_overhead_ns: 0.0,
-        };
-        assert_eq!(r.critical_path_ns(), 7.0);
-        assert_eq!(r.work.serial_time_ns(), 10.0);
-    }
-
-    #[test]
-    fn validate_catches_forward_dep() {
-        let mut region = region_tasks();
-        if let RegionWork::Tasks { items } = &mut region.work {
-            items[0].deps = vec![2]; // forward reference
-        }
-        let trace = AppTrace {
+    fn one_region(region: ComputeRegion) -> AppTrace {
+        AppTrace {
             meta: TraceMeta::new("x", 1, 1, 0),
             ranks: vec![RankTrace {
                 rank: 0,
                 events: vec![BurstEvent::Compute(region)],
             }],
             detail: None,
-        };
-        assert!(trace.validate().is_err());
+        }
+    }
+
+    /// An item holds its one invocation inline and its region holds its
+    /// edges: 32 bytes and no heap chunk of its own, times the ≈ 692,000
+    /// items of the paper-scale traces.
+    #[test]
+    fn a_work_item_stays_small() {
+        assert!(std::mem::size_of::<WorkItem>() <= 32);
+    }
+
+    /// A region is its id, its work's two lists and two overheads: no
+    /// field of its own on the heap (a name would add 24 bytes).
+    #[test]
+    fn a_region_stays_small() {
+        assert!(std::mem::size_of::<ComputeRegion>() <= 72);
+    }
+
+    #[test]
+    fn validate_catches_forward_dep() {
+        let mut region = region_tasks();
+        if let RegionWork::Tasks { deps, .. } = &mut region.work {
+            deps[0] = vec![2]; // forward reference
+        }
+        assert!(one_region(region).validate().is_err());
+    }
+
+    /// A task graph's edge list is empty or has one list per task.
+    #[test]
+    fn validate_catches_an_edge_list_of_the_wrong_length() {
+        let mut region = region_tasks();
+        if let RegionWork::Tasks { deps, .. } = &mut region.work {
+            deps.pop();
+        }
+        assert!(one_region(region.clone()).validate().is_err());
+        if let RegionWork::Tasks { deps, .. } = &mut region.work {
+            deps.clear();
+        }
+        assert!(one_region(region).validate().is_ok());
     }
 
     #[test]
     fn validate_ok_and_rank_count() {
-        let trace = AppTrace {
-            meta: TraceMeta::new("x", 1, 1, 0),
-            ranks: vec![RankTrace {
-                rank: 0,
-                events: vec![BurstEvent::Compute(region_tasks())],
-            }],
-            detail: None,
-        };
-        assert!(trace.validate().is_ok());
+        assert!(one_region(region_tasks()).validate().is_ok());
 
         let bad = AppTrace {
             meta: TraceMeta::new("x", 2, 1, 0),
@@ -468,14 +447,12 @@ mod tests {
 
     #[test]
     fn sampled_region_falls_back_to_first() {
-        let trace = AppTrace {
-            meta: TraceMeta::new("x", 1, 1, 0),
-            ranks: vec![RankTrace {
-                rank: 0,
-                events: vec![BurstEvent::Compute(region_tasks())],
-            }],
-            detail: None,
-        };
-        assert_eq!(trace.sampled_region().unwrap().region_id, 0);
+        assert_eq!(
+            one_region(region_tasks())
+                .sampled_region()
+                .unwrap()
+                .region_id,
+            0
+        );
     }
 }

@@ -7,7 +7,11 @@
 //! them at every point. The codec serves the round-trip tests (this
 //! crate's and the workspace's end-to-end suite) and anyone who wants a
 //! trace on disk. A work item's `kernels` is `null` or one invocation
-//! object; the list form older builds wrote is not read.
+//! object, and a task region's `deps` holds its edges (one id list per
+//! task, or none). A trace file written by an older build no longer
+//! loads: such a file held a `kernels` list per item, or a task region
+//! without `deps` (older builds kept each item's dependencies, and a
+//! region name, which this reader does not read).
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -90,7 +94,6 @@ mod tests {
                 rank: 0,
                 events: vec![BurstEvent::Compute(ComputeRegion {
                     region_id: 0,
-                    name: "r".into(),
                     work: RegionWork::Serial {
                         item: WorkItem::simple(0, 1.0),
                     },
@@ -140,6 +143,34 @@ mod tests {
         assert_eq!(musa_obs::json::from_str::<WorkItem>(&text).unwrap(), item);
         let text = musa_obs::json::to_string(&WorkItem::simple(0, 1.0));
         assert!(text.contains(r#""kernels":null"#), "{text}");
+    }
+
+    /// A task region keeps its edges, one list per task, through a
+    /// round trip; a region without edges writes an empty list.
+    #[test]
+    fn a_task_region_keeps_its_edges() {
+        let mut trace = tiny_trace();
+        let items = (0..3).map(|i| WorkItem::simple(i, 1.0)).collect::<Vec<_>>();
+        let BurstEvent::Compute(region) = &mut trace.ranks[0].events[0] else {
+            unreachable!()
+        };
+        region.work = RegionWork::Tasks {
+            items: items.clone(),
+            deps: vec![vec![], vec![0], vec![0, 1]],
+        };
+        let mut buf = Vec::new();
+        write_trace(&trace, &mut buf).unwrap();
+        let text = String::from_utf8(buf.clone()).unwrap();
+        assert!(text.contains(r#""deps":[[],[0],[0,1]]"#), "{text}");
+        assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
+
+        let free = RegionWork::Tasks {
+            items,
+            deps: Vec::new(),
+        };
+        let text = musa_obs::json::to_string(&free);
+        assert!(text.contains(r#""deps":[]"#), "{text}");
+        assert_eq!(musa_obs::json::from_str::<RegionWork>(&text).unwrap(), free);
     }
 
     #[test]
