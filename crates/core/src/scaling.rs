@@ -55,9 +55,9 @@ pub fn region_scaling(app: AppId, gen: &GenParams) -> ScalingCurve {
 pub fn full_app_scaling(app: AppId, gen: &GenParams) -> ScalingCurve {
     let trace = generate(app, gen);
     let sim = MultiscaleSim::new(&trace);
-    let t1 = sim.burst_replay(CoresPerNode::C1).total_ns;
+    let t1 = sim.burst_replay(CoresPerNode::C1);
     let points = SCALING_CORES
-        .map(|c| (c.count(), t1 / sim.burst_replay(c).total_ns))
+        .map(|c| (c.count(), t1 / sim.burst_replay(c)))
         .into();
     ScalingCurve {
         app: app.label().to_string(),

@@ -1,6 +1,6 @@
 //! Lockstep replay of the per-rank burst traces over the network model.
 
-use musa_trace::{AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent, RankTrace};
+use musa_trace::{AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent};
 
 use crate::params::NetworkParams;
 use crate::timer::ComputeTimer;
@@ -95,12 +95,7 @@ impl ReplayResult {
 /// events with matching kinds per slot (the `musa-apps` generators
 /// guarantee this). Panics otherwise.
 pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTimer) -> ReplayResult {
-    replay_events(trace, net, timed_by(timer), |_, _, _, _| {})
-}
-
-/// `timer` as the replay loop's source of compute durations.
-fn timed_by(timer: &mut dyn ComputeTimer) -> impl FnMut(usize, &RankTrace, usize) -> f64 + '_ {
-    |_, rt, slot| timer.region_time_ns(rt.rank, compute_region(rt, slot))
+    replay_accounted(trace, net, timer, |_, _, _, _| {})
 }
 
 /// [`replay`], plus what each rank was doing when: one list of
@@ -111,7 +106,7 @@ pub fn replay_with_timelines(
     timer: &mut dyn ComputeTimer,
 ) -> (ReplayResult, Vec<Vec<Span>>) {
     let mut timelines = vec![Vec::new(); trace.ranks.len()];
-    let result = replay_events(trace, net, timed_by(timer), |r, phase, start_ns, end_ns| {
+    let result = replay_accounted(trace, net, timer, |r, phase, start_ns, end_ns| {
         if end_ns > start_ns {
             timelines[r].push(Span {
                 phase,
@@ -123,151 +118,226 @@ pub fn replay_with_timelines(
     (result, timelines)
 }
 
-/// Rank count and per-rank event count of an SPMD trace. Panics on an
-/// empty trace or on ranks of different lengths.
-pub(crate) fn spmd_shape(trace: &AppTrace) -> (usize, usize) {
-    let ranks = trace.ranks.len();
-    assert!(ranks > 0, "empty trace");
-    let n_events = trace.ranks[0].events.len();
-    for r in &trace.ranks {
-        assert_eq!(
-            r.events.len(),
-            n_events,
-            "non-SPMD trace: rank {} has a different event count",
-            r.rank
-        );
+/// [`replay`], with `span(rank index, phase, start, end)` hearing of
+/// every interval of every rank's clock, empty ones included.
+fn replay_accounted(
+    trace: &AppTrace,
+    net: &NetworkParams,
+    timer: &mut dyn ComputeTimer,
+    mut span: impl FnMut(usize, RankPhase, f64, f64),
+) -> ReplayResult {
+    let plan = SlotPlan::compile(trace, |_| {});
+    let mut compute_ns = vec![0.0_f64; plan.ranks];
+    let mut mpi = vec![MpiBreakdown::default(); plan.ranks];
+    let time = |_, r: usize, slot: usize| match &trace.ranks[r].events[slot] {
+        BurstEvent::Compute(region) => timer.region_time_ns(trace.ranks[r].rank, region),
+        BurstEvent::Mpi(_) => unreachable!("the plan computes in this slot"),
+    };
+    let total_ns = replay_events(
+        &plan,
+        &trace.meta.app,
+        net,
+        time,
+        |r, phase, start, end, ns| {
+            span(r, phase, start, end);
+            match phase {
+                RankPhase::Compute => compute_ns[r] += ns,
+                RankPhase::Wait => mpi[r].wait_ns += ns,
+                RankPhase::Transfer => mpi[r].transfer_ns += ns,
+            }
+        },
+    );
+    ReplayResult {
+        total_ns,
+        compute_ns,
+        mpi,
     }
-    (ranks, n_events)
 }
 
-/// The compute region `rt` holds in a slot where rank 0 computes.
-pub(crate) fn compute_region(rt: &RankTrace, slot: usize) -> &ComputeRegion {
-    match &rt.events[slot] {
-        BurstEvent::Compute(region) => region,
-        BurstEvent::Mpi(_) => panic!("non-SPMD trace at slot {slot}"),
+/// What every rank does in one slot of an SPMD trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    Compute,
+    Collective(CollectiveOp),
+    /// `SendRecv`: the slot's `ranks` messages, in rank order, are the
+    /// next in the plan.
+    Exchange,
+    /// `Send` or `Recv`, likewise.
+    PointToPoint,
+}
+
+impl Step {
+    fn of(event: &BurstEvent) -> Step {
+        match event {
+            BurstEvent::Compute(_) => Step::Compute,
+            BurstEvent::Mpi(MpiEvent::Collective(op)) => Step::Collective(*op),
+            BurstEvent::Mpi(MpiEvent::SendRecv { .. }) => Step::Exchange,
+            BurstEvent::Mpi(_) => Step::PointToPoint,
+        }
+    }
+}
+
+/// A trace compiled for the replay loop, which reads it in order instead
+/// of each rank's event list: one step per slot, and the messages of the
+/// point-to-point slots, slot-major.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SlotPlan {
+    pub(crate) ranks: usize,
+    steps: Vec<Step>,
+    messages: Vec<MpiEvent>,
+}
+
+impl SlotPlan {
+    /// Compile `trace`, handing every compute region to `compute` in the
+    /// order the loop asks for their durations: slot by slot and, within
+    /// a slot, rank by rank. Panics on an empty or non-SPMD trace.
+    pub(crate) fn compile(trace: &AppTrace, mut compute: impl FnMut(&ComputeRegion)) -> SlotPlan {
+        assert!(!trace.ranks.is_empty(), "empty trace");
+        let first = &trace.ranks[0].events;
+        let steps: Vec<Step> = first.iter().map(Step::of).collect();
+        let exchanges = steps
+            .iter()
+            .filter(|s| matches!(s, Step::Exchange | Step::PointToPoint));
+        let mut messages = Vec::with_capacity(exchanges.count() * trace.ranks.len());
+        for rt in &trace.ranks {
+            assert_eq!(
+                rt.events.len(),
+                first.len(),
+                "non-SPMD trace: rank {} has a different event count",
+                rt.rank
+            );
+        }
+        for (slot, step) in steps.iter().enumerate() {
+            for rt in &trace.ranks {
+                let event = &rt.events[slot];
+                let kind = std::mem::discriminant(&Step::of(event));
+                assert!(
+                    kind == std::mem::discriminant(step),
+                    "non-SPMD trace at slot {slot}"
+                );
+                match event {
+                    BurstEvent::Compute(region) => compute(region),
+                    BurstEvent::Mpi(MpiEvent::Collective(_)) => {}
+                    BurstEvent::Mpi(message) => messages.push(*message),
+                }
+            }
+        }
+        SlotPlan {
+            ranks: trace.ranks.len(),
+            steps,
+            messages,
+        }
+    }
+
+    /// Whether `trace` has the rank and slot counts of the trace this plan
+    /// was compiled from.
+    pub(crate) fn fits(&self, trace: &AppTrace) -> bool {
+        trace.ranks.len() == self.ranks && trace.ranks[0].events.len() == self.steps.len()
     }
 }
 
 /// The one replay loop: additions and `max`es over durations it is
-/// given. `compute_ns(i, rank trace, slot)` is the duration of the
+/// given, along `plan`, returning the end-to-end runtime (max over
+/// ranks). `compute_ns(i, rank index, slot)` is the duration of the
 /// compute event that rank holds in that slot, `i` counting compute
-/// events slot by slot and, within a slot, rank by rank;
-/// `span(rank index, phase, start, end)` hears of every interval of
-/// every rank's clock, empty ones included.
+/// events slot by slot and, within a slot, rank by rank; `hear(rank
+/// index, phase, start, end, ns)` hears of every interval of every
+/// rank's clock, empty ones included, `ns` being what it adds to that
+/// phase's account. With a no-op `hear` the loop monomorphises to the
+/// clocks alone.
 pub(crate) fn replay_events(
-    trace: &AppTrace,
+    plan: &SlotPlan,
+    app: &str,
     net: &NetworkParams,
-    mut compute_ns: impl FnMut(usize, &RankTrace, usize) -> f64,
-    mut span: impl FnMut(usize, RankPhase, f64, f64),
-) -> ReplayResult {
-    let _replay = musa_obs::span_app(musa_obs::phase::NET_REPLAY, &trace.meta.app);
-    let (ranks, n_events) = spmd_shape(trace);
-
+    mut compute_ns: impl FnMut(usize, usize, usize) -> f64,
+    mut hear: impl FnMut(usize, RankPhase, f64, f64, f64),
+) -> f64 {
+    let _replay = musa_obs::span_app(musa_obs::phase::NET_REPLAY, app);
+    let ranks = plan.ranks;
     musa_obs::counter_add("net.replays", 1);
-    musa_obs::counter_add("net.events_replayed", (ranks * n_events) as u64);
+    musa_obs::counter_add("net.events_replayed", (ranks * plan.steps.len()) as u64);
 
     let mut clock = vec![0.0_f64; ranks];
-    let mut compute = vec![0.0_f64; ranks];
-    let mut mpi = vec![MpiBreakdown::default(); ranks];
     // The clocks as a point-to-point slot found them.
     let mut old = vec![0.0_f64; ranks];
     let mut computed = 0;
+    let mut messages = plan.messages.chunks_exact(ranks);
 
-    for slot in 0..n_events {
-        // All ranks hold the same event kind in this slot.
-        match &trace.ranks[0].events[slot] {
-            BurstEvent::Compute(_) => {
-                for (r, rt) in trace.ranks.iter().enumerate() {
-                    let t = compute_ns(computed + r, rt, slot);
-                    span(r, RankPhase::Compute, clock[r], clock[r] + t);
-                    clock[r] += t;
-                    compute[r] += t;
+    for (slot, step) in plan.steps.iter().enumerate() {
+        match step {
+            Step::Compute => {
+                for (r, clock) in clock.iter_mut().enumerate() {
+                    let t = compute_ns(computed + r, r, slot);
+                    hear(r, RankPhase::Compute, *clock, *clock + t, t);
+                    *clock += t;
                 }
                 computed += ranks;
             }
-            BurstEvent::Mpi(MpiEvent::Collective(op)) => {
+            Step::Collective(op) => {
                 let assemble = clock.iter().copied().fold(0.0_f64, f64::max);
-                let cost = match op {
+                let cost = match *op {
                     CollectiveOp::Barrier => net.barrier_ns(ranks as u32),
-                    CollectiveOp::AllReduce { bytes } => net.allreduce_ns(ranks as u32, *bytes),
-                    CollectiveOp::Bcast { bytes } => net.bcast_ns(ranks as u32, *bytes),
-                    CollectiveOp::AllToAll { bytes } => net.alltoall_ns(ranks as u32, *bytes),
+                    CollectiveOp::AllReduce { bytes } => net.allreduce_ns(ranks as u32, bytes),
+                    CollectiveOp::Bcast { bytes } => net.bcast_ns(ranks as u32, bytes),
+                    CollectiveOp::AllToAll { bytes } => net.alltoall_ns(ranks as u32, bytes),
                 };
                 let done = assemble + cost;
-                for r in 0..ranks {
-                    span(r, RankPhase::Wait, clock[r], assemble);
-                    span(r, RankPhase::Transfer, assemble, done);
-                    mpi[r].wait_ns += assemble - clock[r];
-                    mpi[r].transfer_ns += cost;
-                    clock[r] = done;
+                for (r, clock) in clock.iter_mut().enumerate() {
+                    hear(r, RankPhase::Wait, *clock, assemble, assemble - *clock);
+                    hear(r, RankPhase::Transfer, assemble, done, cost);
+                    *clock = done;
                 }
             }
-            BurstEvent::Mpi(MpiEvent::SendRecv { .. }) => {
-                // Synchronous pairwise exchange: both sides must arrive;
-                // then the payload crosses the network.
+            Step::Exchange | Step::PointToPoint => {
                 old.copy_from_slice(&clock);
-                for (r, rt) in trace.ranks.iter().enumerate() {
-                    let BurstEvent::Mpi(MpiEvent::SendRecv {
-                        send_peer,
-                        recv_peer,
-                        bytes,
-                    }) = rt.events[slot]
-                    else {
-                        panic!("non-SPMD trace at slot {slot}");
-                    };
-                    let ready = old[r]
-                        .max(old[send_peer as usize])
-                        .max(old[recv_peer as usize]);
-                    let cost = net.transfer_ns(bytes) + net.overhead_ns;
-                    span(r, RankPhase::Wait, old[r], ready);
-                    span(r, RankPhase::Transfer, ready, ready + cost);
-                    mpi[r].wait_ns += ready - old[r];
-                    mpi[r].transfer_ns += cost;
-                    clock[r] = ready + cost;
-                }
-            }
-            BurstEvent::Mpi(MpiEvent::Send { .. }) | BurstEvent::Mpi(MpiEvent::Recv { .. }) => {
-                // Eager/rendezvous point-to-point. Senders deposit, then
-                // receivers match within the same slot.
-                old.copy_from_slice(&clock);
-                for (r, rt) in trace.ranks.iter().enumerate() {
-                    match rt.events[slot] {
-                        BurstEvent::Mpi(MpiEvent::Send { peer, bytes }) => {
-                            let cost = net.overhead_ns;
+                let slot_messages = messages.next().expect("one message per rank");
+                for (r, message) in slot_messages.iter().enumerate() {
+                    // When the rank is ready to transfer, how long it
+                    // waited for that, and what the transfer costs it.
+                    let (ready, waited, cost) = match *message {
+                        // Synchronous pairwise exchange: both sides must
+                        // arrive; then the payload crosses the network.
+                        MpiEvent::SendRecv {
+                            send_peer,
+                            recv_peer,
+                            bytes,
+                        } => {
+                            let ready = old[r]
+                                .max(old[send_peer as usize])
+                                .max(old[recv_peer as usize]);
+                            let cost = net.transfer_ns(bytes) + net.overhead_ns;
+                            (ready, ready - old[r], cost)
+                        }
+                        // Eager/rendezvous point-to-point. Senders deposit,
+                        // then receivers match within the same slot.
+                        MpiEvent::Send { peer, bytes } => {
                             let block = if bytes > net.eager_bytes {
                                 // Rendezvous: wait for the receiver.
                                 old[peer as usize].max(old[r]) - old[r]
                             } else {
                                 0.0
                             };
-                            mpi[r].wait_ns += block;
-                            mpi[r].transfer_ns += cost;
-                            span(r, RankPhase::Wait, old[r], old[r] + block);
-                            clock[r] = old[r] + block + cost;
-                            span(r, RankPhase::Transfer, old[r] + block, clock[r]);
+                            (old[r] + block, block, net.overhead_ns)
                         }
-                        BurstEvent::Mpi(MpiEvent::Recv { peer, bytes }) => {
+                        MpiEvent::Recv { peer, bytes } => {
                             let arrival =
                                 old[peer as usize] + net.transfer_ns(bytes) + net.overhead_ns;
                             let ready = old[r].max(arrival);
-                            mpi[r].wait_ns += ready - old[r];
-                            mpi[r].transfer_ns += net.overhead_ns;
-                            span(r, RankPhase::Wait, old[r], ready);
-                            clock[r] = ready + net.overhead_ns;
-                            span(r, RankPhase::Transfer, ready, clock[r]);
+                            (ready, ready - old[r], net.overhead_ns)
                         }
-                        _ => panic!("non-SPMD trace at slot {slot}"),
-                    }
+                        MpiEvent::Collective(_) => {
+                            unreachable!("a plan holds no collective message")
+                        }
+                    };
+                    hear(r, RankPhase::Wait, old[r], ready, waited);
+                    clock[r] = ready + cost;
+                    hear(r, RankPhase::Transfer, ready, clock[r], cost);
                 }
             }
         }
     }
 
-    ReplayResult {
-        total_ns: clock.iter().copied().fold(0.0, f64::max),
-        compute_ns: compute,
-        mpi,
-    }
+    clock.iter().copied().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -276,7 +346,7 @@ mod tests {
     use crate::timer::{BurstTimer, BurstTimes, FixedRatioTimer};
     use musa_apps::{generate, AppId, GenParams};
     use musa_arch::CoresPerNode;
-    use musa_trace::{RegionWork, TraceMeta, WorkItem};
+    use musa_trace::{RankTrace, RegionWork, TraceMeta, WorkItem};
 
     fn net() -> NetworkParams {
         NetworkParams::marenostrum4()
@@ -485,9 +555,9 @@ mod tests {
                     let what = format!("{app} at {} ranks, {cores} cores", gen.ranks);
                     for ratio in [0.37, 1.0, 2.9] {
                         let mut timer = FixedRatioTimer { cores, ratio };
-                        let want = replay(&trace, &net(), &mut timer);
+                        let want = replay(&trace, &net(), &mut timer).total_ns;
                         let got = table.replay(&trace, &net(), count, ratio);
-                        assert_eq!(bits(&got), bits(&want), "{what}, ratio {ratio}");
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what}, ratio {ratio}");
                     }
                     // The loop itself against the one it replaced, and
                     // the burst timer against the table at ratio 1.
@@ -496,7 +566,10 @@ mod tests {
                     let (got, spans) = replay_with_timelines(&trace, &net(), &mut timer);
                     assert_eq!(bits(&got), bits(&want), "{what}");
                     assert_eq!(spans, want_spans, "{what}");
-                    assert_eq!(bits(&table.replay(&trace, &net(), count, 1.0)), bits(&want));
+                    assert_eq!(
+                        table.replay(&trace, &net(), count, 1.0).to_bits(),
+                        want.total_ns.to_bits()
+                    );
                     assert_conserved(&what, &got, &spans);
                 }
             }
@@ -547,10 +620,42 @@ mod tests {
         assert!(res.mpi[0].wait_ns > 0.0, "the rendezvous send waits");
         let (want, _) = replay_reference(&trace, &net(), &mut timer);
         assert_eq!(bits(&res), bits(&want));
+        // The table replays the two message slots from its plan.
         let table = BurstTimes::build(&trace);
+        let plan = SlotPlan::compile(&trace, |_| {});
         assert_eq!(
-            bits(&table.replay(&trace, &net(), CoresPerNode::C1, 1.0)),
-            bits(&want)
+            plan.steps
+                .iter()
+                .filter(|&&s| s == Step::PointToPoint)
+                .count(),
+            2
+        );
+        assert_eq!(
+            plan.messages,
+            [
+                MpiEvent::Send {
+                    peer: 1,
+                    bytes: 1024
+                },
+                MpiEvent::Recv {
+                    peer: 0,
+                    bytes: 1024
+                },
+                MpiEvent::Send {
+                    peer: 1,
+                    bytes: 1 << 20
+                },
+                MpiEvent::Recv {
+                    peer: 0,
+                    bytes: 1 << 20
+                },
+            ]
+        );
+        assert_eq!(
+            table
+                .replay(&trace, &net(), CoresPerNode::C1, 1.0)
+                .to_bits(),
+            want.total_ns.to_bits()
         );
     }
 
@@ -582,6 +687,18 @@ mod tests {
     fn ranks_of_different_lengths_panic_in_the_table_build() {
         let mut trace = generate(AppId::Hydro, &GenParams::tiny());
         trace.ranks[2].events.pop();
+        BurstTimes::build(&trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-SPMD trace at slot 1")]
+    fn an_exchange_beside_a_send_panics_in_the_table_build() {
+        let mut trace = send_recv_trace();
+        trace.ranks[1].events[1] = BurstEvent::Mpi(MpiEvent::SendRecv {
+            send_peer: 0,
+            recv_peer: 0,
+            bytes: 1024,
+        });
         BurstTimes::build(&trace);
     }
 

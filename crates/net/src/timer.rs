@@ -20,10 +20,10 @@
 
 use musa_arch::CoresPerNode;
 use musa_tasksim::{burst_makespan_ns, burst_makespans_ns};
-use musa_trace::{AppTrace, BurstEvent, ComputeRegion};
+use musa_trace::{AppTrace, ComputeRegion};
 
 use crate::params::NetworkParams;
-use crate::replay::{compute_region, replay_events, spmd_shape, ReplayResult};
+use crate::replay::{replay_events, SlotPlan};
 
 /// Supplies the simulated duration of a compute region.
 pub trait ComputeTimer {
@@ -62,10 +62,11 @@ impl ComputeTimer for FixedRatioTimer {
 }
 
 /// The burst-mode makespan of every compute event of every rank of one
-/// trace at every [`CoresPerNode`] count.
+/// trace at every [`CoresPerNode`] count, and the trace compiled for the
+/// replay loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstTimes {
-    ranks: usize,
+    plan: SlotPlan,
     /// Per count of [`CoresPerNode::ALL`], `[compute slot][rank]`: the
     /// order the replay asks in.
     times_ns: [Vec<f64>; CoresPerNode::ALL.len()],
@@ -74,30 +75,28 @@ pub struct BurstTimes {
 impl BurstTimes {
     /// Schedule every compute region of `trace` at 1, 32 and 64 cores in
     /// one pass over its items, as [`BurstTimer`] would at each during a
-    /// replay. Panics on a non-SPMD trace.
+    /// replay, and compile the trace's plan in the same walk. Panics on a
+    /// non-SPMD trace.
     pub fn build(trace: &AppTrace) -> BurstTimes {
-        let (ranks, n_events) = spmd_shape(trace);
         let counts = CoresPerNode::ALL.map(CoresPerNode::count);
-        let events = ranks * trace.ranks[0].regions().count();
+        let events = trace.ranks.len() * trace.ranks.first().map_or(0, |rt| rt.regions().count());
         let mut times_ns = counts.map(|_| Vec::with_capacity(events));
         let mut makespans = counts.map(|_| 0.0);
-        for slot in 0..n_events {
-            if matches!(trace.ranks[0].events[slot], BurstEvent::Compute(_)) {
-                for rt in &trace.ranks {
-                    burst_makespans_ns(compute_region(rt, slot), &counts, &mut makespans);
-                    for (times, makespan) in times_ns.iter_mut().zip(makespans) {
-                        times.push(makespan);
-                    }
-                }
+        let plan = SlotPlan::compile(trace, |region| {
+            burst_makespans_ns(region, &counts, &mut makespans);
+            for (times, makespan) in times_ns.iter_mut().zip(makespans) {
+                times.push(makespan);
             }
-        }
-        BurstTimes { ranks, times_ns }
+        });
+        BurstTimes { plan, times_ns }
     }
 
     /// Replay `trace`, the one the table was built from, at `cores`, with
-    /// every burst time multiplied by `ratio`: bit for bit what
+    /// every burst time multiplied by `ratio`, and return its end-to-end
+    /// runtime in ns: bit for bit the `total_ns` that
     /// [`replay`](crate::replay()) returns under a [`FixedRatioTimer`] of
-    /// that core count (a [`BurstTimer`] for ratio 1).
+    /// that core count (a [`BurstTimer`] for ratio 1). It keeps no
+    /// per-rank account and reads none of the trace's events.
     /// Panics when the table does not have the trace's shape.
     pub fn replay(
         &self,
@@ -105,17 +104,22 @@ impl BurstTimes {
         net: &NetworkParams,
         cores: CoresPerNode,
         ratio: f64,
-    ) -> ReplayResult {
+    ) -> f64 {
         // `ALL` lists the counts in declaration order.
         let times = &self.times_ns[cores as usize];
-        let compute_slots = trace.ranks.first().map_or(0, |rt| rt.regions().count());
         assert!(
-            self.ranks == trace.ranks.len() && times.len() == compute_slots * self.ranks,
+            self.plan.fits(trace),
             "burst-time table of {} ranks x {} compute events replayed over another trace",
-            self.ranks,
-            times.len() / self.ranks.max(1),
+            self.plan.ranks,
+            times.len() / self.plan.ranks,
         );
-        replay_events(trace, net, |i, _, _| times[i] * ratio, |_, _, _, _| {})
+        replay_events(
+            &self.plan,
+            &trace.meta.app,
+            net,
+            |i, _, _| times[i] * ratio,
+            |_, _, _, _, _| {},
+        )
     }
 }
 

@@ -44,9 +44,11 @@
 //! change the multiset of free times, so a pool that keeps only that
 //! multiset, sorted, reads the same minimum bit for bit as a scan over the
 //! cores — and with it the same start, end, lock time and makespan.
-//! [`schedule_region`] names the core of every item in its timeline, so
-//! it keeps the indexed scan (`EarliestFree`, lowest index on ties);
-//! [`burst_makespans_ns`] reports no core and keeps the free times sorted
+//! Only [`schedule_region`] names the core of every item, in its timeline
+//! (Fig. 3 reads it), so only it keeps the indexed scan (`EarliestFree`,
+//! lowest index on ties); `schedule_region_totals` (the detailed node
+//! simulation's contention step) and [`burst_makespans_ns`] report no
+//! core and keep the free times sorted
 //! in a window that slides along its buffer (`SortedFree`): it pops the
 //! front and inserts the item's end. Items start in trace order, each no
 //! earlier than the one before, so an end usually belongs among the
@@ -80,7 +82,9 @@ pub struct ScheduledItem {
 pub struct Schedule {
     /// Region makespan in nanoseconds.
     pub makespan_ns: f64,
-    /// Per-item placement, in execution order.
+    /// Per-item placement, in execution order; empty for a schedule that
+    /// records none (the detailed node simulation's, which only its
+    /// makespan and busy time are read from).
     pub timeline: Vec<ScheduledItem>,
     /// Sum of item execution times (excludes idle).
     pub busy_ns: f64,
@@ -127,13 +131,38 @@ pub fn schedule_region(
     duration_of: impl FnMut(usize) -> f64,
     critical_of: impl FnMut(usize) -> f64,
 ) -> Schedule {
+    schedule_one::<EarliestFree>(region, cores, duration_of, critical_of, true)
+}
+
+/// [`schedule_region`]'s makespan and busy time, bit for bit, without its
+/// placements: the timeline is empty. The earliest-free core comes from
+/// sorted free times that name no core (see "Value-only pools" above).
+pub(crate) fn schedule_region_totals(
+    region: &ComputeRegion,
+    cores: u32,
+    duration_of: impl FnMut(usize) -> f64,
+    critical_of: impl FnMut(usize) -> f64,
+) -> Schedule {
+    schedule_one::<SortedFree>(region, cores, duration_of, critical_of, false)
+}
+
+/// One lane of `P`'s schedule, its placements kept when `placements`.
+fn schedule_one<P: CorePool>(
+    region: &ComputeRegion,
+    cores: u32,
+    duration_of: impl FnMut(usize) -> f64,
+    critical_of: impl FnMut(usize) -> f64,
+    placements: bool,
+) -> Schedule {
     let cores = cores.max(1);
-    let mut timeline = Vec::with_capacity(region.work.items().len());
+    let mut timeline = Vec::with_capacity(placements as usize * region.work.items().len());
     let mut busy_ns = 0.0;
     let mut lanes = [Lane::of(cores)];
-    place_with::<EarliestFree>(region, &mut lanes, duration_of, critical_of, |_, placed| {
+    place_with::<P>(region, &mut lanes, duration_of, critical_of, |_, placed| {
         busy_ns += placed.end_ns - placed.start_ns;
-        timeline.push(placed)
+        if placements {
+            timeline.push(placed)
+        }
     });
     Schedule {
         makespan_ns: lanes[0].makespan,
@@ -795,6 +824,22 @@ mod tests {
                     |i| items[i].critical_ns * scale,
                 );
                 assert_eq!(bits(&got), bits(&want), "cores {cores}: {region:?}");
+                // The contention step's schedule: no placements, and the
+                // makespan and busy time of the scan, bit for bit.
+                let totals = schedule_region_totals(
+                    &region,
+                    cores,
+                    |i| items[i].duration_ns * scale,
+                    |i| items[i].critical_ns * scale,
+                );
+                assert_eq!(
+                    bits(&totals),
+                    bits(&Schedule {
+                        timeline: Vec::new(),
+                        ..want
+                    }),
+                    "totals, cores {cores}: {region:?}"
+                );
                 let burst = simulate_region_burst(&region, cores).makespan_ns;
                 assert_eq!(
                     makespan.to_bits(),
@@ -815,33 +860,50 @@ mod tests {
 
     /// Every region a paper-scale burst table schedules: each compute
     /// region of each rank of the five applications, the one pass at 1,
-    /// 32 and 64 cores against the scheduler that names cores.
+    /// 32 and 64 cores against the scheduler that names cores; and the
+    /// contention step's schedule, which names none, against its makespan
+    /// and busy time, the five sampled regions among them.
     #[test]
     #[ignore = "every region of the five paper-scale traces; scripts/check.sh runs it in release"]
     fn burst_makespans_equal_the_schedule_on_every_paper_scale_region() {
-        let mut regions = 0;
+        let (mut regions, mut sampled) = (0, 0);
         for app in musa_apps::AppId::ALL {
             let trace = musa_apps::generate(app, &musa_apps::GenParams::paper());
+            let sampled_region = trace.sampled_region().unwrap();
             for (rank, region) in trace
                 .ranks
                 .iter()
                 .flat_map(|rt| rt.regions().map(move |r| (rt.rank, r)))
             {
+                let items = region.work.items();
                 let counts = [1, 32, 64];
                 let mut makespans = [0.0; 3];
                 burst_makespans_ns(region, &counts, &mut makespans);
                 for (cores, makespan) in counts.into_iter().zip(makespans) {
-                    assert_eq!(
-                        makespan.to_bits(),
-                        simulate_region_burst(region, cores).makespan_ns.to_bits(),
+                    let what = format!(
                         "{app:?} rank {rank} region {} at {cores} cores",
                         region.region_id
                     );
+                    let want = simulate_region_burst(region, cores);
+                    assert_eq!(makespan.to_bits(), want.makespan_ns.to_bits(), "{what}");
+                    let totals = schedule_region_totals(
+                        region,
+                        cores,
+                        |i| items[i].duration_ns,
+                        |i| items[i].critical_ns,
+                    );
+                    assert_eq!(
+                        [totals.makespan_ns.to_bits(), totals.busy_ns.to_bits()],
+                        [want.makespan_ns.to_bits(), want.busy_ns.to_bits()],
+                        "totals: {what}"
+                    );
                 }
                 regions += 1;
+                sampled += std::ptr::eq(region, sampled_region) as u32;
             }
         }
         assert!(regions > 5 * 256, "only {regions} paper-scale regions");
+        assert_eq!(sampled, 5, "the five sampled regions are among them");
     }
 
     /// The sorted pool against a sorted list: after every insert its
