@@ -13,14 +13,14 @@
 //! * moderately vectorisable (between HYDRO and SP-MZ in Fig. 5a).
 
 use musa_trace::{
-    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, KernelInvocation, Op,
-    RegionWork, StreamDesc, WorkItem,
+    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, Op, RegionWork, StreamDesc,
+    WorkItem,
 };
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, build_ranks, iteration_comms, rank_imbalance, serial_region, Grid2D,
-    ITERATION_COMMS,
+    assemble_trace, build_ranks, iteration_comms, kernel_call, rank_imbalance, serial_region,
+    Grid2D, ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -164,18 +164,13 @@ impl AppModel for Btmz {
             let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
             let items: Vec<WorkItem> = sizes
                 .iter()
-                .enumerate()
-                .map(|(i, &size)| {
+                .map(|&size| {
                     let trips = (ZONE_TRIPS as f64 * size) as u32;
                     WorkItem {
-                        id: i as u32,
                         duration_ns: estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC)
                             * imb,
                         critical_ns: 0.0,
-                        kernels: Some(KernelInvocation {
-                            kernel: 0,
-                            trips: Some(trips),
-                        }),
+                        kernels: kernel_call(trips),
                     }
                 })
                 .collect();

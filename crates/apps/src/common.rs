@@ -1,9 +1,12 @@
 //! Machinery shared by the application models: deterministic RNG helpers,
 //! rank topologies, imbalance generation and trace assembly.
 
+use std::num::NonZeroU32;
+
 use musa_obs::rng::SplitMix64;
 use musa_trace::{
-    AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent, RankTrace, SamplingInfo, TraceMeta,
+    AppTrace, BurstEvent, CollectiveOp, ComputeRegion, KernelInvocation, MpiEvent, RankTrace,
+    SamplingInfo, TraceMeta,
 };
 
 use crate::GenParams;
@@ -149,12 +152,20 @@ pub fn iteration_comms(grid: &Grid2D, rank: u32, halo_bytes: u64) -> [BurstEvent
     [e, w, n, s, BurstEvent::Mpi(reduce)]
 }
 
+/// A work item's call of its application's one kernel (id 0) for
+/// `trips` iterations. Panics on zero: every generator's chunk runs at
+/// least a thousand.
+pub fn kernel_call(trips: u32) -> Option<KernelInvocation> {
+    let trips = NonZeroU32::new(trips).expect("a kernel call runs at least one iteration");
+    Some(KernelInvocation { kernel: 0, trips })
+}
+
 /// Build a serial region (initialisation, boundary fix-up, …).
 pub fn serial_region(region_id: u32, duration_ns: f64) -> ComputeRegion {
     ComputeRegion {
         region_id,
         work: musa_trace::RegionWork::Serial {
-            item: musa_trace::WorkItem::simple(0, duration_ns),
+            item: musa_trace::WorkItem::simple(duration_ns),
         },
         spawn_overhead_ns: 0.0,
         dispatch_overhead_ns: 0.0,

@@ -16,14 +16,14 @@
 //!   timings do not scale with simulated frequency.
 
 use musa_trace::{
-    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, KernelInvocation,
-    LoopSchedule, RegionWork, StreamDesc, WorkItem,
+    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, LoopSchedule, RegionWork,
+    StreamDesc, WorkItem,
 };
 
 use crate::builder::{build, estimate_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, build_ranks, iteration_comms, rank_imbalance, rank_rng, serial_region, Grid2D,
-    ITERATION_COMMS,
+    assemble_trace, build_ranks, iteration_comms, kernel_call, rank_imbalance, rank_rng,
+    serial_region, Grid2D, ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -155,16 +155,12 @@ impl AppModel for Hydro {
             let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
             let mut rng = rank_rng(p.seed, rank, 0x5000 + iter as u64);
             let chunks: Vec<WorkItem> = (0..CHUNKS)
-                .map(|c| {
+                .map(|_| {
                     let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
                     WorkItem {
-                        id: c,
                         duration_ns: base_chunk_ns * skew * imb,
                         critical_ns: 0.0,
-                        kernels: Some(KernelInvocation {
-                            kernel: 0,
-                            trips: Some((SWEEP_TRIPS as f64 * skew) as u32),
-                        }),
+                        kernels: kernel_call((SWEEP_TRIPS as f64 * skew) as u32),
                     }
                 })
                 .collect();

@@ -239,14 +239,13 @@ mod tests {
             for rank in &trace.ranks {
                 for region in rank.regions() {
                     let serial = matches!(region.work, musa_trace::RegionWork::Serial { .. });
-                    for w in region.work.items() {
+                    for (i, w) in region.work.items().iter().enumerate() {
                         assert_eq!(
                             w.kernels.is_some(),
                             !serial,
-                            "{app}: rank {} region {} item {}",
+                            "{app}: rank {} region {} item {i}",
                             rank.rank,
                             region.region_id,
-                            w.id
                         );
                     }
                 }

@@ -18,14 +18,14 @@
 //!   imbalance.
 
 use musa_trace::{
-    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, KernelInvocation,
-    LoopSchedule, Op, RegionWork, StreamDesc, WorkItem,
+    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, LoopSchedule, Op,
+    RegionWork, StreamDesc, WorkItem,
 };
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, build_ranks, iteration_comms, rank_imbalance, rank_rng, serial_region, Grid2D,
-    ITERATION_COMMS,
+    assemble_trace, build_ranks, iteration_comms, kernel_call, rank_imbalance, rank_rng,
+    serial_region, Grid2D, ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -174,18 +174,14 @@ impl AppModel for Lulesh {
             for phase in 0..PHASES {
                 let mut rng = rank_rng(p.seed, rank, 0x7000 + (iter * PHASES + phase) as u64);
                 let chunks: Vec<WorkItem> = (0..CHUNKS)
-                    .map(|c| {
+                    .map(|_| {
                         let skew = 1.0 + CHUNK_SKEW * (rng.next_f64() * 2.0 - 1.0);
                         let trips = (CHUNK_TRIPS as f64 * skew) as u32;
                         WorkItem {
-                            id: c,
                             duration_ns: estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC)
                                 * imb,
                             critical_ns: 0.0,
-                            kernels: Some(KernelInvocation {
-                                kernel: 0,
-                                trips: Some(trips),
-                            }),
+                            kernels: kernel_call(trips),
                         }
                     })
                     .collect();

@@ -17,14 +17,14 @@
 //! * global assembly uses `omp critical` sections.
 
 use musa_trace::{
-    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DepKind, DetailedTrace, KernelInvocation,
-    Op, RegionWork, StreamDesc, WorkItem,
+    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DepKind, DetailedTrace, Op, RegionWork,
+    StreamDesc, WorkItem,
 };
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, build_ranks, iteration_comms, rank_imbalance, serial_region, Grid2D,
-    ITERATION_COMMS,
+    assemble_trace, build_ranks, iteration_comms, kernel_call, rank_imbalance, serial_region,
+    Grid2D, ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -156,18 +156,13 @@ impl AppModel for Spec3d {
             let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
             let items: Vec<WorkItem> = sizes
                 .iter()
-                .enumerate()
-                .map(|(i, &size)| {
+                .map(|&size| {
                     let trips = (TASK_TRIPS as f64 * size) as u32;
                     let duration = estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC) * imb;
                     WorkItem {
-                        id: i as u32,
                         duration_ns: duration,
                         critical_ns: duration * CRITICAL_FRACTION,
-                        kernels: Some(KernelInvocation {
-                            kernel: 0,
-                            trips: Some(trips),
-                        }),
+                        kernels: kernel_call(trips),
                     }
                 })
                 .collect();

@@ -15,13 +15,14 @@
 //! * modest cache/bandwidth sensitivity.
 
 use musa_trace::{
-    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, KernelInvocation,
-    LoopSchedule, Op, RegionWork, StreamDesc, WorkItem,
+    AccessPattern, AppTrace, BurstEvent, ComputeRegion, DetailedTrace, LoopSchedule, Op,
+    RegionWork, StreamDesc, WorkItem,
 };
 
 use crate::builder::{build, estimate_trips_duration_ns, FpOp, KernelSpec, MemOp};
 use crate::common::{
-    assemble_trace, build_ranks, iteration_comms, rank_imbalance, Grid2D, ITERATION_COMMS,
+    assemble_trace, build_ranks, iteration_comms, kernel_call, rank_imbalance, Grid2D,
+    ITERATION_COMMS,
 };
 use crate::{AppId, AppModel, GenParams};
 
@@ -144,18 +145,13 @@ impl AppModel for Spmz {
             let imb = rank_imbalance(p.seed ^ (0x51 + iter as u64), rank, RANK_SPREAD);
             let chunks: Vec<WorkItem> = sizes
                 .iter()
-                .enumerate()
-                .map(|(i, &size)| {
+                .map(|&size| {
                     let trips = (LINE_TRIPS as f64 * size) as u32;
                     WorkItem {
-                        id: i as u32,
                         duration_ns: estimate_trips_duration_ns(&kernels[0], trips, TRACED_IPC)
                             * imb,
                         critical_ns: 0.0,
-                        kernels: Some(KernelInvocation {
-                            kernel: 0,
-                            trips: Some(trips),
-                        }),
+                        kernels: kernel_call(trips),
                     }
                 })
                 .collect();

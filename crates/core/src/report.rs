@@ -178,7 +178,7 @@ mod tests {
         let region = ComputeRegion {
             region_id: 0,
             work: RegionWork::ParallelFor {
-                chunks: (0..4).map(|i| WorkItem::simple(i, 100.0)).collect(),
+                chunks: vec![WorkItem::simple(100.0); 4],
                 schedule: LoopSchedule::Dynamic,
             },
             spawn_overhead_ns: 0.0,

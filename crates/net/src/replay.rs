@@ -593,7 +593,7 @@ mod tests {
                     BurstEvent::Compute(ComputeRegion {
                         region_id: 0,
                         work: RegionWork::Serial {
-                            item: WorkItem::simple(0, work_ns),
+                            item: WorkItem::simple(work_ns),
                         },
                         spawn_overhead_ns: 0.0,
                         dispatch_overhead_ns: 0.0,

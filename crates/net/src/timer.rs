@@ -132,7 +132,7 @@ mod tests {
         ComputeRegion {
             region_id: 0,
             work: RegionWork::ParallelFor {
-                chunks: (0..8).map(|i| WorkItem::simple(i, 100.0)).collect(),
+                chunks: vec![WorkItem::simple(100.0); 8],
                 schedule: musa_trace::LoopSchedule::Dynamic,
             },
             spawn_overhead_ns: 0.0,

@@ -464,6 +464,19 @@ macro_rules! json_int {
 }
 json_int!(u8, u32, u64, usize);
 
+impl ToJson for std::num::NonZeroU32 {
+    fn write_json(&self, out: &mut String) {
+        self.get().write_json(out);
+    }
+}
+
+/// `0` (and `null`) are refused, as any non-`u32` is.
+impl FromJson for std::num::NonZeroU32 {
+    fn read_json(v: &JsonValue) -> Result<Self, String> {
+        Self::new(u32::read_json(v)?).ok_or_else(|| "expected a nonzero u32".into())
+    }
+}
+
 impl ToJson for str {
     fn write_json(&self, out: &mut String) {
         out.push('"');
@@ -685,6 +698,12 @@ mod tests {
         assert!(from_str::<u32>("2.5").is_err());
         assert!(from_str::<u8>("256").is_err());
         assert!(from_str::<u64>("-1").is_err());
+        let seven = std::num::NonZeroU32::new(7).unwrap();
+        assert_eq!(to_string(&seven), "7");
+        assert_eq!(from_str("7"), Ok(seven));
+        for text in ["0", "null", "-7"] {
+            assert!(from_str::<std::num::NonZeroU32>(text).is_err(), "{text}");
+        }
     }
 
     #[test]

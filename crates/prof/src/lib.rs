@@ -63,7 +63,7 @@ pub use harvest::{classify_profile, harvest, load_profiles, read_profile_file, H
 pub use record::{PointProfile, PROFILES_FILE, PROF_SCHEMA};
 pub use recorder::{
     enabled_from_env, install_store_recorder, point_begin, point_carry, point_finish, recording,
-    uninstall_recorder, ProfileSink,
+    set_thread_tag, uninstall_recorder, ProfileSink,
 };
 pub use report::{render_summary, ProfileSummary};
 pub use trace::export_trace;

@@ -22,12 +22,12 @@
 //! recorder is installed, so the zero-interference guarantee of
 //! `musa-obs` carries over unchanged.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -43,7 +43,6 @@ pub fn enabled_from_env() -> bool {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 /// The installed recorder's sink; `None` while nothing is installed.
 static SINK: Mutex<Option<ProfileSink>> = Mutex::new(None);
-static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
 /// An append handle on `<store-dir>/profiles.jsonl`.
 pub struct ProfileSink {
@@ -84,7 +83,7 @@ impl ProfileSink {
 
 thread_local! {
     static POINT: RefCell<ThreadPoint> = RefCell::new(ThreadPoint::default());
-    static TID: RefCell<u32> = const { RefCell::new(0) };
+    static TID: Cell<u32> = const { Cell::new(0) };
 }
 
 #[derive(Default)]
@@ -112,17 +111,12 @@ fn on_span(phase: &'static str, _app: &str, wall_ns: f64) {
     });
 }
 
-/// Stable per-process tag of the calling thread (assigned on first
-/// use, 1-based). Distinguishes the threads of one process on the
-/// timeline.
-fn thread_tag() -> u32 {
-    TID.with(|t| {
-        let mut t = t.borrow_mut();
-        if *t == 0 {
-            *t = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        }
-        *t
-    })
+/// Tag the calling thread's records with `tag`, its track on the
+/// timeline. The fill tags each worker thread with its index, so a
+/// fill draws tracks `0..threads` however many batches spawn them; a
+/// thread never tagged records under 0.
+pub fn set_thread_tag(tag: u32) {
+    TID.set(tag);
 }
 
 /// Peak resident set size of this process, kB (`VmHWM` from
@@ -240,7 +234,7 @@ pub fn point_finish(
         config: config.to_string(),
         worker: worker.to_string(),
         pid: std::process::id(),
-        tid: thread_tag(),
+        tid: TID.get(),
         start_us: if state.start_us == 0 {
             epoch_us()
         } else {

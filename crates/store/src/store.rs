@@ -1009,18 +1009,24 @@ impl CampaignStore {
 
 /// Simulate `chunk` on up to `threads` scoped threads, which take point
 /// indices from one counter. The outputs come back in `chunk` order.
+/// Each thread is tagged with its index for the profile timeline, so
+/// every batch's workers share the tracks `0..threads`.
 fn run_chunk(exec: &PointExecutor, chunk: &[NodeConfig], threads: usize) -> Vec<PointOutput> {
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<PointOutput>> = chunk.iter().map(|_| OnceLock::new()).collect();
+    let (next, out) = (&next, &slots);
     std::thread::scope(|s| {
-        for _ in 0..threads.clamp(1, chunk.len()) {
+        for worker in 0..threads.clamp(1, chunk.len()) {
             // The counter only hands out indices; each output is
             // published through its own `OnceLock`, and the scope's
             // join orders every slot before the reads below.
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(config) = chunk.get(i) else { break };
-                let _ = slots[i].set(exec.run(config));
+            s.spawn(move || {
+                musa_prof::set_thread_tag(worker as u32);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(config) = chunk.get(i) else { break };
+                    let _ = out[i].set(exec.run(config));
+                }
             });
         }
     });
@@ -1054,7 +1060,7 @@ pub(crate) mod tests {
 
     /// Held by every test in this crate that fills: the fault plan is
     /// process-global, and a panic plan would poison a neighbour's
-    /// points.
+    /// points; so is the flight recorder, which would record them.
     pub(crate) fn fault_lock() -> MutexGuard<'static, ()> {
         FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -1124,6 +1130,62 @@ pub(crate) mod tests {
                 a.0 == aborted.0,
                 "{threads} threads: persisted prefix differs"
             );
+        }
+    }
+
+    /// A two-thread fill of four batches, each run on freshly spawned
+    /// threads, exports two worker tracks (tagged 0 and 1, one per
+    /// worker index), and writes the bytes a one-thread fill writes.
+    #[test]
+    fn a_fill_draws_one_track_per_worker_thread() {
+        let _lock = fault_lock();
+        let fill = |threads: usize| {
+            let dir = std::env::temp_dir().join(format!(
+                "musa-store-tracks-{threads}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let configs: Vec<NodeConfig> = DesignSpace::all().into_iter().step_by(72).collect();
+            let opts = FillOptions {
+                batch: 3,
+                progress: false,
+                ..FillOptions::new(SweepOptions {
+                    gen: GenParams::tiny(),
+                    full_replay: true,
+                })
+            };
+            musa_prof::install_store_recorder(&dir).unwrap();
+            let mut store = CampaignStore::open(&dir).unwrap();
+            store
+                .fill_on(&[AppId::Hydro], &configs, &opts, threads)
+                .unwrap();
+            drop(store);
+            musa_prof::uninstall_recorder();
+            let rows = std::fs::read(dir.join(DEFAULT_WRITE_FILE)).unwrap();
+            let (profiles, _) = musa_prof::load_profiles(&dir).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            let trace = musa_obs::json::JsonValue::parse(&musa_prof::export_trace(&profiles));
+            let mut tracks: Vec<u64> = trace
+                .unwrap()
+                .get("traceEvents")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("thread_name"))
+                .map(|e| e.get("tid").and_then(|t| t.as_u64()).unwrap())
+                .collect();
+            // Named in the order their first points started.
+            tracks.sort_unstable();
+            (rows, profiles.len(), tracks)
+        };
+        let (one, _, _) = fill(1);
+        let (two, records, tracks) = fill(2);
+        assert!(two == one, "two threads: rows.jsonl differs");
+        if musa_prof::COMPILED {
+            assert_eq!(records, 864 / 72, "one record per point");
+            assert_eq!(tracks, [0, 1], "one track per worker");
         }
     }
 }

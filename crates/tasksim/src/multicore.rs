@@ -60,14 +60,14 @@
 //! that stops where the end belongs stops after a different number of
 //! steps nearly every item, and mispredicts.)
 
-use musa_trace::{ComputeRegion, LoopSchedule, RegionWork, WorkItem};
+use musa_trace::{ComputeRegion, LoopSchedule, RegionWork};
 
 use crate::pipeline::{earlier, later};
 
 /// Where each work item ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledItem {
-    /// Work-item id.
+    /// The work item's position in its region.
     pub item: u32,
     /// Core that executed it.
     pub core: u32,
@@ -365,20 +365,18 @@ fn place_lanes<P: CorePool>(
         &mut on_heap
     };
 
-    let edges = region.work.deps();
-    let deps = if edges.is_empty() {
-        Vec::new()
+    let width = if region.work.deps().is_empty() {
+        PASS_LANES
     } else {
-        resolve_deps(region.work.items(), edges)
+        1
     };
-    let width = if deps.is_empty() { PASS_LANES } else { 1 };
     for (k, group) in lanes.chunks_mut(width).enumerate() {
         let (d, c) = (&mut duration_of, &mut critical_of);
         let mut place = |l, placed| place(k * width + l, placed);
         match group.len() {
-            1 => place_items::<P, 1>(region, lane_array(group), free, &deps, d, c, &mut place),
-            2 => place_items::<P, 2>(region, lane_array(group), free, &deps, d, c, &mut place),
-            _ => place_items::<P, 3>(region, lane_array(group), free, &deps, d, c, &mut place),
+            1 => place_items::<P, 1>(region, lane_array(group), free, d, c, &mut place),
+            2 => place_items::<P, 2>(region, lane_array(group), free, d, c, &mut place),
+            _ => place_items::<P, 3>(region, lane_array(group), free, d, c, &mut place),
         }
     }
 }
@@ -388,40 +386,24 @@ fn lane_array<const L: usize>(group: &mut [Lane]) -> &mut [Lane; L] {
     group.try_into().expect("a group of L lanes")
 }
 
-/// For every dependency of every item, in item then dependency order:
-/// the index of the latest *earlier* item carrying that id, if any.
-/// `edges[i]` lists item `i`'s; an item past the end of `edges` has
-/// none. A dependency that names no earlier item never gates, and a
-/// repeated id resolves to its latest holder. Empty when no item has a
-/// dependency.
-fn resolve_deps(items: &[WorkItem], edges: &[Vec<u32>]) -> Vec<Option<usize>> {
-    let mut index_of_id = std::collections::HashMap::with_capacity(items.len());
-    let mut resolved = Vec::new();
-    for (i, (item, named)) in items.iter().zip(edges).enumerate() {
-        resolved.extend(named.iter().map(|d| index_of_id.get(d).copied()));
-        index_of_id.insert(item.id, i);
-    }
-    resolved
-}
-
 /// The one scheduling loop: list-schedules the items in trace order, in
 /// every lane on the cores its `P` pool picks from its slots of `free`
 /// (all 0), and hands every placement to `place` with its lane's index
-/// (its `core` is `P`'s slot). `deps` is [`resolve_deps`] of a region
-/// with dependencies, scheduled in one lane, and empty otherwise. Each
-/// lane ends holding its makespan in ns.
+/// (its `core` is `P`'s slot). A region with task edges is scheduled in
+/// one lane: item `i` waits for the positions `edges[i]` names (an item
+/// past the end of `edges` waits for none), and an edge to its own or a
+/// later position never gates. Each lane ends holding its makespan in
+/// ns.
 fn place_items<P: CorePool, const L: usize>(
     region: &ComputeRegion,
     lanes: &mut [Lane; L],
     free: &mut [f64],
-    deps: &[Option<usize>],
     mut duration_of: impl FnMut(usize) -> f64,
     mut critical_of: impl FnMut(usize) -> f64,
     mut place: impl FnMut(usize, ScheduledItem),
 ) {
-    let items = region.work.items();
+    let n = region.work.items().len();
     let edges = region.work.deps();
-    let n = items.len();
     let spawn = region.spawn_overhead_ns;
     let dispatch = region.dispatch_overhead_ns;
 
@@ -442,15 +424,15 @@ fn place_items<P: CorePool, const L: usize>(
         | RegionWork::Tasks { .. } => (true, spawn * n as f64),
     };
 
-    // Finish times by item index, kept only for task graphs.
-    let has_deps = !deps.is_empty();
+    // Finish times by position, kept only for task graphs: a position
+    // not yet placed (or past the end) reads 0, so it never gates.
+    let has_deps = !edges.is_empty();
     debug_assert!(!has_deps || L == 1, "dependencies in a shared pass");
     let mut finish = if has_deps {
         vec![0.0_f64; n]
     } else {
         Vec::new()
     };
-    let mut next_dep = 0;
 
     // Each lane's pool; its master joins after spawning. The lanes are
     // copied in so that their cursors and times can stay in registers.
@@ -469,7 +451,7 @@ fn place_items<P: CorePool, const L: usize>(
         );
     }
 
-    for (i, item) in items.iter().enumerate() {
+    for i in 0..n {
         let dur = duration_of(i).max(0.0) + dispatch;
         let crit = critical_of(i).max(0.0).min(dur);
 
@@ -478,12 +460,12 @@ fn place_items<P: CorePool, const L: usize>(
         } else {
             master_free
         };
-        let named = next_dep..next_dep + edges.get(i).map_or(0, Vec::len);
-        next_dep = named.end;
-        let deps_done = deps[named]
-            .iter()
+        let deps_done = edges
+            .get(i)
+            .into_iter()
             .flatten()
-            .fold(0.0_f64, |done, &j| done.max(finish[j]));
+            .filter_map(|&j| finish.get(j as usize))
+            .fold(0.0_f64, |done, &f| done.max(f));
         let ready = avail.max(deps_done);
 
         for (l, lane) in lanes_in.iter_mut().enumerate() {
@@ -506,7 +488,7 @@ fn place_items<P: CorePool, const L: usize>(
             place(
                 l,
                 ScheduledItem {
-                    item: item.id,
+                    item: i as u32,
                     core: slot as u32,
                     start_ns: start,
                     end_ns: end,
@@ -573,16 +555,13 @@ pub fn burst_makespan_ns(region: &ComputeRegion, cores: u32) -> f64 {
 mod tests {
     use super::*;
     use musa_obs::rng::SplitMix64;
+    use musa_trace::WorkItem;
 
     fn par_for(durations: &[f64], spawn: f64, schedule: LoopSchedule) -> ComputeRegion {
         ComputeRegion {
             region_id: 0,
             work: RegionWork::ParallelFor {
-                chunks: durations
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| WorkItem::simple(i as u32, d))
-                    .collect(),
+                chunks: durations.iter().map(|&d| WorkItem::simple(d)).collect(),
                 schedule,
             },
             spawn_overhead_ns: spawn,
@@ -591,7 +570,8 @@ mod tests {
     }
 
     /// The scheduler as it stood before `place_items`: availability in a
-    /// `Vec`, finish times in a map by id. Kept as the oracle.
+    /// `Vec`, finish times in one by position (an edge to a position not
+    /// yet placed finds none). Kept as the oracle.
     fn schedule_region_reference(
         region: &ComputeRegion,
         cores: u32,
@@ -624,10 +604,9 @@ mod tests {
             ),
         };
 
-        // Map item id → finish time for dependency resolution.
+        // Finish time by position, for dependency resolution.
         let edges = region.work.deps();
-        let mut finish_by_id: std::collections::HashMap<u32, f64> =
-            std::collections::HashMap::with_capacity(n);
+        let mut finish: Vec<f64> = Vec::with_capacity(n);
 
         // Core free times; core 0 is the master and joins after spawning.
         let mut core_free = vec![0.0_f64; cores as usize];
@@ -638,7 +617,7 @@ mod tests {
         let mut busy = 0.0_f64;
         let mut makespan = master_free;
 
-        for (i, item) in items.iter().enumerate() {
+        for (i, avail) in avail.into_iter().enumerate() {
             let dur = duration_of(i).max(0.0) + dispatch;
             let crit = critical_of(i).max(0.0).min(dur);
 
@@ -646,9 +625,9 @@ mod tests {
                 .get(i)
                 .into_iter()
                 .flatten()
-                .filter_map(|d| finish_by_id.get(d).copied())
+                .filter_map(|&d| finish.get(d as usize).copied())
                 .fold(0.0_f64, f64::max);
-            let ready = avail[i].max(deps_done);
+            let ready = avail.max(deps_done);
 
             // Pick the core: static pre-assignment or earliest-free.
             let core = if static_assign {
@@ -673,13 +652,13 @@ mod tests {
             }
 
             core_free[core as usize] = end;
-            finish_by_id.insert(item.id, end);
+            finish.push(end);
             busy += end - start;
             if end > makespan {
                 makespan = end;
             }
             timeline.push(ScheduledItem {
-                item: item.id,
+                item: i as u32,
                 core,
                 start_ns: start,
                 end_ns: end,
@@ -696,8 +675,8 @@ mod tests {
 
     /// A seeded region of any of the four shapes: serial, static or
     /// dynamic loop, or a task graph with dependencies (backward,
-    /// repeated, and now and then naming no earlier item), critical
-    /// tails, and ids that are sometimes not the item's index. One in
+    /// repeated, and now and then naming the task's own or a later
+    /// position, in range or past the end), and critical tails. One in
     /// eight is Hydro-sized (300–1,100 items, so a 64-core pool turns
     /// over many times); one in six is tie-heavy: every duration equal
     /// or zero, no critical tail, no spawn or dispatch overhead.
@@ -713,27 +692,21 @@ mod tests {
             1 => Some(1.0 + rng.next_f64() * 1e4),
             _ => None,
         };
-        let sparse_ids = below(rng, 4) == 0;
         let tasks = below(rng, 2) == 0;
         let mut items: Vec<WorkItem> = (0..n)
-            .map(|i| {
+            .map(|_| {
                 let duration_ns = match tie_ns {
                     Some(ns) => ns,
                     None if below(rng, 10) == 0 => 0.0,
                     None => 1.0 + rng.next_f64() * 1e4,
                 };
                 WorkItem {
-                    id: if sparse_ids {
-                        below(rng, 2 * n as u64) as u32
-                    } else {
-                        i as u32
-                    },
                     critical_ns: if tie_ns.is_none() && below(rng, 3) == 0 {
                         duration_ns * rng.next_f64()
                     } else {
                         0.0
                     },
-                    ..WorkItem::simple(0, duration_ns)
+                    ..WorkItem::simple(duration_ns)
                 }
             })
             .collect();
@@ -742,9 +715,9 @@ mod tests {
             for i in 0..n {
                 let named = (0..below(rng, 4))
                     .map(|_| match below(rng, 8) {
-                        0 => below(rng, 3 * n as u64) as u32,
-                        _ => items[below(rng, i as u64 + 1) as usize].id,
-                    })
+                        0 => below(rng, 3 * n as u64),
+                        _ => below(rng, i as u64 + 1),
+                    } as u32)
                     .collect();
                 deps.push(named);
             }
@@ -952,7 +925,7 @@ mod tests {
         let r = ComputeRegion {
             region_id: 0,
             work: RegionWork::Serial {
-                item: WorkItem::simple(0, 100.0),
+                item: WorkItem::simple(100.0),
             },
             spawn_overhead_ns: 0.0,
             dispatch_overhead_ns: 0.0,
@@ -1014,7 +987,7 @@ mod tests {
 
     #[test]
     fn dependencies_serialise() {
-        let items = (0..3).map(|i| WorkItem::simple(i, 10.0)).collect();
+        let items = vec![WorkItem::simple(10.0); 3];
         let r = ComputeRegion {
             region_id: 0,
             work: RegionWork::Tasks {
@@ -1031,12 +1004,13 @@ mod tests {
     #[test]
     fn critical_sections_serialise() {
         // 8 items, each 10 ns with 10 ns critical: fully serialised.
-        let items: Vec<WorkItem> = (0..8)
-            .map(|i| WorkItem {
+        let items = vec![
+            WorkItem {
                 critical_ns: 10.0,
-                ..WorkItem::simple(i, 10.0)
-            })
-            .collect();
+                ..WorkItem::simple(10.0)
+            };
+            8
+        ];
         let r = ComputeRegion {
             region_id: 0,
             work: RegionWork::Tasks {

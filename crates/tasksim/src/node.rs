@@ -45,11 +45,11 @@ pub fn effective_bandwidth_gbs(mem: musa_arch::MemConfig) -> f64 {
 /// bytes.
 type ItemCost = (f64, SimStats, f64);
 
-/// The kernel a [`NodeSim::simulate_region`] call profiled last, with
-/// its trip count: every item of a region invokes the same kernel, so
-/// the profile table is asked once per region, not once per item. A
-/// different kernel id replaces it.
-type LastKernel = Option<(KernelId, u32, KernelProfile)>;
+/// The kernel a [`NodeSim::simulate_region`] call profiled last: every
+/// item of a region invokes the same kernel, so the profile table is
+/// asked once per region, not once per item. A different kernel id
+/// replaces it.
+type LastKernel = Option<(KernelId, KernelProfile)>;
 
 /// Result of simulating one compute region in detailed mode.
 #[derive(Debug, Clone)]
@@ -163,18 +163,18 @@ impl<'a> NodeSim<'a> {
         let mut bytes = 0.0;
         if let Some(inv) = &item.kernels {
             let found = match *last {
-                Some((id, trips, p)) if id == inv.kernel => Some((trips, p)),
+                Some((id, p)) if id == inv.kernel => Some(p),
                 _ => self.detail.kernel(inv.kernel).map(|kernel| {
                     let p = self.profile_of(kernel);
-                    *last = Some((inv.kernel, kernel.trip_count, p));
-                    (kernel.trip_count, p)
+                    *last = Some((inv.kernel, p));
+                    p
                 }),
             };
             // Accumulated into zeroed totals: `merge` weighs
             // `mem_seq_fraction` by the reads, so a plain copy of the
             // scaled stats could differ in the last bit.
-            if let Some((trip_count, p)) = found {
-                let trips = inv.trips.unwrap_or(trip_count);
+            if let Some(p) = found {
+                let trips = inv.trips.get();
                 dur += p.duration_ns(trips, ghz);
                 stats.merge(&p.stats_per_iter.scaled(trips as f64));
                 bytes += p.mem_bytes_per_iter * trips as f64;
@@ -424,23 +424,28 @@ mod tests {
             region_id: 0,
             kernels,
         };
-        let item = |id: u32, invocation: Option<(KernelId, Option<u32>)>| WorkItem {
-            id,
-            duration_ns: 1_000.0 * f64::from(id + 1),
-            critical_ns: 100.0 * f64::from(id),
-            kernels: invocation.map(|(kernel, trips)| KernelInvocation { kernel, trips }),
+        // Positions 1 and 4 run a slice of kernel 10's iterations, the
+        // others each kernel's own count.
+        let own = |id| detail.kernel(id).map_or(1, |k| k.trip_count);
+        let item = |i: u32, invocation: Option<(KernelId, u32)>| WorkItem {
+            duration_ns: 1_000.0 * f64::from(i + 1),
+            critical_ns: 100.0 * f64::from(i),
+            kernels: invocation.map(|(kernel, trips)| KernelInvocation {
+                kernel,
+                trips: trips.try_into().unwrap(),
+            }),
         };
         let items = vec![
-            item(0, Some((10, None))),
-            item(1, Some((10, Some(5)))),
-            item(2, Some((11, None))),
-            item(3, Some((11, None))),
-            item(4, Some((10, Some(3)))),
+            item(0, Some((10, own(10)))),
+            item(1, Some((10, 5))),
+            item(2, Some((11, own(11)))),
+            item(3, Some((11, own(11)))),
+            item(4, Some((10, 3))),
             item(5, None),
-            item(6, Some((11, None))),
-            item(7, Some((77, None))),
-            item(8, Some((11, None))),
-            item(9, Some((10, None))),
+            item(6, Some((11, own(11)))),
+            item(7, Some((77, own(77)))),
+            item(8, Some((11, own(11)))),
+            item(9, Some((10, own(10)))),
         ];
         let region = ComputeRegion {
             region_id: 0,
@@ -489,7 +494,7 @@ mod tests {
                         Some(inv) => {
                             if let Some(k) = detail.kernel(inv.kernel) {
                                 let p = profile(k.id);
-                                let trips = inv.trips.unwrap_or(k.trip_count);
+                                let trips = inv.trips.get();
                                 dur += p.duration_ns(trips, ghz);
                                 stats.merge(&p.stats_per_iter.scaled(trips as f64));
                                 bytes += p.mem_bytes_per_iter * trips as f64;
@@ -503,30 +508,27 @@ mod tests {
             assert_ne!(
                 format!("{:?}", want[0]),
                 format!("{:?}", want[1]),
-                "the trip override changes the cost"
+                "the trip count changes the cost"
             );
 
-            // The items the slot answers: a run of one kernel, with and
-            // without an override, and a kernel the unknown id did not
-            // displace. No kernel and an unknown id leave the slot.
+            // The items the slot answers: a run of one kernel, at its
+            // own and at a sliced trip count, and a kernel the unknown id
+            // did not displace. No kernel and an unknown id leave the
+            // slot.
             let mut last: LastKernel = None;
-            let hits: Vec<u32> = region
-                .work
-                .items()
-                .iter()
-                .filter(|item| {
+            let hits: Vec<usize> = (0..region.work.items().len())
+                .filter(|&i| {
+                    let item = &region.work.items()[i];
                     let held = matches!((&last, &item.kernels),
-                        (Some((id, ..)), Some(inv)) if *id == inv.kernel);
+                        (Some((id, _)), Some(inv)) if *id == inv.kernel);
                     sim.item_cost(item, &mut last);
                     held
                 })
-                .map(|item| item.id)
                 .collect();
             assert_eq!(hits, [1, 3, 8]);
             // A held slot is priced without a lookup: filled with kernel
             // 11's profile under kernel 10's id, it prices item 1 by 11.
-            let k10 = detail.kernel(10).unwrap();
-            let mut slot = Some((10, k10.trip_count, profile(11)));
+            let mut slot = Some((10, profile(11)));
             let (dur, ..) = sim.item_cost(&region.work.items()[1], &mut slot);
             assert_eq!(dur, profile(11).duration_ns(5, ghz));
 

@@ -11,11 +11,7 @@ fn region_from(durations: Vec<f64>, dynamic: bool, spawn: f64, dispatch: f64) ->
     ComputeRegion {
         region_id: 0,
         work: RegionWork::ParallelFor {
-            chunks: durations
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| WorkItem::simple(i as u32, d))
-                .collect(),
+            chunks: durations.into_iter().map(WorkItem::simple).collect(),
             schedule: if dynamic {
                 LoopSchedule::Dynamic
             } else {

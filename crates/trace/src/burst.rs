@@ -13,12 +13,11 @@ use crate::meta::TraceMeta;
 use crate::DetailedTrace;
 
 /// A schedulable unit of work: an OmpSs/OpenMP task or a parallel-loop
-/// chunk. It owns no heap memory: its task dependencies, if any, are
-/// held by its region ([`RegionWork::Tasks`]).
+/// chunk. It is named by its position in its region's item list, and
+/// owns no heap memory: its task dependencies, if any, are held by its
+/// region ([`RegionWork::Tasks`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkItem {
-    /// Identifier, unique within its region.
-    pub id: u32,
     /// Native single-thread duration in nanoseconds (from the trace).
     pub duration_ns: f64,
     /// Portion of `duration_ns` spent inside an `omp critical` section
@@ -31,9 +30,8 @@ pub struct WorkItem {
 
 impl WorkItem {
     /// A plain independent item with the given duration.
-    pub fn simple(id: u32, duration_ns: f64) -> Self {
+    pub fn simple(duration_ns: f64) -> Self {
         WorkItem {
-            id,
             duration_ns,
             critical_ns: 0.0,
             kernels: None,
@@ -59,10 +57,10 @@ pub enum RegionWork {
         /// The task set.
         items: Vec<WorkItem>,
         /// The task graph's edges: empty when no task has a predecessor
-        /// (no cost per task), or one list of predecessor ids per task,
-        /// in task order. A predecessor id names the latest earlier task
-        /// carrying it; [`AppTrace::validate`] rejects an id that names
-        /// no earlier task, and the scheduler lets such an id never gate.
+        /// (no cost per task), or one list of predecessor positions per
+        /// task, in task order. [`AppTrace::validate`] rejects an edge to
+        /// the task's own or a later position, and the scheduler lets
+        /// such an edge never gate.
         deps: Vec<Vec<u32>>,
     },
     /// `omp parallel for`: independent chunks with an implicit barrier at
@@ -262,7 +260,7 @@ impl AppTrace {
             for region in rt.regions() {
                 let items = region.work.items();
                 // A task graph's edges, checked in the same pass: one
-                // list per task, each id naming an earlier task.
+                // list per task, each naming an earlier position.
                 let deps = region.work.deps();
                 if !deps.is_empty() && deps.len() != items.len() {
                     return Err(format!(
@@ -273,28 +271,26 @@ impl AppTrace {
                         items.len()
                     ));
                 }
-                let mut earlier = std::collections::HashSet::new();
                 for (i, w) in items.iter().enumerate() {
                     if !w.duration_ns.is_finite() || w.duration_ns < 0.0 {
                         return Err(format!(
-                            "rank {} region {} item {}: bad duration {}",
-                            rt.rank, region.region_id, w.id, w.duration_ns
+                            "rank {} region {} item {i}: bad duration {}",
+                            rt.rank, region.region_id, w.duration_ns
                         ));
                     }
                     if w.critical_ns > w.duration_ns {
                         return Err(format!(
-                            "rank {} region {} item {}: critical > duration",
-                            rt.rank, region.region_id, w.id
+                            "rank {} region {} item {i}: critical > duration",
+                            rt.rank, region.region_id
                         ));
                     }
-                    let Some(named) = deps.get(i) else { continue };
-                    if let Some(d) = named.iter().find(|d| !earlier.contains(*d)) {
+                    let named = deps.get(i).map_or(&[][..], Vec::as_slice);
+                    if let Some(d) = named.iter().find(|&&d| d as usize >= i) {
                         return Err(format!(
-                            "rank {} region {} item {}: dep {} not an earlier item",
-                            rt.rank, region.region_id, w.id, d
+                            "rank {} region {} item {i}: dep {d} not an earlier item",
+                            rt.rank, region.region_id
                         ));
                     }
-                    earlier.insert(w.id);
                 }
             }
         }
@@ -303,13 +299,32 @@ impl AppTrace {
 }
 
 // The trace-file encodings (`musa_trace::io`), fields in declaration
-// order.
-musa_obs::json_struct!(WorkItem {
-    id,
-    duration_ns,
-    critical_ns,
-    kernels
-});
+// order. An item is its position: one that carries an `id` was written
+// by a build whose task edges named ids, and is refused.
+impl musa_obs::json::ToJson for WorkItem {
+    fn write_json(&self, out: &mut String) {
+        let WorkItem {
+            duration_ns,
+            critical_ns,
+            kernels,
+        } = self;
+        musa_obs::__json_members!(out, duration_ns, critical_ns, kernels);
+    }
+}
+
+impl musa_obs::json::FromJson for WorkItem {
+    fn read_json(v: &musa_obs::json::JsonValue) -> Result<Self, String> {
+        use musa_obs::json::field;
+        if v.get("id").is_some() {
+            return Err("a work item is named by its position, not an id".into());
+        }
+        Ok(WorkItem {
+            duration_ns: field(v, "duration_ns")?,
+            critical_ns: field(v, "critical_ns")?,
+            kernels: field(v, "kernels")?,
+        })
+    }
+}
 musa_obs::json_enum!(LoopSchedule { Static, Dynamic });
 musa_obs::json_enum!(RegionWork {
     Tasks { items, deps },
@@ -359,9 +374,9 @@ mod tests {
             region_id: 0,
             work: RegionWork::Tasks {
                 items: vec![
-                    WorkItem::simple(0, 10.0),
-                    WorkItem::simple(1, 20.0),
-                    WorkItem::simple(2, 5.0),
+                    WorkItem::simple(10.0),
+                    WorkItem::simple(20.0),
+                    WorkItem::simple(5.0),
                 ],
                 deps: vec![vec![], vec![], vec![0, 1]],
             },
@@ -381,12 +396,14 @@ mod tests {
         }
     }
 
-    /// An item holds its one invocation inline and its region holds its
-    /// edges: 32 bytes and no heap chunk of its own, times the ≈ 692,000
-    /// items of the paper-scale traces.
+    /// An item is its position, holds its one invocation inline (the
+    /// nonzero trip count's niche makes the `Option` free) and its
+    /// region holds its edges: 24 bytes and no heap chunk of its own,
+    /// times the 692,224 items of the five paper-scale traces.
     #[test]
     fn a_work_item_stays_small() {
-        assert!(std::mem::size_of::<WorkItem>() <= 32);
+        assert_eq!(std::mem::size_of::<Option<KernelInvocation>>(), 8);
+        assert_eq!(std::mem::size_of::<WorkItem>(), 24);
     }
 
     /// A region is its id, its work's two lists and two overheads: no
@@ -396,13 +413,20 @@ mod tests {
         assert!(std::mem::size_of::<ComputeRegion>() <= 72);
     }
 
+    /// An edge names an earlier position: one to the task's own or a
+    /// later position (in range or past the end) is refused.
     #[test]
     fn validate_catches_forward_dep() {
-        let mut region = region_tasks();
-        if let RegionWork::Tasks { deps, .. } = &mut region.work {
-            deps[0] = vec![2]; // forward reference
+        for (task, named) in [(0, 2), (1, 1), (2, 2), (2, 3), (1, u32::MAX)] {
+            let mut region = region_tasks();
+            if let RegionWork::Tasks { deps, .. } = &mut region.work {
+                deps[task].push(named);
+            }
+            assert!(
+                one_region(region).validate().is_err(),
+                "task {task} waits for {named}"
+            );
         }
-        assert!(one_region(region).validate().is_err());
     }
 
     /// A task graph's edge list is empty or has one list per task.

@@ -9,6 +9,8 @@
 //! dynamic stream is recovered by iterating the body `trip_count` times —
 //! [`Kernel::dyn_instrs`] does exactly that.
 
+use std::num::NonZeroU32;
+
 /// Instruction operation classes, as recorded by the tracer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
@@ -229,9 +231,11 @@ pub struct DynInstr {
 pub struct KernelInvocation {
     /// Which kernel.
     pub kernel: KernelId,
-    /// Trip-count override (chunks of a parallel loop run a slice of the
-    /// full iteration space). `None` uses the kernel's own trip count.
-    pub trips: Option<u32>,
+    /// The iterations this call runs: a chunk of a parallel loop runs a
+    /// slice of the full iteration space, so every call states its own
+    /// (never zero, which also gives `Option<KernelInvocation>` its
+    /// niche).
+    pub trips: NonZeroU32,
 }
 
 /// The detailed trace of one sampled region: the kernel dictionary.

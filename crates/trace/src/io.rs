@@ -6,12 +6,15 @@
 //! generates its traces in memory, once per application, and replays
 //! them at every point. The codec serves the round-trip tests (this
 //! crate's and the workspace's end-to-end suite) and anyone who wants a
-//! trace on disk. A work item's `kernels` is `null` or one invocation
-//! object, and a task region's `deps` holds its edges (one id list per
-//! task, or none). A trace file written by an older build no longer
-//! loads: such a file held a `kernels` list per item, or a task region
-//! without `deps` (older builds kept each item's dependencies, and a
-//! region name, which this reader does not read).
+//! trace on disk. A work item is written without a name (it is its
+//! position in its region), its `kernels` is `null` or one invocation
+//! object whose `trips` is never zero, and a task region's `deps` holds
+//! its edges (one list of earlier positions per task, or none). A trace
+//! file written by an older build no longer loads: such a file held an
+//! `id` per item (and edges that named ids), a `"trips":null`, a
+//! `kernels` list per item, or a task region without `deps` (older
+//! builds kept each item's dependencies, and a region name, which this
+//! reader does not read).
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -95,7 +98,7 @@ mod tests {
                 events: vec![BurstEvent::Compute(ComputeRegion {
                     region_id: 0,
                     work: RegionWork::Serial {
-                        item: WorkItem::simple(0, 1.0),
+                        item: WorkItem::simple(1.0),
                     },
                     spawn_overhead_ns: 0.0,
                     dispatch_overhead_ns: 0.0,
@@ -126,31 +129,43 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// An item writes no name, and its kernel as one object or `null`;
+    /// an item with an `id` or a call without a nonzero trip count does
+    /// not load.
     #[test]
     fn an_item_encodes_its_kernel_as_one_object_or_null() {
         let item = WorkItem {
             kernels: Some(crate::KernelInvocation {
                 kernel: 3,
-                trips: Some(7),
+                trips: std::num::NonZeroU32::new(7).unwrap(),
             }),
-            ..WorkItem::simple(0, 1.0)
+            ..WorkItem::simple(1.0)
         };
         let text = musa_obs::json::to_string(&item);
-        assert!(
-            text.contains(r#""kernels":{"kernel":3,"trips":7}"#),
-            "{text}"
+        assert_eq!(
+            text,
+            r#"{"duration_ns":1,"critical_ns":0,"kernels":{"kernel":3,"trips":7}}"#
         );
         assert_eq!(musa_obs::json::from_str::<WorkItem>(&text).unwrap(), item);
-        let text = musa_obs::json::to_string(&WorkItem::simple(0, 1.0));
-        assert!(text.contains(r#""kernels":null"#), "{text}");
+        let text = musa_obs::json::to_string(&WorkItem::simple(1.0));
+        assert_eq!(text, r#"{"duration_ns":1,"critical_ns":0,"kernels":null}"#);
+        for old in [
+            r#"{"id":0,"duration_ns":1,"critical_ns":0,"kernels":null}"#,
+            r#"{"duration_ns":1,"critical_ns":0,"kernels":{"kernel":3,"trips":0}}"#,
+            r#"{"duration_ns":1,"critical_ns":0,"kernels":{"kernel":3,"trips":null}}"#,
+        ] {
+            assert!(musa_obs::json::from_str::<WorkItem>(old).is_err(), "{old}");
+        }
     }
 
-    /// A task region keeps its edges, one list per task, through a
-    /// round trip; a region without edges writes an empty list.
+    /// A task region keeps its edges, one list of earlier positions per
+    /// task, through a round trip; a region without edges writes an
+    /// empty list, and a file with an edge to the task's own position
+    /// does not load.
     #[test]
     fn a_task_region_keeps_its_edges() {
         let mut trace = tiny_trace();
-        let items = (0..3).map(|i| WorkItem::simple(i, 1.0)).collect::<Vec<_>>();
+        let items = vec![WorkItem::simple(1.0); 3];
         let BurstEvent::Compute(region) = &mut trace.ranks[0].events[0] else {
             unreachable!()
         };
@@ -163,6 +178,11 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.contains(r#""deps":[[],[0],[0,1]]"#), "{text}");
         assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
+        let own = text.replace(r#""deps":[[],[0],[0,1]]"#, r#""deps":[[],[1],[0,1]]"#);
+        assert!(matches!(
+            read_trace(own.as_bytes()),
+            Err(TraceIoError::Invalid(_))
+        ));
 
         let free = RegionWork::Tasks {
             items,

@@ -5,9 +5,9 @@ use musa_trace::{AppTrace, BurstEvent, ComputeRegion, RankTrace, RegionWork, Tra
 
 fn arb_region(n_items: usize, chained: bool) -> ComputeRegion {
     let items: Vec<WorkItem> = (0..n_items)
-        .map(|i| WorkItem::simple(i as u32, 10.0 + i as f64))
+        .map(|i| WorkItem::simple(10.0 + i as f64))
         .collect();
-    // A chain: each task waits for the one before it.
+    // A chain: each task waits for the position before it.
     let deps = if chained {
         (0..n_items)
             .map(|i| i.checked_sub(1).map(|p| p as u32).into_iter().collect())
@@ -27,7 +27,7 @@ const CASES: u64 = 64;
 
 /// Validation accepts well-formed traces, chained or not, and rejects
 /// negative or non-finite durations, critical tails longer than their
-/// item, and forward dependencies.
+/// item, and an edge to the task's own or a later position.
 #[test]
 fn validate_catches_bad_durations() {
     check_cases(CASES, |rng| {
@@ -52,7 +52,7 @@ fn validate_catches_bad_durations() {
                 0 => items[idx].duration_ns = -1.0,
                 1 => items[idx].duration_ns = f64::NAN,
                 2 => items[idx].critical_ns = items[idx].duration_ns + 1.0,
-                // Task `idx` waits for itself or a later task.
+                // Task `idx` waits for its own or a later position.
                 _ => {
                     deps.resize(n, Vec::new());
                     deps[idx].push((idx + (rng.next_u64() % 3) as usize) as u32);

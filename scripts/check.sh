@@ -200,6 +200,36 @@ if [[ -n "$cut_leaks" ]]; then
     exit 1
 fi
 
+echo "== every ignored test says why, and a leg below runs it =="
+# An `#[ignore]` under crates/ carries a reason string, and one of this
+# script's `--ignored` legs reaches it: a leg naming its package and
+# target (`--lib` for a `src` file, `--test <file>` for a test file)
+# with no name filter or a filter its name contains.
+legs=$(sed -n 's/.*cargo test .*-p \([^ ]*\) \(--lib\|--test [^ ]*\) -- --ignored *\([^ ]*\).*/\1 \2|\3/p' "$0")
+unreached=$(grep -rn '^ *#\[ignore' crates --include='*.rs' | while IFS=: read -r file line attr; do
+    if [[ "$attr" != *'#[ignore = "'* ]]; then
+        echo "$file:$line: #[ignore] without a reason"
+        continue
+    fi
+    name=$(tail -n +"$line" "$file" | grep -m1 -o 'fn [a-z0-9_]*' | cut -c4-)
+    crate=${file#crates/}
+    pkg=$(sed -n 's/^name = "\(.*\)"/\1/p' "crates/${crate%%/*}/Cargo.toml")
+    case $file in
+    */src/*) target=--lib ;;
+    *) target=${file##*/} target="--test ${target%.rs}" ;;
+    esac
+    reached=0
+    while IFS='|' read -r leg filter; do
+        [[ "$leg" == "$pkg $target" && "$name" == *"$filter"* ]] && reached=1
+    done <<<"$legs"
+    ((reached)) || echo "$file:$line: no --ignored leg of scripts/check.sh runs $name"
+done)
+if [[ -n "$unreached" ]]; then
+    echo "$unreached"
+    echo "check: FAIL — an ignored test without a reason or without a leg (lines above)" >&2
+    exit 1
+fi
+
 echo "== non-test line counts (each src file up to its first line beginning #[cfg(test)]) =="
 # Printed, not gated, so that every change quotes the same numbers.
 noncode() { awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"; }
